@@ -93,7 +93,7 @@ fn bench_sim_threads(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
             b.iter(|| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-                SimRunner::new(SimConfig::ideal().with_threads(threads)).run_fedml(
+                SimRunner::new(SimConfig::ideal().with_threads(threads)).run(
                     &FedMl::new(cfg),
                     &model,
                     black_box(&tasks),

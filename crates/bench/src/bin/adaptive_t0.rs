@@ -41,7 +41,7 @@ fn main() {
             .with_total_iterations(total_t)
             .with_record_every(0);
         let mut r = rand::rngs::StdRng::seed_from_u64(args.seed + 7);
-        let out = SimRunner::new(sim).run_fedml(
+        let out = SimRunner::new(sim).run(
             &FedMl::new(cfg),
             &setup.model,
             &setup.tasks,

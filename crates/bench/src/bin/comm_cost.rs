@@ -36,7 +36,7 @@ fn main() {
             .with_record_every(0);
         let runner = SimRunner::new(SimConfig::edge().with_iteration_time(0.02));
         let mut sim_rng = rand::rngs::StdRng::seed_from_u64(args.seed + 7);
-        let sim = runner.run_fedml(
+        let sim = runner.run(
             &FedMl::new(cfg),
             &setup.model,
             &setup.tasks,

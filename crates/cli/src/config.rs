@@ -145,14 +145,11 @@ impl RunConfig {
             }
             if matches!(
                 self.algorithm,
-                AlgorithmConfig::RobustFedml { .. }
-                    | AlgorithmConfig::Reptile { .. }
-                    | AlgorithmConfig::Fedprox { .. }
-                    | AlgorithmConfig::Metasgd { .. }
+                AlgorithmConfig::RobustFedml { .. } | AlgorithmConfig::Metasgd { .. }
             ) {
                 return Err(
-                    "simulate currently supports fedml and fedavg only; drop the simulate \
-                     section to run other algorithms directly"
+                    "simulate supports fedml, fedavg, fedprox, and reptile; drop the simulate \
+                     section to run robust-fedml or metasgd directly"
                         .into(),
                 );
             }

@@ -309,12 +309,12 @@ struct RuntimeSetup {
     targets: Vec<NodeData>,
     model: Box<dyn Model>,
     theta0: Vec<f64>,
-    stepper: Box<dyn LocalStepper>,
+    trainer: Trainer,
     rng: StdRng,
 }
 
-/// Builds dataset, tasks, model, initial parameters, and the
-/// runtime-drivable stepper from the config at `seed`.
+/// Builds dataset, tasks, model, initial parameters, and the trainer
+/// from the config at `seed`.
 fn build_runtime_setup(cfg: &RunConfig, seed: u64) -> Result<RuntimeSetup, String> {
     cfg.validate()?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -325,63 +325,13 @@ fn build_runtime_setup(cfg: &RunConfig, seed: u64) -> Result<RuntimeSetup, Strin
     let model = build_model(&cfg.model, &fed)?;
     let theta0 = model.init_params(&mut rng);
 
-    let stepper: Box<dyn LocalStepper> = match &cfg.algorithm {
-        AlgorithmConfig::Fedml {
-            alpha,
-            beta,
-            local_steps,
-            rounds,
-            first_order,
-        } => {
-            let mode = if *first_order {
-                MetaGradientMode::FirstOrder
-            } else {
-                MetaGradientMode::FullSecondOrder
-            };
-            Box::new(FedMl::new(
-                FedMlConfig::new(*alpha, *beta)
-                    .with_local_steps(*local_steps)
-                    .with_rounds(*rounds)
-                    .with_mode(mode)
-                    .with_record_every(0),
-            ))
-        }
-        AlgorithmConfig::Fedavg {
-            lr,
-            local_steps,
-            rounds,
-        } => Box::new(FedAvg::new(
-            FedAvgConfig::new(*lr)
-                .with_local_steps(*local_steps)
-                .with_rounds(*rounds)
-                .with_eval_alpha(cfg.eval.adapt_lr)
-                .with_record_every(0),
-        )),
-        AlgorithmConfig::Fedprox {
-            lr,
-            prox,
-            local_steps,
-            rounds,
-        } => Box::new(FedProx::new(
-            FedProxConfig::new(*lr, *prox)
-                .with_local_steps(*local_steps)
-                .with_rounds(*rounds)
-                .with_record_every(0),
-        )),
-        other => {
-            return Err(format!(
-                "the runtime subcommand supports fedml, fedavg, and fedprox; got {other:?}"
-            ))
-        }
-    };
-
     Ok(RuntimeSetup {
         stats,
         tasks,
         targets,
         model,
         theta0,
-        stepper,
+        trainer: build_trainer(cfg),
         rng,
     })
 }
@@ -537,8 +487,8 @@ fn build_link_fault_plan(opts: &RuntimeOptions, seed: u64, node: usize) -> Optio
 /// instead of the in-process training loop.
 ///
 /// The algorithm section must be one the runtime can drive round by
-/// round (`fedml`, `fedavg`, or `fedprox` — the identity-combine
-/// trainers with an extracted local step).
+/// round (`fedml`, `fedavg`, `fedprox` or `reptile` — the trainers on
+/// the [`LocalStepper`] seam).
 ///
 /// # Errors
 ///
@@ -558,16 +508,15 @@ pub fn run_runtime(cfg: &RunConfig, opts: &RuntimeOptions) -> Result<Report, Str
         targets,
         model,
         theta0,
-        stepper,
+        trainer,
         mut rng,
     } = build_runtime_setup(cfg, seed)?;
+    let stepper = trainer.stepper("the runtime subcommand")?;
     let rt_cfg = build_runtime_config(opts, seed)?;
     let runtime = Runtime::new(rt_cfg);
 
     let out = match (opts.transport, &opts.listen) {
-        (TransportKind::Channel, None) => {
-            runtime.run(stepper.as_ref(), model.as_ref(), &tasks, &theta0)
-        }
+        (TransportKind::Channel, None) => runtime.run(stepper, model.as_ref(), &tasks, &theta0),
         (TransportKind::Channel, Some(_)) => {
             return Err("--listen requires --transport tcp or uds".into())
         }
@@ -590,7 +539,7 @@ pub fn run_runtime(cfg: &RunConfig, opts: &RuntimeOptions) -> Result<Report, Str
                 tasks.len()
             );
             runtime
-                .serve(stepper.as_ref(), model.as_ref(), &tasks, &theta0, listener)
+                .serve(stepper, model.as_ref(), &tasks, &theta0, listener)
                 .map_err(|e| format!("transport: {e}"))?
         }
         (_, None) => return Err("--transport tcp|uds requires --listen <addr>".into()),
@@ -664,7 +613,7 @@ pub fn run_runtime_node(cfg: &RunConfig, opts: &RuntimeOptions) -> Result<NodeIo
     }
     let rt_cfg = build_runtime_config(opts, seed)?;
     Ok(Runtime::new(rt_cfg).run_node(
-        setup.stepper.as_ref(),
+        setup.trainer.stepper("the runtime subcommand")?,
         setup.model.as_ref(),
         &setup.tasks,
         node,
@@ -846,17 +795,12 @@ pub fn run_adapt_serve(cfg: &RunConfig, opts: &ServeOptions) -> Result<ServingRe
         // Train in-process on the channel runtime, hot-swapping each
         // round's global into the service while it answers requests.
         let rt_cfg = build_runtime_config(&RuntimeOptions::default(), seed)?;
+        let stepper = setup.trainer.stepper("adapt-serve --attach")?;
         let runtime = Runtime::new(rt_cfg).with_publisher(global.clone());
         let server = AdaptServer::start(listener, std::sync::Arc::clone(&model), global, serving_cfg);
         let report = std::thread::scope(|s| {
-            let trainer = s.spawn(|| {
-                runtime.run(
-                    setup.stepper.as_ref(),
-                    model.as_ref(),
-                    &setup.tasks,
-                    &setup.theta0,
-                )
-            });
+            let trainer =
+                s.spawn(|| runtime.run(stepper, model.as_ref(), &setup.tasks, &setup.theta0));
             let report = serve_until(server, opts.max_requests);
             let _ = trainer.join();
             report
@@ -991,30 +935,17 @@ pub fn run_adapt(cfg: &RunConfig, opts: &AdaptOptions) -> Result<AdaptReport, St
     })
 }
 
-fn train(
-    cfg: &RunConfig,
-    model: &dyn Model,
-    tasks: &[SourceTask],
-    theta0: &[f64],
-    rng: &mut StdRng,
-) -> Result<(String, TrainOutput, Option<SimReport>), String> {
-    let sim_cfg = cfg.simulate.map(|s| {
-        let network = match s.network {
-            NetworkKind::Edge => Network::edge(),
-            NetworkKind::Ideal => Network::ideal(),
-        };
-        SimConfig {
-            network,
-            dropout_prob: s.dropout,
-            client_fraction: s.client_fraction,
-            straggler_frac: s.straggler_frac,
-            straggler_speed: s.straggler_speed,
-            wait_fraction: s.wait_fraction,
-            iteration_time_s: s.iteration_time_s,
-            threads: 4,
-        }
-    });
+/// The trainer a config names, built in one place for every path.
+enum Trainer {
+    FedMl(FedMl),
+    Robust(RobustFedMl),
+    FedAvg(FedAvg),
+    FedProx(FedProx),
+    Reptile(Reptile),
+    MetaSgd(MetaSgd),
+}
 
+fn build_trainer(cfg: &RunConfig) -> Trainer {
     match &cfg.algorithm {
         AlgorithmConfig::Fedml {
             alpha,
@@ -1028,30 +959,13 @@ fn train(
             } else {
                 MetaGradientMode::FullSecondOrder
             };
-            let trainer = FedMl::new(
+            Trainer::FedMl(FedMl::new(
                 FedMlConfig::new(*alpha, *beta)
                     .with_local_steps(*local_steps)
                     .with_rounds(*rounds)
                     .with_mode(mode)
                     .with_record_every(0),
-            );
-            if let Some(sc) = sim_cfg {
-                let sim = SimRunner::new(sc).run_fedml(&trainer, model, tasks, theta0, rng);
-                let report = SimReport::from_output(&sim);
-                let out = TrainOutput {
-                    params: sim.params,
-                    history: Vec::new(),
-                    comm_rounds: *rounds,
-                    local_iterations: rounds * local_steps,
-                };
-                Ok(("FedML (simulated)".into(), out, Some(report)))
-            } else {
-                Ok((
-                    "FedML".into(),
-                    trainer.train_from(model, tasks, theta0),
-                    None,
-                ))
-            }
+            ))
         }
         AlgorithmConfig::RobustFedml {
             alpha,
@@ -1068,104 +982,140 @@ fn train(
                 Some((lo, hi)) => BoxConstraint::Clamp { lo: *lo, hi: *hi },
                 None => BoxConstraint::None,
             };
-            let trainer = RobustFedMl::new(
+            Trainer::Robust(RobustFedMl::new(
                 RobustFedMlConfig::new(*alpha, *beta, *lambda)
                     .with_local_steps(*local_steps)
                     .with_rounds(*rounds)
                     .with_adversarial(1.0, *ascent_steps, *n0, *max_generations)
                     .with_constraint(constraint)
                     .with_record_every(0),
-            );
-            Ok((
-                "RobustFedML".into(),
-                trainer.train_from(model, tasks, theta0, rng),
-                None,
             ))
         }
         AlgorithmConfig::Fedavg {
             lr,
             local_steps,
             rounds,
-        } => {
-            let trainer = FedAvg::new(
-                FedAvgConfig::new(*lr)
-                    .with_local_steps(*local_steps)
-                    .with_rounds(*rounds)
-                    .with_eval_alpha(cfg.eval.adapt_lr)
-                    .with_record_every(0),
-            );
-            if let Some(sc) = sim_cfg {
-                let sim = SimRunner::new(sc).run_fedavg(&trainer, model, tasks, theta0, rng);
-                let report = SimReport::from_output(&sim);
-                let out = TrainOutput {
-                    params: sim.params,
-                    history: Vec::new(),
-                    comm_rounds: *rounds,
-                    local_iterations: rounds * local_steps,
-                };
-                Ok(("FedAvg (simulated)".into(), out, Some(report)))
-            } else {
-                Ok((
-                    "FedAvg".into(),
-                    trainer.train_from(model, tasks, theta0),
-                    None,
-                ))
-            }
-        }
+        } => Trainer::FedAvg(FedAvg::new(
+            FedAvgConfig::new(*lr)
+                .with_local_steps(*local_steps)
+                .with_rounds(*rounds)
+                .with_eval_alpha(cfg.eval.adapt_lr)
+                .with_record_every(0),
+        )),
         AlgorithmConfig::Fedprox {
             lr,
             prox,
             local_steps,
             rounds,
-        } => {
-            let trainer = FedProx::new(
-                FedProxConfig::new(*lr, *prox)
-                    .with_local_steps(*local_steps)
-                    .with_rounds(*rounds)
-                    .with_record_every(0),
-            );
-            Ok((
-                "FedProx".into(),
-                trainer.train_from(model, tasks, theta0),
-                None,
-            ))
-        }
+        } => Trainer::FedProx(FedProx::new(
+            FedProxConfig::new(*lr, *prox)
+                .with_local_steps(*local_steps)
+                .with_rounds(*rounds)
+                .with_record_every(0),
+        )),
         AlgorithmConfig::Reptile {
             inner_lr,
             outer_lr,
             inner_steps,
             rounds,
-        } => {
-            let trainer = Reptile::new(
-                ReptileConfig::new(*inner_lr, *outer_lr)
-                    .with_inner_steps(*inner_steps)
-                    .with_rounds(*rounds),
-            );
-            Ok((
-                "Reptile".into(),
-                trainer.train_from(model, tasks, theta0),
-                None,
-            ))
-        }
+        } => Trainer::Reptile(Reptile::new(
+            ReptileConfig::new(*inner_lr, *outer_lr)
+                .with_inner_steps(*inner_steps)
+                .with_rounds(*rounds),
+        )),
         AlgorithmConfig::Metasgd {
             alpha_init,
             beta,
             local_steps,
             rounds,
-        } => {
-            let trainer = MetaSgd::new(
-                MetaSgdConfig::new(*alpha_init, *beta)
-                    .with_local_steps(*local_steps)
-                    .with_rounds(*rounds)
-                    .with_record_every(0),
-            );
-            Ok((
-                "MetaSGD".into(),
-                trainer.train_from(model, tasks, theta0).train,
-                None,
-            ))
+        } => Trainer::MetaSgd(MetaSgd::new(
+            MetaSgdConfig::new(*alpha_init, *beta)
+                .with_local_steps(*local_steps)
+                .with_rounds(*rounds)
+                .with_record_every(0),
+        )),
+    }
+}
+
+impl Trainer {
+    /// The trainer as the stepper `train --simulate`, `runtime` and
+    /// `run-node` drive round by round.
+    ///
+    /// # Errors
+    ///
+    /// Meta-SGD and Robust FedML are not on the [`LocalStepper`] seam:
+    /// `what` names the caller in the message.
+    fn stepper(&self, what: &str) -> Result<&dyn LocalStepper, String> {
+        match self {
+            Trainer::FedMl(t) => Ok(t),
+            Trainer::FedAvg(t) => Ok(t),
+            Trainer::FedProx(t) => Ok(t),
+            Trainer::Reptile(t) => Ok(t),
+            Trainer::MetaSgd(_) | Trainer::Robust(_) => Err(format!(
+                "{what} supports fedml, fedavg, fedprox, and reptile; metasgd and \
+                 robust-fedml carry node state between rounds and run only in-process"
+            )),
         }
     }
+
+    /// The in-process lockstep reference run.
+    fn train_from(
+        &self,
+        model: &dyn Model,
+        tasks: &[SourceTask],
+        theta0: &[f64],
+        rng: &mut StdRng,
+    ) -> (&'static str, TrainOutput) {
+        match self {
+            Trainer::FedMl(t) => ("FedML", t.train_from(model, tasks, theta0)),
+            Trainer::Robust(t) => ("RobustFedML", t.train_from(model, tasks, theta0, rng)),
+            Trainer::FedAvg(t) => ("FedAvg", t.train_from(model, tasks, theta0)),
+            Trainer::FedProx(t) => ("FedProx", t.train_from(model, tasks, theta0)),
+            Trainer::Reptile(t) => ("Reptile", t.train_from(model, tasks, theta0)),
+            Trainer::MetaSgd(t) => ("MetaSGD", t.train_from(model, tasks, theta0).train),
+        }
+    }
+}
+
+fn train(
+    cfg: &RunConfig,
+    model: &dyn Model,
+    tasks: &[SourceTask],
+    theta0: &[f64],
+    rng: &mut StdRng,
+) -> Result<(String, TrainOutput, Option<SimReport>), String> {
+    let trainer = build_trainer(cfg);
+    let Some(s) = cfg.simulate else {
+        let (name, out) = trainer.train_from(model, tasks, theta0, rng);
+        return Ok((name.into(), out, None));
+    };
+    let sim_cfg = SimConfig {
+        network: match s.network {
+            NetworkKind::Edge => Network::edge(),
+            NetworkKind::Ideal => Network::ideal(),
+        },
+        dropout_prob: s.dropout,
+        client_fraction: s.client_fraction,
+        straggler_frac: s.straggler_frac,
+        straggler_speed: s.straggler_speed,
+        wait_fraction: s.wait_fraction,
+        iteration_time_s: s.iteration_time_s,
+        threads: 4,
+    };
+    let stepper = trainer.stepper("simulate")?;
+    let sim = SimRunner::new(sim_cfg).run(stepper, model, tasks, theta0, rng);
+    let report = SimReport::from_output(&sim);
+    let out = TrainOutput {
+        params: sim.params,
+        history: Vec::new(),
+        comm_rounds: stepper.rounds(),
+        local_iterations: stepper.rounds() * stepper.local_steps(),
+    };
+    Ok((
+        format!("{} (simulated)", stepper.algorithm()),
+        out,
+        Some(report),
+    ))
 }
 
 fn evaluate(
@@ -1562,13 +1512,26 @@ mod tests {
 
     #[test]
     fn runtime_rejects_unsupported_algorithms() {
+        let cfg = tiny(AlgorithmConfig::Metasgd {
+            alpha_init: 0.01,
+            beta: 0.05,
+            local_steps: 2,
+            rounds: 2,
+        });
+        let err = run_runtime(&cfg, &RuntimeOptions::default()).unwrap_err();
+        assert!(err.contains("runtime"), "unexpected error: {err}");
+        // Reptile is on the stepper seam since `LocalStepper::combine`.
         let cfg = tiny(AlgorithmConfig::Reptile {
             inner_lr: 0.05,
             outer_lr: 0.5,
             inner_steps: 2,
             rounds: 2,
         });
-        let err = run_runtime(&cfg, &RuntimeOptions::default()).unwrap_err();
-        assert!(err.contains("runtime"), "unexpected error: {err}");
+        let report = run_runtime(&cfg, &RuntimeOptions::default()).unwrap();
+        assert!(
+            report.algorithm.starts_with("Reptile"),
+            "{}",
+            report.algorithm
+        );
     }
 }

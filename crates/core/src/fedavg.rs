@@ -131,51 +131,6 @@ impl FedAvg {
         theta_i
     }
 
-    /// Runs FedAvg under fault injection with gather-policy protection
-    /// and round-level recovery (see [`crate::ft`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoreError::QuorumLost`] or
-    /// [`crate::CoreError::Diverged`] when recovery is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tasks` is empty or `theta0` has the wrong length.
-    pub fn train_with_faults(
-        &self,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-        ft: &crate::ft::FaultTolerance,
-    ) -> Result<TrainOutput, crate::CoreError> {
-        assert!(!tasks.is_empty(), "FedAvg: no source tasks");
-        assert_eq!(theta0.len(), model.param_len(), "FedAvg: bad theta0 length");
-        let cfg = &self.cfg;
-        let spec = crate::ft::FtSpec {
-            name: "FedAvg",
-            rounds: cfg.rounds,
-            local_steps: cfg.local_steps,
-            threads: cfg
-                .threads
-                .unwrap_or_else(|| crate::parallel::default_threads(tasks.len())),
-        };
-        crate::ft::run_fault_tolerant(
-            &spec,
-            tasks,
-            theta0,
-            ft,
-            |_, task, theta| self.local_update(model, task, theta, cfg.local_steps),
-            |_, agg| agg,
-            |theta| {
-                (
-                    weighted_meta_loss(model, tasks, theta, cfg.eval_alpha),
-                    weighted_train_loss(model, tasks, theta),
-                )
-            },
-        )
-    }
-
     /// Runs FedAvg from an explicit initialization.
     ///
     /// # Panics
@@ -333,9 +288,8 @@ mod tests {
         let trainer = FedAvg::new(cfg);
         let plain = trainer.train_from(&model, &tasks, &[3.0, 3.0]);
         let ft = crate::ft::FaultTolerance::new(crate::faults::FaultPlan::new(0));
-        let tolerant = trainer
-            .train_with_faults(&model, &tasks, &[3.0, 3.0], &ft)
-            .unwrap();
+        let tolerant =
+            crate::train_with_faults(&trainer, &model, &tasks, &[3.0, 3.0], &ft).unwrap();
         assert_eq!(plain.params, tolerant.params);
     }
 }

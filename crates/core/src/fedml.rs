@@ -232,59 +232,6 @@ impl FedMl {
         theta_i
     }
 
-    /// Runs FedML under fault injection with gather-policy protection and
-    /// round-level recovery (see [`crate::ft`]).
-    ///
-    /// Each round, every node runs `T0` local meta-updates from the
-    /// current global model; reports then pass through the
-    /// [`GatherPolicy`](crate::gather::GatherPolicy) (deadline, update
-    /// validation, quorum) before the weighted aggregation of eq. 5,
-    /// renormalized over the actual reporters. On quorum loss or
-    /// divergence the trainer rolls back to the last good round and
-    /// excludes the failing nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::QuorumLost`] or [`CoreError::Diverged`] when
-    /// the recovery budget is exhausted or no fleet remains.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tasks` is empty or `theta0` has the wrong length.
-    pub fn train_with_faults(
-        &self,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-        ft: &crate::ft::FaultTolerance,
-    ) -> Result<TrainOutput, crate::CoreError> {
-        assert!(!tasks.is_empty(), "FedML: no source tasks");
-        assert_eq!(theta0.len(), model.param_len(), "FedML: bad theta0 length");
-        let cfg = &self.cfg;
-        let spec = crate::ft::FtSpec {
-            name: "FedML",
-            rounds: cfg.rounds,
-            local_steps: cfg.local_steps,
-            threads: cfg
-                .threads
-                .unwrap_or_else(|| crate::parallel::default_threads(tasks.len())),
-        };
-        crate::ft::run_fault_tolerant(
-            &spec,
-            tasks,
-            theta0,
-            ft,
-            |_, task, theta| self.local_update(model, task, theta, cfg.local_steps),
-            |_, agg| agg,
-            |theta| {
-                (
-                    weighted_meta_loss(model, tasks, theta, cfg.alpha),
-                    weighted_train_loss(model, tasks, theta),
-                )
-            },
-        )
-    }
-
     /// Centralized meta-gradient descent on the same objective — used to
     /// estimate the optimum `G(θ*)` for convergence-gap plots
     /// (equivalent to `T0 = 1` with exact aggregation every step).
@@ -502,9 +449,8 @@ mod tests {
         let trainer = FedMl::new(cfg);
         let plain = trainer.train_from(&model, &tasks, &[1.5, -1.5]);
         let ft = crate::ft::FaultTolerance::new(crate::faults::FaultPlan::new(0));
-        let tolerant = trainer
-            .train_with_faults(&model, &tasks, &[1.5, -1.5], &ft)
-            .unwrap();
+        let tolerant =
+            crate::train_with_faults(&trainer, &model, &tasks, &[1.5, -1.5], &ft).unwrap();
         assert_eq!(plain.params, tolerant.params);
         assert!(tolerant.history.iter().all(|r| r.reporters == 3 && !r.degraded));
     }
@@ -516,9 +462,8 @@ mod tests {
         let cfg = FedMlConfig::new(0.05, 0.05).with_local_steps(2).with_rounds(6);
         let plan = crate::faults::FaultPlan::new(9).with_crash_from(1, 3);
         let ft = crate::ft::FaultTolerance::new(plan);
-        let out = FedMl::new(cfg)
-            .train_with_faults(&model, &tasks, &[1.0, 1.0], &ft)
-            .unwrap();
+        let out =
+            crate::train_with_faults(&FedMl::new(cfg), &model, &tasks, &[1.0, 1.0], &ft).unwrap();
         assert_eq!(out.history.len(), 6);
         assert_eq!(out.history[1].reporters, 4);
         assert!(out.history[2..].iter().all(|r| r.reporters == 3 && r.degraded));

@@ -1,30 +1,32 @@
-//! Fault-tolerant federated training: the round loop shared by every
-//! trainer's `train_with_faults` entry point.
+//! Fault-tolerant federated training: one round loop for every
+//! [`LocalStepper`].
 //!
-//! The driver [`run_fault_tolerant`] wraps a trainer's local-update rule
+//! The driver [`train_with_faults`] wraps a stepper's local-update rule
 //! in the full robustness stack:
 //!
 //! 1. each round, the seeded [`FaultPlan`](crate::faults::FaultPlan)
 //!    decides per node whether it crashes, straggles, or corrupts;
 //! 2. surviving reports pass through [`gather`](crate::gather::gather)
 //!    (deadline, validation, quorum, robust aggregation);
-//! 3. the last good global model is snapshotted into an in-memory
-//!    [`Checkpoint`](crate::checkpoint::Checkpoint); on
+//! 3. the last good global model is kept as an in-memory snapshot; on
 //!    [`CoreError::QuorumLost`] or divergence the driver rolls back to it,
 //!    permanently excludes the round's failing nodes, and re-runs the
-//!    round — up to [`FaultTolerance::max_recoveries`] times.
+//!    round — up to [`FaultTolerance::max_recoveries`] times
+//!    ([`rollback_and_exclude`], which the `fml-runtime` platform calls
+//!    too).
 //!
 //! Determinism: fault draws are pure per `(node, round)`, node updates
 //! run under [`parallel::map_ordered`](crate::parallel::map_ordered), and
 //! recovery decisions depend only on gathered reports — so a fault-
 //! injected run is bitwise identical at any worker thread count.
 
-use crate::checkpoint::Checkpoint;
+use fml_models::Model;
+
 use crate::error::CoreError;
 use crate::faults::{self, Fault, FaultPlan};
-use crate::gather::{gather, GatherPolicy, NodeOutcome, Submission};
+use crate::gather::{gather, GatherPolicy, NodeOutcome, RoundReport, Submission};
 use crate::trainer::{RoundRecord, TrainOutput};
-use crate::SourceTask;
+use crate::{LocalStepper, SourceTask};
 
 /// Fault-tolerance configuration shared by all trainers.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,126 +65,182 @@ impl FaultTolerance {
     }
 }
 
-/// Everything `run_fault_tolerant` needs from a concrete trainer.
-pub(crate) struct FtSpec<'a> {
-    /// Algorithm name, recorded on the recovery checkpoint.
-    pub name: &'a str,
-    /// Communication rounds.
-    pub rounds: usize,
-    /// Local iterations per round (for iteration accounting).
-    pub local_steps: usize,
-    /// Worker threads for the per-node fan-out.
-    pub threads: usize,
+/// Per-node cache of the last report that passed validation on time —
+/// what [`StragglerPolicy::ReuseLast`](crate::StragglerPolicy::ReuseLast)
+/// substitutes for a late one. Shared by every round loop that calls
+/// [`gather`].
+#[derive(Debug, Clone)]
+pub struct ReuseCache(Vec<Option<Vec<f64>>>);
+
+impl ReuseCache {
+    /// An empty cache for `nodes` nodes.
+    pub fn new(nodes: usize) -> Self {
+        ReuseCache(vec![None; nodes])
+    }
+
+    /// The node's cached report, for [`Submission::last_good`].
+    pub fn get(&self, node: usize) -> Option<Vec<f64>> {
+        self.0[node].clone()
+    }
+
+    /// Caches each contributor's validated report from a gathered round
+    /// (`Reported | Clipped` only: a stale substitute is never re-cached).
+    pub fn absorb(&mut self, submissions: &[Submission], report: &RoundReport) {
+        for (sub, &(node, outcome)) in submissions.iter().zip(&report.outcomes) {
+            debug_assert_eq!(sub.node, node);
+            if matches!(outcome, NodeOutcome::Reported | NodeOutcome::Clipped) {
+                self.0[node] = sub.update.clone();
+            }
+        }
+    }
 }
 
-/// Runs the generic fault-tolerant round loop.
+/// The rollback-and-exclude decision. Within budget, with blame to
+/// assign among the still-active nodes, and with fleet left over, it
+/// restores `theta` from `snapshot`, consumes one recovery, and returns
+/// the nodes the caller must now exclude before re-running the round.
+/// `None` means unrecoverable (budget exhausted, nothing to exclude — a
+/// deterministic retry would fail the same way — or no fleet left).
+pub fn rollback_and_exclude(
+    theta: &mut Vec<f64>,
+    snapshot: &[f64],
+    active: &[bool],
+    failed: &[usize],
+    recoveries: &mut usize,
+    max_recoveries: usize,
+) -> Option<Vec<usize>> {
+    if *recoveries >= max_recoveries {
+        return None;
+    }
+    let newly_failed: Vec<usize> = failed.iter().copied().filter(|&n| active[n]).collect();
+    let remaining = active.iter().filter(|&&a| a).count() - newly_failed.len();
+    if newly_failed.is_empty() || remaining == 0 {
+        return None;
+    }
+    theta.clear();
+    theta.extend_from_slice(snapshot);
+    *recoveries += 1;
+    Some(newly_failed)
+}
+
+/// Runs `stepper` under fault injection with gather-policy protection
+/// and round-level recovery.
 ///
-/// * `local(node, task, global) -> update` — the trainer's local rule,
-///   producing the node's report from the current global state. Must be
-///   deterministic in its inputs.
-/// * `combine(global, aggregate) -> new_global` — how the gathered
-///   aggregate becomes the next global state (identity for FedML-style
-///   trainers, interpolation for Reptile).
-/// * `eval(global) -> (meta_loss, train_loss)` — curve metrics.
+/// Each round, every active node runs the stepper's `T0` local
+/// iterations from the current global; reports pass through the
+/// [`GatherPolicy`] (deadline, validation, quorum, robust aggregation
+/// renormalized over the actual reporters) and the aggregate becomes the
+/// next global through [`LocalStepper::combine`]. On quorum loss or a
+/// diverged global the driver rolls back to the last good round and
+/// excludes the failing nodes.
 ///
 /// The returned history has one record per round; `reporters` counts the
 /// nodes whose updates entered that round's aggregate and `degraded`
 /// flags rounds with any fault, exclusion, or rollback.
-pub(crate) fn run_fault_tolerant(
-    spec: &FtSpec<'_>,
+///
+/// # Errors
+///
+/// Returns [`CoreError::QuorumLost`] or [`CoreError::Diverged`] when
+/// the recovery budget is exhausted or no fleet remains.
+///
+/// # Panics
+///
+/// Panics when `tasks` is empty or `theta0` has the wrong length.
+pub fn train_with_faults(
+    stepper: &dyn LocalStepper,
+    model: &dyn Model,
     tasks: &[SourceTask],
     theta0: &[f64],
     ft: &FaultTolerance,
-    local: impl Fn(usize, &SourceTask, &[f64]) -> Vec<f64> + Sync,
-    combine: impl Fn(&[f64], Vec<f64>) -> Vec<f64>,
-    eval: impl Fn(&[f64]) -> (f64, f64),
 ) -> Result<TrainOutput, CoreError> {
-    assert!(!tasks.is_empty(), "{}: no source tasks", spec.name);
-    let total = tasks.len();
+    let name = stepper.algorithm();
+    assert_eq!(theta0.len(), model.param_len(), "{name}: bad theta0 length");
+    drive(stepper, model, tasks, theta0, ft)
+}
+
+/// [`train_with_faults`] without the `theta0`-is-a-model-vector check,
+/// for steppers whose round state is wider than the model's parameters.
+pub(crate) fn drive(
+    stepper: &dyn LocalStepper,
+    model: &dyn Model,
+    tasks: &[SourceTask],
+    theta0: &[f64],
+    ft: &FaultTolerance,
+) -> Result<TrainOutput, CoreError> {
+    let name = stepper.algorithm();
+    assert!(!tasks.is_empty(), "{name}: no source tasks");
+    let (rounds, local_steps) = (stepper.rounds(), stepper.local_steps());
+    let threads = stepper
+        .threads()
+        .unwrap_or_else(|| crate::parallel::default_threads(tasks.len()));
     let mut theta = theta0.to_vec();
-    let mut snapshot = Checkpoint::new(spec.name, theta.clone()).with_meta("round", "0");
-    let mut active = vec![true; total];
-    let mut last_good: Vec<Option<Vec<f64>>> = vec![None; total];
-    let mut history = Vec::with_capacity(spec.rounds);
+    // The last good global: what a rollback restores.
+    let mut snapshot = theta.clone();
+    let mut active = vec![true; tasks.len()];
+    let mut last_good = ReuseCache::new(tasks.len());
+    let mut history = Vec::with_capacity(rounds);
     let mut recoveries = 0usize;
     let mut round = 1usize;
     // Rounds that rolled back stay flagged degraded even when the re-run
     // fleet reports cleanly.
     let mut recovered_this_round = false;
 
-    while round <= spec.rounds {
-        let submissions = collect_round(spec, tasks, &theta, &active, &last_good, ft, &local, round);
+    while round <= rounds {
+        let local = |task: &SourceTask| stepper.local_update(model, task, &theta, local_steps);
+        let submissions =
+            collect_round(threads, tasks, &active, &last_good, &ft.plan, &local, round);
 
         // Quorum is a fraction of the *active* fleet: excluding failed
         // nodes during recovery shrinks the requirement, which is what
         // lets a run finish after a minority of nodes dies.
         let active_total = active.iter().filter(|&&a| a).count();
-        let gathered = gather(round, active_total, &submissions, &ft.policy);
-        let (aggregated, report) = match gathered {
-            Ok(ok) => ok,
-            Err(failure) => {
-                recover(
-                    spec.name,
-                    &mut theta,
-                    &snapshot,
-                    &mut active,
-                    &failure.report.failed_nodes(),
-                    &mut recoveries,
-                    ft.max_recoveries,
-                    failure.error,
-                )?;
-                recovered_this_round = true;
-                continue; // re-run the same round with the reduced fleet
+        // A gather that passed validation can still combine into a
+        // diverged global (e.g. finite-but-huge reports, no clipping).
+        let gathered = gather(round, active_total, &submissions, &ft.policy)
+            .map(|(aggregated, report)| (stepper.combine(&theta, aggregated), report));
+        let (error, report) = match gathered {
+            Ok((next, report)) if next.iter().all(|x| x.is_finite()) => {
+                theta = next;
+                last_good.absorb(&submissions, &report);
+                snapshot.clone_from(&theta);
+                let (meta_loss, train_loss) = stepper.eval_losses(model, tasks, &theta);
+                let excluded = active.iter().filter(|&&a| !a).count();
+                history.push(RoundRecord {
+                    iteration: round * local_steps,
+                    meta_loss,
+                    train_loss,
+                    aggregated: true,
+                    reporters: report.reporters,
+                    degraded: report.degraded || recovered_this_round || excluded > 0,
+                });
+                recovered_this_round = false;
+                round += 1;
+                continue;
             }
+            Ok((_, report)) => (CoreError::Diverged { iteration: round }, report),
+            Err(failure) => (failure.error, failure.report),
         };
-
-        let next = combine(&theta, aggregated);
-        if next.iter().any(|x| !x.is_finite()) {
-            // The aggregate passed validation but the combined global
-            // diverged (e.g. finite-but-huge reports without clipping).
-            recover(
-                spec.name,
-                &mut theta,
-                &snapshot,
-                &mut active,
-                &report.failed_nodes(),
-                &mut recoveries,
-                ft.max_recoveries,
-                CoreError::Diverged { iteration: round },
-            )?;
-            recovered_this_round = true;
-            continue;
+        let excluded = rollback_and_exclude(
+            &mut theta,
+            &snapshot,
+            &active,
+            &report.failed_nodes(),
+            &mut recoveries,
+            ft.max_recoveries,
+        )
+        .ok_or(error)?;
+        for n in excluded {
+            active[n] = false;
         }
-        theta = next;
-
-        // Cache each contributor's validated report for ReuseLast.
-        for (sub, &(node, outcome)) in submissions.iter().zip(&report.outcomes) {
-            debug_assert_eq!(sub.node, node);
-            if matches!(outcome, NodeOutcome::Reported | NodeOutcome::Clipped) {
-                last_good[node] = sub.update.clone();
-            }
-        }
-
-        snapshot = Checkpoint::new(spec.name, theta.clone()).with_meta("round", round.to_string());
-        let (meta_loss, train_loss) = eval(&theta);
-        let excluded = active.iter().filter(|&&a| !a).count();
-        history.push(RoundRecord {
-            iteration: round * spec.local_steps,
-            meta_loss,
-            train_loss,
-            aggregated: true,
-            reporters: report.reporters,
-            degraded: report.degraded || recovered_this_round || excluded > 0,
-        });
-        recovered_this_round = false;
-        round += 1;
+        // Re-run the same round with the reduced fleet.
+        recovered_this_round = true;
     }
 
     Ok(TrainOutput {
         params: theta,
         history,
-        comm_rounds: spec.rounds,
-        local_iterations: spec.rounds * spec.local_steps,
+        comm_rounds: rounds,
+        local_iterations: rounds * local_steps,
     })
 }
 
@@ -191,96 +249,47 @@ pub(crate) fn run_fault_tolerant(
 ///
 /// Fault draws happen *before* the parallel fan-out and are pure per
 /// `(node, round)`, so the submission set is independent of thread count.
-#[allow(clippy::too_many_arguments)]
 fn collect_round(
-    spec: &FtSpec<'_>,
+    threads: usize,
     tasks: &[SourceTask],
-    theta: &[f64],
     active: &[bool],
-    last_good: &[Option<Vec<f64>>],
-    ft: &FaultTolerance,
-    local: &(impl Fn(usize, &SourceTask, &[f64]) -> Vec<f64> + Sync),
+    last_good: &ReuseCache,
+    plan: &FaultPlan,
+    local: &(impl Fn(&SourceTask) -> Vec<f64> + Sync),
     round: usize,
 ) -> Vec<Submission> {
-    struct Cell {
-        node: usize,
-        fault: Option<Fault>,
-    }
-    let cells: Vec<Cell> = (0..tasks.len())
+    let cells: Vec<(usize, Option<Fault>)> = (0..tasks.len())
         .filter(|&i| active[i])
-        .map(|i| Cell {
-            node: i,
-            fault: ft.plan.draw(i, round),
-        })
+        .map(|i| (i, plan.draw(i, round)))
         .collect();
 
     let computed: Vec<Option<Vec<f64>>> =
-        crate::parallel::map_ordered(spec.threads, &cells, |_, cell| {
+        crate::parallel::map_ordered(threads, &cells, |_, &(node, fault)| {
             // Crashed nodes do no work; everything else reports something.
-            if matches!(cell.fault, Some(Fault::Crash)) {
-                None
-            } else {
-                Some(local(cell.node, &tasks[cell.node], theta))
-            }
+            (!matches!(fault, Some(Fault::Crash))).then(|| local(&tasks[node]))
         });
 
     cells
         .iter()
         .zip(computed)
-        .map(|(cell, update)| {
-            let weight = tasks[cell.node].weight;
+        .map(|(&(node, fault), update)| {
+            let weight = tasks[node].weight;
             let mut sub = match update {
-                None => Submission::crashed(cell.node, weight),
+                None => Submission::crashed(node, weight),
                 Some(mut u) => {
-                    if let Some(Fault::Corrupt(mode)) = cell.fault {
+                    if let Some(Fault::Corrupt(mode)) = fault {
                         faults::corrupt(mode, &mut u);
                     }
-                    Submission::on_time(cell.node, weight, u)
+                    Submission::on_time(node, weight, u)
                 }
             };
-            if let Some(Fault::Straggle { delay_s }) = cell.fault {
+            if let Some(Fault::Straggle { delay_s }) = fault {
                 sub.delay_s = delay_s;
             }
-            sub.last_good = last_good[cell.node].clone();
+            sub.last_good = last_good.get(node);
             sub
         })
         .collect()
-}
-
-/// Rolls the global model back to the last good snapshot and excludes the
-/// failing nodes, or surfaces the terminal error when recovery is
-/// impossible (budget exhausted, nothing to exclude, or no fleet left).
-#[allow(clippy::too_many_arguments)]
-fn recover(
-    name: &str,
-    theta: &mut Vec<f64>,
-    snapshot: &Checkpoint,
-    active: &mut [bool],
-    failed: &[usize],
-    recoveries: &mut usize,
-    max_recoveries: usize,
-    error: CoreError,
-) -> Result<(), CoreError> {
-    if *recoveries >= max_recoveries {
-        return Err(error);
-    }
-    let newly_failed: Vec<usize> = failed.iter().copied().filter(|&n| active[n]).collect();
-    if newly_failed.is_empty() {
-        // Nothing to exclude: a deterministic retry would fail the same
-        // way, so surface the error instead of looping.
-        return Err(error);
-    }
-    let remaining = active.iter().filter(|&&a| a).count() - newly_failed.len();
-    if remaining == 0 {
-        return Err(error);
-    }
-    for &n in &newly_failed {
-        active[n] = false;
-    }
-    debug_assert_eq!(snapshot.algorithm, name);
-    theta.clone_from(&snapshot.params);
-    *recoveries += 1;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -307,15 +316,6 @@ mod tests {
         SourceTask::from_nodes_deterministic(&nodes, 2)
     }
 
-    fn spec(rounds: usize, threads: usize) -> FtSpec<'static> {
-        FtSpec {
-            name: "test",
-            rounds,
-            local_steps: 3,
-            threads,
-        }
-    }
-
     fn run(
         tasks: &[SourceTask],
         ft: &FaultTolerance,
@@ -323,26 +323,11 @@ mod tests {
         threads: usize,
     ) -> Result<TrainOutput, CoreError> {
         let model = Quadratic::isotropic(2, 1.0);
-        run_fault_tolerant(
-            &spec(rounds, threads),
-            tasks,
-            &[2.0, -2.0],
-            ft,
-            |_, task, theta| {
-                let mut t = theta.to_vec();
-                for _ in 0..3 {
-                    let g = fml_models::Model::grad(&model, &t, &task.split.train);
-                    fml_linalg::vector::axpy(-0.1, &g, &mut t);
-                }
-                t
-            },
-            |_, agg| agg,
-            |theta| {
-                let m = crate::trainer::weighted_meta_loss(&model, tasks, theta, 0.05);
-                let t = crate::trainer::weighted_train_loss(&model, tasks, theta);
-                (m, t)
-            },
-        )
+        let cfg = crate::FedAvgConfig::new(0.1)
+            .with_local_steps(3)
+            .with_rounds(rounds)
+            .with_threads(threads);
+        train_with_faults(&crate::FedAvg::new(cfg), &model, tasks, &[2.0, -2.0], ft)
     }
 
     #[test]

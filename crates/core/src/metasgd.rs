@@ -190,7 +190,7 @@ impl MetaSgd {
     }
 
     /// Runs Meta-SGD under fault injection with gather-policy protection
-    /// and round-level recovery (see [`crate::ft`]).
+    /// and round-level recovery (see [`crate::train_with_faults`]).
     ///
     /// The node state `(θ_i, a_i)` travels through the fault-tolerant
     /// driver as one concatenated vector `[θ_i; a_i]`, so validation,
@@ -216,56 +216,11 @@ impl MetaSgd {
         theta0: &[f64],
         ft: &crate::ft::FaultTolerance,
     ) -> Result<MetaSgdOutput, crate::CoreError> {
-        assert!(!tasks.is_empty(), "MetaSgd: no source tasks");
-        assert_eq!(
-            theta0.len(),
-            model.param_len(),
-            "MetaSgd: bad theta0 length"
-        );
-        let cfg = &self.cfg;
-        let d = theta0.len();
+        let d = model.param_len();
+        assert_eq!(theta0.len(), d, "MetaSgd: bad theta0 length");
         let mut state0 = theta0.to_vec();
-        state0.extend(std::iter::repeat_n(cfg.alpha_init, d));
-        let spec = crate::ft::FtSpec {
-            name: "MetaSGD",
-            rounds: cfg.rounds,
-            local_steps: cfg.local_steps,
-            threads: cfg
-                .threads
-                .unwrap_or_else(|| crate::parallel::default_threads(tasks.len())),
-        };
-        let mut train = crate::ft::run_fault_tolerant(
-            &spec,
-            tasks,
-            &state0,
-            ft,
-            |_, task, state| {
-                let (theta, rates) = state.split_at(d);
-                let mut theta_i = theta.to_vec();
-                let mut rates_i = rates.to_vec();
-                for _ in 0..cfg.local_steps {
-                    self.local_step(model, task, &mut theta_i, &mut rates_i);
-                }
-                theta_i.extend(rates_i);
-                theta_i
-            },
-            |_, agg| agg,
-            |state| {
-                let (theta, rates) = state.split_at(d);
-                let meta_loss = tasks
-                    .iter()
-                    .map(|task| {
-                        let g = model.grad(theta, &task.split.train);
-                        let mut phi = theta.to_vec();
-                        for ((p, &gi), &ai) in phi.iter_mut().zip(&g).zip(rates) {
-                            *p -= ai * gi;
-                        }
-                        task.weight * model.loss(&phi, &task.split.test)
-                    })
-                    .sum();
-                (meta_loss, weighted_train_loss(model, tasks, theta))
-            },
-        )?;
+        state0.extend(std::iter::repeat_n(self.cfg.alpha_init, d));
+        let mut train = crate::ft::drive(&PairState(self), model, tasks, &state0, ft)?;
         let rates = train.params.split_off(d);
         Ok(MetaSgdOutput { train, rates })
     }
@@ -357,6 +312,61 @@ impl MetaSgd {
             },
             rates,
         }
+    }
+}
+
+/// [`MetaSgd`] as a [`LocalStepper`](crate::LocalStepper) over the
+/// concatenated round state `[θ‖a]` (both halves `param_len` long).
+struct PairState<'a>(&'a MetaSgd);
+
+impl crate::LocalStepper for PairState<'_> {
+    fn algorithm(&self) -> &'static str {
+        "MetaSGD"
+    }
+
+    fn rounds(&self) -> usize {
+        self.0.cfg.rounds
+    }
+
+    fn local_steps(&self) -> usize {
+        self.0.cfg.local_steps
+    }
+
+    fn local_update(
+        &self,
+        model: &dyn Model,
+        task: &SourceTask,
+        state: &[f64],
+        steps: usize,
+    ) -> Vec<f64> {
+        let (theta, rates) = state.split_at(model.param_len());
+        let mut theta_i = theta.to_vec();
+        let mut rates_i = rates.to_vec();
+        for _ in 0..steps {
+            self.0.local_step(model, task, &mut theta_i, &mut rates_i);
+        }
+        theta_i.extend(rates_i);
+        theta_i
+    }
+
+    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], state: &[f64]) -> (f64, f64) {
+        let (theta, rates) = state.split_at(model.param_len());
+        let meta_loss = tasks
+            .iter()
+            .map(|task| {
+                let g = model.grad(theta, &task.split.train);
+                let mut phi = theta.to_vec();
+                for ((p, &gi), &ai) in phi.iter_mut().zip(&g).zip(rates) {
+                    *p -= ai * gi;
+                }
+                task.weight * model.loss(&phi, &task.split.test)
+            })
+            .sum();
+        (meta_loss, weighted_train_loss(model, tasks, theta))
+    }
+
+    fn threads(&self) -> Option<usize> {
+        self.0.cfg.threads
     }
 }
 

@@ -124,66 +124,6 @@ impl Reptile {
         phi
     }
 
-    /// Runs Reptile under fault injection with gather-policy protection
-    /// and round-level recovery (see [`crate::ft`]).
-    ///
-    /// The gathered aggregate is the weighted mean `φ̄` of the surviving
-    /// adapted models; the outer interpolation `θ ← θ + ε(φ̄ − θ)` is the
-    /// combine step, so a degraded round still moves the global model a
-    /// bounded distance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoreError::QuorumLost`] or
-    /// [`crate::CoreError::Diverged`] when recovery is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tasks` is empty or `theta0` has the wrong length.
-    pub fn train_with_faults(
-        &self,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-        ft: &crate::ft::FaultTolerance,
-    ) -> Result<TrainOutput, crate::CoreError> {
-        assert!(!tasks.is_empty(), "Reptile: no source tasks");
-        assert_eq!(
-            theta0.len(),
-            model.param_len(),
-            "Reptile: bad theta0 length"
-        );
-        let cfg = &self.cfg;
-        let spec = crate::ft::FtSpec {
-            name: "Reptile",
-            rounds: cfg.rounds,
-            local_steps: cfg.inner_steps,
-            threads: cfg
-                .threads
-                .unwrap_or_else(|| crate::parallel::default_threads(tasks.len())),
-        };
-        crate::ft::run_fault_tolerant(
-            &spec,
-            tasks,
-            theta0,
-            ft,
-            |_, task, theta| self.local_update(model, task, theta, cfg.inner_steps),
-            |theta, mean_phi| {
-                theta
-                    .iter()
-                    .zip(&mean_phi)
-                    .map(|(t, m)| t + cfg.outer_lr * (m - t))
-                    .collect()
-            },
-            |theta| {
-                (
-                    weighted_meta_loss(model, tasks, theta, cfg.eval_alpha),
-                    weighted_train_loss(model, tasks, theta),
-                )
-            },
-        )
-    }
-
     /// Runs Reptile from an explicit initialization.
     ///
     /// # Panics

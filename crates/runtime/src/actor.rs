@@ -28,7 +28,7 @@
 //!    and send it back up the link.
 //!
 //! Crash faults are honoured by *not* touching the link that round —
-//! the platform consults the same pure [`FaultPlan`] and skips the
+//! the platform consults the same pure [`fml_core::FaultPlan`] and skips the
 //! broadcast, so neither side waits on the other. Straggle faults are
 //! virtual-time only (the platform adds the delay when triaging), so no
 //! actor ever sleeps.
@@ -37,14 +37,15 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use fml_core::faults::corrupt;
-use fml_core::{ErrorFeedback, Fault, FaultPlan, LocalStepper, SourceTask};
+use fml_core::{ErrorFeedback, Fault, LocalStepper, SourceTask};
 use fml_models::Model;
 use fml_sim::message::encoded_frame_len;
 use fml_sim::{
     compressed_frame_len, encode_update_compressed_into, CodecScratch, CompressedView, FramePool,
-    Message, MessageView, UpdateCodec,
+    Message, MessageView,
 };
 
+use crate::config::RuntimeConfig;
 use crate::report::NodeIo;
 use crate::transport::{ChannelTransport, Transport, TransportError};
 
@@ -86,25 +87,15 @@ impl NodeActor {
 }
 
 /// Everything a worker thread needs, shared immutably across workers.
+/// From `cfg` the node side reads the fault plan, the receive timeout
+/// and the update codec ([`fml_sim::UpdateCodec::None`] keeps the historical
+/// tag-2 reply frame bitwise; the compressing codecs emit wire v2 tag-6
+/// frames and, for top-k, run error feedback).
 pub(crate) struct WorkerCtx<'a> {
     pub stepper: &'a dyn LocalStepper,
     pub model: &'a dyn Model,
     pub tasks: &'a [SourceTask],
-    pub faults: &'a FaultPlan,
-    pub local_steps: usize,
-    pub recv_timeout: Duration,
-    /// How update replies are encoded. [`UpdateCodec::None`] keeps the
-    /// historical tag-2 frame bitwise; the compressing codecs emit wire
-    /// v2 tag-6 frames (and, for top-k, run error feedback).
-    pub codec: UpdateCodec,
-}
-
-/// What a worker hands back when its rounds are done.
-pub(crate) struct WorkerOutcome {
-    /// Counters for the nodes this worker owned.
-    pub io: Vec<NodeIo>,
-    /// Frames that failed to decode at these nodes.
-    pub decode_errors: u64,
+    pub cfg: &'a RuntimeConfig,
 }
 
 /// Per-worker reusable storage: the decoded-global scratch vector and
@@ -139,14 +130,13 @@ impl StepScratch {
 /// copy beyond the reused scratch), local-update, apply a corrupt
 /// fault, encode the reply into a pooled buffer. Counts the received
 /// frame into `io`, and the reply frame too when one is produced.
-/// Returns `None` (bumping `decode_errors`) on an unusable frame.
+/// Returns `None` (bumping `io.decode_errors`) on an unusable frame.
 fn step_reply(
     ctx: &WorkerCtx<'_>,
     node: usize,
     frame: &Bytes,
     scratch: &mut StepScratch,
     io: &mut NodeIo,
-    decode_errors: &mut u64,
 ) -> Option<Bytes> {
     io.frames_received += 1;
     io.bytes_received += frame.len() as u64;
@@ -159,14 +149,14 @@ fn step_reply(
         // A non-broadcast message here is a protocol violation; count
         // it like any other unusable frame.
         Ok(_) | Err(_) => {
-            *decode_errors += 1;
+            io.decode_errors += 1;
             return None;
         }
     };
     // The fault is drawn at the round stamped on the broadcast, so an
     // out-of-process peer replays the same seeded schedule as an
     // in-process actor.
-    let fault = ctx.faults.draw(node, broadcast_round as usize);
+    let fault = ctx.cfg.faults.draw(node, broadcast_round as usize);
     if matches!(fault, Some(Fault::Crash)) {
         // Defensive: the platform skips crashed nodes, so a broadcast
         // for a crashed round should never arrive. Honour the plan.
@@ -176,21 +166,22 @@ fn step_reply(
         ctx.model,
         &ctx.tasks[node],
         &scratch.global,
-        ctx.local_steps,
+        ctx.stepper.local_steps(),
     );
     if let Some(Fault::Corrupt(mode)) = fault {
         corrupt(mode, &mut update);
     }
-    if ctx.codec.wants_feedback() {
+    let codec = ctx.cfg.update_codec;
+    if codec.wants_feedback() {
         // Fold in what previous rounds' compression dropped before
         // selecting this round's survivors.
         scratch.feedback.compensate(node as u32, &mut update);
     }
     let mut buf = scratch
         .pool
-        .acquire(compressed_frame_len(ctx.codec, update.len()));
+        .acquire(compressed_frame_len(codec, update.len()));
     encode_update_compressed_into(
-        ctx.codec,
+        codec,
         broadcast_round,
         node as u32,
         &update,
@@ -198,7 +189,7 @@ fn step_reply(
         &mut buf,
     );
     let reply = buf.freeze();
-    if ctx.codec.wants_feedback() {
+    if codec.wants_feedback() {
         // Residual = compensated − what the platform will decode, read
         // back from the frame we just encoded so an encode bug surfaces
         // as residual drift instead of silent loss.
@@ -213,12 +204,11 @@ fn step_reply(
     Some(reply)
 }
 
-/// Services `actors` until the platform closes every link, then
-/// reports. Event-driven: each sweep answers whatever broadcasts are
+/// Services `actors` until the platform closes every link, then hands
+/// back the counters of the nodes it owned. Event-driven: each sweep answers whatever broadcasts are
 /// queued (including recovery re-broadcasts of rolled-back rounds) and
 /// parks briefly when nothing is.
-pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, mut actors: Vec<NodeActor>) -> WorkerOutcome {
-    let mut decode_errors = 0u64;
+pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, mut actors: Vec<NodeActor>) -> Vec<NodeIo> {
     let mut scratch = StepScratch::new();
     loop {
         let mut any_live = false;
@@ -240,14 +230,7 @@ pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, mut actors: Vec<NodeActor>) -> Wo
                     }
                 };
                 serviced = true;
-                let reply = step_reply(
-                    ctx,
-                    actor.node,
-                    &frame,
-                    &mut scratch,
-                    &mut actor.io,
-                    &mut decode_errors,
-                );
+                let reply = step_reply(ctx, actor.node, &frame, &mut scratch, &mut actor.io);
                 // The broadcast clone is spent; the last actor to drop
                 // it recycles the round's single encode for reuse.
                 scratch.pool.recycle(frame);
@@ -267,10 +250,7 @@ pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, mut actors: Vec<NodeActor>) -> Wo
             std::thread::sleep(IDLE_POLL);
         }
     }
-    WorkerOutcome {
-        io: actors.into_iter().map(|a| a.io).collect(),
-        decode_errors,
-    }
+    actors.into_iter().map(|a| a.io).collect()
 }
 
 /// Drives one node over an established link until the link dies: sends
@@ -291,7 +271,6 @@ pub(crate) fn run_transport_peer(
         node,
         ..NodeIo::default()
     };
-    let mut decode_errors = 0u64;
     let mut scratch = StepScratch::new();
     let hello = Message::ModelUpdate {
         round: 0,
@@ -303,9 +282,10 @@ pub(crate) fn run_transport_peer(
         link.close();
         return io;
     }
+    let recv_timeout = Duration::from_millis(ctx.cfg.recv_timeout_ms);
     let mut misses = 0u32;
     loop {
-        let frame = match link.recv_frame(ctx.recv_timeout) {
+        let frame = match link.recv_frame(recv_timeout) {
             Ok(frame) => {
                 misses = 0;
                 frame
@@ -319,7 +299,7 @@ pub(crate) fn run_transport_peer(
             }
             Err(_) => break,
         };
-        let reply = step_reply(ctx, node, &frame, &mut scratch, &mut io, &mut decode_errors);
+        let reply = step_reply(ctx, node, &frame, &mut scratch, &mut io);
         scratch.pool.recycle(frame);
         if let Some(reply) = reply {
             if link.send_frame(&reply).is_err() {

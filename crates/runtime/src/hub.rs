@@ -265,6 +265,9 @@ impl Hub {
                 bytes_sent_logical: slot.counters.bytes_from_logical.load(Ordering::Acquire)
                     as u64,
                 reconnects: slot.reconnects,
+                // Node-side only: the platform counts what *it* cannot
+                // decode in `RuntimeReport::decode_errors`.
+                decode_errors: 0,
             })
             .collect()
     }

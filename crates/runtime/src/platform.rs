@@ -30,14 +30,18 @@
 //! curve at the re-aggregation of the post-broadcast local copies.
 //! With faults or a custom policy it routes every round through
 //! [`fml_core::gather::gather`] (deadline triage, validation, quorum,
-//! robust aggregation), degrading rounds instead of failing.
+//! robust aggregation), degrading rounds instead of failing. Either way
+//! the aggregate becomes the next global through
+//! [`LocalStepper::combine`] — identity for FedML/FedAvg/FedProx (the
+//! bitwise trainers), Reptile's outer interpolation otherwise.
 //!
 //! **Async** buffers each upload until its virtual arrival round
 //! (round-start time plus seeded clock delay plus any scheduled
 //! straggle), then folds updates into the global model one at a time in
 //! `(arrival_time, node)` order with a staleness-decayed weight (see
-//! [`crate::AsyncPolicy`]). Updates staler than `max_staleness` are
-//! rejected and counted. Because arrival order is derived from the
+//! [`crate::AsyncPolicy`]) — that mix replaces
+//! [`LocalStepper::combine`] in this mode. Updates staler than
+//! `max_staleness` are rejected and counted. Because arrival order is derived from the
 //! virtual clock — never from OS scheduling — results are bitwise
 //! identical at any worker-thread count.
 
@@ -47,9 +51,11 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use fml_core::checkpoint::Checkpoint;
-use fml_core::gather::{gather, screen_update, NodeOutcome, RoundReport, Submission, Validated};
+use fml_core::ft::{rollback_and_exclude, ReuseCache};
+use fml_core::gather::{gather, screen_update, RoundReport, Submission, Validated};
 use fml_core::parallel::default_threads;
 use fml_core::{aggregate, Fault, LocalStepper, RoundRecord, SourceTask, TrainOutput};
+use fml_linalg::vector::weighted_sum;
 use fml_models::Model;
 use fml_sim::message::{encode_global_into, encoded_frame_len};
 use fml_sim::{CompressedView, FramePool, MessageView, RoundTrace};
@@ -275,35 +281,24 @@ impl Runtime {
         tasks: &[SourceTask],
         theta0: &[f64],
     ) -> RuntimeOutput {
-        assert!(!tasks.is_empty(), "Runtime: no source tasks");
-        assert_eq!(
-            theta0.len(),
-            model.param_len(),
-            "Runtime: bad theta0 length"
-        );
+        check_inputs(model, tasks, theta0);
         let n = tasks.len();
         let workers = self
             .cfg
             .threads
             .unwrap_or_else(|| default_threads(n))
             .min(n);
-        let rounds = stepper.rounds();
-        let local_steps = stepper.local_steps();
 
         // One bounded mailbox per node; one shared uplink back. The
         // uplink is unbounded so actors never block sending — it holds
         // at most one frame per live node per round because the
         // platform drains it every round.
         let (fleet, node_links) = channel_fleet(n, self.cfg.mailbox_cap);
-
         let ctx = WorkerCtx {
             stepper,
             model,
             tasks,
-            faults: &self.cfg.faults,
-            local_steps,
-            recv_timeout: Duration::from_millis(self.cfg.recv_timeout_ms),
-            codec: self.cfg.update_codec,
+            cfg: &self.cfg,
         };
 
         std::thread::scope(|scope| {
@@ -327,72 +322,26 @@ impl Runtime {
                 let ctx = &ctx;
                 handles.push(scope.spawn(move || worker_loop(ctx, actors)));
             }
-
-            let mut platform = Platform {
-                cfg: &self.cfg,
+            // Once the platform has dropped the mailbox senders, idle
+            // actors see Disconnected and their workers return.
+            let join_workers = || {
+                let joined = handles
+                    .into_iter()
+                    .map(|h| h.join().expect("runtime worker panicked"));
+                joined.flatten().collect()
+            };
+            let peers = Peers::Direct(fleet.senders);
+            self.drive(
                 stepper,
                 model,
                 tasks,
-                n,
-                rounds,
-                local_steps,
-                peers: Peers::Direct(fleet.senders),
-                uplink: fleet.uplink,
-                timeout: Duration::from_millis(self.cfg.recv_timeout_ms),
-                report: RuntimeReport {
-                    mode: match self.cfg.mode {
-                        Mode::Barrier => "barrier".into(),
-                        Mode::Async(_) => "async".into(),
-                    },
-                    transport: "channel".into(),
-                    threads: workers,
-                    update_codec: self.cfg.update_codec.to_string(),
-                    ..RuntimeReport::default()
-                },
-                history: Vec::new(),
-                comm_rounds: 0,
-                health: HealthTracker::new(n, self.cfg.health),
-                recoveries: 0,
-                resent: 0,
-                pool: FramePool::global().handle(),
-                publisher: self.publisher.clone(),
-            };
-            let params = match self.cfg.mode {
-                Mode::Barrier => platform.run_barrier(theta0),
-                Mode::Async(policy) => platform.run_async(theta0, &policy),
-            };
-            // Drop the mailbox senders so idle actors see Disconnected
-            // and exit instead of waiting out their timeout.
-            platform.peers = Peers::Direct(Vec::new());
-
-            let Platform {
-                mut report,
-                history,
-                comm_rounds,
-                ..
-            } = platform;
-            for handle in handles {
-                let outcome = handle.join().expect("runtime worker panicked");
-                report.decode_errors += outcome.decode_errors;
-                report.per_node.extend(outcome.io);
-            }
-            report.per_node.sort_by_key(|io| io.node);
-            report.degraded_rounds = report
-                .trace
-                .rounds()
-                .iter()
-                .filter(|r| r.degraded)
-                .count();
-
-            RuntimeOutput {
-                train: TrainOutput {
-                    params,
-                    history,
-                    comm_rounds,
-                    local_iterations: rounds * local_steps,
-                },
-                report,
-            }
+                theta0,
+                peers,
+                fleet.uplink,
+                "channel",
+                workers,
+                join_workers,
+            )
         })
     }
 
@@ -423,29 +372,53 @@ impl Runtime {
         theta0: &[f64],
         listener: Box<dyn TransportListener>,
     ) -> Result<RuntimeOutput, TransportError> {
-        assert!(!tasks.is_empty(), "Runtime: no source tasks");
-        assert_eq!(
-            theta0.len(),
-            model.param_len(),
-            "Runtime: bad theta0 length"
-        );
-        let n = tasks.len();
-        let rounds = stepper.rounds();
-        let local_steps = stepper.local_steps();
-        let recv_timeout = Duration::from_millis(self.cfg.recv_timeout_ms);
+        check_inputs(model, tasks, theta0);
         // Socket read/write deadlines come from the gather policy: a
         // round that cannot end before the gather deadline should not
         // block a socket longer either.
+        let recv_timeout = Duration::from_millis(self.cfg.recv_timeout_ms);
         let io_deadline = self.cfg.gather.io_deadline(recv_timeout);
 
         let kind = listener.kind();
-        let (hub, uplink) = Hub::start(listener, n, self.cfg.mailbox_cap, io_deadline);
+        let (hub, uplink) = Hub::start(listener, tasks.len(), self.cfg.mailbox_cap, io_deadline);
         let joined = hub.await_join(Duration::from_millis(self.cfg.join_timeout_ms));
         if joined == 0 {
             hub.shutdown();
             return Err(TransportError::Timeout);
         }
+        // Node compute runs in the peers' processes: no worker threads.
+        Ok(self.drive(
+            stepper,
+            model,
+            tasks,
+            theta0,
+            Peers::Hub(hub),
+            uplink,
+            kind,
+            0,
+            Vec::new,
+        ))
+    }
 
+    /// Builds the [`Platform`], runs the configured mode's event loop
+    /// over `peers`, closes the fleet, and folds the per-node counters
+    /// (the hub's, plus whatever `join_workers` hands back once the
+    /// links are closed) into the report.
+    #[allow(clippy::too_many_arguments)]
+    fn drive(
+        &self,
+        stepper: &dyn LocalStepper,
+        model: &dyn Model,
+        tasks: &[SourceTask],
+        theta0: &[f64],
+        peers: Peers,
+        uplink: Receiver<Bytes>,
+        transport: &str,
+        threads: usize,
+        join_workers: impl FnOnce() -> Vec<NodeIo>,
+    ) -> RuntimeOutput {
+        let n = tasks.len();
+        let (rounds, local_steps) = (stepper.rounds(), stepper.local_steps());
         let mut platform = Platform {
             cfg: &self.cfg,
             stepper,
@@ -454,17 +427,12 @@ impl Runtime {
             n,
             rounds,
             local_steps,
-            peers: Peers::Hub(hub),
+            peers,
             uplink,
-            timeout: recv_timeout,
+            timeout: Duration::from_millis(self.cfg.recv_timeout_ms),
             report: RuntimeReport {
-                mode: match self.cfg.mode {
-                    Mode::Barrier => "barrier".into(),
-                    Mode::Async(_) => "async".into(),
-                },
-                transport: kind.into(),
-                // Node compute runs in the peers' processes.
-                threads: 0,
+                transport: transport.into(),
+                threads,
                 update_codec: self.cfg.update_codec.to_string(),
                 ..RuntimeReport::default()
             },
@@ -476,6 +444,7 @@ impl Runtime {
             pool: FramePool::global().handle(),
             publisher: self.publisher.clone(),
         };
+        platform.report.mode = platform.mode_label().into();
         let params = match self.cfg.mode {
             Mode::Barrier => platform.run_barrier(theta0),
             Mode::Async(policy) => platform.run_async(theta0, &policy),
@@ -486,20 +455,26 @@ impl Runtime {
             mut report,
             history,
             comm_rounds,
+            health,
+            pool,
             ..
         } = platform;
-        if let Peers::Hub(hub) = peers {
-            // Closes every link: peers observe EOF and exit.
-            report.per_node = hub.shutdown();
-        }
-        report.degraded_rounds = report
-            .trace
-            .rounds()
+        report.node_health = health.summaries();
+        report.excluded_nodes = health.excluded_nodes();
+        report.pool = pool.stats().into();
+        // Closing the links ends the fleet: in-process actors see
+        // Disconnected, socket peers EOF.
+        report.per_node = peers.close();
+        report.per_node.extend(join_workers());
+        report.per_node.sort_by_key(|io| io.node);
+        report.decode_errors += report
+            .per_node
             .iter()
-            .filter(|r| r.degraded)
-            .count();
+            .map(|io| io.decode_errors)
+            .sum::<u64>();
+        report.degraded_rounds = report.trace.rounds().iter().filter(|r| r.degraded).count();
 
-        Ok(RuntimeOutput {
+        RuntimeOutput {
             train: TrainOutput {
                 params,
                 history,
@@ -507,7 +482,7 @@ impl Runtime {
                 local_iterations: rounds * local_steps,
             },
             report,
-        })
+        }
     }
 
     /// Runs one node as a transport peer over an established `link`
@@ -533,13 +508,19 @@ impl Runtime {
             stepper,
             model,
             tasks,
-            faults: &self.cfg.faults,
-            local_steps: stepper.local_steps(),
-            recv_timeout: Duration::from_millis(self.cfg.recv_timeout_ms),
-            codec: self.cfg.update_codec,
+            cfg: &self.cfg,
         };
         run_transport_peer(&ctx, node, link)
     }
+}
+
+fn check_inputs(model: &dyn Model, tasks: &[SourceTask], theta0: &[f64]) {
+    assert!(!tasks.is_empty(), "Runtime: no source tasks");
+    assert_eq!(
+        theta0.len(),
+        model.param_len(),
+        "Runtime: bad theta0 length"
+    );
 }
 
 /// How the platform reaches its fleet: direct in-process mailboxes, or
@@ -559,6 +540,16 @@ impl Peers {
                 .get(node)
                 .is_some_and(|tx| tx.try_send(frame).is_ok()),
             Peers::Hub(hub) => hub.try_send(node, frame),
+        }
+    }
+
+    /// Closes every link and returns the counters kept on this side of
+    /// them: the hub's per-peer view; none for in-process mailboxes,
+    /// whose actors count for themselves.
+    fn close(self) -> Vec<NodeIo> {
+        match self {
+            Peers::Direct(_) => Vec::new(),
+            Peers::Hub(hub) => hub.shutdown(),
         }
     }
 
@@ -628,6 +619,28 @@ impl UpdateParams<'_> {
     }
 }
 
+/// What one round's broadcast-and-collect produced.
+struct Exchange {
+    /// Nodes the broadcast actually reached.
+    delivered: Vec<usize>,
+    /// Decoded updates by node id.
+    got: BTreeMap<usize, Vec<f64>>,
+    /// Bytes broadcast plus bytes received.
+    bytes: u64,
+    /// Virtual seconds until the last update the round folded had
+    /// arrived; each loop fills it in its own way.
+    comm_time_s: f64,
+}
+
+/// How a round ended, for its history record and trace row.
+struct Outcome {
+    /// Whether the global moved.
+    aggregated: bool,
+    /// Updates that entered it.
+    reporters: usize,
+    degraded: bool,
+}
+
 /// The event loop's working state, borrowed for one run.
 struct Platform<'a> {
     cfg: &'a RuntimeConfig,
@@ -661,18 +674,6 @@ struct Platform<'a> {
 }
 
 impl Platform<'_> {
-    /// Nodes this round's broadcast goes to: healthy enough to
-    /// participate (not quarantined or excluded) and not scheduled to
-    /// crash this round.
-    fn round_targets(&self, round: usize) -> Vec<usize> {
-        (0..self.n)
-            .filter(|&i| {
-                self.health.is_active(i)
-                    && !matches!(self.cfg.faults.draw(i, round), Some(Fault::Crash))
-            })
-            .collect()
-    }
-
     /// `"barrier"` or `"async"`, for checkpoint metadata.
     fn mode_label(&self) -> &'static str {
         match self.cfg.mode {
@@ -763,82 +764,81 @@ impl Platform<'_> {
         }
     }
 
-    /// The rollback-and-exclude decision, mirroring `fml_core::ft`:
-    /// within budget, with blame to assign, and with fleet left over,
-    /// restore the last good global, permanently exclude the failed
-    /// nodes, and report `true` so the caller re-runs the round. `false`
-    /// means unrecoverable — the runtime then degrades the round and
-    /// keeps going (it never aborts a run the way the in-process loop
-    /// surfaces an error).
-    fn try_recover(&mut self, global: &mut Vec<f64>, snapshot: &[f64], failed: &[usize], round: usize) -> bool {
-        if !self.cfg.recovery.enabled || self.recoveries >= self.cfg.recovery.max_recoveries {
+    /// [`rollback_and_exclude`] over the health tracker's membership:
+    /// `true` means the last good global is restored, the failed nodes
+    /// are permanently excluded, and the caller re-runs the round.
+    /// `false` means unrecoverable — the runtime then degrades the round
+    /// and keeps going (it never aborts a run the way the in-process
+    /// loop surfaces an error).
+    fn try_recover(
+        &mut self,
+        global: &mut Vec<f64>,
+        snapshot: &[f64],
+        failed: &[usize],
+        round: usize,
+    ) -> bool {
+        let recovery = &self.cfg.recovery;
+        let budget = if recovery.enabled {
+            recovery.max_recoveries
+        } else {
+            0
+        };
+        let active: Vec<bool> = (0..self.n).map(|i| self.health.is_active(i)).collect();
+        let Some(excluded) = rollback_and_exclude(
+            global,
+            snapshot,
+            &active,
+            failed,
+            &mut self.recoveries,
+            budget,
+        ) else {
             return false;
-        }
-        let newly: Vec<usize> = failed
-            .iter()
-            .copied()
-            .filter(|&i| self.health.is_active(i))
-            .collect();
-        if newly.is_empty() {
-            // A deterministic retry would fail identically.
-            return false;
-        }
-        if self.health.active_nodes().len() - newly.len() == 0 {
-            return false;
-        }
-        for &node in &newly {
+        };
+        for node in excluded {
             self.health.exclude(node, round);
         }
-        global.clear();
-        global.extend_from_slice(snapshot);
-        self.recoveries += 1;
         self.report.recoveries += 1;
         self.report.rollbacks += 1;
         self.report.excluded_nodes = self.health.excluded_nodes();
         true
     }
 
-    /// Scheduled straggle delay for `(node, round)`, if any.
-    fn straggle_s(&self, node: usize, round: usize) -> f64 {
-        match self.cfg.faults.draw(node, round) {
+    /// Total virtual upload delay for `(node, round)`: the seeded clock
+    /// plus any scheduled straggle.
+    fn upload_delay_s(&self, node: usize, round: usize) -> f64 {
+        let straggle_s = match self.cfg.faults.draw(node, round) {
             Some(Fault::Straggle { delay_s }) => delay_s,
             _ => 0.0,
-        }
+        };
+        self.cfg.clock.delay_s(node, round) + straggle_s
     }
 
-    /// Total virtual upload delay for `(node, round)`: clock + straggle.
-    fn upload_delay_s(&self, node: usize, round: usize) -> f64 {
-        self.cfg.clock.delay_s(node, round) + self.straggle_s(node, round)
-    }
-
-    /// Encodes and try-sends the global model to `targets`. Returns the
-    /// nodes actually delivered to, the bytes sent, and the encoded
-    /// frame itself — [`collect`](Self::collect) keeps it at hand to
-    /// retransmit to peers that reconnect mid-round, and the caller
-    /// recycles it afterwards. A recovery re-run broadcasts the same
-    /// round again, so the per-round drop slot accumulates instead of
-    /// asserting one-shot.
-    fn broadcast(
-        &mut self,
-        round: usize,
-        global: &[f64],
-        targets: &[usize],
-    ) -> (Vec<usize>, u64, Bytes) {
+    /// The round prologue every loop shares: open the round in the
+    /// health tracker, encode the global once and try-send it to every
+    /// node healthy enough to participate (not quarantined or excluded)
+    /// and not scheduled to crash this round, collect the replies, and
+    /// recycle the broadcast frame. A recovery re-run broadcasts the
+    /// same round again, so the per-round drop slot accumulates instead
+    /// of asserting one-shot.
+    fn exchange(&mut self, round: usize, global: &[f64]) -> Exchange {
+        self.health.begin_round(round);
         // One encode per round, into a pooled buffer; every link gets a
         // refcounted clone of the same frozen frame, so fan-out to N
         // nodes costs zero further allocations or copies.
         let mut buf = self.pool.acquire(encoded_frame_len(global.len()));
         encode_global_into(round as u32, global, &mut buf);
         let frame = buf.freeze();
-        let mut delivered = Vec::with_capacity(targets.len());
-        let mut bytes = 0u64;
+        let mut delivered = Vec::with_capacity(self.n);
         let mut drops = 0u64;
-        for &node in targets {
+        for node in 0..self.n {
+            let crashes = matches!(self.cfg.faults.draw(node, round), Some(Fault::Crash));
+            if crashes || !self.health.is_active(node) {
+                continue;
+            }
             // Never block the event loop on a slow consumer: a full or
             // dead mailbox just loses this round's broadcast.
             if self.peers.try_send(node, frame.clone()) {
                 delivered.push(node);
-                bytes += frame.len() as u64;
             } else {
                 drops += 1;
             }
@@ -848,7 +848,17 @@ impl Platform<'_> {
             self.report.broadcast_drops.push(0);
         }
         self.report.broadcast_drops[round - 1] += drops;
-        (delivered, bytes, frame)
+        // `collect` keeps the frame at hand to retransmit to peers that
+        // reconnect mid-round.
+        let (got, up_bytes) = self.collect(round, &delivered, &frame);
+        let bytes = (delivered.len() * frame.len()) as u64 + up_bytes;
+        self.pool.recycle(frame);
+        Exchange {
+            delivered,
+            got,
+            bytes,
+            comm_time_s: 0.0,
+        }
     }
 
     /// Drains the uplink until every node in `expected` has reported
@@ -921,32 +931,120 @@ impl Platform<'_> {
         (got, bytes)
     }
 
-    /// Appends a trace row for the round whose [`RoundRecord`] was just
-    /// pushed onto the history (loss/reporters/degraded come from it).
-    fn push_trace(&mut self, round: usize, participants: Vec<usize>, bytes: u64, comm_time_s: f64) {
-        let record = self.history.last().expect("trace follows a history record");
+    /// The round tail every loop shares: the history record (losses
+    /// evaluated at `eval_at`) and its trace row, then publish and
+    /// checkpoint the round's `global`.
+    fn close_round(
+        &mut self,
+        round: usize,
+        x: Exchange,
+        global: &[f64],
+        eval_at: &[f64],
+        end: Outcome,
+    ) {
+        let Outcome {
+            aggregated,
+            reporters,
+            degraded,
+        } = end;
+        let (meta_loss, train_loss) = self.stepper.eval_losses(self.model, self.tasks, eval_at);
+        self.comm_rounds += usize::from(aggregated);
+        self.history.push(RoundRecord {
+            iteration: round * self.local_steps,
+            meta_loss,
+            train_loss,
+            aggregated,
+            reporters,
+            degraded,
+        });
         self.report.trace.push(RoundTrace {
             round,
-            participants,
+            participants: x.delivered,
             local_steps: self.local_steps,
-            bytes,
+            bytes: x.bytes,
             retransmissions: std::mem::take(&mut self.resent),
             // Virtual time; the runtime does no compute modelling.
-            comm_time_s,
+            comm_time_s: x.comm_time_s,
             compute_time_s: 0.0,
-            meta_loss: record.meta_loss,
-            reporters: record.reporters,
-            degraded: record.degraded,
+            meta_loss,
+            reporters,
+            degraded,
         });
+        self.publish_global(round, global);
+        self.maybe_checkpoint(round, global);
     }
 
-    /// Counts updates folded into the global this round at staleness 0
-    /// (the only staleness barrier mode can apply at).
-    fn count_fresh_accepts(&mut self, count: u64) {
-        if self.report.staleness_hist.is_empty() {
-            self.report.staleness_hist.push(0);
+    /// Resumes from a checkpoint when configured to, and hands the
+    /// starting global to an attached adaptation server — it can serve
+    /// from the initial (or resumed) global before round 1 completes.
+    /// Returns the global and the first round still to run.
+    fn start(&mut self, theta0: &[f64]) -> (Vec<f64>, usize) {
+        let mut global = theta0.to_vec();
+        let start = self.resume_state(&mut global);
+        self.publish_global(start - 1, &global);
+        (global, start)
+    }
+
+    /// One barrier round through [`gather`] over the *active* fleet
+    /// (deadline triage, validation, quorum, robust aggregation), the
+    /// aggregate installed through [`LocalStepper::combine`]. Quorum is
+    /// a fraction of the active total, so excluding failed nodes during
+    /// recovery shrinks the requirement — that is what lets a run finish
+    /// after a minority of nodes dies.
+    ///
+    /// Quorum loss and a diverged global first try rollback-and-exclude
+    /// (`None`: rolled back, re-run the round); only when recovery is
+    /// impossible does the round degrade in place, keeping the previous
+    /// global — a thin fleet must degrade, not hang.
+    fn gather_round(
+        &mut self,
+        round: usize,
+        got: &BTreeMap<usize, Vec<f64>>,
+        global: &mut Vec<f64>,
+        snapshot: &[f64],
+        last_good: &mut ReuseCache,
+    ) -> Option<Outcome> {
+        let active = self.health.active_nodes();
+        let submissions: Vec<Submission> = active
+            .iter()
+            .map(|&i| match got.get(&i) {
+                Some(update) => Submission {
+                    node: i,
+                    weight: self.tasks[i].weight,
+                    update: Some(update.clone()),
+                    delay_s: self.upload_delay_s(i, round),
+                    last_good: last_good.get(i),
+                },
+                None => Submission::crashed(i, self.tasks[i].weight),
+            })
+            .collect();
+        // Validation can pass per node and the combined global still
+        // diverge.
+        let gathered = gather(round, active.len(), &submissions, &self.cfg.gather)
+            .map(|(params, report)| (self.stepper.combine(global, params), report));
+        let failed = match gathered {
+            Ok((next, report)) if next.iter().all(|x| x.is_finite()) => {
+                self.record_health(&report, round);
+                last_good.absorb(&submissions, &report);
+                *global = next;
+                return Some(Outcome {
+                    aggregated: true,
+                    reporters: report.reporters,
+                    degraded: report.degraded,
+                });
+            }
+            Ok((_, report)) => report,
+            Err(failure) => failure.report,
+        };
+        self.record_health(&failed, round);
+        if self.try_recover(global, snapshot, &failed.failed_nodes(), round) {
+            return None;
         }
-        self.report.staleness_hist[0] += count;
+        Some(Outcome {
+            aggregated: false,
+            reporters: failed.reporters,
+            degraded: true,
+        })
     }
 
     /// Lockstep rounds with checkpoint-rollback-exclude recovery.
@@ -954,164 +1052,76 @@ impl Platform<'_> {
     fn run_barrier(&mut self, theta0: &[f64]) -> Vec<f64> {
         // The bitwise-oracle fast path applies only when nothing can
         // perturb the round: benign plan, default policy.
-        let exact_ok = self.cfg.faults.is_benign()
-            && self.cfg.gather == fml_core::GatherPolicy::default();
-        let mut global = theta0.to_vec();
-        let start = self.resume_state(&mut global);
-        // An attached adaptation server can serve from the initial (or
-        // resumed) global before round 1 even completes.
-        self.publish_global(start - 1, &global);
+        let exact_ok =
+            self.cfg.faults.is_benign() && self.cfg.gather == fml_core::GatherPolicy::default();
+        let weights: Vec<f64> = self.tasks.iter().map(|t| t.weight).collect();
+        let (mut global, start) = self.start(theta0);
         let mut eval_params = global.clone();
         // The last good global: what a rollback restores. Updated after
-        // every completed round, exactly like `fml_core::ft`'s
-        // in-memory checkpoint.
+        // every completed round, exactly like `fml_core::ft`'s snapshot.
         let mut snapshot = global.clone();
-        let mut last_good: Vec<Option<Vec<f64>>> = vec![None; self.n];
+        let mut last_good = ReuseCache::new(self.n);
         // A round that rolled back stays flagged degraded even when the
         // re-run fleet reports cleanly (same rule as `fml_core::ft`).
         let mut recovered_this_round = false;
 
         let mut round = start;
         while round <= self.rounds {
-            self.health.begin_round(round);
-            let targets = self.round_targets(round);
-            let (delivered, down_bytes, frame) = self.broadcast(round, &global, &targets);
-            let (got, up_bytes) = self.collect(round, &delivered, &frame);
-            self.pool.recycle(frame);
-            let bytes = down_bytes + up_bytes;
-            let comm_time_s = got
+            let mut x = self.exchange(round, &global);
+            x.comm_time_s = x
+                .got
                 .keys()
                 .map(|&i| self.upload_delay_s(i, round))
                 .fold(0.0f64, f64::max);
 
-            if exact_ok && got.len() == self.n {
+            let end = if exact_ok && x.got.len() == self.n {
                 // train_from replica: aggregate the locals, then record
                 // the curve at the re-aggregation of n copies of the
-                // new global (the reference's exact float ops).
-                let locals: Vec<Vec<f64>> =
-                    got.into_values().collect();
-                global = aggregate(self.tasks, &locals);
-                let copies: Vec<Vec<f64>> = vec![global.clone(); self.n];
-                let avg = aggregate(self.tasks, &copies);
-                let (meta_loss, train_loss) =
-                    self.stepper.eval_losses(self.model, self.tasks, &avg);
-                self.comm_rounds += 1;
-                self.history.push(RoundRecord {
-                    iteration: round * self.local_steps,
-                    meta_loss,
-                    train_loss,
+                // new global (the reference's exact float ops, over n
+                // borrowed views of the one vector).
+                let locals: Vec<Vec<f64>> = std::mem::take(&mut x.got).into_values().collect();
+                global = self
+                    .stepper
+                    .combine(&global, aggregate(self.tasks, &locals));
+                let copies = vec![global.as_slice(); self.n];
+                eval_params = weighted_sum(&copies, &weights).expect("at least one node");
+                Outcome {
                     aggregated: true,
                     reporters: self.n,
                     degraded: false,
-                });
-                eval_params = avg;
-                self.count_fresh_accepts(self.n as u64);
-                self.push_trace(round, delivered, bytes, comm_time_s);
-                snapshot.clone_from(&global);
-                self.publish_global(round, &global);
-                self.maybe_checkpoint(round, &global);
-                round += 1;
-                continue;
-            }
-
-            // Degraded path: full gather triage over the *active*
-            // fleet. Quorum is a fraction of the active total, so
-            // excluding failed nodes during recovery shrinks the
-            // requirement — that is what lets a run finish after a
-            // minority of nodes dies.
-            let active = self.health.active_nodes();
-            let submissions: Vec<Submission> = active
-                .iter()
-                .map(|&i| match got.get(&i) {
-                    Some(update) => Submission {
-                        node: i,
-                        weight: self.tasks[i].weight,
-                        update: Some(update.clone()),
-                        delay_s: self.upload_delay_s(i, round),
-                        last_good: last_good[i].clone(),
-                    },
-                    None => Submission::crashed(i, self.tasks[i].weight),
-                })
-                .collect();
-            let gathered = gather(round, active.len(), &submissions, &self.cfg.gather);
-            // Quorum loss and a diverged aggregate first try rollback-
-            // and-exclude; only when recovery is impossible does the
-            // round degrade in place — the runtime never aborts a run
-            // the way the in-process loop surfaces an error.
-            let (aggregated, reporters, degraded) = match gathered {
-                Ok((params, round_report)) if params.iter().all(|x| x.is_finite()) => {
-                    self.record_health(&round_report, round);
-                    // Cache each contributor's validated report for
-                    // ReuseLast (Reported | Clipped only, like ft).
-                    for (sub, &(node, outcome)) in
-                        submissions.iter().zip(&round_report.outcomes)
-                    {
-                        debug_assert_eq!(sub.node, node);
-                        if matches!(outcome, NodeOutcome::Reported | NodeOutcome::Clipped) {
-                            last_good[node] = sub.update.clone();
-                        }
-                    }
-                    global = params;
-                    self.comm_rounds += 1;
-                    self.count_fresh_accepts(round_report.reporters as u64);
-                    (true, round_report.reporters, round_report.degraded)
                 }
-                Ok((_, round_report)) => {
-                    // Validation passed per node but the combined
-                    // global diverged.
-                    self.record_health(&round_report, round);
-                    let failed = round_report.failed_nodes();
-                    if self.try_recover(&mut global, &snapshot, &failed, round) {
-                        recovered_this_round = true;
-                        continue;
-                    }
-                    (false, round_report.reporters, true)
-                }
-                Err(failure) => {
-                    self.record_health(&failure.report, round);
-                    let failed = failure.report.failed_nodes();
-                    if self.try_recover(&mut global, &snapshot, &failed, round) {
-                        recovered_this_round = true;
-                        continue;
-                    }
-                    // Unrecoverable quorum loss: keep the previous
-                    // global, flag the round, keep going — a thin
-                    // fleet must degrade, not hang.
-                    (false, failure.report.reporters, true)
-                }
+            } else {
+                let Some(mut end) =
+                    self.gather_round(round, &x.got, &mut global, &snapshot, &mut last_good)
+                else {
+                    recovered_this_round = true;
+                    continue;
+                };
+                eval_params.clone_from(&global);
+                end.degraded |= recovered_this_round || self.health.removed_count() > 0;
+                end
             };
-            let degraded =
-                degraded || recovered_this_round || self.health.removed_count() > 0;
-            let (meta_loss, train_loss) =
-                self.stepper.eval_losses(self.model, self.tasks, &global);
-            self.history.push(RoundRecord {
-                iteration: round * self.local_steps,
-                meta_loss,
-                train_loss,
-                aggregated,
-                reporters,
-                degraded,
-            });
-            eval_params.clone_from(&global);
-            self.push_trace(round, delivered, bytes, comm_time_s);
+            if end.aggregated {
+                // Barrier mode folds every update at staleness 0.
+                if self.report.staleness_hist.is_empty() {
+                    self.report.staleness_hist.push(0);
+                }
+                self.report.staleness_hist[0] += end.reporters as u64;
+            }
+            self.close_round(round, x, &global, &eval_params, end);
             snapshot.clone_from(&global);
-            self.publish_global(round, &global);
-            self.maybe_checkpoint(round, &global);
             recovered_this_round = false;
             round += 1;
         }
-        self.report.node_health = self.health.summaries();
-        self.report.excluded_nodes = self.health.excluded_nodes();
-        self.report.pool = self.pool.stats().into();
         eval_params
     }
 
-    /// Bounded-staleness rounds. Returns the final parameters.
+    /// Bounded-staleness rounds. Returns the final parameters. The
+    /// staleness-weighted mix `θ ← (1−w)θ + w·u` *is* this mode's
+    /// combine step: [`LocalStepper::combine`] is not applied.
     fn run_async(&mut self, theta0: &[f64], policy: &AsyncPolicy) -> Vec<f64> {
         self.report.async_policy = Some(policy.into());
-        let mut global = theta0.to_vec();
-        let start = self.resume_state(&mut global);
-        self.publish_global(start - 1, &global);
+        let (mut global, start) = self.start(theta0);
         let mut pending: Vec<Pending> = Vec::new();
         let round_s = self.cfg.round_duration_s;
         // Per-node adaptive-mixing quality scores (recency-weighted,
@@ -1122,23 +1132,18 @@ impl Platform<'_> {
         let mut buffer = UpdateBuffer::new(policy.buffer_k, global.len());
 
         for round in start..=self.rounds {
-            self.health.begin_round(round);
-            let targets = self.round_targets(round);
+            let mut x = self.exchange(round, &global);
             // Active nodes skipped for a scheduled crash count as a
             // health failure, same as a missing barrier report.
             for i in self.health.active_nodes() {
-                if !targets.contains(&i) {
+                if matches!(self.cfg.faults.draw(i, round), Some(Fault::Crash)) {
                     self.health.record_failure(i, round);
                 }
             }
-            let (delivered, down_bytes, frame) = self.broadcast(round, &global, &targets);
-            let (got, up_bytes) = self.collect(round, &delivered, &frame);
-            self.pool.recycle(frame);
-            let bytes = down_bytes + up_bytes;
 
             // Stamp each physical arrival with its *virtual* arrival
             // round: round-start time plus the seeded upload delay.
-            for (node, params) in got {
+            for (node, params) in std::mem::take(&mut x.got) {
                 let delay = self.upload_delay_s(node, round);
                 let arrival_time_s = (round - 1) as f64 * round_s + delay;
                 pending.push(Pending {
@@ -1164,7 +1169,6 @@ impl Platform<'_> {
             // What a divergence rollback restores this round.
             let round_start = global.clone();
             let mut applied = 0usize;
-            let mut comm_time_s = 0.0f64;
             for mut p in due {
                 let staleness = round - p.origin;
                 if staleness > policy.max_staleness {
@@ -1218,8 +1222,9 @@ impl Platform<'_> {
                 weight_stats[p.node].record(w);
                 applied += 1;
                 self.health.record_success(p.node, round);
-                comm_time_s =
-                    comm_time_s.max(p.arrival_time_s - (p.origin - 1) as f64 * round_s);
+                x.comm_time_s = x
+                    .comm_time_s
+                    .max(p.arrival_time_s - (p.origin - 1) as f64 * round_s);
             }
 
             // Semi-async: a partial buffer must not strand accepted
@@ -1239,23 +1244,12 @@ impl Platform<'_> {
             }
 
             let required = self.cfg.gather.required_reporters(self.n);
-            let degraded = applied < required || delivered.len() < self.n || rolled_back;
-            if applied > 0 && !rolled_back {
-                self.comm_rounds += 1;
-            }
-            let (meta_loss, train_loss) =
-                self.stepper.eval_losses(self.model, self.tasks, &global);
-            self.history.push(RoundRecord {
-                iteration: round * self.local_steps,
-                meta_loss,
-                train_loss,
+            let end = Outcome {
                 aggregated: applied > 0 && !rolled_back,
                 reporters: applied,
-                degraded,
-            });
-            self.push_trace(round, delivered, bytes, comm_time_s);
-            self.publish_global(round, &global);
-            self.maybe_checkpoint(round, &global);
+                degraded: applied < required || x.delivered.len() < self.n || rolled_back,
+            };
+            self.close_round(round, x, &global, &global, end);
         }
 
         // Uploads still in (virtual) flight when the schedule ended.
@@ -1265,9 +1259,6 @@ impl Platform<'_> {
             .enumerate()
             .map(|(node, acc)| acc.stat(node, quality[node]))
             .collect();
-        self.report.node_health = self.health.summaries();
-        self.report.excluded_nodes = self.health.excluded_nodes();
-        self.report.pool = self.pool.stats().into();
         global
     }
 }

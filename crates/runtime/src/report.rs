@@ -91,6 +91,10 @@ pub struct NodeIo {
     /// transports only; always 0 in-process).
     #[serde(default)]
     pub reconnects: u64,
+    /// Frames this node received and could not use: undecodable bytes,
+    /// or a valid frame that is not a broadcast.
+    #[serde(default)]
+    pub decode_errors: u64,
 }
 
 /// What the platform observed over a whole run.
@@ -311,6 +315,7 @@ mod tests {
                     bytes_sent_logical: 4000,
                     bytes_received: 990,
                     reconnects: 0,
+                    decode_errors: 0,
                 },
                 NodeIo {
                     node: 1,
@@ -320,6 +325,7 @@ mod tests {
                     bytes_sent_logical: 3200,
                     bytes_received: 990,
                     reconnects: 1,
+                    decode_errors: 0,
                 },
             ],
             staleness_hist: vec![12, 4, 0, 2],

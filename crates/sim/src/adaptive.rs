@@ -23,8 +23,7 @@ use fml_core::{FedMl, SourceTask};
 use fml_models::Model;
 use rand::rngs::StdRng;
 
-use crate::message::Message;
-use crate::runner::SimConfig;
+use crate::runner::{RunState, SimConfig};
 use crate::stats::{CommStats, ComputeStats};
 
 /// Controller parameters.
@@ -97,9 +96,11 @@ pub struct AdaptiveOutput {
 /// Runs FedML with controller-chosen `T0` per round until the iteration
 /// budget is exhausted.
 ///
-/// Communication is charged per round exactly as in
-/// [`crate::SimRunner`]: a broadcast to every node and an upload from
-/// every node, with the configured link models.
+/// Every round runs the same phases as [`crate::SimRunner::run`] over
+/// the whole fleet — pooled broadcast, threaded local updates with
+/// per-profile compute accounting, uploads — with the configured link
+/// models; only the controller-chosen step count and the divergence
+/// measurement are its own.
 ///
 /// # Panics
 ///
@@ -115,72 +116,22 @@ pub fn run_adaptive_fedml(
     total_iterations: usize,
     rng: &mut StdRng,
 ) -> AdaptiveOutput {
-    assert!(!tasks.is_empty(), "run_adaptive_fedml: no source tasks");
-    assert_eq!(
-        theta0.len(),
-        model.param_len(),
-        "run_adaptive_fedml: bad theta0"
-    );
-
-    let mut global = theta0.to_vec();
-    let mut comm = CommStats::default();
-    let mut compute = ComputeStats::default();
-    let mut history = Vec::new();
+    let mut st = RunState::new(sim, fedml, model, tasks, theta0);
+    let everyone: Vec<usize> = (0..tasks.len()).collect();
     let mut t0_trace = Vec::new();
     let mut divergence_trace = Vec::new();
     let mut t0 = ctrl.t0_init;
     let mut done = 0usize;
-    let mut round = 0u32;
+    let mut round = 0usize;
 
     while done < total_iterations {
         round += 1;
         let steps = t0.min(total_iterations - done);
         t0_trace.push(steps);
 
-        // Broadcast.
-        let frame = Message::GlobalModel {
-            round,
-            params: global.clone(),
-        }
-        .encode();
-        let mut down_time = 0.0f64;
-        for _ in tasks {
-            let t = sim.network.send_down(frame.len(), rng);
-            comm.bytes_down += frame.len() as u64;
-            comm.wire_bytes += t.wire_bytes as u64;
-            comm.retransmissions += t.retransmissions as u64;
-            comm.messages += 1;
-            down_time = down_time.max(t.time_s);
-        }
-
-        // Local updates (sequential here; the adaptive loop is about the
-        // control policy, not the executor).
-        let locals: Vec<Vec<f64>> = tasks
-            .iter()
-            .map(|task| fedml.local_update(model, task, &global, steps))
-            .collect();
-        compute.local_iterations += (steps * tasks.len()) as u64;
-        compute.grad_evals += (2 * steps * tasks.len()) as u64;
-        compute.hvp_evals += (steps * tasks.len()) as u64;
-        compute.time_s += sim.iteration_time_s * steps as f64;
-
-        // Uploads.
-        let mut up_time = 0.0f64;
-        for (task, local) in tasks.iter().zip(&locals) {
-            let f = Message::ModelUpdate {
-                round,
-                node: task.id as u32,
-                params: local.clone(),
-            }
-            .encode();
-            let t = sim.network.send_up(f.len(), rng);
-            comm.bytes_up += f.len() as u64;
-            comm.wire_bytes += t.wire_bytes as u64;
-            comm.retransmissions += t.retransmissions as u64;
-            comm.messages += 1;
-            up_time = up_time.max(t.time_s);
-        }
-        comm.time_s += down_time + up_time;
+        let mut flight = st.broadcast(round, steps, everyone.len(), rng);
+        let locals = st.local_updates(&mut flight, &everyone);
+        st.upload(&mut flight, &everyone, &locals, rng);
 
         // Aggregate and measure divergence.
         let agg = fml_core::aggregate(tasks, &locals);
@@ -192,12 +143,10 @@ pub fn run_adaptive_fedml(
             .sum::<f64>()
             / scale;
         divergence_trace.push(divergence);
-        global = agg;
+        st.global = agg;
         done += steps;
-        history.push((
-            done,
-            fml_core::weighted_meta_loss(model, tasks, &global, fedml.config().alpha),
-        ));
+        let meta_loss = st.finish(flight, &everyone, everyone.len(), false);
+        st.history.push((done, meta_loss));
 
         // Control law.
         if divergence > ctrl.divergence_target {
@@ -208,10 +157,10 @@ pub fn run_adaptive_fedml(
     }
 
     AdaptiveOutput {
-        params: global,
-        comm,
-        compute,
-        history,
+        params: st.global,
+        comm: st.comm,
+        compute: st.compute,
+        history: st.history,
         t0_trace,
         divergence_trace,
     }

@@ -144,9 +144,11 @@ impl FramePool {
             return;
         }
         shard.push(buf);
+        // Counted before the shard unlocks: an `acquire` that pops this
+        // buffer must find it in `resident`, or its decrement wraps.
+        let resident = self.inner.resident.fetch_add(1, Ordering::Relaxed) + 1;
         drop(shard);
         self.inner.returns.fetch_add(1, Ordering::Relaxed);
-        let resident = self.inner.resident.fetch_add(1, Ordering::Relaxed) + 1;
         self.inner.high_water.fetch_max(resident, Ordering::Relaxed);
     }
 

@@ -19,8 +19,9 @@
 //! wall-clock time, matching how stragglers hurt real federated systems.
 
 use fml_core::faults::{self, Fault};
-use fml_core::gather::{gather, NodeOutcome, Submission};
-use fml_core::{FaultTolerance, FedAvg, FedMl, SourceTask};
+use fml_core::ft::ReuseCache;
+use fml_core::gather::{gather, Submission};
+use fml_core::{FaultTolerance, LocalStepper, SourceTask};
 use fml_models::Model;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -192,18 +193,6 @@ impl SimOutput {
     }
 }
 
-/// Per-iteration oracle-call profile of an algorithm, used for compute
-/// accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct OracleProfile {
-    grads: u64,
-    hvps: u64,
-}
-
-/// The per-node local-update function the executor fans out:
-/// `(task, start parameters, steps) -> updated parameters`.
-type LocalUpdateFn<'a> = dyn Fn(&SourceTask, &[f64], usize) -> Vec<f64> + Sync + 'a;
-
 /// Headroom multiplier applied to the nominal fault-free round time when
 /// deriving a gather deadline from the link model (used when the policy's
 /// `deadline_s` is `None`). Gives slow-but-honest nodes room for a few
@@ -214,6 +203,235 @@ pub const DERIVED_DEADLINE_HEADROOM: f64 = 4.0;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimRunner {
     cfg: SimConfig,
+}
+
+/// The per-run accumulator every simulated round loop carries: the
+/// global model, the meters, the curves, and the recycled frame storage.
+/// Its methods are the phases the loops share; each loop keeps inline
+/// only who takes part and how the uploaded frames become the next
+/// global.
+pub(crate) struct RunState<'a> {
+    cfg: &'a SimConfig,
+    stepper: &'a dyn LocalStepper,
+    model: &'a dyn Model,
+    tasks: &'a [SourceTask],
+    profiles: Vec<EdgeProfile>,
+    pub(crate) global: Vec<f64>,
+    pub(crate) comm: CommStats,
+    pub(crate) compute: ComputeStats,
+    participants_per_round: Vec<usize>,
+    pub(crate) history: Vec<(usize, f64)>,
+    trace: TraceLog,
+    /// Frame storage is recycled across rounds: after warm-up the
+    /// encode/decode phases touch the allocator only for the updates.
+    pool: FramePool,
+    start_params: Vec<f64>,
+    /// The round's uploaded frames, in participant order.
+    frames: Vec<bytes::Bytes>,
+}
+
+/// One round in flight: its broadcast frame, each participant's
+/// accumulated report delay, and the meter marks its trace row needs.
+pub(crate) struct Flight {
+    round: usize,
+    steps: usize,
+    frame: bytes::Bytes,
+    /// Downlink + compute + uplink seconds per participant slot.
+    delay_s: Vec<f64>,
+    down_time: f64,
+    compute_time: f64,
+    bytes_before: u64,
+    retx_before: u64,
+    comm_time_before: f64,
+}
+
+impl<'a> RunState<'a> {
+    /// # Panics
+    ///
+    /// Panics when `tasks` is empty or `theta0` has the wrong length.
+    pub(crate) fn new(
+        cfg: &'a SimConfig,
+        stepper: &'a dyn LocalStepper,
+        model: &'a dyn Model,
+        tasks: &'a [SourceTask],
+        theta0: &[f64],
+    ) -> Self {
+        assert!(!tasks.is_empty(), "SimRunner: no source tasks");
+        assert_eq!(theta0.len(), model.param_len(), "SimRunner: bad theta0");
+        let n = tasks.len();
+        // Stragglers are assigned by index, deterministically.
+        let straggler_count = (cfg.straggler_frac * n as f64).round() as usize;
+        let profiles = (0..n)
+            .map(|i| EdgeProfile {
+                speed: if i < straggler_count {
+                    cfg.straggler_speed
+                } else {
+                    1.0
+                },
+            })
+            .collect();
+        RunState {
+            cfg,
+            stepper,
+            model,
+            tasks,
+            profiles,
+            global: theta0.to_vec(),
+            comm: CommStats::default(),
+            compute: ComputeStats::default(),
+            participants_per_round: Vec::new(),
+            history: Vec::new(),
+            trace: TraceLog::new(),
+            pool: FramePool::new(),
+            start_params: Vec::with_capacity(theta0.len()),
+            frames: Vec::with_capacity(n),
+        }
+    }
+
+    fn charge(&mut self, t: crate::network::Transfer) {
+        self.comm.wire_bytes += t.wire_bytes as u64;
+        self.comm.retransmissions += t.retransmissions as u64;
+        self.comm.messages += 1;
+    }
+
+    /// Downlink: the platform serializes the global once, into a pooled
+    /// buffer; each participant is charged its own transfer.
+    pub(crate) fn broadcast(
+        &mut self,
+        round: usize,
+        steps: usize,
+        links: usize,
+        rng: &mut StdRng,
+    ) -> Flight {
+        self.participants_per_round.push(links);
+        let mut buf = self.pool.acquire(encoded_frame_len(self.global.len()));
+        encode_global_into(round as u32, &self.global, &mut buf);
+        let mut flight = Flight {
+            round,
+            steps,
+            frame: buf.freeze(),
+            delay_s: Vec::with_capacity(links),
+            down_time: 0.0,
+            compute_time: 0.0,
+            bytes_before: self.comm.bytes_up + self.comm.bytes_down,
+            retx_before: self.comm.retransmissions,
+            comm_time_before: self.comm.time_s,
+        };
+        for _ in 0..links {
+            let t = self.cfg.network.send_down(flight.frame.len(), rng);
+            self.comm.bytes_down += flight.frame.len() as u64;
+            self.charge(t);
+            flight.down_time = flight.down_time.max(t.time_s);
+            flight.delay_s.push(t.time_s);
+        }
+        flight
+    }
+
+    /// Local updates on real threads, in participant order at any
+    /// thread count, plus compute accounting (critical path = slowest
+    /// participant). The wire round-trip is kept — nodes start from the
+    /// decoded frame, not the platform's floats — through the borrowed
+    /// view into a reused scratch vector.
+    pub(crate) fn local_updates(
+        &mut self,
+        flight: &mut Flight,
+        participants: &[usize],
+    ) -> Vec<Vec<f64>> {
+        MessageView::parse(&flight.frame)
+            .expect("self-encoded frame")
+            .copy_params_into(&mut self.start_params);
+        let (stepper, model, tasks, start) =
+            (self.stepper, self.model, self.tasks, &self.start_params);
+        let t0 = flight.steps;
+        let updated = fml_core::parallel::map_ordered(self.cfg.threads, participants, |_, &i| {
+            stepper.local_update(model, &tasks[i], start, t0)
+        });
+        let steps = t0 as u64;
+        let (grads, hvps) = stepper.oracle_calls();
+        for (slot, &i) in participants.iter().enumerate() {
+            let node_time = self.cfg.iteration_time_s * steps as f64 / self.profiles[i].speed;
+            flight.compute_time = flight.compute_time.max(node_time);
+            flight.delay_s[slot] += node_time;
+            self.compute.grad_evals += grads * steps;
+            self.compute.hvp_evals += hvps * steps;
+            self.compute.local_iterations += steps;
+        }
+        self.compute.time_s += flight.compute_time;
+        updated
+    }
+
+    /// Uplink: each participant serializes its report into a pooled
+    /// buffer and uploads it; the round's communication latency is the
+    /// slowest downlink plus the slowest uplink.
+    pub(crate) fn upload(
+        &mut self,
+        flight: &mut Flight,
+        participants: &[usize],
+        updated: &[Vec<f64>],
+        rng: &mut StdRng,
+    ) {
+        let mut up_time = 0.0f64;
+        for (slot, &i) in participants.iter().enumerate() {
+            let mut buf = self.pool.acquire(encoded_frame_len(updated[slot].len()));
+            encode_update_into(
+                flight.round as u32,
+                self.tasks[i].id as u32,
+                &updated[slot],
+                &mut buf,
+            );
+            let f = buf.freeze();
+            let t = self.cfg.network.send_up(f.len(), rng);
+            self.comm.bytes_up += f.len() as u64;
+            self.charge(t);
+            up_time = up_time.max(t.time_s);
+            flight.delay_s[slot] += t.time_s;
+            self.frames.push(f);
+        }
+        self.comm.time_s += flight.down_time + up_time;
+    }
+
+    /// Closes the round once the loop has installed its new global:
+    /// hands the dead frames back to the pool and writes the trace row.
+    /// Returns the round's meta loss for the loop's own curve.
+    pub(crate) fn finish(
+        &mut self,
+        flight: Flight,
+        participants: &[usize],
+        reporters: usize,
+        degraded: bool,
+    ) -> f64 {
+        self.pool.recycle(flight.frame);
+        for f in self.frames.drain(..) {
+            self.pool.recycle(f);
+        }
+        let (meta_loss, _) = self
+            .stepper
+            .eval_losses(self.model, self.tasks, &self.global);
+        self.trace.push(RoundTrace {
+            round: flight.round,
+            participants: participants.iter().map(|&i| self.tasks[i].id).collect(),
+            local_steps: flight.steps,
+            bytes: self.comm.bytes_up + self.comm.bytes_down - flight.bytes_before,
+            retransmissions: self.comm.retransmissions - flight.retx_before,
+            comm_time_s: self.comm.time_s - flight.comm_time_before,
+            compute_time_s: flight.compute_time,
+            meta_loss,
+            reporters,
+            degraded,
+        });
+        meta_loss
+    }
+
+    fn into_output(self) -> SimOutput {
+        SimOutput {
+            params: self.global,
+            comm: self.comm,
+            compute: self.compute,
+            participants: self.participants_per_round,
+            history: self.history,
+            trace: self.trace,
+        }
+    }
 }
 
 impl SimRunner {
@@ -227,393 +445,27 @@ impl SimRunner {
         &self.cfg
     }
 
-    /// Simulates FedML (Algorithm 1) over the platform-aided architecture.
+    /// Simulates `stepper`'s algorithm over the platform-aided
+    /// architecture.
     ///
-    /// With [`SimConfig::ideal`] and no failures this produces parameters
-    /// identical to [`FedMl::train_from`] (verified in tests): the
-    /// simulator adds the systems layer without changing the algorithm.
-    pub fn run_fedml(
+    /// With [`SimConfig::ideal`] and no failures a [`fml_core::FedMl`]
+    /// stepper produces parameters identical to its `train_from`
+    /// (verified in tests): the simulator adds the systems layer
+    /// without changing the algorithm.
+    pub fn run(
         &self,
-        fedml: &FedMl,
+        stepper: &dyn LocalStepper,
         model: &dyn Model,
         tasks: &[SourceTask],
         theta0: &[f64],
         rng: &mut StdRng,
     ) -> SimOutput {
-        let t0 = fedml.config().local_steps;
-        let rounds = fedml.config().rounds;
-        let alpha = fedml.config().alpha;
-        // Per local iteration: inner grad + outer grad + one HVP.
-        let profile = OracleProfile { grads: 2, hvps: 1 };
-        self.run(
-            model,
-            tasks,
-            theta0,
-            rounds,
-            t0,
-            alpha,
-            profile,
-            &|task, theta, steps| fedml.local_update(model, task, theta, steps),
-            rng,
-        )
-    }
-
-    /// Simulates FedAvg over the same architecture.
-    pub fn run_fedavg(
-        &self,
-        fedavg: &FedAvg,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-        rng: &mut StdRng,
-    ) -> SimOutput {
-        let t0 = fedavg.config().local_steps;
-        let rounds = fedavg.config().rounds;
-        let alpha = fedavg.config().eval_alpha;
-        let profile = OracleProfile { grads: 1, hvps: 0 };
-        self.run(
-            model,
-            tasks,
-            theta0,
-            rounds,
-            t0,
-            alpha,
-            profile,
-            &|task, theta, steps| fedavg.local_update(model, task, theta, steps),
-            rng,
-        )
-    }
-
-    /// Simulates FedML under a seeded [`FaultPlan`](fml_core::FaultPlan)
-    /// with gather-policy protection: round deadlines (explicit, or
-    /// derived from the link model — see
-    /// [`DERIVED_DEADLINE_HEADROOM`]), straggler handling, update
-    /// validation, and a minimum quorum.
-    ///
-    /// Unlike the in-memory trainers' `train_with_faults`, the simulator
-    /// does **not** roll back on quorum loss: a failed gather skips
-    /// aggregation for the round (the global model is carried forward
-    /// unchanged) and the round is flagged `degraded` in the trace. This
-    /// models a platform that waits for the fleet to come back rather
-    /// than rewriting history; the rollback-and-exclude strategy lives in
-    /// `fml_core::ft`.
-    pub fn run_fedml_with_faults(
-        &self,
-        fedml: &FedMl,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-        ft: &FaultTolerance,
-        rng: &mut StdRng,
-    ) -> SimOutput {
-        let t0 = fedml.config().local_steps;
-        let rounds = fedml.config().rounds;
-        let alpha = fedml.config().alpha;
-        let profile = OracleProfile { grads: 2, hvps: 1 };
-        self.run_faulty(
-            model,
-            tasks,
-            theta0,
-            rounds,
-            t0,
-            alpha,
-            profile,
-            ft,
-            &|task, theta, steps| fedml.local_update(model, task, theta, steps),
-            rng,
-        )
-    }
-
-    /// Simulates FedAvg under a seeded fault plan; see
-    /// [`SimRunner::run_fedml_with_faults`] for the semantics.
-    pub fn run_fedavg_with_faults(
-        &self,
-        fedavg: &FedAvg,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-        ft: &FaultTolerance,
-        rng: &mut StdRng,
-    ) -> SimOutput {
-        let t0 = fedavg.config().local_steps;
-        let rounds = fedavg.config().rounds;
-        let alpha = fedavg.config().eval_alpha;
-        let profile = OracleProfile { grads: 1, hvps: 0 };
-        self.run_faulty(
-            model,
-            tasks,
-            theta0,
-            rounds,
-            t0,
-            alpha,
-            profile,
-            ft,
-            &|task, theta, steps| fedavg.local_update(model, task, theta, steps),
-            rng,
-        )
-    }
-
-    /// Deadline derived from the nominal fault-free round time (local
-    /// compute plus one downlink and one uplink attempt) scaled by
-    /// [`DERIVED_DEADLINE_HEADROOM`]. `None` when the nominal time is
-    /// zero (ideal network, free compute) — there is no meaningful clock
-    /// to measure stragglers against, so every report counts as on time.
-    fn derived_deadline(&self, t0: usize, frame_len: usize) -> Option<f64> {
-        let cfg = &self.cfg;
-        let nominal = cfg.iteration_time_s * t0 as f64
-            + cfg.network.downlink.attempt_time(frame_len)
-            + cfg.network.uplink.attempt_time(frame_len);
-        (nominal > 0.0).then_some(DERIVED_DEADLINE_HEADROOM * nominal)
-    }
-
-    /// The fault-injected round loop shared by
-    /// [`SimRunner::run_fedml_with_faults`] and
-    /// [`SimRunner::run_fedavg_with_faults`].
-    ///
-    /// The whole fleet participates every round (faults, not sampling,
-    /// decide who reports); client sampling, dropout, and wait-fraction
-    /// settings from [`SimConfig`] are ignored on this path. Each node's
-    /// report delay is its simulated compute time + downlink + uplink
-    /// transfer (including retransmissions) + any injected straggle
-    /// delay, judged against the gather deadline. Crashed devices are
-    /// dark for the round: no broadcast charge, no compute, no upload.
-    /// Corrupt devices pay full price — their garbage crosses the wire
-    /// and is rejected at the platform by update validation.
-    #[allow(clippy::too_many_arguments)]
-    fn run_faulty(
-        &self,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-        rounds: usize,
-        t0: usize,
-        eval_alpha: f64,
-        profile: OracleProfile,
-        ft: &FaultTolerance,
-        local: &LocalUpdateFn<'_>,
-        rng: &mut StdRng,
-    ) -> SimOutput {
-        assert!(!tasks.is_empty(), "SimRunner: no source tasks");
-        assert_eq!(theta0.len(), model.param_len(), "SimRunner: bad theta0");
         let cfg = &self.cfg;
         let n = tasks.len();
-        let straggler_count = (cfg.straggler_frac * n as f64).round() as usize;
-        let profiles: Vec<EdgeProfile> = (0..n)
-            .map(|i| EdgeProfile {
-                speed: if i < straggler_count {
-                    cfg.straggler_speed
-                } else {
-                    1.0
-                },
-            })
-            .collect();
+        let t0 = stepper.local_steps();
+        let mut st = RunState::new(cfg, stepper, model, tasks, theta0);
 
-        // Frame size is fixed by the model dimension, so the derived
-        // deadline is one number for the whole run.
-        let frame_len = encoded_frame_len(theta0.len());
-        let mut policy = ft.policy;
-        if policy.deadline_s.is_none() {
-            policy.deadline_s = self.derived_deadline(t0, frame_len);
-        }
-
-        let mut global = theta0.to_vec();
-        let mut comm = CommStats::default();
-        let mut compute = ComputeStats::default();
-        let mut participants_per_round = Vec::with_capacity(rounds);
-        let mut history = Vec::with_capacity(rounds);
-        let mut trace = TraceLog::new();
-        let mut last_good: Vec<Option<Vec<f64>>> = vec![None; n];
-        // Same pooled frame discipline as the fault-free loop.
-        let pool = FramePool::new();
-        let mut start_params: Vec<f64> = Vec::with_capacity(global.len());
-        let mut frames: Vec<bytes::Bytes> = Vec::with_capacity(n);
-
-        for round in 1..=rounds {
-            let bytes_before = comm.bytes_up + comm.bytes_down;
-            let retx_before = comm.retransmissions;
-            let comm_time_before = comm.time_s;
-
-            // Fault draws are pure per (node, round): same schedule at
-            // any thread count. All network randomness below runs
-            // sequentially on this thread in node order.
-            let drawn: Vec<Option<Fault>> = (0..n).map(|i| ft.plan.draw(i, round)).collect();
-            let participants: Vec<usize> = (0..n)
-                .filter(|&i| !matches!(drawn[i], Some(Fault::Crash)))
-                .collect();
-            participants_per_round.push(participants.len());
-
-            // --- downlink broadcast to the live fleet ---
-            let mut broadcast_buf = pool.acquire(encoded_frame_len(global.len()));
-            encode_global_into(round as u32, &global, &mut broadcast_buf);
-            let frame = broadcast_buf.freeze();
-            let mut down_time = 0.0f64;
-            let mut node_delay = vec![0.0f64; participants.len()];
-            for delay in &mut node_delay {
-                let t = cfg.network.send_down(frame.len(), rng);
-                comm.bytes_down += frame.len() as u64;
-                comm.wire_bytes += t.wire_bytes as u64;
-                comm.retransmissions += t.retransmissions as u64;
-                comm.messages += 1;
-                down_time = down_time.max(t.time_s);
-                *delay += t.time_s;
-            }
-
-            // --- parallel local updates on surviving nodes ---
-            MessageView::parse(&frame)
-                .expect("self-encoded frame")
-                .copy_params_into(&mut start_params);
-            let mut updated =
-                parallel_local_updates(cfg.threads, &participants, tasks, &start_params, t0, local);
-
-            let mut round_compute = 0.0f64;
-            for (slot, &i) in participants.iter().enumerate() {
-                let node_time = cfg.iteration_time_s * t0 as f64 / profiles[i].speed;
-                round_compute = round_compute.max(node_time);
-                node_delay[slot] += node_time;
-                compute.grad_evals += profile.grads * t0 as u64;
-                compute.hvp_evals += profile.hvps * t0 as u64;
-                compute.local_iterations += t0 as u64;
-            }
-            compute.time_s += round_compute;
-
-            // Faults mangle the *uploaded* report, after local compute.
-            for (slot, &i) in participants.iter().enumerate() {
-                match drawn[i] {
-                    Some(Fault::Corrupt(mode)) => faults::corrupt(mode, &mut updated[slot]),
-                    Some(Fault::Straggle { delay_s }) => node_delay[slot] += delay_s,
-                    _ => {}
-                }
-            }
-
-            // --- uplink: every live node uploads, garbage included ---
-            let mut up_time = 0.0f64;
-            for (slot, &i) in participants.iter().enumerate() {
-                let mut buf = pool.acquire(encoded_frame_len(updated[slot].len()));
-                encode_update_into(round as u32, tasks[i].id as u32, &updated[slot], &mut buf);
-                let f = buf.freeze();
-                let t = cfg.network.send_up(f.len(), rng);
-                comm.bytes_up += f.len() as u64;
-                comm.wire_bytes += t.wire_bytes as u64;
-                comm.retransmissions += t.retransmissions as u64;
-                comm.messages += 1;
-                up_time = up_time.max(t.time_s);
-                node_delay[slot] += t.time_s;
-                frames.push(f);
-            }
-            comm.time_s += down_time + up_time;
-
-            // --- platform gathers the whole fleet under the policy ---
-            let mut submissions = Vec::with_capacity(n);
-            let mut slot = 0usize;
-            for (i, fault) in drawn.iter().enumerate() {
-                let weight = tasks[i].weight;
-                let mut sub = if matches!(fault, Some(Fault::Crash)) {
-                    Submission::crashed(i, weight)
-                } else {
-                    // One materialization (the Submission owns its
-                    // params), not decode + to_vec's two.
-                    let view = MessageView::parse(&frames[slot]).expect("self-encoded frame");
-                    let mut s = Submission::on_time(i, weight, view.params_to_vec());
-                    s.delay_s = node_delay[slot];
-                    slot += 1;
-                    s
-                };
-                sub.last_good = last_good[i].clone();
-                submissions.push(sub);
-            }
-
-            let (reporters, degraded) = match gather(round, n, &submissions, &policy) {
-                Ok((params, report)) => {
-                    global = params;
-                    for (sub, &(node, outcome)) in submissions.iter().zip(&report.outcomes) {
-                        if matches!(outcome, NodeOutcome::Reported | NodeOutcome::Clipped) {
-                            last_good[node] = sub.update.clone();
-                        }
-                    }
-                    (report.reporters, report.degraded)
-                }
-                // Quorum lost: skip aggregation, carry the global model
-                // forward unchanged, and flag the round.
-                Err(failure) => (failure.report.reporters, true),
-            };
-
-            // Frames are dead: hand their storage back for next round.
-            pool.recycle(frame);
-            for f in frames.drain(..) {
-                pool.recycle(f);
-            }
-
-            let meta_loss = fml_core::weighted_meta_loss(model, tasks, &global, eval_alpha);
-            history.push((round, meta_loss));
-            trace.push(RoundTrace {
-                round,
-                participants: participants.iter().map(|&i| tasks[i].id).collect(),
-                local_steps: t0,
-                bytes: comm.bytes_up + comm.bytes_down - bytes_before,
-                retransmissions: comm.retransmissions - retx_before,
-                comm_time_s: comm.time_s - comm_time_before,
-                compute_time_s: round_compute,
-                meta_loss,
-                reporters,
-                degraded,
-            });
-        }
-
-        SimOutput {
-            params: global,
-            comm,
-            compute,
-            participants: participants_per_round,
-            history,
-            trace,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &self,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-        rounds: usize,
-        t0: usize,
-        eval_alpha: f64,
-        profile: OracleProfile,
-        local: &LocalUpdateFn<'_>,
-        rng: &mut StdRng,
-    ) -> SimOutput {
-        assert!(!tasks.is_empty(), "SimRunner: no source tasks");
-        assert_eq!(theta0.len(), model.param_len(), "SimRunner: bad theta0");
-        let cfg = &self.cfg;
-        let n = tasks.len();
-        let straggler_count = (cfg.straggler_frac * n as f64).round() as usize;
-        let profiles: Vec<EdgeProfile> = (0..n)
-            .map(|i| EdgeProfile {
-                speed: if i < straggler_count {
-                    cfg.straggler_speed
-                } else {
-                    1.0
-                },
-            })
-            .collect();
-
-        let mut global = theta0.to_vec();
-        let mut comm = CommStats::default();
-        let mut compute = ComputeStats::default();
-        let mut participants_per_round = Vec::with_capacity(rounds);
-        let mut history = Vec::with_capacity(rounds);
-        let mut trace = TraceLog::new();
-        // Frame storage is recycled across rounds: after warm-up the
-        // encode/decode loop below touches the allocator only for the
-        // aggregation output.
-        let pool = FramePool::new();
-        let mut start_params: Vec<f64> = Vec::with_capacity(global.len());
-        let mut frames: Vec<bytes::Bytes> = Vec::with_capacity(n);
-
-        for round in 1..=rounds {
-            let bytes_before = comm.bytes_up + comm.bytes_down;
-            let retx_before = comm.retransmissions;
-            let comm_time_before = comm.time_s;
+        for round in 1..=stepper.rounds() {
             // --- participation draw ---
             // Platform-side client sampling (McMahan's C) first, then
             // device-side dropout among the selected clients.
@@ -641,78 +493,27 @@ impl SimRunner {
                 let keep = ((cfg.wait_fraction * participants.len() as f64).ceil() as usize)
                     .clamp(1, participants.len());
                 participants.sort_by(|&a, &b| {
-                    profiles[b]
+                    st.profiles[b]
                         .speed
-                        .partial_cmp(&profiles[a].speed)
+                        .partial_cmp(&st.profiles[a].speed)
                         .expect("finite speeds")
                         .then(a.cmp(&b))
                 });
                 participants.truncate(keep);
                 participants.sort_unstable();
             }
-            participants_per_round.push(participants.len());
 
-            // --- downlink broadcast (platform serializes once, into a
-            // pooled buffer; each node is charged its own transfer;
-            // round latency = slowest) ---
-            let mut broadcast_buf = pool.acquire(encoded_frame_len(global.len()));
-            encode_global_into(round as u32, &global, &mut broadcast_buf);
-            let frame = broadcast_buf.freeze();
-            let mut down_time = 0.0f64;
-            for _ in &participants {
-                let t = cfg.network.send_down(frame.len(), rng);
-                comm.bytes_down += frame.len() as u64;
-                comm.wire_bytes += t.wire_bytes as u64;
-                comm.retransmissions += t.retransmissions as u64;
-                comm.messages += 1;
-                down_time = down_time.max(t.time_s);
-            }
-
-            // --- parallel local updates ---
-            // The wire round-trip is kept (nodes see decoded bytes, not
-            // the platform's floats), but through the borrowed view into
-            // a reused scratch vector instead of two fresh allocations.
-            MessageView::parse(&frame)
-                .expect("self-encoded frame")
-                .copy_params_into(&mut start_params);
-            let updated =
-                parallel_local_updates(cfg.threads, &participants, tasks, &start_params, t0, local);
-
-            // compute accounting: critical path = slowest participant.
-            let mut round_compute = 0.0f64;
-            for &i in &participants {
-                let node_time = cfg.iteration_time_s * t0 as f64 / profiles[i].speed;
-                round_compute = round_compute.max(node_time);
-                compute.grad_evals += profile.grads * t0 as u64;
-                compute.hvp_evals += profile.hvps * t0 as u64;
-                compute.local_iterations += t0 as u64;
-            }
-            compute.time_s += round_compute;
-
-            // --- uplink: each participant serializes (into pooled
-            // buffers, no params clone) and uploads ---
-            let mut up_time = 0.0f64;
-            for (slot, &i) in participants.iter().enumerate() {
-                let mut buf = pool.acquire(encoded_frame_len(updated[slot].len()));
-                encode_update_into(round as u32, tasks[i].id as u32, &updated[slot], &mut buf);
-                let f = buf.freeze();
-                let t = cfg.network.send_up(f.len(), rng);
-                comm.bytes_up += f.len() as u64;
-                comm.wire_bytes += t.wire_bytes as u64;
-                comm.retransmissions += t.retransmissions as u64;
-                comm.messages += 1;
-                up_time = up_time.max(t.time_s);
-                frames.push(f);
-            }
-            comm.time_s += down_time + up_time;
+            let mut flight = st.broadcast(round, t0, participants.len(), rng);
+            let updated = st.local_updates(&mut flight, &participants);
+            st.upload(&mut flight, &participants, &updated, rng);
 
             // --- platform decodes and aggregates (renormalized weights) ---
             // Reading the floats straight out of the frame is bitwise
             // the same accumulation as decode + axpy: identical values,
             // identical order.
             let mut weight_sum = 0.0;
-            let mut agg = vec![0.0; global.len()];
-            for (f, &i) in frames.iter().zip(&participants) {
+            let mut agg = vec![0.0; st.global.len()];
+            for (f, &i) in st.frames.iter().zip(&participants) {
                 let view = MessageView::parse(f).expect("self-encoded frame");
                 debug_assert_eq!(view.len(), agg.len(), "update dimension mismatch");
                 let w = tasks[i].weight;
@@ -722,60 +523,136 @@ impl SimRunner {
                 weight_sum += w;
             }
             fml_linalg::vector::scale_in_place(1.0 / weight_sum, &mut agg);
-            global = agg;
+            st.global = stepper.combine(&st.global, agg);
 
-            // Frames are dead: hand their storage back for next round.
-            pool.recycle(frame);
-            for f in frames.drain(..) {
-                pool.recycle(f);
+            let meta_loss = st.finish(flight, &participants, participants.len(), false);
+            st.history.push((round, meta_loss));
+        }
+        st.into_output()
+    }
+
+    /// Deadline derived from the nominal fault-free round time (local
+    /// compute plus one downlink and one uplink attempt) scaled by
+    /// [`DERIVED_DEADLINE_HEADROOM`]. `None` when the nominal time is
+    /// zero (ideal network, free compute) — there is no meaningful clock
+    /// to measure stragglers against, so every report counts as on time.
+    fn derived_deadline(&self, t0: usize, frame_len: usize) -> Option<f64> {
+        let cfg = &self.cfg;
+        let nominal = cfg.iteration_time_s * t0 as f64
+            + cfg.network.downlink.attempt_time(frame_len)
+            + cfg.network.uplink.attempt_time(frame_len);
+        (nominal > 0.0).then_some(DERIVED_DEADLINE_HEADROOM * nominal)
+    }
+
+    /// Simulates `stepper`'s algorithm under a seeded
+    /// [`FaultPlan`](fml_core::FaultPlan) with gather-policy protection:
+    /// round deadlines (explicit, or derived from the link model — see
+    /// [`DERIVED_DEADLINE_HEADROOM`]), straggler handling, update
+    /// validation, and a minimum quorum.
+    ///
+    /// The whole fleet participates every round (faults, not sampling,
+    /// decide who reports); client sampling, dropout, and wait-fraction
+    /// settings from [`SimConfig`] are ignored on this path. Each node's
+    /// report delay is its simulated compute time + downlink + uplink
+    /// transfer (including retransmissions) + any injected straggle
+    /// delay, judged against the gather deadline. Crashed devices are
+    /// dark for the round: no broadcast charge, no compute, no upload.
+    /// Corrupt devices pay full price — their garbage crosses the wire
+    /// and is rejected at the platform by update validation.
+    ///
+    /// Unlike [`fml_core::train_with_faults`], the simulator does
+    /// **not** roll back on quorum loss: a failed gather skips
+    /// aggregation for the round (the global model is carried forward
+    /// unchanged) and the round is flagged `degraded` in the trace. This
+    /// models a platform that waits for the fleet to come back rather
+    /// than rewriting history; the rollback-and-exclude strategy lives in
+    /// `fml_core::ft`.
+    pub fn run_with_faults(
+        &self,
+        stepper: &dyn LocalStepper,
+        model: &dyn Model,
+        tasks: &[SourceTask],
+        theta0: &[f64],
+        ft: &FaultTolerance,
+        rng: &mut StdRng,
+    ) -> SimOutput {
+        let n = tasks.len();
+        let t0 = stepper.local_steps();
+        let mut st = RunState::new(&self.cfg, stepper, model, tasks, theta0);
+
+        // Frame size is fixed by the model dimension, so the derived
+        // deadline is one number for the whole run.
+        let mut policy = ft.policy;
+        if policy.deadline_s.is_none() {
+            policy.deadline_s = self.derived_deadline(t0, encoded_frame_len(theta0.len()));
+        }
+        let mut last_good = ReuseCache::new(n);
+
+        for round in 1..=stepper.rounds() {
+            // Fault draws are pure per (node, round): same schedule at
+            // any thread count. All network randomness runs sequentially
+            // on this thread in node order.
+            let drawn: Vec<Option<Fault>> = (0..n).map(|i| ft.plan.draw(i, round)).collect();
+            let participants: Vec<usize> = (0..n)
+                .filter(|&i| !matches!(drawn[i], Some(Fault::Crash)))
+                .collect();
+
+            let mut flight = st.broadcast(round, t0, participants.len(), rng);
+            let mut updated = st.local_updates(&mut flight, &participants);
+            // Faults mangle the *uploaded* report, after local compute.
+            for (slot, &i) in participants.iter().enumerate() {
+                match drawn[i] {
+                    Some(Fault::Corrupt(mode)) => faults::corrupt(mode, &mut updated[slot]),
+                    Some(Fault::Straggle { delay_s }) => flight.delay_s[slot] += delay_s,
+                    _ => {}
+                }
+            }
+            // Every live node uploads, garbage included.
+            st.upload(&mut flight, &participants, &updated, rng);
+
+            // --- platform gathers the whole fleet under the policy ---
+            let mut submissions = Vec::with_capacity(n);
+            let mut slot = 0usize;
+            for (i, fault) in drawn.iter().enumerate() {
+                let weight = tasks[i].weight;
+                let mut sub = if matches!(fault, Some(Fault::Crash)) {
+                    Submission::crashed(i, weight)
+                } else {
+                    // One materialization (the Submission owns its
+                    // params), not decode + to_vec's two.
+                    let view = MessageView::parse(&st.frames[slot]).expect("self-encoded frame");
+                    let mut s = Submission::on_time(i, weight, view.params_to_vec());
+                    s.delay_s = flight.delay_s[slot];
+                    slot += 1;
+                    s
+                };
+                sub.last_good = last_good.get(i);
+                submissions.push(sub);
             }
 
-            let meta_loss = fml_core::weighted_meta_loss(model, tasks, &global, eval_alpha);
-            history.push((round, meta_loss));
-            trace.push(RoundTrace {
-                round,
-                participants: participants.iter().map(|&i| tasks[i].id).collect(),
-                local_steps: t0,
-                bytes: comm.bytes_up + comm.bytes_down - bytes_before,
-                retransmissions: comm.retransmissions - retx_before,
-                comm_time_s: comm.time_s - comm_time_before,
-                compute_time_s: round_compute,
-                meta_loss,
-                reporters: participants.len(),
-                degraded: false,
-            });
-        }
+            let (reporters, degraded) = match gather(round, n, &submissions, &policy) {
+                Ok((params, report)) => {
+                    st.global = stepper.combine(&st.global, params);
+                    last_good.absorb(&submissions, &report);
+                    (report.reporters, report.degraded)
+                }
+                // Quorum lost: skip aggregation, carry the global model
+                // forward unchanged, and flag the round.
+                Err(failure) => (failure.report.reporters, true),
+            };
 
-        SimOutput {
-            params: global,
-            comm,
-            compute,
-            participants: participants_per_round,
-            history,
-            trace,
+            let meta_loss = st.finish(flight, &participants, reporters, degraded);
+            st.history.push((round, meta_loss));
         }
+        st.into_output()
     }
-}
-
-/// Fans the participants' local updates across `threads` workers via the
-/// shared [`fml_core::parallel`] executor; returns results in participant
-/// order, independent of the thread count.
-fn parallel_local_updates(
-    threads: usize,
-    participants: &[usize],
-    tasks: &[SourceTask],
-    start: &[f64],
-    t0: usize,
-    local: &LocalUpdateFn<'_>,
-) -> Vec<Vec<f64>> {
-    fml_core::parallel::map_ordered(threads, participants, |_, &i| local(&tasks[i], start, t0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::Message;
-    use fml_core::{FedAvgConfig, FedMlConfig};
+    use fml_core::{FedAvg, FedAvgConfig, FedMl, FedMlConfig};
     use fml_data::NodeData;
     use fml_linalg::Matrix;
     use fml_models::{Batch, Quadratic, SoftmaxRegression};
@@ -798,6 +675,33 @@ mod tests {
         SourceTask::from_nodes_deterministic(&nodes, 2)
     }
 
+    /// One stepper per algorithm on the seam, `t0` local steps × `rounds`.
+    fn steppers(t0: usize, rounds: usize) -> Vec<Box<dyn LocalStepper>> {
+        use fml_core::{FedProx, FedProxConfig, Reptile, ReptileConfig};
+        vec![
+            Box::new(FedMl::new(
+                FedMlConfig::new(0.05, 0.05)
+                    .with_local_steps(t0)
+                    .with_rounds(rounds),
+            )),
+            Box::new(FedAvg::new(
+                FedAvgConfig::new(0.05)
+                    .with_local_steps(t0)
+                    .with_rounds(rounds),
+            )),
+            Box::new(FedProx::new(
+                FedProxConfig::new(0.05, 0.1)
+                    .with_local_steps(t0)
+                    .with_rounds(rounds),
+            )),
+            Box::new(Reptile::new(
+                ReptileConfig::new(0.05, 0.5)
+                    .with_inner_steps(t0)
+                    .with_rounds(rounds),
+            )),
+        ]
+    }
+
     #[test]
     fn ideal_sim_matches_sequential_fedml() {
         let model = Quadratic::isotropic(2, 1.0);
@@ -809,8 +713,7 @@ mod tests {
         let theta0 = vec![1.0, -1.0];
         let reference = fedml.train_from(&model, &tasks, &theta0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let sim =
-            SimRunner::new(SimConfig::ideal()).run_fedml(&fedml, &model, &tasks, &theta0, &mut rng);
+        let sim = SimRunner::new(SimConfig::ideal()).run(&fedml, &model, &tasks, &theta0, &mut rng);
         assert!(
             fml_linalg::vector::approx_eq(&sim.params, &reference.params, 1e-12),
             "simulated and sequential FedML must agree: {:?} vs {:?}",
@@ -827,7 +730,7 @@ mod tests {
             .with_local_steps(2)
             .with_rounds(3);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let sim = SimRunner::new(SimConfig::edge()).run_fedml(
+        let sim = SimRunner::new(SimConfig::edge()).run(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -856,7 +759,7 @@ mod tests {
             .with_local_steps(5)
             .with_rounds(2);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let sim = SimRunner::new(SimConfig::ideal()).run_fedml(
+        let sim = SimRunner::new(SimConfig::ideal()).run(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -877,7 +780,7 @@ mod tests {
             .with_local_steps(2)
             .with_rounds(30);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let sim = SimRunner::new(SimConfig::ideal().with_dropout(0.5)).run_fedml(
+        let sim = SimRunner::new(SimConfig::ideal().with_dropout(0.5)).run(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -899,10 +802,9 @@ mod tests {
             .with_rounds(5);
         let base = SimConfig::ideal().with_iteration_time(0.01);
         let mut r1 = rand::rngs::StdRng::seed_from_u64(4);
-        let fast =
-            SimRunner::new(base).run_fedml(&FedMl::new(cfg), &model, &tasks, &[0.0; 2], &mut r1);
+        let fast = SimRunner::new(base).run(&FedMl::new(cfg), &model, &tasks, &[0.0; 2], &mut r1);
         let mut r2 = rand::rngs::StdRng::seed_from_u64(4);
-        let slow = SimRunner::new(base.with_stragglers(0.25, 0.1)).run_fedml(
+        let slow = SimRunner::new(base.with_stragglers(0.25, 0.1)).run(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -933,21 +835,45 @@ mod tests {
             .with_classes(2)
             .generate(&mut rng);
         let tasks = SourceTask::from_nodes_deterministic(fed.nodes(), 3);
-        let cfg = FedAvgConfig::new(0.05).with_local_steps(3).with_rounds(4);
         let theta0 = vec![0.0; fml_models::Model::param_len(&model)];
-        let sim = SimRunner::new(SimConfig::edge()).run_fedavg(
-            &FedAvg::new(cfg),
-            &model,
-            &tasks,
-            &theta0,
-            &mut rng,
-        );
-        assert_eq!(sim.history.len(), 4);
-        assert_eq!(
-            sim.compute.hvp_evals, 0,
-            "FedAvg uses no second-order oracle"
-        );
-        assert!(sim.comm.total_bytes() > 0);
+        for stepper in steppers(3, 4) {
+            let sim = SimRunner::new(SimConfig::edge()).run(
+                stepper.as_ref(),
+                &model,
+                &tasks,
+                &theta0,
+                &mut rng,
+            );
+            let name = stepper.algorithm();
+            assert_eq!(sim.history.len(), 4, "{name}");
+            // Only FedML's second-order meta-gradient runs an HVP:
+            // rounds · T0 · n of them.
+            let hvps = if name == "FedML" { 4 * 3 * 4 } else { 0 };
+            assert_eq!(sim.compute.hvp_evals, hvps, "{name}");
+            assert!(sim.comm.total_bytes() > 0, "{name}");
+            assert!(sim.params.iter().all(|v| v.is_finite()), "{name}");
+        }
+    }
+
+    #[test]
+    fn first_order_fedml_is_not_charged_hvps() {
+        let model = Quadratic::isotropic(2, 1.0);
+        let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)]);
+        let run = |mode| {
+            let cfg = FedMlConfig::new(0.1, 0.1)
+                .with_local_steps(5)
+                .with_rounds(2)
+                .with_mode(mode);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+            SimRunner::new(SimConfig::ideal())
+                .run(&FedMl::new(cfg), &model, &tasks, &[0.0, 0.0], &mut rng)
+                .compute
+        };
+        let first = run(fml_core::MetaGradientMode::FirstOrder);
+        let second = run(fml_core::MetaGradientMode::FullSecondOrder);
+        assert_eq!(first.hvp_evals, 0, "FOMAML never calls the HVP oracle");
+        assert_eq!(second.hvp_evals, 2 * 5 * 3, "rounds · T0 · n");
+        assert_eq!(first.grad_evals, second.grad_evals);
     }
 
     #[test]
@@ -966,7 +892,7 @@ mod tests {
         let mut outs = Vec::new();
         for threads in [1, 2, 8] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-            let sim = SimRunner::new(SimConfig::ideal().with_threads(threads)).run_fedml(
+            let sim = SimRunner::new(SimConfig::ideal().with_threads(threads)).run(
                 &FedMl::new(cfg),
                 &model,
                 &tasks,
@@ -991,10 +917,9 @@ mod tests {
             .with_iteration_time(0.01)
             .with_stragglers(0.25, 0.1);
         let mut r1 = rand::rngs::StdRng::seed_from_u64(41);
-        let sync =
-            SimRunner::new(base).run_fedml(&FedMl::new(cfg), &model, &tasks, &[1.0, 1.0], &mut r1);
+        let sync = SimRunner::new(base).run(&FedMl::new(cfg), &model, &tasks, &[1.0, 1.0], &mut r1);
         let mut r2 = rand::rngs::StdRng::seed_from_u64(41);
-        let partial = SimRunner::new(base.with_wait_fraction(0.75)).run_fedml(
+        let partial = SimRunner::new(base.with_wait_fraction(0.75)).run(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -1033,7 +958,7 @@ mod tests {
             .with_local_steps(3)
             .with_rounds(5);
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        let sim = SimRunner::new(SimConfig::edge()).run_fedml(
+        let sim = SimRunner::new(SimConfig::edge()).run(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -1074,7 +999,7 @@ mod tests {
             .with_local_steps(2)
             .with_rounds(20);
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let sim = SimRunner::new(SimConfig::ideal().with_client_fraction(0.5)).run_fedml(
+        let sim = SimRunner::new(SimConfig::ideal().with_client_fraction(0.5)).run(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -1107,12 +1032,12 @@ mod tests {
         let fedml = FedMl::new(cfg);
         let theta0 = vec![1.0, -1.0];
         let mut r1 = rand::rngs::StdRng::seed_from_u64(50);
-        let plain = SimRunner::new(SimConfig::ideal())
-            .run_fedml(&fedml, &model, &tasks, &theta0, &mut r1);
+        let plain =
+            SimRunner::new(SimConfig::ideal()).run(&fedml, &model, &tasks, &theta0, &mut r1);
         let mut r2 = rand::rngs::StdRng::seed_from_u64(50);
         let ft = FaultTolerance::new(FaultPlan::new(0));
         let faulty = SimRunner::new(SimConfig::ideal())
-            .run_fedml_with_faults(&fedml, &model, &tasks, &theta0, &ft, &mut r2);
+            .run_with_faults(&fedml, &model, &tasks, &theta0, &ft, &mut r2);
         assert!(
             fml_linalg::vector::approx_eq(&plain.params, &faulty.params, 1e-12),
             "benign fault path must match the plain sim: {:?} vs {:?}",
@@ -1133,7 +1058,7 @@ mod tests {
             .with_rounds(5);
         let ft = FaultTolerance::new(FaultPlan::new(0).with_crash_from(0, 1));
         let mut rng = rand::rngs::StdRng::seed_from_u64(51);
-        let sim = SimRunner::new(SimConfig::edge()).run_fedml_with_faults(
+        let sim = SimRunner::new(SimConfig::edge()).run_with_faults(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -1162,7 +1087,7 @@ mod tests {
         let ft =
             FaultTolerance::new(FaultPlan::new(0).with_corrupt(1, 2, CorruptMode::NaN));
         let mut rng = rand::rngs::StdRng::seed_from_u64(52);
-        let sim = SimRunner::new(SimConfig::edge()).run_fedml_with_faults(
+        let sim = SimRunner::new(SimConfig::edge()).run_with_faults(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -1196,7 +1121,7 @@ mod tests {
             .with_crash_from(2, 3);
         let ft = FaultTolerance::new(plan);
         let mut rng = rand::rngs::StdRng::seed_from_u64(53);
-        let sim = SimRunner::new(SimConfig::ideal()).run_fedml_with_faults(
+        let sim = SimRunner::new(SimConfig::ideal()).run_with_faults(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -1229,7 +1154,7 @@ mod tests {
         let sim_cfg = SimConfig::edge().with_iteration_time(0.01);
         let ft = FaultTolerance::new(FaultPlan::new(0).with_straggle(2, 2, 1e6));
         let mut rng = rand::rngs::StdRng::seed_from_u64(54);
-        let sim = SimRunner::new(sim_cfg).run_fedml_with_faults(
+        let sim = SimRunner::new(sim_cfg).run_with_faults(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -1251,22 +1176,29 @@ mod tests {
         use fml_core::{FaultPlan, FaultTolerance};
         let model = Quadratic::isotropic(2, 1.0);
         let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]);
-        let cfg = FedAvgConfig::new(0.05).with_local_steps(3).with_rounds(4);
         let ft = FaultTolerance::new(FaultPlan::new(9).with_crash_from(3, 2));
         let mut rng = rand::rngs::StdRng::seed_from_u64(55);
-        let sim = SimRunner::new(SimConfig::edge()).run_fedavg_with_faults(
-            &FedAvg::new(cfg),
-            &model,
-            &tasks,
-            &[1.0, -1.0],
-            &ft,
-            &mut rng,
-        );
-        assert_eq!(sim.history.len(), 4);
-        assert_eq!(sim.compute.hvp_evals, 0);
-        assert_eq!(sim.trace.rounds()[0].reporters, 4);
-        assert!(sim.trace.rounds()[1..].iter().all(|r| r.reporters == 3));
-        assert!(sim.params.iter().all(|v| v.is_finite()));
+        for stepper in steppers(3, 4) {
+            let sim = SimRunner::new(SimConfig::edge()).run_with_faults(
+                stepper.as_ref(),
+                &model,
+                &tasks,
+                &[1.0, -1.0],
+                &ft,
+                &mut rng,
+            );
+            let name = stepper.algorithm();
+            assert_eq!(sim.history.len(), 4, "{name}");
+            // Node 3 is dark from round 2 on: 4 + 3·3 node-rounds of T0 = 3.
+            let hvps = if name == "FedML" { 13 * 3 } else { 0 };
+            assert_eq!(sim.compute.hvp_evals, hvps, "{name}");
+            assert_eq!(sim.trace.rounds()[0].reporters, 4, "{name}");
+            assert!(
+                sim.trace.rounds()[1..].iter().all(|r| r.reporters == 3),
+                "{name}"
+            );
+            assert!(sim.params.iter().all(|v| v.is_finite()), "{name}");
+        }
     }
 
     #[test]
@@ -1277,7 +1209,7 @@ mod tests {
             .with_local_steps(2)
             .with_rounds(60);
         let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        let sim = SimRunner::new(SimConfig::ideal().with_client_fraction(0.5)).run_fedml(
+        let sim = SimRunner::new(SimConfig::ideal().with_client_fraction(0.5)).run(
             &FedMl::new(cfg),
             &model,
             &tasks,

@@ -43,11 +43,11 @@ fn main() {
         .with_local_steps(5)
         .with_rounds(60);
     let mut r1 = rand::rngs::StdRng::seed_from_u64(17);
-    let fedml = sim.run_fedml(&FedMl::new(fedml_cfg), &model, &tasks, &theta0, &mut r1);
+    let fedml = sim.run(&FedMl::new(fedml_cfg), &model, &tasks, &theta0, &mut r1);
 
     let fedavg_cfg = FedAvgConfig::new(0.01).with_local_steps(5).with_rounds(60);
     let mut r2 = rand::rngs::StdRng::seed_from_u64(17);
-    let fedavg = sim.run_fedavg(&FedAvg::new(fedavg_cfg), &model, &tasks, &theta0, &mut r2);
+    let fedavg = sim.run(&FedAvg::new(fedavg_cfg), &model, &tasks, &theta0, &mut r2);
 
     for (name, out) in [("FedML ", &fedml), ("FedAvg", &fedavg)] {
         println!(

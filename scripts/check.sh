@@ -6,7 +6,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo clippy --workspace --all-targets -- -D warnings
-cargo test --workspace -q
+# `default-members` is the whole workspace: same 59 test binaries as
+# `--workspace`.
+cargo test -q
+"$(dirname "$0")/loc.sh"
 "$(dirname "$0")/bench_smoke.sh"
 "$(dirname "$0")/fault_smoke.sh"
 "$(dirname "$0")/runtime_smoke.sh"

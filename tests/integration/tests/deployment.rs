@@ -105,8 +105,13 @@ fn simulated_run_is_priceable_in_joules() {
     let w = world(2);
     let cfg = FedMlConfig::new(0.1, 0.05).with_local_steps(5).with_rounds(8);
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let sim = SimRunner::new(SimConfig::edge().with_iteration_time(0.02))
-        .run_fedml(&FedMl::new(cfg), &w.model, &w.tasks, &w.theta0, &mut rng);
+    let sim = SimRunner::new(SimConfig::edge().with_iteration_time(0.02)).run(
+        &FedMl::new(cfg),
+        &w.model,
+        &w.tasks,
+        &w.theta0,
+        &mut rng,
+    );
 
     let bill = EnergyModel::edge_board().price(&sim.comm, &sim.compute, sim.comm.time_s);
     assert!(bill.total_j() > 0.0);
@@ -135,8 +140,13 @@ fn adaptation_energy_trade_off_shows_in_the_bill() {
             .with_local_steps(t0)
             .with_total_iterations(40);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let sim = SimRunner::new(SimConfig::edge().with_iteration_time(0.02))
-            .run_fedml(&FedMl::new(cfg), &w.model, &w.tasks, &w.theta0, &mut rng);
+        let sim = SimRunner::new(SimConfig::edge().with_iteration_time(0.02)).run(
+            &FedMl::new(cfg),
+            &w.model,
+            &w.tasks,
+            &w.theta0,
+            &mut rng,
+        );
         EnergyModel::edge_board().price(&sim.comm, &sim.compute, 0.0)
     };
     let chatty = bill(1);

@@ -8,9 +8,9 @@
 //! at the public-API level, across all five trainers and the simulator.
 
 use fml_core::{
-    CorruptMode, FaultPlan, FaultTolerance, FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx,
-    FedProxConfig, GatherPolicy, MetaSgd, MetaSgdConfig, Reptile, ReptileConfig, SourceTask,
-    TrainOutput,
+    train_with_faults, CorruptMode, FaultPlan, FaultTolerance, FedAvg, FedAvgConfig, FedMl,
+    FedMlConfig, FedProx, FedProxConfig, GatherPolicy, MetaSgd, MetaSgdConfig, Reptile,
+    ReptileConfig, SourceTask, StragglerPolicy, TrainOutput,
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};
@@ -75,32 +75,40 @@ fn all_five_trainers_survive_the_acceptance_plan() {
     let (model, tasks, theta0) = fixture();
     let ft = FaultTolerance::new(acceptance_plan());
 
-    let fedml = FedMl::new(FedMlConfig::new(0.03, 0.03).with_local_steps(STEPS).with_rounds(ROUNDS))
-        .train_with_faults(&model, &tasks, &theta0, &ft)
+    let fedml = FedMl::new(
+        FedMlConfig::new(0.03, 0.03)
+            .with_local_steps(STEPS)
+            .with_rounds(ROUNDS),
+    );
+    let fedml = train_with_faults(&fedml, &model, &tasks, &theta0, &ft)
         .expect("FedML must survive a minority-killing plan");
     check_output("FedML", &fedml);
 
-    let fedavg = FedAvg::new(FedAvgConfig::new(0.03).with_local_steps(STEPS).with_rounds(ROUNDS))
-        .train_with_faults(&model, &tasks, &theta0, &ft)
-        .expect("FedAvg must survive");
+    let fedavg = FedAvg::new(
+        FedAvgConfig::new(0.03)
+            .with_local_steps(STEPS)
+            .with_rounds(ROUNDS),
+    );
+    let fedavg =
+        train_with_faults(&fedavg, &model, &tasks, &theta0, &ft).expect("FedAvg must survive");
     check_output("FedAvg", &fedavg);
 
     let fedprox = FedProx::new(
         FedProxConfig::new(0.03, 0.1)
             .with_local_steps(STEPS)
             .with_rounds(ROUNDS),
-    )
-    .train_with_faults(&model, &tasks, &theta0, &ft)
-    .expect("FedProx must survive");
+    );
+    let fedprox =
+        train_with_faults(&fedprox, &model, &tasks, &theta0, &ft).expect("FedProx must survive");
     check_output("FedProx", &fedprox);
 
     let reptile = Reptile::new(
         ReptileConfig::new(0.03, 0.5)
             .with_inner_steps(STEPS)
             .with_rounds(ROUNDS),
-    )
-    .train_with_faults(&model, &tasks, &theta0, &ft)
-    .expect("Reptile must survive");
+    );
+    let reptile =
+        train_with_faults(&reptile, &model, &tasks, &theta0, &ft).expect("Reptile must survive");
     check_output("Reptile", &reptile);
 
     let metasgd = MetaSgd::new(
@@ -134,8 +142,7 @@ fn fault_injected_histories_are_bitwise_identical_across_threads() {
             .with_local_steps(STEPS)
             .with_rounds(6)
             .with_threads(threads);
-        FedMl::new(cfg)
-            .train_with_faults(&model, &tasks, &theta0, &ft)
+        train_with_faults(&FedMl::new(cfg), &model, &tasks, &theta0, &ft)
             .expect("quorum 0.2 over 10 nodes survives this plan")
     };
     let one = run(1);
@@ -172,14 +179,14 @@ fn minority_crash_shifts_aggregate_toward_survivors() {
     let cfg = FedAvgConfig::new(0.2).with_local_steps(4).with_rounds(30);
 
     let benign = FaultTolerance::new(FaultPlan::new(0));
-    let healthy = FedAvg::new(cfg)
-        .train_with_faults(&model, &tasks, &[0.0], &benign)
-        .unwrap();
+    let healthy = train_with_faults(&FedAvg::new(cfg), &model, &tasks, &[0.0], &benign).unwrap();
 
-    let ft = FaultTolerance::new(FaultPlan::new(0).with_crash_from(4, 1).with_crash_from(5, 1));
-    let skewed = FedAvg::new(cfg)
-        .train_with_faults(&model, &tasks, &[0.0], &ft)
-        .unwrap();
+    let ft = FaultTolerance::new(
+        FaultPlan::new(0)
+            .with_crash_from(4, 1)
+            .with_crash_from(5, 1),
+    );
+    let skewed = train_with_faults(&FedAvg::new(cfg), &model, &tasks, &[0.0], &ft).unwrap();
 
     // Healthy fleet settles near the mixed mean (4·1 − 2·1)/6 = 1/3; the
     // survivor-only fleet settles near +1.
@@ -205,9 +212,7 @@ fn corrupt_update_never_reaches_the_aggregate() {
     let cfg = FedMlConfig::new(0.03, 0.03)
         .with_local_steps(STEPS)
         .with_rounds(ROUNDS);
-    let out = FedMl::new(cfg)
-        .train_with_faults(&model, &tasks, &theta0, &ft)
-        .unwrap();
+    let out = train_with_faults(&FedMl::new(cfg), &model, &tasks, &theta0, &ft).unwrap();
     assert!(out.params.iter().all(|x| x.is_finite()));
     for r in &out.history {
         assert!(r.meta_loss.is_finite() && r.train_loss.is_finite());
@@ -226,11 +231,9 @@ fn simulator_fault_path_matches_trainer_reporter_counts() {
     let cfg = FedMlConfig::new(0.03, 0.03)
         .with_local_steps(STEPS)
         .with_rounds(ROUNDS);
-    let trainer_out = FedMl::new(cfg)
-        .train_with_faults(&model, &tasks, &theta0, &ft)
-        .unwrap();
+    let trainer_out = train_with_faults(&FedMl::new(cfg), &model, &tasks, &theta0, &ft).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-    let sim = fml_sim::SimRunner::new(fml_sim::SimConfig::ideal()).run_fedml_with_faults(
+    let sim = fml_sim::SimRunner::new(fml_sim::SimConfig::ideal()).run_with_faults(
         &FedMl::new(cfg),
         &model,
         &tasks,
@@ -243,4 +246,88 @@ fn simulator_fault_path_matches_trainer_reporter_counts() {
         assert_eq!(h.degraded, t.degraded, "round {}", t.round);
     }
     assert!(sim.params.iter().all(|x| x.is_finite()));
+}
+
+/// Literal `param_hash` pins of the fault path, recorded at the commit
+/// before `train_with_faults` moved onto the `LocalStepper` seam: one
+/// scripted plan with a ReuseLast straggle (round 2), three permanent
+/// crashes + two NaN uploads + a one-round crash (round 3: 4 of 10
+/// report, quorum 5 is lost, one rollback excludes nodes 0–5 and the
+/// round re-runs on the 4-node fleet), and a second straggle (round 4).
+#[test]
+fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
+    use fml_runtime::param_hash;
+    const PIN_ROUNDS: usize = 5;
+    let (model, tasks, theta0) = fixture();
+    let plan = FaultPlan::new(4242)
+        .with_straggle(6, 2, 5.0)
+        .with_crash_from(0, 3)
+        .with_crash_from(1, 3)
+        .with_crash_from(2, 3)
+        .with_corrupt(3, 3, CorruptMode::NaN)
+        .with_corrupt(4, 3, CorruptMode::NaN)
+        .with_crash(5, 3)
+        .with_straggle(8, 4, 3.0);
+    let policy = GatherPolicy::default()
+        .with_deadline(2.0)
+        .with_straggler(StragglerPolicy::ReuseLast);
+    let ft = FaultTolerance::new(plan).with_policy(policy);
+    let shape = [(10, false), (10, true), (4, true), (4, true), (4, true)];
+
+    for threads in [1usize, 4] {
+        let fedml = FedMlConfig::new(0.03, 0.03)
+            .with_local_steps(STEPS)
+            .with_rounds(PIN_ROUNDS);
+        let fedavg = FedAvgConfig::new(0.03)
+            .with_local_steps(STEPS)
+            .with_rounds(PIN_ROUNDS);
+        let fedprox = FedProxConfig::new(0.03, 0.1)
+            .with_local_steps(STEPS)
+            .with_rounds(PIN_ROUNDS);
+        let reptile = ReptileConfig::new(0.03, 0.5)
+            .with_inner_steps(STEPS)
+            .with_rounds(PIN_ROUNDS);
+        let metasgd = MetaSgdConfig::new(0.01, 0.03)
+            .with_local_steps(STEPS)
+            .with_rounds(PIN_ROUNDS);
+        let metasgd = MetaSgd::new(metasgd.with_threads(threads))
+            .train_with_faults(&model, &tasks, &theta0, &ft)
+            .unwrap();
+        let run = |stepper: &dyn fml_core::LocalStepper| {
+            train_with_faults(stepper, &model, &tasks, &theta0, &ft).unwrap()
+        };
+        let outs = [
+            (
+                "6928a17d26129bee",
+                run(&FedMl::new(fedml.with_threads(threads))),
+            ),
+            (
+                "28d5d2c783335701",
+                run(&FedAvg::new(fedavg.with_threads(threads))),
+            ),
+            (
+                "a7ef55bc18445fee",
+                run(&FedProx::new(fedprox.with_threads(threads))),
+            ),
+            (
+                "d266f04becb34fab",
+                run(&Reptile::new(reptile.with_threads(threads))),
+            ),
+            ("5b8484201a7aa027", metasgd.train),
+        ];
+        for (pin, out) in &outs {
+            assert_eq!(param_hash(&out.params), *pin, "{threads} threads");
+            let got: Vec<(usize, bool)> = out
+                .history
+                .iter()
+                .map(|r| (r.reporters, r.degraded))
+                .collect();
+            assert_eq!(got, shape, "{pin} at {threads} threads");
+        }
+        assert_eq!(
+            param_hash(&metasgd.rates),
+            "db9552a33b0c874d",
+            "{threads} threads"
+        );
+    }
 }

@@ -10,7 +10,7 @@
 //!   crash/corrupt/straggle faults (and a fault-injecting transport
 //!   wrapper on every node link) must roll back, exclude the dead
 //!   minority, and land on *bitwise* the parameters of
-//!   `FedMl::train_with_faults` under the same plan and seed.
+//!   `fml_core::train_with_faults` under the same plan and seed.
 //! * **Checkpoint resume** — a platform that stops mid-run leaves a
 //!   `latest.json` from which a fresh platform resumes to the exact
 //!   final hash of an uninterrupted run.
@@ -21,7 +21,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use fml_core::{CorruptMode, FaultPlan, FaultTolerance, FedMl, FedMlConfig, SourceTask};
+use fml_core::{
+    train_with_faults, CorruptMode, FaultPlan, FaultTolerance, FedMl, FedMlConfig, SourceTask,
+};
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};
 use fml_runtime::{
@@ -95,8 +97,8 @@ fn serve_mode_recovery_matches_the_ft_oracle() {
 
     // The in-process fault-tolerant loop is the oracle: same plan, same
     // default policy, same recovery budget.
-    let oracle = trainer
-        .train_with_faults(&model, &tasks, &theta0, &FaultTolerance::new(poison_plan()))
+    let ft = FaultTolerance::new(poison_plan());
+    let oracle = train_with_faults(&trainer, &model, &tasks, &theta0, &ft)
         .expect("the surviving pair keeps quorum");
 
     let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();

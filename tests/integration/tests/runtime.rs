@@ -8,7 +8,10 @@
 //! tolerance, and thread-count determinism, all checked here as
 //! properties over seeds.
 
-use fml_core::{FaultPlan, FedAvg, FedAvgConfig, FedMl, FedMlConfig, LocalStepper, SourceTask};
+use fml_core::{
+    FaultPlan, FedAvg, FedAvgConfig, FedMl, FedMlConfig, LocalStepper, Reptile, ReptileConfig,
+    SourceTask,
+};
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};
 use fml_runtime::{AsyncPolicy, Runtime, RuntimeConfig, VirtualClock};
@@ -72,6 +75,31 @@ fn barrier_matches_fedavg_train_from_bitwise() {
     assert_eq!(out.train.params, reference.params, "params must be bitwise equal");
     assert_eq!(out.train.history, reference.history, "curve must be bitwise equal");
     assert_eq!(out.train.comm_rounds, reference.comm_rounds);
+}
+
+#[test]
+fn barrier_with_reptile_matches_train_from_to_rounding() {
+    // `LocalStepper::combine` carries Reptile's outer interpolation, so
+    // the barrier loop can drive it. Rounding, not bitwise: the fast
+    // path re-aggregates the global as the lockstep trainers do, and
+    // `Reptile::train_from` does not.
+    let (model, tasks, theta0) = fixture(14);
+    let trainer = Reptile::new(
+        ReptileConfig::new(0.05, 0.5)
+            .with_inner_steps(2)
+            .with_rounds(4),
+    );
+    let reference = trainer.train_from(&model, &tasks, &theta0);
+    let out = Runtime::new(RuntimeConfig::barrier(1)).run(&trainer, &model, &tasks, &theta0);
+    assert_eq!(out.train.history.len(), reference.history.len());
+    assert_eq!(out.train.comm_rounds, reference.comm_rounds);
+    assert_ne!(out.train.params, theta0, "the global must have moved");
+    for (got, want) in out.train.params.iter().zip(&reference.params) {
+        assert!((got - want).abs() <= 1e-12, "{got} vs {want}");
+    }
+    for (got, want) in out.train.history.iter().zip(&reference.history) {
+        assert!((got.meta_loss - want.meta_loss).abs() <= 1e-12);
+    }
 }
 
 #[test]

@@ -28,13 +28,8 @@ fn simulated_fedml_matches_reference_on_real_models() {
         .with_rounds(8);
     let reference = FedMl::new(cfg).train_from(&model, &tasks, &theta0);
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let sim = SimRunner::new(SimConfig::ideal()).run_fedml(
-        &FedMl::new(cfg),
-        &model,
-        &tasks,
-        &theta0,
-        &mut rng,
-    );
+    let sim =
+        SimRunner::new(SimConfig::ideal()).run(&FedMl::new(cfg), &model, &tasks, &theta0, &mut rng);
     assert!(fml_linalg::vector::approx_eq(
         &sim.params,
         &reference.params,
@@ -49,7 +44,7 @@ fn uplink_bytes_scale_with_model_size() {
         .with_local_steps(2)
         .with_rounds(3);
     let mut r1 = rand::rngs::StdRng::seed_from_u64(3);
-    let small = SimRunner::new(SimConfig::edge()).run_fedml(
+    let small = SimRunner::new(SimConfig::edge()).run(
         &FedMl::new(cfg),
         &model_small,
         &tasks_small,
@@ -69,7 +64,7 @@ fn uplink_bytes_scale_with_model_size() {
     let model_big = SoftmaxRegression::new(8, 10).with_l2(1e-3);
     let theta_big = model_big.init_params(&mut rng);
     let mut r2 = rand::rngs::StdRng::seed_from_u64(3);
-    let big = SimRunner::new(SimConfig::edge()).run_fedml(
+    let big = SimRunner::new(SimConfig::edge()).run(
         &FedMl::new(cfg),
         &model_big,
         &tasks_big,
@@ -93,13 +88,7 @@ fn larger_t0_reduces_communication_for_same_iteration_budget() {
             .with_local_steps(t0)
             .with_total_iterations(60);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        SimRunner::new(SimConfig::edge()).run_fedml(
-            &FedMl::new(cfg),
-            &model,
-            &tasks,
-            &theta0,
-            &mut rng,
-        )
+        SimRunner::new(SimConfig::edge()).run(&FedMl::new(cfg), &model, &tasks, &theta0, &mut rng)
     };
     let t1 = run(1);
     let t10 = run(10);
@@ -132,11 +121,9 @@ fn lossy_network_slows_but_does_not_corrupt() {
         ..SimConfig::ideal()
     };
     let mut r1 = rand::rngs::StdRng::seed_from_u64(7);
-    let clean =
-        SimRunner::new(clean_net).run_fedml(&FedMl::new(cfg), &model, &tasks, &theta0, &mut r1);
+    let clean = SimRunner::new(clean_net).run(&FedMl::new(cfg), &model, &tasks, &theta0, &mut r1);
     let mut r2 = rand::rngs::StdRng::seed_from_u64(7);
-    let lossy =
-        SimRunner::new(lossy_net).run_fedml(&FedMl::new(cfg), &model, &tasks, &theta0, &mut r2);
+    let lossy = SimRunner::new(lossy_net).run(&FedMl::new(cfg), &model, &tasks, &theta0, &mut r2);
     assert!(lossy.comm.retransmissions > 0, "40% loss should retransmit");
     assert!(lossy.comm.time_s > clean.comm.time_s, "loss costs time");
     // Retransmission is transparent to the algorithm.
@@ -153,7 +140,7 @@ fn fedavg_and_fedml_costs_are_comparable_on_the_wire() {
     // per round must be identical — the difference is purely local compute.
     let (model, tasks, theta0) = setup(8, 5);
     let mut r1 = rand::rngs::StdRng::seed_from_u64(9);
-    let ml = SimRunner::new(SimConfig::edge()).run_fedml(
+    let ml = SimRunner::new(SimConfig::edge()).run(
         &FedMl::new(
             FedMlConfig::new(0.02, 0.02)
                 .with_local_steps(4)
@@ -165,7 +152,7 @@ fn fedavg_and_fedml_costs_are_comparable_on_the_wire() {
         &mut r1,
     );
     let mut r2 = rand::rngs::StdRng::seed_from_u64(9);
-    let avg = SimRunner::new(SimConfig::edge()).run_fedavg(
+    let avg = SimRunner::new(SimConfig::edge()).run(
         &FedAvg::new(FedAvgConfig::new(0.02).with_local_steps(4).with_rounds(5)),
         &model,
         &tasks,
@@ -185,7 +172,7 @@ fn dropout_runs_still_converge_reasonably() {
         .with_local_steps(3)
         .with_rounds(40);
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let sim = SimRunner::new(SimConfig::ideal().with_dropout(0.3)).run_fedml(
+    let sim = SimRunner::new(SimConfig::ideal().with_dropout(0.3)).run(
         &FedMl::new(cfg),
         &model,
         &tasks,

@@ -194,6 +194,41 @@ fn conformance_socket_peer_observes_close_as_eof() {
     }
 }
 
+#[test]
+fn run_node_reports_the_frames_it_could_not_use() {
+    // A socket peer's `NodeIo` is the only place its decode errors can
+    // surface: garbage and a valid non-broadcast frame count one each,
+    // and neither stops the peer from answering the next broadcast.
+    let (model, tasks, theta0) = fixture(47);
+    let trainer = fedml(1);
+    for kind in KINDS {
+        let (mut plat, mut node) = pair(kind);
+        let runtime = Runtime::new(RuntimeConfig::barrier(1).with_recv_timeout_ms(10_000));
+        let io = std::thread::scope(|s| {
+            let peer = s.spawn(|| runtime.run_node(&trainer, &model, &tasks, 0, node.as_mut()));
+            let wait = Duration::from_secs(5);
+            plat.recv_frame(wait).expect("hello");
+            plat.send_frame(&vec![0xff; 7].into()).unwrap();
+            let not_a_broadcast = Message::ModelUpdate {
+                round: 1,
+                node: 0,
+                params: theta0.clone(),
+            };
+            plat.send_frame(&not_a_broadcast.encode()).unwrap();
+            let broadcast = Message::GlobalModel {
+                round: 1,
+                params: theta0.clone(),
+            };
+            plat.send_frame(&broadcast.encode()).unwrap();
+            plat.recv_frame(wait).expect("the update for round 1");
+            plat.close();
+            peer.join().unwrap()
+        });
+        assert_eq!(io.decode_errors, 2, "{kind}");
+        assert_eq!((io.frames_received, io.frames_sent), (3, 1), "{kind}");
+    }
+}
+
 /// Runs a barrier federation over a socket transport: the platform
 /// serves on `listener` while every node runs [`Runtime::run_node`] in
 /// its own thread over its own connection.
