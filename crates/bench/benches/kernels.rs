@@ -1,9 +1,9 @@
 //! Criterion benches on the hot kernels of the federated meta-learning
 //! stack: meta-gradients (analytic HVP vs finite difference), platform
 //! aggregation, adversarial surrogate maximization, the wire codec, and
-//! the workspace (zero-allocation) model kernels vs their allocating
-//! baselines. Timed runs append a `kernels` section to `BENCH_pr1.json`
-//! at the repository root (skipped in `--test` mode).
+//! the workspace (zero-allocation) model kernels. Timed runs append a
+//! `kernels` section to `BENCH_pr1.json` at the repository root (skipped
+//! in `--test` mode).
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use fml_core::meta::{self, MetaGradientMode};
@@ -153,22 +153,12 @@ fn bench_codec(c: &mut Criterion) {
 fn bench_workspace_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("workspace");
 
-    // MLP batch gradient + Pearlmutter HVP at batch 256: the allocating
-    // reference (`*_alloc`, the pre-workspace implementation kept
-    // verbatim) against the workspace kernels reusing one scratch set.
-    // Edge-scale network: at these widths the per-sample scratch vectors
-    // dominate the allocating path's wall-clock.
+    // MLP batch gradient + Pearlmutter HVP at batch 256 on an edge-scale
+    // network, reusing one scratch set.
     let (mlp, params, batch) = mlp_setup(4, &[4], 256);
     let v: Vec<f64> = (0..params.len())
         .map(|i| ((i % 5) as f64 - 2.0) / 5.0)
         .collect();
-    group.bench_function("mlp_grad_hvp_alloc_256", |b| {
-        b.iter(|| {
-            let g = mlp.grad_alloc(black_box(&params), &batch);
-            let hv = mlp.hvp_alloc(black_box(&params), &batch, &v);
-            (g, hv)
-        })
-    });
     let mut ws = mlp.workspace();
     let mut g = vec![0.0; params.len()];
     let mut hv = vec![0.0; params.len()];
@@ -180,18 +170,11 @@ fn bench_workspace_kernels(c: &mut Criterion) {
         })
     });
 
-    // Same comparison for softmax regression (the paper's MNIST model).
+    // The same pair for softmax regression (the paper's MNIST model).
     let (sm, sparams, sbatch) = softmax_setup(32, 8, 256);
     let sv: Vec<f64> = (0..sparams.len())
         .map(|i| ((i % 7) as f64 - 3.0) / 7.0)
         .collect();
-    group.bench_function("softmax_grad_hvp_alloc_256", |b| {
-        b.iter(|| {
-            let g = sm.grad_alloc(black_box(&sparams), &sbatch);
-            let hv = sm.hvp_alloc(black_box(&sparams), &sbatch, &sv);
-            (g, hv)
-        })
-    });
     let mut sws = sm.workspace();
     let mut sg = vec![0.0; sparams.len()];
     let mut shv = vec![0.0; sparams.len()];
@@ -226,29 +209,12 @@ fn main() {
             ns_per_iter: r.ns_per_iter,
         })
         .collect();
-    let comparisons = [
-        fml_bench::perf::comparison(
-            "mlp_batch_grad_plus_hvp_batch256_workspace_vs_alloc",
-            &results,
-            "workspace/mlp_grad_hvp_alloc_256",
-            "workspace/mlp_grad_hvp_ws_256",
-        ),
-        fml_bench::perf::comparison(
-            "softmax_batch_grad_plus_hvp_batch256_workspace_vs_alloc",
-            &results,
-            "workspace/softmax_grad_hvp_alloc_256",
-            "workspace/softmax_grad_hvp_ws_256",
-        ),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
     fml_bench::perf::merge_section(
         "kernels",
         fml_bench::perf::PerfSection {
             host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
             results,
-            comparisons,
+            comparisons: Vec::new(),
         },
     );
 }

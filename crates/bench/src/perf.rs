@@ -1,9 +1,9 @@
 //! Perf-trajectory tracking for the Criterion benches.
 //!
-//! The `kernels` and `training` bench binaries record their before/after
-//! comparisons (allocating vs workspace kernels, sequential vs parallel
-//! fan-out) into a single `BENCH_pr1.json` at the repository root, so the
-//! performance trajectory is versioned alongside the code it measures.
+//! The `kernels` and `training` bench binaries record their timings and
+//! before/after comparisons (sequential vs parallel fan-out) into a
+//! single `BENCH_pr1.json` at the repository root, so the performance
+//! trajectory is versioned alongside the code it measures.
 //! Each binary rewrites only its own section; running one bench never
 //! clobbers the other's numbers.
 

@@ -21,9 +21,13 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// One (or more) gradient steps of adaptation from `theta` on the target's
-/// local data — eq. 6 generalized to multiple steps.
+/// local data — eq. 6 generalized to multiple steps (the multi-step
+/// adaptation used at evaluation time in Figure 3(c)–(e)).
 pub fn adapt(model: &dyn Model, theta: &[f64], data: &Batch, alpha: f64, steps: usize) -> Vec<f64> {
-    crate::meta::inner_adapt(model, theta, data, alpha, steps)
+    let mut phi = Vec::new();
+    let mut scratch = AdaptScratch::for_model(model);
+    adapt_into(model, theta, data, alpha, steps, &mut scratch, &mut phi);
+    phi
 }
 
 /// Reusable scratch for [`adapt_into`]: a gradient buffer plus the
@@ -46,10 +50,8 @@ impl AdaptScratch {
 }
 
 /// [`adapt`] through caller-provided scratch: `out` is overwritten with
-/// the adapted parameters φ, reusing its capacity. Produces bitwise
-/// exactly the same values as [`adapt`] — `grad_into` is contractually
-/// bit-identical to `grad`, and the update applies the same
-/// [`fml_linalg::vector::axpy`] in the same order.
+/// the adapted parameters φ, reusing its capacity. [`adapt`] is this
+/// function on fresh scratch, so the two agree bit for bit.
 ///
 /// # Panics
 ///

@@ -34,23 +34,6 @@ pub fn inner_step(model: &dyn Model, theta: &[f64], batch: &Batch, alpha: f64) -
     phi
 }
 
-/// `steps` repeated inner gradient steps from `theta` (the multi-step
-/// adaptation used at evaluation time in Figure 3(c)–(e)).
-pub fn inner_adapt(
-    model: &dyn Model,
-    theta: &[f64],
-    batch: &Batch,
-    alpha: f64,
-    steps: usize,
-) -> Vec<f64> {
-    let mut phi = theta.to_vec();
-    for _ in 0..steps {
-        let g = model.grad(&phi, batch);
-        vector::axpy(-alpha, &g, &mut phi);
-    }
-    phi
-}
-
 /// The meta-gradient `∇_θ L(φ(θ), test)` for a single task.
 ///
 /// Computes `φ = θ − α∇L(θ, train)` internally; use
@@ -169,7 +152,7 @@ mod tests {
     #[test]
     fn inner_adapt_zero_steps_is_identity() {
         let (model, params, tr, _) = softmax_setup();
-        let phi = inner_adapt(&model, &params, &tr, 0.1, 0);
+        let phi = crate::adapt::adapt(&model, &params, &tr, 0.1, 0);
         assert_eq!(phi, params);
     }
 
@@ -177,7 +160,7 @@ mod tests {
     fn inner_adapt_one_step_matches_inner_step() {
         let (model, params, tr, _) = softmax_setup();
         assert_eq!(
-            inner_adapt(&model, &params, &tr, 0.05, 1),
+            crate::adapt::adapt(&model, &params, &tr, 0.05, 1),
             inner_step(&model, &params, &tr, 0.05)
         );
     }

@@ -59,7 +59,14 @@ pub fn grad_error(model: &dyn Model, params: &[f64], batch: &Batch) -> f64 {
 /// HVP built from its own `grad`.
 pub fn hvp_error(model: &dyn Model, params: &[f64], batch: &Batch, v: &[f64]) -> f64 {
     let analytic = model.hvp(params, batch, v);
-    let numeric = crate::traits::finite_difference_hvp(|p| model.grad(p, batch), params, v);
+    let mut ws = model.workspace();
+    let mut numeric = vec![0.0; params.len()];
+    crate::traits::finite_difference_hvp(
+        |p, g| model.grad_into(p, batch, &mut ws, g),
+        params,
+        v,
+        &mut numeric,
+    );
     relative_error(&analytic, &numeric)
 }
 

@@ -1,7 +1,7 @@
 use fml_linalg::vector;
 use rand::{Rng, RngCore};
 
-use crate::{Batch, Model, Prediction, Target};
+use crate::{Batch, Model, Prediction, Target, Workspace};
 
 /// Linear regression with squared loss and optional L2 weight decay:
 ///
@@ -76,7 +76,7 @@ impl Model for LinearRegression {
             .collect()
     }
 
-    fn loss(&self, params: &[f64], batch: &Batch) -> f64 {
+    fn loss_with(&self, params: &[f64], batch: &Batch, _ws: &mut Workspace) -> f64 {
         let reg = 0.5 * self.l2 * vector::norm2_sq(&params[..self.dim]);
         if batch.is_empty() {
             return reg;
@@ -89,35 +89,41 @@ impl Model for LinearRegression {
         total / batch.len() as f64 + reg
     }
 
-    fn grad(&self, params: &[f64], batch: &Batch) -> Vec<f64> {
-        let mut g = vec![0.0; self.param_len()];
+    fn grad_into(&self, params: &[f64], batch: &Batch, _ws: &mut Workspace, out: &mut [f64]) {
+        assert_eq!(out.len(), self.param_len(), "grad_into: bad output length");
+        out.fill(0.0);
         if !batch.is_empty() {
             let inv_n = 1.0 / batch.len() as f64;
             for (x, y) in batch.iter() {
                 let r = self.residual(params, x, y.expect_value());
-                vector::axpy(r * inv_n, x, &mut g[..self.dim]);
-                g[self.dim] += r * inv_n;
+                vector::axpy(r * inv_n, x, &mut out[..self.dim]);
+                out[self.dim] += r * inv_n;
             }
         }
         // L2 on weights only.
-        let (w, _) = params.split_at(self.dim);
-        vector::axpy(self.l2, w, &mut g[..self.dim]);
-        g
+        vector::axpy(self.l2, &params[..self.dim], &mut out[..self.dim]);
     }
 
-    fn hvp(&self, _params: &[f64], batch: &Batch, v: &[f64]) -> Vec<f64> {
+    fn hvp_into(
+        &self,
+        _params: &[f64],
+        batch: &Batch,
+        v: &[f64],
+        _ws: &mut Workspace,
+        out: &mut [f64],
+    ) {
         // Hessian is (1/n)·X̃ᵀX̃ + λ·diag(1,…,1,0) where X̃ = [X | 1].
-        let mut hv = vec![0.0; self.param_len()];
+        assert_eq!(out.len(), self.param_len(), "hvp_into: bad output length");
+        out.fill(0.0);
         if !batch.is_empty() {
             let inv_n = 1.0 / batch.len() as f64;
             for (x, _) in batch.iter() {
                 let s = vector::dot(&v[..self.dim], x) + v[self.dim];
-                vector::axpy(s * inv_n, x, &mut hv[..self.dim]);
-                hv[self.dim] += s * inv_n;
+                vector::axpy(s * inv_n, x, &mut out[..self.dim]);
+                out[self.dim] += s * inv_n;
             }
         }
-        vector::axpy(self.l2, &v[..self.dim], &mut hv[..self.dim]);
-        hv
+        vector::axpy(self.l2, &v[..self.dim], &mut out[..self.dim]);
     }
 
     fn sample_loss(&self, params: &[f64], x: &[f64], y: Target) -> f64 {

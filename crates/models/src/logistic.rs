@@ -73,7 +73,7 @@ impl Model for LogisticRegression {
             .collect()
     }
 
-    fn loss(&self, params: &[f64], batch: &Batch) -> f64 {
+    fn loss_with(&self, params: &[f64], batch: &Batch, _ws: &mut Workspace) -> f64 {
         let reg = 0.5 * self.l2 * vector::norm2_sq(&params[..self.dim]);
         if batch.is_empty() {
             return reg;
@@ -87,22 +87,7 @@ impl Model for LogisticRegression {
         total / batch.len() as f64 + reg
     }
 
-    fn grad(&self, params: &[f64], batch: &Batch) -> Vec<f64> {
-        let mut g = vec![0.0; self.param_len()];
-        self.grad_into(params, batch, &mut Workspace::empty(), &mut g);
-        g
-    }
-
-    fn hvp(&self, params: &[f64], batch: &Batch, v: &[f64]) -> Vec<f64> {
-        let mut hv = vec![0.0; self.param_len()];
-        self.hvp_into(params, batch, v, &mut Workspace::empty(), &mut hv);
-        hv
-    }
-
-    fn grad_into(&self, params: &[f64], batch: &Batch, ws: &mut Workspace, out: &mut [f64]) {
-        // Logistic regression needs no per-sample scratch; the workspace
-        // contract here is only "write into the caller's buffer".
-        let _ = ws;
+    fn grad_into(&self, params: &[f64], batch: &Batch, _ws: &mut Workspace, out: &mut [f64]) {
         assert_eq!(out.len(), self.param_len(), "grad_into: bad output length");
         out.fill(0.0);
         if !batch.is_empty() {
@@ -122,11 +107,10 @@ impl Model for LogisticRegression {
         params: &[f64],
         batch: &Batch,
         v: &[f64],
-        ws: &mut Workspace,
+        _ws: &mut Workspace,
         out: &mut [f64],
     ) {
         // Hessian = (1/n) Σ p(1−p)·x̃x̃ᵀ + λ·diag(1,…,1,0).
-        let _ = ws;
         assert_eq!(out.len(), self.param_len(), "hvp_into: bad output length");
         out.fill(0.0);
         if !batch.is_empty() {
@@ -241,22 +225,6 @@ mod tests {
     fn rejects_multiclass_labels() {
         let model = LogisticRegression::new(1);
         model.sample_loss(&[0.0, 0.0], &[1.0], Target::Class(2));
-    }
-
-    #[test]
-    fn into_kernels_bitwise_match_allocating_entry_points() {
-        let model = LogisticRegression::new(2).with_l2(0.05);
-        let batch = toy_batch();
-        let p = [0.2, -0.4, 0.1];
-        let v = [1.0, -0.5, 0.3];
-        let mut ws = Model::workspace(&model);
-        let mut g = vec![0.0; model.param_len()];
-        let mut hv = vec![0.0; model.param_len()];
-        model.grad_into(&p, &batch, &mut ws, &mut g);
-        model.hvp_into(&p, &batch, &v, &mut ws, &mut hv);
-        assert_eq!(g, model.grad(&p, &batch));
-        assert_eq!(hv, model.hvp(&p, &batch, &v));
-        assert_eq!(model.loss_with(&p, &batch, &mut ws), model.loss(&p, &batch));
     }
 
     proptest! {

@@ -1,7 +1,7 @@
 use fml_linalg::{vector, Matrix};
 use rand::{Rng, RngCore};
 
-use crate::{Batch, Model, Prediction, Target};
+use crate::{Batch, Model, Prediction, Target, Workspace};
 
 /// A strongly convex quadratic task family:
 ///
@@ -122,7 +122,7 @@ impl Model for Quadratic {
             .collect()
     }
 
-    fn loss(&self, params: &[f64], batch: &Batch) -> f64 {
+    fn loss_with(&self, params: &[f64], batch: &Batch, _ws: &mut Workspace) -> f64 {
         if batch.is_empty() {
             return 0.0;
         }
@@ -133,14 +133,21 @@ impl Model for Quadratic {
         total / batch.len() as f64
     }
 
-    fn grad(&self, params: &[f64], batch: &Batch) -> Vec<f64> {
+    fn grad_into(&self, params: &[f64], batch: &Batch, _ws: &mut Workspace, out: &mut [f64]) {
         let c = self.mean_center(batch);
         let diff = vector::sub(params, &c);
-        self.a.matvec(&diff)
+        self.a.matvec_into(&diff, out);
     }
 
-    fn hvp(&self, _params: &[f64], _batch: &Batch, v: &[f64]) -> Vec<f64> {
-        self.a.matvec(v)
+    fn hvp_into(
+        &self,
+        _params: &[f64],
+        _batch: &Batch,
+        v: &[f64],
+        _ws: &mut Workspace,
+        out: &mut [f64],
+    ) {
+        self.a.matvec_into(v, out);
     }
 
     fn sample_loss(&self, params: &[f64], x: &[f64], _y: Target) -> f64 {

@@ -66,16 +66,6 @@ impl SoftmaxRegression {
         self.classes
     }
 
-    /// Computes the logit vector `Wx + b`.
-    fn logits(&self, params: &[f64], x: &[f64]) -> Vec<f64> {
-        let mut z = vec![0.0; self.classes];
-        for (k, zk) in z.iter_mut().enumerate() {
-            let row = &params[k * self.dim..(k + 1) * self.dim];
-            *zk = vector::dot(row, x) + params[self.classes * self.dim + k];
-        }
-        z
-    }
-
     fn check_label(&self, y: Target) -> usize {
         let c = y.expect_class();
         assert!(
@@ -95,81 +85,12 @@ impl SoftmaxRegression {
         [self.dim.max(1), self.classes]
     }
 
-    /// [`SoftmaxRegression::logits`] into a caller-provided buffer.
+    /// Writes the logit vector `Wx + b` into `z`.
     fn logits_into(&self, params: &[f64], x: &[f64], z: &mut [f64]) {
         for (k, zk) in z.iter_mut().enumerate() {
             let row = &params[k * self.dim..(k + 1) * self.dim];
             *zk = vector::dot(row, x) + params[self.classes * self.dim + k];
         }
-    }
-
-    /// The pre-workspace allocating batch gradient, kept verbatim as the
-    /// before/after baseline for the Criterion benches and the bitwise
-    /// equality tests. [`Model::grad`] now routes through
-    /// [`Model::grad_into`] instead.
-    #[doc(hidden)]
-    pub fn grad_alloc(&self, params: &[f64], batch: &Batch) -> Vec<f64> {
-        let mut g = vec![0.0; self.param_len()];
-        if !batch.is_empty() {
-            let inv_n = 1.0 / batch.len() as f64;
-            for (x, y) in batch.iter() {
-                let z = self.logits(params, x);
-                let r = softmax::cross_entropy_logits_grad(&z, self.check_label(y));
-                for (k, &rk) in r.iter().enumerate() {
-                    vector::axpy(rk * inv_n, x, &mut g[k * self.dim..(k + 1) * self.dim]);
-                    g[self.weight_len() + k] += rk * inv_n;
-                }
-            }
-        }
-        let wl = self.weight_len();
-        let (w, _) = params.split_at(wl);
-        vector::axpy(self.l2, w, &mut g[..wl]);
-        g
-    }
-
-    /// The pre-workspace allocating HVP baseline (see
-    /// [`SoftmaxRegression::grad_alloc`]).
-    #[doc(hidden)]
-    pub fn hvp_alloc(&self, params: &[f64], batch: &Batch, v: &[f64]) -> Vec<f64> {
-        let mut hv = vec![0.0; self.param_len()];
-        if !batch.is_empty() {
-            let inv_n = 1.0 / batch.len() as f64;
-            for (x, _) in batch.iter() {
-                let p = softmax::softmax(&self.logits(params, x));
-                // s_k = V_k·x + v_{b,k} — the directional logit perturbation.
-                let mut s = vec![0.0; self.classes];
-                for (k, sk) in s.iter_mut().enumerate() {
-                    let vrow = &v[k * self.dim..(k + 1) * self.dim];
-                    *sk = vector::dot(vrow, x) + v[self.weight_len() + k];
-                }
-                // u = (diag(p) − ppᵀ)·s = p∘s − p·(pᵀs).
-                let ps = vector::dot(&p, &s);
-                let u: Vec<f64> = p.iter().zip(&s).map(|(pk, sk)| pk * (sk - ps)).collect();
-                for (k, &uk) in u.iter().enumerate() {
-                    vector::axpy(uk * inv_n, x, &mut hv[k * self.dim..(k + 1) * self.dim]);
-                    hv[self.weight_len() + k] += uk * inv_n;
-                }
-            }
-        }
-        let wl = self.weight_len();
-        vector::axpy(self.l2, &v[..wl], &mut hv[..wl]);
-        hv
-    }
-
-    /// The pre-workspace allocating loss baseline (see
-    /// [`SoftmaxRegression::grad_alloc`]).
-    #[doc(hidden)]
-    pub fn loss_alloc(&self, params: &[f64], batch: &Batch) -> f64 {
-        let reg = 0.5 * self.l2 * vector::norm2_sq(&params[..self.weight_len()]);
-        if batch.is_empty() {
-            return reg;
-        }
-        let mut total = 0.0;
-        for (x, y) in batch.iter() {
-            let z = self.logits(params, x);
-            total += softmax::cross_entropy_logits(&z, self.check_label(y));
-        }
-        total / batch.len() as f64 + reg
     }
 }
 
@@ -187,25 +108,6 @@ impl Model for SoftmaxRegression {
         (0..self.param_len())
             .map(|_| rng.gen_range(-scale..scale))
             .collect()
-    }
-
-    fn loss(&self, params: &[f64], batch: &Batch) -> f64 {
-        let mut ws = Model::workspace(self);
-        self.loss_with(params, batch, &mut ws)
-    }
-
-    fn grad(&self, params: &[f64], batch: &Batch) -> Vec<f64> {
-        let mut ws = Model::workspace(self);
-        let mut g = vec![0.0; self.param_len()];
-        self.grad_into(params, batch, &mut ws, &mut g);
-        g
-    }
-
-    fn hvp(&self, params: &[f64], batch: &Batch, v: &[f64]) -> Vec<f64> {
-        let mut ws = Model::workspace(self);
-        let mut hv = vec![0.0; self.param_len()];
-        self.hvp_into(params, batch, v, &mut ws, &mut hv);
-        hv
     }
 
     fn workspace(&self) -> Workspace {
@@ -286,12 +188,14 @@ impl Model for SoftmaxRegression {
     }
 
     fn sample_loss(&self, params: &[f64], x: &[f64], y: Target) -> f64 {
-        let z = self.logits(params, x);
+        let mut z = vec![0.0; self.classes];
+        self.logits_into(params, x, &mut z);
         softmax::cross_entropy_logits(&z, self.check_label(y))
     }
 
     fn input_grad(&self, params: &[f64], x: &[f64], y: Target) -> Vec<f64> {
-        let z = self.logits(params, x);
+        let mut z = vec![0.0; self.classes];
+        self.logits_into(params, x, &mut z);
         let r = softmax::cross_entropy_logits_grad(&z, self.check_label(y));
         // ∇_x = Wᵀ·(p − e_y)
         let mut g = vec![0.0; self.dim];
@@ -302,7 +206,9 @@ impl Model for SoftmaxRegression {
     }
 
     fn predict(&self, params: &[f64], x: &[f64]) -> Prediction {
-        let probs = softmax::softmax(&self.logits(params, x));
+        let mut probs = vec![0.0; self.classes];
+        self.logits_into(params, x, &mut probs);
+        softmax::softmax_in_place(&mut probs);
         let label = vector::argmax(&probs).unwrap_or(0);
         Prediction::Class { label, probs }
     }
@@ -425,30 +331,22 @@ mod tests {
     }
 
     #[test]
-    fn workspace_kernels_bitwise_match_allocating_baseline() {
+    fn reused_workspace_matches_fresh_workspace() {
+        // `grad`/`hvp`/`loss` build a fresh workspace per call; one
+        // workspace reused across kernels and parameter points must give
+        // the same bits.
         let model = SoftmaxRegression::new(3, 3).with_l2(0.02);
         let batch = toy_batch();
-        let mut ws = Model::workspace(&model);
-        let mut g = vec![0.0; model.param_len()];
-        let mut hv = vec![0.0; model.param_len()];
-        // Two rounds on one reused workspace: reuse must not leak state.
-        for seed in [5u64, 6] {
+        let mut ws = model.workspace();
+        let mut out = vec![0.0; model.param_len()];
+        for seed in [5, 6] {
             let p = toy_params(&model, seed);
-            let v: Vec<f64> = (0..model.param_len())
-                .map(|i| ((i * 13 + seed as usize) % 7) as f64 - 3.0)
-                .collect();
-            let g_ref = model.grad_alloc(&p, &batch);
-            let hv_ref = model.hvp_alloc(&p, &batch, &v);
-            let l_ref = model.loss_alloc(&p, &batch);
-            model.grad_into(&p, &batch, &mut ws, &mut g);
-            model.hvp_into(&p, &batch, &v, &mut ws, &mut hv);
-            assert_eq!(g, g_ref, "grad must be bitwise identical");
-            assert_eq!(hv, hv_ref, "hvp must be bitwise identical");
-            assert_eq!(model.loss_with(&p, &batch, &mut ws), l_ref);
-            // Public entry points route through the workspace path.
-            assert_eq!(model.grad(&p, &batch), g_ref);
-            assert_eq!(model.hvp(&p, &batch, &v), hv_ref);
-            assert_eq!(model.loss(&p, &batch), l_ref);
+            let v = toy_params(&model, seed + 500);
+            model.grad_into(&p, &batch, &mut ws, &mut out);
+            assert_eq!(out, model.grad(&p, &batch), "grad, seed {seed}");
+            model.hvp_into(&p, &batch, &v, &mut ws, &mut out);
+            assert_eq!(out, model.hvp(&p, &batch, &v), "hvp, seed {seed}");
+            assert_eq!(model.loss_with(&p, &batch, &mut ws), model.loss(&p, &batch));
         }
     }
 
@@ -473,28 +371,6 @@ mod tests {
                 .collect();
             let hv = model.hvp(&p, &toy_batch(), &v);
             prop_assert!(vector::dot(&v, &hv) >= -1e-9);
-        }
-
-        #[test]
-        fn prop_workspace_kernels_equal_allocating_on_random_inputs(
-            seed in 0u64..40,
-            vseed in 0u64..40,
-        ) {
-            let model = SoftmaxRegression::new(3, 3).with_l2(0.01);
-            let batch = toy_batch();
-            let p = toy_params(&model, seed);
-            let v = toy_params(&model, vseed + 500);
-            let mut ws = Model::workspace(&model);
-            let mut g = vec![0.0; model.param_len()];
-            let mut hv = vec![0.0; model.param_len()];
-            model.grad_into(&p, &batch, &mut ws, &mut g);
-            model.hvp_into(&p, &batch, &v, &mut ws, &mut hv);
-            prop_assert_eq!(g, model.grad_alloc(&p, &batch));
-            prop_assert_eq!(hv, model.hvp_alloc(&p, &batch, &v));
-            prop_assert_eq!(
-                model.loss_with(&p, &batch, &mut ws),
-                model.loss_alloc(&p, &batch)
-            );
         }
 
         #[test]

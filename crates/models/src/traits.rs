@@ -44,11 +44,21 @@ impl Prediction {
 ///
 /// # Implementation contract
 ///
-/// * `loss`/`grad` must be consistent: `grad` is the exact gradient of
-///   `loss` (the test helper [`crate::check::grad_error`] verifies this).
-/// * `hvp(θ, B, v)` must equal `∇²L(θ, B)·v`. The default implementation is
-///   a central finite difference of `grad` — `O(2×)` the cost of a gradient
-///   and accurate to ~1e-6 relative error; analytic overrides are preferred.
+/// An implementor writes the two workspace kernels
+/// [`loss_with`](Model::loss_with) and [`grad_into`](Model::grad_into),
+/// the three single-sample methods, and — when its kernels need scratch —
+/// [`workspace`](Model::workspace). Everything else is provided:
+/// [`loss`](Model::loss), [`grad`](Model::grad) and [`hvp`](Model::hvp)
+/// build a fresh workspace and call the kernel, so a model has exactly one
+/// copy of its arithmetic.
+///
+/// * `loss_with`/`grad_into` must be consistent: `grad_into` writes the
+///   exact gradient of `loss_with` (the test helper
+///   [`crate::check::grad_error`] verifies this).
+/// * `hvp_into(θ, B, v)` must write `∇²L(θ, B)·v`. The provided
+///   implementation is a central finite difference of `grad_into` — `O(2×)`
+///   the cost of a gradient and accurate to ~1e-6 relative error; analytic
+///   overrides are preferred.
 /// * `input_grad`/`sample_loss` operate on a *single* sample and must be
 ///   consistent with each other; they power adversarial data generation.
 ///
@@ -65,17 +75,25 @@ pub trait Model: Send + Sync + std::fmt::Debug {
 
     /// Empirical loss `L(θ, B)` — the mean sample loss plus any
     /// regularization. Returns 0 for an empty batch (plus regularization).
-    fn loss(&self, params: &[f64], batch: &Batch) -> f64;
+    fn loss(&self, params: &[f64], batch: &Batch) -> f64 {
+        let mut ws = self.workspace();
+        self.loss_with(params, batch, &mut ws)
+    }
 
     /// Gradient `∇_θ L(θ, B)`.
-    fn grad(&self, params: &[f64], batch: &Batch) -> Vec<f64>;
+    fn grad(&self, params: &[f64], batch: &Batch) -> Vec<f64> {
+        let mut ws = self.workspace();
+        let mut g = vec![0.0; self.param_len()];
+        self.grad_into(params, batch, &mut ws, &mut g);
+        g
+    }
 
     /// Hessian–vector product `∇²_θ L(θ, B) · v`.
-    ///
-    /// The default is a central finite difference of [`grad`](Model::grad);
-    /// models with analytic second-order structure should override it.
     fn hvp(&self, params: &[f64], batch: &Batch, v: &[f64]) -> Vec<f64> {
-        finite_difference_hvp(|p| self.grad(p, batch), params, v)
+        let mut ws = self.workspace();
+        let mut hv = vec![0.0; self.param_len()];
+        self.hvp_into(params, batch, v, &mut ws, &mut hv);
+        hv
     }
 
     /// Loss of a single sample `l(θ, (x, y))` **without** regularization
@@ -91,38 +109,31 @@ pub trait Model: Send + Sync + std::fmt::Debug {
 
     /// Builds a scratch [`Workspace`] sized for this model's kernels.
     ///
-    /// Models that implement the workspace-threaded entry points
-    /// ([`loss_with`](Model::loss_with), [`grad_into`](Model::grad_into),
-    /// [`hvp_into`](Model::hvp_into)) override this to return properly
-    /// sized buffers; the default returns an empty workspace because the
-    /// default entry points below ignore it.
+    /// Models whose kernels need per-sample scratch override this to
+    /// return properly sized buffers; the default is an empty workspace
+    /// for kernels that need none.
     fn workspace(&self) -> Workspace {
         Workspace::empty()
     }
 
-    /// [`loss`](Model::loss) computed through a reusable workspace —
-    /// models with per-sample scratch override this to avoid allocating
-    /// in the batch loop. Must return exactly the same value as `loss`.
-    fn loss_with(&self, params: &[f64], batch: &Batch, ws: &mut Workspace) -> f64 {
-        let _ = ws;
-        self.loss(params, batch)
-    }
+    /// The loss kernel: [`loss`](Model::loss) computed through a reusable
+    /// workspace, with no heap allocation per sample.
+    fn loss_with(&self, params: &[f64], batch: &Batch, ws: &mut Workspace) -> f64;
 
-    /// [`grad`](Model::grad) written into a caller-provided buffer through
-    /// a reusable workspace. Must produce exactly the same values as
-    /// `grad` (the workspace changes where scratch lives, not the
-    /// arithmetic).
+    /// The gradient kernel: [`grad`](Model::grad) written into a
+    /// caller-provided buffer through a reusable workspace.
     ///
     /// # Panics
     ///
     /// Panics when `out.len() != param_len()`.
-    fn grad_into(&self, params: &[f64], batch: &Batch, ws: &mut Workspace, out: &mut [f64]) {
-        let _ = ws;
-        out.copy_from_slice(&self.grad(params, batch));
-    }
+    fn grad_into(&self, params: &[f64], batch: &Batch, ws: &mut Workspace, out: &mut [f64]);
 
-    /// [`hvp`](Model::hvp) written into a caller-provided buffer through a
-    /// reusable workspace. Must produce exactly the same values as `hvp`.
+    /// The HVP kernel: [`hvp`](Model::hvp) written into a caller-provided
+    /// buffer through a reusable workspace.
+    ///
+    /// The default is a central finite difference of
+    /// [`grad_into`](Model::grad_into); models with analytic second-order
+    /// structure should override it.
     ///
     /// # Panics
     ///
@@ -135,8 +146,7 @@ pub trait Model: Send + Sync + std::fmt::Debug {
         ws: &mut Workspace,
         out: &mut [f64],
     ) {
-        let _ = ws;
-        out.copy_from_slice(&self.hvp(params, batch, v));
+        finite_difference_hvp(|p, g| self.grad_into(p, batch, ws, g), params, v, out);
     }
 
     /// Fraction of correctly classified samples; 0 for an empty batch.
@@ -159,30 +169,34 @@ pub trait Model: Send + Sync + std::fmt::Debug {
 }
 
 /// Central finite-difference Hessian–vector product used as the [`Model`]
-/// default: `(∇L(θ + εv) − ∇L(θ − εv)) / 2ε`.
+/// default: `out ← (∇L(θ + εv) − ∇L(θ − εv)) / 2ε`, where `grad_into(θ, g)`
+/// writes `∇L(θ)` into `g`.
 ///
 /// `ε` is scaled by `‖θ‖/‖v‖` so the probe stays well-conditioned for large
-/// or small parameter vectors. Returns zeros when `v = 0`.
-pub(crate) fn finite_difference_hvp<F>(grad: F, params: &[f64], v: &[f64]) -> Vec<f64>
-where
-    F: Fn(&[f64]) -> Vec<f64>,
-{
+/// or small parameter vectors. Writes zeros when `v = 0`.
+pub(crate) fn finite_difference_hvp(
+    mut grad_into: impl FnMut(&[f64], &mut [f64]),
+    params: &[f64],
+    v: &[f64],
+    out: &mut [f64],
+) {
     let vn = fml_linalg::vector::norm2(v);
     if vn == 0.0 {
-        return vec![0.0; params.len()];
+        out.fill(0.0);
+        return;
     }
     let scale = (1.0 + fml_linalg::vector::norm2(params)) / vn;
     let eps = 1e-6 * scale;
-    let mut plus = params.to_vec();
-    let mut minus = params.to_vec();
-    fml_linalg::vector::axpy(eps, v, &mut plus);
-    fml_linalg::vector::axpy(-eps, v, &mut minus);
-    let gp = grad(&plus);
-    let gm = grad(&minus);
-    gp.iter()
-        .zip(&gm)
-        .map(|(a, b)| (a - b) / (2.0 * eps))
-        .collect()
+    let mut probe = params.to_vec();
+    fml_linalg::vector::axpy(eps, v, &mut probe);
+    grad_into(&probe, out);
+    probe.copy_from_slice(params);
+    fml_linalg::vector::axpy(-eps, v, &mut probe);
+    let mut gm = vec![0.0; params.len()];
+    grad_into(&probe, &mut gm);
+    for (o, m) in out.iter_mut().zip(&gm) {
+        *o = (*o - m) / (2.0 * eps);
+    }
 }
 
 #[cfg(test)]
@@ -202,14 +216,54 @@ mod tests {
         assert_eq!(v.label(), None);
     }
 
+    /// `L(θ) = ½ θᵀ diag(a) θ`, written with the required methods only.
+    #[derive(Debug)]
+    struct Diag([f64; 3]);
+
+    impl Model for Diag {
+        fn param_len(&self) -> usize {
+            3
+        }
+        fn input_dim(&self) -> usize {
+            3
+        }
+        fn init_params(&self, _rng: &mut dyn RngCore) -> Vec<f64> {
+            vec![0.0; 3]
+        }
+        fn sample_loss(&self, params: &[f64], _x: &[f64], _y: Target) -> f64 {
+            self.loss_with(params, &Batch::empty(3), &mut Workspace::empty())
+        }
+        fn input_grad(&self, _params: &[f64], x: &[f64], _y: Target) -> Vec<f64> {
+            vec![0.0; x.len()]
+        }
+        fn predict(&self, _params: &[f64], _x: &[f64]) -> Prediction {
+            Prediction::Value(0.0)
+        }
+        fn loss_with(&self, params: &[f64], _batch: &Batch, _ws: &mut Workspace) -> f64 {
+            params
+                .iter()
+                .zip(&self.0)
+                .map(|(x, a)| 0.5 * a * x * x)
+                .sum()
+        }
+        fn grad_into(&self, params: &[f64], _b: &Batch, _ws: &mut Workspace, out: &mut [f64]) {
+            for ((o, x), a) in out.iter_mut().zip(params).zip(&self.0) {
+                *o = a * x;
+            }
+        }
+    }
+
     #[test]
     fn finite_difference_hvp_on_quadratic_is_exact() {
-        // L(θ) = ½ θᵀ A θ with A = diag(1, 2, 3) ⇒ ∇²L·v = A·v exactly.
-        let a = [1.0, 2.0, 3.0];
-        let grad = |p: &[f64]| -> Vec<f64> { p.iter().zip(&a).map(|(x, ai)| ai * x).collect() };
+        // A = diag(1, 2, 3) ⇒ ∇²L·v = A·v exactly. A model that writes
+        // only the required kernels gets loss/grad from them and its HVP
+        // from the finite-difference default.
+        let model = Diag([1.0, 2.0, 3.0]);
         let theta = [0.5, -1.0, 2.0];
-        let v = [1.0, 1.0, -1.0];
-        let hv = finite_difference_hvp(grad, &theta, &v);
+        let batch = Batch::empty(3);
+        assert_eq!(model.loss(&theta, &batch), 0.125 + 1.0 + 6.0);
+        assert_eq!(model.grad(&theta, &batch), vec![0.5, -2.0, 6.0]);
+        let hv = model.hvp(&theta, &batch, &[1.0, 1.0, -1.0]);
         let expect = [1.0, 2.0, -3.0];
         for (g, e) in hv.iter().zip(&expect) {
             assert!((g - e).abs() < 1e-4, "got {g}, want {e}");
@@ -218,9 +272,14 @@ mod tests {
 
     #[test]
     fn finite_difference_hvp_zero_vector() {
-        let grad = |p: &[f64]| p.to_vec();
-        let hv = finite_difference_hvp(grad, &[1.0, 2.0], &[0.0, 0.0]);
-        assert_eq!(hv, vec![0.0, 0.0]);
+        let mut hv = [f64::NAN; 2];
+        finite_difference_hvp(
+            |p, g| g.copy_from_slice(p),
+            &[1.0, 2.0],
+            &[0.0, 0.0],
+            &mut hv,
+        );
+        assert_eq!(hv, [0.0, 0.0]);
     }
 
     #[test]

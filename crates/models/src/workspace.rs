@@ -1,19 +1,18 @@
 //! Reusable scratch buffers for zero-allocation model kernels.
 //!
-//! The allocating [`Model`](crate::Model) entry points (`loss`, `grad`,
-//! `hvp`) create short-lived vectors for every *sample* in a batch —
-//! activations, pre-activations, deltas, and their R-operator shadows.
-//! Steady-state training calls them thousands of times, so the allocator
-//! sits in the innermost loop.
+//! A batch kernel needs short-lived vectors for every *sample* —
+//! activations, pre-activations, deltas, and their R-operator shadows —
+//! and steady-state training calls the kernels thousands of times, so
+//! allocating them per sample would put the allocator in the innermost
+//! loop.
 //!
 //! A [`Workspace`] hoists all of that scratch out of the loop: it is
 //! sized once from the model's layer dimensions and then reused across
-//! samples, batches, and training iterations. The workspace-threaded
-//! kernels (`Model::loss_with`, `Model::grad_into`, `Model::hvp_into`)
-//! perform **no heap allocation per sample** and produce bitwise-identical
-//! results to the allocating paths (the buffers change, the arithmetic and
-//! its order do not — see the exact-equality proptests in `mlp.rs` and
-//! `softmax_reg.rs`).
+//! samples, batches, and training iterations. The kernels
+//! (`Model::loss_with`, `Model::grad_into`, `Model::hvp_into`) perform
+//! **no heap allocation per sample**, and they are each model's only
+//! copy of its arithmetic: `Model::loss`/`grad`/`hvp` are provided
+//! methods that build a fresh workspace and call them.
 //!
 //! Workspaces are cheap to create (a handful of small vectors) and `Send`,
 //! so parallel trainers can build one per worker thread.
@@ -21,6 +20,20 @@
 /// Per-layer `(w_start, w_end, b_start, b_end)` view into a flat
 /// parameter vector.
 pub(crate) type Span = (usize, usize, usize, usize);
+
+/// The parameter layout of a network with layer widths `dims`: for each
+/// layer in order, the `out × in` weight matrix followed by the bias.
+pub(crate) fn layer_spans(dims: &[usize]) -> Vec<Span> {
+    let mut cursor = 0;
+    dims.windows(2)
+        .map(|d| {
+            let w_end = cursor + d[0] * d[1];
+            let span = (cursor, w_end, w_end, w_end + d[1]);
+            cursor = span.3;
+            span
+        })
+        .collect()
+}
 
 /// Scratch buffers for one model's forward/backward/R-operator passes.
 ///
@@ -33,8 +46,7 @@ pub(crate) type Span = (usize, usize, usize, usize);
 pub struct Workspace {
     /// `[input, hidden…, output]` — the shape this workspace serves.
     pub(crate) dims: Vec<usize>,
-    /// Cached parameter-layout spans (what `Mlp::offsets` used to rebuild
-    /// per call).
+    /// Cached parameter-layout spans ([`layer_spans`] of `dims`).
     pub(crate) spans: Vec<Span>,
     /// Activations per layer: `acts[0]` is the input copy, `acts[l]` the
     /// post-activation of hidden layer `l` (`layer_count` entries).
@@ -74,21 +86,10 @@ impl Workspace {
         assert!(dims.len() >= 2, "Workspace: need at least [input, output]");
         assert!(!dims.contains(&0), "Workspace: zero-width layer");
         let lcount = dims.len() - 1;
-        let mut spans = Vec::with_capacity(lcount);
-        let mut cursor = 0;
-        for l in 0..lcount {
-            let (fan_in, fan_out) = (dims[l], dims[l + 1]);
-            let w_start = cursor;
-            let w_end = w_start + fan_in * fan_out;
-            let b_start = w_end;
-            let b_end = b_start + fan_out;
-            cursor = b_end;
-            spans.push((w_start, w_end, b_start, b_end));
-        }
         let widest = *dims.iter().max().expect("dims nonempty");
         Workspace {
             dims: dims.to_vec(),
-            spans,
+            spans: layer_spans(dims),
             acts: (0..lcount).map(|l| vec![0.0; dims[l]]).collect(),
             zs: (0..lcount).map(|l| vec![0.0; dims[l + 1]]).collect(),
             r_acts: (0..lcount).map(|l| vec![0.0; dims[l]]).collect(),
@@ -102,8 +103,8 @@ impl Workspace {
         }
     }
 
-    /// A zero-capacity workspace for models whose kernels ignore it (the
-    /// default `Model` implementations fall back to the allocating paths).
+    /// A zero-capacity workspace for models whose kernels need no scratch
+    /// (what the default `Model::workspace` returns).
     pub fn empty() -> Self {
         Workspace {
             dims: Vec::new(),

@@ -32,7 +32,8 @@
 //! [`RejectReason::Busy`] frame, and a request that waited in the queue
 //! past the configured deadline is shed by the worker that dequeues it
 //! instead of being computed late. Budget violations (`k` or `steps`
-//! over the cap, wrong feature dimension, unusable labels) are
+//! over the cap, wrong feature dimension, unusable labels — malformed,
+//! of the wrong kind for the served model, or outside its classes) are
 //! [`RejectReason::BadRequest`]; serving before any global exists is
 //! [`RejectReason::Unavailable`]. Every reply — success or reject —
 //! carries the request's `req_id`, so concurrent clients multiplexing
@@ -66,7 +67,7 @@ use bytes::Bytes;
 use fml_core::adapt::{adapt_into, AdaptScratch};
 use fml_core::checkpoint::{Checkpoint, CheckpointError};
 use fml_linalg::Matrix;
-use fml_models::{Batch, Model, Target};
+use fml_models::{Batch, Model, Prediction, Target};
 use fml_sim::message::{
     encode_adapt_reject_into, encode_adapt_response_into, encoded_frame_len, AdaptFrame,
     AdaptRequest, AdaptRequestView,
@@ -319,6 +320,8 @@ impl Stats {
 /// Everything the acceptor, conn threads, and workers share.
 struct ServerState {
     model: Arc<dyn Model>,
+    /// Class count of a served classifier, `None` for a regressor.
+    classes: Option<usize>,
     global: SharedGlobal,
     cfg: ServingConfig,
     transport: &'static str,
@@ -372,8 +375,16 @@ impl AdaptServer {
         cfg: ServingConfig,
     ) -> AdaptServer {
         let addr = listener.local_addr();
+        // The model's kernels panic on a label they cannot train on, so
+        // learn what it accepts from one prediction.
+        let probe = model.predict(&vec![0.0; model.param_len()], &vec![0.0; model.input_dim()]);
+        let classes = match probe {
+            Prediction::Class { probs, .. } => Some(probs.len()),
+            Prediction::Value(_) => None,
+        };
         let state = Arc::new(ServerState {
             model,
+            classes,
             global,
             cfg,
             transport: listener.kind(),
@@ -658,7 +669,13 @@ fn handle_job(
         pool.recycle(job.frame);
         return;
     };
-    let Some(batch) = batch_from_request(&view) else {
+    let fits_model = |t: &Target| match (t, state.classes) {
+        (Target::Class(c), Some(n)) => *c < n,
+        (Target::Value(_), None) => true,
+        _ => false,
+    };
+    let Some(batch) = batch_from_request(&view).filter(|b| b.targets().iter().all(fits_model))
+    else {
         stats.rejected_bad.fetch_add(1, Ordering::Relaxed);
         send_reject(state, pool, &job.writer, req_id, RejectReason::BadRequest);
         pool.recycle(job.frame);
@@ -869,20 +886,35 @@ mod tests {
 
     #[test]
     fn bad_labels_reject_bad_request() {
+        // One worker: a label that reached the kernels would panic it and
+        // leave nobody to answer the well-formed request at the end.
         let model = test_model();
         let global = SharedGlobal::new();
         global.publish(1, &vec![0.0; model.param_len()]);
+        let cfg = ServingConfig::default().with_workers(1);
         let (listener, accept_tx) = channel_listener();
-        let server = AdaptServer::start(Box::new(listener), model, global, ServingConfig::default());
+        let server = AdaptServer::start(Box::new(listener), model, global, cfg);
         let mut client = connect(&accept_tx);
-        let mut req = request_from_batch(4, 0, 0.1, 1, &class_batch());
-        req.ys[0] = 1.5; // non-integral class label
-        assert_eq!(
-            client.request(&req, Duration::from_secs(5)).unwrap(),
-            AdaptOutcome::Rejected(RejectReason::BadRequest)
-        );
+        let good = request_from_batch(4, 0, 0.1, 1, &class_batch());
+        let mut fractional = good.clone();
+        fractional.ys[0] = 1.5;
+        let mut out_of_range = good.clone();
+        out_of_range.ys[0] = 7.0; // the served model has 2 classes
+        let mut wrong_kind = good.clone();
+        wrong_kind.kind = SampleKind::Value;
+        for bad in [&fractional, &out_of_range, &wrong_kind] {
+            assert_eq!(
+                client.request(bad, Duration::from_secs(5)).unwrap(),
+                AdaptOutcome::Rejected(RejectReason::BadRequest)
+            );
+        }
+        assert!(matches!(
+            client.request(&good, Duration::from_secs(5)).unwrap(),
+            AdaptOutcome::Adapted { .. }
+        ));
         let report = server.shutdown();
-        assert_eq!(report.rejected_bad, 1);
+        assert_eq!(report.rejected_bad, 3);
+        assert_eq!(report.responses, 1);
     }
 
     #[test]

@@ -9,6 +9,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # `default-members` is the whole workspace: same 59 test binaries as
 # `--workspace`.
 cargo test -q
+# `perf/` is its own workspace and holds the one out-of-tree `impl Model`
+# (`TracedModel`): a trait change must compile there too.
+cargo clippy --manifest-path perf/Cargo.toml --all-targets -- -D warnings
+cargo test --release --manifest-path perf/Cargo.toml
 "$(dirname "$0")/loc.sh"
 "$(dirname "$0")/bench_smoke.sh"
 "$(dirname "$0")/fault_smoke.sh"
