@@ -20,7 +20,7 @@
 //!
 //! 1. block (with a wall-clock timeout as a liveness net) on the link
 //!    for the platform's `GlobalModel` frame;
-//! 2. decode it — the hardened [`fml_sim::Message::decode`] runs on
+//! 2. decode it — the hardened [`fml_sim::MessageView::parse`] runs on
 //!    every hop, counting (never panicking on) malformed frames;
 //! 3. run the trainer's `T0` local steps via
 //!    [`fml_core::LocalStepper::local_update`];
@@ -35,14 +35,14 @@
 
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use fml_core::faults::corrupt;
 use fml_core::{ErrorFeedback, Fault, LocalStepper, SourceTask};
 use fml_models::Model;
-use fml_sim::message::encoded_frame_len;
+use fml_sim::message::{encode_update_into, encoded_frame_len};
 use fml_sim::{
     compressed_frame_len, encode_update_compressed_into, CodecScratch, CompressedView, FramePool,
-    Message, MessageView,
+    MessageView,
 };
 
 use crate::config::RuntimeConfig;
@@ -272,13 +272,9 @@ pub(crate) fn run_transport_peer(
         ..NodeIo::default()
     };
     let mut scratch = StepScratch::new();
-    let hello = Message::ModelUpdate {
-        round: 0,
-        node: node as u32,
-        params: Vec::new(),
-    }
-    .encode();
-    if link.send_frame(&hello).is_err() {
+    let mut hello = BytesMut::with_capacity(encoded_frame_len(0));
+    encode_update_into(0, node as u32, &[], &mut hello);
+    if link.send_frame(&hello.freeze()).is_err() {
         link.close();
         return io;
     }

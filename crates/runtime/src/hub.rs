@@ -40,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use fml_sim::{logical_frame_len, FramePool, Message, LENGTH_PREFIX_LEN};
+use fml_sim::{logical_frame_len, FramePool, MessageView, LENGTH_PREFIX_LEN};
 
 use crate::report::NodeIo;
 use crate::transport::{Transport, TransportError, TransportListener};
@@ -302,9 +302,11 @@ fn read_hello(mut link: Box<dyn Transport>, n: usize) -> Option<(usize, Box<dyn 
             return None;
         }
     };
-    match Message::decode(&frame) {
-        Ok(Message::ModelUpdate { round: 0, node, .. }) if (node as usize) < n => {
-            Some((node as usize, link))
+    // The peer is not identified yet: look at the header in place and
+    // never materialize whatever payload it chose to send.
+    match MessageView::parse(&frame) {
+        Ok(hello) if hello.is_update() && hello.round() == 0 && (hello.node() as usize) < n => {
+            Some((hello.node() as usize, link))
         }
         _ => {
             link.close();
@@ -487,6 +489,7 @@ fn reader_loop(
 mod tests {
     use super::*;
     use crate::transport::{TcpTransport, TcpTransportListener};
+    use fml_sim::Message;
 
     fn hello(node: u32) -> Bytes {
         Message::ModelUpdate {
@@ -654,13 +657,26 @@ mod tests {
     #[test]
     fn bad_hello_is_dropped_without_joining() {
         let (hub, _in_rx, addr) = start_tcp(1);
-        let mut bogus = TcpTransport::connect(&addr).unwrap();
-        // Claims node 7 of a 1-node fleet: rejected, link closed.
-        bogus.send_frame(&hello(7)).unwrap();
-        assert_eq!(
-            bogus.recv_frame(Duration::from_secs(5)),
-            Err(TransportError::Closed)
-        );
+        let late = Message::ModelUpdate {
+            round: 1,
+            node: 0,
+            params: Vec::new(),
+        };
+        let global = Message::GlobalModel {
+            round: 0,
+            params: Vec::new(),
+        };
+        // Node 7 of a 1-node fleet, a hello for a real round, and a
+        // broadcast posing as a hello: each rejected, link closed.
+        for bad in [hello(7), late.encode(), global.encode()] {
+            let mut bogus = TcpTransport::connect(&addr).unwrap();
+            bogus.send_frame(&bad).unwrap();
+            assert_eq!(
+                bogus.recv_frame(Duration::from_secs(5)),
+                Err(TransportError::Closed),
+                "{bad:?}"
+            );
+        }
         assert_eq!(hub.await_join(Duration::from_millis(100)), 0);
         hub.shutdown();
     }

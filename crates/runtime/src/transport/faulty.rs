@@ -18,13 +18,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use fml_sim::message::HEADER_LEN;
+use fml_sim::message::encoded_frame_len;
 
 use super::{Transport, TransportError};
 
-/// Byte offset of the f64 payload in a versioned frame: version byte
-/// plus the fixed header.
-const PAYLOAD_OFFSET: usize = 1 + HEADER_LEN;
+/// Byte offset of the f64 payload in a versioned frame: the length of
+/// a frame that carries none.
+const PAYLOAD_OFFSET: usize = encoded_frame_len(0);
 
 /// Seeded per-link fault schedule. All draws are pure in
 /// `(seed, op, counter)`, so the schedule is reproducible.

@@ -20,18 +20,20 @@
 //!
 //! # Wire layout (tag 6, v2+ only)
 //!
+//! The shared frame header (DESIGN.md "Wire frames"; read and written
+//! only by `message::Header` / `put_header`) is followed by an 8-byte
+//! codec subheader and the scheme's payload:
+//!
 //! ```text
-//! [ 0x80|ver ][ tag=6 ][ round:u32 ][ node:u32 ][ len:u32 ]
-//! [ scheme:u8 ][ meta_a:u8 ][ meta_b:u16 ][ meta_c:u32 ]   codec subheader
-//! [ scheme payload ]
+//! [ scheme:u8 ][ meta_a:u8 ][ meta_b:u16 ][ meta_c:u32 ][ scheme payload ]
 //! ```
 //!
-//! `len` is the *logical* parameter count — what the frame decodes to —
-//! regardless of how many physical payload bytes follow. The subheader
-//! fields are scheme-specific (`meta_a` = quant bits, `meta_b` = quant
-//! chunk size, `meta_c` = top-k entry count); unused slots must be
-//! zero, so every value has exactly one canonical encoding. Scheme
-//! payloads:
+//! The header's `len` is the *logical* parameter count — what the frame
+//! decodes to — regardless of how many physical payload bytes follow.
+//! The subheader fields are scheme-specific (`meta_a` = quant bits,
+//! `meta_b` = quant chunk size, `meta_c` = top-k entry count); unused
+//! slots must be zero, so every value has exactly one canonical
+//! encoding. Scheme payloads:
 //!
 //! | scheme | payload |
 //! |---|---|
@@ -47,8 +49,8 @@
 use bytes::{Buf, BufMut, BytesMut};
 
 use crate::message::{
-    encode_update_into, encoded_frame_len, DecodeError, HEADER_LEN, PROTOCOL_VERSION, TAG_UPDATE,
-    VERSION_MARKER,
+    encode_update_into, encoded_frame_len, expect_len, put_f64s, put_header, DecodeError, F64s,
+    Header, TAG_UPDATE,
 };
 
 /// Tag byte of a compressed-update frame.
@@ -120,21 +122,16 @@ impl std::fmt::Display for UpdateCodec {
 /// `param_count` parameters under `codec` — the exact frame length,
 /// computable up front so pooled buffers can be acquired at capacity.
 pub fn compressed_frame_len(codec: UpdateCodec, param_count: usize) -> usize {
+    let envelope = encoded_frame_len(0) + CODEC_SUBHEADER_LEN;
     match codec {
         UpdateCodec::None => encoded_frame_len(param_count),
-        UpdateCodec::Dense => 1 + HEADER_LEN + CODEC_SUBHEADER_LEN + 8 * param_count,
+        UpdateCodec::Dense => envelope + 8 * param_count,
         UpdateCodec::Quant { bits } => {
             let chunks = param_count.div_ceil(QUANT_CHUNK);
             let per_value = if bits == 16 { 2 } else { 1 };
-            1 + HEADER_LEN
-                + CODEC_SUBHEADER_LEN
-                + chunks * QUANT_CHUNK_HEADER
-                + per_value * param_count
+            envelope + chunks * QUANT_CHUNK_HEADER + per_value * param_count
         }
-        UpdateCodec::TopK { k } => {
-            let k = k.min(param_count);
-            1 + HEADER_LEN + CODEC_SUBHEADER_LEN + 12 * k
-        }
+        UpdateCodec::TopK { k } => envelope + 12 * k.min(param_count),
     }
 }
 
@@ -161,20 +158,13 @@ pub fn encode_update_compressed_into(
         encode_update_into(round, node, params, buf);
         return;
     }
-    let len = u32::try_from(params.len()).expect("param count fits the wire header");
     buf.reserve(compressed_frame_len(codec, params.len()));
-    buf.put_u8(VERSION_MARKER | PROTOCOL_VERSION);
-    buf.put_u8(TAG_COMPRESSED);
-    buf.put_u32_le(round);
-    buf.put_u32_le(node);
-    buf.put_u32_le(len);
+    put_header(buf, TAG_COMPRESSED, round, node, params.len());
     match codec {
         UpdateCodec::None => unreachable!("handled above"),
         UpdateCodec::Dense => {
             put_subheader(buf, SCHEME_DENSE, 0, 0, 0);
-            for &p in params {
-                buf.put_f64_le(p);
-            }
+            put_f64s(buf, params);
         }
         UpdateCodec::Quant { bits } => {
             let bits = if bits == 16 { 16 } else { 8 };
@@ -313,25 +303,13 @@ fn select_topk(params: &[f64], k: usize, indices: &mut Vec<u32>) -> usize {
 /// carry no model update (broadcasts, adaptation traffic, garbage) —
 /// byte accounting should fall back to the physical size for those.
 pub fn logical_frame_len(frame: &[u8]) -> Option<usize> {
-    let mut frame = frame;
-    if let Some(&first) = frame.first() {
-        if first & VERSION_MARKER != 0 {
-            let version = first & !VERSION_MARKER;
-            if version == 0 || version > PROTOCOL_VERSION {
-                return None;
-            }
-            frame = &frame[1..];
-        }
+    let header = Header::parse(frame, 0, &[TAG_UPDATE, TAG_COMPRESSED]).ok()?;
+    if header.tag == TAG_UPDATE {
+        header.f64s().ok()?;
     }
-    if frame.len() < HEADER_LEN {
-        return None;
-    }
-    let tag = frame[0];
-    if tag != TAG_UPDATE && tag != TAG_COMPRESSED {
-        return None;
-    }
-    let len = u32::from_le_bytes(frame[9..13].try_into().expect("4 header bytes")) as usize;
-    Some(encoded_frame_len(len))
+    // `len` is socket-supplied and, for tag 6, not yet checked against
+    // anything: never let it overflow the byte counters' arithmetic.
+    8usize.checked_mul(header.len)?.checked_add(encoded_frame_len(0))
 }
 
 /// A parsed tag-6 compressed-update frame, borrowing its payload from
@@ -350,9 +328,7 @@ pub struct CompressedView<'a> {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SchemeView<'a> {
-    Dense {
-        payload: &'a [u8],
-    },
+    Dense(F64s<'a>),
     Quant {
         bits: u8,
         chunk: usize,
@@ -361,7 +337,7 @@ enum SchemeView<'a> {
     TopK {
         k: usize,
         indices: &'a [u8],
-        values: &'a [u8],
+        values: F64s<'a>,
     },
 }
 
@@ -379,29 +355,10 @@ impl<'a> CompressedView<'a> {
     /// subheader or payload violates the canonical-encoding rules
     /// (unknown scheme, bad quant bits, non-finite scale, oversized or
     /// unsorted index table, nonzero unused meta slots).
-    pub fn parse(mut frame: &'a [u8]) -> Result<CompressedView<'a>, DecodeError> {
-        match frame.first() {
-            None => return Err(DecodeError::Truncated),
-            Some(&first) if first & VERSION_MARKER != 0 => {
-                let version = first & !VERSION_MARKER;
-                if !(COMPRESSED_MIN_VERSION..=PROTOCOL_VERSION).contains(&version) {
-                    return Err(DecodeError::UnsupportedVersion(version));
-                }
-                frame = &frame[1..];
-            }
-            // Legacy v0 frames predate the codec: not a compressed frame.
-            Some(&tag) => return Err(DecodeError::UnknownTag(tag)),
-        }
-        if frame.len() < HEADER_LEN {
-            return Err(DecodeError::Truncated);
-        }
-        let tag = frame.get_u8();
-        if tag != TAG_COMPRESSED {
-            return Err(DecodeError::UnknownTag(tag));
-        }
-        let round = frame.get_u32_le();
-        let node = frame.get_u32_le();
-        let len = frame.get_u32_le() as usize;
+    pub fn parse(frame: &'a [u8]) -> Result<CompressedView<'a>, DecodeError> {
+        let header = Header::parse(frame, COMPRESSED_MIN_VERSION, &[TAG_COMPRESSED])?;
+        let (round, node, len) = (header.slot_a, header.slot_b, header.len);
+        let mut frame = header.body;
         if frame.len() < CODEC_SUBHEADER_LEN {
             return Err(DecodeError::Truncated);
         }
@@ -414,8 +371,7 @@ impl<'a> CompressedView<'a> {
                 if meta_a != 0 || meta_b != 0 || meta_c != 0 {
                     return Err(DecodeError::Malformed("dense frames carry no codec meta"));
                 }
-                expect_payload(frame, 8usize.checked_mul(len))?;
-                SchemeView::Dense { payload: frame }
+                SchemeView::Dense(F64s::new(frame, len)?)
             }
             SCHEME_QUANT => {
                 if meta_a != 8 && meta_a != 16 {
@@ -433,7 +389,7 @@ impl<'a> CompressedView<'a> {
                 let expected = chunks
                     .checked_mul(QUANT_CHUNK_HEADER)
                     .and_then(|h| per_value.checked_mul(len).and_then(|v| h.checked_add(v)));
-                expect_payload(frame, expected)?;
+                expect_len(frame, expected)?;
                 validate_quant_chunks(frame, chunk, per_value, len)?;
                 SchemeView::Quant {
                     bits: meta_a,
@@ -449,10 +405,14 @@ impl<'a> CompressedView<'a> {
                 if k > len {
                     return Err(DecodeError::Malformed("top-k count exceeds parameter count"));
                 }
-                expect_payload(frame, 12usize.checked_mul(k))?;
+                expect_len(frame, 12usize.checked_mul(k))?;
                 let (indices, values) = frame.split_at(4 * k);
                 validate_topk_indices(indices, len)?;
-                SchemeView::TopK { k, indices, values }
+                SchemeView::TopK {
+                    k,
+                    indices,
+                    values: F64s::new(values, k)?,
+                }
             }
             _ => return Err(DecodeError::Malformed("unknown compression scheme")),
         };
@@ -498,33 +458,14 @@ impl<'a> CompressedView<'a> {
     /// Lazily reconstructs the parameters in wire order, dequantizing
     /// (or zero-filling, for top-k) on the fly — no allocation.
     pub fn params_iter(&self) -> ParamsIter<'a> {
-        let inner = match self.scheme {
-            SchemeView::Dense { payload } => IterKind::Dense { payload, at: 0 },
-            SchemeView::Quant {
-                bits,
-                chunk,
-                payload,
-            } => IterKind::Quant {
-                bits,
-                chunk,
-                payload,
-                cursor: 0,
-                in_chunk: 0,
-                scale: 0.0,
-                offset: 0.0,
-            },
-            SchemeView::TopK {
-                indices, values, ..
-            } => IterKind::TopK {
-                indices,
-                values,
-                entry: 0,
-            },
-        };
         ParamsIter {
-            inner,
+            scheme: self.scheme,
             pos: 0,
             len: self.len,
+            cursor: 0,
+            in_chunk: 0,
+            scale: 0.0,
+            offset: 0.0,
         }
     }
 
@@ -539,16 +480,6 @@ impl<'a> CompressedView<'a> {
     /// Materializes the reconstructed parameters into a fresh vector.
     pub fn params_to_vec(&self) -> Vec<f64> {
         self.params_iter().collect()
-    }
-}
-
-fn expect_payload(frame: &[u8], expected: Option<usize>) -> Result<(), DecodeError> {
-    match expected {
-        Some(expected) if expected == frame.len() => Ok(()),
-        expected => Err(DecodeError::LengthMismatch {
-            expected: expected.unwrap_or(usize::MAX),
-            actual: frame.len(),
-        }),
     }
 }
 
@@ -599,31 +530,17 @@ fn validate_topk_indices(indices: &[u8], len: usize) -> Result<(), DecodeError> 
 /// Lazy dequantizing parameter iterator of a [`CompressedView`].
 #[derive(Debug, Clone)]
 pub struct ParamsIter<'a> {
-    inner: IterKind<'a>,
+    scheme: SchemeView<'a>,
     pos: usize,
     len: usize,
-}
-
-#[derive(Debug, Clone)]
-enum IterKind<'a> {
-    Dense {
-        payload: &'a [u8],
-        at: usize,
-    },
-    Quant {
-        bits: u8,
-        chunk: usize,
-        payload: &'a [u8],
-        cursor: usize,
-        in_chunk: usize,
-        scale: f64,
-        offset: f64,
-    },
-    TopK {
-        indices: &'a [u8],
-        values: &'a [u8],
-        entry: usize,
-    },
+    /// Quant: byte offset of the next chunk header or value. Top-k:
+    /// next entry of the index table.
+    cursor: usize,
+    /// Quant: values already read from the current chunk, and its
+    /// constants.
+    in_chunk: usize,
+    scale: f64,
+    offset: f64,
 }
 
 impl Iterator for ParamsIter<'_> {
@@ -633,60 +550,45 @@ impl Iterator for ParamsIter<'_> {
         if self.pos >= self.len {
             return None;
         }
-        let value = match &mut self.inner {
-            IterKind::Dense { payload, at } => {
-                let v = f64::from_le_bytes(payload[*at..*at + 8].try_into().expect("8 bytes"));
-                *at += 8;
-                v
-            }
-            IterKind::Quant {
+        let value = match self.scheme {
+            SchemeView::Dense(values) => values.get(self.pos),
+            SchemeView::Quant {
                 bits,
                 chunk,
                 payload,
-                cursor,
-                in_chunk,
-                scale,
-                offset,
             } => {
-                if *in_chunk == 0 {
-                    *scale =
-                        f32::from_le_bytes(payload[*cursor..*cursor + 4].try_into().expect("4"))
-                            as f64;
-                    *offset = f32::from_le_bytes(
-                        payload[*cursor + 4..*cursor + 8].try_into().expect("4"),
-                    ) as f64;
-                    *cursor += QUANT_CHUNK_HEADER;
+                if self.in_chunk == 0 {
+                    let at = self.cursor;
+                    self.scale =
+                        f32::from_le_bytes(payload[at..at + 4].try_into().expect("4")) as f64;
+                    self.offset =
+                        f32::from_le_bytes(payload[at + 4..at + 8].try_into().expect("4")) as f64;
+                    self.cursor += QUANT_CHUNK_HEADER;
                 }
-                let q = if *bits == 16 {
-                    let q =
-                        u16::from_le_bytes(payload[*cursor..*cursor + 2].try_into().expect("2"));
-                    *cursor += 2;
-                    q as f64
+                let at = self.cursor;
+                let q = if bits == 16 {
+                    self.cursor += 2;
+                    u16::from_le_bytes(payload[at..at + 2].try_into().expect("2")) as f64
                 } else {
-                    let q = payload[*cursor];
-                    *cursor += 1;
-                    q as f64
+                    self.cursor += 1;
+                    payload[at] as f64
                 };
-                *in_chunk += 1;
-                if *in_chunk == *chunk {
-                    *in_chunk = 0;
+                self.in_chunk += 1;
+                if self.in_chunk == chunk {
+                    self.in_chunk = 0;
                 }
-                *offset + q * *scale
+                self.offset + q * self.scale
             }
-            IterKind::TopK {
-                indices,
-                values,
-                entry,
+            SchemeView::TopK {
+                indices, values, ..
             } => {
+                let entry = self.cursor;
                 let next_idx = indices
-                    .get(4 * *entry..4 * *entry + 4)
+                    .get(4 * entry..4 * entry + 4)
                     .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize);
                 if next_idx == Some(self.pos) {
-                    let v = f64::from_le_bytes(
-                        values[8 * *entry..8 * *entry + 8].try_into().expect("8"),
-                    );
-                    *entry += 1;
-                    v
+                    self.cursor += 1;
+                    values.get(entry)
                 } else {
                     0.0
                 }
@@ -708,7 +610,9 @@ impl ExactSizeIterator for ParamsIter<'_> {}
 mod tests {
     use super::*;
     use crate::framing::{prefix_frame, FrameBuffer};
-    use crate::message::{AdaptFrame, Message, MessageView, TAG_GLOBAL};
+    use crate::message::{
+        AdaptFrame, Message, MessageView, HEADER_LEN, PROTOCOL_VERSION, TAG_GLOBAL,
+    };
     use proptest::prelude::*;
 
     fn encode(codec: UpdateCodec, round: u32, node: u32, params: &[f64]) -> BytesMut {
@@ -846,6 +750,23 @@ mod tests {
         assert_eq!(logical_frame_len(&global), None);
         assert_eq!(logical_frame_len(&[0x82]), None);
         assert_eq!(logical_frame_len(&[]), None);
+        // A header that lies about `len` is not charged for it: a tag-2
+        // body must be exactly `8·len` bytes, and no claimed length may
+        // overflow the byte arithmetic.
+        let len_at = 1 + HEADER_LEN - 4;
+        let mut lying = tag2.to_vec();
+        lying[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(logical_frame_len(&lying), None);
+        lying.truncate(1 + HEADER_LEN);
+        assert_eq!(logical_frame_len(&lying), None);
+        let mut lying = topk.to_vec();
+        lying[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            logical_frame_len(&lying),
+            (u32::MAX as usize)
+                .checked_mul(8)
+                .map(|body| body + encoded_frame_len(0))
+        );
     }
 
     // --- negative paths ---------------------------------------------
@@ -1238,6 +1159,113 @@ mod tests {
             let mut copied = Vec::new();
             view.copy_params_into(&mut copied);
             prop_assert_eq!(lazy, copied);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn prop_every_reader_is_total_on_mutated_valid_frames(
+            kind in 0usize..11,
+            params in proptest::collection::vec(-1e6f64..1e6, 1..40),
+            k in 1usize..6,
+            cut in prop_oneof![Just(0usize), 0usize..64],
+            tail in prop_oneof![Just(Vec::new()), proptest::collection::vec(0u8..=255, 1..9)],
+            pokes in proptest::collection::vec(
+                (prop_oneof![Just(24usize), Just(usize::MAX)], 0usize..4096, 0u8..=255),
+                0..5,
+            ),
+        ) {
+            // Random bytes almost never get past the tag check, so start
+            // from a valid frame of every tag and scheme and damage it:
+            // drop up to `cut` trailing bytes, append `tail`, overwrite
+            // up to four bytes — half of them inside the first 24, where
+            // the header and the codec subheader live.
+            use crate::message::{
+                AdaptReject, AdaptRequest, AdaptResponse, RejectReason, SampleKind,
+            };
+            let (round, node) = (3, 1);
+            let update = Message::ModelUpdate { round, node, params: params.clone() };
+            let global = Message::GlobalModel { round, params: params.clone() };
+            let mut frame = match kind {
+                0 => global.encode().to_vec(),
+                1 => update.encode().to_vec(),
+                2 => global.encode_v0().to_vec(),
+                3 => update.encode_v0().to_vec(),
+                4 => AdaptRequest {
+                    req_id: round,
+                    node,
+                    alpha: 0.1,
+                    steps: 2,
+                    dim: 3,
+                    kind: SampleKind::Value,
+                    xs: params.iter().cycle().take(3 * k).copied().collect(),
+                    ys: params.iter().cycle().take(k).copied().collect(),
+                }
+                .encode()
+                .to_vec(),
+                5 => AdaptResponse { req_id: node, global_round: round, params: params.clone() }
+                    .encode()
+                    .to_vec(),
+                6 => AdaptReject { req_id: node, reason: RejectReason::Busy }.encode().to_vec(),
+                7 => encode(UpdateCodec::Dense, round, node, &params).to_vec(),
+                8 => encode(UpdateCodec::Quant { bits: 8 }, round, node, &params).to_vec(),
+                9 => encode(UpdateCodec::Quant { bits: 16 }, round, node, &params).to_vec(),
+                _ => encode(UpdateCodec::TopK { k }, round, node, &params).to_vec(),
+            };
+            frame.truncate(frame.len().saturating_sub(cut));
+            frame.extend_from_slice(&tail);
+            for (window, at, byte) in pokes {
+                if !frame.is_empty() {
+                    let at = at % frame.len().min(window);
+                    frame[at] = byte;
+                }
+            }
+
+            let training = MessageView::parse(&frame).ok();
+            let adapt = AdaptFrame::parse(&frame).ok();
+            let compressed = CompressedView::parse(&frame).ok();
+            let accepted = [training.is_some(), adapt.is_some(), compressed.is_some()];
+            prop_assert!(
+                accepted.iter().filter(|&&ok| ok).count() <= 1,
+                "frame accepted by more than one plane: {:?}", accepted
+            );
+
+            // An accepted view yields exactly the values it announces,
+            // and the byte-accounting peek agrees with the full parse.
+            let mut logical = None;
+            if let Some(view) = training {
+                prop_assert_eq!(view.params_iter().count(), view.len());
+                if view.is_update() {
+                    logical = Some(encoded_frame_len(view.len()));
+                }
+            }
+            match adapt {
+                Some(AdaptFrame::Request(view)) => {
+                    let (k, dim) = (view.k() as usize, view.dim() as usize);
+                    prop_assert_eq!(view.xs_iter().count(), k * dim);
+                    prop_assert_eq!(view.ys_iter().count(), k);
+                }
+                Some(AdaptFrame::Response(view)) => {
+                    prop_assert_eq!(view.params_iter().count(), view.len());
+                }
+                Some(AdaptFrame::Reject(_)) | None => {}
+            }
+            if let Some(view) = compressed {
+                prop_assert_eq!(view.params_iter().len(), view.len());
+                // A poked top-k `len` can legally announce billions of
+                // zeros; walk the iterator only when that is cheap.
+                if view.len() <= 1 << 16 {
+                    prop_assert_eq!(view.params_iter().count(), view.len());
+                }
+                logical = view.len().checked_mul(8).map(|body| body + encoded_frame_len(0));
+            }
+            if accepted.contains(&true) {
+                prop_assert_eq!(logical_frame_len(&frame), logical);
+            } else {
+                let _ = logical_frame_len(&frame);
+            }
         }
     }
 }

@@ -1,42 +1,22 @@
 //! The platform⇄edge wire protocol.
 //!
-//! Messages are encoded as length-prefixed binary frames:
+//! Every frame on every plane — training, compressed uplink, adaptation
+//! service — is one 14-byte header followed by a tag-specific body; the
+//! table of tags, minimum versions, slot meanings and bodies is in
+//! DESIGN.md ("Wire frames"). The format exists so that the simulator's
+//! communication accounting reflects *actual serialized bytes* — the
+//! quantity a real deployment pays for on the uplink.
 //!
-//! ```text
-//! [ version: u8 ][ tag: u8 ][ round: u32 ][ node: u32 ][ len: u32 ][ f64 × len ]
-//! ```
-//!
-//! All integers and floats are little-endian. The format exists so that
-//! the simulator's communication accounting reflects *actual serialized
-//! bytes* — the quantity a real deployment pays for on the uplink.
-//!
-//! # Versioning
-//!
-//! The leading version byte is `0x80 | version` — its high bit is set,
-//! which no message tag ever has, so a decoder can tell a versioned
-//! frame from a legacy (v0) frame by inspecting the first byte alone.
-//! Legacy frames start directly at the tag byte and are still accepted:
-//! an absent version byte means v0. Encoders emit
-//! [`PROTOCOL_VERSION`]; decoders accept every older version back to v0
-//! (the training-frame layout is identical after the version byte in
-//! all of them) and reject anything newer with
-//! [`DecodeError::UnsupportedVersion`].
-//!
-//! # Protocol v2: adaptation frames
-//!
-//! v2 keeps the training frames (tags 1–2) byte-for-byte and adds three
-//! request/response tags for the target-node adaptation service:
-//! [`AdaptRequest`] (tag 3), [`AdaptResponse`] (tag 4) and
-//! [`AdaptReject`] (tag 5). Adaptation frames reuse the exact physical
-//! shape above — two u32 header slots and an all-`f64` payload — so the
-//! length-prefixed framing layer, the frame pool, and every transport
-//! carry them unchanged. They are parsed by [`AdaptFrame::parse`], a
-//! zero-copy view kept deliberately separate from [`MessageView`]: a
-//! training endpoint fed an adaptation frame (or vice versa) reports
-//! [`DecodeError::UnknownTag`] instead of misinterpreting it. Because
-//! the tags were introduced in v2 there are no legacy adaptation
-//! frames: [`AdaptFrame::parse`] requires an explicit version byte of
-//! at least [`ADAPT_MIN_VERSION`].
+//! The header layout is known to exactly one reader, `Header::parse`,
+//! and one writer, `put_header`; the all-`f64` bodies go through
+//! `F64s` and `put_f64s`. Each plane's public parser — [`MessageView`]
+//! (tags 1–2), [`AdaptFrame`] (tags 3–5, v2+) and
+//! [`CompressedView`](crate::CompressedView) (tag 6, v2+) — hands
+//! `Header::parse` the tags it owns and the version they were born in,
+//! so a frame fed to the wrong plane reports
+//! [`DecodeError::UnknownTag`] instead of being misread. Encoders emit
+//! [`PROTOCOL_VERSION`]; a frame with no version byte is a legacy v0
+//! training frame and still decodes.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -54,8 +34,9 @@ pub const PROTOCOL_VERSION: u8 = 2;
 pub const ADAPT_MIN_VERSION: u8 = 2;
 
 /// High bit marking the first byte of a frame as a version byte rather
-/// than a (legacy, v0) tag byte.
-pub(crate) const VERSION_MARKER: u8 = 0x80;
+/// than a (legacy, v0) tag byte: no tag ever has it set, so the first
+/// byte alone tells the two apart.
+const VERSION_MARKER: u8 = 0x80;
 
 pub(crate) const TAG_GLOBAL: u8 = 1;
 pub(crate) const TAG_UPDATE: u8 = 2;
@@ -134,6 +115,148 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// The fixed part of a frame, `[0x80|ver][tag][u32][u32][len:u32]`,
+/// split from the body that follows it. What the two `u32` slots and
+/// `len` mean is up to the tag's plane.
+pub(crate) struct Header<'a> {
+    pub(crate) tag: u8,
+    pub(crate) slot_a: u32,
+    pub(crate) slot_b: u32,
+    pub(crate) len: usize,
+    pub(crate) body: &'a [u8],
+}
+
+impl<'a> Header<'a> {
+    /// Reads the header of a frame that must carry one of `tags` at
+    /// version `min_version..=PROTOCOL_VERSION`. `min_version` 0 also
+    /// admits legacy frames, which start at the tag byte.
+    ///
+    /// An unknown tag is rejected before any other field is trusted: an
+    /// adversarial frame does no work beyond the header read.
+    pub(crate) fn parse(
+        mut frame: &'a [u8],
+        min_version: u8,
+        tags: &[u8],
+    ) -> Result<Self, DecodeError> {
+        match frame.first() {
+            Some(&first) if first & VERSION_MARKER != 0 => {
+                let version = first & !VERSION_MARKER;
+                // v0 is the *absence* of the version byte, never `0x80`.
+                if version < min_version.max(1) || version > PROTOCOL_VERSION {
+                    return Err(DecodeError::UnsupportedVersion(version));
+                }
+                frame = &frame[1..];
+            }
+            // A plane born after v0 has no legacy frames: whatever the
+            // first byte says, it is not one of its tags.
+            Some(&tag) if min_version > 0 => return Err(DecodeError::UnknownTag(tag)),
+            _ => {}
+        }
+        if frame.len() < HEADER_LEN {
+            return Err(DecodeError::Truncated);
+        }
+        let tag = frame.get_u8();
+        if !tags.contains(&tag) {
+            return Err(DecodeError::UnknownTag(tag));
+        }
+        let slot_a = frame.get_u32_le();
+        let slot_b = frame.get_u32_le();
+        let len = frame.get_u32_le() as usize;
+        Ok(Header {
+            tag,
+            slot_a,
+            slot_b,
+            len,
+            body: frame,
+        })
+    }
+
+    /// The body as exactly `len` parameters.
+    pub(crate) fn f64s(&self) -> Result<F64s<'a>, DecodeError> {
+        F64s::new(self.body, self.len)
+    }
+}
+
+/// Checks a body against the byte count its header implies. The count
+/// comes from socket-supplied `u32`s, so callers compute it in checked
+/// arithmetic and overflow (`None`) is a mismatch like any other.
+pub(crate) fn expect_len(body: &[u8], expected: Option<usize>) -> Result<(), DecodeError> {
+    match expected {
+        Some(expected) if expected == body.len() => Ok(()),
+        expected => Err(DecodeError::LengthMismatch {
+            expected: expected.unwrap_or(usize::MAX),
+            actual: body.len(),
+        }),
+    }
+}
+
+/// A run of little-endian `f64`s borrowed from a frame and decoded
+/// lazily — no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct F64s<'a>(&'a [u8]);
+
+impl<'a> F64s<'a> {
+    /// `bytes` as exactly `len` values.
+    pub(crate) fn new(bytes: &'a [u8], len: usize) -> Result<Self, DecodeError> {
+        expect_len(bytes, 8usize.checked_mul(len))?;
+        Ok(F64s(bytes))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    pub(crate) fn get(&self, i: usize) -> f64 {
+        f64::from_le_bytes(self.0[8 * i..8 * i + 8].try_into().expect("slice is 8 bytes"))
+    }
+
+    pub(crate) fn split_at(&self, n: usize) -> (Self, Self) {
+        let (head, tail) = self.0.split_at(8 * n);
+        (F64s(head), F64s(tail))
+    }
+
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        self.0
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
+    }
+
+    /// Overwrites `out` with the values, reusing its capacity.
+    pub(crate) fn copy_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(self.len());
+        out.extend(self.iter());
+    }
+}
+
+/// Appends the current-version frame header — the one place the layout
+/// is written.
+///
+/// # Panics
+///
+/// Panics if `len` exceeds `u32::MAX`: the header could not describe
+/// the frame.
+pub(crate) fn put_header(buf: &mut BytesMut, tag: u8, slot_a: u32, slot_b: u32, len: usize) {
+    buf.put_u8(VERSION_MARKER | PROTOCOL_VERSION);
+    buf.put_u8(tag);
+    buf.put_u32_le(slot_a);
+    buf.put_u32_le(slot_b);
+    buf.put_u32_le(u32::try_from(len).expect("payload count fits the wire header"));
+}
+
+pub(crate) fn put_f64s(buf: &mut BytesMut, values: &[f64]) {
+    for &v in values {
+        buf.put_f64_le(v);
+    }
+}
+
+/// Appends a whole frame whose body is `params` and nothing else.
+fn put_frame(buf: &mut BytesMut, tag: u8, slot_a: u32, slot_b: u32, params: &[f64]) {
+    buf.reserve(encoded_frame_len(params.len()));
+    put_header(buf, tag, slot_a, slot_b, params.len());
+    put_f64s(buf, params);
+}
+
 impl Message {
     /// The round this message belongs to.
     pub fn round(&self) -> u32 {
@@ -152,7 +275,7 @@ impl Message {
     /// Serialized size in bytes (what the link will be charged):
     /// version byte + header + payload.
     pub fn encoded_len(&self) -> usize {
-        1 + HEADER_LEN + 8 * self.params().len()
+        encoded_frame_len(self.params().len())
     }
 
     /// Encodes into a binary frame at the current [`PROTOCOL_VERSION`].
@@ -187,36 +310,7 @@ impl Message {
     /// compatibility with pre-versioning peers can be tested: every v0
     /// frame must keep decoding forever.
     pub fn encode_v0(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len() - 1);
-        self.encode_body(&mut buf);
-        buf.freeze()
-    }
-
-    fn encode_body(&self, buf: &mut BytesMut) {
-        match self {
-            Message::GlobalModel { round, params } => {
-                buf.put_u8(TAG_GLOBAL);
-                buf.put_u32_le(*round);
-                buf.put_u32_le(0);
-                buf.put_u32_le(params.len() as u32);
-                for &p in params {
-                    buf.put_f64_le(p);
-                }
-            }
-            Message::ModelUpdate {
-                round,
-                node,
-                params,
-            } => {
-                buf.put_u8(TAG_UPDATE);
-                buf.put_u32_le(*round);
-                buf.put_u32_le(*node);
-                buf.put_u32_le(params.len() as u32);
-                for &p in params {
-                    buf.put_f64_le(p);
-                }
-            }
-        }
+        Bytes::copy_from_slice(&self.encode()[1..])
     }
 
     /// Decodes a binary frame (versioned or legacy v0).
@@ -245,30 +339,14 @@ pub const fn encoded_frame_len(param_count: usize) -> usize {
 /// requiring an owned `Vec<f64>` — byte-identical to
 /// `Message::GlobalModel { round, params: params.to_vec() }.encode()`.
 pub fn encode_global_into(round: u32, params: &[f64], buf: &mut BytesMut) {
-    buf.reserve(1 + HEADER_LEN + 8 * params.len());
-    buf.put_u8(VERSION_MARKER | PROTOCOL_VERSION);
-    buf.put_u8(TAG_GLOBAL);
-    buf.put_u32_le(round);
-    buf.put_u32_le(0);
-    buf.put_u32_le(params.len() as u32);
-    for &p in params {
-        buf.put_f64_le(p);
-    }
+    put_frame(buf, TAG_GLOBAL, round, 0, params);
 }
 
 /// Appends a versioned [`Message::ModelUpdate`] frame to `buf` without
 /// requiring an owned `Vec<f64>` — byte-identical to
 /// `Message::ModelUpdate { round, node, params: params.to_vec() }.encode()`.
 pub fn encode_update_into(round: u32, node: u32, params: &[f64], buf: &mut BytesMut) {
-    buf.reserve(1 + HEADER_LEN + 8 * params.len());
-    buf.put_u8(VERSION_MARKER | PROTOCOL_VERSION);
-    buf.put_u8(TAG_UPDATE);
-    buf.put_u32_le(round);
-    buf.put_u32_le(node);
-    buf.put_u32_le(params.len() as u32);
-    for &p in params {
-        buf.put_f64_le(p);
-    }
+    put_frame(buf, TAG_UPDATE, round, node, params);
 }
 
 /// A decoded frame that *borrows* its payload: the header fields are
@@ -281,8 +359,7 @@ pub struct MessageView<'a> {
     tag: u8,
     round: u32,
     node: u32,
-    /// Raw little-endian payload, exactly `8 * len` bytes.
-    payload: &'a [u8],
+    payload: F64s<'a>,
 }
 
 impl<'a> MessageView<'a> {
@@ -294,49 +371,13 @@ impl<'a> MessageView<'a> {
     /// The same taxonomy as [`Message::decode`]: [`DecodeError`] for
     /// truncated frames, unknown tags, unsupported versions, or length
     /// mismatches.
-    pub fn parse(mut frame: &'a [u8]) -> Result<Self, DecodeError> {
-        // A version byte has its high bit set; tags never do. An absent
-        // version byte therefore unambiguously means a legacy v0 frame.
-        if let Some(&first) = frame.first() {
-            if first & VERSION_MARKER != 0 {
-                let version = first & !VERSION_MARKER;
-                if version == 0 || version > PROTOCOL_VERSION {
-                    return Err(DecodeError::UnsupportedVersion(version));
-                }
-                frame = &frame[1..];
-            }
-        }
-        if frame.len() < HEADER_LEN {
-            return Err(DecodeError::Truncated);
-        }
-        let tag = frame.get_u8();
-        // Reject unknown tags before trusting any other header field: an
-        // adversarial frame should do no work (and no allocation) beyond
-        // the header read.
-        if tag != TAG_GLOBAL && tag != TAG_UPDATE {
-            return Err(DecodeError::UnknownTag(tag));
-        }
-        let round = frame.get_u32_le();
-        let node = frame.get_u32_le();
-        let len = frame.get_u32_le() as usize;
-        // Overflow-safe payload check: `8 * len` can wrap on 32-bit
-        // targets where `len` comes from an attacker-controlled u32, so
-        // compute the expected byte count in checked arithmetic and treat
-        // overflow as a mismatch.
-        match 8usize.checked_mul(len) {
-            Some(expected) if expected == frame.len() => {}
-            expected => {
-                return Err(DecodeError::LengthMismatch {
-                    expected: expected.unwrap_or(usize::MAX),
-                    actual: frame.len(),
-                })
-            }
-        }
+    pub fn parse(frame: &'a [u8]) -> Result<Self, DecodeError> {
+        let header = Header::parse(frame, 0, &[TAG_GLOBAL, TAG_UPDATE])?;
         Ok(MessageView {
-            tag,
-            round,
-            node,
-            payload: frame,
+            tag: header.tag,
+            round: header.slot_a,
+            node: header.slot_b,
+            payload: header.f64s()?,
         })
     }
 
@@ -363,20 +404,18 @@ impl<'a> MessageView<'a> {
 
     /// Number of `f64` parameters in the payload.
     pub fn len(&self) -> usize {
-        self.payload.len() / 8
+        self.payload.len()
     }
 
     /// Whether the payload carries no parameters.
     pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
+        self.len() == 0
     }
 
     /// Lazily decodes the parameters in wire order, straight out of the
     /// frame buffer — no allocation.
     pub fn params_iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
-        self.payload
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
+        self.payload.iter()
     }
 
     /// Materializes the parameters into a fresh vector.
@@ -387,9 +426,7 @@ impl<'a> MessageView<'a> {
     /// Overwrites `out` with the parameters, reusing its capacity — the
     /// zero-allocation way to keep an owned copy across rounds.
     pub fn copy_params_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.len());
-        out.extend(self.params_iter());
+        self.payload.copy_into(out);
     }
 
     /// Materializes the whole frame as an owned [`Message`].
@@ -631,7 +668,7 @@ impl AdaptReject {
 /// Serialized size in bytes of an [`AdaptRequest`] frame carrying `k`
 /// samples of dimension `dim`.
 pub const fn encoded_adapt_request_len(k: usize, dim: usize) -> usize {
-    1 + HEADER_LEN + 8 * (ADAPT_REQUEST_PREFIX + k * dim + k)
+    encoded_frame_len(ADAPT_REQUEST_PREFIX + k * dim + k)
 }
 
 /// Serialized size in bytes of an [`AdaptResponse`] frame carrying
@@ -656,50 +693,37 @@ pub fn encode_adapt_request_into(req: &AdaptRequest, buf: &mut BytesMut) {
         "AdaptRequest xs/ys shape mismatch: {} features for {k} samples of dim {dim}",
         req.xs.len(),
     );
-    let payload = ADAPT_REQUEST_PREFIX + k * dim + k;
-    buf.reserve(1 + HEADER_LEN + 8 * payload);
-    buf.put_u8(VERSION_MARKER | PROTOCOL_VERSION);
-    buf.put_u8(TAG_ADAPT_REQUEST);
-    buf.put_u32_le(req.req_id);
-    buf.put_u32_le(req.node);
-    buf.put_u32_le(payload as u32);
-    buf.put_f64_le(req.alpha);
-    buf.put_f64_le(req.steps as f64);
-    buf.put_f64_le(k as f64);
-    buf.put_f64_le(req.dim as f64);
-    buf.put_f64_le(req.kind.code());
-    for &x in &req.xs {
-        buf.put_f64_le(x);
-    }
-    for &y in &req.ys {
-        buf.put_f64_le(y);
-    }
+    let prefix: [f64; ADAPT_REQUEST_PREFIX] = [
+        req.alpha,
+        req.steps as f64,
+        k as f64,
+        req.dim as f64,
+        req.kind.code(),
+    ];
+    buf.reserve(encoded_adapt_request_len(k, dim));
+    put_header(
+        buf,
+        TAG_ADAPT_REQUEST,
+        req.req_id,
+        req.node,
+        ADAPT_REQUEST_PREFIX + k * dim + k,
+    );
+    put_f64s(buf, &prefix);
+    put_f64s(buf, &req.xs);
+    put_f64s(buf, &req.ys);
 }
 
 /// Appends a versioned [`AdaptResponse`] frame to `buf` — byte-identical
 /// to [`AdaptResponse::encode`], reusing `buf`'s capacity. This is the
 /// serving hot path: a pooled buffer in, a refcounted frame out.
 pub fn encode_adapt_response_into(req_id: u32, global_round: u32, params: &[f64], buf: &mut BytesMut) {
-    buf.reserve(1 + HEADER_LEN + 8 * params.len());
-    buf.put_u8(VERSION_MARKER | PROTOCOL_VERSION);
-    buf.put_u8(TAG_ADAPT_RESPONSE);
-    buf.put_u32_le(global_round);
-    buf.put_u32_le(req_id);
-    buf.put_u32_le(params.len() as u32);
-    for &p in params {
-        buf.put_f64_le(p);
-    }
+    put_frame(buf, TAG_ADAPT_RESPONSE, global_round, req_id, params);
 }
 
 /// Appends a versioned [`AdaptReject`] frame to `buf` — byte-identical
 /// to [`AdaptReject::encode`], reusing `buf`'s capacity.
 pub fn encode_adapt_reject_into(req_id: u32, reason: RejectReason, buf: &mut BytesMut) {
-    buf.reserve(1 + HEADER_LEN);
-    buf.put_u8(VERSION_MARKER | PROTOCOL_VERSION);
-    buf.put_u8(TAG_ADAPT_REJECT);
-    buf.put_u32_le(req_id);
-    buf.put_u32_le(reason.code());
-    buf.put_u32_le(0);
+    put_frame(buf, TAG_ADAPT_REJECT, req_id, reason.code(), &[]);
 }
 
 /// Zero-copy view of an [`AdaptRequest`] frame: the prefix fields are
@@ -714,8 +738,8 @@ pub struct AdaptRequestView<'a> {
     k: u32,
     dim: u32,
     kind: SampleKind,
-    /// Raw little-endian sample block: `8 · (k·dim + k)` bytes.
-    samples: &'a [u8],
+    xs: F64s<'a>,
+    ys: F64s<'a>,
 }
 
 impl<'a> AdaptRequestView<'a> {
@@ -761,18 +785,12 @@ impl<'a> AdaptRequestView<'a> {
     /// Lazily decodes the flattened features (`k · dim` values,
     /// row-major) straight out of the frame buffer.
     pub fn xs_iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
-        let n = self.k as usize * self.dim as usize;
-        self.samples[..8 * n]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
+        self.xs.iter()
     }
 
     /// Lazily decodes the `k` support labels.
     pub fn ys_iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
-        let n = self.k as usize * self.dim as usize;
-        self.samples[8 * n..]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
+        self.ys.iter()
     }
 
     /// Materializes the whole frame as an owned [`AdaptRequest`].
@@ -795,8 +813,7 @@ impl<'a> AdaptRequestView<'a> {
 pub struct AdaptResponseView<'a> {
     req_id: u32,
     global_round: u32,
-    /// Raw little-endian parameters, exactly `8 · len` bytes.
-    payload: &'a [u8],
+    payload: F64s<'a>,
 }
 
 impl<'a> AdaptResponseView<'a> {
@@ -812,12 +829,12 @@ impl<'a> AdaptResponseView<'a> {
 
     /// Number of `f64` parameters in the payload.
     pub fn len(&self) -> usize {
-        self.payload.len() / 8
+        self.payload.len()
     }
 
     /// Whether the payload carries no parameters.
     pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
+        self.len() == 0
     }
 
     fn tag(&self) -> u8 {
@@ -826,16 +843,12 @@ impl<'a> AdaptResponseView<'a> {
 
     /// Lazily decodes the personalized parameters in wire order.
     pub fn params_iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
-        self.payload
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
+        self.payload.iter()
     }
 
     /// Overwrites `out` with the parameters, reusing its capacity.
     pub fn copy_params_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.len());
-        out.extend(self.params_iter());
+        self.payload.copy_into(out);
     }
 
     /// Materializes the whole frame as an owned [`AdaptResponse`].
@@ -873,62 +886,33 @@ impl<'a> AdaptFrame<'a> {
     /// [`DecodeError::LengthMismatch`] for structural damage, and
     /// [`DecodeError::Malformed`] when a request's declared counts or
     /// codes are inconsistent with its payload.
-    pub fn parse(mut frame: &'a [u8]) -> Result<AdaptFrame<'a>, DecodeError> {
-        match frame.first() {
-            None => return Err(DecodeError::Truncated),
-            Some(&first) if first & VERSION_MARKER != 0 => {
-                let version = first & !VERSION_MARKER;
-                if version < ADAPT_MIN_VERSION || version > PROTOCOL_VERSION {
-                    return Err(DecodeError::UnsupportedVersion(version));
-                }
-                frame = &frame[1..];
-            }
-            // Legacy v0 frames predate the adaptation tags: whatever the
-            // tag byte says, it is not an adaptation frame.
-            Some(&tag) => return Err(DecodeError::UnknownTag(tag)),
-        }
-        if frame.len() < HEADER_LEN {
-            return Err(DecodeError::Truncated);
-        }
-        let tag = frame.get_u8();
-        if tag != TAG_ADAPT_REQUEST && tag != TAG_ADAPT_RESPONSE && tag != TAG_ADAPT_REJECT {
-            return Err(DecodeError::UnknownTag(tag));
-        }
-        let slot_a = frame.get_u32_le();
-        let slot_b = frame.get_u32_le();
-        let len = frame.get_u32_le() as usize;
-        match 8usize.checked_mul(len) {
-            Some(expected) if expected == frame.len() => {}
-            expected => {
-                return Err(DecodeError::LengthMismatch {
-                    expected: expected.unwrap_or(usize::MAX),
-                    actual: frame.len(),
-                })
-            }
-        }
+    pub fn parse(frame: &'a [u8]) -> Result<AdaptFrame<'a>, DecodeError> {
+        const TAGS: [u8; 3] = [TAG_ADAPT_REQUEST, TAG_ADAPT_RESPONSE, TAG_ADAPT_REJECT];
+        let header = Header::parse(frame, ADAPT_MIN_VERSION, &TAGS)?;
+        let payload = header.f64s()?;
+        let Header {
+            tag,
+            slot_a,
+            slot_b,
+            len,
+            ..
+        } = header;
         match tag {
             TAG_ADAPT_REQUEST => {
                 if len < ADAPT_REQUEST_PREFIX {
                     return Err(DecodeError::Malformed("request payload shorter than prefix"));
                 }
-                let read = |i: usize| {
-                    f64::from_le_bytes(
-                        frame[8 * i..8 * (i + 1)]
-                            .try_into()
-                            .expect("slice is 8 bytes"),
-                    )
-                };
-                let alpha = read(0);
+                let alpha = payload.get(0);
                 if !alpha.is_finite() {
                     return Err(DecodeError::Malformed("alpha is not finite"));
                 }
-                let steps = wire_u32(read(1), "steps is not an integral u32")?;
-                let k = wire_u32(read(2), "k is not an integral u32")?;
-                let dim = wire_u32(read(3), "dim is not an integral u32")?;
+                let steps = wire_u32(payload.get(1), "steps is not an integral u32")?;
+                let k = wire_u32(payload.get(2), "k is not an integral u32")?;
+                let dim = wire_u32(payload.get(3), "dim is not an integral u32")?;
                 if k == 0 || dim == 0 {
                     return Err(DecodeError::Malformed("k and dim must be positive"));
                 }
-                let kind = SampleKind::from_code(read(4))?;
+                let kind = SampleKind::from_code(payload.get(4))?;
                 let sample_slots = (k as usize)
                     .checked_mul(dim as usize)
                     .and_then(|xs| xs.checked_add(k as usize));
@@ -940,6 +924,8 @@ impl<'a> AdaptFrame<'a> {
                         ))
                     }
                 }
+                let (_, samples) = payload.split_at(ADAPT_REQUEST_PREFIX);
+                let (xs, ys) = samples.split_at(k as usize * dim as usize);
                 Ok(AdaptFrame::Request(AdaptRequestView {
                     req_id: slot_a,
                     node: slot_b,
@@ -948,13 +934,14 @@ impl<'a> AdaptFrame<'a> {
                     k,
                     dim,
                     kind,
-                    samples: &frame[8 * ADAPT_REQUEST_PREFIX..],
+                    xs,
+                    ys,
                 }))
             }
             TAG_ADAPT_RESPONSE => Ok(AdaptFrame::Response(AdaptResponseView {
                 global_round: slot_a,
                 req_id: slot_b,
-                payload: frame,
+                payload,
             })),
             _ => {
                 if len != 0 {

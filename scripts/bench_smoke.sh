@@ -8,4 +8,7 @@ cd "$(dirname "$0")/.."
 
 cargo bench -p fml-bench --bench kernels -- --test
 cargo bench -p fml-bench --bench training -- --test
+# The two binaries that drive the wire API: every codec encode/decode
+# and a TCP/UDS/channel barrier round.
+cargo bench -p fml-bench --bench compression --bench transport -- --test
 echo "bench smoke: OK"
