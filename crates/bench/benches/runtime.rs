@@ -5,7 +5,7 @@
 //! `BENCH_pr3.json` at the repository root (skipped in `--test` mode).
 
 use criterion::{black_box, BenchmarkId, Criterion};
-use fml_core::{FedMl, FedMlConfig, SourceTask};
+use fml_core::{FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_models::{Model, SoftmaxRegression};
 use fml_runtime::{AsyncPolicy, Runtime, RuntimeConfig, VirtualClock};
 use fml_sim::Message;

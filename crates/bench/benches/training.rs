@@ -7,8 +7,8 @@
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use fml_core::{
-    FedAvg, FedAvgConfig, FedMl, FedMlConfig, MetaGradientMode, RobustFedMl, RobustFedMlConfig,
-    SourceTask,
+    FedAvg, FedAvgConfig, FedMl, FedMlConfig, LocalStepper, MetaGradientMode, RobustFedMl,
+    RobustFedMlConfig, SourceTask,
 };
 use fml_models::{Activation, Mlp, MlpBuilder, Model, SoftmaxRegression};
 use fml_sim::{SimConfig, SimRunner};

@@ -8,7 +8,7 @@
 
 use fml_bench::{ExpArgs, Experiment, Series};
 use fml_core::{
-    adapt, FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx, FedProxConfig, FederatedTrainer,
+    adapt, FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx, FedProxConfig, LocalStepper,
     MetaGradientMode, MetaSgd, MetaSgdConfig, Reptile, ReptileConfig, SourceTask, TrainOutput,
 };
 use fml_data::NodeData;
@@ -144,10 +144,10 @@ fn main() {
     // Sanity that every trainer exposes its name for logs.
     exp.note(format!(
         "trainers: {} {} {} {}",
-        fedml.name(),
-        reptile.name(),
-        fedprox.name(),
-        fedavg.name()
+        fedml.algorithm(),
+        reptile.algorithm(),
+        fedprox.algorithm(),
+        fedavg.algorithm()
     ));
     exp.finish(&args);
 }

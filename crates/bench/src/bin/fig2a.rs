@@ -28,7 +28,7 @@
 //!   reproduction finding.
 
 use fml_bench::{ExpArgs, Experiment, Series};
-use fml_core::{FedMl, FedMlConfig, SourceTask};
+use fml_core::{FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_data::NodeData;
 use fml_linalg::Matrix;
 use fml_models::{Batch, LinearRegression, Model};

@@ -6,7 +6,7 @@
 //! increasing in `T0`), while `T0 = 1` has no floor at all (Corollary 1).
 
 use fml_bench::{ExpArgs, Experiment, Series};
-use fml_core::{FedMl, FedMlConfig};
+use fml_core::{FedMl, FedMlConfig, LocalStepper};
 use fml_models::Model;
 use rand::SeedableRng;
 

@@ -6,7 +6,7 @@
 //! settings".
 
 use fml_bench::{ExpArgs, Experiment, Series};
-use fml_core::{FedMl, FedMlConfig};
+use fml_core::{FedMl, FedMlConfig, LocalStepper};
 use fml_models::Model;
 use rand::SeedableRng;
 

@@ -15,7 +15,7 @@
 //! *easier* on the "less similar" datasets and would invert the figure.
 
 use fml_bench::{ExpArgs, Experiment, Series};
-use fml_core::{adapt, FedMl, FedMlConfig};
+use fml_core::{adapt, FedMl, FedMlConfig, LocalStepper};
 use fml_models::Model;
 use rand::SeedableRng;
 

@@ -9,7 +9,7 @@
 //! uncertainty set is "too small to positively affect the robustness".
 
 use fml_bench::{ExpArgs, Experiment, Series};
-use fml_core::{adapt, FedMl, FedMlConfig, RobustFedMl, RobustFedMlConfig};
+use fml_core::{adapt, FedMl, FedMlConfig, LocalStepper, RobustFedMl, RobustFedMlConfig};
 use fml_dro::attack::BoxConstraint;
 use fml_models::Model;
 use rand::SeedableRng;

@@ -7,7 +7,7 @@
 //! Robust FedML over FedML is higher with more perturbed data".
 
 use fml_bench::{ExpArgs, Experiment, Series};
-use fml_core::{adapt, FedMl, FedMlConfig, RobustFedMl, RobustFedMlConfig};
+use fml_core::{adapt, FedMl, FedMlConfig, LocalStepper, RobustFedMl, RobustFedMlConfig};
 use fml_dro::attack::BoxConstraint;
 use fml_models::Model;
 use rand::SeedableRng;

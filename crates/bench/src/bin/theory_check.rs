@@ -8,7 +8,7 @@
 
 use fml_bench::{ExpArgs, Experiment, Series};
 use fml_core::theory::{MetaConstants, ProblemConstants, TheoremTwoBound};
-use fml_core::{weighted_meta_loss, FedMl, FedMlConfig, SourceTask};
+use fml_core::{weighted_meta_loss, FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_data::NodeData;
 use fml_linalg::Matrix;
 use fml_models::{Batch, Quadratic};

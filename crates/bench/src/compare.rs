@@ -1,7 +1,7 @@
 //! Shared FedML-vs-FedAvg adaptation comparison used by the Figure 3(c–e)
 //! binaries.
 
-use fml_core::{adapt, FedAvg, FedAvgConfig, FedMl, FedMlConfig, SourceTask};
+use fml_core::{adapt, FedAvg, FedAvgConfig, FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_data::NodeData;
 use fml_models::Model;
 use rand::SeedableRng;

@@ -1007,22 +1007,24 @@ fn build_trainer(cfg: &RunConfig) -> Trainer {
             prox,
             local_steps,
             rounds,
-        } => Trainer::FedProx(FedProx::new(
-            FedProxConfig::new(*lr, *prox)
+        } => Trainer::FedProx(FedProx::new(FedProxConfig {
+            eval_alpha: cfg.eval.adapt_lr,
+            ..FedProxConfig::new(*lr, *prox)
                 .with_local_steps(*local_steps)
                 .with_rounds(*rounds)
-                .with_record_every(0),
-        )),
+                .with_record_every(0)
+        })),
         AlgorithmConfig::Reptile {
             inner_lr,
             outer_lr,
             inner_steps,
             rounds,
-        } => Trainer::Reptile(Reptile::new(
-            ReptileConfig::new(*inner_lr, *outer_lr)
+        } => Trainer::Reptile(Reptile::new(ReptileConfig {
+            eval_alpha: cfg.eval.adapt_lr,
+            ..ReptileConfig::new(*inner_lr, *outer_lr)
                 .with_inner_steps(*inner_steps)
-                .with_rounds(*rounds),
-        )),
+                .with_rounds(*rounds)
+        })),
         AlgorithmConfig::Metasgd {
             alpha_init,
             beta,
@@ -1067,12 +1069,14 @@ impl Trainer {
         rng: &mut StdRng,
     ) -> (&'static str, TrainOutput) {
         match self {
-            Trainer::FedMl(t) => ("FedML", t.train_from(model, tasks, theta0)),
             Trainer::Robust(t) => ("RobustFedML", t.train_from(model, tasks, theta0, rng)),
-            Trainer::FedAvg(t) => ("FedAvg", t.train_from(model, tasks, theta0)),
-            Trainer::FedProx(t) => ("FedProx", t.train_from(model, tasks, theta0)),
-            Trainer::Reptile(t) => ("Reptile", t.train_from(model, tasks, theta0)),
             Trainer::MetaSgd(t) => ("MetaSGD", t.train_from(model, tasks, theta0).train),
+            on_seam => {
+                let s = on_seam
+                    .stepper("train")
+                    .expect("every other trainer is a stepper");
+                (s.algorithm(), s.train_from(model, tasks, theta0))
+            }
         }
     }
 }
@@ -1236,10 +1240,41 @@ mod tests {
             },
         ];
         for algo in algos {
-            let report = run(&tiny(algo.clone())).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+            let cfg = tiny(algo.clone());
+            let report = run(&cfg).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
             assert!(report.eval.final_loss.is_finite(), "{algo:?}");
             assert!(report.training.comm_rounds > 0);
+            // Every baseline's curve is scored at the evaluation's
+            // adaptation rate, so their meta losses are comparable.
+            let scored_at = match build_trainer(&cfg) {
+                Trainer::FedAvg(t) => t.config().eval_alpha,
+                Trainer::FedProx(t) => t.config().eval_alpha,
+                Trainer::Reptile(t) => t.config().eval_alpha,
+                _ => continue,
+            };
+            assert_eq!(scored_at, cfg.eval.adapt_lr, "{algo:?}");
         }
+    }
+
+    #[test]
+    fn fedprox_without_a_proximal_term_reports_fedavg_losses() {
+        let losses = |algorithm| {
+            let training = run(&tiny(algorithm)).unwrap().training;
+            (training.initial_meta_loss, training.final_meta_loss)
+        };
+        let (lr, local_steps, rounds) = (0.05, 2, 2);
+        let fedavg = AlgorithmConfig::Fedavg {
+            lr,
+            local_steps,
+            rounds,
+        };
+        let fedprox = AlgorithmConfig::Fedprox {
+            lr,
+            prox: 0.0,
+            local_steps,
+            rounds,
+        };
+        assert_eq!(losses(fedprox), losses(fedavg));
     }
 
     #[test]

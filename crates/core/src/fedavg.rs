@@ -1,8 +1,7 @@
-use fml_models::{Batch, Model};
-use rand::rngs::StdRng;
+use fml_models::Model;
 
-use crate::trainer::{aggregate, weighted_meta_loss, weighted_train_loss};
-use crate::{FederatedTrainer, RoundRecord, SourceTask, TrainOutput};
+use crate::trainer::curve_losses;
+use crate::{LocalStepper, SourceTask};
 
 /// Configuration for [`FedAvg`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,101 +110,47 @@ impl FedAvg {
     pub fn config(&self) -> &FedAvgConfig {
         &self.cfg
     }
+}
 
-    /// Runs `steps` local SGD iterations for a single node on its full
-    /// local dataset — the per-device unit of work used by the `fml-sim`
-    /// executor.
-    pub fn local_update(
+impl LocalStepper for FedAvg {
+    fn algorithm(&self) -> &'static str {
+        "FedAvg"
+    }
+
+    fn rounds(&self) -> usize {
+        self.cfg.rounds
+    }
+
+    fn local_steps(&self) -> usize {
+        self.cfg.local_steps
+    }
+
+    fn record_every(&self) -> usize {
+        self.cfg.record_every
+    }
+
+    /// `steps` of plain SGD on the node's full local dataset.
+    fn advance(
         &self,
         model: &dyn Model,
         task: &SourceTask,
-        theta: &[f64],
+        _anchor: &[f64],
+        theta_i: &mut [f64],
         steps: usize,
-    ) -> Vec<f64> {
+    ) {
         let full = task.split.train.concat(&task.split.test);
-        let mut theta_i = theta.to_vec();
         for _ in 0..steps {
-            let g = model.grad(&theta_i, &full);
-            fml_linalg::vector::axpy(-self.cfg.lr, &g, &mut theta_i);
-        }
-        theta_i
-    }
-
-    /// Runs FedAvg from an explicit initialization.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tasks` is empty or `theta0` has the wrong length.
-    pub fn train_from(
-        &self,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-    ) -> TrainOutput {
-        assert!(!tasks.is_empty(), "FedAvg: no source tasks");
-        assert_eq!(theta0.len(), model.param_len(), "FedAvg: bad theta0 length");
-        let cfg = &self.cfg;
-        // FedAvg trains on the full local dataset.
-        let full: Vec<Batch> = tasks
-            .iter()
-            .map(|t| t.split.train.concat(&t.split.test))
-            .collect();
-        let mut locals: Vec<Vec<f64>> = vec![theta0.to_vec(); tasks.len()];
-        let mut history = Vec::new();
-        let mut comm_rounds = 0;
-        let total = cfg.rounds * cfg.local_steps;
-        let threads = cfg
-            .threads
-            .unwrap_or_else(|| crate::parallel::default_threads(tasks.len()));
-
-        for t in 1..=total {
-            locals = crate::parallel::map_ordered(threads, &full, |i, batch| {
-                let mut theta_i = locals[i].clone();
-                let g = model.grad(&theta_i, batch);
-                fml_linalg::vector::axpy(-cfg.lr, &g, &mut theta_i);
-                theta_i
-            });
-            let aggregated = t % cfg.local_steps == 0;
-            if aggregated {
-                let global = aggregate(tasks, &locals);
-                for theta_i in &mut locals {
-                    theta_i.copy_from_slice(&global);
-                }
-                comm_rounds += 1;
-            }
-            let record =
-                aggregated || (cfg.record_every > 0 && t % cfg.record_every == 0) || t == total;
-            if record {
-                let avg = aggregate(tasks, &locals);
-                history.push(RoundRecord {
-                    iteration: t,
-                    meta_loss: weighted_meta_loss(model, tasks, &avg, cfg.eval_alpha),
-                    train_loss: weighted_train_loss(model, tasks, &avg),
-                    aggregated,
-                    reporters: tasks.len(),
-                    degraded: false,
-                });
-            }
-        }
-
-        let params = aggregate(tasks, &locals);
-        TrainOutput {
-            params,
-            history,
-            comm_rounds,
-            local_iterations: total,
+            let g = model.grad(theta_i, &full);
+            fml_linalg::vector::axpy(-self.cfg.lr, &g, theta_i);
         }
     }
-}
 
-impl FederatedTrainer for FedAvg {
-    fn train(&self, model: &dyn Model, tasks: &[SourceTask], rng: &mut StdRng) -> TrainOutput {
-        let theta0 = model.init_params(rng);
-        self.train_from(model, tasks, &theta0)
+    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64) {
+        curve_losses(model, tasks, theta, self.cfg.eval_alpha)
     }
 
-    fn name(&self) -> &'static str {
-        "FedAvg"
+    fn threads(&self) -> Option<usize> {
+        self.cfg.threads
     }
 }
 
@@ -214,7 +159,7 @@ mod tests {
     use super::*;
     use fml_data::NodeData;
     use fml_linalg::Matrix;
-    use fml_models::Quadratic;
+    use fml_models::{Batch, Quadratic};
 
     fn quad_tasks(centers: &[(f64, f64)]) -> Vec<SourceTask> {
         let nodes: Vec<NodeData> = centers
@@ -277,7 +222,7 @@ mod tests {
 
     #[test]
     fn trainer_name() {
-        assert_eq!(FedAvg::new(FedAvgConfig::new(0.1)).name(), "FedAvg");
+        assert_eq!(FedAvg::new(FedAvgConfig::new(0.1)).algorithm(), "FedAvg");
     }
 
     #[test]

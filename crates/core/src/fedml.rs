@@ -1,9 +1,8 @@
 use fml_models::Model;
-use rand::rngs::StdRng;
 
 use crate::meta::{self, MetaGradientMode};
-use crate::trainer::{aggregate, weighted_meta_loss, weighted_train_loss};
-use crate::{FederatedTrainer, RoundRecord, SourceTask, TrainOutput};
+use crate::trainer::{curve_losses, weighted_meta_loss};
+use crate::{LocalStepper, SourceTask};
 
 /// Configuration for [`FedMl`] (Algorithm 1).
 ///
@@ -135,103 +134,6 @@ impl FedMl {
         &self.cfg
     }
 
-    /// Runs Algorithm 1 from an explicit initialization `θ⁰` (the platform
-    /// normally draws it randomly; see [`FederatedTrainer::train`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tasks` is empty or `theta0` has the wrong length.
-    pub fn train_from(
-        &self,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-    ) -> TrainOutput {
-        assert!(!tasks.is_empty(), "FedMl: no source tasks");
-        assert_eq!(theta0.len(), model.param_len(), "FedMl: bad theta0 length");
-        let cfg = &self.cfg;
-        let mut locals: Vec<Vec<f64>> = vec![theta0.to_vec(); tasks.len()];
-        let mut history = Vec::new();
-        let mut comm_rounds = 0;
-        let total = cfg.total_iterations();
-        let threads = cfg
-            .threads
-            .unwrap_or_else(|| crate::parallel::default_threads(tasks.len()));
-
-        for t in 1..=total {
-            locals = crate::parallel::map_ordered(threads, tasks, |i, task| {
-                let mut theta_i = locals[i].clone();
-                let g = meta::meta_gradient(
-                    model,
-                    &theta_i,
-                    &task.split.train,
-                    &task.split.test,
-                    cfg.alpha,
-                    cfg.mode,
-                );
-                fml_linalg::vector::axpy(-cfg.beta, &g, &mut theta_i);
-                theta_i
-            });
-            let aggregated = t % cfg.local_steps == 0;
-            if aggregated {
-                let global = aggregate(tasks, &locals);
-                for theta_i in &mut locals {
-                    theta_i.copy_from_slice(&global);
-                }
-                comm_rounds += 1;
-            }
-            let record =
-                aggregated || (cfg.record_every > 0 && t % cfg.record_every == 0) || t == total;
-            if record {
-                let avg = aggregate(tasks, &locals);
-                history.push(RoundRecord {
-                    iteration: t,
-                    meta_loss: weighted_meta_loss(model, tasks, &avg, cfg.alpha),
-                    train_loss: weighted_train_loss(model, tasks, &avg),
-                    aggregated,
-                    reporters: tasks.len(),
-                    degraded: false,
-                });
-            }
-        }
-
-        let params = aggregate(tasks, &locals);
-        TrainOutput {
-            params,
-            history,
-            comm_rounds,
-            local_iterations: total,
-        }
-    }
-
-    /// Runs `steps` local meta-update iterations for a single node from
-    /// `theta` and returns the node's updated parameters — the unit of
-    /// work a (simulated or real) edge device performs between uploads.
-    /// Used by the `fml-sim` executor so the distributed runtime and the
-    /// sequential reference implementation share one algorithm body.
-    pub fn local_update(
-        &self,
-        model: &dyn Model,
-        task: &SourceTask,
-        theta: &[f64],
-        steps: usize,
-    ) -> Vec<f64> {
-        let cfg = &self.cfg;
-        let mut theta_i = theta.to_vec();
-        for _ in 0..steps {
-            let g = meta::meta_gradient(
-                model,
-                &theta_i,
-                &task.split.train,
-                &task.split.test,
-                cfg.alpha,
-                cfg.mode,
-            );
-            fml_linalg::vector::axpy(-cfg.beta, &g, &mut theta_i);
-        }
-        theta_i
-    }
-
     /// Centralized meta-gradient descent on the same objective — used to
     /// estimate the optimum `G(θ*)` for convergence-gap plots
     /// (equivalent to `T0 = 1` with exact aggregation every step).
@@ -264,14 +166,61 @@ impl FedMl {
     }
 }
 
-impl FederatedTrainer for FedMl {
-    fn train(&self, model: &dyn Model, tasks: &[SourceTask], rng: &mut StdRng) -> TrainOutput {
-        let theta0 = model.init_params(rng);
-        self.train_from(model, tasks, &theta0)
+impl LocalStepper for FedMl {
+    fn algorithm(&self) -> &'static str {
+        "FedML"
     }
 
-    fn name(&self) -> &'static str {
-        "FedML"
+    fn rounds(&self) -> usize {
+        self.cfg.rounds
+    }
+
+    fn local_steps(&self) -> usize {
+        self.cfg.local_steps
+    }
+
+    fn record_every(&self) -> usize {
+        self.cfg.record_every
+    }
+
+    /// Lines 6–7 of Algorithm 1, `steps` times: the meta-gradient through
+    /// the inner step on `D_i^train`, evaluated on `D_i^test`.
+    fn advance(
+        &self,
+        model: &dyn Model,
+        task: &SourceTask,
+        _anchor: &[f64],
+        theta_i: &mut [f64],
+        steps: usize,
+    ) {
+        let cfg = &self.cfg;
+        for _ in 0..steps {
+            let g = meta::meta_gradient(
+                model,
+                theta_i,
+                &task.split.train,
+                &task.split.test,
+                cfg.alpha,
+                cfg.mode,
+            );
+            fml_linalg::vector::axpy(-cfg.beta, &g, theta_i);
+        }
+    }
+
+    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64) {
+        curve_losses(model, tasks, theta, self.cfg.alpha)
+    }
+
+    fn threads(&self) -> Option<usize> {
+        self.cfg.threads
+    }
+
+    fn oracle_calls(&self) -> (u64, u64) {
+        // Inner gradient + outer gradient, plus the HVP FOMAML skips.
+        match self.cfg.mode {
+            MetaGradientMode::FullSecondOrder => (2, 1),
+            MetaGradientMode::FirstOrder => (2, 0),
+        }
     }
 }
 
@@ -435,7 +384,10 @@ mod tests {
 
     #[test]
     fn trainer_name() {
-        assert_eq!(FedMl::new(FedMlConfig::new(0.01, 0.01)).name(), "FedML");
+        assert_eq!(
+            FedMl::new(FedMlConfig::new(0.01, 0.01)).algorithm(),
+            "FedML"
+        );
     }
 
     #[test]

@@ -1,8 +1,7 @@
-use fml_models::{Batch, Model};
-use rand::rngs::StdRng;
+use fml_models::Model;
 
-use crate::trainer::{aggregate, weighted_meta_loss, weighted_train_loss};
-use crate::{FederatedTrainer, RoundRecord, SourceTask, TrainOutput};
+use crate::trainer::curve_losses;
+use crate::{LocalStepper, SourceTask};
 
 /// Configuration for [`FedProx`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,114 +110,52 @@ impl FedProx {
     pub fn config(&self) -> &FedProxConfig {
         &self.cfg
     }
+}
 
-    /// Runs `steps` local proximal-SGD iterations for a single node from
-    /// `theta` and returns the node's updated parameters. The proximal
-    /// anchor is the round-start global model `theta`, matching the
-    /// FedProx objective `L_i(θ) + (μ_prox/2)‖θ − θ_global‖²`.
-    pub fn local_update(
+impl LocalStepper for FedProx {
+    fn algorithm(&self) -> &'static str {
+        "FedProx"
+    }
+
+    fn rounds(&self) -> usize {
+        self.cfg.rounds
+    }
+
+    fn local_steps(&self) -> usize {
+        self.cfg.local_steps
+    }
+
+    fn record_every(&self) -> usize {
+        self.cfg.record_every
+    }
+
+    /// `steps` of proximal SGD on the node's full local dataset, pulled
+    /// toward the last global model `anchor`: the FedProx objective
+    /// `L_i(θ) + (μ_prox/2)‖θ − θ_global‖²`.
+    fn advance(
         &self,
         model: &dyn Model,
         task: &SourceTask,
-        theta: &[f64],
+        anchor: &[f64],
+        theta_i: &mut [f64],
         steps: usize,
-    ) -> Vec<f64> {
+    ) {
         let full = task.split.train.concat(&task.split.test);
-        let mut theta_i = theta.to_vec();
         for _ in 0..steps {
-            let mut g = model.grad(&theta_i, &full);
-            for ((gi, ti), gl) in g.iter_mut().zip(theta_i.iter()).zip(theta) {
+            let mut g = model.grad(theta_i, &full);
+            for ((gi, ti), gl) in g.iter_mut().zip(theta_i.iter()).zip(anchor) {
                 *gi += self.cfg.prox * (ti - gl);
             }
-            fml_linalg::vector::axpy(-self.cfg.lr, &g, &mut theta_i);
-        }
-        theta_i
-    }
-
-    /// Runs FedProx from an explicit initialization.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tasks` is empty or `theta0` has the wrong length.
-    pub fn train_from(
-        &self,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-    ) -> TrainOutput {
-        assert!(!tasks.is_empty(), "FedProx: no source tasks");
-        assert_eq!(
-            theta0.len(),
-            model.param_len(),
-            "FedProx: bad theta0 length"
-        );
-        let cfg = &self.cfg;
-        let full: Vec<Batch> = tasks
-            .iter()
-            .map(|t| t.split.train.concat(&t.split.test))
-            .collect();
-        let mut global = theta0.to_vec();
-        let mut locals: Vec<Vec<f64>> = vec![global.clone(); tasks.len()];
-        let mut history = Vec::new();
-        let mut comm_rounds = 0;
-        let total = cfg.rounds * cfg.local_steps;
-        let threads = cfg
-            .threads
-            .unwrap_or_else(|| crate::parallel::default_threads(tasks.len()));
-
-        for t in 1..=total {
-            let anchor = &global;
-            locals = crate::parallel::map_ordered(threads, &full, |i, batch| {
-                let mut theta_i = locals[i].clone();
-                let mut g = model.grad(&theta_i, batch);
-                // Proximal pull toward the last global model.
-                for ((gi, ti), gl) in g.iter_mut().zip(theta_i.iter()).zip(anchor) {
-                    *gi += cfg.prox * (ti - gl);
-                }
-                fml_linalg::vector::axpy(-cfg.lr, &g, &mut theta_i);
-                theta_i
-            });
-            let aggregated = t % cfg.local_steps == 0;
-            if aggregated {
-                global = aggregate(tasks, &locals);
-                for theta_i in &mut locals {
-                    theta_i.copy_from_slice(&global);
-                }
-                comm_rounds += 1;
-            }
-            let record =
-                aggregated || (cfg.record_every > 0 && t % cfg.record_every == 0) || t == total;
-            if record {
-                let avg = aggregate(tasks, &locals);
-                history.push(RoundRecord {
-                    iteration: t,
-                    meta_loss: weighted_meta_loss(model, tasks, &avg, cfg.eval_alpha),
-                    train_loss: weighted_train_loss(model, tasks, &avg),
-                    aggregated,
-                    reporters: tasks.len(),
-                    degraded: false,
-                });
-            }
-        }
-
-        let params = aggregate(tasks, &locals);
-        TrainOutput {
-            params,
-            history,
-            comm_rounds,
-            local_iterations: total,
+            fml_linalg::vector::axpy(-self.cfg.lr, &g, theta_i);
         }
     }
-}
 
-impl FederatedTrainer for FedProx {
-    fn train(&self, model: &dyn Model, tasks: &[SourceTask], rng: &mut StdRng) -> TrainOutput {
-        let theta0 = model.init_params(rng);
-        self.train_from(model, tasks, &theta0)
+    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64) {
+        curve_losses(model, tasks, theta, self.cfg.eval_alpha)
     }
 
-    fn name(&self) -> &'static str {
-        "FedProx"
+    fn threads(&self) -> Option<usize> {
+        self.cfg.threads
     }
 }
 
@@ -228,7 +165,7 @@ mod tests {
     use crate::{FedAvg, FedAvgConfig};
     use fml_data::NodeData;
     use fml_linalg::Matrix;
-    use fml_models::Quadratic;
+    use fml_models::{Batch, Quadratic};
 
     fn quad_tasks(centers: &[(f64, f64)]) -> Vec<SourceTask> {
         let nodes: Vec<NodeData> = centers
@@ -315,6 +252,9 @@ mod tests {
 
     #[test]
     fn trainer_name() {
-        assert_eq!(FedProx::new(FedProxConfig::new(0.1, 0.1)).name(), "FedProx");
+        assert_eq!(
+            FedProx::new(FedProxConfig::new(0.1, 0.1)).algorithm(),
+            "FedProx"
+        );
     }
 }

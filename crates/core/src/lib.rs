@@ -23,7 +23,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use fml_core::{FedMl, FedMlConfig, FederatedTrainer, SourceTask, adapt};
+//! use fml_core::{FedMl, FedMlConfig, LocalStepper, SourceTask, adapt};
 //! use fml_data::synthetic::SyntheticConfig;
 //! use fml_models::SoftmaxRegression;
 //! use rand::SeedableRng;
@@ -85,6 +85,4 @@ pub use reptile::{Reptile, ReptileConfig};
 pub use robust::{RobustFedMl, RobustFedMlConfig};
 pub use step::LocalStepper;
 pub use task::SourceTask;
-pub use trainer::{
-    aggregate, weighted_meta_loss, weighted_train_loss, FederatedTrainer, RoundRecord, TrainOutput,
-};
+pub use trainer::{aggregate, weighted_meta_loss, weighted_train_loss, RoundRecord, TrainOutput};

@@ -22,11 +22,9 @@
 //! so the full meta-gradient costs exactly the same oracles as FedML's.
 
 use fml_models::{Batch, Model};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::trainer::weighted_train_loss;
-use crate::{FederatedTrainer, RoundRecord, SourceTask, TrainOutput};
+use crate::{SourceTask, TrainOutput};
 
 /// Configuration for [`MetaSgd`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -216,16 +214,14 @@ impl MetaSgd {
         theta0: &[f64],
         ft: &crate::ft::FaultTolerance,
     ) -> Result<MetaSgdOutput, crate::CoreError> {
-        let d = model.param_len();
-        assert_eq!(theta0.len(), d, "MetaSgd: bad theta0 length");
-        let mut state0 = theta0.to_vec();
-        state0.extend(std::iter::repeat_n(self.cfg.alpha_init, d));
-        let mut train = crate::ft::drive(&PairState(self), model, tasks, &state0, ft)?;
-        let rates = train.params.split_off(d);
-        Ok(MetaSgdOutput { train, rates })
+        let state0 = self.pair_state(model, theta0);
+        let train = crate::ft::drive(&PairState(self), model, tasks, &state0, ft)?;
+        Ok(split_pair(train, theta0.len()))
     }
 
-    /// Runs Meta-SGD from an explicit initialization.
+    /// Runs Meta-SGD in lockstep from an explicit initialization, drawing
+    /// the same curve as [`crate::LocalStepper::train_from`] does for the other
+    /// trainers, over the pair `(θ, a)`.
     ///
     /// # Panics
     ///
@@ -236,83 +232,25 @@ impl MetaSgd {
         tasks: &[SourceTask],
         theta0: &[f64],
     ) -> MetaSgdOutput {
-        assert!(!tasks.is_empty(), "MetaSgd: no source tasks");
-        assert_eq!(
-            theta0.len(),
-            model.param_len(),
-            "MetaSgd: bad theta0 length"
-        );
-        let cfg = &self.cfg;
-        let d = theta0.len();
-        let mut local_theta: Vec<Vec<f64>> = vec![theta0.to_vec(); tasks.len()];
-        let mut local_rates: Vec<Vec<f64>> = vec![vec![cfg.alpha_init; d]; tasks.len()];
-        let mut history = Vec::new();
-        let mut comm_rounds = 0;
-        let total = cfg.rounds * cfg.local_steps;
-        let threads = cfg
-            .threads
-            .unwrap_or_else(|| crate::parallel::default_threads(tasks.len()));
-
-        for t in 1..=total {
-            let updated = crate::parallel::map_ordered(threads, tasks, |i, task| {
-                let mut theta_i = local_theta[i].clone();
-                let mut rates_i = local_rates[i].clone();
-                self.local_step(model, task, &mut theta_i, &mut rates_i);
-                (theta_i, rates_i)
-            });
-            for (i, (theta_i, rates_i)) in updated.into_iter().enumerate() {
-                local_theta[i] = theta_i;
-                local_rates[i] = rates_i;
-            }
-            let aggregated = t % cfg.local_steps == 0;
-            if aggregated {
-                let g_theta = crate::trainer::aggregate(tasks, &local_theta);
-                let g_rates = crate::trainer::aggregate(tasks, &local_rates);
-                for (ti, ri) in local_theta.iter_mut().zip(local_rates.iter_mut()) {
-                    ti.copy_from_slice(&g_theta);
-                    ri.copy_from_slice(&g_rates);
-                }
-                comm_rounds += 1;
-            }
-            let record =
-                aggregated || (cfg.record_every > 0 && t % cfg.record_every == 0) || t == total;
-            if record {
-                let avg_t = crate::trainer::aggregate(tasks, &local_theta);
-                let avg_a = crate::trainer::aggregate(tasks, &local_rates);
-                let meta_loss = tasks
-                    .iter()
-                    .map(|task| {
-                        let g = model.grad(&avg_t, &task.split.train);
-                        let mut phi = avg_t.clone();
-                        for ((p, &gi), &ai) in phi.iter_mut().zip(&g).zip(&avg_a) {
-                            *p -= ai * gi;
-                        }
-                        task.weight * model.loss(&phi, &task.split.test)
-                    })
-                    .sum();
-                history.push(RoundRecord {
-                    iteration: t,
-                    meta_loss,
-                    train_loss: weighted_train_loss(model, tasks, &avg_t),
-                    aggregated,
-                    reporters: tasks.len(),
-                    degraded: false,
-                });
-            }
-        }
-
-        let params = crate::trainer::aggregate(tasks, &local_theta);
-        let rates = crate::trainer::aggregate(tasks, &local_rates);
-        MetaSgdOutput {
-            train: TrainOutput {
-                params,
-                history,
-                comm_rounds,
-                local_iterations: total,
-            },
-            rates,
-        }
+        let state0 = self.pair_state(model, theta0);
+        let train = crate::step::lockstep(&PairState(self), model, tasks, &state0);
+        split_pair(train, theta0.len())
     }
+
+    /// The start state `[θ⁰‖a⁰]`, every rate at `alpha_init`.
+    fn pair_state(&self, model: &dyn Model, theta0: &[f64]) -> Vec<f64> {
+        let d = model.param_len();
+        assert_eq!(theta0.len(), d, "MetaSgd: bad theta0 length");
+        let mut state0 = theta0.to_vec();
+        state0.extend(std::iter::repeat_n(self.cfg.alpha_init, d));
+        state0
+    }
+}
+
+/// Splits a run over `[θ‖a]` back into `θ` and the learned rates.
+fn split_pair(mut train: TrainOutput, d: usize) -> MetaSgdOutput {
+    let rates = train.params.split_off(d);
+    MetaSgdOutput { train, rates }
 }
 
 /// [`MetaSgd`] as a [`LocalStepper`](crate::LocalStepper) over the
@@ -332,21 +270,22 @@ impl crate::LocalStepper for PairState<'_> {
         self.0.cfg.local_steps
     }
 
-    fn local_update(
+    fn record_every(&self) -> usize {
+        self.0.cfg.record_every
+    }
+
+    fn advance(
         &self,
         model: &dyn Model,
         task: &SourceTask,
-        state: &[f64],
+        _anchor: &[f64],
+        state: &mut [f64],
         steps: usize,
-    ) -> Vec<f64> {
-        let (theta, rates) = state.split_at(model.param_len());
-        let mut theta_i = theta.to_vec();
-        let mut rates_i = rates.to_vec();
+    ) {
+        let (theta_i, rates_i) = state.split_at_mut(model.param_len());
         for _ in 0..steps {
-            self.0.local_step(model, task, &mut theta_i, &mut rates_i);
+            self.0.local_step(model, task, theta_i, rates_i);
         }
-        theta_i.extend(rates_i);
-        theta_i
     }
 
     fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], state: &[f64]) -> (f64, f64) {
@@ -367,20 +306,6 @@ impl crate::LocalStepper for PairState<'_> {
 
     fn threads(&self) -> Option<usize> {
         self.0.cfg.threads
-    }
-}
-
-impl FederatedTrainer for MetaSgd {
-    fn train(&self, model: &dyn Model, tasks: &[SourceTask], rng: &mut StdRng) -> TrainOutput {
-        let theta0 = model.init_params(rng);
-        // Perturb the start slightly so repeated calls with an advanced RNG
-        // differ, matching the other trainers' contract.
-        let _ = rng.gen::<u32>();
-        self.train_from(model, tasks, &theta0).train
-    }
-
-    fn name(&self) -> &'static str {
-        "MetaSGD"
     }
 }
 
@@ -519,7 +444,10 @@ mod tests {
             .with_local_steps(4)
             .with_rounds(3);
         let trainer = MetaSgd::new(cfg);
-        assert_eq!(trainer.name(), "MetaSGD");
+        assert_eq!(
+            crate::LocalStepper::algorithm(&PairState(&trainer)),
+            "MetaSGD"
+        );
         let model = Quadratic::isotropic(2, 1.0);
         let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0)]);
         let out = trainer.train_from(&model, &tasks, &[0.0, 0.0]);

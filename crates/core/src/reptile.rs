@@ -1,8 +1,7 @@
-use fml_models::{Batch, Model};
-use rand::rngs::StdRng;
+use fml_models::Model;
 
-use crate::trainer::{aggregate, weighted_meta_loss, weighted_train_loss};
-use crate::{FederatedTrainer, RoundRecord, SourceTask, TrainOutput};
+use crate::trainer::{aggregate, curve_losses};
+use crate::{LocalStepper, RoundRecord, SourceTask, TrainOutput};
 
 /// Configuration for [`Reptile`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,36 +104,64 @@ impl Reptile {
     pub fn config(&self) -> &ReptileConfig {
         &self.cfg
     }
+}
 
-    /// Runs `steps` of the inner SGD trajectory for a single node from
-    /// `theta` on its full local batch, returning the adapted `φ_i`.
-    pub fn local_update(
+impl LocalStepper for Reptile {
+    fn algorithm(&self) -> &'static str {
+        "Reptile"
+    }
+
+    fn rounds(&self) -> usize {
+        self.cfg.rounds
+    }
+
+    fn local_steps(&self) -> usize {
+        self.cfg.inner_steps
+    }
+
+    /// One record per round: the curve has no points between them.
+    fn record_every(&self) -> usize {
+        0
+    }
+
+    /// `steps` of the inner SGD trajectory on the node's full local
+    /// batch, turning the broadcast `θ` into the adapted `φ_i`.
+    fn advance(
         &self,
         model: &dyn Model,
         task: &SourceTask,
-        theta: &[f64],
+        _anchor: &[f64],
+        phi: &mut [f64],
         steps: usize,
-    ) -> Vec<f64> {
+    ) {
         let full = task.split.train.concat(&task.split.test);
-        let mut phi = theta.to_vec();
         for _ in 0..steps {
-            let g = model.grad(&phi, &full);
-            fml_linalg::vector::axpy(-self.cfg.inner_lr, &g, &mut phi);
+            let g = model.grad(phi, &full);
+            fml_linalg::vector::axpy(-self.cfg.inner_lr, &g, phi);
         }
-        phi
     }
 
-    /// Runs Reptile from an explicit initialization.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tasks` is empty or `theta0` has the wrong length.
-    pub fn train_from(
-        &self,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-    ) -> TrainOutput {
+    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64) {
+        curve_losses(model, tasks, theta, self.cfg.eval_alpha)
+    }
+
+    /// `θ ← θ + ε(φ̄ − θ)`: a degraded round still moves the global a
+    /// bounded distance.
+    fn combine(&self, global: &[f64], mut mean_phi: Vec<f64>) -> Vec<f64> {
+        for (m, t) in mean_phi.iter_mut().zip(global) {
+            *m = t + self.cfg.outer_lr * (*m - t);
+        }
+        mean_phi
+    }
+
+    fn threads(&self) -> Option<usize> {
+        self.cfg.threads
+    }
+
+    /// Round-granular, unlike the provided loop: the curve and the
+    /// returned parameters are `θ` itself, not the re-average of `n`
+    /// copies of it (which differs in the last bits).
+    fn train_from(&self, model: &dyn Model, tasks: &[SourceTask], theta0: &[f64]) -> TrainOutput {
         assert!(!tasks.is_empty(), "Reptile: no source tasks");
         assert_eq!(
             theta0.len(),
@@ -142,10 +169,6 @@ impl Reptile {
             "Reptile: bad theta0 length"
         );
         let cfg = &self.cfg;
-        let full: Vec<Batch> = tasks
-            .iter()
-            .map(|t| t.split.train.concat(&t.split.test))
-            .collect();
         let mut theta = theta0.to_vec();
         let mut history = Vec::new();
         let threads = cfg
@@ -153,24 +176,15 @@ impl Reptile {
             .unwrap_or_else(|| crate::parallel::default_threads(tasks.len()));
 
         for round in 1..=cfg.rounds {
-            let adapted: Vec<Vec<f64>> =
-                crate::parallel::map_ordered(threads, &full, |_, batch| {
-                    let mut phi = theta.clone();
-                    for _ in 0..cfg.inner_steps {
-                        let g = model.grad(&phi, batch);
-                        fml_linalg::vector::axpy(-cfg.inner_lr, &g, &mut phi);
-                    }
-                    phi
-                });
-            let mean_phi = aggregate(tasks, &adapted);
-            // θ ← θ + ε(φ̄ − θ)
-            for (t, m) in theta.iter_mut().zip(&mean_phi) {
-                *t += cfg.outer_lr * (m - *t);
-            }
+            let adapted = crate::parallel::map_ordered(threads, tasks, |_, task| {
+                self.local_update(model, task, &theta, cfg.inner_steps)
+            });
+            theta = self.combine(&theta, aggregate(tasks, &adapted));
+            let (meta_loss, train_loss) = self.eval_losses(model, tasks, &theta);
             history.push(RoundRecord {
                 iteration: round * cfg.inner_steps,
-                meta_loss: weighted_meta_loss(model, tasks, &theta, cfg.eval_alpha),
-                train_loss: weighted_train_loss(model, tasks, &theta),
+                meta_loss,
+                train_loss,
                 aggregated: true,
                 reporters: tasks.len(),
                 degraded: false,
@@ -186,23 +200,12 @@ impl Reptile {
     }
 }
 
-impl FederatedTrainer for Reptile {
-    fn train(&self, model: &dyn Model, tasks: &[SourceTask], rng: &mut StdRng) -> TrainOutput {
-        let theta0 = model.init_params(rng);
-        self.train_from(model, tasks, &theta0)
-    }
-
-    fn name(&self) -> &'static str {
-        "Reptile"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fml_data::NodeData;
     use fml_linalg::Matrix;
-    use fml_models::Quadratic;
+    use fml_models::{Batch, Quadratic};
 
     fn quad_tasks(centers: &[(f64, f64)]) -> Vec<SourceTask> {
         let nodes: Vec<NodeData> = centers
@@ -269,6 +272,9 @@ mod tests {
 
     #[test]
     fn trainer_name() {
-        assert_eq!(Reptile::new(ReptileConfig::new(0.1, 0.5)).name(), "Reptile");
+        assert_eq!(
+            Reptile::new(ReptileConfig::new(0.1, 0.5)).algorithm(),
+            "Reptile"
+        );
     }
 }

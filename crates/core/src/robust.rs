@@ -5,7 +5,7 @@ use rand::Rng;
 
 use crate::meta::{self, MetaGradientMode};
 use crate::trainer::{aggregate, weighted_meta_loss, weighted_train_loss};
-use crate::{FederatedTrainer, RoundRecord, SourceTask, TrainOutput};
+use crate::{RoundRecord, SourceTask, TrainOutput};
 
 /// Configuration for [`RobustFedMl`] (Algorithm 2).
 ///
@@ -145,6 +145,13 @@ impl RobustFedMl {
         &self.cfg
     }
 
+    /// Draws `θ⁰` from `rng` and runs [`train_from`](Self::train_from)
+    /// with the same `rng`; deterministic given its state.
+    pub fn train(&self, model: &dyn Model, tasks: &[SourceTask], rng: &mut StdRng) -> TrainOutput {
+        let theta0 = model.init_params(rng);
+        self.train_from(model, tasks, &theta0, rng)
+    }
+
     /// Runs Algorithm 2 from an explicit initialization.
     ///
     /// # Panics
@@ -267,20 +274,10 @@ impl RobustFedMl {
     }
 }
 
-impl FederatedTrainer for RobustFedMl {
-    fn train(&self, model: &dyn Model, tasks: &[SourceTask], rng: &mut StdRng) -> TrainOutput {
-        let theta0 = model.init_params(rng);
-        self.train_from(model, tasks, &theta0, rng)
-    }
-
-    fn name(&self) -> &'static str {
-        "RobustFedML"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LocalStepper;
     use fml_data::NodeData;
     use fml_dro::attack::{fgsm_loss, BoxConstraint};
     use fml_linalg::Matrix;
@@ -434,11 +431,5 @@ mod tests {
     #[should_panic(expected = "lambda must be non-negative")]
     fn rejects_negative_lambda() {
         RobustFedMlConfig::new(0.01, 0.01, -1.0);
-    }
-
-    #[test]
-    fn trainer_name() {
-        let cfg = RobustFedMlConfig::new(0.01, 0.01, 1.0);
-        assert_eq!(RobustFedMl::new(cfg).name(), "RobustFedML");
     }
 }

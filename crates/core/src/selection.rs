@@ -152,6 +152,7 @@ pub fn select_sources<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LocalStepper;
     use fml_data::NodeData;
     use fml_linalg::Matrix;
     use fml_models::{LinearRegression, Target};

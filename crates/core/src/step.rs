@@ -1,35 +1,72 @@
-//! Trainer step extraction: the [`LocalStepper`] trait.
+//! The one trainer trait: [`LocalStepper`].
 //!
-//! Each federated trainer in this crate already exposes a
-//! `local_update` that runs one node's `T0` local iterations from a
-//! given model state. External executors — [`crate::train_with_faults`],
-//! the `fml-sim` round runner and the `fml-runtime` actor platform —
-//! need to drive exactly that unit of work without caring *which*
-//! algorithm is underneath. This trait is that seam, and the only way
-//! a round loop learns which algorithm it is running: it packages a
-//! trainer's per-node step, its round schedule, its loss evaluation
-//! and how the gathered aggregate becomes the next global
-//! ([`combine`](LocalStepper::combine)), so an executor can reproduce
-//! `train_from` round by round while owning the communication in
-//! between.
+//! The paper's Algorithm 1 is one loop — every node takes a local step,
+//! the platform averages when `t mod T0 = 0` — and an algorithm differs
+//! from the next only in what that step is. So an algorithm here is one
+//! `impl LocalStepper`, and what it **requires** is what only the
+//! algorithm knows:
 //!
-//! A round is *broadcast → local steps → weighted aggregate → combine*.
-//! [`FedMl`], [`FedAvg`] and [`FedProx`] install the aggregate as is;
-//! [`Reptile`] overrides `combine` with its outer interpolation
-//! `θ ← θ + ε(φ̄ − θ)`. [`crate::MetaSgd`] implements the trait
-//! privately over its concatenated `[θ‖a]` state (see its
-//! `train_with_faults`). [`crate::RobustFedMl`] stays outside the seam:
-//! its per-node adversarial sets and RNG are state that persists from
-//! round to round, which a step that is a pure function of the
-//! broadcast cannot carry.
+//! * its name ([`algorithm`](LocalStepper::algorithm));
+//! * its schedule ([`rounds`](LocalStepper::rounds),
+//!   [`local_steps`](LocalStepper::local_steps) = `T0`,
+//!   [`record_every`](LocalStepper::record_every));
+//! * the iteration ([`advance`](LocalStepper::advance)): move one node's
+//!   state forward by `steps` local iterations, given the `anchor` — the
+//!   global that was last installed on the node (FedProx's proximal term
+//!   pulls toward it; every other algorithm ignores it);
+//! * the two losses its curve records
+//!   ([`eval_losses`](LocalStepper::eval_losses)).
+//!
+//! Everything else is **provided** from those:
+//!
+//! * [`local_update`](LocalStepper::local_update) — one node's round:
+//!   clone the broadcast, `advance` it with the broadcast as anchor. The
+//!   unit [`crate::train_with_faults`], the `fml-sim` runner and the
+//!   `fml-runtime` node actors drive while owning the communication in
+//!   between;
+//! * [`train_from`](LocalStepper::train_from) — the lockstep reference
+//!   run, with no transport: every node `advance`s one iteration at a
+//!   time, the weighted aggregate goes through
+//!   [`combine`](LocalStepper::combine) and is installed on every node
+//!   when `t mod T0 = 0`, and the curve is recorded at the weighted
+//!   average of the node states (which is why a record right after an
+//!   aggregation re-averages `n` copies of the global — kept, bit for
+//!   bit, because every pinned curve was drawn that way);
+//! * [`train`](LocalStepper::train) — `train_from` a drawn `θ⁰`;
+//! * [`combine`](LocalStepper::combine) (identity; [`Reptile`] overrides
+//!   it with `θ ← θ + ε(φ̄ − θ)`), [`threads`](LocalStepper::threads)
+//!   and [`oracle_calls`](LocalStepper::oracle_calls).
+//!
+//! # Adding an algorithm
+//!
+//! Write one file with the config, the trainer struct and
+//! `impl LocalStepper for It` (the four groups above; `advance` is where
+//! the algorithm's mathematics goes, stated once). Nothing else is
+//! edited: `train_from`/`train`, [`crate::train_with_faults`],
+//! `SimRunner::run*`, `Runtime::run`/`serve` and the CLI's `stepper()`
+//! paths all take `&dyn LocalStepper`.
+//!
+//! Two trainers sit at the edge of the seam. [`crate::MetaSgd`]
+//! implements the trait privately over its concatenated `[θ‖a]` state
+//! and splits the result back into a `MetaSgdOutput`; that state is
+//! twice `param_len` long, which the wire does not carry yet.
+//! [`crate::RobustFedMl`] stays outside with inherent
+//! `train`/`train_from`: its per-node adversarial sets and RNG persist
+//! from round to round, which a step that is a pure function of
+//! `(anchor, state)` cannot carry. [`Reptile`] overrides `train_from`
+//! with a round-granular loop only because its curve is evaluated at `θ`
+//! itself, without the re-average.
 
 use fml_models::Model;
+use rand::rngs::StdRng;
 
-use crate::trainer::{weighted_meta_loss, weighted_train_loss};
-use crate::{FedAvg, FedMl, FedProx, MetaGradientMode, Reptile, SourceTask};
+use crate::parallel::{default_threads, map_ordered};
+use crate::trainer::{aggregate, RoundRecord, TrainOutput};
+use crate::SourceTask;
 
-/// A federated trainer whose per-node work can be driven one round at a
-/// time by an external executor.
+/// A federated training algorithm: its per-node iteration, its schedule
+/// and its curve. See the [module docs](self) for what is required, what
+/// is provided, and how to add one.
 pub trait LocalStepper: Sync {
     /// Human-readable algorithm name (for reports and traces).
     fn algorithm(&self) -> &'static str;
@@ -40,20 +77,58 @@ pub trait LocalStepper: Sync {
     /// Local iterations `T0` between aggregations.
     fn local_steps(&self) -> usize;
 
-    /// Runs `steps` local iterations for one node from `theta` and
-    /// returns the node's updated parameters. Must match the trainer's
-    /// own `train_from` inner loop bitwise.
+    /// Curve-recording stride of [`train_from`](Self::train_from):
+    /// aggregation iterations are always recorded, `0` records nothing
+    /// in between.
+    fn record_every(&self) -> usize;
+
+    /// Advances one node's `state` in place by `steps` local iterations
+    /// on `task`. `anchor` is the global last installed on the node.
+    fn advance(
+        &self,
+        model: &dyn Model,
+        task: &SourceTask,
+        anchor: &[f64],
+        state: &mut [f64],
+        steps: usize,
+    );
+
+    /// Evaluates `(meta_loss, train_loss)` at `theta` as the training
+    /// curve records them.
+    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64);
+
+    /// Runs `steps` local iterations for one node from the broadcast
+    /// `theta` and returns the node's updated parameters.
     fn local_update(
         &self,
         model: &dyn Model,
         task: &SourceTask,
         theta: &[f64],
         steps: usize,
-    ) -> Vec<f64>;
+    ) -> Vec<f64> {
+        let mut state = theta.to_vec();
+        self.advance(model, task, theta, &mut state, steps);
+        state
+    }
 
-    /// Evaluates `(meta_loss, train_loss)` at `theta` exactly as the
-    /// trainer's `train_from` records them on its training curve.
-    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64);
+    /// Runs the algorithm in lockstep from an explicit initialization
+    /// `θ⁰` (the platform normally draws it; see [`train`](Self::train)).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tasks` is empty or `theta0` has the wrong length.
+    fn train_from(&self, model: &dyn Model, tasks: &[SourceTask], theta0: &[f64]) -> TrainOutput {
+        let name = self.algorithm();
+        assert_eq!(theta0.len(), model.param_len(), "{name}: bad theta0 length");
+        lockstep(self, model, tasks, theta0)
+    }
+
+    /// Draws `θ⁰` from `rng` and runs [`train_from`](Self::train_from);
+    /// deterministic given `rng`'s state.
+    fn train(&self, model: &dyn Model, tasks: &[SourceTask], rng: &mut StdRng) -> TrainOutput {
+        let theta0 = model.init_params(rng);
+        self.train_from(model, tasks, &theta0)
+    }
 
     /// How the round's gathered `aggregate` becomes the next global,
     /// given the `global` that was broadcast. Identity for trainers
@@ -75,82 +150,73 @@ pub trait LocalStepper: Sync {
     }
 }
 
-/// Implements [`LocalStepper`] for a lockstep trainer by forwarding to
-/// its inherent `local_update` and its config: the algorithm name, the
-/// config fields holding `T0` and the curve's adaptation rate, then any
-/// provided methods the trainer overrides.
-macro_rules! forward_stepper {
-    ($trainer:ty, $name:literal, $steps:ident, $alpha:ident, { $($overrides:item)* }) => {
-        impl LocalStepper for $trainer {
-            fn algorithm(&self) -> &'static str {
-                $name
-            }
+/// Algorithm 1's loop, once: [`LocalStepper::train_from`] without the
+/// `theta0`-is-a-model-vector check, for steppers whose node state is
+/// wider than the model's parameters.
+pub(crate) fn lockstep<S: LocalStepper + ?Sized>(
+    stepper: &S,
+    model: &dyn Model,
+    tasks: &[SourceTask],
+    state0: &[f64],
+) -> TrainOutput {
+    assert!(
+        !tasks.is_empty(),
+        "{}: no source tasks",
+        stepper.algorithm()
+    );
+    let (local_steps, record_every) = (stepper.local_steps(), stepper.record_every());
+    let total = stepper.rounds() * local_steps;
+    let threads = stepper
+        .threads()
+        .unwrap_or_else(|| default_threads(tasks.len()));
+    let mut global = state0.to_vec();
+    let mut locals: Vec<Vec<f64>> = vec![global.clone(); tasks.len()];
+    let mut history = Vec::new();
+    let mut comm_rounds = 0;
 
-            fn rounds(&self) -> usize {
-                self.config().rounds
+    for t in 1..=total {
+        locals = map_ordered(threads, tasks, |i, task| {
+            let mut state = locals[i].clone();
+            stepper.advance(model, task, &global, &mut state, 1);
+            state
+        });
+        let aggregated = t % local_steps == 0;
+        if aggregated {
+            global = stepper.combine(&global, aggregate(tasks, &locals));
+            for state in &mut locals {
+                state.copy_from_slice(&global);
             }
-
-            fn local_steps(&self) -> usize {
-                self.config().$steps
-            }
-
-            fn local_update(
-                &self,
-                model: &dyn Model,
-                task: &SourceTask,
-                theta: &[f64],
-                steps: usize,
-            ) -> Vec<f64> {
-                <$trainer>::local_update(self, model, task, theta, steps)
-            }
-
-            fn eval_losses(
-                &self,
-                model: &dyn Model,
-                tasks: &[SourceTask],
-                theta: &[f64],
-            ) -> (f64, f64) {
-                (
-                    weighted_meta_loss(model, tasks, theta, self.config().$alpha),
-                    weighted_train_loss(model, tasks, theta),
-                )
-            }
-
-            fn threads(&self) -> Option<usize> {
-                self.config().threads
-            }
-
-            $($overrides)*
+            comm_rounds += 1;
         }
-    };
+        if aggregated || (record_every > 0 && t % record_every == 0) || t == total {
+            let avg = aggregate(tasks, &locals);
+            let (meta_loss, train_loss) = stepper.eval_losses(model, tasks, &avg);
+            history.push(RoundRecord {
+                iteration: t,
+                meta_loss,
+                train_loss,
+                aggregated,
+                reporters: tasks.len(),
+                degraded: false,
+            });
+        }
+    }
+
+    TrainOutput {
+        params: aggregate(tasks, &locals),
+        history,
+        comm_rounds,
+        local_iterations: total,
+    }
 }
-
-forward_stepper!(FedMl, "FedML", local_steps, alpha, {
-    fn oracle_calls(&self) -> (u64, u64) {
-        // Inner gradient + outer gradient, plus the HVP FOMAML skips.
-        match self.config().mode {
-            MetaGradientMode::FullSecondOrder => (2, 1),
-            MetaGradientMode::FirstOrder => (2, 0),
-        }
-    }
-});
-forward_stepper!(FedAvg, "FedAvg", local_steps, eval_alpha, {});
-forward_stepper!(FedProx, "FedProx", local_steps, eval_alpha, {});
-forward_stepper!(Reptile, "Reptile", inner_steps, eval_alpha, {
-    /// `θ ← θ + ε(φ̄ − θ)`: a degraded round still moves the global a
-    /// bounded distance.
-    fn combine(&self, global: &[f64], mut mean_phi: Vec<f64>) -> Vec<f64> {
-        for (m, t) in mean_phi.iter_mut().zip(global) {
-            *m = t + self.config().outer_lr * (*m - t);
-        }
-        mean_phi
-    }
-});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FedAvgConfig, FedMlConfig, FedProxConfig, ReptileConfig};
+    use crate::{
+        FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx, FedProxConfig, MetaGradientMode,
+        Reptile, ReptileConfig,
+    };
     use fml_data::synthetic::SyntheticConfig;
     use fml_models::SoftmaxRegression;
     use rand::rngs::StdRng;
@@ -167,31 +233,60 @@ mod tests {
         (SoftmaxRegression::new(6, 3), tasks)
     }
 
+    fn steppers(t0: usize) -> Vec<Box<dyn LocalStepper>> {
+        vec![
+            Box::new(FedMl::new(
+                FedMlConfig::new(0.05, 0.05).with_local_steps(t0),
+            )),
+            Box::new(FedAvg::new(FedAvgConfig::new(0.05).with_local_steps(t0))),
+            Box::new(FedProx::new(
+                FedProxConfig::new(0.05, 0.1).with_local_steps(t0),
+            )),
+            Box::new(Reptile::new(
+                ReptileConfig::new(0.05, 0.5).with_inner_steps(t0),
+            )),
+        ]
+    }
+
+    /// The first round of the provided `train_from` is `local_update`
+    /// on every node, the weighted aggregate through `combine`, and the
+    /// curve's re-average of `n` copies of the new global.
     #[test]
-    fn trait_local_update_matches_inherent() {
+    fn first_aggregation_of_train_from_is_local_update_then_combine() {
         let (model, tasks) = setup();
         let theta = vec![0.01; model.param_len()];
-        let fed = FedMl::new(FedMlConfig::new(0.05, 0.05).with_local_steps(3));
-        let via_trait =
-            LocalStepper::local_update(&fed, &model, &tasks[0], &theta, 3);
-        let direct = fed.local_update(&model, &tasks[0], &theta, 3);
-        assert_eq!(via_trait, direct);
-        assert_eq!(LocalStepper::rounds(&fed), fed.config().rounds);
-        assert_eq!(LocalStepper::local_steps(&fed), 3);
-        assert_eq!(fed.algorithm(), "FedML");
+        for s in steppers(3) {
+            let name = s.algorithm();
+            assert_eq!(
+                (s.local_steps(), s.record_every()),
+                (3, if name == "Reptile" { 0 } else { 1 })
+            );
+            let out = s.train_from(&model, &tasks, &theta);
+            let locals: Vec<Vec<f64>> = tasks
+                .iter()
+                .map(|t| s.local_update(&model, t, &theta, 3))
+                .collect();
+            let global = s.combine(&theta, aggregate(&tasks, &locals));
+            let at = if name == "Reptile" {
+                global
+            } else {
+                aggregate(&tasks, &vec![global; tasks.len()])
+            };
+            let first = out.history.iter().find(|r| r.aggregated).unwrap();
+            assert_eq!(first.iteration, 3, "{name}");
+            assert_eq!(
+                (first.meta_loss, first.train_loss),
+                s.eval_losses(&model, &tasks, &at),
+                "{name}"
+            );
+        }
     }
 
     #[test]
     fn all_steppers_report_names_and_finite_losses() {
         let (model, tasks) = setup();
         let theta = vec![0.0; model.param_len()];
-        let steppers: Vec<Box<dyn LocalStepper>> = vec![
-            Box::new(FedMl::new(FedMlConfig::new(0.05, 0.05))),
-            Box::new(FedAvg::new(FedAvgConfig::new(0.05))),
-            Box::new(FedProx::new(FedProxConfig::new(0.05, 0.1))),
-            Box::new(Reptile::new(ReptileConfig::new(0.05, 0.5))),
-        ];
-        for s in &steppers {
+        for s in steppers(5) {
             assert!(!s.algorithm().is_empty());
             let (meta, train) = s.eval_losses(&model, &tasks, &theta);
             assert!(meta.is_finite() && train.is_finite());

@@ -322,6 +322,7 @@ pub fn estimate_constants<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LocalStepper;
     use fml_data::NodeData;
     use fml_linalg::Matrix;
     use fml_models::{Batch, Quadratic};

@@ -1,5 +1,4 @@
 use fml_models::Model;
-use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::SourceTask;
@@ -59,19 +58,6 @@ impl TrainOutput {
     }
 }
 
-/// Common interface over federated training algorithms (FedML, Robust
-/// FedML, FedAvg, FedProx, Reptile), so experiment harnesses can swap
-/// algorithms behind one call site.
-pub trait FederatedTrainer {
-    /// Runs federated training over the prepared source tasks.
-    ///
-    /// Implementations must be deterministic given `rng`'s state.
-    fn train(&self, model: &dyn Model, tasks: &[SourceTask], rng: &mut StdRng) -> TrainOutput;
-
-    /// Short algorithm name for logs and plots (e.g. `"FedML"`).
-    fn name(&self) -> &'static str;
-}
-
 /// Computes the weighted meta objective `G(θ) = Σ ω_i L(φ_i(θ), test_i)`
 /// at a given parameter vector — the convergence-curve quantity of
 /// Figure 2 (definition in §IV-A of the paper).
@@ -96,6 +82,20 @@ pub fn weighted_train_loss(model: &dyn Model, tasks: &[SourceTask], theta: &[f64
         .iter()
         .map(|t| t.weight * model.loss(theta, &t.split.train))
         .sum()
+}
+
+/// `(weighted_meta_loss at alpha, weighted_train_loss)` — the pair every
+/// fixed-rate trainer records on its curve.
+pub(crate) fn curve_losses(
+    model: &dyn Model,
+    tasks: &[SourceTask],
+    theta: &[f64],
+    alpha: f64,
+) -> (f64, f64) {
+    (
+        weighted_meta_loss(model, tasks, theta, alpha),
+        weighted_train_loss(model, tasks, theta),
+    )
 }
 
 /// Weighted average of per-node parameter vectors — the platform's global

@@ -88,12 +88,6 @@ impl MnistLikeConfig {
         self
     }
 
-    /// Overrides the per-node style-shift standard deviation.
-    pub fn with_style_std(mut self, std: f64) -> Self {
-        self.style_std = std;
-        self
-    }
-
     /// Generates the federation.
     ///
     /// # Panics

@@ -93,12 +93,6 @@ impl Sent140LikeConfig {
         self
     }
 
-    /// Overrides the per-user teacher deviation.
-    pub fn with_teacher_dev(mut self, dev: f64) -> Self {
-        self.teacher_dev = dev;
-        self
-    }
-
     /// Generates the federation of pooled-embedding features and teacher
     /// labels.
     pub fn generate<R: Rng>(&self, rng: &mut R) -> Federation {

@@ -419,12 +419,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the node health policy.
-    pub fn with_health(mut self, policy: HealthPolicy) -> Self {
-        self.health = policy;
-        self
-    }
-
     /// Enables disk checkpointing into `dir` (with resume on startup).
     pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint.dir = Some(dir.into());

@@ -577,7 +577,8 @@ enum UplinkFrame<'a> {
     /// A valid frame that is not an update — a protocol violation on
     /// this link, triaged as undelivered.
     Other,
-    /// Neither wire family could parse it.
+    /// Neither wire family could parse it, or it is an update of the
+    /// wrong dimension.
     Bad,
 }
 
@@ -588,27 +589,40 @@ enum UpdateParams<'a> {
 }
 
 impl<'a> UplinkFrame<'a> {
-    fn parse(frame: &'a [u8]) -> UplinkFrame<'a> {
-        match MessageView::parse(frame) {
-            Ok(view) if view.is_update() => UplinkFrame::Update {
-                node: view.node() as usize,
-                frame_round: view.round() as usize,
-                params: UpdateParams::Dense(view),
-            },
-            Ok(_) => UplinkFrame::Other,
+    /// `dim` is the model's parameter count: an update announcing any
+    /// other logical length is [`Bad`](UplinkFrame::Bad) — judged from
+    /// the header, before anything is materialized, so neither a short
+    /// vector reaches the aggregate nor a `k = 0` top-k frame gets to
+    /// allocate the `u32::MAX` zeros it claims.
+    fn parse(frame: &'a [u8], dim: usize) -> UplinkFrame<'a> {
+        let (node, frame_round, params) = match MessageView::parse(frame) {
+            Ok(view) if view.is_update() => (view.node(), view.round(), UpdateParams::Dense(view)),
+            Ok(_) => return UplinkFrame::Other,
             Err(_) => match CompressedView::parse(frame) {
-                Ok(view) => UplinkFrame::Update {
-                    node: view.node() as usize,
-                    frame_round: view.round() as usize,
-                    params: UpdateParams::Compressed(view),
-                },
-                Err(_) => UplinkFrame::Bad,
+                Ok(view) => (view.node(), view.round(), UpdateParams::Compressed(view)),
+                Err(_) => return UplinkFrame::Bad,
             },
+        };
+        if params.len() != dim {
+            return UplinkFrame::Bad;
+        }
+        UplinkFrame::Update {
+            node: node as usize,
+            frame_round: frame_round as usize,
+            params,
         }
     }
 }
 
 impl UpdateParams<'_> {
+    /// The logical parameter count the frame announces.
+    fn len(&self) -> usize {
+        match self {
+            UpdateParams::Dense(v) => v.len(),
+            UpdateParams::Compressed(v) => v.len(),
+        }
+    }
+
     /// Materializes the update (dequantizing or zero-filling dropped
     /// coordinates as the scheme requires).
     fn to_vec(&self) -> Vec<f64> {
@@ -906,7 +920,7 @@ impl Platform<'_> {
             // or compressed tag-6 — regardless of the configured codec:
             // the codec drives the encode side only, so the `none`
             // conformance path never depends on decode routing.
-            match UplinkFrame::parse(&received) {
+            match UplinkFrame::parse(&received, self.model.param_len()) {
                 UplinkFrame::Update { node, frame_round, params } => {
                     if frame_round == round
                         && expected.contains(&node)

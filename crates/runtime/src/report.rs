@@ -144,7 +144,8 @@ pub struct RuntimeReport {
     /// node id. Empty on barrier-mode and pre-policy reports.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub node_weight_stats: Vec<NodeWeightStat>,
-    /// Frames that failed [`fml_sim::Message::decode`] on either side.
+    /// Frames that failed [`fml_sim::Message::decode`] on either side,
+    /// plus uplink updates whose length is not the model's.
     pub decode_errors: u64,
     /// Frames that never reached their consumer: full or disconnected
     /// mailboxes, uploads still in flight at shutdown, and physical

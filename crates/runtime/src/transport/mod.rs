@@ -12,7 +12,7 @@
 //!   unbounded channel back;
 //! * [`TcpTransport`] — length-prefixed frames (see
 //!   [`fml_sim::framing`]) over a `TcpStream`, with per-call read
-//!   deadlines and a configurable write deadline;
+//!   deadlines and a fixed write deadline;
 //! * [`UnixTransport`] — the same framing over a Unix domain socket.
 //!
 //! The stream transports share one hardened read path: bytes are fed

@@ -30,8 +30,8 @@ pub const CONNECT_ATTEMPTS: u32 = 10;
 /// First retry delay for connect backoff; doubles per attempt.
 pub const CONNECT_BASE_DELAY: Duration = Duration::from_millis(50);
 
-/// Default bound on one `send_frame` call for socket transports.
-const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+/// Bound on one `send_frame` call for socket transports.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Read chunk size; large enough that a softmax-model frame arrives in
 /// one read, small enough to live on the struct without ceremony.
@@ -104,7 +104,6 @@ pub struct StreamTransport<S: FramedStream> {
     /// Received frames borrow their storage from here and are recycled
     /// by their consumers.
     pool: FramePool,
-    write_timeout: Duration,
     closed: bool,
 }
 
@@ -131,22 +130,8 @@ impl<S: FramedStream> StreamTransport<S> {
             scratch: vec![0u8; SCRATCH_LEN],
             write_scratch: Vec::new(),
             pool: FramePool::global().handle(),
-            write_timeout: DEFAULT_WRITE_TIMEOUT,
             closed: false,
         }
-    }
-
-    /// Sets the per-call write deadline (derived from the gather policy
-    /// by the runtime; see `GatherPolicy::io_deadline`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `t` is zero — a zero socket timeout means "block
-    /// forever", the opposite of a deadline.
-    pub fn with_write_timeout(mut self, t: Duration) -> Self {
-        assert!(!t.is_zero(), "write timeout must be positive");
-        self.write_timeout = t;
-        self
     }
 }
 
@@ -156,7 +141,7 @@ impl<S: FramedStream + 'static> Transport for StreamTransport<S> {
             return Err(TransportError::Closed);
         }
         self.stream
-            .write_timeout_set(self.write_timeout)
+            .write_timeout_set(WRITE_TIMEOUT)
             .map_err(|e| io_error(&e))?;
         prefix_frame_into(frame, &mut self.write_scratch);
         self.stream
@@ -207,7 +192,6 @@ impl<S: FramedStream + 'static> Transport for StreamTransport<S> {
             scratch: vec![0u8; SCRATCH_LEN],
             write_scratch: Vec::new(),
             pool: self.pool.handle(),
-            write_timeout: self.write_timeout,
             closed: self.closed,
         }))
     }

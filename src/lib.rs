@@ -24,7 +24,7 @@ pub mod prelude {
     pub use fml_core::checkpoint::Checkpoint;
     pub use fml_core::{
         adapt, metrics, optim, FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx, FedProxConfig,
-        FederatedTrainer, MetaGradientMode, MetaSgd, MetaSgdConfig, Reptile, ReptileConfig,
+        LocalStepper, MetaGradientMode, MetaSgd, MetaSgdConfig, Reptile, ReptileConfig,
         RobustFedMl, RobustFedMlConfig, SourceTask, TrainOutput,
     };
     pub use fml_data::{Federation, NodeData, TaskSplit};

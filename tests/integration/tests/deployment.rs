@@ -6,7 +6,7 @@
 use fml_core::checkpoint::Checkpoint;
 use fml_core::metrics::{expected_calibration_error, ConfusionMatrix};
 use fml_core::optim::{adapt_with, Adam, Momentum, Sgd};
-use fml_core::{FedMl, FedMlConfig, SourceTask};
+use fml_core::{FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_data::shared_synthetic::SharedSyntheticConfig;
 use fml_data::TaskSplit;
 use fml_models::{Model, SoftmaxRegression};

@@ -2,7 +2,9 @@
 //! meta-training → fast adaptation at held-out targets, asserting the
 //! paper's headline qualitative claims on small-but-real workloads.
 
-use fml_core::{adapt, FedAvg, FedAvgConfig, FedMl, FedMlConfig, MetaGradientMode, SourceTask};
+use fml_core::{
+    adapt, FedAvg, FedAvgConfig, FedMl, FedMlConfig, LocalStepper, MetaGradientMode, SourceTask,
+};
 use fml_data::shared_synthetic::SharedSyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};
 use rand::SeedableRng;

@@ -9,7 +9,7 @@
 //! R-operator passes (and, through Robust FedML, its `input_grad` and
 //! `sample_loss`).
 
-use fml_core::{FedMl, FedMlConfig, RobustFedMl, RobustFedMlConfig, SourceTask};
+use fml_core::{FedMl, FedMlConfig, LocalStepper, RobustFedMl, RobustFedMlConfig, SourceTask};
 use fml_data::synthetic::SyntheticConfig;
 use fml_linalg::Matrix;
 use fml_models::{

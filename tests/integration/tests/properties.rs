@@ -2,7 +2,7 @@
 //! federation/model drawn from a family, not just the fixtures the unit
 //! tests pin down.
 
-use fml_core::{adapt, aggregate, FedMl, FedMlConfig, SourceTask};
+use fml_core::{adapt, aggregate, FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_data::NodeData;
 use fml_dro::{RobustSurrogate, SquaredL2Cost};
 use fml_linalg::{vector, Matrix};

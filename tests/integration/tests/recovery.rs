@@ -22,7 +22,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use fml_core::{
-    train_with_faults, CorruptMode, FaultPlan, FaultTolerance, FedMl, FedMlConfig, SourceTask,
+    train_with_faults, CorruptMode, FaultPlan, FaultTolerance, FedMl, FedMlConfig, LocalStepper,
+    SourceTask,
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};

@@ -3,7 +3,7 @@
 //! λ dial must trade robustness against clean accuracy monotonically
 //! enough to reproduce Figure 4's shape.
 
-use fml_core::{adapt, FedMl, FedMlConfig, RobustFedMl, RobustFedMlConfig, SourceTask};
+use fml_core::{adapt, FedMl, FedMlConfig, LocalStepper, RobustFedMl, RobustFedMlConfig, SourceTask};
 use fml_data::mnist_like::MnistLikeConfig;
 use fml_dro::attack::BoxConstraint;
 use fml_models::{Model, SoftmaxRegression};

@@ -1,7 +1,7 @@
 //! Simulator integration: algorithm ↔ systems-layer interactions that no
 //! single crate can test alone.
 
-use fml_core::{FedAvg, FedAvgConfig, FedMl, FedMlConfig, SourceTask};
+use fml_core::{FedAvg, FedAvgConfig, FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_models::{Model, SoftmaxRegression};
 use fml_sim::{LinkModel, Network, SimConfig, SimRunner};
 use rand::SeedableRng;

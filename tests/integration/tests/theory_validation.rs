@@ -2,8 +2,8 @@
 //! constants empirically on real workloads, apply Lemma 1 / Theorem 2,
 //! and check the bound against measured training curves.
 
-use fml_core::theory::{estimate_constants, MetaConstants, TheoremTwoBound};
-use fml_core::{weighted_meta_loss, FedMl, FedMlConfig, SourceTask};
+use fml_core::theory::{estimate_constants, MetaConstants, ProblemConstants, TheoremTwoBound};
+use fml_core::{weighted_meta_loss, FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_data::NodeData;
 use fml_linalg::Matrix;
 use fml_models::{Batch, LogisticRegression, Model, Quadratic};
@@ -163,4 +163,68 @@ fn corollary1_no_floor_at_t0_one_in_measurement() {
     let g_star = weighted_meta_loss(&model, &tasks, &[0.0, 0.0], alpha);
     let gap = out.final_meta_loss().unwrap() - g_star;
     assert!(gap.abs() < 1e-8, "T0=1 should reach the optimum: gap {gap}");
+}
+
+#[test]
+fn theorem2_bound_holds_at_every_aggregation_for_every_t0() {
+    // The sweep `theory_check` plots, as an invariant: a quadratic
+    // federation with centers on a circle of radius r, where every
+    // constant of Assumptions 1–4 is closed-form (μ = H = 1, ρ = 0,
+    // σ_i = 0, δ_i = r). The curve is the shared lockstep driver's.
+    let (nodes, radius, alpha, beta) = (8usize, 1.0, 0.2, 0.3);
+    let centers: Vec<(f64, f64)> = (0..nodes)
+        .map(|i| {
+            let angle = 2.0 * std::f64::consts::PI * i as f64 / nodes as f64;
+            (radius * angle.cos(), radius * angle.sin())
+        })
+        .collect();
+    let (model, tasks) = quad_tasks(&centers, 1.0);
+    let theta0 = vec![3.0, 3.0];
+    let pc = ProblemConstants {
+        mu: 1.0,
+        smoothness: 1.0,
+        // ‖∇L_i(θ)‖ = ‖θ − x̄_i‖ ≤ ‖θ⁰‖ + r over the iterates.
+        grad_bound: fml_linalg::vector::norm2(&theta0) + radius,
+        hessian_lipschitz: 0.0,
+        delta: vec![radius; nodes],
+        sigma: vec![0.0; nodes],
+    };
+    let mc = MetaConstants::from_lemma1(&pc, alpha).expect("alpha admissible");
+    let g_star = weighted_meta_loss(&model, &tasks, &[0.0, 0.0], alpha);
+    let gap0 = weighted_meta_loss(&model, &tasks, &theta0, alpha) - g_star;
+
+    let mut floors = Vec::new();
+    for t0 in [1usize, 2, 5, 10] {
+        let bound = TheoremTwoBound {
+            constants: pc.clone(),
+            meta: mc,
+            alpha,
+            beta,
+            t0,
+            c: 2.0,
+            weights: tasks.iter().map(|t| t.weight).collect(),
+        };
+        let cfg = FedMlConfig::new(alpha, beta)
+            .with_local_steps(t0)
+            .with_total_iterations(200)
+            .with_record_every(0);
+        let out = FedMl::new(cfg).train_from(&model, &tasks, &theta0);
+        assert_eq!(out.history.len(), 200 / t0);
+        for r in &out.history {
+            assert!(r.aggregated);
+            let measured = (r.meta_loss - g_star).max(0.0);
+            let predicted = bound.bound(r.iteration, gap0);
+            assert!(
+                measured <= predicted + 1e-9,
+                "T0={t0}, t={}: measured {measured} above the bound {predicted}",
+                r.iteration
+            );
+        }
+        floors.push(bound.error_floor());
+    }
+    assert_eq!(floors[0], 0.0, "Corollary 1: no floor at T0 = 1");
+    assert!(
+        floors.windows(2).all(|w| w[0] <= w[1]) && floors[1] > 0.0,
+        "the floor must grow with T0: {floors:?}"
+    );
 }

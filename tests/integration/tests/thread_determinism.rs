@@ -8,8 +8,8 @@
 //! runs on one worker thread or many.
 
 use fml_core::{
-    FedAvg, FedAvgConfig, FedMl, FedMlConfig, MetaSgd, MetaSgdConfig, Reptile, ReptileConfig,
-    SourceTask, TrainOutput,
+    FedAvg, FedAvgConfig, FedMl, FedMlConfig, LocalStepper, MetaSgd, MetaSgdConfig, Reptile,
+    ReptileConfig, SourceTask, TrainOutput,
 };
 use fml_core::{FedProx, FedProxConfig};
 use fml_data::synthetic::SyntheticConfig;

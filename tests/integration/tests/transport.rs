@@ -28,7 +28,7 @@ use fml_runtime::{
     TcpTransportListener, Transport, TransportError, TransportListener, UnixTransport,
     UnixTransportListener,
 };
-use fml_sim::{Message, LENGTH_PREFIX_LEN};
+use fml_sim::{Message, LENGTH_PREFIX_LEN, PROTOCOL_VERSION};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,9 +37,13 @@ const DIM: usize = 4;
 const CLASSES: usize = 3;
 
 fn fixture(seed: u64) -> (SoftmaxRegression, Vec<SourceTask>, Vec<f64>) {
+    fixture_of(NODES, seed)
+}
+
+fn fixture_of(nodes: usize, seed: u64) -> (SoftmaxRegression, Vec<SourceTask>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let fed = SyntheticConfig::new(0.5, 0.5)
-        .with_nodes(NODES)
+        .with_nodes(nodes)
         .with_dim(DIM)
         .with_classes(CLASSES)
         .generate(&mut rng);
@@ -433,4 +437,128 @@ fn killing_a_peer_mid_round_degrades_without_hanging() {
     let victim = &out.report.per_node[NODES - 1];
     assert_eq!(victim.frames_sent, 1, "victim reported once");
     assert!(victim.frames_received <= 3);
+}
+
+/// Hands the hub pre-made in-process links, so the platform serves
+/// channel peers through the same `serve` as socket peers.
+struct ChannelListener(Vec<Box<dyn Transport>>);
+
+impl TransportListener for ChannelListener {
+    fn accept(&mut self, timeout: Duration) -> Result<Box<dyn Transport>, TransportError> {
+        self.0.pop().ok_or_else(|| {
+            std::thread::sleep(timeout);
+            TransportError::Timeout
+        })
+    }
+
+    fn local_addr(&self) -> String {
+        "in-process".into()
+    }
+
+    fn kind(&self) -> &'static str {
+        "channel"
+    }
+}
+
+fn update(round: u32, node: u32, params: Vec<f64>) -> bytes::Bytes {
+    let frame = Message::ModelUpdate {
+        round,
+        node,
+        params,
+    };
+    frame.encode()
+}
+
+/// A well-formed uplink update for `round` whose logical length is not
+/// the model's `d`: one parameter short, one too long, or a top-k frame
+/// with no entries that announces `u32::MAX` zeros.
+fn wrong_dimension_update(which: usize, round: u32, node: u32, d: usize) -> bytes::Bytes {
+    match which {
+        0 => update(round, node, vec![0.5; d - 1]),
+        1 => update(round, node, vec![0.5; d + 1]),
+        _ => {
+            let mut f = vec![0x80 | PROTOCOL_VERSION, 6];
+            f.extend(round.to_le_bytes());
+            f.extend(node.to_le_bytes());
+            f.extend(u32::MAX.to_le_bytes());
+            f.extend([3, 0, 0, 0, 0, 0, 0, 0]); // scheme top-k, k = 0
+            f.into()
+        }
+    }
+}
+
+/// Serves a 6-node, 2-round federation whose nodes 3–5 join and then
+/// either stay silent (`answer = false`) or answer the first broadcast
+/// with [`wrong_dimension_update`].
+fn serve_with_three_rogues(kind: &str, answer: bool) -> fml_runtime::RuntimeOutput {
+    const HONEST: usize = 3;
+    let (model, tasks, theta0) = fixture_of(2 * HONEST, 48);
+    let trainer = fedml(2);
+    let mut node_ends: Vec<Box<dyn Transport>> = Vec::new();
+    let listener: Box<dyn TransportListener> = if kind == "tcp" {
+        let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr();
+        node_ends.extend(
+            (0..tasks.len()).map(|_| Box::new(TcpTransport::connect(&addr).unwrap()) as Box<_>),
+        );
+        Box::new(listener)
+    } else {
+        let mut platform_ends: Vec<Box<dyn Transport>> = Vec::new();
+        for _ in 0..tasks.len() {
+            let (plat, node) = ChannelTransport::pair(4);
+            platform_ends.push(Box::new(plat));
+            node_ends.push(Box::new(node));
+        }
+        Box::new(ChannelListener(platform_ends))
+    };
+    let runtime = Runtime::new(RuntimeConfig::barrier(1).with_recv_timeout_ms(400));
+    let d = theta0.len();
+    std::thread::scope(|s| {
+        for (node, mut link) in node_ends.into_iter().enumerate() {
+            let (runtime, trainer, model, tasks) = (&runtime, &trainer, &model, &tasks);
+            s.spawn(move || {
+                if node < HONEST {
+                    runtime.run_node(trainer, model, tasks, node, link.as_mut());
+                    return;
+                }
+                let id = node as u32;
+                link.send_frame(&update(0, id, vec![])).unwrap();
+                let mut pending = answer;
+                // Until the platform hangs up.
+                while let Ok(frame) = link.recv_frame(Duration::from_secs(10)) {
+                    if std::mem::take(&mut pending) {
+                        let Ok(Message::GlobalModel { round, .. }) = Message::decode(&frame) else {
+                            panic!("expected a broadcast");
+                        };
+                        let bad = wrong_dimension_update(node - HONEST, round, id, d);
+                        link.send_frame(&bad).unwrap();
+                    }
+                }
+            });
+        }
+        runtime
+            .serve(&trainer, &model, &tasks, &theta0, listener)
+            .expect("serve must survive wrong-dimension updates")
+    })
+}
+
+#[test]
+fn wrong_dimension_updates_are_counted_and_never_reach_the_aggregate() {
+    // At the parent the short and long dense updates panicked the
+    // platform thread inside the aggregate, and the empty top-k frame
+    // was materialized as u32::MAX zeros first.
+    for kind in ["channel", "tcp"] {
+        let silent = serve_with_three_rogues(kind, false);
+        let out = serve_with_three_rogues(kind, true);
+        assert_eq!(out.report.transport, kind);
+        assert_eq!(out.report.decode_errors, 3, "{kind}");
+        assert_eq!(silent.report.decode_errors, 0, "{kind}");
+        assert_eq!(out.train.comm_rounds, 2, "{kind}: the round stays alive");
+        // The honest half alone decides every round, exactly as if the
+        // rogues had sent nothing.
+        assert_eq!(out.train.params, silent.train.params, "{kind}");
+        assert_eq!(out.train.history, silent.train.history, "{kind}");
+        let halved = |r: &fml_core::RoundRecord| r.reporters == 3 && r.degraded;
+        assert!(out.train.history.iter().all(halved), "{kind}");
+    }
 }
