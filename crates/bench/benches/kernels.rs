@@ -1,9 +1,8 @@
 //! Criterion benches on the hot kernels of the federated meta-learning
 //! stack: meta-gradients (analytic HVP vs finite difference), platform
 //! aggregation, adversarial surrogate maximization, the wire codec, and
-//! the workspace (zero-allocation) model kernels. Timed runs append a
-//! `kernels` section to `BENCH_pr1.json` at the repository root (skipped
-//! in `--test` mode).
+//! the workspace (zero-allocation) model kernels. Print-only: timings go
+//! to stdout and nothing is written; the tracked series is `perf/`.
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use fml_core::meta::{self, MetaGradientMode};
@@ -196,25 +195,4 @@ fn main() {
     bench_adversarial(&mut c);
     bench_codec(&mut c);
     bench_workspace_kernels(&mut c);
-
-    // Timed runs (not `--test`) record the perf trajectory.
-    if c.results().is_empty() {
-        return;
-    }
-    let results: Vec<fml_bench::perf::PerfResult> = c
-        .results()
-        .iter()
-        .map(|r| fml_bench::perf::PerfResult {
-            id: r.id.clone(),
-            ns_per_iter: r.ns_per_iter,
-        })
-        .collect();
-    fml_bench::perf::merge_section(
-        "kernels",
-        fml_bench::perf::PerfSection {
-            host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            results,
-            comparisons: Vec::new(),
-        },
-    );
 }

@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 
 pub mod compare;
-pub mod perf;
 pub mod workloads;
 
 use serde::{Deserialize, Serialize};

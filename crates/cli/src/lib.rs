@@ -46,15 +46,15 @@ use fml_models::{Activation, MlpBuilder, Model, SoftmaxRegression};
 use fml_runtime::{
     param_hash, serving::request_from_batch, AdaptClient, AdaptOutcome, AdaptServer, AsyncPolicy,
     FaultyTransport, LinkFaultPlan, NodeIo, Runtime, RuntimeConfig, ServingConfig, ServingReport,
-    SharedGlobal, StalenessDecay, TcpTransport, TcpTransportListener, Transport, TransportListener,
-    UnixTransport, UnixTransportListener, UpdateCodec, CONNECT_ATTEMPTS, CONNECT_BASE_DELAY,
+    SharedGlobal, TcpTransport, TcpTransportListener, Transport, TransportListener, UnixTransport,
+    UnixTransportListener, UpdateCodec, CONNECT_ATTEMPTS, CONNECT_BASE_DELAY,
 };
 use fml_sim::{Network, SimConfig, SimRunner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Builds the federation described by the config.
-fn build_dataset(cfg: &DatasetConfig, rng: &mut StdRng) -> Federation {
+pub fn build_dataset(cfg: &DatasetConfig, rng: &mut StdRng) -> Federation {
     match *cfg {
         DatasetConfig::Synthetic {
             alpha,
@@ -131,20 +131,20 @@ fn build_model(cfg: &ModelConfig, fed: &Federation) -> Result<Box<dyn Model>, St
 /// Returns a human-readable message when the config is invalid or an
 /// algorithm/simulation combination is unsupported.
 pub fn run(cfg: &RunConfig) -> Result<Report, String> {
-    cfg.validate()?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let fed = build_dataset(&cfg.dataset, &mut rng);
-    let stats = fed.stats();
-    let (sources, targets) = fed.split_sources_targets(cfg.source_frac, &mut rng);
-    let tasks = SourceTask::from_nodes(&sources, cfg.eval.k, &mut rng);
-    let model = build_model(&cfg.model, &fed)?;
-    let theta0 = model.init_params(&mut rng);
-
-    let (name, output, sim_report) = train(cfg, model.as_ref(), &tasks, &theta0, &mut rng)?;
-    let eval = evaluate(cfg, model.as_ref(), &output.params, &targets, &mut rng);
+    let mut setup = build_runtime_setup(cfg, cfg.seed)?;
+    let model = setup.model.as_ref();
+    let (name, output, sim_report) = train(
+        cfg,
+        &setup.trainer,
+        model,
+        &setup.tasks,
+        &setup.theta0,
+        &mut setup.rng,
+    )?;
+    let eval = evaluate(cfg, model, &output.params, &setup.targets, &mut setup.rng);
 
     Ok(Report {
-        dataset: stats,
+        dataset: setup.stats,
         algorithm: name,
         training: TrainReport {
             comm_rounds: output.comm_rounds,
@@ -199,8 +199,9 @@ impl std::str::FromStr for TransportKind {
 pub struct RuntimeOptions {
     /// Barrier or async execution.
     pub mode: RuntimeMode,
-    /// Staleness bound for async mode (rounds).
-    pub max_staleness: usize,
+    /// Staleness bound for async mode (rounds); `None` keeps the
+    /// policy default.
+    pub max_staleness: Option<usize>,
     /// Worker-thread override; `None` auto-sizes.
     pub threads: Option<usize>,
     /// Per-node broadcast mailbox capacity override; `None` keeps the
@@ -270,7 +271,7 @@ impl Default for RuntimeOptions {
     fn default() -> Self {
         RuntimeOptions {
             mode: RuntimeMode::Barrier,
-            max_staleness: 4,
+            max_staleness: None,
             threads: None,
             mailbox_cap: None,
             seed: None,
@@ -348,56 +349,40 @@ fn parse_update_codec(opts: &RuntimeOptions) -> Result<UpdateCodec, String> {
     if name != "topk" && opts.topk.is_some() {
         return Err("--topk requires --update-codec topk".into());
     }
-    match name {
-        "none" => Ok(UpdateCodec::None),
-        "dense" => Ok(UpdateCodec::Dense),
-        "quant" => match opts.quant_bits.unwrap_or(8) {
-            bits @ (8 | 16) => Ok(UpdateCodec::Quant { bits }),
-            bits => Err(format!("--quant-bits must be 8 or 16, got {bits}")),
+    let codec = match name {
+        "none" => UpdateCodec::None,
+        "dense" => UpdateCodec::Dense,
+        "quant" => UpdateCodec::Quant {
+            bits: opts.quant_bits.unwrap_or(8),
         },
-        "topk" => match opts.topk {
-            Some(0) => Err("--topk must be at least 1".into()),
-            Some(k) => Ok(UpdateCodec::TopK { k }),
-            None => Err("--update-codec topk requires --topk <k>".into()),
+        "topk" => UpdateCodec::TopK {
+            k: opts.topk.ok_or("--update-codec topk requires --topk <k>")?,
         },
-        other => Err(format!(
-            "unknown update codec {other} (none|dense|quant|topk)"
-        )),
-    }
+        other => {
+            return Err(format!(
+                "unknown update codec {other} (none|dense|quant|topk)"
+            ))
+        }
+    };
+    codec.validate()?;
+    Ok(codec)
 }
 
-/// Resolves the `--async-decay`/`--async-buffer`/`--adaptive-mix` flag
-/// family into an [`AsyncPolicy`], then validates every field — the
-/// struct's public fields would otherwise let an invalid policy (NaN
-/// mix, negative decay exponent, zero buffer) straight through to the
-/// fold loop.
+/// Resolves the `--max-staleness`/`--async-decay`/`--async-buffer`/
+/// `--adaptive-mix` flag family into an [`AsyncPolicy`], then validates
+/// every field — the struct's public fields would otherwise let an
+/// invalid policy (NaN mix, negative decay exponent, zero buffer)
+/// straight through to the fold loop.
 fn parse_async_policy(opts: &RuntimeOptions) -> Result<AsyncPolicy, String> {
-    let mut policy = AsyncPolicy::default().with_max_staleness(opts.max_staleness);
+    let mut policy = AsyncPolicy::default();
+    if let Some(s) = opts.max_staleness {
+        policy.max_staleness = s;
+    }
     if let Some(name) = opts.async_decay.as_deref() {
-        let decay = match name {
-            "poly" => StalenessDecay::Poly,
-            "const" => StalenessDecay::Const,
-            "hinge" => StalenessDecay::Hinge { knee: 0 },
-            other => match other.strip_prefix("hinge:") {
-                Some(knee) => StalenessDecay::Hinge {
-                    knee: knee
-                        .parse()
-                        .map_err(|e| format!("bad hinge knee {knee}: {e}"))?,
-                },
-                None => {
-                    return Err(format!(
-                        "unknown async decay {other} (poly|hinge|hinge:<knee>|const)"
-                    ))
-                }
-            },
-        };
-        policy = policy.with_decay(decay);
+        policy.decay = name.parse()?;
     }
     if let Some(k) = opts.async_buffer {
-        if k == 0 {
-            return Err("--async-buffer must be at least 1".into());
-        }
-        policy = policy.with_buffer(k);
+        policy.buffer_k = k;
     }
     policy.adaptive_mix = opts.adaptive_mix;
     policy.validate()?;
@@ -417,9 +402,15 @@ fn build_runtime_config(opts: &RuntimeOptions, seed: u64) -> Result<RuntimeConfi
     let codec = parse_update_codec(opts)?;
     let mut rt_cfg = match opts.mode {
         RuntimeMode::Barrier => {
-            if opts.async_decay.is_some() || opts.async_buffer.is_some() || opts.adaptive_mix {
+            if opts.max_staleness.is_some()
+                || opts.async_decay.is_some()
+                || opts.async_buffer.is_some()
+                || opts.adaptive_mix
+            {
                 return Err(
-                    "--async-decay/--async-buffer/--adaptive-mix require --mode async".into(),
+                    "--max-staleness/--async-decay/--async-buffer/--adaptive-mix require \
+                     --mode async"
+                        .into(),
                 );
             }
             RuntimeConfig::barrier(seed)
@@ -446,7 +437,7 @@ fn build_runtime_config(opts: &RuntimeOptions, seed: u64) -> Result<RuntimeConfi
         rt_cfg = rt_cfg.with_checkpoint_dir(dir);
     }
     if let Some(every) = opts.checkpoint_every {
-        rt_cfg = rt_cfg.with_checkpoint_every(every.max(1));
+        rt_cfg = rt_cfg.with_checkpoint_every(every);
     }
     if let Some(n) = opts.max_recoveries {
         rt_cfg = rt_cfg.with_max_recoveries(n);
@@ -460,7 +451,16 @@ fn build_runtime_config(opts: &RuntimeOptions, seed: u64) -> Result<RuntimeConfi
 /// The [`LinkFaultPlan`] a node process wraps its link in, or `None`
 /// when no wire fault was requested. Decorrelated per node so a fleet
 /// sharing one `--fault-seed` still draws independent schedules.
-fn build_link_fault_plan(opts: &RuntimeOptions, seed: u64, node: usize) -> Option<LinkFaultPlan> {
+///
+/// # Errors
+///
+/// A delay needs both its probability and its length: either flag
+/// without the other is an error, not a fault-free link.
+fn build_link_fault_plan(
+    opts: &RuntimeOptions,
+    seed: u64,
+    node: usize,
+) -> Result<Option<LinkFaultPlan>, String> {
     let base = opts.fault_seed.unwrap_or(seed);
     let mut plan =
         LinkFaultPlan::new(base ^ (node as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -470,17 +470,16 @@ fn build_link_fault_plan(opts: &RuntimeOptions, seed: u64, node: usize) -> Optio
     if opts.fault_corrupt > 0.0 {
         plan = plan.with_corrupt(opts.fault_corrupt);
     }
-    if opts.fault_delay_prob > 0.0 && opts.fault_delay_ms > 0 {
-        plan = plan.with_delay(opts.fault_delay_prob, opts.fault_delay_ms);
+    match (opts.fault_delay_prob > 0.0, opts.fault_delay_ms > 0) {
+        (true, true) => plan = plan.with_delay(opts.fault_delay_prob, opts.fault_delay_ms),
+        (true, false) => return Err("--fault-delay-prob requires --fault-delay-ms <ms>".into()),
+        (false, true) => return Err("--fault-delay-ms requires --fault-delay-prob <p>".into()),
+        (false, false) => {}
     }
     if let Some(n) = opts.fault_disconnect_after {
         plan = plan.with_disconnect_after_recvs(n);
     }
-    if plan.is_benign() {
-        None
-    } else {
-        Some(plan)
-    }
+    Ok((!plan.is_benign()).then_some(plan))
 }
 
 /// Executes a configured experiment on the `fml-runtime` actor fleet
@@ -521,15 +520,7 @@ pub fn run_runtime(cfg: &RunConfig, opts: &RuntimeOptions) -> Result<Report, Str
             return Err("--listen requires --transport tcp or uds".into())
         }
         (kind, Some(addr)) => {
-            let listener: Box<dyn TransportListener> = match kind {
-                TransportKind::Tcp => Box::new(
-                    TcpTransportListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?,
-                ),
-                TransportKind::Uds => Box::new(
-                    UnixTransportListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?,
-                ),
-                TransportKind::Channel => unreachable!("handled above"),
-            };
+            let listener = bind(kind, addr, "the platform")?;
             // Stderr so scripted runs can still capture a clean report
             // on stdout; with an ephemeral TCP port this line is where
             // the real address appears.
@@ -595,23 +586,14 @@ pub fn run_runtime_node(cfg: &RunConfig, opts: &RuntimeOptions) -> Result<NodeIo
             setup.tasks.len()
         ));
     }
-    let mut link: Box<dyn Transport> = match opts.transport {
-        TransportKind::Tcp => Box::new(
-            TcpTransport::connect_with_backoff(addr, CONNECT_ATTEMPTS, CONNECT_BASE_DELAY)
-                .map_err(|e| format!("connect {addr}: {e}"))?,
-        ),
-        TransportKind::Uds => Box::new(
-            UnixTransport::connect_with_backoff(addr, CONNECT_ATTEMPTS, CONNECT_BASE_DELAY)
-                .map_err(|e| format!("connect {addr}: {e}"))?,
-        ),
-        TransportKind::Channel => {
-            return Err("node mode needs a socket transport (--transport tcp|uds)".into())
-        }
-    };
-    if let Some(plan) = build_link_fault_plan(opts, seed, node) {
+    // Every flag is checked before dialing: a bad one fails at once
+    // instead of after the connect backoff.
+    let rt_cfg = build_runtime_config(opts, seed)?;
+    let fault_plan = build_link_fault_plan(opts, seed, node)?;
+    let mut link = connect(opts.transport, addr, "node mode")?;
+    if let Some(plan) = fault_plan {
         link = Box::new(FaultyTransport::new(link, plan));
     }
-    let rt_cfg = build_runtime_config(opts, seed)?;
     Ok(Runtime::new(rt_cfg).run_node(
         setup.trainer.stepper("the runtime subcommand")?,
         setup.model.as_ref(),
@@ -716,22 +698,37 @@ fn build_serving_config(opts: &ServeOptions) -> ServingConfig {
     cfg
 }
 
-/// Binds the listener an adaptation service was asked for.
-fn bind_listener(
-    transport: TransportKind,
-    addr: &str,
-) -> Result<Box<dyn TransportListener>, String> {
-    match transport {
-        TransportKind::Tcp => Ok(Box::new(
-            TcpTransportListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?,
-        )),
-        TransportKind::Uds => Ok(Box::new(
-            UnixTransportListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?,
-        )),
-        TransportKind::Channel => {
-            Err("adapt-serve needs a socket transport (--transport tcp|uds)".into())
-        }
-    }
+/// Binds a socket listener at `addr`; `who` names the caller when the
+/// transport is not a socket.
+fn bind(kind: TransportKind, addr: &str, who: &str) -> Result<Box<dyn TransportListener>, String> {
+    let failed = |e: &dyn std::fmt::Display| format!("bind {addr}: {e}");
+    Ok(match kind {
+        TransportKind::Tcp => Box::new(TcpTransportListener::bind(addr).map_err(|e| failed(&e))?),
+        TransportKind::Uds => Box::new(UnixTransportListener::bind(addr).map_err(|e| failed(&e))?),
+        TransportKind::Channel => return Err(needs_socket(who)),
+    })
+}
+
+/// Dials the socket at `addr` with backoff, so starting before the
+/// listener is fine; `who` names the caller when the transport is not a
+/// socket.
+fn connect(kind: TransportKind, addr: &str, who: &str) -> Result<Box<dyn Transport>, String> {
+    let failed = |e: &dyn std::fmt::Display| format!("connect {addr}: {e}");
+    let (attempts, base) = (CONNECT_ATTEMPTS, CONNECT_BASE_DELAY);
+    Ok(match kind {
+        TransportKind::Tcp => Box::new(
+            TcpTransport::connect_with_backoff(addr, attempts, base).map_err(|e| failed(&e))?,
+        ),
+        TransportKind::Uds => Box::new(
+            UnixTransport::connect_with_backoff(addr, attempts, base).map_err(|e| failed(&e))?,
+        ),
+        TransportKind::Channel => return Err(needs_socket(who)),
+    })
+}
+
+/// What [`bind`] and [`connect`] say about the channel transport.
+fn needs_socket(who: &str) -> String {
+    format!("{who} needs a socket transport (--transport tcp|uds)")
 }
 
 /// Polls the server until it has seen `max_requests` well-formed
@@ -786,7 +783,7 @@ pub fn run_adapt_serve(cfg: &RunConfig, opts: &ServeOptions) -> Result<ServingRe
         (None, false) => return Err("adapt-serve requires --checkpoint-dir or --attach".into()),
     };
 
-    let listener = bind_listener(opts.transport, addr)?;
+    let listener = bind(opts.transport, addr, "adapt-serve")?;
     // Stderr, like the platform's listening line, so scripts can scrape
     // the real address when an ephemeral TCP port was requested.
     eprintln!("adapt service listening on {}", listener.local_addr());
@@ -869,19 +866,7 @@ pub fn run_adapt(cfg: &RunConfig, opts: &AdaptOptions) -> Result<AdaptReport, St
             .connect
             .as_deref()
             .ok_or("adapt requires --connect <addr> (or --offline)")?;
-        let link: Box<dyn Transport> = match opts.transport {
-            TransportKind::Tcp => Box::new(
-                TcpTransport::connect_with_backoff(addr, CONNECT_ATTEMPTS, CONNECT_BASE_DELAY)
-                    .map_err(|e| format!("connect {addr}: {e}"))?,
-            ),
-            TransportKind::Uds => Box::new(
-                UnixTransport::connect_with_backoff(addr, CONNECT_ATTEMPTS, CONNECT_BASE_DELAY)
-                    .map_err(|e| format!("connect {addr}: {e}"))?,
-            ),
-            TransportKind::Channel => {
-                return Err("adapt needs a socket transport (--transport tcp|uds)".into())
-            }
-        };
+        let link = connect(opts.transport, addr, "adapt")?;
         let timeout = std::time::Duration::from_millis(opts.timeout_ms.max(1));
         let mut client = AdaptClient::new(link);
         let steps_u32 =
@@ -1083,12 +1068,12 @@ impl Trainer {
 
 fn train(
     cfg: &RunConfig,
+    trainer: &Trainer,
     model: &dyn Model,
     tasks: &[SourceTask],
     theta0: &[f64],
     rng: &mut StdRng,
 ) -> Result<(String, TrainOutput, Option<SimReport>), String> {
-    let trainer = build_trainer(cfg);
     let Some(s) = cfg.simulate else {
         let (name, out) = trainer.train_from(model, tasks, theta0, rng);
         return Ok((name.into(), out, None));
@@ -1393,7 +1378,7 @@ mod tests {
         });
         let opts = RuntimeOptions {
             mode: RuntimeMode::Async,
-            max_staleness: 2,
+            max_staleness: Some(2),
             threads: Some(2),
             ..RuntimeOptions::default()
         };
@@ -1476,6 +1461,36 @@ mod tests {
     }
 
     #[test]
+    fn codec_rule_is_the_same_for_validate_builder_and_cli() {
+        let flags = |codec: &str, quant_bits, topk| RuntimeOptions {
+            update_codec: Some(codec.into()),
+            quant_bits,
+            topk,
+            ..RuntimeOptions::default()
+        };
+        for (codec, opts) in [
+            (
+                UpdateCodec::Quant { bits: 4 },
+                flags("quant", Some(4), None),
+            ),
+            (
+                UpdateCodec::Quant { bits: 8 },
+                flags("quant", Some(8), None),
+            ),
+            (UpdateCodec::TopK { k: 0 }, flags("topk", None, Some(0))),
+            (UpdateCodec::TopK { k: 1 }, flags("topk", None, Some(1))),
+        ] {
+            let rule = codec.validate().map(|()| codec);
+            assert_eq!(parse_update_codec(&opts), rule, "{codec}");
+            let built =
+                std::panic::catch_unwind(|| RuntimeConfig::barrier(0).with_update_codec(codec))
+                    .map(|cfg| cfg.update_codec)
+                    .map_err(|panic| *panic.downcast::<String>().expect("panics with a message"));
+            assert_eq!(built, rule, "{codec}");
+        }
+    }
+
+    #[test]
     fn runtime_async_policy_flags_parse_and_report() {
         let cfg = tiny(AlgorithmConfig::Fedavg {
             lr: 0.05,
@@ -1484,7 +1499,7 @@ mod tests {
         });
         let async_opts = |decay: Option<&str>, buffer: Option<usize>, adaptive| RuntimeOptions {
             mode: RuntimeMode::Async,
-            max_staleness: 2,
+            max_staleness: Some(2),
             async_decay: decay.map(String::from),
             async_buffer: buffer,
             adaptive_mix: adaptive,

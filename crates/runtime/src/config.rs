@@ -81,6 +81,28 @@ impl std::fmt::Display for StalenessDecay {
     }
 }
 
+/// The inverse of `Display`: `poly`, `hinge`, `hinge:<knee>`, `const`.
+impl std::str::FromStr for StalenessDecay {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "poly" => Ok(StalenessDecay::Poly),
+            "hinge" => Ok(StalenessDecay::Hinge { knee: 0 }),
+            "const" => Ok(StalenessDecay::Const),
+            other => match other.strip_prefix("hinge:") {
+                Some(knee) => knee
+                    .parse()
+                    .map(|knee| StalenessDecay::Hinge { knee })
+                    .map_err(|e| format!("bad hinge knee {knee}: {e}")),
+                None => Err(format!(
+                    "unknown async decay {other} (poly|hinge|hinge:<knee>|const)"
+                )),
+            },
+        }
+    }
+}
+
 /// Staleness handling for [`Mode::Async`] aggregation.
 ///
 /// An update computed against the round-`r` global model that reaches
@@ -451,17 +473,10 @@ impl RuntimeConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate codec: `Quant` bits outside {8, 16} or a
-    /// `TopK` k of zero (which would ship empty updates forever).
+    /// Panics on a codec [`UpdateCodec::validate`] rejects.
     pub fn with_update_codec(mut self, codec: UpdateCodec) -> Self {
-        match codec {
-            UpdateCodec::Quant { bits } => {
-                assert!(bits == 8 || bits == 16, "quant bits must be 8 or 16");
-            }
-            UpdateCodec::TopK { k } => {
-                assert!(k > 0, "top-k must keep at least one entry");
-            }
-            UpdateCodec::None | UpdateCodec::Dense => {}
+        if let Err(why) = codec.validate() {
+            panic!("{why}");
         }
         self.update_codec = codec;
         self
@@ -636,6 +651,18 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
+        /// `FromStr` is the exact inverse of `Display` for every family
+        /// and knee.
+        #[test]
+        fn prop_decay_round_trips_display(family in 0usize..3, knee in any::<usize>()) {
+            let decay = match family {
+                0 => StalenessDecay::Poly,
+                1 => StalenessDecay::Const,
+                _ => StalenessDecay::Hinge { knee },
+            };
+            prop_assert_eq!(decay.to_string().parse::<StalenessDecay>(), Ok(decay));
+        }
+
         /// Across every decay family and finite knob setting, the
         /// weight is finite, in [0, 1], and non-increasing in staleness.
         #[test]

@@ -105,6 +105,23 @@ impl UpdateCodec {
     pub fn wants_feedback(self) -> bool {
         matches!(self, UpdateCodec::TopK { .. })
     }
+
+    /// The one statement of which codecs can go on the wire: `Quant`
+    /// bits are 8 or 16, and `TopK` keeps at least one entry (zero
+    /// would ship empty updates forever).
+    ///
+    /// # Errors
+    ///
+    /// Names the violated rule.
+    pub fn validate(self) -> Result<(), String> {
+        match self {
+            UpdateCodec::Quant { bits } if bits != 8 && bits != 16 => {
+                Err("quant bits must be 8 or 16".into())
+            }
+            UpdateCodec::TopK { k: 0 } => Err("top-k must keep at least one entry".into()),
+            _ => Ok(()),
+        }
+    }
 }
 
 impl std::fmt::Display for UpdateCodec {

@@ -22,7 +22,7 @@
 //!   retransmission accounting;
 //! * [`stats`] — communication and computation meters;
 //! * [`runner`] — the round-based executor: broadcast → parallel local
-//!   update (real threads via crossbeam) → upload → aggregate, with node
+//!   update (real threads via `fml_core::parallel`) → upload → aggregate, with node
 //!   dropout and straggler injection.
 
 #![forbid(unsafe_code)]

@@ -16,7 +16,8 @@
 //! at clone/creation), and a full shard simply drops the returned
 //! buffer. Stats (hits, misses, returns, high-water mark) are atomic
 //! counters, cheap enough to leave on in production and precise enough
-//! for the scale bench to assert steady-state allocations/hop is zero.
+//! for the `perf/` series to report the steady-state hit rate and
+//! misses per round (`sim.pool.*`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -211,7 +212,7 @@ mod tests {
 
     #[test]
     fn steady_state_round_trips_are_hits() {
-        // The contract the scale bench relies on: after warm-up, every
+        // The contract `sim.pool.hit_rate` reports on: after warm-up, every
         // encode acquires from the pool and every receive returns to it,
         // so the allocator is never touched.
         let pool = FramePool::new();

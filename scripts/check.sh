@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: lint (clippy, warnings fatal), the workspace test
-# suite, and the bench smoke pass. CI and pre-merge checks should run
-# exactly this.
+# suite, the kernel bench bodies once each, and the smoke scripts that
+# drive real processes. CI and pre-merge checks should run exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,9 +14,7 @@ cargo test -q
 cargo clippy --manifest-path perf/Cargo.toml --all-targets -- -D warnings
 cargo test --release --manifest-path perf/Cargo.toml
 "$(dirname "$0")/loc.sh"
-"$(dirname "$0")/bench_smoke.sh"
-"$(dirname "$0")/fault_smoke.sh"
-"$(dirname "$0")/runtime_smoke.sh"
+cargo bench -p fml-bench --bench kernels -- --test
 "$(dirname "$0")/transport_smoke.sh"
 "$(dirname "$0")/scale_smoke.sh"
 "$(dirname "$0")/recovery_smoke.sh"

@@ -1,14 +1,14 @@
 //! Workspace-local stand-in for `criterion`.
 //!
 //! A minimal benchmark harness with criterion's API shape: benchmark
-//! groups, [`Bencher::iter`], [`BenchmarkId`], and the
-//! [`criterion_group!`]/[`criterion_main!`] macros. Timing uses adaptive
-//! batching around `std::time::Instant` and reports median ns/iter.
+//! groups, [`Bencher::iter`] and [`BenchmarkId`]. Timing uses adaptive
+//! batching around `std::time::Instant` and prints median ns/iter;
+//! nothing is recorded.
 //!
 //! Flags understood on the bench binary:
 //!
 //! * `--test` — run every benchmark body exactly once with no timing
-//!   (the mode `scripts/bench_smoke.sh` uses in the test gate);
+//!   (the mode `scripts/check.sh` uses in the test gate);
 //! * `--bench` — ignored (cargo passes it);
 //! * any other non-flag argument — substring filter on benchmark names.
 
@@ -18,20 +18,10 @@ use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// One finished measurement.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Full benchmark id (`group/name`).
-    pub id: String,
-    /// Median nanoseconds per iteration.
-    pub ns_per_iter: f64,
-}
-
 /// The benchmark driver.
 pub struct Criterion {
     test_mode: bool,
     filter: Option<String>,
-    results: Vec<BenchResult>,
 }
 
 impl Default for Criterion {
@@ -46,11 +36,7 @@ impl Default for Criterion {
                 _ => {}
             }
         }
-        Criterion {
-            test_mode,
-            filter,
-            results: Vec::new(),
-        }
+        Criterion { test_mode, filter }
     }
 }
 
@@ -61,20 +47,6 @@ impl Criterion {
             criterion: self,
             name: name.into(),
         }
-    }
-
-    /// Benchmarks a function outside any group.
-    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        self.run(name.to_string(), f);
-        self
-    }
-
-    /// All measurements taken so far (empty in `--test` mode).
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
     }
 
     fn run<F>(&mut self, id: String, mut f: F)
@@ -95,10 +67,6 @@ impl Criterion {
             println!("test {id} ... ok");
         } else {
             println!("{id:<52} time: {}", format_ns(bencher.ns_per_iter));
-            self.results.push(BenchResult {
-                id,
-                ns_per_iter: bencher.ns_per_iter,
-            });
         }
     }
 }
@@ -127,16 +95,6 @@ impl BenchmarkGroup<'_> {
     {
         let id = format!("{}/{}", self.name, id.into_benchmark_id());
         self.criterion.run(id, |b| f(b, input));
-        self
-    }
-
-    /// Criterion compatibility: sample count hint (ignored).
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Criterion compatibility: measurement time hint (ignored).
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
         self
     }
 
@@ -181,12 +139,6 @@ impl IntoBenchmarkId for BenchmarkId {
 impl IntoBenchmarkId for &str {
     fn into_benchmark_id(self) -> String {
         self.to_string()
-    }
-}
-
-impl IntoBenchmarkId for String {
-    fn into_benchmark_id(self) -> String {
-        self
     }
 }
 
@@ -255,27 +207,6 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Declares a bench group entry point, criterion-style.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut criterion = $crate::Criterion::default();
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-/// Declares the bench binary's `main`, criterion-style.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,14 +225,12 @@ mod tests {
         let mut c = Criterion {
             test_mode: true,
             filter: None,
-            results: Vec::new(),
         };
         let mut runs = 0;
         let mut group = c.benchmark_group("g");
         group.bench_function("once", |b| b.iter(|| runs += 1));
         group.finish();
         assert_eq!(runs, 1);
-        assert!(c.results().is_empty());
     }
 
     #[test]
@@ -309,13 +238,15 @@ mod tests {
         let mut c = Criterion {
             test_mode: false,
             filter: None,
-            results: Vec::new(),
         };
+        let mut measured = 0.0;
         let mut group = c.benchmark_group("g");
-        group.bench_function("sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
+        group.bench_function("sum", |b| {
+            b.iter(|| (0..100u64).sum::<u64>());
+            measured = b.ns_per_iter;
+        });
         group.finish();
-        assert_eq!(c.results().len(), 1);
-        assert!(c.results()[0].ns_per_iter > 0.0);
+        assert!(measured > 0.0);
     }
 
     #[test]
@@ -323,7 +254,6 @@ mod tests {
         let mut c = Criterion {
             test_mode: true,
             filter: Some("match_me".into()),
-            results: Vec::new(),
         };
         let mut runs = 0;
         let mut group = c.benchmark_group("g");
