@@ -60,11 +60,8 @@ pub mod ft;
 pub mod gather;
 pub mod meta;
 mod metasgd;
-pub mod metrics;
-pub mod optim;
 pub mod parallel;
 mod reptile;
-pub mod selection;
 pub mod step;
 mod robust;
 mod task;

@@ -3,9 +3,7 @@
 //! This crate provides the small set of numerical primitives that the
 //! federated meta-learning stack is built on: contiguous row-major
 //! matrices ([`Matrix`]), vector kernels ([`vector`]), numerically stable
-//! softmax / log-sum-exp ([`softmax`]), a Cholesky factorization used by the
-//! convergence-theory validation code ([`cholesky`]), and summary statistics
-//! ([`stats`]).
+//! softmax / log-sum-exp ([`softmax`]), and summary statistics ([`stats`]).
 //!
 //! Everything operates on `f64` slices so that model parameters can live in
 //! flat `Vec<f64>` buffers and be aggregated, serialized, and shipped between
@@ -25,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cholesky;
 mod error;
 mod matrix;
 pub mod softmax;

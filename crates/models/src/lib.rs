@@ -51,7 +51,6 @@ mod linear;
 mod logistic;
 mod mlp;
 mod quadratic;
-mod scaler;
 mod softmax_reg;
 mod traits;
 mod workspace;
@@ -62,7 +61,6 @@ pub use linear::LinearRegression;
 pub use logistic::LogisticRegression;
 pub use mlp::{Activation, Mlp, MlpBuilder};
 pub use quadratic::Quadratic;
-pub use scaler::Standardizer;
 pub use softmax_reg::SoftmaxRegression;
 pub use traits::{Model, Prediction};
 pub use workspace::Workspace;

@@ -19,18 +19,14 @@ use crate::health::HealthPolicy;
 /// the run: the platform degrades the round and keeps going.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Whether rollback-and-exclude recovery runs at all.
-    pub enabled: bool,
-    /// Recovery cycles the whole run may consume.
+    /// Recovery cycles the whole run may consume; 0 disables
+    /// rollback-and-exclude recovery.
     pub max_recoveries: usize,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        RecoveryConfig {
-            enabled: true,
-            max_recoveries: 2,
-        }
+        RecoveryConfig { max_recoveries: 2 }
     }
 }
 
@@ -436,9 +432,8 @@ impl RuntimeConfig {
 
     /// Disables rollback-and-exclude recovery (faults then only degrade
     /// rounds, the pre-recovery behaviour).
-    pub fn without_recovery(mut self) -> Self {
-        self.recovery.enabled = false;
-        self
+    pub fn without_recovery(self) -> Self {
+        self.with_max_recoveries(0)
     }
 
     /// Enables disk checkpointing into `dir` (with resume on startup).
@@ -534,7 +529,6 @@ mod tests {
     #[test]
     fn recovery_and_checkpoint_builders() {
         let cfg = RuntimeConfig::barrier(5);
-        assert!(cfg.recovery.enabled);
         assert_eq!(cfg.recovery.max_recoveries, 2);
         assert!(cfg.checkpoint.dir.is_none());
 
@@ -547,7 +541,7 @@ mod tests {
         assert_eq!(cfg.checkpoint.every, 3);
         assert!(cfg.checkpoint.resume);
         assert!(!cfg.clone().without_resume().checkpoint.resume);
-        assert!(!cfg.without_recovery().recovery.enabled);
+        assert_eq!(cfg.without_recovery().recovery.max_recoveries, 0);
     }
 
     #[test]

@@ -378,9 +378,10 @@ fn install_peer(
 }
 
 /// Drains the bounded outbound queue onto the link. Any send error is
-/// treated as fatal (a timed-out partial write desynchronizes the
-/// stream); the failed frame — and anything still queued behind it —
-/// is re-parked so a reconnect, not a timeout, decides the round.
+/// fatal (a stream transport closes itself on a failed write: a
+/// timed-out partial write desynchronizes the stream); the failed
+/// frame — and anything still queued behind it — is re-parked so a
+/// reconnect, not a timeout, decides the round.
 /// Exiting closes the link so the peer and the paired reader both
 /// observe EOF.
 fn writer_loop(

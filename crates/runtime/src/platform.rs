@@ -791,12 +791,6 @@ impl Platform<'_> {
         failed: &[usize],
         round: usize,
     ) -> bool {
-        let recovery = &self.cfg.recovery;
-        let budget = if recovery.enabled {
-            recovery.max_recoveries
-        } else {
-            0
-        };
         let active: Vec<bool> = (0..self.n).map(|i| self.health.is_active(i)).collect();
         let Some(excluded) = rollback_and_exclude(
             global,
@@ -804,7 +798,7 @@ impl Platform<'_> {
             &active,
             failed,
             &mut self.recoveries,
-            budget,
+            self.cfg.recovery.max_recoveries,
         ) else {
             return false;
         };

@@ -46,7 +46,9 @@ use bytes::Bytes;
 #[non_exhaustive]
 pub enum TransportError {
     /// No frame arrived (or the write did not complete) before the
-    /// deadline. The link is still usable.
+    /// deadline. Retryable on receive only: buffered partial frames are
+    /// kept, so the link is still usable. A stream transport whose
+    /// *write* timed out may have torn a frame and has closed itself.
     Timeout,
     /// A best-effort send was dropped because the peer's bounded
     /// mailbox is full. The link is still usable; the frame is gone.
@@ -111,7 +113,8 @@ pub trait Transport: Send {
     /// [`TransportError::Full`] when a best-effort bounded send dropped
     /// the frame, [`TransportError::Timeout`] when the write deadline
     /// expired, [`TransportError::Closed`]/[`TransportError::Io`] when
-    /// the link is dead.
+    /// the link is dead. A socket transport closes itself on any failed
+    /// write, `Timeout` included: every later call returns `Closed`.
     fn send_frame(&mut self, frame: &Bytes) -> Result<(), TransportError>;
 
     /// Receives the next whole frame, waiting at most `timeout`.

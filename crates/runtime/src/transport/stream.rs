@@ -144,10 +144,17 @@ impl<S: FramedStream + 'static> Transport for StreamTransport<S> {
             .write_timeout_set(WRITE_TIMEOUT)
             .map_err(|e| io_error(&e))?;
         prefix_frame_into(frame, &mut self.write_scratch);
-        self.stream
+        let written = self
+            .stream
             .write_all(&self.write_scratch)
-            .map_err(|e| io_error(&e))?;
-        self.stream.flush().map_err(|e| io_error(&e))?;
+            .and_then(|()| self.stream.flush());
+        if let Err(e) = written {
+            // A prefix of `[len][frame]` may already be on the wire: the
+            // next frame would be read as the tail of this one. The
+            // stream is desynchronized, so the link dies with the write.
+            self.close();
+            return Err(io_error(&e));
+        }
         Ok(())
     }
 
@@ -474,6 +481,44 @@ mod tests {
             !std::path::Path::new(&path).exists(),
             "socket file must be removed on listener drop"
         );
+    }
+
+    #[test]
+    fn failed_write_closes_the_link_instead_of_tearing_the_stream() {
+        let path = uds_path("torn-write");
+        let mut listener = UnixTransportListener::bind(&path).unwrap();
+        let mut client = UnixTransport::connect(&path).unwrap();
+        let mut server = listener.accept(Duration::from_secs(5)).unwrap();
+        // The peer does not read: the socket buffer fills and a write
+        // times out with a prefix of `[len][frame]` already on the wire.
+        let big = |tag: usize| Bytes::from(vec![tag as u8; 64 << 10]);
+        let mut sent = 0;
+        let first_error = loop {
+            match client.send_frame(&big(sent)) {
+                Ok(()) => sent += 1,
+                Err(e) => break e,
+            }
+            assert!(sent < 1024, "64 KiB frames must overrun an unread socket");
+        };
+        assert_eq!(first_error, TransportError::Timeout);
+        // The peer wakes up and makes room; writing on now would splice
+        // the next frame into the torn one.
+        let recv = |t: &mut Box<dyn Transport>| t.recv_frame(Duration::from_secs(5));
+        assert!(recv(&mut server).unwrap() == big(0), "frame 0 differs");
+        assert_eq!(
+            client.send_frame(&big(sent + 1)),
+            Err(TransportError::Closed)
+        );
+        // The peer sees every whole frame, byte for byte, then EOF: never
+        // `Corrupt`, never a mis-framed payload.
+        for tag in 1..sent {
+            assert!(
+                recv(&mut server).unwrap() == big(tag),
+                "frame {tag} differs"
+            );
+        }
+        let tail = recv(&mut server).map(|f| f.len());
+        assert_eq!(tail, Err(TransportError::Closed));
     }
 
     #[test]

@@ -131,7 +131,7 @@ pub fn run_adaptive_fedml(
 
         let mut flight = st.broadcast(round, steps, everyone.len(), rng);
         let locals = st.local_updates(&mut flight, &everyone);
-        st.upload(&mut flight, &everyone, &locals, rng);
+        st.upload(&flight, &everyone, &locals, rng);
 
         // Aggregate and measure divergence.
         let agg = fml_core::aggregate(tasks, &locals);
@@ -145,7 +145,7 @@ pub fn run_adaptive_fedml(
         divergence_trace.push(divergence);
         st.global = agg;
         done += steps;
-        let meta_loss = st.finish(flight, &everyone, everyone.len(), false);
+        let meta_loss = st.finish(flight, &everyone);
         st.history.push((done, meta_loss));
 
         // Control law.

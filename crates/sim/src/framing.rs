@@ -325,4 +325,89 @@ mod tests {
             assert_eq!(fb.pending(), 0);
         }
     }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A stream of valid frames and oversized prefixes, cut into
+        /// chunks at arbitrary boundaries and popped through the product
+        /// path (`next_frame_pooled`, as `StreamTransport::recv_frame`
+        /// does): exactly the valid frames before the first oversized
+        /// prefix come out, then the poison is sticky.
+        #[test]
+        fn prop_frame_buffer_is_total_on_chunked_scripts(
+            script in proptest::collection::vec((any::<bool>(), 0usize..=512, any::<u8>()), 1..9),
+            cuts in proptest::collection::vec(prop_oneof![Just(1usize), 1usize..700], 1..24),
+        ) {
+            let mut stream = Vec::new();
+            let mut expected = Vec::new();
+            let mut bad_len = None;
+            for &(valid, len, fill) in &script {
+                if valid {
+                    let payload: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                    stream.extend_from_slice(&prefix_frame(&payload));
+                    if bad_len.is_none() {
+                        expected.push(payload);
+                    }
+                } else {
+                    // Both ends of the illegal range.
+                    let announced = if fill % 2 == 0 {
+                        MAX_FRAME_LEN + 1 + len
+                    } else {
+                        u32::MAX as usize - len
+                    };
+                    stream.extend_from_slice(&(announced as u32).to_le_bytes());
+                    bad_len.get_or_insert(announced);
+                }
+            }
+
+            let pool = FramePool::new();
+            let mut fb = FrameBuffer::new();
+            let mut out: Vec<Bytes> = Vec::new();
+            let (mut fed, mut returned) = (0usize, 0usize);
+            let mut poison = None;
+            let mut rest = &stream[..];
+            let mut cuts = cuts.iter().cycle();
+            while !rest.is_empty() {
+                let cut = *cuts.next().expect("cuts is non-empty");
+                let (chunk, tail) = rest.split_at(cut.min(rest.len()));
+                rest = tail;
+                fb.extend(chunk);
+                fed += chunk.len();
+                loop {
+                    let buffered = fb.pending();
+                    let popped = fb.next_frame_pooled(&pool);
+                    prop_assert!(fb.pending() <= fed - returned);
+                    if let Some(first) = &poison {
+                        prop_assert_eq!(&popped, first, "poison must be sticky");
+                        break;
+                    }
+                    match popped {
+                        Ok(Some(frame)) => {
+                            // The pool is asked for `len` bytes only once
+                            // the whole frame is already buffered.
+                            prop_assert!(LENGTH_PREFIX_LEN + frame.len() <= buffered);
+                            returned += LENGTH_PREFIX_LEN + frame.len();
+                            out.push(frame);
+                        }
+                        Ok(None) => break,
+                        Err(_) => {
+                            poison = Some(popped);
+                            break;
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(out.len(), expected.len());
+            for (got, want) in out.iter().zip(&expected) {
+                prop_assert_eq!(&got[..], &want[..]);
+            }
+            prop_assert_eq!(poison, bad_len.map(|len| Err(FrameError::Oversized { len })));
+            if bad_len.is_none() {
+                prop_assert_eq!(fb.pending(), 0);
+            }
+        }
+    }
 }

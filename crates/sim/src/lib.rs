@@ -52,6 +52,6 @@ pub use message::{
 };
 pub use pool::{FramePool, PoolStats};
 pub use network::{LinkModel, Network, IDEAL_BANDWIDTH_BPS};
-pub use runner::{EdgeProfile, SimConfig, SimOutput, SimRunner, DERIVED_DEADLINE_HEADROOM};
+pub use runner::{EdgeProfile, SimConfig, SimOutput, SimRunner};
 pub use stats::{CommStats, ComputeStats};
 pub use trace::{RoundTrace, TraceLog};

@@ -74,7 +74,7 @@ impl LinkModel {
     }
 
     /// Time for one *successful* transfer attempt of `bytes`.
-    pub fn attempt_time(&self, bytes: usize) -> f64 {
+    fn attempt_time(&self, bytes: usize) -> f64 {
         self.latency_s + bytes as f64 / self.bandwidth_bps
     }
 }

@@ -18,10 +18,7 @@
 //! critical path (max over participants) is what accrues to simulated
 //! wall-clock time, matching how stragglers hurt real federated systems.
 
-use fml_core::faults::{self, Fault};
-use fml_core::ft::ReuseCache;
-use fml_core::gather::{gather, Submission};
-use fml_core::{FaultTolerance, LocalStepper, SourceTask};
+use fml_core::{LocalStepper, SourceTask};
 use fml_models::Model;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -193,12 +190,6 @@ impl SimOutput {
     }
 }
 
-/// Headroom multiplier applied to the nominal fault-free round time when
-/// deriving a gather deadline from the link model (used when the policy's
-/// `deadline_s` is `None`). Gives slow-but-honest nodes room for a few
-/// retransmissions before they count as stragglers.
-pub const DERIVED_DEADLINE_HEADROOM: f64 = 4.0;
-
 /// The round-based executor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimRunner {
@@ -230,14 +221,12 @@ pub(crate) struct RunState<'a> {
     frames: Vec<bytes::Bytes>,
 }
 
-/// One round in flight: its broadcast frame, each participant's
-/// accumulated report delay, and the meter marks its trace row needs.
+/// One round in flight: its broadcast frame and the meter marks its
+/// trace row needs.
 pub(crate) struct Flight {
     round: usize,
     steps: usize,
     frame: bytes::Bytes,
-    /// Downlink + compute + uplink seconds per participant slot.
-    delay_s: Vec<f64>,
     down_time: f64,
     compute_time: f64,
     bytes_before: u64,
@@ -310,7 +299,6 @@ impl<'a> RunState<'a> {
             round,
             steps,
             frame: buf.freeze(),
-            delay_s: Vec::with_capacity(links),
             down_time: 0.0,
             compute_time: 0.0,
             bytes_before: self.comm.bytes_up + self.comm.bytes_down,
@@ -322,7 +310,6 @@ impl<'a> RunState<'a> {
             self.comm.bytes_down += flight.frame.len() as u64;
             self.charge(t);
             flight.down_time = flight.down_time.max(t.time_s);
-            flight.delay_s.push(t.time_s);
         }
         flight
     }
@@ -348,10 +335,9 @@ impl<'a> RunState<'a> {
         });
         let steps = t0 as u64;
         let (grads, hvps) = stepper.oracle_calls();
-        for (slot, &i) in participants.iter().enumerate() {
+        for &i in participants {
             let node_time = self.cfg.iteration_time_s * steps as f64 / self.profiles[i].speed;
             flight.compute_time = flight.compute_time.max(node_time);
-            flight.delay_s[slot] += node_time;
             self.compute.grad_evals += grads * steps;
             self.compute.hvp_evals += hvps * steps;
             self.compute.local_iterations += steps;
@@ -365,7 +351,7 @@ impl<'a> RunState<'a> {
     /// slowest downlink plus the slowest uplink.
     pub(crate) fn upload(
         &mut self,
-        flight: &mut Flight,
+        flight: &Flight,
         participants: &[usize],
         updated: &[Vec<f64>],
         rng: &mut StdRng,
@@ -384,7 +370,6 @@ impl<'a> RunState<'a> {
             self.comm.bytes_up += f.len() as u64;
             self.charge(t);
             up_time = up_time.max(t.time_s);
-            flight.delay_s[slot] += t.time_s;
             self.frames.push(f);
         }
         self.comm.time_s += flight.down_time + up_time;
@@ -393,13 +378,7 @@ impl<'a> RunState<'a> {
     /// Closes the round once the loop has installed its new global:
     /// hands the dead frames back to the pool and writes the trace row.
     /// Returns the round's meta loss for the loop's own curve.
-    pub(crate) fn finish(
-        &mut self,
-        flight: Flight,
-        participants: &[usize],
-        reporters: usize,
-        degraded: bool,
-    ) -> f64 {
+    pub(crate) fn finish(&mut self, flight: Flight, participants: &[usize]) -> f64 {
         self.pool.recycle(flight.frame);
         for f in self.frames.drain(..) {
             self.pool.recycle(f);
@@ -416,8 +395,8 @@ impl<'a> RunState<'a> {
             comm_time_s: self.comm.time_s - flight.comm_time_before,
             compute_time_s: flight.compute_time,
             meta_loss,
-            reporters,
-            degraded,
+            reporters: participants.len(),
+            degraded: false,
         });
         meta_loss
     }
@@ -505,7 +484,7 @@ impl SimRunner {
 
             let mut flight = st.broadcast(round, t0, participants.len(), rng);
             let updated = st.local_updates(&mut flight, &participants);
-            st.upload(&mut flight, &participants, &updated, rng);
+            st.upload(&flight, &participants, &updated, rng);
 
             // --- platform decodes and aggregates (renormalized weights) ---
             // Reading the floats straight out of the frame is bitwise
@@ -525,123 +504,7 @@ impl SimRunner {
             fml_linalg::vector::scale_in_place(1.0 / weight_sum, &mut agg);
             st.global = stepper.combine(&st.global, agg);
 
-            let meta_loss = st.finish(flight, &participants, participants.len(), false);
-            st.history.push((round, meta_loss));
-        }
-        st.into_output()
-    }
-
-    /// Deadline derived from the nominal fault-free round time (local
-    /// compute plus one downlink and one uplink attempt) scaled by
-    /// [`DERIVED_DEADLINE_HEADROOM`]. `None` when the nominal time is
-    /// zero (ideal network, free compute) — there is no meaningful clock
-    /// to measure stragglers against, so every report counts as on time.
-    fn derived_deadline(&self, t0: usize, frame_len: usize) -> Option<f64> {
-        let cfg = &self.cfg;
-        let nominal = cfg.iteration_time_s * t0 as f64
-            + cfg.network.downlink.attempt_time(frame_len)
-            + cfg.network.uplink.attempt_time(frame_len);
-        (nominal > 0.0).then_some(DERIVED_DEADLINE_HEADROOM * nominal)
-    }
-
-    /// Simulates `stepper`'s algorithm under a seeded
-    /// [`FaultPlan`](fml_core::FaultPlan) with gather-policy protection:
-    /// round deadlines (explicit, or derived from the link model — see
-    /// [`DERIVED_DEADLINE_HEADROOM`]), straggler handling, update
-    /// validation, and a minimum quorum.
-    ///
-    /// The whole fleet participates every round (faults, not sampling,
-    /// decide who reports); client sampling, dropout, and wait-fraction
-    /// settings from [`SimConfig`] are ignored on this path. Each node's
-    /// report delay is its simulated compute time + downlink + uplink
-    /// transfer (including retransmissions) + any injected straggle
-    /// delay, judged against the gather deadline. Crashed devices are
-    /// dark for the round: no broadcast charge, no compute, no upload.
-    /// Corrupt devices pay full price — their garbage crosses the wire
-    /// and is rejected at the platform by update validation.
-    ///
-    /// Unlike [`fml_core::train_with_faults`], the simulator does
-    /// **not** roll back on quorum loss: a failed gather skips
-    /// aggregation for the round (the global model is carried forward
-    /// unchanged) and the round is flagged `degraded` in the trace. This
-    /// models a platform that waits for the fleet to come back rather
-    /// than rewriting history; the rollback-and-exclude strategy lives in
-    /// `fml_core::ft`.
-    pub fn run_with_faults(
-        &self,
-        stepper: &dyn LocalStepper,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-        ft: &FaultTolerance,
-        rng: &mut StdRng,
-    ) -> SimOutput {
-        let n = tasks.len();
-        let t0 = stepper.local_steps();
-        let mut st = RunState::new(&self.cfg, stepper, model, tasks, theta0);
-
-        // Frame size is fixed by the model dimension, so the derived
-        // deadline is one number for the whole run.
-        let mut policy = ft.policy;
-        if policy.deadline_s.is_none() {
-            policy.deadline_s = self.derived_deadline(t0, encoded_frame_len(theta0.len()));
-        }
-        let mut last_good = ReuseCache::new(n);
-
-        for round in 1..=stepper.rounds() {
-            // Fault draws are pure per (node, round): same schedule at
-            // any thread count. All network randomness runs sequentially
-            // on this thread in node order.
-            let drawn: Vec<Option<Fault>> = (0..n).map(|i| ft.plan.draw(i, round)).collect();
-            let participants: Vec<usize> = (0..n)
-                .filter(|&i| !matches!(drawn[i], Some(Fault::Crash)))
-                .collect();
-
-            let mut flight = st.broadcast(round, t0, participants.len(), rng);
-            let mut updated = st.local_updates(&mut flight, &participants);
-            // Faults mangle the *uploaded* report, after local compute.
-            for (slot, &i) in participants.iter().enumerate() {
-                match drawn[i] {
-                    Some(Fault::Corrupt(mode)) => faults::corrupt(mode, &mut updated[slot]),
-                    Some(Fault::Straggle { delay_s }) => flight.delay_s[slot] += delay_s,
-                    _ => {}
-                }
-            }
-            // Every live node uploads, garbage included.
-            st.upload(&mut flight, &participants, &updated, rng);
-
-            // --- platform gathers the whole fleet under the policy ---
-            let mut submissions = Vec::with_capacity(n);
-            let mut slot = 0usize;
-            for (i, fault) in drawn.iter().enumerate() {
-                let weight = tasks[i].weight;
-                let mut sub = if matches!(fault, Some(Fault::Crash)) {
-                    Submission::crashed(i, weight)
-                } else {
-                    // One materialization (the Submission owns its
-                    // params), not decode + to_vec's two.
-                    let view = MessageView::parse(&st.frames[slot]).expect("self-encoded frame");
-                    let mut s = Submission::on_time(i, weight, view.params_to_vec());
-                    s.delay_s = flight.delay_s[slot];
-                    slot += 1;
-                    s
-                };
-                sub.last_good = last_good.get(i);
-                submissions.push(sub);
-            }
-
-            let (reporters, degraded) = match gather(round, n, &submissions, &policy) {
-                Ok((params, report)) => {
-                    st.global = stepper.combine(&st.global, params);
-                    last_good.absorb(&submissions, &report);
-                    (report.reporters, report.degraded)
-                }
-                // Quorum lost: skip aggregation, carry the global model
-                // forward unchanged, and flag the round.
-                Err(failure) => (failure.report.reporters, true),
-            };
-
-            let meta_loss = st.finish(flight, &participants, reporters, degraded);
+            let meta_loss = st.finish(flight, &participants);
             st.history.push((round, meta_loss));
         }
         st.into_output()
@@ -1019,186 +882,6 @@ mod tests {
     #[should_panic(expected = "client fraction must be in (0, 1]")]
     fn rejects_zero_client_fraction() {
         SimConfig::ideal().with_client_fraction(0.0);
-    }
-
-    #[test]
-    fn faulty_sim_with_benign_plan_matches_plain_sim() {
-        use fml_core::{FaultPlan, FaultTolerance};
-        let model = Quadratic::isotropic(2, 1.0);
-        let tasks = quad_tasks(&[(1.0, 2.0), (-2.0, 1.0), (0.5, -1.5)]);
-        let cfg = FedMlConfig::new(0.1, 0.15)
-            .with_local_steps(4)
-            .with_rounds(8);
-        let fedml = FedMl::new(cfg);
-        let theta0 = vec![1.0, -1.0];
-        let mut r1 = rand::rngs::StdRng::seed_from_u64(50);
-        let plain =
-            SimRunner::new(SimConfig::ideal()).run(&fedml, &model, &tasks, &theta0, &mut r1);
-        let mut r2 = rand::rngs::StdRng::seed_from_u64(50);
-        let ft = FaultTolerance::new(FaultPlan::new(0));
-        let faulty = SimRunner::new(SimConfig::ideal())
-            .run_with_faults(&fedml, &model, &tasks, &theta0, &ft, &mut r2);
-        assert!(
-            fml_linalg::vector::approx_eq(&plain.params, &faulty.params, 1e-12),
-            "benign fault path must match the plain sim: {:?} vs {:?}",
-            plain.params,
-            faulty.params
-        );
-        assert!(faulty.trace.rounds().iter().all(|r| r.reporters == 3));
-        assert!(faulty.trace.rounds().iter().all(|r| !r.degraded));
-    }
-
-    #[test]
-    fn crashed_node_is_dark_and_round_degraded() {
-        use fml_core::{FaultPlan, FaultTolerance};
-        let model = Quadratic::isotropic(2, 1.0);
-        let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]);
-        let cfg = FedMlConfig::new(0.1, 0.1)
-            .with_local_steps(3)
-            .with_rounds(5);
-        let ft = FaultTolerance::new(FaultPlan::new(0).with_crash_from(0, 1));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(51);
-        let sim = SimRunner::new(SimConfig::edge()).run_with_faults(
-            &FedMl::new(cfg),
-            &model,
-            &tasks,
-            &[0.5, 0.5],
-            &ft,
-            &mut rng,
-        );
-        for r in sim.trace.rounds() {
-            assert!(!r.participants.contains(&0), "crashed node never uploads");
-            assert_eq!(r.reporters, 3);
-            assert!(r.degraded);
-        }
-        // 3 live nodes × (1 down + 1 up) per round.
-        assert_eq!(sim.comm.messages, 5 * 2 * 3);
-        assert!(sim.params.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn corrupt_upload_crosses_wire_but_not_aggregate() {
-        use fml_core::{CorruptMode, FaultPlan, FaultTolerance};
-        let model = Quadratic::isotropic(2, 1.0);
-        let tasks = quad_tasks(&[(2.0, 0.0), (-2.0, 0.0), (0.0, 2.0)]);
-        let cfg = FedMlConfig::new(0.1, 0.1)
-            .with_local_steps(2)
-            .with_rounds(4);
-        let ft =
-            FaultTolerance::new(FaultPlan::new(0).with_corrupt(1, 2, CorruptMode::NaN));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(52);
-        let sim = SimRunner::new(SimConfig::edge()).run_with_faults(
-            &FedMl::new(cfg),
-            &model,
-            &tasks,
-            &[1.0, 1.0],
-            &ft,
-            &mut rng,
-        );
-        // The corrupt node still uploaded (charged on the wire)…
-        assert_eq!(sim.comm.messages, 4 * 2 * 3);
-        // …but its NaNs were rejected before aggregation.
-        assert!(sim.params.iter().all(|v| v.is_finite()));
-        assert!(sim.history.iter().all(|(_, l)| l.is_finite()));
-        let r2 = &sim.trace.rounds()[1];
-        assert_eq!(r2.reporters, 2);
-        assert!(r2.degraded);
-        assert!(!sim.trace.rounds()[0].degraded);
-    }
-
-    #[test]
-    fn quorum_loss_freezes_global_model() {
-        use fml_core::{FaultPlan, FaultTolerance};
-        let model = Quadratic::isotropic(2, 1.0);
-        let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]);
-        let cfg = FedMlConfig::new(0.1, 0.1)
-            .with_local_steps(2)
-            .with_rounds(6);
-        // Three of four nodes die from round 3: 1 reporter < required 2.
-        let plan = FaultPlan::new(0)
-            .with_crash_from(0, 3)
-            .with_crash_from(1, 3)
-            .with_crash_from(2, 3);
-        let ft = FaultTolerance::new(plan);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(53);
-        let sim = SimRunner::new(SimConfig::ideal()).run_with_faults(
-            &FedMl::new(cfg),
-            &model,
-            &tasks,
-            &[2.0, 2.0],
-            &ft,
-            &mut rng,
-        );
-        // Rounds 3+ skip aggregation: the loss curve is frozen.
-        let frozen = sim.history[2].1;
-        for (r, l) in &sim.history[2..] {
-            assert_eq!(*l, frozen, "round {r} must carry the global unchanged");
-        }
-        for r in &sim.trace.rounds()[2..] {
-            assert_eq!(r.reporters, 1);
-            assert!(r.degraded);
-        }
-        assert!(!sim.trace.rounds()[1].degraded);
-    }
-
-    #[test]
-    fn injected_straggler_misses_derived_deadline() {
-        use fml_core::{FaultPlan, FaultTolerance};
-        let model = Quadratic::isotropic(2, 1.0);
-        let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)]);
-        let cfg = FedMlConfig::new(0.1, 0.1)
-            .with_local_steps(3)
-            .with_rounds(3);
-        // Edge links + nonzero compute give a finite derived deadline; a
-        // 1e6 s injected delay blows far past it.
-        let sim_cfg = SimConfig::edge().with_iteration_time(0.01);
-        let ft = FaultTolerance::new(FaultPlan::new(0).with_straggle(2, 2, 1e6));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(54);
-        let sim = SimRunner::new(sim_cfg).run_with_faults(
-            &FedMl::new(cfg),
-            &model,
-            &tasks,
-            &[0.0, 0.0],
-            &ft,
-            &mut rng,
-        );
-        let r2 = &sim.trace.rounds()[1];
-        // The straggler uploaded (it participates) but was dropped at the
-        // gather, so it does not count as a reporter.
-        assert_eq!(r2.participants.len(), 3);
-        assert_eq!(r2.reporters, 2);
-        assert!(r2.degraded);
-        assert_eq!(sim.trace.rounds()[0].reporters, 3);
-    }
-
-    #[test]
-    fn faulty_sim_runs_fedavg() {
-        use fml_core::{FaultPlan, FaultTolerance};
-        let model = Quadratic::isotropic(2, 1.0);
-        let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]);
-        let ft = FaultTolerance::new(FaultPlan::new(9).with_crash_from(3, 2));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(55);
-        for stepper in steppers(3, 4) {
-            let sim = SimRunner::new(SimConfig::edge()).run_with_faults(
-                stepper.as_ref(),
-                &model,
-                &tasks,
-                &[1.0, -1.0],
-                &ft,
-                &mut rng,
-            );
-            let name = stepper.algorithm();
-            assert_eq!(sim.history.len(), 4, "{name}");
-            // Node 3 is dark from round 2 on: 4 + 3·3 node-rounds of T0 = 3.
-            let hvps = if name == "FedML" { 13 * 3 } else { 0 };
-            assert_eq!(sim.compute.hvp_evals, hvps, "{name}");
-            assert_eq!(sim.trace.rounds()[0].reporters, 4, "{name}");
-            assert!(
-                sim.trace.rounds()[1..].iter().all(|r| r.reporters == 3),
-                "{name}"
-            );
-            assert!(sim.params.iter().all(|v| v.is_finite()), "{name}");
-        }
     }
 
     #[test]

@@ -27,13 +27,16 @@ pub struct RoundTrace {
     pub compute_time_s: f64,
     /// Weighted meta loss after aggregation.
     pub meta_loss: f64,
-    /// Nodes whose validated updates entered the aggregate. Equals
-    /// `participants.len()` on fault-free rounds; 0 in traces recorded
-    /// before fault injection existed (serde default).
+    /// Nodes whose validated updates entered the aggregate. Only the
+    /// runtime platform (`fml_runtime`) writes fewer than
+    /// `participants.len()`: the simulator injects no faults, so every
+    /// participant reports. 0 in traces recorded before fault injection
+    /// existed (serde default).
     #[serde(default)]
     pub reporters: usize,
     /// Whether the round was degraded — crashes, rejected updates,
-    /// dropped stragglers, or a skipped aggregation (serde default).
+    /// dropped stragglers, or a skipped aggregation. Set by the runtime
+    /// platform; always `false` in simulator traces (serde default).
     #[serde(default)]
     pub degraded: bool,
 }

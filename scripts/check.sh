@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: lint (clippy, warnings fatal), the workspace test
-# suite, the kernel bench bodies once each, and the smoke scripts that
-# drive real processes. CI and pre-merge checks should run exactly this.
+# suite, the size and reach reports, the kernel bench bodies once each,
+# and the smoke scripts that drive real processes. CI and pre-merge
+# checks should run exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,6 +15,7 @@ cargo test -q
 cargo clippy --manifest-path perf/Cargo.toml --all-targets -- -D warnings
 cargo test --release --manifest-path perf/Cargo.toml
 "$(dirname "$0")/loc.sh"
+"$(dirname "$0")/reach.sh"
 cargo bench -p fml-bench --bench kernels -- --test
 "$(dirname "$0")/transport_smoke.sh"
 "$(dirname "$0")/scale_smoke.sh"

@@ -23,9 +23,9 @@ pub use fml_sim as sim;
 pub mod prelude {
     pub use fml_core::checkpoint::Checkpoint;
     pub use fml_core::{
-        adapt, metrics, optim, FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx, FedProxConfig,
-        LocalStepper, MetaGradientMode, MetaSgd, MetaSgdConfig, Reptile, ReptileConfig,
-        RobustFedMl, RobustFedMlConfig, SourceTask, TrainOutput,
+        adapt, FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx, FedProxConfig, LocalStepper,
+        MetaGradientMode, MetaSgd, MetaSgdConfig, Reptile, ReptileConfig, RobustFedMl,
+        RobustFedMlConfig, SourceTask, TrainOutput,
     };
     pub use fml_data::{Federation, NodeData, TaskSplit};
     pub use fml_models::{

@@ -1,11 +1,10 @@
 //! Deployment-lifecycle integration: meta-train → checkpoint to disk →
-//! reload in a "new process" → adapt with a chosen optimizer → score with
-//! the full metric suite → price the run in joules. The path a real
-//! platform walks, across five crates.
+//! reload in a "new process" → adapt (eq. 6) → score on the query set →
+//! price the run in joules. The path a real platform walks, across five
+//! crates.
 
+use fml_core::adapt::adapt;
 use fml_core::checkpoint::Checkpoint;
-use fml_core::metrics::{expected_calibration_error, ConfusionMatrix};
-use fml_core::optim::{adapt_with, Adam, Momentum, Sgd};
 use fml_core::{FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_data::shared_synthetic::SharedSyntheticConfig;
 use fml_data::TaskSplit;
@@ -68,34 +67,23 @@ fn full_lifecycle_checkpoint_adapt_score() {
     assert_eq!(loaded.algorithm, "FedML");
     assert_eq!(loaded.meta.get("dataset").unwrap(), "SharedSynthetic(0.5,0.3)");
 
-    // 4. Adapt at a target with three optimizers; each must fit the
-    //    support set it optimizes (the query loss may move either way —
-    //    Adam in particular can overfit K = 5 samples, which is exactly
-    //    the FedAvg-style failure mode the paper discusses).
+    // 4. Adapt at a target with eq. 6 — what the CLI, `AdaptServer` and
+    //    every figure run. It must fit the support set it optimizes (the
+    //    query loss may move either way on K = 5 samples).
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let split = TaskSplit::sample(&w.targets[0].batch, 5, &mut rng);
     let support_before = w.model.loss(&loaded.params, &split.train);
-    for opt in [
-        &mut Sgd::new(0.1) as &mut dyn fml_core::optim::Optimizer,
-        &mut Momentum::new(0.05, 0.8),
-        &mut Adam::new(0.1),
-    ] {
-        let phi = adapt_with(&w.model, &loaded.params, &split.train, opt, 10);
-        let support_after = w.model.loss(&phi, &split.train);
-        assert!(
-            support_after < support_before,
-            "adaptation must fit the support set: {support_before} -> {support_after}"
-        );
-        assert!(w.model.loss(&phi, &split.test).is_finite());
-    }
+    let phi = adapt(&w.model, &loaded.params, &split.train, 0.1, 10);
+    let support_after = w.model.loss(&phi, &split.train);
+    assert!(
+        support_after < support_before,
+        "adaptation must fit the support set: {support_before} -> {support_after}"
+    );
 
-    // 5. Score the SGD-adapted model with the full metric suite.
-    let phi = adapt_with(&w.model, &loaded.params, &split.train, &mut Sgd::new(0.1), 10);
-    let cm = ConfusionMatrix::evaluate(&w.model, &phi, &split.test, 3);
-    assert_eq!(cm.total() as usize, split.test.len());
-    assert!(cm.accuracy() >= 0.0 && cm.accuracy() <= 1.0);
-    let ece = expected_calibration_error(&w.model, &phi, &split.test, 10);
-    assert!((0.0..=1.0).contains(&ece), "ece {ece}");
+    // 5. Score the adapted model on the query set.
+    assert!(w.model.loss(&phi, &split.test).is_finite());
+    let accuracy = w.model.accuracy(&phi, &split.test);
+    assert!((0.0..=1.0).contains(&accuracy), "accuracy {accuracy}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

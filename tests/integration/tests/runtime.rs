@@ -14,7 +14,7 @@ use fml_core::{
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};
-use fml_runtime::{AsyncPolicy, Runtime, RuntimeConfig, VirtualClock};
+use fml_runtime::{param_hash, AsyncPolicy, Runtime, RuntimeConfig, VirtualClock};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,9 +24,13 @@ const DIM: usize = 5;
 const CLASSES: usize = 3;
 
 fn fixture(seed: u64) -> (SoftmaxRegression, Vec<SourceTask>, Vec<f64>) {
+    fixture_of(NODES, seed)
+}
+
+fn fixture_of(nodes: usize, seed: u64) -> (SoftmaxRegression, Vec<SourceTask>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let fed = SyntheticConfig::new(0.5, 0.5)
-        .with_nodes(NODES)
+        .with_nodes(nodes)
         .with_dim(DIM)
         .with_classes(CLASSES)
         .generate(&mut rng);
@@ -137,6 +141,65 @@ fn every_frame_crosses_the_wire_encoded() {
     // Broadcast drops are accounted per round: one bucket per round,
     // all empty in a benign run.
     assert_eq!(out.report.broadcast_drops, vec![0, 0, 0]);
+}
+
+#[test]
+fn quorum_loss_without_recovery_budget_freezes_the_global() {
+    // Three of four nodes die from round 3: 1 reporter < the required 2,
+    // and with no recovery budget the platform may not roll back and
+    // exclude — it must degrade each round in place, carrying the
+    // round-2 global, and never wait on a node the plan killed.
+    const TIMEOUT_MS: u64 = 10_000;
+    let (model, tasks, theta0) = fixture_of(4, 16);
+    let plan = FaultPlan::new(0)
+        .with_crash_from(0, 3)
+        .with_crash_from(1, 3)
+        .with_crash_from(2, 3);
+    let cfg = RuntimeConfig::barrier(1)
+        .with_recv_timeout_ms(TIMEOUT_MS)
+        .with_faults(plan);
+    let run =
+        |cfg: RuntimeConfig, rounds| Runtime::new(cfg).run(&fedml(rounds), &model, &tasks, &theta0);
+
+    let started = std::time::Instant::now();
+    let out = run(cfg.clone().with_max_recoveries(0), 6);
+    assert!(
+        started.elapsed() < std::time::Duration::from_millis(TIMEOUT_MS),
+        "a degraded round must not wait out the receive timeout"
+    );
+
+    let history = &out.train.history;
+    assert_eq!(history.len(), 6);
+    for r in &history[..2] {
+        assert!(r.aggregated && !r.degraded, "{r:?}");
+        assert_eq!(r.reporters, 4);
+    }
+    for r in &history[2..] {
+        assert!(!r.aggregated && r.degraded, "{r:?}");
+        assert_eq!(r.reporters, 1);
+        assert_eq!(r.meta_loss.to_bits(), history[1].meta_loss.to_bits());
+    }
+    assert_eq!(out.train.comm_rounds, 2);
+    assert_eq!(out.report.rollbacks, 0);
+    assert_eq!(out.report.excluded_nodes, Vec::<usize>::new());
+    for io in &out.report.per_node[..3] {
+        assert_eq!(
+            io.frames_received, 2,
+            "node {} is dark from round 3",
+            io.node
+        );
+    }
+    assert_eq!(out.report.per_node[3].frames_received, 6);
+
+    // The frozen global is the round-2 global.
+    let two = run(cfg.clone().with_max_recoveries(0), 2);
+    assert_eq!(out.train.params, two.train.params);
+    assert_eq!(two.train.history[..], history[..2]);
+
+    // `without_recovery` is the same zero budget.
+    let off = run(cfg.without_recovery(), 6);
+    assert_eq!(param_hash(&off.train.params), param_hash(&out.train.params));
+    assert_eq!(off.train.history, out.train.history);
 }
 
 #[test]
