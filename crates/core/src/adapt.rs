@@ -16,7 +16,7 @@
 
 use fml_data::{NodeData, TaskSplit};
 use fml_dro::attack::{fgsm_batch, BoxConstraint};
-use fml_models::{Batch, Model, Workspace};
+use fml_models::{Batch, Model};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -30,24 +30,11 @@ pub fn adapt(model: &dyn Model, theta: &[f64], data: &Batch, alpha: f64, steps: 
     phi
 }
 
-/// Reusable scratch for [`adapt_into`]: a gradient buffer plus the
-/// model's own workspace. One per serving worker — requests then adapt
-/// with zero per-request heap allocation.
-#[derive(Debug)]
-pub struct AdaptScratch {
-    grad: Vec<f64>,
-    ws: Workspace,
-}
-
-impl AdaptScratch {
-    /// Builds scratch sized for `model`.
-    pub fn for_model(model: &dyn Model) -> Self {
-        AdaptScratch {
-            grad: vec![0.0; model.param_len()],
-            ws: model.workspace(),
-        }
-    }
-}
+/// The scratch [`adapt_into`] runs on — the crate's one
+/// [`Scratch`](crate::Scratch) under the name serving knows it by. One
+/// per serving worker: requests then adapt with zero per-request heap
+/// allocation.
+pub use crate::meta::Scratch as AdaptScratch;
 
 /// [`adapt`] through caller-provided scratch: `out` is overwritten with
 /// the adapted parameters φ, reusing its capacity. [`adapt`] is this
@@ -67,11 +54,7 @@ pub fn adapt_into(
     out: &mut Vec<f64>,
 ) {
     assert_eq!(theta.len(), model.param_len(), "adapt_into: theta length");
-    assert_eq!(
-        scratch.grad.len(),
-        model.param_len(),
-        "adapt_into: scratch built for a different model"
-    );
+    scratch.check(model, "adapt_into");
     out.clear();
     out.extend_from_slice(theta);
     for _ in 0..steps {

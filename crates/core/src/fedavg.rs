@@ -1,5 +1,6 @@
 use fml_models::Model;
 
+use crate::meta::Scratch;
 use crate::trainer::curve_losses;
 use crate::{LocalStepper, SourceTask};
 
@@ -137,16 +138,24 @@ impl LocalStepper for FedAvg {
         _anchor: &[f64],
         theta_i: &mut [f64],
         steps: usize,
+        scratch: &mut Scratch,
     ) {
-        let full = task.split.train.concat(&task.split.test);
+        let Scratch { ws, grad, full, .. } = scratch;
+        task.split.train.concat_into(&task.split.test, full);
         for _ in 0..steps {
-            let g = model.grad(theta_i, &full);
-            fml_linalg::vector::axpy(-self.cfg.lr, &g, theta_i);
+            model.grad_into(theta_i, full, ws, grad);
+            fml_linalg::vector::axpy(-self.cfg.lr, grad, theta_i);
         }
     }
 
-    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64) {
-        curve_losses(model, tasks, theta, self.cfg.eval_alpha)
+    fn eval_losses_with(
+        &self,
+        model: &dyn Model,
+        tasks: &[SourceTask],
+        theta: &[f64],
+        scratch: &mut Scratch,
+    ) -> (f64, f64) {
+        curve_losses(model, tasks, theta, self.cfg.eval_alpha, scratch)
     }
 
     fn threads(&self) -> Option<usize> {

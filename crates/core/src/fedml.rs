@@ -1,7 +1,7 @@
 use fml_models::Model;
 
-use crate::meta::{self, MetaGradientMode};
-use crate::trainer::{curve_losses, weighted_meta_loss};
+use crate::meta::{self, MetaGradientMode, Scratch};
+use crate::trainer::{curve_losses, weighted_meta_loss_with};
 use crate::{LocalStepper, SourceTask};
 
 /// Configuration for [`FedMl`] (Algorithm 1).
@@ -146,22 +146,24 @@ impl FedMl {
     ) -> (Vec<f64>, f64) {
         let cfg = &self.cfg;
         let mut theta = theta0.to_vec();
+        let mut scratch = Scratch::for_model(model);
         for _ in 0..iterations {
             let mut g = vec![0.0; theta.len()];
             for task in tasks {
-                let gi = meta::meta_gradient(
+                let gi = meta::meta_gradient_with(
                     model,
                     &theta,
                     &task.split.train,
                     &task.split.test,
                     cfg.alpha,
                     cfg.mode,
+                    &mut scratch,
                 );
-                fml_linalg::vector::axpy(task.weight, &gi, &mut g);
+                fml_linalg::vector::axpy(task.weight, gi, &mut g);
             }
             fml_linalg::vector::axpy(-cfg.beta, &g, &mut theta);
         }
-        let loss = weighted_meta_loss(model, tasks, &theta, cfg.alpha);
+        let loss = weighted_meta_loss_with(model, tasks, &theta, cfg.alpha, &mut scratch);
         (theta, loss)
     }
 }
@@ -192,23 +194,31 @@ impl LocalStepper for FedMl {
         _anchor: &[f64],
         theta_i: &mut [f64],
         steps: usize,
+        scratch: &mut Scratch,
     ) {
         let cfg = &self.cfg;
         for _ in 0..steps {
-            let g = meta::meta_gradient(
+            let g = meta::meta_gradient_with(
                 model,
                 theta_i,
                 &task.split.train,
                 &task.split.test,
                 cfg.alpha,
                 cfg.mode,
+                scratch,
             );
-            fml_linalg::vector::axpy(-cfg.beta, &g, theta_i);
+            fml_linalg::vector::axpy(-cfg.beta, g, theta_i);
         }
     }
 
-    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64) {
-        curve_losses(model, tasks, theta, self.cfg.alpha)
+    fn eval_losses_with(
+        &self,
+        model: &dyn Model,
+        tasks: &[SourceTask],
+        theta: &[f64],
+        scratch: &mut Scratch,
+    ) -> (f64, f64) {
+        curve_losses(model, tasks, theta, self.cfg.alpha, scratch)
     }
 
     fn threads(&self) -> Option<usize> {

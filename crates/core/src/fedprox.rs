@@ -1,5 +1,6 @@
 use fml_models::Model;
 
+use crate::meta::Scratch;
 use crate::trainer::curve_losses;
 use crate::{LocalStepper, SourceTask};
 
@@ -139,19 +140,27 @@ impl LocalStepper for FedProx {
         anchor: &[f64],
         theta_i: &mut [f64],
         steps: usize,
+        scratch: &mut Scratch,
     ) {
-        let full = task.split.train.concat(&task.split.test);
+        let Scratch { ws, grad, full, .. } = scratch;
+        task.split.train.concat_into(&task.split.test, full);
         for _ in 0..steps {
-            let mut g = model.grad(theta_i, &full);
-            for ((gi, ti), gl) in g.iter_mut().zip(theta_i.iter()).zip(anchor) {
+            model.grad_into(theta_i, full, ws, grad);
+            for ((gi, ti), gl) in grad.iter_mut().zip(theta_i.iter()).zip(anchor) {
                 *gi += self.cfg.prox * (ti - gl);
             }
-            fml_linalg::vector::axpy(-self.cfg.lr, &g, theta_i);
+            fml_linalg::vector::axpy(-self.cfg.lr, grad, theta_i);
         }
     }
 
-    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64) {
-        curve_losses(model, tasks, theta, self.cfg.eval_alpha)
+    fn eval_losses_with(
+        &self,
+        model: &dyn Model,
+        tasks: &[SourceTask],
+        theta: &[f64],
+        scratch: &mut Scratch,
+    ) -> (f64, f64) {
+        curve_losses(model, tasks, theta, self.cfg.eval_alpha, scratch)
     }
 
     fn threads(&self) -> Option<usize> {

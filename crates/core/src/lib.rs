@@ -76,7 +76,7 @@ pub use ft::{train_with_faults, FaultTolerance};
 pub use gather::{GatherPolicy, RobustAggregator, StragglerPolicy, UpdateValidation};
 pub use fedml::{FedMl, FedMlConfig};
 pub use fedprox::{FedProx, FedProxConfig};
-pub use meta::MetaGradientMode;
+pub use meta::{MetaGradientMode, Scratch};
 pub use metasgd::{MetaSgd, MetaSgdConfig, MetaSgdOutput};
 pub use reptile::{Reptile, ReptileConfig};
 pub use robust::{RobustFedMl, RobustFedMlConfig};

@@ -10,11 +10,20 @@
 //! — the product of the inner-step Jacobian and the query-set gradient at
 //! the adapted point. The only second-order quantity needed is a single
 //! **Hessian–vector product** with `v = ∇L(φ_i, D_i^test)`, supplied by
-//! [`fml_models::Model::hvp`]. The first-order approximation (FOMAML)
-//! drops the Jacobian, which is the ablation `X2` in `DESIGN.md`.
+//! [`fml_models::Model::hvp_into`]. The first-order approximation
+//! (FOMAML) drops the Jacobian, which is the ablation `X2` in `DESIGN.md`.
+//!
+//! The arithmetic is written once, on a [`Scratch`]: the crate's `_with`
+//! kernels (`inner_step_with`, `meta_gradient_with`,
+//! `meta_objective_with`) touch no allocator, and every trainer's step
+//! and curve run on them. The allocating forms ([`inner_step`],
+//! [`meta_gradient`], [`meta_gradient_at`], [`meta_objective`]) build a
+//! fresh scratch and call the kernel — the same rule
+//! `fml_models::Model::grad` follows one level down — so the two agree
+//! bit for bit.
 
 use fml_linalg::vector;
-use fml_models::{Batch, Model};
+use fml_models::{Batch, Model, Workspace};
 
 /// How the outer (meta) gradient is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,12 +35,95 @@ pub enum MetaGradientMode {
     FirstOrder,
 }
 
+/// Reusable buffers for the training arithmetic: the model's own
+/// [`Workspace`], three `param_len` vectors (gradient, adapted point
+/// `φ`, Hessian–vector product) and a batch the baselines concatenate
+/// `D_i^train ∪ D_i^test` into.
+///
+/// One per thread that runs a step or a curve — a runtime worker, a
+/// `run_node` peer, a lockstep thread, the platform's evaluation, a
+/// serving worker (where it is spelled
+/// [`AdaptScratch`](crate::adapt::AdaptScratch)). After the first use on
+/// a task shape, [`LocalStepper::local_update_into`](crate::LocalStepper::local_update_into),
+/// [`LocalStepper::eval_losses_with`](crate::LocalStepper::eval_losses_with)
+/// and [`adapt_into`](crate::adapt::adapt_into) perform no heap
+/// allocation through it.
+#[derive(Debug)]
+pub struct Scratch {
+    pub(crate) ws: Workspace,
+    /// Gradient buffer; holds the meta-gradient after
+    /// `meta_gradient_with`.
+    pub(crate) grad: Vec<f64>,
+    /// The adapted point `φ` after `inner_step_with`.
+    pub(crate) phi: Vec<f64>,
+    pub(crate) hvp: Vec<f64>,
+    /// Owned here rather than cached on the task, whose `split` is
+    /// public and could go stale.
+    pub(crate) full: Batch,
+}
+
+impl Scratch {
+    /// Builds scratch sized for `model`.
+    pub fn for_model(model: &dyn Model) -> Self {
+        let d = model.param_len();
+        Scratch {
+            ws: model.workspace(),
+            grad: vec![0.0; d],
+            phi: vec![0.0; d],
+            hvp: vec![0.0; d],
+            full: Batch::empty(model.input_dim()),
+        }
+    }
+
+    /// Panics unless this scratch was built for a model with `model`'s
+    /// parameter count (`who` names the caller in the message).
+    pub(crate) fn check(&self, model: &dyn Model, who: &str) {
+        assert_eq!(
+            self.grad.len(),
+            model.param_len(),
+            "{who}: scratch built for a different model"
+        );
+    }
+}
+
+/// One inner adaptation step `φ = θ − α∇L(θ, batch)` (eq. 3 / eq. 6)
+/// on the scratch: `φ` lands in `scratch.phi`.
+fn inner_step_with(
+    model: &dyn Model,
+    theta: &[f64],
+    batch: &Batch,
+    alpha: f64,
+    scratch: &mut Scratch,
+) {
+    model.grad_into(theta, batch, &mut scratch.ws, &mut scratch.grad);
+    scratch.phi.copy_from_slice(theta);
+    vector::axpy(-alpha, &scratch.grad, &mut scratch.phi);
+}
+
 /// One inner adaptation step `φ = θ − α∇L(θ, batch)` (eq. 3 / eq. 6).
 pub fn inner_step(model: &dyn Model, theta: &[f64], batch: &Batch, alpha: f64) -> Vec<f64> {
-    let g = model.grad(theta, batch);
-    let mut phi = theta.to_vec();
-    vector::axpy(-alpha, &g, &mut phi);
-    phi
+    let mut scratch = Scratch::for_model(model);
+    inner_step_with(model, theta, batch, alpha, &mut scratch);
+    scratch.phi
+}
+
+/// The meta-gradient `∇_θ L(φ(θ), test)` for a single task, on the
+/// scratch: `φ = θ − α∇L(θ, train)`, then the outer gradient at `φ`.
+pub(crate) fn meta_gradient_with<'s>(
+    model: &dyn Model,
+    theta: &[f64],
+    train: &Batch,
+    test: &Batch,
+    alpha: f64,
+    mode: MetaGradientMode,
+    scratch: &'s mut Scratch,
+) -> &'s [f64] {
+    inner_step_with(model, theta, train, alpha, scratch);
+    let Scratch {
+        ws, grad, phi, hvp, ..
+    } = scratch;
+    outer_gradient(model, theta, phi, train, test, alpha, mode, ws, grad, hvp);
+    grad
 }
 
 /// The meta-gradient `∇_θ L(φ(θ), test)` for a single task.
@@ -46,8 +138,9 @@ pub fn meta_gradient(
     alpha: f64,
     mode: MetaGradientMode,
 ) -> Vec<f64> {
-    let phi = inner_step(model, theta, train, alpha);
-    meta_gradient_at(model, theta, &phi, train, test, alpha, mode)
+    let mut scratch = Scratch::for_model(model);
+    meta_gradient_with(model, theta, train, test, alpha, mode, &mut scratch);
+    scratch.grad
 }
 
 /// The meta-gradient given a precomputed adapted point `φ`.
@@ -63,16 +156,50 @@ pub fn meta_gradient_at(
     alpha: f64,
     mode: MetaGradientMode,
 ) -> Vec<f64> {
-    let g = model.grad(phi, test);
-    match mode {
-        MetaGradientMode::FirstOrder => g,
-        MetaGradientMode::FullSecondOrder => {
-            let hg = model.hvp(theta, train, &g);
-            let mut out = g;
-            vector::axpy(-alpha, &hg, &mut out);
-            out
-        }
+    let Scratch {
+        mut ws,
+        mut grad,
+        mut hvp,
+        ..
+    } = Scratch::for_model(model);
+    outer_gradient(
+        model, theta, phi, train, test, alpha, mode, &mut ws, &mut grad, &mut hvp,
+    );
+    grad
+}
+
+/// `g = ∇L(φ, test)`, then `g ← g − α·∇²L(θ, train)·g` unless first-order.
+#[allow(clippy::too_many_arguments)]
+fn outer_gradient(
+    model: &dyn Model,
+    theta: &[f64],
+    phi: &[f64],
+    train: &Batch,
+    test: &Batch,
+    alpha: f64,
+    mode: MetaGradientMode,
+    ws: &mut Workspace,
+    g: &mut [f64],
+    hg: &mut [f64],
+) {
+    model.grad_into(phi, test, ws, g);
+    if mode == MetaGradientMode::FullSecondOrder {
+        model.hvp_into(theta, train, g, ws, hg);
+        vector::axpy(-alpha, hg, g);
     }
+}
+
+/// The per-task meta objective `G_i(θ) = L(φ_i(θ), test)` on the scratch.
+pub(crate) fn meta_objective_with(
+    model: &dyn Model,
+    theta: &[f64],
+    train: &Batch,
+    test: &Batch,
+    alpha: f64,
+    scratch: &mut Scratch,
+) -> f64 {
+    inner_step_with(model, theta, train, alpha, scratch);
+    model.loss_with(&scratch.phi, test, &mut scratch.ws)
 }
 
 /// The per-task meta objective `G_i(θ) = L(φ_i(θ), test)`.
@@ -83,8 +210,8 @@ pub fn meta_objective(
     test: &Batch,
     alpha: f64,
 ) -> f64 {
-    let phi = inner_step(model, theta, train, alpha);
-    model.loss(&phi, test)
+    let mut scratch = Scratch::for_model(model);
+    meta_objective_with(model, theta, train, test, alpha, &mut scratch)
 }
 
 /// Central finite-difference approximation of the meta-gradient — the
@@ -100,12 +227,13 @@ pub fn numeric_meta_gradient(
 ) -> Vec<f64> {
     let mut g = vec![0.0; theta.len()];
     let mut p = theta.to_vec();
+    let mut scratch = Scratch::for_model(model);
     for i in 0..theta.len() {
         let orig = p[i];
         p[i] = orig + eps;
-        let lp = meta_objective(model, &p, train, test, alpha);
+        let lp = meta_objective_with(model, &p, train, test, alpha, &mut scratch);
         p[i] = orig - eps;
-        let lm = meta_objective(model, &p, train, test, alpha);
+        let lm = meta_objective_with(model, &p, train, test, alpha, &mut scratch);
         p[i] = orig;
         g[i] = (lp - lm) / (2.0 * eps);
     }

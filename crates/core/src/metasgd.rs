@@ -23,7 +23,8 @@
 
 use fml_models::{Batch, Model};
 
-use crate::trainer::weighted_train_loss;
+use crate::meta::Scratch;
+use crate::trainer::weighted_train_loss_with;
 use crate::{SourceTask, TrainOutput};
 
 /// Configuration for [`MetaSgd`].
@@ -130,9 +131,11 @@ impl MetaSgdOutput {
     /// `φ = θ − a ∘ ∇L(θ, data)`, repeated `steps` times.
     pub fn adapt(&self, model: &dyn Model, data: &Batch, steps: usize) -> Vec<f64> {
         let mut phi = self.train.params.clone();
+        let mut ws = model.workspace();
+        let mut grad = vec![0.0; phi.len()];
         for _ in 0..steps {
-            let g = model.grad(&phi, data);
-            for ((p, &gi), &ai) in phi.iter_mut().zip(&g).zip(&self.rates) {
+            model.grad_into(&phi, data, &mut ws, &mut grad);
+            for ((p, &gi), &ai) in phi.iter_mut().zip(&grad).zip(&self.rates) {
                 *p -= ai * gi;
             }
         }
@@ -166,22 +169,31 @@ impl MetaSgd {
         task: &SourceTask,
         theta: &mut [f64],
         rates: &mut [f64],
+        scratch: &mut Scratch,
     ) {
         let cfg = &self.cfg;
-        let g_tr = model.grad(theta, &task.split.train);
-        // φ = θ − a ∘ g_tr
-        let mut phi = theta.to_vec();
-        for ((p, &gi), &ai) in phi.iter_mut().zip(&g_tr).zip(rates.iter()) {
-            *p -= ai * gi;
-        }
-        let g_te = model.grad(&phi, &task.split.test);
-        // ∂G/∂θ = g_te − a ∘ (H_tr · g_te)
-        let hg = model.hvp(theta, &task.split.train, &g_te);
-        for ((t, (&gt, &h)), &ai) in theta.iter_mut().zip(g_te.iter().zip(&hg)).zip(rates.iter()) {
+        rated_inner_step(model, theta, rates, &task.split.train, scratch);
+        let Scratch {
+            ws,
+            grad: g_tr,
+            phi,
+            hvp: g_te,
+            ..
+        } = scratch;
+        model.grad_into(phi, &task.split.test, ws, g_te);
+        // ∂G/∂θ = g_te − a ∘ (H_tr · g_te); φ is spent, so its buffer
+        // hosts the product.
+        let hg = phi;
+        model.hvp_into(theta, &task.split.train, g_te, ws, hg);
+        for ((t, (&gt, &h)), &ai) in theta
+            .iter_mut()
+            .zip(g_te.iter().zip(hg.iter()))
+            .zip(rates.iter())
+        {
             *t -= cfg.beta * (gt - ai * h);
         }
         // ∂G/∂a = −g_tr ∘ g_te  (ascent direction on −G ⇒ descent update)
-        for ((a, &gt), &gtr) in rates.iter_mut().zip(&g_te).zip(&g_tr) {
+        for ((a, &gt), &gtr) in rates.iter_mut().zip(g_te.iter()).zip(g_tr.iter()) {
             *a -= cfg.beta * (-gtr * gt);
             *a = a.clamp(0.0, cfg.alpha_max);
         }
@@ -247,6 +259,23 @@ impl MetaSgd {
     }
 }
 
+/// `φ = θ − a ∘ ∇L(θ, batch)` on the scratch: `φ` lands in
+/// `scratch.phi`, the gradient stays in `scratch.grad`.
+fn rated_inner_step(
+    model: &dyn Model,
+    theta: &[f64],
+    rates: &[f64],
+    batch: &Batch,
+    scratch: &mut Scratch,
+) {
+    let Scratch { ws, grad, phi, .. } = scratch;
+    model.grad_into(theta, batch, ws, grad);
+    phi.copy_from_slice(theta);
+    for ((p, &gi), &ai) in phi.iter_mut().zip(grad.iter()).zip(rates) {
+        *p -= ai * gi;
+    }
+}
+
 /// Splits a run over `[θ‖a]` back into `θ` and the learned rates.
 fn split_pair(mut train: TrainOutput, d: usize) -> MetaSgdOutput {
     let rates = train.params.split_off(d);
@@ -281,27 +310,33 @@ impl crate::LocalStepper for PairState<'_> {
         _anchor: &[f64],
         state: &mut [f64],
         steps: usize,
+        scratch: &mut Scratch,
     ) {
         let (theta_i, rates_i) = state.split_at_mut(model.param_len());
         for _ in 0..steps {
-            self.0.local_step(model, task, theta_i, rates_i);
+            self.0.local_step(model, task, theta_i, rates_i, scratch);
         }
     }
 
-    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], state: &[f64]) -> (f64, f64) {
+    fn eval_losses_with(
+        &self,
+        model: &dyn Model,
+        tasks: &[SourceTask],
+        state: &[f64],
+        scratch: &mut Scratch,
+    ) -> (f64, f64) {
         let (theta, rates) = state.split_at(model.param_len());
         let meta_loss = tasks
             .iter()
             .map(|task| {
-                let g = model.grad(theta, &task.split.train);
-                let mut phi = theta.to_vec();
-                for ((p, &gi), &ai) in phi.iter_mut().zip(&g).zip(rates) {
-                    *p -= ai * gi;
-                }
-                task.weight * model.loss(&phi, &task.split.test)
+                rated_inner_step(model, theta, rates, &task.split.train, scratch);
+                task.weight * model.loss_with(&scratch.phi, &task.split.test, &mut scratch.ws)
             })
             .sum();
-        (meta_loss, weighted_train_loss(model, tasks, theta))
+        (
+            meta_loss,
+            weighted_train_loss_with(model, tasks, theta, &mut scratch.ws),
+        )
     }
 
     fn threads(&self) -> Option<usize> {

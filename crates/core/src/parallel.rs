@@ -26,21 +26,45 @@ use std::num::NonZeroUsize;
 ///
 /// `f` receives `(index, &item)` — the index is the position in `items`,
 /// which parallel callers use to look up per-node state prepared before
-/// the fan-out (per-node RNG material, straggler profiles, …).
-///
-/// Work is split into `ceil(len / workers)` contiguous chunks, one
-/// worker thread per chunk; each worker produces its chunk's results in
-/// order and the chunks are concatenated in order, so the output is
-/// independent of scheduling. A worker panic propagates to the caller.
+/// the fan-out (per-node RNG material, straggler profiles, …). The
+/// stateless case of [`map_ordered_with`].
 pub fn map_ordered<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    map_ordered_with(threads, items, || (), |(), i, t| f(i, t))
+}
+
+/// [`map_ordered`] with per-worker state: each worker builds one `S`
+/// with `init` and hands it to `f` for every item of its chunk, so
+/// scratch buffers are paid for once per worker, not once per item.
+/// The state must not carry results from one item to the next — the
+/// output has to stay independent of how items fall into chunks.
+///
+/// Work is split into `ceil(len / workers)` contiguous chunks, one
+/// worker thread per chunk; each worker produces its chunk's results in
+/// order and the chunks are concatenated in order, so the output is
+/// independent of scheduling. A worker panic propagates to the caller.
+pub fn map_ordered_with<T, S, R, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
+    let run = |base: usize, chunk_items: &[T]| {
+        let mut state = init();
+        chunk_items
+            .iter()
+            .enumerate()
+            .map(|(j, t)| f(&mut state, base + j, t))
+            .collect::<Vec<R>>()
+    };
     let workers = threads.min(items.len()).max(1);
     if workers == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return run(0, items);
     }
     let chunk = items.len().div_ceil(workers);
     let mut out: Vec<Vec<R>> = Vec::with_capacity(workers);
@@ -49,15 +73,8 @@ where
             .chunks(chunk)
             .enumerate()
             .map(|(c, chunk_items)| {
-                let f = &f;
-                let base = c * chunk;
-                scope.spawn(move || {
-                    chunk_items
-                        .iter()
-                        .enumerate()
-                        .map(|(j, t)| f(base + j, t))
-                        .collect::<Vec<R>>()
-                })
+                let run = &run;
+                scope.spawn(move || run(c * chunk, chunk_items))
             })
             .collect();
         for h in handles {
@@ -119,6 +136,36 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::Relaxed), 16);
         assert_eq!(got, items);
+    }
+
+    #[test]
+    fn per_worker_state_is_built_once_per_chunk() {
+        let inits = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..10).collect();
+        for (threads, expect_inits) in [(1, 1), (3, 3), (64, 10)] {
+            inits.store(0, Ordering::Relaxed);
+            let got = map_ordered_with(
+                threads,
+                &items,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |seen, i, &x| {
+                    *seen += 1;
+                    (i, x, *seen)
+                },
+            );
+            assert_eq!(
+                inits.load(Ordering::Relaxed),
+                expect_inits,
+                "threads={threads}"
+            );
+            let chunk = items.len().div_ceil(expect_inits);
+            for (i, &(idx, x, seen)) in got.iter().enumerate() {
+                assert_eq!((idx, x, seen), (i, i, i % chunk + 1), "threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 use fml_models::Model;
 
+use crate::meta::Scratch;
+use crate::parallel::{default_threads, map_ordered_with};
 use crate::trainer::{aggregate, curve_losses};
 use crate::{LocalStepper, RoundRecord, SourceTask, TrainOutput};
 
@@ -133,16 +135,24 @@ impl LocalStepper for Reptile {
         _anchor: &[f64],
         phi: &mut [f64],
         steps: usize,
+        scratch: &mut Scratch,
     ) {
-        let full = task.split.train.concat(&task.split.test);
+        let Scratch { ws, grad, full, .. } = scratch;
+        task.split.train.concat_into(&task.split.test, full);
         for _ in 0..steps {
-            let g = model.grad(phi, &full);
-            fml_linalg::vector::axpy(-self.cfg.inner_lr, &g, phi);
+            model.grad_into(phi, full, ws, grad);
+            fml_linalg::vector::axpy(-self.cfg.inner_lr, grad, phi);
         }
     }
 
-    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64) {
-        curve_losses(model, tasks, theta, self.cfg.eval_alpha)
+    fn eval_losses_with(
+        &self,
+        model: &dyn Model,
+        tasks: &[SourceTask],
+        theta: &[f64],
+        scratch: &mut Scratch,
+    ) -> (f64, f64) {
+        curve_losses(model, tasks, theta, self.cfg.eval_alpha, scratch)
     }
 
     /// `θ ← θ + ε(φ̄ − θ)`: a degraded round still moves the global a
@@ -171,16 +181,19 @@ impl LocalStepper for Reptile {
         let cfg = &self.cfg;
         let mut theta = theta0.to_vec();
         let mut history = Vec::new();
-        let threads = cfg
-            .threads
-            .unwrap_or_else(|| crate::parallel::default_threads(tasks.len()));
+        let threads = cfg.threads.unwrap_or_else(|| default_threads(tasks.len()));
 
+        let new_scratch = || Scratch::for_model(model);
+        let mut curve_scratch = new_scratch();
         for round in 1..=cfg.rounds {
-            let adapted = crate::parallel::map_ordered(threads, tasks, |_, task| {
-                self.local_update(model, task, &theta, cfg.inner_steps)
+            let adapted = map_ordered_with(threads, tasks, new_scratch, |scratch, _, task| {
+                let mut phi = Vec::new();
+                self.local_update_into(model, task, &theta, cfg.inner_steps, scratch, &mut phi);
+                phi
             });
             theta = self.combine(&theta, aggregate(tasks, &adapted));
-            let (meta_loss, train_loss) = self.eval_losses(model, tasks, &theta);
+            let (meta_loss, train_loss) =
+                self.eval_losses_with(model, tasks, &theta, &mut curve_scratch);
             history.push(RoundRecord {
                 iteration: round * cfg.inner_steps,
                 meta_loss,

@@ -13,17 +13,26 @@
 //! * the iteration ([`advance`](LocalStepper::advance)): move one node's
 //!   state forward by `steps` local iterations, given the `anchor` — the
 //!   global that was last installed on the node (FedProx's proximal term
-//!   pulls toward it; every other algorithm ignores it);
+//!   pulls toward it; every other algorithm ignores it) — and a
+//!   [`Scratch`] to do the arithmetic on;
 //! * the two losses its curve records
-//!   ([`eval_losses`](LocalStepper::eval_losses)).
+//!   ([`eval_losses_with`](LocalStepper::eval_losses_with)), swept over
+//!   the tasks through the same kind of scratch.
+//!
+//! Both take the scratch as a required argument: whoever runs steps or
+//! curves in a loop — a runtime worker, a lockstep thread, the platform —
+//! owns one and the steady state touches no allocator. There is no
+//! second, allocating statement of an algorithm's arithmetic.
 //!
 //! Everything else is **provided** from those:
 //!
-//! * [`local_update`](LocalStepper::local_update) — one node's round:
-//!   clone the broadcast, `advance` it with the broadcast as anchor. The
-//!   unit [`crate::train_with_faults`], the `fml-sim` runner and the
+//! * [`local_update_into`](LocalStepper::local_update_into) — one node's
+//!   round: copy the broadcast into a reused buffer, `advance` it with
+//!   the broadcast as anchor. The unit the `fml-sim` runner and the
 //!   `fml-runtime` node actors drive while owning the communication in
-//!   between;
+//!   between; [`local_update`](LocalStepper::local_update) and
+//!   [`eval_losses`](LocalStepper::eval_losses) are the same calls on
+//!   fresh scratch, for one-off callers ([`crate::train_with_faults`]);
 //! * [`train_from`](LocalStepper::train_from) — the lockstep reference
 //!   run, with no transport: every node `advance`s one iteration at a
 //!   time, the weighted aggregate goes through
@@ -41,10 +50,22 @@
 //!
 //! Write one file with the config, the trainer struct and
 //! `impl LocalStepper for It` (the four groups above; `advance` is where
-//! the algorithm's mathematics goes, stated once). Nothing else is
-//! edited: `train_from`/`train`, [`crate::train_with_faults`],
-//! `SimRunner::run*`, `Runtime::run`/`serve` and the CLI's `stepper()`
-//! paths all take `&dyn LocalStepper`.
+//! the algorithm's mathematics goes, stated once):
+//!
+//! ```text
+//! fn advance(&self, model, task, anchor, state: &mut [f64], steps, scratch: &mut Scratch) {
+//!     for _ in 0..steps {
+//!         let g = meta::meta_gradient_with(model, state, &task.split.train,
+//!                                          &task.split.test, α, mode, scratch);
+//!         vector::axpy(-β, g, state);
+//!     }
+//! }
+//! ```
+//!
+//! Nothing else is edited: `train_from`/`train`,
+//! [`crate::train_with_faults`], `SimRunner::run*`,
+//! `Runtime::run`/`serve` and the CLI's `stepper()` paths all take
+//! `&dyn LocalStepper`.
 //!
 //! Two trainers sit at the edge of the seam. [`crate::MetaSgd`]
 //! implements the trait privately over its concatenated `[θ‖a]` state
@@ -60,7 +81,8 @@
 use fml_models::Model;
 use rand::rngs::StdRng;
 
-use crate::parallel::{default_threads, map_ordered};
+use crate::meta::Scratch;
+use crate::parallel::{default_threads, map_ordered_with};
 use crate::trainer::{aggregate, RoundRecord, TrainOutput};
 use crate::SourceTask;
 
@@ -83,7 +105,8 @@ pub trait LocalStepper: Sync {
     fn record_every(&self) -> usize;
 
     /// Advances one node's `state` in place by `steps` local iterations
-    /// on `task`. `anchor` is the global last installed on the node.
+    /// on `task`, doing its arithmetic on `scratch`. `anchor` is the
+    /// global last installed on the node.
     fn advance(
         &self,
         model: &dyn Model,
@@ -91,14 +114,50 @@ pub trait LocalStepper: Sync {
         anchor: &[f64],
         state: &mut [f64],
         steps: usize,
+        scratch: &mut Scratch,
     );
 
     /// Evaluates `(meta_loss, train_loss)` at `theta` as the training
-    /// curve records them.
-    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64);
+    /// curve records them: every task swept through the one `scratch`,
+    /// the sums taken in task order.
+    fn eval_losses_with(
+        &self,
+        model: &dyn Model,
+        tasks: &[SourceTask],
+        theta: &[f64],
+        scratch: &mut Scratch,
+    ) -> (f64, f64);
+
+    /// [`eval_losses_with`](Self::eval_losses_with) on fresh scratch.
+    fn eval_losses(&self, model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> (f64, f64) {
+        self.eval_losses_with(model, tasks, theta, &mut Scratch::for_model(model))
+    }
 
     /// Runs `steps` local iterations for one node from the broadcast
-    /// `theta` and returns the node's updated parameters.
+    /// `theta`: `out` is overwritten with the node's updated parameters,
+    /// reusing its capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `scratch` was built for a model with a different
+    /// parameter count.
+    fn local_update_into(
+        &self,
+        model: &dyn Model,
+        task: &SourceTask,
+        theta: &[f64],
+        steps: usize,
+        scratch: &mut Scratch,
+        out: &mut Vec<f64>,
+    ) {
+        scratch.check(model, "local_update_into");
+        out.clear();
+        out.extend_from_slice(theta);
+        self.advance(model, task, theta, out, steps, scratch);
+    }
+
+    /// [`local_update_into`](Self::local_update_into) on fresh scratch,
+    /// returning the updated parameters.
     fn local_update(
         &self,
         model: &dyn Model,
@@ -106,9 +165,10 @@ pub trait LocalStepper: Sync {
         theta: &[f64],
         steps: usize,
     ) -> Vec<f64> {
-        let mut state = theta.to_vec();
-        self.advance(model, task, theta, &mut state, steps);
-        state
+        let mut out = Vec::new();
+        let mut scratch = Scratch::for_model(model);
+        self.local_update_into(model, task, theta, steps, &mut scratch, &mut out);
+        out
     }
 
     /// Runs the algorithm in lockstep from an explicit initialization
@@ -173,11 +233,13 @@ pub(crate) fn lockstep<S: LocalStepper + ?Sized>(
     let mut locals: Vec<Vec<f64>> = vec![global.clone(); tasks.len()];
     let mut history = Vec::new();
     let mut comm_rounds = 0;
+    let new_scratch = || Scratch::for_model(model);
+    let mut curve_scratch = new_scratch();
 
     for t in 1..=total {
-        locals = map_ordered(threads, tasks, |i, task| {
+        locals = map_ordered_with(threads, tasks, new_scratch, |scratch, i, task| {
             let mut state = locals[i].clone();
-            stepper.advance(model, task, &global, &mut state, 1);
+            stepper.advance(model, task, &global, &mut state, 1, scratch);
             state
         });
         let aggregated = t % local_steps == 0;
@@ -190,7 +252,8 @@ pub(crate) fn lockstep<S: LocalStepper + ?Sized>(
         }
         if aggregated || (record_every > 0 && t % record_every == 0) || t == total {
             let avg = aggregate(tasks, &locals);
-            let (meta_loss, train_loss) = stepper.eval_losses(model, tasks, &avg);
+            let (meta_loss, train_loss) =
+                stepper.eval_losses_with(model, tasks, &avg, &mut curve_scratch);
             history.push(RoundRecord {
                 iteration: t,
                 meta_loss,

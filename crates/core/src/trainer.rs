@@ -1,6 +1,7 @@
-use fml_models::Model;
+use fml_models::{Model, Workspace};
 use serde::{Deserialize, Serialize};
 
+use crate::meta::{meta_objective_with, Scratch};
 use crate::SourceTask;
 
 /// One point on a training curve.
@@ -67,20 +68,42 @@ pub fn weighted_meta_loss(
     theta: &[f64],
     alpha: f64,
 ) -> f64 {
+    weighted_meta_loss_with(model, tasks, theta, alpha, &mut Scratch::for_model(model))
+}
+
+/// [`weighted_meta_loss`] with every task swept through the one
+/// `scratch`, the sum taken in task order.
+pub(crate) fn weighted_meta_loss_with(
+    model: &dyn Model,
+    tasks: &[SourceTask],
+    theta: &[f64],
+    alpha: f64,
+    scratch: &mut Scratch,
+) -> f64 {
     tasks
         .iter()
         .map(|t| {
-            t.weight
-                * crate::meta::meta_objective(model, theta, &t.split.train, &t.split.test, alpha)
+            let (train, test) = (&t.split.train, &t.split.test);
+            t.weight * meta_objective_with(model, theta, train, test, alpha, scratch)
         })
         .sum()
 }
 
 /// Computes the weighted support loss `Σ ω_i L(θ, train_i)`.
 pub fn weighted_train_loss(model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> f64 {
+    weighted_train_loss_with(model, tasks, theta, &mut model.workspace())
+}
+
+/// [`weighted_train_loss`] through the one workspace, in task order.
+pub(crate) fn weighted_train_loss_with(
+    model: &dyn Model,
+    tasks: &[SourceTask],
+    theta: &[f64],
+    ws: &mut Workspace,
+) -> f64 {
     tasks
         .iter()
-        .map(|t| t.weight * model.loss(theta, &t.split.train))
+        .map(|t| t.weight * model.loss_with(theta, &t.split.train, ws))
         .sum()
 }
 
@@ -91,10 +114,11 @@ pub(crate) fn curve_losses(
     tasks: &[SourceTask],
     theta: &[f64],
     alpha: f64,
+    scratch: &mut Scratch,
 ) -> (f64, f64) {
     (
-        weighted_meta_loss(model, tasks, theta, alpha),
-        weighted_train_loss(model, tasks, theta),
+        weighted_meta_loss_with(model, tasks, theta, alpha, scratch),
+        weighted_train_loss_with(model, tasks, theta, &mut scratch.ws),
     )
 }
 

@@ -204,17 +204,29 @@ impl Batch {
     ///
     /// Panics when feature dimensions differ.
     pub fn concat(&self, other: &Batch) -> Batch {
+        let mut out = Batch::empty(self.dim());
+        self.concat_into(other, &mut out);
+        out
+    }
+
+    /// [`concat`](Batch::concat) into a caller-owned batch: `out` is
+    /// overwritten, reusing its storage, so a steady-state caller
+    /// concatenates without touching the allocator.
+    ///
+    /// # Panics
+    ///
+    /// Panics when feature dimensions differ.
+    pub fn concat_into(&self, other: &Batch, out: &mut Batch) {
         assert_eq!(self.dim(), other.dim(), "concat: dimension mismatch");
-        let mut xs = Matrix::zeros(self.len() + other.len(), self.dim());
-        for i in 0..self.len() {
-            xs.row_mut(i).copy_from_slice(self.feature(i));
-        }
-        for j in 0..other.len() {
-            xs.row_mut(self.len() + j).copy_from_slice(other.feature(j));
-        }
-        let mut ys = self.ys.clone();
-        ys.extend_from_slice(&other.ys);
-        Batch { xs, ys }
+        let mut data = std::mem::replace(&mut out.xs, Matrix::zeros(0, 0)).into_vec();
+        data.clear();
+        data.extend_from_slice(self.xs.as_slice());
+        data.extend_from_slice(other.xs.as_slice());
+        out.xs = Matrix::from_vec(self.len() + other.len(), self.dim(), data)
+            .expect("row-major concat keeps rows × cols");
+        out.ys.clear();
+        out.ys.extend_from_slice(&self.ys);
+        out.ys.extend_from_slice(&other.ys);
     }
 
     /// Appends one sample in place.

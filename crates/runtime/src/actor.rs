@@ -23,7 +23,8 @@
 //! 2. decode it — the hardened [`fml_sim::MessageView::parse`] runs on
 //!    every hop, counting (never panicking on) malformed frames;
 //! 3. run the trainer's `T0` local steps via
-//!    [`fml_core::LocalStepper::local_update`];
+//!    [`fml_core::LocalStepper::local_update_into`], on the worker's own
+//!    [`fml_core::Scratch`] and into its reused update buffer;
 //! 4. apply any scheduled corrupt fault, encode a `ModelUpdate` frame,
 //!    and send it back up the link.
 //!
@@ -37,7 +38,7 @@ use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
 use fml_core::faults::corrupt;
-use fml_core::{ErrorFeedback, Fault, LocalStepper, SourceTask};
+use fml_core::{ErrorFeedback, Fault, LocalStepper, Scratch, SourceTask};
 use fml_models::Model;
 use fml_sim::message::{encode_update_into, encoded_frame_len};
 use fml_sim::{
@@ -98,12 +99,16 @@ pub(crate) struct WorkerCtx<'a> {
     pub cfg: &'a RuntimeConfig,
 }
 
-/// Per-worker reusable storage: the decoded-global scratch vector and
-/// the frame pool handle replies are encoded through. One per worker
-/// thread (or transport peer), so the steady-state round touches the
-/// allocator only inside the stepper.
+/// Per-worker reusable storage: the decoded-global scratch vector, what
+/// the stepper computes on and writes its update into, and the frame
+/// pool handle replies are encoded through. One per worker thread (or
+/// transport peer), so the steady-state round touches the allocator only
+/// for the frames themselves (a pool miss, the refcount behind a frozen
+/// buffer) — the step performs no allocation.
 pub(crate) struct StepScratch {
     global: Vec<f64>,
+    step: Scratch,
+    update: Vec<f64>,
     pool: FramePool,
     /// Encode-side scratch for the compressed codecs (top-k index
     /// selection buffer); unused and untouched under `None`.
@@ -116,9 +121,11 @@ pub(crate) struct StepScratch {
 }
 
 impl StepScratch {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(model: &dyn Model) -> Self {
         StepScratch {
             global: Vec::new(),
+            step: Scratch::for_model(model),
+            update: Vec::new(),
             pool: FramePool::global().handle(),
             codec: CodecScratch::default(),
             feedback: ErrorFeedback::new(),
@@ -162,20 +169,23 @@ fn step_reply(
         // for a crashed round should never arrive. Honour the plan.
         return None;
     }
-    let mut update = ctx.stepper.local_update(
+    let update = &mut scratch.update;
+    ctx.stepper.local_update_into(
         ctx.model,
         &ctx.tasks[node],
         &scratch.global,
         ctx.stepper.local_steps(),
+        &mut scratch.step,
+        update,
     );
     if let Some(Fault::Corrupt(mode)) = fault {
-        corrupt(mode, &mut update);
+        corrupt(mode, update);
     }
     let codec = ctx.cfg.update_codec;
     if codec.wants_feedback() {
         // Fold in what previous rounds' compression dropped before
         // selecting this round's survivors.
-        scratch.feedback.compensate(node as u32, &mut update);
+        scratch.feedback.compensate(node as u32, update);
     }
     let mut buf = scratch
         .pool
@@ -184,7 +194,7 @@ fn step_reply(
         codec,
         broadcast_round,
         node as u32,
-        &update,
+        update,
         &mut scratch.codec,
         &mut buf,
     );
@@ -194,7 +204,7 @@ fn step_reply(
         // back from the frame we just encoded so an encode bug surfaces
         // as residual drift instead of silent loss.
         let view = CompressedView::parse(&reply).expect("own frame parses");
-        scratch.feedback.absorb(node as u32, &update, view.params_iter());
+        scratch.feedback.absorb(node as u32, update, view.params_iter());
     }
     io.frames_sent += 1;
     io.bytes_sent += reply.len() as u64;
@@ -209,7 +219,7 @@ fn step_reply(
 /// queued (including recovery re-broadcasts of rolled-back rounds) and
 /// parks briefly when nothing is.
 pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, mut actors: Vec<NodeActor>) -> Vec<NodeIo> {
-    let mut scratch = StepScratch::new();
+    let mut scratch = StepScratch::new(ctx.model);
     loop {
         let mut any_live = false;
         let mut serviced = false;
@@ -271,7 +281,7 @@ pub(crate) fn run_transport_peer(
         node,
         ..NodeIo::default()
     };
-    let mut scratch = StepScratch::new();
+    let mut scratch = StepScratch::new(ctx.model);
     let mut hello = BytesMut::with_capacity(encoded_frame_len(0));
     encode_update_into(0, node as u32, &[], &mut hello);
     if link.send_frame(&hello.freeze()).is_err() {

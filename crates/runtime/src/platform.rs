@@ -21,6 +21,25 @@
 //! `recv_timeout`. A crashed or wedged node thread therefore costs one
 //! timeout, not the run.
 //!
+//! # Round timeline
+//!
+//! The training curve is a reporting quantity no step of the algorithm
+//! waits for, so the fleet does not wait for it either. A round's tail
+//! (`close_round`) publishes and checkpoints the new global — before the
+//! next broadcast, as ever — and *parks* the round; the next round's
+//! prologue (`exchange`) evaluates the parked round's losses after its
+//! broadcast loop and before it starts collecting, i.e. while the nodes
+//! compute and this thread would only block:
+//!
+//! ```text
+//! aggregate r │ publish, checkpoint, park r │ broadcast r+1 │ evaluate r │ collect r+1
+//! ```
+//!
+//! The last round is flushed after the mode loop. No thread or channel
+//! is involved. The one consequence: `history` and `report.trace` lag
+//! the loop by one round while it runs, so nothing inside the loop reads
+//! them.
+//!
 //! # Modes
 //!
 //! **Barrier** waits for every expected update each round. When the
@@ -54,7 +73,7 @@ use fml_core::checkpoint::Checkpoint;
 use fml_core::ft::{rollback_and_exclude, ReuseCache};
 use fml_core::gather::{gather, screen_update, RoundReport, Submission, Validated};
 use fml_core::parallel::default_threads;
-use fml_core::{aggregate, Fault, LocalStepper, RoundRecord, SourceTask, TrainOutput};
+use fml_core::{aggregate, Fault, LocalStepper, RoundRecord, Scratch, SourceTask, TrainOutput};
 use fml_linalg::vector::weighted_sum;
 use fml_models::Model;
 use fml_sim::message::{encode_global_into, encoded_frame_len};
@@ -443,12 +462,17 @@ impl Runtime {
             resent: 0,
             pool: FramePool::global().handle(),
             publisher: self.publisher.clone(),
+            parked: None,
+            eval_at: Vec::with_capacity(theta0.len()),
+            scratch: Scratch::for_model(model),
         };
         platform.report.mode = platform.mode_label().into();
         let params = match self.cfg.mode {
             Mode::Barrier => platform.run_barrier(theta0),
             Mode::Async(policy) => platform.run_async(theta0, &policy),
         };
+        // The last round has no next broadcast to hide behind.
+        platform.flush_parked();
 
         let Platform {
             peers,
@@ -655,7 +679,24 @@ struct Outcome {
     degraded: bool,
 }
 
+/// A closed round whose curve point is still to be evaluated: what its
+/// history record and trace row need besides the two losses.
+struct Parked {
+    round: usize,
+    participants: Vec<usize>,
+    bytes: u64,
+    retransmissions: u64,
+    comm_time_s: f64,
+    end: Outcome,
+}
+
 /// The event loop's working state, borrowed for one run.
+///
+/// `history` and `report.trace` lag the loop by one round while it runs:
+/// round `r`'s entries are appended during round `r + 1`'s exchange (or
+/// by the final flush in `drive`), so nothing inside the loop may read
+/// them — and nothing does. `comm_rounds`, the published global and the
+/// checkpoint never lag.
 struct Platform<'a> {
     cfg: &'a RuntimeConfig,
     stepper: &'a dyn LocalStepper,
@@ -685,6 +726,15 @@ struct Platform<'a> {
     /// Where completed-round globals are handed off to a co-resident
     /// adaptation server, when one is attached.
     publisher: Option<SharedGlobal>,
+    /// The last closed round, until [`flush_parked`](Self::flush_parked)
+    /// evaluates it under the next round's collect wait.
+    parked: Option<Parked>,
+    /// The platform's own copy of the parameters the parked round's
+    /// curve point is evaluated at (the loop moves on and overwrites
+    /// its own).
+    eval_at: Vec<f64>,
+    /// What the curve evaluation runs on.
+    scratch: Scratch,
 }
 
 impl Platform<'_> {
@@ -824,10 +874,11 @@ impl Platform<'_> {
     /// The round prologue every loop shares: open the round in the
     /// health tracker, encode the global once and try-send it to every
     /// node healthy enough to participate (not quarantined or excluded)
-    /// and not scheduled to crash this round, collect the replies, and
-    /// recycle the broadcast frame. A recovery re-run broadcasts the
-    /// same round again, so the per-round drop slot accumulates instead
-    /// of asserting one-shot.
+    /// and not scheduled to crash this round, evaluate the previous
+    /// round's parked curve point while the fleet computes, collect the
+    /// replies, and recycle the broadcast frame. A recovery re-run
+    /// broadcasts the same round again (with nothing parked), so the
+    /// per-round drop slot accumulates instead of asserting one-shot.
     fn exchange(&mut self, round: usize, global: &[f64]) -> Exchange {
         self.health.begin_round(round);
         // One encode per round, into a pooled buffer; every link gets a
@@ -856,6 +907,11 @@ impl Platform<'_> {
             self.report.broadcast_drops.push(0);
         }
         self.report.broadcast_drops[round - 1] += drops;
+        // The fleet is computing and this thread would only block in
+        // `collect`: the previous round's curve point costs no round
+        // time here. Replies queue on the uplink meanwhile (at most one
+        // per live node), and the silence deadline starts afterwards.
+        self.flush_parked();
         // `collect` keeps the frame at hand to retransmit to peers that
         // reconnect mid-round.
         let (got, up_bytes) = self.collect(round, &delivered, &frame);
@@ -876,6 +932,8 @@ impl Platform<'_> {
     /// broadcast (`frame`) can be retransmitted to peers that
     /// reconnected mid-round, whose original copy may have died with
     /// the old link. Duplicate replies are triaged as undelivered.
+    /// `expected` is ascending (the broadcast loop builds it in node
+    /// order), so membership is a binary search, not a scan per frame.
     /// Returns the decoded updates and the bytes received.
     fn collect(
         &mut self,
@@ -883,6 +941,8 @@ impl Platform<'_> {
         expected: &[usize],
         frame: &Bytes,
     ) -> (BTreeMap<usize, Vec<f64>>, u64) {
+        debug_assert!(expected.is_sorted());
+        let is_expected = |node: usize| expected.binary_search(&node).is_ok();
         let mut got: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
         let mut bytes = 0u64;
         let mut deadline = Instant::now() + self.timeout;
@@ -897,7 +957,7 @@ impl Platform<'_> {
                 Ok(received) => received,
                 Err(RecvTimeoutError::Timeout) => {
                     for node in self.peers.take_rejoined() {
-                        if expected.contains(&node)
+                        if is_expected(node)
                             && !got.contains_key(&node)
                             && self.peers.try_send(node, frame.clone())
                         {
@@ -916,10 +976,7 @@ impl Platform<'_> {
             // conformance path never depends on decode routing.
             match UplinkFrame::parse(&received, self.model.param_len()) {
                 UplinkFrame::Update { node, frame_round, params } => {
-                    if frame_round == round
-                        && expected.contains(&node)
-                        && !got.contains_key(&node)
-                    {
+                    if frame_round == round && is_expected(node) && !got.contains_key(&node) {
                         // The only materialization on the receive path:
                         // the update must outlive the frame it rode in.
                         got.insert(node, params.to_vec());
@@ -939,9 +996,11 @@ impl Platform<'_> {
         (got, bytes)
     }
 
-    /// The round tail every loop shares: the history record (losses
-    /// evaluated at `eval_at`) and its trace row, then publish and
-    /// checkpoint the round's `global`.
+    /// The round tail every loop shares: publish and checkpoint the
+    /// round's `global` — before the next broadcast, so what an attached
+    /// server and a resume see is ordered as ever — and park the round
+    /// with a copy of `eval_at`; its history record and trace row are
+    /// written by [`flush_parked`](Self::flush_parked).
     fn close_round(
         &mut self,
         round: usize,
@@ -950,15 +1009,41 @@ impl Platform<'_> {
         eval_at: &[f64],
         end: Outcome,
     ) {
+        self.comm_rounds += usize::from(end.aggregated);
+        self.eval_at.clear();
+        self.eval_at.extend_from_slice(eval_at);
+        debug_assert!(self.parked.is_none(), "one round parked at a time");
+        self.parked = Some(Parked {
+            round,
+            participants: x.delivered,
+            bytes: x.bytes,
+            retransmissions: std::mem::take(&mut self.resent),
+            comm_time_s: x.comm_time_s,
+            end,
+        });
+        self.publish_global(round, global);
+        self.maybe_checkpoint(round, global);
+    }
+
+    /// Evaluates the parked round's losses and appends its history
+    /// record and trace row; a no-op with nothing parked. Called from
+    /// [`exchange`](Self::exchange) between the broadcast and the
+    /// collect — the platform thread's otherwise blocked wait — and once
+    /// more by `drive` after the last round.
+    fn flush_parked(&mut self) {
+        let Some(parked) = self.parked.take() else {
+            return;
+        };
         let Outcome {
             aggregated,
             reporters,
             degraded,
-        } = end;
-        let (meta_loss, train_loss) = self.stepper.eval_losses(self.model, self.tasks, eval_at);
-        self.comm_rounds += usize::from(aggregated);
+        } = parked.end;
+        let (meta_loss, train_loss) =
+            self.stepper
+                .eval_losses_with(self.model, self.tasks, &self.eval_at, &mut self.scratch);
         self.history.push(RoundRecord {
-            iteration: round * self.local_steps,
+            iteration: parked.round * self.local_steps,
             meta_loss,
             train_loss,
             aggregated,
@@ -966,20 +1051,18 @@ impl Platform<'_> {
             degraded,
         });
         self.report.trace.push(RoundTrace {
-            round,
-            participants: x.delivered,
+            round: parked.round,
+            participants: parked.participants,
             local_steps: self.local_steps,
-            bytes: x.bytes,
-            retransmissions: std::mem::take(&mut self.resent),
+            bytes: parked.bytes,
+            retransmissions: parked.retransmissions,
             // Virtual time; the runtime does no compute modelling.
-            comm_time_s: x.comm_time_s,
+            comm_time_s: parked.comm_time_s,
             compute_time_s: 0.0,
             meta_loss,
             reporters,
             degraded,
         });
-        self.publish_global(round, global);
-        self.maybe_checkpoint(round, global);
     }
 
     /// Resumes from a checkpoint when configured to, and hands the

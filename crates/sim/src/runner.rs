@@ -18,7 +18,7 @@
 //! critical path (max over participants) is what accrues to simulated
 //! wall-clock time, matching how stragglers hurt real federated systems.
 
-use fml_core::{LocalStepper, SourceTask};
+use fml_core::{LocalStepper, Scratch, SourceTask};
 use fml_models::Model;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -217,6 +217,8 @@ pub(crate) struct RunState<'a> {
     /// encode/decode phases touch the allocator only for the updates.
     pool: FramePool,
     start_params: Vec<f64>,
+    /// What the per-round curve evaluation runs on.
+    curve_scratch: Scratch,
     /// The round's uploaded frames, in participant order.
     frames: Vec<bytes::Bytes>,
 }
@@ -273,6 +275,7 @@ impl<'a> RunState<'a> {
             trace: TraceLog::new(),
             pool: FramePool::new(),
             start_params: Vec::with_capacity(theta0.len()),
+            curve_scratch: Scratch::for_model(model),
             frames: Vec::with_capacity(n),
         }
     }
@@ -330,9 +333,16 @@ impl<'a> RunState<'a> {
         let (stepper, model, tasks, start) =
             (self.stepper, self.model, self.tasks, &self.start_params);
         let t0 = flight.steps;
-        let updated = fml_core::parallel::map_ordered(self.cfg.threads, participants, |_, &i| {
-            stepper.local_update(model, &tasks[i], start, t0)
-        });
+        let updated = fml_core::parallel::map_ordered_with(
+            self.cfg.threads,
+            participants,
+            || Scratch::for_model(model),
+            |scratch, _, &i| {
+                let mut update = Vec::new();
+                stepper.local_update_into(model, &tasks[i], start, t0, scratch, &mut update);
+                update
+            },
+        );
         let steps = t0 as u64;
         let (grads, hvps) = stepper.oracle_calls();
         for &i in participants {
@@ -383,9 +393,12 @@ impl<'a> RunState<'a> {
         for f in self.frames.drain(..) {
             self.pool.recycle(f);
         }
-        let (meta_loss, _) = self
-            .stepper
-            .eval_losses(self.model, self.tasks, &self.global);
+        let (meta_loss, _) = self.stepper.eval_losses_with(
+            self.model,
+            self.tasks,
+            &self.global,
+            &mut self.curve_scratch,
+        );
         self.trace.push(RoundTrace {
             round: flight.round,
             participants: participants.iter().map(|&i| self.tasks[i].id).collect(),

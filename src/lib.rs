@@ -25,7 +25,7 @@ pub mod prelude {
     pub use fml_core::{
         adapt, FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx, FedProxConfig, LocalStepper,
         MetaGradientMode, MetaSgd, MetaSgdConfig, Reptile, ReptileConfig, RobustFedMl,
-        RobustFedMlConfig, SourceTask, TrainOutput,
+        RobustFedMlConfig, Scratch, SourceTask, TrainOutput,
     };
     pub use fml_data::{Federation, NodeData, TaskSplit};
     pub use fml_models::{

@@ -1,0 +1,230 @@
+//! The steady-state training step touches no allocator.
+//!
+//! This binary installs a counting `#[global_allocator]` whose counters
+//! are per thread — the harness runs every test on a thread of its own,
+//! so neither it nor a sibling test can pollute a measurement. Besides
+//! the call count it records the largest single request, which is what
+//! the framing check at the bottom needs.
+//!
+//! What is held: after one warm-up call a node, `LocalStepper::local_update_into`
+//! performs **zero** allocations for every wire-capable algorithm on both
+//! workspace-backed model families; the curve evaluation costs the same
+//! number of allocations over 64 tasks as over 8 (and none on a held
+//! scratch); and the allocating `local_update` wrapper returns the same
+//! bits as the kernel it wraps.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use fml_core::{
+    FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx, FedProxConfig, LocalStepper,
+    MetaGradientMode, Reptile, ReptileConfig, Scratch, SourceTask,
+};
+use fml_data::synthetic::SyntheticConfig;
+use fml_models::{Activation, MlpBuilder, Model, SoftmaxRegression};
+use fml_sim::framing::{FrameBuffer, FrameError, MAX_FRAME_LEN};
+use fml_sim::FramePool;
+use rand::SeedableRng;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator plus this thread's request count and largest
+/// request size.
+struct Counting;
+
+fn note(size: usize) {
+    // `try_with`: a request made while the thread's locals are being
+    // torn down is simply not counted.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are `const`-
+// initialised `Cell`s that own no heap memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` is passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` is passed through unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System` with this `layout`, and the
+        // caller guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// `(allocation requests, largest request in bytes)` this thread made
+/// while `f` ran.
+fn allocs_during(f: impl FnOnce()) -> (u64, usize) {
+    LARGEST.with(|c| c.set(0));
+    let before = ALLOCS.with(Cell::get);
+    f();
+    (ALLOCS.with(Cell::get) - before, LARGEST.with(Cell::get))
+}
+
+const DIM: usize = 6;
+const CLASSES: usize = 3;
+const T0: usize = 3;
+
+fn tasks(nodes: usize) -> Vec<SourceTask> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+    let fed = SyntheticConfig::new(0.5, 0.5)
+        .with_nodes(nodes)
+        .with_dim(DIM)
+        .with_classes(CLASSES)
+        .generate(&mut rng);
+    SourceTask::from_nodes_deterministic(fed.nodes(), 4)
+}
+
+fn models() -> Vec<Box<dyn Model>> {
+    vec![
+        Box::new(SoftmaxRegression::new(DIM, CLASSES).with_l2(1e-3)),
+        Box::new(
+            MlpBuilder::new(DIM, CLASSES)
+                .hidden(&[8])
+                .activation(Activation::Tanh)
+                .build()
+                .unwrap(),
+        ),
+    ]
+}
+
+fn steppers() -> Vec<(&'static str, Box<dyn LocalStepper>)> {
+    let fedml = |mode| FedMl::new(FedMlConfig::new(0.05, 0.04).with_mode(mode));
+    vec![
+        (
+            "FedML",
+            Box::new(fedml(MetaGradientMode::FullSecondOrder)) as Box<dyn LocalStepper>,
+        ),
+        ("FOMAML", Box::new(fedml(MetaGradientMode::FirstOrder))),
+        ("FedAvg", Box::new(FedAvg::new(FedAvgConfig::new(0.05)))),
+        (
+            "FedProx",
+            Box::new(FedProx::new(FedProxConfig::new(0.05, 0.1))),
+        ),
+        (
+            "Reptile",
+            Box::new(Reptile::new(ReptileConfig::new(0.05, 0.5))),
+        ),
+    ]
+}
+
+#[test]
+fn steady_state_local_update_allocates_nothing() {
+    let tasks = tasks(4);
+    for model in models() {
+        let model = model.as_ref();
+        let theta = model.init_params(&mut rand::rngs::StdRng::seed_from_u64(3));
+        for (name, stepper) in steppers() {
+            let at = format!("{name} on {model:?}");
+            let mut scratch = Scratch::for_model(model);
+            let mut out = Vec::new();
+            // Warm-up, one call a node: sizes `out` and grows the
+            // baselines' concatenated batch to the largest node (the
+            // synthetic federation's node sizes differ).
+            for task in &tasks {
+                stepper.local_update_into(model, task, &theta, T0, &mut scratch, &mut out);
+            }
+            for task in &tasks {
+                let (allocs, _) = allocs_during(|| {
+                    stepper.local_update_into(model, task, &theta, T0, &mut scratch, &mut out);
+                });
+                assert_eq!(allocs, 0, "{at}, node {}", task.id);
+                // The allocating wrapper is the same arithmetic.
+                let wrapped = stepper.local_update(model, task, &theta, T0);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&wrapped), bits(&out), "{at}, node {}", task.id);
+            }
+        }
+    }
+}
+
+#[test]
+fn curve_evaluation_is_constant_in_task_count() {
+    let tasks = tasks(64);
+    for model in models() {
+        let model = model.as_ref();
+        let theta = model.init_params(&mut rand::rngs::StdRng::seed_from_u64(5));
+        for (name, stepper) in steppers() {
+            let at = format!("{name} on {model:?}");
+            let eval = |n: usize| {
+                let mut losses = (0.0, 0.0);
+                let (allocs, _) =
+                    allocs_during(|| losses = stepper.eval_losses(model, &tasks[..n], &theta));
+                assert!(losses.0.is_finite() && losses.1.is_finite(), "{at}");
+                allocs
+            };
+            assert_eq!(eval(8), eval(64), "{at}: O(1) in tasks, not O(tasks)");
+
+            // On a held scratch — how the platform, the lockstep loop and
+            // the simulator evaluate — there is nothing left to allocate.
+            let mut scratch = Scratch::for_model(model);
+            let mut held = (0.0, 0.0);
+            let (allocs, _) = allocs_during(|| {
+                held = stepper.eval_losses_with(model, &tasks, &theta, &mut scratch);
+            });
+            assert_eq!(allocs, 0, "{at}");
+            assert_eq!(held, stepper.eval_losses(model, &tasks, &theta), "{at}");
+        }
+    }
+}
+
+/// ROADMAP aim 3(b), second half: a peer lying about its payload size
+/// never makes the receiver reserve memory it has not seen. The frame
+/// buffer must not ask the allocator for the `len` it was told — not
+/// for a prefix beyond `MAX_FRAME_LEN`, and not for a legal one whose
+/// bytes have not arrived.
+#[test]
+fn frame_buffer_never_reserves_the_announced_length() {
+    let pool = FramePool::new();
+    for announced in [MAX_FRAME_LEN + 1, u32::MAX as usize] {
+        let mut buf = FrameBuffer::new();
+        let mut result = Ok(None);
+        let (_, largest) = allocs_during(|| {
+            buf.extend(&(announced as u32).to_le_bytes());
+            buf.extend(&[0xAB; 64]);
+            result = buf.next_frame_pooled(&pool);
+        });
+        assert_eq!(result, Err(FrameError::Oversized { len: announced }));
+        assert!(
+            largest <= MAX_FRAME_LEN,
+            "an oversized prefix ({announced}) made a {largest}-byte request"
+        );
+        assert!(largest < 4096, "and in fact nothing near it: {largest}");
+    }
+
+    // A legal 1 MiB announcement with 64 bytes behind it: no frame yet,
+    // and no megabyte reserved on the peer's word.
+    let announced = 1usize << 20;
+    let mut buf = FrameBuffer::new();
+    let (_, largest) = allocs_during(|| {
+        buf.extend(&(announced as u32).to_le_bytes());
+        buf.extend(&[0xCD; 64]);
+        assert_eq!(buf.next_frame_pooled(&pool), Ok(None));
+    });
+    assert!(
+        largest < 4096,
+        "reserved {largest} bytes for an unseen frame"
+    );
+}

@@ -8,9 +8,12 @@
 //! tolerance, and thread-count determinism, all checked here as
 //! properties over seeds.
 
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
+
 use fml_core::{
     FaultPlan, FedAvg, FedAvgConfig, FedMl, FedMlConfig, LocalStepper, Reptile, ReptileConfig,
-    SourceTask,
+    Scratch, SourceTask,
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};
@@ -299,4 +302,164 @@ fn stepper_trait_exposes_training_shape() {
     assert_eq!(stepper.algorithm(), "FedML");
     assert_eq!(stepper.rounds(), 4);
     assert_eq!(stepper.local_steps(), 2);
+}
+
+/// `FedMl`, except that the curve evaluation of every round but the last
+/// refuses to return until some node has entered the *next* round's
+/// `advance` — which can only happen if the platform broadcasts round
+/// `r + 1` before it evaluates round `r`. A platform that evaluates
+/// between the aggregate and the next broadcast waits out the guard and
+/// trips `stalled`.
+struct EvalWaitsForNextRound {
+    inner: FedMl,
+    nodes: usize,
+    /// `(advance calls entered, evaluations started)`; the runtime calls
+    /// `advance` once a node a round, so call `c` belongs to round
+    /// `c / nodes + 1`, and evaluation `k` to round `k`.
+    seen: Mutex<(usize, usize)>,
+    entered: Condvar,
+    stalled: Mutex<Vec<usize>>,
+}
+
+impl EvalWaitsForNextRound {
+    const GUARD: Duration = Duration::from_secs(5);
+
+    fn new(inner: FedMl, nodes: usize) -> Self {
+        EvalWaitsForNextRound {
+            inner,
+            nodes,
+            seen: Mutex::new((0, 0)),
+            entered: Condvar::new(),
+            stalled: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl LocalStepper for EvalWaitsForNextRound {
+    fn algorithm(&self) -> &'static str {
+        self.inner.algorithm()
+    }
+
+    fn rounds(&self) -> usize {
+        self.inner.rounds()
+    }
+
+    fn local_steps(&self) -> usize {
+        self.inner.local_steps()
+    }
+
+    fn record_every(&self) -> usize {
+        self.inner.record_every()
+    }
+
+    fn advance(
+        &self,
+        model: &dyn Model,
+        task: &SourceTask,
+        anchor: &[f64],
+        state: &mut [f64],
+        steps: usize,
+        scratch: &mut Scratch,
+    ) {
+        self.seen.lock().unwrap().0 += 1;
+        self.entered.notify_all();
+        self.inner
+            .advance(model, task, anchor, state, steps, scratch);
+    }
+
+    fn eval_losses_with(
+        &self,
+        model: &dyn Model,
+        tasks: &[SourceTask],
+        theta: &[f64],
+        scratch: &mut Scratch,
+    ) -> (f64, f64) {
+        let mut seen = self.seen.lock().unwrap();
+        seen.1 += 1;
+        let round = seen.1;
+        let next_round_entered = |s: &mut (usize, usize)| s.0 > round * self.nodes;
+        let (seen, wait) = self
+            .entered
+            .wait_timeout_while(seen, Self::GUARD, |s| {
+                round < self.rounds() && !next_round_entered(s)
+            })
+            .unwrap();
+        drop(seen);
+        if wait.timed_out() {
+            self.stalled.lock().unwrap().push(round);
+        }
+        self.inner.eval_losses_with(model, tasks, theta, scratch)
+    }
+}
+
+#[test]
+fn curve_is_evaluated_while_the_fleet_computes_the_next_round() {
+    const ROUNDS: usize = 4;
+    let (model, tasks, theta0) = fixture(15);
+    let reference = fedml(ROUNDS).train_from(&model, &tasks, &theta0);
+    let stepper = EvalWaitsForNextRound::new(fedml(ROUNDS), tasks.len());
+    let out = Runtime::new(RuntimeConfig::barrier(1)).run(&stepper, &model, &tasks, &theta0);
+    assert_eq!(
+        *stepper.stalled.lock().unwrap(),
+        Vec::<usize>::new(),
+        "rounds evaluated with the fleet idle"
+    );
+    // The record survives the lag: every round present, in order, and
+    // the run is still the oracle's bit for bit.
+    assert_eq!(out.train.history.len(), ROUNDS);
+    assert_eq!(out.report.trace.rounds().len(), ROUNDS);
+    let iterations: Vec<usize> = out.train.history.iter().map(|r| r.iteration).collect();
+    assert_eq!(iterations, vec![2, 4, 6, 8]);
+    assert_eq!(out.train.params, reference.params);
+    assert_eq!(out.train.history, reference.history);
+    for (row, record) in out.report.trace.rounds().iter().zip(&out.train.history) {
+        assert_eq!(row.meta_loss.to_bits(), record.meta_loss.to_bits());
+    }
+}
+
+#[test]
+fn a_single_round_is_recorded_by_the_final_flush() {
+    // With one round there is no next exchange to evaluate under: the
+    // only flush is the one after the loop.
+    let (model, tasks, theta0) = fixture(16);
+    let reference = fedml(1).train_from(&model, &tasks, &theta0);
+    for cfg in [
+        RuntimeConfig::barrier(1),
+        RuntimeConfig::async_mode(1, AsyncPolicy::default()),
+    ] {
+        let barrier = matches!(cfg.mode, fml_runtime::Mode::Barrier);
+        let out = Runtime::new(cfg).run(&fedml(1), &model, &tasks, &theta0);
+        assert_eq!(out.train.history.len(), 1);
+        assert_eq!(out.report.trace.rounds().len(), 1);
+        assert_eq!(out.train.history[0].iteration, 2);
+        if barrier {
+            assert_eq!(out.train.history, reference.history);
+            assert_eq!(out.train.params, reference.params);
+        }
+    }
+}
+
+#[test]
+fn a_resumed_run_records_exactly_its_own_rounds() {
+    const ROUNDS: usize = 5;
+    const DONE: usize = 2;
+    let (model, tasks, theta0) = fixture(17);
+    let dir = std::env::temp_dir().join(format!("fml-runtime-overlap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || RuntimeConfig::barrier(1).with_checkpoint_dir(&dir);
+    let reference = fedml(ROUNDS).train_from(&model, &tasks, &theta0);
+
+    let first = Runtime::new(cfg()).run(&fedml(DONE), &model, &tasks, &theta0);
+    assert_eq!(first.train.history.len(), DONE);
+    let resumed = Runtime::new(cfg()).run(&fedml(ROUNDS), &model, &tasks, &theta0);
+    let k = DONE + 1;
+    assert_eq!(resumed.report.resumed_at_round, Some(k));
+    // Rounds k..=ROUNDS, the last one included, each exactly once.
+    let iterations: Vec<usize> = resumed.train.history.iter().map(|r| r.iteration).collect();
+    assert_eq!(iterations, (k..=ROUNDS).map(|r| 2 * r).collect::<Vec<_>>());
+    assert_eq!(resumed.train.history.len(), ROUNDS - k + 1);
+    assert_eq!(resumed.report.trace.rounds().len(), ROUNDS - k + 1);
+    assert_eq!(resumed.train.history[..], reference.history[DONE..]);
+    assert_eq!(resumed.train.params, reference.params);
+    let _ = std::fs::remove_dir_all(&dir);
 }
