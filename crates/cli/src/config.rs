@@ -461,6 +461,26 @@ mod tests {
         assert!(cfg.validate().is_err());
     }
 
+    /// The simulator takes these fractions as they come; this is the
+    /// check between a config file and `SimRunner`.
+    #[test]
+    fn validation_rejects_simulate_fractions_outside_unit_interval() {
+        let with = |client_fraction, wait_fraction| {
+            let mut cfg = RunConfig::example();
+            let sim = cfg.simulate.as_mut().expect("the example simulates");
+            sim.client_fraction = client_fraction;
+            sim.wait_fraction = wait_fraction;
+            cfg.validate()
+        };
+        assert_eq!(with(0.5, 0.75), Ok(()));
+        for bad in [0.0, 1.5, f64::NAN] {
+            let client = with(bad, 1.0).unwrap_err();
+            assert_eq!(client, "simulate.client_fraction must be in (0, 1]");
+            let wait = with(1.0, bad).unwrap_err();
+            assert_eq!(wait, "simulate.wait_fraction must be in (0, 1]");
+        }
+    }
+
     #[test]
     fn unknown_kind_is_rejected() {
         let json = r#"{"kind": "quantum", "l2": 0.1}"#;

@@ -32,7 +32,7 @@ pub use config::{
 pub use report::{AdaptReport, EvalReport, Report, RuntimeSummary, SimReport, TrainReport};
 
 use fml_core::{
-    adapt, CorruptMode, FaultPlan, FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx,
+    adapt, FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx,
     FedProxConfig, LocalStepper, MetaGradientMode, MetaSgd, MetaSgdConfig, Reptile, ReptileConfig,
     RobustFedMl, RobustFedMlConfig, SourceTask, TrainOutput,
 };
@@ -44,10 +44,11 @@ use fml_data::{
 use fml_dro::BoxConstraint;
 use fml_models::{Activation, MlpBuilder, Model, SoftmaxRegression};
 use fml_runtime::{
-    param_hash, serving::request_from_batch, AdaptClient, AdaptOutcome, AdaptServer, AsyncPolicy,
-    FaultyTransport, LinkFaultPlan, NodeIo, Runtime, RuntimeConfig, ServingConfig, ServingReport,
-    SharedGlobal, TcpTransport, TcpTransportListener, Transport, TransportListener, UnixTransport,
-    UnixTransportListener, UpdateCodec, CONNECT_ATTEMPTS, CONNECT_BASE_DELAY,
+    param_hash, serving::request_from_batch, AdaptClient, AdaptOutcome, AdaptServer,
+    FaultyTransport, LinkFaultPlan, NodeIo, Runtime, RuntimeConfig, ServingConfig,
+    ServingReport, SharedGlobal, TcpTransport, TcpTransportListener, Transport,
+    TransportListener, UnixTransport, UnixTransportListener, CONNECT_ATTEMPTS,
+    CONNECT_BASE_DELAY,
 };
 use fml_sim::{Network, SimConfig, SimRunner};
 use rand::rngs::StdRng;
@@ -158,15 +159,6 @@ pub fn run(cfg: &RunConfig) -> Result<Report, String> {
     })
 }
 
-/// Execution mode requested on the `runtime` subcommand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeMode {
-    /// Lockstep rounds (reproduces `train_from` bitwise when fault-free).
-    Barrier,
-    /// Bounded-staleness asynchronous aggregation.
-    Async,
-}
-
 /// Which transport the `runtime` subcommand moves frames over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
@@ -194,111 +186,38 @@ impl std::str::FromStr for TransportKind {
     }
 }
 
-/// Knobs of the `runtime` subcommand, layered over a [`RunConfig`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuntimeOptions {
-    /// Barrier or async execution.
-    pub mode: RuntimeMode,
-    /// Staleness bound for async mode (rounds); `None` keeps the
-    /// policy default.
-    pub max_staleness: Option<usize>,
-    /// Worker-thread override; `None` auto-sizes.
-    pub threads: Option<usize>,
-    /// Per-node broadcast mailbox capacity override; `None` keeps the
-    /// runtime default. Larger mailboxes absorb scheduling jitter at
-    /// fleet scale (fewer dropped broadcasts), at ~one frame of memory
-    /// per slot per node.
-    pub mailbox_cap: Option<usize>,
-    /// Seed override; `None` uses the config's seed.
-    pub seed: Option<u64>,
-    /// Transport the platform⇄node links ride on.
+/// What a `runtime` or `adapt-serve` launch needs that no runtime type
+/// holds. Every other flag of those subcommands is parsed straight onto
+/// the [`RuntimeConfig`] / [`ServingConfig`] handed in beside it.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Launch {
+    /// The resolved seed: `--seed` when given, else the config's.
+    pub seed: u64,
+    /// Transport the links ride on.
     pub transport: TransportKind,
-    /// Platform side of a socket transport: address/path to listen on.
+    /// Platform or service side of a socket transport: address/path to
+    /// listen on.
     pub listen: Option<String>,
     /// Node side of a socket transport: address/path to connect to.
     pub connect: Option<String>,
     /// Run as a single node process with this node id (requires
     /// `connect`); `None` runs the platform.
     pub node: Option<usize>,
-    /// Directory the platform checkpoints into (and resumes from on
-    /// restart); `None` disables disk checkpointing.
+    /// Wire faults a node process wraps its link in. The seed is the
+    /// fleet's (`--fault-seed`, else the run seed); [`run_runtime_node`]
+    /// decorrelates it per node, so a fleet sharing one seed still draws
+    /// independent schedules.
+    pub link_faults: Option<LinkFaultPlan>,
+    /// `adapt-serve`: load the served global from this checkpoint
+    /// directory.
     pub checkpoint_dir: Option<String>,
-    /// Checkpoint cadence in rounds; `None` keeps the default (every
-    /// round once a directory is set).
-    pub checkpoint_every: Option<usize>,
-    /// Rollback-and-exclude recovery budget override.
-    pub max_recoveries: Option<usize>,
-    /// Disables checkpoint-rollback-exclude recovery entirely.
-    pub no_recovery: bool,
-    /// Scheduled node crashes `(node, from_round)` injected on the
-    /// seeded `fml_core` fault plan — identical in every process.
-    pub crash_from: Vec<(usize, usize)>,
-    /// Scheduled NaN corruptions `(node, round)` on the fault plan.
-    pub corrupt_at: Vec<(usize, usize)>,
-    /// Link fault seed override for node processes; `None` derives the
-    /// per-node seed from the run seed.
-    pub fault_seed: Option<u64>,
-    /// Probability a node's sent frame is silently dropped on the wire.
-    pub fault_drop: f64,
-    /// Probability a node's sent frame is payload-corrupted in flight.
-    pub fault_corrupt: f64,
-    /// Probability each received frame is delayed on the node's link.
-    pub fault_delay_prob: f64,
-    /// Delay in milliseconds applied when the delay draw fires.
-    pub fault_delay_ms: u64,
-    /// Scripted link disconnect after this many received frames (the
-    /// node process then exits; restart it to exercise reconnects).
-    pub fault_disconnect_after: Option<u64>,
-    /// Staleness-decay family for async mode (`poly`, `hinge`,
-    /// `hinge:<knee>`, `const`); `None` keeps the polynomial default.
-    pub async_decay: Option<String>,
-    /// Semi-async buffer size for async mode (aggregate every `k`
-    /// accepted arrivals); `None` keeps the per-arrival default.
-    pub async_buffer: Option<usize>,
-    /// Enables per-node adaptive mixing in async mode.
-    pub adaptive_mix: bool,
-    /// Update codec name (`none`, `dense`, `quant`, `topk`); `None`
-    /// keeps the bitwise dense path.
-    pub update_codec: Option<String>,
-    /// Coordinates kept per update under `--update-codec topk`.
-    pub topk: Option<usize>,
-    /// Quantization width under `--update-codec quant` (8 or 16;
-    /// defaults to 8).
-    pub quant_bits: Option<u8>,
-}
-
-impl Default for RuntimeOptions {
-    fn default() -> Self {
-        RuntimeOptions {
-            mode: RuntimeMode::Barrier,
-            max_staleness: None,
-            threads: None,
-            mailbox_cap: None,
-            seed: None,
-            transport: TransportKind::Channel,
-            listen: None,
-            connect: None,
-            node: None,
-            checkpoint_dir: None,
-            checkpoint_every: None,
-            max_recoveries: None,
-            no_recovery: false,
-            crash_from: Vec::new(),
-            corrupt_at: Vec::new(),
-            fault_seed: None,
-            fault_drop: 0.0,
-            fault_corrupt: 0.0,
-            fault_delay_prob: 0.0,
-            fault_delay_ms: 0,
-            fault_disconnect_after: None,
-            async_decay: None,
-            async_buffer: None,
-            adaptive_mix: false,
-            update_codec: None,
-            topk: None,
-            quant_bits: None,
-        }
-    }
+    /// `adapt-serve`: run a co-resident training platform (in-process,
+    /// barrier mode) and hot-swap its global into the service after
+    /// every round.
+    pub attach: bool,
+    /// `adapt-serve`: serve this many well-formed requests, then shut
+    /// down and report (`None` serves until the process is killed).
+    pub max_requests: Option<u64>,
 }
 
 /// Everything the runtime paths derive deterministically from
@@ -337,151 +256,6 @@ fn build_runtime_setup(cfg: &RunConfig, seed: u64) -> Result<RuntimeSetup, Strin
     })
 }
 
-/// Resolves the `--update-codec` flag family into an [`UpdateCodec`].
-/// Both sides of a socket fleet parse the same flags, but only the node
-/// side encodes with the result — the platform decodes every codec
-/// unconditionally.
-fn parse_update_codec(opts: &RuntimeOptions) -> Result<UpdateCodec, String> {
-    let name = opts.update_codec.as_deref().unwrap_or("none");
-    if name != "quant" && opts.quant_bits.is_some() {
-        return Err("--quant-bits requires --update-codec quant".into());
-    }
-    if name != "topk" && opts.topk.is_some() {
-        return Err("--topk requires --update-codec topk".into());
-    }
-    let codec = match name {
-        "none" => UpdateCodec::None,
-        "dense" => UpdateCodec::Dense,
-        "quant" => UpdateCodec::Quant {
-            bits: opts.quant_bits.unwrap_or(8),
-        },
-        "topk" => UpdateCodec::TopK {
-            k: opts.topk.ok_or("--update-codec topk requires --topk <k>")?,
-        },
-        other => {
-            return Err(format!(
-                "unknown update codec {other} (none|dense|quant|topk)"
-            ))
-        }
-    };
-    codec.validate()?;
-    Ok(codec)
-}
-
-/// Resolves the `--max-staleness`/`--async-decay`/`--async-buffer`/
-/// `--adaptive-mix` flag family into an [`AsyncPolicy`], then validates
-/// every field — the struct's public fields would otherwise let an
-/// invalid policy (NaN mix, negative decay exponent, zero buffer)
-/// straight through to the fold loop.
-fn parse_async_policy(opts: &RuntimeOptions) -> Result<AsyncPolicy, String> {
-    let mut policy = AsyncPolicy::default();
-    if let Some(s) = opts.max_staleness {
-        policy.max_staleness = s;
-    }
-    if let Some(name) = opts.async_decay.as_deref() {
-        policy.decay = name.parse()?;
-    }
-    if let Some(k) = opts.async_buffer {
-        policy.buffer_k = k;
-    }
-    policy.adaptive_mix = opts.adaptive_mix;
-    policy.validate()?;
-    Ok(policy)
-}
-
-/// The [`RuntimeConfig`] the options describe, at `seed`. Shared by the
-/// platform and every node process, so the seeded fault plan (and with
-/// it each node's crash/corrupt schedule) agrees across the fleet
-/// without shared memory.
-///
-/// # Errors
-///
-/// Returns a human-readable message when the codec or async-policy
-/// flags are inconsistent.
-fn build_runtime_config(opts: &RuntimeOptions, seed: u64) -> Result<RuntimeConfig, String> {
-    let codec = parse_update_codec(opts)?;
-    let mut rt_cfg = match opts.mode {
-        RuntimeMode::Barrier => {
-            if opts.max_staleness.is_some()
-                || opts.async_decay.is_some()
-                || opts.async_buffer.is_some()
-                || opts.adaptive_mix
-            {
-                return Err(
-                    "--max-staleness/--async-decay/--async-buffer/--adaptive-mix require \
-                     --mode async"
-                        .into(),
-                );
-            }
-            RuntimeConfig::barrier(seed)
-        }
-        RuntimeMode::Async => RuntimeConfig::async_mode(seed, parse_async_policy(opts)?),
-    };
-    if let Some(threads) = opts.threads {
-        rt_cfg = rt_cfg.with_threads(threads);
-    }
-    if let Some(cap) = opts.mailbox_cap {
-        rt_cfg = rt_cfg.with_mailbox_cap(cap);
-    }
-    if !opts.crash_from.is_empty() || !opts.corrupt_at.is_empty() {
-        let mut plan = FaultPlan::new(seed);
-        for &(node, round) in &opts.crash_from {
-            plan = plan.with_crash_from(node, round);
-        }
-        for &(node, round) in &opts.corrupt_at {
-            plan = plan.with_corrupt(node, round, CorruptMode::NaN);
-        }
-        rt_cfg = rt_cfg.with_faults(plan);
-    }
-    if let Some(dir) = &opts.checkpoint_dir {
-        rt_cfg = rt_cfg.with_checkpoint_dir(dir);
-    }
-    if let Some(every) = opts.checkpoint_every {
-        rt_cfg = rt_cfg.with_checkpoint_every(every);
-    }
-    if let Some(n) = opts.max_recoveries {
-        rt_cfg = rt_cfg.with_max_recoveries(n);
-    }
-    if opts.no_recovery {
-        rt_cfg = rt_cfg.without_recovery();
-    }
-    Ok(rt_cfg.with_update_codec(codec))
-}
-
-/// The [`LinkFaultPlan`] a node process wraps its link in, or `None`
-/// when no wire fault was requested. Decorrelated per node so a fleet
-/// sharing one `--fault-seed` still draws independent schedules.
-///
-/// # Errors
-///
-/// A delay needs both its probability and its length: either flag
-/// without the other is an error, not a fault-free link.
-fn build_link_fault_plan(
-    opts: &RuntimeOptions,
-    seed: u64,
-    node: usize,
-) -> Result<Option<LinkFaultPlan>, String> {
-    let base = opts.fault_seed.unwrap_or(seed);
-    let mut plan =
-        LinkFaultPlan::new(base ^ (node as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    if opts.fault_drop > 0.0 {
-        plan = plan.with_drop(opts.fault_drop);
-    }
-    if opts.fault_corrupt > 0.0 {
-        plan = plan.with_corrupt(opts.fault_corrupt);
-    }
-    match (opts.fault_delay_prob > 0.0, opts.fault_delay_ms > 0) {
-        (true, true) => plan = plan.with_delay(opts.fault_delay_prob, opts.fault_delay_ms),
-        (true, false) => return Err("--fault-delay-prob requires --fault-delay-ms <ms>".into()),
-        (false, true) => return Err("--fault-delay-ms requires --fault-delay-prob <p>".into()),
-        (false, false) => {}
-    }
-    if let Some(n) = opts.fault_disconnect_after {
-        plan = plan.with_disconnect_after_recvs(n);
-    }
-    Ok((!plan.is_benign()).then_some(plan))
-}
-
 /// Executes a configured experiment on the `fml-runtime` actor fleet
 /// instead of the in-process training loop.
 ///
@@ -491,16 +265,23 @@ fn build_link_fault_plan(
 ///
 /// # Errors
 ///
-/// Returns a human-readable message when the config is invalid or the
-/// algorithm has no extracted local step.
-pub fn run_runtime(cfg: &RunConfig, opts: &RuntimeOptions) -> Result<Report, String> {
-    if opts.node.is_some() {
+/// Returns a human-readable message when the config is invalid, the
+/// launch names a node-side knob, or the algorithm has no extracted
+/// local step.
+pub fn run_runtime(
+    cfg: &RunConfig,
+    launch: &Launch,
+    rt_cfg: RuntimeConfig,
+) -> Result<Report, String> {
+    if launch.node.is_some() {
         return Err("--node runs a node process; use run_runtime_node".into());
     }
-    if opts.connect.is_some() {
+    if launch.connect.is_some() {
         return Err("--connect is for node processes (add --node <id>)".into());
     }
-    let seed = opts.seed.unwrap_or(cfg.seed);
+    if launch.link_faults.is_some() {
+        return Err("--fault-* wrap a node's link; add --node <id>".into());
+    }
     let RuntimeSetup {
         stats,
         tasks,
@@ -509,12 +290,11 @@ pub fn run_runtime(cfg: &RunConfig, opts: &RuntimeOptions) -> Result<Report, Str
         theta0,
         trainer,
         mut rng,
-    } = build_runtime_setup(cfg, seed)?;
+    } = build_runtime_setup(cfg, launch.seed)?;
     let stepper = trainer.stepper("the runtime subcommand")?;
-    let rt_cfg = build_runtime_config(opts, seed)?;
     let runtime = Runtime::new(rt_cfg);
 
-    let out = match (opts.transport, &opts.listen) {
+    let out = match (launch.transport, &launch.listen) {
         (TransportKind::Channel, None) => runtime.run(stepper, model.as_ref(), &tasks, &theta0),
         (TransportKind::Channel, Some(_)) => {
             return Err("--listen requires --transport tcp or uds".into())
@@ -537,15 +317,11 @@ pub fn run_runtime(cfg: &RunConfig, opts: &RuntimeOptions) -> Result<Report, Str
     };
 
     let eval = evaluate(cfg, model.as_ref(), &out.train.params, &targets, &mut rng);
-    let mode_name = match opts.mode {
-        RuntimeMode::Barrier => "runtime barrier",
-        RuntimeMode::Async => "runtime async",
-    };
     let mut summary = RuntimeSummary::from_report(&out.report);
     summary.param_hash = param_hash(&out.train.params);
     Ok(Report {
         dataset: stats,
-        algorithm: format!("{} ({mode_name})", stepper.algorithm()),
+        algorithm: format!("{} (runtime {})", stepper.algorithm(), out.report.mode),
         training: TrainReport {
             comm_rounds: out.train.comm_rounds,
             local_iterations: out.train.local_iterations,
@@ -567,32 +343,32 @@ pub fn run_runtime(cfg: &RunConfig, opts: &RuntimeOptions) -> Result<Report, Str
 ///
 /// # Errors
 ///
-/// Returns a human-readable message when the options are inconsistent,
+/// Returns a human-readable message when the launch is inconsistent,
 /// the node id is out of range, or the platform cannot be reached.
-pub fn run_runtime_node(cfg: &RunConfig, opts: &RuntimeOptions) -> Result<NodeIo, String> {
-    let node = opts.node.ok_or("node mode requires --node <id>")?;
-    let addr = opts
+pub fn run_runtime_node(
+    cfg: &RunConfig,
+    launch: &Launch,
+    rt_cfg: RuntimeConfig,
+) -> Result<NodeIo, String> {
+    let node = launch.node.ok_or("node mode requires --node <id>")?;
+    let addr = launch
         .connect
         .as_deref()
         .ok_or("node mode requires --connect <addr>")?;
-    if opts.listen.is_some() {
+    if launch.listen.is_some() {
         return Err("--listen is for the platform process".into());
     }
-    let seed = opts.seed.unwrap_or(cfg.seed);
-    let setup = build_runtime_setup(cfg, seed)?;
+    let setup = build_runtime_setup(cfg, launch.seed)?;
     if node >= setup.tasks.len() {
         return Err(format!(
             "--node {node} out of range: {} source nodes",
             setup.tasks.len()
         ));
     }
-    // Every flag is checked before dialing: a bad one fails at once
-    // instead of after the connect backoff.
-    let rt_cfg = build_runtime_config(opts, seed)?;
-    let fault_plan = build_link_fault_plan(opts, seed, node)?;
-    let mut link = connect(opts.transport, addr, "node mode")?;
-    if let Some(plan) = fault_plan {
-        link = Box::new(FaultyTransport::new(link, plan));
+    let mut link = connect(launch.transport, addr, "node mode")?;
+    if let Some(plan) = launch.link_faults {
+        let seed = plan.seed ^ (node as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        link = Box::new(FaultyTransport::new(link, LinkFaultPlan { seed, ..plan }));
     }
     Ok(Runtime::new(rt_cfg).run_node(
         setup.trainer.stepper("the runtime subcommand")?,
@@ -601,36 +377,6 @@ pub fn run_runtime_node(cfg: &RunConfig, opts: &RuntimeOptions) -> Result<NodeIo
         node,
         link.as_mut(),
     ))
-}
-
-/// Knobs of the `adapt-serve` subcommand: where the service listens and
-/// where its global comes from.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServeOptions {
-    /// Socket transport the service listens on (tcp or uds).
-    pub transport: TransportKind,
-    /// Address/path to listen on.
-    pub listen: Option<String>,
-    /// Load the served global from this checkpoint directory.
-    pub checkpoint_dir: Option<String>,
-    /// Run a co-resident training platform (in-process, barrier mode)
-    /// and hot-swap its global into the service after every round.
-    pub attach: bool,
-    /// Worker-thread override for the adaptation pool.
-    pub workers: Option<usize>,
-    /// Bounded request-queue depth override.
-    pub queue_depth: Option<usize>,
-    /// Per-request support-size budget override.
-    pub max_k: Option<usize>,
-    /// Per-request gradient-step budget override.
-    pub max_steps: Option<u32>,
-    /// Queue-wait deadline override, milliseconds.
-    pub queue_deadline_ms: Option<u64>,
-    /// Serve this many well-formed requests, then shut down and report
-    /// (`None` serves until the process is killed).
-    pub max_requests: Option<u64>,
-    /// Seed override; `None` uses the config's seed.
-    pub seed: Option<u64>,
 }
 
 /// Knobs of the `adapt` subcommand: one client-side adaptation
@@ -675,27 +421,6 @@ impl Default for AdaptOptions {
             timeout_ms: 10_000,
         }
     }
-}
-
-/// The [`ServingConfig`] the options describe.
-fn build_serving_config(opts: &ServeOptions) -> ServingConfig {
-    let mut cfg = ServingConfig::default();
-    if let Some(w) = opts.workers {
-        cfg = cfg.with_workers(w);
-    }
-    if let Some(d) = opts.queue_depth {
-        cfg = cfg.with_queue_depth(d);
-    }
-    if let Some(k) = opts.max_k {
-        cfg = cfg.with_max_k(k);
-    }
-    if let Some(s) = opts.max_steps {
-        cfg = cfg.with_max_steps(s);
-    }
-    if let Some(ms) = opts.queue_deadline_ms {
-        cfg = cfg.with_queue_deadline_ms(ms);
-    }
-    cfg
 }
 
 /// Binds a socket listener at `addr`; `who` names the caller when the
@@ -750,20 +475,22 @@ fn serve_until(server: AdaptServer, max_requests: Option<u64>) -> ServingReport 
 ///
 /// # Errors
 ///
-/// Returns a human-readable message when the options are inconsistent,
+/// Returns a human-readable message when the launch is inconsistent,
 /// the checkpoint is missing or shaped for a different model, or the
 /// listener cannot bind.
-pub fn run_adapt_serve(cfg: &RunConfig, opts: &ServeOptions) -> Result<ServingReport, String> {
-    let addr = opts
+pub fn run_adapt_serve(
+    cfg: &RunConfig,
+    launch: &Launch,
+    serving_cfg: ServingConfig,
+) -> Result<ServingReport, String> {
+    let addr = launch
         .listen
         .as_deref()
         .ok_or("adapt-serve requires --listen <addr>")?;
-    let seed = opts.seed.unwrap_or(cfg.seed);
-    let setup = build_runtime_setup(cfg, seed)?;
+    let setup = build_runtime_setup(cfg, launch.seed)?;
     let model: std::sync::Arc<dyn Model> = std::sync::Arc::from(setup.model);
-    let serving_cfg = build_serving_config(opts);
 
-    let global = match (&opts.checkpoint_dir, opts.attach) {
+    let global = match (&launch.checkpoint_dir, launch.attach) {
         (Some(_), true) => {
             return Err("--checkpoint-dir and --attach are mutually exclusive".into())
         }
@@ -783,29 +510,29 @@ pub fn run_adapt_serve(cfg: &RunConfig, opts: &ServeOptions) -> Result<ServingRe
         (None, false) => return Err("adapt-serve requires --checkpoint-dir or --attach".into()),
     };
 
-    let listener = bind(opts.transport, addr, "adapt-serve")?;
+    let listener = bind(launch.transport, addr, "adapt-serve")?;
     // Stderr, like the platform's listening line, so scripts can scrape
     // the real address when an ephemeral TCP port was requested.
     eprintln!("adapt service listening on {}", listener.local_addr());
 
-    if opts.attach {
+    if launch.attach {
         // Train in-process on the channel runtime, hot-swapping each
         // round's global into the service while it answers requests.
-        let rt_cfg = build_runtime_config(&RuntimeOptions::default(), seed)?;
         let stepper = setup.trainer.stepper("adapt-serve --attach")?;
-        let runtime = Runtime::new(rt_cfg).with_publisher(global.clone());
+        let runtime =
+            Runtime::new(RuntimeConfig::barrier(launch.seed)).with_publisher(global.clone());
         let server = AdaptServer::start(listener, std::sync::Arc::clone(&model), global, serving_cfg);
         let report = std::thread::scope(|s| {
             let trainer =
                 s.spawn(|| runtime.run(stepper, model.as_ref(), &setup.tasks, &setup.theta0));
-            let report = serve_until(server, opts.max_requests);
+            let report = serve_until(server, launch.max_requests);
             let _ = trainer.join();
             report
         });
         Ok(report)
     } else {
         let server = AdaptServer::start(listener, model, global, serving_cfg);
-        Ok(serve_until(server, opts.max_requests))
+        Ok(serve_until(server, launch.max_requests))
     }
 }
 
@@ -1147,6 +874,7 @@ fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fml_runtime::{AsyncPolicy, StalenessDecay, UpdateCodec};
 
     fn tiny(algo: AlgorithmConfig) -> RunConfig {
         RunConfig {
@@ -1170,6 +898,24 @@ mod tests {
                 fgsm_xi: None,
             },
         }
+    }
+
+    /// The launch of an in-process platform at the config's seed.
+    fn at_seed(cfg: &RunConfig) -> Launch {
+        Launch {
+            seed: cfg.seed,
+            ..Launch::default()
+        }
+    }
+
+    /// `fedml runtime <cfg>` with no flags.
+    fn barrier(cfg: &RunConfig) -> Result<Report, String> {
+        run_runtime(cfg, &at_seed(cfg), RuntimeConfig::barrier(cfg.seed))
+    }
+
+    /// `fedml runtime <cfg> --mode async` under `policy`.
+    fn asynchronous(cfg: &RunConfig, policy: AsyncPolicy) -> Result<Report, String> {
+        run_runtime(cfg, &at_seed(cfg), RuntimeConfig::async_mode(cfg.seed, policy))
     }
 
     #[test]
@@ -1357,7 +1103,7 @@ mod tests {
             first_order: false,
         });
         let direct = run(&cfg).unwrap();
-        let rt = run_runtime(&cfg, &RuntimeOptions::default()).unwrap();
+        let rt = barrier(&cfg).unwrap();
         assert!(rt.algorithm.contains("runtime barrier"), "{}", rt.algorithm);
         let summary = rt.runtime.as_ref().expect("runtime section present");
         assert_eq!(summary.mode, "barrier");
@@ -1376,13 +1122,9 @@ mod tests {
             local_steps: 2,
             rounds: 4,
         });
-        let opts = RuntimeOptions {
-            mode: RuntimeMode::Async,
-            max_staleness: Some(2),
-            threads: Some(2),
-            ..RuntimeOptions::default()
-        };
-        let rt = run_runtime(&cfg, &opts).unwrap();
+        let policy = AsyncPolicy::default().with_max_staleness(2);
+        let rt_cfg = RuntimeConfig::async_mode(cfg.seed, policy).with_threads(2);
+        let rt = run_runtime(&cfg, &at_seed(&cfg), rt_cfg).unwrap();
         assert!(rt.algorithm.contains("runtime async"), "{}", rt.algorithm);
         let summary = rt.runtime.as_ref().expect("runtime section present");
         assert_eq!(summary.mode, "async");
@@ -1399,31 +1141,19 @@ mod tests {
             local_steps: 2,
             rounds: 3,
         });
-        let baseline = run_runtime(&cfg, &RuntimeOptions::default()).unwrap();
+        let with_codec = |codec| {
+            let rt_cfg = RuntimeConfig::barrier(cfg.seed).with_update_codec(codec);
+            run_runtime(&cfg, &at_seed(&cfg), rt_cfg).unwrap()
+        };
+        let baseline = barrier(&cfg).unwrap();
         let base_hash = baseline.runtime.as_ref().unwrap().param_hash.clone();
         // `--update-codec none` spelled out is the default: same bits.
-        let none = run_runtime(
-            &cfg,
-            &RuntimeOptions {
-                update_codec: Some("none".into()),
-                ..RuntimeOptions::default()
-            },
-        )
-        .unwrap();
+        let none = with_codec(UpdateCodec::None);
         let none_summary = none.runtime.as_ref().unwrap();
         assert_eq!(none_summary.param_hash, base_hash);
         assert_eq!(none_summary.update_codec, "none");
         // Top-k shrinks the uplink by at least the headline 3x.
-        let topk = run_runtime(
-            &cfg,
-            &RuntimeOptions {
-                update_codec: Some("topk".into()),
-                topk: Some(2),
-                ..RuntimeOptions::default()
-            },
-        )
-        .unwrap();
-        let summary = topk.runtime.unwrap();
+        let summary = with_codec(UpdateCodec::TopK { k: 2 }).runtime.unwrap();
         assert_eq!(summary.update_codec, "topk2");
         assert!(
             summary.uplink_bytes_logical >= 3 * summary.uplink_bytes,
@@ -1431,63 +1161,6 @@ mod tests {
             summary.uplink_bytes_logical,
             summary.uplink_bytes
         );
-        // Inconsistent flag combinations fail before anything runs.
-        let bad = [
-            RuntimeOptions {
-                update_codec: Some("topk".into()),
-                ..RuntimeOptions::default()
-            },
-            RuntimeOptions {
-                update_codec: Some("quant".into()),
-                quant_bits: Some(7),
-                ..RuntimeOptions::default()
-            },
-            RuntimeOptions {
-                topk: Some(4),
-                ..RuntimeOptions::default()
-            },
-            RuntimeOptions {
-                quant_bits: Some(8),
-                ..RuntimeOptions::default()
-            },
-            RuntimeOptions {
-                update_codec: Some("zstd".into()),
-                ..RuntimeOptions::default()
-            },
-        ];
-        for opts in bad {
-            assert!(run_runtime(&cfg, &opts).is_err(), "{opts:?} should fail");
-        }
-    }
-
-    #[test]
-    fn codec_rule_is_the_same_for_validate_builder_and_cli() {
-        let flags = |codec: &str, quant_bits, topk| RuntimeOptions {
-            update_codec: Some(codec.into()),
-            quant_bits,
-            topk,
-            ..RuntimeOptions::default()
-        };
-        for (codec, opts) in [
-            (
-                UpdateCodec::Quant { bits: 4 },
-                flags("quant", Some(4), None),
-            ),
-            (
-                UpdateCodec::Quant { bits: 8 },
-                flags("quant", Some(8), None),
-            ),
-            (UpdateCodec::TopK { k: 0 }, flags("topk", None, Some(0))),
-            (UpdateCodec::TopK { k: 1 }, flags("topk", None, Some(1))),
-        ] {
-            let rule = codec.validate().map(|()| codec);
-            assert_eq!(parse_update_codec(&opts), rule, "{codec}");
-            let built =
-                std::panic::catch_unwind(|| RuntimeConfig::barrier(0).with_update_codec(codec))
-                    .map(|cfg| cfg.update_codec)
-                    .map_err(|panic| *panic.downcast::<String>().expect("panics with a message"));
-            assert_eq!(built, rule, "{codec}");
-        }
     }
 
     #[test]
@@ -1497,20 +1170,18 @@ mod tests {
             local_steps: 2,
             rounds: 4,
         });
-        let async_opts = |decay: Option<&str>, buffer: Option<usize>, adaptive| RuntimeOptions {
-            mode: RuntimeMode::Async,
-            max_staleness: Some(2),
-            async_decay: decay.map(String::from),
-            async_buffer: buffer,
-            adaptive_mix: adaptive,
-            ..RuntimeOptions::default()
-        };
+        let bare = AsyncPolicy::default().with_max_staleness(2);
 
         // Spelling out the defaults is the identity: same bits as the
         // bare async mode.
-        let base = run_runtime(&cfg, &async_opts(None, None, false)).unwrap();
+        let base = asynchronous(&cfg, bare).unwrap();
         let base_summary = base.runtime.as_ref().unwrap();
-        let explicit = run_runtime(&cfg, &async_opts(Some("poly"), Some(1), false)).unwrap();
+        let spelled_out = AsyncPolicy {
+            decay: StalenessDecay::Poly,
+            buffer_k: 1,
+            ..bare
+        };
+        let explicit = asynchronous(&cfg, spelled_out).unwrap();
         assert_eq!(
             explicit.runtime.as_ref().unwrap().param_hash,
             base_summary.param_hash
@@ -1522,8 +1193,13 @@ mod tests {
         assert!(!block.adaptive_mix);
 
         // The full surface parses and lands in the report block.
-        let fancy =
-            run_runtime(&cfg, &async_opts(Some("hinge:1"), Some(2), true)).unwrap();
+        let full_surface = AsyncPolicy {
+            decay: StalenessDecay::Hinge { knee: 1 },
+            buffer_k: 2,
+            adaptive_mix: true,
+            ..bare
+        };
+        let fancy = asynchronous(&cfg, full_surface).unwrap();
         let summary = fancy.runtime.unwrap();
         let block = summary.async_policy.expect("policy block");
         assert_eq!(block.decay, "hinge:1");
@@ -1532,32 +1208,6 @@ mod tests {
         assert!(summary.buffered_flushes > 0);
         assert!(!summary.node_weight_stats.is_empty());
         assert!(fancy.eval.final_loss.is_finite());
-
-        // Inconsistent or malformed flag combinations fail before
-        // anything runs.
-        let bad = [
-            // Async knobs without async mode.
-            RuntimeOptions {
-                async_decay: Some("hinge".into()),
-                ..RuntimeOptions::default()
-            },
-            RuntimeOptions {
-                async_buffer: Some(2),
-                ..RuntimeOptions::default()
-            },
-            RuntimeOptions {
-                adaptive_mix: true,
-                ..RuntimeOptions::default()
-            },
-            // Malformed decay / buffer values.
-            async_opts(Some("exp"), None, false),
-            async_opts(Some("hinge:"), None, false),
-            async_opts(Some("hinge:x"), None, false),
-            async_opts(None, Some(0), false),
-        ];
-        for opts in bad {
-            assert!(run_runtime(&cfg, &opts).is_err(), "{opts:?} should fail");
-        }
     }
 
     #[test]
@@ -1568,7 +1218,7 @@ mod tests {
             local_steps: 2,
             rounds: 2,
         });
-        let err = run_runtime(&cfg, &RuntimeOptions::default()).unwrap_err();
+        let err = barrier(&cfg).unwrap_err();
         assert!(err.contains("runtime"), "unexpected error: {err}");
         // Reptile is on the stepper seam since `LocalStepper::combine`.
         let cfg = tiny(AlgorithmConfig::Reptile {
@@ -1577,7 +1227,7 @@ mod tests {
             inner_steps: 2,
             rounds: 2,
         });
-        let report = run_runtime(&cfg, &RuntimeOptions::default()).unwrap();
+        let report = barrier(&cfg).unwrap();
         assert!(
             report.algorithm.starts_with("Reptile"),
             "{}",

@@ -28,7 +28,11 @@
 
 use fml_cli::{
     build_dataset, run, run_adapt, run_adapt_serve, run_runtime, run_runtime_node, AdaptOptions,
-    RunConfig, RuntimeMode, RuntimeOptions, ServeOptions,
+    Launch, RunConfig, TransportKind,
+};
+use fml_core::{CorruptMode, FaultPlan};
+use fml_runtime::{
+    AsyncPolicy, LinkFaultPlan, Mode, RuntimeConfig, ServingConfig, UpdateCodec, VirtualClock,
 };
 use std::process::ExitCode;
 
@@ -110,23 +114,23 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         }
         Some("runtime") => {
             let cfg = load_config(args.get(1))?;
-            let (opts, json_out) = parse_runtime_flags(&args[2..])?;
-            if opts.node.is_some() {
-                let io = run_runtime_node(&cfg, &opts)?;
+            let (launch, rt_cfg, json_out) = parse_runtime_flags(&args[2..], cfg.seed)?;
+            if launch.node.is_some() {
+                let io = run_runtime_node(&cfg, &launch, rt_cfg)?;
                 println!(
                     "node {}: {} frames / {} bytes received, {} frames / {} bytes sent",
                     io.node, io.frames_received, io.bytes_received, io.frames_sent, io.bytes_sent
                 );
                 return write_json(json_out.as_ref(), &io, "JSON counters");
             }
-            let report = run_runtime(&cfg, &opts)?;
+            let report = run_runtime(&cfg, &launch, rt_cfg)?;
             print!("{report}");
             write_json(json_out.as_ref(), &report, "JSON report")
         }
         Some("adapt-serve") => {
             let cfg = load_config(args.get(1))?;
-            let (opts, json_out) = parse_serve_flags(&args[2..])?;
-            let report = run_adapt_serve(&cfg, &opts)?;
+            let (launch, serving_cfg, json_out) = parse_serve_flags(&args[2..], cfg.seed)?;
+            let report = run_adapt_serve(&cfg, &launch, serving_cfg)?;
             println!("{report}");
             write_json(json_out.as_ref(), &report, "JSON report")
         }
@@ -216,82 +220,204 @@ impl<'a> Flags<'a> {
     }
 }
 
-fn parse_runtime_flags(args: &[String]) -> Result<(RuntimeOptions, Option<String>), String> {
-    let mut opts = RuntimeOptions::default();
+/// What a flag parser hands back: the launch, the runtime type the rest
+/// of the flags were written onto, and the `--json` path.
+type Parsed<C> = Result<(Launch, C, Option<String>), String>;
+
+/// Parses the `runtime` flags straight onto a [`RuntimeConfig`] (its
+/// [`AsyncPolicy`], [`UpdateCodec`] and [`FaultPlan`] included) and the
+/// node's [`LinkFaultPlan`], at the resolved seed — `--seed` wherever it
+/// stands, else `cfg_seed`. What a flag cannot settle alone (its family
+/// needs `--mode async`, a codec, a partner) is checked once the last
+/// flag is read, where the field is written.
+fn parse_runtime_flags(args: &[String], cfg_seed: u64) -> Parsed<RuntimeConfig> {
+    let mut launch = Launch {
+        seed: cfg_seed,
+        ..Launch::default()
+    };
+    let mut rt = RuntimeConfig::barrier(cfg_seed);
+    let mut faults = FaultPlan::new(cfg_seed);
+    let (mut is_async, mut async_knob) = (false, false);
+    let mut policy = AsyncPolicy::default();
+    let (mut quant_bits, mut topk) = (None, None);
+    let (mut no_recovery, mut budget_given) = (false, false);
+    let mut link = LinkFaultPlan::new(cfg_seed);
+    let mut fault_seed = None;
+    let (mut delay_prob, mut delay_ms) = (0.0, 0);
     let mut json_out = None;
     let mut flags = Flags(args.iter());
     while let Some(f) = flags.next_flag() {
         match f {
             "--mode" => {
-                opts.mode = match flags.value(f)?.as_str() {
-                    "barrier" => RuntimeMode::Barrier,
-                    "async" => RuntimeMode::Async,
+                is_async = match flags.value(f)?.as_str() {
+                    "barrier" => false,
+                    "async" => true,
                     other => return Err(format!("unknown mode {other} (barrier|async)")),
                 }
             }
-            "--max-staleness" => opts.max_staleness = Some(flags.parsed(f)?),
-            "--threads" => opts.threads = Some(flags.positive(f)?),
-            "--mailbox-cap" => opts.mailbox_cap = Some(flags.positive(f)?),
-            "--seed" => opts.seed = Some(flags.parsed(f)?),
-            "--transport" => opts.transport = flags.value(f)?.parse()?,
-            "--listen" => opts.listen = Some(flags.value(f)?),
-            "--connect" => opts.connect = Some(flags.value(f)?),
-            "--node" => opts.node = Some(flags.parsed(f)?),
+            "--max-staleness" => {
+                policy.max_staleness = flags.parsed(f)?;
+                async_knob = true;
+            }
+            "--async-decay" => {
+                policy.decay = flags.value(f)?.parse()?;
+                async_knob = true;
+            }
+            "--async-buffer" => {
+                policy.buffer_k = flags.positive(f)?;
+                async_knob = true;
+            }
+            "--adaptive-mix" => {
+                policy.adaptive_mix = true;
+                async_knob = true;
+            }
+            "--threads" => rt = rt.with_threads(flags.positive(f)?),
+            "--mailbox-cap" => rt = rt.with_mailbox_cap(flags.positive(f)?),
+            "--seed" => {
+                launch.seed = flags.parsed(f)?;
+                rt.clock = VirtualClock::new(launch.seed);
+                faults.seed = launch.seed;
+            }
+            "--transport" => launch.transport = flags.value(f)?.parse()?,
+            "--listen" => launch.listen = Some(flags.value(f)?),
+            "--connect" => launch.connect = Some(flags.value(f)?),
+            "--node" => launch.node = Some(flags.parsed(f)?),
             "--json" => json_out = Some(flags.value(f)?),
-            "--checkpoint-dir" => opts.checkpoint_dir = Some(flags.value(f)?),
-            "--checkpoint-every" => opts.checkpoint_every = Some(flags.positive(f)?),
-            "--max-recoveries" => opts.max_recoveries = Some(flags.parsed(f)?),
-            "--no-recovery" => opts.no_recovery = true,
-            "--crash-from" => opts.crash_from.push(flags.node_round(f)?),
-            "--corrupt-at" => opts.corrupt_at.push(flags.node_round(f)?),
-            "--fault-seed" => opts.fault_seed = Some(flags.parsed(f)?),
-            "--fault-drop" => opts.fault_drop = flags.prob(f)?,
-            "--fault-corrupt" => opts.fault_corrupt = flags.prob(f)?,
-            "--fault-delay-prob" => opts.fault_delay_prob = flags.prob(f)?,
-            "--fault-delay-ms" => opts.fault_delay_ms = flags.parsed(f)?,
-            "--fault-disconnect-after" => opts.fault_disconnect_after = Some(flags.parsed(f)?),
-            "--async-decay" => opts.async_decay = Some(flags.value(f)?),
-            "--async-buffer" => opts.async_buffer = Some(flags.positive(f)?),
-            "--adaptive-mix" => opts.adaptive_mix = true,
-            "--update-codec" => opts.update_codec = Some(flags.value(f)?),
-            "--topk" => opts.topk = Some(flags.parsed(f)?),
-            "--quant-bits" => opts.quant_bits = Some(flags.parsed(f)?),
+            "--checkpoint-dir" => rt = rt.with_checkpoint_dir(flags.value(f)?),
+            "--checkpoint-every" => rt = rt.with_checkpoint_every(flags.positive(f)?),
+            "--max-recoveries" => {
+                rt = rt.with_max_recoveries(flags.parsed(f)?);
+                budget_given = true;
+            }
+            "--no-recovery" => {
+                rt = rt.without_recovery();
+                no_recovery = true;
+            }
+            "--crash-from" => {
+                let (node, round) = flags.node_round(f)?;
+                faults = faults.with_crash_from(node, round);
+            }
+            "--corrupt-at" => {
+                let (node, round) = flags.node_round(f)?;
+                faults = faults.with_corrupt(node, round, CorruptMode::NaN);
+            }
+            "--fault-seed" => fault_seed = Some(flags.parsed(f)?),
+            "--fault-drop" => link = link.with_drop(flags.prob(f)?),
+            "--fault-corrupt" => link = link.with_corrupt(flags.prob(f)?),
+            "--fault-delay-prob" => delay_prob = flags.prob(f)?,
+            "--fault-delay-ms" => delay_ms = flags.parsed(f)?,
+            "--fault-disconnect-after" => {
+                link = link.with_disconnect_after_recvs(flags.parsed(f)?)
+            }
+            "--update-codec" => {
+                rt.update_codec = match flags.value(f)?.as_str() {
+                    "none" => UpdateCodec::None,
+                    "dense" => UpdateCodec::Dense,
+                    "quant" => UpdateCodec::Quant { bits: 8 },
+                    "topk" => UpdateCodec::TopK { k: 0 },
+                    other => {
+                        return Err(format!(
+                            "unknown update codec {other} (none|dense|quant|topk)"
+                        ))
+                    }
+                }
+            }
+            "--topk" => topk = Some(flags.parsed(f)?),
+            "--quant-bits" => quant_bits = Some(flags.parsed(f)?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    Ok((opts, json_out))
+
+    // Both sides of a socket fleet parse the same codec flags, but only
+    // the node side encodes with the result — the platform decodes every
+    // codec unconditionally.
+    match (&mut rt.update_codec, quant_bits) {
+        (UpdateCodec::Quant { bits }, Some(given)) => *bits = given,
+        (_, Some(_)) => return Err("--quant-bits requires --update-codec quant".into()),
+        (_, None) => {}
+    }
+    match (&mut rt.update_codec, topk) {
+        (UpdateCodec::TopK { k }, Some(given)) => *k = given,
+        (UpdateCodec::TopK { .. }, None) => {
+            return Err("--update-codec topk requires --topk <k>".into())
+        }
+        (_, Some(_)) => return Err("--topk requires --update-codec topk".into()),
+        (_, None) => {}
+    }
+    rt.update_codec.validate()?;
+
+    if is_async {
+        policy.validate()?;
+        rt.mode = Mode::Async(policy);
+    } else if async_knob {
+        return Err(
+            "--max-staleness/--async-decay/--async-buffer/--adaptive-mix require --mode async"
+                .into(),
+        );
+    }
+    if rt.checkpoint.dir.is_none() && rt.checkpoint.every != 0 {
+        return Err("--checkpoint-every requires --checkpoint-dir <dir>".into());
+    }
+    if no_recovery && budget_given {
+        return Err("--no-recovery and --max-recoveries contradict each other".into());
+    }
+    // The fault plan is seeded like the run — identical in the platform
+    // and in every node process, so each node's crash/corrupt schedule
+    // agrees across the fleet without shared memory.
+    rt = rt.with_faults(faults);
+
+    // A delay needs both its probability and its length: either flag
+    // without the other is an error, not a fault-free link.
+    match (delay_prob > 0.0, delay_ms > 0) {
+        (true, true) => link = link.with_delay(delay_prob, delay_ms),
+        (true, false) => return Err("--fault-delay-prob requires --fault-delay-ms <ms>".into()),
+        (false, true) => return Err("--fault-delay-ms requires --fault-delay-prob <p>".into()),
+        (false, false) => {}
+    }
+    link.seed = fault_seed.unwrap_or(launch.seed);
+    if !link.is_benign() {
+        launch.link_faults = Some(link);
+    } else if fault_seed.is_some() {
+        return Err("--fault-seed has no link fault to seed (add --fault-drop, \
+                    --fault-corrupt, --fault-delay-* or --fault-disconnect-after)"
+            .into());
+    }
+    Ok((launch, rt, json_out))
 }
 
-fn parse_serve_flags(args: &[String]) -> Result<(ServeOptions, Option<String>), String> {
-    let mut opts = ServeOptions {
-        transport: fml_cli::TransportKind::Tcp,
-        ..ServeOptions::default()
+/// Parses the `adapt-serve` flags straight onto a [`ServingConfig`].
+fn parse_serve_flags(args: &[String], cfg_seed: u64) -> Parsed<ServingConfig> {
+    let mut launch = Launch {
+        seed: cfg_seed,
+        transport: TransportKind::Tcp,
+        ..Launch::default()
     };
+    let mut serving = ServingConfig::default();
     let mut json_out = None;
     let mut flags = Flags(args.iter());
     while let Some(f) = flags.next_flag() {
         match f {
-            "--transport" => opts.transport = flags.value(f)?.parse()?,
-            "--listen" => opts.listen = Some(flags.value(f)?),
-            "--checkpoint-dir" => opts.checkpoint_dir = Some(flags.value(f)?),
-            "--attach" => opts.attach = true,
-            "--workers" => opts.workers = Some(flags.positive(f)?),
-            "--queue-depth" => opts.queue_depth = Some(flags.positive(f)?),
-            "--max-k" => opts.max_k = Some(flags.parsed(f)?),
-            "--max-steps" => opts.max_steps = Some(flags.parsed(f)?),
-            "--queue-deadline-ms" => opts.queue_deadline_ms = Some(flags.parsed(f)?),
-            "--max-requests" => opts.max_requests = Some(flags.parsed(f)?),
-            "--seed" => opts.seed = Some(flags.parsed(f)?),
+            "--transport" => launch.transport = flags.value(f)?.parse()?,
+            "--listen" => launch.listen = Some(flags.value(f)?),
+            "--checkpoint-dir" => launch.checkpoint_dir = Some(flags.value(f)?),
+            "--attach" => launch.attach = true,
+            "--workers" => serving = serving.with_workers(flags.positive(f)?),
+            "--queue-depth" => serving = serving.with_queue_depth(flags.positive(f)?),
+            "--max-k" => serving = serving.with_max_k(flags.parsed(f)?),
+            "--max-steps" => serving = serving.with_max_steps(flags.parsed(f)?),
+            "--queue-deadline-ms" => serving = serving.with_queue_deadline_ms(flags.parsed(f)?),
+            "--max-requests" => launch.max_requests = Some(flags.parsed(f)?),
+            "--seed" => launch.seed = flags.parsed(f)?,
             "--json" => json_out = Some(flags.value(f)?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    Ok((opts, json_out))
+    Ok((launch, serving, json_out))
 }
 
 fn parse_adapt_flags(args: &[String]) -> Result<(AdaptOptions, Option<String>), String> {
     let mut opts = AdaptOptions {
-        transport: fml_cli::TransportKind::Tcp,
+        transport: TransportKind::Tcp,
         ..AdaptOptions::default()
     };
     let mut json_out = None;
@@ -330,26 +456,36 @@ fn load_config(path: Option<&String>) -> Result<RunConfig, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fml_cli::TransportKind;
+    use fml_core::Fault;
+    use fml_runtime::{CheckpointConfig, RecoveryConfig, StalenessDecay};
     use std::fmt::Debug;
 
     /// `std`'s texts for an unparsable integer and float.
     const INT: &str = "invalid digit found in string";
     const FLOAT: &str = "invalid float literal";
 
-    type Parser<O> = fn(&[String]) -> Result<(O, Option<String>), String>;
+    /// The config seed the runtime and serve tables parse at.
+    const SEED: u64 = 7;
 
     fn args(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
     }
 
+    fn runtime(line: &str) -> Result<((Launch, RuntimeConfig), Option<String>), String> {
+        parse_runtime_flags(&args(line), SEED).map(|(launch, rt, json)| ((launch, rt), json))
+    }
+
+    fn serve(line: &str) -> Result<((Launch, ServingConfig), Option<String>), String> {
+        parse_serve_flags(&args(line), SEED).map(|(launch, cfg, json)| ((launch, cfg), json))
+    }
+
     /// One subcommand's flag table against its parser: every `accepted`
-    /// line yields exactly those options; every `valued` flag given bare,
+    /// line yields exactly that value; every `valued` flag given bare,
     /// every `unparsable` flag given `x` (with `std`'s reason), every
     /// `positive` flag given `0`, every `rejected` line and an unknown
     /// flag fail with exactly the documented text.
     fn check_table<O: PartialEq + Debug>(
-        parse: Parser<O>,
+        parse: impl Fn(&str) -> Result<(O, Option<String>), String>,
         accepted: Vec<(&str, O)>,
         valued: &[&str],
         unparsable: &[(&str, &str)],
@@ -357,11 +493,11 @@ mod tests {
         rejected: &[(&str, &str)],
     ) {
         for (line, want) in accepted {
-            assert_eq!(parse(&args(line)), Ok((want, None)), "{line}");
+            assert_eq!(parse(line), Ok((want, None)), "{line}");
         }
-        let json = parse(&args("--json out.json")).expect("--json parses");
+        let json = parse("--json out.json").expect("--json parses");
         assert_eq!(json.1.as_deref(), Some("out.json"));
-        let err = |line: &str| parse(&args(line)).map(|_| ()).expect_err(line);
+        let err = |line: &str| parse(line).map(|_| ()).expect_err(line);
         for flag in valued.iter().chain(["--json"].iter()) {
             assert_eq!(err(flag), format!("{flag} requires a value"));
         }
@@ -380,157 +516,226 @@ mod tests {
         assert_eq!(err("--bogus"), "unknown flag --bogus");
     }
 
+    const NEEDS_ASYNC: &str =
+        "--max-staleness/--async-decay/--async-buffer/--adaptive-mix require --mode async";
+
     #[test]
     fn runtime_flag_table() {
-        let d = RuntimeOptions::default;
+        let l = || Launch {
+            seed: SEED,
+            ..Launch::default()
+        };
+        let rt = || RuntimeConfig::barrier(SEED);
         let s = |v: &str| Some(v.to_string());
+        let with_async = |policy| (l(), RuntimeConfig::async_mode(SEED, policy));
+        let with_link = |plan| {
+            let launch = Launch {
+                link_faults: Some(plan),
+                ..l()
+            };
+            (launch, rt())
+        };
+        let with_budget = |max_recoveries| RuntimeConfig {
+            recovery: RecoveryConfig { max_recoveries },
+            ..rt()
+        };
+        let with_codec = |update_codec| RuntimeConfig { update_codec, ..rt() };
+        let reseeded = (
+            Launch {
+                seed: 9,
+                ..Launch::default()
+            },
+            RuntimeConfig {
+                faults: FaultPlan {
+                    crashed_from: [(1, 2)].into(),
+                    ..FaultPlan::new(9)
+                },
+                ..RuntimeConfig::barrier(9)
+            },
+        );
+        let stale3 = || {
+            with_async(AsyncPolicy {
+                max_staleness: 3,
+                ..AsyncPolicy::default()
+            })
+        };
         check_table(
-            parse_runtime_flags,
+            runtime,
             vec![
-                ("", d()),
-                ("--mode barrier", d()),
+                // No flags is `RuntimeConfig::barrier(cfg.seed)` bit for
+                // bit: what keeps every smoke-script hash.
+                ("", (l(), rt())),
+                ("--mode barrier", (l(), rt())),
+                ("--mode async", with_async(AsyncPolicy::default())),
                 (
-                    "--mode async",
-                    RuntimeOptions {
-                        mode: RuntimeMode::Async,
-                        ..d()
-                    },
+                    "--mode async --max-staleness 7",
+                    with_async(AsyncPolicy {
+                        max_staleness: 7,
+                        ..AsyncPolicy::default()
+                    }),
                 ),
-                (
-                    "--max-staleness 7",
-                    RuntimeOptions {
-                        max_staleness: 7usize.into(),
-                        ..d()
-                    },
-                ),
+                // The async knobs and `--mode` commute.
+                ("--max-staleness 3 --mode async", stale3()),
+                ("--mode async --max-staleness 3", stale3()),
                 (
                     "--threads 3",
-                    RuntimeOptions {
-                        threads: Some(3),
-                        ..d()
-                    },
+                    (
+                        l(),
+                        RuntimeConfig {
+                            threads: Some(3),
+                            ..rt()
+                        },
+                    ),
                 ),
                 (
                     "--mailbox-cap 8",
-                    RuntimeOptions {
-                        mailbox_cap: Some(8),
-                        ..d()
-                    },
+                    (
+                        l(),
+                        RuntimeConfig {
+                            mailbox_cap: 8,
+                            ..rt()
+                        },
+                    ),
                 ),
                 (
                     "--seed 9",
-                    RuntimeOptions {
-                        seed: Some(9),
-                        ..d()
-                    },
+                    (
+                        Launch {
+                            seed: 9,
+                            ..Launch::default()
+                        },
+                        RuntimeConfig::barrier(9),
+                    ),
                 ),
-                ("--transport channel", d()),
+                // `--seed` reseeds what was parsed before it.
+                ("--crash-from 1:2 --seed 9", reseeded.clone()),
+                ("--seed 9 --crash-from 1:2", reseeded),
+                ("--transport channel", (l(), rt())),
                 (
                     "--transport tcp",
-                    RuntimeOptions {
-                        transport: TransportKind::Tcp,
-                        ..d()
-                    },
+                    (
+                        Launch {
+                            transport: TransportKind::Tcp,
+                            ..l()
+                        },
+                        rt(),
+                    ),
                 ),
                 (
                     "--transport uds",
-                    RuntimeOptions {
-                        transport: TransportKind::Uds,
-                        ..d()
-                    },
+                    (
+                        Launch {
+                            transport: TransportKind::Uds,
+                            ..l()
+                        },
+                        rt(),
+                    ),
                 ),
                 (
                     "--listen 127.0.0.1:0",
-                    RuntimeOptions {
-                        listen: s("127.0.0.1:0"),
-                        ..d()
-                    },
+                    (
+                        Launch {
+                            listen: s("127.0.0.1:0"),
+                            ..l()
+                        },
+                        rt(),
+                    ),
                 ),
                 (
                     "--connect /tmp/s --node 2",
-                    RuntimeOptions {
-                        connect: s("/tmp/s"),
-                        node: Some(2),
-                        ..d()
-                    },
+                    (
+                        Launch {
+                            connect: s("/tmp/s"),
+                            node: Some(2),
+                            ..l()
+                        },
+                        rt(),
+                    ),
                 ),
                 (
                     "--checkpoint-dir ck --checkpoint-every 5",
-                    RuntimeOptions {
-                        checkpoint_dir: s("ck"),
-                        checkpoint_every: Some(5),
-                        ..d()
-                    },
+                    (
+                        l(),
+                        RuntimeConfig {
+                            checkpoint: CheckpointConfig {
+                                dir: Some("ck".into()),
+                                every: 5,
+                                resume: true,
+                            },
+                            ..rt()
+                        },
+                    ),
                 ),
-                (
-                    "--max-recoveries 0",
-                    RuntimeOptions {
-                        max_recoveries: Some(0),
-                        ..d()
-                    },
-                ),
-                (
-                    "--no-recovery",
-                    RuntimeOptions {
-                        no_recovery: true,
-                        ..d()
-                    },
-                ),
+                ("--max-recoveries 0", (l(), with_budget(0))),
+                ("--max-recoveries 5", (l(), with_budget(5))),
+                ("--no-recovery", (l(), with_budget(0))),
                 (
                     "--crash-from 1:2 --crash-from 3:4 --corrupt-at 0:1",
-                    RuntimeOptions {
-                        crash_from: vec![(1, 2), (3, 4)],
-                        corrupt_at: vec![(0, 1)],
-                        ..d()
-                    },
+                    (
+                        l(),
+                        RuntimeConfig {
+                            faults: FaultPlan {
+                                crashed_from: [(1, 2), (3, 4)].into(),
+                                scripted: [((0, 1), Fault::Corrupt(CorruptMode::NaN))].into(),
+                                ..FaultPlan::new(SEED)
+                            },
+                            ..rt()
+                        },
+                    ),
                 ),
                 (
-                    "--fault-seed 11",
-                    RuntimeOptions {
-                        fault_seed: Some(11),
-                        ..d()
-                    },
+                    "--fault-seed 11 --fault-drop 0.5",
+                    with_link(LinkFaultPlan {
+                        drop_prob: 0.5,
+                        ..LinkFaultPlan::new(11)
+                    }),
                 ),
                 (
                     "--fault-drop 0.25 --fault-corrupt 1",
-                    RuntimeOptions {
-                        fault_drop: 0.25,
-                        fault_corrupt: 1.0,
-                        ..d()
-                    },
+                    with_link(LinkFaultPlan {
+                        drop_prob: 0.25,
+                        corrupt_prob: 1.0,
+                        ..LinkFaultPlan::new(SEED)
+                    }),
                 ),
                 (
                     "--fault-delay-prob 0.5 --fault-delay-ms 20",
-                    RuntimeOptions {
-                        fault_delay_prob: 0.5,
-                        fault_delay_ms: 20,
-                        ..d()
-                    },
+                    with_link(LinkFaultPlan {
+                        delay: Some((0.5, 20)),
+                        ..LinkFaultPlan::new(SEED)
+                    }),
                 ),
                 (
                     "--fault-disconnect-after 6",
-                    RuntimeOptions {
-                        fault_disconnect_after: Some(6),
-                        ..d()
-                    },
+                    with_link(LinkFaultPlan {
+                        disconnect_after_recvs: Some(6),
+                        ..LinkFaultPlan::new(SEED)
+                    }),
                 ),
+                // Zero probabilities leave the link fault-free.
+                ("--fault-drop 0 --fault-delay-ms 0", (l(), rt())),
                 (
-                    "--async-decay hinge:2 --async-buffer 2 --adaptive-mix",
-                    RuntimeOptions {
-                        async_decay: s("hinge:2"),
-                        async_buffer: Some(2),
+                    "--mode async --async-decay hinge:2 --async-buffer 2 --adaptive-mix",
+                    with_async(AsyncPolicy {
+                        decay: StalenessDecay::Hinge { knee: 2 },
+                        buffer_k: 2,
                         adaptive_mix: true,
-                        ..d()
-                    },
+                        ..AsyncPolicy::default()
+                    }),
+                ),
+                ("--update-codec none", (l(), rt())),
+                ("--update-codec dense", (l(), with_codec(UpdateCodec::Dense))),
+                (
+                    "--update-codec quant",
+                    (l(), with_codec(UpdateCodec::Quant { bits: 8 })),
                 ),
                 (
-                    "--update-codec quant --quant-bits 16 --topk 4",
-                    RuntimeOptions {
-                        update_codec: s("quant"),
-                        quant_bits: Some(16),
-                        topk: Some(4),
-                        ..d()
-                    },
+                    "--quant-bits 16 --update-codec quant",
+                    (l(), with_codec(UpdateCodec::Quant { bits: 16 })),
+                ),
+                (
+                    "--update-codec topk --topk 4",
+                    (l(), with_codec(UpdateCodec::TopK { k: 4 })),
                 ),
             ],
             &[
@@ -615,73 +820,149 @@ mod tests {
                     "--quant-bits 300",
                     "bad --quant-bits: number too large to fit in target type",
                 ),
+                // An async knob without async mode, whichever knob.
+                ("--max-staleness 3", NEEDS_ASYNC),
+                ("--max-staleness 7", NEEDS_ASYNC),
+                ("--async-decay hinge", NEEDS_ASYNC),
+                ("--async-buffer 2", NEEDS_ASYNC),
+                ("--adaptive-mix", NEEDS_ASYNC),
+                (
+                    "--async-decay hinge:2 --async-buffer 2 --adaptive-mix",
+                    NEEDS_ASYNC,
+                ),
+                // A malformed decay name.
+                (
+                    "--mode async --async-decay exp",
+                    "unknown async decay exp (poly|hinge|hinge:<knee>|const)",
+                ),
+                (
+                    "--mode async --async-decay hinge:",
+                    "bad hinge knee : cannot parse integer from empty string",
+                ),
+                (
+                    "--mode async --async-decay hinge:x",
+                    &format!("bad hinge knee x: {INT}"),
+                ),
+                // Codec flags that do not add up.
+                (
+                    "--update-codec quant --quant-bits 16 --topk 4",
+                    "--topk requires --update-codec topk",
+                ),
+                ("--topk 4", "--topk requires --update-codec topk"),
+                (
+                    "--update-codec topk",
+                    "--update-codec topk requires --topk <k>",
+                ),
+                ("--quant-bits 8", "--quant-bits requires --update-codec quant"),
+                (
+                    "--update-codec quant --quant-bits 7",
+                    "quant bits must be 8 or 16",
+                ),
+                (
+                    "--update-codec zstd",
+                    "unknown update codec zstd (none|dense|quant|topk)",
+                ),
+                // Half a delay.
+                (
+                    "--fault-delay-prob 0.5",
+                    "--fault-delay-prob requires --fault-delay-ms <ms>",
+                ),
+                (
+                    "--fault-delay-ms 20",
+                    "--fault-delay-ms requires --fault-delay-prob <p>",
+                ),
             ],
         );
     }
 
     #[test]
     fn adapt_serve_flag_table() {
-        let d = || ServeOptions {
+        let l = || Launch {
+            seed: SEED,
             transport: TransportKind::Tcp,
-            ..ServeOptions::default()
+            ..Launch::default()
         };
+        let d = ServingConfig::default;
         let s = |v: &str| Some(v.to_string());
         check_table(
-            parse_serve_flags,
+            serve,
             vec![
-                ("", d()),
+                ("", (l(), d())),
                 (
                     "--transport uds",
-                    ServeOptions {
-                        transport: TransportKind::Uds,
-                        ..d()
-                    },
+                    (
+                        Launch {
+                            transport: TransportKind::Uds,
+                            ..l()
+                        },
+                        d(),
+                    ),
                 ),
                 (
                     "--listen 127.0.0.1:0",
-                    ServeOptions {
-                        listen: s("127.0.0.1:0"),
-                        ..d()
-                    },
+                    (
+                        Launch {
+                            listen: s("127.0.0.1:0"),
+                            ..l()
+                        },
+                        d(),
+                    ),
                 ),
                 (
                     "--checkpoint-dir ck",
-                    ServeOptions {
-                        checkpoint_dir: s("ck"),
-                        ..d()
-                    },
+                    (
+                        Launch {
+                            checkpoint_dir: s("ck"),
+                            ..l()
+                        },
+                        d(),
+                    ),
                 ),
                 (
                     "--attach",
-                    ServeOptions {
-                        attach: true,
-                        ..d()
-                    },
+                    (
+                        Launch {
+                            attach: true,
+                            ..l()
+                        },
+                        d(),
+                    ),
                 ),
                 (
                     "--workers 2 --queue-depth 16",
-                    ServeOptions {
-                        workers: Some(2),
-                        queue_depth: Some(16),
-                        ..d()
-                    },
+                    (
+                        l(),
+                        ServingConfig {
+                            workers: 2,
+                            queue_depth: 16,
+                            ..d()
+                        },
+                    ),
                 ),
                 (
                     "--max-k 0 --max-steps 0",
-                    ServeOptions {
-                        max_k: Some(0),
-                        max_steps: Some(0),
-                        ..d()
-                    },
+                    (
+                        l(),
+                        ServingConfig {
+                            max_k: 0,
+                            max_steps: 0,
+                            ..d()
+                        },
+                    ),
                 ),
                 (
                     "--queue-deadline-ms 250 --max-requests 4 --seed 9",
-                    ServeOptions {
-                        queue_deadline_ms: Some(250),
-                        max_requests: Some(4),
-                        seed: Some(9),
-                        ..d()
-                    },
+                    (
+                        Launch {
+                            max_requests: Some(4),
+                            seed: 9,
+                            ..l()
+                        },
+                        ServingConfig {
+                            queue_deadline_ms: 250,
+                            ..d()
+                        },
+                    ),
                 ),
             ],
             &[
@@ -721,7 +1002,7 @@ mod tests {
         };
         let s = |v: &str| Some(v.to_string());
         check_table(
-            parse_adapt_flags,
+            |line| parse_adapt_flags(&args(line)),
             vec![
                 ("", d()),
                 (
@@ -802,17 +1083,19 @@ mod tests {
         );
     }
 
-    /// Combinations every flag parser accepts but no run can honour fail
-    /// before anything is trained or dialed, naming the flag at fault.
+    /// Combinations no run can honour fail before anything is trained or
+    /// dialed, naming the flag at fault — at the parser where the flags
+    /// alone decide it, at launch where the process's role does.
     #[test]
     fn flags_that_would_be_ignored_are_errors() {
         let cfg = RunConfig::example();
         let node = "--transport tcp --connect 127.0.0.1:1 --node 0";
+        let needs_node = "--fault-* wrap a node's link; add --node <id>";
+        let no_fault = "--fault-seed has no link fault to seed (add --fault-drop, \
+                        --fault-corrupt, --fault-delay-* or --fault-disconnect-after)";
+        let contradict = "--no-recovery and --max-recoveries contradict each other";
         for (line, want) in [
-            (
-                "--max-staleness 3".to_string(),
-                "--max-staleness/--async-decay/--async-buffer/--adaptive-mix require --mode async",
-            ),
+            ("--max-staleness 3".to_string(), NEEDS_ASYNC),
             (
                 format!("{node} --fault-delay-prob 0.5"),
                 "--fault-delay-prob requires --fault-delay-ms <ms>",
@@ -821,13 +1104,61 @@ mod tests {
                 format!("{node} --fault-delay-ms 20"),
                 "--fault-delay-ms requires --fault-delay-prob <p>",
             ),
+            // A link fault on the platform process wraps nothing.
+            ("--fault-drop 0.9".to_string(), needs_node),
+            ("--fault-corrupt 1.0".to_string(), needs_node),
+            (
+                "--fault-delay-prob 1 --fault-delay-ms 5".to_string(),
+                needs_node,
+            ),
+            ("--fault-disconnect-after 3".to_string(), needs_node),
+            ("--fault-seed 4 --fault-drop 0.9".to_string(), needs_node),
+            // A fault seed with no fault to seed, node or not.
+            (format!("{node} --fault-seed 11"), no_fault),
+            ("--fault-seed 11".to_string(), no_fault),
+            // A cadence with nowhere to write.
+            (
+                "--checkpoint-every 5".to_string(),
+                "--checkpoint-every requires --checkpoint-dir <dir>",
+            ),
+            // A budget and its refusal, in either order.
+            ("--no-recovery --max-recoveries 1".to_string(), contradict),
+            ("--max-recoveries 1 --no-recovery".to_string(), contradict),
         ] {
-            let (opts, _) = parse_runtime_flags(&args(&line)).expect("parses");
-            let ran = match opts.node {
-                Some(_) => run_runtime_node(&cfg, &opts).map(|_| ()),
-                None => run_runtime(&cfg, &opts).map(|_| ()),
-            };
+            let ran = parse_runtime_flags(&args(&line), cfg.seed).and_then(|(launch, rt, _)| {
+                match launch.node {
+                    Some(_) => run_runtime_node(&cfg, &launch, rt).map(|_| ()),
+                    None => run_runtime(&cfg, &launch, rt).map(|_| ()),
+                }
+            });
             assert_eq!(ran, Err(want.to_string()), "{line}");
+        }
+    }
+
+    /// `UpdateCodec::validate` is the one codec rule: the builder panics
+    /// with its text and the flag parser returns it.
+    #[test]
+    fn codec_rule_is_the_same_for_validate_builder_and_cli() {
+        for (codec, line) in [
+            (
+                UpdateCodec::Quant { bits: 4 },
+                "--update-codec quant --quant-bits 4",
+            ),
+            (
+                UpdateCodec::Quant { bits: 8 },
+                "--update-codec quant --quant-bits 8",
+            ),
+            (UpdateCodec::TopK { k: 0 }, "--update-codec topk --topk 0"),
+            (UpdateCodec::TopK { k: 1 }, "--update-codec topk --topk 1"),
+        ] {
+            let rule = codec.validate().map(|()| codec);
+            let parsed = runtime(line).map(|((_, rt), _)| rt.update_codec);
+            assert_eq!(parsed, rule, "{codec}");
+            let built =
+                std::panic::catch_unwind(|| RuntimeConfig::barrier(0).with_update_codec(codec))
+                    .map(|cfg| cfg.update_codec)
+                    .map_err(|panic| *panic.downcast::<String>().expect("panics with a message"));
+            assert_eq!(built, rule, "{codec}");
         }
     }
 }

@@ -74,35 +74,6 @@ pub struct AdaptationPoint {
     pub accuracy: f64,
 }
 
-/// Loss/accuracy after `0..=max_steps` adaptation steps on `support`,
-/// evaluated on `query` — one target node's Figure 3(c)–(e) curve.
-pub fn adaptation_curve(
-    model: &dyn Model,
-    theta: &[f64],
-    support: &Batch,
-    query: &Batch,
-    alpha: f64,
-    max_steps: usize,
-) -> Vec<AdaptationPoint> {
-    let mut phi = theta.to_vec();
-    let mut out = Vec::with_capacity(max_steps + 1);
-    out.push(AdaptationPoint {
-        steps: 0,
-        loss: model.loss(&phi, query),
-        accuracy: model.accuracy(&phi, query),
-    });
-    for s in 1..=max_steps {
-        let g = model.grad(&phi, support);
-        fml_linalg::vector::axpy(-alpha, &g, &mut phi);
-        out.push(AdaptationPoint {
-            steps: s,
-            loss: model.loss(&phi, query),
-            accuracy: model.accuracy(&phi, query),
-        });
-    }
-    out
-}
-
 /// Aggregate adaptation performance across target nodes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TargetEvaluation {
@@ -147,26 +118,7 @@ pub fn evaluate_targets<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> TargetEvaluation {
     assert!(!targets.is_empty(), "evaluate_targets: no target nodes");
-    let mut mean: Vec<AdaptationPoint> = (0..=max_steps)
-        .map(|s| AdaptationPoint {
-            steps: s,
-            loss: 0.0,
-            accuracy: 0.0,
-        })
-        .collect();
-    for node in targets {
-        let split = TaskSplit::sample(&node.batch, k, rng);
-        let curve = adaptation_curve(model, theta, &split.train, &split.test, alpha, max_steps);
-        for (m, c) in mean.iter_mut().zip(&curve) {
-            m.loss += c.loss / targets.len() as f64;
-            m.accuracy += c.accuracy / targets.len() as f64;
-        }
-    }
-    TargetEvaluation {
-        k,
-        curve: mean,
-        targets: targets.len(),
-    }
+    mean_curve(model, theta, targets, k, alpha, max_steps, None, rng)
 }
 
 /// Like [`evaluate_targets`], but the query set is FGSM-attacked with
@@ -193,6 +145,33 @@ pub fn evaluate_targets_adversarial<R: Rng + ?Sized>(
         !targets.is_empty(),
         "evaluate_targets_adversarial: no targets"
     );
+    mean_curve(
+        model,
+        theta,
+        targets,
+        k,
+        alpha,
+        max_steps,
+        Some((xi, constraint)),
+        rng,
+    )
+}
+
+/// The mean Figure 3(c)–(e) / Figure 4 curve: every target adapts on a
+/// fresh `K`-shot support set for `0..=max_steps` steps and is scored on
+/// its query set after each — attacked first, against the *current
+/// adapted* model, when `attack` names an FGSM budget and constraint.
+#[allow(clippy::too_many_arguments)]
+fn mean_curve<R: Rng + ?Sized>(
+    model: &dyn Model,
+    theta: &[f64],
+    targets: &[NodeData],
+    k: usize,
+    alpha: f64,
+    max_steps: usize,
+    attack: Option<(f64, BoxConstraint)>,
+    rng: &mut R,
+) -> TargetEvaluation {
     let mut mean: Vec<AdaptationPoint> = (0..=max_steps)
         .map(|s| AdaptationPoint {
             steps: s,
@@ -203,16 +182,15 @@ pub fn evaluate_targets_adversarial<R: Rng + ?Sized>(
     for node in targets {
         let split = TaskSplit::sample(&node.batch, k, rng);
         let mut phi = theta.to_vec();
-        #[allow(clippy::needless_range_loop)] // step index names both mean slot and step count
-        for s in 0..=max_steps {
-            if s > 0 {
+        for point in &mut mean {
+            if point.steps > 0 {
                 let g = model.grad(&phi, &split.train);
                 fml_linalg::vector::axpy(-alpha, &g, &mut phi);
             }
-            // The attack is crafted against the *current adapted* model.
-            let adv = fgsm_batch(model, &phi, &split.test, xi, constraint);
-            mean[s].loss += model.loss(&phi, &adv) / targets.len() as f64;
-            mean[s].accuracy += model.accuracy(&phi, &adv) / targets.len() as f64;
+            let attacked = attack.map(|(xi, c)| fgsm_batch(model, &phi, &split.test, xi, c));
+            let query = attacked.as_ref().unwrap_or(&split.test);
+            point.loss += model.loss(&phi, query) / targets.len() as f64;
+            point.accuracy += model.accuracy(&phi, query) / targets.len() as f64;
         }
     }
     TargetEvaluation {
@@ -264,8 +242,8 @@ mod tests {
         let model = SoftmaxRegression::new(2, 2);
         let theta = vec![0.0; model.param_len()];
         let nodes = target_nodes(1, 1);
-        let split = TaskSplit::deterministic(&nodes[0].batch, 6);
-        let curve = adaptation_curve(&model, &theta, &split.train, &split.test, 0.5, 10);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let curve = evaluate_targets(&model, &theta, &nodes, 6, 0.5, 10, &mut rng).curve;
         assert_eq!(curve.len(), 11);
         assert!(curve[10].loss < curve[0].loss, "adaptation should help");
         assert!(curve[10].accuracy >= curve[0].accuracy);

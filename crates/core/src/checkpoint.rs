@@ -25,7 +25,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Current checkpoint format version.
-pub const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 1;
 
 /// Errors from reading or writing checkpoints.
 #[derive(Debug)]
@@ -130,12 +130,6 @@ impl Checkpoint {
         ck
     }
 
-    /// Attaches Meta-SGD's learned rates.
-    pub fn with_rates(mut self, rates: Vec<f64>) -> Self {
-        self.rates = Some(rates);
-        self
-    }
-
     /// Adds a metadata entry.
     pub fn with_meta(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.meta.insert(key.into(), value.into());
@@ -213,9 +207,10 @@ mod tests {
 
     #[test]
     fn roundtrip_json() {
-        let ck = Checkpoint::new("FedML", vec![1.0, 2.0, 3.0])
-            .with_meta("k", "5")
-            .with_rates(vec![0.1, 0.2, 0.3]);
+        let ck = Checkpoint {
+            rates: Some(vec![0.1, 0.2, 0.3]),
+            ..Checkpoint::new("FedML", vec![1.0, 2.0, 3.0]).with_meta("k", "5")
+        };
         let back = Checkpoint::from_json(&ck.to_json().unwrap()).unwrap();
         assert_eq!(ck, back);
     }
@@ -296,7 +291,10 @@ mod tests {
         let dir = std::env::temp_dir().join("fml_checkpoint_test");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("ck.json");
-        let ck = Checkpoint::new("MetaSGD", vec![7.0]).with_rates(vec![0.5]);
+        let ck = Checkpoint {
+            rates: Some(vec![0.5]),
+            ..Checkpoint::new("MetaSGD", vec![7.0])
+        };
         ck.save(&path).unwrap();
         let back = Checkpoint::load(&path).unwrap();
         assert_eq!(ck, back);

@@ -15,7 +15,11 @@
 //!
 //! Nothing is ever lost — only delayed. The buffer is keyed by node id
 //! because one runtime worker services many node actors; each node's
-//! residual must follow *its* update stream, not the worker's.
+//! residual must follow *its* update stream, not the worker's. Residuals
+//! live on the node side and are never dropped: a platform rollback or
+//! exclusion does not reach them, and the one thing that must not replay
+//! — non-finite debris from a corrupt fault — is zeroed in
+//! [`ErrorFeedback::absorb`].
 //!
 //! Exact codecs (`none`, `dense`) bypass this module entirely: their
 //! residual is identically zero and touching the update would perturb
@@ -75,27 +79,6 @@ impl ErrorFeedback {
             residual.push(if r.is_finite() { r } else { 0.0 });
         }
     }
-
-    /// Drops `node`'s residual (used when a node is excluded or the
-    /// model is rolled back — stale residuals must not replay).
-    pub fn forget(&mut self, node: u32) {
-        self.residuals.remove(&node);
-    }
-
-    /// Drops every residual.
-    pub fn clear(&mut self) {
-        self.residuals.clear();
-    }
-
-    /// Sum of |residual| across all nodes — diagnostic for how much
-    /// mass is currently in flight.
-    pub fn pending_mass(&self) -> f64 {
-        self.residuals
-            .values()
-            .flat_map(|r| r.iter())
-            .map(|v| v.abs())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -113,6 +96,13 @@ mod tests {
         out
     }
 
+    /// `node`'s stored residual, read back by compensating zeros.
+    fn residual(fb: &mut ErrorFeedback, node: u32, len: usize) -> Vec<f64> {
+        let mut stored = vec![0.0; len];
+        fb.compensate(node, &mut stored);
+        stored
+    }
+
     #[test]
     fn residual_holds_exactly_the_dropped_mass() {
         let mut fb = ErrorFeedback::new();
@@ -121,7 +111,7 @@ mod tests {
         assert_eq!(update, vec![1.0, -0.5, 3.0, 0.25], "no residual yet");
         let wire = topk(&update, 1);
         fb.absorb(7, &update, wire.iter().cloned());
-        assert_eq!(fb.pending_mass(), 1.0 + 0.5 + 0.25);
+        assert_eq!(residual(&mut fb, 7, 4), vec![1.0, -0.5, 0.0, 0.25]);
     }
 
     #[test]
@@ -138,7 +128,7 @@ mod tests {
         assert_eq!(second, vec![1.0, -0.5, 0.0, 0.25]);
         // A k that covers everything flushes the residual to zero.
         fb.absorb(3, &second, topk(&second, 4));
-        assert_eq!(fb.pending_mass(), 0.0);
+        assert_eq!(residual(&mut fb, 3, 4), vec![0.0; 4]);
     }
 
     #[test]
@@ -155,19 +145,13 @@ mod tests {
     }
 
     #[test]
-    fn forget_and_dimension_change_drop_the_residual() {
+    fn dimension_change_and_corrupt_debris_do_not_replay() {
         let mut fb = ErrorFeedback::new();
-        fb.absorb(5, &[1.0], [0.0]);
-        fb.forget(5);
-        let mut u = vec![0.0];
-        fb.compensate(5, &mut u);
-        assert_eq!(u, vec![0.0]);
         // A stored residual of the wrong dimension is ignored.
         fb.absorb(6, &[1.0, 1.0], [0.0, 0.0]);
-        let mut short = vec![0.0];
-        fb.compensate(6, &mut short);
-        assert_eq!(short, vec![0.0]);
-        fb.clear();
-        assert_eq!(fb.pending_mass(), 0.0);
+        assert_eq!(residual(&mut fb, 6, 1), vec![0.0]);
+        // Non-finite differences are recorded as zero.
+        fb.absorb(6, &[f64::NAN, 2.0], [0.0, f64::INFINITY]);
+        assert_eq!(residual(&mut fb, 6, 2), vec![0.0, 0.0]);
     }
 }

@@ -80,21 +80,30 @@ pub enum Fault {
 /// entries and permanent crashes) that override the probabilistic layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    seed: u64,
-    crash_prob: f64,
-    straggle_prob: f64,
-    max_straggle_s: f64,
-    corrupt_prob: f64,
-    corrupt_mode: CorruptMode,
+    /// Seed of the per-`(node, round)` streams.
+    pub seed: u64,
+    /// Probability, in `[0, 1]`, that a node crashes (no report) in a
+    /// round.
+    pub crash_prob: f64,
+    /// Probability, in `[0, 1]`, that a node straggles in a round.
+    pub straggle_prob: f64,
+    /// Straggle delays are drawn uniformly from `(0, max_straggle_s]`.
+    pub max_straggle_s: f64,
+    /// Probability, in `[0, 1]`, that a node corrupts its upload in a
+    /// round.
+    pub corrupt_prob: f64,
+    /// How a probabilistically corrupt upload is mangled.
+    pub corrupt_mode: CorruptMode,
     /// Exact scripted faults, keyed by `(node, round)`.
-    scripted: BTreeMap<(usize, usize), Fault>,
+    pub scripted: BTreeMap<(usize, usize), Fault>,
     /// Permanent crashes: node → first round it stops reporting.
-    crashed_from: BTreeMap<usize, usize>,
+    pub crashed_from: BTreeMap<usize, usize>,
 }
 
 impl FaultPlan {
-    /// A plan with the given seed and no faults; add faults with the
-    /// builder methods.
+    /// A plan with the given seed and no faults; set the fields, or
+    /// script faults with [`with_crash_from`](Self::with_crash_from) and
+    /// [`with_corrupt`](Self::with_corrupt).
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -108,68 +117,10 @@ impl FaultPlan {
         }
     }
 
-    /// Each node independently crashes (no report) with probability `p`
-    /// each round.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is outside `[0, 1]`.
-    pub fn with_crash_prob(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "crash probability in [0, 1]");
-        self.crash_prob = p;
-        self
-    }
-
-    /// Each node independently straggles with probability `p` each round,
-    /// with a delay drawn uniformly from `(0, max_delay_s]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is outside `[0, 1]` or `max_delay_s < 0`.
-    pub fn with_straggle_prob(mut self, p: f64, max_delay_s: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "straggle probability in [0, 1]");
-        assert!(max_delay_s >= 0.0, "straggle delay must be non-negative");
-        self.straggle_prob = p;
-        self.max_straggle_s = max_delay_s;
-        self
-    }
-
-    /// Each node independently corrupts its upload with probability `p`
-    /// each round, using the given corruption mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is outside `[0, 1]`.
-    pub fn with_corrupt_prob(mut self, p: f64, mode: CorruptMode) -> Self {
-        assert!((0.0..=1.0).contains(&p), "corrupt probability in [0, 1]");
-        self.corrupt_prob = p;
-        self.corrupt_mode = mode;
-        self
-    }
-
-    /// Scripts a one-round crash for `node` at `round`.
-    pub fn with_crash(mut self, node: usize, round: usize) -> Self {
-        self.scripted.insert((node, round), Fault::Crash);
-        self
-    }
-
     /// Scripts a *permanent* crash: `node` stops reporting from `round`
     /// onward (a dead device, not a transient failure).
     pub fn with_crash_from(mut self, node: usize, round: usize) -> Self {
         self.crashed_from.insert(node, round);
-        self
-    }
-
-    /// Scripts a one-round straggle for `node` at `round` with an exact
-    /// delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `delay_s < 0`.
-    pub fn with_straggle(mut self, node: usize, round: usize, delay_s: f64) -> Self {
-        assert!(delay_s >= 0.0, "straggle delay must be non-negative");
-        self.scripted
-            .insert((node, round), Fault::Straggle { delay_s });
         self
     }
 
@@ -266,10 +217,13 @@ mod tests {
 
     #[test]
     fn draws_are_pure_and_order_independent() {
-        let plan = FaultPlan::new(7)
-            .with_crash_prob(0.2)
-            .with_straggle_prob(0.2, 5.0)
-            .with_corrupt_prob(0.1, CorruptMode::NaN);
+        let plan = FaultPlan {
+            crash_prob: 0.2,
+            straggle_prob: 0.2,
+            max_straggle_s: 5.0,
+            corrupt_prob: 0.1,
+            ..FaultPlan::new(7)
+        };
         // Forward order.
         let forward: Vec<_> = (0..20)
             .flat_map(|node| (1..=10).map(move |round| (node, round)))
@@ -293,8 +247,11 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_schedules() {
-        let a = FaultPlan::new(1).with_crash_prob(0.5);
-        let b = FaultPlan::new(2).with_crash_prob(0.5);
+        let crashy = |seed| FaultPlan {
+            crash_prob: 0.5,
+            ..FaultPlan::new(seed)
+        };
+        let (a, b) = (crashy(1), crashy(2));
         let sched = |p: &FaultPlan| -> Vec<bool> {
             (0..50)
                 .map(|n| matches!(p.draw(n, 1), Some(Fault::Crash)))
@@ -305,7 +262,10 @@ mod tests {
 
     #[test]
     fn probabilities_are_roughly_respected() {
-        let plan = FaultPlan::new(3).with_crash_prob(0.25);
+        let plan = FaultPlan {
+            crash_prob: 0.25,
+            ..FaultPlan::new(3)
+        };
         let crashes = (0..4000)
             .filter(|&n| plan.draw(n, 1) == Some(Fault::Crash))
             .count();
@@ -315,9 +275,7 @@ mod tests {
 
     #[test]
     fn scripted_overrides_probabilistic() {
-        let plan = FaultPlan::new(0)
-            .with_crash_prob(0.0)
-            .with_corrupt(4, 2, CorruptMode::Inf);
+        let plan = FaultPlan::new(0).with_corrupt(4, 2, CorruptMode::Inf);
         assert_eq!(plan.draw(4, 2), Some(Fault::Corrupt(CorruptMode::Inf)));
         assert_eq!(plan.draw(4, 3), None);
     }
@@ -333,7 +291,11 @@ mod tests {
 
     #[test]
     fn straggle_delay_is_bounded_and_positive() {
-        let plan = FaultPlan::new(11).with_straggle_prob(1.0, 3.0);
+        let plan = FaultPlan {
+            straggle_prob: 1.0,
+            max_straggle_s: 3.0,
+            ..FaultPlan::new(11)
+        };
         for n in 0..100 {
             match plan.draw(n, 1) {
                 Some(Fault::Straggle { delay_s }) => {
@@ -362,6 +324,10 @@ mod tests {
         let plan = FaultPlan::new(99);
         assert!(plan.is_benign());
         assert!((0..50).all(|n| (1..=20).all(|r| plan.draw(n, r).is_none())));
-        assert!(!plan.clone().with_crash_prob(0.1).is_benign());
+        let crashy = FaultPlan {
+            crash_prob: 0.1,
+            ..plan
+        };
+        assert!(!crashy.is_benign());
     }
 }

@@ -52,12 +52,6 @@ impl FaultTolerance {
         }
     }
 
-    /// Sets the gather policy.
-    pub fn with_policy(mut self, policy: GatherPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Sets the recovery budget.
     pub fn with_max_recoveries(mut self, n: usize) -> Self {
         self.max_recoveries = n;
@@ -435,14 +429,21 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_history() {
         let tasks = quad_tasks(6);
-        let plan = FaultPlan::new(8)
-            .with_crash_prob(0.15)
-            .with_straggle_prob(0.2, 4.0)
-            .with_corrupt_prob(0.1, CorruptMode::NaN);
-        let policy = GatherPolicy::default()
-            .with_deadline(2.0)
-            .with_min_quorum(0.3);
-        let ft = FaultTolerance::new(plan).with_policy(policy);
+        let plan = FaultPlan {
+            crash_prob: 0.15,
+            straggle_prob: 0.2,
+            max_straggle_s: 4.0,
+            corrupt_prob: 0.1,
+            ..FaultPlan::new(8)
+        };
+        let policy = GatherPolicy {
+            deadline_s: Some(2.0),
+            ..GatherPolicy::default().with_min_quorum(0.3)
+        };
+        let ft = FaultTolerance {
+            policy,
+            ..FaultTolerance::new(plan)
+        };
         let a = run(&tasks, &ft, 8, 1).unwrap();
         let b = run(&tasks, &ft, 8, 4).unwrap();
         assert_eq!(a, b);

@@ -100,23 +100,6 @@ impl Default for GatherPolicy {
 }
 
 impl GatherPolicy {
-    /// Sets the round deadline.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `deadline_s` is not positive.
-    pub fn with_deadline(mut self, deadline_s: f64) -> Self {
-        assert!(deadline_s > 0.0, "deadline must be positive");
-        self.deadline_s = Some(deadline_s);
-        self
-    }
-
-    /// Sets the straggler policy.
-    pub fn with_straggler(mut self, policy: StragglerPolicy) -> Self {
-        self.straggler = policy;
-        self
-    }
-
     /// Wall-clock I/O deadline for per-peer transport reads and writes,
     /// derived from the round deadline: a policy that triages reports at
     /// `deadline_s` has no reason to keep a socket blocked for longer.
@@ -139,34 +122,6 @@ impl GatherPolicy {
     pub fn with_min_quorum(mut self, q: f64) -> Self {
         assert!((0.0..=1.0).contains(&q), "quorum fraction in [0, 1]");
         self.min_quorum = q;
-        self
-    }
-
-    /// Sets the L2 norm clip bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bound` is not positive and finite.
-    pub fn with_clip_norm(mut self, bound: f64) -> Self {
-        assert!(
-            bound > 0.0 && bound.is_finite(),
-            "clip bound must be positive and finite"
-        );
-        self.validation.clip_norm = Some(bound);
-        self
-    }
-
-    /// Switches aggregation to the coordinate-wise trimmed mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `trim_ratio` is outside `[0, 0.5)`.
-    pub fn with_trimmed_mean(mut self, trim_ratio: f64) -> Self {
-        assert!(
-            (0.0..0.5).contains(&trim_ratio),
-            "trim ratio in [0, 0.5)"
-        );
-        self.aggregator = RobustAggregator::TrimmedMean { trim_ratio };
         self
     }
 
@@ -495,6 +450,12 @@ mod tests {
         GatherPolicy::default()
     }
 
+    fn clipping(bound: f64) -> GatherPolicy {
+        let mut p = policy();
+        p.validation.clip_norm = Some(bound);
+        p
+    }
+
     #[test]
     fn all_on_time_matches_weighted_mean() {
         let subs = vec![
@@ -558,7 +519,10 @@ mod tests {
         let mut late = Submission::on_time(1, 0.5, vec![10.0]);
         late.delay_s = 9.0;
         let subs = vec![Submission::on_time(0, 0.5, vec![2.0]), late];
-        let p = policy().with_deadline(1.0);
+        let p = GatherPolicy {
+            deadline_s: Some(1.0),
+            ..policy()
+        };
         let (params, report) = gather(1, 2, &subs, &p).unwrap();
         assert_eq!(params, vec![2.0]);
         assert_eq!(report.outcomes[1].1, NodeOutcome::DroppedStraggler);
@@ -572,9 +536,11 @@ mod tests {
         late.delay_s = 9.0;
         late.last_good = Some(vec![4.0]);
         let subs = vec![Submission::on_time(0, 0.5, vec![2.0]), late];
-        let p = policy()
-            .with_deadline(1.0)
-            .with_straggler(StragglerPolicy::ReuseLast);
+        let p = GatherPolicy {
+            deadline_s: Some(1.0),
+            straggler: StragglerPolicy::ReuseLast,
+            ..policy()
+        };
         let (params, report) = gather(1, 2, &subs, &p).unwrap();
         // (2 + 4) / 2: the stale vector, not the late one.
         assert_eq!(params, vec![3.0]);
@@ -586,9 +552,11 @@ mod tests {
         let mut late = Submission::on_time(1, 0.5, vec![4.0]);
         late.delay_s = 7.5;
         let subs = vec![Submission::on_time(0, 0.5, vec![2.0]), late];
-        let p = policy()
-            .with_deadline(1.0)
-            .with_straggler(StragglerPolicy::Wait);
+        let p = GatherPolicy {
+            deadline_s: Some(1.0),
+            straggler: StragglerPolicy::Wait,
+            ..policy()
+        };
         let (params, report) = gather(1, 2, &subs, &p).unwrap();
         assert_eq!(params, vec![3.0]);
         assert_eq!(report.round_time_s, 7.5);
@@ -601,7 +569,7 @@ mod tests {
             Submission::on_time(0, 0.5, vec![3.0, 4.0]), // norm 5
             Submission::on_time(1, 0.5, vec![0.0, 0.0]),
         ];
-        let p = policy().with_clip_norm(1.0);
+        let p = clipping(1.0);
         let (params, report) = gather(1, 2, &subs, &p).unwrap();
         assert_eq!(report.outcomes[0].1, NodeOutcome::Clipped);
         // Clipped to unit norm then halved by the weight.
@@ -616,7 +584,10 @@ mod tests {
             Submission::on_time(2, 0.25, vec![3.0]),
             Submission::on_time(3, 0.25, vec![1e9]), // corrupt but finite
         ];
-        let p = policy().with_trimmed_mean(0.25);
+        let p = GatherPolicy {
+            aggregator: RobustAggregator::TrimmedMean { trim_ratio: 0.25 },
+            ..policy()
+        };
         let (params, _) = gather(1, 4, &subs, &p).unwrap();
         // Trim one from each tail: mean of {2, 3}.
         assert!((params[0] - 2.5).abs() < 1e-9, "got {}", params[0]);
@@ -642,7 +613,10 @@ mod tests {
         // No round deadline: the transport falls back to its own timeout.
         assert_eq!(policy().io_deadline(fallback), fallback);
         // A round deadline bounds the socket wait too.
-        let p = policy().with_deadline(0.25);
+        let p = GatherPolicy {
+            deadline_s: Some(0.25),
+            ..policy()
+        };
         assert_eq!(p.io_deadline(fallback), Duration::from_millis(250));
         // Never zero — that would mean "block forever" on a socket.
         assert_eq!(
@@ -657,7 +631,7 @@ mod tests {
             Submission::on_time(0, 0.5, vec![1.0]),
             Submission::on_time(1, 0.5, vec![f64::INFINITY]),
         ];
-        let p = policy().with_clip_norm(10.0);
+        let p = clipping(10.0);
         let (params, report) = gather(1, 2, &subs, &p).unwrap();
         assert_eq!(params, vec![1.0]);
         assert_eq!(report.outcomes[1].1, NodeOutcome::RejectedCorrupt);

@@ -85,17 +85,6 @@ impl MetaSgdConfig {
         self
     }
 
-    /// Sets the rate clamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `alpha_max <= 0`.
-    pub fn with_alpha_max(mut self, alpha_max: f64) -> Self {
-        assert!(alpha_max > 0.0, "alpha_max must be positive");
-        self.alpha_max = alpha_max;
-        self
-    }
-
     /// Sets the curve-recording stride.
     pub fn with_record_every(mut self, every: usize) -> Self {
         self.record_every = every;
@@ -430,10 +419,12 @@ mod tests {
         // the (useless) rate for y.
         let model = Quadratic::isotropic(2, 1.0);
         let tasks = quad_tasks(&[(3.0, 0.0), (-3.0, 0.0), (2.0, 0.0), (-2.0, 0.0)]);
-        let cfg = MetaSgdConfig::new(0.1, 0.05)
-            .with_local_steps(2)
-            .with_rounds(200)
-            .with_alpha_max(5.0);
+        let cfg = MetaSgdConfig {
+            alpha_max: 5.0,
+            ..MetaSgdConfig::new(0.1, 0.05)
+                .with_local_steps(2)
+                .with_rounds(200)
+        };
         let out = MetaSgd::new(cfg).train_from(&model, &tasks, &[0.5, 0.5]);
         assert!(
             out.rates[0] > out.rates[1],
@@ -446,10 +437,12 @@ mod tests {
     fn rates_stay_clamped() {
         let model = Quadratic::isotropic(2, 1.0);
         let tasks = quad_tasks(&[(5.0, 5.0), (-5.0, -5.0)]);
-        let cfg = MetaSgdConfig::new(0.1, 0.2)
-            .with_local_steps(3)
-            .with_rounds(100)
-            .with_alpha_max(0.3);
+        let cfg = MetaSgdConfig {
+            alpha_max: 0.3,
+            ..MetaSgdConfig::new(0.1, 0.2)
+                .with_local_steps(3)
+                .with_rounds(100)
+        };
         let out = MetaSgd::new(cfg).train_from(&model, &tasks, &[0.0, 0.0]);
         assert!(out.rates.iter().all(|&a| (0.0..=0.3).contains(&a)));
     }

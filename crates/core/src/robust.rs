@@ -279,7 +279,7 @@ mod tests {
     use super::*;
     use crate::LocalStepper;
     use fml_data::NodeData;
-    use fml_dro::attack::{fgsm_loss, BoxConstraint};
+    use fml_dro::attack::{fgsm_batch, BoxConstraint};
     use fml_linalg::Matrix;
     use fml_models::SoftmaxRegression;
     use rand::SeedableRng;
@@ -368,21 +368,12 @@ mod tests {
         let task = &tasks[0];
         let adapt_plain = meta::inner_step(&model, &plain.params, &task.split.train, 0.05);
         let adapt_robust = meta::inner_step(&model, &robust.params, &task.split.train, 0.05);
-        let xi = 0.6;
-        let attacked_plain = fgsm_loss(
-            &model,
-            &adapt_plain,
-            &task.split.test,
-            xi,
-            BoxConstraint::None,
-        );
-        let attacked_robust = fgsm_loss(
-            &model,
-            &adapt_robust,
-            &task.split.test,
-            xi,
-            BoxConstraint::None,
-        );
+        let attacked_loss = |params: &[f64]| {
+            let adv = fgsm_batch(&model, params, &task.split.test, 0.6, BoxConstraint::None);
+            model.loss(params, &adv)
+        };
+        let attacked_plain = attacked_loss(&adapt_plain);
+        let attacked_robust = attacked_loss(&adapt_robust);
         assert!(
             attacked_robust < attacked_plain * 1.25,
             "robust model should not be much worse under attack: {attacked_robust} vs {attacked_plain}"

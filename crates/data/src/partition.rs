@@ -90,28 +90,6 @@ pub fn label_windows<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Splits `n` items into `folds` nearly equal contiguous index ranges.
-///
-/// Used for cross-validated target evaluation.
-///
-/// # Panics
-///
-/// Panics when `folds == 0` or `folds > n`.
-pub fn fold_ranges(n: usize, folds: usize) -> Vec<std::ops::Range<usize>> {
-    assert!(folds > 0, "fold_ranges: need at least one fold");
-    assert!(folds <= n, "fold_ranges: more folds than items");
-    let base = n / folds;
-    let extra = n % folds;
-    let mut out = Vec::with_capacity(folds);
-    let mut start = 0;
-    for f in 0..folds {
-        let len = base + usize::from(f < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,29 +155,7 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "all classes represented");
     }
 
-    #[test]
-    fn fold_ranges_partition_exactly() {
-        let ranges = fold_ranges(10, 3);
-        assert_eq!(ranges, vec![0..4, 4..7, 7..10]);
-        let total: usize = ranges.iter().map(|r| r.len()).sum();
-        assert_eq!(total, 10);
-    }
-
     proptest! {
-        #[test]
-        fn prop_fold_ranges_cover_everything(n in 1usize..100, folds_raw in 1usize..10) {
-            let folds = folds_raw.min(n);
-            let ranges = fold_ranges(n, folds);
-            let mut covered = vec![false; n];
-            for r in &ranges {
-                for i in r.clone() {
-                    prop_assert!(!covered[i], "no overlap");
-                    covered[i] = true;
-                }
-            }
-            prop_assert!(covered.iter().all(|&c| c));
-        }
-
         #[test]
         fn prop_power_law_deterministic_given_seed(seed in 0u64..50) {
             let mut r1 = rand::rngs::StdRng::seed_from_u64(seed);

@@ -156,7 +156,7 @@ impl Sent140LikeConfig {
 
 /// Builds a frozen `vocab × dim` embedding table (row per character) with
 /// unit-variance entries — the stand-in for pretrained GloVe vectors.
-pub fn embedding_table<R: Rng + ?Sized>(vocab: usize, dim: usize, rng: &mut R) -> Matrix {
+fn embedding_table<R: Rng + ?Sized>(vocab: usize, dim: usize, rng: &mut R) -> Matrix {
     let normal = Normal::new(0.0, 1.0).expect("unit normal");
     let mut m = Matrix::zeros(vocab, dim);
     for v in m.as_mut_slice() {
@@ -170,7 +170,7 @@ pub fn embedding_table<R: Rng + ?Sized>(vocab: usize, dim: usize, rng: &mut R) -
 /// # Panics
 ///
 /// Panics when the sequence is empty or a character index is out of range.
-pub fn embed_sequence(table: &Matrix, dim: usize, seq: &[usize]) -> Vec<f64> {
+fn embed_sequence(table: &Matrix, dim: usize, seq: &[usize]) -> Vec<f64> {
     assert!(!seq.is_empty(), "embed_sequence: empty sequence");
     let mut pooled = vec![0.0; dim];
     for &c in seq {

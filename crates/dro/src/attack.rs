@@ -2,8 +2,9 @@
 //!
 //! The paper evaluates robustness by attacking the *adapted* model at the
 //! target node with the **Fast Gradient Sign Method** (Goodfellow et al.)
-//! parameterized by `ξ`; Figure 4(e) sweeps `ξ`. PGD is included as the
-//! stronger multi-step attack for the extended robustness ablation.
+//! parameterized by `ξ`; Figure 4(e) sweeps `ξ`. FGSM is the only attack
+//! here: [`fgsm_batch`] perturbs a batch and the caller scores it with
+//! `Model::loss` / `Model::accuracy` (Figures 4(b), 4(d)).
 
 use fml_models::{Batch, Model, Target};
 
@@ -33,7 +34,7 @@ impl BoxConstraint {
 
 /// One-step FGSM perturbation of a single input:
 /// `x_adv = x + ξ·sign(∇ₓ l(θ, (x, y)))`.
-pub fn fgsm(
+fn fgsm(
     model: &dyn Model,
     params: &[f64],
     x: &[f64],
@@ -73,92 +74,6 @@ pub fn fgsm_batch(
     out
 }
 
-/// Projected gradient descent attack: `steps` FGSM-style steps of size
-/// `step_size`, each projected back into the L∞ ball of radius `xi`
-/// around the clean input (the standard PGD-∞ formulation).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pgd {
-    /// L∞ perturbation budget.
-    pub xi: f64,
-    /// Step size per iteration.
-    pub step_size: f64,
-    /// Number of iterations.
-    pub steps: usize,
-    /// Box constraint applied after each step.
-    pub constraint: BoxConstraint,
-}
-
-impl Pgd {
-    /// A standard configuration: `steps` iterations at `2.5·ξ/steps`.
-    pub fn new(xi: f64, steps: usize) -> Self {
-        assert!(steps > 0, "Pgd: need at least one step");
-        Pgd {
-            xi,
-            step_size: 2.5 * xi / steps as f64,
-            steps,
-            constraint: BoxConstraint::None,
-        }
-    }
-
-    /// Sets the box constraint.
-    pub fn with_constraint(mut self, c: BoxConstraint) -> Self {
-        self.constraint = c;
-        self
-    }
-
-    /// Attacks one input.
-    pub fn perturb(&self, model: &dyn Model, params: &[f64], x: &[f64], y: Target) -> Vec<f64> {
-        let mut adv = x.to_vec();
-        for _ in 0..self.steps {
-            let g = model.input_grad(params, &adv, y);
-            let s = fml_linalg::vector::sign(&g);
-            fml_linalg::vector::axpy(self.step_size, &s, &mut adv);
-            // Project onto the L∞ ball around the clean input.
-            for (a, &c) in adv.iter_mut().zip(x) {
-                *a = a.clamp(c - self.xi, c + self.xi);
-            }
-            self.constraint.apply(&mut adv);
-        }
-        adv
-    }
-
-    /// Attacks every sample of a batch.
-    pub fn perturb_batch(&self, model: &dyn Model, params: &[f64], batch: &Batch) -> Batch {
-        let mut out = batch.clone();
-        for i in 0..batch.len() {
-            let adv = self.perturb(model, params, batch.feature(i), batch.target(i));
-            out.set_feature(i, &adv);
-        }
-        out
-    }
-}
-
-/// Accuracy of `model` on an FGSM-attacked copy of `batch` — the paper's
-/// Figure 4(d) metric.
-pub fn fgsm_accuracy(
-    model: &dyn Model,
-    params: &[f64],
-    batch: &Batch,
-    xi: f64,
-    constraint: BoxConstraint,
-) -> f64 {
-    let adv = fgsm_batch(model, params, batch, xi, constraint);
-    model.accuracy(params, &adv)
-}
-
-/// Loss of `model` on an FGSM-attacked copy of `batch` — the paper's
-/// Figure 4(b) metric.
-pub fn fgsm_loss(
-    model: &dyn Model,
-    params: &[f64],
-    batch: &Batch,
-    xi: f64,
-    constraint: BoxConstraint,
-) -> f64 {
-    let adv = fgsm_batch(model, params, batch, xi, constraint);
-    model.loss(params, &adv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,7 +99,8 @@ mod tests {
     fn fgsm_increases_loss() {
         let (model, p, batch) = trained_logistic();
         let clean = model.loss(&p, &batch);
-        let adv = fgsm_loss(&model, &p, &batch, 0.3, BoxConstraint::None);
+        let attacked = fgsm_batch(&model, &p, &batch, 0.3, BoxConstraint::None);
+        let adv = model.loss(&p, &attacked);
         assert!(adv > clean, "FGSM should increase loss: {clean} -> {adv}");
     }
 
@@ -194,7 +110,7 @@ mod tests {
         let adv = fgsm_batch(&model, &p, &batch, 0.2, BoxConstraint::None);
         for i in 0..batch.len() {
             let d: Vec<f64> = fml_linalg::vector::sub(adv.feature(i), batch.feature(i));
-            assert!(fml_linalg::vector::norm_inf(&d) <= 0.2 + 1e-12);
+            assert!(d.iter().all(|v| v.abs() <= 0.2 + 1e-12));
         }
     }
 
@@ -222,41 +138,10 @@ mod tests {
     }
 
     #[test]
-    fn pgd_is_at_least_as_strong_as_fgsm() {
-        let (model, p, batch) = trained_logistic();
-        let xi = 0.3;
-        let fg = fgsm_loss(&model, &p, &batch, xi, BoxConstraint::None);
-        let pgd = Pgd::new(xi, 10);
-        let adv = pgd.perturb_batch(&model, &p, &batch);
-        let pg = model.loss(&p, &adv);
-        assert!(
-            pg >= fg - 1e-6,
-            "multi-step PGD should not be weaker: fgsm {fg}, pgd {pg}"
-        );
-    }
-
-    #[test]
-    fn pgd_respects_budget() {
-        let (model, p, batch) = trained_logistic();
-        let pgd = Pgd::new(0.15, 8);
-        let adv = pgd.perturb_batch(&model, &p, &batch);
-        for i in 0..batch.len() {
-            let d = fml_linalg::vector::sub(adv.feature(i), batch.feature(i));
-            assert!(fml_linalg::vector::norm_inf(&d) <= 0.15 + 1e-12);
-        }
-    }
-
-    #[test]
     fn fgsm_accuracy_not_above_clean_accuracy() {
         let (model, p, batch) = trained_logistic();
         let clean = model.accuracy(&p, &batch);
-        let attacked = fgsm_accuracy(&model, &p, &batch, 0.5, BoxConstraint::None);
-        assert!(attacked <= clean + 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one step")]
-    fn pgd_rejects_zero_steps() {
-        Pgd::new(0.1, 0);
+        let attacked = fgsm_batch(&model, &p, &batch, 0.5, BoxConstraint::None);
+        assert!(model.accuracy(&p, &attacked) <= clean + 1e-12);
     }
 }

@@ -18,8 +18,8 @@
 //!   inner problem (eq. 12), returning the adversarial point `x*` and the
 //!   surrogate value; for `λ > H_xx` the inner objective is strongly
 //!   concave and ascent converges linearly (Theorem 4's regime);
-//! * [`attack`] — evaluation-time attacks: FGSM (used in the paper's
-//!   Figure 4 robustness evaluation) and PGD.
+//! * [`attack`] — the evaluation-time attack: FGSM (used in the paper's
+//!   Figure 4 robustness evaluation).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,11 +11,6 @@ pub enum LinalgError {
         /// Shape actually supplied.
         actual: String,
     },
-    /// A matrix expected to be symmetric positive definite was not.
-    NotPositiveDefinite {
-        /// Index of the pivot that failed.
-        pivot: usize,
-    },
     /// A construction was attempted with inconsistent row lengths.
     RaggedRows {
         /// Length of the first row.
@@ -32,9 +27,6 @@ impl fmt::Display for LinalgError {
         match self {
             LinalgError::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
-            }
-            LinalgError::NotPositiveDefinite { pivot } => {
-                write!(f, "matrix is not positive definite (pivot {pivot})")
             }
             LinalgError::RaggedRows { first, row, len } => write!(
                 f,
@@ -66,11 +58,5 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<LinalgError>();
-    }
-
-    #[test]
-    fn not_positive_definite_reports_pivot() {
-        let err = LinalgError::NotPositiveDefinite { pivot: 3 };
-        assert!(err.to_string().contains("pivot 3"));
     }
 }

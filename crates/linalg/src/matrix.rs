@@ -35,15 +35,6 @@ impl Matrix {
         }
     }
 
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
     /// Creates a matrix from a flat row-major buffer.
     ///
     /// # Errors
@@ -198,19 +189,6 @@ impl Matrix {
         crate::vector::matvec_into(&self.data, x, y);
     }
 
-    /// Transposed matrix–vector product `Aᵀ·x`.
-    ///
-    /// Thin allocating wrapper over [`Matrix::matvec_t_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x.len() != rows`.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.cols];
-        self.matvec_t_into(x, &mut y);
-        y
-    }
-
     /// Transposed matrix–vector product `y ← Aᵀ·x` into a caller-provided
     /// buffer.
     ///
@@ -221,33 +199,6 @@ impl Matrix {
         assert_eq!(x.len(), self.rows, "matvec_t: length mismatch");
         assert_eq!(y.len(), self.cols, "matvec_t_into: output length mismatch");
         crate::vector::matvec_t_into(&self.data, x, y);
-    }
-
-    /// Matrix product `A·B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `self.cols != b.rows`.
-    pub fn matmul(&self, b: &Matrix) -> Result<Matrix> {
-        if self.cols != b.rows {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("{} rows", self.cols),
-                actual: format!("{} rows", b.rows),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, b.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.get(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = b.row(k);
-                let orow = out.row_mut(i);
-                crate::vector::axpy(aik, brow, orow);
-            }
-        }
-        Ok(out)
     }
 
     /// Returns the transpose `Aᵀ`.
@@ -261,24 +212,6 @@ impl Matrix {
         out
     }
 
-    /// Rank-one update `A ← A + a·x·yᵀ` (outer-product accumulate).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x.len() != rows` or `y.len() != cols`.
-    pub fn rank_one_update(&mut self, a: f64, x: &[f64], y: &[f64]) {
-        assert_eq!(x.len(), self.rows, "rank_one_update: x length");
-        assert_eq!(y.len(), self.cols, "rank_one_update: y length");
-        for (row, &xi) in (0..self.rows).zip(x) {
-            crate::vector::axpy(a * xi, y, self.row_mut(row));
-        }
-    }
-
-    /// Frobenius norm `‖A‖_F`.
-    pub fn frobenius_norm(&self) -> f64 {
-        crate::vector::norm2(&self.data)
-    }
-
     /// In-place scalar multiply `A ← a·A`.
     pub fn scale_in_place(&mut self, a: f64) {
         crate::vector::scale_in_place(a, &mut self.data);
@@ -289,7 +222,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics when shapes differ.
-    pub fn add_in_place(&mut self, b: &Matrix) {
+    fn add_in_place(&mut self, b: &Matrix) {
         assert_eq!(
             (self.rows, self.cols),
             (b.rows, b.cols),
@@ -302,7 +235,7 @@ impl Matrix {
     ///
     /// Cheap bound used by the theory module to sanity-check smoothness
     /// constants without an eigensolver.
-    pub fn spectral_norm_bound(&self) -> f64 {
+    fn spectral_norm_bound(&self) -> f64 {
         let inf = self
             .iter_rows()
             .map(|r| r.iter().map(|v| v.abs()).sum::<f64>())
@@ -412,7 +345,7 @@ mod tests {
 
     #[test]
     fn identity_matvec_is_noop() {
-        let id = Matrix::identity(3);
+        let id = Matrix::from_diag(&[1.0; 3]);
         let x = vec![1.0, -2.0, 3.0];
         assert_eq!(id.matvec(&x), x);
     }
@@ -421,32 +354,10 @@ mod tests {
     fn matvec_t_agrees_with_explicit_transpose() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
         let x = vec![1.0, 0.5, -1.0];
-        let got = m.matvec_t(&x);
+        let mut got = vec![0.0; 2];
+        m.matvec_t_into(&x, &mut got);
         let expect = m.transpose().matvec(&x);
         assert!(approx_eq(&got, &expect, 1e-12));
-    }
-
-    #[test]
-    fn matmul_shapes_and_values() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c, Matrix::from_rows(&[&[2.0, 1.0], &[4.0, 3.0]]).unwrap());
-        assert!(a.matmul(&Matrix::zeros(3, 3)).is_err());
-    }
-
-    #[test]
-    fn rank_one_update_builds_outer_product() {
-        let mut m = Matrix::zeros(2, 3);
-        m.rank_one_update(2.0, &[1.0, 0.5], &[1.0, 2.0, 3.0]);
-        assert_eq!(m.row(0), &[2.0, 4.0, 6.0]);
-        assert_eq!(m.row(1), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_manual() {
-        let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]).unwrap();
-        assert_eq!(m.frobenius_norm(), 5.0);
     }
 
     #[test]
@@ -496,16 +407,6 @@ mod tests {
             let lhs = m.matvec(&crate::vector::scale(a, &x));
             let rhs = crate::vector::scale(a, &m.matvec(&x));
             prop_assert!(approx_eq(&lhs, &rhs, 1e-6));
-        }
-
-        #[test]
-        fn prop_matmul_identity(
-            data in proptest::collection::vec(-1e2f64..1e2, 9),
-        ) {
-            let m = Matrix::from_vec(3, 3, data).unwrap();
-            let id = Matrix::identity(3);
-            prop_assert_eq!(m.matmul(&id).unwrap(), m.clone());
-            prop_assert_eq!(id.matmul(&m).unwrap(), m);
         }
     }
 }

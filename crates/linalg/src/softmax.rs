@@ -50,12 +50,6 @@ pub fn softmax_in_place(x: &mut [f64]) {
     }
 }
 
-/// Stable log-softmax: `xᵢ − logΣexp(x)`.
-pub fn log_softmax(x: &[f64]) -> Vec<f64> {
-    let lse = log_sum_exp(x);
-    x.iter().map(|&v| v - lse).collect()
-}
-
 /// Cross-entropy of logits against a one-hot target class:
 /// `−log softmax(logits)[target]`.
 ///
@@ -131,16 +125,6 @@ mod tests {
     #[test]
     fn softmax_empty_is_noop() {
         assert!(softmax(&[]).is_empty());
-    }
-
-    #[test]
-    fn log_softmax_consistent_with_softmax() {
-        let x = [0.1, -2.0, 3.5];
-        let ls = log_softmax(&x);
-        let p = softmax(&x);
-        for (l, q) in ls.iter().zip(&p) {
-            assert!((l.exp() - q).abs() < 1e-12);
-        }
     }
 
     #[test]

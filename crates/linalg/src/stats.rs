@@ -11,7 +11,7 @@ pub fn mean(x: &[f64]) -> f64 {
 }
 
 /// Unbiased sample variance (Bessel-corrected); 0 when fewer than 2 samples.
-pub fn variance(x: &[f64]) -> f64 {
+fn variance(x: &[f64]) -> f64 {
     if x.len() < 2 {
         return 0.0;
     }
@@ -34,138 +34,9 @@ pub fn max(x: &[f64]) -> Option<f64> {
     x.iter().cloned().reduce(f64::max)
 }
 
-/// Linear-interpolated quantile `q ∈ [0, 1]`; `None` for empty input.
-///
-/// # Panics
-///
-/// Panics if `q` is outside `[0, 1]` or NaN.
-pub fn quantile(x: &[f64], q: f64) -> Option<f64> {
-    assert!((0.0..=1.0).contains(&q), "quantile: q must be in [0, 1]");
-    if x.is_empty() {
-        return None;
-    }
-    let mut sorted = x.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("quantile: NaN in data"));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Median (the 0.5 quantile).
-pub fn median(x: &[f64]) -> Option<f64> {
-    quantile(x, 0.5)
-}
-
-/// Pearson correlation coefficient; `None` when undefined (length < 2 or a
-/// zero-variance input).
-///
-/// # Panics
-///
-/// Panics when `x.len() != y.len()`.
-pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
-    assert_eq!(x.len(), y.len(), "pearson: length mismatch");
-    if x.len() < 2 {
-        return None;
-    }
-    let mx = mean(x);
-    let my = mean(y);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (a, b) in x.iter().zip(y) {
-        sxy += (a - mx) * (b - my);
-        sxx += (a - mx) * (a - mx);
-        syy += (b - my) * (b - my);
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return None;
-    }
-    Some(sxy / (sxx * syy).sqrt())
-}
-
-/// Online mean/variance accumulator (Welford's algorithm).
-///
-/// Used by the simulator's metric collectors, which see one observation at a
-/// time across thousands of rounds and cannot afford to buffer everything.
-///
-/// # Examples
-///
-/// ```
-/// use fml_linalg::stats::Running;
-///
-/// let mut r = Running::new();
-/// for v in [2.0, 4.0, 6.0] { r.push(v); }
-/// assert_eq!(r.mean(), 4.0);
-/// assert_eq!(r.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Running {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Running {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one observation.
-    pub fn push(&mut self, v: f64) {
-        self.n += 1;
-        let d = v - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (v - self.mean);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of observations so far; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased variance; 0 when fewer than 2 observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Running) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        self.mean += d * other.n as f64 / n as f64;
-        self.m2 += other.m2 + d * d * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn mean_variance_basics() {
@@ -177,79 +48,9 @@ mod tests {
     }
 
     #[test]
-    fn quantiles() {
-        let x = [3.0, 1.0, 2.0, 4.0];
-        assert_eq!(quantile(&x, 0.0), Some(1.0));
-        assert_eq!(quantile(&x, 1.0), Some(4.0));
-        assert_eq!(median(&x), Some(2.5));
-        assert_eq!(median(&[]), None);
-    }
-
-    #[test]
     fn min_max() {
         assert_eq!(min(&[2.0, -1.0]), Some(-1.0));
         assert_eq!(max(&[2.0, -1.0]), Some(2.0));
         assert_eq!(min(&[]), None);
-    }
-
-    #[test]
-    fn pearson_perfect_correlations() {
-        let x = [1.0, 2.0, 3.0];
-        let y = [2.0, 4.0, 6.0];
-        assert!((pearson(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-        let z = [-2.0, -4.0, -6.0];
-        assert!((pearson(&x, &z).unwrap() + 1.0).abs() < 1e-12);
-        assert_eq!(pearson(&x, &[1.0, 1.0, 1.0]), None);
-    }
-
-    #[test]
-    fn running_matches_batch() {
-        let data = [1.0, 4.0, -2.0, 8.0, 0.5];
-        let mut r = Running::new();
-        for &v in &data {
-            r.push(v);
-        }
-        assert!((r.mean() - mean(&data)).abs() < 1e-12);
-        assert!((r.variance() - variance(&data)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_merge_matches_concatenation() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [10.0, 20.0];
-        let mut ra = Running::new();
-        a.iter().for_each(|&v| ra.push(v));
-        let mut rb = Running::new();
-        b.iter().for_each(|&v| rb.push(v));
-        ra.merge(&rb);
-        let all: Vec<f64> = a.iter().chain(&b).cloned().collect();
-        assert!((ra.mean() - mean(&all)).abs() < 1e-12);
-        assert!((ra.variance() - variance(&all)).abs() < 1e-12);
-        // Merging an empty accumulator is a no-op.
-        let snapshot = ra;
-        ra.merge(&Running::new());
-        assert_eq!(ra, snapshot);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_running_equals_batch(
-            data in proptest::collection::vec(-1e3f64..1e3, 0..64),
-        ) {
-            let mut r = Running::new();
-            data.iter().for_each(|&v| r.push(v));
-            prop_assert!((r.mean() - mean(&data)).abs() < 1e-6);
-            prop_assert!((r.variance() - variance(&data)).abs() < 1e-4);
-        }
-
-        #[test]
-        fn prop_quantile_monotone(
-            data in proptest::collection::vec(-1e3f64..1e3, 1..32),
-            q1 in 0.0f64..1.0,
-            q2 in 0.0f64..1.0,
-        ) {
-            let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-            prop_assert!(quantile(&data, lo).unwrap() <= quantile(&data, hi).unwrap() + 1e-9);
-        }
     }
 }

@@ -63,19 +63,6 @@ pub fn scale(a: f64, x: &[f64]) -> Vec<f64> {
     x.iter().map(|v| a * v).collect()
 }
 
-/// Writes `a·x` into `out` without allocating.
-///
-/// # Panics
-///
-/// Panics if `x.len() != out.len()`.
-#[inline]
-pub fn scale_into(a: f64, x: &[f64], out: &mut [f64]) {
-    assert_eq!(x.len(), out.len(), "scale_into: length mismatch");
-    for (o, xi) in out.iter_mut().zip(x) {
-        *o = a * xi;
-    }
-}
-
 /// Matrix–vector product `y ← A·x` on a flat row-major buffer, without
 /// allocating. The shape is inferred from the vectors: `A` is
 /// `y.len() × x.len()`.
@@ -103,9 +90,7 @@ pub fn matvec_into(a: &[f64], x: &[f64], y: &mut [f64]) {
 /// buffer, without allocating. The shape is inferred from the vectors:
 /// `A` is `x.len() × y.len()`.
 ///
-/// `y` is zeroed and then accumulated one row at a time via [`axpy`], in
-/// the same order as the allocating [`crate::Matrix::matvec_t`], so the
-/// result is bitwise identical.
+/// `y` is zeroed and then accumulated one row at a time via [`axpy`].
 ///
 /// # Panics
 ///
@@ -137,12 +122,6 @@ pub fn norm2(x: &[f64]) -> f64 {
 #[inline]
 pub fn norm2_sq(x: &[f64]) -> f64 {
     dot(x, x)
-}
-
-/// Infinity norm `‖x‖∞`.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |m, v| m.max(v.abs()))
 }
 
 /// Euclidean distance `‖x − y‖₂`.
@@ -189,20 +168,6 @@ pub fn weighted_sum(items: &[&[f64]], weights: &[f64]) -> Option<Vec<f64>> {
     Some(acc)
 }
 
-/// Linear interpolation `(1−t)·x + t·y`.
-///
-/// # Panics
-///
-/// Panics if `x.len() != y.len()`.
-#[inline]
-pub fn lerp(x: &[f64], y: &[f64], t: f64) -> Vec<f64> {
-    assert_eq!(x.len(), y.len(), "lerp: length mismatch");
-    x.iter()
-        .zip(y)
-        .map(|(a, b)| (1.0 - t) * a + t * b)
-        .collect()
-}
-
 /// Clamps every component of `x` into `[lo, hi]` in place.
 ///
 /// # Panics
@@ -230,25 +195,6 @@ pub fn sign(x: &[f64]) -> Vec<f64> {
             }
         })
         .collect()
-}
-
-/// Projects `x` onto the L2 ball of radius `r` centred at `c` in place.
-///
-/// Used by projected-gradient adversarial attacks.
-///
-/// # Panics
-///
-/// Panics if `x.len() != c.len()` or `r < 0`.
-pub fn project_l2_ball(x: &mut [f64], c: &[f64], r: f64) {
-    assert_eq!(x.len(), c.len(), "project_l2_ball: length mismatch");
-    assert!(r >= 0.0, "project_l2_ball: radius must be non-negative");
-    let d = dist2(x, c);
-    if d > r && d > 0.0 {
-        let t = r / d;
-        for (xi, ci) in x.iter_mut().zip(c) {
-            *xi = ci + (*xi - ci) * t;
-        }
-    }
 }
 
 /// Returns the index of the maximum element, breaking ties toward the lowest
@@ -316,16 +262,7 @@ mod tests {
     fn norms_and_distance() {
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(norm2_sq(&[3.0, 4.0]), 25.0);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
         assert_eq!(dist2(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
-    }
-
-    #[test]
-    fn scale_into_matches_scale() {
-        let x = vec![1.0, -2.0, 0.5];
-        let mut out = vec![9.0; 3];
-        scale_into(-3.0, &x, &mut out);
-        assert_eq!(out, scale(-3.0, &x));
     }
 
     #[test]
@@ -369,14 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn lerp_endpoints() {
-        let x = vec![0.0, 1.0];
-        let y = vec![2.0, 3.0];
-        assert_eq!(lerp(&x, &y, 0.0), x);
-        assert_eq!(lerp(&x, &y, 1.0), y);
-    }
-
-    #[test]
     fn sign_of_zero_is_zero() {
         assert_eq!(sign(&[-2.0, 0.0, 5.0]), vec![-1.0, 0.0, 1.0]);
     }
@@ -386,22 +315,6 @@ mod tests {
         let mut x = vec![-2.0, 0.5, 9.0];
         clamp_in_place(&mut x, 0.0, 1.0);
         assert_eq!(x, vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn projection_inside_ball_is_identity() {
-        let c = vec![0.0, 0.0];
-        let mut x = vec![0.3, 0.4];
-        project_l2_ball(&mut x, &c, 1.0);
-        assert_eq!(x, vec![0.3, 0.4]);
-    }
-
-    #[test]
-    fn projection_outside_ball_lands_on_surface() {
-        let c = vec![1.0, 1.0];
-        let mut x = vec![4.0, 5.0];
-        project_l2_ball(&mut x, &c, 2.5);
-        assert!((dist2(&x, &c) - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -436,17 +349,6 @@ mod tests {
         ) {
             let y: Vec<f64> = x.iter().map(|v| -v + 1.0).collect();
             prop_assert!(norm2(&add(&x, &y)) <= norm2(&x) + norm2(&y) + 1e-9);
-        }
-
-        #[test]
-        fn prop_projection_never_leaves_ball(
-            x in proptest::collection::vec(-1e2f64..1e2, 1..8),
-            r in 0.0f64..10.0,
-        ) {
-            let c = vec![0.0; x.len()];
-            let mut p = x.clone();
-            project_l2_ball(&mut p, &c, r);
-            prop_assert!(dist2(&p, &c) <= r + 1e-9);
         }
 
         #[test]

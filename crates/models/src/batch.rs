@@ -257,36 +257,6 @@ impl Batch {
     pub fn set_feature(&mut self, i: usize, x: &[f64]) {
         self.xs.row_mut(i).copy_from_slice(x);
     }
-
-    /// Splits the batch into shuffled minibatches of (up to) `size`
-    /// samples; the final minibatch may be smaller. Useful for stochastic
-    /// local training on devices whose full local dataset is too large for
-    /// one gradient step.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `size == 0`.
-    pub fn minibatches<R: rand::Rng + ?Sized>(&self, size: usize, rng: &mut R) -> Vec<Batch> {
-        assert!(size > 0, "minibatches: size must be positive");
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        // Fisher–Yates shuffle.
-        for i in (1..order.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            order.swap(i, j);
-        }
-        order.chunks(size).map(|idx| self.select(idx)).collect()
-    }
-
-    /// Largest class index present plus one; 0 when there are no class
-    /// targets.
-    pub fn inferred_classes(&self) -> usize {
-        self.ys
-            .iter()
-            .filter_map(|t| t.class())
-            .map(|c| c + 1)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -319,7 +289,6 @@ mod tests {
         assert_eq!(b.dim(), 2);
         assert_eq!(b.feature(1), &[3.0, 4.0]);
         assert_eq!(b.target(2), Target::Class(0));
-        assert_eq!(b.inferred_classes(), 2);
     }
 
     #[test]
@@ -381,36 +350,6 @@ mod tests {
         let json = serde_json::to_string(&b).unwrap();
         let back: Batch = serde_json::from_str(&json).unwrap();
         assert_eq!(b, back);
-    }
-
-    #[test]
-    fn minibatches_partition_all_samples() {
-        use rand::SeedableRng;
-        let xs = Matrix::zeros(10, 2);
-        let b = Batch::classification(xs, (0..10).map(|i| i % 3).collect()).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let parts = b.minibatches(3, &mut rng);
-        assert_eq!(parts.len(), 4);
-        assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), 10);
-        assert_eq!(parts[0].len(), 3);
-        assert_eq!(parts[3].len(), 1);
-        // Every label count is preserved across the partition.
-        let mut counts = [0usize; 3];
-        for p in &parts {
-            for (_, y) in p.iter() {
-                counts[y.expect_class()] += 1;
-            }
-        }
-        assert_eq!(counts, [4, 3, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "size must be positive")]
-    fn minibatches_reject_zero_size() {
-        use rand::SeedableRng;
-        let b = sample_batch();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        b.minibatches(0, &mut rng);
     }
 
     #[test]

@@ -179,18 +179,13 @@ impl MlpBuilder {
 
 impl Mlp {
     /// Number of layers (weight matrices).
-    pub fn layer_count(&self) -> usize {
+    fn layer_count(&self) -> usize {
         self.dims.len() - 1
     }
 
     /// Number of output classes.
     pub fn classes(&self) -> usize {
         *self.dims.last().expect("dims nonempty")
-    }
-
-    /// The hidden activation in use.
-    pub fn activation_fn(&self) -> Activation {
-        self.activation
     }
 
     /// `W_l·v + b_l` for layer `l`, reading from an arbitrary flat buffer

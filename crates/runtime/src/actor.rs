@@ -105,7 +105,7 @@ pub(crate) struct WorkerCtx<'a> {
 /// transport peer), so the steady-state round touches the allocator only
 /// for the frames themselves (a pool miss, the refcount behind a frozen
 /// buffer) — the step performs no allocation.
-pub(crate) struct StepScratch {
+struct StepScratch {
     global: Vec<f64>,
     step: Scratch,
     update: Vec<f64>,
@@ -121,7 +121,7 @@ pub(crate) struct StepScratch {
 }
 
 impl StepScratch {
-    pub(crate) fn new(model: &dyn Model) -> Self {
+    fn new(model: &dyn Model) -> Self {
         StepScratch {
             global: Vec::new(),
             step: Scratch::for_model(model),

@@ -169,56 +169,10 @@ impl AsyncPolicy {
         self
     }
 
-    /// Sets the base mixing rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mix` is outside `(0, 1]`.
-    pub fn with_mix(mut self, mix: f64) -> Self {
-        assert!(mix > 0.0 && mix <= 1.0, "mix must be in (0, 1]");
-        self.mix = mix;
-        self
-    }
-
-    /// Sets the staleness-decay exponent.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `a` is negative or non-finite.
-    pub fn with_decay_pow(mut self, a: f64) -> Self {
-        assert!(a >= 0.0 && a.is_finite(), "decay exponent must be ≥ 0");
-        self.decay_pow = a;
-        self
-    }
-
-    /// Sets the staleness-decay family.
-    pub fn with_decay(mut self, decay: StalenessDecay) -> Self {
-        self.decay = decay;
-        self
-    }
-
-    /// Sets the semi-async buffer size (aggregate every `k` arrivals).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k == 0`.
-    pub fn with_buffer(mut self, k: usize) -> Self {
-        assert!(k > 0, "buffer size must be at least 1");
-        self.buffer_k = k;
-        self
-    }
-
-    /// Enables or disables per-node adaptive mixing.
-    pub fn with_adaptive_mix(mut self, on: bool) -> Self {
-        self.adaptive_mix = on;
-        self
-    }
-
-    /// Checks every field, including ones set by direct struct
-    /// construction that bypass the builder assertions. The CLI and the
-    /// platform call this before trusting a policy; [`weight`]
-    /// additionally refuses to emit a non-finite result, so a bad
-    /// policy that slips through degrades to rejected updates rather
+    /// Checks every field — the one gate between the public fields and
+    /// the fold loop. The CLI calls this before trusting a policy;
+    /// [`weight`] additionally refuses to emit a non-finite result, so a
+    /// bad policy that slips through degrades to rejected updates rather
     /// than NaN-poisoning the global model.
     ///
     /// [`weight`]: AsyncPolicy::weight
@@ -253,11 +207,11 @@ impl AsyncPolicy {
     /// The staleness-decayed mixing weight for node weight `omega` in a
     /// fleet of `n`, at staleness `s`.
     ///
-    /// NaN-safe: a policy with non-finite fields (possible through
-    /// direct struct construction, which bypasses the builder
-    /// assertions) yields [`f64::NAN`] rather than a silently-clamped
-    /// garbage weight — the platform rejects such updates and counts
-    /// them in the report instead of folding NaN into the global model.
+    /// NaN-safe: a policy with non-finite fields (one that skipped
+    /// [`validate`](AsyncPolicy::validate)) yields [`f64::NAN`] rather
+    /// than a silently-clamped garbage weight — the platform rejects
+    /// such updates and counts them in the report instead of folding NaN
+    /// into the global model.
     pub fn weight(&self, omega: f64, n: usize, s: usize) -> f64 {
         let raw = self.mix * omega * n as f64 * self.decay_factor(s);
         if raw.is_finite() {
@@ -373,39 +327,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the wall-clock receive timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `ms == 0`.
-    pub fn with_recv_timeout_ms(mut self, ms: u64) -> Self {
-        assert!(ms > 0, "receive timeout must be positive");
-        self.recv_timeout_ms = ms;
-        self
-    }
-
-    /// Sets the fleet join timeout for socket transports.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `ms == 0`.
-    pub fn with_join_timeout_ms(mut self, ms: u64) -> Self {
-        assert!(ms > 0, "join timeout must be positive");
-        self.join_timeout_ms = ms;
-        self
-    }
-
-    /// Sets the virtual round duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `d` is not positive and finite.
-    pub fn with_round_duration(mut self, d: f64) -> Self {
-        assert!(d > 0.0 && d.is_finite(), "round duration must be positive");
-        self.round_duration_s = d;
-        self
-    }
-
     /// Sets the virtual clock.
     pub fn with_clock(mut self, clock: VirtualClock) -> Self {
         self.clock = clock;
@@ -457,13 +378,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Disables resuming from an existing checkpoint (fresh start, the
-    /// directory is still written to).
-    pub fn without_resume(mut self) -> Self {
-        self.checkpoint.resume = false;
-        self
-    }
-
     /// Sets the update codec the node actors encode replies with.
     ///
     /// # Panics
@@ -492,7 +406,10 @@ mod tests {
 
     #[test]
     fn async_weight_decays_with_staleness() {
-        let p = AsyncPolicy::default().with_mix(0.8).with_decay_pow(1.0);
+        let p = AsyncPolicy {
+            mix: 0.8,
+            ..AsyncPolicy::default()
+        };
         let w0 = p.weight(0.25, 4, 0);
         let w1 = p.weight(0.25, 4, 1);
         let w3 = p.weight(0.25, 4, 3);
@@ -503,24 +420,20 @@ mod tests {
 
     #[test]
     fn async_weight_is_clamped() {
-        let p = AsyncPolicy::default().with_mix(1.0).with_decay_pow(0.0);
+        let p = AsyncPolicy {
+            mix: 1.0,
+            decay_pow: 0.0,
+            ..AsyncPolicy::default()
+        };
         // A node holding 90% of the data would overshoot 1.0 unclamped.
         assert_eq!(p.weight(0.9, 4, 0), 1.0);
     }
 
     #[test]
     fn builders_roundtrip() {
-        let cfg = RuntimeConfig::barrier(5)
-            .with_threads(3)
-            .with_mailbox_cap(4)
-            .with_recv_timeout_ms(100)
-            .with_join_timeout_ms(1_500)
-            .with_round_duration(2.5);
+        let cfg = RuntimeConfig::barrier(5).with_threads(3).with_mailbox_cap(4);
         assert_eq!(cfg.threads, Some(3));
         assert_eq!(cfg.mailbox_cap, 4);
-        assert_eq!(cfg.recv_timeout_ms, 100);
-        assert_eq!(cfg.join_timeout_ms, 1_500);
-        assert_eq!(cfg.round_duration_s, 2.5);
         assert!(cfg.async_policy().is_none());
         let a = RuntimeConfig::async_mode(5, AsyncPolicy::default().with_max_staleness(2));
         assert_eq!(a.async_policy().unwrap().max_staleness, 2);
@@ -540,7 +453,6 @@ mod tests {
         assert_eq!(cfg.checkpoint.dir.as_deref(), Some(std::path::Path::new("/tmp/ck")));
         assert_eq!(cfg.checkpoint.every, 3);
         assert!(cfg.checkpoint.resume);
-        assert!(!cfg.clone().without_resume().checkpoint.resume);
         assert_eq!(cfg.without_recovery().recovery.max_recoveries, 0);
     }
 
@@ -565,29 +477,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mix must be")]
-    fn zero_mix_rejected() {
-        let _ = AsyncPolicy::default().with_mix(0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "thread count")]
     fn zero_threads_rejected() {
         let _ = RuntimeConfig::barrier(0).with_threads(0);
     }
 
     #[test]
-    #[should_panic(expected = "buffer size")]
-    fn zero_buffer_rejected() {
-        let _ = AsyncPolicy::default().with_buffer(0);
-    }
-
-    #[test]
     fn hinge_decay_is_flat_up_to_the_knee() {
-        let p = AsyncPolicy::default()
-            .with_mix(0.8)
-            .with_decay_pow(1.0)
-            .with_decay(StalenessDecay::Hinge { knee: 2 });
+        let p = AsyncPolicy {
+            mix: 0.8,
+            decay: StalenessDecay::Hinge { knee: 2 },
+            ..AsyncPolicy::default()
+        };
         let w0 = p.weight(0.25, 4, 0);
         assert_eq!(w0, p.weight(0.25, 4, 1), "inside the knee: no decay");
         assert_eq!(w0, p.weight(0.25, 4, 2));
@@ -598,9 +499,11 @@ mod tests {
 
     #[test]
     fn const_decay_ignores_staleness() {
-        let p = AsyncPolicy::default()
-            .with_mix(0.8)
-            .with_decay(StalenessDecay::Const);
+        let p = AsyncPolicy {
+            mix: 0.8,
+            decay: StalenessDecay::Const,
+            ..AsyncPolicy::default()
+        };
         assert_eq!(p.weight(0.25, 4, 0), p.weight(0.25, 4, 100));
     }
 
@@ -614,8 +517,6 @@ mod tests {
 
     #[test]
     fn validate_catches_fields_set_directly() {
-        // Direct struct construction bypasses the builder assertions —
-        // exactly the hole `validate` exists to close.
         let ok = AsyncPolicy::default();
         assert!(ok.validate().is_ok());
         let bad = |p: AsyncPolicy| p.validate().unwrap_err();
@@ -673,10 +574,8 @@ mod tests {
                 1 => StalenessDecay::Const,
                 _ => StalenessDecay::Hinge { knee },
             };
-            let p = AsyncPolicy::default()
-                .with_mix(mix)
-                .with_decay_pow(a)
-                .with_decay(decay);
+            let p = AsyncPolicy { mix, decay_pow: a, decay, ..AsyncPolicy::default() };
+            prop_assert_eq!(p.validate(), Ok(()));
             let mut prev = f64::INFINITY;
             for s in 0..16usize {
                 let w = p.weight(omega, n, s);

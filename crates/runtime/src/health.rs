@@ -53,42 +53,6 @@ impl Default for HealthPolicy {
     }
 }
 
-impl HealthPolicy {
-    /// Sets the suspect threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n == 0`.
-    pub fn with_suspect_after(mut self, n: u32) -> Self {
-        assert!(n > 0, "suspect threshold must be at least 1");
-        self.suspect_after = n;
-        self
-    }
-
-    /// Sets the quarantine threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n == 0`.
-    pub fn with_quarantine_after(mut self, n: u32) -> Self {
-        assert!(n > 0, "quarantine threshold must be at least 1");
-        self.quarantine_after = n;
-        self
-    }
-
-    /// Sets (or disables, with `None`) the readmission delay.
-    pub fn with_readmit_after(mut self, rounds: Option<usize>) -> Self {
-        self.readmit_after = rounds;
-        self
-    }
-
-    /// Sets the probation length.
-    pub fn with_probation_rounds(mut self, n: u32) -> Self {
-        self.probation_rounds = n;
-        self
-    }
-}
-
 /// Where a node currently sits in the health state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NodeHealth {
@@ -338,11 +302,12 @@ mod tests {
     use super::*;
 
     fn fast_policy() -> HealthPolicy {
-        HealthPolicy::default()
-            .with_suspect_after(2)
-            .with_quarantine_after(3)
-            .with_readmit_after(Some(2))
-            .with_probation_rounds(2)
+        HealthPolicy {
+            suspect_after: 2,
+            quarantine_after: 3,
+            readmit_after: Some(2),
+            probation_rounds: 2,
+        }
     }
 
     #[test]
@@ -406,7 +371,10 @@ mod tests {
 
     #[test]
     fn no_readmission_when_disabled() {
-        let policy = fast_policy().with_readmit_after(None);
+        let policy = HealthPolicy {
+            readmit_after: None,
+            ..fast_policy()
+        };
         let mut t = HealthTracker::new(1, policy);
         for r in 1..=3 {
             t.record_failure(0, r);

@@ -312,7 +312,7 @@ impl Runtime {
         // uplink is unbounded so actors never block sending — it holds
         // at most one frame per live node per round because the
         // platform drains it every round.
-        let (fleet, node_links) = channel_fleet(n, self.cfg.mailbox_cap);
+        let (senders, uplink, node_links) = channel_fleet(n, self.cfg.mailbox_cap);
         let ctx = WorkerCtx {
             stepper,
             model,
@@ -349,14 +349,14 @@ impl Runtime {
                     .map(|h| h.join().expect("runtime worker panicked"));
                 joined.flatten().collect()
             };
-            let peers = Peers::Direct(fleet.senders);
+            let peers = Peers::Direct(senders);
             self.drive(
                 stepper,
                 model,
                 tasks,
                 theta0,
                 peers,
-                fleet.uplink,
+                uplink,
                 "channel",
                 workers,
                 join_workers,
@@ -1418,7 +1418,6 @@ mod tests {
         let trainer = fedml(8);
         let policy = AsyncPolicy::default().with_max_staleness(1);
         let cfg = RuntimeConfig::async_mode(5, policy)
-            .with_round_duration(1.0)
             .with_clock(VirtualClock::new(5).with_base_delay(0.1).with_jitter(3.0));
         let out = Runtime::new(cfg).run(&trainer, &model, &tasks, &theta0);
         assert!(out.report.staleness_hist.len() <= 2);
@@ -1434,9 +1433,11 @@ mod tests {
     fn crashed_fleet_degrades_and_terminates() {
         let (model, tasks, theta0) = setup(4);
         let trainer = fedml(3);
-        let cfg = RuntimeConfig::barrier(2)
-            .with_faults(FaultPlan::new(2).with_crash_from(1, 1).with_crash_from(2, 1))
-            .with_recv_timeout_ms(5_000);
+        let cfg = RuntimeConfig {
+            recv_timeout_ms: 5_000,
+            ..RuntimeConfig::barrier(2)
+                .with_faults(FaultPlan::new(2).with_crash_from(1, 1).with_crash_from(2, 1))
+        };
         let out = Runtime::new(cfg).run(&trainer, &model, &tasks, &theta0);
         assert_eq!(out.report.degraded_rounds, 3, "every round misses nodes");
         assert_eq!(out.train.history.len(), 3);
@@ -1577,7 +1578,6 @@ mod tests {
                 5,
                 AsyncPolicy::default().with_max_staleness(max_staleness),
             )
-            .with_round_duration(1.0)
             .with_clock(VirtualClock::new(5).with_base_delay(2.0))
         };
 
@@ -1615,7 +1615,6 @@ mod tests {
         };
         let out = Runtime::new(
             RuntimeConfig::async_mode(5, policy)
-                .with_round_duration(1.0)
                 .with_clock(VirtualClock::new(5).with_base_delay(0.1)),
         )
         .run(&trainer, &model, &tasks, &theta0);
@@ -1630,8 +1629,7 @@ mod tests {
     fn buffered_mode_flushes_every_k_and_drains_at_shutdown() {
         let (model, tasks, theta0) = setup(4);
         let trainer = fedml(6);
-        let cfg = RuntimeConfig::async_mode(5, AsyncPolicy::default().with_buffer(3))
-            .with_round_duration(1.0)
+        let cfg = RuntimeConfig::async_mode(5, AsyncPolicy { buffer_k: 3, ..AsyncPolicy::default() })
             .with_clock(VirtualClock::new(5).with_base_delay(0.1).with_jitter(1.5));
         let out = Runtime::new(cfg).run(&trainer, &model, &tasks, &theta0);
         let accepted = out.report.accepted_updates();
@@ -1650,9 +1648,8 @@ mod tests {
         let cfg = |adaptive| {
             RuntimeConfig::async_mode(
                 5,
-                AsyncPolicy::default().with_adaptive_mix(adaptive),
+                AsyncPolicy { adaptive_mix: adaptive, ..AsyncPolicy::default() },
             )
-            .with_round_duration(1.0)
             .with_clock(VirtualClock::new(5).with_base_delay(0.1).with_jitter(2.5))
         };
         let plain = Runtime::new(cfg(false)).run(&trainer, &model, &tasks, &theta0);
@@ -1692,13 +1689,14 @@ mod tests {
     fn async_report_carries_the_policy_block() {
         let (model, tasks, theta0) = setup(3);
         let trainer = fedml(4);
-        let policy = AsyncPolicy::default()
-            .with_decay(crate::config::StalenessDecay::Hinge { knee: 1 })
-            .with_buffer(2)
-            .with_adaptive_mix(true);
+        let policy = AsyncPolicy {
+            decay: crate::config::StalenessDecay::Hinge { knee: 1 },
+            buffer_k: 2,
+            adaptive_mix: true,
+            ..AsyncPolicy::default()
+        };
         let out = Runtime::new(
             RuntimeConfig::async_mode(5, policy)
-                .with_round_duration(1.0)
                 .with_clock(VirtualClock::new(5).with_base_delay(0.1).with_jitter(1.0)),
         )
         .run(&trainer, &model, &tasks, &theta0);

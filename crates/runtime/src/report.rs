@@ -334,9 +334,10 @@ mod tests {
             rejected_invalid: 1,
             rejected_nonfinite_weight: 0,
             buffered_flushes: 4,
-            async_policy: Some(AsyncPolicyReport::from(
-                &AsyncPolicy::default().with_buffer(2),
-            )),
+            async_policy: Some(AsyncPolicyReport::from(&AsyncPolicy {
+                buffer_k: 2,
+                ..AsyncPolicy::default()
+            })),
             node_weight_stats: vec![NodeWeightStat {
                 node: 0,
                 applied: 10,
@@ -437,11 +438,13 @@ mod tests {
 
     #[test]
     fn async_policy_report_captures_the_policy() {
-        let p = AsyncPolicy::default()
-            .with_decay(crate::config::StalenessDecay::Hinge { knee: 2 })
-            .with_decay_pow(0.5)
-            .with_buffer(4)
-            .with_adaptive_mix(true);
+        let p = AsyncPolicy {
+            decay: crate::config::StalenessDecay::Hinge { knee: 2 },
+            decay_pow: 0.5,
+            buffer_k: 4,
+            adaptive_mix: true,
+            ..AsyncPolicy::default()
+        };
         let rep = AsyncPolicyReport::from(&p);
         assert_eq!(rep.decay, "hinge:2");
         assert_eq!(rep.decay_pow, 0.5);

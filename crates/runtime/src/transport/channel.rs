@@ -125,20 +125,15 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// The platform side of an in-process fleet: the raw mailbox senders
-/// (for `try_send` broadcast) plus the merged uplink all node ends
-/// share — exactly the topology the runtime used before the seam.
-pub(crate) struct ChannelFleet {
-    /// Bounded mailbox sender per node, indexed by node id.
-    pub senders: Vec<SyncSender<Bytes>>,
-    /// Merged node → platform frame stream.
-    pub uplink: Receiver<Bytes>,
-}
-
-/// Builds the in-process fleet: the platform's [`ChannelFleet`] plus
-/// one node-end [`ChannelTransport`] per node (sharing one unbounded
-/// uplink, like the pre-seam wiring).
-pub(crate) fn channel_fleet(n: usize, mailbox_cap: usize) -> (ChannelFleet, Vec<ChannelTransport>) {
+/// Builds the in-process fleet. The platform side is the raw bounded
+/// mailbox sender per node, indexed by node id (for `try_send`
+/// broadcast), plus the merged node → platform frame stream every node
+/// end shares — exactly the topology the runtime used before the seam;
+/// the node side is one [`ChannelTransport`] per node.
+pub(crate) fn channel_fleet(
+    n: usize,
+    mailbox_cap: usize,
+) -> (Vec<SyncSender<Bytes>>, Receiver<Bytes>, Vec<ChannelTransport>) {
     let (up_tx, up_rx) = channel::<Bytes>();
     let mut senders = Vec::with_capacity(n);
     let mut nodes = Vec::with_capacity(n);
@@ -150,13 +145,7 @@ pub(crate) fn channel_fleet(n: usize, mailbox_cap: usize) -> (ChannelFleet, Vec<
             down_rx,
         ));
     }
-    (
-        ChannelFleet {
-            senders,
-            uplink: up_rx,
-        },
-        nodes,
-    )
+    (senders, up_rx, nodes)
 }
 
 #[cfg(test)]
@@ -222,16 +211,16 @@ mod tests {
 
     #[test]
     fn fleet_merges_uplinks() {
-        let (fleet, mut nodes) = channel_fleet(3, 2);
+        let (senders, uplink, mut nodes) = channel_fleet(3, 2);
         for (i, node) in nodes.iter_mut().enumerate() {
             node.send_frame(&frame(i as u8)).unwrap();
         }
         let mut got = Vec::new();
         for _ in 0..3 {
-            got.push(fleet.uplink.recv_timeout(Duration::from_secs(1)).unwrap());
+            got.push(uplink.recv_timeout(Duration::from_secs(1)).unwrap());
         }
         got.sort_by_key(|f| f[0]);
         assert_eq!(got, vec![frame(0), frame(1), frame(2)]);
-        assert_eq!(fleet.senders.len(), 3);
+        assert_eq!(senders.len(), 3);
     }
 }

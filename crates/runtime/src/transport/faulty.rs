@@ -98,12 +98,6 @@ impl LinkFaultPlan {
         self
     }
 
-    /// Scripts a disconnect after `n` sends.
-    pub fn with_disconnect_after_sends(mut self, n: u64) -> Self {
-        self.disconnect_after_sends = Some(n);
-        self
-    }
-
     /// Scripts a disconnect after `n` receives.
     pub fn with_disconnect_after_recvs(mut self, n: u64) -> Self {
         self.disconnect_after_recvs = Some(n);
@@ -337,7 +331,10 @@ mod tests {
         let (p, mut n) = ChannelTransport::pair(4);
         let mut tx = FaultyTransport::new(
             Box::new(p),
-            LinkFaultPlan::new(4).with_disconnect_after_sends(2),
+            LinkFaultPlan {
+                disconnect_after_sends: Some(2),
+                ..LinkFaultPlan::new(4)
+            },
         );
         tx.send_frame(&frame()).unwrap();
         tx.send_frame(&frame()).unwrap();
@@ -376,7 +373,10 @@ mod tests {
         let (p, _n) = ChannelTransport::pair(4);
         let mut a = FaultyTransport::new(
             Box::new(p),
-            LinkFaultPlan::new(6).with_disconnect_after_sends(2),
+            LinkFaultPlan {
+                disconnect_after_sends: Some(2),
+                ..LinkFaultPlan::new(6)
+            },
         );
         let mut b = a.try_clone().unwrap();
         a.send_frame(&frame()).unwrap();

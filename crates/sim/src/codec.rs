@@ -60,7 +60,7 @@ const TAG_COMPRESSED: u8 = 6;
 pub const COMPRESSED_MIN_VERSION: u8 = 2;
 
 /// Codec subheader size in bytes (scheme + meta_a + meta_b + meta_c).
-pub const CODEC_SUBHEADER_LEN: usize = 1 + 1 + 2 + 4;
+const CODEC_SUBHEADER_LEN: usize = 1 + 1 + 2 + 4;
 
 /// Parameters per quantization chunk emitted by
 /// [`encode_update_compressed_into`]. The wire carries the chunk size,
@@ -1146,10 +1146,11 @@ mod tests {
             let frame = encode(codec, 5, 2, &params).freeze();
             let stream = prefix_frame(&frame);
             let mut fb = FrameBuffer::new();
+            let pool = crate::FramePool::new();
             let mut out = Vec::new();
             for piece in stream.chunks(cut) {
                 fb.extend(piece);
-                while let Some(f) = fb.next_frame().unwrap() {
+                while let Some(f) = fb.next_frame_pooled(&pool).unwrap() {
                     out.push(f);
                 }
             }

@@ -94,7 +94,8 @@ pub fn prefix_frame_into(frame: &[u8], out: &mut Vec<u8>) {
 /// Incremental length-prefixed frame extractor.
 ///
 /// Feed arbitrary byte chunks with [`extend`](FrameBuffer::extend); pop
-/// complete frames with [`next_frame`](FrameBuffer::next_frame).
+/// complete frames with
+/// [`next_frame_pooled`](FrameBuffer::next_frame_pooled).
 /// Partial prefixes and partial payloads simply stay buffered until the
 /// missing bytes arrive, so any split or coalescing the transport
 /// applies is invisible to the caller.
@@ -123,7 +124,10 @@ impl FrameBuffer {
         self.buf.len() - self.start
     }
 
-    /// Pops the next complete frame, if one is buffered.
+    /// Pops the next complete frame, if one is buffered, into storage
+    /// acquired from `pool` — the receive-side half of the
+    /// zero-allocation steady state. Consumers hand the frame back via
+    /// [`FramePool::recycle`] once they are done with it.
     ///
     /// Returns `Ok(None)` when the buffered bytes end mid-prefix or
     /// mid-frame (truncation is not an error at this layer — more bytes
@@ -135,25 +139,7 @@ impl FrameBuffer {
     /// more than [`MAX_FRAME_LEN`] bytes. The buffer is poisoned from
     /// that point on: the same error is returned on every later call,
     /// because a desynchronized stream has no frame boundaries left.
-    pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameError> {
-        self.pop_frame(None)
-    }
-
-    /// Like [`next_frame`](FrameBuffer::next_frame), but the returned
-    /// frame's storage is acquired from `pool` instead of allocated —
-    /// the receive-side half of the zero-allocation steady state.
-    /// Consumers hand the frame back via [`FramePool::recycle`] once
-    /// they are done with it.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`next_frame`](FrameBuffer::next_frame), including
-    /// the poisoning behaviour.
     pub fn next_frame_pooled(&mut self, pool: &FramePool) -> Result<Option<Bytes>, FrameError> {
-        self.pop_frame(Some(pool))
-    }
-
-    fn pop_frame(&mut self, pool: Option<&FramePool>) -> Result<Option<Bytes>, FrameError> {
         let avail = &self.buf[self.start..];
         if avail.len() < LENGTH_PREFIX_LEN {
             return Ok(None);
@@ -170,14 +156,9 @@ impl FrameBuffer {
             return Ok(None);
         }
         let payload = &avail[LENGTH_PREFIX_LEN..LENGTH_PREFIX_LEN + len];
-        let frame = match pool {
-            Some(pool) => {
-                let mut buf = pool.acquire(len);
-                buf.put_slice(payload);
-                buf.freeze()
-            }
-            None => Bytes::copy_from_slice(payload),
-        };
+        let mut frame = pool.acquire(len);
+        frame.put_slice(payload);
+        let frame = frame.freeze();
         self.start += LENGTH_PREFIX_LEN + len;
         self.compact();
         Ok(Some(frame))
@@ -209,9 +190,10 @@ mod tests {
     fn whole_frame_roundtrips() {
         let frame = sample(3);
         let mut fb = FrameBuffer::new();
+        let pool = FramePool::new();
         fb.extend(&prefix_frame(&frame));
-        assert_eq!(fb.next_frame().unwrap().unwrap(), frame);
-        assert_eq!(fb.next_frame().unwrap(), None);
+        assert_eq!(fb.next_frame_pooled(&pool).unwrap().unwrap(), frame);
+        assert_eq!(fb.next_frame_pooled(&pool).unwrap(), None);
         assert_eq!(fb.pending(), 0);
     }
 
@@ -220,9 +202,10 @@ mod tests {
         let frame = sample(9);
         let wire = prefix_frame(&frame);
         let mut fb = FrameBuffer::new();
+        let pool = FramePool::new();
         for (i, &b) in wire.iter().enumerate() {
             fb.extend(&[b]);
-            let got = fb.next_frame().unwrap();
+            let got = fb.next_frame_pooled(&pool).unwrap();
             if i + 1 < wire.len() {
                 assert_eq!(got, None, "no frame before byte {}", wire.len());
             } else {
@@ -239,11 +222,12 @@ mod tests {
             wire.extend_from_slice(&prefix_frame(f));
         }
         let mut fb = FrameBuffer::new();
+        let pool = FramePool::new();
         fb.extend(&wire);
         for f in &frames {
-            assert_eq!(&fb.next_frame().unwrap().unwrap(), f);
+            assert_eq!(&fb.next_frame_pooled(&pool).unwrap().unwrap(), f);
         }
-        assert_eq!(fb.next_frame().unwrap(), None);
+        assert_eq!(fb.next_frame_pooled(&pool).unwrap(), None);
     }
 
     #[test]
@@ -251,17 +235,19 @@ mod tests {
         let frame = sample(1);
         let wire = prefix_frame(&frame);
         let mut fb = FrameBuffer::new();
+        let pool = FramePool::new();
         fb.extend(&wire[..wire.len() - 1]);
-        assert_eq!(fb.next_frame().unwrap(), None);
+        assert_eq!(fb.next_frame_pooled(&pool).unwrap(), None);
         fb.extend(&wire[wire.len() - 1..]);
-        assert_eq!(fb.next_frame().unwrap().unwrap(), frame);
+        assert_eq!(fb.next_frame_pooled(&pool).unwrap().unwrap(), frame);
     }
 
     #[test]
     fn oversized_prefix_is_fatal_without_allocating() {
         let mut fb = FrameBuffer::new();
+        let pool = FramePool::new();
         fb.extend(&u32::MAX.to_le_bytes());
-        let err = fb.next_frame().unwrap_err();
+        let err = fb.next_frame_pooled(&pool).unwrap_err();
         assert_eq!(
             err,
             FrameError::Oversized {
@@ -269,15 +255,16 @@ mod tests {
             }
         );
         // Poisoned: the same violation keeps being reported.
-        assert!(fb.next_frame().is_err());
+        assert!(fb.next_frame_pooled(&pool).is_err());
         assert!(err.to_string().contains("bound"));
     }
 
     #[test]
     fn empty_frame_is_legal() {
         let mut fb = FrameBuffer::new();
+        let pool = FramePool::new();
         fb.extend(&prefix_frame(&[]));
-        assert_eq!(fb.next_frame().unwrap().unwrap().len(), 0);
+        assert_eq!(fb.next_frame_pooled(&pool).unwrap().unwrap().len(), 0);
     }
 
     #[test]
@@ -319,9 +306,10 @@ mod tests {
         let frame = sample(2);
         let wire = prefix_frame(&frame);
         let mut fb = FrameBuffer::new();
+        let pool = FramePool::new();
         for _ in 0..64 {
             fb.extend(&wire);
-            assert_eq!(fb.next_frame().unwrap().unwrap(), frame);
+            assert_eq!(fb.next_frame_pooled(&pool).unwrap().unwrap(), frame);
             assert_eq!(fb.pending(), 0);
         }
     }

@@ -23,7 +23,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// Frame header size in bytes *excluding* the version byte
 /// (tag + round + node + len). A v0 frame is exactly this long when
 /// empty; a versioned frame carries one extra leading byte.
-pub const HEADER_LEN: usize = 1 + 4 + 4 + 4;
+pub(crate) const HEADER_LEN: usize = 1 + 4 + 4 + 4;
 
 /// Protocol version emitted by [`Message::encode`].
 pub const PROTOCOL_VERSION: u8 = 2;

@@ -52,12 +52,12 @@ impl LinkModel {
     }
 
     /// A typical edge uplink: 1 MB/s, 20 ms, 1% loss.
-    pub fn edge_uplink() -> Self {
+    fn edge_uplink() -> Self {
         LinkModel::new(1e6, 0.02, 0.01)
     }
 
     /// A typical edge downlink: 5 MB/s, 20 ms, 0.5% loss.
-    pub fn edge_downlink() -> Self {
+    fn edge_downlink() -> Self {
         LinkModel::new(5e6, 0.02, 0.005)
     }
 

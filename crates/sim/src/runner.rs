@@ -123,18 +123,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the client-sampling fraction `C`: each round the platform
-    /// uniformly selects `max(1, round(C·n))` clients to participate.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `c` is outside `(0, 1]`.
-    pub fn with_client_fraction(mut self, c: f64) -> Self {
-        assert!(c > 0.0 && c <= 1.0, "client fraction must be in (0, 1]");
-        self.client_fraction = c;
-        self
-    }
-
     /// Sets the worker thread count.
     ///
     /// # Panics
@@ -143,18 +131,6 @@ impl SimConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
         self.threads = threads;
-        self
-    }
-
-    /// Platform aggregates once the fastest `f` fraction of participants
-    /// has reported; the rest are dropped for the round.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `f` is outside `(0, 1]`.
-    pub fn with_wait_fraction(mut self, f: f64) -> Self {
-        assert!(f > 0.0 && f <= 1.0, "wait fraction must be in (0, 1]");
-        self.wait_fraction = f;
         self
     }
 
@@ -795,7 +771,10 @@ mod tests {
         let mut r1 = rand::rngs::StdRng::seed_from_u64(41);
         let sync = SimRunner::new(base).run(&FedMl::new(cfg), &model, &tasks, &[1.0, 1.0], &mut r1);
         let mut r2 = rand::rngs::StdRng::seed_from_u64(41);
-        let partial = SimRunner::new(base.with_wait_fraction(0.75)).run(
+        let partial = SimRunner::new(SimConfig {
+            wait_fraction: 0.75,
+            ..base
+        }).run(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -821,12 +800,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wait fraction must be in (0, 1]")]
-    fn rejects_zero_wait_fraction() {
-        SimConfig::ideal().with_wait_fraction(0.0);
-    }
-
-    #[test]
     fn trace_is_coherent_with_meters() {
         let model = Quadratic::isotropic(2, 1.0);
         let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)]);
@@ -844,8 +817,8 @@ mod tests {
         assert_eq!(sim.trace.len(), 5);
         assert_eq!(sim.trace.total_bytes(), sim.comm.total_bytes());
         assert!((sim.trace.wall_clock_s() - sim.wall_clock_s()).abs() < 1e-9);
-        assert_eq!(sim.trace.mean_participants(), 3.0);
         for (r, h) in sim.trace.rounds().iter().zip(&sim.history) {
+            assert_eq!(r.participants.len(), 3);
             assert_eq!(r.meta_loss, h.1);
             assert_eq!(r.local_steps, 3);
         }
@@ -875,7 +848,10 @@ mod tests {
             .with_local_steps(2)
             .with_rounds(20);
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let sim = SimRunner::new(SimConfig::ideal().with_client_fraction(0.5)).run(
+        let sim = SimRunner::new(SimConfig {
+            client_fraction: 0.5,
+            ..SimConfig::ideal()
+        }).run(
             &FedMl::new(cfg),
             &model,
             &tasks,
@@ -892,12 +868,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "client fraction must be in (0, 1]")]
-    fn rejects_zero_client_fraction() {
-        SimConfig::ideal().with_client_fraction(0.0);
-    }
-
-    #[test]
     fn client_sampling_still_converges() {
         let model = Quadratic::isotropic(2, 1.0);
         let tasks = quad_tasks(&[(2.0, 0.0), (-2.0, 0.0), (0.0, 2.0), (0.0, -2.0)]);
@@ -905,7 +875,10 @@ mod tests {
             .with_local_steps(2)
             .with_rounds(60);
         let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        let sim = SimRunner::new(SimConfig::ideal().with_client_fraction(0.5)).run(
+        let sim = SimRunner::new(SimConfig {
+            client_fraction: 0.5,
+            ..SimConfig::ideal()
+        }).run(
             &FedMl::new(cfg),
             &model,
             &tasks,

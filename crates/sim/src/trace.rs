@@ -86,37 +86,6 @@ impl TraceLog {
             .sum()
     }
 
-    /// Mean participants per round; 0 for an empty log.
-    pub fn mean_participants(&self) -> f64 {
-        if self.rounds.is_empty() {
-            return 0.0;
-        }
-        self.rounds
-            .iter()
-            .map(|r| r.participants.len() as f64)
-            .sum::<f64>()
-            / self.rounds.len() as f64
-    }
-
-    /// The round with the worst (highest) meta loss, if any.
-    pub fn worst_round(&self) -> Option<&RoundTrace> {
-        self.rounds.iter().max_by(|a, b| {
-            a.meta_loss
-                .partial_cmp(&b.meta_loss)
-                .expect("finite losses")
-        })
-    }
-
-    /// Rounds whose loss *increased* relative to the previous round —
-    /// the first place to look when a run misbehaves.
-    pub fn regressions(&self) -> Vec<usize> {
-        self.rounds
-            .windows(2)
-            .filter(|w| w[1].meta_loss > w[0].meta_loss)
-            .map(|w| w[1].round)
-            .collect()
-    }
-
     /// Serializes the log as JSON lines (one round per line), the format
     /// easiest to stream and grep.
     pub fn to_jsonl(&self) -> String {
@@ -179,16 +148,12 @@ mod tests {
     fn summaries() {
         let mut log = TraceLog::new();
         assert!(log.is_empty());
-        assert_eq!(log.mean_participants(), 0.0);
         for (i, l) in [1.0, 0.8, 0.9, 0.5].iter().enumerate() {
             log.push(round(i + 1, *l));
         }
         assert_eq!(log.len(), 4);
         assert_eq!(log.total_bytes(), 4000);
         assert!((log.wall_clock_s() - 1.2).abs() < 1e-12);
-        assert_eq!(log.mean_participants(), 3.0);
-        assert_eq!(log.worst_round().unwrap().round, 1);
-        assert_eq!(log.regressions(), vec![3]);
     }
 
     #[test]
@@ -208,11 +173,5 @@ mod tests {
         let text = format!("{good}\n\n{{bad json}}");
         let err = TraceLog::from_jsonl(&text).unwrap_err();
         assert!(err.starts_with("line 3"), "{err}");
-    }
-
-    #[test]
-    fn empty_log_has_no_worst_round() {
-        assert!(TraceLog::new().worst_round().is_none());
-        assert!(TraceLog::new().regressions().is_empty());
     }
 }

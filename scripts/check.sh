@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Full local gate: lint (clippy, warnings fatal), the workspace test
-# suite, the size and reach reports, the kernel bench bodies once each,
-# and the smoke scripts that drive real processes. CI and pre-merge
-# checks should run exactly this.
+# suite, the size report, the reach ratchet (its exit status fails the
+# gate), the kernel bench bodies once each, and the smoke scripts that
+# drive real processes. CI and pre-merge checks should run exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo clippy --workspace --all-targets -- -D warnings
-# `default-members` is the whole workspace: same 59 test binaries as
+# `default-members` is the whole workspace: the same test binaries as
 # `--workspace`.
 cargo test -q
 # `perf/` is its own workspace and holds the one out-of-tree `impl Model`

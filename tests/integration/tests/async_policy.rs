@@ -65,7 +65,6 @@ fn fedml() -> FedMl {
 /// idle), on the default policy.
 fn pinned_cfg(policy: AsyncPolicy) -> RuntimeConfig {
     RuntimeConfig::async_mode(7, policy)
-        .with_round_duration(1.0)
         .with_clock(VirtualClock::new(5).with_base_delay(0.1).with_jitter(2.5))
 }
 
@@ -80,7 +79,10 @@ fn run_over_tcp(
 ) -> fml_runtime::RuntimeOutput {
     let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
-    let runtime = Runtime::new(cfg.with_recv_timeout_ms(10_000));
+    let runtime = Runtime::new(RuntimeConfig {
+        recv_timeout_ms: 10_000,
+        ..cfg
+    });
     std::thread::scope(|s| {
         for node in 0..tasks.len() {
             let addr = addr.clone();
@@ -139,10 +141,12 @@ fn explicit_default_knobs_are_the_identity() {
     let trainer = fedml();
     // Spelling out the defaults through the new policy surface cannot
     // move a bit relative to the bare default.
-    let explicit = AsyncPolicy::default()
-        .with_decay(StalenessDecay::Poly)
-        .with_decay_pow(1.0)
-        .with_buffer(1);
+    let explicit = AsyncPolicy {
+        decay: StalenessDecay::Poly,
+        decay_pow: 1.0,
+        buffer_k: 1,
+        ..AsyncPolicy::default()
+    };
     let out = Runtime::new(pinned_cfg(explicit)).run(&trainer, &model, &tasks, &theta0);
     assert_eq!(param_hash(&out.train.params), PINNED_ASYNC_HASH);
 }
@@ -151,15 +155,18 @@ fn explicit_default_knobs_are_the_identity() {
 fn every_policy_family_is_thread_count_invariant() {
     let (model, tasks, theta0) = fixture();
     let trainer = fedml();
+    let base = AsyncPolicy::default();
     let policies = [
-        AsyncPolicy::default().with_decay(StalenessDecay::Hinge { knee: 1 }),
-        AsyncPolicy::default().with_decay(StalenessDecay::Const),
-        AsyncPolicy::default().with_adaptive_mix(true),
-        AsyncPolicy::default().with_buffer(2),
-        AsyncPolicy::default()
-            .with_decay(StalenessDecay::Hinge { knee: 0 })
-            .with_adaptive_mix(true)
-            .with_buffer(3),
+        AsyncPolicy { decay: StalenessDecay::Hinge { knee: 1 }, ..base },
+        AsyncPolicy { decay: StalenessDecay::Const, ..base },
+        AsyncPolicy { adaptive_mix: true, ..base },
+        AsyncPolicy { buffer_k: 2, ..base },
+        AsyncPolicy {
+            decay: StalenessDecay::Hinge { knee: 0 },
+            adaptive_mix: true,
+            buffer_k: 3,
+            ..base
+        },
     ];
     for policy in policies {
         let one = Runtime::new(pinned_cfg(policy).with_threads(1))
@@ -181,7 +188,10 @@ fn every_policy_family_is_thread_count_invariant() {
 fn buffered_mode_is_deterministic_over_tcp_too() {
     let (model, tasks, theta0) = fixture();
     let trainer = fedml();
-    let policy = AsyncPolicy::default().with_buffer(2);
+    let policy = AsyncPolicy {
+        buffer_k: 2,
+        ..AsyncPolicy::default()
+    };
     let channel =
         Runtime::new(pinned_cfg(policy).with_threads(1)).run(&trainer, &model, &tasks, &theta0);
     let tcp = run_over_tcp(pinned_cfg(policy), &trainer, &model, &tasks, &theta0);
@@ -202,11 +212,12 @@ fn decay_families_converge_on_the_fixture() {
         .train
         .final_meta_loss()
         .expect("history recorded");
+    let base = AsyncPolicy::default();
     for policy in [
-        AsyncPolicy::default().with_decay(StalenessDecay::Hinge { knee: 1 }),
-        AsyncPolicy::default().with_decay(StalenessDecay::Const),
-        AsyncPolicy::default().with_buffer(2),
-        AsyncPolicy::default().with_buffer(4),
+        AsyncPolicy { decay: StalenessDecay::Hinge { knee: 1 }, ..base },
+        AsyncPolicy { decay: StalenessDecay::Const, ..base },
+        AsyncPolicy { buffer_k: 2, ..base },
+        AsyncPolicy { buffer_k: 4, ..base },
     ] {
         let out = Runtime::new(pinned_cfg(policy)).run(&trainer, &model, &tasks, &theta0);
         let loss = out.train.final_meta_loss().expect("history recorded");

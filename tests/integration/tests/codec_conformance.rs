@@ -72,7 +72,10 @@ fn run_over_tcp(
 ) -> (fml_runtime::RuntimeOutput, Vec<NodeIo>) {
     let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
-    let runtime = Runtime::new(cfg.with_recv_timeout_ms(10_000));
+    let runtime = Runtime::new(RuntimeConfig {
+        recv_timeout_ms: 10_000,
+        ..cfg
+    });
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..tasks.len())
             .map(|node| {

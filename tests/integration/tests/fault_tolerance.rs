@@ -8,7 +8,7 @@
 //! at the public-API level, across all five trainers.
 
 use fml_core::{
-    train_with_faults, CorruptMode, FaultPlan, FaultTolerance, FedAvg, FedAvgConfig, FedMl,
+    train_with_faults, CorruptMode, Fault, FaultPlan, FaultTolerance, FedAvg, FedAvgConfig, FedMl,
     FedMlConfig, FedProx, FedProxConfig, GatherPolicy, MetaSgd, MetaSgdConfig, Reptile,
     ReptileConfig, SourceTask, StragglerPolicy, TrainOutput,
 };
@@ -128,14 +128,21 @@ fn fault_injected_histories_are_bitwise_identical_across_threads() {
     let (model, tasks, theta0) = fixture();
     // A *probabilistic* plan (not just scripted faults) plus a deadline:
     // draws must be pure per (node, round) for this to hold.
-    let plan = FaultPlan::new(99)
-        .with_crash_prob(0.1)
-        .with_straggle_prob(0.15, 3.0)
-        .with_corrupt_prob(0.05, CorruptMode::NaN);
-    let policy = GatherPolicy::default()
-        .with_deadline(2.0)
-        .with_min_quorum(0.2);
-    let ft = FaultTolerance::new(plan).with_policy(policy);
+    let plan = FaultPlan {
+        crash_prob: 0.1,
+        straggle_prob: 0.15,
+        max_straggle_s: 3.0,
+        corrupt_prob: 0.05,
+        ..FaultPlan::new(99)
+    };
+    let policy = GatherPolicy {
+        deadline_s: Some(2.0),
+        ..GatherPolicy::default().with_min_quorum(0.2)
+    };
+    let ft = FaultTolerance {
+        policy,
+        ..FaultTolerance::new(plan)
+    };
 
     let run = |threads: usize| {
         let cfg = FedMlConfig::new(0.03, 0.03)
@@ -232,19 +239,26 @@ fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
     use fml_runtime::param_hash;
     const PIN_ROUNDS: usize = 5;
     let (model, tasks, theta0) = fixture();
-    let plan = FaultPlan::new(4242)
-        .with_straggle(6, 2, 5.0)
+    let mut plan = FaultPlan::new(4242)
         .with_crash_from(0, 3)
         .with_crash_from(1, 3)
         .with_crash_from(2, 3)
         .with_corrupt(3, 3, CorruptMode::NaN)
-        .with_corrupt(4, 3, CorruptMode::NaN)
-        .with_crash(5, 3)
-        .with_straggle(8, 4, 3.0);
-    let policy = GatherPolicy::default()
-        .with_deadline(2.0)
-        .with_straggler(StragglerPolicy::ReuseLast);
-    let ft = FaultTolerance::new(plan).with_policy(policy);
+        .with_corrupt(4, 3, CorruptMode::NaN);
+    plan.scripted.extend([
+        ((6, 2), Fault::Straggle { delay_s: 5.0 }),
+        ((5, 3), Fault::Crash),
+        ((8, 4), Fault::Straggle { delay_s: 3.0 }),
+    ]);
+    let policy = GatherPolicy {
+        deadline_s: Some(2.0),
+        straggler: StragglerPolicy::ReuseLast,
+        ..GatherPolicy::default()
+    };
+    let ft = FaultTolerance {
+        policy,
+        ..FaultTolerance::new(plan)
+    };
     let shape = [(10, false), (10, true), (4, true), (4, true), (4, true)];
 
     for threads in [1usize, 4] {

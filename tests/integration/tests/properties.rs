@@ -7,7 +7,9 @@ use fml_data::NodeData;
 use fml_dro::{RobustSurrogate, SquaredL2Cost};
 use fml_linalg::{vector, Matrix};
 use fml_models::{Batch, LinearRegression, Model, Quadratic, SoftmaxRegression, Target};
-use fml_sim::{prefix_frame, FrameBuffer, FrameError, Message, LENGTH_PREFIX_LEN, MAX_FRAME_LEN};
+use fml_sim::{
+    prefix_frame, FrameBuffer, FrameError, FramePool, Message, LENGTH_PREFIX_LEN, MAX_FRAME_LEN,
+};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -186,6 +188,7 @@ proptest! {
         let stream: Vec<u8> = frames.iter().flat_map(|f| prefix_frame(f)).collect();
 
         let mut buf = FrameBuffer::new();
+        let pool = FramePool::new();
         let mut got = Vec::new();
         let mut pos = 0;
         let mut cuts = cuts.into_iter();
@@ -193,7 +196,7 @@ proptest! {
             let step = cuts.next().unwrap_or(usize::MAX).min(stream.len() - pos);
             buf.extend(&stream[pos..pos + step]);
             pos += step;
-            while let Some(frame) = buf.next_frame().unwrap() {
+            while let Some(frame) = buf.next_frame_pooled(&pool).unwrap() {
                 got.push(frame);
             }
         }
@@ -217,9 +220,10 @@ proptest! {
         let cut = stream.len().saturating_sub(cut_back);
 
         let mut buf = FrameBuffer::new();
+        let pool = FramePool::new();
         buf.extend(&stream[..cut]);
         let mut whole = Vec::new();
-        while let Some(frame) = buf.next_frame().unwrap() {
+        while let Some(frame) = buf.next_frame_pooled(&pool).unwrap() {
             whole.push(frame);
         }
         // Exactly the frames that fit before the cut, in order.
@@ -235,10 +239,10 @@ proptest! {
         }
         prop_assert_eq!(&whole, &fits);
         // The missing tail is a stall, not an error...
-        prop_assert_eq!(buf.next_frame(), Ok(None));
+        prop_assert_eq!(buf.next_frame_pooled(&pool), Ok(None));
         // ...and feeding the rest completes the sequence.
         buf.extend(&stream[cut..]);
-        while let Some(frame) = buf.next_frame().unwrap() {
+        while let Some(frame) = buf.next_frame_pooled(&pool).unwrap() {
             whole.push(frame);
         }
         prop_assert_eq!(&whole, &frames);
@@ -254,12 +258,13 @@ proptest! {
         junk in prop::collection::vec(any::<u8>(), 0..32),
     ) {
         let mut buf = FrameBuffer::new();
+        let pool = FramePool::new();
         buf.extend(&len.to_le_bytes());
         buf.extend(&junk);
         let err = FrameError::Oversized { len: len as usize };
-        prop_assert_eq!(buf.next_frame(), Err(err.clone()));
+        prop_assert_eq!(buf.next_frame_pooled(&pool), Err(err.clone()));
         buf.extend(&prefix_frame(&Message::GlobalModel { round: 1, params: vec![] }.encode()));
-        prop_assert_eq!(buf.next_frame(), Err(err));
+        prop_assert_eq!(buf.next_frame_pooled(&pool), Err(err));
     }
 
     /// `Message::decode` is total over arbitrary frames: random bytes

@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use fml_core::{
-    train_with_faults, CorruptMode, FaultPlan, FaultTolerance, FedMl, FedMlConfig, LocalStepper,
-    SourceTask,
+    train_with_faults, CorruptMode, Fault, FaultPlan, FaultTolerance, FedMl, FedMlConfig,
+    LocalStepper, SourceTask,
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};
@@ -80,13 +80,15 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 /// exclude the four, re-run with the surviving pair), and node 0
 /// straggles in round 3 (virtual time only — no deadline is set).
 fn poison_plan() -> FaultPlan {
-    FaultPlan::new(9)
+    let mut plan = FaultPlan::new(9)
         .with_corrupt(1, 1, CorruptMode::NaN)
         .with_crash_from(2, 2)
         .with_crash_from(3, 2)
         .with_crash_from(4, 2)
-        .with_crash_from(5, 2)
-        .with_straggle(0, 3, 0.25)
+        .with_crash_from(5, 2);
+    plan.scripted
+        .insert((0, 3), Fault::Straggle { delay_s: 0.25 });
+    plan
 }
 
 #[test]
@@ -104,9 +106,10 @@ fn serve_mode_recovery_matches_the_ft_oracle() {
 
     let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
-    let cfg = RuntimeConfig::barrier(7)
-        .with_recv_timeout_ms(10_000)
-        .with_faults(poison_plan());
+    let cfg = RuntimeConfig {
+        recv_timeout_ms: 10_000,
+        ..RuntimeConfig::barrier(7).with_faults(poison_plan())
+    };
     let runtime = Runtime::new(cfg);
     let (out, link_stats) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..NODES)
@@ -217,7 +220,10 @@ fn node_killed_and_restarted_three_times_changes_no_bits() {
 
     let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
-    let cfg = RuntimeConfig::barrier(1).with_recv_timeout_ms(15_000);
+    let cfg = RuntimeConfig {
+        recv_timeout_ms: 15_000,
+        ..RuntimeConfig::barrier(1)
+    };
     let runtime = Runtime::new(cfg);
 
     // One kill/restart cycle: join, answer exactly one broadcast with

@@ -158,9 +158,10 @@ fn quorum_loss_without_recovery_budget_freezes_the_global() {
         .with_crash_from(0, 3)
         .with_crash_from(1, 3)
         .with_crash_from(2, 3);
-    let cfg = RuntimeConfig::barrier(1)
-        .with_recv_timeout_ms(TIMEOUT_MS)
-        .with_faults(plan);
+    let cfg = RuntimeConfig {
+        recv_timeout_ms: TIMEOUT_MS,
+        ..RuntimeConfig::barrier(1).with_faults(plan)
+    };
     let run =
         |cfg: RuntimeConfig, rounds| Runtime::new(cfg).run(&fedml(rounds), &model, &tasks, &theta0);
 
@@ -209,9 +210,11 @@ fn quorum_loss_without_recovery_budget_freezes_the_global() {
 fn async_crash_plan_terminates_with_degraded_rounds() {
     let (model, tasks, theta0) = fixture(15);
     let trainer = fedml(4);
-    let cfg = RuntimeConfig::async_mode(3, AsyncPolicy::default())
-        .with_faults(FaultPlan::new(9).with_crash_from(0, 1).with_crash_from(1, 2))
-        .with_recv_timeout_ms(5_000);
+    let cfg = RuntimeConfig {
+        recv_timeout_ms: 5_000,
+        ..RuntimeConfig::async_mode(3, AsyncPolicy::default())
+            .with_faults(FaultPlan::new(9).with_crash_from(0, 1).with_crash_from(1, 2))
+    };
     let out = Runtime::new(cfg).run(&trainer, &model, &tasks, &theta0);
     assert_eq!(out.train.comm_rounds, 4, "run must complete all rounds");
     assert!(out.report.degraded_rounds > 0, "crashes must degrade rounds");
@@ -264,9 +267,11 @@ proptest! {
     ) {
         let (model, tasks, theta0) = fixture(seed ^ 0x5A);
         let trainer = fedml(3);
-        let cfg = RuntimeConfig::async_mode(seed, AsyncPolicy::default())
-            .with_faults(FaultPlan::new(seed).with_crash_from(victim, from_round))
-            .with_recv_timeout_ms(5_000);
+        let cfg = RuntimeConfig {
+            recv_timeout_ms: 5_000,
+            ..RuntimeConfig::async_mode(seed, AsyncPolicy::default())
+                .with_faults(FaultPlan::new(seed).with_crash_from(victim, from_round))
+        };
         let out = Runtime::new(cfg).run(&trainer, &model, &tasks, &theta0);
         prop_assert_eq!(out.train.comm_rounds, 3);
         prop_assert!(out.report.degraded_rounds > 0);

@@ -29,7 +29,7 @@ use fml_runtime::{
 use fml_sim::message::{encoded_frame_len, AdaptFrame, DecodeError};
 use fml_sim::{
     framing::{prefix_frame, FrameBuffer},
-    RejectReason,
+    FramePool, RejectReason,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -271,9 +271,10 @@ fn adapt_frames_survive_framing_under_byte_at_a_time_chunking() {
     let wire = prefix_frame(&frame);
 
     let mut buf = FrameBuffer::new();
+    let pool = FramePool::new();
     for (i, b) in wire.iter().enumerate() {
         buf.extend(std::slice::from_ref(b));
-        let out = buf.next_frame().expect("well-formed stream");
+        let out = buf.next_frame_pooled(&pool).expect("well-formed stream");
         if i + 1 < wire.len() {
             // Truncated: the framing layer stalls (returns nothing) and
             // never hands a partial frame to the parser.
@@ -298,8 +299,9 @@ fn alien_and_training_tags_fail_adapt_parse_but_not_framing() {
     }
     .encode();
     let mut buf = FrameBuffer::new();
+    let pool = FramePool::new();
     buf.extend(&prefix_frame(&training));
-    let frame = buf.next_frame().expect("framing ok").expect("one frame");
+    let frame = buf.next_frame_pooled(&pool).expect("framing ok").expect("one frame");
     assert!(matches!(
         AdaptFrame::parse(&frame),
         Err(DecodeError::UnknownTag(_))
@@ -310,8 +312,9 @@ fn alien_and_training_tags_fail_adapt_parse_but_not_framing() {
     let mut alien = training.to_vec();
     alien[1] = 0x7f;
     let mut buf = FrameBuffer::new();
+    let pool = FramePool::new();
     buf.extend(&prefix_frame(&alien));
-    let frame = buf.next_frame().expect("framing ok").expect("one frame");
+    let frame = buf.next_frame_pooled(&pool).expect("framing ok").expect("one frame");
     assert!(matches!(
         AdaptFrame::parse(&frame),
         Err(DecodeError::UnknownTag(_))

@@ -207,7 +207,10 @@ fn run_node_reports_the_frames_it_could_not_use() {
     let trainer = fedml(1);
     for kind in KINDS {
         let (mut plat, mut node) = pair(kind);
-        let runtime = Runtime::new(RuntimeConfig::barrier(1).with_recv_timeout_ms(10_000));
+        let runtime = Runtime::new(RuntimeConfig {
+        recv_timeout_ms: 10_000,
+        ..RuntimeConfig::barrier(1)
+    });
         let io = std::thread::scope(|s| {
             let peer = s.spawn(|| runtime.run_node(&trainer, &model, &tasks, 0, node.as_mut()));
             let wait = Duration::from_secs(5);
@@ -244,7 +247,10 @@ fn run_over_sockets(
     listener: Box<dyn TransportListener>,
     connect: impl Fn() -> Box<dyn Transport> + Send + Sync,
 ) -> (fml_runtime::RuntimeOutput, Vec<NodeIo>) {
-    let cfg = RuntimeConfig::barrier(1).with_recv_timeout_ms(10_000);
+    let cfg = RuntimeConfig {
+        recv_timeout_ms: 10_000,
+        ..RuntimeConfig::barrier(1)
+    };
     let runtime = Runtime::new(cfg);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..tasks.len())
@@ -355,7 +361,10 @@ fn serve_without_any_peer_times_out_instead_of_hanging() {
     let (model, tasks, theta0) = fixture(43);
     let trainer = fedml(2);
     let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
-    let cfg = RuntimeConfig::barrier(1).with_join_timeout_ms(200);
+    let cfg = RuntimeConfig {
+        join_timeout_ms: 200,
+        ..RuntimeConfig::barrier(1)
+    };
     let start = Instant::now();
     let err = Runtime::new(cfg)
         .serve(&trainer, &model, &tasks, &theta0, Box::new(listener))
@@ -377,7 +386,10 @@ fn killing_a_peer_mid_round_degrades_without_hanging() {
     let (done_tx, done_rx) = mpsc::channel();
     let killer_addr = addr.clone();
     let watched = std::thread::spawn(move || {
-        let cfg = RuntimeConfig::barrier(1).with_recv_timeout_ms(400);
+        let cfg = RuntimeConfig {
+        recv_timeout_ms: 400,
+        ..RuntimeConfig::barrier(1)
+    };
         let runtime = Runtime::new(cfg);
         let out = std::thread::scope(|s| {
             // Healthy peers for every node but the last.
@@ -511,7 +523,10 @@ fn serve_with_three_rogues(kind: &str, answer: bool) -> fml_runtime::RuntimeOutp
         }
         Box::new(ChannelListener(platform_ends))
     };
-    let runtime = Runtime::new(RuntimeConfig::barrier(1).with_recv_timeout_ms(400));
+    let runtime = Runtime::new(RuntimeConfig {
+        recv_timeout_ms: 400,
+        ..RuntimeConfig::barrier(1)
+    });
     let d = theta0.len();
     std::thread::scope(|s| {
         for (node, mut link) in node_ends.into_iter().enumerate() {
