@@ -9,7 +9,8 @@ use fml_core::meta::{self, MetaGradientMode};
 use fml_dro::{RobustSurrogate, SquaredL2Cost};
 use fml_linalg::{vector, Matrix};
 use fml_models::{Activation, Batch, Mlp, MlpBuilder, Model, SoftmaxRegression};
-use fml_sim::Message;
+use fml_sim::message::{encode_global_into, encoded_frame_len};
+use fml_sim::{FramePool, MessageView};
 use rand::{Rng, SeedableRng};
 
 fn softmax_setup(dim: usize, classes: usize, n: usize) -> (SoftmaxRegression, Vec<f64>, Batch) {
@@ -134,16 +135,22 @@ fn bench_adversarial(c: &mut Criterion) {
 fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("message_codec");
     for &dim in &[610usize, 4906] {
-        let msg = Message::GlobalModel {
-            round: 1,
-            params: (0..dim).map(|i| i as f64 * 0.5).collect(),
+        let params: Vec<f64> = (0..dim).map(|i| i as f64 * 0.5).collect();
+        let pool = FramePool::new();
+        let encode = || {
+            let mut buf = pool.acquire(encoded_frame_len(dim));
+            encode_global_into(1, black_box(&params), &mut buf);
+            buf
         };
         group.bench_with_input(BenchmarkId::new("encode", dim), &dim, |b, _| {
-            b.iter(|| black_box(&msg).encode())
+            b.iter(|| pool.release(encode()))
         });
-        let frame = msg.encode();
+        let frame = encode();
         group.bench_with_input(BenchmarkId::new("decode", dim), &dim, |b, _| {
-            b.iter(|| Message::decode(black_box(&frame)).unwrap())
+            b.iter(|| {
+                let view = MessageView::parse(black_box(&frame)).unwrap();
+                view.params_to_vec()
+            })
         });
     }
     group.finish();

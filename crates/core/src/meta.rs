@@ -14,13 +14,12 @@
 //! (FOMAML) drops the Jacobian, which is the ablation `X2` in `DESIGN.md`.
 //!
 //! The arithmetic is written once, on a [`Scratch`]: the crate's `_with`
-//! kernels (`inner_step_with`, `meta_gradient_with`,
-//! `meta_objective_with`) touch no allocator, and every trainer's step
-//! and curve run on them. The allocating forms ([`inner_step`],
-//! [`meta_gradient`], [`meta_gradient_at`], [`meta_objective`]) build a
-//! fresh scratch and call the kernel — the same rule
-//! `fml_models::Model::grad` follows one level down — so the two agree
-//! bit for bit.
+//! kernels (`inner_step_with`, `outer_gradient_with`,
+//! `meta_gradient_with`, `meta_objective_with`) touch no allocator, and
+//! every trainer's step and curve run on them. The allocating forms
+//! ([`meta_gradient`], [`meta_objective`]) build a fresh scratch and
+//! call the kernel — the same rule `fml_models::Model::grad` follows one
+//! level down — so the two agree bit for bit.
 
 use fml_linalg::vector;
 use fml_models::{Batch, Model, Workspace};
@@ -88,7 +87,7 @@ impl Scratch {
 
 /// One inner adaptation step `φ = θ − α∇L(θ, batch)` (eq. 3 / eq. 6)
 /// on the scratch: `φ` lands in `scratch.phi`.
-fn inner_step_with(
+pub(crate) fn inner_step_with(
     model: &dyn Model,
     theta: &[f64],
     batch: &Batch,
@@ -98,13 +97,6 @@ fn inner_step_with(
     model.grad_into(theta, batch, &mut scratch.ws, &mut scratch.grad);
     scratch.phi.copy_from_slice(theta);
     vector::axpy(-alpha, &scratch.grad, &mut scratch.phi);
-}
-
-/// One inner adaptation step `φ = θ − α∇L(θ, batch)` (eq. 3 / eq. 6).
-pub fn inner_step(model: &dyn Model, theta: &[f64], batch: &Batch, alpha: f64) -> Vec<f64> {
-    let mut scratch = Scratch::for_model(model);
-    inner_step_with(model, theta, batch, alpha, &mut scratch);
-    scratch.phi
 }
 
 /// The meta-gradient `∇_θ L(φ(θ), test)` for a single task, on the
@@ -119,17 +111,10 @@ pub(crate) fn meta_gradient_with<'s>(
     scratch: &'s mut Scratch,
 ) -> &'s [f64] {
     inner_step_with(model, theta, train, alpha, scratch);
-    let Scratch {
-        ws, grad, phi, hvp, ..
-    } = scratch;
-    outer_gradient(model, theta, phi, train, test, alpha, mode, ws, grad, hvp);
-    grad
+    outer_gradient_with(model, theta, train, test, alpha, mode, scratch)
 }
 
 /// The meta-gradient `∇_θ L(φ(θ), test)` for a single task.
-///
-/// Computes `φ = θ − α∇L(θ, train)` internally; use
-/// [`meta_gradient_at`] when `φ` is already available.
 pub fn meta_gradient(
     model: &dyn Model,
     theta: &[f64],
@@ -143,50 +128,28 @@ pub fn meta_gradient(
     scratch.grad
 }
 
-/// The meta-gradient given a precomputed adapted point `φ`.
-///
-/// For [`MetaGradientMode::FullSecondOrder`] this is
-/// `g − α·∇²L(θ, train)·g` with `g = ∇L(φ, test)`.
-pub fn meta_gradient_at(
+/// The meta-gradient at the adapted point the scratch already holds
+/// (`scratch.phi`, from `inner_step_with` at the same `theta`):
+/// `g = ∇L(φ, test)`, then `g ← g − α·∇²L(θ, train)·g` unless
+/// first-order. `φ` is left in place, so a second `test` set shares it.
+pub(crate) fn outer_gradient_with<'s>(
     model: &dyn Model,
     theta: &[f64],
-    phi: &[f64],
     train: &Batch,
     test: &Batch,
     alpha: f64,
     mode: MetaGradientMode,
-) -> Vec<f64> {
+    scratch: &'s mut Scratch,
+) -> &'s [f64] {
     let Scratch {
-        mut ws,
-        mut grad,
-        mut hvp,
-        ..
-    } = Scratch::for_model(model);
-    outer_gradient(
-        model, theta, phi, train, test, alpha, mode, &mut ws, &mut grad, &mut hvp,
-    );
-    grad
-}
-
-/// `g = ∇L(φ, test)`, then `g ← g − α·∇²L(θ, train)·g` unless first-order.
-#[allow(clippy::too_many_arguments)]
-fn outer_gradient(
-    model: &dyn Model,
-    theta: &[f64],
-    phi: &[f64],
-    train: &Batch,
-    test: &Batch,
-    alpha: f64,
-    mode: MetaGradientMode,
-    ws: &mut Workspace,
-    g: &mut [f64],
-    hg: &mut [f64],
-) {
-    model.grad_into(phi, test, ws, g);
+        ws, grad, phi, hvp, ..
+    } = scratch;
+    model.grad_into(phi, test, ws, grad);
     if mode == MetaGradientMode::FullSecondOrder {
-        model.hvp_into(theta, train, g, ws, hg);
-        vector::axpy(-alpha, hg, g);
+        model.hvp_into(theta, train, grad, ws, hvp);
+        vector::axpy(-alpha, hvp, grad);
     }
+    grad
 }
 
 /// The per-task meta objective `G_i(θ) = L(φ_i(θ), test)` on the scratch.
@@ -246,6 +209,12 @@ mod tests {
     use fml_linalg::Matrix;
     use fml_models::{Activation, LinearRegression, MlpBuilder, Quadratic, SoftmaxRegression};
     use rand::SeedableRng;
+
+    fn inner_step(model: &dyn Model, theta: &[f64], batch: &Batch, alpha: f64) -> Vec<f64> {
+        let mut scratch = Scratch::for_model(model);
+        inner_step_with(model, theta, batch, alpha, &mut scratch);
+        scratch.phi
+    }
 
     fn rel_err(a: &[f64], b: &[f64]) -> f64 {
         vector::dist2(a, b) / vector::norm2(b).max(1.0)

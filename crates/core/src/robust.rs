@@ -3,7 +3,7 @@ use fml_models::{Batch, Model};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::meta::{self, MetaGradientMode};
+use crate::meta::{inner_step_with, outer_gradient_with, MetaGradientMode, Scratch};
 use crate::trainer::{aggregate, weighted_meta_loss, weighted_train_loss};
 use crate::{RoundRecord, SourceTask, TrainOutput};
 
@@ -182,34 +182,25 @@ impl RobustFedMl {
         let mut comm_rounds = 0;
         let total = cfg.rounds * cfg.local_steps;
         let gen_period = cfg.n0 * cfg.local_steps;
+        let mut scratch = Scratch::for_model(model);
+        let mut g = vec![0.0; theta0.len()];
 
         for t in 1..=total {
             for ((task, theta_i), adv) in tasks.iter().zip(locals.iter_mut()).zip(adv_sets.iter()) {
-                // Line 7: inner step on D_train.
-                let phi = meta::inner_step(model, theta_i, &task.split.train, cfg.alpha);
+                let (train, a, mode) = (&task.split.train, cfg.alpha, cfg.mode);
+                // Line 7: inner step on D_train (φ stays in the scratch).
+                inner_step_with(model, theta_i, train, a, &mut scratch);
                 // Line 8 / eq. 14: outer step on D_test ∪ D_adv. The two
                 // losses share the same inner-step Jacobian, so their
                 // meta-gradients add.
-                let mut g = meta::meta_gradient_at(
-                    model,
-                    theta_i,
-                    &phi,
-                    &task.split.train,
-                    &task.split.test,
-                    cfg.alpha,
-                    cfg.mode,
-                );
+                let test = &task.split.test;
+                let g_test =
+                    outer_gradient_with(model, theta_i, train, test, a, mode, &mut scratch);
+                g.copy_from_slice(g_test);
                 if !adv.is_empty() {
-                    let g_adv = meta::meta_gradient_at(
-                        model,
-                        theta_i,
-                        &phi,
-                        &task.split.train,
-                        adv,
-                        cfg.alpha,
-                        cfg.mode,
-                    );
-                    fml_linalg::vector::axpy(1.0, &g_adv, &mut g);
+                    let g_adv =
+                        outer_gradient_with(model, theta_i, train, adv, a, mode, &mut scratch);
+                    fml_linalg::vector::axpy(1.0, g_adv, &mut g);
                 }
                 fml_linalg::vector::axpy(-cfg.beta, &g, theta_i);
             }
@@ -234,14 +225,15 @@ impl RobustFedMl {
                     if *gen >= cfg.max_generations {
                         continue;
                     }
-                    let phi = meta::inner_step(model, theta_i, &task.split.train, cfg.alpha);
+                    let train = &task.split.train;
+                    inner_step_with(model, theta_i, train, cfg.alpha, &mut scratch);
+                    let phi = &scratch.phi;
                     let comb = task.split.test.concat(adv);
                     let draws = task.split.test.len();
                     let mut fresh = Batch::empty(comb.dim());
                     for _ in 0..draws {
                         let j = rng.gen_range(0..comb.len());
-                        let point =
-                            surrogate.maximize(model, &phi, comb.feature(j), comb.target(j));
+                        let point = surrogate.maximize(model, phi, comb.feature(j), comb.target(j));
                         fresh.push(&point.x_star, comb.target(j));
                     }
                     *adv = adv.concat(&fresh);
@@ -366,8 +358,8 @@ mod tests {
         .train_from(&model, &tasks, &theta0, &mut rng2);
 
         let task = &tasks[0];
-        let adapt_plain = meta::inner_step(&model, &plain.params, &task.split.train, 0.05);
-        let adapt_robust = meta::inner_step(&model, &robust.params, &task.split.train, 0.05);
+        let adapt_plain = crate::adapt::adapt(&model, &plain.params, &task.split.train, 0.05, 1);
+        let adapt_robust = crate::adapt::adapt(&model, &robust.params, &task.split.train, 0.05, 1);
         let attacked_loss = |params: &[f64]| {
             let adv = fgsm_batch(&model, params, &task.split.test, 0.6, BoxConstraint::None);
             model.loss(params, &adv)

@@ -2,7 +2,7 @@
 //!
 //! [`Hub::start`] moves a [`TransportListener`] onto an acceptor thread.
 //! Each inbound link must introduce itself with a *hello* frame —
-//! `Message::ModelUpdate { round: 0, node, params: [] }` (round 0 is
+//! an update frame for round 0 from `node` with no parameters (round 0 is
 //! never a real round, so the frame is unambiguous on the existing wire
 //! protocol) — after which the hub splits the link into a reader thread
 //! (frames flow into one merged inbound channel, exactly like the
@@ -490,15 +490,23 @@ fn reader_loop(
 mod tests {
     use super::*;
     use crate::transport::{TcpTransport, TcpTransportListener};
-    use fml_sim::Message;
+    use fml_sim::message::{encode_global_into, encode_update_into};
+    use fml_sim::MessageView;
+
+    fn global(round: u32, params: &[f64]) -> Bytes {
+        let mut buf = bytes::BytesMut::new();
+        encode_global_into(round, params, &mut buf);
+        buf.freeze()
+    }
+
+    fn update(round: u32, node: u32, params: &[f64]) -> Bytes {
+        let mut buf = bytes::BytesMut::new();
+        encode_update_into(round, node, params, &mut buf);
+        buf.freeze()
+    }
 
     fn hello(node: u32) -> Bytes {
-        Message::ModelUpdate {
-            round: 0,
-            node,
-            params: Vec::new(),
-        }
-        .encode()
+        update(0, node, &[])
     }
 
     fn start_tcp(n: usize) -> (Hub, Receiver<Bytes>, String) {
@@ -520,11 +528,7 @@ mod tests {
             .collect();
         assert_eq!(hub.await_join(Duration::from_secs(5)), 2);
 
-        let broadcast = Message::GlobalModel {
-            round: 1,
-            params: vec![1.0, 2.0],
-        }
-        .encode();
+        let broadcast = global(1, &[1.0, 2.0]);
         assert!(hub.try_send(0, broadcast.clone()));
         assert!(hub.try_send(1, broadcast.clone()));
         assert!(!hub.try_send(2, broadcast.clone()), "unknown node drops");
@@ -532,17 +536,11 @@ mod tests {
         for (i, peer) in peers.iter_mut().enumerate() {
             let got = peer.recv_frame(Duration::from_secs(5)).unwrap();
             assert_eq!(got, broadcast, "peer {i}");
-            let update = Message::ModelUpdate {
-                round: 1,
-                node: i as u32,
-                params: vec![0.5],
-            }
-            .encode();
-            peer.send_frame(&update).unwrap();
+            peer.send_frame(&update(1, i as u32, &[0.5])).unwrap();
         }
         let up0 = in_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         let up1 = in_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(Message::decode(&up0).is_ok() && Message::decode(&up1).is_ok());
+        assert!(MessageView::parse(&up0).is_ok() && MessageView::parse(&up1).is_ok());
 
         let io = hub.shutdown();
         assert_eq!(io.len(), 2);
@@ -577,11 +575,7 @@ mod tests {
         second.send_frame(&hello(0)).unwrap();
         // The replacement is installed asynchronously; wait for the
         // reconnect to land by polling a broadcast through.
-        let frame = Message::GlobalModel {
-            round: 1,
-            params: vec![3.0],
-        }
-        .encode();
+        let frame = global(1, &[3.0]);
         let deadline = Instant::now() + Duration::from_secs(5);
         let got = loop {
             let _ = hub.try_send(0, frame.clone());
@@ -606,11 +600,7 @@ mod tests {
         // Give the reader a moment to observe EOF and clear the slot.
         std::thread::sleep(Duration::from_millis(500));
 
-        let frame = Message::GlobalModel {
-            round: 2,
-            params: vec![4.0, 5.0],
-        }
-        .encode();
+        let frame = global(2, &[4.0, 5.0]);
         assert!(
             hub.try_send(0, frame.clone()),
             "a joined-but-away peer parks the frame"
@@ -658,18 +648,9 @@ mod tests {
     #[test]
     fn bad_hello_is_dropped_without_joining() {
         let (hub, _in_rx, addr) = start_tcp(1);
-        let late = Message::ModelUpdate {
-            round: 1,
-            node: 0,
-            params: Vec::new(),
-        };
-        let global = Message::GlobalModel {
-            round: 0,
-            params: Vec::new(),
-        };
         // Node 7 of a 1-node fleet, a hello for a real round, and a
         // broadcast posing as a hello: each rejected, link closed.
-        for bad in [hello(7), late.encode(), global.encode()] {
+        for bad in [hello(7), update(1, 0, &[]), global(0, &[])] {
             let mut bogus = TcpTransport::connect(&addr).unwrap();
             bogus.send_frame(&bad).unwrap();
             assert_eq!(

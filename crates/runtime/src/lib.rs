@@ -8,7 +8,7 @@
 //!
 //! * each source node is an actor with a **bounded mailbox**
 //!   (`std::sync::mpsc::sync_channel`), multiplexed onto a worker pool;
-//! * every hop carries an **encoded wire frame** ([`fml_sim::Message`]),
+//! * every hop carries an **encoded wire frame** ([`fml_sim::message`]),
 //!   so the hardened decode path runs on all traffic and byte counts
 //!   are real serialized sizes;
 //! * update replies can ride **wire-v2 compressed frames** behind the

@@ -144,7 +144,8 @@ pub struct RuntimeReport {
     /// node id. Empty on barrier-mode and pre-policy reports.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub node_weight_stats: Vec<NodeWeightStat>,
-    /// Frames that failed [`fml_sim::Message::decode`] on either side,
+    /// Frames no parser ([`fml_sim::MessageView`], [`fml_sim::CompressedView`])
+    /// accepted on either side,
     /// plus uplink updates whose length is not the model's.
     pub decode_errors: u64,
     /// Frames that never reached their consumer: full or disconnected
@@ -201,7 +202,7 @@ pub struct PoolStatsReport {
     pub misses: u64,
     /// Buffers returned to the pool for reuse.
     pub returns: u64,
-    /// Peak buffers held across all shards.
+    /// Peak buffers resident in the pool at once.
     pub high_water: u64,
     /// `hits / (hits + misses)`, 0 when nothing was acquired.
     pub hit_rate: f64,

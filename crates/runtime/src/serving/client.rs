@@ -88,7 +88,7 @@ impl AdaptClient {
                 Ok(AdaptFrame::Response(view)) if view.req_id() == req.req_id => {
                     Some(AdaptOutcome::Adapted {
                         global_round: view.global_round(),
-                        params: view.to_response().params,
+                        params: view.params_iter().collect(),
                     })
                 }
                 Ok(AdaptFrame::Reject(r)) if r.req_id == req.req_id => {

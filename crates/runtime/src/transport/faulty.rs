@@ -277,14 +277,12 @@ impl Transport for FaultyTransport {
 mod tests {
     use super::*;
     use crate::transport::ChannelTransport;
-    use fml_sim::Message;
+    use fml_sim::MessageView;
 
     fn frame() -> Bytes {
-        Message::GlobalModel {
-            round: 3,
-            params: vec![1.0, -2.0],
-        }
-        .encode()
+        let mut buf = bytes::BytesMut::new();
+        fml_sim::message::encode_global_into(3, &[1.0, -2.0], &mut buf);
+        buf.freeze()
     }
 
     #[test]
@@ -319,10 +317,9 @@ mod tests {
         let mut tx = FaultyTransport::new(Box::new(p), LinkFaultPlan::new(3).with_corrupt(1.0));
         tx.send_frame(&frame()).unwrap();
         let got = n.recv_frame(Duration::from_millis(100)).unwrap();
-        let msg = Message::decode(&got).expect("corrupted frame still decodes");
-        let params = msg.params();
-        assert_eq!(params.len(), 2, "header intact");
-        assert!(params.iter().all(|x| x.is_nan()), "payload poisoned");
+        let view = MessageView::parse(&got).expect("corrupted frame still decodes");
+        assert_eq!(view.len(), 2, "header intact");
+        assert!(view.params_iter().all(|x| x.is_nan()), "payload poisoned");
         assert_eq!(tx.stats().corrupted, 1);
     }
 

@@ -1,4 +1,4 @@
-//! Socket transports: length-prefixed [`fml_sim::Message`] frames over
+//! Socket transports: length-prefixed [`fml_sim::message`] frames over
 //! `TcpStream` / `UnixStream`, shared through one generic, hardened
 //! implementation.
 //!
@@ -306,6 +306,29 @@ impl UnixTransport {
 /// period until the caller's deadline expires.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
+/// Polls a nonblocking listener's `accept` every [`ACCEPT_POLL`] until
+/// it yields a connection or `timeout` runs out. The stream comes back
+/// as accepted — still nonblocking.
+fn accept_until<S, A>(
+    timeout: Duration,
+    mut accept: impl FnMut() -> std::io::Result<(S, A)>,
+) -> Result<S, TransportError> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match accept() {
+            Ok((stream, _)) => return Ok(stream),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if Instant::now() >= deadline {
+                    return Err(TransportError::Timeout);
+                }
+                std::thread::sleep(ACCEPT_POLL);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_error(&e)),
+        }
+    }
+}
+
 /// TCP accept side. Bind with an explicit port, or port `0` for an
 /// ephemeral one (read it back from [`local_addr`]).
 ///
@@ -334,24 +357,10 @@ impl TcpTransportListener {
 
 impl super::TransportListener for TcpTransportListener {
     fn accept(&mut self, timeout: Duration) -> Result<Box<dyn Transport>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.inner.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false).map_err(|e| io_error(&e))?;
-                    stream.set_nodelay(true).map_err(|e| io_error(&e))?;
-                    return Ok(Box::new(TcpTransport::from_stream(stream)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(TransportError::Timeout);
-                    }
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(io_error(&e)),
-            }
-        }
+        let stream = accept_until(timeout, || self.inner.accept())?;
+        stream.set_nonblocking(false).map_err(|e| io_error(&e))?;
+        stream.set_nodelay(true).map_err(|e| io_error(&e))?;
+        Ok(Box::new(TcpTransport::from_stream(stream)))
     }
 
     fn local_addr(&self) -> String {
@@ -397,23 +406,9 @@ impl Drop for UnixTransportListener {
 
 impl super::TransportListener for UnixTransportListener {
     fn accept(&mut self, timeout: Duration) -> Result<Box<dyn Transport>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.inner.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false).map_err(|e| io_error(&e))?;
-                    return Ok(Box::new(UnixTransport::from_stream(stream)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(TransportError::Timeout);
-                    }
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(io_error(&e)),
-            }
-        }
+        let stream = accept_until(timeout, || self.inner.accept())?;
+        stream.set_nonblocking(false).map_err(|e| io_error(&e))?;
+        Ok(Box::new(UnixTransport::from_stream(stream)))
     }
 
     fn local_addr(&self) -> String {

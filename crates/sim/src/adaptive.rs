@@ -97,7 +97,7 @@ pub struct AdaptiveOutput {
 /// budget is exhausted.
 ///
 /// Every round runs the same phases as [`crate::SimRunner::run`] over
-/// the whole fleet — pooled broadcast, threaded local updates with
+/// the whole fleet — priced broadcast, threaded local updates with
 /// per-profile compute accounting, uploads — with the configured link
 /// models; only the controller-chosen step count and the divergence
 /// measurement are its own.
@@ -131,7 +131,7 @@ pub fn run_adaptive_fedml(
 
         let mut flight = st.broadcast(round, steps, everyone.len(), rng);
         let locals = st.local_updates(&mut flight, &everyone);
-        st.upload(&flight, &everyone, &locals, rng);
+        st.upload(&flight, &locals, rng);
 
         // Aggregate and measure divergence.
         let agg = fml_core::aggregate(tasks, &locals);

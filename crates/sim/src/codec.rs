@@ -1,4 +1,4 @@
-//! Wire protocol v2: compressed model-update frames.
+//! Compressed model-update frames.
 //!
 //! Every round of the federation ships one dense `ModelUpdate` frame
 //! per source node — `8 · param_len` payload bytes on the uplink, the
@@ -18,7 +18,7 @@
 //!   decodes as zero (callers keep the dropped mass in an
 //!   error-feedback residual).
 //!
-//! # Wire layout (tag 6, v2+ only)
+//! # Wire layout (tag 6)
 //!
 //! The shared frame header (DESIGN.md "Wire frames"; read and written
 //! only by `message::Header` / `put_header`) is followed by an 8-byte
@@ -55,9 +55,6 @@ use crate::message::{
 
 /// Tag byte of a compressed-update frame.
 const TAG_COMPRESSED: u8 = 6;
-
-/// Oldest protocol version that carries compressed-update frames.
-pub const COMPRESSED_MIN_VERSION: u8 = 2;
 
 /// Codec subheader size in bytes (scheme + meta_a + meta_b + meta_c).
 const CODEC_SUBHEADER_LEN: usize = 1 + 1 + 2 + 4;
@@ -320,7 +317,7 @@ fn select_topk(params: &[f64], k: usize, indices: &mut Vec<u32>) -> usize {
 /// carry no model update (broadcasts, adaptation traffic, garbage) —
 /// byte accounting should fall back to the physical size for those.
 pub fn logical_frame_len(frame: &[u8]) -> Option<usize> {
-    let header = Header::parse(frame, 0, &[TAG_UPDATE, TAG_COMPRESSED]).ok()?;
+    let header = Header::parse(frame, &[TAG_UPDATE, TAG_COMPRESSED]).ok()?;
     if header.tag == TAG_UPDATE {
         header.f64s().ok()?;
     }
@@ -364,16 +361,16 @@ impl<'a> CompressedView<'a> {
     /// # Errors
     ///
     /// [`DecodeError::UnknownTag`] for any non-tag-6 frame (training
-    /// and adaptation tags, and all legacy unversioned frames — the
-    /// codec was born in v2), [`DecodeError::UnsupportedVersion`] for
-    /// versions outside `COMPRESSED_MIN_VERSION..=PROTOCOL_VERSION`,
+    /// and adaptation tags, and frames with no version byte),
+    /// [`DecodeError::UnsupportedVersion`] for any version but
+    /// [`PROTOCOL_VERSION`](crate::PROTOCOL_VERSION),
     /// [`DecodeError::Truncated`] / [`DecodeError::LengthMismatch`]
     /// for structural damage, and [`DecodeError::Malformed`] when the
     /// subheader or payload violates the canonical-encoding rules
     /// (unknown scheme, bad quant bits, non-finite scale, oversized or
     /// unsorted index table, nonzero unused meta slots).
     pub fn parse(frame: &'a [u8]) -> Result<CompressedView<'a>, DecodeError> {
-        let header = Header::parse(frame, COMPRESSED_MIN_VERSION, &[TAG_COMPRESSED])?;
+        let header = Header::parse(frame, &[TAG_COMPRESSED])?;
         let (round, node, len) = (header.slot_a, header.slot_b, header.len);
         let mut frame = header.body;
         if frame.len() < CODEC_SUBHEADER_LEN {
@@ -628,7 +625,8 @@ mod tests {
     use super::*;
     use crate::framing::{prefix_frame, FrameBuffer};
     use crate::message::{
-        AdaptFrame, Message, MessageView, HEADER_LEN, PROTOCOL_VERSION, TAG_GLOBAL,
+        encode_adapt_reject_into, encode_adapt_response_into, encode_global_into, AdaptFrame,
+        AdaptRequest, MessageView, RejectReason, SampleKind, PROTOCOL_VERSION,
     };
     use proptest::prelude::*;
 
@@ -638,6 +636,15 @@ mod tests {
         encode_update_compressed_into(codec, round, node, params, &mut scratch, &mut buf);
         buf
     }
+
+    fn global(round: u32, params: &[f64]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        encode_global_into(round, params, &mut buf);
+        buf
+    }
+
+    /// Length of the shared frame header, the offset of every body.
+    const HEADER_LEN: usize = encoded_frame_len(0);
 
     #[test]
     fn none_is_bitwise_todays_update_frame() {
@@ -759,22 +766,17 @@ mod tests {
         let quant = encode(UpdateCodec::Quant { bits: 8 }, 1, 2, &params);
         assert_eq!(logical_frame_len(&quant), Some(dense_len));
         // Broadcasts, short frames, and garbage peek as None.
-        let global = Message::GlobalModel {
-            round: 1,
-            params: params.clone(),
-        }
-        .encode();
-        assert_eq!(logical_frame_len(&global), None);
+        assert_eq!(logical_frame_len(&global(1, &params)), None);
         assert_eq!(logical_frame_len(&[0x82]), None);
         assert_eq!(logical_frame_len(&[]), None);
         // A header that lies about `len` is not charged for it: a tag-2
         // body must be exactly `8·len` bytes, and no claimed length may
         // overflow the byte arithmetic.
-        let len_at = 1 + HEADER_LEN - 4;
+        let len_at = HEADER_LEN - 4;
         let mut lying = tag2.to_vec();
         lying[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(logical_frame_len(&lying), None);
-        lying.truncate(1 + HEADER_LEN);
+        lying.truncate(HEADER_LEN);
         assert_eq!(logical_frame_len(&lying), None);
         let mut lying = topk.to_vec();
         lying[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -803,7 +805,7 @@ mod tests {
     fn out_of_range_index_rejected() {
         let params = vec![1.0, 2.0, 3.0, 4.0];
         let mut frame = encode(UpdateCodec::TopK { k: 2 }, 0, 0, &params).to_vec();
-        let idx_at = 1 + HEADER_LEN + CODEC_SUBHEADER_LEN;
+        let idx_at = HEADER_LEN + CODEC_SUBHEADER_LEN;
         frame[idx_at..idx_at + 4].copy_from_slice(&77u32.to_le_bytes());
         assert_eq!(
             CompressedView::parse(&frame),
@@ -815,7 +817,7 @@ mod tests {
     fn unsorted_or_duplicate_indices_rejected() {
         let params = vec![1.0, 2.0, 3.0, 4.0];
         let frame = encode(UpdateCodec::TopK { k: 2 }, 0, 0, &params).to_vec();
-        let idx_at = 1 + HEADER_LEN + CODEC_SUBHEADER_LEN;
+        let idx_at = HEADER_LEN + CODEC_SUBHEADER_LEN;
         for (a, b) in [(3u32, 1u32), (2, 2)] {
             let mut bad = frame.clone();
             bad[idx_at..idx_at + 4].copy_from_slice(&a.to_le_bytes());
@@ -846,7 +848,7 @@ mod tests {
     fn non_finite_scale_rejected() {
         let params = vec![1.0; 8];
         let frame = encode(UpdateCodec::Quant { bits: 8 }, 0, 0, &params).to_vec();
-        let scale_at = 1 + HEADER_LEN + CODEC_SUBHEADER_LEN;
+        let scale_at = HEADER_LEN + CODEC_SUBHEADER_LEN;
         for bad_scale in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1.0] {
             let mut bad = frame.clone();
             bad[scale_at..scale_at + 4].copy_from_slice(&bad_scale.to_le_bytes());
@@ -868,7 +870,7 @@ mod tests {
     #[test]
     fn non_canonical_subheaders_rejected() {
         let params = vec![1.0, 2.0];
-        let scheme_at = 1 + HEADER_LEN;
+        let scheme_at = HEADER_LEN;
         // Dense with stray quant meta.
         let mut dense = encode(UpdateCodec::Dense, 0, 0, &params).to_vec();
         dense[scheme_at + 1] = 8;
@@ -915,7 +917,7 @@ mod tests {
     #[test]
     fn truncated_subheader_rejected() {
         let frame = encode(UpdateCodec::Dense, 0, 0, &[1.0]).to_vec();
-        let cut = frame[..1 + HEADER_LEN + 3].to_vec();
+        let cut = frame[..HEADER_LEN + 3].to_vec();
         assert_eq!(CompressedView::parse(&cut), Err(DecodeError::Truncated));
         assert_eq!(CompressedView::parse(&[]), Err(DecodeError::Truncated));
         assert_eq!(CompressedView::parse(&[0x82]), Err(DecodeError::Truncated));
@@ -934,7 +936,7 @@ mod tests {
             CompressedView::parse(&frame),
             Err(DecodeError::UnsupportedVersion(PROTOCOL_VERSION + 1))
         );
-        // Unversioned (legacy) frames predate the codec entirely.
+        // A frame with no version byte starts at its tag.
         let unversioned = &frame[1..];
         assert_eq!(
             CompressedView::parse(unversioned),
@@ -949,10 +951,6 @@ mod tests {
         // the same isolation contract the PR 8 frames established.
         let compressed = encode(UpdateCodec::TopK { k: 1 }, 3, 1, &[1.0, -2.0]);
         assert_eq!(
-            Message::decode(&compressed),
-            Err(DecodeError::UnknownTag(TAG_COMPRESSED))
-        );
-        assert_eq!(
             MessageView::parse(&compressed).err(),
             Some(DecodeError::UnknownTag(TAG_COMPRESSED))
         );
@@ -960,22 +958,17 @@ mod tests {
             AdaptFrame::parse(&compressed),
             Err(DecodeError::UnknownTag(TAG_COMPRESSED))
         ));
-        let training = Message::GlobalModel {
-            round: 1,
-            params: vec![0.5],
-        }
-        .encode();
         assert_eq!(
-            CompressedView::parse(&training),
-            Err(DecodeError::UnknownTag(TAG_GLOBAL))
+            CompressedView::parse(&global(1, &[0.5])),
+            Err(DecodeError::UnknownTag(1))
         );
-        let adapt = crate::message::AdaptRequest {
+        let adapt = AdaptRequest {
             req_id: 1,
             node: 0,
             alpha: 0.1,
             steps: 1,
             dim: 1,
-            kind: crate::message::SampleKind::Class,
+            kind: SampleKind::Class,
             xs: vec![0.5],
             ys: vec![0.0],
         }
@@ -1185,7 +1178,8 @@ mod tests {
 
         #[test]
         fn prop_every_reader_is_total_on_mutated_valid_frames(
-            kind in 0usize..11,
+            kind in 0usize..9,
+            dress in 0usize..3,
             params in proptest::collection::vec(-1e6f64..1e6, 1..40),
             k in 1usize..6,
             cut in prop_oneof![Just(0usize), 0usize..64],
@@ -1200,18 +1194,12 @@ mod tests {
             // drop up to `cut` trailing bytes, append `tail`, overwrite
             // up to four bytes — half of them inside the first 24, where
             // the header and the codec subheader live.
-            use crate::message::{
-                AdaptReject, AdaptRequest, AdaptResponse, RejectReason, SampleKind,
-            };
             let (round, node) = (3, 1);
-            let update = Message::ModelUpdate { round, node, params: params.clone() };
-            let global = Message::GlobalModel { round, params: params.clone() };
-            let mut frame = match kind {
-                0 => global.encode().to_vec(),
-                1 => update.encode().to_vec(),
-                2 => global.encode_v0().to_vec(),
-                3 => update.encode_v0().to_vec(),
-                4 => AdaptRequest {
+            let mut buf = BytesMut::new();
+            match kind {
+                0 => encode_global_into(round, &params, &mut buf),
+                1 => encode_update_into(round, node, &params, &mut buf),
+                2 => buf.put_slice(&AdaptRequest {
                     req_id: round,
                     node,
                     alpha: 0.1,
@@ -1221,17 +1209,37 @@ mod tests {
                     xs: params.iter().cycle().take(3 * k).copied().collect(),
                     ys: params.iter().cycle().take(k).copied().collect(),
                 }
-                .encode()
-                .to_vec(),
-                5 => AdaptResponse { req_id: node, global_round: round, params: params.clone() }
-                    .encode()
-                    .to_vec(),
-                6 => AdaptReject { req_id: node, reason: RejectReason::Busy }.encode().to_vec(),
-                7 => encode(UpdateCodec::Dense, round, node, &params).to_vec(),
-                8 => encode(UpdateCodec::Quant { bits: 8 }, round, node, &params).to_vec(),
-                9 => encode(UpdateCodec::Quant { bits: 16 }, round, node, &params).to_vec(),
-                _ => encode(UpdateCodec::TopK { k }, round, node, &params).to_vec(),
+                .encode()),
+                3 => encode_adapt_response_into(node, round, &params, &mut buf),
+                4 => encode_adapt_reject_into(node, RejectReason::Busy, &mut buf),
+                5 => buf = encode(UpdateCodec::Dense, round, node, &params),
+                6 => buf = encode(UpdateCodec::Quant { bits: 8 }, round, node, &params),
+                7 => buf = encode(UpdateCodec::Quant { bits: 16 }, round, node, &params),
+                _ => buf = encode(UpdateCodec::TopK { k }, round, node, &params),
+            }
+            let mut frame = buf.to_vec();
+
+            // The two layouts old peers spoke — the frame starting at
+            // its tag, and the same frame under a v1 version byte — are
+            // refused by every reader, whatever the tag.
+            let refusal = match dress {
+                0 => None,
+                1 => {
+                    frame.remove(0);
+                    Some(DecodeError::UnknownTag(frame[0]))
+                }
+                _ => {
+                    frame[0] = 0x80 | 1;
+                    Some(DecodeError::UnsupportedVersion(1))
+                }
             };
+            if let Some(refusal) = refusal {
+                prop_assert_eq!(MessageView::parse(&frame).err(), Some(refusal.clone()));
+                prop_assert_eq!(AdaptFrame::parse(&frame).err(), Some(refusal.clone()));
+                prop_assert_eq!(CompressedView::parse(&frame).err(), Some(refusal));
+                prop_assert_eq!(logical_frame_len(&frame), None);
+            }
+
             frame.truncate(frame.len().saturating_sub(cut));
             frame.extend_from_slice(&tail);
             for (window, at, byte) in pokes {

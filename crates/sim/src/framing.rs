@@ -1,6 +1,6 @@
 //! Length-prefixed stream framing for the wire protocol.
 //!
-//! [`Message`](crate::Message) frames are self-delimiting only when the
+//! Wire frames ([`crate::message`]) are self-delimiting only when the
 //! caller already knows where one frame ends — true on a channel that
 //! moves whole buffers, false on a byte stream (TCP, a Unix socket)
 //! where the kernel may split one frame across many reads or coalesce
@@ -10,7 +10,7 @@
 //! [ len: u32 LE ][ frame: len bytes ]  [ len ][ frame ]  …
 //! ```
 //!
-//! where `frame` is the versioned [`Message`](crate::Message) encoding.
+//! where `frame` is one encoded wire frame.
 //! [`FrameBuffer`] is the hardened incremental decoder: feed it byte
 //! chunks of *any* shape (1-byte dribble, jumbo coalesce, mid-prefix
 //! truncation) and pop whole frames out; a length prefix larger than
@@ -59,8 +59,8 @@ impl std::error::Error for FrameError {}
 /// # Panics
 ///
 /// Panics when `frame` exceeds [`MAX_FRAME_LEN`] — an encoder bug, not
-/// a runtime condition (the largest legal [`Message`](crate::Message)
-/// payload is bounded by the model size).
+/// a runtime condition (the largest legal payload is bounded by the
+/// model size).
 pub fn prefix_frame(frame: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(LENGTH_PREFIX_LEN + frame.len());
     prefix_frame_into(frame, &mut out);
@@ -176,14 +176,11 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Message;
 
     fn sample(round: u32) -> Bytes {
-        Message::GlobalModel {
-            round,
-            params: vec![1.5, -2.5, 0.25],
-        }
-        .encode()
+        let mut buf = bytes::BytesMut::new();
+        crate::message::encode_global_into(round, &[1.5, -2.5, 0.25], &mut buf);
+        buf.freeze()
     }
 
     #[test]

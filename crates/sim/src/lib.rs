@@ -42,13 +42,13 @@ pub mod trace;
 pub use adaptive::{run_adaptive_fedml, AdaptiveOutput, AdaptiveT0Config};
 pub use codec::{
     compressed_frame_len, encode_update_compressed_into, logical_frame_len, quant_epsilon,
-    CodecScratch, CompressedView, UpdateCodec, COMPRESSED_MIN_VERSION, QUANT_CHUNK,
+    CodecScratch, CompressedView, UpdateCodec, QUANT_CHUNK,
 };
 pub use energy::{EnergyModel, EnergyStats};
 pub use framing::{prefix_frame, FrameBuffer, FrameError, LENGTH_PREFIX_LEN, MAX_FRAME_LEN};
 pub use message::{
-    AdaptFrame, AdaptReject, AdaptRequest, AdaptResponse, Message, MessageView, RejectReason,
-    SampleKind, ADAPT_MIN_VERSION, PROTOCOL_VERSION,
+    AdaptFrame, AdaptReject, AdaptRequest, MessageView, RejectReason, SampleKind,
+    PROTOCOL_VERSION,
 };
 pub use pool::{FramePool, PoolStats};
 pub use network::{LinkModel, Network, IDEAL_BANDWIDTH_BPS};

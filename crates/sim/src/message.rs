@@ -2,43 +2,34 @@
 //!
 //! Every frame on every plane — training, compressed uplink, adaptation
 //! service — is one 14-byte header followed by a tag-specific body; the
-//! table of tags, minimum versions, slot meanings and bodies is in
-//! DESIGN.md ("Wire frames"). The format exists so that the simulator's
-//! communication accounting reflects *actual serialized bytes* — the
-//! quantity a real deployment pays for on the uplink.
+//! table of tags, slot meanings and bodies is in DESIGN.md ("Wire
+//! frames"). The format exists so that the simulator's communication
+//! accounting reflects *actual serialized bytes* — the quantity a real
+//! deployment pays for on the uplink.
 //!
 //! The header layout is known to exactly one reader, `Header::parse`,
 //! and one writer, `put_header`; the all-`f64` bodies go through
 //! `F64s` and `put_f64s`. Each plane's public parser — [`MessageView`]
-//! (tags 1–2), [`AdaptFrame`] (tags 3–5, v2+) and
-//! [`CompressedView`](crate::CompressedView) (tag 6, v2+) — hands
-//! `Header::parse` the tags it owns and the version they were born in,
-//! so a frame fed to the wrong plane reports
-//! [`DecodeError::UnknownTag`] instead of being misread. Encoders emit
-//! [`PROTOCOL_VERSION`]; a frame with no version byte is a legacy v0
-//! training frame and still decodes.
+//! (tags 1–2), [`AdaptFrame`] (tags 3–5) and
+//! [`CompressedView`](crate::CompressedView) (tag 6) — hands
+//! `Header::parse` the tags it owns, so a frame fed to the wrong plane
+//! reports [`DecodeError::UnknownTag`] instead of being misread.
+//! Encoders emit [`PROTOCOL_VERSION`] and decoders accept nothing else.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Frame header size in bytes *excluding* the version byte
-/// (tag + round + node + len). A v0 frame is exactly this long when
-/// empty; a versioned frame carries one extra leading byte.
-pub(crate) const HEADER_LEN: usize = 1 + 4 + 4 + 4;
+/// Frame header size in bytes (version + tag + round + node + len).
+const HEADER_LEN: usize = 1 + 1 + 4 + 4 + 4;
 
-/// Protocol version emitted by [`Message::encode`].
+/// The protocol version every encoder emits and every decoder requires.
 pub const PROTOCOL_VERSION: u8 = 2;
 
-/// Oldest protocol version that carries adaptation frames. Requests,
-/// responses and rejects below this version do not exist on the wire
-/// and are rejected by [`AdaptFrame::parse`].
-pub const ADAPT_MIN_VERSION: u8 = 2;
-
-/// High bit marking the first byte of a frame as a version byte rather
-/// than a (legacy, v0) tag byte: no tag ever has it set, so the first
-/// byte alone tells the two apart.
+/// High bit of the version byte. No tag has it set, so a frame that
+/// starts at a tag (the unversioned layout of old peers) is told apart
+/// by its first byte alone.
 const VERSION_MARKER: u8 = 0x80;
 
-pub(crate) const TAG_GLOBAL: u8 = 1;
+const TAG_GLOBAL: u8 = 1;
 pub(crate) const TAG_UPDATE: u8 = 2;
 const TAG_ADAPT_REQUEST: u8 = 3;
 const TAG_ADAPT_RESPONSE: u8 = 4;
@@ -48,27 +39,6 @@ const TAG_ADAPT_REJECT: u8 = 5;
 /// describe the sample block (`alpha`, `steps`, `k`, `dim`, label
 /// kind) before the flattened samples themselves.
 const ADAPT_REQUEST_PREFIX: usize = 5;
-
-/// A message on the platform⇄edge link.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// Platform → node broadcast of the global model for a round.
-    GlobalModel {
-        /// Communication round index.
-        round: u32,
-        /// Flat global parameters.
-        params: Vec<f64>,
-    },
-    /// Node → platform upload of locally updated parameters.
-    ModelUpdate {
-        /// Communication round index.
-        round: u32,
-        /// Reporting node id.
-        node: u32,
-        /// Flat updated parameters.
-        params: Vec<f64>,
-    },
-}
 
 /// Errors from decoding a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,8 +55,8 @@ pub enum DecodeError {
         /// Bytes actually present.
         actual: usize,
     },
-    /// The frame declares a protocol version this decoder does not
-    /// understand (newer than [`PROTOCOL_VERSION`]).
+    /// The frame declares a protocol version other than
+    /// [`PROTOCOL_VERSION`].
     UnsupportedVersion(u8),
     /// The frame is structurally sound but a payload field is
     /// internally inconsistent (e.g. an adaptation request whose
@@ -128,33 +98,24 @@ pub(crate) struct Header<'a> {
 
 impl<'a> Header<'a> {
     /// Reads the header of a frame that must carry one of `tags` at
-    /// version `min_version..=PROTOCOL_VERSION`. `min_version` 0 also
-    /// admits legacy frames, which start at the tag byte.
+    /// [`PROTOCOL_VERSION`].
     ///
-    /// An unknown tag is rejected before any other field is trusted: an
-    /// adversarial frame does no work beyond the header read.
-    pub(crate) fn parse(
-        mut frame: &'a [u8],
-        min_version: u8,
-        tags: &[u8],
-    ) -> Result<Self, DecodeError> {
-        match frame.first() {
-            Some(&first) if first & VERSION_MARKER != 0 => {
-                let version = first & !VERSION_MARKER;
-                // v0 is the *absence* of the version byte, never `0x80`.
-                if version < min_version.max(1) || version > PROTOCOL_VERSION {
-                    return Err(DecodeError::UnsupportedVersion(version));
-                }
-                frame = &frame[1..];
-            }
-            // A plane born after v0 has no legacy frames: whatever the
-            // first byte says, it is not one of its tags.
-            Some(&tag) if min_version > 0 => return Err(DecodeError::UnknownTag(tag)),
-            _ => {}
+    /// The version byte and then the tag are rejected before any other
+    /// field is trusted: an adversarial frame does no work beyond the
+    /// header read.
+    pub(crate) fn parse(mut frame: &'a [u8], tags: &[u8]) -> Result<Self, DecodeError> {
+        let first = *frame.first().ok_or(DecodeError::Truncated)?;
+        if first & VERSION_MARKER == 0 {
+            // No version byte: whatever it says, it is not one of `tags`.
+            return Err(DecodeError::UnknownTag(first));
+        }
+        if first != VERSION_MARKER | PROTOCOL_VERSION {
+            return Err(DecodeError::UnsupportedVersion(first & !VERSION_MARKER));
         }
         if frame.len() < HEADER_LEN {
             return Err(DecodeError::Truncated);
         }
+        frame = &frame[1..];
         let tag = frame.get_u8();
         if !tags.contains(&tag) {
             return Err(DecodeError::UnknownTag(tag));
@@ -222,7 +183,7 @@ impl<'a> F64s<'a> {
     }
 
     /// Overwrites `out` with the values, reusing its capacity.
-    pub(crate) fn copy_into(&self, out: &mut Vec<f64>) {
+    fn copy_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.len());
         out.extend(self.iter());
@@ -257,103 +218,30 @@ fn put_frame(buf: &mut BytesMut, tag: u8, slot_a: u32, slot_b: u32, params: &[f6
     put_f64s(buf, params);
 }
 
-impl Message {
-    /// The round this message belongs to.
-    pub fn round(&self) -> u32 {
-        match self {
-            Message::GlobalModel { round, .. } | Message::ModelUpdate { round, .. } => *round,
-        }
-    }
-
-    /// Borrow of the carried parameters.
-    pub fn params(&self) -> &[f64] {
-        match self {
-            Message::GlobalModel { params, .. } | Message::ModelUpdate { params, .. } => params,
-        }
-    }
-
-    /// Serialized size in bytes (what the link will be charged):
-    /// version byte + header + payload.
-    pub fn encoded_len(&self) -> usize {
-        encoded_frame_len(self.params().len())
-    }
-
-    /// Encodes into a binary frame at the current [`PROTOCOL_VERSION`].
-    ///
-    /// Thin wrapper over [`encode_into`](Message::encode_into) that
-    /// allocates a fresh buffer; hot paths reuse a pooled buffer
-    /// instead.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// Appends the versioned frame to `buf` without allocating beyond
-    /// what `buf` already holds (callers reserve via
-    /// [`encoded_len`](Message::encoded_len), or hand in a pooled
-    /// buffer whose capacity survived earlier rounds).
-    ///
-    /// Produces bytes identical to [`encode`](Message::encode).
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        match self {
-            Message::GlobalModel { round, params } => encode_global_into(*round, params, buf),
-            Message::ModelUpdate {
-                round,
-                node,
-                params,
-            } => encode_update_into(*round, *node, params, buf),
-        }
-    }
-
-    /// Encodes into a legacy v0 frame (no version byte). Kept so
-    /// compatibility with pre-versioning peers can be tested: every v0
-    /// frame must keep decoding forever.
-    pub fn encode_v0(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.encode()[1..])
-    }
-
-    /// Decodes a binary frame (versioned or legacy v0).
-    ///
-    /// Thin wrapper over [`MessageView::parse`] that materializes the
-    /// payload into an owned `Vec<f64>`; hot paths parse the view and
-    /// read the floats in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] for truncated frames, unknown tags,
-    /// unsupported versions, or length mismatches.
-    pub fn decode(frame: &[u8]) -> Result<Self, DecodeError> {
-        Ok(MessageView::parse(frame)?.to_message())
-    }
-}
-
-/// Serialized size in bytes of a versioned frame carrying `param_count`
-/// parameters — what [`Message::encoded_len`] returns, computable
-/// without building the message.
+/// Serialized size in bytes of a frame whose body is `param_count`
+/// parameters — what the link is charged, computable without building
+/// the frame.
 pub const fn encoded_frame_len(param_count: usize) -> usize {
-    1 + HEADER_LEN + 8 * param_count
+    HEADER_LEN + 8 * param_count
 }
 
-/// Appends a versioned [`Message::GlobalModel`] frame to `buf` without
-/// requiring an owned `Vec<f64>` — byte-identical to
-/// `Message::GlobalModel { round, params: params.to_vec() }.encode()`.
+/// Appends the platform → node broadcast of the global model for
+/// `round` (tag 1) to `buf`.
 pub fn encode_global_into(round: u32, params: &[f64], buf: &mut BytesMut) {
     put_frame(buf, TAG_GLOBAL, round, 0, params);
 }
 
-/// Appends a versioned [`Message::ModelUpdate`] frame to `buf` without
-/// requiring an owned `Vec<f64>` — byte-identical to
-/// `Message::ModelUpdate { round, node, params: params.to_vec() }.encode()`.
+/// Appends `node`'s upload of its locally updated parameters for
+/// `round` (tag 2) to `buf`.
 pub fn encode_update_into(round: u32, node: u32, params: &[f64], buf: &mut BytesMut) {
     put_frame(buf, TAG_UPDATE, round, node, params);
 }
 
-/// A decoded frame that *borrows* its payload: the header fields are
-/// parsed eagerly (and validated exactly like [`Message::decode`]), but
-/// the `f64` parameters stay in the frame's byte buffer and are read
-/// lazily via [`params_iter`](MessageView::params_iter). Decoding a
-/// frame this way performs zero heap allocations.
+/// A decoded training frame that *borrows* its payload: the header
+/// fields are parsed and validated eagerly, but the `f64` parameters
+/// stay in the frame's byte buffer and are read lazily via
+/// [`params_iter`](MessageView::params_iter). Decoding a frame this way
+/// performs zero heap allocations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageView<'a> {
     tag: u8,
@@ -363,16 +251,14 @@ pub struct MessageView<'a> {
 }
 
 impl<'a> MessageView<'a> {
-    /// Parses a binary frame (versioned or legacy v0) without copying
-    /// the payload.
+    /// Parses a training frame without copying the payload.
     ///
     /// # Errors
     ///
-    /// The same taxonomy as [`Message::decode`]: [`DecodeError`] for
-    /// truncated frames, unknown tags, unsupported versions, or length
-    /// mismatches.
+    /// [`DecodeError`] for truncated frames, unknown tags, unsupported
+    /// versions, or length mismatches.
     pub fn parse(frame: &'a [u8]) -> Result<Self, DecodeError> {
-        let header = Header::parse(frame, 0, &[TAG_GLOBAL, TAG_UPDATE])?;
+        let header = Header::parse(frame, &[TAG_GLOBAL, TAG_UPDATE])?;
         Ok(MessageView {
             tag: header.tag,
             round: header.slot_a,
@@ -381,12 +267,12 @@ impl<'a> MessageView<'a> {
         })
     }
 
-    /// Whether this is a platform → node [`Message::GlobalModel`] frame.
+    /// Whether this is a platform → node global-model broadcast.
     pub fn is_global(&self) -> bool {
         self.tag == TAG_GLOBAL
     }
 
-    /// Whether this is a node → platform [`Message::ModelUpdate`] frame.
+    /// Whether this is a node → platform model update.
     pub fn is_update(&self) -> bool {
         self.tag == TAG_UPDATE
     }
@@ -396,8 +282,8 @@ impl<'a> MessageView<'a> {
         self.round
     }
 
-    /// The reporting node id (0 for [`Message::GlobalModel`] frames,
-    /// whose wire slot is reserved).
+    /// The reporting node id (0 for global-model frames, whose wire
+    /// slot is reserved).
     pub fn node(&self) -> u32 {
         self.node
     }
@@ -428,23 +314,6 @@ impl<'a> MessageView<'a> {
     pub fn copy_params_into(&self, out: &mut Vec<f64>) {
         self.payload.copy_into(out);
     }
-
-    /// Materializes the whole frame as an owned [`Message`].
-    pub fn to_message(&self) -> Message {
-        let params = self.params_to_vec();
-        match self.tag {
-            TAG_GLOBAL => Message::GlobalModel {
-                round: self.round,
-                params,
-            },
-            TAG_UPDATE => Message::ModelUpdate {
-                round: self.round,
-                node: self.node,
-                params,
-            },
-            t => unreachable!("tag {t} validated by parse"),
-        }
-    }
 }
 
 /// Kind of label carried by the samples in an [`AdaptRequest`]:
@@ -460,7 +329,7 @@ pub enum SampleKind {
 
 impl SampleKind {
     /// Wire code for this kind (the fifth prefix slot of a request).
-    pub fn code(self) -> f64 {
+    fn code(self) -> f64 {
         match self {
             SampleKind::Class => 0.0,
             SampleKind::Value => 1.0,
@@ -496,7 +365,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Wire code (node-slot value of a reject frame).
-    pub fn code(self) -> u32 {
+    fn code(self) -> u32 {
         match self {
             RejectReason::Busy => 1,
             RejectReason::Unavailable => 2,
@@ -561,12 +430,7 @@ impl AdaptRequest {
         self.ys.len()
     }
 
-    /// Serialized size in bytes of this request's frame.
-    pub fn encoded_len(&self) -> usize {
-        encoded_adapt_request_len(self.k(), self.dim as usize)
-    }
-
-    /// Encodes into a fresh v2 frame. Thin wrapper over
+    /// Encodes into a fresh frame. Thin wrapper over
     /// [`encode_adapt_request_into`]; hot paths reuse a pooled buffer.
     ///
     /// # Panics
@@ -574,67 +438,10 @@ impl AdaptRequest {
     /// Panics if `xs.len() != k · dim` — an inconsistent request must
     /// never reach the wire.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        let len = encoded_adapt_request_len(self.k(), self.dim as usize);
+        let mut buf = BytesMut::with_capacity(len);
         encode_adapt_request_into(self, &mut buf);
         buf.freeze()
-    }
-
-    /// Decodes an owned request from a frame.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`AdaptFrame::parse`] reports, plus
-    /// [`DecodeError::UnknownTag`] when the frame is a response or
-    /// reject rather than a request.
-    pub fn decode(frame: &[u8]) -> Result<Self, DecodeError> {
-        match AdaptFrame::parse(frame)? {
-            AdaptFrame::Request(view) => Ok(view.to_request()),
-            AdaptFrame::Response(view) => Err(DecodeError::UnknownTag(view.tag())),
-            AdaptFrame::Reject(_) => Err(DecodeError::UnknownTag(TAG_ADAPT_REJECT)),
-        }
-    }
-}
-
-/// The service's reply to an [`AdaptRequest`]: the personalized
-/// parameters plus the training round of the global they were adapted
-/// from (tag 4; round slot = `global_round`, node slot = `req_id`,
-/// payload = `params`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptResponse {
-    /// Correlation id copied from the request.
-    pub req_id: u32,
-    /// Round of the global snapshot this reply was computed from.
-    pub global_round: u32,
-    /// Personalized parameters φ.
-    pub params: Vec<f64>,
-}
-
-impl AdaptResponse {
-    /// Serialized size in bytes of this response's frame.
-    pub fn encoded_len(&self) -> usize {
-        encoded_frame_len(self.params.len())
-    }
-
-    /// Encodes into a fresh v2 frame. Thin wrapper over
-    /// [`encode_adapt_response_into`].
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        encode_adapt_response_into(self.req_id, self.global_round, &self.params, &mut buf);
-        buf.freeze()
-    }
-
-    /// Decodes an owned response from a frame.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`AdaptFrame::parse`] reports, plus
-    /// [`DecodeError::UnknownTag`] when the frame is not a response.
-    pub fn decode(frame: &[u8]) -> Result<Self, DecodeError> {
-        match AdaptFrame::parse(frame)? {
-            AdaptFrame::Response(view) => Ok(view.to_response()),
-            AdaptFrame::Request(view) => Err(DecodeError::UnknownTag(view.tag())),
-            AdaptFrame::Reject(_) => Err(DecodeError::UnknownTag(TAG_ADAPT_REJECT)),
-        }
     }
 }
 
@@ -650,34 +457,19 @@ pub struct AdaptReject {
     pub reason: RejectReason,
 }
 
-impl AdaptReject {
-    /// Serialized size in bytes of a reject frame (always empty payload).
-    pub const fn encoded_len() -> usize {
-        encoded_frame_len(0)
-    }
-
-    /// Encodes into a fresh v2 frame. Thin wrapper over
-    /// [`encode_adapt_reject_into`].
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(Self::encoded_len());
-        encode_adapt_reject_into(self.req_id, self.reason, &mut buf);
-        buf.freeze()
-    }
-}
-
 /// Serialized size in bytes of an [`AdaptRequest`] frame carrying `k`
 /// samples of dimension `dim`.
 pub const fn encoded_adapt_request_len(k: usize, dim: usize) -> usize {
     encoded_frame_len(ADAPT_REQUEST_PREFIX + k * dim + k)
 }
 
-/// Serialized size in bytes of an [`AdaptResponse`] frame carrying
+/// Serialized size in bytes of an adaptation response carrying
 /// `param_count` parameters (same shape as a training frame).
 pub const fn encoded_adapt_response_len(param_count: usize) -> usize {
     encoded_frame_len(param_count)
 }
 
-/// Appends a versioned [`AdaptRequest`] frame to `buf` — byte-identical
+/// Appends an [`AdaptRequest`] frame (tag 3) to `buf` — byte-identical
 /// to [`AdaptRequest::encode`], reusing `buf`'s capacity.
 ///
 /// # Panics
@@ -713,15 +505,16 @@ pub fn encode_adapt_request_into(req: &AdaptRequest, buf: &mut BytesMut) {
     put_f64s(buf, &req.ys);
 }
 
-/// Appends a versioned [`AdaptResponse`] frame to `buf` — byte-identical
-/// to [`AdaptResponse::encode`], reusing `buf`'s capacity. This is the
-/// serving hot path: a pooled buffer in, a refcounted frame out.
+/// Appends the service's reply to an [`AdaptRequest`] (tag 4; round
+/// slot = `global_round`, the training round of the global the reply
+/// was adapted from, node slot = `req_id`, payload = the personalized
+/// `params`). This is the serving hot path: a pooled buffer in, a
+/// refcounted frame out.
 pub fn encode_adapt_response_into(req_id: u32, global_round: u32, params: &[f64], buf: &mut BytesMut) {
     put_frame(buf, TAG_ADAPT_RESPONSE, global_round, req_id, params);
 }
 
-/// Appends a versioned [`AdaptReject`] frame to `buf` — byte-identical
-/// to [`AdaptReject::encode`], reusing `buf`'s capacity.
+/// Appends an [`AdaptReject`] frame (tag 5, empty payload) to `buf`.
 pub fn encode_adapt_reject_into(req_id: u32, reason: RejectReason, buf: &mut BytesMut) {
     put_frame(buf, TAG_ADAPT_REJECT, req_id, reason.code(), &[]);
 }
@@ -778,10 +571,6 @@ impl<'a> AdaptRequestView<'a> {
         self.kind
     }
 
-    fn tag(&self) -> u8 {
-        TAG_ADAPT_REQUEST
-    }
-
     /// Lazily decodes the flattened features (`k · dim` values,
     /// row-major) straight out of the frame buffer.
     pub fn xs_iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
@@ -792,23 +581,10 @@ impl<'a> AdaptRequestView<'a> {
     pub fn ys_iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
         self.ys.iter()
     }
-
-    /// Materializes the whole frame as an owned [`AdaptRequest`].
-    pub fn to_request(&self) -> AdaptRequest {
-        AdaptRequest {
-            req_id: self.req_id,
-            node: self.node,
-            alpha: self.alpha,
-            steps: self.steps,
-            dim: self.dim,
-            kind: self.kind,
-            xs: self.xs_iter().collect(),
-            ys: self.ys_iter().collect(),
-        }
-    }
 }
 
-/// Zero-copy view of an [`AdaptResponse`] frame.
+/// Zero-copy view of an adaptation response frame
+/// ([`encode_adapt_response_into`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptResponseView<'a> {
     req_id: u32,
@@ -837,10 +613,6 @@ impl<'a> AdaptResponseView<'a> {
         self.len() == 0
     }
 
-    fn tag(&self) -> u8 {
-        TAG_ADAPT_RESPONSE
-    }
-
     /// Lazily decodes the personalized parameters in wire order.
     pub fn params_iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
         self.payload.iter()
@@ -850,18 +622,9 @@ impl<'a> AdaptResponseView<'a> {
     pub fn copy_params_into(&self, out: &mut Vec<f64>) {
         self.payload.copy_into(out);
     }
-
-    /// Materializes the whole frame as an owned [`AdaptResponse`].
-    pub fn to_response(&self) -> AdaptResponse {
-        AdaptResponse {
-            req_id: self.req_id,
-            global_round: self.global_round,
-            params: self.params_iter().collect(),
-        }
-    }
 }
 
-/// A parsed v2 adaptation frame, borrowing its payload from the frame
+/// A parsed adaptation frame, borrowing its payload from the frame
 /// buffer — the serving-path counterpart of [`MessageView`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdaptFrame<'a> {
@@ -874,21 +637,20 @@ pub enum AdaptFrame<'a> {
 }
 
 impl<'a> AdaptFrame<'a> {
-    /// Parses a v2 adaptation frame without copying the sample or
+    /// Parses an adaptation frame without copying the sample or
     /// parameter payload.
     ///
     /// # Errors
     ///
-    /// [`DecodeError::UnknownTag`] for training tags (and for legacy
-    /// unversioned frames, which predate adaptation),
-    /// [`DecodeError::UnsupportedVersion`] for versions outside
-    /// `ADAPT_MIN_VERSION..=PROTOCOL_VERSION`, [`DecodeError::Truncated`] /
+    /// [`DecodeError::UnknownTag`] for training tags (and for frames
+    /// with no version byte), [`DecodeError::UnsupportedVersion`] for
+    /// any version but [`PROTOCOL_VERSION`], [`DecodeError::Truncated`] /
     /// [`DecodeError::LengthMismatch`] for structural damage, and
     /// [`DecodeError::Malformed`] when a request's declared counts or
     /// codes are inconsistent with its payload.
     pub fn parse(frame: &'a [u8]) -> Result<AdaptFrame<'a>, DecodeError> {
         const TAGS: [u8; 3] = [TAG_ADAPT_REQUEST, TAG_ADAPT_RESPONSE, TAG_ADAPT_REJECT];
-        let header = Header::parse(frame, ADAPT_MIN_VERSION, &TAGS)?;
+        let header = Header::parse(frame, &TAGS)?;
         let payload = header.f64s()?;
         let Header {
             tag,
@@ -972,137 +734,138 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn global(round: u32, params: &[f64]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        encode_global_into(round, params, &mut buf);
+        buf
+    }
+
+    fn update(round: u32, node: u32, params: &[f64]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        encode_update_into(round, node, params, &mut buf);
+        buf
+    }
+
     #[test]
     fn roundtrip_global() {
-        let m = Message::GlobalModel {
-            round: 7,
-            params: vec![1.5, -2.5, 0.0],
-        };
-        let bytes = m.encode();
-        assert_eq!(bytes.len(), m.encoded_len());
-        assert_eq!(Message::decode(&bytes).unwrap(), m);
+        let params = [1.5, -2.5, 0.0];
+        let frame = global(7, &params);
+        assert_eq!(frame.len(), encoded_frame_len(3));
+        let view = MessageView::parse(&frame).unwrap();
+        assert!(view.is_global());
+        assert_eq!(view.round(), 7);
+        assert_eq!(view.params_to_vec(), params);
     }
 
     #[test]
     fn roundtrip_update() {
-        let m = Message::ModelUpdate {
-            round: 3,
-            node: 42,
-            params: vec![f64::MAX, f64::MIN_POSITIVE],
-        };
-        assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+        let params = [f64::MAX, f64::MIN_POSITIVE];
+        let frame = update(3, 42, &params);
+        let view = MessageView::parse(&frame).unwrap();
+        assert!(view.is_update());
+        assert_eq!((view.round(), view.node()), (3, 42));
+        assert_eq!(view.params_to_vec(), params);
     }
 
     #[test]
     fn empty_params_are_legal() {
-        let m = Message::GlobalModel {
-            round: 0,
-            params: vec![],
-        };
-        assert_eq!(m.encoded_len(), 1 + HEADER_LEN);
-        assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+        let frame = global(0, &[]);
+        assert_eq!(frame.len(), HEADER_LEN);
+        assert_eq!(encoded_frame_len(0), HEADER_LEN);
+        assert!(MessageView::parse(&frame).unwrap().is_empty());
     }
 
     #[test]
     fn truncated_frame_rejected() {
-        assert_eq!(Message::decode(&[1, 2, 3]), Err(DecodeError::Truncated));
-        // A bare version byte is also shorter than any legal frame.
-        assert_eq!(Message::decode(&[0x81]), Err(DecodeError::Truncated));
+        assert_eq!(MessageView::parse(&[]).err(), Some(DecodeError::Truncated));
+        // A bare version byte is shorter than any legal frame, and so is
+        // every proper prefix of a header.
+        let frame = global(1, &[]);
+        for cut in 1..HEADER_LEN {
+            assert_eq!(
+                MessageView::parse(&frame[..cut]).err(),
+                Some(DecodeError::Truncated)
+            );
+        }
     }
 
     #[test]
     fn unknown_tag_rejected() {
-        let mut bytes = Message::GlobalModel {
-            round: 0,
-            params: vec![],
-        }
-        .encode()
-        .to_vec();
+        let mut bytes = global(0, &[]).to_vec();
         // Byte 0 is the version byte; byte 1 is the tag.
         bytes[1] = 99;
-        assert_eq!(Message::decode(&bytes), Err(DecodeError::UnknownTag(99)));
+        assert_eq!(
+            MessageView::parse(&bytes).err(),
+            Some(DecodeError::UnknownTag(99))
+        );
     }
 
     #[test]
-    fn v0_frame_still_decodes() {
-        // Frames from pre-versioning peers (no leading version byte)
-        // must keep decoding forever.
-        let m = Message::ModelUpdate {
-            round: 9,
-            node: 3,
-            params: vec![1.0, -2.0],
-        };
-        let legacy = m.encode_v0();
-        assert_eq!(legacy.len(), m.encoded_len() - 1);
-        assert_eq!(legacy[0], 2, "v0 frames start at the tag byte");
-        assert_eq!(Message::decode(&legacy).unwrap(), m);
+    fn unversioned_and_v1_frames_rejected() {
+        // The two layouts no encoder emits any more: a frame that starts
+        // at its tag reports that byte as an unknown tag, and a v1
+        // version byte is an unsupported version — on every plane.
+        let mut frame = update(9, 3, &[1.0, -2.0]).to_vec();
+        let unversioned = &frame[1..];
+        assert_eq!(
+            MessageView::parse(unversioned).err(),
+            Some(DecodeError::UnknownTag(2))
+        );
+        assert_eq!(
+            AdaptFrame::parse(unversioned),
+            Err(DecodeError::UnknownTag(2))
+        );
+        frame[0] = 0x80 | 1;
+        assert_eq!(
+            MessageView::parse(&frame).err(),
+            Some(DecodeError::UnsupportedVersion(1))
+        );
     }
 
     #[test]
     fn encode_emits_current_version() {
-        let bytes = Message::GlobalModel {
-            round: 1,
-            params: vec![0.5],
-        }
-        .encode();
-        assert_eq!(bytes[0], 0x80 | PROTOCOL_VERSION);
+        assert_eq!(global(1, &[0.5])[0], 0x80 | PROTOCOL_VERSION);
+        assert_eq!(update(1, 2, &[0.5])[0], 0x80 | PROTOCOL_VERSION);
     }
 
     #[test]
     fn future_version_rejected() {
-        let m = Message::GlobalModel {
-            round: 1,
-            params: vec![0.5],
-        };
-        let mut bytes = m.encode().to_vec();
+        let mut bytes = global(1, &[0.5]).to_vec();
         bytes[0] = 0x80 | (PROTOCOL_VERSION + 1);
         assert_eq!(
-            Message::decode(&bytes),
-            Err(DecodeError::UnsupportedVersion(PROTOCOL_VERSION + 1))
+            MessageView::parse(&bytes).err(),
+            Some(DecodeError::UnsupportedVersion(PROTOCOL_VERSION + 1))
         );
-        // An explicit version-0 marker is malformed too: v0 is defined
-        // as the *absence* of the version byte.
+        // A version byte that says 0 is no version at all.
         bytes[0] = 0x80;
         assert_eq!(
-            Message::decode(&bytes),
-            Err(DecodeError::UnsupportedVersion(0))
+            MessageView::parse(&bytes).err(),
+            Some(DecodeError::UnsupportedVersion(0))
         );
     }
 
     #[test]
     fn length_mismatch_rejected() {
-        let mut bytes = Message::GlobalModel {
-            round: 0,
-            params: vec![1.0],
-        }
-        .encode()
-        .to_vec();
+        let mut bytes = global(0, &[1.0]).to_vec();
         bytes.truncate(bytes.len() - 1);
         assert!(matches!(
-            Message::decode(&bytes),
+            MessageView::parse(&bytes),
             Err(DecodeError::LengthMismatch { .. })
         ));
     }
 
     #[test]
     fn accessors() {
-        let m = Message::ModelUpdate {
-            round: 5,
-            node: 1,
-            params: vec![2.0],
-        };
-        assert_eq!(m.round(), 5);
-        assert_eq!(m.params(), &[2.0]);
+        // A broadcast has no reporting node: its slot is reserved as 0.
+        let frame = global(5, &[2.0]);
+        let view = MessageView::parse(&frame).unwrap();
+        assert!(view.is_global() && !view.is_update());
+        assert_eq!((view.round(), view.node(), view.len()), (5, 0, 1));
     }
 
     #[test]
     fn view_accessors_match_wire_fields() {
-        let m = Message::ModelUpdate {
-            round: 11,
-            node: 4,
-            params: vec![0.5, -0.5],
-        };
-        let frame = m.encode();
+        let frame = update(11, 4, &[0.5, -0.5]);
         let view = MessageView::parse(&frame).unwrap();
         assert!(view.is_update());
         assert!(!view.is_global());
@@ -1111,31 +874,13 @@ mod tests {
         assert_eq!(view.len(), 2);
         assert!(!view.is_empty());
         assert_eq!(view.params_to_vec(), vec![0.5, -0.5]);
-        assert_eq!(view.to_message(), m);
-    }
-
-    #[test]
-    fn view_rejects_what_decode_rejects() {
-        for frame in [
-            &[1u8, 2, 3][..],
-            &[0x81],
-            &[0x80 | (PROTOCOL_VERSION + 1), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        ] {
-            assert_eq!(
-                MessageView::parse(frame).err(),
-                Message::decode(frame).err(),
-                "view and decode must share an error taxonomy"
-            );
-        }
+        let lazy: Vec<f64> = view.params_iter().collect();
+        assert_eq!(lazy, vec![0.5, -0.5]);
     }
 
     #[test]
     fn copy_params_into_reuses_capacity() {
-        let m = Message::GlobalModel {
-            round: 1,
-            params: vec![1.0, 2.0, 3.0],
-        };
-        let frame = m.encode();
+        let frame = global(1, &[1.0, 2.0, 3.0]);
         let view = MessageView::parse(&frame).unwrap();
         let mut scratch = Vec::with_capacity(16);
         let ptr = scratch.as_ptr();
@@ -1161,24 +906,41 @@ mod tests {
         assert_send_sync::<DecodeError>();
     }
 
+    /// A header with every field chosen by the caller, then `body`.
+    fn raw_frame(first: u8, tag: u8, len_field: u32, body: &[u8]) -> Vec<u8> {
+        let mut frame = vec![first, tag];
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(&2u32.to_le_bytes());
+        frame.extend_from_slice(&len_field.to_le_bytes());
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    #[test]
+    fn training_frames_unchanged_by_version_bump() {
+        // Behind the version byte a training frame is laid out as it was
+        // before there was one: tag, round, node, count, then the floats.
+        let mut body = 1.0f64.to_le_bytes().to_vec();
+        body.extend_from_slice(&(-1.0f64).to_le_bytes());
+        let expect = raw_frame(0x80 | PROTOCOL_VERSION, TAG_UPDATE, 2, &body);
+        assert_eq!(&update(1, 2, &[1.0, -1.0])[..], &expect[..]);
+    }
+
     #[test]
     fn unknown_tag_wins_over_bad_length() {
         // An unknown tag is rejected before the length field is trusted.
-        let mut frame = vec![77u8];
-        frame.extend_from_slice(&0u32.to_le_bytes());
-        frame.extend_from_slice(&0u32.to_le_bytes());
-        frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(Message::decode(&frame), Err(DecodeError::UnknownTag(77)));
+        let frame = raw_frame(0x80 | PROTOCOL_VERSION, 77, u32::MAX, &[]);
+        assert_eq!(
+            MessageView::parse(&frame).err(),
+            Some(DecodeError::UnknownTag(77))
+        );
     }
 
     #[test]
     fn huge_length_field_rejected_without_allocation() {
-        let mut frame = vec![TAG_GLOBAL];
-        frame.extend_from_slice(&1u32.to_le_bytes());
-        frame.extend_from_slice(&0u32.to_le_bytes());
-        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        let frame = raw_frame(0x80 | PROTOCOL_VERSION, TAG_GLOBAL, u32::MAX, &[]);
         assert!(matches!(
-            Message::decode(&frame),
+            MessageView::parse(&frame),
             Err(DecodeError::LengthMismatch { .. })
         ));
     }
@@ -1190,60 +952,63 @@ mod tests {
             node in 0u32..u32::MAX,
             params in proptest::collection::vec(-1e12f64..1e12, 0..64),
         ) {
-            let m = Message::ModelUpdate { round, node, params };
-            prop_assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+            let frame = update(round, node, &params);
+            let view = MessageView::parse(&frame).unwrap();
+            prop_assert!(view.is_update());
+            prop_assert_eq!((view.round(), view.node()), (round, node));
+            prop_assert_eq!(view.params_to_vec(), params);
         }
 
         #[test]
         fn prop_encoded_len_exact(
             params in proptest::collection::vec(-1.0f64..1.0, 0..32),
         ) {
-            let m = Message::GlobalModel { round: 1, params };
-            prop_assert_eq!(m.encode().len(), m.encoded_len());
+            // What the simulator charges is what the encoders append.
+            prop_assert_eq!(global(1, &params).len(), encoded_frame_len(params.len()));
+            prop_assert_eq!(update(1, 2, &params).len(), encoded_frame_len(params.len()));
         }
 
         #[test]
         fn prop_decode_never_panics_on_random_bytes(
+            tag in 0u8..8,
+            rest in proptest::collection::vec(0u8..=255, 0..256),
+        ) {
+            // Uniform bytes stop at the version check 255 times in 256:
+            // put the noise behind a valid version byte and a small tag
+            // so it reaches the slot, length and body reads.
+            let mut frame = vec![0x80 | PROTOCOL_VERSION, tag];
+            frame.extend_from_slice(&rest);
+            let _ = MessageView::parse(&frame);
+            let _ = AdaptFrame::parse(&frame);
+        }
+
+        #[test]
+        fn prop_view_never_panics_on_random_bytes(
             frame in proptest::collection::vec(0u8..=255, 0..256),
         ) {
-            // Adversarial input: any byte string must decode or error,
-            // never panic or over-allocate.
-            let _ = Message::decode(&frame);
+            // The view is the first line of defense on the receive
+            // path: adversarial input must parse or error, never panic.
+            let _ = MessageView::parse(&frame);
         }
 
         #[test]
         fn prop_decode_never_panics_on_mangled_header(
-            // High-bit-set first bytes are version markers and shift the
-            // header layout; the lying-length property below is stated
-            // for tag-first (v0) frames.
+            first in 0u8..=255,
             tag in 0u8..0x80,
             len_field in 0u32..u32::MAX,
             body in proptest::collection::vec(0u8..=255, 0..64),
         ) {
-            // Worst case: a header that lies about the payload length.
-            let mut frame = vec![tag];
-            frame.extend_from_slice(&1u32.to_le_bytes());
-            frame.extend_from_slice(&2u32.to_le_bytes());
-            frame.extend_from_slice(&len_field.to_le_bytes());
-            frame.extend_from_slice(&body);
-            let decoded = Message::decode(&frame);
-            if 8 * (len_field as u64) != body.len() as u64 {
-                prop_assert!(decoded.is_err(), "lying length must be rejected");
+            // Worst case: a header that lies about the payload length,
+            // under any first byte.
+            let frame = raw_frame(first, tag, len_field, &body);
+            let parsed = MessageView::parse(&frame);
+            if first & 0x80 == 0 {
+                prop_assert_eq!(parsed.err(), Some(DecodeError::UnknownTag(first)));
+            } else if first != 0x80 | PROTOCOL_VERSION {
+                prop_assert_eq!(parsed.err(), Some(DecodeError::UnsupportedVersion(first & 0x7f)));
+            } else if 8 * (len_field as u64) != body.len() as u64 {
+                prop_assert!(parsed.is_err(), "lying length must be rejected");
             }
-        }
-
-        #[test]
-        fn prop_v0_frames_still_decode(
-            round in 0u32..u32::MAX,
-            node in 0u32..u32::MAX,
-            params in proptest::collection::vec(-1e12f64..1e12, 0..64),
-        ) {
-            // Backward compatibility: every legacy (unversioned) frame
-            // decodes to the same message as its versioned encoding.
-            let m = Message::ModelUpdate { round, node, params };
-            prop_assert_eq!(Message::decode(&m.encode_v0()).unwrap(), m.clone());
-            let g = Message::GlobalModel { round, params: m.params().to_vec() };
-            prop_assert_eq!(Message::decode(&g.encode_v0()).unwrap(), g);
         }
 
         #[test]
@@ -1251,67 +1016,19 @@ mod tests {
             round in 0u32..u32::MAX,
             node in 0u32..u32::MAX,
             params in proptest::collection::vec(-1e12f64..1e12, 0..64),
+            stale in proptest::collection::vec(0u8..=255, 0..64),
         ) {
-            // The pooled path must produce bitwise-identical frames to
-            // the owned path, for both message kinds, including when the
-            // target buffer carries stale capacity from a previous round.
-            let up = Message::ModelUpdate { round, node, params: params.clone() };
+            // A pooled buffer arrives with stale capacity, and may be
+            // appended to after other bytes: the frame written is the
+            // same bytes a fresh buffer gets.
             let mut buf = BytesMut::with_capacity(512);
-            up.encode_into(&mut buf);
-            prop_assert_eq!(buf.freeze(), up.encode());
+            buf.put_slice(&stale);
+            encode_update_into(round, node, &params, &mut buf);
+            prop_assert_eq!(&buf[stale.len()..], &update(round, node, &params)[..]);
 
-            let mut direct = BytesMut::new();
-            encode_update_into(round, node, &params, &mut direct);
-            prop_assert_eq!(direct.freeze(), up.encode());
-
-            let glob = Message::GlobalModel { round, params: params.clone() };
-            let mut gbuf = BytesMut::new();
-            encode_global_into(round, &params, &mut gbuf);
-            prop_assert_eq!(gbuf.freeze(), glob.encode());
-        }
-
-        #[test]
-        fn prop_view_agrees_with_decode(
-            round in 0u32..u32::MAX,
-            node in 0u32..u32::MAX,
-            params in proptest::collection::vec(-1e12f64..1e12, 0..64),
-        ) {
-            // The borrowed view must agree with the owned decoder on
-            // both wire generations (v1 and legacy v0 frames).
-            let m = Message::ModelUpdate { round, node, params };
-            for frame in [m.encode(), m.encode_v0()] {
-                let view = MessageView::parse(&frame).unwrap();
-                prop_assert_eq!(view.to_message(), Message::decode(&frame).unwrap());
-                prop_assert_eq!(view.round(), m.round());
-                prop_assert_eq!(view.params_to_vec(), m.params().to_vec());
-                let lazy: Vec<f64> = view.params_iter().collect();
-                prop_assert_eq!(lazy, m.params().to_vec());
-            }
-        }
-
-        #[test]
-        fn prop_view_never_panics_on_random_bytes(
-            frame in proptest::collection::vec(0u8..=255, 0..256),
-        ) {
-            // The view is the new first line of defense on the receive
-            // path: adversarial input must parse or error, never panic.
-            prop_assert_eq!(
-                MessageView::parse(&frame).map(|v| v.to_message()),
-                Message::decode(&frame)
-            );
-        }
-
-        #[test]
-        fn prop_versioned_and_v0_agree(
-            round in 0u32..1000u32,
-            params in proptest::collection::vec(-1.0f64..1.0, 0..32),
-        ) {
-            // The versioned frame is exactly the v0 frame plus one
-            // leading byte — the body layout did not change.
-            let m = Message::GlobalModel { round, params };
-            let v1 = m.encode();
-            let v0 = m.encode_v0();
-            prop_assert_eq!(&v1[1..], &v0[..]);
+            buf.clear();
+            encode_global_into(round, &params, &mut buf);
+            prop_assert_eq!(buf, global(round, &params));
         }
     }
 
@@ -1328,13 +1045,24 @@ mod tests {
         }
     }
 
+    fn response(req_id: u32, global_round: u32, params: &[f64]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        encode_adapt_response_into(req_id, global_round, params, &mut buf);
+        buf
+    }
+
+    fn reject(req_id: u32, reason: RejectReason) -> BytesMut {
+        let mut buf = BytesMut::new();
+        encode_adapt_reject_into(req_id, reason, &mut buf);
+        buf
+    }
+
     #[test]
     fn adapt_request_roundtrip() {
         let req = sample_request();
         let frame = req.encode();
-        assert_eq!(frame.len(), req.encoded_len());
+        assert_eq!(frame.len(), encoded_adapt_request_len(req.k(), 2));
         assert_eq!(frame[0], 0x80 | PROTOCOL_VERSION);
-        assert_eq!(AdaptRequest::decode(&frame).unwrap(), req);
         match AdaptFrame::parse(&frame).unwrap() {
             AdaptFrame::Request(view) => {
                 assert_eq!(view.req_id(), 7);
@@ -1355,14 +1083,9 @@ mod tests {
 
     #[test]
     fn adapt_response_roundtrip() {
-        let resp = AdaptResponse {
-            req_id: 11,
-            global_round: 42,
-            params: vec![1.5, -2.5, f64::MIN_POSITIVE],
-        };
-        let frame = resp.encode();
-        assert_eq!(frame.len(), resp.encoded_len());
-        assert_eq!(AdaptResponse::decode(&frame).unwrap(), resp);
+        let params = [1.5, -2.5, f64::MIN_POSITIVE];
+        let frame = response(11, 42, &params);
+        assert_eq!(frame.len(), encoded_adapt_response_len(3));
         match AdaptFrame::parse(&frame).unwrap() {
             AdaptFrame::Response(view) => {
                 assert_eq!(view.req_id(), 11);
@@ -1371,7 +1094,7 @@ mod tests {
                 assert!(!view.is_empty());
                 let mut out = Vec::new();
                 view.copy_params_into(&mut out);
-                assert_eq!(out, resp.params);
+                assert_eq!(out, params);
             }
             other => panic!("expected response, got {other:?}"),
         }
@@ -1384,10 +1107,12 @@ mod tests {
             RejectReason::Unavailable,
             RejectReason::BadRequest,
         ] {
-            let reject = AdaptReject { req_id: 9, reason };
-            let frame = reject.encode();
-            assert_eq!(frame.len(), AdaptReject::encoded_len());
-            assert_eq!(AdaptFrame::parse(&frame).unwrap(), AdaptFrame::Reject(reject));
+            let frame = reject(9, reason);
+            assert_eq!(frame.len(), encoded_frame_len(0));
+            assert_eq!(
+                AdaptFrame::parse(&frame).unwrap(),
+                AdaptFrame::Reject(AdaptReject { req_id: 9, reason })
+            );
         }
     }
 
@@ -1397,26 +1122,20 @@ mod tests {
         // tag (it must not misread the sample block as parameters), and
         // the adaptation parser refuses training frames symmetrically.
         let req_frame = sample_request().encode();
-        assert_eq!(Message::decode(&req_frame), Err(DecodeError::UnknownTag(3)));
         assert_eq!(
             MessageView::parse(&req_frame).err(),
             Some(DecodeError::UnknownTag(3))
         );
-        let training = Message::GlobalModel {
-            round: 1,
-            params: vec![0.5],
-        }
-        .encode();
         assert!(matches!(
-            AdaptFrame::parse(&training),
+            AdaptFrame::parse(&global(1, &[0.5])),
             Err(DecodeError::UnknownTag(1))
         ));
     }
 
     #[test]
     fn adapt_frames_require_v2() {
-        // Tag 3 under a v1 version byte or in a legacy unversioned frame
-        // is not a valid adaptation frame: the tags were born in v2.
+        // Tag 3 under a v1 version byte or with no version byte at all
+        // is not an adaptation frame.
         let mut frame = sample_request().encode().to_vec();
         frame[0] = 0x80 | 1;
         assert_eq!(
@@ -1443,9 +1162,9 @@ mod tests {
         // the prefix needs.
         let mut short = base.encode().to_vec();
         // Rewrite payload len to 3 slots and truncate to match.
-        let len_at = 1 + 1 + 4 + 4;
+        let len_at = HEADER_LEN - 4;
         short[len_at..len_at + 4].copy_from_slice(&3u32.to_le_bytes());
-        short.truncate(1 + 1 + 4 + 4 + 4 + 8 * 3);
+        short.truncate(HEADER_LEN + 8 * 3);
         assert_eq!(
             AdaptFrame::parse(&short),
             Err(DecodeError::Malformed("request payload shorter than prefix"))
@@ -1463,7 +1182,7 @@ mod tests {
 
         // Counts that disagree with the payload length.
         let mut frame = base.encode().to_vec();
-        let k_at = 1 + HEADER_LEN + 8 * 2;
+        let k_at = HEADER_LEN + 8 * 2;
         frame[k_at..k_at + 8].copy_from_slice(&9.0f64.to_le_bytes());
         assert_eq!(
             AdaptFrame::parse(&frame),
@@ -1472,7 +1191,7 @@ mod tests {
 
         // Non-integral steps.
         let mut frame = base.encode().to_vec();
-        let steps_at = 1 + HEADER_LEN + 8;
+        let steps_at = HEADER_LEN + 8;
         frame[steps_at..steps_at + 8].copy_from_slice(&2.5f64.to_le_bytes());
         assert_eq!(
             AdaptFrame::parse(&frame),
@@ -1481,7 +1200,7 @@ mod tests {
 
         // Non-finite alpha.
         let mut frame = base.encode().to_vec();
-        let alpha_at = 1 + HEADER_LEN;
+        let alpha_at = HEADER_LEN;
         frame[alpha_at..alpha_at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         assert_eq!(
             AdaptFrame::parse(&frame),
@@ -1490,23 +1209,19 @@ mod tests {
 
         // Unknown sample-kind code.
         let mut frame = base.encode().to_vec();
-        let kind_at = 1 + HEADER_LEN + 8 * 4;
+        let kind_at = HEADER_LEN + 8 * 4;
         frame[kind_at..kind_at + 8].copy_from_slice(&7.0f64.to_le_bytes());
         assert_eq!(
             AdaptFrame::parse(&frame),
             Err(DecodeError::Malformed("unknown sample-kind code"))
         );
 
-        // A reject frame with a payload or an unknown reason code.
-        let mut reject = AdaptReject {
-            req_id: 1,
-            reason: RejectReason::Busy,
-        }
-        .encode()
-        .to_vec();
-        reject[1 + 1 + 4..1 + 1 + 4 + 4].copy_from_slice(&99u32.to_le_bytes());
+        // A reject frame with an unknown reason code.
+        let mut frame = reject(1, RejectReason::Busy).to_vec();
+        let reason_at = 1 + 1 + 4;
+        frame[reason_at..reason_at + 4].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(
-            AdaptFrame::parse(&reject),
+            AdaptFrame::parse(&frame),
             Err(DecodeError::Malformed("unknown reject-reason code"))
         );
     }
@@ -1517,20 +1232,6 @@ mod tests {
         req.xs.pop();
         let result = std::panic::catch_unwind(move || req.encode());
         assert!(result.is_err(), "inconsistent request must not encode");
-    }
-
-    #[test]
-    fn training_frames_unchanged_by_version_bump() {
-        // v2's training frames are byte-identical to v1's except for the
-        // version byte — and v1 frames still decode.
-        let m = Message::ModelUpdate {
-            round: 5,
-            node: 2,
-            params: vec![1.0, -1.0],
-        };
-        let mut as_v1 = m.encode().to_vec();
-        as_v1[0] = 0x80 | 1;
-        assert_eq!(Message::decode(&as_v1).unwrap(), m);
     }
 
     proptest! {
@@ -1561,8 +1262,17 @@ mod tests {
                 dim: dim as u32, kind, xs, ys,
             };
             let frame = req.encode();
-            prop_assert_eq!(frame.len(), req.encoded_len());
-            prop_assert_eq!(AdaptRequest::decode(&frame).unwrap(), req);
+            prop_assert_eq!(frame.len(), encoded_adapt_request_len(k, dim));
+            let Ok(AdaptFrame::Request(view)) = AdaptFrame::parse(&frame) else {
+                panic!("not a request");
+            };
+            prop_assert_eq!(
+                (view.req_id(), view.node(), view.alpha(), view.steps(), view.kind()),
+                (req_id, node, alpha, steps, kind)
+            );
+            prop_assert_eq!((view.k() as usize, view.dim() as usize), (k, dim));
+            prop_assert_eq!(view.xs_iter().collect::<Vec<_>>(), req.xs);
+            prop_assert_eq!(view.ys_iter().collect::<Vec<_>>(), req.ys);
         }
 
         #[test]
@@ -1571,10 +1281,13 @@ mod tests {
             global_round in 0u32..u32::MAX,
             params in proptest::collection::vec(-1e12f64..1e12, 0..64),
         ) {
-            let resp = AdaptResponse { req_id, global_round, params };
-            let frame = resp.encode();
-            prop_assert_eq!(frame.len(), resp.encoded_len());
-            prop_assert_eq!(AdaptResponse::decode(&frame).unwrap(), resp);
+            let frame = response(req_id, global_round, &params);
+            prop_assert_eq!(frame.len(), encoded_adapt_response_len(params.len()));
+            let Ok(AdaptFrame::Response(view)) = AdaptFrame::parse(&frame) else {
+                panic!("not a response");
+            };
+            prop_assert_eq!((view.req_id(), view.global_round()), (req_id, global_round));
+            prop_assert_eq!(view.params_iter().collect::<Vec<_>>(), params);
         }
 
         #[test]
@@ -1583,18 +1296,20 @@ mod tests {
             global_round in 0u32..u32::MAX,
             params in proptest::collection::vec(-1e12f64..1e12, 0..64),
         ) {
-            // The pooled serving hot path must emit bitwise-identical
-            // frames to the owned encoders, including into a buffer with
-            // stale capacity.
-            let resp = AdaptResponse { req_id, global_round, params };
-            let mut buf = BytesMut::with_capacity(512);
-            encode_adapt_response_into(req_id, global_round, &resp.params, &mut buf);
-            prop_assert_eq!(buf.freeze(), resp.encode());
+            // The serving hot path encodes into pooled buffers that come
+            // back with another frame's capacity: the bytes must be the
+            // ones a freshly owned buffer gets.
+            let pool = crate::FramePool::new();
+            pool.release(response(1, 1, &[7.0; 80]));
+            let mut buf = pool.acquire(encoded_adapt_response_len(params.len()));
+            encode_adapt_response_into(req_id, global_round, &params, &mut buf);
+            prop_assert_eq!(&buf, &response(req_id, global_round, &params));
 
-            let reject = AdaptReject { req_id, reason: RejectReason::Busy };
-            let mut rbuf = BytesMut::with_capacity(64);
-            encode_adapt_reject_into(req_id, RejectReason::Busy, &mut rbuf);
-            prop_assert_eq!(rbuf.freeze(), reject.encode());
+            pool.release(buf);
+            let mut buf = pool.acquire(encoded_frame_len(0));
+            encode_adapt_reject_into(req_id, RejectReason::Busy, &mut buf);
+            prop_assert_eq!(buf, reject(req_id, RejectReason::Busy));
+            prop_assert_eq!(pool.stats().hits, 2);
         }
 
         #[test]
@@ -1604,21 +1319,6 @@ mod tests {
             // Same adversarial-input contract as MessageView: any byte
             // string parses or errors, never panics.
             let _ = AdaptFrame::parse(&frame);
-        }
-
-        #[test]
-        fn prop_training_frames_still_decode_under_v2(
-            round in 0u32..u32::MAX,
-            node in 0u32..u32::MAX,
-            params in proptest::collection::vec(-1e12f64..1e12, 0..64),
-        ) {
-            // Version-bump regression guard: v0 (unversioned) and v1
-            // frames decode to the same message as the current encoding.
-            let m = Message::ModelUpdate { round, node, params };
-            prop_assert_eq!(Message::decode(&m.encode_v0()).unwrap(), m.clone());
-            let mut as_v1 = m.encode().to_vec();
-            as_v1[0] = 0x80 | 1;
-            prop_assert_eq!(Message::decode(&as_v1).unwrap(), m);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Link models for the platform⇄edge network.
 //!
 //! Wireless uplinks at the edge are slow, lossy, and asymmetric; the
-//! simulator charges every [`crate::Message`] against these models to
+//! simulator charges every [`crate::message`] frame against these models to
 //! produce the wall-clock and byte figures the `comm_cost` experiment
 //! reports.
 

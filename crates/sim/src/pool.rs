@@ -1,36 +1,32 @@
 //! Pooled frame buffers: recycle encode/receive storage across rounds.
 //!
 //! Every hop of the platform⇄node loop used to allocate — one
-//! `BytesMut` per `Message::encode`, one `Bytes` copy per
+//! `BytesMut` per encode, one `Bytes` copy per
 //! `FrameBuffer::next_frame`. At fleet scale (10k nodes × rounds ×
 //! 2 hops) that heap traffic dominates the runtime's cost.
-//! [`FramePool`] turns both into buffer reuse: a sharded free-list of
+//! [`FramePool`] turns both into buffer reuse: one free-list of
 //! [`BytesMut`] that encode paths [`acquire`](FramePool::acquire) from
 //! and receive paths return to via [`recycle`](FramePool::recycle),
 //! which reclaims a frozen [`Bytes`] when it holds the last handle (so
 //! even the single-encode broadcast frame comes back once every link
 //! has dropped its clone).
 //!
-//! The pool is best-effort and lock-light: each shard is a small
-//! `Mutex<Vec<BytesMut>>`, a handle picks its shard once (round-robin
-//! at clone/creation), and a full shard simply drops the returned
-//! buffer. Stats (hits, misses, returns, high-water mark) are atomic
-//! counters, cheap enough to leave on in production and precise enough
-//! for the `perf/` series to report the steady-state hit rate and
-//! misses per round (`sim.pool.*`).
+//! The pool is best-effort: the list is one small `Mutex<Vec<BytesMut>>`
+//! every handle shares, an empty list allocates and a full one drops
+//! the returned buffer. Stats (hits, misses, returns, high-water mark)
+//! are atomic counters, cheap enough to leave on in production and
+//! precise enough for the `perf/` series to report the steady-state hit
+//! rate and misses per round (`sim.pool.*`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use bytes::{Bytes, BytesMut};
 
-/// Shards in a pool: enough that 16 worker threads rarely collide on a
-/// shard mutex, few enough that idle pools stay tiny.
-const SHARDS: usize = 8;
-
-/// Buffers retained per shard. Beyond this, returned buffers are simply
-/// dropped — the pool bounds memory, it does not grow without limit.
-const PER_SHARD_CAP: usize = 64;
+/// Buffers the free-list retains. Beyond this, returned buffers are
+/// simply dropped — the pool bounds memory, it does not grow without
+/// limit.
+const CAP: usize = 64;
 
 /// Snapshot of a pool's counters (see [`FramePool::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,7 +37,7 @@ pub struct PoolStats {
     pub misses: usize,
     /// Buffers returned to the free-list.
     pub returns: usize,
-    /// Most buffers ever resident in the free-lists at once.
+    /// Most buffers ever resident in the free-list at once.
     pub high_water: usize,
 }
 
@@ -59,40 +55,27 @@ impl PoolStats {
 
 #[derive(Debug, Default)]
 struct PoolInner {
-    shards: [Mutex<Vec<BytesMut>>; SHARDS],
+    buffers: Mutex<Vec<BytesMut>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     returns: AtomicUsize,
-    resident: AtomicUsize,
     high_water: AtomicUsize,
 }
 
-/// A sharded free-list of [`BytesMut`] frame buffers.
+/// A free-list of [`BytesMut`] frame buffers.
 ///
-/// Cloning is cheap (`Arc`); clones share the free-lists and counters
-/// but start on the next shard round-robin, so per-thread handles
-/// mostly stay off each other's mutex. All methods are best-effort:
-/// an empty shard allocates, a full shard drops — the pool never
-/// blocks beyond one uncontended mutex lock.
-#[derive(Debug, Clone)]
+/// Cloning is cheap (`Arc`); clones share the list and the counters.
+/// All methods are best-effort: an empty list allocates, a full list
+/// drops — the pool never blocks beyond one mutex lock.
+#[derive(Debug, Clone, Default)]
 pub struct FramePool {
     inner: Arc<PoolInner>,
-    shard: usize,
-}
-
-impl Default for FramePool {
-    fn default() -> Self {
-        FramePool::new()
-    }
 }
 
 impl FramePool {
     /// Creates an empty pool.
     pub fn new() -> Self {
-        FramePool {
-            inner: Arc::new(PoolInner::default()),
-            shard: 0,
-        }
+        FramePool::default()
     }
 
     /// The process-wide shared pool. Components that are not handed a
@@ -103,26 +86,19 @@ impl FramePool {
         GLOBAL.get_or_init(FramePool::new)
     }
 
-    /// A handle on the same pool pinned to the next shard (round-robin)
-    /// — give one to each worker thread to keep shard mutexes
-    /// uncontended.
+    /// Another handle on the same pool: same list, same counters.
     pub fn handle(&self) -> FramePool {
-        FramePool {
-            inner: Arc::clone(&self.inner),
-            shard: (self.shard + 1) % SHARDS,
-        }
+        self.clone()
     }
 
     /// Takes a cleared buffer with at least `capacity` bytes reserved,
     /// reusing pooled storage when available.
     pub fn acquire(&self, capacity: usize) -> BytesMut {
-        let pooled = self.inner.shards[self.shard]
-            .lock()
-            .expect("frame pool shard poisoned")
-            .pop();
+        let mut buffers = self.inner.buffers.lock().expect("frame pool poisoned");
+        let pooled = buffers.pop();
+        drop(buffers);
         match pooled {
             Some(mut buf) => {
-                self.inner.resident.fetch_sub(1, Ordering::Relaxed);
                 self.inner.hits.fetch_add(1, Ordering::Relaxed);
                 buf.clear();
                 buf.reserve(capacity);
@@ -135,20 +111,16 @@ impl FramePool {
         }
     }
 
-    /// Returns a mutable buffer to the free-list (dropped if the shard
+    /// Returns a mutable buffer to the free-list (dropped if the list
     /// is full).
     pub fn release(&self, buf: BytesMut) {
-        let mut shard = self.inner.shards[self.shard]
-            .lock()
-            .expect("frame pool shard poisoned");
-        if shard.len() >= PER_SHARD_CAP {
+        let mut buffers = self.inner.buffers.lock().expect("frame pool poisoned");
+        if buffers.len() >= CAP {
             return;
         }
-        shard.push(buf);
-        // Counted before the shard unlocks: an `acquire` that pops this
-        // buffer must find it in `resident`, or its decrement wraps.
-        let resident = self.inner.resident.fetch_add(1, Ordering::Relaxed) + 1;
-        drop(shard);
+        buffers.push(buf);
+        let resident = buffers.len();
+        drop(buffers);
         self.inner.returns.fetch_add(1, Ordering::Relaxed);
         self.inner.high_water.fetch_max(resident, Ordering::Relaxed);
     }
@@ -229,27 +201,59 @@ mod tests {
     }
 
     #[test]
-    fn handles_share_state_but_spread_shards() {
+    fn handles_share_one_list() {
+        // What one handle releases, any other handle — or the pool it
+        // came from — acquires.
         let pool = FramePool::new();
         let h1 = pool.handle();
         let h2 = h1.handle();
-        assert_ne!(pool.shard, h1.shard);
-        assert_ne!(h1.shard, h2.shard);
         h1.release(BytesMut::with_capacity(32));
-        // Different shard, same pool: stats are shared even though the
-        // buffer itself sits in h1's shard.
         assert_eq!(pool.stats().returns, 1);
-        assert_eq!(h2.stats().returns, 1);
+        assert!(h2.acquire(1).capacity() >= 32);
+        assert_eq!(pool.stats().hits, 1);
+        h2.release(BytesMut::with_capacity(48));
+        assert!(pool.acquire(1).capacity() >= 48);
+        assert_eq!((h1.stats().hits, h1.stats().misses), (2, 0));
     }
 
     #[test]
-    fn full_shard_drops_excess_buffers() {
+    fn full_pool_drops_the_65th_buffer() {
         let pool = FramePool::new();
-        for _ in 0..(PER_SHARD_CAP + 10) {
-            pool.release(BytesMut::with_capacity(8));
+        let held: Vec<_> = (0..CAP + 1).map(|_| pool.acquire(8)).collect();
+        assert_eq!(pool.stats().misses, CAP + 1);
+        for (i, buf) in held.into_iter().enumerate() {
+            pool.handle().release(buf);
+            assert_eq!(pool.stats().returns, (i + 1).min(CAP));
         }
-        assert_eq!(pool.stats().returns, PER_SHARD_CAP);
-        assert_eq!(pool.stats().high_water, PER_SHARD_CAP);
+        assert_eq!(pool.stats().high_water, CAP);
+    }
+
+    #[test]
+    fn resident_count_survives_two_threads() {
+        // `high_water` is the list's own length, read under its lock: a
+        // release racing an acquire can neither wrap it nor push it
+        // past the cap.
+        let pool = FramePool::new();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let (pool, start) = (pool.handle(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..2_000 {
+                        let a = pool.acquire(16);
+                        if i % 3 == 0 {
+                            pool.release(BytesMut::with_capacity(16));
+                        }
+                        pool.release(a);
+                    }
+                });
+            }
+        });
+        let s = pool.stats();
+        assert!((1..=CAP).contains(&s.high_water), "{s:?}");
+        assert!(s.hits <= s.returns, "every hit was once returned: {s:?}");
+        assert_eq!(s.hits + s.misses, 4_000);
     }
 
     #[test]

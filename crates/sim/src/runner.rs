@@ -2,16 +2,20 @@
 //!
 //! Each communication round:
 //!
-//! 1. the platform serializes the global model into a
-//!    [`Message::GlobalModel`] frame and broadcasts it (downlink cost per
-//!    participating node);
-//! 2. participating nodes decode it and run their `T0` local iterations —
+//! 1. the platform broadcasts the global model (downlink cost of one
+//!    global-model frame per participating node);
+//! 2. participating nodes run their `T0` local iterations from it —
 //!    executed on real threads via [`fml_core::parallel`] so large
 //!    federations use the host's cores;
-//! 3. each node serializes a [`Message::ModelUpdate`] and uploads it
-//!    (uplink cost);
+//! 3. each node uploads its update (uplink cost of one update frame);
 //! 4. the platform aggregates with size-proportional weights renormalized
 //!    over the round's participants.
+//!
+//! The simulator prices frames, it does not build them: a link is
+//! charged [`encoded_frame_len`] bytes — the length the wire encoders
+//! append, held to them in `message`'s tests — and the floats are
+//! handed on as they are, which is what an `f64` little-endian round
+//! trip returns.
 //!
 //! Failure injection: per-round node dropout and deterministic straggler
 //! assignment with a configurable slowdown; the synchronous-round
@@ -23,9 +27,8 @@ use fml_models::Model;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::message::{encode_global_into, encode_update_into, encoded_frame_len, MessageView};
+use crate::message::encoded_frame_len;
 use crate::network::Network;
-use crate::pool::FramePool;
 use crate::stats::{CommStats, ComputeStats};
 use crate::trace::{RoundTrace, TraceLog};
 
@@ -173,10 +176,9 @@ pub struct SimRunner {
 }
 
 /// The per-run accumulator every simulated round loop carries: the
-/// global model, the meters, the curves, and the recycled frame storage.
-/// Its methods are the phases the loops share; each loop keeps inline
-/// only who takes part and how the uploaded frames become the next
-/// global.
+/// global model, the meters and the curves. Its methods are the phases
+/// the loops share; each loop keeps inline only who takes part and how
+/// the uploaded updates become the next global.
 pub(crate) struct RunState<'a> {
     cfg: &'a SimConfig,
     stepper: &'a dyn LocalStepper,
@@ -189,22 +191,14 @@ pub(crate) struct RunState<'a> {
     participants_per_round: Vec<usize>,
     pub(crate) history: Vec<(usize, f64)>,
     trace: TraceLog,
-    /// Frame storage is recycled across rounds: after warm-up the
-    /// encode/decode phases touch the allocator only for the updates.
-    pool: FramePool,
-    start_params: Vec<f64>,
     /// What the per-round curve evaluation runs on.
     curve_scratch: Scratch,
-    /// The round's uploaded frames, in participant order.
-    frames: Vec<bytes::Bytes>,
 }
 
-/// One round in flight: its broadcast frame and the meter marks its
-/// trace row needs.
+/// One round in flight: the meter marks its trace row needs.
 pub(crate) struct Flight {
     round: usize,
     steps: usize,
-    frame: bytes::Bytes,
     down_time: f64,
     compute_time: f64,
     bytes_before: u64,
@@ -249,10 +243,7 @@ impl<'a> RunState<'a> {
             participants_per_round: Vec::new(),
             history: Vec::new(),
             trace: TraceLog::new(),
-            pool: FramePool::new(),
-            start_params: Vec::with_capacity(theta0.len()),
             curve_scratch: Scratch::for_model(model),
-            frames: Vec::with_capacity(n),
         }
     }
 
@@ -262,8 +253,8 @@ impl<'a> RunState<'a> {
         self.comm.messages += 1;
     }
 
-    /// Downlink: the platform serializes the global once, into a pooled
-    /// buffer; each participant is charged its own transfer.
+    /// Downlink: each participant is charged its own transfer of the
+    /// global-model frame.
     pub(crate) fn broadcast(
         &mut self,
         round: usize,
@@ -272,12 +263,10 @@ impl<'a> RunState<'a> {
         rng: &mut StdRng,
     ) -> Flight {
         self.participants_per_round.push(links);
-        let mut buf = self.pool.acquire(encoded_frame_len(self.global.len()));
-        encode_global_into(round as u32, &self.global, &mut buf);
+        let frame_len = encoded_frame_len(self.global.len());
         let mut flight = Flight {
             round,
             steps,
-            frame: buf.freeze(),
             down_time: 0.0,
             compute_time: 0.0,
             bytes_before: self.comm.bytes_up + self.comm.bytes_down,
@@ -285,29 +274,23 @@ impl<'a> RunState<'a> {
             comm_time_before: self.comm.time_s,
         };
         for _ in 0..links {
-            let t = self.cfg.network.send_down(flight.frame.len(), rng);
-            self.comm.bytes_down += flight.frame.len() as u64;
+            let t = self.cfg.network.send_down(frame_len, rng);
+            self.comm.bytes_down += frame_len as u64;
             self.charge(t);
             flight.down_time = flight.down_time.max(t.time_s);
         }
         flight
     }
 
-    /// Local updates on real threads, in participant order at any
-    /// thread count, plus compute accounting (critical path = slowest
-    /// participant). The wire round-trip is kept — nodes start from the
-    /// decoded frame, not the platform's floats — through the borrowed
-    /// view into a reused scratch vector.
+    /// Local updates from the broadcast global on real threads, in
+    /// participant order at any thread count, plus compute accounting
+    /// (critical path = slowest participant).
     pub(crate) fn local_updates(
         &mut self,
         flight: &mut Flight,
         participants: &[usize],
     ) -> Vec<Vec<f64>> {
-        MessageView::parse(&flight.frame)
-            .expect("self-encoded frame")
-            .copy_params_into(&mut self.start_params);
-        let (stepper, model, tasks, start) =
-            (self.stepper, self.model, self.tasks, &self.start_params);
+        let (stepper, model, tasks, start) = (self.stepper, self.model, self.tasks, &self.global);
         let t0 = flight.steps;
         let updated = fml_core::parallel::map_ordered_with(
             self.cfg.threads,
@@ -332,43 +315,25 @@ impl<'a> RunState<'a> {
         updated
     }
 
-    /// Uplink: each participant serializes its report into a pooled
-    /// buffer and uploads it; the round's communication latency is the
-    /// slowest downlink plus the slowest uplink.
-    pub(crate) fn upload(
-        &mut self,
-        flight: &Flight,
-        participants: &[usize],
-        updated: &[Vec<f64>],
-        rng: &mut StdRng,
-    ) {
+    /// Uplink: each participant is charged the transfer of its update
+    /// frame, in participant order; the round's communication latency
+    /// is the slowest downlink plus the slowest uplink.
+    pub(crate) fn upload(&mut self, flight: &Flight, updated: &[Vec<f64>], rng: &mut StdRng) {
         let mut up_time = 0.0f64;
-        for (slot, &i) in participants.iter().enumerate() {
-            let mut buf = self.pool.acquire(encoded_frame_len(updated[slot].len()));
-            encode_update_into(
-                flight.round as u32,
-                self.tasks[i].id as u32,
-                &updated[slot],
-                &mut buf,
-            );
-            let f = buf.freeze();
-            let t = self.cfg.network.send_up(f.len(), rng);
-            self.comm.bytes_up += f.len() as u64;
+        for update in updated {
+            let frame_len = encoded_frame_len(update.len());
+            let t = self.cfg.network.send_up(frame_len, rng);
+            self.comm.bytes_up += frame_len as u64;
             self.charge(t);
             up_time = up_time.max(t.time_s);
-            self.frames.push(f);
         }
         self.comm.time_s += flight.down_time + up_time;
     }
 
     /// Closes the round once the loop has installed its new global:
-    /// hands the dead frames back to the pool and writes the trace row.
-    /// Returns the round's meta loss for the loop's own curve.
+    /// writes the trace row and returns the round's meta loss for the
+    /// loop's own curve.
     pub(crate) fn finish(&mut self, flight: Flight, participants: &[usize]) -> f64 {
-        self.pool.recycle(flight.frame);
-        for f in self.frames.drain(..) {
-            self.pool.recycle(f);
-        }
         let (meta_loss, _) = self.stepper.eval_losses_with(
             self.model,
             self.tasks,
@@ -473,19 +438,15 @@ impl SimRunner {
 
             let mut flight = st.broadcast(round, t0, participants.len(), rng);
             let updated = st.local_updates(&mut flight, &participants);
-            st.upload(&flight, &participants, &updated, rng);
+            st.upload(&flight, &updated, rng);
 
-            // --- platform decodes and aggregates (renormalized weights) ---
-            // Reading the floats straight out of the frame is bitwise
-            // the same accumulation as decode + axpy: identical values,
-            // identical order.
+            // --- platform aggregates (renormalized weights) ---
             let mut weight_sum = 0.0;
             let mut agg = vec![0.0; st.global.len()];
-            for (f, &i) in st.frames.iter().zip(&participants) {
-                let view = MessageView::parse(f).expect("self-encoded frame");
-                debug_assert_eq!(view.len(), agg.len(), "update dimension mismatch");
+            for (update, &i) in updated.iter().zip(&participants) {
+                debug_assert_eq!(update.len(), agg.len(), "update dimension mismatch");
                 let w = tasks[i].weight;
-                for (g, u) in agg.iter_mut().zip(view.params_iter()) {
+                for (g, u) in agg.iter_mut().zip(update) {
                     *g += w * u;
                 }
                 weight_sum += w;
@@ -503,7 +464,6 @@ impl SimRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Message;
     use fml_core::{FedAvg, FedAvgConfig, FedMl, FedMlConfig};
     use fml_data::NodeData;
     use fml_linalg::Matrix;
@@ -589,13 +549,9 @@ mod tests {
             &[0.0, 0.0],
             &mut rng,
         );
-        // Each message: header + 2 f64 = 13 + 16 = 29 bytes; per round:
-        // 2 downlinks + 2 uplinks; 3 rounds ⇒ 12 messages, 348 bytes.
-        let frame = Message::GlobalModel {
-            round: 1,
-            params: vec![0.0, 0.0],
-        }
-        .encoded_len() as u64;
+        // Each message: header + 2 f64 = 14 + 16 = 30 bytes; per round:
+        // 2 downlinks + 2 uplinks; 3 rounds ⇒ 12 messages, 360 bytes.
+        let frame = encoded_frame_len(2) as u64;
         assert_eq!(sim.comm.messages, 12);
         assert_eq!(sim.comm.bytes_down, 6 * frame);
         assert_eq!(sim.comm.bytes_up, 6 * frame);
@@ -641,6 +597,13 @@ mod tests {
         );
         let total: usize = sim.participants.iter().sum();
         assert!(total < 30 * 4, "dropout should reduce participation");
+        // Whoever took part, a round moves one frame down and one up per
+        // participant, and the ideal network adds nothing to either.
+        for r in sim.trace.rounds() {
+            let frames = 2 * r.participants.len() as u64;
+            assert_eq!(r.bytes, frames * encoded_frame_len(2) as u64);
+        }
+        assert_eq!(sim.comm.total_bytes(), sim.trace.total_bytes());
         assert!(sim.participants.iter().all(|&p| p >= 1), "never empty");
         assert!(sim.params.iter().all(|v| v.is_finite()));
     }

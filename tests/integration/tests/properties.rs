@@ -5,10 +5,11 @@
 use fml_core::{adapt, aggregate, FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_data::NodeData;
 use fml_dro::{RobustSurrogate, SquaredL2Cost};
+use fml_integration::{global_frame, update_frame};
 use fml_linalg::{vector, Matrix};
 use fml_models::{Batch, LinearRegression, Model, Quadratic, SoftmaxRegression, Target};
 use fml_sim::{
-    prefix_frame, FrameBuffer, FrameError, FramePool, Message, LENGTH_PREFIX_LEN, MAX_FRAME_LEN,
+    prefix_frame, FrameBuffer, FrameError, FramePool, MessageView, LENGTH_PREFIX_LEN, MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -161,19 +162,31 @@ proptest! {
     }
 }
 
+/// What goes into a training frame: `node` is `None` on a broadcast.
+type Sent = (u32, Option<u32>, Vec<f64>);
+
 /// An arbitrary platform⇄edge message with a small parameter payload.
-fn arb_message() -> impl Strategy<Value = Message> {
+fn arb_message() -> impl Strategy<Value = Sent> {
     prop_oneof![
         (0u32..1000, prop::collection::vec(-1e3f64..1e3, 0..8))
-            .prop_map(|(round, params)| Message::GlobalModel { round, params }),
-        (0u32..1000, 0u32..64, prop::collection::vec(-1e3f64..1e3, 0..8)).prop_map(
-            |(round, node, params)| Message::ModelUpdate {
-                round,
-                node,
-                params
-            }
-        ),
+            .prop_map(|(round, params)| (round, None, params)),
+        (0u32..1000, 0u32..64, prop::collection::vec(-1e3f64..1e3, 0..8))
+            .prop_map(|(round, node, params)| (round, Some(node), params)),
     ]
+}
+
+fn encode((round, node, params): &Sent) -> bytes::Bytes {
+    match node {
+        None => global_frame(*round, params),
+        Some(node) => update_frame(*round, *node, params),
+    }
+}
+
+/// What `frame` parses back to, in the shape it was sent.
+fn decode(frame: &[u8]) -> Sent {
+    let view = MessageView::parse(frame).unwrap();
+    let node = view.is_update().then_some(view.node());
+    (view.round(), node, view.params_to_vec())
 }
 
 proptest! {
@@ -184,7 +197,7 @@ proptest! {
         msgs in prop::collection::vec(arb_message(), 1..6),
         cuts in prop::collection::vec(1usize..9, 0..64),
     ) {
-        let frames: Vec<_> = msgs.iter().map(Message::encode).collect();
+        let frames: Vec<_> = msgs.iter().map(encode).collect();
         let stream: Vec<u8> = frames.iter().flat_map(|f| prefix_frame(f)).collect();
 
         let mut buf = FrameBuffer::new();
@@ -204,7 +217,7 @@ proptest! {
         prop_assert_eq!(buf.pending(), 0);
         // And every recovered frame decodes back to the message sent.
         for (frame, msg) in got.iter().zip(&msgs) {
-            prop_assert_eq!(&Message::decode(frame).unwrap(), msg);
+            prop_assert_eq!(&decode(frame), msg);
         }
     }
 
@@ -215,7 +228,7 @@ proptest! {
         msgs in prop::collection::vec(arb_message(), 1..5),
         cut_back in 1usize..40,
     ) {
-        let frames: Vec<_> = msgs.iter().map(Message::encode).collect();
+        let frames: Vec<_> = msgs.iter().map(encode).collect();
         let stream: Vec<u8> = frames.iter().flat_map(|f| prefix_frame(f)).collect();
         let cut = stream.len().saturating_sub(cut_back);
 
@@ -263,23 +276,23 @@ proptest! {
         buf.extend(&junk);
         let err = FrameError::Oversized { len: len as usize };
         prop_assert_eq!(buf.next_frame_pooled(&pool), Err(err.clone()));
-        buf.extend(&prefix_frame(&Message::GlobalModel { round: 1, params: vec![] }.encode()));
+        buf.extend(&prefix_frame(&global_frame(1, &[])));
         prop_assert_eq!(buf.next_frame_pooled(&pool), Err(err));
     }
 
-    /// `Message::decode` is total over arbitrary frames: random bytes
+    /// `MessageView::parse` is total over arbitrary frames: random bytes
     /// produce a `DecodeError`, never a panic — the property the socket
     /// transports rely on when a peer sends garbage *inside* a
     /// well-formed frame.
     #[test]
     fn prop_message_decode_never_panics(frame in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Message::decode(&frame);
+        let _ = MessageView::parse(&frame);
     }
 
     /// Decode inverts encode for every message, so transports can treat
     /// frames as opaque bytes without losing information.
     #[test]
     fn prop_message_codec_roundtrips(msg in arb_message()) {
-        prop_assert_eq!(&Message::decode(&msg.encode()).unwrap(), &msg);
+        prop_assert_eq!(&decode(&encode(&msg)), &msg);
     }
 }

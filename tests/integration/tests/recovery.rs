@@ -26,12 +26,13 @@ use fml_core::{
     LocalStepper, SourceTask,
 };
 use fml_data::synthetic::SyntheticConfig;
+use fml_integration::update_frame;
 use fml_models::{Model, SoftmaxRegression};
 use fml_runtime::{
     param_hash, FaultyTransport, LinkFaultPlan, Runtime, RuntimeConfig, TcpTransport,
     TcpTransportListener, Transport, TransportListener,
 };
-use fml_sim::Message;
+use fml_sim::MessageView;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -232,24 +233,14 @@ fn node_killed_and_restarted_three_times_changes_no_bits() {
         let Ok(frame) = link.recv_frame(Duration::from_secs(15)) else {
             return false;
         };
-        let Ok(Message::GlobalModel { round, params }) = Message::decode(&frame) else {
-            panic!("victim expected a broadcast");
-        };
+        let bcast = MessageView::parse(&frame).expect("victim expected a frame");
+        assert!(bcast.is_global(), "victim expected a broadcast");
+        let params = bcast.params_to_vec();
         let update = trainer.local_update(&model, &tasks[VICTIM], &params, LOCAL_STEPS);
-        let reply = Message::ModelUpdate {
-            round,
-            node: VICTIM as u32,
-            params: update,
-        }
-        .encode();
+        let reply = update_frame(bcast.round(), VICTIM as u32, &update);
         link.send_frame(&reply).is_ok()
     };
-    let hello = Message::ModelUpdate {
-        round: 0,
-        node: VICTIM as u32,
-        params: vec![],
-    }
-    .encode();
+    let hello = update_frame(0, VICTIM as u32, &[]);
 
     let out = std::thread::scope(|s| {
         for node in 0..NODES - 1 {

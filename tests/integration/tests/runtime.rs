@@ -129,11 +129,7 @@ fn every_frame_crosses_the_wire_encoded() {
     let out = Runtime::new(RuntimeConfig::barrier(1)).run(&trainer, &model, &tasks, &theta0);
     // One broadcast down and one update up per node per round, every one
     // of them an encoded frame whose bytes the report accounts for.
-    let frame_len = fml_sim::Message::GlobalModel {
-        round: 1,
-        params: theta0.clone(),
-    }
-    .encoded_len() as u64;
+    let frame_len = fml_sim::message::encoded_frame_len(theta0.len()) as u64;
     for io in &out.report.per_node {
         assert_eq!(io.frames_sent, 3);
         assert_eq!(io.frames_received, 3);

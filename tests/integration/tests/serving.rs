@@ -284,7 +284,11 @@ fn adapt_frames_survive_framing_under_byte_at_a_time_chunking() {
             let AdaptFrame::Request(view) = AdaptFrame::parse(&full).expect("parses") else {
                 panic!("wrong frame kind");
             };
-            assert_eq!(view.to_request(), req);
+            assert_eq!((view.req_id(), view.node()), (req.req_id, req.node));
+            assert_eq!((view.alpha(), view.steps()), (req.alpha, req.steps));
+            assert_eq!((view.dim(), view.kind()), (req.dim, req.kind));
+            assert_eq!(view.xs_iter().collect::<Vec<_>>(), req.xs);
+            assert_eq!(view.ys_iter().collect::<Vec<_>>(), req.ys);
         }
     }
 }
@@ -293,11 +297,7 @@ fn adapt_frames_survive_framing_under_byte_at_a_time_chunking() {
 fn alien_and_training_tags_fail_adapt_parse_but_not_framing() {
     // A v2 training frame passes the tag-agnostic framing layer but the
     // adapt parser refuses it: parser separation, not a shared decode.
-    let training = fml_sim::Message::GlobalModel {
-        round: 3,
-        params: vec![1.0, 2.0],
-    }
-    .encode();
+    let training = fml_integration::global_frame(3, &[1.0, 2.0]);
     let mut buf = FrameBuffer::new();
     let pool = FramePool::new();
     buf.extend(&prefix_frame(&training));
@@ -334,11 +334,7 @@ fn garbage_on_the_wire_is_counted_not_fatal() {
     // training broadcast); the server counts a decode error and keeps
     // serving on the same connection.
     let mut link = TcpTransport::connect(server.local_addr()).expect("connect");
-    let training = fml_sim::Message::GlobalModel {
-        round: 1,
-        params: vec![0.0; encoded_frame_len(0) / 8],
-    }
-    .encode();
+    let training = fml_integration::global_frame(1, &vec![0.0; encoded_frame_len(0) / 8]);
     link.send_frame(&training).expect("send");
     let mut client = AdaptClient::new(Box::new(link));
     let req = request_from_batch(5, 0, 0.1, 1, &support_batch(3, 2));

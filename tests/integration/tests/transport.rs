@@ -22,13 +22,15 @@ use std::time::{Duration, Instant};
 
 use fml_core::{FedAvg, FedAvgConfig, FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_data::synthetic::SyntheticConfig;
+use fml_integration::{global_frame, update_frame};
 use fml_models::{Model, SoftmaxRegression};
 use fml_runtime::{
     param_hash, ChannelTransport, NodeIo, Runtime, RuntimeConfig, TcpTransport,
     TcpTransportListener, Transport, TransportError, TransportListener, UnixTransport,
     UnixTransportListener,
 };
-use fml_sim::{Message, LENGTH_PREFIX_LEN, PROTOCOL_VERSION};
+use fml_sim::message::encoded_frame_len;
+use fml_sim::{MessageView, LENGTH_PREFIX_LEN, PROTOCOL_VERSION};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -115,17 +117,8 @@ fn conformance_roundtrip_on_every_transport() {
         let (mut plat, mut node) = pair(kind);
         assert_eq!(plat.kind(), kind);
         assert_eq!(node.kind(), kind);
-        let down = Message::GlobalModel {
-            round: 1,
-            params: vec![1.0, -2.5, 0.0],
-        }
-        .encode();
-        let up = Message::ModelUpdate {
-            round: 1,
-            node: 3,
-            params: vec![0.25; 8],
-        }
-        .encode();
+        let down = global_frame(1, &[1.0, -2.5, 0.0]);
+        let up = update_frame(1, 3, &[0.25; 8]);
         plat.send_frame(&down).unwrap();
         node.send_frame(&up).unwrap();
         assert_eq!(node.recv_frame(Duration::from_secs(5)).unwrap(), down, "{kind}");
@@ -156,7 +149,7 @@ fn conformance_link_survives_a_timeout() {
     for kind in KINDS {
         let (mut plat, mut node) = pair(kind);
         let _ = node.recv_frame(Duration::from_millis(30)).unwrap_err();
-        let frame = Message::GlobalModel { round: 2, params: vec![4.0] }.encode();
+        let frame = global_frame(2, &[4.0]);
         plat.send_frame(&frame).unwrap();
         assert_eq!(
             node.recv_frame(Duration::from_secs(5)).unwrap(),
@@ -172,7 +165,7 @@ fn conformance_closed_link_fails_fast_on_both_operations() {
         let (_plat, mut node) = pair(kind);
         node.close();
         node.close(); // idempotent
-        let frame = Message::GlobalModel { round: 1, params: vec![] }.encode();
+        let frame = global_frame(1, &[]);
         assert_eq!(
             node.send_frame(&frame).unwrap_err(),
             TransportError::Closed,
@@ -216,17 +209,9 @@ fn run_node_reports_the_frames_it_could_not_use() {
             let wait = Duration::from_secs(5);
             plat.recv_frame(wait).expect("hello");
             plat.send_frame(&vec![0xff; 7].into()).unwrap();
-            let not_a_broadcast = Message::ModelUpdate {
-                round: 1,
-                node: 0,
-                params: theta0.clone(),
-            };
-            plat.send_frame(&not_a_broadcast.encode()).unwrap();
-            let broadcast = Message::GlobalModel {
-                round: 1,
-                params: theta0.clone(),
-            };
-            plat.send_frame(&broadcast.encode()).unwrap();
+            let not_a_broadcast = update_frame(1, 0, &theta0);
+            plat.send_frame(&not_a_broadcast).unwrap();
+            plat.send_frame(&global_frame(1, &theta0)).unwrap();
             plat.recv_frame(wait).expect("the update for round 1");
             plat.close();
             peer.join().unwrap()
@@ -297,7 +282,7 @@ fn barrier_over_tcp_is_bitwise_identical_to_the_oracle() {
 
     // Hub counters are physical: every broadcast and update carried its
     // 4-byte length prefix, and nothing was lost.
-    let frame_len = Message::GlobalModel { round: 1, params: theta0.clone() }.encoded_len() as u64;
+    let frame_len = encoded_frame_len(theta0.len()) as u64;
     for io in &out.report.per_node {
         assert_eq!(io.frames_received, 3);
         assert_eq!(io.frames_sent, 3);
@@ -405,23 +390,12 @@ fn killing_a_peer_mid_round_degrades_without_hanging() {
             // The victim joins, answers round 1, then dies mid-run.
             s.spawn(move || {
                 let mut link = TcpTransport::connect(&killer_addr).unwrap();
-                let hello = Message::ModelUpdate {
-                    round: 0,
-                    node: (NODES - 1) as u32,
-                    params: vec![],
-                }
-                .encode();
-                link.send_frame(&hello).unwrap();
+                let victim = (NODES - 1) as u32;
+                link.send_frame(&update_frame(0, victim, &[])).unwrap();
                 let bcast = link.recv_frame(Duration::from_secs(10)).unwrap();
-                let Ok(Message::GlobalModel { round, params }) = Message::decode(&bcast) else {
-                    panic!("expected a broadcast");
-                };
-                let reply = Message::ModelUpdate {
-                    round,
-                    node: (NODES - 1) as u32,
-                    params,
-                }
-                .encode();
+                let bcast = MessageView::parse(&bcast).expect("a training frame");
+                assert!(bcast.is_global(), "expected a broadcast");
+                let reply = update_frame(bcast.round(), victim, &bcast.params_to_vec());
                 link.send_frame(&reply).unwrap();
                 link.close(); // gone before round 2
             });
@@ -472,22 +446,13 @@ impl TransportListener for ChannelListener {
     }
 }
 
-fn update(round: u32, node: u32, params: Vec<f64>) -> bytes::Bytes {
-    let frame = Message::ModelUpdate {
-        round,
-        node,
-        params,
-    };
-    frame.encode()
-}
-
 /// A well-formed uplink update for `round` whose logical length is not
 /// the model's `d`: one parameter short, one too long, or a top-k frame
 /// with no entries that announces `u32::MAX` zeros.
 fn wrong_dimension_update(which: usize, round: u32, node: u32, d: usize) -> bytes::Bytes {
     match which {
-        0 => update(round, node, vec![0.5; d - 1]),
-        1 => update(round, node, vec![0.5; d + 1]),
+        0 => update_frame(round, node, &vec![0.5; d - 1]),
+        1 => update_frame(round, node, &vec![0.5; d + 1]),
         _ => {
             let mut f = vec![0x80 | PROTOCOL_VERSION, 6];
             f.extend(round.to_le_bytes());
@@ -537,15 +502,14 @@ fn serve_with_three_rogues(kind: &str, answer: bool) -> fml_runtime::RuntimeOutp
                     return;
                 }
                 let id = node as u32;
-                link.send_frame(&update(0, id, vec![])).unwrap();
+                link.send_frame(&update_frame(0, id, &[])).unwrap();
                 let mut pending = answer;
                 // Until the platform hangs up.
                 while let Ok(frame) = link.recv_frame(Duration::from_secs(10)) {
                     if std::mem::take(&mut pending) {
-                        let Ok(Message::GlobalModel { round, .. }) = Message::decode(&frame) else {
-                            panic!("expected a broadcast");
-                        };
-                        let bad = wrong_dimension_update(node - HONEST, round, id, d);
+                        let bcast = MessageView::parse(&frame).expect("a training frame");
+                        assert!(bcast.is_global(), "expected a broadcast");
+                        let bad = wrong_dimension_update(node - HONEST, bcast.round(), id, d);
                         link.send_frame(&bad).unwrap();
                     }
                 }
