@@ -66,8 +66,7 @@ fn main() {
     let fedml = FedMl::new(
         FedMlConfig::new(0.1, 0.05)
             .with_local_steps(t0)
-            .with_rounds(rounds)
-            .with_record_every(0),
+            .with_rounds(rounds),
     );
     run(
         "FedML",
@@ -80,8 +79,7 @@ fn main() {
         FedMlConfig::new(0.1, 0.05)
             .with_local_steps(t0)
             .with_rounds(rounds)
-            .with_mode(MetaGradientMode::FirstOrder)
-            .with_record_every(0),
+            .with_mode(MetaGradientMode::FirstOrder),
     );
     run(
         "FOMAML",
@@ -105,8 +103,7 @@ fn main() {
     let fedprox = FedProx::new(
         FedProxConfig::new(0.05, 0.1)
             .with_local_steps(t0)
-            .with_rounds(rounds)
-            .with_record_every(0),
+            .with_rounds(rounds),
     );
     run(
         "FedProx",
@@ -118,8 +115,7 @@ fn main() {
     let metasgd = MetaSgd::new(
         MetaSgdConfig::new(0.1, 0.05)
             .with_local_steps(t0)
-            .with_rounds(rounds)
-            .with_record_every(0),
+            .with_rounds(rounds),
     );
     run(
         "MetaSGD",
@@ -131,8 +127,7 @@ fn main() {
     let fedavg = FedAvg::new(
         FedAvgConfig::new(0.05)
             .with_local_steps(t0)
-            .with_rounds(rounds)
-            .with_record_every(0),
+            .with_rounds(rounds),
     );
     run(
         "FedAvg",

@@ -38,8 +38,7 @@ fn main() {
     for &t0 in &[1usize, 5, 20] {
         let cfg = FedMlConfig::new(0.01, 0.01)
             .with_local_steps(t0)
-            .with_total_iterations(total_t)
-            .with_record_every(0);
+            .with_total_iterations(total_t);
         let mut r = rand::rngs::StdRng::seed_from_u64(args.seed + 7);
         let out = SimRunner::new(sim).run(
             &FedMl::new(cfg),
@@ -60,7 +59,7 @@ fn main() {
 
     // Adaptive controller: target calibrated as a small relative drift.
     let ctrl = AdaptiveT0Config::new(1, 20, 0.06).with_initial(1);
-    let fedml = FedMl::new(FedMlConfig::new(0.01, 0.01).with_record_every(0));
+    let fedml = FedMl::new(FedMlConfig::new(0.01, 0.01));
     let mut r = rand::rngs::StdRng::seed_from_u64(args.seed + 7);
     let out = run_adaptive_fedml(
         &sim,

@@ -32,8 +32,7 @@ fn main() {
     for &t0 in &t0s {
         let cfg = FedMlConfig::new(0.01, 0.01)
             .with_local_steps(t0)
-            .with_total_iterations(total_t)
-            .with_record_every(0);
+            .with_total_iterations(total_t);
         let runner = SimRunner::new(SimConfig::edge().with_iteration_time(0.02));
         let mut sim_rng = rand::rngs::StdRng::seed_from_u64(args.seed + 7);
         let sim = runner.run(

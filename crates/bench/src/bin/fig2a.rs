@@ -92,8 +92,7 @@ fn main() {
         let tasks = regression_federation(10, 3, 8, r);
         let cfg = FedMlConfig::new(alpha, beta)
             .with_local_steps(t0)
-            .with_rounds(rounds)
-            .with_record_every(0);
+            .with_rounds(rounds);
         let theta0 = vec![2.0; model.param_len()];
         let out = FedMl::new(cfg).train_from(&model, &tasks, &theta0);
         // Estimate G(θ*) with a long centralized run from the endpoint.
@@ -120,8 +119,7 @@ fn main() {
         let setup = fml_bench::workloads::synthetic(a, b, 5, args.quick, args.seed);
         let cfg = FedMlConfig::new(0.01, 0.01)
             .with_local_steps(t0)
-            .with_rounds(rounds)
-            .with_record_every(0);
+            .with_rounds(rounds);
         let mut rng = rand::rngs::StdRng::seed_from_u64(args.seed + 100);
         let theta0 = setup.model.init_params(&mut rng);
         let trainer = FedMl::new(cfg);

@@ -37,8 +37,7 @@ fn main() {
     for t0 in [1usize, 2, 5, 10, 20] {
         let cfg = FedMlConfig::new(0.01, 0.01)
             .with_local_steps(t0)
-            .with_total_iterations(total_t)
-            .with_record_every(0);
+            .with_total_iterations(total_t);
         let out = FedMl::new(cfg).train_from(&setup.model, &setup.tasks, &theta0);
         let curve = out.aggregation_curve();
         let x: Vec<f64> = curve.iter().map(|&(i, _)| i as f64).collect();

@@ -21,8 +21,7 @@ fn main() {
 
     let cfg = FedMlConfig::new(0.01, 0.3)
         .with_local_steps(5)
-        .with_rounds(rounds)
-        .with_record_every(0);
+        .with_rounds(rounds);
     let out = FedMl::new(cfg).train_from(&setup.model, &setup.tasks, &theta0);
 
     let curve = out.aggregation_curve();

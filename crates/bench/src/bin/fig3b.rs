@@ -37,8 +37,7 @@ fn main() {
         let setup = fml_bench::workloads::shared_synthetic(dev, 0.0, k, args.quick, args.seed);
         let cfg = FedMlConfig::new(0.01, 0.01)
             .with_local_steps(5)
-            .with_rounds(rounds)
-            .with_record_every(0);
+            .with_rounds(rounds);
         let mut rng = rand::rngs::StdRng::seed_from_u64(args.seed + 100);
         let theta0 = setup.model.init_params(&mut rng);
         let out = FedMl::new(cfg).train_from(&setup.model, &setup.tasks, &theta0);

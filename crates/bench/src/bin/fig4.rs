@@ -31,8 +31,7 @@ fn main() {
     let fedml = FedMl::new(
         FedMlConfig::new(0.3, 0.05)
             .with_local_steps(5)
-            .with_rounds(rounds)
-            .with_record_every(0),
+            .with_rounds(rounds),
     )
     .train_from(&setup.model, &setup.tasks, &theta0);
     variants.push(("FedML".into(), fedml.params));
@@ -42,8 +41,7 @@ fn main() {
             .with_local_steps(5)
             .with_rounds(rounds)
             .with_adversarial(1.0, args.scale(10, 3), 1, args.scale(10, 3))
-            .with_constraint(clamp)
-            .with_record_every(0);
+            .with_constraint(clamp);
         let mut train_rng = rand::rngs::StdRng::seed_from_u64(args.seed + 300);
         let out =
             RobustFedMl::new(cfg).train_from(&setup.model, &setup.tasks, &theta0, &mut train_rng);

@@ -81,8 +81,7 @@ fn main() {
         let rounds = rounds_budget / t0.max(1);
         let cfg = FedMlConfig::new(alpha, beta)
             .with_local_steps(t0)
-            .with_rounds(rounds)
-            .with_record_every(0);
+            .with_rounds(rounds);
         let out = FedMl::new(cfg).train_from(&model, &tasks, &theta0);
         let bound = TheoremTwoBound {
             constants: pc.clone(),

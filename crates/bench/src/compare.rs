@@ -46,16 +46,14 @@ pub fn run_comparison(
     let fedml = FedMl::new(
         FedMlConfig::new(cfg.alpha, cfg.beta)
             .with_local_steps(cfg.t0)
-            .with_rounds(cfg.rounds)
-            .with_record_every(0),
+            .with_rounds(cfg.rounds),
     )
     .train_from(model, tasks, &theta0);
     let fedavg = FedAvg::new(
         FedAvgConfig::new(cfg.beta)
             .with_local_steps(cfg.t0)
             .with_rounds(cfg.rounds)
-            .with_eval_alpha(cfg.alpha)
-            .with_record_every(0),
+            .with_eval_alpha(cfg.alpha),
     )
     .train_from(model, tasks, &theta0);
 

@@ -29,6 +29,28 @@ pub struct Setup<M> {
     pub k: usize,
 }
 
+/// The tail every workload ends in: the 80/20 source/target split, then
+/// the `K`-shot source tasks, drawn from `rng` in that order.
+fn setup<M>(federation: Federation, model: M, k: usize, rng: &mut StdRng) -> Setup<M> {
+    let (sources, targets) = federation.split_sources_targets(0.8, rng);
+    let tasks = SourceTask::from_nodes(&sources, k, rng);
+    Setup {
+        model,
+        federation,
+        sources,
+        targets,
+        tasks,
+        k,
+    }
+}
+
+/// [`setup`] under the convex workloads' model: softmax regression with
+/// `l2 = 1e-3`.
+fn softmax_setup(federation: Federation, k: usize, rng: &mut StdRng) -> Setup<SoftmaxRegression> {
+    let model = SoftmaxRegression::new(federation.dim(), federation.classes()).with_l2(1e-3);
+    setup(federation, model, k, rng)
+}
+
 /// Builds the paper's Synthetic(α̃, β̃) workload with a softmax-regression
 /// model (§VI-A). `quick` shrinks it for smoke tests.
 pub fn synthetic(
@@ -48,18 +70,7 @@ pub fn synthetic(
     } else {
         SyntheticConfig::new(alpha, beta).with_min_samples((2 * k).max(8))
     };
-    let federation = cfg.generate(&mut rng);
-    let (sources, targets) = federation.split_sources_targets(0.8, &mut rng);
-    let tasks = SourceTask::from_nodes(&sources, k, &mut rng);
-    let model = SoftmaxRegression::new(federation.dim(), federation.classes()).with_l2(1e-3);
-    Setup {
-        model,
-        federation,
-        sources,
-        targets,
-        tasks,
-        k,
-    }
+    softmax_setup(cfg.generate(&mut rng), k, &mut rng)
 }
 
 /// Builds the shared-base synthetic workload whose `model_dev` knob
@@ -83,18 +94,7 @@ pub fn shared_synthetic(
     } else {
         SharedSyntheticConfig::new(model_dev, input_dev).with_min_samples((2 * k).max(8))
     };
-    let federation = cfg.generate(&mut rng);
-    let (sources, targets) = federation.split_sources_targets(0.8, &mut rng);
-    let tasks = SourceTask::from_nodes(&sources, k, &mut rng);
-    let model = SoftmaxRegression::new(federation.dim(), federation.classes()).with_l2(1e-3);
-    Setup {
-        model,
-        federation,
-        sources,
-        targets,
-        tasks,
-        k,
-    }
+    softmax_setup(cfg.generate(&mut rng), k, &mut rng)
 }
 
 /// Builds the MNIST-like workload with multinomial logistic regression
@@ -109,18 +109,7 @@ pub fn mnist(k: usize, quick: bool, seed: u64) -> Setup<SoftmaxRegression> {
     } else {
         MnistLikeConfig::new().with_min_samples((2 * k).max(10))
     };
-    let federation = cfg.generate(&mut rng);
-    let (sources, targets) = federation.split_sources_targets(0.8, &mut rng);
-    let tasks = SourceTask::from_nodes(&sources, k, &mut rng);
-    let model = SoftmaxRegression::new(federation.dim(), federation.classes()).with_l2(1e-3);
-    Setup {
-        model,
-        federation,
-        sources,
-        targets,
-        tasks,
-        k,
-    }
+    softmax_setup(cfg.generate(&mut rng), k, &mut rng)
 }
 
 /// Builds the Sent140-like workload with an MLP head over frozen
@@ -143,22 +132,13 @@ pub fn sent140(k: usize, quick: bool, seed: u64) -> Setup<Mlp> {
             .with_min_samples((2 * k).max(10))
     };
     let federation = cfg.generate(&mut rng);
-    let (sources, targets) = federation.split_sources_targets(0.8, &mut rng);
-    let tasks = SourceTask::from_nodes(&sources, k, &mut rng);
     let model = MlpBuilder::new(federation.dim(), federation.classes())
         .hidden(if quick { &[8] } else { &[32] })
         .activation(Activation::Tanh)
         .l2(1e-4)
         .build()
         .expect("valid MLP config");
-    Setup {
-        model,
-        federation,
-        sources,
-        targets,
-        tasks,
-        k,
-    }
+    setup(federation, model, k, &mut rng)
 }
 
 #[cfg(test)]

@@ -390,6 +390,20 @@ impl Default for EvalConfig {
 mod tests {
     use super::*;
 
+    /// A default is the value product callers pass: every non-test
+    /// construction asked for the aggregation-only curve.
+    #[test]
+    fn record_every_defaults_to_aggregations_only() {
+        use fml_core::{
+            FedAvgConfig, FedMlConfig, FedProxConfig, MetaSgdConfig, RobustFedMlConfig,
+        };
+        assert_eq!(FedMlConfig::new(0.01, 0.01).record_every, 0);
+        assert_eq!(FedAvgConfig::new(0.01).record_every, 0);
+        assert_eq!(FedProxConfig::new(0.01, 0.1).record_every, 0);
+        assert_eq!(MetaSgdConfig::new(0.01, 0.01).record_every, 0);
+        assert_eq!(RobustFedMlConfig::new(0.01, 0.01, 1.0).record_every, 0);
+    }
+
     #[test]
     fn example_is_valid_and_roundtrips() {
         let cfg = RunConfig::example();

@@ -147,12 +147,7 @@ pub fn run(cfg: &RunConfig) -> Result<Report, String> {
     Ok(Report {
         dataset: setup.stats,
         algorithm: name,
-        training: TrainReport {
-            comm_rounds: output.comm_rounds,
-            local_iterations: output.local_iterations,
-            initial_meta_loss: output.history.first().map(|r| r.meta_loss),
-            final_meta_loss: output.final_meta_loss(),
-        },
+        training: TrainReport::from_output(&output),
         simulation: sim_report,
         runtime: None,
         eval,
@@ -282,6 +277,10 @@ pub fn run_runtime(
     if launch.link_faults.is_some() {
         return Err("--fault-* wrap a node's link; add --node <id>".into());
     }
+    if let Some(dir) = &rt_cfg.checkpoint.dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("--checkpoint-dir {}: {e}", dir.display()))?;
+    }
     let RuntimeSetup {
         stats,
         tasks,
@@ -322,12 +321,7 @@ pub fn run_runtime(
     Ok(Report {
         dataset: stats,
         algorithm: format!("{} (runtime {})", stepper.algorithm(), out.report.mode),
-        training: TrainReport {
-            comm_rounds: out.train.comm_rounds,
-            local_iterations: out.train.local_iterations,
-            initial_meta_loss: out.train.history.first().map(|r| r.meta_loss),
-            final_meta_loss: out.train.final_meta_loss(),
-        },
+        training: TrainReport::from_output(&out.train),
         simulation: None,
         runtime: Some(summary),
         eval,
@@ -456,6 +450,21 @@ fn needs_socket(who: &str) -> String {
     format!("{who} needs a socket transport (--transport tcp|uds)")
 }
 
+/// Loads the global `adapt-serve` serves and `adapt --offline` replays
+/// from `dir`, with its parameters, checked against the configured model.
+fn load_served_global(dir: &str, model: &dyn Model) -> Result<(SharedGlobal, Vec<f64>), String> {
+    let (global, ck) = SharedGlobal::from_checkpoint(std::path::Path::new(dir))
+        .map_err(|e| format!("loading checkpoint from {dir}: {e}"))?;
+    if ck.params.len() != model.param_len() {
+        return Err(format!(
+            "checkpoint has {} parameters but the configured model has {}",
+            ck.params.len(),
+            model.param_len()
+        ));
+    }
+    Ok((global, ck.params))
+}
+
 /// Polls the server until it has seen `max_requests` well-formed
 /// requests (forever when `None`), then shuts it down for the report.
 fn serve_until(server: AdaptServer, max_requests: Option<u64>) -> ServingReport {
@@ -494,18 +503,7 @@ pub fn run_adapt_serve(
         (Some(_), true) => {
             return Err("--checkpoint-dir and --attach are mutually exclusive".into())
         }
-        (Some(dir), false) => {
-            let (global, ck) = SharedGlobal::from_checkpoint(std::path::Path::new(dir))
-                .map_err(|e| format!("loading checkpoint from {dir}: {e}"))?;
-            if ck.params.len() != model.param_len() {
-                return Err(format!(
-                    "checkpoint has {} parameters but the configured model has {}",
-                    ck.params.len(),
-                    model.param_len()
-                ));
-            }
-            global
-        }
+        (Some(dir), false) => load_served_global(dir, model.as_ref())?.0,
         (None, true) => SharedGlobal::new(),
         (None, false) => return Err("adapt-serve requires --checkpoint-dir or --attach".into()),
     };
@@ -577,17 +575,9 @@ pub fn run_adapt(cfg: &RunConfig, opts: &AdaptOptions) -> Result<AdaptReport, St
             .checkpoint_dir
             .as_deref()
             .ok_or("--offline requires --checkpoint-dir")?;
-        let (global, ck) = SharedGlobal::from_checkpoint(std::path::Path::new(dir))
-            .map_err(|e| format!("loading checkpoint from {dir}: {e}"))?;
-        if ck.params.len() != model.param_len() {
-            return Err(format!(
-                "checkpoint has {} parameters but the configured model has {}",
-                ck.params.len(),
-                model.param_len()
-            ));
-        }
-        let phi = adapt::adapt(model.as_ref(), &ck.params, &split.train, alpha, steps);
-        ("offline".to_string(), global.round(), ck.params, phi)
+        let (global, params) = load_served_global(dir, model.as_ref())?;
+        let phi = adapt::adapt(model.as_ref(), &params, &split.train, alpha, steps);
+        ("offline".to_string(), global.round(), params, phi)
     } else {
         let addr = opts
             .connect
@@ -675,8 +665,7 @@ fn build_trainer(cfg: &RunConfig) -> Trainer {
                 FedMlConfig::new(*alpha, *beta)
                     .with_local_steps(*local_steps)
                     .with_rounds(*rounds)
-                    .with_mode(mode)
-                    .with_record_every(0),
+                    .with_mode(mode),
             ))
         }
         AlgorithmConfig::RobustFedml {
@@ -699,8 +688,7 @@ fn build_trainer(cfg: &RunConfig) -> Trainer {
                     .with_local_steps(*local_steps)
                     .with_rounds(*rounds)
                     .with_adversarial(1.0, *ascent_steps, *n0, *max_generations)
-                    .with_constraint(constraint)
-                    .with_record_every(0),
+                    .with_constraint(constraint),
             ))
         }
         AlgorithmConfig::Fedavg {
@@ -711,8 +699,7 @@ fn build_trainer(cfg: &RunConfig) -> Trainer {
             FedAvgConfig::new(*lr)
                 .with_local_steps(*local_steps)
                 .with_rounds(*rounds)
-                .with_eval_alpha(cfg.eval.adapt_lr)
-                .with_record_every(0),
+                .with_eval_alpha(cfg.eval.adapt_lr),
         )),
         AlgorithmConfig::Fedprox {
             lr,
@@ -724,7 +711,6 @@ fn build_trainer(cfg: &RunConfig) -> Trainer {
             ..FedProxConfig::new(*lr, *prox)
                 .with_local_steps(*local_steps)
                 .with_rounds(*rounds)
-                .with_record_every(0)
         })),
         AlgorithmConfig::Reptile {
             inner_lr,
@@ -745,8 +731,7 @@ fn build_trainer(cfg: &RunConfig) -> Trainer {
         } => Trainer::MetaSgd(MetaSgd::new(
             MetaSgdConfig::new(*alpha_init, *beta)
                 .with_local_steps(*local_steps)
-                .with_rounds(*rounds)
-                .with_record_every(0),
+                .with_rounds(*rounds),
         )),
     }
 }
@@ -977,13 +962,18 @@ mod tests {
             assert!(report.training.comm_rounds > 0);
             // Every baseline's curve is scored at the evaluation's
             // adaptation rate, so their meta losses are comparable.
-            let scored_at = match build_trainer(&cfg) {
-                Trainer::FedAvg(t) => t.config().eval_alpha,
-                Trainer::FedProx(t) => t.config().eval_alpha,
-                Trainer::Reptile(t) => t.config().eval_alpha,
-                _ => continue,
+            let setup = build_runtime_setup(&cfg, cfg.seed).unwrap();
+            let (Trainer::FedAvg(_) | Trainer::FedProx(_) | Trainer::Reptile(_)) = setup.trainer
+            else {
+                continue;
             };
-            assert_eq!(scored_at, cfg.eval.adapt_lr, "{algo:?}");
+            let (model, theta) = (setup.model.as_ref(), &setup.theta0);
+            let curve = setup.trainer.stepper("the test").unwrap();
+            assert_eq!(
+                curve.eval_losses(model, &setup.tasks, theta).0,
+                fml_core::weighted_meta_loss(model, &setup.tasks, theta, cfg.eval.adapt_lr),
+                "{algo:?}"
+            );
         }
     }
 
@@ -1233,5 +1223,21 @@ mod tests {
             "{}",
             report.algorithm
         );
+    }
+
+    #[test]
+    fn uncreatable_checkpoint_dir_is_an_error_at_launch() {
+        let file = std::env::temp_dir().join(format!("fml_cli_ckdir_{}", std::process::id()));
+        std::fs::write(&file, b"a regular file").unwrap();
+        let cfg = tiny(AlgorithmConfig::Fedavg {
+            lr: 0.05,
+            local_steps: 2,
+            rounds: 2,
+        });
+        let rt_cfg = RuntimeConfig::barrier(cfg.seed).with_checkpoint_dir(file.join("ck"));
+        let err = run_runtime(&cfg, &at_seed(&cfg), rt_cfg).unwrap_err();
+        let _ = std::fs::remove_file(&file);
+        let flag = format!("--checkpoint-dir {}: ", file.join("ck").display());
+        assert!(err.starts_with(&flag), "unexpected error: {err}");
     }
 }

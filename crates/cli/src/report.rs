@@ -1,11 +1,11 @@
 //! Run reports: what the `fedml` binary prints and can dump as JSON.
 
 use fml_data::FederationStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Training-phase summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrainReport {
     /// Communication rounds executed.
     pub comm_rounds: usize,
@@ -18,8 +18,20 @@ pub struct TrainReport {
     pub final_meta_loss: Option<f64>,
 }
 
+impl TrainReport {
+    /// Extracts the summary from a training output.
+    pub fn from_output(out: &fml_core::TrainOutput) -> Self {
+        TrainReport {
+            comm_rounds: out.comm_rounds,
+            local_iterations: out.local_iterations,
+            initial_meta_loss: out.history.first().map(|r| r.meta_loss),
+            final_meta_loss: out.final_meta_loss(),
+        }
+    }
+}
+
 /// Simulated-network summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimReport {
     /// Total payload bytes in both directions.
     pub payload_bytes: u64,
@@ -47,18 +59,16 @@ impl SimReport {
 }
 
 /// Actor-runtime summary (the `runtime` subcommand).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RuntimeSummary {
     /// `"barrier"` or `"async"`.
     pub mode: String,
     /// Transport the platform⇄node links used: `"channel"`, `"tcp"`, or
-    /// `"uds"` (empty in reports from before the transport seam).
-    #[serde(default)]
+    /// `"uds"`.
     pub transport: String,
     /// FNV-1a 64 hex digest of the final parameters' exact bit
     /// patterns; equal hashes ⇔ bitwise-identical models, across
-    /// processes (empty in older reports).
-    #[serde(default)]
+    /// processes.
     pub param_hash: String,
     /// Worker OS threads the node actors ran on (0 when the nodes were
     /// remote processes).
@@ -68,16 +78,13 @@ pub struct RuntimeSummary {
     /// Encoded bytes moved in both directions.
     pub bytes: u64,
     /// Update codec the node actors encoded with (`"none"`, `"quant8"`,
-    /// `"topk32"`, …; empty in pre-codec reports).
-    #[serde(default)]
+    /// `"topk32"`, …).
     pub update_codec: String,
     /// Physical uplink bytes (update frames as encoded).
-    #[serde(default)]
     pub uplink_bytes: u64,
     /// Logical uplink bytes: what the same updates would have cost as
     /// dense frames. The `logical / physical` ratio is the uplink
     /// compression win.
-    #[serde(default)]
     pub uplink_bytes_logical: u64,
     /// Updates folded into the global model.
     pub accepted_updates: u64,
@@ -89,17 +96,15 @@ pub struct RuntimeSummary {
     pub rejected_invalid: u64,
     /// Updates dropped because the async policy produced a non-finite
     /// mixing weight.
-    #[serde(default)]
     pub rejected_nonfinite_weight: u64,
     /// Semi-async buffer flushes (0 in per-arrival mode).
-    #[serde(default)]
     pub buffered_flushes: u64,
     /// The async aggregation policy the run executed under (absent for
-    /// barrier runs and pre-policy reports).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// barrier runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub async_policy: Option<fml_runtime::AsyncPolicyReport>,
     /// Per-node effective-weight statistics for async folds.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub node_weight_stats: Vec<fml_runtime::NodeWeightStat>,
     /// Frames that failed to decode.
     pub decode_errors: u64,
@@ -108,23 +113,17 @@ pub struct RuntimeSummary {
     /// Rounds flagged degraded.
     pub degraded_rounds: usize,
     /// Recovery cycles (rollback + exclusion) the platform executed.
-    #[serde(default)]
     pub recoveries: u64,
     /// Times the global was restored from the last good checkpoint.
-    #[serde(default)]
     pub rollbacks: u64,
     /// Nodes permanently excluded by the recovery loop.
-    #[serde(default)]
     pub excluded_nodes: Vec<usize>,
     /// Disk checkpoints written to the checkpoint directory.
-    #[serde(default)]
     pub checkpoints_written: u64,
     /// First round executed after resuming from a disk checkpoint.
-    #[serde(default)]
     pub resumed_at_round: Option<usize>,
     /// Frame-pool counters at the end of the run (hits, misses,
     /// high-water; process-wide pool).
-    #[serde(default)]
     pub pool: fml_runtime::PoolStatsReport,
 }
 
@@ -165,7 +164,7 @@ impl RuntimeSummary {
 /// One target-node adaptation round-trip (the `adapt` subcommand):
 /// what the service (or an offline checkpoint) personalized, and how
 /// much the query loss moved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AdaptReport {
     /// Target node id the support samples came from.
     pub target: usize,
@@ -214,7 +213,7 @@ impl fmt::Display for AdaptReport {
 }
 
 /// Target-adaptation summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EvalReport {
     /// Number of target nodes evaluated.
     pub targets: usize,
@@ -235,7 +234,7 @@ pub struct EvalReport {
 }
 
 /// Full run report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Report {
     /// Dataset statistics (Table-I style).
     pub dataset: FederationStats,
@@ -246,8 +245,7 @@ pub struct Report {
     /// Simulated-network summary, when a `simulate` section was present.
     pub simulation: Option<SimReport>,
     /// Actor-runtime summary, when run via the `runtime` subcommand
-    /// (absent — and absent from older JSON — otherwise).
-    #[serde(default)]
+    /// (`null` otherwise).
     pub runtime: Option<RuntimeSummary>,
     /// Target evaluation.
     pub eval: EvalReport,
@@ -486,12 +484,52 @@ mod tests {
         assert!(!text.contains("adversary"));
     }
 
+    /// The keys of a serialized struct, in emission order.
+    fn keys(value: &serde::Value) -> String {
+        let map = value.as_map().expect("a struct serializes as a map");
+        let keys: Vec<&str> = map.iter().map(|(k, _)| k.as_str()).collect();
+        keys.join(" ")
+    }
+
+    /// The tree `report` serializes to, checked to survive its own JSON
+    /// text (no path parses a report back into its type; scripts and
+    /// notebooks read the document).
+    fn through_json(report: &impl Serialize) -> serde::Value {
+        let json = serde_json::to_string(report).unwrap();
+        let back: serde::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, report.to_value());
+        back
+    }
+
+    /// What `fedml run --json` writes: scripts grep these keys.
     #[test]
     fn json_roundtrip() {
-        let r = sample();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
+        let value = through_json(&sample());
+        assert_eq!(
+            keys(&value),
+            "dataset algorithm training simulation runtime eval"
+        );
+        let section = |name| keys(value.get(name).unwrap());
+        assert_eq!(
+            section("dataset"),
+            "name nodes total_samples mean_samples stdev_samples"
+        );
+        assert_eq!(
+            section("training"),
+            "comm_rounds local_iterations initial_meta_loss final_meta_loss"
+        );
+        assert_eq!(
+            section("simulation"),
+            "payload_bytes messages retransmissions wall_clock_s final_meta_loss"
+        );
+        assert_eq!(
+            section("eval"),
+            "targets k adapt_steps initial_loss initial_accuracy final_loss final_accuracy adversarial"
+        );
+        // A run without the runtime still names the section.
+        assert_eq!(value.get("runtime"), Some(&serde::Value::Null));
+        let rounds = value.get("training").unwrap().get("comm_rounds");
+        assert_eq!(rounds, Some(&serde::Value::UInt(60)));
     }
 
     #[test]
@@ -579,9 +617,45 @@ mod tests {
         assert!(text.contains("recovery 1 cycles, 1 rollbacks, excluded [2 3]"));
         assert!(text.contains("4 checkpoints, resumed at round 5"));
         assert!(text.contains("pool 75% hit rate (75 hits / 25 misses), high water 8"));
-        let json = serde_json::to_string(&r).unwrap();
-        let back: Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
+        // The smoke scripts grep `param_hash`, `transport` and friends
+        // out of this section.
+        let value = through_json(&r);
+        let runtime = value.get("runtime").unwrap();
+        assert_eq!(
+            keys(runtime),
+            "mode transport param_hash threads frames bytes update_codec uplink_bytes uplink_bytes_logical accepted_updates staleness_hist rejected_stale rejected_invalid rejected_nonfinite_weight buffered_flushes async_policy node_weight_stats decode_errors undelivered degraded_rounds recoveries rollbacks excluded_nodes checkpoints_written resumed_at_round pool"
+        );
+        assert_eq!(
+            keys(runtime.get("async_policy").unwrap()),
+            "decay decay_pow mix max_staleness buffer_k adaptive_mix"
+        );
+        assert_eq!(
+            keys(
+                &runtime
+                    .get("node_weight_stats")
+                    .unwrap()
+                    .as_array()
+                    .unwrap()[0]
+            ),
+            "node applied mean_weight min_weight max_weight quality"
+        );
+        assert_eq!(
+            keys(runtime.get("pool").unwrap()),
+            "hits misses returns high_water hit_rate"
+        );
+        assert_eq!(
+            runtime.get("param_hash").and_then(serde::Value::as_str),
+            Some("00c0ffee00c0ffee")
+        );
+        // Barrier runs omit the two async-only keys.
+        let mut barrier = r;
+        let rt = barrier.runtime.as_mut().unwrap();
+        rt.async_policy = None;
+        rt.node_weight_stats.clear();
+        let value = through_json(&barrier);
+        let omitted = keys(value.get("runtime").unwrap());
+        assert!(!omitted.contains("async_policy") && !omitted.contains("node_weight_stats"));
+        assert_eq!(omitted.split(' ').count(), 24);
     }
 
     #[test]
@@ -604,27 +678,16 @@ mod tests {
         assert!(text.contains("global round 12"));
         assert!(text.contains("loss 1.4321 -> 0.8765"));
         assert!(text.contains("param hash 00c0ffee00c0ffee"));
-        let json = serde_json::to_string(&r).unwrap();
-        let back: AdaptReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
+        let value = through_json(&r);
+        assert_eq!(
+            keys(&value),
+            "target source k steps alpha global_round pre_loss post_loss pre_accuracy post_accuracy param_hash"
+        );
+        assert_eq!(value.get("global_round"), Some(&serde::Value::UInt(12)));
 
         let mut offline = r;
         offline.source = "offline".into();
         offline.global_round = None;
         assert!(!offline.to_string().contains("global round"));
-    }
-
-    #[test]
-    fn reports_without_runtime_section_still_parse() {
-        // JSON emitted before the runtime subcommand existed has no
-        // "runtime" key; serde(default) must fill in None.
-        let r = sample();
-        let json = serde_json::to_string(&r).unwrap();
-        let needle = "\"runtime\":null,";
-        assert!(json.contains(needle), "unexpected serialization: {json}");
-        let legacy = json.replace(needle, "");
-        let back: Report = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.runtime, None);
-        assert_eq!(back, r);
     }
 }

@@ -18,7 +18,6 @@ use fml_data::{NodeData, TaskSplit};
 use fml_dro::attack::{fgsm_batch, BoxConstraint};
 use fml_models::{Batch, Model};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One (or more) gradient steps of adaptation from `theta` on the target's
 /// local data — eq. 6 generalized to multiple steps (the multi-step
@@ -64,7 +63,7 @@ pub fn adapt_into(
 }
 
 /// One point of an adaptation curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptationPoint {
     /// Number of adaptation gradient steps taken.
     pub steps: usize,
@@ -75,7 +74,7 @@ pub struct AdaptationPoint {
 }
 
 /// Aggregate adaptation performance across target nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetEvaluation {
     /// Support-set size `K` used at each target.
     pub k: usize,

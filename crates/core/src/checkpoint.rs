@@ -117,19 +117,6 @@ impl Checkpoint {
         }
     }
 
-    /// Builds from a training output.
-    pub fn from_output(algorithm: impl Into<String>, out: &crate::TrainOutput) -> Self {
-        let mut ck = Checkpoint::new(algorithm, out.params.clone());
-        ck.meta
-            .insert("comm_rounds".into(), out.comm_rounds.to_string());
-        ck.meta
-            .insert("local_iterations".into(), out.local_iterations.to_string());
-        if let Some(l) = out.final_meta_loss() {
-            ck.meta.insert("final_meta_loss".into(), format!("{l}"));
-        }
-        ck
-    }
-
     /// Adds a metadata entry.
     pub fn with_meta(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.meta.insert(key.into(), value.into());
@@ -160,16 +147,6 @@ impl Checkpoint {
             return Err(CheckpointError::UnsupportedVersion { found: ck.version });
         }
         Ok(ck)
-    }
-
-    /// Writes to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on filesystem failures.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        std::fs::write(path, self.to_json()?)?;
-        Ok(())
     }
 
     /// Writes to a file atomically: the JSON goes to a `.tmp` sibling
@@ -203,7 +180,6 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RoundRecord, TrainOutput};
 
     #[test]
     fn roundtrip_json() {
@@ -213,27 +189,6 @@ mod tests {
         };
         let back = Checkpoint::from_json(&ck.to_json().unwrap()).unwrap();
         assert_eq!(ck, back);
-    }
-
-    #[test]
-    fn from_output_records_summary() {
-        let out = TrainOutput {
-            params: vec![0.5],
-            history: vec![RoundRecord {
-                iteration: 1,
-                meta_loss: 0.25,
-                train_loss: 0.5,
-                aggregated: true,
-                reporters: 2,
-                degraded: false,
-            }],
-            comm_rounds: 3,
-            local_iterations: 15,
-        };
-        let ck = Checkpoint::from_output("FedML", &out);
-        assert_eq!(ck.params, vec![0.5]);
-        assert_eq!(ck.meta.get("comm_rounds").unwrap(), "3");
-        assert_eq!(ck.meta.get("final_meta_loss").unwrap(), "0.25");
     }
 
     #[test]
@@ -295,7 +250,7 @@ mod tests {
             rates: Some(vec![0.5]),
             ..Checkpoint::new("MetaSGD", vec![7.0])
         };
-        ck.save(&path).unwrap();
+        ck.save_atomic(&path).unwrap();
         let back = Checkpoint::load(&path).unwrap();
         assert_eq!(ck, back);
         let _ = std::fs::remove_dir_all(&dir);

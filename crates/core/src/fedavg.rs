@@ -17,8 +17,8 @@ pub struct FedAvgConfig {
     /// Adaptation rate used **only** to evaluate the meta objective on the
     /// training curve, so FedAvg and FedML curves are directly comparable.
     pub eval_alpha: f64,
-    /// Curve-recording stride (aggregations always recorded; 0 = only
-    /// aggregations).
+    /// Curve-recording stride (aggregations always recorded; 0, the
+    /// default, = only aggregations).
     pub record_every: usize,
     /// Worker threads for the per-node fan-out; `None` (the default)
     /// auto-sizes to the host's available parallelism capped at the node
@@ -39,7 +39,7 @@ impl FedAvgConfig {
             local_steps: 5,
             rounds: 20,
             eval_alpha: 0.01,
-            record_every: 1,
+            record_every: 0,
             threads: None,
         }
     }
@@ -66,25 +66,6 @@ impl FedAvgConfig {
         self.eval_alpha = alpha;
         self
     }
-
-    /// Sets the curve-recording stride.
-    pub fn with_record_every(mut self, every: usize) -> Self {
-        self.record_every = every;
-        self
-    }
-
-    /// Sets the number of worker threads used to fan local node updates
-    /// out across OS threads. Seeded runs are bitwise identical at any
-    /// thread count (see [`crate::parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `threads == 0`.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be at least 1");
-        self.threads = Some(threads);
-        self
-    }
 }
 
 /// **FedAvg** (McMahan et al.) — the federated-learning baseline the paper
@@ -105,11 +86,6 @@ impl FedAvg {
     /// Creates the trainer.
     pub fn new(cfg: FedAvgConfig) -> Self {
         FedAvg { cfg }
-    }
-
-    /// Borrow of the configuration.
-    pub fn config(&self) -> &FedAvgConfig {
-        &self.cfg
     }
 }
 
@@ -206,7 +182,10 @@ mod tests {
     fn train_loss_decreases() {
         let model = Quadratic::isotropic(2, 1.0);
         let tasks = quad_tasks(&[(1.0, 1.0), (-1.0, 1.0), (0.0, -1.0)]);
-        let cfg = FedAvgConfig::new(0.1).with_local_steps(5).with_rounds(20);
+        let cfg = FedAvgConfig {
+            record_every: 1,
+            ..FedAvgConfig::new(0.1).with_local_steps(5).with_rounds(20)
+        };
         let out = FedAvg::new(cfg).train_from(&model, &tasks, &[4.0, -4.0]);
         let first = out.history.first().unwrap().train_loss;
         let last = out.history.last().unwrap().train_loss;

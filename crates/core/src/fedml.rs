@@ -21,7 +21,8 @@ pub struct FedMlConfig {
     /// Meta-gradient mode (full second-order or FOMAML).
     pub mode: MetaGradientMode,
     /// Record the training curve every this many iterations (aggregation
-    /// iterations are always recorded). 0 disables per-iteration records.
+    /// iterations are always recorded). 0, the default, disables
+    /// per-iteration records.
     pub record_every: usize,
     /// Worker threads for the per-node fan-out; `None` (the default)
     /// auto-sizes to the host's available parallelism capped at the node
@@ -44,7 +45,7 @@ impl FedMlConfig {
             local_steps: 5,
             rounds: 20,
             mode: MetaGradientMode::FullSecondOrder,
-            record_every: 1,
+            record_every: 0,
             threads: None,
         }
     }
@@ -97,11 +98,6 @@ impl FedMlConfig {
         self.threads = Some(threads);
         self
     }
-
-    /// Total iterations `T = rounds · T0`.
-    pub fn total_iterations(&self) -> usize {
-        self.rounds * self.local_steps
-    }
 }
 
 /// **Algorithm 1 — Federated Meta-Learning (FedML).**
@@ -127,11 +123,6 @@ impl FedMl {
     /// Creates the trainer.
     pub fn new(cfg: FedMlConfig) -> Self {
         FedMl { cfg }
-    }
-
-    /// Borrow of the configuration.
-    pub fn config(&self) -> &FedMlConfig {
-        &self.cfg
     }
 
     /// Centralized meta-gradient descent on the same objective — used to
@@ -265,7 +256,7 @@ mod tests {
             .with_local_steps(10)
             .with_rounds(7)
             .with_record_every(5);
-        assert_eq!(cfg.total_iterations(), 70);
+        assert_eq!((cfg.local_steps, cfg.rounds, cfg.record_every), (10, 7, 5));
         let cfg2 = FedMlConfig::new(0.01, 0.02)
             .with_local_steps(10)
             .with_total_iterations(95);
@@ -303,7 +294,8 @@ mod tests {
         let tasks = quad_tasks(&[(1.0, 1.0), (1.0, -1.0), (-1.0, 0.0)]);
         let cfg = FedMlConfig::new(0.1, 0.1)
             .with_local_steps(5)
-            .with_rounds(30);
+            .with_rounds(30)
+            .with_record_every(1);
         let out = FedMl::new(cfg).train_from(&model, &tasks, &[3.0, 3.0]);
         let first = out.history.first().unwrap().meta_loss;
         let last = out.history.last().unwrap().meta_loss;
@@ -316,8 +308,10 @@ mod tests {
         let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0)]);
         let cfg = FedMlConfig::new(0.1, 0.1)
             .with_local_steps(4)
-            .with_rounds(3);
+            .with_rounds(3)
+            .with_record_every(1);
         let out = FedMl::new(cfg).train_from(&model, &tasks, &[0.5, 0.5]);
+        assert_eq!(out.history.len(), 12);
         let agg_iters: Vec<usize> = out
             .history
             .iter()
@@ -385,8 +379,8 @@ mod tests {
         let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0)]);
         let cfg = FedMlConfig::new(0.1, 0.1)
             .with_local_steps(5)
-            .with_rounds(4)
-            .with_record_every(0);
+            .with_rounds(4);
+        assert_eq!(cfg.record_every, 0);
         let out = FedMl::new(cfg).train_from(&model, &tasks, &[0.0, 0.0]);
         assert_eq!(out.history.len(), 4);
         assert!(out.history.iter().all(|r| r.aggregated));
@@ -406,8 +400,7 @@ mod tests {
         let tasks = quad_tasks(&[(2.0, 0.0), (-2.0, 0.0), (1.0, 1.0)]);
         let cfg = FedMlConfig::new(0.05, 0.05)
             .with_local_steps(3)
-            .with_rounds(8)
-            .with_record_every(0);
+            .with_rounds(8);
         let trainer = FedMl::new(cfg);
         let plain = trainer.train_from(&model, &tasks, &[1.5, -1.5]);
         let ft = crate::ft::FaultTolerance::new(crate::faults::FaultPlan::new(0));

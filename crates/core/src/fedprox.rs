@@ -19,7 +19,7 @@ pub struct FedProxConfig {
     /// Adaptation rate for meta-objective curve evaluation (comparability
     /// with FedML curves).
     pub eval_alpha: f64,
-    /// Curve-recording stride.
+    /// Curve-recording stride (0, the default, = aggregations only).
     pub record_every: usize,
     /// Worker threads for the per-node fan-out; `None` (the default)
     /// auto-sizes to the host's available parallelism capped at the node
@@ -43,7 +43,7 @@ impl FedProxConfig {
             local_steps: 5,
             rounds: 20,
             eval_alpha: 0.01,
-            record_every: 1,
+            record_every: 0,
             threads: None,
         }
     }
@@ -62,25 +62,6 @@ impl FedProxConfig {
     /// Sets the number of communication rounds.
     pub fn with_rounds(mut self, rounds: usize) -> Self {
         self.rounds = rounds;
-        self
-    }
-
-    /// Sets the curve-recording stride.
-    pub fn with_record_every(mut self, every: usize) -> Self {
-        self.record_every = every;
-        self
-    }
-
-    /// Sets the number of worker threads used to fan local node updates
-    /// out across OS threads. Seeded runs are bitwise identical at any
-    /// thread count (see [`crate::parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `threads == 0`.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be at least 1");
-        self.threads = Some(threads);
         self
     }
 }
@@ -105,11 +86,6 @@ impl FedProx {
     /// Creates the trainer.
     pub fn new(cfg: FedProxConfig) -> Self {
         FedProx { cfg }
-    }
-
-    /// Borrow of the configuration.
-    pub fn config(&self) -> &FedProxConfig {
-        &self.cfg
     }
 }
 

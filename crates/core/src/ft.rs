@@ -24,7 +24,7 @@ use fml_models::Model;
 
 use crate::error::CoreError;
 use crate::faults::{self, Fault, FaultPlan};
-use crate::gather::{gather, GatherPolicy, NodeOutcome, RoundReport, Submission};
+use crate::gather::{gather, GatherPolicy, NodeOutcome, RoundReport, StragglerPolicy, Submission};
 use crate::trainer::{RoundRecord, TrainOutput};
 use crate::{LocalStepper, SourceTask};
 
@@ -60,30 +60,33 @@ impl FaultTolerance {
 }
 
 /// Per-node cache of the last report that passed validation on time —
-/// what [`StragglerPolicy::ReuseLast`](crate::StragglerPolicy::ReuseLast)
-/// substitutes for a late one. Shared by every round loop that calls
-/// [`gather`].
+/// what [`StragglerPolicy::ReuseLast`] substitutes for a late one. Shared
+/// by every round loop that calls [`gather`]. Under any other straggler
+/// policy nothing reads [`Submission::last_good`], so the cache stays
+/// empty and neither call clones an update.
 #[derive(Debug, Clone)]
-pub struct ReuseCache(Vec<Option<Vec<f64>>>);
+pub struct ReuseCache(Option<Vec<Option<Vec<f64>>>>);
 
 impl ReuseCache {
-    /// An empty cache for `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
-        ReuseCache(vec![None; nodes])
+    /// An empty cache for `nodes` nodes, filled only if `policy` can read
+    /// it.
+    pub fn new(nodes: usize, policy: &GatherPolicy) -> Self {
+        ReuseCache((policy.straggler == StragglerPolicy::ReuseLast).then(|| vec![None; nodes]))
     }
 
     /// The node's cached report, for [`Submission::last_good`].
     pub fn get(&self, node: usize) -> Option<Vec<f64>> {
-        self.0[node].clone()
+        self.0.as_ref()?[node].clone()
     }
 
     /// Caches each contributor's validated report from a gathered round
     /// (`Reported | Clipped` only: a stale substitute is never re-cached).
     pub fn absorb(&mut self, submissions: &[Submission], report: &RoundReport) {
+        let Some(cache) = &mut self.0 else { return };
         for (sub, &(node, outcome)) in submissions.iter().zip(&report.outcomes) {
             debug_assert_eq!(sub.node, node);
             if matches!(outcome, NodeOutcome::Reported | NodeOutcome::Clipped) {
-                self.0[node] = sub.update.clone();
+                cache[node] = sub.update.clone();
             }
         }
     }
@@ -171,7 +174,7 @@ pub(crate) fn drive(
     // The last good global: what a rollback restores.
     let mut snapshot = theta.clone();
     let mut active = vec![true; tasks.len()];
-    let mut last_good = ReuseCache::new(tasks.len());
+    let mut last_good = ReuseCache::new(tasks.len(), &ft.policy);
     let mut history = Vec::with_capacity(rounds);
     let mut recoveries = 0usize;
     let mut round = 1usize;
@@ -317,11 +320,42 @@ mod tests {
         threads: usize,
     ) -> Result<TrainOutput, CoreError> {
         let model = Quadratic::isotropic(2, 1.0);
-        let cfg = crate::FedAvgConfig::new(0.1)
-            .with_local_steps(3)
-            .with_rounds(rounds)
-            .with_threads(threads);
+        let cfg = crate::FedAvgConfig {
+            threads: Some(threads),
+            ..crate::FedAvgConfig::new(0.1)
+                .with_local_steps(3)
+                .with_rounds(rounds)
+        };
         train_with_faults(&crate::FedAvg::new(cfg), &model, tasks, &[2.0, -2.0], ft)
+    }
+
+    /// One faulty round (node 1 crashed) gathered under `straggler`; the
+    /// cache afterwards.
+    fn cache_after_faulty_round(straggler: StragglerPolicy) -> ReuseCache {
+        let policy = GatherPolicy {
+            straggler,
+            ..GatherPolicy::default()
+        };
+        let submissions = [
+            Submission::on_time(0, 0.5, vec![1.0, 2.0]),
+            Submission::crashed(1, 0.5),
+        ];
+        let (_, report) = gather(1, 2, &submissions, &policy).unwrap();
+        assert!(report.degraded);
+        let mut cache = ReuseCache::new(2, &policy);
+        cache.absorb(&submissions, &report);
+        cache
+    }
+
+    #[test]
+    fn reuse_cache_fills_only_under_reuse_last() {
+        for unread in [StragglerPolicy::Drop, StragglerPolicy::Wait] {
+            let cache = cache_after_faulty_round(unread);
+            assert_eq!((cache.get(0), cache.get(1)), (None, None), "{unread:?}");
+        }
+        let cache = cache_after_faulty_round(StragglerPolicy::ReuseLast);
+        assert_eq!(cache.get(0), Some(vec![1.0, 2.0]));
+        assert_eq!(cache.get(1), None);
     }
 
     #[test]

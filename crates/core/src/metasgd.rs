@@ -41,7 +41,7 @@ pub struct MetaSgdConfig {
     /// Clamp applied to the learned rates each update (`[0, alpha_max]`);
     /// keeps the inner step a descent step.
     pub alpha_max: f64,
-    /// Curve-recording stride (0 = aggregations only).
+    /// Curve-recording stride (0, the default, = aggregations only).
     pub record_every: usize,
     /// Worker threads for the per-node fan-out; `None` (the default)
     /// auto-sizes to the host's available parallelism capped at the node
@@ -63,7 +63,7 @@ impl MetaSgdConfig {
             local_steps: 5,
             rounds: 20,
             alpha_max: 10.0 * alpha_init,
-            record_every: 1,
+            record_every: 0,
             threads: None,
         }
     }
@@ -82,25 +82,6 @@ impl MetaSgdConfig {
     /// Sets the number of communication rounds.
     pub fn with_rounds(mut self, rounds: usize) -> Self {
         self.rounds = rounds;
-        self
-    }
-
-    /// Sets the curve-recording stride.
-    pub fn with_record_every(mut self, every: usize) -> Self {
-        self.record_every = every;
-        self
-    }
-
-    /// Sets the number of worker threads used to fan local node updates
-    /// out across OS threads. Seeded runs are bitwise identical at any
-    /// thread count (see [`crate::parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `threads == 0`.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be at least 1");
-        self.threads = Some(threads);
         self
     }
 }
@@ -144,11 +125,6 @@ impl MetaSgd {
     /// Creates the trainer.
     pub fn new(cfg: MetaSgdConfig) -> Self {
         MetaSgd { cfg }
-    }
-
-    /// Borrow of the configuration.
-    pub fn config(&self) -> &MetaSgdConfig {
-        &self.cfg
     }
 
     /// One local meta-update of `(θ_i, a_i)` on a task.
@@ -403,9 +379,12 @@ mod tests {
     fn converges_on_symmetric_quadratics() {
         let model = Quadratic::isotropic(2, 1.0);
         let tasks = quad_tasks(&[(2.0, 0.0), (-2.0, 0.0)]);
-        let cfg = MetaSgdConfig::new(0.1, 0.1)
-            .with_local_steps(2)
-            .with_rounds(150);
+        let cfg = MetaSgdConfig {
+            record_every: 1,
+            ..MetaSgdConfig::new(0.1, 0.1)
+                .with_local_steps(2)
+                .with_rounds(150)
+        };
         let out = MetaSgd::new(cfg).train_from(&model, &tasks, &[1.0, 1.0]);
         assert!(out.train.params.iter().all(|v| v.is_finite()));
         let first = out.train.history.first().unwrap().meta_loss;

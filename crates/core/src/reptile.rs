@@ -63,19 +63,6 @@ impl ReptileConfig {
         self.rounds = rounds;
         self
     }
-
-    /// Sets the number of worker threads used to fan local node updates
-    /// out across OS threads. Seeded runs are bitwise identical at any
-    /// thread count (see [`crate::parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `threads == 0`.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be at least 1");
-        self.threads = Some(threads);
-        self
-    }
 }
 
 /// **Reptile** (Nichol et al.) — the first-order meta-learning baseline.
@@ -100,11 +87,6 @@ impl Reptile {
     /// Creates the trainer.
     pub fn new(cfg: ReptileConfig) -> Self {
         Reptile { cfg }
-    }
-
-    /// Borrow of the configuration.
-    pub fn config(&self) -> &ReptileConfig {
-        &self.cfg
     }
 }
 

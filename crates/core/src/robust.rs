@@ -38,7 +38,7 @@ pub struct RobustFedMlConfig {
     pub constraint: BoxConstraint,
     /// Meta-gradient mode.
     pub mode: MetaGradientMode,
-    /// Curve-recording stride (0 = aggregations only).
+    /// Curve-recording stride (0, the default, = aggregations only).
     pub record_every: usize,
 }
 
@@ -64,7 +64,7 @@ impl RobustFedMlConfig {
             max_generations: 2,
             constraint: BoxConstraint::None,
             mode: MetaGradientMode::FullSecondOrder,
-            record_every: 1,
+            record_every: 0,
         }
     }
 
@@ -100,12 +100,6 @@ impl RobustFedMlConfig {
         self
     }
 
-    /// Sets the curve-recording stride.
-    pub fn with_record_every(mut self, every: usize) -> Self {
-        self.record_every = every;
-        self
-    }
-
     /// Constrains generated adversarial inputs to a box.
     pub fn with_constraint(mut self, constraint: BoxConstraint) -> Self {
         self.constraint = constraint;
@@ -138,11 +132,6 @@ impl RobustFedMl {
     /// Creates the trainer.
     pub fn new(cfg: RobustFedMlConfig) -> Self {
         RobustFedMl { cfg }
-    }
-
-    /// Borrow of the configuration.
-    pub fn config(&self) -> &RobustFedMlConfig {
-        &self.cfg
     }
 
     /// Draws `θ⁰` from `rng` and runs [`train_from`](Self::train_from)
@@ -325,8 +314,7 @@ mod tests {
         let cfg = RobustFedMlConfig::new(0.05, 0.05, 1.0)
             .with_local_steps(2)
             .with_rounds(6)
-            .with_adversarial(0.3, 2, 1, 2)
-            .with_record_every(0);
+            .with_adversarial(0.3, 2, 1, 2);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let out = RobustFedMl::new(cfg).train(&model, &tasks, &mut rng);
         assert_eq!(out.history.len(), 6);

@@ -100,8 +100,8 @@ pub trait LocalStepper: Sync {
     fn local_steps(&self) -> usize;
 
     /// Curve-recording stride of [`train_from`](Self::train_from):
-    /// aggregation iterations are always recorded, `0` records nothing
-    /// in between.
+    /// aggregation iterations are always recorded, `0` — every config's
+    /// default — records nothing in between.
     fn record_every(&self) -> usize;
 
     /// Advances one node's `state` in place by `steps` local iterations
@@ -296,15 +296,22 @@ mod tests {
         (SoftmaxRegression::new(6, 3), tasks)
     }
 
+    /// Per-iteration curves (`record_every = 1`) wherever the knob exists.
     fn steppers(t0: usize) -> Vec<Box<dyn LocalStepper>> {
         vec![
             Box::new(FedMl::new(
-                FedMlConfig::new(0.05, 0.05).with_local_steps(t0),
+                FedMlConfig::new(0.05, 0.05)
+                    .with_local_steps(t0)
+                    .with_record_every(1),
             )),
-            Box::new(FedAvg::new(FedAvgConfig::new(0.05).with_local_steps(t0))),
-            Box::new(FedProx::new(
-                FedProxConfig::new(0.05, 0.1).with_local_steps(t0),
-            )),
+            Box::new(FedAvg::new(FedAvgConfig {
+                record_every: 1,
+                ..FedAvgConfig::new(0.05).with_local_steps(t0)
+            })),
+            Box::new(FedProx::new(FedProxConfig {
+                record_every: 1,
+                ..FedProxConfig::new(0.05, 0.1).with_local_steps(t0)
+            })),
             Box::new(Reptile::new(
                 ReptileConfig::new(0.05, 0.5).with_inner_steps(t0),
             )),

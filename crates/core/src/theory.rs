@@ -23,12 +23,11 @@
 
 use fml_models::Model;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::SourceTask;
 
 /// Assumptions 1–4 constants for a federated problem instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProblemConstants {
     /// Strong convexity `μ` (Assumption 1).
     pub mu: f64,
@@ -86,7 +85,7 @@ impl ProblemConstants {
 }
 
 /// Lemma 1's constants for the meta objective `G`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetaConstants {
     /// `μ′ = μ(1−αH)² − αρB`.
     pub mu_prime: f64,
@@ -135,7 +134,7 @@ impl MetaConstants {
 }
 
 /// Theorem 2's convergence bound, fully parameterized.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TheoremTwoBound {
     /// Problem constants (Assumptions 1–4).
     pub constants: ProblemConstants,
@@ -169,7 +168,7 @@ impl TheoremTwoBound {
     }
 
     /// `h(x) = (α′/βH′)[(1+βH′)^x − 1] − α′x`; `h(1) = 0`.
-    pub fn h(&self, x: usize) -> f64 {
+    fn h(&self, x: usize) -> f64 {
         let a = self.alpha_prime();
         let bh = self.beta * self.meta.h_prime;
         a / bh * ((1.0 + bh).powi(x as i32) - 1.0) - a * x as f64

@@ -1,11 +1,10 @@
 use fml_models::{Model, Workspace};
-use serde::{Deserialize, Serialize};
 
 use crate::meta::{meta_objective_with, Scratch};
 use crate::SourceTask;
 
 /// One point on a training curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundRecord {
     /// Iteration index `t` (1-based, as in Algorithm 1).
     pub iteration: usize,
@@ -18,19 +17,16 @@ pub struct RoundRecord {
     /// Whether a global aggregation happened at this iteration.
     pub aggregated: bool,
     /// Nodes whose updates actually entered the aggregate this round.
-    /// Equals the task count on fault-free rounds; absent in records
-    /// serialized before fault tolerance existed, defaulting to `0`.
-    #[serde(default)]
+    /// Equals the task count on fault-free rounds.
     pub reporters: usize,
     /// Whether this round was degraded — nodes crashed, straggled past
     /// the deadline, were rejected as corrupt, or a rollback re-ran the
     /// round with a reduced fleet.
-    #[serde(default)]
     pub degraded: bool,
 }
 
 /// The result of federated training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainOutput {
     /// Final global model parameters.
     pub params: Vec<f64>,
@@ -221,16 +217,5 @@ mod tests {
     #[should_panic(expected = "node count mismatch")]
     fn aggregate_rejects_mismatch() {
         aggregate(&quad_tasks(), &[vec![0.0, 0.0]]);
-    }
-
-    #[test]
-    fn round_record_reads_pre_fault_tolerance_json() {
-        // Records serialized before the reporters/degraded fields existed
-        // must still deserialize (serde defaults).
-        let old = r#"{"iteration":3,"meta_loss":0.5,"train_loss":1.0,"aggregated":true}"#;
-        let r: RoundRecord = serde_json::from_str(old).unwrap();
-        assert_eq!(r.iteration, 3);
-        assert_eq!(r.reporters, 0);
-        assert!(!r.degraded);
     }
 }

@@ -1,10 +1,10 @@
 use fml_models::Batch;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One edge node's local dataset `D_i`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeData {
     /// Stable node identifier.
     pub id: usize,
@@ -27,7 +27,7 @@ pub struct NodeData {
 /// let stats = fed.stats();
 /// assert!(stats.mean_samples > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Federation {
     name: String,
     classes: usize,
@@ -97,17 +97,8 @@ impl Federation {
     }
 
     /// Total sample count across nodes.
-    pub fn total_samples(&self) -> usize {
+    fn total_samples(&self) -> usize {
         self.nodes.iter().map(|n| n.batch.len()).sum()
-    }
-
-    /// The aggregation weights `ω_i = |D_i| / Σ_j |D_j|` of eq. (2).
-    pub fn weights(&self) -> Vec<f64> {
-        let total = self.total_samples() as f64;
-        self.nodes
-            .iter()
-            .map(|n| n.batch.len() as f64 / total)
-            .collect()
     }
 
     /// Splits nodes into `(sources, targets)` with `source_frac` of nodes
@@ -157,7 +148,7 @@ impl Federation {
 }
 
 /// Summary statistics in the shape of the paper's Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FederationStats {
     /// Dataset name.
     pub name: String,
@@ -173,7 +164,7 @@ pub struct FederationStats {
 
 /// A node's K-shot support/query split: `D_i^train` (size `K`) and
 /// `D_i^test` in the paper's notation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSplit {
     /// The K-shot support set used for the inner adaptation step.
     pub train: Batch,
@@ -234,15 +225,6 @@ mod tests {
             })
             .collect();
         Federation::new("mini", 2, nodes)
-    }
-
-    #[test]
-    fn weights_sum_to_one_and_scale_with_size() {
-        let fed = mini_federation(&[10, 30]);
-        let w = fed.weights();
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((w[0] - 0.25).abs() < 1e-12);
-        assert!((w[1] - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl<C: TransportCost> RobustSurrogate<C> {
         self
     }
 
-    /// The Lagrangian penalty `λ`.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
     /// The inner objective `l(θ, (x, y₀)) − λ c((x, y₀), (x₀, y₀))`.
     pub fn objective(
         &self,

@@ -86,24 +86,6 @@ pub fn matvec_into(a: &[f64], x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Transposed matrix–vector product `y ← Aᵀ·x` on a flat row-major
-/// buffer, without allocating. The shape is inferred from the vectors:
-/// `A` is `x.len() × y.len()`.
-///
-/// `y` is zeroed and then accumulated one row at a time via [`axpy`].
-///
-/// # Panics
-///
-/// Panics if `a.len() != x.len() * y.len()`.
-#[inline]
-pub fn matvec_t_into(a: &[f64], x: &[f64], y: &mut [f64]) {
-    assert_eq!(a.len(), x.len() * y.len(), "matvec_t_into: shape mismatch");
-    y.fill(0.0);
-    for (row, &xi) in a.chunks_exact(y.len().max(1)).zip(x) {
-        axpy(xi, row, y);
-    }
-}
-
 /// In-place `x ← a·x`.
 #[inline]
 pub fn scale_in_place(a: f64, x: &mut [f64]) {
@@ -273,16 +255,6 @@ mod tests {
         let mut y = [0.0; 3];
         matvec_into(&a, &x, &mut y);
         assert_eq!(y, [-1.0, -1.0, -1.0]);
-    }
-
-    #[test]
-    fn matvec_t_into_matches_columnwise_dots() {
-        // Same A, x = [1,1,1] ⇒ Aᵀx = column sums.
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let x = [1.0, 1.0, 1.0];
-        let mut y = [9.0; 2];
-        matvec_t_into(&a, &x, &mut y);
-        assert_eq!(y, [9.0, 12.0]);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 use fml_linalg::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::{ModelError, Result};
 
 /// One supervised target: either a class index (classification) or a real
 /// value (regression).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Target {
     /// Class index in `0..classes`.
     Class(usize),
@@ -15,7 +14,7 @@ pub enum Target {
 
 impl Target {
     /// The class index, if this is a classification target.
-    pub fn class(&self) -> Option<usize> {
+    fn class(&self) -> Option<usize> {
         match self {
             Target::Class(c) => Some(*c),
             Target::Value(_) => None,
@@ -71,7 +70,7 @@ impl Target {
 /// assert_eq!(b.target(1), Target::Class(1));
 /// # Ok::<(), fml_models::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     xs: Matrix,
     ys: Vec<Target>,
@@ -341,15 +340,6 @@ mod tests {
     #[should_panic(expected = "regression target")]
     fn expect_class_panics_on_value() {
         Target::Value(0.0).expect_class();
-    }
-
-    #[test]
-    fn regression_batch_roundtrips_serde() {
-        let xs = Matrix::from_rows(&[&[1.0], &[2.0]]).unwrap();
-        let b = Batch::regression(xs, vec![0.5, -0.5]).unwrap();
-        let json = serde_json::to_string(&b).unwrap();
-        let back: Batch = serde_json::from_str(&json).unwrap();
-        assert_eq!(b, back);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl LinearRegression {
         self
     }
 
-    /// The L2 coefficient.
-    pub fn l2(&self) -> f64 {
-        self.l2
-    }
-
     fn residual(&self, params: &[f64], x: &[f64], y: f64) -> f64 {
         vector::dot(&params[..self.dim], x) + params[self.dim] - y
     }

@@ -84,16 +84,6 @@ impl Quadratic {
         &self.a
     }
 
-    /// Exact strong-convexity constant `μ = λ_min(A)`.
-    pub fn mu(&self) -> f64 {
-        self.a.sym_min_eigenvalue(200)
-    }
-
-    /// Exact smoothness constant `H = λ_max(A)`.
-    pub fn smoothness(&self) -> f64 {
-        self.a.sym_max_eigenvalue(200)
-    }
-
     fn mean_center(&self, batch: &Batch) -> Vec<f64> {
         let mut c = vec![0.0; self.a.rows()];
         if batch.is_empty() {
@@ -213,13 +203,6 @@ mod tests {
         let model = Quadratic::diagonal(&[2.0, 1.0]);
         let err = check::input_grad_error(&model, &[1.0, -1.0], &[0.5, 0.5], Target::Value(0.0));
         assert!(err < 1e-7, "input grad error {err}");
-    }
-
-    #[test]
-    fn mu_and_smoothness_from_diagonal() {
-        let model = Quadratic::diagonal(&[0.5, 4.0, 2.0]);
-        assert!((model.mu() - 0.5).abs() < 1e-6);
-        assert!((model.smoothness() - 4.0).abs() < 1e-6);
     }
 
     #[test]

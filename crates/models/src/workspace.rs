@@ -122,12 +122,6 @@ impl Workspace {
         }
     }
 
-    /// The layer widths this workspace was built for (empty for
-    /// [`Workspace::empty`]).
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
     /// Panics with a clear message unless this workspace was built for
     /// `dims`.
     #[inline]
@@ -160,7 +154,7 @@ mod tests {
 
     #[test]
     fn empty_workspace_has_no_dims() {
-        assert!(Workspace::empty().dims().is_empty());
+        assert!(Workspace::empty().dims.is_empty());
     }
 
     #[test]

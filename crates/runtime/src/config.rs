@@ -390,14 +390,6 @@ impl RuntimeConfig {
         self.update_codec = codec;
         self
     }
-
-    /// The async policy, if in async mode.
-    pub fn async_policy(&self) -> Option<&AsyncPolicy> {
-        match &self.mode {
-            Mode::Async(p) => Some(p),
-            Mode::Barrier => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -434,9 +426,9 @@ mod tests {
         let cfg = RuntimeConfig::barrier(5).with_threads(3).with_mailbox_cap(4);
         assert_eq!(cfg.threads, Some(3));
         assert_eq!(cfg.mailbox_cap, 4);
-        assert!(cfg.async_policy().is_none());
+        assert_eq!(cfg.mode, Mode::Barrier);
         let a = RuntimeConfig::async_mode(5, AsyncPolicy::default().with_max_staleness(2));
-        assert_eq!(a.async_policy().unwrap().max_staleness, 2);
+        assert!(matches!(a.mode, Mode::Async(p) if p.max_staleness == 2));
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl NodeHealth {
 }
 
 /// One recorded state change.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthTransition {
     /// Round the transition happened in (0 = before round 1, e.g. a
     /// resume restoring exclusions).
@@ -107,7 +107,7 @@ pub struct HealthTransition {
 }
 
 /// Final per-node health summary embedded in the runtime report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeHealthReport {
     /// Node id.
     pub node: usize,
@@ -116,7 +116,6 @@ pub struct NodeHealthReport {
     /// Total failure events observed (not just the final streak).
     pub failures: u64,
     /// Every state change, in order.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub transitions: Vec<HealthTransition>,
 }
 
@@ -150,11 +149,6 @@ impl HealthTracker {
                 to: to.label().to_string(),
             });
         }
-    }
-
-    /// Current state of a node.
-    pub fn state(&self, node: usize) -> NodeHealth {
-        self.states[node]
     }
 
     /// Whether a node receives broadcasts and counts toward quorum.
@@ -314,12 +308,12 @@ mod tests {
     fn healthy_to_suspect_to_quarantined() {
         let mut t = HealthTracker::new(2, fast_policy());
         t.record_failure(0, 1);
-        assert_eq!(t.state(0), NodeHealth::Healthy);
+        assert_eq!(t.states[0], NodeHealth::Healthy);
         t.record_failure(0, 2);
-        assert_eq!(t.state(0), NodeHealth::Suspect);
+        assert_eq!(t.states[0], NodeHealth::Suspect);
         assert!(t.is_active(0));
         t.record_failure(0, 3);
-        assert_eq!(t.state(0), NodeHealth::Quarantined { until: 5 });
+        assert_eq!(t.states[0], NodeHealth::Quarantined { until: 5 });
         assert!(!t.is_active(0));
         assert_eq!(t.active_nodes(), vec![1]);
         assert_eq!(t.removed_count(), 1);
@@ -330,13 +324,13 @@ mod tests {
         let mut t = HealthTracker::new(1, fast_policy());
         t.record_failure(0, 1);
         t.record_failure(0, 2);
-        assert_eq!(t.state(0), NodeHealth::Suspect);
+        assert_eq!(t.states[0], NodeHealth::Suspect);
         t.record_success(0, 3);
-        assert_eq!(t.state(0), NodeHealth::Healthy);
+        assert_eq!(t.states[0], NodeHealth::Healthy);
         // Streak restarted: two more failures only reach Suspect again.
         t.record_failure(0, 4);
         t.record_failure(0, 5);
-        assert_eq!(t.state(0), NodeHealth::Suspect);
+        assert_eq!(t.states[0], NodeHealth::Suspect);
     }
 
     #[test]
@@ -345,16 +339,16 @@ mod tests {
         for r in 1..=3 {
             t.record_failure(0, r);
         }
-        assert_eq!(t.state(0), NodeHealth::Quarantined { until: 5 });
+        assert_eq!(t.states[0], NodeHealth::Quarantined { until: 5 });
         t.begin_round(4);
         assert!(!t.is_active(0), "sentence not served yet");
         t.begin_round(5);
-        assert_eq!(t.state(0), NodeHealth::Probation { remaining: 2 });
+        assert_eq!(t.states[0], NodeHealth::Probation { remaining: 2 });
         assert!(t.is_active(0));
         t.record_success(0, 5);
-        assert_eq!(t.state(0), NodeHealth::Probation { remaining: 1 });
+        assert_eq!(t.states[0], NodeHealth::Probation { remaining: 1 });
         t.record_success(0, 6);
-        assert_eq!(t.state(0), NodeHealth::Healthy);
+        assert_eq!(t.states[0], NodeHealth::Healthy);
     }
 
     #[test]
@@ -364,9 +358,9 @@ mod tests {
             t.record_failure(0, r);
         }
         t.begin_round(5);
-        assert!(matches!(t.state(0), NodeHealth::Probation { .. }));
+        assert!(matches!(t.states[0], NodeHealth::Probation { .. }));
         t.record_failure(0, 5);
-        assert_eq!(t.state(0), NodeHealth::Quarantined { until: 7 });
+        assert_eq!(t.states[0], NodeHealth::Quarantined { until: 7 });
     }
 
     #[test]
@@ -379,7 +373,7 @@ mod tests {
         for r in 1..=3 {
             t.record_failure(0, r);
         }
-        assert_eq!(t.state(0), NodeHealth::Quarantined { until: usize::MAX });
+        assert_eq!(t.states[0], NodeHealth::Quarantined { until: usize::MAX });
         t.begin_round(1_000_000);
         assert!(!t.is_active(0));
     }
@@ -388,12 +382,12 @@ mod tests {
     fn exclusion_is_terminal() {
         let mut t = HealthTracker::new(2, fast_policy());
         t.exclude(1, 2);
-        assert_eq!(t.state(1), NodeHealth::Excluded);
+        assert_eq!(t.states[1], NodeHealth::Excluded);
         assert_eq!(t.excluded_nodes(), vec![1]);
         t.record_success(1, 3);
         t.record_failure(1, 4);
         t.begin_round(100);
-        assert_eq!(t.state(1), NodeHealth::Excluded);
+        assert_eq!(t.states[1], NodeHealth::Excluded);
         // Excluded failures are not even counted.
         assert_eq!(t.summaries()[1].failures, 0);
     }
@@ -425,12 +419,12 @@ mod tests {
 
         let mut back = HealthTracker::new(3, fast_policy());
         assert!(back.restore_meta(&meta));
-        assert_eq!(back.state(0), NodeHealth::Suspect);
-        assert_eq!(back.state(1), NodeHealth::Healthy);
-        assert_eq!(back.state(2), NodeHealth::Excluded);
+        assert_eq!(back.states[0], NodeHealth::Suspect);
+        assert_eq!(back.states[1], NodeHealth::Healthy);
+        assert_eq!(back.states[2], NodeHealth::Excluded);
         // Streak carried over: one more failure quarantines node 0.
         back.record_failure(0, 3);
-        assert!(matches!(back.state(0), NodeHealth::Quarantined { .. }));
+        assert!(matches!(back.states[0], NodeHealth::Quarantined { .. }));
 
         // Wrong fleet size is rejected.
         let mut wrong = HealthTracker::new(2, fast_policy());

@@ -283,11 +283,6 @@ impl Runtime {
         self
     }
 
-    /// Borrow of the configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.cfg
-    }
-
     /// Runs the trainer's full round schedule over the actor fleet.
     ///
     /// # Panics
@@ -1151,7 +1146,7 @@ impl Platform<'_> {
         // The last good global: what a rollback restores. Updated after
         // every completed round, exactly like `fml_core::ft`'s snapshot.
         let mut snapshot = global.clone();
-        let mut last_good = ReuseCache::new(self.n);
+        let mut last_good = ReuseCache::new(self.n, &self.cfg.gather);
         // A round that rolled back stays flagged degraded even when the
         // re-run fleet reports cleanly (same rule as `fml_core::ft`).
         let mut recovered_this_round = false;
@@ -1381,8 +1376,7 @@ mod tests {
         FedMl::new(
             FedMlConfig::new(0.05, 0.05)
                 .with_rounds(rounds)
-                .with_local_steps(2)
-                .with_record_every(0),
+                .with_local_steps(2),
         )
     }
 

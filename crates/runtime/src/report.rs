@@ -1,7 +1,7 @@
 //! Runtime observability: per-node I/O counters, staleness histogram,
 //! rejection counts, and a per-round [`TraceLog`] shared with `fml-sim`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use fml_sim::{PoolStats, TraceLog};
 
@@ -11,7 +11,7 @@ use crate::health::NodeHealthReport;
 /// The async aggregation policy a run executed under, as recorded in
 /// the report — decay family, knobs, and the buffered/adaptive modes.
 /// Present only on async-mode reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AsyncPolicyReport {
     /// Decay family name: `"poly"`, `"hinge"`/`"hinge:<knee>"`, or
     /// `"const"`.
@@ -44,7 +44,7 @@ impl From<&AsyncPolicy> for AsyncPolicyReport {
 /// Effective-weight statistics for one node's accepted async updates:
 /// what actually multiplied into the global fold after staleness decay
 /// and (when enabled) adaptive mixing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct NodeWeightStat {
     /// Node id (index into the task list).
     pub node: usize,
@@ -68,7 +68,7 @@ pub struct NodeWeightStat {
 /// plus the 4-byte length prefix, counted at the platform's hub. Over
 /// the in-process channel transport they are the encoded frame alone
 /// (there is no prefix on a channel).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct NodeIo {
     /// Node id (index into the task list).
     pub node: usize,
@@ -83,40 +83,32 @@ pub struct NodeIo {
     /// [`bytes_sent`](Self::bytes_sent) under the `none`/`dense` codecs
     /// (modulo framing overhead); larger under a compressing codec —
     /// the gap is the uplink compression win.
-    #[serde(default)]
     pub bytes_sent_logical: u64,
     /// Bytes of encoded broadcast frames received.
     pub bytes_received: u64,
     /// Times this peer's link was replaced by a reconnect (socket
     /// transports only; always 0 in-process).
-    #[serde(default)]
     pub reconnects: u64,
     /// Frames this node received and could not use: undecodable bytes,
     /// or a valid frame that is not a broadcast.
-    #[serde(default)]
     pub decode_errors: u64,
 }
 
-/// What the platform observed over a whole run.
-///
-/// Serializable so the CLI can embed it in its JSON report; the
-/// per-round view reuses [`fml_sim::RoundTrace`] so existing trace
-/// tooling (jsonl round logs, regression scans) works on runtime
-/// output unchanged.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// What the platform observed over a whole run. The per-round view
+/// reuses [`fml_sim::RoundTrace`], so trace tooling (jsonl round logs,
+/// regression scans) works on runtime output unchanged.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeReport {
     /// `"barrier"` or `"async"`.
     pub mode: String,
     /// Transport family the platform⇄node links used: `"channel"`,
     /// `"tcp"`, or `"uds"`.
-    #[serde(default)]
     pub transport: String,
     /// Worker OS threads the node actors ran on (0 when nodes are
     /// remote processes reached over a socket transport).
     pub threads: usize,
     /// Update codec the node actors encoded with (`"none"`, `"dense"`,
-    /// `"quant8"`, `"topk32"`, …). Empty on pre-codec reports.
-    #[serde(default)]
+    /// `"quant8"`, `"topk32"`, …).
     pub update_codec: String,
     /// Per-node frame/byte counters, indexed by node id.
     pub per_node: Vec<NodeIo>,
@@ -129,20 +121,15 @@ pub struct RuntimeReport {
     pub rejected_invalid: u64,
     /// Updates dropped because the policy produced a non-finite mixing
     /// weight (a mis-constructed policy that bypassed validation).
-    #[serde(default)]
     pub rejected_nonfinite_weight: u64,
     /// Times the semi-async buffer reached `k` and folded its contents
     /// into the global model (includes the end-of-run partial flush).
     /// 0 in per-arrival mode.
-    #[serde(default)]
     pub buffered_flushes: u64,
-    /// The async policy this run executed under; `None` on barrier-mode
-    /// and pre-policy reports.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// The async policy this run executed under; `None` in barrier mode.
     pub async_policy: Option<AsyncPolicyReport>,
     /// Per-node effective-weight statistics for async folds, indexed by
-    /// node id. Empty on barrier-mode and pre-policy reports.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    /// node id. Empty in barrier mode.
     pub node_weight_stats: Vec<NodeWeightStat>,
     /// Frames no parser ([`fml_sim::MessageView`], [`fml_sim::CompressedView`])
     /// accepted on either side,
@@ -156,36 +143,28 @@ pub struct RuntimeReport {
     /// (full or dead mailboxes at `broadcast` time). Sums into
     /// [`undelivered`](Self::undelivered) together with the other drop
     /// sources.
-    #[serde(default)]
     pub broadcast_drops: Vec<u64>,
     /// Rounds flagged degraded (missing reporters, rejected updates, or
     /// a skipped aggregation).
     pub degraded_rounds: usize,
     /// Recovery cycles consumed: each one rolled the global back to the
     /// last good checkpoint and excluded the blamed nodes.
-    #[serde(default)]
     pub recoveries: u64,
     /// Times the global was restored from the last good checkpoint
     /// (one per recovery cycle).
-    #[serde(default)]
     pub rollbacks: u64,
     /// Nodes permanently excluded by the recovery loop, in id order.
-    #[serde(default)]
     pub excluded_nodes: Vec<usize>,
     /// Final per-node health states and their transition histories.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub node_health: Vec<NodeHealthReport>,
     /// Disk checkpoints written to `--checkpoint-dir` during this run.
-    #[serde(default)]
     pub checkpoints_written: u64,
     /// When the run resumed from a disk checkpoint: the first round it
     /// actually executed.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub resumed_at_round: Option<usize>,
     /// Frame-pool counters at the end of the run. The pool is shared
     /// process-wide ([`fml_sim::FramePool::global`]), so these reflect
     /// every pooled encode/recycle in the process, not just this run's.
-    #[serde(default)]
     pub pool: PoolStatsReport,
     /// Per-round trace in `fml-sim`'s flight-recorder format.
     pub trace: TraceLog,
@@ -194,7 +173,7 @@ pub struct RuntimeReport {
 /// Serializable snapshot of [`fml_sim::PoolStats`]: how well the frame
 /// pool recycled buffers (acquire hits vs misses) and how much storage
 /// it held at peak.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct PoolStatsReport {
     /// Acquires served from a recycled buffer.
     pub hits: u64,
@@ -243,14 +222,14 @@ impl RuntimeReport {
     }
 
     /// Total *logical* uplink bytes: what the same updates would have
-    /// cost dense. 0 on pre-codec reports.
+    /// cost dense.
     pub fn uplink_bytes_logical(&self) -> u64 {
         self.per_node.iter().map(|n| n.bytes_sent_logical).sum()
     }
 
     /// Uplink compression ratio, `logical / physical` (1.0 means no
     /// compression; ≥ 3.0 is the top-k target). `None` when either
-    /// side is zero (no updates, or a pre-codec report).
+    /// side is zero (no updates yet).
     pub fn uplink_compression_ratio(&self) -> Option<f64> {
         let physical = self.uplink_bytes();
         let logical = self.uplink_bytes_logical();
@@ -393,48 +372,25 @@ mod tests {
         assert_eq!(RuntimeReport::default().uplink_compression_ratio(), None);
     }
 
+    /// `fedml runtime --node … --json` writes a `NodeIo`: its key set is
+    /// what downstream greps see.
     #[test]
-    fn report_roundtrips_through_json() {
-        let r = sample();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: RuntimeReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn old_reports_without_new_fields_still_parse() {
-        // A PR-3-era report has no transport/broadcast_drops/reconnects.
-        let json = r#"{
-            "mode": "barrier", "threads": 2,
-            "per_node": [{"node": 0, "frames_sent": 1,
-                          "frames_received": 1, "bytes_sent": 10,
-                          "bytes_received": 10}],
-            "staleness_hist": [], "rejected_stale": 0,
-            "rejected_invalid": 0, "decode_errors": 0,
-            "undelivered": 0, "degraded_rounds": 0,
-            "trace": {"rounds": []}
-        }"#;
-        let r: RuntimeReport = serde_json::from_str(json).unwrap();
-        assert_eq!(r.transport, "");
-        assert!(r.broadcast_drops.is_empty());
-        assert_eq!(r.per_node[0].reconnects, 0);
-        // PR-7 recovery fields default too.
-        assert_eq!(r.recoveries, 0);
-        assert_eq!(r.rollbacks, 0);
-        assert!(r.excluded_nodes.is_empty());
-        assert!(r.node_health.is_empty());
-        assert_eq!(r.checkpoints_written, 0);
-        assert_eq!(r.resumed_at_round, None);
-        // PR-8 pool stats default too.
-        assert_eq!(r.pool, PoolStatsReport::default());
-        // PR-9 codec fields default too.
-        assert_eq!(r.update_codec, "");
-        assert_eq!(r.per_node[0].bytes_sent_logical, 0);
-        // PR-10 async-policy fields default too.
-        assert_eq!(r.rejected_nonfinite_weight, 0);
-        assert_eq!(r.buffered_flushes, 0);
-        assert!(r.async_policy.is_none());
-        assert!(r.node_weight_stats.is_empty());
+    fn node_io_json_keys_are_pinned() {
+        let value = sample().per_node[1].to_value();
+        let keys: Vec<&str> = value
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys.join(" "),
+            "node frames_sent frames_received bytes_sent bytes_sent_logical bytes_received reconnects decode_errors"
+        );
+        assert_eq!(
+            value.get("bytes_sent_logical"),
+            Some(&serde::Value::UInt(3200))
+        );
     }
 
     #[test]

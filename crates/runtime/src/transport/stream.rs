@@ -274,16 +274,8 @@ impl TcpTransport {
 }
 
 impl UnixTransport {
-    /// Connects to a Unix-domain-socket platform at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Any connection error, mapped onto [`TransportError`].
-    pub fn connect(path: &str) -> Result<Self, TransportError> {
-        Self::connect_with_backoff(path, 1, CONNECT_BASE_DELAY)
-    }
-
-    /// Connects with `attempts` tries and doubling backoff.
+    /// Connects to a Unix-domain-socket platform at `path` with
+    /// `attempts` tries and doubling backoff.
     ///
     /// # Errors
     ///
@@ -424,7 +416,6 @@ impl super::TransportListener for UnixTransportListener {
 mod tests {
     use super::super::TransportListener;
     use super::*;
-    use fml_sim::framing::prefix_frame;
 
     fn frame(tag: u8) -> Bytes {
         Bytes::copy_from_slice(&[tag; 24])
@@ -466,7 +457,8 @@ mod tests {
         let path = uds_path("roundtrip");
         {
             let mut listener = UnixTransportListener::bind(&path).unwrap();
-            let mut client = UnixTransport::connect(&path).unwrap();
+            let mut client =
+                UnixTransport::connect_with_backoff(&path, 1, CONNECT_BASE_DELAY).unwrap();
             let mut server = listener.accept(Duration::from_secs(5)).unwrap();
             client.send_frame(&frame(1)).unwrap();
             assert_eq!(server.recv_frame(Duration::from_secs(5)).unwrap(), frame(1));
@@ -482,7 +474,7 @@ mod tests {
     fn failed_write_closes_the_link_instead_of_tearing_the_stream() {
         let path = uds_path("torn-write");
         let mut listener = UnixTransportListener::bind(&path).unwrap();
-        let mut client = UnixTransport::connect(&path).unwrap();
+        let mut client = UnixTransport::connect_with_backoff(&path, 1, CONNECT_BASE_DELAY).unwrap();
         let mut server = listener.accept(Duration::from_secs(5)).unwrap();
         // The peer does not read: the socket buffer fills and a write
         // times out with a prefix of `[len][frame]` already on the wire.
@@ -548,7 +540,8 @@ mod tests {
         let mut raw = TcpStream::connect(&addr).unwrap();
         let mut server = listener.accept(Duration::from_secs(5)).unwrap();
         let payload = frame(5);
-        let wire = prefix_frame(&payload);
+        let mut wire = Vec::new();
+        prefix_frame_into(&payload, &mut wire);
         let handle = std::thread::spawn(move || {
             for b in wire {
                 raw.write_all(&[b]).unwrap();

@@ -201,7 +201,7 @@ mod tests {
     }
 
     fn fedml() -> FedMl {
-        FedMl::new(FedMlConfig::new(0.2, 0.3).with_record_every(0))
+        FedMl::new(FedMlConfig::new(0.2, 0.3))
     }
 
     #[test]

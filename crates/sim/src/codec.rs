@@ -459,16 +459,6 @@ impl<'a> CompressedView<'a> {
         self.len == 0
     }
 
-    /// The codec this frame was encoded under (as reconstructed from
-    /// the wire; `None` frames are tag-2 and never reach this parser).
-    pub fn codec(&self) -> UpdateCodec {
-        match self.scheme {
-            SchemeView::Dense { .. } => UpdateCodec::Dense,
-            SchemeView::Quant { bits, .. } => UpdateCodec::Quant { bits },
-            SchemeView::TopK { k, .. } => UpdateCodec::TopK { k },
-        }
-    }
-
     /// Lazily reconstructs the parameters in wire order, dequantizing
     /// (or zero-filling, for top-k) on the fly — no allocation.
     pub fn params_iter(&self) -> ParamsIter<'a> {
@@ -623,7 +613,7 @@ impl ExactSizeIterator for ParamsIter<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::{prefix_frame, FrameBuffer};
+    use crate::framing::{prefix_frame_into, FrameBuffer};
     use crate::message::{
         encode_adapt_reject_into, encode_adapt_response_into, encode_global_into, AdaptFrame,
         AdaptRequest, MessageView, RejectReason, SampleKind, PROTOCOL_VERSION,
@@ -671,7 +661,7 @@ mod tests {
         assert_eq!(view.node(), 4);
         assert_eq!(view.len(), 5);
         assert!(!view.is_empty());
-        assert_eq!(view.codec(), UpdateCodec::Dense);
+        assert!(matches!(view.scheme, SchemeView::Dense(_)));
         assert_eq!(view.params_to_vec(), params);
     }
 
@@ -682,7 +672,7 @@ mod tests {
         let frame = encode(codec, 1, 2, &params);
         assert_eq!(frame.len(), compressed_frame_len(codec, params.len()));
         let view = CompressedView::parse(&frame).unwrap();
-        assert_eq!(view.codec(), UpdateCodec::TopK { k: 2 });
+        assert!(matches!(view.scheme, SchemeView::TopK { k: 2, .. }));
         assert_eq!(view.params_to_vec(), vec![0.0, -5.0, 0.0, 4.0, 0.0, 0.0]);
     }
 
@@ -699,7 +689,7 @@ mod tests {
         let params = vec![3.0, -4.0];
         let frame = encode(UpdateCodec::TopK { k: 99 }, 0, 0, &params);
         let view = CompressedView::parse(&frame).unwrap();
-        assert_eq!(view.codec(), UpdateCodec::TopK { k: 2 });
+        assert!(matches!(view.scheme, SchemeView::TopK { k: 2, .. }));
         assert_eq!(view.params_to_vec(), params);
     }
 
@@ -709,7 +699,7 @@ mod tests {
         for bits in [8u8, 16] {
             let frame = encode(UpdateCodec::Quant { bits }, 2, 5, &params);
             let view = CompressedView::parse(&frame).unwrap();
-            assert_eq!(view.codec(), UpdateCodec::Quant { bits });
+            assert!(matches!(view.scheme, SchemeView::Quant { bits: b, .. } if b == bits));
             let decoded = view.params_to_vec();
             assert_eq!(decoded.len(), params.len());
             for (chunk, dchunk) in params.chunks(QUANT_CHUNK).zip(decoded.chunks(QUANT_CHUNK)) {
@@ -1137,7 +1127,8 @@ mod tests {
             // arbitrary chunk sizes reassembles bit-identically — the
             // same stream-layer property the v0/v1 frames are pinned to.
             let frame = encode(codec, 5, 2, &params).freeze();
-            let stream = prefix_frame(&frame);
+            let mut stream = Vec::new();
+            prefix_frame_into(&frame, &mut stream);
             let mut fb = FrameBuffer::new();
             let pool = crate::FramePool::new();
             let mut out = Vec::new();

@@ -15,12 +15,10 @@
 //! Defaults are in the range reported for Cortex-class edge boards with
 //! an 802.11 radio; every knob is adjustable.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stats::{CommStats, ComputeStats};
 
 /// Per-device energy model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Active compute power in watts.
     pub compute_power_w: f64,
@@ -95,7 +93,7 @@ impl EnergyModel {
 }
 
 /// A run's energy bill, by component.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyStats {
     /// Joules spent computing.
     pub compute_j: f64,
@@ -121,14 +119,6 @@ impl EnergyStats {
             return 0.0;
         }
         (self.tx_j + self.rx_j) / total
-    }
-
-    /// Adds another bill into this one.
-    pub fn merge(&mut self, other: &EnergyStats) {
-        self.compute_j += other.compute_j;
-        self.tx_j += other.tx_j;
-        self.rx_j += other.rx_j;
-        self.idle_j += other.idle_j;
     }
 }
 
@@ -182,15 +172,6 @@ mod tests {
         m.tx_j_per_byte = -1.0;
         let err = m.validate().unwrap_err();
         assert!(err.contains("tx_j_per_byte"));
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let (comm, compute) = meters();
-        let mut a = EnergyModel::edge_board().price(&comm, &compute, 0.0);
-        let b = a;
-        a.merge(&b);
-        assert!((a.total_j() - 2.0 * b.total_j()).abs() < 1e-9);
     }
 
     #[test]

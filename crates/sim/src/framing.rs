@@ -54,31 +54,18 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Prepends the length prefix to one encoded frame.
+/// Writes the length prefix plus the frame into `out`, reusing its
+/// capacity (the buffer is cleared first): a stream writer keeps one
+/// scratch buffer per connection and pays zero allocations per send at
+/// steady state. The [`MAX_FRAME_LEN`] guard is shared with the receive
+/// side's oversized-prefix poisoning check, so nothing a healthy encoder
+/// emits can ever poison a peer.
 ///
 /// # Panics
 ///
 /// Panics when `frame` exceeds [`MAX_FRAME_LEN`] — an encoder bug, not
 /// a runtime condition (the largest legal payload is bounded by the
 /// model size).
-pub fn prefix_frame(frame: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(LENGTH_PREFIX_LEN + frame.len());
-    prefix_frame_into(frame, &mut out);
-    out
-}
-
-/// Writes the length prefix plus the frame into `out`, reusing its
-/// capacity (the buffer is cleared first). This is the pooled-path
-/// variant of [`prefix_frame`]: a stream writer keeps one scratch
-/// buffer per connection and pays zero allocations per send at steady
-/// state. Both functions share the [`MAX_FRAME_LEN`] guard with the
-/// receive side's oversized-prefix poisoning check, so nothing a
-/// healthy encoder emits can ever poison a peer.
-///
-/// # Panics
-///
-/// Panics when `frame` exceeds [`MAX_FRAME_LEN`] — an encoder bug, not
-/// a runtime condition.
 pub fn prefix_frame_into(frame: &[u8], out: &mut Vec<u8>) {
     assert!(
         frame.len() <= MAX_FRAME_LEN,
@@ -117,11 +104,6 @@ impl FrameBuffer {
     pub fn extend(&mut self, chunk: &[u8]) {
         self.compact();
         self.buf.extend_from_slice(chunk);
-    }
-
-    /// Bytes buffered but not yet returned as a frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
     }
 
     /// Pops the next complete frame, if one is buffered, into storage
@@ -183,6 +165,17 @@ mod tests {
         buf.freeze()
     }
 
+    fn prefix_frame(frame: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        prefix_frame_into(frame, &mut out);
+        out
+    }
+
+    /// Bytes buffered but not yet returned as a frame.
+    fn pending(fb: &FrameBuffer) -> usize {
+        fb.buf.len() - fb.start
+    }
+
     #[test]
     fn whole_frame_roundtrips() {
         let frame = sample(3);
@@ -191,7 +184,7 @@ mod tests {
         fb.extend(&prefix_frame(&frame));
         assert_eq!(fb.next_frame_pooled(&pool).unwrap().unwrap(), frame);
         assert_eq!(fb.next_frame_pooled(&pool).unwrap(), None);
-        assert_eq!(fb.pending(), 0);
+        assert_eq!(pending(&fb), 0);
     }
 
     #[test]
@@ -277,7 +270,11 @@ mod tests {
         let ptr = scratch.as_ptr();
         for _ in 0..8 {
             prefix_frame_into(&frame, &mut scratch);
-            assert_eq!(scratch, prefix_frame(&frame));
+            assert_eq!(
+                scratch[..LENGTH_PREFIX_LEN],
+                (frame.len() as u32).to_le_bytes()
+            );
+            assert_eq!(scratch[LENGTH_PREFIX_LEN..], frame[..]);
             assert!(std::ptr::eq(ptr, scratch.as_ptr()), "no reallocation");
         }
     }
@@ -307,7 +304,7 @@ mod tests {
         for _ in 0..64 {
             fb.extend(&wire);
             assert_eq!(fb.next_frame_pooled(&pool).unwrap().unwrap(), frame);
-            assert_eq!(fb.pending(), 0);
+            assert_eq!(pending(&fb), 0);
         }
     }
 
@@ -362,9 +359,9 @@ mod tests {
                 fb.extend(chunk);
                 fed += chunk.len();
                 loop {
-                    let buffered = fb.pending();
+                    let buffered = pending(&fb);
                     let popped = fb.next_frame_pooled(&pool);
-                    prop_assert!(fb.pending() <= fed - returned);
+                    prop_assert!(pending(&fb) <= fed - returned);
                     if let Some(first) = &poison {
                         prop_assert_eq!(&popped, first, "poison must be sticky");
                         break;
@@ -391,7 +388,7 @@ mod tests {
             }
             prop_assert_eq!(poison, bad_len.map(|len| Err(FrameError::Oversized { len })));
             if bad_len.is_none() {
-                prop_assert_eq!(fb.pending(), 0);
+                prop_assert_eq!(pending(&fb), 0);
             }
         }
     }

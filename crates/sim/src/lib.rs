@@ -45,7 +45,7 @@ pub use codec::{
     CodecScratch, CompressedView, UpdateCodec, QUANT_CHUNK,
 };
 pub use energy::{EnergyModel, EnergyStats};
-pub use framing::{prefix_frame, FrameBuffer, FrameError, LENGTH_PREFIX_LEN, MAX_FRAME_LEN};
+pub use framing::{FrameBuffer, FrameError, LENGTH_PREFIX_LEN, MAX_FRAME_LEN};
 pub use message::{
     AdaptFrame, AdaptReject, AdaptRequest, MessageView, RejectReason, SampleKind,
     PROTOCOL_VERSION,

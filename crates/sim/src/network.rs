@@ -6,7 +6,6 @@
 //! reports.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Bandwidth of [`LinkModel::ideal`] in bytes per second.
 ///
@@ -20,7 +19,7 @@ pub const IDEAL_BANDWIDTH_BPS: f64 = 1e18;
 /// A point-to-point link: bandwidth, propagation latency, and independent
 /// per-transfer loss probability (lost transfers are retransmitted until
 /// they succeed and every attempt is charged).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Bandwidth in bytes per second.
     pub bandwidth_bps: f64,
@@ -92,7 +91,7 @@ pub struct Transfer {
 
 /// A pair of links (uplink and downlink) with a loss process driven by a
 /// caller-supplied RNG, keeping simulations deterministic per seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Network {
     /// Node → platform link.
     pub uplink: LinkModel,

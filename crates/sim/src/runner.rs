@@ -126,17 +126,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the worker thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `threads == 0`.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one thread");
-        self.threads = threads;
-        self
-    }
-
     /// Sets the nominal per-iteration compute time.
     pub fn with_iteration_time(mut self, secs: f64) -> Self {
         self.iteration_time_s = secs;
@@ -371,11 +360,6 @@ impl SimRunner {
     /// Creates a runner.
     pub fn new(cfg: SimConfig) -> Self {
         SimRunner { cfg }
-    }
-
-    /// Borrow of the configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// Simulates `stepper`'s algorithm over the platform-aided
@@ -707,7 +691,11 @@ mod tests {
         let mut outs = Vec::new();
         for threads in [1, 2, 8] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-            let sim = SimRunner::new(SimConfig::ideal().with_threads(threads)).run(
+            let cfg_sim = SimConfig {
+                threads,
+                ..SimConfig::ideal()
+            };
+            let sim = SimRunner::new(cfg_sim).run(
                 &FedMl::new(cfg),
                 &model,
                 &tasks,

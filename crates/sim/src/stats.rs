@@ -1,9 +1,7 @@
 //! Communication and computation meters.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated communication costs for a simulation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStats {
     /// Payload bytes uploaded by edge nodes (excluding retransmissions).
     pub bytes_up: u64,
@@ -26,20 +24,10 @@ impl CommStats {
     pub fn total_bytes(&self) -> u64 {
         self.bytes_up + self.bytes_down
     }
-
-    /// Adds another meter's counts into this one.
-    pub fn merge(&mut self, other: &CommStats) {
-        self.bytes_up += other.bytes_up;
-        self.bytes_down += other.bytes_down;
-        self.wire_bytes += other.wire_bytes;
-        self.messages += other.messages;
-        self.retransmissions += other.retransmissions;
-        self.time_s += other.time_s;
-    }
 }
 
 /// Accumulated computation costs for a simulation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ComputeStats {
     /// Gradient-oracle evaluations across all nodes.
     pub grad_evals: u64,
@@ -53,63 +41,9 @@ pub struct ComputeStats {
     pub time_s: f64,
 }
 
-impl ComputeStats {
-    /// Adds another meter's counts into this one.
-    pub fn merge(&mut self, other: &ComputeStats) {
-        self.grad_evals += other.grad_evals;
-        self.hvp_evals += other.hvp_evals;
-        self.local_iterations += other.local_iterations;
-        self.time_s += other.time_s;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn comm_merge_accumulates() {
-        let mut a = CommStats {
-            bytes_up: 10,
-            bytes_down: 20,
-            wire_bytes: 35,
-            messages: 2,
-            retransmissions: 1,
-            time_s: 0.5,
-        };
-        let b = CommStats {
-            bytes_up: 1,
-            bytes_down: 2,
-            wire_bytes: 3,
-            messages: 1,
-            retransmissions: 0,
-            time_s: 0.25,
-        };
-        a.merge(&b);
-        assert_eq!(a.bytes_up, 11);
-        assert_eq!(a.total_bytes(), 33);
-        assert_eq!(a.messages, 3);
-        assert!((a.time_s - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compute_merge_accumulates() {
-        let mut a = ComputeStats {
-            grad_evals: 4,
-            hvp_evals: 2,
-            local_iterations: 2,
-            time_s: 1.0,
-        };
-        a.merge(&ComputeStats {
-            grad_evals: 6,
-            hvp_evals: 3,
-            local_iterations: 3,
-            time_s: 0.5,
-        });
-        assert_eq!(a.grad_evals, 10);
-        assert_eq!(a.hvp_evals, 5);
-        assert_eq!(a.local_iterations, 5);
-    }
 
     #[test]
     fn defaults_are_zero() {

@@ -42,7 +42,7 @@ pub struct RoundTrace {
 }
 
 /// An append-only log of round traces with summary helpers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceLog {
     rounds: Vec<RoundTrace>,
 }

@@ -49,7 +49,7 @@ fn fleet(nodes: usize, spread: f64, seed: u64) -> Vec<SourceTask> {
 
 fn main() {
     let model = LinearRegression::new(2).with_l2(0.05);
-    let fedml = FedMl::new(FedMlConfig::new(0.2, 0.3).with_record_every(0));
+    let fedml = FedMl::new(FedMlConfig::new(0.2, 0.3));
     let sim = SimConfig::edge().with_iteration_time(0.02);
     let ctrl = AdaptiveT0Config::new(1, 16, 0.05).with_initial(4);
     let budget = 120;

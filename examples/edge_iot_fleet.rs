@@ -60,8 +60,7 @@ fn main() {
     println!("meta-training calibration model across 30 fleet sensors…");
     let config = FedMlConfig::new(0.5, 0.2)
         .with_local_steps(5)
-        .with_rounds(40)
-        .with_record_every(0);
+        .with_rounds(40);
     let out = FedMl::new(config).train(&model, &tasks, &mut rng);
     println!(
         "  meta loss {:.5} -> {:.5} over {} rounds",

@@ -38,8 +38,7 @@ fn main() {
     let model = SoftmaxRegression::new(federation.dim(), federation.classes()).with_l2(1e-3);
     let config = FedMlConfig::new(0.1, 0.05)
         .with_local_steps(5)
-        .with_rounds(60)
-        .with_record_every(0);
+        .with_rounds(60);
     let output = FedMl::new(config).train(&model, &tasks, &mut rng);
     println!(
         "trained {} rounds; meta loss {:.4} -> {:.4}",

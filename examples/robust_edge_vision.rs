@@ -37,8 +37,7 @@ fn main() {
     let plain = FedMl::new(
         FedMlConfig::new(0.05, 0.05)
             .with_local_steps(5)
-            .with_rounds(50)
-            .with_record_every(0),
+            .with_rounds(50),
     )
     .train_from(&model, &tasks, &theta0);
 
@@ -47,8 +46,7 @@ fn main() {
         RobustFedMlConfig::new(0.05, 0.05, 0.5)
             .with_local_steps(5)
             .with_rounds(50)
-            .with_adversarial(1.0, 10, 2, 2)
-            .with_record_every(0),
+            .with_adversarial(1.0, 10, 2, 2),
     )
     .train_from(&model, &tasks, &theta0, &mut rng);
 

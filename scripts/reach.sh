@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
 # Reach ratchet: one line per `pub` / `pub(crate)` fn, struct, enum, trait,
 # const or type declared in the non-test part of a file under crates/*/src
-# (crates/bench excluded: its binaries are entry points) whose name no
-# *other* file mentions — in non-test code with `//` comments stripped,
-# under crates/, src/, examples/ or perf/src — then the counts. As in
-# loc.sh, a file's `#[cfg(test)]` line and everything after it is test
-# code. Matching is by name alone (`new` in one file reaches every `new`),
-# so this under-reports; a ratchet needs monotonicity, not precision.
+# (crates/bench excluded: its binaries are entry points) that no *other*
+# file reaches — in non-test code with `//` comments stripped, under
+# crates/, src/, examples/ or perf/src — then the counts. As in loc.sh, a
+# file's `#[cfg(test)]` line and everything after it is test code.
+#
+# A `fn` is reached by a call-shaped mention: `name(`, `name::<`, or
+# `::name` (a path used as a value, or imported). A field, a local or a
+# word in a string of the same name does not reach it. A struct, enum,
+# trait, const or type is reached by the bare word. Matching is still by
+# name alone (`new(` in one file reaches every `new`), so this
+# under-reports; a ratchet needs monotonicity, not precision.
 #
 # scripts/reach.allow exempts a declaration, one `path: name — reason`
 # per line, for one of two reasons: `test oracle` (a reference tests hold
@@ -34,22 +39,33 @@ test { next }
 {
     line = $0
     sub(/\/\/.*/, "", line)
+    if (line !~ /[A-Za-z_]/) next
     if (declares && match(line, /^[[:space:]]*pub(\(crate\))?[[:space:]]+((const|unsafe|async)[[:space:]]+)*(fn|struct|enum|trait|const|type)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/)) {
         name = substr(line, RSTART, RLENGTH)
+        is_fn = name ~ /fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*$/
         sub(/.*[[:space:]]/, "", name)
         decl[++decls] = FILENAME SUBSEP name
+        by_call[decls] = is_fn
     }
-    n = split(line, word, /[^A-Za-z0-9_]+/)
-    for (i = 1; i <= n; i++)
-        if (word[i] != "" && !((FILENAME, word[i]) in mentions)) {
-            mentions[FILENAME, word[i]] = 1
-            files[word[i]]++
-        }
+    # A declaration is not a call: `fn name` loses its name. Then mark
+    # call-shaped mentions with a leading `@`: `name::<` reads as `name(`,
+    # `::name` as ` @name`, then every `name(` gains its `@`.
+    if (index(line, "fn ")) gsub(/fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/, "fn", line)
+    if (index(line, "::")) { gsub(/::</, "(", line); gsub(/::/, " @", line) }
+    if (index(line, "(")) gsub(/[A-Za-z_][A-Za-z0-9_]*\(/, "@&", line)
+    n = split(line, word, /[^A-Za-z0-9_@]+/)
+    for (i = 1; i <= n; i++) {
+        w = word[i]
+        called = index(w, "@") && sub(/^@+/, "", w)
+        if (w == "") continue
+        if (!((FILENAME, w) in mentions)) { mentions[FILENAME, w] = 1; files[w]++ }
+        if (called && !((FILENAME, w) in calls)) { calls[FILENAME, w] = 1; callers[w]++ }
+    }
 }
 END {
     for (d = 1; d <= decls; d++) {
         split(decl[d], at, SUBSEP)
-        if (files[at[2]] != 1) continue
+        if (by_call[d] ? callers[at[2]] - ((decl[d]) in calls) : files[at[2]] - 1) continue
         if (decl[d] in allowed) { used[decl[d]] = 1; continue }
         print "reach: " at[1] ": " at[2]
         unreached++

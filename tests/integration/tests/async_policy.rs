@@ -55,8 +55,7 @@ fn fedml() -> FedMl {
     FedMl::new(
         FedMlConfig::new(0.05, 0.05)
             .with_rounds(ROUNDS)
-            .with_local_steps(2)
-            .with_record_every(0),
+            .with_local_steps(2),
     )
 }
 

@@ -47,8 +47,7 @@ fn full_lifecycle_checkpoint_adapt_score() {
     let out = FedMl::new(
         FedMlConfig::new(0.1, 0.05)
             .with_local_steps(3)
-            .with_rounds(30)
-            .with_record_every(0),
+            .with_rounds(30),
     )
     .train_from(&w.model, &w.tasks, &w.theta0);
 
@@ -56,9 +55,9 @@ fn full_lifecycle_checkpoint_adapt_score() {
     let dir = std::env::temp_dir().join("fml_lifecycle_test");
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join("init.json");
-    Checkpoint::from_output("FedML", &out)
+    Checkpoint::new("FedML", out.params.clone())
         .with_meta("dataset", "SharedSynthetic(0.5,0.3)")
-        .save(&path)
+        .save_atomic(&path)
         .expect("save checkpoint");
 
     // 3. "New process": reload and verify identity.

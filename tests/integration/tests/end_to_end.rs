@@ -42,8 +42,7 @@ fn fedml_meta_loss_decreases_on_synthetic() {
     let out = FedMl::new(
         FedMlConfig::new(0.05, 0.05)
             .with_local_steps(5)
-            .with_rounds(30)
-            .with_record_every(0),
+            .with_rounds(30),
     )
     .train_from(&p.model, &p.tasks, &p.theta0);
     let first = out.history.first().unwrap().meta_loss;
@@ -60,8 +59,7 @@ fn meta_trained_init_adapts_better_than_random_init() {
     let out = FedMl::new(
         FedMlConfig::new(0.05, 0.05)
             .with_local_steps(5)
-            .with_rounds(40)
-            .with_record_every(0),
+            .with_rounds(40),
     )
     .train_from(&p.model, &p.tasks, &p.theta0);
 
@@ -83,8 +81,7 @@ fn adaptation_improves_over_no_adaptation() {
     let out = FedMl::new(
         FedMlConfig::new(0.05, 0.05)
             .with_local_steps(5)
-            .with_rounds(40)
-            .with_record_every(0),
+            .with_rounds(40),
     )
     .train_from(&p.model, &p.tasks, &p.theta0);
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
@@ -108,17 +105,11 @@ fn fedml_adapts_better_than_fedavg_on_heterogeneous_federation() {
     let fedml = FedMl::new(
         FedMlConfig::new(0.05, 0.05)
             .with_local_steps(5)
-            .with_rounds(60)
-            .with_record_every(0),
+            .with_rounds(60),
     )
     .train_from(&p.model, &p.tasks, &p.theta0);
-    let fedavg = FedAvg::new(
-        FedAvgConfig::new(0.05)
-            .with_local_steps(5)
-            .with_rounds(60)
-            .with_record_every(0),
-    )
-    .train_from(&p.model, &p.tasks, &p.theta0);
+    let fedavg = FedAvg::new(FedAvgConfig::new(0.05).with_local_steps(5).with_rounds(60))
+        .train_from(&p.model, &p.tasks, &p.theta0);
 
     let mut r1 = rand::rngs::StdRng::seed_from_u64(6);
     let ml = adapt::evaluate_targets(&p.model, &fedml.params, &p.targets, 5, 0.05, 10, &mut r1);
@@ -140,16 +131,14 @@ fn first_order_mode_approximates_full_fedml() {
     let full = FedMl::new(
         FedMlConfig::new(0.01, 0.05)
             .with_local_steps(5)
-            .with_rounds(20)
-            .with_record_every(0),
+            .with_rounds(20),
     )
     .train_from(&p.model, &p.tasks, &p.theta0);
     let fo = FedMl::new(
         FedMlConfig::new(0.01, 0.05)
             .with_local_steps(5)
             .with_rounds(20)
-            .with_mode(MetaGradientMode::FirstOrder)
-            .with_record_every(0),
+            .with_mode(MetaGradientMode::FirstOrder),
     )
     .train_from(&p.model, &p.tasks, &p.theta0);
     let dist = fml_linalg::vector::dist2(&full.params, &fo.params);
@@ -173,8 +162,7 @@ fn homogeneous_federation_adapts_better_than_heterogeneous() {
         let out = FedMl::new(
             FedMlConfig::new(0.05, 0.05)
                 .with_local_steps(5)
-                .with_rounds(40)
-                .with_record_every(0),
+                .with_rounds(40),
         )
         .train_from(&p.model, &p.tasks, &p.theta0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 50);

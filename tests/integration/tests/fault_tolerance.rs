@@ -265,19 +265,31 @@ fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
         let fedml = FedMlConfig::new(0.03, 0.03)
             .with_local_steps(STEPS)
             .with_rounds(PIN_ROUNDS);
-        let fedavg = FedAvgConfig::new(0.03)
-            .with_local_steps(STEPS)
-            .with_rounds(PIN_ROUNDS);
-        let fedprox = FedProxConfig::new(0.03, 0.1)
-            .with_local_steps(STEPS)
-            .with_rounds(PIN_ROUNDS);
-        let reptile = ReptileConfig::new(0.03, 0.5)
-            .with_inner_steps(STEPS)
-            .with_rounds(PIN_ROUNDS);
-        let metasgd = MetaSgdConfig::new(0.01, 0.03)
-            .with_local_steps(STEPS)
-            .with_rounds(PIN_ROUNDS);
-        let metasgd = MetaSgd::new(metasgd.with_threads(threads))
+        let fedavg = FedAvgConfig {
+            threads: Some(threads),
+            ..FedAvgConfig::new(0.03)
+                .with_local_steps(STEPS)
+                .with_rounds(PIN_ROUNDS)
+        };
+        let fedprox = FedProxConfig {
+            threads: Some(threads),
+            ..FedProxConfig::new(0.03, 0.1)
+                .with_local_steps(STEPS)
+                .with_rounds(PIN_ROUNDS)
+        };
+        let reptile = ReptileConfig {
+            threads: Some(threads),
+            ..ReptileConfig::new(0.03, 0.5)
+                .with_inner_steps(STEPS)
+                .with_rounds(PIN_ROUNDS)
+        };
+        let metasgd = MetaSgdConfig {
+            threads: Some(threads),
+            ..MetaSgdConfig::new(0.01, 0.03)
+                .with_local_steps(STEPS)
+                .with_rounds(PIN_ROUNDS)
+        };
+        let metasgd = MetaSgd::new(metasgd)
             .train_with_faults(&model, &tasks, &theta0, &ft)
             .unwrap();
         let run = |stepper: &dyn fml_core::LocalStepper| {
@@ -288,18 +300,9 @@ fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
                 "6928a17d26129bee",
                 run(&FedMl::new(fedml.with_threads(threads))),
             ),
-            (
-                "28d5d2c783335701",
-                run(&FedAvg::new(fedavg.with_threads(threads))),
-            ),
-            (
-                "a7ef55bc18445fee",
-                run(&FedProx::new(fedprox.with_threads(threads))),
-            ),
-            (
-                "d266f04becb34fab",
-                run(&Reptile::new(reptile.with_threads(threads))),
-            ),
+            ("28d5d2c783335701", run(&FedAvg::new(fedavg))),
+            ("a7ef55bc18445fee", run(&FedProx::new(fedprox))),
+            ("d266f04becb34fab", run(&Reptile::new(reptile))),
             ("5b8484201a7aa027", metasgd.train),
         ];
         for (pin, out) in &outs {

@@ -119,12 +119,14 @@ fn fedavg_curve_is_pinned() {
         ("60f2d0286704d3d4", "51439261c854ff89"),
     ];
     check("fedavg", &pins, |every, threads| {
-        let cfg = FedAvgConfig::new(0.04)
-            .with_local_steps(T0)
-            .with_rounds(ROUNDS)
-            .with_eval_alpha(0.05)
-            .with_record_every(every)
-            .with_threads(threads);
+        let cfg = FedAvgConfig {
+            record_every: every,
+            threads: Some(threads),
+            ..FedAvgConfig::new(0.04)
+                .with_local_steps(T0)
+                .with_rounds(ROUNDS)
+                .with_eval_alpha(0.05)
+        };
         FedAvg::new(cfg).train_from(&model, &tasks, &theta0)
     });
 }
@@ -138,11 +140,13 @@ fn fedprox_curve_is_pinned() {
         ("2162fbc38ccb989d", "d690e7d654840cef"),
     ];
     check("fedprox", &pins, |every, threads| {
-        let cfg = FedProxConfig::new(0.04, 0.5)
-            .with_local_steps(T0)
-            .with_rounds(ROUNDS)
-            .with_record_every(every)
-            .with_threads(threads);
+        let cfg = FedProxConfig {
+            record_every: every,
+            threads: Some(threads),
+            ..FedProxConfig::new(0.04, 0.5)
+                .with_local_steps(T0)
+                .with_rounds(ROUNDS)
+        };
         FedProx::new(cfg).train_from(&model, &tasks, &theta0)
     });
 }
@@ -153,10 +157,12 @@ fn reptile_curve_is_pinned() {
     let (model, tasks, theta0) = fixture();
     let pin = ("6635f1d6550a0847", "53c770f74dc23edd");
     check("reptile", &[pin; 3], |_, threads| {
-        let cfg = ReptileConfig::new(0.04, 0.5)
-            .with_inner_steps(T0)
-            .with_rounds(ROUNDS)
-            .with_threads(threads);
+        let cfg = ReptileConfig {
+            threads: Some(threads),
+            ..ReptileConfig::new(0.04, 0.5)
+                .with_inner_steps(T0)
+                .with_rounds(ROUNDS)
+        };
         Reptile::new(cfg).train_from(&model, &tasks, &theta0)
     });
 }
@@ -171,11 +177,13 @@ fn metasgd_curve_and_rates_are_pinned() {
         ("7b8399ed72bc3e6a", "064adfaa62eb00cf"),
     ];
     check("metasgd", &pins, |every, threads| {
-        let cfg = MetaSgdConfig::new(0.05, 0.04)
-            .with_local_steps(T0)
-            .with_rounds(ROUNDS)
-            .with_record_every(every)
-            .with_threads(threads);
+        let cfg = MetaSgdConfig {
+            record_every: every,
+            threads: Some(threads),
+            ..MetaSgdConfig::new(0.05, 0.04)
+                .with_local_steps(T0)
+                .with_rounds(ROUNDS)
+        };
         let out = MetaSgd::new(cfg).train_from(&model, &tasks, &theta0);
         assert_eq!(param_hash(&out.rates), rates, "rates, record_every {every}");
         out.train

@@ -57,8 +57,7 @@ fn fedml(rounds: usize) -> FedMl {
     FedMl::new(
         FedMlConfig::new(0.05, 0.05)
             .with_rounds(rounds)
-            .with_local_steps(LOCAL_STEPS)
-            .with_record_every(0),
+            .with_local_steps(LOCAL_STEPS),
     )
 }
 

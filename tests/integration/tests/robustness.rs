@@ -41,8 +41,7 @@ fn train_robust(s: &Setup, lambda: f64, seed: u64) -> Vec<f64> {
         RobustFedMlConfig::new(0.05, 0.05, lambda)
             .with_local_steps(5)
             .with_rounds(30)
-            .with_adversarial(1.0, 10, 2, 2)
-            .with_record_every(0),
+            .with_adversarial(1.0, 10, 2, 2),
     )
     .train_from(&s.model, &s.tasks, &s.theta0, &mut rng)
     .params
@@ -52,8 +51,7 @@ fn train_plain(s: &Setup) -> Vec<f64> {
     FedMl::new(
         FedMlConfig::new(0.05, 0.05)
             .with_local_steps(5)
-            .with_rounds(30)
-            .with_record_every(0),
+            .with_rounds(30),
     )
     .train_from(&s.model, &s.tasks, &s.theta0)
     .params

@@ -47,8 +47,7 @@ fn fedml(rounds: usize) -> FedMl {
     FedMl::new(
         FedMlConfig::new(0.05, 0.05)
             .with_rounds(rounds)
-            .with_local_steps(2)
-            .with_record_every(0),
+            .with_local_steps(2),
     )
 }
 
@@ -56,8 +55,7 @@ fn fedavg(rounds: usize) -> FedAvg {
     FedAvg::new(
         FedAvgConfig::new(0.05)
             .with_rounds(rounds)
-            .with_local_steps(2)
-            .with_record_every(0),
+            .with_local_steps(2),
     )
 }
 

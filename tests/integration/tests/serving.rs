@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fml_core::adapt::adapt;
+use fml_integration::prefix_frame;
 use fml_models::{Batch, Model, SoftmaxRegression};
 use fml_runtime::serving::request_from_batch;
 use fml_runtime::{
@@ -27,10 +28,7 @@ use fml_runtime::{
     TcpTransportListener, Transport,
 };
 use fml_sim::message::{encoded_frame_len, AdaptFrame, DecodeError};
-use fml_sim::{
-    framing::{prefix_frame, FrameBuffer},
-    FramePool, RejectReason,
-};
+use fml_sim::{framing::FrameBuffer, FramePool, RejectReason};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -57,8 +57,7 @@ fn estimated_constants_feed_a_valid_theorem2_bound() {
     let out = FedMl::new(
         FedMlConfig::new(alpha, beta)
             .with_local_steps(t0)
-            .with_rounds(rounds)
-            .with_record_every(0),
+            .with_rounds(rounds),
     )
     .train_from(&model, &tasks, &theta0);
 
@@ -95,8 +94,7 @@ fn error_floor_increases_with_t0_in_measurement() {
         let out = FedMl::new(
             FedMlConfig::new(alpha, beta)
                 .with_local_steps(t0)
-                .with_total_iterations(400)
-                .with_record_every(0),
+                .with_total_iterations(400),
         )
         .train_from(&model, &tasks, &theta0);
         out.final_meta_loss().unwrap() - g_star
@@ -156,8 +154,7 @@ fn corollary1_no_floor_at_t0_one_in_measurement() {
     let out = FedMl::new(
         FedMlConfig::new(alpha, 0.3)
             .with_local_steps(1)
-            .with_rounds(400)
-            .with_record_every(0),
+            .with_rounds(400),
     )
     .train_from(&model, &tasks, &[2.0, 2.0]);
     let g_star = weighted_meta_loss(&model, &tasks, &[0.0, 0.0], alpha);
@@ -206,8 +203,7 @@ fn theorem2_bound_holds_at_every_aggregation_for_every_t0() {
         };
         let cfg = FedMlConfig::new(alpha, beta)
             .with_local_steps(t0)
-            .with_total_iterations(200)
-            .with_record_every(0);
+            .with_total_iterations(200);
         let out = FedMl::new(cfg).train_from(&model, &tasks, &theta0);
         assert_eq!(out.history.len(), 200 / t0);
         for r in &out.history {

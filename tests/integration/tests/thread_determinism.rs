@@ -54,7 +54,8 @@ fn fedml_is_bitwise_identical_across_thread_counts() {
     let (model, tasks, theta0) = fixture();
     let cfg = FedMlConfig::new(0.03, 0.03)
         .with_local_steps(3)
-        .with_rounds(4);
+        .with_rounds(4)
+        .with_record_every(1);
     let one = FedMl::new(cfg.with_threads(1)).train_from(&model, &tasks, &theta0);
     let four = FedMl::new(cfg.with_threads(4)).train_from(&model, &tasks, &theta0);
     assert_identical("FedML", &one, &four);
@@ -63,31 +64,43 @@ fn fedml_is_bitwise_identical_across_thread_counts() {
 #[test]
 fn fedavg_is_bitwise_identical_across_thread_counts() {
     let (model, tasks, theta0) = fixture();
-    let cfg = FedAvgConfig::new(0.05).with_local_steps(3).with_rounds(4);
-    let one = FedAvg::new(cfg.with_threads(1)).train_from(&model, &tasks, &theta0);
-    let four = FedAvg::new(cfg.with_threads(4)).train_from(&model, &tasks, &theta0);
+    let cfg = |threads| FedAvgConfig {
+        record_every: 1,
+        threads: Some(threads),
+        ..FedAvgConfig::new(0.05).with_local_steps(3).with_rounds(4)
+    };
+    let one = FedAvg::new(cfg(1)).train_from(&model, &tasks, &theta0);
+    let four = FedAvg::new(cfg(4)).train_from(&model, &tasks, &theta0);
     assert_identical("FedAvg", &one, &four);
 }
 
 #[test]
 fn fedprox_is_bitwise_identical_across_thread_counts() {
     let (model, tasks, theta0) = fixture();
-    let cfg = FedProxConfig::new(0.05, 0.5)
-        .with_local_steps(3)
-        .with_rounds(4);
-    let one = FedProx::new(cfg.with_threads(1)).train_from(&model, &tasks, &theta0);
-    let four = FedProx::new(cfg.with_threads(4)).train_from(&model, &tasks, &theta0);
+    let cfg = |threads| FedProxConfig {
+        record_every: 1,
+        threads: Some(threads),
+        ..FedProxConfig::new(0.05, 0.5)
+            .with_local_steps(3)
+            .with_rounds(4)
+    };
+    let one = FedProx::new(cfg(1)).train_from(&model, &tasks, &theta0);
+    let four = FedProx::new(cfg(4)).train_from(&model, &tasks, &theta0);
     assert_identical("FedProx", &one, &four);
 }
 
 #[test]
 fn metasgd_is_bitwise_identical_across_thread_counts() {
     let (model, tasks, theta0) = fixture();
-    let cfg = MetaSgdConfig::new(0.03, 0.03)
-        .with_local_steps(3)
-        .with_rounds(4);
-    let one = MetaSgd::new(cfg.with_threads(1)).train_from(&model, &tasks, &theta0);
-    let four = MetaSgd::new(cfg.with_threads(4)).train_from(&model, &tasks, &theta0);
+    let cfg = |threads| MetaSgdConfig {
+        record_every: 1,
+        threads: Some(threads),
+        ..MetaSgdConfig::new(0.03, 0.03)
+            .with_local_steps(3)
+            .with_rounds(4)
+    };
+    let one = MetaSgd::new(cfg(1)).train_from(&model, &tasks, &theta0);
+    let four = MetaSgd::new(cfg(4)).train_from(&model, &tasks, &theta0);
     assert_identical("MetaSGD", &one.train, &four.train);
     assert_eq!(one.rates, four.rates, "MetaSGD: learned rates differ");
 }
@@ -95,11 +108,14 @@ fn metasgd_is_bitwise_identical_across_thread_counts() {
 #[test]
 fn reptile_is_bitwise_identical_across_thread_counts() {
     let (model, tasks, theta0) = fixture();
-    let cfg = ReptileConfig::new(0.05, 0.5)
-        .with_inner_steps(3)
-        .with_rounds(4);
-    let one = Reptile::new(cfg.with_threads(1)).train_from(&model, &tasks, &theta0);
-    let four = Reptile::new(cfg.with_threads(4)).train_from(&model, &tasks, &theta0);
+    let cfg = |threads| ReptileConfig {
+        threads: Some(threads),
+        ..ReptileConfig::new(0.05, 0.5)
+            .with_inner_steps(3)
+            .with_rounds(4)
+    };
+    let one = Reptile::new(cfg(1)).train_from(&model, &tasks, &theta0);
+    let four = Reptile::new(cfg(4)).train_from(&model, &tasks, &theta0);
     assert_identical("Reptile", &one, &four);
 }
 
@@ -110,7 +126,8 @@ fn auto_thread_default_matches_explicit_single_thread() {
     let (model, tasks, theta0) = fixture();
     let base = FedMlConfig::new(0.03, 0.03)
         .with_local_steps(2)
-        .with_rounds(3);
+        .with_rounds(3)
+        .with_record_every(1);
     let auto = FedMl::new(base).train_from(&model, &tasks, &theta0);
     let single = FedMl::new(base.with_threads(1)).train_from(&model, &tasks, &theta0);
     assert_identical("FedML(auto)", &auto, &single);
@@ -126,8 +143,12 @@ fn zero_threads_is_rejected() {
 fn oversubscribed_threads_are_harmless() {
     // More threads than nodes: map_ordered clamps to the item count.
     let (model, tasks, theta0) = fixture();
-    let cfg = FedAvgConfig::new(0.05).with_local_steps(2).with_rounds(2);
-    let one = FedAvg::new(cfg.with_threads(1)).train_from(&model, &tasks, &theta0);
-    let many = FedAvg::new(cfg.with_threads(64)).train_from(&model, &tasks, &theta0);
+    let cfg = |threads| FedAvgConfig {
+        record_every: 1,
+        threads: Some(threads),
+        ..FedAvgConfig::new(0.05).with_local_steps(2).with_rounds(2)
+    };
+    let one = FedAvg::new(cfg(1)).train_from(&model, &tasks, &theta0);
+    let many = FedAvg::new(cfg(64)).train_from(&model, &tasks, &theta0);
     assert_identical("FedAvg(64)", &one, &many);
 }

@@ -27,7 +27,7 @@ use fml_models::{Model, SoftmaxRegression};
 use fml_runtime::{
     param_hash, ChannelTransport, NodeIo, Runtime, RuntimeConfig, TcpTransport,
     TcpTransportListener, Transport, TransportError, TransportListener, UnixTransport,
-    UnixTransportListener,
+    UnixTransportListener, CONNECT_BASE_DELAY,
 };
 use fml_sim::message::encoded_frame_len;
 use fml_sim::{MessageView, LENGTH_PREFIX_LEN, PROTOCOL_VERSION};
@@ -59,8 +59,7 @@ fn fedml(rounds: usize) -> FedMl {
     FedMl::new(
         FedMlConfig::new(0.05, 0.05)
             .with_rounds(rounds)
-            .with_local_steps(2)
-            .with_record_every(0),
+            .with_local_steps(2),
     )
 }
 
@@ -68,8 +67,7 @@ fn fedavg(rounds: usize) -> FedAvg {
     FedAvg::new(
         FedAvgConfig::new(0.05)
             .with_rounds(rounds)
-            .with_local_steps(2)
-            .with_record_every(0),
+            .with_local_steps(2),
     )
 }
 
@@ -101,7 +99,7 @@ fn pair(kind: &str) -> (Box<dyn Transport>, Box<dyn Transport>) {
         "uds" => {
             let path = uds_path();
             let mut l = UnixTransportListener::bind(&path).unwrap();
-            let node = UnixTransport::connect(&path).unwrap();
+            let node = UnixTransport::connect_with_backoff(&path, 1, CONNECT_BASE_DELAY).unwrap();
             let plat = l.accept(Duration::from_secs(5)).unwrap();
             (plat, Box::new(node))
         }
@@ -325,7 +323,9 @@ fn barrier_over_uds_matches_channel_and_oracle_for_fedavg() {
         &tasks,
         &theta0,
         Box::new(listener),
-        move || Box::new(UnixTransport::connect(&addr).unwrap()),
+        move || {
+            Box::new(UnixTransport::connect_with_backoff(&addr, 1, CONNECT_BASE_DELAY).unwrap())
+        },
     );
     assert_eq!(out.train.params, reference.params, "uds params must be bitwise equal");
     assert_eq!(out.train.history, reference.history);
