@@ -8,7 +8,7 @@ use criterion::{black_box, BenchmarkId, Criterion};
 use fml_core::meta::{self, MetaGradientMode};
 use fml_dro::{RobustSurrogate, SquaredL2Cost};
 use fml_linalg::{vector, Matrix};
-use fml_models::{Activation, Batch, Mlp, MlpBuilder, Model, SoftmaxRegression};
+use fml_models::{Activation, Batch, Mlp, MlpBuilder, Model, SoftmaxRegression, Workspace};
 use fml_sim::message::{encode_global_into, encoded_frame_len};
 use fml_sim::{FramePool, MessageView};
 use rand::{Rng, SeedableRng};
@@ -28,8 +28,8 @@ fn softmax_setup(dim: usize, classes: usize, n: usize) -> (SoftmaxRegression, Ve
     (model, params, Batch::classification(xs, ys).unwrap())
 }
 
-fn mlp_setup(dim: usize, hidden: &[usize], n: usize) -> (Mlp, Vec<f64>, Batch) {
-    let model = MlpBuilder::new(dim, 2)
+fn mlp_setup(dim: usize, hidden: &[usize], classes: usize, n: usize) -> (Mlp, Vec<f64>, Batch) {
+    let model = MlpBuilder::new(dim, classes)
         .hidden(hidden)
         .activation(Activation::Tanh)
         .build()
@@ -42,7 +42,7 @@ fn mlp_setup(dim: usize, hidden: &[usize], n: usize) -> (Mlp, Vec<f64>, Batch) {
         for c in 0..dim {
             xs.set(r, c, rng.gen::<f64>() - 0.5);
         }
-        ys.push(r % 2);
+        ys.push(r % classes);
     }
     (model, params, Batch::classification(xs, ys).unwrap())
 }
@@ -70,7 +70,7 @@ fn bench_hvp(c: &mut Criterion) {
             black_box(vector::sub(&gp, &gm))
         })
     });
-    let (mlp, mparams, mbatch) = mlp_setup(32, &[32], 32);
+    let (mlp, mparams, mbatch) = mlp_setup(32, &[32], 2, 32);
     let mv: Vec<f64> = (0..mparams.len())
         .map(|i| ((i % 5) as f64 - 2.0) / 5.0)
         .collect();
@@ -92,6 +92,21 @@ fn bench_meta_gradient(c: &mut Criterion) {
             b.iter(|| meta::meta_gradient(&model, black_box(&params), &train, &test, 0.01, mode))
         });
     }
+    // The `compute_mlp_channel` node step: MLP 30-32-10, train 10 / test 32.
+    let (mlp, mparams, mbatch) = mlp_setup(30, &[32], 10, 42);
+    let (mtrain, mtest) = mbatch.split_at(10);
+    group.bench_function("mlp_30x32x10_full_second_order", |b| {
+        b.iter(|| {
+            meta::meta_gradient(
+                &mlp,
+                black_box(&mparams),
+                &mtrain,
+                &mtest,
+                0.01,
+                MetaGradientMode::FullSecondOrder,
+            )
+        })
+    });
     group.finish();
 }
 
@@ -161,7 +176,7 @@ fn bench_workspace_kernels(c: &mut Criterion) {
 
     // MLP batch gradient + Pearlmutter HVP at batch 256 on an edge-scale
     // network, reusing one scratch set.
-    let (mlp, params, batch) = mlp_setup(4, &[4], 256);
+    let (mlp, params, batch) = mlp_setup(4, &[4], 2, 256);
     let v: Vec<f64> = (0..params.len())
         .map(|i| ((i % 5) as f64 - 2.0) / 5.0)
         .collect();
@@ -172,6 +187,22 @@ fn bench_workspace_kernels(c: &mut Criterion) {
         b.iter(|| {
             mlp.grad_into(black_box(&params), &batch, &mut ws, &mut g);
             mlp.hvp_into(black_box(&params), &batch, &v, &mut ws, &mut hv);
+            (g.last().copied(), hv.last().copied())
+        })
+    });
+    // The same pair at one point, the HVP replaying the gradient's
+    // forward pass.
+    let mut set_v = |buf: &mut [f64], _: &mut Workspace| buf.copy_from_slice(&v);
+    group.bench_function("mlp_grad_then_hvp_ws_256", |b| {
+        b.iter(|| {
+            mlp.grad_then_hvp_into(
+                black_box(&params),
+                &batch,
+                &mut ws,
+                &mut g,
+                &mut set_v,
+                &mut hv,
+            );
             (g.last().copied(), hv.last().copied())
         })
     });

@@ -9,9 +9,11 @@
 //!
 //! — the product of the inner-step Jacobian and the query-set gradient at
 //! the adapted point. The only second-order quantity needed is a single
-//! **Hessian–vector product** with `v = ∇L(φ_i, D_i^test)`, supplied by
-//! [`fml_models::Model::hvp_into`]. The first-order approximation
-//! (FOMAML) drops the Jacobian, which is the ablation `X2` in `DESIGN.md`.
+//! **Hessian–vector product** with `v = ∇L(φ_i, D_i^test)`, taken at the
+//! same `(θ, D_i^train)` as the inner step's gradient, so both come from
+//! one [`fml_models::Model::grad_then_hvp_into`]. The first-order
+//! approximation (FOMAML) drops the Jacobian, which is the ablation `X2`
+//! in `DESIGN.md`.
 //!
 //! The arithmetic is written once, on a [`Scratch`]: the crate's `_with`
 //! kernels (`inner_step_with`, `outer_gradient_with`,
@@ -101,6 +103,12 @@ pub(crate) fn inner_step_with(
 
 /// The meta-gradient `∇_θ L(φ(θ), test)` for a single task, on the
 /// scratch: `φ = θ − α∇L(θ, train)`, then the outer gradient at `φ`.
+///
+/// Second order, the gradient and the HVP are both at `(θ, train)`, so
+/// they go through [`Model::grad_then_hvp_into`] with the inner step and
+/// the query gradient in between — the same operations in the same order
+/// as `inner_step_with` then `outer_gradient_with`, which a model may run
+/// without a second forward pass over `train`.
 pub(crate) fn meta_gradient_with<'s>(
     model: &dyn Model,
     theta: &[f64],
@@ -110,8 +118,21 @@ pub(crate) fn meta_gradient_with<'s>(
     mode: MetaGradientMode,
     scratch: &'s mut Scratch,
 ) -> &'s [f64] {
-    inner_step_with(model, theta, train, alpha, scratch);
-    outer_gradient_with(model, theta, train, test, alpha, mode, scratch)
+    if mode == MetaGradientMode::FirstOrder {
+        inner_step_with(model, theta, train, alpha, scratch);
+        return outer_gradient_with(model, theta, train, test, alpha, mode, scratch);
+    }
+    let Scratch {
+        ws, grad, phi, hvp, ..
+    } = scratch;
+    let mut query_gradient = |g: &mut [f64], ws: &mut Workspace| {
+        phi.copy_from_slice(theta);
+        vector::axpy(-alpha, g, phi);
+        model.grad_into(phi, test, ws, g);
+    };
+    model.grad_then_hvp_into(theta, train, ws, grad, &mut query_gradient, hvp);
+    vector::axpy(-alpha, hvp, grad);
+    grad
 }
 
 /// The meta-gradient `∇_θ L(φ(θ), test)` for a single task.

@@ -67,9 +67,11 @@ pub fn scale(a: f64, x: &[f64]) -> Vec<f64> {
 /// allocating. The shape is inferred from the vectors: `A` is
 /// `y.len() × x.len()`.
 ///
-/// Each `y[i]` is the dot product of row `i` with `x`, in the same
-/// summation order as [`dot`], so the result is bitwise identical to the
-/// allocating [`crate::Matrix::matvec`].
+/// Each `y[i]` is bitwise the [`dot`] of row `i` with `x`: rows are
+/// summed four at a time, but each into its own accumulator, in index
+/// order, starting from `-0.0` — which is what `Iterator::sum` starts
+/// from, so an empty `x` gives `-0.0` too. Four independent chains let
+/// the adds overlap where one chain would wait on each.
 ///
 /// # Panics
 ///
@@ -77,11 +79,31 @@ pub fn scale(a: f64, x: &[f64]) -> Vec<f64> {
 #[inline]
 pub fn matvec_into(a: &[f64], x: &[f64], y: &mut [f64]) {
     assert_eq!(a.len(), y.len() * x.len(), "matvec_into: shape mismatch");
-    if x.is_empty() {
-        y.fill(0.0);
+    let n = x.len();
+    if n == 0 {
+        y.fill(dot(&[], &[]));
         return;
     }
-    for (yi, row) in y.iter_mut().zip(a.chunks_exact(x.len())) {
+    let mut quads = y.chunks_exact_mut(4);
+    let mut blocks = a.chunks_exact(4 * n);
+    for (yq, block) in (&mut quads).zip(&mut blocks) {
+        let (r0, rest) = block.split_at(n);
+        let (r1, rest) = rest.split_at(n);
+        let (r2, r3) = rest.split_at(n);
+        let mut s = [-0.0f64; 4];
+        for ((((&xj, a0), a1), a2), a3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            s[0] += a0 * xj;
+            s[1] += a1 * xj;
+            s[2] += a2 * xj;
+            s[3] += a3 * xj;
+        }
+        yq.copy_from_slice(&s);
+    }
+    for (yi, row) in quads
+        .into_remainder()
+        .iter_mut()
+        .zip(blocks.remainder().chunks_exact(n))
+    {
         *yi = dot(row, x);
     }
 }
@@ -255,6 +277,10 @@ mod tests {
         let mut y = [0.0; 3];
         matvec_into(&a, &x, &mut y);
         assert_eq!(y, [-1.0, -1.0, -1.0]);
+        // No columns: every row is the dot of two empty slices, `-0.0`.
+        matvec_into(&[], &[], &mut y);
+        assert_eq!(y.map(f64::to_bits), [dot(&[], &[]).to_bits(); 3]);
+        assert_eq!(dot(&[], &[]).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -329,6 +355,51 @@ mod tests {
         ) {
             let got = weighted_sum(&[&x, &x, &x], &[0.2, 0.3, 0.5]).unwrap();
             prop_assert!(approx_eq(&got, &x, 1e-9));
+        }
+    }
+
+    /// Maps a drawn `(code, v)` to `v` or, for `code < specials`, to one
+    /// of the values where summation order and start show: signed
+    /// zeros, infinities, NaN.
+    fn pick((code, v): (u8, f64), specials: u8) -> f64 {
+        if code >= specials {
+            return v;
+        }
+        [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN][code as usize % 5]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `matvec_into` is the per-row `dot` bit for bit at every
+        /// `rows % 4` and every width, empty included. NaN payloads are
+        /// not specified by the language, so two NaNs count as equal.
+        #[test]
+        fn prop_matvec_into_is_rowwise_dot(
+            rows in 0usize..10,
+            cols in 0usize..41,
+            density in 0usize..4,
+            a in proptest::collection::vec((0u8..64, -1e3f64..1e3), 9 * 40),
+            x in proptest::collection::vec((0u8..64, -1e3f64..1e3), 40),
+        ) {
+            let specials = [2u8, 32, 64, 0][density];
+            let mut a: Vec<f64> = a[..rows * cols].iter().map(|&d| pick(d, specials)).collect();
+            let mut x: Vec<f64> = x[..cols].iter().map(|&d| pick(d, specials)).collect();
+            if density == 3 {
+                // `|a|·(−0)` is `−0`: every row sums only `−0`s, so the
+                // start value is the result.
+                a.iter_mut().for_each(|v| *v = v.abs());
+                x.fill(-0.0);
+            }
+            let mut y = vec![f64::NAN; rows];
+            matvec_into(&a, &x, &mut y);
+            for (i, &got) in y.iter().enumerate() {
+                let want = dot(&a[i * cols..(i + 1) * cols], &x);
+                prop_assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "row {i} of {rows}x{cols}: {got:?} vs {want:?}"
+                );
+            }
         }
     }
 }

@@ -23,9 +23,10 @@ impl Activation {
         }
     }
 
-    /// First derivative evaluated at pre-activation `z`.
+    /// First derivative at pre-activation `z`, read from the stored
+    /// activation `a = apply(z)` where that saves work: tanh′ is `1 − a²`.
     #[inline]
-    fn d1(self, z: f64) -> f64 {
+    fn d1(self, z: f64, a: f64) -> f64 {
         match self {
             Activation::Relu => {
                 if z > 0.0 {
@@ -34,22 +35,17 @@ impl Activation {
                     0.0
                 }
             }
-            Activation::Tanh => {
-                let a = z.tanh();
-                1.0 - a * a
-            }
+            Activation::Tanh => 1.0 - a * a,
         }
     }
 
-    /// Second derivative evaluated at pre-activation `z`.
+    /// Second derivative from the stored activation `a` and
+    /// `d1 = self.d1(z, a)`: tanh″ is `−2a(1 − a²)`.
     #[inline]
-    fn d2(self, z: f64) -> f64 {
+    fn d2(self, a: f64, d1: f64) -> f64 {
         match self {
             Activation::Relu => 0.0,
-            Activation::Tanh => {
-                let a = z.tanh();
-                -2.0 * a * (1.0 - a * a)
-            }
+            Activation::Tanh => -2.0 * a * d1,
         }
     }
 }
@@ -70,7 +66,10 @@ impl Activation {
 /// forward pass propagating directional derivatives `R{z}`, `R{a}` and a
 /// backward pass propagating `R{δ}` — so an HVP costs roughly two
 /// backpropagations and is exact for smooth activations (see the tests,
-/// which cross-check against central finite differences).
+/// which cross-check against central finite differences). Through
+/// [`Model::grad_then_hvp_into`] it costs one forward pass less: the HVP
+/// replays the forward pass the gradient at the same `(θ, batch)`
+/// recorded, with the same bits as `hvp_into`.
 ///
 /// # Examples
 ///
@@ -192,11 +191,10 @@ impl Mlp {
     /// (either parameters or an HVP direction), into a caller-provided
     /// buffer.
     fn affine_into(&self, buf: &[f64], l: usize, spans: &[Span], v: &[f64], out: &mut [f64]) {
-        let fan_in = self.dims[l];
-        let (w0, _, b0, _) = spans[l];
-        for (j, o) in out.iter_mut().enumerate() {
-            let row = &buf[w0 + j * fan_in..w0 + (j + 1) * fan_in];
-            *o = vector::dot(row, v) + buf[b0 + j];
+        let (w0, w1, b0, b1) = spans[l];
+        vector::matvec_into(&buf[w0..w1], v, out);
+        for (o, b) in out.iter_mut().zip(&buf[b0..b1]) {
+            *o += b;
         }
     }
 
@@ -228,45 +226,58 @@ impl Mlp {
         }
     }
 
-    /// Accumulates `weight` times one sample's parameter gradient into
-    /// `g`, every intermediate living in `ws`. The input-space delta (what
-    /// `input_grad` returns) is left in `ws.pre[..input_dim]`.
+    /// [`forward_ws`](Self::forward_ws) plus the class probabilities
+    /// `softmax(logits)` in `ws.probs`: the forward pass a backward pass
+    /// or an R-pass reads.
+    fn forward_probs_ws(&self, params: &[f64], ws: &mut Workspace, x: &[f64]) {
+        self.forward_ws(params, ws, x);
+        ws.probs.copy_from_slice(&ws.zs[self.layer_count() - 1]);
+        softmax::softmax_in_place(&mut ws.probs);
+    }
+
+    /// Backpropagates the sample whose forward pass `ws` holds (from
+    /// [`forward_probs_ws`](Self::forward_probs_ws)), every intermediate
+    /// living in `ws`. With `Some((weight, g))` it accumulates `weight`
+    /// times the sample's parameter gradient into `g`; with `None` it
+    /// leaves the input-space delta `W_0ᵀδ_0` (what `input_grad` returns)
+    /// in `ws.pre[..input_dim]` instead. Each computes only what its
+    /// caller reads.
     fn backward_sample_ws(
         &self,
         params: &[f64],
         ws: &mut Workspace,
-        x: &[f64],
         label: usize,
-        weight: f64,
-        g: &mut [f64],
+        mut grad: Option<(f64, &mut [f64])>,
     ) {
-        self.forward_ws(params, ws, x);
         let lcount = self.layer_count();
-        ws.probs.copy_from_slice(&ws.zs[lcount - 1]);
-        softmax::softmax_in_place(&mut ws.probs);
         ws.delta[lcount - 1].copy_from_slice(&ws.probs);
         ws.delta[lcount - 1][label] -= 1.0;
         for l in (0..lcount).rev() {
-            let (w0, _, b0, _) = ws.spans[l];
             let fan_in = self.dims[l];
-            {
+            if let Some((weight, g)) = &mut grad {
+                let (w0, _, b0, _) = ws.spans[l];
                 let a_prev = &ws.acts[l];
                 for (j, &dj) in ws.delta[l].iter().enumerate() {
                     vector::axpy(
-                        weight * dj,
+                        *weight * dj,
                         a_prev,
                         &mut g[w0 + j * fan_in..w0 + (j + 1) * fan_in],
                     );
-                    g[b0 + j] += weight * dj;
+                    g[b0 + j] += *weight * dj;
                 }
+            }
+            // `W_0ᵀδ_0` is the input-space delta: only `input_grad` reads it.
+            if l == 0 && grad.is_some() {
+                return;
             }
             self.affine_t_into(params, l, &ws.spans, &ws.delta[l], &mut ws.pre[..fan_in]);
             if l == 0 {
                 return;
             }
             let (delta_lo, _) = ws.delta.split_at_mut(l);
-            for (i, d) in delta_lo[l - 1].iter_mut().enumerate() {
-                *d = ws.pre[i] * self.activation.d1(ws.zs[l - 1][i]);
+            let stored = ws.zs[l - 1].iter().zip(&ws.acts[l]);
+            for ((d, &p), (&z, &a)) in delta_lo[l - 1].iter_mut().zip(&ws.pre).zip(stored) {
+                *d = p * self.activation.d1(z, a);
             }
         }
     }
@@ -333,21 +344,7 @@ impl Model for Mlp {
     }
 
     fn grad_into(&self, params: &[f64], batch: &Batch, ws: &mut Workspace, out: &mut [f64]) {
-        ws.check(&self.dims);
-        assert_eq!(out.len(), self.param_len(), "grad_into: bad output length");
-        out.fill(0.0);
-        if !batch.is_empty() {
-            let inv_n = 1.0 / batch.len() as f64;
-            for (x, y) in batch.iter() {
-                let label = self.check_label(y);
-                self.backward_sample_ws(params, ws, x, label, inv_n, out);
-            }
-        }
-        if self.l2 > 0.0 {
-            for &(w0, w1, _, _) in &ws.spans {
-                vector::axpy(self.l2, &params[w0..w1], &mut out[w0..w1]);
-            }
-        }
+        self.grad_pass(params, batch, ws, out, None);
     }
 
     fn hvp_into(
@@ -358,22 +355,28 @@ impl Model for Mlp {
         ws: &mut Workspace,
         out: &mut [f64],
     ) {
-        ws.check(&self.dims);
-        assert_eq!(out.len(), self.param_len(), "hvp_into: bad output length");
-        out.fill(0.0);
-        if !batch.is_empty() {
-            let inv_n = 1.0 / batch.len() as f64;
-            for (x, y) in batch.iter() {
-                let label = self.check_label(y);
-                self.r_op_sample_ws(params, ws, x, label, v, inv_n, out);
-            }
-        }
-        // L2 contributes λ·v on weight coordinates.
-        if self.l2 > 0.0 {
-            for &(w0, w1, _, _) in &ws.spans {
-                vector::axpy(self.l2, &v[w0..w1], &mut out[w0..w1]);
-            }
-        }
+        self.hvp_pass(params, batch, v, ws, out, None);
+    }
+
+    /// The gradient pass records each sample's forward pass on the
+    /// workspace's tape and the R-pass replays it, where `hvp_into` runs
+    /// it again: the same values, so the same bits as the three calls.
+    fn grad_then_hvp_into(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        ws: &mut Workspace,
+        buf: &mut [f64],
+        between: &mut dyn FnMut(&mut [f64], &mut Workspace),
+        hv: &mut [f64],
+    ) {
+        // The tape leaves the workspace for the call, so a `between` that
+        // replays through the same workspace cannot overwrite this one.
+        let mut tape = std::mem::take(&mut ws.tape);
+        self.grad_pass(params, batch, ws, buf, Some(&mut tape));
+        between(buf, ws);
+        self.hvp_pass(params, batch, buf, ws, hv, Some(&tape));
+        ws.tape = tape;
     }
 
     fn sample_loss(&self, params: &[f64], x: &[f64], y: Target) -> f64 {
@@ -384,8 +387,9 @@ impl Model for Mlp {
 
     fn input_grad(&self, params: &[f64], x: &[f64], y: Target) -> Vec<f64> {
         let mut ws = self.workspace();
-        let mut scratch = vec![0.0; self.param_len()];
-        self.backward_sample_ws(params, &mut ws, x, self.check_label(y), 1.0, &mut scratch);
+        let label = self.check_label(y);
+        self.forward_probs_ws(params, &mut ws, x);
+        self.backward_sample_ws(params, &mut ws, label, None);
         ws.pre[..self.dims[0]].to_vec()
     }
 
@@ -399,23 +403,86 @@ impl Model for Mlp {
 }
 
 impl Mlp {
-    /// One sample's Pearlmutter R-operator pass, accumulating
+    /// `grad_into`, also recording each sample's forward pass on `tape`
+    /// when one is given.
+    fn grad_pass(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        ws: &mut Workspace,
+        out: &mut [f64],
+        mut tape: Option<&mut Vec<f64>>,
+    ) {
+        ws.check(&self.dims);
+        assert_eq!(out.len(), self.param_len(), "grad_into: bad output length");
+        out.fill(0.0);
+        if !batch.is_empty() {
+            let inv_n = 1.0 / batch.len() as f64;
+            for (s, (x, y)) in batch.iter().enumerate() {
+                let label = self.check_label(y);
+                self.forward_probs_ws(params, ws, x);
+                self.backward_sample_ws(params, ws, label, Some((inv_n, &mut *out)));
+                if let Some(tape) = tape.as_deref_mut() {
+                    ws.record(tape, s);
+                }
+            }
+        }
+        if self.l2 > 0.0 {
+            for &(w0, w1, _, _) in &ws.spans {
+                vector::axpy(self.l2, &params[w0..w1], &mut out[w0..w1]);
+            }
+        }
+    }
+
+    /// `hvp_into`, replaying each sample's forward pass from `tape` —
+    /// which [`grad_pass`](Self::grad_pass) recorded at the same
+    /// `(params, batch)` — when one is given, instead of computing it.
+    fn hvp_pass(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        v: &[f64],
+        ws: &mut Workspace,
+        out: &mut [f64],
+        tape: Option<&[f64]>,
+    ) {
+        ws.check(&self.dims);
+        assert_eq!(out.len(), self.param_len(), "hvp_into: bad output length");
+        out.fill(0.0);
+        if !batch.is_empty() {
+            let inv_n = 1.0 / batch.len() as f64;
+            for (s, (x, y)) in batch.iter().enumerate() {
+                let label = self.check_label(y);
+                match tape {
+                    Some(tape) => ws.replay(tape, s),
+                    None => self.forward_probs_ws(params, ws, x),
+                }
+                self.r_op_sample_ws(params, ws, label, v, inv_n, out);
+            }
+        }
+        // L2 contributes λ·v on weight coordinates.
+        if self.l2 > 0.0 {
+            for &(w0, w1, _, _) in &ws.spans {
+                vector::axpy(self.l2, &v[w0..w1], &mut out[w0..w1]);
+            }
+        }
+    }
+
+    /// One sample's Pearlmutter R-operator pass over the forward pass
+    /// `ws` holds (computed or replayed), accumulating
     /// `weight · ∇²l(θ,(x,y))·v` into `hv`, every intermediate hosted by
     /// the workspace.
-    #[allow(clippy::too_many_arguments)]
     fn r_op_sample_ws(
         &self,
         params: &[f64],
         ws: &mut Workspace,
-        x: &[f64],
         label: usize,
         v: &[f64],
         weight: f64,
         hv: &mut [f64],
     ) {
         let lcount = self.layer_count();
-        // --- forward + R-forward ---
-        self.forward_ws(params, ws, x);
+        // --- R-forward ---
         ws.r_acts[0].fill(0.0); // R{input} = 0
         for l in 0..lcount {
             let fan_out = self.dims[l + 1];
@@ -432,17 +499,13 @@ impl Mlp {
             }
             vector::axpy(1.0, &ws.tmp[..fan_out], &mut ws.r_zs[l]);
             if l + 1 < lcount {
-                for (ra, (&r, &z)) in racts_todo[0]
-                    .iter_mut()
-                    .zip(ws.r_zs[l].iter().zip(ws.zs[l].iter()))
-                {
-                    *ra = self.activation.d1(z) * r;
+                let stored = ws.zs[l].iter().zip(&ws.acts[l + 1]);
+                for ((ra, &r), (&z, &a)) in racts_todo[0].iter_mut().zip(&ws.r_zs[l]).zip(stored) {
+                    *ra = self.activation.d1(z, a) * r;
                 }
             }
         }
         // --- output deltas ---
-        ws.probs.copy_from_slice(&ws.zs[lcount - 1]);
-        softmax::softmax_in_place(&mut ws.probs);
         ws.delta[lcount - 1].copy_from_slice(&ws.probs);
         ws.delta[lcount - 1][label] -= 1.0;
         // R{δ_L} = (diag(p) − ppᵀ)·R{z_L}
@@ -482,8 +545,9 @@ impl Mlp {
             let (delta_lo, _) = ws.delta.split_at_mut(l);
             let (r_delta_lo, _) = ws.r_delta.split_at_mut(l);
             for i in 0..fan_in {
-                let d1 = self.activation.d1(ws.zs[l - 1][i]);
-                let d2 = self.activation.d2(ws.zs[l - 1][i]);
+                let a = ws.acts[l][i];
+                let d1 = self.activation.d1(ws.zs[l - 1][i], a);
+                let d2 = self.activation.d2(a, d1);
                 delta_lo[l - 1][i] = d1 * ws.pre[i];
                 r_delta_lo[l - 1][i] = d2 * ws.r_zs[l - 1][i] * ws.pre[i] + d1 * ws.r_pre[i];
             }
@@ -669,15 +733,27 @@ mod tests {
         // `grad`/`hvp`/`loss` build a fresh workspace per call; one
         // workspace reused across kernels and parameter points must give
         // the same bits, i.e. no kernel reads scratch it did not write.
+        // `grad_then_hvp_into` runs in between, on a batch that shrinks,
+        // so its tape is both written by and left in the reused workspace.
         let m = tanh_mlp();
         let batch = toy_batch();
         let mut ws = m.workspace();
         let mut out = vec![0.0; m.param_len()];
-        for seed in [53, 54] {
+        let mut hv = vec![0.0; m.param_len()];
+        for (seed, n) in [(53, 4), (54, 2)] {
             let p = seeded_params(&m, seed);
             let v = seeded_params(&m, seed + 100);
             m.grad_into(&p, &batch, &mut ws, &mut out);
             assert_eq!(out, m.grad(&p, &batch), "grad, seed {seed}");
+            let (train, _) = batch.split_at(n);
+            let g = m.grad(&p, &train);
+            let mut set_v = |buf: &mut [f64], _: &mut Workspace| {
+                assert_eq!(buf, &g[..], "grad_then_hvp gradient, seed {seed}");
+                buf.copy_from_slice(&v);
+            };
+            m.grad_then_hvp_into(&p, &train, &mut ws, &mut out, &mut set_v, &mut hv);
+            assert_eq!(out, v, "grad_then_hvp buf, seed {seed}");
+            assert_eq!(hv, m.hvp(&p, &train, &v), "grad_then_hvp hv, seed {seed}");
             m.hvp_into(&p, &batch, &v, &mut ws, &mut out);
             assert_eq!(out, m.hvp(&p, &batch, &v), "hvp, seed {seed}");
             assert_eq!(m.loss_with(&p, &batch, &mut ws), m.loss(&p, &batch));

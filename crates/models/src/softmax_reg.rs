@@ -87,9 +87,10 @@ impl SoftmaxRegression {
 
     /// Writes the logit vector `Wx + b` into `z`.
     fn logits_into(&self, params: &[f64], x: &[f64], z: &mut [f64]) {
-        for (k, zk) in z.iter_mut().enumerate() {
-            let row = &params[k * self.dim..(k + 1) * self.dim];
-            *zk = vector::dot(row, x) + params[self.classes * self.dim + k];
+        let (w, b) = params.split_at(self.weight_len());
+        vector::matvec_into(w, x, z);
+        for (zk, bk) in z.iter_mut().zip(b) {
+            *zk += bk;
         }
     }
 }

@@ -59,6 +59,9 @@ impl Prediction {
 ///   implementation is a central finite difference of `grad_into` — `O(2×)`
 ///   the cost of a gradient and accurate to ~1e-6 relative error; analytic
 ///   overrides are preferred.
+/// * An override of [`grad_then_hvp_into`](Model::grad_then_hvp_into)
+///   shares work between its two passes and nothing else: it writes the
+///   bits of `grad_into`, `between`, `hvp_into` in turn.
 /// * `input_grad`/`sample_loss` operate on a *single* sample and must be
 ///   consistent with each other; they power adversarial data generation.
 ///
@@ -147,6 +150,35 @@ pub trait Model: Send + Sync + std::fmt::Debug {
         out: &mut [f64],
     ) {
         finite_difference_hvp(|p, g| self.grad_into(p, batch, ws, g), params, v, out);
+    }
+
+    /// A gradient and an HVP at one point `(θ, B)`, with work of the
+    /// caller's in between: writes `∇L(θ, B)` into `buf`, calls
+    /// `between(buf, ws)` — which overwrites `buf` with the direction `v`
+    /// — and writes `∇²L(θ, B)·v` into `hv`. This is the shape of the
+    /// second-order meta-gradient (`between` takes the inner step and the
+    /// query gradient).
+    ///
+    /// The default is exactly [`grad_into`](Model::grad_into), `between`,
+    /// [`hvp_into`](Model::hvp_into). A model whose HVP repeats the
+    /// gradient's forward pass overrides it to keep that pass from the
+    /// first call and replay it in the second, with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `buf.len()` or `hv.len()` is not `param_len()`.
+    fn grad_then_hvp_into(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        ws: &mut Workspace,
+        buf: &mut [f64],
+        between: &mut dyn FnMut(&mut [f64], &mut Workspace),
+        hv: &mut [f64],
+    ) {
+        self.grad_into(params, batch, ws, buf);
+        between(buf, ws);
+        self.hvp_into(params, batch, buf, ws, hv);
     }
 
     /// Fraction of correctly classified samples; 0 for an empty batch.

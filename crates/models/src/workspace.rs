@@ -12,7 +12,9 @@
 //! (`Model::loss_with`, `Model::grad_into`, `Model::hvp_into`) perform
 //! **no heap allocation per sample**, and they are each model's only
 //! copy of its arithmetic: `Model::loss`/`grad`/`hvp` are provided
-//! methods that build a fresh workspace and call them.
+//! methods that build a fresh workspace and call them. A workspace also
+//! carries the tape `Model::grad_then_hvp_into` records a gradient's
+//! forward passes on, grown to the largest batch it has seen.
 //!
 //! Workspaces are cheap to create (a handful of small vectors) and `Send`,
 //! so parallel trainers can build one per worker thread.
@@ -72,6 +74,11 @@ pub struct Workspace {
     pub(crate) tmp: Vec<f64>,
     /// Class-probability scratch (softmax output width).
     pub(crate) probs: Vec<f64>,
+    /// Forward passes a gradient pass recorded for the HVP at the same
+    /// `(θ, batch)` (`Model::grad_then_hvp_into`): record `s` is sample
+    /// `s`'s `acts`, `zs` and `probs` end to end. Grown to the largest
+    /// batch seen, then reused.
+    pub(crate) tape: Vec<f64>,
 }
 
 impl Workspace {
@@ -100,6 +107,7 @@ impl Workspace {
             r_pre: vec![0.0; widest],
             tmp: vec![0.0; widest],
             probs: vec![0.0; dims[lcount]],
+            tape: Vec::new(),
         }
     }
 
@@ -119,7 +127,44 @@ impl Workspace {
             r_pre: Vec::new(),
             tmp: Vec::new(),
             probs: Vec::new(),
+            tape: Vec::new(),
         }
+    }
+
+    /// Copies the forward pass these buffers hold into record `s` of
+    /// `tape`, growing the tape when it is shorter.
+    pub(crate) fn record(&self, tape: &mut Vec<f64>, s: usize) {
+        let len = self.record_len();
+        if tape.len() < (s + 1) * len {
+            tape.resize((s + 1) * len, 0.0);
+        }
+        let mut rest = &mut tape[s * len..];
+        for buf in self.acts.iter().chain(&self.zs).chain([&self.probs]) {
+            let (head, tail) = rest.split_at_mut(buf.len());
+            head.copy_from_slice(buf);
+            rest = tail;
+        }
+    }
+
+    /// Copies record `s` of `tape` back into the forward-pass buffers.
+    pub(crate) fn replay(&mut self, tape: &[f64], s: usize) {
+        let mut rest = &tape[s * self.record_len()..];
+        let bufs = self.acts.iter_mut().chain(&mut self.zs);
+        for buf in bufs.chain([&mut self.probs]) {
+            let (head, tail) = rest.split_at(buf.len());
+            buf.copy_from_slice(head);
+            rest = tail;
+        }
+    }
+
+    /// One tape record's length: every forward-pass buffer.
+    fn record_len(&self) -> usize {
+        self.acts
+            .iter()
+            .chain(&self.zs)
+            .map(Vec::len)
+            .sum::<usize>()
+            + self.probs.len()
     }
 
     /// Panics with a clear message unless this workspace was built for

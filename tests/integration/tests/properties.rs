@@ -7,10 +7,13 @@ use fml_data::NodeData;
 use fml_dro::{RobustSurrogate, SquaredL2Cost};
 use fml_integration::{global_frame, prefix_frame, update_frame};
 use fml_linalg::{vector, Matrix};
-use fml_models::{Batch, LinearRegression, Model, Quadratic, SoftmaxRegression, Target};
+use fml_models::{
+    Activation, Batch, LinearRegression, MlpBuilder, Model, Quadratic, SoftmaxRegression, Target,
+    Workspace,
+};
 use fml_sim::{FrameBuffer, FrameError, FramePool, MessageView, LENGTH_PREFIX_LEN, MAX_FRAME_LEN};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Random quadratic federation: `nodes` centers in `[-3, 3]²`.
 fn quad_federation(centers: Vec<(f64, f64)>) -> Vec<SourceTask> {
@@ -157,6 +160,68 @@ proptest! {
         vector::axpy(-0.05, &g, &mut next);
         let after = fml_core::meta::meta_objective(&model, &next, &batch, &batch, 0.2);
         prop_assert!(after <= before + 1e-9, "{before} -> {after}");
+    }
+}
+
+/// `n` samples in `[-1, 1)^dim` with labels below `classes`.
+fn class_batch(rng: &mut impl Rng, dim: usize, classes: usize, n: usize) -> Batch {
+    let mut batch = Batch::empty(dim);
+    for _ in 0..n {
+        let x: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        batch.push(&x, Target::Class(rng.gen_range(0..classes)));
+    }
+    batch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `Mlp::grad_then_hvp_into` replays the gradient's forward pass in
+    /// its HVP; it must be `grad_into` → `between` → `hvp_into` bit for
+    /// bit, in `buf` and in `hv`. `between` is the meta-gradient's:
+    /// a gradient at another point on another batch through the same
+    /// workspace. The second call is on a batch no larger than the first,
+    /// so a tape entry left from the first cannot leak into it.
+    #[test]
+    fn prop_mlp_replayed_hvp_is_the_three_calls(
+        shape in (1usize..5, 0usize..4, 2usize..5, 0u64..10_000),
+        kind in (any::<bool>(), any::<bool>()),
+        sizes in (0usize..13, 0usize..13),
+        query in 0usize..13,
+    ) {
+        let (dim, depth, classes, seed) = shape;
+        let (tanh, l2) = kind;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let hidden: Vec<usize> = (0..depth).map(|_| rng.gen_range(1..6)).collect();
+        let model = MlpBuilder::new(dim, classes)
+            .hidden(&hidden)
+            .activation(if tanh { Activation::Tanh } else { Activation::Relu })
+            .l2(if l2 { 0.01 } else { 0.0 })
+            .build()
+            .unwrap();
+        let theta = model.init_params(&mut rng);
+        let test = class_batch(&mut rng, dim, classes, query);
+        let alpha = 0.3;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let d = model.param_len();
+        let (mut ws, mut ws_ref) = (model.workspace(), model.workspace());
+        let mut phi = vec![0.0; d];
+        let mut between = |g: &mut [f64], ws: &mut Workspace| {
+            phi.copy_from_slice(&theta);
+            vector::axpy(-alpha, g, &mut phi);
+            model.grad_into(&phi, &test, ws, g);
+        };
+        for n in [sizes.0.max(sizes.1), sizes.0.min(sizes.1)] {
+            let train = class_batch(&mut rng, dim, classes, n);
+            let (mut buf, mut hv) = (vec![0.0; d], vec![0.0; d]);
+            model.grad_then_hvp_into(&theta, &train, &mut ws, &mut buf, &mut between, &mut hv);
+            let (mut buf_ref, mut hv_ref) = (vec![0.0; d], vec![0.0; d]);
+            model.grad_into(&theta, &train, &mut ws_ref, &mut buf_ref);
+            between(&mut buf_ref, &mut ws_ref);
+            model.hvp_into(&theta, &train, &buf_ref, &mut ws_ref, &mut hv_ref);
+            prop_assert_eq!(bits(&buf), bits(&buf_ref), "buf, n = {}, hidden {:?}", n, hidden);
+            prop_assert_eq!(bits(&hv), bits(&hv_ref), "hv, n = {}, hidden {:?}", n, hidden);
+        }
     }
 }
 
