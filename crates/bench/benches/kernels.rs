@@ -10,7 +10,10 @@ use fml_dro::{RobustSurrogate, SquaredL2Cost};
 use fml_linalg::{vector, Matrix};
 use fml_models::{Activation, Batch, Mlp, MlpBuilder, Model, SoftmaxRegression, Workspace};
 use fml_sim::message::{encode_global_into, encoded_frame_len};
-use fml_sim::{FramePool, MessageView};
+use fml_sim::{
+    compressed_frame_len, encode_update_compressed_into, CodecScratch, CompressedView, FramePool,
+    MessageView, UpdateCodec,
+};
 use rand::{Rng, SeedableRng};
 
 fn softmax_setup(dim: usize, classes: usize, n: usize) -> (SoftmaxRegression, Vec<f64>, Batch) {
@@ -149,7 +152,8 @@ fn bench_adversarial(c: &mut Criterion) {
 
 fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("message_codec");
-    for &dim in &[610usize, 4906] {
+    // 7850 is `wire_quant_tcp`'s softmax 784x10.
+    for &dim in &[610usize, 4906, 7850] {
         let params: Vec<f64> = (0..dim).map(|i| i as f64 * 0.5).collect();
         let pool = FramePool::new();
         let encode = || {
@@ -168,6 +172,30 @@ fn bench_codec(c: &mut Criterion) {
             })
         });
     }
+    // The quant8 uplink at 7850 parameters: what a node encodes and the
+    // platform dequantizes each round.
+    let dim = 7850;
+    let params: Vec<f64> = (0..dim).map(|i| ((i as f64) * 0.37).sin() * 3.0).collect();
+    let codec = UpdateCodec::Quant { bits: 8 };
+    let pool = FramePool::new();
+    let mut scratch = CodecScratch::new();
+    let mut encode = || {
+        let mut buf = pool.acquire(compressed_frame_len(codec, dim));
+        encode_update_compressed_into(codec, 1, 0, black_box(&params), &mut scratch, &mut buf);
+        buf
+    };
+    group.bench_with_input(BenchmarkId::new("quant8_encode", dim), &dim, |b, _| {
+        b.iter(|| pool.release(encode()))
+    });
+    let frame = encode();
+    let mut out = Vec::with_capacity(dim);
+    group.bench_with_input(BenchmarkId::new("quant8_decode", dim), &dim, |b, _| {
+        b.iter(|| {
+            let view = CompressedView::parse(black_box(&frame)).unwrap();
+            view.copy_params_into(&mut out);
+            out.last().copied()
+        })
+    });
     group.finish();
 }
 

@@ -123,15 +123,21 @@ impl<S: FramedStream> std::fmt::Debug for StreamTransport<S> {
 }
 
 impl<S: FramedStream> StreamTransport<S> {
-    fn from_stream(stream: S) -> Self {
-        StreamTransport {
+    /// Wraps a connected socket, bounding every later write by
+    /// [`WRITE_TIMEOUT`]. The timeout is a socket option, so the
+    /// descriptors [`Transport::try_clone`] duplicates share it.
+    fn from_stream(stream: S) -> Result<Self, TransportError> {
+        stream
+            .write_timeout_set(WRITE_TIMEOUT)
+            .map_err(|e| io_error(&e))?;
+        Ok(StreamTransport {
             stream,
             buf: FrameBuffer::new(),
             scratch: vec![0u8; SCRATCH_LEN],
             write_scratch: Vec::new(),
             pool: FramePool::global().handle(),
             closed: false,
-        }
+        })
     }
 }
 
@@ -140,9 +146,6 @@ impl<S: FramedStream + 'static> Transport for StreamTransport<S> {
         if self.closed {
             return Err(TransportError::Closed);
         }
-        self.stream
-            .write_timeout_set(WRITE_TIMEOUT)
-            .map_err(|e| io_error(&e))?;
         prefix_frame_into(frame, &mut self.write_scratch);
         let written = self
             .stream
@@ -269,7 +272,7 @@ impl TcpTransport {
     ) -> Result<Self, TransportError> {
         let stream = backoff_loop(attempts, base, || TcpStream::connect(addr))?;
         stream.set_nodelay(true).map_err(|e| io_error(&e))?;
-        Ok(Self::from_stream(stream))
+        Self::from_stream(stream)
     }
 }
 
@@ -290,7 +293,7 @@ impl UnixTransport {
         base: Duration,
     ) -> Result<Self, TransportError> {
         let stream = backoff_loop(attempts, base, || UnixStream::connect(path))?;
-        Ok(Self::from_stream(stream))
+        Self::from_stream(stream)
     }
 }
 
@@ -352,7 +355,7 @@ impl super::TransportListener for TcpTransportListener {
         let stream = accept_until(timeout, || self.inner.accept())?;
         stream.set_nonblocking(false).map_err(|e| io_error(&e))?;
         stream.set_nodelay(true).map_err(|e| io_error(&e))?;
-        Ok(Box::new(TcpTransport::from_stream(stream)))
+        Ok(Box::new(TcpTransport::from_stream(stream)?))
     }
 
     fn local_addr(&self) -> String {
@@ -400,7 +403,7 @@ impl super::TransportListener for UnixTransportListener {
     fn accept(&mut self, timeout: Duration) -> Result<Box<dyn Transport>, TransportError> {
         let stream = accept_until(timeout, || self.inner.accept())?;
         stream.set_nonblocking(false).map_err(|e| io_error(&e))?;
-        Ok(Box::new(UnixTransport::from_stream(stream)))
+        Ok(Box::new(UnixTransport::from_stream(stream)?))
     }
 
     fn local_addr(&self) -> String {

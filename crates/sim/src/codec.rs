@@ -222,13 +222,97 @@ fn put_subheader(buf: &mut BytesMut, scheme: u8, meta_a: u8, meta_b: u16, meta_c
     buf.put_u32_le(meta_c);
 }
 
-/// Quantizes one chunk: `[scale:f32][offset:f32]` then one integer per
-/// value. The encoder rounds scale and offset through `f32` *before*
-/// quantizing, so encode and decode use bit-identical constants and
-/// the reconstruction error stays within [`quant_epsilon`]. Non-finite
-/// inputs (corrupt-fault debris) clamp to the chunk's finite range.
+/// Quantizes one chunk of at most [`QUANT_CHUNK`] values:
+/// `[scale:f32][offset:f32]` then one integer per value. The encoder
+/// rounds scale and offset through `f32` *before* quantizing, so encode
+/// and decode use bit-identical constants and the reconstruction error
+/// stays within [`quant_epsilon`]. Non-finite inputs (corrupt-fault
+/// debris) clamp to the chunk's finite range.
+///
+/// The block loops emit the scalar encoder's bytes: the lane-order range
+/// scan rescans in order when an extreme is ±0 or ±inf, and clamping to
+/// the integer bounds before rounding changes no result (DESIGN.md,
+/// "Update compression architecture").
 fn encode_quant_chunk(chunk: &[f64], bits: u8, buf: &mut BytesMut) {
     let qmax = ((1u64 << bits) - 1) as f64;
+    let (lo, hi) = quant_range(chunk);
+    let offset = lo as f32;
+    let scale = (((hi - lo) / qmax) as f32).max(0.0);
+    buf.put_f32_le(scale);
+    buf.put_f32_le(offset);
+    let o = offset as f64;
+    let s = scale as f64;
+    let width = if bits == 16 { 2 } else { 1 };
+    let mut block = [0u8; 2 * QUANT_CHUNK];
+    let block = &mut block[..width * chunk.len()];
+    if s > 0.0 {
+        let mut ys = [0.0f64; QUANT_CHUNK];
+        let ys = &mut ys[..chunk.len()];
+        for (y, &v) in ys.iter_mut().zip(chunk) {
+            // NaN and −inf fail the first test and become `lo`; +inf
+            // fails the second and becomes `hi`.
+            let v = if v >= lo { v } else { lo };
+            let v = if v <= hi { v } else { hi };
+            *y = ((v - o) / s).clamp(0.0, qmax);
+        }
+        if bits == 16 {
+            for (q, &y) in block.chunks_exact_mut(2).zip(ys.iter()) {
+                q.copy_from_slice(&(round_half_away(y) as u16).to_le_bytes());
+            }
+        } else {
+            for (q, &y) in block.iter_mut().zip(ys.iter()) {
+                *q = round_half_away(y) as u8;
+            }
+        }
+    }
+    buf.put_slice(block);
+}
+
+/// `y.round()` for `y` in `[0, 65535]` or NaN (→ 0), without the libm
+/// call: `y − t` is exact, so the half test sees the true fraction.
+fn round_half_away(y: f64) -> i32 {
+    let t = y as i32;
+    t + (y - t as f64 >= 0.5) as i32
+}
+
+/// The chunk's finite range, `(0, 0)` when it has no finite value.
+///
+/// A four-lane `<`/`>` reduction skips NaN and is exact whenever both
+/// extremes are finite and non-zero, since equal non-zero doubles have
+/// equal bits. A ±0 extreme (whose sign lane order picks) or a ±inf one
+/// (which the finite filter would drop) takes the ordered scan instead.
+fn quant_range(chunk: &[f64]) -> (f64, f64) {
+    let mut lo = [f64::INFINITY; 4];
+    let mut hi = [f64::NEG_INFINITY; 4];
+    let mut quads = chunk.chunks_exact(4);
+    for quad in &mut quads {
+        for lane in 0..4 {
+            let v = quad[lane];
+            lo[lane] = if v < lo[lane] { v } else { lo[lane] };
+            hi[lane] = if v > hi[lane] { v } else { hi[lane] };
+        }
+    }
+    for &v in quads.remainder() {
+        lo[0] = if v < lo[0] { v } else { lo[0] };
+        hi[0] = if v > hi[0] { v } else { hi[0] };
+    }
+    let lo = lo
+        .into_iter()
+        .fold(f64::INFINITY, |a, v| if v < a { v } else { a });
+    let hi = hi
+        .into_iter()
+        .fold(f64::NEG_INFINITY, |a, v| if v > a { v } else { a });
+    let exact = |x: f64| x != 0.0 && x.is_finite();
+    if exact(lo) && exact(hi) {
+        (lo, hi)
+    } else {
+        ordered_finite_range(chunk)
+    }
+}
+
+/// [`quant_range`] by the sequential `is_finite` + `f64::min`/`max`
+/// scan, which fixes the sign of a zero extreme.
+fn ordered_finite_range(chunk: &[f64]) -> (f64, f64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for &v in chunk {
@@ -238,33 +322,9 @@ fn encode_quant_chunk(chunk: &[f64], bits: u8, buf: &mut BytesMut) {
         }
     }
     if lo > hi {
-        lo = 0.0;
-        hi = 0.0;
-    }
-    let offset = lo as f32;
-    let scale = (((hi - lo) / qmax) as f32).max(0.0);
-    buf.put_f32_le(scale);
-    buf.put_f32_le(offset);
-    let o = offset as f64;
-    let s = scale as f64;
-    for &v in chunk {
-        let v = if v.is_finite() {
-            v
-        } else if v == f64::INFINITY {
-            hi
-        } else {
-            lo
-        };
-        let q = if s > 0.0 {
-            ((v - o) / s).round().clamp(0.0, qmax)
-        } else {
-            0.0
-        };
-        if bits == 16 {
-            buf.put_u16_le(q as u16);
-        } else {
-            buf.put_u8(q as u8);
-        }
+        (0.0, 0.0)
+    } else {
+        (lo, hi)
     }
 }
 
@@ -474,17 +534,57 @@ impl<'a> CompressedView<'a> {
     }
 
     /// Overwrites `out` with the reconstructed parameters, reusing its
-    /// capacity — the zero-allocation decode used at aggregation.
+    /// capacity — the zero-allocation decode used at aggregation. Quant
+    /// payloads dequantize a chunk at a time, with
+    /// [`params_iter`](CompressedView::params_iter)'s expression and bits.
     pub fn copy_params_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.len);
-        out.extend(self.params_iter());
+        let SchemeView::Quant {
+            bits,
+            chunk,
+            payload,
+        } = self.scheme
+        else {
+            out.extend(self.params_iter());
+            return;
+        };
+        let width = if bits == 16 { 2 } else { 1 };
+        let mut rest = payload;
+        let mut remaining = self.len;
+        while remaining > 0 {
+            let values = remaining.min(chunk);
+            // `parse` checked the payload length against every chunk.
+            let (head, tail) = rest.split_at(QUANT_CHUNK_HEADER + width * values);
+            let (scale, offset) = quant_chunk_header(head);
+            let (scale, offset) = (scale as f64, offset as f64);
+            let qs = &head[QUANT_CHUNK_HEADER..];
+            if width == 2 {
+                out.extend(
+                    qs.chunks_exact(2)
+                        .map(|q| offset + u16::from_le_bytes([q[0], q[1]]) as f64 * scale),
+                );
+            } else {
+                out.extend(qs.iter().map(|&q| offset + q as f64 * scale));
+            }
+            rest = tail;
+            remaining -= values;
+        }
     }
 
     /// Materializes the reconstructed parameters into a fresh vector.
     pub fn params_to_vec(&self) -> Vec<f64> {
-        self.params_iter().collect()
+        let mut out = Vec::new();
+        self.copy_params_into(&mut out);
+        out
     }
+}
+
+/// The `(scale, offset)` header at the front of a quant chunk.
+fn quant_chunk_header(chunk: &[u8]) -> (f32, f32) {
+    let scale = f32::from_le_bytes(chunk[..4].try_into().expect("4 bytes"));
+    let offset = f32::from_le_bytes(chunk[4..8].try_into().expect("4 bytes"));
+    (scale, offset)
 }
 
 fn validate_quant_chunks(
@@ -496,9 +596,7 @@ fn validate_quant_chunks(
     let mut cursor = 0usize;
     let mut remaining = len;
     while remaining > 0 {
-        let scale = f32::from_le_bytes(payload[cursor..cursor + 4].try_into().expect("4 bytes"));
-        let offset =
-            f32::from_le_bytes(payload[cursor + 4..cursor + 8].try_into().expect("4 bytes"));
+        let (scale, offset) = quant_chunk_header(&payload[cursor..]);
         if !scale.is_finite() || scale < 0.0 {
             return Err(DecodeError::Malformed(
                 "quant scale must be finite and non-negative",
@@ -562,11 +660,8 @@ impl Iterator for ParamsIter<'_> {
                 payload,
             } => {
                 if self.in_chunk == 0 {
-                    let at = self.cursor;
-                    self.scale =
-                        f32::from_le_bytes(payload[at..at + 4].try_into().expect("4")) as f64;
-                    self.offset =
-                        f32::from_le_bytes(payload[at + 4..at + 8].try_into().expect("4")) as f64;
+                    let (scale, offset) = quant_chunk_header(&payload[self.cursor..]);
+                    (self.scale, self.offset) = (scale as f64, offset as f64);
                     self.cursor += QUANT_CHUNK_HEADER;
                 }
                 let at = self.cursor;
@@ -635,6 +730,63 @@ mod tests {
 
     /// Length of the shared frame header, the offset of every body.
     const HEADER_LEN: usize = encoded_frame_len(0);
+
+    /// The scalar chunk encoder the block loops replaced, kept verbatim
+    /// as their byte-for-byte oracle.
+    fn scalar_encode_quant_chunk(chunk: &[f64], bits: u8, buf: &mut BytesMut) {
+        let qmax = ((1u64 << bits) - 1) as f64;
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        for &v in chunk {
+            if v.is_finite() {
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+        }
+        if lo > hi {
+            lo = 0.0;
+            hi = 0.0;
+        }
+        let offset = lo as f32;
+        let scale = (((hi - lo) / qmax) as f32).max(0.0);
+        buf.put_f32_le(scale);
+        buf.put_f32_le(offset);
+        let o = offset as f64;
+        let s = scale as f64;
+        for &v in chunk {
+            let v = if v.is_finite() {
+                v
+            } else if v == f64::INFINITY {
+                hi
+            } else {
+                lo
+            };
+            let q = if s > 0.0 {
+                ((v - o) / s).round().clamp(0.0, qmax)
+            } else {
+                0.0
+            };
+            if bits == 16 {
+                buf.put_u16_le(q as u16);
+            } else {
+                buf.put_u8(q as u8);
+            }
+        }
+    }
+
+    /// A round-1, node-1 quant frame cut into `chunk`-value chunks by the
+    /// scalar encoder: any chunk size the wire allows, not only
+    /// [`QUANT_CHUNK`].
+    fn scalar_quant_frame(bits: u8, chunk: usize, params: &[f64]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        put_header(&mut buf, TAG_COMPRESSED, 1, 1, params.len());
+        let meta_b = u16::try_from(chunk).expect("chunk size fits meta_b");
+        put_subheader(&mut buf, SCHEME_QUANT, bits, meta_b, 0);
+        for c in params.chunks(chunk) {
+            scalar_encode_quant_chunk(c, bits, &mut buf);
+        }
+        buf
+    }
 
     #[test]
     fn none_is_bitwise_todays_update_frame() {
@@ -1150,17 +1302,111 @@ mod tests {
         #[test]
         fn prop_lazy_iter_matches_copy_and_is_exact_size(
             codec in any_codec(),
-            params in proptest::collection::vec(-1e6f64..1e6, 0..300),
+            chunk in prop_oneof![Just(QUANT_CHUNK), Just(1usize), 2usize..700],
+            params in proptest::collection::vec(
+                (-1e6f64..1e6, 0u8..8).prop_map(|(v, z)| match z {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => v,
+                }),
+                0..300,
+            ),
         ) {
-            let frame = encode(codec, 1, 1, &params);
+            // The wire allows any positive chunk size, so quant frames
+            // also come cut by chunks this encoder never picks, down to
+            // one value and with a partial last chunk.
+            let frame = match codec {
+                UpdateCodec::Quant { bits } if chunk != QUANT_CHUNK => {
+                    scalar_quant_frame(bits, chunk, &params)
+                }
+                _ => encode(codec, 1, 1, &params),
+            };
             let view = CompressedView::parse(&frame).unwrap();
             let mut iter = view.params_iter();
             prop_assert_eq!(iter.len(), params.len());
-            let lazy: Vec<f64> = iter.by_ref().collect();
+            let lazy: Vec<u64> = iter.by_ref().map(f64::to_bits).collect();
             prop_assert_eq!(iter.len(), 0);
             let mut copied = Vec::new();
             view.copy_params_into(&mut copied);
+            let copied: Vec<u64> = copied.into_iter().map(f64::to_bits).collect();
             prop_assert_eq!(lazy, copied);
+        }
+    }
+
+    /// One value from the families the block encoder has to agree with
+    /// the scalar one on: normals at scales 1e-300…1e300, subnormals
+    /// (and ±0), raw bit patterns (NaN and ±inf among them), and the
+    /// specials themselves.
+    fn any_wire_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (-1.0f64..1.0, -300i32..=300).prop_map(|(m, e)| m * 10f64.powi(e)),
+            any::<u64>().prop_map(|b| f64::from_bits(b & 0x800f_ffff_ffff_ffff)),
+            any::<u64>().prop_map(f64::from_bits),
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(f64::NAN),
+            ],
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn prop_block_quant_encoder_is_the_scalar_encoder(
+            bits in prop_oneof![Just(8u8), Just(16u8)],
+            shape in 0usize..5,
+            raw in proptest::collection::vec(any_wire_value(), 0..601),
+            base in -(1i64 << 20)..(1i64 << 20),
+            exp in -40i32..40,
+        ) {
+            let qmax = (1u64 << bits) - 1;
+            let params: Vec<f64> = match shape {
+                // The raw mixture.
+                0 => raw,
+                // Constant chunks.
+                1 => vec![raw.first().copied().unwrap_or(1.5); raw.len()],
+                // Chunks with no finite value.
+                2 => raw
+                    .iter()
+                    .map(|v| [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(v.to_bits() % 3) as usize])
+                    .collect(),
+                // An extreme at ±0 with both signs present, among
+                // same-signed values, NaN and ±inf. The zeros land at
+                // random positions, so the first one the ordered scan
+                // meets need not be in the first lane.
+                3 => {
+                    let sign = if exp % 2 == 0 { 1.0 } else { -1.0 };
+                    raw.iter()
+                        .map(|&v| match v.to_bits() % 4 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ if v.is_finite() => sign * v.abs(),
+                            _ => v,
+                        })
+                        .collect()
+                }
+                // Each chunk spans `[lo, lo + qmax·s]` with `lo` an f32
+                // and `s` a power of two, so every other value scales to
+                // exactly `k + 0.5`: the rounding ties.
+                _ => {
+                    let s = 2f64.powi(exp - 4);
+                    let lo = base as f64 * 2f64.powi(exp);
+                    raw.iter()
+                        .enumerate()
+                        .map(|(i, v)| match i % QUANT_CHUNK {
+                            0 => lo,
+                            1 => lo + qmax as f64 * s,
+                            _ => lo + ((v.to_bits() % qmax) as f64 + 0.5) * s,
+                        })
+                        .collect()
+                }
+            };
+            let block = encode(UpdateCodec::Quant { bits }, 1, 1, &params);
+            prop_assert_eq!(block, scalar_quant_frame(bits, QUANT_CHUNK, &params));
         }
     }
 
@@ -1272,9 +1518,16 @@ mod tests {
             if let Some(view) = compressed {
                 prop_assert_eq!(view.params_iter().len(), view.len());
                 // A poked top-k `len` can legally announce billions of
-                // zeros; walk the iterator only when that is cheap.
+                // zeros; decode only when that is cheap. The chunked
+                // decoder meets poked chunk sizes and lengths here too.
                 if view.len() <= 1 << 16 {
                     prop_assert_eq!(view.params_iter().count(), view.len());
+                    let mut copied = Vec::new();
+                    view.copy_params_into(&mut copied);
+                    prop_assert!(copied
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .eq(view.params_iter().map(f64::to_bits)));
                 }
                 logical = view.len().checked_mul(8).map(|body| body + encoded_frame_len(0));
             }

@@ -205,9 +205,18 @@ pub(crate) fn put_header(buf: &mut BytesMut, tag: u8, slot_a: u32, slot_b: u32, 
     buf.put_u32_le(u32::try_from(len).expect("payload count fits the wire header"));
 }
 
+/// Values per block [`put_f64s`] converts on the stack before one append.
+const F64_BLOCK: usize = 256;
+
+/// Appends `values` as little-endian `f64`s, a block at a time.
 pub(crate) fn put_f64s(buf: &mut BytesMut, values: &[f64]) {
-    for &v in values {
-        buf.put_f64_le(v);
+    let mut block = [0u8; 8 * F64_BLOCK];
+    for run in values.chunks(F64_BLOCK) {
+        let bytes = &mut block[..8 * run.len()];
+        for (b, v) in bytes.chunks_exact_mut(8).zip(run) {
+            b.copy_from_slice(&v.to_le_bytes());
+        }
+        buf.put_slice(bytes);
     }
 }
 
