@@ -394,23 +394,39 @@ mod tests {
     /// construction asked for the aggregation-only curve.
     #[test]
     fn record_every_defaults_to_aggregations_only() {
-        use fml_core::{
-            FedAvgConfig, FedMlConfig, FedProxConfig, MetaSgdConfig, RobustFedMlConfig,
-        };
+        use fml_core::{FedAvgConfig, FedMlConfig, FedProxConfig, MetaSgdConfig};
         assert_eq!(FedMlConfig::new(0.01, 0.01).record_every, 0);
         assert_eq!(FedAvgConfig::new(0.01).record_every, 0);
         assert_eq!(FedProxConfig::new(0.01, 0.1).record_every, 0);
         assert_eq!(MetaSgdConfig::new(0.01, 0.01).record_every, 0);
-        assert_eq!(RobustFedMlConfig::new(0.01, 0.01, 1.0).record_every, 0);
     }
 
     #[test]
     fn example_is_valid_and_roundtrips() {
         let cfg = RunConfig::example();
         cfg.validate().expect("example must be valid");
-        let json = serde_json::to_string_pretty(&cfg).unwrap();
-        let back: RunConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(cfg, back);
+        // One more input: no `simulate`, and a tagged variant holding an
+        // `Option` of a pair.
+        let robust = RunConfig {
+            algorithm: AlgorithmConfig::RobustFedml {
+                alpha: 0.1,
+                beta: 0.1,
+                local_steps: 5,
+                rounds: 3,
+                lambda: 1.0,
+                ascent_steps: 5,
+                n0: 1,
+                max_generations: 2,
+                clamp: Some((0.0, 1.0)),
+            },
+            simulate: None,
+            ..RunConfig::example()
+        };
+        for cfg in [cfg, robust] {
+            let json = serde_json::to_string_pretty(&cfg).unwrap();
+            let back: RunConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(cfg, back);
+        }
     }
 
     #[test]

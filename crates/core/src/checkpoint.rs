@@ -11,11 +11,13 @@
 //! ```
 //! use fml_core::checkpoint::Checkpoint;
 //!
+//! let path = std::env::temp_dir().join("fml_checkpoint_doctest.json");
 //! let ck = Checkpoint::new("FedML", vec![0.1, -0.2])
 //!     .with_meta("dataset", "Synthetic(0.5,0.5)");
-//! let json = ck.to_json()?;
-//! let back = Checkpoint::from_json(&json)?;
-//! assert_eq!(back.params, vec![0.1, -0.2]);
+//! ck.save_atomic(&path)?;
+//! let back = Checkpoint::load(&path)?;
+//! assert_eq!(back, ck);
+//! # std::fs::remove_file(&path)?;
 //! # Ok::<(), fml_core::checkpoint::CheckpointError>(())
 //! ```
 
@@ -131,7 +133,7 @@ impl Checkpoint {
     /// possible for non-finite floats under some serializers; `serde_json`
     /// encodes them as `null`, which round-trips as an error — checkpoints
     /// should contain finite parameters).
-    pub fn to_json(&self) -> Result<String, CheckpointError> {
+    fn to_json(&self) -> Result<String, CheckpointError> {
         Ok(serde_json::to_string_pretty(self)?)
     }
 
@@ -141,7 +143,7 @@ impl Checkpoint {
     ///
     /// Returns [`CheckpointError::Parse`] for malformed documents and
     /// [`CheckpointError::UnsupportedVersion`] for newer formats.
-    pub fn from_json(json: &str) -> Result<Self, CheckpointError> {
+    fn from_json(json: &str) -> Result<Self, CheckpointError> {
         let ck: Checkpoint = serde_json::from_str(json)?;
         if ck.version > FORMAT_VERSION {
             return Err(CheckpointError::UnsupportedVersion { found: ck.version });
@@ -170,7 +172,9 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// See [`Checkpoint::from_json`] and [`CheckpointError::Io`].
+    /// Returns [`CheckpointError::Io`] on filesystem failures,
+    /// [`CheckpointError::Parse`] for malformed documents and
+    /// [`CheckpointError::UnsupportedVersion`] for newer formats.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
         let text = std::fs::read_to_string(path)?;
         Self::from_json(&text)

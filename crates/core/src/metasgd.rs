@@ -336,7 +336,7 @@ mod tests {
     /// Numerically checks the (θ, a) meta-gradient used by `local_step`.
     #[test]
     fn meta_gradient_wrt_rates_matches_numeric() {
-        let model = Quadratic::diagonal(&[1.0, 3.0]);
+        let model = Quadratic::new(Matrix::from_diag(&[1.0, 3.0]));
         let tasks = quad_tasks(&[(2.0, -1.0)]);
         let task = &tasks[0];
         let theta = vec![0.7, -0.4];

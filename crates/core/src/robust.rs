@@ -38,8 +38,6 @@ pub struct RobustFedMlConfig {
     pub constraint: BoxConstraint,
     /// Meta-gradient mode.
     pub mode: MetaGradientMode,
-    /// Curve-recording stride (0, the default, = aggregations only).
-    pub record_every: usize,
 }
 
 impl RobustFedMlConfig {
@@ -64,7 +62,6 @@ impl RobustFedMlConfig {
             max_generations: 2,
             constraint: BoxConstraint::None,
             mode: MetaGradientMode::FullSecondOrder,
-            record_every: 0,
         }
     }
 
@@ -230,9 +227,7 @@ impl RobustFedMl {
                 }
             }
 
-            let record =
-                aggregated || (cfg.record_every > 0 && t % cfg.record_every == 0) || t == total;
-            if record {
+            if aggregated || t == total {
                 let avg = aggregate(tasks, &locals);
                 history.push(RoundRecord {
                     iteration: t,

@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn estimated_constants_match_quadratic_ground_truth() {
-        let model = Quadratic::diagonal(&[1.0, 3.0]);
+        let model = Quadratic::new(Matrix::from_diag(&[1.0, 3.0]));
         let tasks = quad_tasks(&[(2.0, 0.0), (-2.0, 0.0)]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let pc = estimate_constants(&model, &tasks, &[0.0, 0.0], 2.0, 64, &mut rng);

@@ -17,9 +17,8 @@
 use fml_linalg::Matrix;
 use fml_models::Batch;
 use rand::Rng;
-use rand_distr::{Distribution, Normal};
 
-use crate::{partition, Federation, NodeData};
+use crate::{normal, partition, Federation, NodeData};
 
 /// Configuration for the MNIST-like generator. Defaults mirror the paper's
 /// partition (100 nodes, 2 digits/node, mean 34 samples).
@@ -94,7 +93,6 @@ impl MnistLikeConfig {
     ///
     /// Panics when `digits_per_node` is 0 or exceeds `classes`.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Federation {
-        let normal = Normal::new(0.0, 1.0).expect("unit normal");
         // Global digit prototypes: sparse-ish blobs in [0, 1]^dim. Each
         // class lights up a distinct subset of pixels, mimicking distinct
         // stroke patterns.
@@ -122,7 +120,7 @@ impl MnistLikeConfig {
             .enumerate()
             .map(|(id, (&n, digits))| {
                 let style: Vec<f64> = (0..self.dim)
-                    .map(|_| self.style_std * normal.sample(rng))
+                    .map(|_| self.style_std * normal(rng, 1.0))
                     .collect();
                 let mut xs = Matrix::zeros(n, self.dim);
                 let mut labels = Vec::with_capacity(n);
@@ -130,8 +128,7 @@ impl MnistLikeConfig {
                     let digit = digits[r % digits.len()];
                     let row = xs.row_mut(r);
                     for (k, px) in row.iter_mut().enumerate() {
-                        let v =
-                            prototypes[digit][k] + style[k] + self.noise_std * normal.sample(rng);
+                        let v = prototypes[digit][k] + style[k] + self.noise_std * normal(rng, 1.0);
                         *px = v.clamp(0.0, 1.0);
                     }
                     labels.push(digit);

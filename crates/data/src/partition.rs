@@ -5,7 +5,6 @@
 //! digits". These helpers generate those partitions reproducibly.
 
 use rand::Rng;
-use rand_distr::{Distribution, Pareto};
 
 /// Draws per-node sample counts from a truncated Pareto (power-law)
 /// distribution, then rescales so the empirical mean is approximately
@@ -43,8 +42,7 @@ pub fn power_law_sizes<R: Rng + ?Sized>(
         "power_law_sizes: mean_target below min_samples"
     );
     assert!(shape > 1.0, "power_law_sizes: shape must exceed 1");
-    let pareto = Pareto::new(1.0, shape).expect("valid Pareto parameters");
-    let raw: Vec<f64> = (0..nodes).map(|_| pareto.sample(rng)).collect();
+    let raw: Vec<f64> = (0..nodes).map(|_| crate::pareto(rng, shape)).collect();
     let raw_mean = fml_linalg::stats::mean(&raw);
     let scale = mean_target / raw_mean;
     raw.into_iter()

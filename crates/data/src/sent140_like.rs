@@ -21,9 +21,8 @@
 use fml_linalg::{softmax, Matrix};
 use fml_models::{Activation, Batch, MlpBuilder, Model};
 use rand::Rng;
-use rand_distr::{Distribution, Normal};
 
-use crate::{partition, Federation, NodeData};
+use crate::{normal, partition, Federation, NodeData};
 
 /// Configuration for the Sent140-like generator. Defaults mirror the
 /// paper's Table I scale (706 users, 42 ± 35 samples, 25-char windows).
@@ -96,11 +95,10 @@ impl Sent140LikeConfig {
     /// Generates the federation of pooled-embedding features and teacher
     /// labels.
     pub fn generate<R: Rng>(&self, rng: &mut R) -> Federation {
-        let normal = Normal::new(0.0, 1.0).expect("unit normal");
         let table = embedding_table(self.vocab, self.embed_dim, rng);
         // Per-character sentiment scores: the latent topic biases sampling
         // toward positively or negatively scored characters.
-        let sentiment: Vec<f64> = (0..self.vocab).map(|_| normal.sample(rng)).collect();
+        let sentiment: Vec<f64> = (0..self.vocab).map(|_| normal(rng, 1.0)).collect();
         // Global teacher network over pooled embeddings.
         let teacher = MlpBuilder::new(self.embed_dim, 2)
             .hidden(&[16])
@@ -119,10 +117,10 @@ impl Sent140LikeConfig {
                 // User's teacher = global + small deviation.
                 let theta_user: Vec<f64> = theta_global
                     .iter()
-                    .map(|&g| g + self.teacher_dev * normal.sample(rng))
+                    .map(|&g| g + self.teacher_dev * normal(rng, 1.0))
                     .collect();
                 // User's baseline character preferences.
-                let char_bias: Vec<f64> = (0..self.vocab).map(|_| normal.sample(rng)).collect();
+                let char_bias: Vec<f64> = (0..self.vocab).map(|_| normal(rng, 1.0)).collect();
 
                 let mut xs = Matrix::zeros(n, self.embed_dim);
                 let mut labels = Vec::with_capacity(n);
@@ -157,10 +155,9 @@ impl Sent140LikeConfig {
 /// Builds a frozen `vocab × dim` embedding table (row per character) with
 /// unit-variance entries — the stand-in for pretrained GloVe vectors.
 fn embedding_table<R: Rng + ?Sized>(vocab: usize, dim: usize, rng: &mut R) -> Matrix {
-    let normal = Normal::new(0.0, 1.0).expect("unit normal");
     let mut m = Matrix::zeros(vocab, dim);
     for v in m.as_mut_slice() {
-        *v = normal.sample(rng);
+        *v = normal(rng, 1.0);
     }
     m
 }

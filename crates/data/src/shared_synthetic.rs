@@ -26,9 +26,8 @@
 use fml_linalg::Matrix;
 use fml_models::Batch;
 use rand::Rng;
-use rand_distr::{Distribution, Normal};
 
-use crate::{partition, Federation, NodeData};
+use crate::{normal, partition, Federation, NodeData};
 
 /// Configuration for the shared-base synthetic generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,10 +104,9 @@ impl SharedSyntheticConfig {
 
     /// Generates the federation.
     pub fn generate<R: Rng>(&self, rng: &mut R) -> Federation {
-        let normal = Normal::new(0.0, 1.0).expect("unit normal");
         let w_len = self.classes * self.dim;
-        let w_shared: Vec<f64> = (0..w_len).map(|_| normal.sample(rng)).collect();
-        let b_shared: Vec<f64> = (0..self.classes).map(|_| normal.sample(rng)).collect();
+        let w_shared: Vec<f64> = (0..w_len).map(|_| normal(rng, 1.0)).collect();
+        let b_shared: Vec<f64> = (0..self.classes).map(|_| normal(rng, 1.0)).collect();
         let sigma: Vec<f64> = (1..=self.dim)
             .map(|k| (k as f64).powf(-1.2).sqrt())
             .collect();
@@ -121,21 +119,21 @@ impl SharedSyntheticConfig {
             .map(|(id, &n)| {
                 let w: Vec<f64> = w_shared
                     .iter()
-                    .map(|&base| base + self.model_dev * normal.sample(rng))
+                    .map(|&base| base + self.model_dev * normal(rng, 1.0))
                     .collect();
                 let b: Vec<f64> = b_shared
                     .iter()
-                    .map(|&base| base + self.model_dev * normal.sample(rng))
+                    .map(|&base| base + self.model_dev * normal(rng, 1.0))
                     .collect();
                 let v: Vec<f64> = (0..self.dim)
-                    .map(|_| self.input_dev * normal.sample(rng))
+                    .map(|_| self.input_dev * normal(rng, 1.0))
                     .collect();
                 let mut xs = Matrix::zeros(n, self.dim);
                 let mut labels = Vec::with_capacity(n);
                 for r in 0..n {
                     let row = xs.row_mut(r);
                     for (k, x) in row.iter_mut().enumerate() {
-                        *x = v[k] + sigma[k] * normal.sample(rng);
+                        *x = v[k] + sigma[k] * normal(rng, 1.0);
                     }
                     let mut best = 0;
                     let mut best_z = f64::NEG_INFINITY;

@@ -18,9 +18,8 @@
 use fml_linalg::Matrix;
 use fml_models::Batch;
 use rand::Rng;
-use rand_distr::{Distribution, Normal};
 
-use crate::{partition, Federation, NodeData};
+use crate::{normal, partition, Federation, NodeData};
 
 /// Configuration for the Synthetic(α̃, β̃) generator.
 ///
@@ -95,7 +94,6 @@ impl SyntheticConfig {
 
     /// Generates the federation.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Federation {
-        let std_normal = Normal::new(0.0, 1.0).expect("unit normal");
         let sizes =
             partition::power_law_sizes(self.nodes, self.mean_samples, 2.0, self.min_samples, rng);
         // Σ_kk = k^{−1.2}, k starting at 1.
@@ -110,23 +108,19 @@ impl SyntheticConfig {
                 // Per-node ground-truth model.
                 let u_i = draw_centered(rng, self.alpha);
                 let w: Vec<f64> = (0..self.classes * self.dim)
-                    .map(|_| u_i + std_normal.sample(rng))
+                    .map(|_| u_i + normal(rng, 1.0))
                     .collect();
-                let b: Vec<f64> = (0..self.classes)
-                    .map(|_| u_i + std_normal.sample(rng))
-                    .collect();
+                let b: Vec<f64> = (0..self.classes).map(|_| u_i + normal(rng, 1.0)).collect();
                 // Per-node input distribution.
                 let big_b = draw_centered(rng, self.beta);
-                let v: Vec<f64> = (0..self.dim)
-                    .map(|_| big_b + std_normal.sample(rng))
-                    .collect();
+                let v: Vec<f64> = (0..self.dim).map(|_| big_b + normal(rng, 1.0)).collect();
 
                 let mut xs = Matrix::zeros(n, self.dim);
                 let mut labels = Vec::with_capacity(n);
                 for r in 0..n {
                     let row = xs.row_mut(r);
                     for (k, x) in row.iter_mut().enumerate() {
-                        *x = v[k] + sigma[k] * std_normal.sample(rng);
+                        *x = v[k] + sigma[k] * normal(rng, 1.0);
                     }
                     labels.push(argmax_label(&w, &b, row, self.classes, self.dim));
                 }
@@ -150,9 +144,7 @@ fn draw_centered<R: Rng + ?Sized>(rng: &mut R, var: f64) -> f64 {
     if var == 0.0 {
         0.0
     } else {
-        Normal::new(0.0, var.sqrt())
-            .expect("valid normal")
-            .sample(rng)
+        normal(rng, var.sqrt())
     }
 }
 

@@ -102,7 +102,7 @@ impl<C: TransportCost> RobustSurrogate<C> {
     }
 
     /// The inner objective `l(θ, (x, y₀)) − λ c((x, y₀), (x₀, y₀))`.
-    pub fn objective(
+    fn objective(
         &self,
         model: &dyn Model,
         params: &[f64],
@@ -154,33 +154,13 @@ impl<C: TransportCost> RobustSurrogate<C> {
             transport_cost,
         }
     }
-
-    /// The expected robust surrogate loss over a batch,
-    /// `E_{P̂}[l_λ(θ, (x, y))]` — the term added to the meta objective in
-    /// problem (V-B) of the paper.
-    pub fn batch_surrogate(
-        &self,
-        model: &dyn Model,
-        params: &[f64],
-        batch: &fml_models::Batch,
-    ) -> f64 {
-        if batch.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = batch
-            .iter()
-            .map(|(x, y)| self.maximize(model, params, x, y).value)
-            .sum();
-        total / batch.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SquaredL2Cost;
-    use fml_linalg::Matrix;
-    use fml_models::{Batch, LinearRegression, LogisticRegression, SoftmaxRegression};
+    use fml_models::{LinearRegression, LogisticRegression};
     use rand::SeedableRng;
 
     fn linear_setup() -> (LinearRegression, Vec<f64>) {
@@ -259,27 +239,6 @@ mod tests {
             .with_step_size(0.5);
         let pt = s.maximize(&model, &params, &x0, y);
         assert!(pt.adversarial_loss >= clean);
-    }
-
-    #[test]
-    fn batch_surrogate_averages() {
-        let model = SoftmaxRegression::new(2, 3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let params = model.init_params(&mut rng);
-        let xs = Matrix::from_rows(&[&[0.1, 0.2], &[-0.4, 0.8]]).unwrap();
-        let batch = Batch::classification(xs, vec![0, 2]).unwrap();
-        let s = RobustSurrogate::new(SquaredL2Cost, 1.0)
-            .with_steps(5)
-            .with_step_size(0.3);
-        let avg = s.batch_surrogate(&model, &params, &batch);
-        let manual = (s
-            .maximize(&model, &params, batch.feature(0), batch.target(0))
-            .value
-            + s.maximize(&model, &params, batch.feature(1), batch.target(1))
-                .value)
-            / 2.0;
-        assert!((avg - manual).abs() < 1e-12);
-        assert_eq!(s.batch_surrogate(&model, &params, &Batch::empty(2)), 0.0);
     }
 
     #[test]

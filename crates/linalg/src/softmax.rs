@@ -8,14 +8,7 @@
 /// Numerically stable `log Σ exp(xᵢ)`.
 ///
 /// Returns `-inf` for an empty slice (the sum of zero exponentials).
-///
-/// # Examples
-///
-/// ```
-/// let lse = fml_linalg::softmax::log_sum_exp(&[1000.0, 1000.0]);
-/// assert!((lse - (1000.0 + (2.0f64).ln())).abs() < 1e-9);
-/// ```
-pub fn log_sum_exp(x: &[f64]) -> f64 {
+fn log_sum_exp(x: &[f64]) -> f64 {
     let m = x.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
     if m == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;
@@ -111,6 +104,8 @@ mod tests {
         assert!((v - 0.0).abs() < 1e-12);
         let big = log_sum_exp(&[1e9, 1e9 - 700.0]);
         assert!(big.is_finite());
+        let lse = log_sum_exp(&[1000.0, 1000.0]);
+        assert!((lse - (1000.0 + (2.0f64).ln())).abs() < 1e-9);
     }
 
     #[test]

@@ -49,8 +49,8 @@ impl Quadratic {
     /// # Panics
     ///
     /// Panics when `a` is not square. Positive definiteness is the caller's
-    /// responsibility (use [`Quadratic::isotropic`] or
-    /// [`Quadratic::diagonal`] for guaranteed-SPD construction).
+    /// responsibility (use [`Quadratic::isotropic`] for guaranteed-SPD
+    /// construction).
     pub fn new(a: Matrix) -> Self {
         assert_eq!(a.rows(), a.cols(), "Quadratic: curvature must be square");
         Quadratic { a }
@@ -64,24 +64,6 @@ impl Quadratic {
     pub fn isotropic(dim: usize, c: f64) -> Self {
         assert!(c > 0.0, "Quadratic: curvature must be positive");
         Quadratic::new(Matrix::from_diag(&vec![c; dim]))
-    }
-
-    /// Diagonal curvature — `μ = min(diag)`, `H = max(diag)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any diagonal entry is not positive.
-    pub fn diagonal(diag: &[f64]) -> Self {
-        assert!(
-            diag.iter().all(|&d| d > 0.0),
-            "Quadratic: diagonal entries must be positive"
-        );
-        Quadratic::new(Matrix::from_diag(diag))
-    }
-
-    /// Borrow of the curvature matrix `A`.
-    pub fn curvature(&self) -> &Matrix {
-        &self.a
     }
 
     fn mean_center(&self, batch: &Batch) -> Vec<f64> {
@@ -184,14 +166,14 @@ mod tests {
 
     #[test]
     fn grad_matches_numeric() {
-        let model = Quadratic::diagonal(&[1.0, 4.0, 2.0]);
+        let model = Quadratic::new(Matrix::from_diag(&[1.0, 4.0, 2.0]));
         let batch = batch_with_centers(&[&[0.5, -0.5, 1.0], &[-1.0, 2.0, 0.0]]);
         assert!(check::grad_error(&model, &[0.2, 0.3, -0.1], &batch) < 1e-7);
     }
 
     #[test]
     fn hvp_is_exact_curvature_product() {
-        let model = Quadratic::diagonal(&[1.0, 2.0]);
+        let model = Quadratic::new(Matrix::from_diag(&[1.0, 2.0]));
         let batch = batch_with_centers(&[&[0.0, 0.0]]);
         let hv = model.hvp(&[5.0, 5.0], &batch, &[1.0, 1.0]);
         assert_eq!(hv, vec![1.0, 2.0]);
@@ -200,7 +182,7 @@ mod tests {
 
     #[test]
     fn input_grad_matches_numeric() {
-        let model = Quadratic::diagonal(&[2.0, 1.0]);
+        let model = Quadratic::new(Matrix::from_diag(&[2.0, 1.0]));
         let err = check::input_grad_error(&model, &[1.0, -1.0], &[0.5, 0.5], Target::Value(0.0));
         assert!(err < 1e-7, "input grad error {err}");
     }

@@ -411,14 +411,18 @@ mod tests {
 
     #[test]
     fn meta_roundtrip_restores_states_and_streaks() {
-        let mut t = HealthTracker::new(3, fast_policy());
+        let mut t = HealthTracker::new(5, fast_policy());
         t.record_failure(0, 1);
         t.record_failure(0, 2);
         t.exclude(2, 2);
+        // Both struct variants too, `usize::MAX` ("never") included.
+        t.set(3, 2, NodeHealth::Quarantined { until: usize::MAX });
+        t.set(4, 2, NodeHealth::Probation { remaining: 1 });
         let meta = t.to_meta();
 
-        let mut back = HealthTracker::new(3, fast_policy());
+        let mut back = HealthTracker::new(5, fast_policy());
         assert!(back.restore_meta(&meta));
+        assert_eq!(back.states, t.states);
         assert_eq!(back.states[0], NodeHealth::Suspect);
         assert_eq!(back.states[1], NodeHealth::Healthy);
         assert_eq!(back.states[2], NodeHealth::Excluded);

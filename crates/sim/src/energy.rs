@@ -42,16 +42,6 @@ impl EnergyModel {
         }
     }
 
-    /// A model that charges nothing (for isolating other costs).
-    pub fn free() -> Self {
-        EnergyModel {
-            compute_power_w: 0.0,
-            tx_j_per_byte: 0.0,
-            rx_j_per_byte: 0.0,
-            idle_power_w: 0.0,
-        }
-    }
-
     /// Validates the knobs.
     ///
     /// # Errors
@@ -160,7 +150,13 @@ mod tests {
     #[test]
     fn free_model_charges_nothing() {
         let (comm, compute) = meters();
-        let e = EnergyModel::free().price(&comm, &compute, 100.0);
+        let free = EnergyModel {
+            compute_power_w: 0.0,
+            tx_j_per_byte: 0.0,
+            rx_j_per_byte: 0.0,
+            idle_power_w: 0.0,
+        };
+        let e = free.price(&comm, &compute, 100.0);
         assert_eq!(e.total_j(), 0.0);
         assert_eq!(e.radio_fraction(), 0.0);
     }

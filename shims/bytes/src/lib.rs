@@ -1,7 +1,16 @@
 //! Workspace-local stand-in for the `bytes` crate.
 //!
-//! Implements the subset the wire codec in `fml-sim` uses: [`Bytes`],
-//! [`BytesMut`], little-endian put/get via [`Buf`]/[`BufMut`].
+//! Implements the subset the wire path in `fml-sim` and `fml-runtime`
+//! calls:
+//!
+//! * [`Bytes`]: `copy_from_slice`, `try_into_mut`, `From<Vec<u8>>`, into
+//!   `Vec<u8>`, and `Deref`/`AsRef` to `[u8]`;
+//! * [`BytesMut`]: `new`, `with_capacity`, `clear`, `reserve`, `capacity`,
+//!   `freeze`, and `Deref` to `[u8]`;
+//! * [`Buf`] on `&[u8]`: `remaining`, `get_u8`, `get_u16_le`,
+//!   `get_u32_le` (wider fields are read with `from_le_bytes`);
+//! * [`BufMut`] on [`BytesMut`]: `put_u8`, `put_u16_le`, `put_u32_le`,
+//!   `put_f32_le`, `put_f64_le`, `put_slice`.
 //!
 //! [`Bytes`] is refcounted (`Arc<Vec<u8>>`), matching upstream's key
 //! property: `clone()` is a pointer bump, not a copy, so broadcasting
@@ -18,28 +27,17 @@ use std::sync::Arc;
 /// An immutable, cheaply cloneable byte buffer.
 ///
 /// Cloning bumps a refcount; all clones view the same heap allocation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Bytes {
     data: Arc<Vec<u8>>,
 }
 
 impl Bytes {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Bytes::default()
-    }
-
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes {
             data: Arc::new(data.to_vec()),
         }
-    }
-
-    /// Number of outstanding handles on this buffer (for tests and
-    /// pool diagnostics).
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.data)
     }
 
     /// Reclaims the underlying storage as a [`BytesMut`] when this is
@@ -75,25 +73,10 @@ impl Deref for Bytes {
     }
 }
 
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
         Bytes {
             data: Arc::new(data),
-        }
-    }
-}
-
-impl From<Bytes> for Vec<u8> {
-    fn from(b: Bytes) -> Self {
-        match Arc::try_unwrap(b.data) {
-            Ok(v) => v,
-            Err(shared) => shared.as_slice().to_vec(),
         }
     }
 }
@@ -160,12 +143,6 @@ pub trait Buf {
 
     /// Reads a little-endian `u32`.
     fn get_u32_le(&mut self) -> u32;
-
-    /// Reads a little-endian `f32`.
-    fn get_f32_le(&mut self) -> f32;
-
-    /// Reads a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64;
 }
 
 impl Buf for &[u8] {
@@ -189,20 +166,6 @@ impl Buf for &[u8] {
     fn get_u32_le(&mut self) -> u32 {
         let (head, rest) = self.split_at(4);
         let value = u32::from_le_bytes(head.try_into().expect("4 bytes"));
-        *self = rest;
-        value
-    }
-
-    fn get_f32_le(&mut self) -> f32 {
-        let (head, rest) = self.split_at(4);
-        let value = f32::from_le_bytes(head.try_into().expect("4 bytes"));
-        *self = rest;
-        value
-    }
-
-    fn get_f64_le(&mut self) -> f64 {
-        let (head, rest) = self.split_at(8);
-        let value = f64::from_le_bytes(head.try_into().expect("8 bytes"));
         *self = rest;
         value
     }
@@ -273,9 +236,9 @@ mod tests {
         assert_eq!(cursor.get_u8(), 7);
         assert_eq!(cursor.get_u16_le(), 0xBEEF);
         assert_eq!(cursor.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(cursor.get_f32_le(), 0.25);
-        assert_eq!(cursor.get_f64_le(), -1.5);
-        assert_eq!(cursor.remaining(), 0);
+        assert_eq!(f32::from_bits(cursor.get_u32_le()), 0.25);
+        assert_eq!(cursor.remaining(), 8);
+        assert_eq!(cursor, (-1.5f64).to_le_bytes());
     }
 
     #[test]
@@ -288,9 +251,7 @@ mod tests {
     #[test]
     fn clone_is_refcounted_not_copied() {
         let b = Bytes::copy_from_slice(&[9; 64]);
-        assert_eq!(b.ref_count(), 1);
         let c = b.clone();
-        assert_eq!(b.ref_count(), 2);
         assert_eq!(b, c);
         // Same allocation behind both handles.
         assert!(std::ptr::eq(b.as_ref().as_ptr(), c.as_ref().as_ptr()));

@@ -1,9 +1,12 @@
 //! Workspace-local stand-in for `criterion`.
 //!
-//! A minimal benchmark harness with criterion's API shape: benchmark
-//! groups, [`Bencher::iter`] and [`BenchmarkId`]. Timing uses adaptive
-//! batching around `std::time::Instant` and prints median ns/iter;
-//! nothing is recorded.
+//! A minimal benchmark harness with the slice of criterion's API the
+//! kernel bench calls: `Criterion::default` and `benchmark_group`,
+//! [`BenchmarkGroup`]'s `bench_function` (named by `&str`),
+//! `bench_with_input` (named by a [`BenchmarkId`]: `new` or
+//! `from_parameter`) and `finish`, [`Bencher::iter`], and [`black_box`].
+//! Timing uses adaptive batching around `std::time::Instant` and prints
+//! median ns/iter; nothing is recorded.
 //!
 //! Flags understood on the bench binary:
 //!
@@ -79,11 +82,11 @@ pub struct BenchmarkGroup<'a> {
 
 impl BenchmarkGroup<'_> {
     /// Benchmarks a closure under `group/name`.
-    pub fn bench_function<F>(&mut self, name: impl IntoBenchmarkId, f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        let id = format!("{}/{}", self.name, name.into_benchmark_id());
+        let id = format!("{}/{name}", self.name);
         self.criterion.run(id, f);
         self
     }
@@ -93,7 +96,7 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let id = format!("{}/{}", self.name, id.into_benchmark_id());
+        let id = format!("{}/{}", self.name, id.text);
         self.criterion.run(id, |b| f(b, input));
         self
     }
@@ -121,24 +124,6 @@ impl BenchmarkId {
         BenchmarkId {
             text: parameter.to_string(),
         }
-    }
-}
-
-/// Things convertible to a benchmark id string.
-pub trait IntoBenchmarkId {
-    /// The id text.
-    fn into_benchmark_id(self) -> String;
-}
-
-impl IntoBenchmarkId for BenchmarkId {
-    fn into_benchmark_id(self) -> String {
-        self.text
-    }
-}
-
-impl IntoBenchmarkId for &str {
-    fn into_benchmark_id(self) -> String {
-        self.to_string()
     }
 }
 
@@ -213,11 +198,8 @@ mod tests {
 
     #[test]
     fn ids_compose() {
-        assert_eq!(BenchmarkId::from_parameter(8).into_benchmark_id(), "8");
-        assert_eq!(
-            BenchmarkId::new("encode", 610).into_benchmark_id(),
-            "encode/610"
-        );
+        assert_eq!(BenchmarkId::from_parameter(8).text, "8");
+        assert_eq!(BenchmarkId::new("encode", 610).text, "encode/610");
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Workspace-local stand-in for `proptest`.
 //!
-//! Provides the subset the repository's property tests use: the
-//! [`proptest!`] macro, [`prop_assert!`]/[`prop_assert_eq!`],
-//! [`ProptestConfig`], range and tuple [`Strategy`] impls, and
-//! [`collection::vec`].
+//! Provides the subset the repository's property tests call: the
+//! [`proptest!`] macro (with `#![proptest_config(...)]`),
+//! [`prop_assert!`]/[`prop_assert_eq!`], [`prop_oneof!`],
+//! [`ProptestConfig`] (`with_cases`), [`Strategy`] (`prop_map`) for
+//! integer `a..b` / `a..=b` and `f64` `a..b` ranges, tuples of two to
+//! four strategies and [`Just`], [`any`] over [`Arbitrary`] (`bool`,
+//! `u8`, `u64`, `usize`), and [`collection::vec`] (also as
+//! `prop::collection::vec`) with an exact or `a..b` length.
 //!
 //! Unlike upstream proptest there is no shrinking: each test runs a
 //! fixed number of deterministic random cases (seeded from the test name
@@ -98,7 +102,7 @@ macro_rules! arbitrary_ints {
     )*};
 }
 
-arbitrary_ints!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+arbitrary_ints!(u8, u64, usize);
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut StdRng) -> bool {
@@ -107,11 +111,10 @@ impl Arbitrary for bool {
 }
 
 /// Strategy over a type's full value range — see [`any`].
-#[derive(Debug, Clone)]
-pub struct Any<T>(core::marker::PhantomData<T>);
+struct Any<T>(core::marker::PhantomData<T>);
 
 /// Full-range strategy for an [`Arbitrary`] type: `any::<u8>()`.
-pub fn any<T: Arbitrary>() -> Any<T> {
+pub fn any<T: Arbitrary>() -> impl Strategy<Value = T> {
     Any(core::marker::PhantomData)
 }
 
@@ -129,10 +132,10 @@ pub struct OneOf<V> {
 }
 
 impl<V> OneOf<V> {
-    /// An empty choice; useless until [`or`](OneOf::or) adds options.
-    pub fn new() -> Self {
+    /// A choice of one alternative so far.
+    pub fn new(first: impl Strategy<Value = V> + 'static) -> Self {
         OneOf {
-            options: Vec::new(),
+            options: vec![Box::new(first)],
         }
     }
 
@@ -143,16 +146,9 @@ impl<V> OneOf<V> {
     }
 }
 
-impl<V> Default for OneOf<V> {
-    fn default() -> Self {
-        OneOf::new()
-    }
-}
-
 impl<V> Strategy for OneOf<V> {
     type Value = V;
     fn generate(&self, rng: &mut StdRng) -> V {
-        assert!(!self.options.is_empty(), "prop_oneof! of zero strategies");
         let i = rng.gen_range(0..self.options.len());
         self.options[i].generate(rng)
     }
@@ -162,8 +158,8 @@ impl<V> Strategy for OneOf<V> {
 /// weightless `prop_oneof!` form).
 #[macro_export]
 macro_rules! prop_oneof {
-    ($($s:expr),+ $(,)?) => {
-        $crate::OneOf::new()$(.or($s))+
+    ($first:expr $(, $s:expr)* $(,)?) => {
+        $crate::OneOf::new($first)$(.or($s))*
     };
 }
 
@@ -171,13 +167,6 @@ impl Strategy for core::ops::Range<f64> {
     type Value = f64;
     fn generate(&self, rng: &mut StdRng) -> f64 {
         rng.gen_range(self.start..self.end)
-    }
-}
-
-impl Strategy for core::ops::RangeInclusive<f64> {
-    type Value = f64;
-    fn generate(&self, rng: &mut StdRng) -> f64 {
-        rng.gen_range(*self.start()..=*self.end())
     }
 }
 
@@ -274,25 +263,17 @@ pub mod collection {
         }
     }
 
-    impl From<core::ops::RangeInclusive<usize>> for SizeRange {
-        fn from(r: core::ops::RangeInclusive<usize>) -> Self {
-            SizeRange {
-                min: *r.start(),
-                max_excl: *r.end() + 1,
-            }
-        }
-    }
-
-    /// Strategy generating `Vec`s of an element strategy.
-    #[derive(Debug, Clone)]
-    pub struct VecStrategy<S> {
+    struct VecStrategy<S> {
         element: S,
         size: SizeRange,
     }
 
     /// Generates vectors whose elements come from `element` and whose
     /// length falls in `size`.
-    pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
+    pub fn vec<S: Strategy>(
+        element: S,
+        size: impl Into<SizeRange>,
+    ) -> impl Strategy<Value = Vec<S::Value>> {
         VecStrategy {
             element,
             size: size.into(),
@@ -320,7 +301,7 @@ pub mod prop {
 /// Common imports for property tests.
 pub mod prelude {
     pub use crate::{any, collection, prop};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
     pub use crate::{Arbitrary, Just, ProptestConfig, Strategy};
 }
 
@@ -334,12 +315,6 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($tt:tt)*) => { assert_eq!($($tt)*) };
-}
-
-/// Asserts inequality inside a property test.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($tt:tt)*) => { assert_ne!($($tt)*) };
 }
 
 /// Defines property tests: each `fn name(arg in strategy, ...)` runs

@@ -2,12 +2,16 @@
 //!
 //! The build environment has no network access to crates.io, so the
 //! workspace vendors a minimal, deterministic implementation of the
-//! subset of the `rand` 0.8 API this repository actually uses:
+//! subset of the `rand` 0.8 API this repository calls:
 //!
-//! * [`RngCore`] / [`SeedableRng`] / [`Rng`] traits,
+//! * [`RngCore`] (`next_u32`, `next_u64`) and [`SeedableRng`]
+//!   (`from_seed`, `seed_from_u64`);
+//! * [`Rng`]: `gen` over [`Standard`] (`f64` in `[0, 1)`, `u64`,
+//!   `bool`), `gen_range` over [`SampleRange`] (integer `a..b` /
+//!   `a..=b`, `f64` `a..b`), and `gen_bool`;
 //! * [`rngs::StdRng`] — here a `xoshiro256++` generator (seeded via
 //!   SplitMix64, the same construction the reference implementation
-//!   recommends),
+//!   recommends);
 //! * [`seq::SliceRandom::shuffle`] — Fisher–Yates.
 //!
 //! The streams are deterministic and stable across platforms and thread
@@ -22,30 +26,6 @@ pub trait RngCore {
     fn next_u32(&mut self) -> u32;
     /// Returns the next 64 random bits.
     fn next_u64(&mut self) -> u64;
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    fn next_u32(&mut self) -> u32 {
-        (**self).next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        (**self).fill_bytes(dest)
-    }
 }
 
 /// A generator that can be instantiated from a seed.
@@ -86,7 +66,7 @@ impl SplitMix64 {
 /// Extension methods over [`RngCore`] (sampling of typed values).
 pub trait Rng: RngCore {
     /// Samples a value of type `T` from its standard distribution
-    /// (`f64` uniform in `[0, 1)`, integers uniform over the full range,
+    /// (`f64` uniform in `[0, 1)`, `u64` uniform over the full range,
     /// `bool` fair).
     fn gen<T: Standard>(&mut self) -> T {
         T::sample(self)
@@ -130,27 +110,9 @@ impl Standard for f64 {
     }
 }
 
-impl Standard for f32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-}
-
-impl Standard for u32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u32()
-    }
-}
-
 impl Standard for u64 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64()
-    }
-}
-
-impl Standard for usize {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() as usize
     }
 }
 
@@ -222,23 +184,6 @@ impl SampleRange<f64> for core::ops::Range<f64> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
         assert!(self.start < self.end, "gen_range: empty range");
         let u = f64::sample(rng);
-        self.start + u * (self.end - self.start)
-    }
-}
-
-impl SampleRange<f64> for core::ops::RangeInclusive<f64> {
-    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
-        let (start, end) = (*self.start(), *self.end());
-        assert!(start <= end, "gen_range: empty range");
-        let u = f64::sample(rng);
-        start + u * (end - start)
-    }
-}
-
-impl SampleRange<f32> for core::ops::Range<f32> {
-    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f32 {
-        assert!(self.start < self.end, "gen_range: empty range");
-        let u = f32::sample(rng);
         self.start + u * (self.end - self.start)
     }
 }

@@ -1,10 +1,10 @@
 //! Workspace-local stand-in for `serde`.
 //!
 //! The build environment has no network access to crates.io, so the
-//! workspace vendors a small serialization framework with the same
-//! surface this repository uses: `#[derive(Serialize, Deserialize)]`
-//! (provided by the companion `serde_derive` shim) plus the usual
-//! `#[serde(...)]` attributes (`default`, `default = "path"`,
+//! workspace vendors a small serialization framework with the surface
+//! this repository calls: `#[derive(Serialize, Deserialize)]` (provided
+//! by the companion `serde_derive` shim, whose header lists the supported
+//! shapes and `#[serde(...)]` attributes: `default`, `default = "path"`,
 //! `skip_serializing_if = "path"`, `tag = "..."`,
 //! `rename_all = "snake_case"`).
 //!
@@ -14,13 +14,18 @@
 //! * [`Serialize::to_value`] — build a [`Value`];
 //! * [`Deserialize::from_value`] — parse from a [`Value`].
 //!
+//! Both traits are implemented for `bool`, the integer and float
+//! primitives, `String`, `Vec<T>`, `Option<T>`, pairs, `BTreeMap<String,
+//! V>` and [`Value`] itself; `Serialize` also for `&T`, `str`, `[T]` and
+//! triples (written, never read).
+//!
 //! The companion `serde_json` shim renders [`Value`] to JSON text and
 //! back, so `serde_json::{to_string, to_string_pretty, from_str}` behave
 //! as the rest of the workspace expects.
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -119,8 +124,6 @@ impl std::fmt::Display for Error {
     }
 }
 
-impl std::error::Error for Error {}
-
 /// Types convertible to the [`Value`] data model.
 pub trait Serialize {
     /// Builds the value tree for `self`.
@@ -190,36 +193,7 @@ macro_rules! uint_impls {
     )*};
 }
 
-uint_impls!(u8, u16, u32, u64, usize);
-
-macro_rules! int_impls {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = *self as i64;
-                if n < 0 {
-                    Value::Int(n)
-                } else {
-                    Value::UInt(n as u64)
-                }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let wide: i128 = match v {
-                    Value::UInt(n) => *n as i128,
-                    Value::Int(n) => *n as i128,
-                    other => return Err(Error::expected("integer", other)),
-                };
-                <$t>::try_from(wide).map_err(|_| {
-                    Error::custom(concat!("integer out of range for ", stringify!($t)))
-                })
-            }
-        }
-    )*};
-}
-
-int_impls!(i8, i16, i32, i64, isize);
+uint_impls!(u32, u64, usize);
 
 macro_rules! float_impls {
     ($($t:ty),*) => {$(
@@ -241,7 +215,7 @@ macro_rules! float_impls {
     )*};
 }
 
-float_impls!(f32, f64);
+float_impls!(f64);
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
@@ -258,19 +232,7 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
@@ -328,15 +290,6 @@ impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
     }
 }
 
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v.as_array() {
-            Some([a, b, c]) => Ok((A::from_value(a)?, B::from_value(b)?, C::from_value(c)?)),
-            _ => Err(Error::expected("3-element array", v)),
-        }
-    }
-}
-
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_value(&self) -> Value {
         Value::Map(
@@ -359,36 +312,6 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
     }
 }
 
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        // Sort for deterministic output.
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Map(entries)
-    }
-}
-
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Map(m) => m
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(Error::expected("object", other)),
-        }
-    }
-}
-
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
@@ -404,8 +327,8 @@ mod tests {
         assert_eq!(f64::from_value(&Value::UInt(3)).unwrap(), 3.0);
         assert_eq!(u32::from_value(&Value::Int(7)).unwrap(), 7);
         assert!(u32::from_value(&Value::Int(-1)).is_err());
-        assert!(u8::from_value(&Value::UInt(300)).is_err());
-        assert_eq!(i64::from_value(&Value::UInt(9)).unwrap(), 9);
+        assert!(u32::from_value(&Value::UInt(1 << 40)).is_err());
+        assert_eq!(f64::from_value(&Value::Int(-9)).unwrap(), -9.0);
     }
 
     #[test]

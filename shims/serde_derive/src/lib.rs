@@ -1,18 +1,24 @@
 //! Workspace-local stand-in for `serde_derive`.
 //!
 //! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the
-//! shapes this repository uses — named-field structs and enums with
-//! unit, newtype, and struct variants — against the shim `serde` crate's
-//! `Value`-based traits. Supported `#[serde(...)]` attributes:
+//! shapes this repository uses against the shim `serde` crate's
+//! `Value`-based traits:
 //!
-//! * field: `default`, `default = "path"`, `skip_serializing_if = "path"`,
-//!   `rename = "..."`;
-//! * container: `tag = "..."` (internally tagged enums),
-//!   `rename_all = "snake_case" | "lowercase"`.
+//! * structs with named fields;
+//! * externally tagged enums of unit and struct variants (a unit variant
+//!   is its name as a string, a struct variant a one-entry map);
+//! * internally tagged enums (`tag = "..."`) of struct variants.
 //!
-//! The macro parses the item's token stream directly (no `syn`/`quote`
-//! available offline) and emits the impl as source text. Generics are not
-//! supported; none of the workspace's serialized types are generic.
+//! Supported `#[serde(...)]` attributes:
+//!
+//! * field: `default`, `default = "path"`, `skip_serializing_if = "path"`;
+//! * container: `tag = "..."`, `rename_all = "snake_case"`.
+//!
+//! A missing field without a `default` attribute is an error, `Option`
+//! fields included. The macro parses the item's token stream directly
+//! (no `syn`/`quote` available offline) and emits the impl as source text.
+//! Generics are not supported; none of the workspace's serialized types
+//! are generic.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -20,31 +26,24 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 // Model
 // ---------------------------------------------------------------------------
 
-#[derive(Default, Clone)]
+#[derive(Default)]
 struct SerdeAttrs {
     default: bool,
     default_path: Option<String>,
     skip_if: Option<String>,
-    rename: Option<String>,
     tag: Option<String>,
-    rename_all: Option<String>,
+    snake_case: bool,
 }
 
 struct Field {
     name: String,
-    is_option: bool,
     attrs: SerdeAttrs,
-}
-
-enum VariantKind {
-    Unit,
-    Newtype,
-    Struct(Vec<Field>),
 }
 
 struct Variant {
     name: String,
-    kind: VariantKind,
+    /// `None` for a unit variant.
+    fields: Option<Vec<Field>>,
 }
 
 enum Body {
@@ -82,6 +81,14 @@ fn parse_item(input: TokenStream) -> Item {
         "enum" => Body::Enum(parse_variants(&body_tokens)),
         other => panic!("serde_derive shim: cannot derive for `{other}` items"),
     };
+    if let (Some(_), Body::Enum(variants)) = (&attrs.tag, &body) {
+        if let Some(unit) = variants.iter().find(|v| v.fields.is_none()) {
+            panic!(
+                "serde_derive shim: unit variant `{}` in internally tagged `{name}`",
+                unit.name
+            );
+        }
+    }
     Item { name, attrs, body }
 }
 
@@ -119,20 +126,23 @@ fn parse_serde_args(stream: &TokenStream, attrs: &mut SerdeAttrs) {
             i += 1;
             match tokens.get(i) {
                 Some(TokenTree::Literal(lit)) => {
-                    value = Some(strip_quotes(&lit.to_string()));
+                    value = Some(lit.to_string().trim_matches('"').to_string());
                     i += 1;
                 }
-                other => panic!("serde_derive shim: expected literal after `{key} =`, got {other:?}"),
+                other => {
+                    panic!("serde_derive shim: expected literal after `{key} =`, got {other:?}")
+                }
             }
         }
         match (key.as_str(), value) {
             ("default", None) => attrs.default = true,
             ("default", Some(path)) => attrs.default_path = Some(path),
             ("skip_serializing_if", Some(path)) => attrs.skip_if = Some(path),
-            ("rename", Some(name)) => attrs.rename = Some(name),
             ("tag", Some(tag)) => attrs.tag = Some(tag),
-            ("rename_all", Some(rule)) => attrs.rename_all = Some(rule),
-            (other, _) => panic!("serde_derive shim: unsupported serde attribute `{other}`"),
+            ("rename_all", Some(rule)) if rule == "snake_case" => attrs.snake_case = true,
+            (other, value) => {
+                panic!("serde_derive shim: unsupported serde attribute `{other}` {value:?}")
+            }
         }
         if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
             i += 1;
@@ -151,9 +161,8 @@ fn parse_fields(tokens: &[TokenTree]) -> Vec<Field> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
             other => panic!("serde_derive shim: expected `:` after field `{name}`, got {other:?}"),
         }
-        // Consume the type: everything until a comma at angle-bracket depth 0.
+        // Skip the type: everything until a comma at angle-bracket depth 0.
         let mut depth = 0i32;
-        let mut first_type_ident: Option<String> = None;
         while i < tokens.len() {
             match &tokens[i] {
                 TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
@@ -162,19 +171,11 @@ fn parse_fields(tokens: &[TokenTree]) -> Vec<Field> {
                     i += 1;
                     break;
                 }
-                TokenTree::Ident(id) if first_type_ident.is_none() => {
-                    first_type_ident = Some(id.to_string());
-                }
                 _ => {}
             }
             i += 1;
         }
-        let is_option = first_type_ident.as_deref() == Some("Option");
-        fields.push(Field {
-            name,
-            is_option,
-            attrs,
-        });
+        fields.push(Field { name, attrs });
     }
     fields
 }
@@ -183,24 +184,23 @@ fn parse_variants(tokens: &[TokenTree]) -> Vec<Variant> {
     let mut i = 0;
     let mut variants = Vec::new();
     while i < tokens.len() {
-        let _attrs = parse_attrs(tokens, &mut i);
+        parse_attrs(tokens, &mut i);
         let name = expect_ident(tokens, &mut i);
-        let kind = match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                i += 1;
-                VariantKind::Newtype
-            }
+        let fields = match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
                 i += 1;
-                VariantKind::Struct(parse_fields(&inner))
+                Some(parse_fields(&inner))
             }
-            _ => VariantKind::Unit,
+            Some(TokenTree::Group(_)) => {
+                panic!("serde_derive shim: tuple variant `{name}` is not supported")
+            }
+            _ => None,
         };
         if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
             i += 1;
         }
-        variants.push(Variant { name, kind });
+        variants.push(Variant { name, fields });
     }
     variants
 }
@@ -225,17 +225,13 @@ fn expect_ident(tokens: &[TokenTree], i: &mut usize) -> String {
     }
 }
 
-fn strip_quotes(lit: &str) -> String {
-    lit.trim_matches('"').to_string()
-}
-
-// ---------------------------------------------------------------------------
-// Naming helpers
-// ---------------------------------------------------------------------------
-
-fn to_snake(s: &str) -> String {
+/// A variant's name on the wire: as written, or `snake_case`d.
+fn variant_key(name: &str, snake_case: bool) -> String {
+    if !snake_case {
+        return name.to_string();
+    }
     let mut out = String::new();
-    for (i, ch) in s.chars().enumerate() {
+    for (i, ch) in name.chars().enumerate() {
         if ch.is_uppercase() {
             if i > 0 {
                 out.push('_');
@@ -248,23 +244,6 @@ fn to_snake(s: &str) -> String {
     out
 }
 
-fn apply_rename(name: &str, rule: Option<&str>) -> String {
-    match rule {
-        Some("snake_case") => to_snake(name),
-        Some("lowercase") => name.to_lowercase(),
-        Some(other) => panic!("serde_derive shim: unsupported rename_all rule `{other}`"),
-        None => name.to_string(),
-    }
-}
-
-fn field_key(field: &Field) -> String {
-    field
-        .attrs
-        .rename
-        .clone()
-        .unwrap_or_else(|| field.name.clone())
-}
-
 // ---------------------------------------------------------------------------
 // Code generation
 // ---------------------------------------------------------------------------
@@ -275,9 +254,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let body = match &item.body {
         Body::Struct(fields) => {
-            let mut code = String::from(
-                "let mut __m: Vec<(String, ::serde::Value)> = Vec::new();\n",
-            );
+            let mut code =
+                String::from("let mut __m: Vec<(String, ::serde::Value)> = Vec::new();\n");
             for f in fields {
                 code.push_str(&serialize_field(f, &format!("&self.{}", f.name)));
             }
@@ -294,13 +272,14 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
          }}\n",
         name = item.name,
     );
-    out.parse().expect("serde_derive shim: generated Serialize impl parses")
+    out.parse()
+        .expect("serde_derive shim: generated Serialize impl parses")
 }
 
 fn serialize_field(f: &Field, access: &str) -> String {
-    let key = field_key(f);
     let push = format!(
-        "__m.push((String::from(\"{key}\"), ::serde::Serialize::to_value({access})));\n"
+        "__m.push((String::from(\"{key}\"), ::serde::Serialize::to_value({access})));\n",
+        key = f.name,
     );
     match &f.attrs.skip_if {
         Some(path) => format!("if !{path}({access}) {{\n{push}}}\n"),
@@ -309,70 +288,42 @@ fn serialize_field(f: &Field, access: &str) -> String {
 }
 
 fn serialize_enum(item: &Item, variants: &[Variant]) -> String {
-    let rename_all = item.attrs.rename_all.as_deref();
     let mut arms = String::new();
     for v in variants {
-        let tag_name = apply_rename(&v.name, rename_all);
-        match (&v.kind, &item.attrs.tag) {
-            (VariantKind::Unit, None) => {
-                arms.push_str(&format!(
-                    "{}::{} => ::serde::Value::Str(String::from(\"{tag_name}\")),\n",
-                    item.name, v.name
-                ));
-            }
-            (VariantKind::Unit, Some(tag)) => {
-                arms.push_str(&format!(
-                    "{}::{} => ::serde::Value::Map(vec![(String::from(\"{tag}\"), \
-                     ::serde::Value::Str(String::from(\"{tag_name}\")))]),\n",
-                    item.name, v.name
-                ));
-            }
-            (VariantKind::Newtype, None) => {
-                arms.push_str(&format!(
-                    "{}::{}(__x) => ::serde::Value::Map(vec![(String::from(\"{tag_name}\"), \
-                     ::serde::Serialize::to_value(__x))]),\n",
-                    item.name, v.name
-                ));
-            }
-            (VariantKind::Newtype, Some(_)) => {
-                panic!(
-                    "serde_derive shim: newtype variants are not supported in internally \
-                     tagged enums"
-                )
-            }
-            (VariantKind::Struct(fields), tag) => {
-                let bindings: Vec<String> = fields
-                    .iter()
-                    .map(|f| format!("{}: __f_{}", f.name, f.name))
-                    .collect();
-                let mut body = String::from(
-                    "let mut __m: Vec<(String, ::serde::Value)> = Vec::new();\n",
-                );
-                if let Some(tag) = tag {
-                    body.push_str(&format!(
-                        "__m.push((String::from(\"{tag}\"), \
-                         ::serde::Value::Str(String::from(\"{tag_name}\"))));\n"
-                    ));
-                }
-                for f in fields {
-                    body.push_str(&serialize_field(f, &format!("__f_{}", f.name)));
-                }
-                let inner = if tag.is_some() {
-                    "::serde::Value::Map(__m)".to_string()
-                } else {
-                    format!(
-                        "::serde::Value::Map(vec![(String::from(\"{tag_name}\"), \
-                         ::serde::Value::Map(__m))])"
-                    )
-                };
-                arms.push_str(&format!(
-                    "{}::{} {{ {} }} => {{\n{body}{inner}\n}}\n",
-                    item.name,
-                    v.name,
-                    bindings.join(", ")
-                ));
-            }
+        let key = variant_key(&v.name, item.attrs.snake_case);
+        let Some(fields) = &v.fields else {
+            arms.push_str(&format!(
+                "{}::{} => ::serde::Value::Str(String::from(\"{key}\")),\n",
+                item.name, v.name
+            ));
+            continue;
+        };
+        let bindings: Vec<String> = fields
+            .iter()
+            .map(|f| format!("{}: __f_{}", f.name, f.name))
+            .collect();
+        let mut body = String::from("let mut __m: Vec<(String, ::serde::Value)> = Vec::new();\n");
+        if let Some(tag) = &item.attrs.tag {
+            body.push_str(&format!(
+                "__m.push((String::from(\"{tag}\"), ::serde::Value::Str(String::from(\"{key}\"))));\n"
+            ));
         }
+        for f in fields {
+            body.push_str(&serialize_field(f, &format!("__f_{}", f.name)));
+        }
+        let inner = if item.attrs.tag.is_some() {
+            "::serde::Value::Map(__m)".to_string()
+        } else {
+            format!(
+                "::serde::Value::Map(vec![(String::from(\"{key}\"), ::serde::Value::Map(__m))])"
+            )
+        };
+        arms.push_str(&format!(
+            "{}::{} {{ {} }} => {{\n{body}{inner}\n}}\n",
+            item.name,
+            v.name,
+            bindings.join(", ")
+        ));
     }
     format!("match self {{\n{arms}}}\n")
 }
@@ -382,17 +333,12 @@ fn serialize_enum(item: &Item, variants: &[Variant]) -> String {
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let body = match &item.body {
-        Body::Struct(fields) => {
-            let mut code = String::from(
-                "let __m = __v.as_map().ok_or_else(|| ::serde::Error::expected(\"object\", __v))?;\n",
-            );
-            code.push_str(&format!(
-                "::std::result::Result::Ok({} {{\n{}}})\n",
-                item.name,
-                deserialize_fields(fields, "__m")
-            ));
-            code
-        }
+        Body::Struct(fields) => format!(
+            "let __m = __v.as_map().ok_or_else(|| ::serde::Error::expected(\"object\", __v))?;\n\
+             ::std::result::Result::Ok({} {{\n{}}})\n",
+            item.name,
+            deserialize_fields(fields)
+        ),
         Body::Enum(variants) => deserialize_enum(&item, variants),
     };
     let out = format!(
@@ -405,123 +351,82 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
          }}\n",
         name = item.name,
     );
-    out.parse().expect("serde_derive shim: generated Deserialize impl parses")
+    out.parse()
+        .expect("serde_derive shim: generated Deserialize impl parses")
 }
 
-/// Emits `name: <expr>,` initializers reading each field from map `map_var`.
-fn deserialize_fields(fields: &[Field], map_var: &str) -> String {
+/// Emits `name: <expr>,` initializers reading each field from the map `__m`.
+fn deserialize_fields(fields: &[Field]) -> String {
     let mut code = String::new();
     for f in fields {
-        let key = field_key(f);
+        let name = &f.name;
         let missing = if let Some(path) = &f.attrs.default_path {
             format!("{path}()")
         } else if f.attrs.default {
             "::std::default::Default::default()".to_string()
-        } else if f.is_option {
-            "::std::option::Option::None".to_string()
         } else {
             format!(
                 "return ::std::result::Result::Err(::serde::Error::custom(\
-                 \"missing field `{key}`\"))"
+                 \"missing field `{name}`\"))"
             )
         };
         code.push_str(&format!(
-            "{name}: match ::serde::value_get({map_var}, \"{key}\") {{\n\
+            "{name}: match ::serde::value_get(__m, \"{name}\") {{\n\
                  ::std::option::Option::Some(__fv) => ::serde::Deserialize::from_value(__fv)?,\n\
                  ::std::option::Option::None => {missing},\n\
-             }},\n",
-            name = f.name,
+             }},\n"
         ));
     }
     code
 }
 
 fn deserialize_enum(item: &Item, variants: &[Variant]) -> String {
-    let rename_all = item.attrs.rename_all.as_deref();
+    let unknown = "__other => ::std::result::Result::Err(::serde::Error::custom(\
+                   format!(\"unknown variant `{}`\", __other))),\n";
+    // A struct variant reads its fields from `__m`: the tagged map itself,
+    // or the one entry's value of an externally tagged map.
+    let fields_map = if item.attrs.tag.is_some() {
+        ""
+    } else {
+        "let __m = __inner.as_map().ok_or_else(|| ::serde::Error::expected(\"object\", __inner))?;\n"
+    };
+    let mut str_arms = String::new();
+    let mut map_arms = String::new();
+    for v in variants {
+        let key = variant_key(&v.name, item.attrs.snake_case);
+        match &v.fields {
+            // Only externally tagged enums have unit variants (see
+            // `parse_item`).
+            None => str_arms.push_str(&format!(
+                "\"{key}\" => ::std::result::Result::Ok({}::{}),\n",
+                item.name, v.name
+            )),
+            Some(fields) => map_arms.push_str(&format!(
+                "\"{key}\" => {{\n{fields_map}::std::result::Result::Ok({}::{} {{\n{}}})\n}}\n",
+                item.name,
+                v.name,
+                deserialize_fields(fields)
+            )),
+        }
+    }
     if let Some(tag) = &item.attrs.tag {
         // Internally tagged: read the tag key, then the variant's fields
         // from the same map.
-        let mut arms = String::new();
-        for v in variants {
-            let tag_name = apply_rename(&v.name, rename_all);
-            match &v.kind {
-                VariantKind::Unit => {
-                    arms.push_str(&format!(
-                        "\"{tag_name}\" => ::std::result::Result::Ok({}::{}),\n",
-                        item.name, v.name
-                    ));
-                }
-                VariantKind::Struct(fields) => {
-                    arms.push_str(&format!(
-                        "\"{tag_name}\" => ::std::result::Result::Ok({}::{} {{\n{}}}),\n",
-                        item.name,
-                        v.name,
-                        deserialize_fields(fields, "__m")
-                    ));
-                }
-                VariantKind::Newtype => panic!(
-                    "serde_derive shim: newtype variants are not supported in internally \
-                     tagged enums"
-                ),
-            }
-        }
         format!(
             "let __m = __v.as_map().ok_or_else(|| ::serde::Error::expected(\"object\", __v))?;\n\
              let __tag = ::serde::value_get(__m, \"{tag}\")\
                  .ok_or_else(|| ::serde::Error::custom(\"missing tag field `{tag}`\"))?\
                  .as_str()\
                  .ok_or_else(|| ::serde::Error::custom(\"tag field `{tag}` must be a string\"))?;\n\
-             match __tag {{\n{arms}\
-             __other => ::std::result::Result::Err(::serde::Error::custom(\
-                 format!(\"unknown variant `{{}}`\", __other))),\n\
-             }}\n"
+             match __tag {{\n{map_arms}{unknown}}}\n"
         )
     } else {
-        // Externally tagged.
-        let mut str_arms = String::new();
-        let mut map_arms = String::new();
-        for v in variants {
-            let tag_name = apply_rename(&v.name, rename_all);
-            match &v.kind {
-                VariantKind::Unit => {
-                    str_arms.push_str(&format!(
-                        "\"{tag_name}\" => ::std::result::Result::Ok({}::{}),\n",
-                        item.name, v.name
-                    ));
-                }
-                VariantKind::Newtype => {
-                    map_arms.push_str(&format!(
-                        "\"{tag_name}\" => ::std::result::Result::Ok({}::{}(\
-                         ::serde::Deserialize::from_value(__inner)?)),\n",
-                        item.name, v.name
-                    ));
-                }
-                VariantKind::Struct(fields) => {
-                    map_arms.push_str(&format!(
-                        "\"{tag_name}\" => {{\n\
-                             let __m = __inner.as_map().ok_or_else(|| \
-                                 ::serde::Error::expected(\"object\", __inner))?;\n\
-                             ::std::result::Result::Ok({}::{} {{\n{}}})\n\
-                         }}\n",
-                        item.name,
-                        v.name,
-                        deserialize_fields(fields, "__m")
-                    ));
-                }
-            }
-        }
         format!(
             "match __v {{\n\
-                 ::serde::Value::Str(__s) => match __s.as_str() {{\n{str_arms}\
-                     __other => ::std::result::Result::Err(::serde::Error::custom(\
-                         format!(\"unknown variant `{{}}`\", __other))),\n\
-                 }},\n\
+                 ::serde::Value::Str(__s) => match __s.as_str() {{\n{str_arms}{unknown}}},\n\
                  ::serde::Value::Map(__map) if __map.len() == 1 => {{\n\
                      let (__k, __inner) = &__map[0];\n\
-                     match __k.as_str() {{\n{map_arms}\
-                         __other => ::std::result::Result::Err(::serde::Error::custom(\
-                             format!(\"unknown variant `{{}}`\", __other))),\n\
-                     }}\n\
+                     match __k.as_str() {{\n{map_arms}{unknown}}}\n\
                  }}\n\
                  __other => ::std::result::Result::Err(::serde::Error::expected(\
                      \"enum representation\", __other)),\n\

@@ -346,9 +346,11 @@ impl<'a> Parser<'a> {
                                 {
                                     self.pos += 2;
                                     let low = self.parse_hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xD800) << 10)
-                                        + (low.wrapping_sub(0xDC00));
+                                    if !(0xDC00..0xE000).contains(&low) {
+                                        return Err(Error::msg("lone surrogate in string"));
+                                    }
+                                    let combined =
+                                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                                     out.push(
                                         char::from_u32(combined)
                                             .ok_or_else(|| Error::msg("invalid surrogate pair"))?,
@@ -519,11 +521,23 @@ mod tests {
         assert!(from_str::<Value>("[1, 2").is_err());
         assert!(from_str::<Value>("{} extra").is_err());
         assert!(from_str::<Value>("").is_err());
+        // A high surrogate escape needs a low one (DC00..=DFFF) next.
+        for bad in [
+            r#""\uD800\uD800""#,
+            r#""\uD800\u0041""#,
+            r#""\uDBFF\uE000""#,
+            r#""\uD800x""#,
+        ] {
+            let err = from_str::<String>(bad).unwrap_err();
+            assert!(err.to_string().contains("lone surrogate"), "{bad}: {err}");
+        }
     }
 
     #[test]
     fn unicode_escape_parses() {
-        let s: String = from_str(r#""é😀""#).unwrap();
-        assert_eq!(s, "é😀");
+        for json in [r#""é😀""#, r#""\u00e9\uD83D\uDE00""#] {
+            let s: String = from_str(json).unwrap();
+            assert_eq!(s, "é😀");
+        }
     }
 }

@@ -112,8 +112,14 @@ fn simulated_run_is_priceable_in_joules() {
         bill.tx_j + bill.rx_j
     );
 
-    // Free energy model prices the identical run at zero.
-    let zero = EnergyModel::free().price(&sim.comm, &sim.compute, sim.comm.time_s);
+    // A model with every knob at zero prices the identical run at zero.
+    let free = EnergyModel {
+        compute_power_w: 0.0,
+        tx_j_per_byte: 0.0,
+        rx_j_per_byte: 0.0,
+        idle_power_w: 0.0,
+    };
+    let zero = free.price(&sim.comm, &sim.compute, sim.comm.time_s);
     assert_eq!(zero.total_j(), 0.0);
 }
 
