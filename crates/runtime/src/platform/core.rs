@@ -1,0 +1,1252 @@
+//! The platform's round core: every decision of a round, and no I/O.
+//!
+//! [`Core`] holds the global, the health tracker, the report's ledger and
+//! the curve; it owns no clock, thread, channel, socket or file. Its
+//! caller — the thread driver in the parent module, or a test — moves
+//! frames and time in and out through plain methods, one round at a
+//! time:
+//!
+//! ```text
+//! open_round → broadcast(send) → evaluate_parked → wait(now) / offer(frame, now) / resend … → close_round → checkpoint
+//! ```
+//!
+//! Time enters only as the caller's `Instant`s, so a test can drive a
+//! round frame by frame at synthetic times without a thread or a sleep.
+
+use std::time::{Duration, Instant};
+
+use fml_core::checkpoint::Checkpoint;
+use fml_core::ft::{rollback_and_exclude, ReuseCache};
+use fml_core::gather::{gather, screen_update, RoundReport, Submission, Validated};
+use fml_core::{aggregate, Fault, LocalStepper, RoundRecord, Scratch, SourceTask, TrainOutput};
+use fml_linalg::vector::weighted_sum;
+use fml_models::Model;
+use fml_sim::message::encoded_frame_len;
+use fml_sim::{CompressedView, MessageView, RoundTrace};
+
+use crate::config::{AsyncPolicy, Mode, RuntimeConfig};
+use crate::health::HealthTracker;
+use crate::report::{NodeWeightStat, RuntimeReport};
+
+/// An upload buffered until its virtual arrival round (async mode).
+struct Pending {
+    node: usize,
+    /// Round whose broadcast the update was computed from.
+    origin: usize,
+    /// Round the upload (virtually) reaches the platform.
+    arrive: usize,
+    /// Absolute virtual arrival time, for deterministic ordering.
+    arrival_time_s: f64,
+    params: Vec<f64>,
+}
+
+/// The virtual round an async upload lands in: `⌊t / round_s⌋ + 1`,
+/// never earlier than its origin round.
+///
+/// Guarded against degenerate inputs that the naive float-to-usize cast
+/// silently mangled: a zero/subnormal `round_s` or a non-finite arrival
+/// time drives the quotient to ±∞/NaN, and `as usize` *saturates* — the
+/// old `… as usize + 1` then overflowed `usize::MAX` (panic in debug,
+/// wrap to round 1 in release, resurrecting an undeliverable upload as
+/// an on-time one). Any such input, and any arrival past `last_round`,
+/// now maps to `last_round + 1`: the upload stays in (virtual) flight
+/// forever and is counted as undelivered at shutdown, which is also
+/// exactly how the well-formed "arrives after the schedule ended" case
+/// has always behaved.
+fn virtual_arrival_round(
+    arrival_time_s: f64,
+    round_s: f64,
+    origin: usize,
+    last_round: usize,
+) -> usize {
+    let never = last_round + 1;
+    if !arrival_time_s.is_finite() || !round_s.is_finite() || round_s <= 0.0 {
+        return never;
+    }
+    let q = (arrival_time_s / round_s).floor();
+    if !q.is_finite() || q < 0.0 || q >= last_round as f64 {
+        return never;
+    }
+    (q as usize + 1).max(origin)
+}
+
+/// Running min/mean/max of the effective weights actually folded for
+/// one node (async mode).
+#[derive(Clone, Copy, Default)]
+struct WeightAccum {
+    applied: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl WeightAccum {
+    fn record(&mut self, w: f64) {
+        if self.applied == 0 {
+            self.min = w;
+            self.max = w;
+        } else {
+            self.min = self.min.min(w);
+            self.max = self.max.max(w);
+        }
+        self.sum += w;
+        self.applied += 1;
+    }
+
+    fn stat(&self, node: usize, quality: f64) -> NodeWeightStat {
+        NodeWeightStat {
+            node,
+            applied: self.applied,
+            mean_weight: if self.applied > 0 {
+                self.sum / self.applied as f64
+            } else {
+                0.0
+            },
+            min_weight: self.min,
+            max_weight: self.max,
+            quality,
+        }
+    }
+}
+
+/// FedBuff-style semi-async accumulator: accepted updates pile up here
+/// and the global model only moves when `k` of them are in (or at the
+/// end-of-run partial flush). The fold applies the buffer's *weighted
+/// mean* update at the *mean* effective weight, so a full buffer of
+/// identical updates moves the global exactly as far as one per-arrival
+/// fold of that update would.
+struct UpdateBuffer {
+    k: usize,
+    count: usize,
+    sum_w: f64,
+    /// `Σ w_j · u_j`, accumulated in arrival order.
+    acc: Vec<f64>,
+}
+
+impl UpdateBuffer {
+    fn new(k: usize, dim: usize) -> Self {
+        UpdateBuffer {
+            k,
+            count: 0,
+            sum_w: 0.0,
+            acc: vec![0.0; dim],
+        }
+    }
+
+    fn push(&mut self, w: f64, update: &[f64]) {
+        for (a, &u) in self.acc.iter_mut().zip(update) {
+            *a += w * u;
+        }
+        self.sum_w += w;
+        self.count += 1;
+    }
+
+    fn full(&self) -> bool {
+        self.count >= self.k
+    }
+
+    /// Folds the buffered weighted mean into `global` and resets.
+    /// Returns whether anything was actually applied.
+    fn flush(&mut self, global: &mut [f64]) -> bool {
+        if self.count == 0 {
+            return false;
+        }
+        let applied = if self.sum_w > 0.0 {
+            let w_bar = (self.sum_w / self.count as f64).clamp(0.0, 1.0);
+            for (g, &a) in global.iter_mut().zip(&self.acc) {
+                let u_bar = a / self.sum_w;
+                *g = (1.0 - w_bar) * *g + w_bar * u_bar;
+            }
+            true
+        } else {
+            // All-zero weights: nothing to apply, but the buffer still
+            // cycles so it cannot pin stale contributions forever.
+            false
+        };
+        self.count = 0;
+        self.sum_w = 0.0;
+        self.acc.iter_mut().for_each(|a| *a = 0.0);
+        applied
+    }
+}
+
+/// Async mode's state across rounds: the policy, the uploads still in
+/// virtual flight, per-node trust and weight statistics, and the
+/// semi-async buffer.
+struct Fold {
+    policy: AsyncPolicy,
+    pending: Vec<Pending>,
+    /// Per-node adaptive-mixing quality scores (recency-weighted, start
+    /// at full trust).
+    quality: Vec<f64>,
+    weight_stats: Vec<WeightAccum>,
+    buffer: UpdateBuffer,
+}
+
+/// One parsed uplink frame. The platform accepts both wire families on
+/// the uplink no matter which codec the nodes were configured with:
+/// decode routing is driven by the frame itself, never by config.
+enum UplinkFrame<'a> {
+    /// A model update (dense tag-2 or compressed tag-6).
+    Update {
+        node: usize,
+        frame_round: usize,
+        params: UpdateParams<'a>,
+    },
+    /// A valid frame that is not an update — a protocol violation on
+    /// this link, triaged as undelivered.
+    Other,
+    /// Neither wire family could parse it, or it is an update of the
+    /// wrong dimension.
+    Bad,
+}
+
+/// Borrowed parameter view behind an uplink update.
+enum UpdateParams<'a> {
+    Dense(MessageView<'a>),
+    Compressed(CompressedView<'a>),
+}
+
+impl<'a> UplinkFrame<'a> {
+    /// `dim` is the model's parameter count: an update announcing any
+    /// other logical length is [`Bad`](UplinkFrame::Bad) — judged from
+    /// the header, before anything is materialized, so neither a short
+    /// vector reaches the aggregate nor a `k = 0` top-k frame gets to
+    /// allocate the `u32::MAX` zeros it claims.
+    fn parse(frame: &'a [u8], dim: usize) -> UplinkFrame<'a> {
+        let (node, frame_round, len, params) = match MessageView::parse(frame) {
+            Ok(v) if v.is_update() => (v.node(), v.round(), v.len(), UpdateParams::Dense(v)),
+            Ok(_) => return UplinkFrame::Other,
+            Err(_) => match CompressedView::parse(frame) {
+                Ok(v) => (v.node(), v.round(), v.len(), UpdateParams::Compressed(v)),
+                Err(_) => return UplinkFrame::Bad,
+            },
+        };
+        if len != dim {
+            return UplinkFrame::Bad;
+        }
+        UplinkFrame::Update {
+            node: node as usize,
+            frame_round: frame_round as usize,
+            params,
+        }
+    }
+}
+
+impl UpdateParams<'_> {
+    /// Overwrites `out` with the update (dequantizing or zero-filling
+    /// dropped coordinates as the scheme requires), reusing its capacity.
+    fn copy_into(&self, out: &mut Vec<f64>) {
+        match self {
+            UpdateParams::Dense(v) => v.copy_params_into(out),
+            UpdateParams::Compressed(v) => v.copy_params_into(out),
+        }
+    }
+}
+
+/// Where a node stands in the open round.
+#[derive(Clone, Copy, PartialEq)]
+enum Slot {
+    /// Not reached by this round's broadcast.
+    Idle,
+    /// Reached; its update is still due.
+    Awaited,
+    /// Its update is decoded into its row.
+    Received,
+}
+
+/// How a round ended, for its history record and trace row.
+struct Outcome {
+    /// Whether the global moved.
+    aggregated: bool,
+    /// Updates that entered it.
+    reporters: usize,
+    degraded: bool,
+}
+
+/// A closed round whose curve point is still to be evaluated: what its
+/// history record and trace row need besides the two losses.
+struct Parked {
+    round: usize,
+    participants: Vec<usize>,
+    bytes: u64,
+    retransmissions: u64,
+    comm_time_s: f64,
+    end: Outcome,
+}
+
+/// One run's platform state and every decision its rounds make.
+///
+/// `history` and `report.trace` lag by one round while the run goes on:
+/// round `r`'s entries are appended by
+/// [`evaluate_parked`](Self::evaluate_parked) during round `r + 1` (or
+/// by [`finish`](Self::finish)), so nothing in the core reads them.
+/// `comm_rounds`, `global` and the checkpoint never lag.
+pub(crate) struct Core<'a> {
+    cfg: &'a RuntimeConfig,
+    stepper: &'a dyn LocalStepper,
+    model: &'a dyn Model,
+    tasks: &'a [SourceTask],
+    /// Counters and trace; the driver adds its link counters at the end.
+    pub(crate) report: RuntimeReport,
+    history: Vec<RoundRecord>,
+    comm_rounds: usize,
+    /// Per-node health state machine; quarantined/excluded nodes leave
+    /// the broadcast set and the quorum denominator.
+    health: HealthTracker,
+    /// Recovery cycles consumed against `cfg.recovery.max_recoveries`.
+    recoveries: usize,
+    /// The global model: what the next broadcast carries and what is
+    /// published after each round.
+    global: Vec<f64>,
+    /// The last completed round (0 before any).
+    done: usize,
+    /// The open round.
+    round: usize,
+    /// Nodes this round's broadcast reached, ascending.
+    delivered: Vec<usize>,
+    slots: Vec<Slot>,
+    /// One decoded update per node, reused across rounds.
+    rows: Vec<Vec<f64>>,
+    /// Updates accepted this round.
+    received: usize,
+    /// Bytes offered this round, garbage included.
+    uplink_bytes: u64,
+    /// Broadcasts resent to reconnected peers since the last close.
+    resent: u64,
+    /// How long the round waits after its last accepted update.
+    timeout: Duration,
+    /// When the open round stops waiting; started by the first
+    /// [`wait`](Self::wait), restarted by each accepted update.
+    deadline: Option<Instant>,
+    /// Barrier mode reproduces `train_from` bitwise when nothing can
+    /// perturb a round: benign plan, default policy.
+    exact: bool,
+    /// The task weights the exact path's curve point re-aggregates with.
+    weights: Vec<f64>,
+    /// The last good global: what a rollback restores.
+    snapshot: Vec<f64>,
+    last_good: ReuseCache,
+    /// A round that rolled back stays flagged degraded even when the
+    /// re-run fleet reports cleanly (same rule as `fml_core::ft`).
+    recovered: bool,
+    /// Async mode's state; `None` in barrier mode.
+    fold: Option<Fold>,
+    /// The last closed round, until
+    /// [`evaluate_parked`](Self::evaluate_parked) records it.
+    parked: Option<Parked>,
+    /// The parameters the parked round's curve point is evaluated at;
+    /// after the last round, the run's output.
+    eval_at: Vec<f64>,
+    /// What the curve evaluation runs on.
+    scratch: Scratch,
+}
+
+impl<'a> Core<'a> {
+    /// A fresh run from `theta0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tasks` is empty or `theta0` has the wrong length.
+    pub(crate) fn new(
+        cfg: &'a RuntimeConfig,
+        stepper: &'a dyn LocalStepper,
+        model: &'a dyn Model,
+        tasks: &'a [SourceTask],
+        theta0: &[f64],
+    ) -> Self {
+        assert!(!tasks.is_empty(), "Runtime: no source tasks");
+        assert_eq!(
+            theta0.len(),
+            model.param_len(),
+            "Runtime: bad theta0 length"
+        );
+        let n = tasks.len();
+        let (mode, fold) = match cfg.mode {
+            Mode::Barrier => ("barrier", None),
+            Mode::Async(policy) => (
+                "async",
+                Some(Fold {
+                    policy,
+                    pending: Vec::new(),
+                    quality: vec![1.0; n],
+                    weight_stats: vec![WeightAccum::default(); n],
+                    buffer: UpdateBuffer::new(policy.buffer_k, theta0.len()),
+                }),
+            ),
+        };
+        Core {
+            cfg,
+            stepper,
+            model,
+            tasks,
+            report: RuntimeReport {
+                mode: mode.into(),
+                update_codec: cfg.update_codec.to_string(),
+                async_policy: fold.as_ref().map(|f| (&f.policy).into()),
+                ..RuntimeReport::default()
+            },
+            history: Vec::new(),
+            comm_rounds: 0,
+            health: HealthTracker::new(n, cfg.health),
+            recoveries: 0,
+            global: theta0.to_vec(),
+            done: 0,
+            round: 0,
+            delivered: Vec::new(),
+            slots: vec![Slot::Idle; n],
+            rows: vec![Vec::new(); n],
+            received: 0,
+            uplink_bytes: 0,
+            resent: 0,
+            timeout: Duration::from_millis(cfg.recv_timeout_ms),
+            deadline: None,
+            exact: cfg.faults.is_benign() && cfg.gather == fml_core::GatherPolicy::default(),
+            weights: tasks.iter().map(|t| t.weight).collect(),
+            snapshot: theta0.to_vec(),
+            last_good: ReuseCache::new(n, &cfg.gather),
+            recovered: false,
+            fold,
+            parked: None,
+            eval_at: theta0.to_vec(),
+            scratch: Scratch::for_model(model),
+        }
+    }
+
+    /// The global: what the next broadcast carries, and what is
+    /// published after round [`done`](Self::done).
+    pub(crate) fn global(&self) -> &[f64] {
+        &self.global
+    }
+
+    /// The last completed round; 0 before any.
+    pub(crate) fn done(&self) -> usize {
+        self.done
+    }
+
+    /// Resumes from a loaded checkpoint: restores the global, the health
+    /// states (including permanent exclusions), and the consumed recovery
+    /// budget, so the next round is the one after the checkpoint's. The
+    /// run stays a fresh start when the checkpoint belongs to a different
+    /// algorithm, mode, parameter count or fleet size.
+    pub(crate) fn resume(&mut self, ck: Checkpoint) {
+        if ck.algorithm != self.stepper.algorithm()
+            || ck.params.len() != self.global.len()
+            || ck.meta.get("mode") != Some(&self.report.mode)
+        {
+            return;
+        }
+        let Some(done) = ck.meta.get("round").and_then(|s| s.parse::<usize>().ok()) else {
+            return;
+        };
+        // The health record has one entry per node: a checkpoint it does
+        // not fit comes from another fleet.
+        if let Some(h) = ck.meta.get("health") {
+            if !self.health.restore_meta(h) {
+                return;
+            }
+        }
+        if let Some(r) = ck.meta.get("recoveries").and_then(|s| s.parse().ok()) {
+            self.recoveries = r;
+        }
+        self.global = ck.params;
+        self.snapshot.clone_from(&self.global);
+        self.eval_at.clone_from(&self.global);
+        self.done = done;
+        self.report.resumed_at_round = Some(done + 1);
+    }
+
+    /// Opens the next round in the health tracker and returns its
+    /// number, or `None` once the schedule is done. A round that rolled
+    /// back opens again under the same number.
+    pub(crate) fn open_round(&mut self) -> Option<usize> {
+        if self.done >= self.stepper.rounds() {
+            return None;
+        }
+        self.round = self.done + 1;
+        self.health.begin_round(self.round);
+        self.delivered = Vec::with_capacity(self.tasks.len());
+        self.slots.fill(Slot::Idle);
+        self.received = 0;
+        self.uplink_bytes = 0;
+        self.deadline = None;
+        Some(self.round)
+    }
+
+    /// Whether `node` is scheduled to crash in the open round.
+    fn crashes(&self, node: usize) -> bool {
+        matches!(self.cfg.faults.draw(node, self.round), Some(Fault::Crash))
+    }
+
+    /// Hands the open round's broadcast to `send` for every node healthy
+    /// enough to take part (not quarantined or excluded) and not
+    /// scheduled to crash. `send` says whether the frame went out; a
+    /// node it failed is counted in the round's drop slot. A recovery
+    /// re-run broadcasts the same round again, so the slot accumulates.
+    pub(crate) fn broadcast(&mut self, mut send: impl FnMut(usize) -> bool) {
+        let mut drops = 0u64;
+        for node in 0..self.tasks.len() {
+            if self.crashes(node) || !self.health.is_active(node) {
+                continue;
+            }
+            if send(node) {
+                self.delivered.push(node);
+                self.slots[node] = Slot::Awaited;
+            } else {
+                drops += 1;
+            }
+        }
+        self.report.undelivered += drops;
+        if self.report.broadcast_drops.len() < self.round {
+            self.report.broadcast_drops.resize(self.round, 0);
+        }
+        self.report.broadcast_drops[self.round - 1] += drops;
+    }
+
+    /// How long the caller may still wait for the open round's updates,
+    /// or `None` once every reached node has reported or the silence
+    /// deadline has passed. The first call starts the deadline and only
+    /// an accepted update restarts it, so a round waits at most
+    /// `reached × timeout` however many other frames arrive.
+    pub(crate) fn wait(&mut self, now: Instant) -> Option<Duration> {
+        let deadline = *self.deadline.get_or_insert(now + self.timeout);
+        (self.received < self.delivered.len() && now < deadline).then(|| deadline - now)
+    }
+
+    /// Whether `node` was reached this round and has not reported yet.
+    fn awaits(&self, node: usize) -> bool {
+        self.slots.get(node) == Some(&Slot::Awaited)
+    }
+
+    /// Triages one uplink frame received at `now`: an update the round
+    /// awaits is decoded into its node's row; a duplicate, one for
+    /// another round, or a frame that is not an update counts as
+    /// undelivered; anything unparseable as a decode error. Allocates
+    /// nothing once each row has held one update.
+    pub(crate) fn offer(&mut self, frame: &[u8], now: Instant) {
+        self.uplink_bytes += frame.len() as u64;
+        // Uplink updates arrive in either wire family — dense tag-2 or
+        // compressed tag-6 — regardless of the configured codec: the
+        // codec drives the encode side only, so the `none` conformance
+        // path never depends on decode routing.
+        match UplinkFrame::parse(frame, self.model.param_len()) {
+            UplinkFrame::Update {
+                node,
+                frame_round,
+                params,
+            } if frame_round == self.round && self.awaits(node) => {
+                params.copy_into(&mut self.rows[node]);
+                self.slots[node] = Slot::Received;
+                self.received += 1;
+                self.deadline = Some(now + self.timeout);
+            }
+            // A frame for an already-closed round (or a duplicate): its
+            // round has moved on without it.
+            UplinkFrame::Update { .. } | UplinkFrame::Other => self.report.undelivered += 1,
+            UplinkFrame::Bad => self.report.decode_errors += 1,
+        }
+    }
+
+    /// Hands the open round's broadcast again to each `rejoined` node
+    /// whose update is still due — a frame queued onto a dying link can
+    /// vanish without a trace — and counts what `send` got out.
+    pub(crate) fn resend(&mut self, rejoined: Vec<usize>, mut send: impl FnMut(usize) -> bool) {
+        for node in rejoined {
+            if self.awaits(node) && send(node) {
+                self.resent += 1;
+            }
+        }
+    }
+
+    /// Closes the open round with whatever it received. `false` means it
+    /// rolled back and must run again; otherwise the round is done and
+    /// parked for [`evaluate_parked`](Self::evaluate_parked).
+    pub(crate) fn close_round(&mut self) -> bool {
+        let closed = match self.fold.take() {
+            None => self.close_barrier(),
+            Some(mut fold) => {
+                let closed = self.close_async(&mut fold);
+                self.fold = Some(fold);
+                Some(closed)
+            }
+        };
+        let Some((end, comm_time_s)) = closed else {
+            return false;
+        };
+        self.comm_rounds += usize::from(end.aggregated);
+        let frame_len = encoded_frame_len(self.global.len());
+        debug_assert!(self.parked.is_none(), "one round parked at a time");
+        self.parked = Some(Parked {
+            round: self.round,
+            bytes: (self.delivered.len() * frame_len) as u64 + self.uplink_bytes,
+            participants: std::mem::take(&mut self.delivered),
+            retransmissions: std::mem::take(&mut self.resent),
+            comm_time_s,
+            end,
+        });
+        self.done = self.round;
+        true
+    }
+
+    /// Total virtual upload delay for `node` in the open round: the
+    /// seeded clock plus any scheduled straggle.
+    fn upload_delay_s(&self, node: usize) -> f64 {
+        let straggle_s = match self.cfg.faults.draw(node, self.round) {
+            Some(Fault::Straggle { delay_s }) => delay_s,
+            _ => 0.0,
+        };
+        self.cfg.clock.delay_s(node, self.round) + straggle_s
+    }
+
+    /// A barrier close, with the round's outcome and virtual comm time;
+    /// `None` when it rolled back.
+    fn close_barrier(&mut self) -> Option<(Outcome, f64)> {
+        let n = self.tasks.len();
+        let comm_time_s = (0..n)
+            .filter(|&i| self.slots[i] == Slot::Received)
+            .map(|i| self.upload_delay_s(i))
+            .fold(0.0f64, f64::max);
+        let end = if self.exact && self.received == n {
+            // train_from replica: aggregate the locals, then record the
+            // curve at the re-aggregation of n copies of the new global
+            // (the reference's exact float ops, over n borrowed views of
+            // the one vector).
+            self.global = self
+                .stepper
+                .combine(&self.global, aggregate(self.tasks, &self.rows));
+            let copies = vec![self.global.as_slice(); n];
+            self.eval_at = weighted_sum(&copies, &self.weights).expect("at least one node");
+            Outcome {
+                aggregated: true,
+                reporters: n,
+                degraded: false,
+            }
+        } else {
+            let mut end = self.gather_round()?;
+            self.eval_at.clone_from(&self.global);
+            end.degraded |= self.recovered || self.health.removed_count() > 0;
+            end
+        };
+        if end.aggregated {
+            // Barrier mode folds every update at staleness 0.
+            if self.report.staleness_hist.is_empty() {
+                self.report.staleness_hist.push(0);
+            }
+            self.report.staleness_hist[0] += end.reporters as u64;
+        }
+        self.snapshot.clone_from(&self.global);
+        self.recovered = false;
+        Some((end, comm_time_s))
+    }
+
+    /// One barrier round through [`gather`] over the *active* fleet
+    /// (deadline triage, validation, quorum, robust aggregation), the
+    /// aggregate installed through [`LocalStepper::combine`]. Quorum is
+    /// a fraction of the active total, so excluding failed nodes during
+    /// recovery shrinks the requirement — that is what lets a run finish
+    /// after a minority of nodes dies.
+    ///
+    /// Quorum loss and a diverged global first try rollback-and-exclude
+    /// (`None`: rolled back, re-run the round); only when recovery is
+    /// impossible does the round degrade in place, keeping the previous
+    /// global — a thin fleet must degrade, not hang.
+    fn gather_round(&mut self) -> Option<Outcome> {
+        let active = self.health.active_nodes();
+        let submissions: Vec<Submission> = active
+            .iter()
+            .map(|&i| match self.slots[i] {
+                Slot::Received => Submission {
+                    node: i,
+                    weight: self.tasks[i].weight,
+                    update: Some(self.rows[i].clone()),
+                    delay_s: self.upload_delay_s(i),
+                    last_good: self.last_good.get(i),
+                },
+                _ => Submission::crashed(i, self.tasks[i].weight),
+            })
+            .collect();
+        // Validation can pass per node and the combined global still
+        // diverge.
+        let gathered = gather(self.round, active.len(), &submissions, &self.cfg.gather)
+            .map(|(params, report)| (self.stepper.combine(&self.global, params), report));
+        let failed = match gathered {
+            Ok((next, report)) if next.iter().all(|x| x.is_finite()) => {
+                self.record_health(&report);
+                self.last_good.absorb(&submissions, &report);
+                self.global = next;
+                return Some(Outcome {
+                    aggregated: true,
+                    reporters: report.reporters,
+                    degraded: report.degraded,
+                });
+            }
+            Ok((_, report)) => report,
+            Err(failure) => failure.report,
+        };
+        self.record_health(&failed);
+        if self.try_recover(&failed.failed_nodes()) {
+            self.recovered = true;
+            return None;
+        }
+        Some(Outcome {
+            aggregated: false,
+            reporters: failed.reporters,
+            degraded: true,
+        })
+    }
+
+    /// Feeds one gather round report into the health state machine:
+    /// contributors succeed, failed nodes (crashes, rejected-corrupt
+    /// updates, missed deadlines) fail.
+    fn record_health(&mut self, report: &RoundReport) {
+        for &(node, outcome) in &report.outcomes {
+            if outcome.failed() {
+                self.health.record_failure(node, self.round);
+            } else if outcome.contributed() {
+                self.health.record_success(node, self.round);
+            }
+        }
+    }
+
+    /// [`rollback_and_exclude`] over the health tracker's membership:
+    /// `true` means the last good global is restored, the failed nodes
+    /// are permanently excluded, and the round runs again. `false` means
+    /// unrecoverable — the round then degrades and the run keeps going
+    /// (it never aborts the way the in-process loop surfaces an error).
+    fn try_recover(&mut self, failed: &[usize]) -> bool {
+        let active: Vec<bool> = (0..self.tasks.len())
+            .map(|i| self.health.is_active(i))
+            .collect();
+        let Some(excluded) = rollback_and_exclude(
+            &mut self.global,
+            &self.snapshot,
+            &active,
+            failed,
+            &mut self.recoveries,
+            self.cfg.recovery.max_recoveries,
+        ) else {
+            return false;
+        };
+        for node in excluded {
+            self.health.exclude(node, self.round);
+        }
+        self.report.recoveries += 1;
+        self.report.rollbacks += 1;
+        self.report.excluded_nodes = self.health.excluded_nodes();
+        true
+    }
+
+    /// An async close: stamps each received update with its virtual
+    /// arrival round, then folds everything due in `(arrival_time, node)`
+    /// order with a staleness-decayed weight. The staleness-weighted mix
+    /// `θ ← (1−w)θ + w·u` *is* this mode's combine step:
+    /// [`LocalStepper::combine`] is not applied.
+    fn close_async(&mut self, fold: &mut Fold) -> (Outcome, f64) {
+        let (round, rounds, n) = (self.round, self.stepper.rounds(), self.tasks.len());
+        let policy = fold.policy;
+        let round_s = self.cfg.round_duration_s;
+        // Active nodes skipped for a scheduled crash count as a health
+        // failure, same as a missing barrier report.
+        for i in self.health.active_nodes() {
+            if self.crashes(i) {
+                self.health.record_failure(i, round);
+            }
+        }
+        // Stamp each physical arrival with its *virtual* arrival round:
+        // round-start time plus the seeded upload delay.
+        for node in (0..n).filter(|&i| self.slots[i] == Slot::Received) {
+            let arrival_time_s = (round - 1) as f64 * round_s + self.upload_delay_s(node);
+            fold.pending.push(Pending {
+                node,
+                origin: round,
+                arrive: virtual_arrival_round(arrival_time_s, round_s, round, rounds),
+                arrival_time_s,
+                params: self.rows[node].clone(),
+            });
+        }
+
+        // Everything due this round, in deterministic virtual arrival
+        // order — OS scheduling cannot influence this.
+        let (mut due, rest): (Vec<Pending>, Vec<Pending>) =
+            fold.pending.drain(..).partition(|p| p.arrive <= round);
+        fold.pending = rest;
+        due.sort_by(|a, b| {
+            a.arrival_time_s
+                .total_cmp(&b.arrival_time_s)
+                .then(a.node.cmp(&b.node))
+        });
+
+        // What a divergence rollback restores this round.
+        let round_start = self.global.clone();
+        let buffered = policy.buffer_k > 1;
+        let mut applied = 0usize;
+        let mut comm_time_s = 0.0f64;
+        for mut p in due {
+            let staleness = round - p.origin;
+            let rejected = if staleness > policy.max_staleness {
+                Some(&mut self.report.rejected_stale)
+            } else if screen_update(&mut p.params, &self.cfg.gather.validation)
+                == Validated::Rejected
+            {
+                Some(&mut self.report.rejected_invalid)
+            } else {
+                None
+            };
+            if let Some(count) = rejected {
+                *count += 1;
+                self.health.record_failure(p.node, round);
+                if policy.adaptive_mix {
+                    fold.quality[p.node] *= 0.5;
+                }
+                continue;
+            }
+            let mut w = policy.weight(self.tasks[p.node].weight, n, staleness);
+            if policy.adaptive_mix {
+                w = (w * fold.quality[p.node]).clamp(0.0, 1.0);
+            }
+            if !w.is_finite() {
+                // A mis-constructed policy (fields set directly,
+                // bypassing validation) must degrade to a rejected
+                // update — never fold NaN into the global model.
+                self.report.rejected_nonfinite_weight += 1;
+                self.health.record_failure(p.node, round);
+                continue;
+            }
+            if buffered {
+                fold.buffer.push(w, &p.params);
+                if fold.buffer.full() && fold.buffer.flush(&mut self.global) {
+                    self.report.buffered_flushes += 1;
+                }
+            } else {
+                for (g, &u) in self.global.iter_mut().zip(&p.params) {
+                    *g = (1.0 - w) * *g + w * u;
+                }
+            }
+            if policy.adaptive_mix {
+                fold.quality[p.node] = 0.5 * fold.quality[p.node] + 0.5 / (1.0 + staleness as f64);
+            }
+            if staleness >= self.report.staleness_hist.len() {
+                self.report.staleness_hist.resize(staleness + 1, 0);
+            }
+            self.report.staleness_hist[staleness] += 1;
+            fold.weight_stats[p.node].record(w);
+            applied += 1;
+            self.health.record_success(p.node, round);
+            comm_time_s = comm_time_s.max(p.arrival_time_s - (p.origin - 1) as f64 * round_s);
+        }
+
+        // Semi-async: a partial buffer must not strand accepted updates
+        // when the schedule ends — flush it before the final round's
+        // divergence check and evaluation.
+        if buffered && round == rounds && fold.buffer.flush(&mut self.global) {
+            self.report.buffered_flushes += 1;
+        }
+
+        let rolled_back = self.global.iter().any(|x| !x.is_finite());
+        if rolled_back {
+            // Every fold passed per-update validation but their
+            // composition diverged: restore the round-start global.
+            self.global = round_start;
+            self.report.rollbacks += 1;
+        }
+        self.eval_at.clone_from(&self.global);
+        let required = self.cfg.gather.required_reporters(n);
+        let end = Outcome {
+            aggregated: applied > 0 && !rolled_back,
+            reporters: applied,
+            degraded: applied < required || self.delivered.len() < n || rolled_back,
+        };
+        (end, comm_time_s)
+    }
+
+    /// The checkpoint the round just closed leaves, when a directory is
+    /// configured and the cadence (or the final round) says so. It
+    /// carries everything [`resume`](Self::resume) needs for a
+    /// bitwise-deterministic restart.
+    pub(crate) fn checkpoint(&self) -> Option<Checkpoint> {
+        let every = self.cfg.checkpoint.every.max(1);
+        if self.cfg.checkpoint.dir.is_none()
+            || (!self.done.is_multiple_of(every) && self.done != self.stepper.rounds())
+        {
+            return None;
+        }
+        Some(
+            Checkpoint::new(self.stepper.algorithm(), self.global.clone())
+                .with_meta("round", self.done.to_string())
+                .with_meta("mode", self.report.mode.as_str())
+                .with_meta("recoveries", self.recoveries.to_string())
+                .with_meta("health", self.health.to_meta()),
+        )
+    }
+
+    /// Evaluates the parked round's losses and appends its history
+    /// record and trace row; a no-op with nothing parked. The driver
+    /// calls it between a broadcast and the collect — a wait the
+    /// platform thread would otherwise spend blocked — and
+    /// [`finish`](Self::finish) once more after the last round.
+    pub(crate) fn evaluate_parked(&mut self) {
+        let Some(parked) = self.parked.take() else {
+            return;
+        };
+        let Outcome {
+            aggregated,
+            reporters,
+            degraded,
+        } = parked.end;
+        let (meta_loss, train_loss) =
+            self.stepper
+                .eval_losses_with(self.model, self.tasks, &self.eval_at, &mut self.scratch);
+        let local_steps = self.stepper.local_steps();
+        self.history.push(RoundRecord {
+            iteration: parked.round * local_steps,
+            meta_loss,
+            train_loss,
+            aggregated,
+            reporters,
+            degraded,
+        });
+        self.report.trace.push(RoundTrace {
+            round: parked.round,
+            participants: parked.participants,
+            local_steps,
+            bytes: parked.bytes,
+            retransmissions: parked.retransmissions,
+            // Virtual time; the runtime does no compute modelling.
+            comm_time_s: parked.comm_time_s,
+            compute_time_s: 0.0,
+            meta_loss,
+            reporters,
+            degraded,
+        });
+    }
+
+    /// Records the last round and returns the training output and the
+    /// report, less the link counters only the driver holds.
+    pub(crate) fn finish(mut self) -> (TrainOutput, RuntimeReport) {
+        // The last round has no next broadcast to hide behind.
+        self.evaluate_parked();
+        let mut report = self.report;
+        if let Some(fold) = &self.fold {
+            // Uploads still in (virtual) flight when the schedule ended.
+            report.undelivered += fold.pending.len() as u64;
+            report.node_weight_stats = fold
+                .weight_stats
+                .iter()
+                .enumerate()
+                .map(|(node, acc)| acc.stat(node, fold.quality[node]))
+                .collect();
+        }
+        report.node_health = self.health.summaries();
+        report.excluded_nodes = self.health.excluded_nodes();
+        report.degraded_rounds = report.trace.rounds().iter().filter(|r| r.degraded).count();
+        let train = TrainOutput {
+            params: self.eval_at,
+            history: self.history,
+            comm_rounds: self.comm_rounds,
+            local_iterations: self.stepper.rounds() * self.stepper.local_steps(),
+        };
+        (train, report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The core driven frame by frame: no thread, no transport, no
+    //! sleep. Time is a synthetic `Instant` the test advances.
+
+    use super::*;
+    use crate::VirtualClock;
+    use bytes::BytesMut;
+    use fml_core::{FedMl, FedMlConfig, GatherPolicy, Reptile, ReptileConfig};
+    use fml_data::synthetic::SyntheticConfig;
+    use fml_models::SoftmaxRegression;
+    use fml_sim::message::{encode_global_into, encode_update_into};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn fixture(nodes: usize) -> (SoftmaxRegression, Vec<SourceTask>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(43);
+        let fed = SyntheticConfig::new(0.5, 0.5)
+            .with_nodes(nodes)
+            .with_dim(4)
+            .with_classes(3)
+            .generate(&mut rng);
+        let tasks = SourceTask::from_nodes(fed.nodes(), 5, &mut rng);
+        let model = SoftmaxRegression::new(4, 3);
+        let theta0 = model.init_params(&mut rng);
+        (model, tasks, theta0)
+    }
+
+    fn fedml(rounds: usize) -> FedMl {
+        FedMl::new(FedMlConfig::new(0.05, 0.05).with_rounds(rounds))
+    }
+
+    fn update(round: usize, node: usize, params: &[f64]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        encode_update_into(round as u32, node as u32, params, &mut buf);
+        buf.to_vec()
+    }
+
+    /// A node's stand-in local update: `theta` moved by a node-dependent
+    /// step.
+    fn local(theta: &[f64], node: usize) -> Vec<f64> {
+        let step = 0.01 * (node + 1) as f64;
+        theta
+            .iter()
+            .enumerate()
+            .map(|(j, x)| x + step * (j % 3) as f64 - 0.005)
+            .collect()
+    }
+
+    /// One round in which the broadcast reaches everybody and the
+    /// `reporters` answer, in that order, at `t`: the round's number and
+    /// whether it closed.
+    fn run_round(core: &mut Core, reporters: &[usize], t: Instant) -> (usize, bool) {
+        let round = core.open_round().expect("a round left");
+        core.broadcast(|_| true);
+        core.evaluate_parked();
+        for &node in reporters {
+            let frame = update(round, node, &local(&core.global, node));
+            core.offer(&frame, t);
+        }
+        (round, core.close_round())
+    }
+
+    #[test]
+    fn every_offered_frame_lands_in_exactly_one_ledger() {
+        let (model, tasks, theta0) = fixture(3);
+        let (cfg, stepper) = (RuntimeConfig::barrier(1), fedml(2));
+        let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        let round = core.open_round().unwrap();
+        // Node 2's mailbox is full: a drop, and no update is due from it.
+        core.broadcast(|node| node != 2);
+        assert_eq!(core.report.undelivered, 1);
+        let mut global = BytesMut::new();
+        encode_global_into(round as u32, &theta0, &mut global);
+        let u = &theta0;
+        let (accepted, undelivered, decode_error) = ([1, 0, 0], [0, 1, 0], [0, 0, 1]);
+        let frames = [
+            (update(round, 0, u), accepted),
+            (update(round, 0, u), undelivered),        // duplicate
+            (update(round + 1, 1, u), undelivered),    // another round
+            (update(round - 1, 1, u), undelivered),    // a closed round
+            (update(round, 2, u), undelivered),        // not reached
+            (update(round, 7, u), undelivered),        // not in the fleet
+            (update(round, 1, &u[1..]), decode_error), // wrong dimension
+            (global.to_vec(), undelivered),            // not an update
+            (b"garbage".to_vec(), decode_error),
+            (update(round, 1, u), accepted),
+        ];
+        let t = Instant::now();
+        for (i, (frame, ledger)) in frames.iter().enumerate() {
+            let before = [
+                core.received as u64,
+                core.report.undelivered,
+                core.report.decode_errors,
+            ];
+            core.offer(frame, t);
+            let after = [
+                core.received as u64,
+                core.report.undelivered,
+                core.report.decode_errors,
+            ];
+            let moved: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+            assert_eq!(moved, ledger, "frame {i}");
+        }
+        assert_eq!(core.wait(t), None, "every reached node reported");
+        let bytes: u64 = frames.iter().map(|(f, _)| f.len() as u64).sum();
+        assert!(core.close_round());
+        let (_, report) = core.finish();
+        let row = &report.trace.rounds()[0];
+        assert_eq!(row.participants, vec![0, 1]);
+        assert_eq!(
+            row.bytes,
+            2 * encoded_frame_len(theta0.len()) as u64 + bytes
+        );
+    }
+
+    #[test]
+    fn only_an_accepted_update_restarts_the_silence_deadline() {
+        let (model, tasks, theta0) = fixture(2);
+        let cfg = RuntimeConfig {
+            recv_timeout_ms: 1_000,
+            ..RuntimeConfig::barrier(5)
+        };
+        let stepper = fedml(2);
+        let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        let round = core.open_round().unwrap();
+        core.broadcast(|_| true);
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        assert_eq!(core.wait(t0), Some(Duration::from_secs(1)));
+        core.offer(&update(round, 0, &theta0), at(300));
+        // A peer sending garbage (or duplicates) inside every timeout
+        // must not hold the round open.
+        for ms in [800, 1_200, 1_290] {
+            core.offer(b"garbage", at(ms));
+            core.offer(&update(round, 0, &theta0), at(ms));
+            assert!(core.wait(at(ms)).is_some());
+        }
+        assert_eq!(core.report.decode_errors, 3);
+        assert_eq!(core.report.undelivered, 3);
+        assert_eq!(core.wait(at(1_299)), Some(Duration::from_millis(1)));
+        assert_eq!(core.wait(at(1_300)), None, "last accept + timeout");
+    }
+
+    #[test]
+    fn a_full_barrier_round_is_aggregate_then_combine_bit_for_bit() {
+        let (model, tasks, theta0) = fixture(4);
+        let cfg = RuntimeConfig::barrier(4);
+        // Reptile's combine is an interpolation, not the identity.
+        let stepper = Reptile::new(ReptileConfig::new(0.05, 0.5).with_rounds(1));
+        let locals: Vec<Vec<f64>> = (0..4).map(|i| local(&theta0, i)).collect();
+        let want = stepper.combine(&theta0, aggregate(&tasks, &locals));
+        let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        // Arrival order is not aggregation order.
+        assert_eq!(
+            run_round(&mut core, &[3, 1, 0, 2], Instant::now()),
+            (1, true)
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&core.global), bits(&want));
+        let (out, report) = core.finish();
+        assert_eq!(out.comm_rounds, 1);
+        assert!(!out.history[0].degraded);
+        assert_eq!(report.staleness_hist, vec![4]);
+    }
+
+    #[test]
+    fn a_quorum_loss_rolls_back_and_reruns_the_same_round() {
+        let (model, tasks, theta0) = fixture(4);
+        let cfg = RuntimeConfig {
+            gather: GatherPolicy::default().with_min_quorum(0.75),
+            ..RuntimeConfig::barrier(2)
+        };
+        let stepper = fedml(2);
+        let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        let t = Instant::now();
+        // Two of four reporters miss a 0.75 quorum.
+        assert_eq!(run_round(&mut core, &[0, 1], t), (1, false));
+        assert_eq!(core.global, theta0, "rolled back");
+        assert_eq!((core.report.rollbacks, core.report.recoveries), (1, 1));
+        assert_eq!(core.report.excluded_nodes, vec![2, 3]);
+        // The same round again, over the surviving pair only.
+        assert_eq!(run_round(&mut core, &[0, 1], t), (1, true));
+        assert_ne!(core.global, theta0);
+        assert_eq!(run_round(&mut core, &[0, 1], t), (2, true));
+        assert_eq!(core.open_round(), None);
+        let (out, report) = core.finish();
+        assert_eq!(out.history.len(), 2);
+        assert!(
+            out.history[0].degraded,
+            "a rolled-back round stays degraded"
+        );
+        assert_eq!(report.trace.rounds()[0].participants, vec![0, 1]);
+        assert_eq!(report.excluded_nodes, vec![2, 3]);
+    }
+
+    #[test]
+    fn an_async_update_staler_than_the_bound_is_rejected_and_counted() {
+        let (model, tasks, theta0) = fixture(3);
+        // Every upload arrives two virtual rounds after its broadcast.
+        let cfg = RuntimeConfig::async_mode(3, AsyncPolicy::default().with_max_staleness(1))
+            .with_clock(VirtualClock::new(3).with_base_delay(2.0));
+        let stepper = fedml(3);
+        let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        let t = Instant::now();
+        assert_eq!(run_round(&mut core, &[0, 1, 2], t), (1, true));
+        assert_eq!(run_round(&mut core, &[], t), (2, true));
+        assert_eq!(core.report.rejected_stale, 0, "still in virtual flight");
+        assert_eq!(run_round(&mut core, &[], t), (3, true));
+        assert_eq!(core.report.rejected_stale, 3);
+        assert_eq!(core.global, theta0, "nothing folded");
+        let (out, report) = core.finish();
+        assert!(report.staleness_hist.is_empty());
+        assert_eq!(out.comm_rounds, 0);
+        assert_eq!(out.params, theta0);
+    }
+
+    #[test]
+    fn a_checkpoint_from_another_fleet_size_is_a_fresh_start() {
+        let (model, tasks, theta0) = fixture(3);
+        let (cfg, stepper) = (RuntimeConfig::barrier(6), fedml(4));
+        let saved = |nodes: usize| {
+            Checkpoint::new(stepper.algorithm(), vec![0.5; theta0.len()])
+                .with_meta("round", "2")
+                .with_meta("mode", "barrier")
+                .with_meta("recoveries", "1")
+                .with_meta("health", HealthTracker::new(nodes, cfg.health).to_meta())
+        };
+        let mut other = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        other.resume(saved(4));
+        assert_eq!(
+            (other.done, other.recoveries, other.report.resumed_at_round),
+            (0, 0, None)
+        );
+        assert_eq!(other.global, theta0);
+        assert_eq!(other.open_round(), Some(1));
+
+        let mut same = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        same.resume(saved(3));
+        assert_eq!(
+            (same.done, same.recoveries, same.report.resumed_at_round),
+            (2, 1, Some(3))
+        );
+        assert_eq!(same.global, vec![0.5; theta0.len()]);
+        assert_eq!(same.open_round(), Some(3));
+    }
+
+    #[test]
+    fn virtual_arrival_round_matches_naive_cast_in_range() {
+        // On well-formed inputs the guarded helper is the historical
+        // expression, bit for bit.
+        for (t, round_s, origin) in [
+            (0.0f64, 1.0f64, 1usize),
+            (0.15, 1.0, 1),
+            (1.0, 1.0, 1),
+            (2.7, 1.0, 2),
+            (3.999, 2.0, 1),
+            (7.3, 0.5, 4),
+        ] {
+            let naive = (t / round_s).floor() as usize + 1;
+            assert_eq!(
+                virtual_arrival_round(t, round_s, origin, 100),
+                naive.max(origin),
+                "t={t} round_s={round_s}"
+            );
+        }
+        // An arrival past the schedule maps to last_round + 1 — the
+        // same "never delivered" outcome the old code reached with an
+        // arbitrarily large round number.
+        assert_eq!(virtual_arrival_round(55.0, 1.0, 3, 8), 9);
+    }
+
+    #[test]
+    fn virtual_arrival_round_guards_degenerate_inputs() {
+        // Each of these drove the old `floor() as usize + 1` through a
+        // saturating cast: usize::MAX + 1 panics in debug and wraps to
+        // round 0 in release, where `.max(origin)` resurrected an
+        // undeliverable upload as an on-time one. All must now park the
+        // upload past the schedule instead.
+        let last = 8;
+        for (t, round_s) in [
+            (1.0, 0.0),                 // zero round duration
+            (1.0, -1.0),                // negative round duration
+            (1.0, f64::MIN_POSITIVE),   // subnormal-adjacent: quotient overflows
+            (1.0, 5e-324),              // subnormal round duration
+            (f64::INFINITY, 1.0),       // non-finite arrival time
+            (f64::NAN, 1.0),
+            (f64::NEG_INFINITY, 1.0),
+            (1.0, f64::NAN),
+            (1.0, f64::INFINITY),
+            (-3.0, 1.0),                // negative virtual time
+            (f64::MAX, 1.0),            // quotient exceeds usize range
+        ] {
+            assert_eq!(
+                virtual_arrival_round(t, round_s, 2, last),
+                last + 1,
+                "t={t} round_s={round_s}"
+            );
+        }
+    }
+}

@@ -210,6 +210,35 @@ fn platform_resumes_from_disk_checkpoint_to_the_same_bits() {
 }
 
 #[test]
+fn a_checkpoint_from_another_fleet_size_is_not_resumed() {
+    const ROUNDS: usize = 3;
+    let dir = scratch_dir("fleet-size");
+    let cfg = || {
+        RuntimeConfig::barrier(3)
+            .with_checkpoint_dir(&dir)
+            .with_checkpoint_every(1)
+    };
+
+    // A 4-node run leaves its checkpoint behind…
+    let (model, four_tasks, four_theta0) = fixture(4, 53);
+    let four = Runtime::new(cfg()).run(&fedml(2), &model, &four_tasks, &four_theta0);
+    assert!(four.report.checkpoints_written >= 2);
+
+    // …and a 3-node run pointed at the same dir must not pick it up: the
+    // global, the recovery budget and the health record belong to
+    // another fleet. It runs from its own start, to a fresh run's bits.
+    let (model, tasks, theta0) = fixture(3, 54);
+    let fresh =
+        Runtime::new(RuntimeConfig::barrier(3)).run(&fedml(ROUNDS), &model, &tasks, &theta0);
+    let three = Runtime::new(cfg()).run(&fedml(ROUNDS), &model, &tasks, &theta0);
+    assert_eq!(three.report.resumed_at_round, None);
+    assert_eq!(three.train.history.len(), ROUNDS);
+    assert_eq!(three.train.params, fresh.train.params);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn node_killed_and_restarted_three_times_changes_no_bits() {
     const NODES: usize = 5;
     const ROUNDS: usize = 5;
