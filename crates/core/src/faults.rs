@@ -9,7 +9,8 @@
 //!   judged against the round deadline of a
 //!   [`GatherPolicy`](crate::gather::GatherPolicy);
 //! * **Corrupt** — the reported parameters are garbage (NaN, ±Inf, or a
-//!   norm-blown vector), to be caught by update validation.
+//!   norm-blown vector); the non-finite kinds are caught by the gather's
+//!   finite check.
 //!
 //! # Determinism
 //!
@@ -54,8 +55,7 @@ pub enum CorruptMode {
     /// Every coordinate becomes `f64::INFINITY`.
     Inf,
     /// The vector is scaled by this factor (norm blow-up; finite but
-    /// wildly out of distribution — the case L2 clipping and trimmed-mean
-    /// aggregation exist for).
+    /// wildly out of distribution, so it passes the finite check).
     NormBlowup(f64),
 }
 

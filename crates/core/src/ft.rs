@@ -6,8 +6,9 @@
 //!
 //! 1. each round, the seeded [`FaultPlan`](crate::faults::FaultPlan)
 //!    decides per node whether it crashes, straggles, or corrupts;
-//! 2. surviving reports pass through [`gather`](crate::gather::gather)
-//!    (deadline, validation, quorum, robust aggregation);
+//! 2. surviving reports pass through [`gather`](crate::gather::gather):
+//!    deadline triage (drop or reuse-last), the finite check, the
+//!    quorum, then the weighted mean;
 //! 3. the last good global model is kept as an in-memory snapshot; on
 //!    [`CoreError::QuorumLost`] or divergence the driver rolls back to it,
 //!    permanently excludes the round's failing nodes, and re-runs the
@@ -61,9 +62,10 @@ impl FaultTolerance {
 
 /// Per-node cache of the last report that passed validation on time —
 /// what [`StragglerPolicy::ReuseLast`] substitutes for a late one. Shared
-/// by every round loop that calls [`gather`]. Under any other straggler
-/// policy nothing reads [`Submission::last_good`], so the cache stays
-/// empty and neither call clones an update.
+/// by every round loop that calls [`gather`]. It keeps one buffer per
+/// node and lends it to [`Submission::last_good`]; a refill reuses the
+/// buffer, so only the first fill of a node allocates. Under
+/// [`StragglerPolicy::Drop`] nothing reads the cache, so it stays empty.
 #[derive(Debug, Clone)]
 pub struct ReuseCache(Option<Vec<Option<Vec<f64>>>>);
 
@@ -75,18 +77,25 @@ impl ReuseCache {
     }
 
     /// The node's cached report, for [`Submission::last_good`].
-    pub fn get(&self, node: usize) -> Option<Vec<f64>> {
-        self.0.as_ref()?[node].clone()
+    pub fn get(&self, node: usize) -> Option<&[f64]> {
+        self.0.as_ref()?[node].as_deref()
     }
 
-    /// Caches each contributor's validated report from a gathered round
-    /// (`Reported | Clipped` only: a stale substitute is never re-cached).
-    pub fn absorb(&mut self, submissions: &[Submission], report: &RoundReport) {
+    /// Refills the buffer of each node that reported on time in a
+    /// gathered round (a stale substitute is never re-cached). `updates`
+    /// yields the update each of the round's submissions carried, in
+    /// submission order.
+    pub fn absorb<'u>(
+        &mut self,
+        report: &RoundReport,
+        updates: impl IntoIterator<Item = Option<&'u [f64]>>,
+    ) {
         let Some(cache) = &mut self.0 else { return };
-        for (sub, &(node, outcome)) in submissions.iter().zip(&report.outcomes) {
-            debug_assert_eq!(sub.node, node);
-            if matches!(outcome, NodeOutcome::Reported | NodeOutcome::Clipped) {
-                cache[node] = sub.update.clone();
+        for (&(node, outcome), update) in report.outcomes.iter().zip(updates) {
+            if let (NodeOutcome::Reported, Some(update)) = (outcome, update) {
+                let buf = cache[node].get_or_insert_with(Vec::new);
+                buf.clear();
+                buf.extend_from_slice(update);
             }
         }
     }
@@ -125,11 +134,11 @@ pub fn rollback_and_exclude(
 ///
 /// Each round, every active node runs the stepper's `T0` local
 /// iterations from the current global; reports pass through the
-/// [`GatherPolicy`] (deadline, validation, quorum, robust aggregation
-/// renormalized over the actual reporters) and the aggregate becomes the
-/// next global through [`LocalStepper::combine`]. On quorum loss or a
-/// diverged global the driver rolls back to the last good round and
-/// excludes the failing nodes.
+/// [`GatherPolicy`] (deadline triage, the finite check, quorum, and the
+/// weighted mean renormalized over the actual reporters) and the
+/// aggregate becomes the next global through [`LocalStepper::combine`].
+/// On quorum loss or a diverged global the driver rolls back to the last
+/// good round and excludes the failing nodes.
 ///
 /// The returned history has one record per round; `reporters` counts the
 /// nodes whose updates entered that round's aggregate and `degraded`
@@ -184,21 +193,30 @@ pub(crate) fn drive(
 
     while round <= rounds {
         let local = |task: &SourceTask| stepper.local_update(model, task, &theta, local_steps);
-        let submissions =
-            collect_round(threads, tasks, &active, &last_good, &ft.plan, &local, round);
+        let reports = collect_round(threads, tasks, &active, &ft.plan, &local, round);
+        let submissions: Vec<Submission> = reports
+            .iter()
+            .map(|r| Submission {
+                node: r.node,
+                weight: tasks[r.node].weight,
+                update: r.update.as_deref(),
+                delay_s: r.delay_s,
+                last_good: last_good.get(r.node),
+            })
+            .collect();
 
         // Quorum is a fraction of the *active* fleet: excluding failed
         // nodes during recovery shrinks the requirement, which is what
         // lets a run finish after a minority of nodes dies.
         let active_total = active.iter().filter(|&&a| a).count();
         // A gather that passed validation can still combine into a
-        // diverged global (e.g. finite-but-huge reports, no clipping).
+        // diverged global (e.g. finite-but-huge reports).
         let gathered = gather(round, active_total, &submissions, &ft.policy)
             .map(|(aggregated, report)| (stepper.combine(&theta, aggregated), report));
         let (error, report) = match gathered {
             Ok((next, report)) if next.iter().all(|x| x.is_finite()) => {
                 theta = next;
-                last_good.absorb(&submissions, &report);
+                last_good.absorb(&report, reports.iter().map(|r| r.update.as_deref()));
                 snapshot.clone_from(&theta);
                 let (meta_loss, train_loss) = stepper.eval_losses(model, tasks, &theta);
                 let excluded = active.iter().filter(|&&a| !a).count();
@@ -241,20 +259,28 @@ pub(crate) fn drive(
     })
 }
 
-/// Runs one round of local updates under the fault plan, producing the
-/// submissions for `gather`. Only active (non-excluded) nodes submit.
+/// One active node's round: its arrival delay and its update (`None`
+/// when it crashed).
+struct NodeReport {
+    node: usize,
+    delay_s: f64,
+    update: Option<Vec<f64>>,
+}
+
+/// Runs one round of local updates under the fault plan, producing what
+/// the round's submissions borrow. Only active (non-excluded) nodes
+/// report.
 ///
 /// Fault draws happen *before* the parallel fan-out and are pure per
-/// `(node, round)`, so the submission set is independent of thread count.
+/// `(node, round)`, so the reports are independent of thread count.
 fn collect_round(
     threads: usize,
     tasks: &[SourceTask],
     active: &[bool],
-    last_good: &ReuseCache,
     plan: &FaultPlan,
     local: &(impl Fn(&SourceTask) -> Vec<f64> + Sync),
     round: usize,
-) -> Vec<Submission> {
+) -> Vec<NodeReport> {
     let cells: Vec<(usize, Option<Fault>)> = (0..tasks.len())
         .filter(|&i| active[i])
         .map(|i| (i, plan.draw(i, round)))
@@ -269,22 +295,19 @@ fn collect_round(
     cells
         .iter()
         .zip(computed)
-        .map(|(&(node, fault), update)| {
-            let weight = tasks[node].weight;
-            let mut sub = match update {
-                None => Submission::crashed(node, weight),
-                Some(mut u) => {
-                    if let Some(Fault::Corrupt(mode)) = fault {
-                        faults::corrupt(mode, &mut u);
-                    }
-                    Submission::on_time(node, weight, u)
-                }
-            };
-            if let Some(Fault::Straggle { delay_s }) = fault {
-                sub.delay_s = delay_s;
+        .map(|(&(node, fault), mut update)| {
+            if let (Some(Fault::Corrupt(mode)), Some(u)) = (fault, &mut update) {
+                faults::corrupt(mode, u);
             }
-            sub.last_good = last_good.get(node);
-            sub
+            let delay_s = match fault {
+                Some(Fault::Straggle { delay_s }) => delay_s,
+                _ => 0.0,
+            };
+            NodeReport {
+                node,
+                delay_s,
+                update,
+            }
         })
         .collect()
 }
@@ -336,25 +359,24 @@ mod tests {
             straggler,
             ..GatherPolicy::default()
         };
+        let update = [1.0, 2.0];
         let submissions = [
-            Submission::on_time(0, 0.5, vec![1.0, 2.0]),
+            Submission::on_time(0, 0.5, &update),
             Submission::crashed(1, 0.5),
         ];
         let (_, report) = gather(1, 2, &submissions, &policy).unwrap();
         assert!(report.degraded);
         let mut cache = ReuseCache::new(2, &policy);
-        cache.absorb(&submissions, &report);
+        cache.absorb(&report, submissions.iter().map(|s| s.update));
         cache
     }
 
     #[test]
     fn reuse_cache_fills_only_under_reuse_last() {
-        for unread in [StragglerPolicy::Drop, StragglerPolicy::Wait] {
-            let cache = cache_after_faulty_round(unread);
-            assert_eq!((cache.get(0), cache.get(1)), (None, None), "{unread:?}");
-        }
+        let cache = cache_after_faulty_round(StragglerPolicy::Drop);
+        assert_eq!((cache.get(0), cache.get(1)), (None, None));
         let cache = cache_after_faulty_round(StragglerPolicy::ReuseLast);
-        assert_eq!(cache.get(0), Some(vec![1.0, 2.0]));
+        assert_eq!(cache.get(0), Some(&[1.0, 2.0][..]));
         assert_eq!(cache.get(1), None);
     }
 

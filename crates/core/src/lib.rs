@@ -73,7 +73,7 @@ pub use error::CoreError;
 pub use faults::{CorruptMode, Fault, FaultPlan};
 pub use fedavg::{FedAvg, FedAvgConfig};
 pub use ft::{train_with_faults, FaultTolerance};
-pub use gather::{GatherPolicy, RobustAggregator, StragglerPolicy, UpdateValidation};
+pub use gather::{GatherPolicy, StragglerPolicy, UpdateValidation};
 pub use fedml::{FedMl, FedMlConfig};
 pub use fedprox::{FedProx, FedProxConfig};
 pub use meta::{MetaGradientMode, Scratch};

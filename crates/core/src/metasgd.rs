@@ -168,9 +168,9 @@ impl MetaSgd {
     /// and round-level recovery (see [`crate::train_with_faults`]).
     ///
     /// The node state `(θ_i, a_i)` travels through the fault-tolerant
-    /// driver as one concatenated vector `[θ_i; a_i]`, so validation,
-    /// clipping, quorum, and robust aggregation treat the learned rates
-    /// exactly like the initialization. Unlike
+    /// driver as one concatenated vector `[θ_i; a_i]`, so deadline
+    /// triage, the finite check, quorum, and the weighted mean treat the
+    /// learned rates exactly like the initialization. Unlike
     /// [`train_from`](Self::train_from) (which lets local state persist
     /// between aggregations), every round restarts from the gathered
     /// global pair — the synchronous-round structure fault recovery

@@ -7,7 +7,6 @@ use fml_core::{FaultPlan, GatherPolicy};
 use fml_sim::UpdateCodec;
 
 use crate::clock::VirtualClock;
-use crate::health::HealthPolicy;
 
 /// Checkpoint-rollback-exclude recovery on the platform event loop,
 /// mirroring `fml_core::ft::FaultTolerance` semantics: when a round's
@@ -266,8 +265,6 @@ pub struct RuntimeConfig {
     pub gather: GatherPolicy,
     /// Rollback-and-exclude recovery budget.
     pub recovery: RecoveryConfig,
-    /// Per-node health state machine knobs.
-    pub health: HealthPolicy,
     /// Disk checkpoint cadence and resume behaviour.
     pub checkpoint: CheckpointConfig,
     /// How node actors encode their update replies on the uplink.
@@ -291,7 +288,6 @@ impl RuntimeConfig {
             faults: FaultPlan::new(seed),
             gather: GatherPolicy::default(),
             recovery: RecoveryConfig::default(),
-            health: HealthPolicy::default(),
             checkpoint: CheckpointConfig::default(),
             update_codec: UpdateCodec::None,
         }

@@ -4,13 +4,13 @@
 //! Every node moves through
 //!
 //! ```text
-//!            failures ≥ suspect_after      failures ≥ quarantine_after
+//!            failures ≥ SUSPECT_AFTER      failures ≥ QUARANTINE_AFTER
 //! Healthy ──────────────────────▶ Suspect ──────────────────────▶ Quarantined
 //!    ▲                              │  ▲                               │
-//!    │ success                      │  │ any failure                   │ readmit_after
+//!    │ success                      │  │ any failure                   │ READMIT_AFTER
 //!    │                      success │  │ while on probation            ▼ rounds later
 //!    └──────────────────────────────┘  └───────────────────────── Probation
-//!                                             probation_rounds clean rounds
+//!                                             PROBATION_ROUNDS clean rounds
 //!                                             promote Probation → Healthy
 //! ```
 //!
@@ -27,31 +27,16 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Knobs of the health state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthPolicy {
-    /// Consecutive failures before a node is marked suspect.
-    pub suspect_after: u32,
-    /// Consecutive failures before a node is quarantined (removed from
-    /// the broadcast set).
-    pub quarantine_after: u32,
-    /// Rounds a quarantined node sits out before being readmitted on
-    /// probation; `None` quarantines for the rest of the run.
-    pub readmit_after: Option<usize>,
-    /// Clean probation rounds required before full readmission.
-    pub probation_rounds: u32,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            suspect_after: 2,
-            quarantine_after: 5,
-            readmit_after: Some(3),
-            probation_rounds: 2,
-        }
-    }
-}
+/// Consecutive failures before a node is marked suspect.
+const SUSPECT_AFTER: u32 = 2;
+/// Consecutive failures before a node is quarantined (removed from the
+/// broadcast set).
+const QUARANTINE_AFTER: u32 = 5;
+/// Rounds a quarantined node sits out before being readmitted on
+/// probation.
+const READMIT_AFTER: usize = 3;
+/// Clean probation rounds required before full readmission.
+const PROBATION_ROUNDS: u32 = 2;
 
 /// Where a node currently sits in the health state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -122,7 +107,6 @@ pub struct NodeHealthReport {
 /// Tracks [`NodeHealth`] for a fleet.
 #[derive(Debug, Clone)]
 pub struct HealthTracker {
-    policy: HealthPolicy,
     states: Vec<NodeHealth>,
     consecutive: Vec<u32>,
     failures: Vec<u64>,
@@ -131,9 +115,8 @@ pub struct HealthTracker {
 
 impl HealthTracker {
     /// All nodes healthy.
-    pub fn new(n: usize, policy: HealthPolicy) -> Self {
+    pub fn new(n: usize) -> Self {
         HealthTracker {
-            policy,
             states: vec![NodeHealth::Healthy; n],
             consecutive: vec![0; n],
             failures: vec![0; n],
@@ -187,7 +170,7 @@ impl HealthTracker {
                         node,
                         round,
                         NodeHealth::Probation {
-                            remaining: self.policy.probation_rounds.max(1),
+                            remaining: PROBATION_ROUNDS,
                         },
                     );
                 }
@@ -226,21 +209,16 @@ impl HealthTracker {
         }
         self.failures[node] += 1;
         self.consecutive[node] = self.consecutive[node].saturating_add(1);
-        let quarantine_until = |policy: &HealthPolicy| match policy.readmit_after {
-            Some(d) => round.saturating_add(d),
-            None => usize::MAX,
+        let quarantined = NodeHealth::Quarantined {
+            until: round.saturating_add(READMIT_AFTER),
         };
         match self.states[node] {
             // Any failure on probation goes straight back to quarantine.
-            NodeHealth::Probation { .. } => {
-                let until = quarantine_until(&self.policy);
-                self.set(node, round, NodeHealth::Quarantined { until });
-            }
+            NodeHealth::Probation { .. } => self.set(node, round, quarantined),
             NodeHealth::Healthy | NodeHealth::Suspect => {
-                if self.consecutive[node] >= self.policy.quarantine_after {
-                    let until = quarantine_until(&self.policy);
-                    self.set(node, round, NodeHealth::Quarantined { until });
-                } else if self.consecutive[node] >= self.policy.suspect_after {
+                if self.consecutive[node] >= QUARANTINE_AFTER {
+                    self.set(node, round, quarantined);
+                } else if self.consecutive[node] >= SUSPECT_AFTER {
                     self.set(node, round, NodeHealth::Suspect);
                 }
             }
@@ -295,25 +273,25 @@ impl HealthTracker {
 mod tests {
     use super::*;
 
-    fn fast_policy() -> HealthPolicy {
-        HealthPolicy {
-            suspect_after: 2,
-            quarantine_after: 3,
-            readmit_after: Some(2),
-            probation_rounds: 2,
+    /// Fails `node` in rounds `rounds`.
+    fn fail(t: &mut HealthTracker, node: usize, rounds: std::ops::RangeInclusive<usize>) {
+        for r in rounds {
+            t.record_failure(node, r);
         }
     }
 
     #[test]
     fn healthy_to_suspect_to_quarantined() {
-        let mut t = HealthTracker::new(2, fast_policy());
+        let mut t = HealthTracker::new(2);
         t.record_failure(0, 1);
         assert_eq!(t.states[0], NodeHealth::Healthy);
         t.record_failure(0, 2);
         assert_eq!(t.states[0], NodeHealth::Suspect);
+        fail(&mut t, 0, 3..=4);
+        assert_eq!(t.states[0], NodeHealth::Suspect);
         assert!(t.is_active(0));
-        t.record_failure(0, 3);
-        assert_eq!(t.states[0], NodeHealth::Quarantined { until: 5 });
+        t.record_failure(0, 5);
+        assert_eq!(t.states[0], NodeHealth::Quarantined { until: 8 });
         assert!(!t.is_active(0));
         assert_eq!(t.active_nodes(), vec![1]);
         assert_eq!(t.removed_count(), 1);
@@ -321,66 +299,45 @@ mod tests {
 
     #[test]
     fn success_resets_the_streak_and_recovers_suspects() {
-        let mut t = HealthTracker::new(1, fast_policy());
-        t.record_failure(0, 1);
-        t.record_failure(0, 2);
+        let mut t = HealthTracker::new(1);
+        fail(&mut t, 0, 1..=4);
         assert_eq!(t.states[0], NodeHealth::Suspect);
-        t.record_success(0, 3);
+        t.record_success(0, 5);
         assert_eq!(t.states[0], NodeHealth::Healthy);
-        // Streak restarted: two more failures only reach Suspect again.
-        t.record_failure(0, 4);
-        t.record_failure(0, 5);
+        // Streak restarted: four more failures only reach Suspect again.
+        fail(&mut t, 0, 6..=9);
         assert_eq!(t.states[0], NodeHealth::Suspect);
     }
 
     #[test]
     fn quarantine_readmits_on_probation_then_promotes() {
-        let mut t = HealthTracker::new(1, fast_policy());
-        for r in 1..=3 {
-            t.record_failure(0, r);
-        }
-        assert_eq!(t.states[0], NodeHealth::Quarantined { until: 5 });
-        t.begin_round(4);
+        let mut t = HealthTracker::new(1);
+        fail(&mut t, 0, 1..=5);
+        assert_eq!(t.states[0], NodeHealth::Quarantined { until: 8 });
+        t.begin_round(7);
         assert!(!t.is_active(0), "sentence not served yet");
-        t.begin_round(5);
+        t.begin_round(8);
         assert_eq!(t.states[0], NodeHealth::Probation { remaining: 2 });
         assert!(t.is_active(0));
-        t.record_success(0, 5);
+        t.record_success(0, 8);
         assert_eq!(t.states[0], NodeHealth::Probation { remaining: 1 });
-        t.record_success(0, 6);
+        t.record_success(0, 9);
         assert_eq!(t.states[0], NodeHealth::Healthy);
     }
 
     #[test]
     fn probation_failure_requarantines_immediately() {
-        let mut t = HealthTracker::new(1, fast_policy());
-        for r in 1..=3 {
-            t.record_failure(0, r);
-        }
-        t.begin_round(5);
+        let mut t = HealthTracker::new(1);
+        fail(&mut t, 0, 1..=5);
+        t.begin_round(8);
         assert!(matches!(t.states[0], NodeHealth::Probation { .. }));
-        t.record_failure(0, 5);
-        assert_eq!(t.states[0], NodeHealth::Quarantined { until: 7 });
-    }
-
-    #[test]
-    fn no_readmission_when_disabled() {
-        let policy = HealthPolicy {
-            readmit_after: None,
-            ..fast_policy()
-        };
-        let mut t = HealthTracker::new(1, policy);
-        for r in 1..=3 {
-            t.record_failure(0, r);
-        }
-        assert_eq!(t.states[0], NodeHealth::Quarantined { until: usize::MAX });
-        t.begin_round(1_000_000);
-        assert!(!t.is_active(0));
+        t.record_failure(0, 8);
+        assert_eq!(t.states[0], NodeHealth::Quarantined { until: 11 });
     }
 
     #[test]
     fn exclusion_is_terminal() {
-        let mut t = HealthTracker::new(2, fast_policy());
+        let mut t = HealthTracker::new(2);
         t.exclude(1, 2);
         assert_eq!(t.states[1], NodeHealth::Excluded);
         assert_eq!(t.excluded_nodes(), vec![1]);
@@ -394,44 +351,41 @@ mod tests {
 
     #[test]
     fn transitions_are_recorded_in_order() {
-        let mut t = HealthTracker::new(1, fast_policy());
-        for r in 1..=3 {
-            t.record_failure(0, r);
-        }
-        t.begin_round(5);
-        t.record_failure(0, 5);
+        let mut t = HealthTracker::new(1);
+        fail(&mut t, 0, 1..=5);
+        t.begin_round(8);
+        t.record_failure(0, 8);
         let s = &t.summaries()[0];
         let labels: Vec<&str> = s.transitions.iter().map(|tr| tr.to.as_str()).collect();
         assert_eq!(
             labels,
             vec!["suspect", "quarantined", "probation", "quarantined"]
         );
-        assert_eq!(s.failures, 4);
+        assert_eq!(s.failures, 6);
     }
 
     #[test]
     fn meta_roundtrip_restores_states_and_streaks() {
-        let mut t = HealthTracker::new(5, fast_policy());
-        t.record_failure(0, 1);
-        t.record_failure(0, 2);
-        t.exclude(2, 2);
+        let mut t = HealthTracker::new(5);
+        fail(&mut t, 0, 1..=4);
+        t.exclude(2, 4);
         // Both struct variants too, `usize::MAX` ("never") included.
-        t.set(3, 2, NodeHealth::Quarantined { until: usize::MAX });
-        t.set(4, 2, NodeHealth::Probation { remaining: 1 });
+        t.set(3, 4, NodeHealth::Quarantined { until: usize::MAX });
+        t.set(4, 4, NodeHealth::Probation { remaining: 1 });
         let meta = t.to_meta();
 
-        let mut back = HealthTracker::new(5, fast_policy());
+        let mut back = HealthTracker::new(5);
         assert!(back.restore_meta(&meta));
         assert_eq!(back.states, t.states);
         assert_eq!(back.states[0], NodeHealth::Suspect);
         assert_eq!(back.states[1], NodeHealth::Healthy);
         assert_eq!(back.states[2], NodeHealth::Excluded);
         // Streak carried over: one more failure quarantines node 0.
-        back.record_failure(0, 3);
+        back.record_failure(0, 5);
         assert!(matches!(back.states[0], NodeHealth::Quarantined { .. }));
 
         // Wrong fleet size is rejected.
-        let mut wrong = HealthTracker::new(2, fast_policy());
+        let mut wrong = HealthTracker::new(2);
         assert!(!wrong.restore_meta(&meta));
         assert!(!wrong.restore_meta("not json"));
     }

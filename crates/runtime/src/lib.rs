@@ -91,7 +91,7 @@ pub mod transport;
 pub use clock::VirtualClock;
 pub use config::{AsyncPolicy, CheckpointConfig, Mode, RecoveryConfig, RuntimeConfig, StalenessDecay};
 pub use fml_sim::UpdateCodec;
-pub use health::{HealthPolicy, HealthTracker, NodeHealth, NodeHealthReport};
+pub use health::{HealthTracker, NodeHealth, NodeHealthReport};
 pub use platform::{Runtime, RuntimeOutput};
 pub use report::{param_hash, AsyncPolicyReport, NodeIo, NodeWeightStat, PoolStatsReport, RuntimeReport};
 pub use serving::{

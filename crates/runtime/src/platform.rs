@@ -64,8 +64,8 @@
 //! the reference implementation's quirk of evaluating the training
 //! curve at the re-aggregation of the post-broadcast local copies.
 //! With faults or a custom policy it routes every round through
-//! [`fml_core::gather::gather`] (deadline triage, validation, quorum,
-//! robust aggregation), degrading rounds instead of failing, and a
+//! [`fml_core::gather::gather`] (deadline triage, the finite check,
+//! quorum, the weighted mean), degrading rounds instead of failing, and a
 //! quorum loss rolls back and re-runs the round without the failed
 //! nodes. Either way the aggregate becomes the next global through
 //! [`LocalStepper::combine`] — identity for FedML/FedAvg/FedProx (the

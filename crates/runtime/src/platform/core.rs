@@ -18,7 +18,9 @@ use std::time::{Duration, Instant};
 use fml_core::checkpoint::Checkpoint;
 use fml_core::ft::{rollback_and_exclude, ReuseCache};
 use fml_core::gather::{gather, screen_update, RoundReport, Submission, Validated};
-use fml_core::{aggregate, Fault, LocalStepper, RoundRecord, Scratch, SourceTask, TrainOutput};
+use fml_core::{
+    aggregate, Fault, LocalStepper, RoundRecord, Scratch, SourceTask, TrainOutput, UpdateValidation,
+};
 use fml_linalg::vector::weighted_sum;
 use fml_models::Model;
 use fml_sim::message::encoded_frame_len;
@@ -388,7 +390,7 @@ impl<'a> Core<'a> {
             },
             history: Vec::new(),
             comm_rounds: 0,
-            health: HealthTracker::new(n, cfg.health),
+            health: HealthTracker::new(n),
             recoveries: 0,
             global: theta0.to_vec(),
             done: 0,
@@ -640,8 +642,9 @@ impl<'a> Core<'a> {
     }
 
     /// One barrier round through [`gather`] over the *active* fleet
-    /// (deadline triage, validation, quorum, robust aggregation), the
-    /// aggregate installed through [`LocalStepper::combine`]. Quorum is
+    /// (deadline triage, the finite check, quorum, the weighted mean),
+    /// each submission borrowing its node's row, and the aggregate
+    /// installed through [`LocalStepper::combine`]. Quorum is
     /// a fraction of the active total, so excluding failed nodes during
     /// recovery shrinks the requirement — that is what lets a run finish
     /// after a minority of nodes dies.
@@ -649,18 +652,17 @@ impl<'a> Core<'a> {
     /// Quorum loss and a diverged global first try rollback-and-exclude
     /// (`None`: rolled back, re-run the round); only when recovery is
     /// impossible does the round degrade in place, keeping the previous
-    /// global — a thin fleet must degrade, not hang.
+    /// global — a thin fleet must degrade, not hang. A fleet quarantined
+    /// whole has nobody to gather, which is a lost quorum too.
     fn gather_round(&mut self) -> Option<Outcome> {
         let active = self.health.active_nodes();
         let submissions: Vec<Submission> = active
             .iter()
             .map(|&i| match self.slots[i] {
                 Slot::Received => Submission {
-                    node: i,
-                    weight: self.tasks[i].weight,
-                    update: Some(self.rows[i].clone()),
                     delay_s: self.upload_delay_s(i),
                     last_good: self.last_good.get(i),
+                    ..Submission::on_time(i, self.tasks[i].weight, &self.rows[i])
                 },
                 _ => Submission::crashed(i, self.tasks[i].weight),
             })
@@ -672,7 +674,11 @@ impl<'a> Core<'a> {
         let failed = match gathered {
             Ok((next, report)) if next.iter().all(|x| x.is_finite()) => {
                 self.record_health(&report);
-                self.last_good.absorb(&submissions, &report);
+                let (slots, rows) = (&self.slots, &self.rows);
+                let updates = active
+                    .iter()
+                    .map(|&i| (slots[i] == Slot::Received).then(|| &rows[i][..]));
+                self.last_good.absorb(&report, updates);
                 self.global = next;
                 return Some(Outcome {
                     aggregated: true,
@@ -785,9 +791,7 @@ impl<'a> Core<'a> {
             let staleness = round - p.origin;
             let rejected = if staleness > policy.max_staleness {
                 Some(&mut self.report.rejected_stale)
-            } else if screen_update(&mut p.params, &self.cfg.gather.validation)
-                == Validated::Rejected
-            {
+            } else if screen_update(&mut p.params, &UpdateValidation {}) == Validated::Rejected {
                 Some(&mut self.report.rejected_invalid)
             } else {
                 None
@@ -1146,6 +1150,38 @@ mod tests {
     }
 
     #[test]
+    fn a_fleet_quarantined_whole_degrades_instead_of_panicking() {
+        let (model, tasks, theta0) = fixture(3);
+        let (cfg, stepper) = (RuntimeConfig::barrier(7), fedml(8));
+        let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        let t = Instant::now();
+        // Nobody ever reports: five silent rounds quarantine the whole
+        // fleet, so rounds 6 and 7 have nobody to gather; round 8 has
+        // the fleet back on probation, still silent.
+        for round in 1..=8 {
+            assert_eq!(run_round(&mut core, &[], t), (round, true));
+            assert_eq!(core.global, theta0, "round {round} keeps the global");
+        }
+        assert_eq!(core.open_round(), None);
+        let (out, report) = core.finish();
+        assert_eq!(out.comm_rounds, 0);
+        assert!(out
+            .history
+            .iter()
+            .all(|r| !r.aggregated && r.reporters == 0 && r.degraded));
+        assert_eq!(report.degraded_rounds, 8);
+        assert_eq!(report.trace.rounds()[5].participants, Vec::<usize>::new());
+        // Readmitted in round 8 and silent again: back in quarantine.
+        for h in &report.node_health {
+            let states: Vec<&str> = h.transitions.iter().map(|t| t.to.as_str()).collect();
+            assert_eq!(
+                states,
+                ["suspect", "quarantined", "probation", "quarantined"]
+            );
+        }
+    }
+
+    #[test]
     fn an_async_update_staler_than_the_bound_is_rejected_and_counted() {
         let (model, tasks, theta0) = fixture(3);
         // Every upload arrives two virtual rounds after its broadcast.
@@ -1175,7 +1211,7 @@ mod tests {
                 .with_meta("round", "2")
                 .with_meta("mode", "barrier")
                 .with_meta("recoveries", "1")
-                .with_meta("health", HealthTracker::new(nodes, cfg.health).to_meta())
+                .with_meta("health", HealthTracker::new(nodes).to_meta())
         };
         let mut other = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
         other.resume(saved(4));

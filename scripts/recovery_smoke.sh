@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Self-healing runtime smoke gate, three phases over one poisoned
+# Self-healing runtime smoke gate. Phases 1-3 run one poisoned
 # federation (node 1 reports NaNs in round 1, nodes 2-5 crash from
 # round 2, so the platform must roll back, exclude the dead majority,
 # and finish on the surviving pair):
@@ -11,7 +11,12 @@
 #     every node link, must land on the baseline's exact param hash;
 #  3. kill/resume — a checkpointing TCP platform is killed -9 mid-run
 #     and a fresh platform resumes from --checkpoint-dir to the same
-#     final hash.
+#     final hash;
+#  4. a dead fleet — every source node crashes from round 1 of an
+#     8-round channel run, so the whole fleet is quarantined after five
+#     silent rounds and later rounds have nobody to gather: the run must
+#     exit 0 with its JSON written and all 8 rounds degraded, never
+#     panic.
 #
 # Every wait is bounded, so a hang fails the gate instead of wedging CI.
 set -euo pipefail
@@ -182,4 +187,25 @@ if [ -z "$resumed_at" ]; then
     exit 1
 fi
 
-echo "recovery smoke: OK (rollbacks=$rollbacks, tcp and kill/resume both at hash $base_hash)"
+# ---- Phase 4: the whole fleet dead from round 1 -------------------------
+sed 's/"rounds": 6/"rounds": 8/' "$work/cfg.json" > "$work/dead_cfg.json"
+DEAD="--crash-from 0:1 --crash-from 1:1 --crash-from 2:1 --crash-from 3:1 --crash-from 4:1 --crash-from 5:1"
+# shellcheck disable=SC2086
+if ! timeout 60 "$BIN" runtime "$work/dead_cfg.json" $DEAD --json "$work/dead.json" \
+    > /dev/null 2> "$work/dead.err"; then
+    echo "recovery smoke: dead-fleet run failed" >&2
+    cat "$work/dead.err" >&2
+    exit 1
+fi
+if grep -q panicked "$work/dead.err"; then
+    echo "recovery smoke: dead-fleet run panicked" >&2
+    cat "$work/dead.err" >&2
+    exit 1
+fi
+dead_degraded=$(sed -n 's/.*"degraded_rounds": \([0-9]*\).*/\1/p' "$work/dead.json" 2>/dev/null | head -n 1)
+if [ "$dead_degraded" != 8 ]; then
+    echo "recovery smoke: dead fleet degraded ${dead_degraded:-no} rounds, want 8" >&2
+    exit 1
+fi
+
+echo "recovery smoke: OK (rollbacks=$rollbacks, tcp and kill/resume both at hash $base_hash, dead fleet degraded in place)"
