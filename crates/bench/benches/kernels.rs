@@ -1,11 +1,14 @@
 //! Criterion benches on the hot kernels of the federated meta-learning
 //! stack: meta-gradients (analytic HVP vs finite difference), platform
-//! aggregation, adversarial surrogate maximization, the wire codec, and
-//! the workspace (zero-allocation) model kernels. Print-only: timings go
+//! aggregation, adversarial surrogate maximization, the wire codec, the
+//! workspace (zero-allocation) model kernels, and the fleet node's
+//! kernels at its shape. Print-only: timings go
 //! to stdout and nothing is written; the tracked series is `perf/`.
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use fml_core::meta::{self, MetaGradientMode};
+use fml_core::{FedMl, FedMlConfig, LocalStepper, Scratch, SourceTask};
+use fml_data::TaskSplit;
 use fml_dro::{RobustSurrogate, SquaredL2Cost};
 use fml_linalg::{vector, Matrix};
 use fml_models::{Activation, Batch, Mlp, MlpBuilder, Model, SoftmaxRegression, Workspace};
@@ -253,6 +256,61 @@ fn bench_workspace_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `fleet_softmax_channel` node's kernels: softmax 20x5 (105
+/// parameters) on one held workspace, at node sizes 8 and 16. The curve
+/// takes `loss_grad_into` on the support where it took `grad_into` and
+/// `loss_with`; the step is one second-order meta-gradient on the first
+/// five samples (the fleet's `k`) against the rest.
+fn bench_fleet_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fleet_softmax_20x5");
+    for n in [8usize, 16] {
+        let (model, params, batch) = softmax_setup(20, 5, n);
+        let mut ws = model.workspace();
+        let mut g = vec![0.0; params.len()];
+        group.bench_with_input(BenchmarkId::new("loss_with", n), &n, |b, _| {
+            b.iter(|| model.loss_with(black_box(&params), &batch, &mut ws))
+        });
+        group.bench_with_input(BenchmarkId::new("grad_into", n), &n, |b, _| {
+            b.iter(|| {
+                model.grad_into(black_box(&params), &batch, &mut ws, &mut g);
+                g.last().copied()
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("loss_grad_into", n), &n, |b, _| {
+            b.iter(|| model.loss_grad_into(black_box(&params), &batch, &mut ws, &mut g))
+        });
+        // The node step on a held scratch: the meta-gradient and its
+        // β-step, as `local_update_into` with `T0 = 1` runs it.
+        let (train, test) = batch.split_at(5);
+        let task = SourceTask {
+            id: 0,
+            split: TaskSplit { train, test },
+            weight: 1.0,
+        };
+        let fedml = FedMl::new(FedMlConfig::new(0.05, 0.3));
+        let mut scratch = Scratch::for_model(&model);
+        let mut out = Vec::new();
+        group.bench_with_input(
+            BenchmarkId::new("meta_gradient_full_second_order", n),
+            &n,
+            |b, _| {
+                b.iter(|| {
+                    fedml.local_update_into(
+                        &model,
+                        &task,
+                        black_box(&params),
+                        1,
+                        &mut scratch,
+                        &mut out,
+                    );
+                    out.last().copied()
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 fn main() {
     let mut c = Criterion::default();
     bench_hvp(&mut c);
@@ -261,4 +319,5 @@ fn main() {
     bench_adversarial(&mut c);
     bench_codec(&mut c);
     bench_workspace_kernels(&mut c);
+    bench_fleet_kernels(&mut c);
 }

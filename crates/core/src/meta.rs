@@ -18,7 +18,10 @@
 //! The arithmetic is written once, on a [`Scratch`]: the crate's `_with`
 //! kernels (`inner_step_with`, `outer_gradient_with`,
 //! `meta_gradient_with`, `meta_objective_with`) touch no allocator, and
-//! every trainer's step and curve run on them. The allocating forms
+//! every trainer's step runs on them. The curve
+//! (`trainer::curve_losses`) is `meta_objective_with`'s arithmetic with
+//! the inner step's gradient from `Model::loss_grad_into`, which also
+//! returns the support loss the curve records. The allocating forms
 //! ([`meta_gradient`], [`meta_objective`]) build a fresh scratch and
 //! call the kernel — the same rule `fml_models::Model::grad` follows one
 //! level down — so the two agree bit for bit.

@@ -24,7 +24,6 @@
 use fml_models::{Batch, Model};
 
 use crate::meta::Scratch;
-use crate::trainer::weighted_train_loss_with;
 use crate::{SourceTask, TrainOutput};
 
 /// Configuration for [`MetaSgd`].
@@ -137,7 +136,8 @@ impl MetaSgd {
         scratch: &mut Scratch,
     ) {
         let cfg = &self.cfg;
-        rated_inner_step(model, theta, rates, &task.split.train, scratch);
+        model.grad_into(theta, &task.split.train, &mut scratch.ws, &mut scratch.grad);
+        rated_step(theta, rates, scratch);
         let Scratch {
             ws,
             grad: g_tr,
@@ -224,17 +224,10 @@ impl MetaSgd {
     }
 }
 
-/// `φ = θ − a ∘ ∇L(θ, batch)` on the scratch: `φ` lands in
-/// `scratch.phi`, the gradient stays in `scratch.grad`.
-fn rated_inner_step(
-    model: &dyn Model,
-    theta: &[f64],
-    rates: &[f64],
-    batch: &Batch,
-    scratch: &mut Scratch,
-) {
-    let Scratch { ws, grad, phi, .. } = scratch;
-    model.grad_into(theta, batch, ws, grad);
+/// `φ = θ − a ∘ g` on the scratch, `g = ∇L(θ, train)` the gradient
+/// `scratch.grad` holds: `φ` lands in `scratch.phi`, the gradient stays.
+fn rated_step(theta: &[f64], rates: &[f64], scratch: &mut Scratch) {
+    let Scratch { grad, phi, .. } = scratch;
     phi.copy_from_slice(theta);
     for ((p, &gi), &ai) in phi.iter_mut().zip(grad.iter()).zip(rates) {
         *p -= ai * gi;
@@ -290,18 +283,18 @@ impl crate::LocalStepper for PairState<'_> {
         state: &[f64],
         scratch: &mut Scratch,
     ) -> (f64, f64) {
+        // `trainer::curve_losses` around the rated step.
         let (theta, rates) = state.split_at(model.param_len());
-        let meta_loss = tasks
-            .iter()
-            .map(|task| {
-                rated_inner_step(model, theta, rates, &task.split.train, scratch);
-                task.weight * model.loss_with(&scratch.phi, &task.split.test, &mut scratch.ws)
-            })
-            .sum();
-        (
-            meta_loss,
-            weighted_train_loss_with(model, tasks, theta, &mut scratch.ws),
-        )
+        let (mut meta, mut train) = (-0.0, -0.0);
+        for task in tasks {
+            let split = &task.split;
+            let support =
+                model.loss_grad_into(theta, &split.train, &mut scratch.ws, &mut scratch.grad);
+            rated_step(theta, rates, scratch);
+            meta += task.weight * model.loss_with(&scratch.phi, &split.test, &mut scratch.ws);
+            train += task.weight * support;
+        }
+        (meta, train)
     }
 
     fn threads(&self) -> Option<usize> {

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::meta::{inner_step_with, outer_gradient_with, MetaGradientMode, Scratch};
-use crate::trainer::{aggregate, weighted_meta_loss, weighted_train_loss};
+use crate::trainer::{aggregate, curve_losses};
 use crate::{RoundRecord, SourceTask, TrainOutput};
 
 /// Configuration for [`RobustFedMl`] (Algorithm 2).
@@ -229,10 +229,12 @@ impl RobustFedMl {
 
             if aggregated || t == total {
                 let avg = aggregate(tasks, &locals);
+                let (meta_loss, train_loss) =
+                    curve_losses(model, tasks, &avg, cfg.alpha, &mut scratch);
                 history.push(RoundRecord {
                     iteration: t,
-                    meta_loss: weighted_meta_loss(model, tasks, &avg, cfg.alpha),
-                    train_loss: weighted_train_loss(model, tasks, &avg),
+                    meta_loss,
+                    train_loss,
                     aggregated,
                     reporters: tasks.len(),
                     degraded: false,

@@ -1,4 +1,4 @@
-use fml_models::{Model, Workspace};
+use fml_models::Model;
 
 use crate::meta::{meta_objective_with, Scratch};
 use crate::SourceTask;
@@ -87,24 +87,19 @@ pub(crate) fn weighted_meta_loss_with(
 
 /// Computes the weighted support loss `Σ ω_i L(θ, train_i)`.
 pub fn weighted_train_loss(model: &dyn Model, tasks: &[SourceTask], theta: &[f64]) -> f64 {
-    weighted_train_loss_with(model, tasks, theta, &mut model.workspace())
-}
-
-/// [`weighted_train_loss`] through the one workspace, in task order.
-pub(crate) fn weighted_train_loss_with(
-    model: &dyn Model,
-    tasks: &[SourceTask],
-    theta: &[f64],
-    ws: &mut Workspace,
-) -> f64 {
+    let mut ws = model.workspace();
     tasks
         .iter()
-        .map(|t| t.weight * model.loss_with(theta, &t.split.train, ws))
+        .map(|t| t.weight * model.loss_with(theta, &t.split.train, &mut ws))
         .sum()
 }
 
 /// `(weighted_meta_loss at alpha, weighted_train_loss)` — the pair every
-/// fixed-rate trainer records on its curve.
+/// fixed-rate trainer records on its curve — in one sweep of the tasks.
+/// A task's support loss comes from the inner step's own gradient pass
+/// ([`Model::loss_grad_into`]); both sums run in task order from `−0.0`,
+/// as `Iterator::sum` does, so the pair has the bits of the two
+/// functions.
 pub(crate) fn curve_losses(
     model: &dyn Model,
     tasks: &[SourceTask],
@@ -112,10 +107,16 @@ pub(crate) fn curve_losses(
     alpha: f64,
     scratch: &mut Scratch,
 ) -> (f64, f64) {
-    (
-        weighted_meta_loss_with(model, tasks, theta, alpha, scratch),
-        weighted_train_loss_with(model, tasks, theta, &mut scratch.ws),
-    )
+    let (mut meta, mut train) = (-0.0, -0.0);
+    for t in tasks {
+        let Scratch { ws, grad, phi, .. } = scratch;
+        let support = model.loss_grad_into(theta, &t.split.train, ws, grad);
+        phi.copy_from_slice(theta);
+        fml_linalg::vector::axpy(-alpha, grad, phi);
+        meta += t.weight * model.loss_with(phi, &t.split.test, ws);
+        train += t.weight * support;
+    }
+    (meta, train)
 }
 
 /// Weighted average of per-node parameter vectors — the platform's global

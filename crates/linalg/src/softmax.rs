@@ -29,9 +29,30 @@ pub fn softmax(x: &[f64]) -> Vec<f64> {
 
 /// Stable softmax in place.
 pub fn softmax_in_place(x: &mut [f64]) {
-    if x.is_empty() {
-        return;
+    max_and_sum_in_place(x);
+}
+
+/// [`softmax_in_place`], returning the input's `log Σ exp(xᵢ)` — the
+/// bits [`cross_entropy_logits`] builds its loss from — out of the max
+/// and the sum the softmax has already taken.
+///
+/// `log_sum_exp` sums the exponentials with `Iterator::sum`, which
+/// starts at `−0.0`, and this from `0.0`: `exp` never returns `−0.0`,
+/// so both sums are the same bits. Returns `−inf` when the max is
+/// `−inf` (an empty, all-`−inf` or all-NaN input), as `log_sum_exp`
+/// does.
+pub fn softmax_in_place_lse(x: &mut [f64]) -> f64 {
+    let (m, sum) = max_and_sum_in_place(x);
+    if m == f64::NEG_INFINITY {
+        return f64::NEG_INFINITY;
     }
+    m + sum.ln()
+}
+
+/// The softmax's work: writes `exp(xᵢ − m) / s` over `x` and returns
+/// the max `m` and the sum `s` of the exponentials.
+#[inline]
+fn max_and_sum_in_place(x: &mut [f64]) -> (f64, f64) {
     let m = x.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
     let mut sum = 0.0;
     for v in x.iter_mut() {
@@ -41,6 +62,7 @@ pub fn softmax_in_place(x: &mut [f64]) {
     for v in x.iter_mut() {
         *v /= sum;
     }
+    (m, sum)
 }
 
 /// Cross-entropy of logits against a one-hot target class:
@@ -153,7 +175,49 @@ mod tests {
         assert!(sigmoid(-1000.0) >= 0.0);
     }
 
+    /// Each value's bits, every NaN as one: NaN payloads and signs are
+    /// not specified by the language, so two NaNs count as equal.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        let canonical = |x: &f64| if x.is_nan() { f64::NAN } else { *x };
+        v.iter().map(|x| canonical(x).to_bits()).collect()
+    }
+
+    #[test]
+    fn softmax_lse_is_log_sum_exp_beside_the_softmax() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let cases: [&[f64]; 10] = [
+            &[],
+            &[0.0],
+            &[-0.0, 0.0],
+            &[1.0, 2.0, 3.0],
+            &[1e8, 1e8 + 1.0, -1e8],
+            &[-inf, -inf],
+            &[-inf, 0.5],
+            &[inf, 1.0],
+            &[nan, 1.0, -2.0],
+            &[nan, -inf],
+        ];
+        for x in cases {
+            let mut lse_out = x.to_vec();
+            let lse = softmax_in_place_lse(&mut lse_out);
+            let mut out = x.to_vec();
+            softmax_in_place(&mut out);
+            assert_eq!(bits(&[lse]), bits(&[log_sum_exp(x)]), "{x:?}");
+            assert_eq!(bits(&lse_out), bits(&out), "{x:?}");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_softmax_lse_matches_log_sum_exp(
+            x in proptest::collection::vec(-50.0f64..50.0, 0..16),
+        ) {
+            let mut out = x.clone();
+            let lse = softmax_in_place_lse(&mut out);
+            prop_assert_eq!(lse.to_bits(), log_sum_exp(&x).to_bits());
+            prop_assert_eq!(out, softmax(&x));
+        }
+
         #[test]
         fn prop_softmax_is_probability_vector(
             x in proptest::collection::vec(-50.0f64..50.0, 1..16),

@@ -1,6 +1,7 @@
 use fml_linalg::{softmax::sigmoid, vector};
 use rand::{Rng, RngCore};
 
+use crate::traits::batch_loss;
 use crate::{Batch, Model, Prediction, Target, Workspace};
 
 /// Binary logistic regression with cross-entropy loss and L2 weight decay.
@@ -50,6 +51,38 @@ impl LogisticRegression {
         vector::dot(&params[..self.dim], x) + params[self.dim]
     }
 
+    /// The L2 term `½λ‖w‖²` of the loss.
+    fn decay(&self, params: &[f64]) -> f64 {
+        0.5 * self.l2 * vector::norm2_sq(&params[..self.dim])
+    }
+
+    /// `grad_into`, also adding each sample's loss, from the same logit,
+    /// to `loss` when it is given.
+    fn grad_pass(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        out: &mut [f64],
+        mut loss: Option<&mut f64>,
+    ) {
+        assert_eq!(out.len(), self.param_len(), "grad_into: bad output length");
+        out.fill(0.0);
+        if !batch.is_empty() {
+            let inv_n = 1.0 / batch.len() as f64;
+            for (x, y) in batch.iter() {
+                let z = self.logit(params, x);
+                let y01 = Self::label01(y);
+                if let Some(total) = loss.as_deref_mut() {
+                    *total += fml_linalg::softmax::logistic_loss(z, 2.0 * y01 - 1.0);
+                }
+                let r = sigmoid(z) - y01;
+                vector::axpy(r * inv_n, x, &mut out[..self.dim]);
+                out[self.dim] += r * inv_n;
+            }
+        }
+        vector::axpy(self.l2, &params[..self.dim], &mut out[..self.dim]);
+    }
+
     fn label01(y: Target) -> f64 {
         let c = y.expect_class();
         assert!(c < 2, "LogisticRegression: labels must be 0 or 1");
@@ -74,32 +107,33 @@ impl Model for LogisticRegression {
     }
 
     fn loss_with(&self, params: &[f64], batch: &Batch, _ws: &mut Workspace) -> f64 {
-        let reg = 0.5 * self.l2 * vector::norm2_sq(&params[..self.dim]);
-        if batch.is_empty() {
-            return reg;
-        }
+        let reg = self.decay(params);
         let mut total = 0.0;
         for (x, y) in batch.iter() {
             let z = self.logit(params, x);
             let sgn = 2.0 * Self::label01(y) - 1.0;
             total += fml_linalg::softmax::logistic_loss(z, sgn);
         }
-        total / batch.len() as f64 + reg
+        batch_loss(total, batch.len(), reg)
     }
 
     fn grad_into(&self, params: &[f64], batch: &Batch, _ws: &mut Workspace, out: &mut [f64]) {
-        assert_eq!(out.len(), self.param_len(), "grad_into: bad output length");
-        out.fill(0.0);
-        if !batch.is_empty() {
-            let inv_n = 1.0 / batch.len() as f64;
-            for (x, y) in batch.iter() {
-                let p = sigmoid(self.logit(params, x));
-                let r = p - Self::label01(y);
-                vector::axpy(r * inv_n, x, &mut out[..self.dim]);
-                out[self.dim] += r * inv_n;
-            }
-        }
-        vector::axpy(self.l2, &params[..self.dim], &mut out[..self.dim]);
+        self.grad_pass(params, batch, out, None);
+    }
+
+    /// The gradient pass's logit feeds the sample loss too, summed in
+    /// `loss_with`'s order: one `x·w` a sample, not two.
+    fn loss_grad_into(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        _ws: &mut Workspace,
+        out: &mut [f64],
+    ) -> f64 {
+        let reg = self.decay(params);
+        let mut total = 0.0;
+        self.grad_pass(params, batch, out, Some(&mut total));
+        batch_loss(total, batch.len(), reg)
     }
 
     fn hvp_into(

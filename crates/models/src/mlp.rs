@@ -1,6 +1,7 @@
 use fml_linalg::{softmax, vector};
 use rand::{Rng, RngCore};
 
+use crate::traits::batch_loss;
 use crate::workspace::{layer_spans, Span};
 use crate::{Batch, Model, ModelError, Prediction, Result, Target, Workspace};
 
@@ -228,11 +229,29 @@ impl Mlp {
 
     /// [`forward_ws`](Self::forward_ws) plus the class probabilities
     /// `softmax(logits)` in `ws.probs`: the forward pass a backward pass
-    /// or an R-pass reads.
-    fn forward_probs_ws(&self, params: &[f64], ws: &mut Workspace, x: &[f64]) {
+    /// or an R-pass reads. With `lse` it returns the logits'
+    /// log-sum-exp, the term `cross_entropy_logits` takes the label's
+    /// logit from; without, 0.
+    fn forward_probs_ws(&self, params: &[f64], ws: &mut Workspace, x: &[f64], lse: bool) -> f64 {
         self.forward_ws(params, ws, x);
         ws.probs.copy_from_slice(&ws.zs[self.layer_count() - 1]);
+        if lse {
+            return softmax::softmax_in_place_lse(&mut ws.probs);
+        }
         softmax::softmax_in_place(&mut ws.probs);
+        0.0
+    }
+
+    /// The L2 term `½λ Σ_l ‖W_l‖²` of the loss.
+    fn decay(&self, params: &[f64], spans: &[Span]) -> f64 {
+        let mut reg = 0.0;
+        if self.l2 > 0.0 {
+            for &(w0, w1, _, _) in spans {
+                reg += vector::norm2_sq(&params[w0..w1]);
+            }
+            reg *= 0.5 * self.l2;
+        }
+        reg
     }
 
     /// Backpropagates the sample whose forward pass `ws` holds (from
@@ -323,16 +342,7 @@ impl Model for Mlp {
 
     fn loss_with(&self, params: &[f64], batch: &Batch, ws: &mut Workspace) -> f64 {
         ws.check(&self.dims);
-        let mut reg = 0.0;
-        if self.l2 > 0.0 {
-            for &(w0, w1, _, _) in &ws.spans {
-                reg += vector::norm2_sq(&params[w0..w1]);
-            }
-            reg *= 0.5 * self.l2;
-        }
-        if batch.is_empty() {
-            return reg;
-        }
+        let reg = self.decay(params, &ws.spans);
         let lcount = self.layer_count();
         let mut total = 0.0;
         for (x, y) in batch.iter() {
@@ -340,11 +350,27 @@ impl Model for Mlp {
             self.forward_ws(params, ws, x);
             total += softmax::cross_entropy_logits(&ws.zs[lcount - 1], label);
         }
-        total / batch.len() as f64 + reg
+        batch_loss(total, batch.len(), reg)
     }
 
     fn grad_into(&self, params: &[f64], batch: &Batch, ws: &mut Workspace, out: &mut [f64]) {
-        self.grad_pass(params, batch, ws, out, None);
+        self.grad_pass(params, batch, ws, out, None, None);
+    }
+
+    /// The gradient pass's softmax also returns each sample's
+    /// log-sum-exp, so the loss is `lse − z_label` summed beside the
+    /// gradient: the same bits as `loss_with`'s `cross_entropy_logits`.
+    fn loss_grad_into(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        ws: &mut Workspace,
+        out: &mut [f64],
+    ) -> f64 {
+        let reg = self.decay(params, &ws.spans);
+        let mut total = 0.0;
+        self.grad_pass(params, batch, ws, out, Some(&mut total), None);
+        batch_loss(total, batch.len(), reg)
     }
 
     fn hvp_into(
@@ -373,7 +399,7 @@ impl Model for Mlp {
         // The tape leaves the workspace for the call, so a `between` that
         // replays through the same workspace cannot overwrite this one.
         let mut tape = std::mem::take(&mut ws.tape);
-        self.grad_pass(params, batch, ws, buf, Some(&mut tape));
+        self.grad_pass(params, batch, ws, buf, None, Some(&mut tape));
         between(buf, ws);
         self.hvp_pass(params, batch, buf, ws, hv, Some(&tape));
         ws.tape = tape;
@@ -388,7 +414,7 @@ impl Model for Mlp {
     fn input_grad(&self, params: &[f64], x: &[f64], y: Target) -> Vec<f64> {
         let mut ws = self.workspace();
         let label = self.check_label(y);
-        self.forward_probs_ws(params, &mut ws, x);
+        self.forward_probs_ws(params, &mut ws, x, false);
         self.backward_sample_ws(params, &mut ws, label, None);
         ws.pre[..self.dims[0]].to_vec()
     }
@@ -403,24 +429,30 @@ impl Model for Mlp {
 }
 
 impl Mlp {
-    /// `grad_into`, also recording each sample's forward pass on `tape`
-    /// when one is given.
+    /// `grad_into`, also adding each sample's loss to `loss` (from the
+    /// softmax's log-sum-exp) and recording its forward pass on `tape`,
+    /// when they are given.
     fn grad_pass(
         &self,
         params: &[f64],
         batch: &Batch,
         ws: &mut Workspace,
         out: &mut [f64],
+        mut loss: Option<&mut f64>,
         mut tape: Option<&mut Vec<f64>>,
     ) {
         ws.check(&self.dims);
         assert_eq!(out.len(), self.param_len(), "grad_into: bad output length");
         out.fill(0.0);
+        let last = self.layer_count() - 1;
         if !batch.is_empty() {
             let inv_n = 1.0 / batch.len() as f64;
             for (s, (x, y)) in batch.iter().enumerate() {
                 let label = self.check_label(y);
-                self.forward_probs_ws(params, ws, x);
+                let lse = self.forward_probs_ws(params, ws, x, loss.is_some());
+                if let Some(total) = loss.as_deref_mut() {
+                    *total += lse - ws.zs[last][label];
+                }
                 self.backward_sample_ws(params, ws, label, Some((inv_n, &mut *out)));
                 if let Some(tape) = tape.as_deref_mut() {
                     ws.record(tape, s);
@@ -455,7 +487,9 @@ impl Mlp {
                 let label = self.check_label(y);
                 match tape {
                     Some(tape) => ws.replay(tape, s),
-                    None => self.forward_probs_ws(params, ws, x),
+                    None => {
+                        self.forward_probs_ws(params, ws, x, false);
+                    }
                 }
                 self.r_op_sample_ws(params, ws, label, v, inv_n, out);
             }
@@ -754,6 +788,9 @@ mod tests {
             m.grad_then_hvp_into(&p, &train, &mut ws, &mut out, &mut set_v, &mut hv);
             assert_eq!(out, v, "grad_then_hvp buf, seed {seed}");
             assert_eq!(hv, m.hvp(&p, &train, &v), "grad_then_hvp hv, seed {seed}");
+            let loss = m.loss_grad_into(&p, &batch, &mut ws, &mut out);
+            assert_eq!(out, m.grad(&p, &batch), "loss_grad grad, seed {seed}");
+            assert_eq!(loss.to_bits(), m.loss(&p, &batch).to_bits(), "seed {seed}");
             m.hvp_into(&p, &batch, &v, &mut ws, &mut out);
             assert_eq!(out, m.hvp(&p, &batch, &v), "hvp, seed {seed}");
             assert_eq!(m.loss_with(&p, &batch, &mut ws), m.loss(&p, &batch));

@@ -1,6 +1,7 @@
 use fml_linalg::{softmax, vector};
 use rand::{Rng, RngCore};
 
+use crate::traits::batch_loss;
 use crate::{Batch, Model, Prediction, Target, Workspace};
 
 /// Multinomial logistic (softmax) regression with cross-entropy loss.
@@ -17,7 +18,10 @@ use crate::{Batch, Model, Prediction, Target, Workspace};
 /// The per-sample Hessian has the Kronecker structure
 /// `(diag(p) − ppᵀ) ⊗ x̃x̃ᵀ`, which the analytic [`Model::hvp`] exploits:
 /// an HVP costs two matrix–vector products instead of materializing the
-/// `c(d+1) × c(d+1)` Hessian.
+/// `c(d+1) × c(d+1)` Hessian. Through [`Model::grad_then_hvp_into`] it
+/// costs one less: the HVP copies back the class probabilities the
+/// gradient at the same `(θ, batch)` recorded, with the same bits as
+/// `hvp_into`.
 ///
 /// # Examples
 ///
@@ -85,6 +89,11 @@ impl SoftmaxRegression {
         [self.dim.max(1), self.classes]
     }
 
+    /// The L2 term `½λ‖W‖²` of the loss.
+    fn decay(&self, params: &[f64]) -> f64 {
+        0.5 * self.l2 * vector::norm2_sq(&params[..self.weight_len()])
+    }
+
     /// Writes the logit vector `Wx + b` into `z`.
     fn logits_into(&self, params: &[f64], x: &[f64], z: &mut [f64]) {
         let (w, b) = params.split_at(self.weight_len());
@@ -117,39 +126,33 @@ impl Model for SoftmaxRegression {
 
     fn loss_with(&self, params: &[f64], batch: &Batch, ws: &mut Workspace) -> f64 {
         ws.check(&self.ws_dims());
-        let reg = 0.5 * self.l2 * vector::norm2_sq(&params[..self.weight_len()]);
-        if batch.is_empty() {
-            return reg;
-        }
+        let reg = self.decay(params);
         let mut total = 0.0;
         for (x, y) in batch.iter() {
             self.logits_into(params, x, &mut ws.zs[0]);
             total += softmax::cross_entropy_logits(&ws.zs[0], self.check_label(y));
         }
-        total / batch.len() as f64 + reg
+        batch_loss(total, batch.len(), reg)
     }
 
     fn grad_into(&self, params: &[f64], batch: &Batch, ws: &mut Workspace, out: &mut [f64]) {
-        ws.check(&self.ws_dims());
-        assert_eq!(out.len(), self.param_len(), "grad_into: bad output length");
-        out.fill(0.0);
-        if !batch.is_empty() {
-            let inv_n = 1.0 / batch.len() as f64;
-            for (x, y) in batch.iter() {
-                let label = self.check_label(y);
-                self.logits_into(params, x, &mut ws.zs[0]);
-                // r = softmax(z) − e_label, hosted by ws.probs.
-                ws.probs.copy_from_slice(&ws.zs[0]);
-                softmax::softmax_in_place(&mut ws.probs);
-                ws.probs[label] -= 1.0;
-                for (k, &rk) in ws.probs.iter().enumerate() {
-                    vector::axpy(rk * inv_n, x, &mut out[k * self.dim..(k + 1) * self.dim]);
-                    out[self.weight_len() + k] += rk * inv_n;
-                }
-            }
-        }
-        let wl = self.weight_len();
-        vector::axpy(self.l2, &params[..wl], &mut out[..wl]);
+        self.grad_pass(params, batch, ws, out, None, None);
+    }
+
+    /// The gradient pass's softmax also returns each sample's
+    /// log-sum-exp, so the loss is `lse − z_label` summed beside the
+    /// gradient: the same bits as `loss_with`'s `cross_entropy_logits`.
+    fn loss_grad_into(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        ws: &mut Workspace,
+        out: &mut [f64],
+    ) -> f64 {
+        let reg = self.decay(params);
+        let mut total = 0.0;
+        self.grad_pass(params, batch, ws, out, Some(&mut total), None);
+        batch_loss(total, batch.len(), reg)
     }
 
     fn hvp_into(
@@ -160,32 +163,29 @@ impl Model for SoftmaxRegression {
         ws: &mut Workspace,
         out: &mut [f64],
     ) {
-        ws.check(&self.ws_dims());
-        assert_eq!(out.len(), self.param_len(), "hvp_into: bad output length");
-        out.fill(0.0);
-        if !batch.is_empty() {
-            let inv_n = 1.0 / batch.len() as f64;
-            for (x, _) in batch.iter() {
-                self.logits_into(params, x, &mut ws.zs[0]);
-                ws.probs.copy_from_slice(&ws.zs[0]);
-                softmax::softmax_in_place(&mut ws.probs);
-                // s_k = V_k·x + v_{b,k} — the directional logit
-                // perturbation, hosted by ws.r_zs[0].
-                self.logits_into(v, x, &mut ws.r_zs[0]);
-                // u = (diag(p) − ppᵀ)·s = p∘s − p·(pᵀs), hosted by
-                // ws.delta[0].
-                let ps = vector::dot(&ws.probs, &ws.r_zs[0]);
-                for ((u, &pk), &sk) in ws.delta[0].iter_mut().zip(&ws.probs).zip(&ws.r_zs[0]) {
-                    *u = pk * (sk - ps);
-                }
-                for (k, &uk) in ws.delta[0].iter().enumerate() {
-                    vector::axpy(uk * inv_n, x, &mut out[k * self.dim..(k + 1) * self.dim]);
-                    out[self.weight_len() + k] += uk * inv_n;
-                }
-            }
-        }
-        let wl = self.weight_len();
-        vector::axpy(self.l2, &v[..wl], &mut out[..wl]);
+        self.hvp_pass(params, batch, v, ws, out, None);
+    }
+
+    /// The gradient pass records each sample's class probabilities on the
+    /// workspace's tape and the R-pass copies them back, where `hvp_into`
+    /// computes the logits and the softmax again: the same values, so the
+    /// same bits as the three calls.
+    fn grad_then_hvp_into(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        ws: &mut Workspace,
+        buf: &mut [f64],
+        between: &mut dyn FnMut(&mut [f64], &mut Workspace),
+        hv: &mut [f64],
+    ) {
+        // The tape leaves the workspace for the call, so a `between` that
+        // replays through the same workspace cannot overwrite this one.
+        let mut tape = std::mem::take(&mut ws.tape);
+        self.grad_pass(params, batch, ws, buf, None, Some(&mut tape));
+        between(buf, ws);
+        self.hvp_pass(params, batch, buf, ws, hv, Some(&tape));
+        ws.tape = tape;
     }
 
     fn sample_loss(&self, params: &[f64], x: &[f64], y: Target) -> f64 {
@@ -212,6 +212,102 @@ impl Model for SoftmaxRegression {
         softmax::softmax_in_place(&mut probs);
         let label = vector::argmax(&probs).unwrap_or(0);
         Prediction::Class { label, probs }
+    }
+}
+
+impl SoftmaxRegression {
+    /// `grad_into`, also adding each sample's loss to `loss` (from the
+    /// softmax's log-sum-exp) and recording its class probabilities on
+    /// `tape`, when they are given.
+    fn grad_pass(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        ws: &mut Workspace,
+        out: &mut [f64],
+        mut loss: Option<&mut f64>,
+        mut tape: Option<&mut Vec<f64>>,
+    ) {
+        ws.check(&self.ws_dims());
+        assert_eq!(out.len(), self.param_len(), "grad_into: bad output length");
+        out.fill(0.0);
+        let c = self.classes;
+        if let Some(tape) = tape.as_deref_mut() {
+            if tape.len() < batch.len() * c {
+                tape.resize(batch.len() * c, 0.0);
+            }
+        }
+        if !batch.is_empty() {
+            let inv_n = 1.0 / batch.len() as f64;
+            for (s, (x, y)) in batch.iter().enumerate() {
+                let label = self.check_label(y);
+                self.logits_into(params, x, &mut ws.zs[0]);
+                // r = softmax(z) − e_label, hosted by ws.probs.
+                ws.probs.copy_from_slice(&ws.zs[0]);
+                match loss.as_deref_mut() {
+                    Some(total) => {
+                        *total += softmax::softmax_in_place_lse(&mut ws.probs) - ws.zs[0][label];
+                    }
+                    None => softmax::softmax_in_place(&mut ws.probs),
+                }
+                if let Some(tape) = tape.as_deref_mut() {
+                    tape[s * c..(s + 1) * c].copy_from_slice(&ws.probs);
+                }
+                ws.probs[label] -= 1.0;
+                for (k, &rk) in ws.probs.iter().enumerate() {
+                    vector::axpy(rk * inv_n, x, &mut out[k * self.dim..(k + 1) * self.dim]);
+                    out[self.weight_len() + k] += rk * inv_n;
+                }
+            }
+        }
+        let wl = self.weight_len();
+        vector::axpy(self.l2, &params[..wl], &mut out[..wl]);
+    }
+
+    /// `hvp_into`, copying each sample's class probabilities from `tape`
+    /// — which [`grad_pass`](Self::grad_pass) recorded at the same
+    /// `(params, batch)` — when one is given, instead of computing them.
+    fn hvp_pass(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        v: &[f64],
+        ws: &mut Workspace,
+        out: &mut [f64],
+        tape: Option<&[f64]>,
+    ) {
+        ws.check(&self.ws_dims());
+        assert_eq!(out.len(), self.param_len(), "hvp_into: bad output length");
+        out.fill(0.0);
+        let c = self.classes;
+        if !batch.is_empty() {
+            let inv_n = 1.0 / batch.len() as f64;
+            for (s, (x, _)) in batch.iter().enumerate() {
+                match tape {
+                    Some(tape) => ws.probs.copy_from_slice(&tape[s * c..(s + 1) * c]),
+                    None => {
+                        self.logits_into(params, x, &mut ws.zs[0]);
+                        ws.probs.copy_from_slice(&ws.zs[0]);
+                        softmax::softmax_in_place(&mut ws.probs);
+                    }
+                }
+                // s_k = V_k·x + v_{b,k} — the directional logit
+                // perturbation, hosted by ws.r_zs[0].
+                self.logits_into(v, x, &mut ws.r_zs[0]);
+                // u = (diag(p) − ppᵀ)·s = p∘s − p·(pᵀs), hosted by
+                // ws.delta[0].
+                let ps = vector::dot(&ws.probs, &ws.r_zs[0]);
+                for ((u, &pk), &sk) in ws.delta[0].iter_mut().zip(&ws.probs).zip(&ws.r_zs[0]) {
+                    *u = pk * (sk - ps);
+                }
+                for (k, &uk) in ws.delta[0].iter().enumerate() {
+                    vector::axpy(uk * inv_n, x, &mut out[k * self.dim..(k + 1) * self.dim]);
+                    out[self.weight_len() + k] += uk * inv_n;
+                }
+            }
+        }
+        let wl = self.weight_len();
+        vector::axpy(self.l2, &v[..wl], &mut out[..wl]);
     }
 }
 
@@ -335,16 +431,39 @@ mod tests {
     fn reused_workspace_matches_fresh_workspace() {
         // `grad`/`hvp`/`loss` build a fresh workspace per call; one
         // workspace reused across kernels and parameter points must give
-        // the same bits.
+        // the same bits. `grad_then_hvp_into` runs in between, on a batch
+        // that shrinks, so its tape is both written by and left in the
+        // reused workspace.
         let model = SoftmaxRegression::new(3, 3).with_l2(0.02);
         let batch = toy_batch();
         let mut ws = model.workspace();
         let mut out = vec![0.0; model.param_len()];
-        for seed in [5, 6] {
+        let mut hv = vec![0.0; model.param_len()];
+        for (seed, n) in [(5, 4), (6, 2)] {
             let p = toy_params(&model, seed);
             let v = toy_params(&model, seed + 500);
             model.grad_into(&p, &batch, &mut ws, &mut out);
             assert_eq!(out, model.grad(&p, &batch), "grad, seed {seed}");
+            let (train, _) = batch.split_at(n);
+            let g = model.grad(&p, &train);
+            let mut set_v = |buf: &mut [f64], _: &mut Workspace| {
+                assert_eq!(buf, &g[..], "grad_then_hvp gradient, seed {seed}");
+                buf.copy_from_slice(&v);
+            };
+            model.grad_then_hvp_into(&p, &train, &mut ws, &mut out, &mut set_v, &mut hv);
+            assert_eq!(out, v, "grad_then_hvp buf, seed {seed}");
+            assert_eq!(
+                hv,
+                model.hvp(&p, &train, &v),
+                "grad_then_hvp hv, seed {seed}"
+            );
+            let loss = model.loss_grad_into(&p, &batch, &mut ws, &mut out);
+            assert_eq!(out, model.grad(&p, &batch), "loss_grad grad, seed {seed}");
+            assert_eq!(
+                loss.to_bits(),
+                model.loss(&p, &batch).to_bits(),
+                "seed {seed}"
+            );
             model.hvp_into(&p, &batch, &v, &mut ws, &mut out);
             assert_eq!(out, model.hvp(&p, &batch, &v), "hvp, seed {seed}");
             assert_eq!(model.loss_with(&p, &batch, &mut ws), model.loss(&p, &batch));

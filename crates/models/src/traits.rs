@@ -62,6 +62,8 @@ impl Prediction {
 /// * An override of [`grad_then_hvp_into`](Model::grad_then_hvp_into)
 ///   shares work between its two passes and nothing else: it writes the
 ///   bits of `grad_into`, `between`, `hvp_into` in turn.
+/// * An override of [`loss_grad_into`](Model::loss_grad_into) writes the
+///   bits of `grad_into` and returns the bits of `loss_with`.
 /// * `input_grad`/`sample_loss` operate on a *single* sample and must be
 ///   consistent with each other; they power adversarial data generation.
 ///
@@ -131,6 +133,28 @@ pub trait Model: Send + Sync + std::fmt::Debug {
     /// Panics when `out.len() != param_len()`.
     fn grad_into(&self, params: &[f64], batch: &Batch, ws: &mut Workspace, out: &mut [f64]);
 
+    /// The gradient and the loss at one point: writes `∇L(θ, B)` into
+    /// `out` and returns `L(θ, B)`.
+    ///
+    /// The default is exactly [`grad_into`](Model::grad_into), then
+    /// [`loss_with`](Model::loss_with). A model whose gradient pass
+    /// already holds each sample's loss overrides it to sum that loss in
+    /// `loss_with`'s order, with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len() != param_len()`.
+    fn loss_grad_into(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        ws: &mut Workspace,
+        out: &mut [f64],
+    ) -> f64 {
+        self.grad_into(params, batch, ws, out);
+        self.loss_with(params, batch, ws)
+    }
+
     /// The HVP kernel: [`hvp`](Model::hvp) written into a caller-provided
     /// buffer through a reusable workspace.
     ///
@@ -198,6 +222,17 @@ pub trait Model: Send + Sync + std::fmt::Debug {
             .count();
         correct as f64 / batch.len() as f64
     }
+}
+
+/// The batch loss from `total`, the sum of `n` sample losses: their mean
+/// plus the regularization `reg`, or `reg` alone when `n == 0`. The tail
+/// of `loss_with` and of each `loss_grad_into` override, so both round
+/// the same way.
+pub(crate) fn batch_loss(total: f64, n: usize, reg: f64) -> f64 {
+    if n == 0 {
+        return reg;
+    }
+    total / n as f64 + reg
 }
 
 /// Central finite-difference Hessian–vector product used as the [`Model`]

@@ -75,8 +75,9 @@ pub struct Workspace {
     /// Class-probability scratch (softmax output width).
     pub(crate) probs: Vec<f64>,
     /// Forward passes a gradient pass recorded for the HVP at the same
-    /// `(θ, batch)` (`Model::grad_then_hvp_into`): record `s` is sample
-    /// `s`'s `acts`, `zs` and `probs` end to end. Grown to the largest
+    /// `(θ, batch)` (`Model::grad_then_hvp_into`): `Mlp`'s record `s` is
+    /// sample `s`'s `acts`, `zs` and `probs` end to end,
+    /// `SoftmaxRegression`'s its `probs` alone. Grown to the largest
     /// batch seen, then reused.
     pub(crate) tape: Vec<f64>,
 }

@@ -11,7 +11,9 @@
 //! workspace-backed model families; the curve evaluation costs the same
 //! number of allocations over 64 tasks as over 8 (and none on a held
 //! scratch); and the allocating `local_update` wrapper returns the same
-//! bits as the kernel it wraps.
+//! bits as the kernel it wraps. The second-order softmax step keeps its
+//! class probabilities on the workspace's tape: a support set larger than
+//! any before grows it once, and the curve keeps none.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -97,6 +99,14 @@ fn tasks(nodes: usize) -> Vec<SourceTask> {
     SourceTask::from_nodes_deterministic(fed.nodes(), 4)
 }
 
+/// `task` with its query set appended to its support set: a support
+/// batch larger than the synthetic split's `k = 4`.
+fn grown(task: &SourceTask) -> SourceTask {
+    let mut task = task.clone();
+    task.split.train = task.split.train.concat(&task.split.test);
+    task
+}
+
 fn models() -> Vec<Box<dyn Model>> {
     vec![
         Box::new(SoftmaxRegression::new(DIM, CLASSES).with_l2(1e-3)),
@@ -158,6 +168,35 @@ fn steady_state_local_update_allocates_nothing() {
             }
         }
     }
+
+    // FedML second order on softmax, warmed up on the `k = 4` supports,
+    // then on supports that grow: the first grown step resizes the tape
+    // (one request, however many samples it adds), and from then on no
+    // step allocates, the small supports included.
+    let model = SoftmaxRegression::new(DIM, CLASSES).with_l2(1e-3);
+    let theta = model.init_params(&mut rand::rngs::StdRng::seed_from_u64(3));
+    let (_, fedml) = &steppers()[0];
+    let mut scratch = Scratch::for_model(&model);
+    let mut out = Vec::new();
+    for task in &tasks {
+        fedml.local_update_into(&model, task, &theta, T0, &mut scratch, &mut out);
+    }
+    let grown: Vec<SourceTask> = tasks.iter().map(grown).collect();
+    let largest = grown.iter().max_by_key(|t| t.split.train.len()).unwrap();
+    let (allocs, _) = allocs_during(|| {
+        fedml.local_update_into(&model, largest, &theta, T0, &mut scratch, &mut out);
+    });
+    assert_eq!(allocs, 1, "the tape grows once, to the largest support");
+    for task in tasks.iter().chain(&grown) {
+        let (allocs, _) = allocs_during(|| {
+            fedml.local_update_into(&model, task, &theta, T0, &mut scratch, &mut out);
+        });
+        assert_eq!(
+            allocs, 0,
+            "FedML on softmax, grown supports, node {}",
+            task.id
+        );
+    }
 }
 
 #[test]
@@ -186,8 +225,29 @@ fn curve_evaluation_is_constant_in_task_count() {
             });
             assert_eq!(allocs, 0, "{at}");
             assert_eq!(held, stepper.eval_losses(model, &tasks, &theta), "{at}");
+            // The curve's support loss is `weighted_train_loss`'s, bit for
+            // bit, though it comes from the inner step's gradient pass.
+            let train = fml_core::weighted_train_loss(model, &tasks, &theta);
+            assert_eq!(held.1.to_bits(), train.to_bits(), "{at}");
         }
     }
+
+    // The curve keeps no tape: on a scratch that has taken second-order
+    // softmax steps on the `k = 4` supports, evaluating supports that
+    // grow allocates nothing.
+    let model = SoftmaxRegression::new(DIM, CLASSES).with_l2(1e-3);
+    let theta = model.init_params(&mut rand::rngs::StdRng::seed_from_u64(5));
+    let (_, fedml) = &steppers()[0];
+    let mut scratch = Scratch::for_model(&model);
+    let mut out = Vec::new();
+    fedml.local_update_into(&model, &tasks[0], &theta, T0, &mut scratch, &mut out);
+    let grown: Vec<SourceTask> = tasks.iter().map(grown).collect();
+    let mut held = (0.0, 0.0);
+    let (allocs, _) = allocs_during(|| {
+        held = fedml.eval_losses_with(&model, &grown, &theta, &mut scratch);
+    });
+    assert_eq!(allocs, 0, "FedML curve on softmax, grown supports");
+    assert_eq!(held, fedml.eval_losses(&model, &grown, &theta));
 }
 
 /// ROADMAP aim 3(b), second half: a peer lying about its payload size

@@ -8,8 +8,8 @@ use fml_dro::{RobustSurrogate, SquaredL2Cost};
 use fml_integration::{global_frame, prefix_frame, update_frame};
 use fml_linalg::{vector, Matrix};
 use fml_models::{
-    Activation, Batch, LinearRegression, MlpBuilder, Model, Quadratic, SoftmaxRegression, Target,
-    Workspace,
+    Activation, Batch, LinearRegression, LogisticRegression, MlpBuilder, Model, Quadratic,
+    SoftmaxRegression, Target, Workspace,
 };
 use fml_sim::{FrameBuffer, FrameError, FramePool, MessageView, LENGTH_PREFIX_LEN, MAX_FRAME_LEN};
 use proptest::prelude::*;
@@ -173,15 +173,67 @@ fn class_batch(rng: &mut impl Rng, dim: usize, classes: usize, n: usize) -> Batc
     batch
 }
 
+/// `n` samples in `[-1, 1)^dim` with values in `[-1, 1)`.
+fn value_batch(rng: &mut impl Rng, dim: usize, n: usize) -> Batch {
+    let mut batch = Batch::empty(dim);
+    for _ in 0..n {
+        let x: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        batch.push(&x, Target::Value(rng.gen_range(-1.0..1.0)));
+    }
+    batch
+}
+
+/// Each value's bits, every NaN as one: NaN payloads and signs are not
+/// specified by the language (an add of two NaNs may return either), so
+/// two NaNs count as equal.
+fn bits(v: &[f64]) -> Vec<u64> {
+    let canonical = |x: &f64| if x.is_nan() { f64::NAN } else { *x };
+    v.iter().map(|x| canonical(x).to_bits()).collect()
+}
+
+/// A model's `grad_then_hvp_into` is `grad_into` → `between` →
+/// `hvp_into` bit for bit, in `buf` and in `hv`. `between` is the
+/// meta-gradient's: a gradient at another point on a `query`-sample
+/// batch through the same workspace. The second call is on a batch no
+/// larger than the first, so a tape entry left from the first cannot
+/// leak into it.
+fn assert_replayed_hvp_is_the_three_calls(
+    model: &dyn Model,
+    rng: &mut impl Rng,
+    classes: usize,
+    sizes: (usize, usize),
+    query: usize,
+) {
+    let dim = model.input_dim();
+    let theta = model.init_params(rng);
+    let test = class_batch(rng, dim, classes, query);
+    let alpha = 0.3;
+    let d = model.param_len();
+    let (mut ws, mut ws_ref) = (model.workspace(), model.workspace());
+    let mut phi = vec![0.0; d];
+    let mut between = |g: &mut [f64], ws: &mut Workspace| {
+        phi.copy_from_slice(&theta);
+        vector::axpy(-alpha, g, &mut phi);
+        model.grad_into(&phi, &test, ws, g);
+    };
+    for n in [sizes.0.max(sizes.1), sizes.0.min(sizes.1)] {
+        let train = class_batch(rng, dim, classes, n);
+        let (mut buf, mut hv) = (vec![0.0; d], vec![0.0; d]);
+        model.grad_then_hvp_into(&theta, &train, &mut ws, &mut buf, &mut between, &mut hv);
+        let (mut buf_ref, mut hv_ref) = (vec![0.0; d], vec![0.0; d]);
+        model.grad_into(&theta, &train, &mut ws_ref, &mut buf_ref);
+        between(&mut buf_ref, &mut ws_ref);
+        model.hvp_into(&theta, &train, &buf_ref, &mut ws_ref, &mut hv_ref);
+        assert_eq!(bits(&buf), bits(&buf_ref), "buf, n = {n}, {model:?}");
+        assert_eq!(bits(&hv), bits(&hv_ref), "hv, n = {n}, {model:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `Mlp::grad_then_hvp_into` replays the gradient's forward pass in
-    /// its HVP; it must be `grad_into` → `between` → `hvp_into` bit for
-    /// bit, in `buf` and in `hv`. `between` is the meta-gradient's:
-    /// a gradient at another point on another batch through the same
-    /// workspace. The second call is on a batch no larger than the first,
-    /// so a tape entry left from the first cannot leak into it.
+    /// its HVP, 0–3 hidden layers, either activation, `l2` on and off.
     #[test]
     fn prop_mlp_replayed_hvp_is_the_three_calls(
         shape in (1usize..5, 0usize..4, 2usize..5, 0u64..10_000),
@@ -199,28 +251,79 @@ proptest! {
             .l2(if l2 { 0.01 } else { 0.0 })
             .build()
             .unwrap();
-        let theta = model.init_params(&mut rng);
-        let test = class_batch(&mut rng, dim, classes, query);
-        let alpha = 0.3;
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let d = model.param_len();
-        let (mut ws, mut ws_ref) = (model.workspace(), model.workspace());
-        let mut phi = vec![0.0; d];
-        let mut between = |g: &mut [f64], ws: &mut Workspace| {
-            phi.copy_from_slice(&theta);
-            vector::axpy(-alpha, g, &mut phi);
-            model.grad_into(&phi, &test, ws, g);
+        assert_replayed_hvp_is_the_three_calls(&model, &mut rng, classes, sizes, query);
+    }
+
+    /// `SoftmaxRegression::grad_then_hvp_into` copies the gradient's
+    /// class probabilities into its HVP, `l2` on and off.
+    #[test]
+    fn prop_softmax_replayed_hvp_is_the_three_calls(
+        shape in (1usize..6, 2usize..6, 0u64..10_000),
+        l2 in any::<bool>(),
+        sizes in (0usize..13, 0usize..13),
+        query in 0usize..13,
+    ) {
+        let (dim, classes, seed) = shape;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let model = SoftmaxRegression::new(dim, classes).with_l2(if l2 { 0.01 } else { 0.0 });
+        assert_replayed_hvp_is_the_three_calls(&model, &mut rng, classes, sizes, query);
+    }
+
+    /// `loss_grad_into` is `grad_into` then `loss_with` bit for bit — the
+    /// gradient in `out`, the loss by [`bits`] — on all five model
+    /// families (the MLP with 0–2 hidden layers), `l2` on and off, through
+    /// one reused workspace on a batch that shrinks, at parameters that
+    /// may hold `−0.0`, `±inf` and NaN.
+    #[test]
+    fn prop_loss_grad_is_grad_then_loss(
+        shape in (1usize..5, 2usize..5, 0u64..10_000),
+        kind in (any::<bool>(), any::<bool>()),
+        sizes in (0usize..13, 0usize..13),
+        specials in prop::collection::vec((0usize..1000, 0usize..5), 0..4),
+    ) {
+        let (dim, classes, seed) = shape;
+        let (tanh, l2) = kind;
+        let decay = if l2 { 0.01 } else { 0.0 };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mlp = |hidden: &[usize]| {
+            MlpBuilder::new(dim, classes)
+                .hidden(hidden)
+                .activation(if tanh { Activation::Tanh } else { Activation::Relu })
+                .l2(decay)
+                .build()
+                .unwrap()
         };
-        for n in [sizes.0.max(sizes.1), sizes.0.min(sizes.1)] {
-            let train = class_batch(&mut rng, dim, classes, n);
-            let (mut buf, mut hv) = (vec![0.0; d], vec![0.0; d]);
-            model.grad_then_hvp_into(&theta, &train, &mut ws, &mut buf, &mut between, &mut hv);
-            let (mut buf_ref, mut hv_ref) = (vec![0.0; d], vec![0.0; d]);
-            model.grad_into(&theta, &train, &mut ws_ref, &mut buf_ref);
-            between(&mut buf_ref, &mut ws_ref);
-            model.hvp_into(&theta, &train, &buf_ref, &mut ws_ref, &mut hv_ref);
-            prop_assert_eq!(bits(&buf), bits(&buf_ref), "buf, n = {}, hidden {:?}", n, hidden);
-            prop_assert_eq!(bits(&hv), bits(&hv_ref), "hv, n = {}, hidden {:?}", n, hidden);
+        let (h1, h2) = (rng.gen_range(1..6), rng.gen_range(1..6));
+        // Each model with its label count; `None` for value targets.
+        let models: Vec<(Box<dyn Model>, Option<usize>)> = vec![
+            (Box::new(SoftmaxRegression::new(dim, classes).with_l2(decay)), Some(classes)),
+            (Box::new(mlp(&[])), Some(classes)),
+            (Box::new(mlp(&[h1])), Some(classes)),
+            (Box::new(mlp(&[h1, h2])), Some(classes)),
+            (Box::new(LogisticRegression::new(dim).with_l2(decay)), Some(2)),
+            (Box::new(LinearRegression::new(dim).with_l2(decay)), None),
+            (Box::new(Quadratic::isotropic(dim, 1.5)), None),
+        ];
+        let special = [-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0];
+        for (model, labels) in &models {
+            let mut theta = model.init_params(&mut rng);
+            let d = theta.len();
+            for &(i, kind) in &specials {
+                theta[i % d] = special[kind];
+            }
+            let (mut ws, mut ws_ref) = (model.workspace(), model.workspace());
+            for n in [sizes.0.max(sizes.1), sizes.0.min(sizes.1)] {
+                let batch = match labels {
+                    Some(c) => class_batch(&mut rng, dim, *c, n),
+                    None => value_batch(&mut rng, dim, n),
+                };
+                let (mut g, mut g_ref) = (vec![0.0; d], vec![0.0; d]);
+                let loss = model.loss_grad_into(&theta, &batch, &mut ws, &mut g);
+                model.grad_into(&theta, &batch, &mut ws_ref, &mut g_ref);
+                let loss_ref = model.loss_with(&theta, &batch, &mut ws_ref);
+                prop_assert_eq!(bits(&[loss]), bits(&[loss_ref]), "loss, n = {}, {:?}", n, model);
+                prop_assert_eq!(bits(&g), bits(&g_ref), "grad, n = {}, {:?}", n, model);
+            }
         }
     }
 }
