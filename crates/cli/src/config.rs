@@ -119,19 +119,45 @@ impl RunConfig {
                 }
             }
             AlgorithmConfig::Reptile {
-                inner_lr, outer_lr, ..
+                inner_lr,
+                outer_lr,
+                inner_steps,
+                ..
             } => {
                 if *inner_lr <= 0.0 || *outer_lr <= 0.0 || *outer_lr > 1.0 {
                     return Err("reptile rates must be positive (outer ≤ 1)".into());
                 }
+                if *inner_steps == 0 {
+                    return Err("inner_steps must be at least 1".into());
+                }
             }
             AlgorithmConfig::Metasgd {
-                alpha_init, beta, ..
+                alpha_init,
+                beta,
+                local_steps,
+                ..
             } => {
                 if *alpha_init <= 0.0 || *beta <= 0.0 {
                     return Err("meta-sgd rates must be positive".into());
                 }
+                if *local_steps == 0 {
+                    return Err("local_steps must be at least 1".into());
+                }
             }
+        }
+        match &self.algorithm {
+            AlgorithmConfig::RobustFedml { lambda, n0, .. } => {
+                if !(0.0..).contains(lambda) {
+                    return Err("lambda must be non-negative".into());
+                }
+                if *n0 == 0 {
+                    return Err("n0 must be at least 1".into());
+                }
+            }
+            AlgorithmConfig::Fedprox { prox, .. } if !(0.0..).contains(prox) => {
+                return Err("prox must be non-negative".into());
+            }
+            _ => {}
         }
         if let Some(sim) = &self.simulate {
             if !(0.0..1.0).contains(&sim.dropout) {
@@ -390,17 +416,6 @@ impl Default for EvalConfig {
 mod tests {
     use super::*;
 
-    /// A default is the value product callers pass: every non-test
-    /// construction asked for the aggregation-only curve.
-    #[test]
-    fn record_every_defaults_to_aggregations_only() {
-        use fml_core::{FedAvgConfig, FedMlConfig, FedProxConfig, MetaSgdConfig};
-        assert_eq!(FedMlConfig::new(0.01, 0.01).record_every, 0);
-        assert_eq!(FedAvgConfig::new(0.01).record_every, 0);
-        assert_eq!(FedProxConfig::new(0.01, 0.1).record_every, 0);
-        assert_eq!(MetaSgdConfig::new(0.01, 0.01).record_every, 0);
-    }
-
     #[test]
     fn example_is_valid_and_roundtrips() {
         let cfg = RunConfig::example();
@@ -460,6 +475,62 @@ mod tests {
             first_order: false,
         };
         assert!(cfg.validate().is_err());
+    }
+
+    /// Each of these reached a trainer builder's `assert!` before the
+    /// check existed, so `fedml run` panicked instead of reporting it.
+    #[test]
+    fn validation_rejects_what_a_trainer_builder_would_panic_on() {
+        let robust = |lambda, n0| AlgorithmConfig::RobustFedml {
+            alpha: 0.1,
+            beta: 0.1,
+            local_steps: 5,
+            rounds: 3,
+            lambda,
+            ascent_steps: 5,
+            n0,
+            max_generations: 2,
+            clamp: None,
+        };
+        let cases = [
+            (
+                AlgorithmConfig::Metasgd {
+                    alpha_init: 0.1,
+                    beta: 0.1,
+                    local_steps: 0,
+                    rounds: 3,
+                },
+                "local_steps must be at least 1",
+            ),
+            (
+                AlgorithmConfig::Reptile {
+                    inner_lr: 0.1,
+                    outer_lr: 0.5,
+                    inner_steps: 0,
+                    rounds: 3,
+                },
+                "inner_steps must be at least 1",
+            ),
+            (robust(1.0, 0), "n0 must be at least 1"),
+            (robust(-0.5, 1), "lambda must be non-negative"),
+            (
+                AlgorithmConfig::Fedprox {
+                    lr: 0.1,
+                    prox: -0.1,
+                    local_steps: 5,
+                    rounds: 3,
+                },
+                "prox must be non-negative",
+            ),
+        ];
+        for (algorithm, message) in cases {
+            let cfg = RunConfig {
+                algorithm,
+                simulate: None,
+                ..RunConfig::example()
+            };
+            assert_eq!(cfg.validate(), Err(message.to_string()));
+        }
     }
 
     #[test]

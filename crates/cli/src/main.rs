@@ -30,7 +30,7 @@ use fml_cli::{
     build_dataset, run, run_adapt, run_adapt_serve, run_runtime, run_runtime_node, AdaptOptions,
     Launch, RunConfig, TransportKind,
 };
-use fml_core::{CorruptMode, FaultPlan};
+use fml_core::FaultPlan;
 use fml_runtime::{
     AsyncPolicy, LinkFaultPlan, Mode, RuntimeConfig, ServingConfig, UpdateCodec, VirtualClock,
 };
@@ -299,7 +299,7 @@ fn parse_runtime_flags(args: &[String], cfg_seed: u64) -> Parsed<RuntimeConfig> 
             }
             "--corrupt-at" => {
                 let (node, round) = flags.node_round(f)?;
-                faults = faults.with_corrupt(node, round, CorruptMode::NaN);
+                faults = faults.with_corrupt(node, round);
             }
             "--fault-seed" => fault_seed = Some(flags.parsed(f)?),
             "--fault-drop" => link = link.with_drop(flags.prob(f)?),
@@ -676,7 +676,7 @@ mod tests {
                         RuntimeConfig {
                             faults: FaultPlan {
                                 crashed_from: [(1, 2), (3, 4)].into(),
-                                scripted: [((0, 1), Fault::Corrupt(CorruptMode::NaN))].into(),
+                                scripted: [((0, 1), Fault::Corrupt)].into(),
                                 ..FaultPlan::new(SEED)
                             },
                             ..rt()

@@ -8,9 +8,8 @@
 //! * **Straggle** — the report arrives `delay_s` seconds late, to be
 //!   judged against the round deadline of a
 //!   [`GatherPolicy`](crate::gather::GatherPolicy);
-//! * **Corrupt** — the reported parameters are garbage (NaN, ±Inf, or a
-//!   norm-blown vector); the non-finite kinds are caught by the gather's
-//!   finite check.
+//! * **Corrupt** — the reported parameters are all NaN, which the
+//!   gather's finite check rejects.
 //!
 //! # Determinism
 //!
@@ -29,16 +28,16 @@
 //! # Examples
 //!
 //! ```
-//! use fml_core::faults::{CorruptMode, Fault, FaultPlan};
+//! use fml_core::faults::{Fault, FaultPlan};
 //!
 //! // Nodes 3 and 7 die permanently, node 5 uploads NaNs in round 3.
 //! let plan = FaultPlan::new(42)
 //!     .with_crash_from(3, 2)
 //!     .with_crash_from(7, 4)
-//!     .with_corrupt(5, 3, CorruptMode::NaN);
+//!     .with_corrupt(5, 3);
 //! assert_eq!(plan.draw(3, 2), Some(Fault::Crash));
 //! assert_eq!(plan.draw(3, 5), Some(Fault::Crash)); // permanent
-//! assert!(matches!(plan.draw(5, 3), Some(Fault::Corrupt(_))));
+//! assert_eq!(plan.draw(5, 3), Some(Fault::Corrupt));
 //! assert_eq!(plan.draw(0, 1), None); // healthy node
 //! ```
 
@@ -46,18 +45,6 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// How a corrupt node mangles its uploaded parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CorruptMode {
-    /// Every coordinate becomes `f64::NAN`.
-    NaN,
-    /// Every coordinate becomes `f64::INFINITY`.
-    Inf,
-    /// The vector is scaled by this factor (norm blow-up; finite but
-    /// wildly out of distribution, so it passes the finite check).
-    NormBlowup(f64),
-}
 
 /// One injected failure for a `(node, round)` pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,8 +56,8 @@ pub enum Fault {
         /// Lateness past the nominal report time.
         delay_s: f64,
     },
-    /// The node reports garbage parameters.
-    Corrupt(CorruptMode),
+    /// The node reports all-NaN parameters.
+    Corrupt,
 }
 
 /// A deterministic, seeded schedule of per-node per-round failures.
@@ -92,8 +79,6 @@ pub struct FaultPlan {
     /// Probability, in `[0, 1]`, that a node corrupts its upload in a
     /// round.
     pub corrupt_prob: f64,
-    /// How a probabilistically corrupt upload is mangled.
-    pub corrupt_mode: CorruptMode,
     /// Exact scripted faults, keyed by `(node, round)`.
     pub scripted: BTreeMap<(usize, usize), Fault>,
     /// Permanent crashes: node → first round it stops reporting.
@@ -111,7 +96,6 @@ impl FaultPlan {
             straggle_prob: 0.0,
             max_straggle_s: 0.0,
             corrupt_prob: 0.0,
-            corrupt_mode: CorruptMode::NaN,
             scripted: BTreeMap::new(),
             crashed_from: BTreeMap::new(),
         }
@@ -125,8 +109,8 @@ impl FaultPlan {
     }
 
     /// Scripts a one-round corruption for `node` at `round`.
-    pub fn with_corrupt(mut self, node: usize, round: usize, mode: CorruptMode) -> Self {
-        self.scripted.insert((node, round), Fault::Corrupt(mode));
+    pub fn with_corrupt(mut self, node: usize, round: usize) -> Self {
+        self.scripted.insert((node, round), Fault::Corrupt);
         self
     }
 
@@ -163,7 +147,7 @@ impl FaultPlan {
             return Some(Fault::Crash);
         }
         if u < self.crash_prob + self.corrupt_prob {
-            return Some(Fault::Corrupt(self.corrupt_mode));
+            return Some(Fault::Corrupt);
         }
         if u < self.crash_prob + self.corrupt_prob + self.straggle_prob {
             let frac: f64 = rng.gen();
@@ -197,18 +181,10 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Applies a corruption mode to an update in place. Deterministic: no
-/// randomness is involved, so a corrupt upload is bitwise reproducible.
-pub fn corrupt(mode: CorruptMode, params: &mut [f64]) {
-    match mode {
-        CorruptMode::NaN => params.fill(f64::NAN),
-        CorruptMode::Inf => params.fill(f64::INFINITY),
-        CorruptMode::NormBlowup(factor) => {
-            for p in params {
-                *p *= factor;
-            }
-        }
-    }
+/// Corrupts an update in place: every coordinate becomes `f64::NAN`.
+/// Deterministic, so a corrupt upload is bitwise reproducible.
+pub fn corrupt(params: &mut [f64]) {
+    params.fill(f64::NAN);
 }
 
 #[cfg(test)]
@@ -275,8 +251,8 @@ mod tests {
 
     #[test]
     fn scripted_overrides_probabilistic() {
-        let plan = FaultPlan::new(0).with_corrupt(4, 2, CorruptMode::Inf);
-        assert_eq!(plan.draw(4, 2), Some(Fault::Corrupt(CorruptMode::Inf)));
+        let plan = FaultPlan::new(0).with_corrupt(4, 2);
+        assert_eq!(plan.draw(4, 2), Some(Fault::Corrupt));
         assert_eq!(plan.draw(4, 3), None);
     }
 
@@ -307,16 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn corruption_modes() {
+    fn corrupt_fills_with_nan() {
         let mut v = vec![1.0, -2.0];
-        corrupt(CorruptMode::NaN, &mut v);
+        corrupt(&mut v);
         assert!(v.iter().all(|x| x.is_nan()));
-        let mut v = vec![1.0, -2.0];
-        corrupt(CorruptMode::Inf, &mut v);
-        assert!(v.iter().all(|x| x.is_infinite()));
-        let mut v = vec![1.0, -2.0];
-        corrupt(CorruptMode::NormBlowup(1e6), &mut v);
-        assert_eq!(v, vec![1e6, -2e6]);
     }
 
     #[test]

@@ -17,9 +17,6 @@ pub struct FedAvgConfig {
     /// Adaptation rate used **only** to evaluate the meta objective on the
     /// training curve, so FedAvg and FedML curves are directly comparable.
     pub eval_alpha: f64,
-    /// Curve-recording stride (aggregations always recorded; 0, the
-    /// default, = only aggregations).
-    pub record_every: usize,
     /// Worker threads for the per-node fan-out; `None` (the default)
     /// auto-sizes to the host's available parallelism capped at the node
     /// count. Results are bitwise independent of this setting.
@@ -39,7 +36,6 @@ impl FedAvgConfig {
             local_steps: 5,
             rounds: 20,
             eval_alpha: 0.01,
-            record_every: 0,
             threads: None,
         }
     }
@@ -100,10 +96,6 @@ impl LocalStepper for FedAvg {
 
     fn local_steps(&self) -> usize {
         self.cfg.local_steps
-    }
-
-    fn record_every(&self) -> usize {
-        self.cfg.record_every
     }
 
     /// `steps` of plain SGD on the node's full local dataset.
@@ -182,11 +174,9 @@ mod tests {
     fn train_loss_decreases() {
         let model = Quadratic::isotropic(2, 1.0);
         let tasks = quad_tasks(&[(1.0, 1.0), (-1.0, 1.0), (0.0, -1.0)]);
-        let cfg = FedAvgConfig {
-            record_every: 1,
-            ..FedAvgConfig::new(0.1).with_local_steps(5).with_rounds(20)
-        };
+        let cfg = FedAvgConfig::new(0.1).with_local_steps(5).with_rounds(20);
         let out = FedAvg::new(cfg).train_from(&model, &tasks, &[4.0, -4.0]);
+        crate::step::tests::assert_one_record_per_round(&out, 20, 5);
         let first = out.history.first().unwrap().train_loss;
         let last = out.history.last().unwrap().train_loss;
         assert!(last < first);

@@ -20,10 +20,6 @@ pub struct FedMlConfig {
     pub rounds: usize,
     /// Meta-gradient mode (full second-order or FOMAML).
     pub mode: MetaGradientMode,
-    /// Record the training curve every this many iterations (aggregation
-    /// iterations are always recorded). 0, the default, disables
-    /// per-iteration records.
-    pub record_every: usize,
     /// Worker threads for the per-node fan-out; `None` (the default)
     /// auto-sizes to the host's available parallelism capped at the node
     /// count. Results are bitwise independent of this setting.
@@ -45,7 +41,6 @@ impl FedMlConfig {
             local_steps: 5,
             rounds: 20,
             mode: MetaGradientMode::FullSecondOrder,
-            record_every: 0,
             threads: None,
         }
     }
@@ -80,9 +75,19 @@ impl FedMlConfig {
         self
     }
 
-    /// Sets the curve-recording stride.
-    pub fn with_record_every(mut self, every: usize) -> Self {
-        self.record_every = every;
+    /// A shell for the one caller left, `perf/`'s `.with_record_every(0)`:
+    /// the curve is recorded once per aggregation and there is no stride
+    /// to set, so `0` returns the config unchanged. The next change to the
+    /// benchmark drops that call and then deletes this method.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `every != 0`.
+    pub fn with_record_every(self, every: usize) -> Self {
+        assert!(
+            every == 0,
+            "record_every was removed: the curve is recorded once per aggregation"
+        );
         self
     }
 
@@ -172,10 +177,6 @@ impl LocalStepper for FedMl {
         self.cfg.local_steps
     }
 
-    fn record_every(&self) -> usize {
-        self.cfg.record_every
-    }
-
     /// Lines 6–7 of Algorithm 1, `steps` times: the meta-gradient through
     /// the inner step on `D_i^train`, evaluated on `D_i^test`.
     fn advance(
@@ -254,9 +255,8 @@ mod tests {
     fn config_validation_and_builders() {
         let cfg = FedMlConfig::new(0.01, 0.02)
             .with_local_steps(10)
-            .with_rounds(7)
-            .with_record_every(5);
-        assert_eq!((cfg.local_steps, cfg.rounds, cfg.record_every), (10, 7, 5));
+            .with_rounds(7);
+        assert_eq!((cfg.local_steps, cfg.rounds), (10, 7));
         let cfg2 = FedMlConfig::new(0.01, 0.02)
             .with_local_steps(10)
             .with_total_iterations(95);
@@ -294,9 +294,9 @@ mod tests {
         let tasks = quad_tasks(&[(1.0, 1.0), (1.0, -1.0), (-1.0, 0.0)]);
         let cfg = FedMlConfig::new(0.1, 0.1)
             .with_local_steps(5)
-            .with_rounds(30)
-            .with_record_every(1);
+            .with_rounds(30);
         let out = FedMl::new(cfg).train_from(&model, &tasks, &[3.0, 3.0]);
+        crate::step::tests::assert_one_record_per_round(&out, 30, 5);
         let first = out.history.first().unwrap().meta_loss;
         let last = out.history.last().unwrap().meta_loss;
         assert!(last < first, "meta loss should decrease: {first} -> {last}");
@@ -308,17 +308,9 @@ mod tests {
         let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0)]);
         let cfg = FedMlConfig::new(0.1, 0.1)
             .with_local_steps(4)
-            .with_rounds(3)
-            .with_record_every(1);
+            .with_rounds(3);
         let out = FedMl::new(cfg).train_from(&model, &tasks, &[0.5, 0.5]);
-        assert_eq!(out.history.len(), 12);
-        let agg_iters: Vec<usize> = out
-            .history
-            .iter()
-            .filter(|r| r.aggregated)
-            .map(|r| r.iteration)
-            .collect();
-        assert_eq!(agg_iters, vec![4, 8, 12]);
+        crate::step::tests::assert_one_record_per_round(&out, 3, 4);
     }
 
     #[test]
@@ -373,17 +365,14 @@ mod tests {
         assert!(fml_linalg::vector::norm2(&out.params) < 0.05);
     }
 
+    /// The benchmark's one call still compiles; any stride is refused.
     #[test]
-    fn record_every_zero_records_only_aggregations() {
-        let model = Quadratic::isotropic(2, 1.0);
-        let tasks = quad_tasks(&[(1.0, 0.0), (-1.0, 0.0)]);
-        let cfg = FedMlConfig::new(0.1, 0.1)
-            .with_local_steps(5)
-            .with_rounds(4);
-        assert_eq!(cfg.record_every, 0);
-        let out = FedMl::new(cfg).train_from(&model, &tasks, &[0.0, 0.0]);
-        assert_eq!(out.history.len(), 4);
-        assert!(out.history.iter().all(|r| r.aggregated));
+    fn with_record_every_is_a_shell() {
+        let cfg = FedMlConfig::new(0.1, 0.1);
+        assert_eq!(cfg.with_record_every(0), cfg);
+        let stride = std::panic::catch_unwind(|| cfg.with_record_every(1));
+        let message = *stride.unwrap_err().downcast::<&str>().unwrap();
+        assert!(message.contains("record_every was removed"), "{message}");
     }
 
     #[test]

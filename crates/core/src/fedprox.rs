@@ -19,8 +19,6 @@ pub struct FedProxConfig {
     /// Adaptation rate for meta-objective curve evaluation (comparability
     /// with FedML curves).
     pub eval_alpha: f64,
-    /// Curve-recording stride (0, the default, = aggregations only).
-    pub record_every: usize,
     /// Worker threads for the per-node fan-out; `None` (the default)
     /// auto-sizes to the host's available parallelism capped at the node
     /// count. Results are bitwise independent of this setting.
@@ -43,7 +41,6 @@ impl FedProxConfig {
             local_steps: 5,
             rounds: 20,
             eval_alpha: 0.01,
-            record_every: 0,
             threads: None,
         }
     }
@@ -100,10 +97,6 @@ impl LocalStepper for FedProx {
 
     fn local_steps(&self) -> usize {
         self.cfg.local_steps
-    }
-
-    fn record_every(&self) -> usize {
-        self.cfg.record_every
     }
 
     /// `steps` of proximal SGD on the node's full local dataset, pulled

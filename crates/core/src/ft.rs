@@ -296,8 +296,8 @@ fn collect_round(
         .iter()
         .zip(computed)
         .map(|(&(node, fault), mut update)| {
-            if let (Some(Fault::Corrupt(mode)), Some(u)) = (fault, &mut update) {
-                faults::corrupt(mode, u);
+            if let (Some(Fault::Corrupt), Some(u)) = (fault, &mut update) {
+                faults::corrupt(u);
             }
             let delay_s = match fault {
                 Some(Fault::Straggle { delay_s }) => delay_s,
@@ -315,7 +315,6 @@ fn collect_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::CorruptMode;
     use fml_data::NodeData;
     use fml_linalg::Matrix;
     use fml_models::{Batch, Quadratic};
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn corrupt_update_is_rejected_and_round_degraded() {
         let tasks = quad_tasks(4);
-        let plan = FaultPlan::new(3).with_corrupt(1, 2, CorruptMode::NaN);
+        let plan = FaultPlan::new(3).with_corrupt(1, 2);
         let ft = FaultTolerance::new(plan);
         let out = run(&tasks, &ft, 4, 1).unwrap();
         assert_eq!(out.history[1].reporters, 3);
@@ -458,7 +457,7 @@ mod tests {
         // Recovery excludes {0, 1, 2}; the 2-node fleet needs only 1.
         let mut plan = FaultPlan::new(6).with_crash_from(0, 2).with_crash_from(1, 2);
         for round in 2..=8 {
-            plan = plan.with_corrupt(2, round, CorruptMode::NaN);
+            plan = plan.with_corrupt(2, round);
         }
         let ft = FaultTolerance::new(plan).with_max_recoveries(2);
         let out = run(&tasks, &ft, 8, 2).unwrap();

@@ -70,7 +70,7 @@ mod trainer;
 
 pub use compress::ErrorFeedback;
 pub use error::CoreError;
-pub use faults::{CorruptMode, Fault, FaultPlan};
+pub use faults::{Fault, FaultPlan};
 pub use fedavg::{FedAvg, FedAvgConfig};
 pub use ft::{train_with_faults, FaultTolerance};
 pub use gather::{GatherPolicy, StragglerPolicy, UpdateValidation};

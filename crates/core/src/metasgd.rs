@@ -40,8 +40,6 @@ pub struct MetaSgdConfig {
     /// Clamp applied to the learned rates each update (`[0, alpha_max]`);
     /// keeps the inner step a descent step.
     pub alpha_max: f64,
-    /// Curve-recording stride (0, the default, = aggregations only).
-    pub record_every: usize,
     /// Worker threads for the per-node fan-out; `None` (the default)
     /// auto-sizes to the host's available parallelism capped at the node
     /// count. Results are bitwise independent of this setting.
@@ -62,7 +60,6 @@ impl MetaSgdConfig {
             local_steps: 5,
             rounds: 20,
             alpha_max: 10.0 * alpha_init,
-            record_every: 0,
             threads: None,
         }
     }
@@ -170,11 +167,7 @@ impl MetaSgd {
     /// The node state `(θ_i, a_i)` travels through the fault-tolerant
     /// driver as one concatenated vector `[θ_i; a_i]`, so deadline
     /// triage, the finite check, quorum, and the weighted mean treat the
-    /// learned rates exactly like the initialization. Unlike
-    /// [`train_from`](Self::train_from) (which lets local state persist
-    /// between aggregations), every round restarts from the gathered
-    /// global pair — the synchronous-round structure fault recovery
-    /// requires.
+    /// learned rates exactly like the initialization.
     ///
     /// # Errors
     ///
@@ -210,7 +203,7 @@ impl MetaSgd {
         theta0: &[f64],
     ) -> MetaSgdOutput {
         let state0 = self.pair_state(model, theta0);
-        let train = crate::step::lockstep(&PairState(self), model, tasks, &state0);
+        let train = crate::step::lockstep(&PairState(self), model, tasks, &state0, true);
         split_pair(train, theta0.len())
     }
 
@@ -255,10 +248,6 @@ impl crate::LocalStepper for PairState<'_> {
 
     fn local_steps(&self) -> usize {
         self.0.cfg.local_steps
-    }
-
-    fn record_every(&self) -> usize {
-        self.0.cfg.record_every
     }
 
     fn advance(
@@ -372,14 +361,12 @@ mod tests {
     fn converges_on_symmetric_quadratics() {
         let model = Quadratic::isotropic(2, 1.0);
         let tasks = quad_tasks(&[(2.0, 0.0), (-2.0, 0.0)]);
-        let cfg = MetaSgdConfig {
-            record_every: 1,
-            ..MetaSgdConfig::new(0.1, 0.1)
-                .with_local_steps(2)
-                .with_rounds(150)
-        };
+        let cfg = MetaSgdConfig::new(0.1, 0.1)
+            .with_local_steps(2)
+            .with_rounds(150);
         let out = MetaSgd::new(cfg).train_from(&model, &tasks, &[1.0, 1.0]);
         assert!(out.train.params.iter().all(|v| v.is_finite()));
+        crate::step::tests::assert_one_record_per_round(&out.train, 150, 2);
         let first = out.train.history.first().unwrap().meta_loss;
         let last = out.train.history.last().unwrap().meta_loss;
         assert!(last < first, "meta loss should decrease: {first} -> {last}");

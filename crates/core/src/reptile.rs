@@ -1,9 +1,8 @@
 use fml_models::Model;
 
 use crate::meta::Scratch;
-use crate::parallel::{default_threads, map_ordered_with};
-use crate::trainer::{aggregate, curve_losses};
-use crate::{LocalStepper, RoundRecord, SourceTask, TrainOutput};
+use crate::trainer::curve_losses;
+use crate::{LocalStepper, SourceTask, TrainOutput};
 
 /// Configuration for [`Reptile`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,11 +102,6 @@ impl LocalStepper for Reptile {
         self.cfg.inner_steps
     }
 
-    /// One record per round: the curve has no points between them.
-    fn record_every(&self) -> usize {
-        0
-    }
-
     /// `steps` of the inner SGD trajectory on the node's full local
     /// batch, turning the broadcast `θ` into the adapted `φ_i`.
     fn advance(
@@ -150,48 +144,16 @@ impl LocalStepper for Reptile {
         self.cfg.threads
     }
 
-    /// Round-granular, unlike the provided loop: the curve and the
-    /// returned parameters are `θ` itself, not the re-average of `n`
-    /// copies of it (which differs in the last bits).
+    /// The provided loop with its curve point and result at `θ` itself,
+    /// not the re-average of `n` copies of it (which differs in the last
+    /// bits).
     fn train_from(&self, model: &dyn Model, tasks: &[SourceTask], theta0: &[f64]) -> TrainOutput {
-        assert!(!tasks.is_empty(), "Reptile: no source tasks");
         assert_eq!(
             theta0.len(),
             model.param_len(),
             "Reptile: bad theta0 length"
         );
-        let cfg = &self.cfg;
-        let mut theta = theta0.to_vec();
-        let mut history = Vec::new();
-        let threads = cfg.threads.unwrap_or_else(|| default_threads(tasks.len()));
-
-        let new_scratch = || Scratch::for_model(model);
-        let mut curve_scratch = new_scratch();
-        for round in 1..=cfg.rounds {
-            let adapted = map_ordered_with(threads, tasks, new_scratch, |scratch, _, task| {
-                let mut phi = Vec::new();
-                self.local_update_into(model, task, &theta, cfg.inner_steps, scratch, &mut phi);
-                phi
-            });
-            theta = self.combine(&theta, aggregate(tasks, &adapted));
-            let (meta_loss, train_loss) =
-                self.eval_losses_with(model, tasks, &theta, &mut curve_scratch);
-            history.push(RoundRecord {
-                iteration: round * cfg.inner_steps,
-                meta_loss,
-                train_loss,
-                aggregated: true,
-                reporters: tasks.len(),
-                degraded: false,
-            });
-        }
-
-        TrainOutput {
-            params: theta,
-            history,
-            comm_rounds: cfg.rounds,
-            local_iterations: cfg.rounds * cfg.inner_steps,
-        }
+        crate::step::lockstep(self, model, tasks, theta0, false)
     }
 }
 

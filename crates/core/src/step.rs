@@ -7,9 +7,8 @@
 //! algorithm knows:
 //!
 //! * its name ([`algorithm`](LocalStepper::algorithm));
-//! * its schedule ([`rounds`](LocalStepper::rounds),
-//!   [`local_steps`](LocalStepper::local_steps) = `T0`,
-//!   [`record_every`](LocalStepper::record_every));
+//! * its schedule ([`rounds`](LocalStepper::rounds) and
+//!   [`local_steps`](LocalStepper::local_steps) = `T0`);
 //! * the iteration ([`advance`](LocalStepper::advance)): move one node's
 //!   state forward by `steps` local iterations, given the `anchor` — the
 //!   global that was last installed on the node (FedProx's proximal term
@@ -34,13 +33,14 @@
 //!   [`eval_losses`](LocalStepper::eval_losses) are the same calls on
 //!   fresh scratch, for one-off callers ([`crate::train_with_faults`]);
 //! * [`train_from`](LocalStepper::train_from) — the lockstep reference
-//!   run, with no transport: every node `advance`s one iteration at a
-//!   time, the weighted aggregate goes through
-//!   [`combine`](LocalStepper::combine) and is installed on every node
-//!   when `t mod T0 = 0`, and the curve is recorded at the weighted
-//!   average of the node states (which is why a record right after an
-//!   aggregation re-averages `n` copies of the global — kept, bit for
-//!   bit, because every pinned curve was drawn that way);
+//!   run, with no transport, a round at a time: every node runs
+//!   `local_update_into` from the broadcast global for `T0` steps (by
+//!   `advance`'s contract, `T0` single steps), the weighted aggregate
+//!   goes through [`combine`](LocalStepper::combine) and is installed on
+//!   every node, and the curve records once per aggregation, at the
+//!   weighted average of the node states (which re-averages `n` copies
+//!   of the global — kept, bit for bit, because every pinned curve was
+//!   drawn that way);
 //! * [`train`](LocalStepper::train) — `train_from` a drawn `θ⁰`;
 //! * [`combine`](LocalStepper::combine) (identity; [`Reptile`] overrides
 //!   it with `θ ← θ + ε(φ̄ − θ)`), [`threads`](LocalStepper::threads)
@@ -75,8 +75,8 @@
 //! `train`/`train_from`: its per-node adversarial sets and RNG persist
 //! from round to round, which a step that is a pure function of
 //! `(anchor, state)` cannot carry. [`Reptile`] overrides `train_from`
-//! with a round-granular loop only because its curve is evaluated at `θ`
-//! itself, without the re-average.
+//! only to take its curve point and result at `θ` itself, without the
+//! re-average; the loop is the same.
 
 use fml_models::Model;
 use rand::rngs::StdRng;
@@ -98,11 +98,6 @@ pub trait LocalStepper: Sync {
 
     /// Local iterations `T0` between aggregations.
     fn local_steps(&self) -> usize;
-
-    /// Curve-recording stride of [`train_from`](Self::train_from):
-    /// aggregation iterations are always recorded, `0` — every config's
-    /// default — records nothing in between.
-    fn record_every(&self) -> usize;
 
     /// Advances one node's `state` in place by `steps` local iterations
     /// on `task`, doing its arithmetic on `scratch`. `anchor` is the
@@ -180,7 +175,7 @@ pub trait LocalStepper: Sync {
     fn train_from(&self, model: &dyn Model, tasks: &[SourceTask], theta0: &[f64]) -> TrainOutput {
         let name = self.algorithm();
         assert_eq!(theta0.len(), model.param_len(), "{name}: bad theta0 length");
-        lockstep(self, model, tasks, theta0)
+        lockstep(self, model, tasks, theta0, true)
     }
 
     /// Draws `θ⁰` from `rng` and runs [`train_from`](Self::train_from);
@@ -210,71 +205,78 @@ pub trait LocalStepper: Sync {
     }
 }
 
-/// Algorithm 1's loop, once: [`LocalStepper::train_from`] without the
-/// `theta0`-is-a-model-vector check, for steppers whose node state is
-/// wider than the model's parameters.
+/// Algorithm 1's loop, once, a round at a time: every node runs
+/// [`local_update_into`](LocalStepper::local_update_into) from the
+/// broadcast global for `T0` steps, the weighted aggregate goes through
+/// [`combine`](LocalStepper::combine), and the curve records the new
+/// global. With `reaverage` the curve point and the result are the
+/// weighted average of the global installed on every node (the provided
+/// [`LocalStepper::train_from`], which skips the `theta0`-is-a-model-vector
+/// check for steppers whose node state is wider than the model's
+/// parameters); without it they are the global itself (Reptile's).
 pub(crate) fn lockstep<S: LocalStepper + ?Sized>(
     stepper: &S,
     model: &dyn Model,
     tasks: &[SourceTask],
     state0: &[f64],
+    reaverage: bool,
 ) -> TrainOutput {
     assert!(
         !tasks.is_empty(),
         "{}: no source tasks",
         stepper.algorithm()
     );
-    let (local_steps, record_every) = (stepper.local_steps(), stepper.record_every());
-    let total = stepper.rounds() * local_steps;
+    let (rounds, local_steps) = (stepper.rounds(), stepper.local_steps());
     let threads = stepper
         .threads()
         .unwrap_or_else(|| default_threads(tasks.len()));
     let mut global = state0.to_vec();
     let mut locals: Vec<Vec<f64>> = vec![global.clone(); tasks.len()];
-    let mut history = Vec::new();
-    let mut comm_rounds = 0;
+    let mut history = Vec::with_capacity(rounds);
     let new_scratch = || Scratch::for_model(model);
     let mut curve_scratch = new_scratch();
+    // The curve point: `n` copies of the global, re-averaged, or the
+    // global itself.
+    let at = |locals: &[Vec<f64>], global: &[f64]| {
+        if reaverage {
+            aggregate(tasks, locals)
+        } else {
+            global.to_vec()
+        }
+    };
 
-    for t in 1..=total {
-        locals = map_ordered_with(threads, tasks, new_scratch, |scratch, i, task| {
-            let mut state = locals[i].clone();
-            stepper.advance(model, task, &global, &mut state, 1, scratch);
+    for round in 1..=rounds {
+        locals = map_ordered_with(threads, tasks, new_scratch, |scratch, _, task| {
+            let mut state = Vec::new();
+            stepper.local_update_into(model, task, &global, local_steps, scratch, &mut state);
             state
         });
-        let aggregated = t % local_steps == 0;
-        if aggregated {
-            global = stepper.combine(&global, aggregate(tasks, &locals));
-            for state in &mut locals {
-                state.copy_from_slice(&global);
-            }
-            comm_rounds += 1;
+        global = stepper.combine(&global, aggregate(tasks, &locals));
+        for state in &mut locals {
+            state.copy_from_slice(&global);
         }
-        if aggregated || (record_every > 0 && t % record_every == 0) || t == total {
-            let avg = aggregate(tasks, &locals);
-            let (meta_loss, train_loss) =
-                stepper.eval_losses_with(model, tasks, &avg, &mut curve_scratch);
-            history.push(RoundRecord {
-                iteration: t,
-                meta_loss,
-                train_loss,
-                aggregated,
-                reporters: tasks.len(),
-                degraded: false,
-            });
-        }
+        let (meta_loss, train_loss) =
+            stepper.eval_losses_with(model, tasks, &at(&locals, &global), &mut curve_scratch);
+        history.push(RoundRecord {
+            iteration: round * local_steps,
+            meta_loss,
+            train_loss,
+            aggregated: true,
+            reporters: tasks.len(),
+            degraded: false,
+        });
     }
 
     TrainOutput {
-        params: aggregate(tasks, &locals),
+        params: at(&locals, &global),
         history,
-        comm_rounds,
-        local_iterations: total,
+        comm_rounds: rounds,
+        local_iterations: rounds * local_steps,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{
         FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx, FedProxConfig, MetaGradientMode,
@@ -296,59 +298,71 @@ mod tests {
         (SoftmaxRegression::new(6, 3), tasks)
     }
 
-    /// Per-iteration curves (`record_every = 1`) wherever the knob exists.
-    fn steppers(t0: usize) -> Vec<Box<dyn LocalStepper>> {
+    /// The lockstep curve: one record per round, at `iteration =
+    /// round × T0`, every one an aggregation.
+    pub(crate) fn assert_one_record_per_round(out: &TrainOutput, rounds: usize, t0: usize) {
+        let iterations: Vec<usize> = out.history.iter().map(|r| r.iteration).collect();
+        assert_eq!(iterations, (1..=rounds).map(|r| r * t0).collect::<Vec<_>>());
+        assert!(out.history.iter().all(|r| r.aggregated));
+    }
+
+    fn steppers(t0: usize, rounds: usize) -> Vec<Box<dyn LocalStepper>> {
         vec![
             Box::new(FedMl::new(
                 FedMlConfig::new(0.05, 0.05)
                     .with_local_steps(t0)
-                    .with_record_every(1),
+                    .with_rounds(rounds),
             )),
-            Box::new(FedAvg::new(FedAvgConfig {
-                record_every: 1,
-                ..FedAvgConfig::new(0.05).with_local_steps(t0)
-            })),
-            Box::new(FedProx::new(FedProxConfig {
-                record_every: 1,
-                ..FedProxConfig::new(0.05, 0.1).with_local_steps(t0)
-            })),
+            Box::new(FedAvg::new(
+                FedAvgConfig::new(0.05)
+                    .with_local_steps(t0)
+                    .with_rounds(rounds),
+            )),
+            Box::new(FedProx::new(
+                FedProxConfig::new(0.05, 0.1)
+                    .with_local_steps(t0)
+                    .with_rounds(rounds),
+            )),
             Box::new(Reptile::new(
-                ReptileConfig::new(0.05, 0.5).with_inner_steps(t0),
+                ReptileConfig::new(0.05, 0.5)
+                    .with_inner_steps(t0)
+                    .with_rounds(rounds),
             )),
         ]
     }
 
-    /// The first round of the provided `train_from` is `local_update`
-    /// on every node, the weighted aggregate through `combine`, and the
-    /// curve's re-average of `n` copies of the new global.
+    /// Every round of the provided `train_from` is `local_update` on
+    /// every node from the last global, the weighted aggregate through
+    /// `combine`, and the curve's re-average of `n` copies of the new
+    /// global (Reptile's curve: the global itself).
     #[test]
     fn first_aggregation_of_train_from_is_local_update_then_combine() {
         let (model, tasks) = setup();
-        let theta = vec![0.01; model.param_len()];
-        for s in steppers(3) {
+        for s in steppers(3, 4) {
             let name = s.algorithm();
-            assert_eq!(
-                (s.local_steps(), s.record_every()),
-                (3, if name == "Reptile" { 0 } else { 1 })
-            );
-            let out = s.train_from(&model, &tasks, &theta);
-            let locals: Vec<Vec<f64>> = tasks
-                .iter()
-                .map(|t| s.local_update(&model, t, &theta, 3))
-                .collect();
-            let global = s.combine(&theta, aggregate(&tasks, &locals));
-            let at = if name == "Reptile" {
-                global
-            } else {
-                aggregate(&tasks, &vec![global; tasks.len()])
-            };
-            let first = out.history.iter().find(|r| r.aggregated).unwrap();
-            assert_eq!(first.iteration, 3, "{name}");
-            assert_eq!(
-                (first.meta_loss, first.train_loss),
-                s.eval_losses(&model, &tasks, &at),
-                "{name}"
-            );
+            let out = s.train_from(&model, &tasks, &vec![0.01; model.param_len()]);
+            assert_one_record_per_round(&out, 4, 3);
+            let mut global = vec![0.01; model.param_len()];
+            let mut at = global.clone();
+            for record in &out.history {
+                let locals: Vec<Vec<f64>> = tasks
+                    .iter()
+                    .map(|t| s.local_update(&model, t, &global, 3))
+                    .collect();
+                global = s.combine(&global, aggregate(&tasks, &locals));
+                at = if name == "Reptile" {
+                    global.clone()
+                } else {
+                    aggregate(&tasks, &vec![global.clone(); tasks.len()])
+                };
+                assert_eq!(
+                    (record.meta_loss, record.train_loss),
+                    s.eval_losses(&model, &tasks, &at),
+                    "{name}, iteration {}",
+                    record.iteration
+                );
+            }
+            assert_eq!(out.params, at, "{name}");
         }
     }
 
@@ -356,7 +370,7 @@ mod tests {
     fn all_steppers_report_names_and_finite_losses() {
         let (model, tasks) = setup();
         let theta = vec![0.0; model.param_len()];
-        for s in steppers(5) {
+        for s in steppers(5, 1) {
             assert!(!s.algorithm().is_empty());
             let (meta, train) = s.eval_losses(&model, &tasks, &theta);
             assert!(meta.is_finite() && train.is_finite());

@@ -30,7 +30,7 @@ pub struct RoundRecord {
 pub struct TrainOutput {
     /// Final global model parameters.
     pub params: Vec<f64>,
-    /// Per-iteration training curve.
+    /// Training curve, one record per round.
     pub history: Vec<RoundRecord>,
     /// Number of global aggregations (communication rounds) performed.
     pub comm_rounds: usize,

@@ -178,8 +178,8 @@ fn step_reply(
         &mut scratch.step,
         update,
     );
-    if let Some(Fault::Corrupt(mode)) = fault {
-        corrupt(mode, update);
+    if let Some(Fault::Corrupt) = fault {
+        corrupt(update);
     }
     let codec = ctx.cfg.update_codec;
     if codec.wants_feedback() {

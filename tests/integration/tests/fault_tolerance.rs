@@ -8,9 +8,9 @@
 //! at the public-API level, across all five trainers.
 
 use fml_core::{
-    train_with_faults, CorruptMode, Fault, FaultPlan, FaultTolerance, FedAvg, FedAvgConfig, FedMl,
-    FedMlConfig, FedProx, FedProxConfig, GatherPolicy, MetaSgd, MetaSgdConfig, Reptile,
-    ReptileConfig, SourceTask, StragglerPolicy, TrainOutput,
+    train_with_faults, Fault, FaultPlan, FaultTolerance, FedAvg, FedAvgConfig, FedMl, FedMlConfig,
+    FedProx, FedProxConfig, GatherPolicy, MetaSgd, MetaSgdConfig, Reptile, ReptileConfig,
+    SourceTask, StragglerPolicy, TrainOutput,
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};
@@ -41,7 +41,7 @@ fn acceptance_plan() -> FaultPlan {
     FaultPlan::new(77)
         .with_crash_from(2, 2)
         .with_crash_from(7, 3)
-        .with_corrupt(4, 2, CorruptMode::NaN)
+        .with_corrupt(4, 2)
 }
 
 fn check_output(name: &str, out: &TrainOutput) {
@@ -213,7 +213,7 @@ fn corrupt_update_never_reaches_the_aggregate() {
     // ever touch the global model or the recorded losses.
     let mut plan = FaultPlan::new(5);
     for round in 1..=ROUNDS {
-        plan = plan.with_corrupt(3, round, CorruptMode::NaN);
+        plan = plan.with_corrupt(3, round);
     }
     let ft = FaultTolerance::new(plan);
     let cfg = FedMlConfig::new(0.03, 0.03)
@@ -243,8 +243,8 @@ fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
         .with_crash_from(0, 3)
         .with_crash_from(1, 3)
         .with_crash_from(2, 3)
-        .with_corrupt(3, 3, CorruptMode::NaN)
-        .with_corrupt(4, 3, CorruptMode::NaN);
+        .with_corrupt(3, 3)
+        .with_corrupt(4, 3);
     plan.scripted.extend([
         ((6, 2), Fault::Straggle { delay_s: 5.0 }),
         ((5, 3), Fault::Crash),

@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use fml_core::{
-    train_with_faults, CorruptMode, Fault, FaultPlan, FaultTolerance, FedMl, FedMlConfig,
-    LocalStepper, SourceTask,
+    train_with_faults, Fault, FaultPlan, FaultTolerance, FedMl, FedMlConfig, LocalStepper,
+    SourceTask,
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_integration::update_frame;
@@ -81,7 +81,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 /// straggles in round 3 (virtual time only — no deadline is set).
 fn poison_plan() -> FaultPlan {
     let mut plan = FaultPlan::new(9)
-        .with_corrupt(1, 1, CorruptMode::NaN)
+        .with_corrupt(1, 1)
         .with_crash_from(2, 2)
         .with_crash_from(3, 2)
         .with_crash_from(4, 2)

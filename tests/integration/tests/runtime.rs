@@ -347,10 +347,6 @@ impl LocalStepper for EvalWaitsForNextRound {
         self.inner.local_steps()
     }
 
-    fn record_every(&self) -> usize {
-        self.inner.record_every()
-    }
-
     fn advance(
         &self,
         model: &dyn Model,

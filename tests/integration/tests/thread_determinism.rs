@@ -4,8 +4,8 @@
 //! `fml_core::parallel::map_ordered`, whose contract is that results come
 //! back in participant order regardless of thread count. These tests pin
 //! the user-visible consequence: a seeded run is **bitwise identical** —
-//! final parameters *and* the full recorded training curve — whether it
-//! runs on one worker thread or many.
+//! final parameters *and* the recorded curve, one point per aggregation —
+//! whether it runs on one worker thread or many.
 
 use fml_core::{
     FedAvg, FedAvgConfig, FedMl, FedMlConfig, LocalStepper, MetaSgd, MetaSgdConfig, Reptile,
@@ -54,8 +54,7 @@ fn fedml_is_bitwise_identical_across_thread_counts() {
     let (model, tasks, theta0) = fixture();
     let cfg = FedMlConfig::new(0.03, 0.03)
         .with_local_steps(3)
-        .with_rounds(4)
-        .with_record_every(1);
+        .with_rounds(4);
     let one = FedMl::new(cfg.with_threads(1)).train_from(&model, &tasks, &theta0);
     let four = FedMl::new(cfg.with_threads(4)).train_from(&model, &tasks, &theta0);
     assert_identical("FedML", &one, &four);
@@ -65,7 +64,6 @@ fn fedml_is_bitwise_identical_across_thread_counts() {
 fn fedavg_is_bitwise_identical_across_thread_counts() {
     let (model, tasks, theta0) = fixture();
     let cfg = |threads| FedAvgConfig {
-        record_every: 1,
         threads: Some(threads),
         ..FedAvgConfig::new(0.05).with_local_steps(3).with_rounds(4)
     };
@@ -78,7 +76,6 @@ fn fedavg_is_bitwise_identical_across_thread_counts() {
 fn fedprox_is_bitwise_identical_across_thread_counts() {
     let (model, tasks, theta0) = fixture();
     let cfg = |threads| FedProxConfig {
-        record_every: 1,
         threads: Some(threads),
         ..FedProxConfig::new(0.05, 0.5)
             .with_local_steps(3)
@@ -93,7 +90,6 @@ fn fedprox_is_bitwise_identical_across_thread_counts() {
 fn metasgd_is_bitwise_identical_across_thread_counts() {
     let (model, tasks, theta0) = fixture();
     let cfg = |threads| MetaSgdConfig {
-        record_every: 1,
         threads: Some(threads),
         ..MetaSgdConfig::new(0.03, 0.03)
             .with_local_steps(3)
@@ -126,8 +122,7 @@ fn auto_thread_default_matches_explicit_single_thread() {
     let (model, tasks, theta0) = fixture();
     let base = FedMlConfig::new(0.03, 0.03)
         .with_local_steps(2)
-        .with_rounds(3)
-        .with_record_every(1);
+        .with_rounds(3);
     let auto = FedMl::new(base).train_from(&model, &tasks, &theta0);
     let single = FedMl::new(base.with_threads(1)).train_from(&model, &tasks, &theta0);
     assert_identical("FedML(auto)", &auto, &single);
@@ -144,7 +139,6 @@ fn oversubscribed_threads_are_harmless() {
     // More threads than nodes: map_ordered clamps to the item count.
     let (model, tasks, theta0) = fixture();
     let cfg = |threads| FedAvgConfig {
-        record_every: 1,
         threads: Some(threads),
         ..FedAvgConfig::new(0.05).with_local_steps(2).with_rounds(2)
     };
