@@ -102,9 +102,10 @@ pub(crate) struct WorkerCtx<'a> {
 /// Per-worker reusable storage: the decoded-global scratch vector, what
 /// the stepper computes on and writes its update into, and the frame
 /// pool handle replies are encoded through. One per worker thread (or
-/// transport peer), so the steady-state round touches the allocator only
-/// for the frames themselves (a pool miss, the refcount behind a frozen
-/// buffer) — the step performs no allocation.
+/// transport peer), so the steady-state round touches no allocator: the
+/// step performs no allocation, and a reply frame is a recycled pool
+/// buffer frozen into its own recycled refcount block (a pool miss only
+/// while the fleet's frames first come live).
 struct StepScratch {
     global: Vec<f64>,
     step: Scratch,

@@ -183,6 +183,12 @@ struct Fold {
     quality: Vec<f64>,
     weight_stats: Vec<WeightAccum>,
     buffer: UpdateBuffer,
+    /// This round's due pendings; empty between rounds, kept for its
+    /// capacity.
+    due: Vec<Pending>,
+    /// Rows of pendings already folded or rejected, refilled by the next
+    /// uploads instead of allocating one row each.
+    spares: Vec<Vec<f64>>,
 }
 
 /// One parsed uplink frame. The platform accepts both wire families on
@@ -374,6 +380,8 @@ impl<'a> Core<'a> {
                     quality: vec![1.0; n],
                     weight_stats: vec![WeightAccum::default(); n],
                     buffer: UpdateBuffer::new(policy.buffer_k, theta0.len()),
+                    due: Vec::new(),
+                    spares: Vec::new(),
                 }),
             ),
         };
@@ -762,20 +770,21 @@ impl<'a> Core<'a> {
         // round-start time plus the seeded upload delay.
         for node in (0..n).filter(|&i| self.slots[i] == Slot::Received) {
             let arrival_time_s = (round - 1) as f64 * round_s + self.upload_delay_s(node);
+            let mut params = fold.spares.pop().unwrap_or_default();
+            params.clone_from(&self.rows[node]);
             fold.pending.push(Pending {
                 node,
                 origin: round,
                 arrive: virtual_arrival_round(arrival_time_s, round_s, round, rounds),
                 arrival_time_s,
-                params: self.rows[node].clone(),
+                params,
             });
         }
 
         // Everything due this round, in deterministic virtual arrival
         // order — OS scheduling cannot influence this.
-        let (mut due, rest): (Vec<Pending>, Vec<Pending>) =
-            fold.pending.drain(..).partition(|p| p.arrive <= round);
-        fold.pending = rest;
+        let mut due = std::mem::take(&mut fold.due);
+        due.extend(fold.pending.extract_if(.., |p| p.arrive <= round));
         due.sort_by(|a, b| {
             a.arrival_time_s
                 .total_cmp(&b.arrival_time_s)
@@ -787,7 +796,7 @@ impl<'a> Core<'a> {
         let buffered = policy.buffer_k > 1;
         let mut applied = 0usize;
         let mut comm_time_s = 0.0f64;
-        for mut p in due {
+        for p in &mut due {
             let staleness = round - p.origin;
             let rejected = if staleness > policy.max_staleness {
                 Some(&mut self.report.rejected_stale)
@@ -838,6 +847,8 @@ impl<'a> Core<'a> {
             self.health.record_success(p.node, round);
             comm_time_s = comm_time_s.max(p.arrival_time_s - (p.origin - 1) as f64 * round_s);
         }
+        fold.spares.extend(due.drain(..).map(|p| p.params));
+        fold.due = due;
 
         // Semi-async: a partial buffer must not strand accepted updates
         // when the schedule ends — flush it before the final round's

@@ -181,7 +181,8 @@ pub struct PoolStatsReport {
     pub misses: u64,
     /// Buffers returned to the pool for reuse.
     pub returns: u64,
-    /// Peak buffers resident in the pool at once.
+    /// Peak buffers resident in the pool at once; never more than
+    /// `misses`, since the pool holds only what it allocated.
     pub high_water: u64,
     /// `hits / (hits + misses)`, 0 when nothing was acquired.
     pub hit_rate: f64,

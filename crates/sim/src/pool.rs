@@ -11,22 +11,21 @@
 //! even the single-encode broadcast frame comes back once every link
 //! has dropped its clone).
 //!
-//! The pool is best-effort: the list is one small `Mutex<Vec<BytesMut>>`
-//! every handle shares, an empty list allocates and a full one drops
-//! the returned buffer. Stats (hits, misses, returns, high-water mark)
-//! are atomic counters, cheap enough to leave on in production and
-//! precise enough for the `perf/` series to report the steady-state hit
-//! rate and misses per round (`sim.pool.*`).
+//! The pool is best-effort: the list is one `Mutex<Vec<BytesMut>>`
+//! every handle shares, and an empty list allocates. It never holds
+//! more buffers than it allocated (its misses), so it sizes itself to
+//! the most frames ever live at once — one broadcast plus one reply a
+//! node on a fleet — with no constant to tune, and a buffer born
+//! outside the pool is dropped once the list is at that bound. Stats
+//! (hits, misses, returns, high-water mark) are atomic counters, cheap
+//! enough to leave on in production and precise enough for the `perf/`
+//! series to report the steady-state hit rate and misses per round
+//! (`sim.pool.*`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use bytes::{Bytes, BytesMut};
-
-/// Buffers the free-list retains. Beyond this, returned buffers are
-/// simply dropped — the pool bounds memory, it does not grow without
-/// limit.
-const CAP: usize = 64;
 
 /// Snapshot of a pool's counters (see [`FramePool::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,7 +36,8 @@ pub struct PoolStats {
     pub misses: usize,
     /// Buffers returned to the free-list.
     pub returns: usize,
-    /// Most buffers ever resident in the free-list at once.
+    /// Most buffers ever resident in the free-list at once: never more
+    /// than `misses` (or one, before the first miss).
     pub high_water: usize,
 }
 
@@ -65,8 +65,9 @@ struct PoolInner {
 /// A free-list of [`BytesMut`] frame buffers.
 ///
 /// Cloning is cheap (`Arc`); clones share the list and the counters.
-/// All methods are best-effort: an empty list allocates, a full list
-/// drops — the pool never blocks beyond one mutex lock.
+/// All methods are best-effort: an empty list allocates, a list
+/// holding as many buffers as the pool allocated drops — the pool never
+/// blocks beyond one mutex lock.
 #[derive(Debug, Clone, Default)]
 pub struct FramePool {
     inner: Arc<PoolInner>,
@@ -111,11 +112,12 @@ impl FramePool {
         }
     }
 
-    /// Returns a mutable buffer to the free-list (dropped if the list
-    /// is full).
+    /// Returns a mutable buffer to the free-list, unless the list
+    /// already holds as many buffers as the pool has allocated (at least
+    /// one): then `buf` was born elsewhere and is dropped.
     pub fn release(&self, buf: BytesMut) {
         let mut buffers = self.inner.buffers.lock().expect("frame pool poisoned");
-        if buffers.len() >= CAP {
+        if buffers.len() >= self.inner.misses.load(Ordering::Relaxed).max(1) {
             return;
         }
         buffers.push(buf);
@@ -217,22 +219,27 @@ mod tests {
     }
 
     #[test]
-    fn full_pool_drops_the_65th_buffer() {
+    fn pool_holds_no_more_than_it_allocated() {
+        // 300 frames live at once — more than any fixed cap the pool
+        // once had — all come back, and a foreign buffer past them is
+        // dropped.
         let pool = FramePool::new();
-        let held: Vec<_> = (0..CAP + 1).map(|_| pool.acquire(8)).collect();
-        assert_eq!(pool.stats().misses, CAP + 1);
+        let held: Vec<_> = (0..300).map(|_| pool.acquire(8)).collect();
+        assert_eq!(pool.stats().misses, 300);
         for (i, buf) in held.into_iter().enumerate() {
             pool.handle().release(buf);
-            assert_eq!(pool.stats().returns, (i + 1).min(CAP));
+            assert_eq!(pool.stats().returns, i + 1);
         }
-        assert_eq!(pool.stats().high_water, CAP);
+        pool.release(BytesMut::with_capacity(8));
+        let s = pool.stats();
+        assert_eq!((s.returns, s.high_water), (300, 300), "{s:?}");
     }
 
     #[test]
     fn resident_count_survives_two_threads() {
         // `high_water` is the list's own length, read under its lock: a
         // release racing an acquire can neither wrap it nor push it
-        // past the cap.
+        // past the buffers the pool allocated.
         let pool = FramePool::new();
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
@@ -251,7 +258,7 @@ mod tests {
             }
         });
         let s = pool.stats();
-        assert!((1..=CAP).contains(&s.high_water), "{s:?}");
+        assert!((1..=s.misses).contains(&s.high_water), "{s:?}");
         assert!(s.hits <= s.returns, "every hit was once returned: {s:?}");
         assert_eq!(s.hits + s.misses, 4_000);
     }

@@ -5,7 +5,11 @@
 # counts and mailbox capacities. This pins the PR-6 scale machinery —
 # pooled frames, single-encode refcounted broadcast, load-balanced
 # actor chunking, configurable mailboxes — to the determinism contract
-# at a fleet size three orders of magnitude above the unit tests.
+# at a fleet size three orders of magnitude above the unit tests. It
+# also gates the frame pool: a run may miss it fewer than 1.5 times the
+# 1001 frames one round has live (a broadcast and 1000 replies), since a
+# pool that keeps what it allocated misses only while they first come
+# live.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,4 +67,15 @@ if [ -z "$base" ] || [ "$base" != "$t1" ] || [ "$base" != "$t8" ]; then
     echo "  auto-threads=$base threads-1=$t1 threads-8/cap-8=$t8" >&2
     exit 1
 fi
-echo "scale smoke: OK (1000-node barrier run, param hash $base across worker/mailbox configs)"
+
+misses_of() {
+    sed -n '/"pool"/,/}/s/.*"misses": \([0-9]*\).*/\1/p' "$1" | head -n 1
+}
+for run in base t1 t8; do
+    misses=$(misses_of "$work/$run.json")
+    if [ -z "$misses" ] || [ "$misses" -ge 1501 ]; then
+        echo "scale smoke: $run run missed the frame pool ${misses:-?} times (limit 1500)" >&2
+        exit 1
+    fi
+done
+echo "scale smoke: OK (1000-node barrier run, param hash $base across worker/mailbox configs, pool misses < 1501)"

@@ -17,7 +17,10 @@
 //! one encoded frame to N links costs one allocation total. A uniquely
 //! held buffer can be reclaimed with [`Bytes::try_into_mut`], which is
 //! what lets a frame pool recycle storage instead of allocating per
-//! frame.
+//! frame. The reclaimed [`BytesMut`] keeps the emptied refcount block
+//! too, and its [`freeze`](BytesMut::freeze) refills that block, so a
+//! recycled frame goes acquire → encode → freeze → clone → reclaim
+//! without a single allocator call.
 
 #![forbid(unsafe_code)]
 
@@ -44,16 +47,20 @@ impl Bytes {
     /// the only handle; otherwise hands `self` back unchanged.
     ///
     /// The returned buffer keeps its contents and capacity — a frame
-    /// pool clears it on reuse, so steady-state encode paths allocate
-    /// nothing.
+    /// pool clears it on reuse — and the emptied refcount block, which
+    /// its [`freeze`](BytesMut::freeze) refills: steady-state encode
+    /// paths allocate nothing.
     ///
     /// # Errors
     ///
     /// Returns `Err(self)` when other clones still share the buffer.
-    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
-        match Arc::try_unwrap(self.data) {
-            Ok(data) => Ok(BytesMut { data }),
-            Err(data) => Err(Bytes { data }),
+    pub fn try_into_mut(mut self) -> Result<BytesMut, Bytes> {
+        match Arc::get_mut(&mut self.data) {
+            Some(data) => Ok(BytesMut {
+                data: std::mem::take(data),
+                shell: Some(self.data),
+            }),
+            None => Err(self),
         }
     }
 }
@@ -82,10 +89,33 @@ impl From<Vec<u8>> for Bytes {
 }
 
 /// A growable byte buffer.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Default)]
 pub struct BytesMut {
     data: Vec<u8>,
+    /// The refcount block of the [`Bytes`] this buffer was reclaimed
+    /// from, holding an empty `Vec`; [`freeze`](BytesMut::freeze) moves
+    /// `data` back into it instead of allocating a new one.
+    shell: Option<Arc<Vec<u8>>>,
 }
+
+/// A clone is a fresh buffer: it copies the contents and shares no
+/// refcount block, so both may be frozen.
+impl Clone for BytesMut {
+    fn clone(&self) -> Self {
+        BytesMut {
+            data: self.data.clone(),
+            shell: None,
+        }
+    }
+}
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &Self) -> bool {
+        self.data == other.data
+    }
+}
+
+impl Eq for BytesMut {}
 
 impl BytesMut {
     /// Creates an empty buffer.
@@ -97,6 +127,7 @@ impl BytesMut {
     pub fn with_capacity(capacity: usize) -> Self {
         BytesMut {
             data: Vec::with_capacity(capacity),
+            shell: None,
         }
     }
 
@@ -115,10 +146,17 @@ impl BytesMut {
         self.data.capacity()
     }
 
-    /// Freezes into an immutable [`Bytes`] without copying the data.
+    /// Freezes into an immutable [`Bytes`] without copying the data,
+    /// reusing the refcount block of a reclaimed buffer.
     pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: Arc::new(self.data),
+        match self.shell {
+            Some(mut shell) => {
+                // The shell came out of a unique `Bytes` and no clone of
+                // a `BytesMut` shares it, so this handle is its only one.
+                *Arc::get_mut(&mut shell).expect("a reclaimed shell is unshared") = self.data;
+                Bytes { data: shell }
+            }
+            None => Bytes::from(self.data),
         }
     }
 }
@@ -266,6 +304,40 @@ mod tests {
         let reclaimed = frozen.try_into_mut().expect("unique handle reclaims");
         assert_eq!(&reclaimed[..], &[1, 2, 3]);
         assert_eq!(reclaimed.capacity(), cap, "capacity survives the roundtrip");
+    }
+
+    #[test]
+    fn reclaim_freeze_reclaim_keeps_the_block() {
+        let mut buf = BytesMut::with_capacity(64);
+        buf.put_slice(&[4, 5, 6]);
+        let frozen = buf.freeze();
+        let block = Arc::as_ptr(&frozen.data);
+        let mut reclaimed = frozen.try_into_mut().expect("unique handle reclaims");
+        let cap = reclaimed.capacity();
+        reclaimed.put_u8(7);
+        let refrozen = reclaimed.freeze();
+        assert!(
+            std::ptr::eq(Arc::as_ptr(&refrozen.data), block),
+            "same refcount block"
+        );
+        assert_eq!(&refrozen[..], &[4, 5, 6, 7]);
+        let again = refrozen.try_into_mut().expect("still unique");
+        assert_eq!(&again[..], &[4, 5, 6, 7]);
+        assert_eq!(again.capacity(), cap, "capacity survives both trips");
+    }
+
+    #[test]
+    fn a_cloned_bytes_mut_shares_no_shell() {
+        let mut buf = BytesMut::with_capacity(16);
+        buf.put_slice(&[1, 2]);
+        let reclaimed = buf.freeze().try_into_mut().expect("unique handle reclaims");
+        let copy = reclaimed.clone();
+        assert!(copy.shell.is_none());
+        assert_eq!(copy, reclaimed);
+        // Both freeze, each into a block of its own.
+        let (a, b) = (reclaimed.freeze(), copy.freeze());
+        assert_eq!(a, b);
+        assert!(!std::ptr::eq(Arc::as_ptr(&a.data), Arc::as_ptr(&b.data)));
     }
 
     #[test]

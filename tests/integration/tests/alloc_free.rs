@@ -14,17 +14,25 @@
 //! bits as the kernel it wraps. The second-order softmax step keeps its
 //! class probabilities on the workspace's tape: a support set larger than
 //! any before grows it once, and the curve keeps none.
+//!
+//! The frame path holds the same line: once warm, a pooled frame's
+//! acquire → encode → freeze → clone → recycle cycle allocates nothing,
+//! however many frames are live at once, and an async platform round
+//! costs the same number of allocations at 320 nodes as at 40.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use bytes::Bytes;
 use fml_core::{
     FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx, FedProxConfig, LocalStepper,
     MetaGradientMode, Reptile, ReptileConfig, Scratch, SourceTask,
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Activation, MlpBuilder, Model, SoftmaxRegression};
+use fml_runtime::{AsyncPolicy, Runtime, RuntimeConfig, VirtualClock};
 use fml_sim::framing::{FrameBuffer, FrameError, MAX_FRAME_LEN};
+use fml_sim::message::{encode_update_into, encoded_frame_len};
 use fml_sim::FramePool;
 use rand::SeedableRng;
 
@@ -286,5 +294,86 @@ fn frame_buffer_never_reserves_the_announced_length() {
     assert!(
         largest < 4096,
         "reserved {largest} bytes for an unseen frame"
+    );
+}
+
+/// The pooled frame cycle, as the fleet runs it: every live frame is
+/// acquired, encoded, frozen, cloned for a link that drops it, and
+/// recycled by its last holder. With 300 frames live at once the free
+/// list must keep all of them, and after one warm-up cycle the second
+/// makes no allocation: no pool miss, and no refcount block behind a
+/// frozen frame.
+#[test]
+fn pooled_frame_cycle_allocates_nothing_once_warm() {
+    const LIVE: usize = 300;
+    let pool = FramePool::new();
+    let params = [0.25; 105];
+    let mut frames: Vec<Bytes> = Vec::with_capacity(LIVE);
+    let mut cycle = || {
+        for node in 0..LIVE {
+            let mut buf = pool.acquire(encoded_frame_len(params.len()));
+            encode_update_into(1, node as u32, &params, &mut buf);
+            let frame = buf.freeze();
+            drop(frame.clone());
+            frames.push(frame);
+        }
+        for frame in frames.drain(..) {
+            pool.recycle(frame);
+        }
+    };
+    cycle();
+    let (allocs, _) = allocs_during(&mut cycle);
+    assert_eq!(allocs, 0, "a warm frame cycle allocates nothing");
+    let s = pool.stats();
+    assert_eq!(
+        (s.misses, s.hits, s.returns),
+        (LIVE, LIVE, 2 * LIVE),
+        "{s:?}"
+    );
+}
+
+/// `Runtime::run` drives the platform core on the calling thread, so
+/// this thread's counter sees exactly the platform side of an async
+/// run. The per-round cost `(allocs(2R) − allocs(R)) / R` — set-up
+/// cancels out — may not grow with the fleet: an accepted update is
+/// held in a reused row, not a fresh copy.
+#[test]
+fn async_platform_round_is_constant_in_fleet_size() {
+    const R: usize = 6;
+    let per_round = |nodes: usize| {
+        let tasks = tasks(nodes);
+        let model = SoftmaxRegression::new(DIM, CLASSES).with_l2(1e-3);
+        let theta = model.init_params(&mut rand::rngs::StdRng::seed_from_u64(7));
+        let cfg = RuntimeConfig::async_mode(7, AsyncPolicy::default())
+            .with_clock(VirtualClock::new(5).with_base_delay(0.1).with_jitter(2.5))
+            .with_threads(1);
+        let run = |rounds: usize| {
+            let fedml = FedMl::new(
+                FedMlConfig::new(0.05, 0.04)
+                    .with_rounds(rounds)
+                    .with_local_steps(T0),
+            );
+            let runtime = Runtime::new(cfg.clone());
+            let mut accepted = 0;
+            let (allocs, _) = allocs_during(|| {
+                accepted = runtime
+                    .run(&fedml, &model, &tasks, &theta)
+                    .report
+                    .accepted_updates();
+            });
+            assert!(
+                accepted > 0,
+                "{nodes} nodes, {rounds} rounds: nothing folded"
+            );
+            allocs as f64
+        };
+        // Warm the shared frame pool to this fleet before measuring.
+        run(R);
+        (run(2 * R) - run(R)) / R as f64
+    };
+    let (small, large) = (per_round(40), per_round(320));
+    assert!(
+        large <= small + 16.0,
+        "allocations per async round: {small} at 40 nodes, {large} at 320"
     );
 }
