@@ -120,6 +120,10 @@ pub struct RuntimeSummary {
     pub excluded_nodes: Vec<usize>,
     /// Disk checkpoints written to the checkpoint directory.
     pub checkpoints_written: u64,
+    /// Tasks whose curve terms came from their node's report.
+    pub curve_terms_reported: u64,
+    /// Tasks whose curve terms the platform evaluated itself.
+    pub curve_terms_evaluated: u64,
     /// First round executed after resuming from a disk checkpoint.
     pub resumed_at_round: Option<usize>,
     /// Frame-pool counters at the end of the run (hits, misses,
@@ -155,6 +159,8 @@ impl RuntimeSummary {
             rollbacks: report.rollbacks,
             excluded_nodes: report.excluded_nodes.clone(),
             checkpoints_written: report.checkpoints_written,
+            curve_terms_reported: report.curve_terms_reported,
+            curve_terms_evaluated: report.curve_terms_evaluated,
             resumed_at_round: report.resumed_at_round,
             pool: report.pool,
         }
@@ -581,6 +587,8 @@ mod tests {
             rollbacks: 1,
             excluded_nodes: vec![2, 3],
             checkpoints_written: 4,
+            curve_terms_reported: 36,
+            curve_terms_evaluated: 4,
             resumed_at_round: Some(5),
             pool: fml_runtime::PoolStatsReport {
                 hits: 75,
@@ -623,7 +631,7 @@ mod tests {
         let runtime = value.get("runtime").unwrap();
         assert_eq!(
             keys(runtime),
-            "mode transport param_hash threads frames bytes update_codec uplink_bytes uplink_bytes_logical accepted_updates staleness_hist rejected_stale rejected_invalid rejected_nonfinite_weight buffered_flushes async_policy node_weight_stats decode_errors undelivered degraded_rounds recoveries rollbacks excluded_nodes checkpoints_written resumed_at_round pool"
+            "mode transport param_hash threads frames bytes update_codec uplink_bytes uplink_bytes_logical accepted_updates staleness_hist rejected_stale rejected_invalid rejected_nonfinite_weight buffered_flushes async_policy node_weight_stats decode_errors undelivered degraded_rounds recoveries rollbacks excluded_nodes checkpoints_written curve_terms_reported curve_terms_evaluated resumed_at_round pool"
         );
         assert_eq!(
             keys(runtime.get("async_policy").unwrap()),
@@ -655,7 +663,7 @@ mod tests {
         let value = through_json(&barrier);
         let omitted = keys(value.get("runtime").unwrap());
         assert!(!omitted.contains("async_policy") && !omitted.contains("node_weight_stats"));
-        assert_eq!(omitted.split(' ').count(), 24);
+        assert_eq!(omitted.split(' ').count(), 26);
     }
 
     #[test]

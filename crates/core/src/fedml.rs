@@ -178,7 +178,9 @@ impl LocalStepper for FedMl {
     }
 
     /// Lines 6–7 of Algorithm 1, `steps` times: the meta-gradient through
-    /// the inner step on `D_i^train`, evaluated on `D_i^test`.
+    /// the inner step on `D_i^train`, evaluated on `D_i^test`. For a
+    /// scratch that [asks for them](Scratch::with_curve_terms), the first
+    /// step's passes also return the curve terms at the starting `θ_i`.
     fn advance(
         &self,
         model: &dyn Model,
@@ -189,8 +191,13 @@ impl LocalStepper for FedMl {
         scratch: &mut Scratch,
     ) {
         let cfg = &self.cfg;
-        for _ in 0..steps {
-            let g = meta::meta_gradient_with(
+        for step in 0..steps {
+            let meta_gradient = if step == 0 && scratch.wants_terms {
+                meta::meta_gradient_and_terms_with
+            } else {
+                meta::meta_gradient_with
+            };
+            let g = meta_gradient(
                 model,
                 theta_i,
                 &task.split.train,
@@ -211,6 +218,11 @@ impl LocalStepper for FedMl {
         scratch: &mut Scratch,
     ) -> (f64, f64) {
         curve_losses(model, tasks, theta, self.cfg.alpha, scratch)
+    }
+
+    /// The first step's `φ` is the curve's, at the same `α`.
+    fn yields_curve_terms(&self) -> bool {
+        true
     }
 
     fn threads(&self) -> Option<usize> {

@@ -64,6 +64,12 @@ pub struct Scratch {
     /// Owned here rather than cached on the task, whose `split` is
     /// public and could go stale.
     pub(crate) full: Batch,
+    /// Whether a step that can leave the curve terms should: see
+    /// [`with_curve_terms`](Self::with_curve_terms).
+    pub(crate) wants_terms: bool,
+    /// The curve terms the last step left, see
+    /// [`curve_terms`](Self::curve_terms).
+    pub(crate) terms: Option<(f64, f64)>,
 }
 
 impl Scratch {
@@ -76,7 +82,30 @@ impl Scratch {
             phi: vec![0.0; d],
             hvp: vec![0.0; d],
             full: Batch::empty(model.input_dim()),
+            wants_terms: false,
+            terms: None,
         }
+    }
+
+    /// This scratch, asking a stepper that
+    /// [yields the curve terms](crate::LocalStepper::yields_curve_terms)
+    /// to leave them in it (see [`curve_terms`](Self::curve_terms)). Only
+    /// a caller that sends the terms on asks: a model without a
+    /// loss-returning kernel pays a loss pass for each.
+    pub fn with_curve_terms(mut self) -> Self {
+        self.wants_terms = true;
+        self
+    }
+
+    /// `(query loss, support loss)` of the node's task at the `θ` the
+    /// last [`LocalStepper::local_update_into`](crate::LocalStepper::local_update_into)
+    /// started from — `L(φ(θ), test)` and `L(θ, train)`, one task's
+    /// unweighted terms of the curve's `(meta_loss, train_loss)` — when
+    /// this scratch [asks for them](Self::with_curve_terms) and the
+    /// stepper [yields them](crate::LocalStepper::yields_curve_terms);
+    /// `None` otherwise.
+    pub fn curve_terms(&self) -> Option<(f64, f64)> {
+        self.terms
     }
 
     /// Panics unless this scratch was built for a model with `model`'s
@@ -135,6 +164,53 @@ pub(crate) fn meta_gradient_with<'s>(
     };
     model.grad_then_hvp_into(theta, train, ws, grad, &mut query_gradient, hvp);
     vector::axpy(-alpha, hvp, grad);
+    grad
+}
+
+/// [`meta_gradient_with`] that also leaves the curve terms at `θ` in
+/// `scratch.terms`: the support loss `L(θ, train)` from the inner step's
+/// gradient pass and the query loss `L(φ, test)` from the query
+/// gradient's, each through the model's loss-returning kernel
+/// ([`Model::loss_grad_then_hvp_into`], [`Model::loss_grad_into`]). The
+/// gradient has the bits of `meta_gradient_with`, and the two losses
+/// the bits of the curve's `loss_with` calls at the same `θ`.
+pub(crate) fn meta_gradient_and_terms_with<'s>(
+    model: &dyn Model,
+    theta: &[f64],
+    train: &Batch,
+    test: &Batch,
+    alpha: f64,
+    mode: MetaGradientMode,
+    scratch: &'s mut Scratch,
+) -> &'s [f64] {
+    let Scratch {
+        ws,
+        grad,
+        phi,
+        hvp,
+        terms,
+        ..
+    } = scratch;
+    let mut query = 0.0;
+    let mut query_gradient = |g: &mut [f64], ws: &mut Workspace| {
+        phi.copy_from_slice(theta);
+        vector::axpy(-alpha, g, phi);
+        query = model.loss_grad_into(phi, test, ws, g);
+    };
+    let support = match mode {
+        MetaGradientMode::FullSecondOrder => {
+            let support =
+                model.loss_grad_then_hvp_into(theta, train, ws, grad, &mut query_gradient, hvp);
+            vector::axpy(-alpha, hvp, grad);
+            support
+        }
+        MetaGradientMode::FirstOrder => {
+            let support = model.loss_grad_into(theta, train, ws, grad);
+            query_gradient(grad, ws);
+            support
+        }
+    };
+    *terms = Some((query, support));
     grad
 }
 

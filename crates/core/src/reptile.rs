@@ -144,9 +144,8 @@ impl LocalStepper for Reptile {
         self.cfg.threads
     }
 
-    /// The provided loop with its curve point and result at `θ` itself,
-    /// not the re-average of `n` copies of it (which differs in the last
-    /// bits).
+    /// The provided loop with its result at `θ` itself, not the
+    /// re-average of `n` copies of it (which differs in the last bits).
     fn train_from(&self, model: &dyn Model, tasks: &[SourceTask], theta0: &[f64]) -> TrainOutput {
         assert_eq!(
             theta0.len(),

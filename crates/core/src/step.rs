@@ -38,13 +38,19 @@
 //!   `advance`'s contract, `T0` single steps), the weighted aggregate
 //!   goes through [`combine`](LocalStepper::combine) and is installed on
 //!   every node, and the curve records once per aggregation, at the
-//!   weighted average of the node states (which re-averages `n` copies
-//!   of the global — kept, bit for bit, because every pinned curve was
-//!   drawn that way);
+//!   global the next round broadcasts. The result is the weighted
+//!   average of the last global installed on every node (`n` copies of
+//!   it, re-averaged once at the end — kept, bit for bit, because every
+//!   pinned result was drawn that way);
 //! * [`train`](LocalStepper::train) — `train_from` a drawn `θ⁰`;
 //! * [`combine`](LocalStepper::combine) (identity; [`Reptile`] overrides
 //!   it with `θ ← θ + ε(φ̄ − θ)`), [`threads`](LocalStepper::threads)
-//!   and [`oracle_calls`](LocalStepper::oracle_calls).
+//!   and [`oracle_calls`](LocalStepper::oracle_calls);
+//! * [`yields_curve_terms`](LocalStepper::yields_curve_terms) (`false`;
+//!   [`FedMl`](crate::FedMl) says `true`): whether step one's passes
+//!   leave the node's two curve terms at the broadcast in the
+//!   [`Scratch`], so a platform sums what the nodes report instead of
+//!   evaluating every task itself.
 //!
 //! # Adding an algorithm
 //!
@@ -75,8 +81,8 @@
 //! `train`/`train_from`: its per-node adversarial sets and RNG persist
 //! from round to round, which a step that is a pure function of
 //! `(anchor, state)` cannot carry. [`Reptile`] overrides `train_from`
-//! only to take its curve point and result at `θ` itself, without the
-//! re-average; the loop is the same.
+//! only to take its result at `θ` itself, without the re-average; the
+//! loop is the same.
 
 use fml_models::Model;
 use rand::rngs::StdRng;
@@ -130,7 +136,11 @@ pub trait LocalStepper: Sync {
 
     /// Runs `steps` local iterations for one node from the broadcast
     /// `theta`: `out` is overwritten with the node's updated parameters,
-    /// reusing its capacity.
+    /// reusing its capacity. A stepper that
+    /// [yields the curve terms](Self::yields_curve_terms) leaves the
+    /// node's terms at `theta` in [`Scratch::curve_terms`] when the
+    /// scratch [asks for them](Scratch::with_curve_terms); otherwise
+    /// `None` is left there.
     ///
     /// # Panics
     ///
@@ -146,6 +156,7 @@ pub trait LocalStepper: Sync {
         out: &mut Vec<f64>,
     ) {
         scratch.check(model, "local_update_into");
+        scratch.terms = None;
         out.clear();
         out.extend_from_slice(theta);
         self.advance(model, task, theta, out, steps, scratch);
@@ -203,17 +214,31 @@ pub trait LocalStepper: Sync {
     fn oracle_calls(&self) -> (u64, u64) {
         (1, 0)
     }
+
+    /// Whether the first step of [`advance`](Self::advance) computes one
+    /// task's curve terms at the step's own `θ` — the query and support
+    /// losses [`eval_losses_with`](Self::eval_losses_with) weighs and
+    /// sums in task order from `−0.0`, with their bits — and leaves them
+    /// in [`Scratch::curve_terms`] of a scratch that
+    /// [asks for them](Scratch::with_curve_terms). A platform then sums
+    /// what its nodes report instead of evaluating their tasks. `false` for steppers
+    /// whose curve is not at their step (FedAvg, FedProx and Reptile
+    /// evaluate at `eval_alpha`).
+    fn yields_curve_terms(&self) -> bool {
+        false
+    }
 }
 
 /// Algorithm 1's loop, once, a round at a time: every node runs
 /// [`local_update_into`](LocalStepper::local_update_into) from the
 /// broadcast global for `T0` steps, the weighted aggregate goes through
 /// [`combine`](LocalStepper::combine), and the curve records the new
-/// global. With `reaverage` the curve point and the result are the
-/// weighted average of the global installed on every node (the provided
-/// [`LocalStepper::train_from`], which skips the `theta0`-is-a-model-vector
-/// check for steppers whose node state is wider than the model's
-/// parameters); without it they are the global itself (Reptile's).
+/// global — the point the next round's broadcast carries. With
+/// `reaverage` the result is the weighted average of the last global
+/// installed on every node (the provided [`LocalStepper::train_from`],
+/// which skips the `theta0`-is-a-model-vector check for steppers whose
+/// node state is wider than the model's parameters); without it, the
+/// global itself (Reptile's).
 pub(crate) fn lockstep<S: LocalStepper + ?Sized>(
     stepper: &S,
     model: &dyn Model,
@@ -231,32 +256,19 @@ pub(crate) fn lockstep<S: LocalStepper + ?Sized>(
         .threads()
         .unwrap_or_else(|| default_threads(tasks.len()));
     let mut global = state0.to_vec();
-    let mut locals: Vec<Vec<f64>> = vec![global.clone(); tasks.len()];
     let mut history = Vec::with_capacity(rounds);
     let new_scratch = || Scratch::for_model(model);
     let mut curve_scratch = new_scratch();
-    // The curve point: `n` copies of the global, re-averaged, or the
-    // global itself.
-    let at = |locals: &[Vec<f64>], global: &[f64]| {
-        if reaverage {
-            aggregate(tasks, locals)
-        } else {
-            global.to_vec()
-        }
-    };
 
     for round in 1..=rounds {
-        locals = map_ordered_with(threads, tasks, new_scratch, |scratch, _, task| {
+        let locals = map_ordered_with(threads, tasks, new_scratch, |scratch, _, task| {
             let mut state = Vec::new();
             stepper.local_update_into(model, task, &global, local_steps, scratch, &mut state);
             state
         });
         global = stepper.combine(&global, aggregate(tasks, &locals));
-        for state in &mut locals {
-            state.copy_from_slice(&global);
-        }
         let (meta_loss, train_loss) =
-            stepper.eval_losses_with(model, tasks, &at(&locals, &global), &mut curve_scratch);
+            stepper.eval_losses_with(model, tasks, &global, &mut curve_scratch);
         history.push(RoundRecord {
             iteration: round * local_steps,
             meta_loss,
@@ -267,8 +279,15 @@ pub(crate) fn lockstep<S: LocalStepper + ?Sized>(
         });
     }
 
+    // The result keeps the bits the reference has always returned: `n`
+    // copies of the global, re-averaged once.
+    let params = if reaverage {
+        aggregate(tasks, &vec![global; tasks.len()])
+    } else {
+        global
+    };
     TrainOutput {
-        params: at(&locals, &global),
+        params,
         history,
         comm_rounds: rounds,
         local_iterations: rounds * local_steps,
@@ -333,8 +352,8 @@ pub(crate) mod tests {
 
     /// Every round of the provided `train_from` is `local_update` on
     /// every node from the last global, the weighted aggregate through
-    /// `combine`, and the curve's re-average of `n` copies of the new
-    /// global (Reptile's curve: the global itself).
+    /// `combine`, and the curve at the new global; the result re-averages
+    /// `n` copies of the last global (Reptile's: the global itself).
     #[test]
     fn first_aggregation_of_train_from_is_local_update_then_combine() {
         let (model, tasks) = setup();
@@ -343,26 +362,69 @@ pub(crate) mod tests {
             let out = s.train_from(&model, &tasks, &vec![0.01; model.param_len()]);
             assert_one_record_per_round(&out, 4, 3);
             let mut global = vec![0.01; model.param_len()];
-            let mut at = global.clone();
             for record in &out.history {
                 let locals: Vec<Vec<f64>> = tasks
                     .iter()
                     .map(|t| s.local_update(&model, t, &global, 3))
                     .collect();
                 global = s.combine(&global, aggregate(&tasks, &locals));
-                at = if name == "Reptile" {
-                    global.clone()
-                } else {
-                    aggregate(&tasks, &vec![global.clone(); tasks.len()])
-                };
                 assert_eq!(
                     (record.meta_loss, record.train_loss),
-                    s.eval_losses(&model, &tasks, &at),
+                    s.eval_losses(&model, &tasks, &global),
                     "{name}, iteration {}",
                     record.iteration
                 );
             }
-            assert_eq!(out.params, at, "{name}");
+            let result = if name == "Reptile" {
+                global
+            } else {
+                aggregate(&tasks, &vec![global; tasks.len()])
+            };
+            assert_eq!(out.params, result, "{name}");
+        }
+    }
+
+    /// A stepper that yields the curve terms leaves, after one node's
+    /// `local_update_into` from `θ` on a scratch that asks for them, the
+    /// unweighted terms whose weighted sum in task order is
+    /// `eval_losses_with` at `θ`, bit for bit, and the update it leaves
+    /// without asking; the others leave none.
+    #[test]
+    fn yielded_curve_terms_sum_to_the_curve() {
+        let (model, tasks) = setup();
+        let theta = vec![0.02; model.param_len()];
+        let second = FedMl::new(FedMlConfig::new(0.05, 0.05).with_local_steps(2));
+        let first = FedMl::new(
+            FedMlConfig::new(0.05, 0.05)
+                .with_local_steps(2)
+                .with_mode(MetaGradientMode::FirstOrder),
+        );
+        let yielding: [&dyn LocalStepper; 2] = [&second, &first];
+        let mut scratch = Scratch::for_model(&model).with_curve_terms();
+        let mut plain = Scratch::for_model(&model);
+        let (mut out, mut unasked) = (Vec::new(), Vec::new());
+        for s in yielding {
+            assert!(s.yields_curve_terms());
+            let (mut meta, mut train) = (-0.0, -0.0);
+            for task in &tasks {
+                s.local_update_into(&model, task, &theta, 2, &mut scratch, &mut out);
+                let (query, support) = scratch.curve_terms().expect("FedML yields its terms");
+                meta += task.weight * query;
+                train += task.weight * support;
+                s.local_update_into(&model, task, &theta, 2, &mut plain, &mut unasked);
+                assert_eq!(plain.curve_terms(), None);
+                assert_eq!(out, unasked);
+            }
+            let want = s.eval_losses(&model, &tasks, &theta);
+            assert_eq!(
+                (meta.to_bits(), train.to_bits()),
+                (want.0.to_bits(), want.1.to_bits())
+            );
+        }
+        for s in steppers(2, 1).iter().skip(1) {
+            assert!(!s.yields_curve_terms(), "{}", s.algorithm());
+            s.local_update_into(&model, &tasks[0], &theta, 2, &mut scratch, &mut out);
+            assert_eq!(scratch.curve_terms(), None, "{}", s.algorithm());
         }
     }
 

@@ -396,13 +396,25 @@ impl Model for Mlp {
         between: &mut dyn FnMut(&mut [f64], &mut Workspace),
         hv: &mut [f64],
     ) {
-        // The tape leaves the workspace for the call, so a `between` that
-        // replays through the same workspace cannot overwrite this one.
-        let mut tape = std::mem::take(&mut ws.tape);
-        self.grad_pass(params, batch, ws, buf, None, Some(&mut tape));
-        between(buf, ws);
-        self.hvp_pass(params, batch, buf, ws, hv, Some(&tape));
-        ws.tape = tape;
+        self.replayed_hvp(params, batch, ws, buf, None, between, hv);
+    }
+
+    /// [`grad_then_hvp_into`](Model::grad_then_hvp_into) whose gradient
+    /// pass also sums the loss, as [`loss_grad_into`](Model::loss_grad_into)
+    /// does.
+    fn loss_grad_then_hvp_into(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        ws: &mut Workspace,
+        buf: &mut [f64],
+        between: &mut dyn FnMut(&mut [f64], &mut Workspace),
+        hv: &mut [f64],
+    ) -> f64 {
+        let reg = self.decay(params, &ws.spans);
+        let mut total = 0.0;
+        self.replayed_hvp(params, batch, ws, buf, Some(&mut total), between, hv);
+        batch_loss(total, batch.len(), reg)
     }
 
     fn sample_loss(&self, params: &[f64], x: &[f64], y: Target) -> f64 {
@@ -429,6 +441,29 @@ impl Model for Mlp {
 }
 
 impl Mlp {
+    /// The gradient pass (adding each sample's loss to `loss` when it is
+    /// given), `between`, and the R-pass over the gradient's recorded
+    /// forward pass.
+    #[allow(clippy::too_many_arguments)]
+    fn replayed_hvp(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        ws: &mut Workspace,
+        buf: &mut [f64],
+        loss: Option<&mut f64>,
+        between: &mut dyn FnMut(&mut [f64], &mut Workspace),
+        hv: &mut [f64],
+    ) {
+        // The tape leaves the workspace for the call, so a `between` that
+        // replays through the same workspace cannot overwrite this one.
+        let mut tape = std::mem::take(&mut ws.tape);
+        self.grad_pass(params, batch, ws, buf, loss, Some(&mut tape));
+        between(buf, ws);
+        self.hvp_pass(params, batch, buf, ws, hv, Some(&tape));
+        ws.tape = tape;
+    }
+
     /// `grad_into`, also adding each sample's loss to `loss` (from the
     /// softmax's log-sum-exp) and recording its forward pass on `tape`,
     /// when they are given.

@@ -64,6 +64,10 @@ impl Prediction {
 ///   bits of `grad_into`, `between`, `hvp_into` in turn.
 /// * An override of [`loss_grad_into`](Model::loss_grad_into) writes the
 ///   bits of `grad_into` and returns the bits of `loss_with`.
+/// * An override of
+///   [`loss_grad_then_hvp_into`](Model::loss_grad_then_hvp_into) writes
+///   the bits of `grad_then_hvp_into` and returns the bits of
+///   `loss_with` at the gradient's point.
 /// * `input_grad`/`sample_loss` operate on a *single* sample and must be
 ///   consistent with each other; they power adversarial data generation.
 ///
@@ -203,6 +207,30 @@ pub trait Model: Send + Sync + std::fmt::Debug {
         self.grad_into(params, batch, ws, buf);
         between(buf, ws);
         self.hvp_into(params, batch, buf, ws, hv);
+    }
+
+    /// [`grad_then_hvp_into`](Model::grad_then_hvp_into) that also
+    /// returns `L(θ, B)`, the loss at the gradient's point.
+    ///
+    /// The default is exactly `grad_then_hvp_into`, then
+    /// [`loss_with`](Model::loss_with). A model whose gradient pass
+    /// already holds each sample's loss overrides it to sum that loss in
+    /// `loss_with`'s order, with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `buf.len()` or `hv.len()` is not `param_len()`.
+    fn loss_grad_then_hvp_into(
+        &self,
+        params: &[f64],
+        batch: &Batch,
+        ws: &mut Workspace,
+        buf: &mut [f64],
+        between: &mut dyn FnMut(&mut [f64], &mut Workspace),
+        hv: &mut [f64],
+    ) -> f64 {
+        self.grad_then_hvp_into(params, batch, ws, buf, between, hv);
+        self.loss_with(params, batch, ws)
     }
 
     /// Fraction of correctly classified samples; 0 for an empty batch.

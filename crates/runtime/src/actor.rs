@@ -25,8 +25,9 @@
 //! 3. run the trainer's `T0` local steps via
 //!    [`fml_core::LocalStepper::local_update_into`], on the worker's own
 //!    [`fml_core::Scratch`] and into its reused update buffer;
-//! 4. apply any scheduled corrupt fault, encode a `ModelUpdate` frame,
-//!    and send it back up the link.
+//! 4. apply any scheduled corrupt fault, encode a `ModelUpdate` frame —
+//!    with the step's curve terms as its trailer when the stepper
+//!    yields them — and hand it to the link, keeping no copy.
 //!
 //! Crash faults are honoured by *not* touching the link that round —
 //! the platform consults the same pure [`fml_core::FaultPlan`] and skips the
@@ -40,10 +41,10 @@ use bytes::{Bytes, BytesMut};
 use fml_core::faults::corrupt;
 use fml_core::{ErrorFeedback, Fault, LocalStepper, Scratch, SourceTask};
 use fml_models::Model;
-use fml_sim::message::{encode_update_into, encoded_frame_len};
+use fml_sim::message::{encode_update_into, encoded_frame_len, put_curve_terms};
 use fml_sim::{
-    compressed_frame_len, encode_update_compressed_into, CodecScratch, CompressedView, FramePool,
-    MessageView,
+    compressed_frame_len, curve_trailer_len, encode_update_compressed_into, logical_frame_len,
+    CodecScratch, CompressedView, FramePool, MessageView,
 };
 
 use crate::config::RuntimeConfig;
@@ -122,10 +123,16 @@ struct StepScratch {
 }
 
 impl StepScratch {
-    fn new(model: &dyn Model) -> Self {
+    fn new(ctx: &WorkerCtx<'_>) -> Self {
+        let step = Scratch::for_model(ctx.model);
         StepScratch {
             global: Vec::new(),
-            step: Scratch::for_model(model),
+            // Asked for only when the platform will take them.
+            step: if ctx.stepper.yields_curve_terms() {
+                step.with_curve_terms()
+            } else {
+                step
+            },
             update: Vec::new(),
             pool: FramePool::global().handle(),
             codec: CodecScratch::default(),
@@ -199,6 +206,11 @@ fn step_reply(
         &mut scratch.codec,
         &mut buf,
     );
+    // The step's own curve terms at the broadcast ride back with the
+    // update, so the platform need not evaluate this node's task.
+    if let Some(terms) = scratch.step.curve_terms() {
+        put_curve_terms(&mut buf, terms);
+    }
     let reply = buf.freeze();
     if codec.wants_feedback() {
         // Residual = compensated − what the platform will decode, read
@@ -209,9 +221,10 @@ fn step_reply(
     }
     io.frames_sent += 1;
     io.bytes_sent += reply.len() as u64;
-    // What the same update would have cost as a dense tag-2 frame: the
-    // denominator of the uplink compression ratio.
-    io.bytes_sent_logical += encoded_frame_len(update.len()) as u64;
+    // What the same update would have cost as a dense tag-2 frame, with
+    // the same trailer: the numerator of the uplink compression ratio.
+    io.bytes_sent_logical += logical_frame_len(&reply).unwrap_or(reply.len()) as u64;
+    io.trailer_bytes_sent += curve_trailer_len(&reply) as u64;
     Some(reply)
 }
 
@@ -220,7 +233,7 @@ fn step_reply(
 /// queued (including recovery re-broadcasts of rolled-back rounds) and
 /// parks briefly when nothing is.
 pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, mut actors: Vec<NodeActor>) -> Vec<NodeIo> {
-    let mut scratch = StepScratch::new(ctx.model);
+    let mut scratch = StepScratch::new(ctx);
     loop {
         let mut any_live = false;
         let mut serviced = false;
@@ -248,7 +261,9 @@ pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, mut actors: Vec<NodeActor>) -> Ve
                 let Some(reply) = reply else {
                     continue;
                 };
-                if actor.link.send_frame(&reply).is_err() {
+                // The link takes the only handle, so the platform's
+                // recycle gets the buffer back.
+                if actor.link.send(reply).is_err() {
                     actor.alive = false;
                     break;
                 }
@@ -282,10 +297,10 @@ pub(crate) fn run_transport_peer(
         node,
         ..NodeIo::default()
     };
-    let mut scratch = StepScratch::new(ctx.model);
+    let mut scratch = StepScratch::new(ctx);
     let mut hello = BytesMut::with_capacity(encoded_frame_len(0));
     encode_update_into(0, node as u32, &[], &mut hello);
-    if link.send_frame(&hello.freeze()).is_err() {
+    if link.send(hello.freeze()).is_err() {
         link.close();
         return io;
     }
@@ -309,7 +324,7 @@ pub(crate) fn run_transport_peer(
         let reply = step_reply(ctx, node, &frame, &mut scratch, &mut io);
         scratch.pool.recycle(frame);
         if let Some(reply) = reply {
-            if link.send_frame(&reply).is_err() {
+            if link.send(reply).is_err() {
                 break;
             }
         }

@@ -40,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use fml_sim::{logical_frame_len, FramePool, MessageView, LENGTH_PREFIX_LEN};
+use fml_sim::{curve_trailer_len, logical_frame_len, FramePool, MessageView, LENGTH_PREFIX_LEN};
 
 use crate::report::NodeIo;
 use crate::transport::{Transport, TransportError, TransportListener};
@@ -70,6 +70,9 @@ struct PeerCounters {
     /// have cost as a dense tag-2 frame (the compression-ratio
     /// denominator). Non-update frames contribute nothing.
     bytes_from_logical: AtomicUsize,
+    /// Bytes of the curve-terms trailers among the updates read,
+    /// counted in both byte counters above.
+    trailer_bytes_from: AtomicUsize,
 }
 
 /// One node's slot in the fleet table.
@@ -263,6 +266,8 @@ impl Hub {
                 frames_sent: slot.counters.frames_from.load(Ordering::Acquire) as u64,
                 bytes_sent: slot.counters.bytes_from.load(Ordering::Acquire) as u64,
                 bytes_sent_logical: slot.counters.bytes_from_logical.load(Ordering::Acquire)
+                    as u64,
+                trailer_bytes_sent: slot.counters.trailer_bytes_from.load(Ordering::Acquire)
                     as u64,
                 reconnects: slot.reconnects,
                 // Node-side only: the platform counts what *it* cannot
@@ -467,6 +472,9 @@ fn reader_loop(
                         .bytes_from_logical
                         .fetch_add(logical + LENGTH_PREFIX_LEN, Ordering::AcqRel);
                 }
+                counters
+                    .trailer_bytes_from
+                    .fetch_add(curve_trailer_len(&frame), Ordering::AcqRel);
                 if in_tx.send(frame).is_err() {
                     break;
                 }

@@ -40,13 +40,19 @@
 //! The training curve is a reporting quantity no step of the algorithm
 //! waits for, so the fleet does not wait for it either. A closed round
 //! is *parked* by the core; the driver publishes and checkpoints its
-//! global — before the next broadcast, as ever — and has the core
-//! evaluate the parked round after the next broadcast and before it
-//! starts collecting, i.e. while the nodes compute and this thread would
-//! only block:
+//! global — before the next broadcast, as ever. That global is the
+//! parked round's curve point, and the next broadcast carries it: a
+//! FedML node computes its task's two curve terms there in its first
+//! step and sends them back with its update, so the core records the
+//! parked round when the next round closes, summing the reported terms
+//! and evaluating only the tasks no node reported. What it must
+//! evaluate — the tasks of nodes the broadcast missed, or the whole curve
+//! of a stepper that yields no terms — it evaluates after the broadcast
+//! and before collecting, i.e. while the nodes compute and this thread
+//! would only block:
 //!
 //! ```text
-//! core: close r, park r │ driver: publish, checkpoint r │ driver: broadcast r+1 │ core: evaluate r │ driver: collect r+1
+//! core: close r, park r │ driver: publish, checkpoint r │ driver: broadcast r+1 │ core: evaluate what r lacks │ driver: collect r+1 (terms of r) │ core: record r, close r+1
 //! ```
 //!
 //! The last round is evaluated by the core's `finish`. No thread or
@@ -60,9 +66,9 @@
 //!
 //! **Barrier** waits for every expected update each round. When the
 //! fleet is fault-free and the gather policy is the default, it
-//! reproduces `train_from` of the driven trainer *bitwise* — including
-//! the reference implementation's quirk of evaluating the training
-//! curve at the re-aggregation of the post-broadcast local copies.
+//! reproduces `train_from` of the driven trainer *bitwise* — its curve,
+//! at each broadcast global, and its result, the re-aggregation of `n`
+//! copies of the last one.
 //! With faults or a custom policy it routes every round through
 //! [`fml_core::gather::gather`] (deadline triage, the finite check,
 //! quorum, the weighted mean), degrading rounds instead of failing, and a
@@ -274,6 +280,8 @@ impl Runtime {
         uplink: &Receiver<Bytes>,
     ) -> RuntimeOutput {
         let pool = FramePool::global().handle();
+        // A round holds at most the broadcast and one reply a node.
+        pool.warm(core.nodes() + 1, encoded_frame_len(core.global().len()));
         let dir = self.cfg.checkpoint.dir.as_ref();
         let saved = dir.filter(|_| self.cfg.checkpoint.resume);
         if let Some(ck) = saved.and_then(|d| Checkpoint::load(d.join(CHECKPOINT_FILE)).ok()) {
@@ -300,9 +308,10 @@ impl Runtime {
             let frame = buf.freeze();
             core.broadcast(|node| peers.try_send(node, frame.clone()));
             // The fleet is computing and this thread would only block
-            // below: the previous round's curve point costs no round
-            // time here. Replies queue on the uplink meanwhile (at most
-            // one per live node), and the silence deadline starts after.
+            // below: what the previous round's curve needs from this
+            // thread costs no round time here. Replies queue on the
+            // uplink meanwhile (at most one per live node), and the
+            // silence deadline starts after.
             core.evaluate_parked();
             // Between frames the wait is chopped into `REJOIN_TICK`s so
             // the broadcast can be retransmitted to peers that
@@ -539,6 +548,32 @@ mod tests {
         let ratio = one.report.uplink_compression_ratio().expect("counters present");
         assert!(ratio >= 3.0, "uplink compression ratio {ratio} < 3");
         assert!(one.train.params.iter().all(|x| x.is_finite()));
+    }
+
+    /// Each node counts its replies' curve-terms trailers where it
+    /// counts their bytes, and the compression ratio leaves them out of
+    /// both sides: every top-k reply is one size, so the ratio is the
+    /// codec's alone.
+    #[test]
+    fn curve_trailers_stay_out_of_the_compression_ratio() {
+        use crate::UpdateCodec;
+        use fml_sim::{compressed_frame_len, message::encoded_frame_len, CURVE_TERMS_LEN};
+        let (model, tasks, theta0) = setup(4);
+        let codec = UpdateCodec::TopK { k: 2 };
+        let cfg = RuntimeConfig::barrier(3).with_update_codec(codec);
+        let out = Runtime::new(cfg).run(&fedml(3), &model, &tasks, &theta0);
+        let d = theta0.len();
+        for io in &out.report.per_node {
+            assert_eq!(io.frames_sent, 3);
+            assert_eq!(io.trailer_bytes_sent, 3 * CURVE_TERMS_LEN as u64);
+            let trailed = |len: usize| 3 * (len + CURVE_TERMS_LEN) as u64;
+            assert_eq!(io.bytes_sent, trailed(compressed_frame_len(codec, d)));
+            assert_eq!(io.bytes_sent_logical, trailed(encoded_frame_len(d)));
+        }
+        assert_eq!(
+            out.report.uplink_compression_ratio(),
+            Some(encoded_frame_len(d) as f64 / compressed_frame_len(codec, d) as f64)
+        );
     }
 
     #[test]

@@ -12,7 +12,27 @@
 //!
 //! Time enters only as the caller's `Instant`s, so a test can drive a
 //! round frame by frame at synthetic times without a thread or a sleep.
+//!
+//! # The curve
+//!
+//! Round `r`'s curve point is the global it closes with — the point
+//! round `r + 1` broadcasts — and round `r` stays *parked* until its
+//! losses are in. The curve is a weighted sum over the tasks, in task
+//! order from `−0.0`. When the stepper
+//! [yields its curve terms](LocalStepper::yields_curve_terms), each node
+//! computes its task's two terms at that broadcast in its first step and
+//! sends them back as its update's trailer; the core sums `weight ×
+//! term` and evaluates on its own thread only the tasks with no usable
+//! term: nodes the broadcast did not reach (during the broadcast's
+//! overlap), nodes that sent none or a non-finite one (at the next
+//! close), and every task of the last round (at [`Core::finish`]). The
+//! sum's bits therefore do not depend on who reported. Any other stepper
+//! has its whole curve evaluated during the overlap, by the same path in
+//! one call. The result
+//! re-averages `n` copies of the last global when the last round closed
+//! on the exact path, once, as `train_from` does.
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use fml_core::checkpoint::Checkpoint;
@@ -195,11 +215,13 @@ struct Fold {
 /// the uplink no matter which codec the nodes were configured with:
 /// decode routing is driven by the frame itself, never by config.
 enum UplinkFrame<'a> {
-    /// A model update (dense tag-2 or compressed tag-6).
+    /// A model update (dense tag-2 or compressed tag-6), with the
+    /// node's curve terms when it sent them.
     Update {
         node: usize,
         frame_round: usize,
         params: UpdateParams<'a>,
+        terms: Option<(f64, f64)>,
     },
     /// A valid frame that is not an update — a protocol violation on
     /// this link, triaged as undelivered.
@@ -222,11 +244,23 @@ impl<'a> UplinkFrame<'a> {
     /// vector reaches the aggregate nor a `k = 0` top-k frame gets to
     /// allocate the `u32::MAX` zeros it claims.
     fn parse(frame: &'a [u8], dim: usize) -> UplinkFrame<'a> {
-        let (node, frame_round, len, params) = match MessageView::parse(frame) {
-            Ok(v) if v.is_update() => (v.node(), v.round(), v.len(), UpdateParams::Dense(v)),
+        let (node, frame_round, len, terms, params) = match MessageView::parse(frame) {
+            Ok(v) if v.is_update() => (
+                v.node(),
+                v.round(),
+                v.len(),
+                v.curve_terms(),
+                UpdateParams::Dense(v),
+            ),
             Ok(_) => return UplinkFrame::Other,
             Err(_) => match CompressedView::parse(frame) {
-                Ok(v) => (v.node(), v.round(), v.len(), UpdateParams::Compressed(v)),
+                Ok(v) => (
+                    v.node(),
+                    v.round(),
+                    v.len(),
+                    v.curve_terms(),
+                    UpdateParams::Compressed(v),
+                ),
                 Err(_) => return UplinkFrame::Bad,
             },
         };
@@ -237,6 +271,7 @@ impl<'a> UplinkFrame<'a> {
             node: node as usize,
             frame_round: frame_round as usize,
             params,
+            terms,
         }
     }
 }
@@ -272,8 +307,8 @@ struct Outcome {
     degraded: bool,
 }
 
-/// A closed round whose curve point is still to be evaluated: what its
-/// history record and trace row need besides the two losses.
+/// A closed round whose losses are still to come: what its history
+/// record and trace row need besides them.
 struct Parked {
     round: usize,
     participants: Vec<usize>,
@@ -286,9 +321,10 @@ struct Parked {
 /// One run's platform state and every decision its rounds make.
 ///
 /// `history` and `report.trace` lag by one round while the run goes on:
-/// round `r`'s entries are appended by
-/// [`evaluate_parked`](Self::evaluate_parked) during round `r + 1` (or
-/// by [`finish`](Self::finish)), so nothing in the core reads them.
+/// round `r`'s entries are appended during round `r + 1` — by
+/// [`evaluate_parked`](Self::evaluate_parked) or, once its nodes have
+/// reported their terms, by [`close_round`](Self::close_round) — or by
+/// [`finish`](Self::finish), so nothing in the core reads them.
 /// `comm_rounds`, `global` and the checkpoint never lag.
 pub(crate) struct Core<'a> {
     cfg: &'a RuntimeConfig,
@@ -330,8 +366,9 @@ pub(crate) struct Core<'a> {
     /// Barrier mode reproduces `train_from` bitwise when nothing can
     /// perturb a round: benign plan, default policy.
     exact: bool,
-    /// The task weights the exact path's curve point re-aggregates with.
-    weights: Vec<f64>,
+    /// Whether the last closed round took the exact path: the output
+    /// then re-averages `n` copies of the global, as `train_from` does.
+    reaverage: bool,
     /// The last good global: what a rollback restores.
     snapshot: Vec<f64>,
     last_good: ReuseCache,
@@ -340,12 +377,12 @@ pub(crate) struct Core<'a> {
     recovered: bool,
     /// Async mode's state; `None` in barrier mode.
     fold: Option<Fold>,
-    /// The last closed round, until
-    /// [`evaluate_parked`](Self::evaluate_parked) records it.
+    /// The last closed round, until its losses are recorded.
     parked: Option<Parked>,
-    /// The parameters the parked round's curve point is evaluated at;
-    /// after the last round, the run's output.
-    eval_at: Vec<f64>,
+    /// Per task, the parked round's `weight × (query, support)` terms
+    /// known so far — reported by its node or evaluated here — whose sum
+    /// in task order from `−0.0` is the curve point.
+    curve: Vec<Option<(f64, f64)>>,
     /// What the curve evaluation runs on.
     scratch: Scratch,
 }
@@ -412,13 +449,13 @@ impl<'a> Core<'a> {
             timeout: Duration::from_millis(cfg.recv_timeout_ms),
             deadline: None,
             exact: cfg.faults.is_benign() && cfg.gather == fml_core::GatherPolicy::default(),
-            weights: tasks.iter().map(|t| t.weight).collect(),
+            reaverage: false,
             snapshot: theta0.to_vec(),
             last_good: ReuseCache::new(n, &cfg.gather),
             recovered: false,
             fold,
             parked: None,
-            eval_at: theta0.to_vec(),
+            curve: vec![None; n],
             scratch: Scratch::for_model(model),
         }
     }
@@ -432,6 +469,11 @@ impl<'a> Core<'a> {
     /// The last completed round; 0 before any.
     pub(crate) fn done(&self) -> usize {
         self.done
+    }
+
+    /// The fleet's size: one node a task.
+    pub(crate) fn nodes(&self) -> usize {
+        self.tasks.len()
     }
 
     /// Resumes from a loaded checkpoint: restores the global, the health
@@ -461,7 +503,6 @@ impl<'a> Core<'a> {
         }
         self.global = ck.params;
         self.snapshot.clone_from(&self.global);
-        self.eval_at.clone_from(&self.global);
         self.done = done;
         self.report.resumed_at_round = Some(done + 1);
     }
@@ -529,10 +570,12 @@ impl<'a> Core<'a> {
     }
 
     /// Triages one uplink frame received at `now`: an update the round
-    /// awaits is decoded into its node's row; a duplicate, one for
-    /// another round, or a frame that is not an update counts as
-    /// undelivered; anything unparseable as a decode error. Allocates
-    /// nothing once each row has held one update.
+    /// awaits is decoded into its node's row, and its finite curve terms,
+    /// taken at this round's broadcast, become its task's part of the
+    /// parked round's curve; a duplicate, one for another round, or a
+    /// frame that is not an update counts as undelivered; anything
+    /// unparseable as a decode error. Allocates nothing once each row
+    /// has held one update.
     pub(crate) fn offer(&mut self, frame: &[u8], now: Instant) {
         self.uplink_bytes += frame.len() as u64;
         // Uplink updates arrive in either wire family — dense tag-2 or
@@ -544,11 +587,19 @@ impl<'a> Core<'a> {
                 node,
                 frame_round,
                 params,
+                terms,
             } if frame_round == self.round && self.awaits(node) => {
                 params.copy_into(&mut self.rows[node]);
                 self.slots[node] = Slot::Received;
                 self.received += 1;
                 self.deadline = Some(now + self.timeout);
+                if let Some((query, support)) = terms {
+                    if self.parked.is_some() && query.is_finite() && support.is_finite() {
+                        let w = self.tasks[node].weight;
+                        self.curve[node] = Some((w * query, w * support));
+                        self.report.curve_terms_reported += 1;
+                    }
+                }
             }
             // A frame for an already-closed round (or a duplicate): its
             // round has moved on without it.
@@ -568,10 +619,12 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Closes the open round with whatever it received. `false` means it
-    /// rolled back and must run again; otherwise the round is done and
-    /// parked for [`evaluate_parked`](Self::evaluate_parked).
+    /// Records the parked round — its curve point is still the global —
+    /// then closes the open round with whatever it received. `false`
+    /// means it rolled back and must run again; otherwise the round is
+    /// done and parked until its losses are in.
     pub(crate) fn close_round(&mut self) -> bool {
+        self.record_parked();
         let closed = match self.fold.take() {
             None => self.close_barrier(),
             Some(mut fold) => {
@@ -617,23 +670,20 @@ impl<'a> Core<'a> {
             .map(|i| self.upload_delay_s(i))
             .fold(0.0f64, f64::max);
         let end = if self.exact && self.received == n {
-            // train_from replica: aggregate the locals, then record the
-            // curve at the re-aggregation of n copies of the new global
-            // (the reference's exact float ops, over n borrowed views of
-            // the one vector).
+            // train_from replica: aggregate the locals (the reference's
+            // exact float ops).
             self.global = self
                 .stepper
                 .combine(&self.global, aggregate(self.tasks, &self.rows));
-            let copies = vec![self.global.as_slice(); n];
-            self.eval_at = weighted_sum(&copies, &self.weights).expect("at least one node");
+            self.reaverage = true;
             Outcome {
                 aggregated: true,
                 reporters: n,
                 degraded: false,
             }
         } else {
+            self.reaverage = false;
             let mut end = self.gather_round()?;
-            self.eval_at.clone_from(&self.global);
             end.degraded |= self.recovered || self.health.removed_count() > 0;
             end
         };
@@ -864,7 +914,6 @@ impl<'a> Core<'a> {
             self.global = round_start;
             self.report.rollbacks += 1;
         }
-        self.eval_at.clone_from(&self.global);
         let required = self.cfg.gather.required_reporters(n);
         let end = Outcome {
             aggregated: applied > 0 && !rolled_back,
@@ -894,12 +943,62 @@ impl<'a> Core<'a> {
         )
     }
 
-    /// Evaluates the parked round's losses and appends its history
-    /// record and trace row; a no-op with nothing parked. The driver
-    /// calls it between a broadcast and the collect — a wait the
-    /// platform thread would otherwise spend blocked — and
-    /// [`finish`](Self::finish) once more after the last round.
+    /// Evaluates what of the parked round's curve no reply will cover,
+    /// while the nodes compute: the driver calls it between a broadcast
+    /// and the collect — a wait the platform thread would otherwise spend
+    /// blocked. That is every task the broadcast did not reach, and every
+    /// task when the stepper yields no terms, in which case the round is
+    /// recorded here; otherwise the rest waits for the replies (see
+    /// [`close_round`](Self::close_round)). A no-op with nothing parked.
     pub(crate) fn evaluate_parked(&mut self) {
+        if self.parked.is_none() {
+            return;
+        }
+        let yields = self.stepper.yields_curve_terms();
+        self.evaluate_curve(|core, task| !yields || core.slots[task] == Slot::Idle);
+        if self.curve.iter().all(Option::is_some) {
+            self.record_parked();
+        }
+    }
+
+    /// Fills, at the global, every empty curve slot `uncovered` picks.
+    /// A leading run of them is one `eval_losses_with` call: its sum in
+    /// task order from `−0.0` is, bit for bit, where the record's sum
+    /// stands at the run's end, so the run's first slot holds it and the
+    /// others `−0.0`, which leaves any sum unchanged. Every later slot is
+    /// one task's call, whose sum from `−0.0` is its term itself.
+    fn evaluate_curve(&mut self, uncovered: impl Fn(&Self, usize) -> bool) {
+        let n = self.tasks.len();
+        let open = |core: &Self, task: usize| core.curve[task].is_none() && uncovered(core, task);
+        let lead = (0..n).take_while(|&task| open(self, task)).count();
+        if lead > 0 {
+            self.curve[0] = Some(self.evaluate(0..lead));
+            self.curve[1..lead].fill(Some((-0.0, -0.0)));
+        }
+        for task in lead..n {
+            if open(self, task) {
+                self.curve[task] = Some(self.evaluate(task..task + 1));
+            }
+        }
+    }
+
+    /// The curve's `(meta_loss, train_loss)` over `tasks` at the global,
+    /// evaluated here.
+    fn evaluate(&mut self, tasks: Range<usize>) -> (f64, f64) {
+        self.report.curve_terms_evaluated += tasks.len() as u64;
+        self.stepper.eval_losses_with(
+            self.model,
+            &self.tasks[tasks],
+            &self.global,
+            &mut self.scratch,
+        )
+    }
+
+    /// Appends the parked round's history record and trace row, at the
+    /// global: the sum in task order from `−0.0` of every task's terms,
+    /// each evaluated here unless its node reported it. A no-op with
+    /// nothing parked.
+    fn record_parked(&mut self) {
         let Some(parked) = self.parked.take() else {
             return;
         };
@@ -908,9 +1007,13 @@ impl<'a> Core<'a> {
             reporters,
             degraded,
         } = parked.end;
-        let (meta_loss, train_loss) =
-            self.stepper
-                .eval_losses_with(self.model, self.tasks, &self.eval_at, &mut self.scratch);
+        self.evaluate_curve(|_, _| true);
+        let (mut meta_loss, mut train_loss) = (-0.0, -0.0);
+        for slot in &mut self.curve {
+            let (meta, train) = slot.take().expect("every task evaluated above");
+            meta_loss += meta;
+            train_loss += train;
+        }
         let local_steps = self.stepper.local_steps();
         self.history.push(RoundRecord {
             iteration: parked.round * local_steps,
@@ -938,8 +1041,16 @@ impl<'a> Core<'a> {
     /// Records the last round and returns the training output and the
     /// report, less the link counters only the driver holds.
     pub(crate) fn finish(mut self) -> (TrainOutput, RuntimeReport) {
-        // The last round has no next broadcast to hide behind.
-        self.evaluate_parked();
+        // The last round has no next broadcast to hide behind, and no
+        // node computes at its global.
+        self.record_parked();
+        let params = if self.reaverage {
+            let copies = vec![self.global.as_slice(); self.tasks.len()];
+            let weights: Vec<f64> = self.tasks.iter().map(|t| t.weight).collect();
+            weighted_sum(&copies, &weights).expect("at least one node")
+        } else {
+            self.global
+        };
         let mut report = self.report;
         if let Some(fold) = &self.fold {
             // Uploads still in (virtual) flight when the schedule ended.
@@ -955,7 +1066,7 @@ impl<'a> Core<'a> {
         report.excluded_nodes = self.health.excluded_nodes();
         report.degraded_rounds = report.trace.rounds().iter().filter(|r| r.degraded).count();
         let train = TrainOutput {
-            params: self.eval_at,
+            params,
             history: self.history,
             comm_rounds: self.comm_rounds,
             local_iterations: self.stepper.rounds() * self.stepper.local_steps(),
@@ -975,7 +1086,7 @@ mod tests {
     use fml_core::{FedMl, FedMlConfig, GatherPolicy, Reptile, ReptileConfig};
     use fml_data::synthetic::SyntheticConfig;
     use fml_models::SoftmaxRegression;
-    use fml_sim::message::{encode_global_into, encode_update_into};
+    use fml_sim::message::{encode_global_into, encode_update_into, put_curve_terms};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1078,6 +1189,60 @@ mod tests {
             row.bytes,
             2 * encoded_frame_len(theta0.len()) as u64 + bytes
         );
+    }
+
+    /// Round 1's curve comes from round 2's replies. Of five nodes one
+    /// sends an unflagged update, one reports a NaN term, one is not
+    /// reached, one sends its terms and then a duplicate with others,
+    /// and one reports its terms: the record is the curve evaluated over
+    /// every task, bit for bit, and only the last two nodes' terms were
+    /// taken. The first two tasks are evaluated here in one call, the
+    /// unreached one alone during the overlap.
+    #[test]
+    fn reported_curve_terms_sum_to_the_evaluated_curve() {
+        let (model, tasks, theta0) = fixture(5);
+        let (cfg, stepper) = (RuntimeConfig::barrier(3), fedml(2));
+        let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        let t = Instant::now();
+        assert_eq!(run_round(&mut core, &[0, 1, 2, 3, 4], t), (1, true));
+        let at = core.global.clone();
+        let terms = |node: usize| {
+            let mut scratch = Scratch::for_model(&model).with_curve_terms();
+            let mut out = Vec::new();
+            stepper.local_update_into(&model, &tasks[node], &at, 1, &mut scratch, &mut out);
+            scratch.curve_terms().expect("FedML yields its terms")
+        };
+        let flagged = |node: usize, terms: (f64, f64)| {
+            let mut buf = BytesMut::new();
+            encode_update_into(2, node as u32, &local(&at, node), &mut buf);
+            put_curve_terms(&mut buf, terms);
+            buf.to_vec()
+        };
+
+        assert_eq!(core.open_round(), Some(2));
+        core.broadcast(|node| node != 2);
+        core.evaluate_parked();
+        assert_eq!(core.report.curve_terms_evaluated, 1, "the unreached node");
+        assert!(core.history.is_empty(), "waits for the replies");
+        core.offer(&update(2, 0, &local(&at, 0)), t);
+        core.offer(&flagged(1, (f64::NAN, terms(1).1)), t);
+        core.offer(&flagged(3, terms(3)), t);
+        core.offer(&flagged(3, (9.0, 9.0)), t);
+        core.offer(&flagged(4, terms(4)), t);
+        assert!(core.close_round());
+        assert_eq!(core.report.curve_terms_reported, 2);
+        assert_eq!(core.report.curve_terms_evaluated, 3);
+
+        let (out, report) = core.finish();
+        let bits = |r: &RoundRecord| (r.meta_loss.to_bits(), r.train_loss.to_bits());
+        let (meta, train) = stepper.eval_losses(&model, &tasks, &at);
+        assert_eq!(bits(&out.history[0]), (meta.to_bits(), train.to_bits()));
+        assert_eq!(report.trace.rounds()[0].meta_loss.to_bits(), meta.to_bits());
+        // The last round is evaluated whole; node 2 missed it, so the
+        // result is the global itself.
+        let (meta, train) = stepper.eval_losses(&model, &tasks, &out.params);
+        assert_eq!(bits(&out.history[1]), (meta.to_bits(), train.to_bits()));
+        assert_eq!(report.curve_terms_evaluated, 3 + 5);
     }
 
     #[test]

@@ -84,6 +84,10 @@ pub struct NodeIo {
     /// (modulo framing overhead); larger under a compressing codec —
     /// the gap is the uplink compression win.
     pub bytes_sent_logical: u64,
+    /// Bytes of the curve-terms trailers among the updates sent,
+    /// counted in [`bytes_sent`](Self::bytes_sent) and
+    /// [`bytes_sent_logical`](Self::bytes_sent_logical) alike.
+    pub trailer_bytes_sent: u64,
     /// Bytes of encoded broadcast frames received.
     pub bytes_received: u64,
     /// Times this peer's link was replaced by a reconnect (socket
@@ -159,6 +163,14 @@ pub struct RuntimeReport {
     pub node_health: Vec<NodeHealthReport>,
     /// Disk checkpoints written to `--checkpoint-dir` during this run.
     pub checkpoints_written: u64,
+    /// Tasks whose curve terms the platform took from its node's report
+    /// instead of evaluating them (one per task and recorded round).
+    pub curve_terms_reported: u64,
+    /// Tasks whose curve terms the platform evaluated itself: all of
+    /// them for a stepper that yields none, and otherwise the nodes that
+    /// did not report — or reported a non-finite term — and every task
+    /// of the last round.
+    pub curve_terms_evaluated: u64,
     /// When the run resumed from a disk checkpoint: the first round it
     /// actually executed.
     pub resumed_at_round: Option<usize>,
@@ -228,12 +240,14 @@ impl RuntimeReport {
         self.per_node.iter().map(|n| n.bytes_sent_logical).sum()
     }
 
-    /// Uplink compression ratio, `logical / physical` (1.0 means no
-    /// compression; ≥ 3.0 is the top-k target). `None` when either
-    /// side is zero (no updates yet).
+    /// Uplink compression ratio, `logical / physical` over what the
+    /// codec encoded — the curve-terms trailers left out of both sides
+    /// (1.0 means no compression; ≥ 3.0 is the top-k target). `None`
+    /// when either side is zero (no updates yet).
     pub fn uplink_compression_ratio(&self) -> Option<f64> {
-        let physical = self.uplink_bytes();
-        let logical = self.uplink_bytes_logical();
+        let trailers: u64 = self.per_node.iter().map(|n| n.trailer_bytes_sent).sum();
+        let physical = self.uplink_bytes().saturating_sub(trailers);
+        let logical = self.uplink_bytes_logical().saturating_sub(trailers);
         if physical == 0 || logical == 0 {
             None
         } else {
@@ -295,6 +309,7 @@ mod tests {
                     frames_received: 10,
                     bytes_sent: 1000,
                     bytes_sent_logical: 4000,
+                    trailer_bytes_sent: 0,
                     bytes_received: 990,
                     reconnects: 0,
                     decode_errors: 0,
@@ -305,6 +320,7 @@ mod tests {
                     frames_received: 10,
                     bytes_sent: 800,
                     bytes_sent_logical: 3200,
+                    trailer_bytes_sent: 0,
                     bytes_received: 990,
                     reconnects: 1,
                     decode_errors: 0,
@@ -336,6 +352,8 @@ mod tests {
             excluded_nodes: vec![1],
             node_health: Vec::new(),
             checkpoints_written: 2,
+            curve_terms_reported: 30,
+            curve_terms_evaluated: 10,
             resumed_at_round: None,
             pool: PoolStatsReport {
                 hits: 90,
@@ -364,6 +382,17 @@ mod tests {
         assert_eq!(r.uplink_bytes(), 1800);
         assert_eq!(r.uplink_bytes_logical(), 7200);
         assert_eq!(r.uplink_compression_ratio(), Some(4.0));
+        // Trailers count on both sides of the ledger and on neither side
+        // of the ratio — each node's, as it counted them when sending,
+        // also those of frames its link then dropped on the way.
+        let mut trailed = sample();
+        for io in &mut trailed.per_node {
+            io.trailer_bytes_sent = 16 * io.frames_sent;
+            io.bytes_sent += io.trailer_bytes_sent;
+            io.bytes_sent_logical += io.trailer_bytes_sent;
+        }
+        assert_eq!(trailed.uplink_bytes(), 1800 + 288);
+        assert_eq!(trailed.uplink_compression_ratio(), Some(4.0));
         // Pre-codec reports (no logical counters) have no ratio.
         let mut old = sample();
         for io in &mut old.per_node {
@@ -386,7 +415,7 @@ mod tests {
             .collect();
         assert_eq!(
             keys.join(" "),
-            "node frames_sent frames_received bytes_sent bytes_sent_logical bytes_received reconnects decode_errors"
+            "node frames_sent frames_received bytes_sent bytes_sent_logical trailer_bytes_sent bytes_received reconnects decode_errors"
         );
         assert_eq!(
             value.get("bytes_sent_logical"),

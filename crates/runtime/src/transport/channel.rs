@@ -79,17 +79,15 @@ impl ChannelTransport {
 }
 
 impl Transport for ChannelTransport {
-    fn send_frame(&mut self, frame: &Bytes) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
         match &self.tx {
             None => Err(TransportError::Closed),
-            Some(ChannelTx::Bounded(tx)) => match tx.try_send(frame.clone()) {
+            Some(ChannelTx::Bounded(tx)) => match tx.try_send(frame) {
                 Ok(()) => Ok(()),
                 Err(TrySendError::Full(_)) => Err(TransportError::Full),
                 Err(TrySendError::Disconnected(_)) => Err(TransportError::Closed),
             },
-            Some(ChannelTx::Unbounded(tx)) => tx
-                .send(frame.clone())
-                .map_err(|_| TransportError::Closed),
+            Some(ChannelTx::Unbounded(tx)) => tx.send(frame).map_err(|_| TransportError::Closed),
         }
     }
 

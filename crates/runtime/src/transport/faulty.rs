@@ -197,7 +197,7 @@ impl FaultyTransport {
 }
 
 impl Transport for FaultyTransport {
-    fn send_frame(&mut self, frame: &Bytes) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
         if self.shared.disconnected.load(Ordering::Relaxed) {
             return Err(TransportError::Closed);
         }
@@ -231,9 +231,9 @@ impl Transport for FaultyTransport {
                     *b ^= 0x55;
                 }
             }
-            return self.inner.send_frame(&Bytes::from(bytes));
+            return self.inner.send(Bytes::from(bytes));
         }
-        self.inner.send_frame(frame)
+        self.inner.send(frame)
     }
 
     fn recv_frame(&mut self, timeout: Duration) -> Result<Bytes, TransportError> {

@@ -91,9 +91,15 @@ impl TransportError {
 ///
 /// # Contract
 ///
-/// * [`send_frame`](Transport::send_frame) never blocks unboundedly: it
-///   either completes within the transport's write deadline, drops the
-///   frame ([`TransportError::Full`]), or reports the link dead.
+/// * [`send`](Transport::send) never blocks unboundedly: it either
+///   completes within the transport's write deadline, drops the frame
+///   ([`TransportError::Full`]), or reports the link dead. It takes the
+///   frame by value, so a sender that keeps no copy leaves the receiver
+///   the only handle, and the receiver's
+///   [`FramePool::recycle`](fml_sim::FramePool::recycle) gets the
+///   buffer back.
+///   [`send_frame`](Transport::send_frame) is the same for a sender that
+///   keeps its copy.
 /// * [`recv_frame`](Transport::recv_frame) blocks for at most `timeout`
 ///   and returns [`TransportError::Timeout`] when nothing arrived —
 ///   buffered partial frames are retained across calls, so a slow
@@ -106,7 +112,7 @@ impl TransportError {
 ///   handle may receive: the receive-side buffer is per-handle, and two
 ///   concurrent readers would tear frames apart.
 pub trait Transport: Send {
-    /// Sends one encoded frame.
+    /// Sends one encoded frame, taking the caller's handle.
     ///
     /// # Errors
     ///
@@ -115,7 +121,16 @@ pub trait Transport: Send {
     /// expired, [`TransportError::Closed`]/[`TransportError::Io`] when
     /// the link is dead. A socket transport closes itself on any failed
     /// write, `Timeout` included: every later call returns `Closed`.
-    fn send_frame(&mut self, frame: &Bytes) -> Result<(), TransportError>;
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError>;
+
+    /// [`send`](Self::send) of a clone, for a caller that keeps `frame`.
+    ///
+    /// # Errors
+    ///
+    /// As [`send`](Self::send).
+    fn send_frame(&mut self, frame: &Bytes) -> Result<(), TransportError> {
+        self.send(frame.clone())
+    }
 
     /// Receives the next whole frame, waiting at most `timeout`.
     ///

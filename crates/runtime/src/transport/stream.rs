@@ -142,11 +142,14 @@ impl<S: FramedStream> StreamTransport<S> {
 }
 
 impl<S: FramedStream + 'static> Transport for StreamTransport<S> {
-    fn send_frame(&mut self, frame: &Bytes) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
         if self.closed {
             return Err(TransportError::Closed);
         }
-        prefix_frame_into(frame, &mut self.write_scratch);
+        prefix_frame_into(&frame, &mut self.write_scratch);
+        // The bytes are copied out: a caller that kept no handle gets
+        // the buffer back into the pool for its next encode.
+        self.pool.recycle(frame);
         let written = self
             .stream
             .write_all(&self.write_scratch)

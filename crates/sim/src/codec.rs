@@ -50,11 +50,8 @@ use bytes::{Buf, BufMut, BytesMut};
 
 use crate::message::{
     encode_update_into, encoded_frame_len, expect_len, put_f64s, put_header, DecodeError, F64s,
-    Header, TAG_UPDATE,
+    Header, CURVE_TERMS_LEN, TAG_COMPRESSED, TAG_UPDATE,
 };
-
-/// Tag byte of a compressed-update frame.
-const TAG_COMPRESSED: u8 = 6;
 
 /// Codec subheader size in bytes (scheme + meta_a + meta_b + meta_c).
 const CODEC_SUBHEADER_LEN: usize = 1 + 1 + 2 + 4;
@@ -373,17 +370,38 @@ fn select_topk(params: &[f64], k: usize, indices: &mut Vec<u32>) -> usize {
 
 /// Logical (dense-equivalent) encoded size of an update-bearing frame,
 /// peeked from the header without a full parse: what the frame *would*
-/// have cost as a tag-2 dense frame. Returns `None` for frames that
-/// carry no model update (broadcasts, adaptation traffic, garbage) —
-/// byte accounting should fall back to the physical size for those.
+/// have cost as a tag-2 dense frame, its curve-terms trailer included
+/// (the codec does not touch it). Returns `None` for frames that carry
+/// no model update (broadcasts, adaptation traffic, garbage) — byte
+/// accounting should fall back to the physical size for those.
 pub fn logical_frame_len(frame: &[u8]) -> Option<usize> {
     let header = Header::parse(frame, &[TAG_UPDATE, TAG_COMPRESSED]).ok()?;
     if header.tag == TAG_UPDATE {
         header.f64s().ok()?;
     }
+    let trailer = if header.terms.is_some() {
+        CURVE_TERMS_LEN
+    } else {
+        0
+    };
     // `len` is socket-supplied and, for tag 6, not yet checked against
     // anything: never let it overflow the byte counters' arithmetic.
-    8usize.checked_mul(header.len)?.checked_add(encoded_frame_len(0))
+    8usize
+        .checked_mul(header.len)?
+        .checked_add(encoded_frame_len(0) + trailer)
+}
+
+/// Bytes of the curve-terms trailer a frame ends with, peeked from the
+/// header: [`CURVE_TERMS_LEN`] for an update frame whose tag carries the
+/// flag, 0 for any other frame (unflagged updates, broadcasts,
+/// adaptation traffic, garbage). Both the physical size and
+/// [`logical_frame_len`] count it; a compression ratio leaves it out of
+/// both, since the codec does not encode it.
+pub fn curve_trailer_len(frame: &[u8]) -> usize {
+    match Header::parse(frame, &[TAG_UPDATE, TAG_COMPRESSED]) {
+        Ok(Header { terms: Some(_), .. }) => CURVE_TERMS_LEN,
+        _ => 0,
+    }
 }
 
 /// A parsed tag-6 compressed-update frame, borrowing its payload from
@@ -398,6 +416,7 @@ pub struct CompressedView<'a> {
     node: u32,
     len: usize,
     scheme: SchemeView<'a>,
+    terms: Option<(f64, f64)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -431,7 +450,7 @@ impl<'a> CompressedView<'a> {
     /// unsorted index table, nonzero unused meta slots).
     pub fn parse(frame: &'a [u8]) -> Result<CompressedView<'a>, DecodeError> {
         let header = Header::parse(frame, &[TAG_COMPRESSED])?;
-        let (round, node, len) = (header.slot_a, header.slot_b, header.len);
+        let (round, node, len, terms) = (header.slot_a, header.slot_b, header.len, header.terms);
         let mut frame = header.body;
         if frame.len() < CODEC_SUBHEADER_LEN {
             return Err(DecodeError::Truncated);
@@ -495,7 +514,15 @@ impl<'a> CompressedView<'a> {
             node,
             len,
             scheme,
+            terms,
         })
+    }
+
+    /// The `(query loss, support loss)` trailer of a flagged frame (see
+    /// [`put_curve_terms`](crate::message::put_curve_terms)); `None` when
+    /// it carries none.
+    pub fn curve_terms(&self) -> Option<(f64, f64)> {
+        self.terms
     }
 
     /// The round this update belongs to.
@@ -710,8 +737,8 @@ mod tests {
     use super::*;
     use crate::framing::{prefix_frame_into, FrameBuffer};
     use crate::message::{
-        encode_adapt_reject_into, encode_adapt_response_into, encode_global_into, AdaptFrame,
-        AdaptRequest, MessageView, RejectReason, SampleKind, PROTOCOL_VERSION,
+        encode_adapt_reject_into, encode_adapt_response_into, encode_global_into, put_curve_terms,
+        AdaptFrame, AdaptRequest, MessageView, RejectReason, SampleKind, PROTOCOL_VERSION,
     };
     use proptest::prelude::*;
 
@@ -928,6 +955,22 @@ mod tests {
                 .checked_mul(8)
                 .map(|body| body + encoded_frame_len(0))
         );
+    }
+
+    #[test]
+    fn curve_trailer_len_peeks_flagged_updates_only() {
+        let params = vec![1.0; 10];
+        for codec in [UpdateCodec::None, UpdateCodec::TopK { k: 2 }] {
+            let mut frame = encode(codec, 1, 2, &params);
+            assert_eq!(curve_trailer_len(&frame), 0);
+            let logical = logical_frame_len(&frame).map(|len| len + CURVE_TERMS_LEN);
+            put_curve_terms(&mut frame, (0.5, 0.25));
+            assert_eq!(curve_trailer_len(&frame), CURVE_TERMS_LEN);
+            assert_eq!(logical_frame_len(&frame), logical);
+        }
+        assert_eq!(curve_trailer_len(&global(1, &params)), 0);
+        assert_eq!(curve_trailer_len(&[0x82]), 0);
+        assert_eq!(curve_trailer_len(&[]), 0);
     }
 
     // --- negative paths ---------------------------------------------
@@ -1267,6 +1310,7 @@ mod tests {
                 let _ = view.params_to_vec();
             }
             let _ = logical_frame_len(&frame);
+            let _ = curve_trailer_len(&frame);
         }
 
         #[test]
@@ -1416,6 +1460,7 @@ mod tests {
         #[test]
         fn prop_every_reader_is_total_on_mutated_valid_frames(
             kind in 0usize..9,
+            flag in 0usize..3,
             dress in 0usize..3,
             params in proptest::collection::vec(-1e6f64..1e6, 1..40),
             k in 1usize..6,
@@ -1427,10 +1472,12 @@ mod tests {
             ),
         ) {
             // Random bytes almost never get past the tag check, so start
-            // from a valid frame of every tag and scheme and damage it:
-            // drop up to `cut` trailing bytes, append `tail`, overwrite
-            // up to four bytes — half of them inside the first 24, where
-            // the header and the codec subheader live.
+            // from a valid frame of every tag and scheme — with a
+            // curve-terms trailer on the updates when `flag` says so —
+            // and damage it: drop up to `cut` trailing bytes, append
+            // `tail`, overwrite up to four bytes — half of them inside
+            // the first 24, where the header and the codec subheader
+            // live.
             let (round, node) = (3, 1);
             let mut buf = BytesMut::new();
             match kind {
@@ -1454,7 +1501,30 @@ mod tests {
                 7 => buf = encode(UpdateCodec::Quant { bits: 16 }, round, node, &params),
                 _ => buf = encode(UpdateCodec::TopK { k }, round, node, &params),
             }
+            let update = kind == 1 || kind >= 5;
+            if flag > 0 && update {
+                put_curve_terms(&mut buf, (params[0], -params[0]));
+            }
             let mut frame = buf.to_vec();
+
+            // The flag on a tag that is not an update is refused whole by
+            // every reader; a flagged update whose trailer lost bytes is
+            // refused by its own.
+            if flag > 0 && !update {
+                frame[1] |= 0x40;
+                frame.extend_from_slice(&[0; CURVE_TERMS_LEN]);
+                let refusal = Some(DecodeError::UnknownTag(frame[1]));
+                prop_assert_eq!(MessageView::parse(&frame).err(), refusal.clone());
+                prop_assert_eq!(AdaptFrame::parse(&frame).err(), refusal.clone());
+                prop_assert_eq!(CompressedView::parse(&frame).err(), refusal);
+                prop_assert_eq!(logical_frame_len(&frame), None);
+            }
+            if flag == 2 && update {
+                let short = &frame[..frame.len() - 1 - cut % CURVE_TERMS_LEN];
+                prop_assert!(MessageView::parse(short).is_err());
+                prop_assert!(CompressedView::parse(short).is_err());
+                prop_assert!(AdaptFrame::parse(short).is_err());
+            }
 
             // The two layouts old peers spoke — the frame starting at
             // its tag, and the same frame under a v1 version byte — are
@@ -1501,7 +1571,8 @@ mod tests {
             if let Some(view) = training {
                 prop_assert_eq!(view.params_iter().count(), view.len());
                 if view.is_update() {
-                    logical = Some(encoded_frame_len(view.len()));
+                    let trailer = view.curve_terms().map_or(0, |_| CURVE_TERMS_LEN);
+                    logical = Some(encoded_frame_len(view.len()) + trailer);
                 }
             }
             match adapt {
@@ -1529,13 +1600,18 @@ mod tests {
                         .map(|v| v.to_bits())
                         .eq(view.params_iter().map(f64::to_bits)));
                 }
-                logical = view.len().checked_mul(8).map(|body| body + encoded_frame_len(0));
+                let trailer = view.curve_terms().map_or(0, |_| CURVE_TERMS_LEN);
+                logical = view
+                    .len()
+                    .checked_mul(8)
+                    .map(|body| body + encoded_frame_len(0) + trailer);
             }
             if accepted.contains(&true) {
                 prop_assert_eq!(logical_frame_len(&frame), logical);
             } else {
                 let _ = logical_frame_len(&frame);
             }
+            let _ = curve_trailer_len(&frame);
         }
     }
 }

@@ -41,14 +41,14 @@ pub mod trace;
 
 pub use adaptive::{run_adaptive_fedml, AdaptiveOutput, AdaptiveT0Config};
 pub use codec::{
-    compressed_frame_len, encode_update_compressed_into, logical_frame_len, quant_epsilon,
-    CodecScratch, CompressedView, UpdateCodec, QUANT_CHUNK,
+    compressed_frame_len, curve_trailer_len, encode_update_compressed_into, logical_frame_len,
+    quant_epsilon, CodecScratch, CompressedView, UpdateCodec, QUANT_CHUNK,
 };
 pub use energy::{EnergyModel, EnergyStats};
 pub use framing::{FrameBuffer, FrameError, LENGTH_PREFIX_LEN, MAX_FRAME_LEN};
 pub use message::{
     AdaptFrame, AdaptReject, AdaptRequest, MessageView, RejectReason, SampleKind,
-    PROTOCOL_VERSION,
+    CURVE_TERMS_LEN, PROTOCOL_VERSION,
 };
 pub use pool::{FramePool, PoolStats};
 pub use network::{LinkModel, Network, IDEAL_BANDWIDTH_BPS};

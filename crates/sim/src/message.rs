@@ -34,6 +34,18 @@ pub(crate) const TAG_UPDATE: u8 = 2;
 const TAG_ADAPT_REQUEST: u8 = 3;
 const TAG_ADAPT_RESPONSE: u8 = 4;
 const TAG_ADAPT_REJECT: u8 = 5;
+/// Tag byte of a compressed-update frame ([`crate::codec`]).
+pub(crate) const TAG_COMPRESSED: u8 = 6;
+
+/// Bit of the tag byte that marks an update frame (tag 2 or 6) carrying
+/// a [curve-terms trailer](put_curve_terms). Only [`Header::parse`]
+/// reads it: every plane sees the tag without it and the body without
+/// the trailer.
+const CURVE_TERMS_FLAG: u8 = 0x40;
+
+/// Bytes a curve-terms trailer adds to an update frame: the node's
+/// query loss and support loss, two little-endian `f64`s.
+pub const CURVE_TERMS_LEN: usize = 16;
 
 /// Count of leading `f64` slots in an [`AdaptRequest`] payload that
 /// describe the sample block (`alpha`, `steps`, `k`, `dim`, label
@@ -86,14 +98,18 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// The fixed part of a frame, `[0x80|ver][tag][u32][u32][len:u32]`,
-/// split from the body that follows it. What the two `u32` slots and
-/// `len` mean is up to the tag's plane.
+/// split from the body that follows it and from the curve-terms trailer
+/// a flagged update frame ends with. What the two `u32` slots and `len`
+/// mean is up to the tag's plane.
 pub(crate) struct Header<'a> {
     pub(crate) tag: u8,
     pub(crate) slot_a: u32,
     pub(crate) slot_b: u32,
     pub(crate) len: usize,
     pub(crate) body: &'a [u8],
+    /// The trailer's `(query loss, support loss)`, when the tag byte
+    /// carries [`CURVE_TERMS_FLAG`].
+    pub(crate) terms: Option<(f64, f64)>,
 }
 
 impl<'a> Header<'a> {
@@ -102,7 +118,12 @@ impl<'a> Header<'a> {
     ///
     /// The version byte and then the tag are rejected before any other
     /// field is trusted: an adversarial frame does no work beyond the
-    /// header read.
+    /// header read. A tag byte with [`CURVE_TERMS_FLAG`] set names its
+    /// tag without the bit, must be an update (tag 2 or 6; any other is
+    /// [`DecodeError::UnknownTag`] of the whole byte), and its last
+    /// [`CURVE_TERMS_LEN`] bytes are the trailer, not the body
+    /// ([`DecodeError::Truncated`] when the frame is too short to hold
+    /// one).
     pub(crate) fn parse(mut frame: &'a [u8], tags: &[u8]) -> Result<Self, DecodeError> {
         let first = *frame.first().ok_or(DecodeError::Truncated)?;
         if first & VERSION_MARKER == 0 {
@@ -116,19 +137,34 @@ impl<'a> Header<'a> {
             return Err(DecodeError::Truncated);
         }
         frame = &frame[1..];
-        let tag = frame.get_u8();
-        if !tags.contains(&tag) {
-            return Err(DecodeError::UnknownTag(tag));
+        let byte = frame.get_u8();
+        let tag = byte & !CURVE_TERMS_FLAG;
+        let flagged = byte != tag;
+        if !tags.contains(&tag) || flagged && tag != TAG_UPDATE && tag != TAG_COMPRESSED {
+            return Err(DecodeError::UnknownTag(byte));
         }
         let slot_a = frame.get_u32_le();
         let slot_b = frame.get_u32_le();
         let len = frame.get_u32_le() as usize;
+        let terms = if flagged {
+            let at = frame
+                .len()
+                .checked_sub(CURVE_TERMS_LEN)
+                .ok_or(DecodeError::Truncated)?;
+            let (body, trailer) = frame.split_at(at);
+            frame = body;
+            let trailer = F64s(trailer);
+            Some((trailer.get(0), trailer.get(1)))
+        } else {
+            None
+        };
         Ok(Header {
             tag,
             slot_a,
             slot_b,
             len,
             body: frame,
+            terms,
         })
     }
 
@@ -246,17 +282,39 @@ pub fn encode_update_into(round: u32, node: u32, params: &[f64], buf: &mut Bytes
     put_frame(buf, TAG_UPDATE, round, node, params);
 }
 
+/// Appends the curve-terms trailer `(query loss, support loss)` to the
+/// update frame `buf` holds — as encoded by [`encode_update_into`] or
+/// [`encode_update_compressed_into`](crate::encode_update_compressed_into),
+/// alone in the buffer — and flags its tag byte. The frame grows by
+/// [`CURVE_TERMS_LEN`] bytes; its body and every other header byte are
+/// unchanged.
+///
+/// # Panics
+///
+/// Panics when `buf` does not start with an unflagged update frame.
+pub fn put_curve_terms(buf: &mut BytesMut, terms: (f64, f64)) {
+    let tag = buf.get(1).copied();
+    assert!(
+        buf.first() == Some(&(VERSION_MARKER | PROTOCOL_VERSION))
+            && (tag == Some(TAG_UPDATE) || tag == Some(TAG_COMPRESSED)),
+        "put_curve_terms: not an unflagged update frame"
+    );
+    buf[1] |= CURVE_TERMS_FLAG;
+    put_f64s(buf, &[terms.0, terms.1]);
+}
+
 /// A decoded training frame that *borrows* its payload: the header
 /// fields are parsed and validated eagerly, but the `f64` parameters
 /// stay in the frame's byte buffer and are read lazily via
 /// [`params_iter`](MessageView::params_iter). Decoding a frame this way
 /// performs zero heap allocations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MessageView<'a> {
     tag: u8,
     round: u32,
     node: u32,
     payload: F64s<'a>,
+    terms: Option<(f64, f64)>,
 }
 
 impl<'a> MessageView<'a> {
@@ -273,7 +331,14 @@ impl<'a> MessageView<'a> {
             round: header.slot_a,
             node: header.slot_b,
             payload: header.f64s()?,
+            terms: header.terms,
         })
+    }
+
+    /// The `(query loss, support loss)` trailer of a flagged update
+    /// frame (see [`put_curve_terms`]); `None` on any other frame.
+    pub fn curve_terms(&self) -> Option<(f64, f64)> {
+        self.terms
     }
 
     /// Whether this is a platform → node global-model broadcast.

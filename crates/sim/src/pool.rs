@@ -16,7 +16,9 @@
 //! more buffers than it allocated (its misses), so it sizes itself to
 //! the most frames ever live at once — one broadcast plus one reply a
 //! node on a fleet — with no constant to tune, and a buffer born
-//! outside the pool is dropped once the list is at that bound. Stats
+//! outside the pool is dropped once the list is at that bound. A run
+//! [`warm`](FramePool::warm)s it to that size before its first round,
+//! so its misses do not depend on how scheduling lets frames pile up. Stats
 //! (hits, misses, returns, high-water mark) are atomic counters, cheap
 //! enough to leave on in production and precise enough for the `perf/`
 //! series to report the steady-state hit rate and misses per round
@@ -26,6 +28,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use bytes::{Bytes, BytesMut};
+
+use crate::message::CURVE_TERMS_LEN;
 
 /// Snapshot of a pool's counters (see [`FramePool::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,7 +97,12 @@ impl FramePool {
     }
 
     /// Takes a cleared buffer with at least `capacity` bytes reserved,
-    /// reusing pooled storage when available.
+    /// and room beyond them for a
+    /// [curve-terms trailer](crate::message::put_curve_terms), reusing
+    /// pooled storage when available. So one born for any frame of a
+    /// model's size — a broadcast, a received reply, an adaptation
+    /// response — can later carry that model's update with its trailer
+    /// without a reallocation.
     pub fn acquire(&self, capacity: usize) -> BytesMut {
         let mut buffers = self.inner.buffers.lock().expect("frame pool poisoned");
         let pooled = buffers.pop();
@@ -102,13 +111,25 @@ impl FramePool {
             Some(mut buf) => {
                 self.inner.hits.fetch_add(1, Ordering::Relaxed);
                 buf.clear();
-                buf.reserve(capacity);
+                buf.reserve(capacity + CURVE_TERMS_LEN);
                 buf
             }
             None => {
                 self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                BytesMut::with_capacity(capacity)
+                BytesMut::with_capacity(capacity + CURVE_TERMS_LEN)
             }
+        }
+    }
+
+    /// Makes room for `count` frames of up to `capacity` bytes to be live
+    /// at once without a miss: takes that many buffers, then returns
+    /// them. A run calls it before its first round, so the pool reaches
+    /// the fleet's size there instead of whenever scheduling first lets
+    /// that many frames pile up.
+    pub fn warm(&self, count: usize, capacity: usize) {
+        let held: Vec<BytesMut> = (0..count).map(|_| self.acquire(capacity)).collect();
+        for buf in held {
+            self.release(buf);
         }
     }
 
@@ -167,6 +188,25 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.returns), (1, 1, 1));
         assert_eq!(s.high_water, 1);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    /// A warmed pool serves that many live frames without a miss, each
+    /// with room for a frame of the warmed size plus a curve-terms
+    /// trailer.
+    #[test]
+    fn a_warmed_pool_serves_its_count_without_a_miss() {
+        let pool = FramePool::new();
+        pool.warm(3, 100);
+        let live: Vec<BytesMut> = (0..3).map(|_| pool.acquire(100)).collect();
+        assert!(live.iter().all(|b| b.capacity() >= 100 + CURVE_TERMS_LEN));
+        let s = pool.stats();
+        assert_eq!((s.misses, s.hits, s.returns), (3, 3, 3));
+        for buf in live {
+            pool.release(buf);
+        }
+        pool.warm(3, 100);
+        // Warming a warm pool allocates nothing.
+        assert_eq!(pool.stats().misses, 3);
     }
 
     #[test]

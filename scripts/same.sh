@@ -6,7 +6,11 @@
 # run's stdout, less the `-> wrote <path>` lines (they name each side's
 # own directory), and every JSON file the binaries write. Prints one
 # `same: <name> differs` line per difference and exits non-zero when
-# there is one. Not part of check.sh: it needs two release builds.
+# there is one, and for each JSON file that differs, the largest
+# relative difference of any number in it (`same: <name>/<file> moved
+# by at most <r>`, or `shape differs` when the two files do not hold
+# numbers at the same places). Needs `jq`. Not part of check.sh: it
+# needs two release builds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 [ $# -eq 1 ] || { echo "usage: scripts/same.sh <rev>" >&2; exit 2; }
@@ -49,12 +53,33 @@ run() {
 run parent "$parent"
 run change .
 
+# moved <a.json> <b.json>: the largest |a − b| / max(|a|, |b|) over the
+# numbers of two JSON files, paired by path.
+moved() {
+    jq -rn --slurpfile a "$1" --slurpfile b "$2" '
+        def abs: if . < 0 then -. else . end;
+        def nums: [paths(numbers) as $p | [$p, getpath($p)]];
+        ($a[0] | nums) as $x | ($b[0] | nums) as $y
+        | if ($x | map(.[0])) != ($y | map(.[0])) then "shape differs"
+          else "moved by at most \([range(0; $x | length)
+              | $x[.][1] as $u | $y[.][1] as $v
+              | if $u == $v then 0
+                else (($u - $v) | abs) / ([($u | abs), ($v | abs)] | max) end]
+              | max // 0)" end'
+}
+
 for name in $bins $examples; do
     if diff -r "$root/parent/$name" "$root/change/$name" > /dev/null; then
         echo "same: $name"
     else
         echo "same: $name differs"
         status=1
+        for file in $(cd "$root/change/$name" && find . -name '*.json' | sort); do
+            a=$root/parent/$name/$file b=$root/change/$name/$file
+            if [ -f "$a" ] && ! cmp -s "$a" "$b"; then
+                echo "same: $name/${file#./} $(moved "$a" "$b")"
+            fi
+        done
     fi
 done
 echo "same: $rev vs working tree, $((SECONDS - start)) s"

@@ -17,11 +17,15 @@
 //!
 //! The frame path holds the same line: once warm, a pooled frame's
 //! acquire → encode → freeze → clone → recycle cycle allocates nothing,
-//! however many frames are live at once, and an async platform round
-//! costs the same number of allocations at 320 nodes as at 40.
+//! however many frames are live at once; a node's round over a link
+//! whose far end recycles each reply the moment it arrives allocates
+//! nothing either; and an async platform round costs the same number of
+//! allocations at 320 nodes as at 40.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
+use std::time::Duration;
 
 use bytes::Bytes;
 use fml_core::{
@@ -30,9 +34,9 @@ use fml_core::{
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Activation, MlpBuilder, Model, SoftmaxRegression};
-use fml_runtime::{AsyncPolicy, Runtime, RuntimeConfig, VirtualClock};
+use fml_runtime::{AsyncPolicy, Runtime, RuntimeConfig, Transport, TransportError, VirtualClock};
 use fml_sim::framing::{FrameBuffer, FrameError, MAX_FRAME_LEN};
-use fml_sim::message::{encode_update_into, encoded_frame_len};
+use fml_sim::message::{encode_global_into, encode_update_into, encoded_frame_len};
 use fml_sim::FramePool;
 use rand::SeedableRng;
 
@@ -83,6 +87,11 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
+
+/// Held by the tests that run frames through the process-wide
+/// [`FramePool::global`]: one of them popping the buffers another
+/// recycled would show up as the other's allocations.
+static GLOBAL_POOL: Mutex<()> = Mutex::new(());
 
 /// `(allocation requests, largest request in bytes)` this thread made
 /// while `f` ran.
@@ -339,6 +348,7 @@ fn pooled_frame_cycle_allocates_nothing_once_warm() {
 /// held in a reused row, not a fresh copy.
 #[test]
 fn async_platform_round_is_constant_in_fleet_size() {
+    let _pool = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
     const R: usize = 6;
     let per_round = |nodes: usize| {
         let tasks = tasks(nodes);
@@ -376,4 +386,84 @@ fn async_platform_round_is_constant_in_fleet_size() {
         large <= small + 16.0,
         "allocations per async round: {small} at 40 nodes, {large} at 320"
     );
+}
+
+/// The platform end of a link whose node end runs on this same thread:
+/// `recv_frame` hands the node the next round's broadcast, encoded into
+/// a buffer of the process-wide pool, and `send` recycles each reply the
+/// moment it arrives — as a platform already waiting on its uplink does.
+struct PromptPlatform {
+    pool: FramePool,
+    global: Vec<f64>,
+    rounds: u32,
+    sent: u32,
+    /// This thread's allocation count as each broadcast went out.
+    allocs: Vec<u64>,
+}
+
+impl Transport for PromptPlatform {
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+        self.pool.recycle(frame);
+        Ok(())
+    }
+
+    fn recv_frame(&mut self, _timeout: Duration) -> Result<Bytes, TransportError> {
+        if self.sent == self.rounds {
+            return Err(TransportError::Closed);
+        }
+        self.allocs.push(ALLOCS.with(Cell::get));
+        self.sent += 1;
+        let mut buf = self.pool.acquire(encoded_frame_len(self.global.len()));
+        encode_global_into(self.sent, &self.global, &mut buf);
+        Ok(buf.freeze())
+    }
+
+    fn try_clone(&self) -> Result<Box<dyn Transport>, TransportError> {
+        Err(TransportError::Closed)
+    }
+
+    fn close(&mut self) {}
+
+    fn kind(&self) -> &'static str {
+        "prompt"
+    }
+}
+
+/// A node's round — receive the broadcast, step, encode the reply with
+/// its curve terms, send — over a link that recycles the reply as soon
+/// as it is sent: once warm, no round allocates. A sender that kept its
+/// own handle on the reply until after the send would leave the
+/// receiver a shared frame, lose the buffer from the pool, and allocate
+/// a fresh one every round.
+#[test]
+fn a_node_round_allocates_nothing_when_its_reply_is_recycled_on_arrival() {
+    let _pool = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
+    const ROUNDS: u32 = 16;
+    const WARM: usize = 5;
+    let tasks = tasks(3);
+    let model = SoftmaxRegression::new(DIM, CLASSES).with_l2(1e-3);
+    let fedml = FedMl::new(FedMlConfig::new(0.05, 0.04).with_local_steps(T0));
+    let mut link = PromptPlatform {
+        pool: FramePool::global().handle(),
+        global: model.init_params(&mut rand::rngs::StdRng::seed_from_u64(5)),
+        rounds: ROUNDS,
+        sent: 0,
+        allocs: Vec::with_capacity(ROUNDS as usize),
+    };
+    let io = Runtime::new(RuntimeConfig::barrier(3)).run_node(&fedml, &model, &tasks, 1, &mut link);
+    assert_eq!(
+        (io.frames_received, io.frames_sent),
+        (ROUNDS as u64, ROUNDS as u64)
+    );
+    // The first rounds warm the step's scratch and the pool: the few
+    // buffers that take turns as broadcast and reply (the hello's among
+    // them) each grow once to a reply's size. Every later round starts
+    // where the one before it left the allocator.
+    let per_round: Vec<u64> = link
+        .allocs
+        .windows(2)
+        .skip(WARM)
+        .map(|w| w[1] - w[0])
+        .collect();
+    assert_eq!(per_round, vec![0; ROUNDS as usize - 1 - WARM]);
 }

@@ -15,14 +15,19 @@
 //!   different thread counts produces bitwise-equal parameters.
 //! * **Convergence sanity** — every decay family and buffered mode
 //!   trains to a finite model that accepts updates.
+//! * **Reported curve** — the history summed from the terms the nodes
+//!   report is the history the platform evaluates itself, bit for bit,
+//!   over the channel transport and over TCP (async mode has no
+//!   lockstep oracle to compare against).
 
-use fml_core::{FedMl, FedMlConfig, LocalStepper, SourceTask};
+use fml_core::{FedMl, FedMlConfig, LocalStepper, RoundRecord, Scratch, SourceTask};
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};
 use fml_runtime::{
     param_hash, AsyncPolicy, Runtime, RuntimeConfig, StalenessDecay, TcpTransport,
     TcpTransportListener, Transport, TransportListener, VirtualClock,
 };
+use fml_sim::CURVE_TERMS_LEN;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -224,5 +229,103 @@ fn decay_families_converge_on_the_fixture() {
             loss.is_finite() && (loss - baseline).abs() < 0.5,
             "{policy:?}: final meta loss {loss} vs baseline {baseline}"
         );
+    }
+}
+
+/// [`FedMl`], except that it does not say its step yields the curve
+/// terms: its nodes send plain updates and the platform evaluates every
+/// task of every round itself.
+struct Unreported(FedMl);
+
+impl LocalStepper for Unreported {
+    fn algorithm(&self) -> &'static str {
+        self.0.algorithm()
+    }
+
+    fn rounds(&self) -> usize {
+        self.0.rounds()
+    }
+
+    fn local_steps(&self) -> usize {
+        self.0.local_steps()
+    }
+
+    fn advance(
+        &self,
+        model: &dyn Model,
+        task: &SourceTask,
+        anchor: &[f64],
+        state: &mut [f64],
+        steps: usize,
+        scratch: &mut Scratch,
+    ) {
+        self.0.advance(model, task, anchor, state, steps, scratch);
+    }
+
+    fn eval_losses_with(
+        &self,
+        model: &dyn Model,
+        tasks: &[SourceTask],
+        theta: &[f64],
+        scratch: &mut Scratch,
+    ) -> (f64, f64) {
+        self.0.eval_losses_with(model, tasks, theta, scratch)
+    }
+}
+
+#[test]
+fn async_history_from_reported_terms_is_the_evaluated_history() {
+    let (model, tasks, theta0) = fixture();
+    let (trainer, unreported) = (fedml(), Unreported(fedml()));
+    let bits = |history: &[RoundRecord]| {
+        history
+            .iter()
+            .map(|r| (r.meta_loss.to_bits(), r.train_loss.to_bits(), r.reporters))
+            .collect::<Vec<_>>()
+    };
+    let cfg = pinned_cfg(AsyncPolicy::default());
+    let reported = Runtime::new(cfg.clone()).run(&trainer, &model, &tasks, &theta0);
+    let evaluated = Runtime::new(cfg.clone()).run(&unreported, &model, &tasks, &theta0);
+    let want = bits(&evaluated.train.history);
+    assert_eq!(want.len(), ROUNDS);
+    assert_eq!(bits(&reported.train.history), want, "channel");
+    assert_eq!(reported.train.params, evaluated.train.params);
+    // Every node reports in every round; round 1's terms have no parked
+    // round to serve and the last round has no next broadcast.
+    let counters = |out: &fml_runtime::RuntimeOutput| {
+        (
+            out.report.curve_terms_reported,
+            out.report.curve_terms_evaluated,
+        )
+    };
+    let (rounds, nodes) = (ROUNDS as u64, NODES as u64);
+    assert_eq!(counters(&reported), ((rounds - 1) * nodes, nodes));
+    assert_eq!(counters(&evaluated), (0, rounds * nodes));
+    // Each reply's trailer is counted where its bytes are: at the node in
+    // process, at the hub over TCP.
+    let trailers = |out: &fml_runtime::RuntimeOutput| {
+        out.report
+            .per_node
+            .iter()
+            .map(|io| (io.trailer_bytes_sent, io.frames_sent))
+            .collect::<Vec<_>>()
+    };
+    for (trailer, frames) in trailers(&reported) {
+        assert_eq!(trailer, CURVE_TERMS_LEN as u64 * frames);
+    }
+    for (trailer, _) in trailers(&evaluated) {
+        assert_eq!(trailer, 0);
+    }
+
+    let reported = run_over_tcp(cfg.clone(), &trainer, &model, &tasks, &theta0);
+    let evaluated = run_over_tcp(cfg, &unreported, &model, &tasks, &theta0);
+    assert_eq!(bits(&reported.train.history), want, "tcp, reported");
+    assert_eq!(bits(&evaluated.train.history), want, "tcp, evaluated");
+    assert_eq!(counters(&reported), ((rounds - 1) * nodes, nodes));
+    for (trailer, _) in trailers(&reported) {
+        assert!(trailer > 0 && trailer % CURVE_TERMS_LEN as u64 == 0);
+    }
+    for (trailer, _) in trailers(&evaluated) {
+        assert_eq!(trailer, 0);
     }
 }

@@ -326,6 +326,67 @@ proptest! {
             }
         }
     }
+
+    /// `loss_grad_then_hvp_into` is `grad_then_hvp_into` then `loss_with`
+    /// bit for bit — `buf`, `hv` and the loss — on the two models that
+    /// override it (the MLP with 0–2 hidden layers), `l2` on and off,
+    /// through one reused workspace on a support batch that shrinks, with
+    /// the meta-gradient's `between` on a query batch.
+    #[test]
+    fn prop_loss_grad_then_hvp_is_grad_then_hvp_then_loss(
+        shape in (1usize..5, 2usize..5, 0u64..10_000),
+        kind in (any::<bool>(), any::<bool>()),
+        sizes in (0usize..13, 0usize..13),
+        query in 0usize..13,
+    ) {
+        let (dim, classes, seed) = shape;
+        let (tanh, l2) = kind;
+        let decay = if l2 { 0.01 } else { 0.0 };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mlp = |hidden: &[usize]| {
+            MlpBuilder::new(dim, classes)
+                .hidden(hidden)
+                .activation(if tanh { Activation::Tanh } else { Activation::Relu })
+                .l2(decay)
+                .build()
+                .unwrap()
+        };
+        let (h1, h2) = (rng.gen_range(1..6), rng.gen_range(1..6));
+        let models: Vec<Box<dyn Model>> = vec![
+            Box::new(SoftmaxRegression::new(dim, classes).with_l2(decay)),
+            Box::new(mlp(&[])),
+            Box::new(mlp(&[h1])),
+            Box::new(mlp(&[h1, h2])),
+        ];
+        let alpha = 0.3;
+        for model in &models {
+            let theta = model.init_params(&mut rng);
+            let test = class_batch(&mut rng, dim, classes, query);
+            let d = theta.len();
+            let mut phi = vec![0.0; d];
+            let mut between = |g: &mut [f64], ws: &mut Workspace| {
+                phi.copy_from_slice(&theta);
+                vector::axpy(-alpha, g, &mut phi);
+                model.grad_into(&phi, &test, ws, g);
+            };
+            let (mut ws, mut ws_ref) = (model.workspace(), model.workspace());
+            for n in [sizes.0.max(sizes.1), sizes.0.min(sizes.1)] {
+                let train = class_batch(&mut rng, dim, classes, n);
+                let (mut buf, mut hv) = (vec![0.0; d], vec![0.0; d]);
+                let loss = model.loss_grad_then_hvp_into(
+                    &theta, &train, &mut ws, &mut buf, &mut between, &mut hv,
+                );
+                let (mut buf_ref, mut hv_ref) = (vec![0.0; d], vec![0.0; d]);
+                model.grad_then_hvp_into(
+                    &theta, &train, &mut ws_ref, &mut buf_ref, &mut between, &mut hv_ref,
+                );
+                let loss_ref = model.loss_with(&theta, &train, &mut ws_ref);
+                prop_assert_eq!(bits(&[loss]), bits(&[loss_ref]), "loss, n = {}, {:?}", n, model);
+                prop_assert_eq!(bits(&buf), bits(&buf_ref), "buf, n = {}, {:?}", n, model);
+                prop_assert_eq!(bits(&hv), bits(&hv_ref), "hv, n = {}, {:?}", n, model);
+            }
+        }
+    }
 }
 
 /// What goes into a training frame: `node` is `None` on a broadcast.

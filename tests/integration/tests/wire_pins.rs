@@ -10,11 +10,11 @@
 use bytes::{BufMut, BytesMut};
 use fml_sim::message::{
     encode_adapt_reject_into, encode_adapt_request_into, encode_adapt_response_into,
-    encode_global_into, encode_update_into,
+    encode_global_into, encode_update_into, put_curve_terms,
 };
 use fml_sim::{
-    encode_update_compressed_into, AdaptRequest, CodecScratch, RejectReason, SampleKind,
-    UpdateCodec,
+    encode_update_compressed_into, AdaptRequest, CodecScratch, CompressedView, MessageView,
+    RejectReason, SampleKind, UpdateCodec,
 };
 
 fn hex(bytes: &[u8]) -> String {
@@ -144,4 +144,36 @@ fn compressed_frames_are_pinned() {
         let frame = compressed(codec, 2, 5, &long);
         assert_eq!((frame.len(), fnv(&frame).as_str()), (len, digest), "{codec}");
     }
+}
+
+/// An update frame that carries its node's curve terms: the tag byte's
+/// `0x40` bit set, then the unflagged frame's every other byte, then
+/// the query and support losses as two little-endian `f64`s.
+#[test]
+fn flagged_update_frames_are_pinned() {
+    const TRAILER: &str = "000000000000f83f00000000000004c0";
+    let terms = (1.5, -2.5);
+
+    let mut buf = BytesMut::new();
+    encode_update_into(0x0102_0304, 42, &[0.25], &mut buf);
+    put_curve_terms(&mut buf, terms);
+    assert_eq!(
+        hex(&buf),
+        format!("8242040302012a00000001000000000000000000d03f{TRAILER}")
+    );
+    let view = MessageView::parse(&buf).unwrap();
+    assert!(view.is_update());
+    assert_eq!(view.params_iter().collect::<Vec<_>>(), vec![0.25]);
+    assert_eq!(view.curve_terms(), Some(terms));
+
+    let params = [0.1, -5.0, 0.2, 4.0, -0.3];
+    let mut quant = compressed(UpdateCodec::Quant { bits: 8 }, 9, 4, &params);
+    put_curve_terms(&mut quant, terms);
+    assert_eq!(
+        hex(&quant),
+        format!("824609000000040000000500000002080001000000009190103d0000a0c0900093ff85{TRAILER}")
+    );
+    let view = CompressedView::parse(&quant).unwrap();
+    assert_eq!((view.round(), view.node(), view.len()), (9, 4, 5));
+    assert_eq!(view.curve_terms(), Some(terms));
 }
