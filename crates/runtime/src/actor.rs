@@ -1,14 +1,16 @@
 //! Node actors: the edge side of the runtime.
 //!
-//! Every source node is an actor behind a [`Transport`] link. In
-//! process, actors are multiplexed onto a fixed pool of worker OS
-//! threads (contiguous chunks, like `fml_core::parallel`): each worker
-//! sweeps its nodes in index order, servicing whichever have a frame
-//! queued, until the platform closes the links. A node's reply depends
-//! only on the broadcast frame and the node id — never on sweep timing
-//! — so a run with 1 worker and a run with 8 do exactly the same
-//! floating-point work. Out of process, [`run_transport_peer`] drives a
-//! single node over a socket link until the link ends.
+//! In process, the actors are the nodes of a [`Fleet`]. The platform
+//! posts each broadcast once: the frozen frame and the nodes it reached.
+//! A fixed pool of worker OS threads claims those nodes a chunk at a
+//! time until none are left, then waits on a condvar for the next post.
+//! No worker owns a node: whichever claims it steps it, from the node's
+//! own slot (its I/O counters and its top-k residual). A node's reply
+//! depends only on the broadcast frame, the node id and that slot —
+//! never on which worker claimed it — so a run with 1 worker and a run
+//! with 8 do exactly the same floating-point work. Out of process,
+//! [`run_transport_peer`] drives a single node over a socket link until
+//! the link ends.
 //!
 //! There is deliberately no fixed per-round schedule on the node side:
 //! the platform's recovery loop may re-broadcast a rolled-back round,
@@ -18,8 +20,9 @@
 //! The actor's round is pure message-plumbing around the trainer's
 //! extracted step:
 //!
-//! 1. block (with a wall-clock timeout as a liveness net) on the link
-//!    for the platform's `GlobalModel` frame;
+//! 1. take the platform's `GlobalModel` frame: a claimed post in
+//!    process, or a receive on the link (with a wall-clock timeout as a
+//!    liveness net) out of process;
 //! 2. decode it — the hardened [`fml_sim::MessageView::parse`] runs on
 //!    every hop, counting (never panicking on) malformed frames;
 //! 3. run the trainer's `T0` local steps via
@@ -27,14 +30,19 @@
 //!    [`fml_core::Scratch`] and into its reused update buffer;
 //! 4. apply any scheduled corrupt fault, encode a `ModelUpdate` frame —
 //!    with the step's curve terms as its trailer when the stepper
-//!    yields them — and hand it to the link, keeping no copy.
+//!    yields them — and hand it to the uplink, keeping no copy.
 //!
-//! Crash faults are honoured by *not* touching the link that round —
+//! Crash faults are honoured by *not* stepping the node that round —
 //! the platform consults the same pure [`fml_core::FaultPlan`] and skips the
 //! broadcast, so neither side waits on the other. Straggle faults are
 //! virtual-time only (the platform adds the delay when triaging), so no
 //! actor ever sleeps.
 
+use std::ops::Range;
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::mpsc::Sender;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
@@ -49,7 +57,7 @@ use fml_sim::{
 
 use crate::config::RuntimeConfig;
 use crate::report::NodeIo;
-use crate::transport::{ChannelTransport, Transport, TransportError};
+use crate::transport::{Transport, TransportError};
 
 /// Consecutive receive timeouts after which a remote peer concludes the
 /// platform is gone and exits. One timeout is a missed round (crash
@@ -57,34 +65,154 @@ use crate::transport::{ChannelTransport, Transport, TransportError};
 /// means the run ended without a clean close.
 const MAX_TIMEOUT_MISSES: u32 = 10;
 
-/// How long an in-process worker sleeps when none of its actors had a
-/// frame queued. Pure liveness tuning: results never depend on it.
-const IDLE_POLL: Duration = Duration::from_millis(1);
-
-/// One node's actor state: its link and I/O counters.
-pub(crate) struct NodeActor {
-    /// Node id (index into the task list).
-    pub node: usize,
-    /// The node end of the platform⇄node link.
-    pub link: ChannelTransport,
-    /// Frame/byte counters, measured at this node.
-    pub io: NodeIo,
-    /// Cleared when the platform side disappears; the actor then stops
-    /// servicing this node.
-    pub alive: bool,
+/// What a node keeps between rounds, whoever steps it: its I/O counters
+/// and, under top-k, the residual error feedback folds back in.
+struct NodeSlot {
+    io: NodeIo,
+    feedback: ErrorFeedback,
 }
 
-impl NodeActor {
-    pub(crate) fn new(node: usize, link: ChannelTransport) -> Self {
-        NodeActor {
-            node,
-            link,
+impl NodeSlot {
+    fn new(node: usize) -> Self {
+        NodeSlot {
             io: NodeIo {
                 node,
                 ..NodeIo::default()
             },
-            alive: true,
+            feedback: ErrorFeedback::new(),
         }
+    }
+}
+
+/// The in-process fleet: the one posted round, its claim word, and
+/// every node's slot. The platform posts and retracts; the workers wait
+/// for a post and claim its nodes.
+pub(crate) struct Fleet {
+    post: Mutex<Post>,
+    /// Signalled by every post and by the close.
+    posted: Condvar,
+    /// The posted round's sequence number (high half) and its next
+    /// unclaimed target (low half). A claim made against any other
+    /// sequence takes nothing, so a worker still finishing round `r`
+    /// cannot take round `r + 1`'s nodes.
+    claim: AtomicU64,
+    /// One per node; a worker holds a node's lock for its whole step.
+    slots: Vec<Mutex<NodeSlot>>,
+    workers: usize,
+}
+
+/// A broadcast as the platform posted it.
+#[derive(Default)]
+struct Post {
+    seq: u32,
+    /// The broadcast, until the driver retracts it at the round's end.
+    frame: Option<Bytes>,
+    /// The nodes it reached, ascending; the buffer is reused.
+    targets: Vec<usize>,
+    closed: bool,
+}
+
+impl Fleet {
+    /// A fleet of `nodes` actors for `workers` threads to step.
+    pub(crate) fn new(nodes: usize, workers: usize) -> Self {
+        Fleet {
+            post: Mutex::new(Post {
+                targets: Vec::with_capacity(nodes),
+                ..Post::default()
+            }),
+            posted: Condvar::new(),
+            claim: AtomicU64::new(0),
+            slots: (0..nodes)
+                .map(|node| Mutex::new(NodeSlot::new(node)))
+                .collect(),
+            workers,
+        }
+    }
+
+    /// Posts `frame` to the nodes `reach` pushes, in ascending order,
+    /// and wakes the workers.
+    pub(crate) fn post(&self, frame: &Bytes, reach: impl FnOnce(&mut Vec<usize>)) {
+        let mut post = lock(&self.post);
+        post.targets.clear();
+        reach(&mut post.targets);
+        post.frame = Some(frame.clone());
+        post.seq = post.seq.wrapping_add(1);
+        self.claim.store(u64::from(post.seq) << 32, Relaxed);
+        drop(post);
+        self.posted.notify_all();
+    }
+
+    /// Lets go of the posted frame at the round's end, so whichever
+    /// handle on it drops last — the driver's or a worker's — recycles
+    /// its buffer. A worker that wakes later claims nothing.
+    pub(crate) fn retract(&self) {
+        lock(&self.post).frame = None;
+    }
+
+    /// Ends the run: each worker returns once it has stepped what it
+    /// claimed. Idempotent.
+    pub(crate) fn close(&self) {
+        lock(&self.post).closed = true;
+        self.posted.notify_all();
+    }
+
+    /// Every node's counters, in node order.
+    pub(crate) fn io(&self) -> Vec<NodeIo> {
+        self.slots.iter().map(|s| lock(s).io.clone()).collect()
+    }
+
+    /// Waits for a post newer than `seen` that still holds its frame,
+    /// copies its targets into `targets`, and returns its sequence and a
+    /// handle on its frame; `None` once the fleet is closed.
+    fn next(&self, seen: u32, targets: &mut Vec<usize>) -> Option<(u32, Bytes)> {
+        let mut post = lock(&self.post);
+        while !post.closed {
+            if let Some(frame) = post.frame.as_ref().filter(|_| post.seq != seen) {
+                let frame = frame.clone();
+                targets.clone_from(&post.targets);
+                return Some((post.seq, frame));
+            }
+            post = self
+                .posted
+                .wait(post)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        None
+    }
+
+    /// Claims the next `chunk` of post `seq`'s `len` targets; `None` once
+    /// they are all claimed or a later round has been posted.
+    fn claim(&self, seq: u32, chunk: usize, len: usize) -> Option<Range<usize>> {
+        // The claim word's low half is the next unclaimed target. It
+        // publishes nothing, so `Relaxed` suffices: the targets travel
+        // under the post's mutex, which also orders the post's store
+        // before every claim made against it.
+        let next = |word: u64| word as u32 as usize;
+        let end = |word| (next(word) + chunk).min(len);
+        let tag = u64::from(seq) << 32;
+        let taken = self.claim.fetch_update(Relaxed, Relaxed, |word| {
+            (word >> 32 == u64::from(seq) && next(word) < len).then(|| tag | end(word) as u64)
+        });
+        taken.ok().map(|word| next(word)..end(word))
+    }
+}
+
+/// A poisoned lock still guards sound data here: a panicking step
+/// leaves at worst one node's counters or residual mid-update (a
+/// residual of the wrong length is skipped), and a post that panics
+/// before its sequence moves is never claimed.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The driver's hold on the fleet. Dropping it closes the fleet, so a
+/// driver that panics still lets the workers return for the scope to
+/// join.
+pub(crate) struct FleetGuard<'a>(pub(crate) &'a Fleet);
+
+impl Drop for FleetGuard<'_> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -115,11 +243,6 @@ struct StepScratch {
     /// Encode-side scratch for the compressed codecs (top-k index
     /// selection buffer); unused and untouched under `None`.
     codec: CodecScratch,
-    /// Error-feedback residuals for lossy codecs, keyed by node id
-    /// because one worker services many node actors. Only top-k
-    /// touches it — quantization error does not accumulate the way
-    /// dropped coordinates do.
-    feedback: ErrorFeedback,
 }
 
 impl StepScratch {
@@ -136,7 +259,6 @@ impl StepScratch {
             update: Vec::new(),
             pool: FramePool::global().handle(),
             codec: CodecScratch::default(),
-            feedback: ErrorFeedback::new(),
         }
     }
 }
@@ -144,15 +266,17 @@ impl StepScratch {
 /// The shared per-broadcast step: decode (borrowed view, no payload
 /// copy beyond the reused scratch), local-update, apply a corrupt
 /// fault, encode the reply into a pooled buffer. Counts the received
-/// frame into `io`, and the reply frame too when one is produced.
-/// Returns `None` (bumping `io.decode_errors`) on an unusable frame.
+/// frame into the node's `slot`, and the reply frame too when one is
+/// produced. Returns `None` (bumping its `decode_errors`) on an unusable
+/// frame.
 fn step_reply(
     ctx: &WorkerCtx<'_>,
     node: usize,
     frame: &Bytes,
     scratch: &mut StepScratch,
-    io: &mut NodeIo,
+    slot: &mut NodeSlot,
 ) -> Option<Bytes> {
+    let io = &mut slot.io;
     io.frames_received += 1;
     io.bytes_received += frame.len() as u64;
     // Parse on receive: the hardened path runs on every hop.
@@ -193,7 +317,7 @@ fn step_reply(
     if codec.wants_feedback() {
         // Fold in what previous rounds' compression dropped before
         // selecting this round's survivors.
-        scratch.feedback.compensate(node as u32, update);
+        slot.feedback.compensate(node as u32, update);
     }
     let mut buf = scratch
         .pool
@@ -217,7 +341,8 @@ fn step_reply(
         // back from the frame we just encoded so an encode bug surfaces
         // as residual drift instead of silent loss.
         let view = CompressedView::parse(&reply).expect("own frame parses");
-        scratch.feedback.absorb(node as u32, update, view.params_iter());
+        slot.feedback
+            .absorb(node as u32, update, view.params_iter());
     }
     io.frames_sent += 1;
     io.bytes_sent += reply.len() as u64;
@@ -228,55 +353,34 @@ fn step_reply(
     Some(reply)
 }
 
-/// Services `actors` until the platform closes every link, then hands
-/// back the counters of the nodes it owned. Event-driven: each sweep answers whatever broadcasts are
-/// queued (including recovery re-broadcasts of rolled-back rounds) and
-/// parks briefly when nothing is.
-pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, mut actors: Vec<NodeActor>) -> Vec<NodeIo> {
+/// A worker of the in-process fleet: takes each post, claims its
+/// targets a chunk at a time until none are left, and steps every
+/// claimed node from its slot, sending the reply up `uplink`. Returns
+/// once the fleet closes.
+pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, fleet: &Fleet, uplink: Sender<Bytes>) {
     let mut scratch = StepScratch::new(ctx);
-    loop {
-        let mut any_live = false;
-        let mut serviced = false;
-        for actor in &mut actors {
-            if !actor.alive {
-                continue;
-            }
-            any_live = true;
-            loop {
-                let frame = match actor.link.recv_frame(Duration::ZERO) {
-                    Ok(frame) => frame,
-                    // Nothing queued right now; move to the next actor.
-                    Err(TransportError::Timeout) => break,
-                    // The platform dropped its end: this run is over.
-                    Err(_) => {
-                        actor.alive = false;
-                        break;
-                    }
-                };
-                serviced = true;
-                let reply = step_reply(ctx, actor.node, &frame, &mut scratch, &mut actor.io);
-                // The broadcast clone is spent; the last actor to drop
-                // it recycles the round's single encode for reuse.
-                scratch.pool.recycle(frame);
-                let Some(reply) = reply else {
-                    continue;
-                };
-                // The link takes the only handle, so the platform's
-                // recycle gets the buffer back.
-                if actor.link.send(reply).is_err() {
-                    actor.alive = false;
-                    break;
+    let mut targets = Vec::new();
+    let mut seen = 0;
+    while let Some((seq, frame)) = fleet.next(seen, &mut targets) {
+        seen = seq;
+        // About 64 claims a worker a round: a worker that finishes early
+        // takes over the tail, and claims stay rare.
+        let chunk = (targets.len() / (64 * fleet.workers)).max(1);
+        while let Some(claimed) = fleet.claim(seq, chunk, targets.len()) {
+            for &node in &targets[claimed] {
+                let mut slot = lock(&fleet.slots[node]);
+                if let Some(reply) = step_reply(ctx, node, &frame, &mut scratch, &mut slot) {
+                    // The uplink takes the only handle, so the platform's
+                    // recycle gets the buffer back. It outlives the
+                    // workers, so the send cannot fail.
+                    let _ = uplink.send(reply);
                 }
             }
         }
-        if !any_live {
-            break;
-        }
-        if !serviced {
-            std::thread::sleep(IDLE_POLL);
-        }
+        // The broadcast clone is spent; the last handle to go recycles
+        // the round's single encode for reuse.
+        scratch.pool.recycle(frame);
     }
-    actors.into_iter().map(|a| a.io).collect()
 }
 
 /// Drives one node over an established link until the link dies: sends
@@ -293,16 +397,13 @@ pub(crate) fn run_transport_peer(
     node: usize,
     link: &mut dyn Transport,
 ) -> NodeIo {
-    let mut io = NodeIo {
-        node,
-        ..NodeIo::default()
-    };
+    let mut slot = NodeSlot::new(node);
     let mut scratch = StepScratch::new(ctx);
     let mut hello = BytesMut::with_capacity(encoded_frame_len(0));
     encode_update_into(0, node as u32, &[], &mut hello);
     if link.send(hello.freeze()).is_err() {
         link.close();
-        return io;
+        return slot.io;
     }
     let recv_timeout = Duration::from_millis(ctx.cfg.recv_timeout_ms);
     let mut misses = 0u32;
@@ -321,7 +422,7 @@ pub(crate) fn run_transport_peer(
             }
             Err(_) => break,
         };
-        let reply = step_reply(ctx, node, &frame, &mut scratch, &mut io);
+        let reply = step_reply(ctx, node, &frame, &mut scratch, &mut slot);
         scratch.pool.recycle(frame);
         if let Some(reply) = reply {
             if link.send(reply).is_err() {
@@ -330,5 +431,48 @@ pub(crate) fn run_transport_peer(
         }
     }
     link.close();
-    io
+    slot.io
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn everyone(targets: &mut Vec<usize>) {
+        targets.extend(0..4);
+    }
+
+    /// A worker still holding round `r`'s sequence takes nothing once
+    /// round `r + 1` is posted, and round `r + 1`'s claims then cover
+    /// its targets from the first, each once.
+    #[test]
+    fn a_claim_against_an_older_post_takes_nothing() {
+        let fleet = Fleet::new(4, 2);
+        let frame = Bytes::copy_from_slice(&[0x82]);
+        let mut targets = Vec::new();
+        fleet.post(&frame, everyone);
+        let (r, _) = fleet.next(0, &mut targets).expect("posted");
+        assert_eq!(targets, [0, 1, 2, 3]);
+        assert_eq!(fleet.claim(r, 1, 4), Some(0..1));
+        fleet.post(&frame, everyone);
+        assert_eq!(
+            fleet.claim(r, 1, 4),
+            None,
+            "round r's claim after r + 1 is posted"
+        );
+        let (next, _) = fleet.next(r, &mut targets).expect("posted");
+        assert_eq!(next, r + 1);
+        assert_eq!(fleet.claim(next, 3, 4), Some(0..3));
+        assert_eq!(fleet.claim(next, 3, 4), Some(3..4));
+        assert_eq!(fleet.claim(next, 3, 4), None);
+    }
+
+    /// A closed fleet hands out no post, even one a worker has not seen.
+    #[test]
+    fn a_closed_fleet_posts_nothing() {
+        let fleet = Fleet::new(4, 1);
+        fleet.post(&Bytes::copy_from_slice(&[0x82]), everyone);
+        drop(FleetGuard(&fleet));
+        assert!(fleet.next(0, &mut Vec::new()).is_none());
+    }
 }

@@ -11,9 +11,9 @@
 //! * tests can dial delays far past the round duration to force
 //!   arbitrary staleness without ever waiting for real time to pass.
 //!
-//! The only wall-clock use in the runtime is `recv_timeout` on
-//! mailboxes — a liveness safety net against genuinely dead threads,
-//! never a source of simulated time.
+//! The only wall-clock use in the runtime is `recv_timeout` on the
+//! uplink and on socket links — a liveness safety net against genuinely
+//! dead threads, never a source of simulated time.
 
 /// A seeded, pure model of per-upload network delay.
 ///

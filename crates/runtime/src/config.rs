@@ -242,8 +242,10 @@ pub struct RuntimeConfig {
     /// auto-sizes like `fml_core::parallel::default_threads`. Results
     /// are bitwise independent of this setting.
     pub threads: Option<usize>,
-    /// Bound of each node's mailbox (frames). Broadcasts to a full
-    /// mailbox are dropped and counted, never blocked on.
+    /// Bound of each socket peer's outbound queue in the hub (frames).
+    /// Broadcasts to a full queue are dropped and counted, never blocked
+    /// on. The in-process fleet has no per-node queue: each round is
+    /// posted once, so this bound does not apply to it.
     pub mailbox_cap: usize,
     /// Wall-clock receive timeout (milliseconds) — the liveness safety
     /// net that turns a dead or wedged thread into a degraded round
@@ -312,7 +314,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the per-node mailbox bound.
+    /// Sets the bound of each socket peer's outbound queue.
     ///
     /// # Panics
     ///

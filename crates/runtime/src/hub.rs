@@ -7,9 +7,9 @@
 //! protocol) — after which the hub splits the link into a reader thread
 //! (frames flow into one merged inbound channel, exactly like the
 //! in-process uplink) and a writer thread fed by a bounded outbound
-//! queue. The queue mirrors the in-process mailbox: `try_send`,
-//! drop-on-full, so a slow or dead peer costs dropped frames and a
-//! degraded round, never a blocked event loop.
+//! queue of `mailbox_cap` frames: `try_send`, drop-on-full, so a slow
+//! or dead peer costs dropped frames and a degraded round, never a
+//! blocked event loop.
 //!
 //! A peer that reconnects (same hello node id) replaces its slot: the
 //! old link is closed, the new one takes over, and the per-node
@@ -183,10 +183,10 @@ impl Hub {
 
     /// Best-effort broadcast of one frame to `node`: queued for the
     /// writer thread, or dropped when the peer never joined or its
-    /// queue is full. Mirrors the in-process mailbox — except that a
-    /// *joined* peer currently between connections gets the frame
-    /// parked for delivery on reconnect (still counted delivered; the
-    /// round degrades later if the peer never returns).
+    /// queue is full — except that a *joined* peer currently between
+    /// connections gets the frame parked for delivery on reconnect (still
+    /// counted delivered; the round degrades later if the peer never
+    /// returns).
     pub(crate) fn try_send(&self, node: usize, frame: Bytes) -> bool {
         let mut slots = self.shared.slots.lock().unwrap_or_else(|e| e.into_inner());
         let Some(slot) = slots.get_mut(node) else {

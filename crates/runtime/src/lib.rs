@@ -6,8 +6,9 @@
 //! concurrently executing nodes*. This crate is that missing platform:
 //! a thread-per-node actor runtime in which
 //!
-//! * each source node is an actor with a **bounded mailbox**
-//!   (`std::sync::mpsc::sync_channel`), multiplexed onto a worker pool;
+//! * each source node is an actor, multiplexed onto a worker pool: the
+//!   platform **posts each broadcast once**, and the workers claim the
+//!   reached nodes in chunks and step them;
 //! * every hop carries an **encoded wire frame** ([`fml_sim::message`]),
 //!   so the hardened decode path runs on all traffic and byte counts
 //!   are real serialized sizes;
@@ -35,14 +36,14 @@
 //! machine. Wall-clock timeouts exist only as a liveness net against
 //! genuinely dead threads.
 //!
-//! Every platform⇄node hop crosses the [`transport`] seam: in process
-//! it is the original channel topology ([`ChannelTransport`], bitwise
-//! identical to the pre-seam runtime), and out of process it is
-//! length-prefixed frames over TCP ([`TcpTransport`]) or a Unix domain
-//! socket ([`UnixTransport`]) — [`Runtime::serve`] runs the platform
-//! against a listener, [`Runtime::run_node`] runs one node over a
-//! connected link, and socket deadlines derive from the gather policy
-//! so a dead peer degrades the round instead of hanging it.
+//! Out of process, every platform⇄node hop crosses the [`transport`]
+//! seam: length-prefixed frames over TCP ([`TcpTransport`]) or a Unix
+//! domain socket ([`UnixTransport`]) — [`Runtime::serve`] runs the
+//! platform against a listener, [`Runtime::run_node`] runs one node
+//! over a connected link (an in-process [`ChannelTransport`] pair
+//! stands in for a socket in tests), and socket deadlines derive from
+//! the gather policy so a dead peer degrades the round instead of
+//! hanging it.
 //!
 //! After training, the [`serving`] module keeps the meta-trained global
 //! useful: [`AdaptServer`] answers `Adapt(K samples)` requests over the
@@ -84,7 +85,6 @@ pub mod health;
 mod hub;
 pub mod platform;
 pub mod report;
-mod schedule;
 pub mod serving;
 pub mod transport;
 

@@ -7,28 +7,34 @@
 //!   how it closes (barrier or async), the curve point, and what to
 //!   checkpoint;
 //! * the **thread driver** (this module, [`Runtime`]) moves the bytes —
-//!   `try_send` to the peers, `recv_timeout` on the uplink, resends to
-//!   reconnected peers, the checkpoint file, and the publish to a
-//!   co-resident adaptation server — and holds every wall-clock constant.
+//!   one post a round to the in-process fleet or a `try_send` to each
+//!   socket peer, `recv_timeout` on the uplink, resends to reconnected
+//!   peers, the checkpoint file, and the publish to a co-resident
+//!   adaptation server — and holds every wall-clock constant.
 //!
 //! # Topology
 //!
 //! ```text
-//!                    bounded sync_channel (mailbox_cap)
+//!            one posted round: frame + reached nodes (Condvar wake)
 //!        ┌────────────────────────────────────────────┐
-//!        │              GlobalModel frames            ▼
-//!   ┌──────────┐                                ┌───────────┐
-//!   │ platform │                                │ node actor│ × n
-//!   │  driver  │                                └───────────┘
-//!   └──────────┘                ModelUpdate frames    │
-//!        ▲────────────────────────────────────────────┘
+//!        │              GlobalModel frame             ▼
+//!   ┌──────────┐                          ┌──────────────────────┐
+//!   │ platform │                          │ workers claim chunks │
+//!   │  driver  │                          │ of the reached nodes │
+//!   └──────────┘                          └──────────────────────┘
+//!        ▲                ModelUpdate frames          │
+//!        └────────────────────────────────────────────┘
 //!                    shared uplink channel
 //! ```
 //!
+//! A socket fleet has the hub in the workers' place: a bounded outbound
+//! queue per peer (`mailbox_cap`) down, the same merged uplink back.
+//!
 //! The links are the driver's. It never blocks without a timeout and
-//! never blocks on a send at all: broadcasts use `try_send` (a full or
-//! dead mailbox drops the frame, which the core counts against the
-//! round), and the uplink is drained with `recv_timeout`. The core owns
+//! never blocks on a send at all: a post is a lock and a condvar
+//! signal, socket broadcasts use `try_send` (a full queue or a dead
+//! peer drops the frame, which the core counts against the round), and
+//! the uplink is drained with `recv_timeout`. The core owns
 //! the round's silence deadline: it starts when collecting starts and
 //! restarts only when an update the round awaits is accepted — garbage,
 //! duplicate and stale frames do not extend it — so a crashed or wedged
@@ -89,7 +95,7 @@
 
 mod core;
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
@@ -102,12 +108,12 @@ use fml_sim::message::{encode_global_into, encoded_frame_len};
 use fml_sim::FramePool;
 
 use self::core::Core;
-use crate::actor::{run_transport_peer, worker_loop, NodeActor, WorkerCtx};
+use crate::actor::{run_transport_peer, worker_loop, Fleet, FleetGuard, WorkerCtx};
 use crate::config::RuntimeConfig;
 use crate::hub::Hub;
 use crate::report::{NodeIo, RuntimeReport};
 use crate::serving::SharedGlobal;
-use crate::transport::{channel_fleet, Transport, TransportError, TransportListener};
+use crate::transport::{Transport, TransportError, TransportListener};
 
 /// File name the platform checkpoints into (inside `--checkpoint-dir`).
 pub(crate) const CHECKPOINT_FILE: &str = "latest.json";
@@ -185,11 +191,12 @@ impl Runtime {
         core.report.transport = "channel".into();
         core.report.threads = workers;
 
-        // One bounded mailbox per node; one shared uplink back. The
-        // uplink is unbounded so actors never block sending — it holds
-        // at most one frame per live node per round because the
+        // One posted round at a time down; one shared uplink back. The
+        // uplink is unbounded so workers never block sending — it holds
+        // at most one frame per reached node per round because the
         // platform drains it every round.
-        let (senders, uplink, node_links) = channel_fleet(n, self.cfg.mailbox_cap);
+        let fleet = Fleet::new(n, workers);
+        let (uplink_tx, uplink) = channel::<Bytes>();
         let ctx = WorkerCtx {
             stepper,
             model,
@@ -198,29 +205,20 @@ impl Runtime {
         };
 
         std::thread::scope(|scope| {
-            // Cost-balanced chunks (LPT on the size-proportional task
-            // weights), one worker per chunk. The assignment affects
-            // wall-clock only: each node's update depends on the
-            // broadcast alone and the platform aggregates by node id,
-            // so results are identical under any partition.
-            let costs: Vec<f64> = tasks.iter().map(|t| t.weight).collect();
-            let groups = crate::schedule::balanced_chunks(&costs, workers);
-            let mut links: Vec<Option<_>> = node_links.into_iter().map(Some).collect();
-            let handles = groups
-                .into_iter()
-                .map(|group| {
-                    let actors: Vec<NodeActor> = group
-                        .into_iter()
-                        .map(|node| {
-                            let link = links[node].take().expect("one link per node");
-                            NodeActor::new(node, link)
-                        })
-                        .collect();
-                    let ctx = &ctx;
-                    scope.spawn(move || worker_loop(ctx, actors))
+            // No worker owns a node: each claims the posted round's nodes
+            // until none are left. Results are identical under any claim
+            // order: each node's update depends on the broadcast and its
+            // own slot alone, and the platform aggregates by node id.
+            let handles = (0..workers)
+                .map(|_| {
+                    let (ctx, fleet, uplink) = (&ctx, &fleet, uplink_tx.clone());
+                    scope.spawn(move || worker_loop(ctx, fleet, uplink))
                 })
                 .collect();
-            self.drive(core, Peers::Direct(senders, handles), &uplink)
+            // Once every worker's sender is gone, the driver sees the
+            // uplink disconnect.
+            drop(uplink_tx);
+            self.drive(core, Peers::Fleet(FleetGuard(&fleet), handles), &uplink)
         })
     }
 
@@ -298,19 +296,19 @@ impl Runtime {
         };
         publish(&core);
         while let Some(round) = core.open_round() {
-            // One encode per round, into a pooled buffer; every link gets
+            // One encode per round, into a pooled buffer; every peer gets
             // a refcounted clone of the same frozen frame, so fan-out to N
             // nodes costs zero further allocations or copies. Never block
-            // on a slow consumer: a full or dead mailbox just loses this
-            // round's broadcast.
+            // on a slow consumer: a full or dead socket queue just loses
+            // this round's broadcast.
             let mut buf = pool.acquire(encoded_frame_len(core.global().len()));
             encode_global_into(round as u32, core.global(), &mut buf);
             let frame = buf.freeze();
-            core.broadcast(|node| peers.try_send(node, frame.clone()));
+            peers.broadcast(&mut core, &frame);
             // The fleet is computing and this thread would only block
             // below: what the previous round's curve needs from this
             // thread costs no round time here. Replies queue on the
-            // uplink meanwhile (at most one per live node), and the
+            // uplink meanwhile (at most one per reached node), and the
             // silence deadline starts after.
             core.evaluate_parked();
             // Between frames the wait is chopped into `REJOIN_TICK`s so
@@ -324,15 +322,12 @@ impl Runtime {
                         // encode.
                         pool.recycle(received);
                     }
-                    Err(RecvTimeoutError::Timeout) => {
-                        core.resend(peers.take_rejoined(), |node| {
-                            peers.try_send(node, frame.clone())
-                        });
-                    }
+                    Err(RecvTimeoutError::Timeout) => peers.resend(&mut core, &frame),
                     // All workers gone: close with what we have.
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
+            peers.retract();
             pool.recycle(frame);
             if core.close_round() {
                 publish(&core);
@@ -347,8 +342,8 @@ impl Runtime {
 
         let (train, mut report) = core.finish();
         report.pool = pool.stats().into();
-        // Closing the links ends the fleet: in-process actors see
-        // Disconnected, socket peers EOF.
+        // Closing ends the fleet: in-process workers return, socket peers
+        // see EOF.
         report.per_node = peers.close();
         report.per_node.sort_by_key(|io| io.node);
         report.decode_errors += report
@@ -388,53 +383,60 @@ impl Runtime {
     }
 }
 
-/// How the platform reaches its fleet: direct in-process mailboxes, or
+/// How the platform reaches its fleet: the in-process posted round, or
 /// a socket hub.
 enum Peers<'s> {
-    /// Bounded mailbox sender per node, and the workers running the
-    /// actors (in-process fleet).
-    Direct(
-        Vec<SyncSender<Bytes>>,
-        Vec<ScopedJoinHandle<'s, Vec<NodeIo>>>,
-    ),
+    /// The in-process fleet, and the workers stepping its nodes.
+    Fleet(FleetGuard<'s>, Vec<ScopedJoinHandle<'s, ()>>),
     /// Remote peers behind the acceptor (socket fleet).
     Hub(Hub),
 }
 
 impl Peers<'_> {
-    /// Best-effort frame delivery to `node`; `false` means dropped.
-    fn try_send(&self, node: usize, frame: Bytes) -> bool {
+    /// Hands `frame` to every node the core's broadcast picks: one post
+    /// in process, a best-effort send per peer to the hub.
+    fn broadcast(&self, core: &mut Core<'_>, frame: &Bytes) {
         match self {
-            Peers::Direct(senders, _) => senders
-                .get(node)
-                .is_some_and(|tx| tx.try_send(frame).is_ok()),
-            Peers::Hub(hub) => hub.try_send(node, frame),
+            Peers::Fleet(fleet, _) => fleet.0.post(frame, |targets| {
+                core.broadcast(|node| {
+                    targets.push(node);
+                    true
+                });
+            }),
+            Peers::Hub(hub) => core.broadcast(|node| hub.try_send(node, frame.clone())),
+        }
+    }
+
+    /// Retransmits `frame` to the peers that reconnected since the last
+    /// call and may have lost it in flight on their old link. A post is
+    /// never lost, so the in-process fleet has none.
+    fn resend(&self, core: &mut Core<'_>, frame: &Bytes) {
+        if let Peers::Hub(hub) = self {
+            core.resend(hub.take_rejoined(), |node| {
+                hub.try_send(node, frame.clone())
+            });
+        }
+    }
+
+    /// Ends the round's broadcast: the post lets go of its frame.
+    fn retract(&self) {
+        if let Peers::Fleet(fleet, _) = self {
+            fleet.0.retract();
         }
     }
 
     /// Closes every link and returns the per-node counters: the hub's
-    /// per-peer view, or the in-process actors' own, once their workers
-    /// see Disconnected and return.
+    /// per-peer view, or the in-process slots', once the workers return.
     fn close(self) -> Vec<NodeIo> {
         match self {
-            Peers::Direct(senders, workers) => {
-                drop(senders);
-                workers
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("runtime worker panicked"))
-                    .collect()
+            Peers::Fleet(fleet, workers) => {
+                fleet.0.close();
+                for worker in workers {
+                    worker.join().expect("runtime worker panicked");
+                }
+                fleet.0.io()
             }
             Peers::Hub(hub) => hub.shutdown(),
-        }
-    }
-
-    /// Nodes that reconnected since the last call and may have missed a
-    /// broadcast in flight on their old link. In-process mailboxes never
-    /// lose frames silently, so the direct fleet has none.
-    fn take_rejoined(&self) -> Vec<usize> {
-        match self {
-            Peers::Direct(..) => Vec::new(),
-            Peers::Hub(hub) => hub.take_rejoined(),
         }
     }
 }

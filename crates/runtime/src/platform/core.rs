@@ -1144,7 +1144,7 @@ mod tests {
         let (cfg, stepper) = (RuntimeConfig::barrier(1), fedml(2));
         let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
         let round = core.open_round().unwrap();
-        // Node 2's mailbox is full: a drop, and no update is due from it.
+        // Node 2's send fails: a drop, and no update is due from it.
         core.broadcast(|node| node != 2);
         assert_eq!(core.report.undelivered, 1);
         let mut global = BytesMut::new();
@@ -1442,17 +1442,17 @@ mod tests {
         // upload past the schedule instead.
         let last = 8;
         for (t, round_s) in [
-            (1.0, 0.0),                 // zero round duration
-            (1.0, -1.0),                // negative round duration
-            (1.0, f64::MIN_POSITIVE),   // subnormal-adjacent: quotient overflows
-            (1.0, 5e-324),              // subnormal round duration
-            (f64::INFINITY, 1.0),       // non-finite arrival time
+            (1.0, 0.0),               // zero round duration
+            (1.0, -1.0),              // negative round duration
+            (1.0, f64::MIN_POSITIVE), // subnormal-adjacent: quotient overflows
+            (1.0, 5e-324),            // subnormal round duration
+            (f64::INFINITY, 1.0),     // non-finite arrival time
             (f64::NAN, 1.0),
             (f64::NEG_INFINITY, 1.0),
             (1.0, f64::NAN),
             (1.0, f64::INFINITY),
-            (-3.0, 1.0),                // negative virtual time
-            (f64::MAX, 1.0),            // quotient exceeds usize range
+            (-3.0, 1.0),     // negative virtual time
+            (f64::MAX, 1.0), // quotient exceeds usize range
         ] {
             assert_eq!(
                 virtual_arrival_round(t, round_s, 2, last),

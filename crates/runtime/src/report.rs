@@ -140,11 +140,11 @@ pub struct RuntimeReport {
     /// plus uplink updates whose length is not the model's.
     pub decode_errors: u64,
     /// Frames that never reached their consumer: full or disconnected
-    /// mailboxes, uploads still in flight at shutdown, and physical
+    /// socket queues, uploads still in flight at shutdown, and physical
     /// arrivals after their round was already closed out.
     pub undelivered: u64,
     /// `broadcast_drops[r]` = broadcast frames dropped in round `r + 1`
-    /// (full or dead mailboxes at `broadcast` time). Sums into
+    /// (full or dead socket queues at `broadcast` time). Sums into
     /// [`undelivered`](Self::undelivered) together with the other drop
     /// sources.
     pub broadcast_drops: Vec<u64>,

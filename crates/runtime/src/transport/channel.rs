@@ -1,12 +1,10 @@
 //! The in-process transport: `std::sync::mpsc` channels behind the
 //! [`Transport`] trait.
 //!
-//! This is the runtime's original wiring, retrofitted behind the seam
-//! with bitwise-identical behaviour: platform → node frames ride a
-//! *bounded* `sync_channel` (the node mailbox; a full or dead mailbox
-//! drops the frame immediately — the platform never blocks on a slow
-//! consumer), node → platform frames ride an *unbounded* channel (a
-//! node never blocks reporting).
+//! One link: platform → node frames ride a *bounded* `sync_channel` (a
+//! full or dead queue drops the frame immediately — the platform never
+//! blocks on a slow consumer), node → platform frames ride an
+//! *unbounded* channel (a node never blocks reporting).
 
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -69,13 +67,6 @@ impl ChannelTransport {
         };
         (platform, node)
     }
-
-    fn from_parts(tx: ChannelTx, rx: Receiver<Bytes>) -> ChannelTransport {
-        ChannelTransport {
-            tx: Some(tx),
-            rx: Arc::new(Mutex::new(rx)),
-        }
-    }
 }
 
 impl Transport for ChannelTransport {
@@ -121,29 +112,6 @@ impl Transport for ChannelTransport {
     fn kind(&self) -> &'static str {
         "channel"
     }
-}
-
-/// Builds the in-process fleet. The platform side is the raw bounded
-/// mailbox sender per node, indexed by node id (for `try_send`
-/// broadcast), plus the merged node → platform frame stream every node
-/// end shares — exactly the topology the runtime used before the seam;
-/// the node side is one [`ChannelTransport`] per node.
-pub(crate) fn channel_fleet(
-    n: usize,
-    mailbox_cap: usize,
-) -> (Vec<SyncSender<Bytes>>, Receiver<Bytes>, Vec<ChannelTransport>) {
-    let (up_tx, up_rx) = channel::<Bytes>();
-    let mut senders = Vec::with_capacity(n);
-    let mut nodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (down_tx, down_rx) = sync_channel::<Bytes>(mailbox_cap);
-        senders.push(down_tx);
-        nodes.push(ChannelTransport::from_parts(
-            ChannelTx::Unbounded(up_tx.clone()),
-            down_rx,
-        ));
-    }
-    (senders, up_rx, nodes)
 }
 
 #[cfg(test)]
@@ -205,20 +173,5 @@ mod tests {
         let mut writer = platform.try_clone().unwrap();
         writer.send_frame(&frame(9)).unwrap();
         assert_eq!(node.recv_frame(Duration::from_secs(1)).unwrap(), frame(9));
-    }
-
-    #[test]
-    fn fleet_merges_uplinks() {
-        let (senders, uplink, mut nodes) = channel_fleet(3, 2);
-        for (i, node) in nodes.iter_mut().enumerate() {
-            node.send_frame(&frame(i as u8)).unwrap();
-        }
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            got.push(uplink.recv_timeout(Duration::from_secs(1)).unwrap());
-        }
-        got.sort_by_key(|f| f[0]);
-        assert_eq!(got, vec![frame(0), frame(1), frame(2)]);
-        assert_eq!(senders.len(), 3);
     }
 }

@@ -5,11 +5,12 @@
 //! and against [`TransportListener`] for the accept side of the
 //! lifecycle. Three implementations exist:
 //!
-//! * [`ChannelTransport`] — the in-process path the runtime has always
-//!   used, retrofitted behind the trait with bitwise-identical
-//!   behaviour: a bounded `sync_channel` mailbox toward the node
-//!   (best-effort `try_send`, a full mailbox drops the frame) and an
-//!   unbounded channel back;
+//! * [`ChannelTransport`] — an in-process link: a bounded `sync_channel`
+//!   toward the node (best-effort `try_send`, a full queue drops the
+//!   frame) and an unbounded channel back. It stands in for a socket
+//!   wherever one link is driven in process; the in-process fleet of
+//!   [`crate::Runtime::run`] needs no links at all, since it is posted
+//!   each round once;
 //! * [`TcpTransport`] — length-prefixed frames (see
 //!   [`fml_sim::framing`]) over a `TcpStream`, with per-call read
 //!   deadlines and a fixed write deadline;
@@ -29,7 +30,6 @@ mod faulty;
 mod stream;
 
 pub use channel::ChannelTransport;
-pub(crate) use channel::channel_fleet;
 pub use faulty::{FaultyTransport, LinkFaultPlan, LinkFaultStats};
 pub use stream::{
     TcpTransport, TcpTransportListener, UnixTransport, UnixTransportListener, CONNECT_ATTEMPTS,

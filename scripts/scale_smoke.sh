@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Fleet-scale smoke gate: runs a 1000-source-node barrier federation on
-# the actor runtime (channel transport, the baseline topology) and
-# requires the final model to hash bitwise-identical across worker
-# counts and mailbox capacities. This pins the PR-6 scale machinery —
-# pooled frames, single-encode refcounted broadcast, load-balanced
-# actor chunking, configurable mailboxes — to the determinism contract
-# at a fleet size three orders of magnitude above the unit tests. It
+# the in-process actor runtime and requires the final model to hash
+# bitwise-identical across worker counts. This pins the scale machinery —
+# pooled frames, a single-encode refcounted broadcast posted once a
+# round, workers claiming its nodes in chunks — to the determinism
+# contract at a fleet size three orders of magnitude above the unit
+# tests. (`--mailbox-cap` bounds socket peers' queues only; the third
+# run keeps passing it, so the flag stays accepted on a channel run.) It
 # also gates the frame pool: a run may miss it fewer than 1.5 times the
 # 1001 frames one round has live (a broadcast and 1000 replies), since a
 # pool that keeps what it allocated misses only while they first come
@@ -47,12 +48,12 @@ cat > "$work/cfg.json" <<'EOF'
 }
 EOF
 
-# Channel baseline: auto-sized worker pool, default mailboxes.
+# Baseline: auto-sized worker pool.
 "$BIN" runtime "$work/cfg.json" --json "$work/base.json" > /dev/null
 # One worker: every actor serviced by a single thread, in index order.
 "$BIN" runtime "$work/cfg.json" --threads 1 \
     --json "$work/t1.json" > /dev/null
-# Oversubscribed workers and deeper mailboxes: same math, new plumbing.
+# Oversubscribed workers (and the socket-only queue bound): same math.
 "$BIN" runtime "$work/cfg.json" --threads 8 --mailbox-cap 8 \
     --json "$work/t8.json" > /dev/null
 
@@ -78,4 +79,4 @@ for run in base t1 t8; do
         exit 1
     fi
 done
-echo "scale smoke: OK (1000-node barrier run, param hash $base across worker/mailbox configs, pool misses < 1501)"
+echo "scale smoke: OK (1000-node barrier run, param hash $base across worker counts, pool misses < 1501)"

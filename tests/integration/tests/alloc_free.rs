@@ -19,8 +19,8 @@
 //! acquire → encode → freeze → clone → recycle cycle allocates nothing,
 //! however many frames are live at once; a node's round over a link
 //! whose far end recycles each reply the moment it arrives allocates
-//! nothing either; and an async platform round costs the same number of
-//! allocations at 320 nodes as at 40.
+//! nothing either; and a platform round, async or barrier, costs the
+//! same number of allocations at 320 nodes as at 40.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -34,7 +34,9 @@ use fml_core::{
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Activation, MlpBuilder, Model, SoftmaxRegression};
-use fml_runtime::{AsyncPolicy, Runtime, RuntimeConfig, Transport, TransportError, VirtualClock};
+use fml_runtime::{
+    AsyncPolicy, Runtime, RuntimeConfig, RuntimeReport, Transport, TransportError, VirtualClock,
+};
 use fml_sim::framing::{FrameBuffer, FrameError, MAX_FRAME_LEN};
 use fml_sim::message::{encode_global_into, encode_update_into, encoded_frame_len};
 use fml_sim::FramePool;
@@ -342,49 +344,75 @@ fn pooled_frame_cycle_allocates_nothing_once_warm() {
 }
 
 /// `Runtime::run` drives the platform core on the calling thread, so
-/// this thread's counter sees exactly the platform side of an async
-/// run. The per-round cost `(allocs(2R) − allocs(R)) / R` — set-up
-/// cancels out — may not grow with the fleet: an accepted update is
-/// held in a reused row, not a fresh copy.
+/// this thread's counter sees exactly the platform side of a run. This
+/// is its cost per round under `cfg` at `nodes` nodes,
+/// `(allocs(2R) − allocs(R)) / R`, so set-up cancels out; `ran` checks
+/// each run's report.
+fn platform_allocs_per_round(
+    cfg: &RuntimeConfig,
+    nodes: usize,
+    ran: impl Fn(&RuntimeReport) -> bool,
+) -> f64 {
+    const R: usize = 6;
+    let tasks = tasks(nodes);
+    let model = SoftmaxRegression::new(DIM, CLASSES).with_l2(1e-3);
+    let theta = model.init_params(&mut rand::rngs::StdRng::seed_from_u64(7));
+    let run = |rounds: usize| {
+        let fedml = FedMl::new(
+            FedMlConfig::new(0.05, 0.04)
+                .with_rounds(rounds)
+                .with_local_steps(T0),
+        );
+        let runtime = Runtime::new(cfg.clone());
+        let mut ok = false;
+        let (allocs, _) = allocs_during(|| {
+            ok = ran(&runtime.run(&fedml, &model, &tasks, &theta).report);
+        });
+        assert!(ok, "{nodes} nodes, {rounds} rounds: {cfg:?}");
+        allocs as f64
+    };
+    // Warm the shared frame pool to this fleet before measuring.
+    run(R);
+    (run(2 * R) - run(R)) / R as f64
+}
+
+/// An async platform round may not grow with the fleet: an accepted
+/// update is held in a reused row, not a fresh copy.
 #[test]
 fn async_platform_round_is_constant_in_fleet_size() {
     let _pool = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
-    const R: usize = 6;
-    let per_round = |nodes: usize| {
-        let tasks = tasks(nodes);
-        let model = SoftmaxRegression::new(DIM, CLASSES).with_l2(1e-3);
-        let theta = model.init_params(&mut rand::rngs::StdRng::seed_from_u64(7));
-        let cfg = RuntimeConfig::async_mode(7, AsyncPolicy::default())
-            .with_clock(VirtualClock::new(5).with_base_delay(0.1).with_jitter(2.5))
-            .with_threads(1);
-        let run = |rounds: usize| {
-            let fedml = FedMl::new(
-                FedMlConfig::new(0.05, 0.04)
-                    .with_rounds(rounds)
-                    .with_local_steps(T0),
-            );
-            let runtime = Runtime::new(cfg.clone());
-            let mut accepted = 0;
-            let (allocs, _) = allocs_during(|| {
-                accepted = runtime
-                    .run(&fedml, &model, &tasks, &theta)
-                    .report
-                    .accepted_updates();
-            });
-            assert!(
-                accepted > 0,
-                "{nodes} nodes, {rounds} rounds: nothing folded"
-            );
-            allocs as f64
-        };
-        // Warm the shared frame pool to this fleet before measuring.
-        run(R);
-        (run(2 * R) - run(R)) / R as f64
-    };
+    let cfg = RuntimeConfig::async_mode(7, AsyncPolicy::default())
+        .with_clock(VirtualClock::new(5).with_base_delay(0.1).with_jitter(2.5))
+        .with_threads(1);
+    // Something must have been folded.
+    let per_round = |nodes| platform_allocs_per_round(&cfg, nodes, |r| r.accepted_updates() > 0);
     let (small, large) = (per_round(40), per_round(320));
     assert!(
         large <= small + 16.0,
         "allocations per async round: {small} at 40 nodes, {large} at 320"
+    );
+}
+
+/// Nor may a barrier round: the broadcast is posted to the in-process
+/// fleet once, with its target list in a buffer reused across rounds,
+/// so reaching 320 nodes costs the platform what reaching 40 does.
+#[test]
+fn barrier_platform_round_is_constant_in_fleet_size() {
+    let _pool = GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = RuntimeConfig::barrier(7).with_threads(1);
+    // Every node reached, every round.
+    let per_round = |nodes| {
+        platform_allocs_per_round(&cfg, nodes, |r| {
+            r.per_node
+                .iter()
+                .all(|io| io.frames_received == io.frames_sent)
+                && r.undelivered == 0
+        })
+    };
+    let (small, large) = (per_round(40), per_round(320));
+    assert!(
+        large <= small,
+        "allocations per barrier round: {small} at 40 nodes, {large} at 320"
     );
 }
 

@@ -120,6 +120,28 @@ fn barrier_equivalence_holds_across_thread_counts() {
     }
 }
 
+/// 500 nodes over 3 workers: each claim takes more than one node of the
+/// posted round, yet every node is stepped exactly once a round and the
+/// run is the 1-worker run bit for bit.
+#[test]
+fn claimed_chunks_step_every_node_once_a_round() {
+    const ROUNDS: usize = 3;
+    let (model, tasks, theta0) = fixture_of(500, 18);
+    let trainer = fedml(ROUNDS);
+    let run = |threads| {
+        let cfg = RuntimeConfig::barrier(7).with_threads(threads);
+        Runtime::new(cfg).run(&trainer, &model, &tasks, &theta0)
+    };
+    let (one, three) = (run(1), run(3));
+    assert_eq!(three.report.threads, 3);
+    assert_eq!(three.report.per_node.len(), 500);
+    for io in &three.report.per_node {
+        assert_eq!(io.frames_received, ROUNDS as u64, "node {}", io.node);
+    }
+    assert_eq!(three.train.params, one.train.params);
+    assert_eq!(three.train.history, one.train.history);
+}
+
 #[test]
 fn every_frame_crosses_the_wire_encoded() {
     let (model, tasks, theta0) = fixture(14);
