@@ -2,7 +2,8 @@
 //!
 //! Runs FedML under the same iteration budget on a simulated edge network
 //! with (a) every fixed `T0` and (b) the divergence-targeting controller
-//! of `fml_sim::adaptive`. Reports final meta loss and payload bytes.
+//! of `fml_runtime::run_adaptive_fedml`. Reports final meta loss and
+//! payload bytes.
 //! Expected shape: the adaptive run lands near the loss of small fixed
 //! `T0` at a fraction of the bytes — the trade the paper says the
 //! platform should make "depending on the task similarity".
@@ -10,7 +11,8 @@
 use fml_bench::{ExpArgs, Experiment, Series};
 use fml_core::{FedMl, FedMlConfig};
 use fml_models::Model;
-use fml_sim::{run_adaptive_fedml, AdaptiveT0Config, SimConfig, SimRunner};
+use fml_runtime::{run_adaptive_fedml, SimRunner};
+use fml_sim::{AdaptiveT0Config, SimConfig};
 use rand::SeedableRng;
 
 fn main() {

@@ -1,6 +1,6 @@
 //! X3 — communication/computation trade-off across `T0`.
 //!
-//! Runs FedML through the `fml-sim` platform simulator on
+//! Runs FedML through the platform simulator (`fml_runtime::SimRunner`) on
 //! Synthetic(0.5,0.5) with a fixed iteration budget, sweeping `T0`.
 //! Reports final meta loss, payload bytes on the wire, and simulated wall
 //! clock. Expected shape: bytes fall roughly as `1/T0` (fewer rounds);
@@ -10,7 +10,8 @@
 use fml_bench::{ExpArgs, Experiment, Series};
 use fml_core::{FedMl, FedMlConfig};
 use fml_models::Model;
-use fml_sim::{EnergyModel, SimConfig, SimRunner};
+use fml_runtime::SimRunner;
+use fml_sim::{EnergyModel, SimConfig};
 use rand::SeedableRng;
 
 fn main() {

@@ -169,6 +169,15 @@ impl RunConfig {
             if !(sim.wait_fraction > 0.0 && sim.wait_fraction <= 1.0) {
                 return Err("simulate.wait_fraction must be in (0, 1]".into());
             }
+            if !(0.0..=1.0).contains(&sim.straggler_frac) {
+                return Err("simulate.straggler_frac must be in [0, 1]".into());
+            }
+            if !(sim.straggler_speed > 0.0 && sim.straggler_speed.is_finite()) {
+                return Err("simulate.straggler_speed must be positive and finite".into());
+            }
+            if !(sim.iteration_time_s >= 0.0 && sim.iteration_time_s.is_finite()) {
+                return Err("simulate.iteration_time_s must be non-negative and finite".into());
+            }
             if matches!(
                 self.algorithm,
                 AlgorithmConfig::RobustFedml { .. } | AlgorithmConfig::Metasgd { .. }
@@ -562,23 +571,52 @@ mod tests {
         assert!(cfg.validate().is_err());
     }
 
-    /// The simulator takes these fractions as they come; this is the
-    /// check between a config file and `SimRunner`.
+    /// The simulator takes these values as they come (the CLI builds its
+    /// `SimConfig` by struct literal, past `with_stragglers`' asserts);
+    /// this is the check between a config file and `SimRunner`.
     #[test]
     fn validation_rejects_simulate_fractions_outside_unit_interval() {
-        let with = |client_fraction, wait_fraction| {
+        let with = |edit: &dyn Fn(&mut SimulateConfig)| {
             let mut cfg = RunConfig::example();
-            let sim = cfg.simulate.as_mut().expect("the example simulates");
-            sim.client_fraction = client_fraction;
-            sim.wait_fraction = wait_fraction;
+            edit(cfg.simulate.as_mut().expect("the example simulates"));
             cfg.validate()
         };
-        assert_eq!(with(0.5, 0.75), Ok(()));
+        let fractions = |client_fraction, wait_fraction| {
+            with(&|sim: &mut SimulateConfig| {
+                sim.client_fraction = client_fraction;
+                sim.wait_fraction = wait_fraction;
+            })
+        };
+        assert_eq!(fractions(0.5, 0.75), Ok(()));
         for bad in [0.0, 1.5, f64::NAN] {
-            let client = with(bad, 1.0).unwrap_err();
+            let client = fractions(bad, 1.0).unwrap_err();
             assert_eq!(client, "simulate.client_fraction must be in (0, 1]");
-            let wait = with(1.0, bad).unwrap_err();
+            let wait = fractions(1.0, bad).unwrap_err();
             assert_eq!(wait, "simulate.wait_fraction must be in (0, 1]");
+        }
+        let ok = |sim: &mut SimulateConfig| {
+            sim.straggler_frac = 1.0;
+            sim.straggler_speed = 1e-3;
+            sim.iteration_time_s = 0.0;
+        };
+        assert_eq!(with(&ok), Ok(()));
+        for bad in [-0.1, 1.5, f64::NAN] {
+            let frac = with(&|sim: &mut SimulateConfig| sim.straggler_frac = bad).unwrap_err();
+            assert_eq!(frac, "simulate.straggler_frac must be in [0, 1]");
+        }
+        for bad in [0.0, -0.25, f64::INFINITY, f64::NAN] {
+            let speed = with(&|sim: &mut SimulateConfig| sim.straggler_speed = bad).unwrap_err();
+            assert_eq!(
+                speed,
+                "simulate.straggler_speed must be positive and finite"
+            );
+        }
+        for bad in [-0.01, f64::INFINITY, f64::NAN] {
+            let time = with(&|sim: &mut SimulateConfig| sim.iteration_time_s = bad).unwrap_err();
+            assert_eq!(
+                time,
+                "simulate.iteration_time_s must be non-negative and finite"
+            );
         }
     }
 

@@ -46,11 +46,11 @@ use fml_models::{Activation, MlpBuilder, Model, SoftmaxRegression};
 use fml_runtime::{
     param_hash, serving::request_from_batch, AdaptClient, AdaptOutcome, AdaptServer,
     FaultyTransport, LinkFaultPlan, NodeIo, Runtime, RuntimeConfig, ServingConfig,
-    ServingReport, SharedGlobal, TcpTransport, TcpTransportListener, Transport,
+    ServingReport, SharedGlobal, SimRunner, TcpTransport, TcpTransportListener, Transport,
     TransportListener, UnixTransport, UnixTransportListener, CONNECT_ATTEMPTS,
     CONNECT_BASE_DELAY,
 };
-use fml_sim::{Network, SimConfig, SimRunner};
+use fml_sim::{Network, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -804,14 +804,8 @@ fn train(
         threads: 4,
     };
     let stepper = trainer.stepper("simulate")?;
-    let sim = SimRunner::new(sim_cfg).run(stepper, model, tasks, theta0, rng);
+    let (out, sim) = SimRunner::new(sim_cfg).train(stepper, model, tasks, theta0, rng);
     let report = SimReport::from_output(&sim);
-    let out = TrainOutput {
-        params: sim.params,
-        history: Vec::new(),
-        comm_rounds: stepper.rounds(),
-        local_iterations: stepper.rounds() * stepper.local_steps(),
-    };
     Ok((
         format!("{} (simulated)", stepper.algorithm()),
         out,

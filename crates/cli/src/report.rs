@@ -11,8 +11,7 @@ pub struct TrainReport {
     pub comm_rounds: usize,
     /// Local iterations executed (per node).
     pub local_iterations: usize,
-    /// Meta loss at the first recorded point (absent for simulated runs,
-    /// which track their own curve).
+    /// Meta loss at the first recorded point.
     pub initial_meta_loss: Option<f64>,
     /// Meta loss at the last recorded point.
     pub final_meta_loss: Option<f64>,
@@ -41,8 +40,6 @@ pub struct SimReport {
     pub retransmissions: u64,
     /// Simulated wall clock (comm + compute critical paths).
     pub wall_clock_s: f64,
-    /// Final meta loss measured on the simulator's own curve.
-    pub final_meta_loss: Option<f64>,
 }
 
 impl SimReport {
@@ -53,7 +50,6 @@ impl SimReport {
             messages: sim.comm.messages,
             retransmissions: sim.comm.retransmissions,
             wall_clock_s: sim.wall_clock_s(),
-            final_meta_loss: sim.history.last().map(|&(_, g)| g),
         }
     }
 }
@@ -289,9 +285,6 @@ impl fmt::Display for Report {
                 sim.retransmissions,
                 sim.wall_clock_s
             )?;
-            if let Some(l) = sim.final_meta_loss {
-                writeln!(f, "           final meta loss {l:.4}")?;
-            }
         }
         if let Some(rt) = &self.runtime {
             let transport = if rt.transport.is_empty() {
@@ -448,7 +441,6 @@ mod tests {
                 messages: 720,
                 retransmissions: 4,
                 wall_clock_s: 12.5,
-                final_meta_loss: Some(0.7),
             }),
             runtime: None,
             eval: EvalReport {
@@ -526,7 +518,7 @@ mod tests {
         );
         assert_eq!(
             section("simulation"),
-            "payload_bytes messages retransmissions wall_clock_s final_meta_loss"
+            "payload_bytes messages retransmissions wall_clock_s"
         );
         assert_eq!(
             section("eval"),

@@ -27,8 +27,9 @@
 //!
 //! * [`local_update_into`](LocalStepper::local_update_into) — one node's
 //!   round: copy the broadcast into a reused buffer, `advance` it with
-//!   the broadcast as anchor. The unit the `fml-sim` runner and the
-//!   `fml-runtime` node actors drive while owning the communication in
+//!   the broadcast as anchor. The unit the `fml-runtime` node step
+//!   drives — for the actors of either transport and in-line for the
+//!   virtual-time simulator — while owning the communication in
 //!   between; [`local_update`](LocalStepper::local_update) and
 //!   [`eval_losses`](LocalStepper::eval_losses) are the same calls on
 //!   fresh scratch, for one-off callers ([`crate::train_with_faults`]);
@@ -69,9 +70,9 @@
 //! ```
 //!
 //! Nothing else is edited: `train_from`/`train`,
-//! [`crate::train_with_faults`], `SimRunner::run*`,
-//! `Runtime::run`/`serve` and the CLI's `stepper()` paths all take
-//! `&dyn LocalStepper`.
+//! [`crate::train_with_faults`], `Runtime::run`/`serve`, the simulator
+//! (`SimRunner::run`/`train`, over the same round core) and the CLI's
+//! `stepper()` paths all take `&dyn LocalStepper`.
 //!
 //! Two trainers sit at the edge of the seam. [`crate::MetaSgd`]
 //! implements the trait privately over its concatenated `[θ‖a]` state

@@ -10,7 +10,8 @@
 //! never on which worker claimed it — so a run with 1 worker and a run
 //! with 8 do exactly the same floating-point work. Out of process,
 //! [`run_transport_peer`] drives a single node over a socket link until
-//! the link ends.
+//! the link ends. The virtual-time driver (`crate::runner`) answers its
+//! broadcasts in-line with the same step, [`step_reply`].
 //!
 //! There is deliberately no fixed per-round schedule on the node side:
 //! the platform's recovery loop may re-broadcast a rolled-back round,
@@ -67,13 +68,13 @@ const MAX_TIMEOUT_MISSES: u32 = 10;
 
 /// What a node keeps between rounds, whoever steps it: its I/O counters
 /// and, under top-k, the residual error feedback folds back in.
-struct NodeSlot {
+pub(crate) struct NodeSlot {
     io: NodeIo,
     feedback: ErrorFeedback,
 }
 
 impl NodeSlot {
-    fn new(node: usize) -> Self {
+    pub(crate) fn new(node: usize) -> Self {
         NodeSlot {
             io: NodeIo {
                 node,
@@ -235,7 +236,7 @@ pub(crate) struct WorkerCtx<'a> {
 /// step performs no allocation, and a reply frame is a recycled pool
 /// buffer frozen into its own recycled refcount block (a pool miss only
 /// while the fleet's frames first come live).
-struct StepScratch {
+pub(crate) struct StepScratch {
     global: Vec<f64>,
     step: Scratch,
     update: Vec<f64>,
@@ -246,7 +247,7 @@ struct StepScratch {
 }
 
 impl StepScratch {
-    fn new(ctx: &WorkerCtx<'_>) -> Self {
+    pub(crate) fn new(ctx: &WorkerCtx<'_>) -> Self {
         let step = Scratch::for_model(ctx.model);
         StepScratch {
             global: Vec::new(),
@@ -264,15 +265,16 @@ impl StepScratch {
 }
 
 /// The shared per-broadcast step: decode (borrowed view, no payload
-/// copy beyond the reused scratch), local-update, apply a corrupt
-/// fault, encode the reply into a pooled buffer. Counts the received
-/// frame into the node's `slot`, and the reply frame too when one is
-/// produced. Returns `None` (bumping its `decode_errors`) on an unusable
-/// frame.
-fn step_reply(
+/// copy beyond the reused scratch), `steps` local iterations, apply a
+/// corrupt fault, encode the reply into a pooled buffer. Counts the
+/// received frame into the node's `slot`, and the reply frame too when
+/// one is produced. Returns `None` (bumping its `decode_errors`) on an
+/// unusable frame.
+pub(crate) fn step_reply(
     ctx: &WorkerCtx<'_>,
     node: usize,
     frame: &Bytes,
+    steps: usize,
     scratch: &mut StepScratch,
     slot: &mut NodeSlot,
 ) -> Option<Bytes> {
@@ -306,7 +308,7 @@ fn step_reply(
         ctx.model,
         &ctx.tasks[node],
         &scratch.global,
-        ctx.stepper.local_steps(),
+        steps,
         &mut scratch.step,
         update,
     );
@@ -361,6 +363,7 @@ pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, fleet: &Fleet, uplink: Sender<Byt
     let mut scratch = StepScratch::new(ctx);
     let mut targets = Vec::new();
     let mut seen = 0;
+    let steps = ctx.stepper.local_steps();
     while let Some((seq, frame)) = fleet.next(seen, &mut targets) {
         seen = seq;
         // About 64 claims a worker a round: a worker that finishes early
@@ -369,7 +372,7 @@ pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, fleet: &Fleet, uplink: Sender<Byt
         while let Some(claimed) = fleet.claim(seq, chunk, targets.len()) {
             for &node in &targets[claimed] {
                 let mut slot = lock(&fleet.slots[node]);
-                if let Some(reply) = step_reply(ctx, node, &frame, &mut scratch, &mut slot) {
+                if let Some(reply) = step_reply(ctx, node, &frame, steps, &mut scratch, &mut slot) {
                     // The uplink takes the only handle, so the platform's
                     // recycle gets the buffer back. It outlives the
                     // workers, so the send cannot fail.
@@ -406,6 +409,7 @@ pub(crate) fn run_transport_peer(
         return slot.io;
     }
     let recv_timeout = Duration::from_millis(ctx.cfg.recv_timeout_ms);
+    let steps = ctx.stepper.local_steps();
     let mut misses = 0u32;
     loop {
         let frame = match link.recv_frame(recv_timeout) {
@@ -422,7 +426,7 @@ pub(crate) fn run_transport_peer(
             }
             Err(_) => break,
         };
-        let reply = step_reply(ctx, node, &frame, &mut scratch, &mut slot);
+        let reply = step_reply(ctx, node, &frame, steps, &mut scratch, &mut slot);
         scratch.pool.recycle(frame);
         if let Some(reply) = reply {
             if link.send(reply).is_err() {

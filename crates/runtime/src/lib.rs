@@ -45,6 +45,12 @@
 //! the gather policy so a dead peer degrades the round instead of
 //! hanging it.
 //!
+//! The same round core has a second driver with no thread, sleep or
+//! socket of its own: [`SimRunner`] (and the adaptive-`T0` controller,
+//! [`run_adaptive_fedml`]) answers each broadcast in-line with the
+//! actors' node step and offers the replies in virtual time, pricing
+//! every frame with `fml_sim`'s link, compute and energy models.
+//!
 //! After training, the [`serving`] module keeps the meta-trained global
 //! useful: [`AdaptServer`] answers `Adapt(K samples)` requests over the
 //! same transport seam — loading a checkpoint or hot-swapping the live
@@ -79,21 +85,25 @@
 #![warn(missing_docs)]
 
 mod actor;
+mod adaptive;
 pub mod clock;
 pub mod config;
 pub mod health;
 mod hub;
 pub mod platform;
 pub mod report;
+mod runner;
 pub mod serving;
 pub mod transport;
 
+pub use adaptive::run_adaptive_fedml;
 pub use clock::VirtualClock;
 pub use config::{AsyncPolicy, CheckpointConfig, Mode, RecoveryConfig, RuntimeConfig, StalenessDecay};
 pub use fml_sim::UpdateCodec;
 pub use health::{HealthTracker, NodeHealth, NodeHealthReport};
 pub use platform::{Runtime, RuntimeOutput};
 pub use report::{param_hash, AsyncPolicyReport, NodeIo, NodeWeightStat, PoolStatsReport, RuntimeReport};
+pub use runner::SimRunner;
 pub use serving::{
     AdaptClient, AdaptOutcome, AdaptServer, GlobalSnapshot, ServingConfig, ServingReport,
     SharedGlobal,

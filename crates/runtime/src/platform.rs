@@ -93,7 +93,7 @@
 //! derived from the virtual clock — never from OS scheduling — results
 //! are bitwise identical at any worker-thread count.
 
-mod core;
+pub(crate) mod core;
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::thread::ScopedJoinHandle;

@@ -2,9 +2,9 @@
 //!
 //! [`Core`] holds the global, the health tracker, the report's ledger and
 //! the curve; it owns no clock, thread, channel, socket or file. Its
-//! caller — the thread driver in the parent module, or a test — moves
-//! frames and time in and out through plain methods, one round at a
-//! time:
+//! caller — the thread driver in the parent module, the virtual-time
+//! driver (`crate::runner`, the simulator), or a test — moves frames and
+//! time in and out through plain methods, one round at a time:
 //!
 //! ```text
 //! open_round → broadcast(send) → evaluate_parked → wait(now) / offer(frame, now) / resend … → close_round → checkpoint
@@ -12,6 +12,10 @@
 //!
 //! Time enters only as the caller's `Instant`s, so a test can drive a
 //! round frame by frame at synthetic times without a thread or a sleep.
+//! The virtual-time driver also [selects](Core::select) each round's
+//! nodes, [schedules](Core::schedule) its `T0`, and
+//! [prices](Core::price) its trace row; the thread driver does none of
+//! these, and takes every node at the stepper's `T0`.
 //!
 //! # The curve
 //!
@@ -307,14 +311,28 @@ struct Outcome {
     degraded: bool,
 }
 
+/// What a round cost, as its trace row shows it. The thread driver
+/// leaves it to the core — the frames it moved and its virtual clock,
+/// no compute — and the virtual-time driver prices it
+/// ([`Core::price`]).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct RoundCost {
+    /// Bytes down and up.
+    pub(crate) bytes: u64,
+    pub(crate) retransmissions: u64,
+    pub(crate) comm_time_s: f64,
+    pub(crate) compute_time_s: f64,
+}
+
 /// A closed round whose losses are still to come: what its history
 /// record and trace row need besides them.
 struct Parked {
     round: usize,
+    /// Local steps through this round, and this round's own.
+    iteration: usize,
+    local_steps: usize,
     participants: Vec<usize>,
-    bytes: u64,
-    retransmissions: u64,
-    comm_time_s: f64,
+    cost: RoundCost,
     end: Outcome,
 }
 
@@ -347,6 +365,18 @@ pub(crate) struct Core<'a> {
     done: usize,
     /// The open round.
     round: usize,
+    /// The last round of the schedule, and the local steps `T0` of each
+    /// round opened from now on: the stepper's unless the driver
+    /// [schedules](Self::schedule) otherwise.
+    rounds: usize,
+    steps: usize,
+    /// Local steps through round [`done`](Self::done).
+    iterations: usize,
+    /// Which nodes the driver takes part in the open round: all, unless
+    /// it [selects](Self::select) fewer. The buffer is reused.
+    selected: Vec<bool>,
+    /// The open round's cost as the driver priced it, if it did.
+    priced: Option<RoundCost>,
     /// Nodes this round's broadcast reached, ascending.
     delivered: Vec<usize>,
     slots: Vec<Slot>,
@@ -440,6 +470,11 @@ impl<'a> Core<'a> {
             global: theta0.to_vec(),
             done: 0,
             round: 0,
+            rounds: stepper.rounds(),
+            steps: stepper.local_steps(),
+            iterations: 0,
+            selected: vec![true; n],
+            priced: None,
             delivered: Vec::new(),
             slots: vec![Slot::Idle; n],
             rows: vec![Vec::new(); n],
@@ -504,14 +539,43 @@ impl<'a> Core<'a> {
         self.global = ck.params;
         self.snapshot.clone_from(&self.global);
         self.done = done;
+        self.iterations = done * self.steps;
         self.report.resumed_at_round = Some(done + 1);
+    }
+
+    /// Sets the local steps of each round opened from now on, and the
+    /// number of the schedule's last round.
+    pub(crate) fn schedule(&mut self, steps: usize, rounds: usize) {
+        self.steps = steps;
+        self.rounds = rounds;
+    }
+
+    /// The local steps the open round's nodes take.
+    pub(crate) fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// Takes only `nodes` into the rounds opened from now on. Any other
+    /// node is not sent the broadcast, is not counted as a drop or in
+    /// the quorum, and its health is not recorded.
+    pub(crate) fn select(&mut self, nodes: &[usize]) {
+        self.selected.fill(false);
+        for &node in nodes {
+            self.selected[node] = true;
+        }
+    }
+
+    /// Prices the open round: its trace row shows `cost` instead of
+    /// what the core counted.
+    pub(crate) fn price(&mut self, cost: RoundCost) {
+        self.priced = Some(cost);
     }
 
     /// Opens the next round in the health tracker and returns its
     /// number, or `None` once the schedule is done. A round that rolled
     /// back opens again under the same number.
     pub(crate) fn open_round(&mut self) -> Option<usize> {
-        if self.done >= self.stepper.rounds() {
+        if self.done >= self.rounds {
             return None;
         }
         self.round = self.done + 1;
@@ -529,15 +593,16 @@ impl<'a> Core<'a> {
         matches!(self.cfg.faults.draw(node, self.round), Some(Fault::Crash))
     }
 
-    /// Hands the open round's broadcast to `send` for every node healthy
-    /// enough to take part (not quarantined or excluded) and not
-    /// scheduled to crash. `send` says whether the frame went out; a
-    /// node it failed is counted in the round's drop slot. A recovery
-    /// re-run broadcasts the same round again, so the slot accumulates.
+    /// Hands the open round's broadcast to `send` for every selected
+    /// node healthy enough to take part (not quarantined or excluded)
+    /// and not scheduled to crash. `send` says whether the frame went
+    /// out; a node it failed is counted in the round's drop slot. A
+    /// recovery re-run broadcasts the same round again, so the slot
+    /// accumulates.
     pub(crate) fn broadcast(&mut self, mut send: impl FnMut(usize) -> bool) {
         let mut drops = 0u64;
         for node in 0..self.tasks.len() {
-            if self.crashes(node) || !self.health.is_active(node) {
+            if !self.selected[node] || self.crashes(node) || !self.health.is_active(node) {
                 continue;
             }
             if send(node) {
@@ -637,14 +702,21 @@ impl<'a> Core<'a> {
             return false;
         };
         self.comm_rounds += usize::from(end.aggregated);
+        self.iterations += self.steps;
         let frame_len = encoded_frame_len(self.global.len());
+        let counted = RoundCost {
+            bytes: (self.delivered.len() * frame_len) as u64 + self.uplink_bytes,
+            retransmissions: std::mem::take(&mut self.resent),
+            comm_time_s,
+            compute_time_s: 0.0,
+        };
         debug_assert!(self.parked.is_none(), "one round parked at a time");
         self.parked = Some(Parked {
             round: self.round,
-            bytes: (self.delivered.len() * frame_len) as u64 + self.uplink_bytes,
+            iteration: self.iterations,
+            local_steps: self.steps,
             participants: std::mem::take(&mut self.delivered),
-            retransmissions: std::mem::take(&mut self.resent),
-            comm_time_s,
+            cost: self.priced.take().unwrap_or(counted),
             end,
         });
         self.done = self.round;
@@ -699,7 +771,7 @@ impl<'a> Core<'a> {
         Some((end, comm_time_s))
     }
 
-    /// One barrier round through [`gather`] over the *active* fleet
+    /// One barrier round through [`gather`] over the *active* selection
     /// (deadline triage, the finite check, quorum, the weighted mean),
     /// each submission borrowing its node's row, and the aggregate
     /// installed through [`LocalStepper::combine`]. Quorum is
@@ -713,7 +785,8 @@ impl<'a> Core<'a> {
     /// global — a thin fleet must degrade, not hang. A fleet quarantined
     /// whole has nobody to gather, which is a lost quorum too.
     fn gather_round(&mut self) -> Option<Outcome> {
-        let active = self.health.active_nodes();
+        let mut active = self.health.active_nodes();
+        active.retain(|&i| self.selected[i]);
         let submissions: Vec<Submission> = active
             .iter()
             .map(|&i| match self.slots[i] {
@@ -806,7 +879,7 @@ impl<'a> Core<'a> {
     /// `θ ← (1−w)θ + w·u` *is* this mode's combine step:
     /// [`LocalStepper::combine`] is not applied.
     fn close_async(&mut self, fold: &mut Fold) -> (Outcome, f64) {
-        let (round, rounds, n) = (self.round, self.stepper.rounds(), self.tasks.len());
+        let (round, rounds, n) = (self.round, self.rounds, self.tasks.len());
         let policy = fold.policy;
         let round_s = self.cfg.round_duration_s;
         // Active nodes skipped for a scheduled crash count as a health
@@ -930,7 +1003,7 @@ impl<'a> Core<'a> {
     pub(crate) fn checkpoint(&self) -> Option<Checkpoint> {
         let every = self.cfg.checkpoint.every.max(1);
         if self.cfg.checkpoint.dir.is_none()
-            || (!self.done.is_multiple_of(every) && self.done != self.stepper.rounds())
+            || (!self.done.is_multiple_of(every) && self.done != self.rounds)
         {
             return None;
         }
@@ -1014,9 +1087,8 @@ impl<'a> Core<'a> {
             meta_loss += meta;
             train_loss += train;
         }
-        let local_steps = self.stepper.local_steps();
         self.history.push(RoundRecord {
-            iteration: parked.round * local_steps,
+            iteration: parked.iteration,
             meta_loss,
             train_loss,
             aggregated,
@@ -1026,12 +1098,11 @@ impl<'a> Core<'a> {
         self.report.trace.push(RoundTrace {
             round: parked.round,
             participants: parked.participants,
-            local_steps,
-            bytes: parked.bytes,
-            retransmissions: parked.retransmissions,
-            // Virtual time; the runtime does no compute modelling.
-            comm_time_s: parked.comm_time_s,
-            compute_time_s: 0.0,
+            local_steps: parked.local_steps,
+            bytes: parked.cost.bytes,
+            retransmissions: parked.cost.retransmissions,
+            comm_time_s: parked.cost.comm_time_s,
+            compute_time_s: parked.cost.compute_time_s,
             meta_loss,
             reporters,
             degraded,
@@ -1069,7 +1140,7 @@ impl<'a> Core<'a> {
             params,
             history: self.history,
             comm_rounds: self.comm_rounds,
-            local_iterations: self.stepper.rounds() * self.stepper.local_steps(),
+            local_iterations: self.iterations,
         };
         (train, report)
     }
@@ -1354,6 +1425,36 @@ mod tests {
                 states,
                 ["suspect", "quarantined", "probation", "quarantined"]
             );
+        }
+    }
+
+    /// A node the driver leaves out of its rounds is not sent the
+    /// broadcast, is no drop, is not in the quorum and keeps its health:
+    /// six rounds of a 0.75 quorum over two of four nodes close cleanly.
+    #[test]
+    fn an_unselected_node_is_no_drop_no_quorum_member_and_no_health_failure() {
+        let (model, tasks, theta0) = fixture(4);
+        let cfg = RuntimeConfig {
+            gather: GatherPolicy::default().with_min_quorum(0.75),
+            ..RuntimeConfig::barrier(2)
+        };
+        let stepper = fedml(6);
+        let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        core.select(&[0, 2]);
+        let t = Instant::now();
+        for round in 1..=6 {
+            assert_eq!(run_round(&mut core, &[0, 2], t), (round, true));
+        }
+        let (out, report) = core.finish();
+        assert_eq!((report.undelivered, report.rollbacks), (0, 0));
+        assert!(out
+            .history
+            .iter()
+            .all(|r| r.aggregated && !r.degraded && r.reporters == 2));
+        let rows = report.trace.rounds();
+        assert!(rows.iter().all(|r| r.participants == [0, 2]));
+        for h in &report.node_health {
+            assert_eq!((h.failures, h.transitions.len()), (0, 0), "node {}", h.node);
         }
     }
 

@@ -98,9 +98,8 @@ pub struct NodeIo {
     pub decode_errors: u64,
 }
 
-/// What the platform observed over a whole run. The per-round view
-/// reuses [`fml_sim::RoundTrace`], so trace tooling (jsonl round logs,
-/// regression scans) works on runtime output unchanged.
+/// What the platform observed over a whole run. The per-round view is
+/// [`fml_sim::RoundTrace`], the row the simulator's runs carry too.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeReport {
     /// `"barrier"` or `"async"`.

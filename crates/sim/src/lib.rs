@@ -20,30 +20,35 @@
 //!   paths recycle storage instead of allocating per hop;
 //! * [`network`] — per-link bandwidth/latency/loss models with
 //!   retransmission accounting;
-//! * [`stats`] — communication and computation meters;
-//! * [`runner`] — the round-based executor: broadcast → parallel local
-//!   update (real threads via `fml_core::parallel`) → upload → aggregate, with node
-//!   dropout and straggler injection.
+//! * [`stats`] — communication and computation meters, and [`energy`]
+//!   — their price in joules;
+//! * [`config`] and [`adaptive`] — what a simulated run (fixed or
+//!   controller-chosen `T0`) is configured with and returns.
+//!
+//! The simulated round is not here: `fml_runtime::SimRunner` and
+//! `fml_runtime::run_adaptive_fedml` drive the platform's round core in
+//! virtual time, pricing every frame with these models.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;
 pub mod codec;
+pub mod config;
 pub mod energy;
 pub mod framing;
 pub mod message;
 pub mod network;
 pub mod pool;
-pub mod runner;
 pub mod stats;
 pub mod trace;
 
-pub use adaptive::{run_adaptive_fedml, AdaptiveOutput, AdaptiveT0Config};
+pub use adaptive::{AdaptiveOutput, AdaptiveT0Config};
 pub use codec::{
     compressed_frame_len, curve_trailer_len, encode_update_compressed_into, logical_frame_len,
     quant_epsilon, CodecScratch, CompressedView, UpdateCodec, QUANT_CHUNK,
 };
+pub use config::{EdgeProfile, SimConfig, SimOutput};
 pub use energy::{EnergyModel, EnergyStats};
 pub use framing::{FrameBuffer, FrameError, LENGTH_PREFIX_LEN, MAX_FRAME_LEN};
 pub use message::{
@@ -52,6 +57,5 @@ pub use message::{
 };
 pub use pool::{FramePool, PoolStats};
 pub use network::{LinkModel, Network, IDEAL_BANDWIDTH_BPS};
-pub use runner::{EdgeProfile, SimConfig, SimOutput, SimRunner};
 pub use stats::{CommStats, ComputeStats};
 pub use trace::{RoundTrace, TraceLog};

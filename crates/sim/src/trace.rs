@@ -1,15 +1,12 @@
-//! Structured round traces for simulator debugging and analysis.
+//! Structured round traces: the platform core's flight recorder, in
+//! real and in simulated runs alike.
 //!
 //! A [`RoundTrace`] records what happened in each communication round —
-//! who participated, what it cost, what the loss looked like — in a
-//! serializable form, so a long simulation can be inspected offline (the
-//! JSON analogue of a flight recorder). [`TraceLog`] aggregates rounds
-//! and computes summary statistics.
-
-use serde::{Deserialize, Serialize};
+//! who participated, what it cost, what the loss looked like.
+//! [`TraceLog`] aggregates rounds and computes summary statistics.
 
 /// One communication round's record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundTrace {
     /// Round index (1-based).
     pub round: usize,
@@ -27,17 +24,13 @@ pub struct RoundTrace {
     pub compute_time_s: f64,
     /// Weighted meta loss after aggregation.
     pub meta_loss: f64,
-    /// Nodes whose validated updates entered the aggregate. Only the
-    /// runtime platform (`fml_runtime`) writes fewer than
-    /// `participants.len()`: the simulator injects no faults, so every
-    /// participant reports. 0 in traces recorded before fault injection
-    /// existed (serde default).
-    #[serde(default)]
+    /// Nodes whose validated updates entered the aggregate: fewer than
+    /// `participants.len()` only under faults, which the simulator does
+    /// not inject.
     pub reporters: usize,
     /// Whether the round was degraded — crashes, rejected updates,
-    /// dropped stragglers, or a skipped aggregation. Set by the runtime
-    /// platform; always `false` in simulator traces (serde default).
-    #[serde(default)]
+    /// dropped stragglers, or a skipped aggregation. Never in a
+    /// simulated run.
     pub degraded: bool,
 }
 
@@ -85,34 +78,6 @@ impl TraceLog {
             .map(|r| r.comm_time_s + r.compute_time_s)
             .sum()
     }
-
-    /// Serializes the log as JSON lines (one round per line), the format
-    /// easiest to stream and grep.
-    pub fn to_jsonl(&self) -> String {
-        self.rounds
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("round serializes"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Parses a JSON-lines document produced by [`TraceLog::to_jsonl`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying parse error with the offending line number.
-    pub fn from_jsonl(text: &str) -> Result<Self, String> {
-        let mut log = TraceLog::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let round: RoundTrace =
-                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            log.push(round);
-        }
-        Ok(log)
-    }
 }
 
 #[cfg(test)]
@@ -135,16 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn reads_pre_fault_tolerance_traces() {
-        // Trace lines recorded before the reporters/degraded fields
-        // existed must still parse.
-        let old = r#"{"round":1,"participants":[0],"local_steps":2,"bytes":10,"retransmissions":0,"comm_time_s":0.0,"compute_time_s":0.0,"meta_loss":1.0}"#;
-        let log = TraceLog::from_jsonl(old).unwrap();
-        assert_eq!(log.rounds()[0].reporters, 0);
-        assert!(!log.rounds()[0].degraded);
-    }
-
-    #[test]
     fn summaries() {
         let mut log = TraceLog::new();
         assert!(log.is_empty());
@@ -154,24 +109,5 @@ mod tests {
         assert_eq!(log.len(), 4);
         assert_eq!(log.total_bytes(), 4000);
         assert!((log.wall_clock_s() - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jsonl_roundtrip() {
-        let mut log = TraceLog::new();
-        log.push(round(1, 0.5));
-        log.push(round(2, 0.25));
-        let text = log.to_jsonl();
-        assert_eq!(text.lines().count(), 2);
-        let back = TraceLog::from_jsonl(&text).unwrap();
-        assert_eq!(log, back);
-    }
-
-    #[test]
-    fn jsonl_skips_blank_lines_and_reports_bad_ones() {
-        let good = serde_json::to_string(&round(1, 0.5)).unwrap();
-        let text = format!("{good}\n\n{{bad json}}");
-        let err = TraceLog::from_jsonl(&text).unwrap_err();
-        assert!(err.starts_with("line 3"), "{err}");
     }
 }

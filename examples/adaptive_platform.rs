@@ -2,10 +2,10 @@
 //!
 //! The paper observes that the platform should tune the number of local
 //! steps `T0` "depending on the task similarity". This example runs the
-//! divergence-targeting controller (`fml_sim::adaptive`) on two fleets —
-//! one with near-identical sensor tasks, one with widely spread tasks —
-//! and shows the controller choosing very different communication
-//! schedules for the same iteration budget.
+//! divergence-targeting controller (`fml_runtime::run_adaptive_fedml`)
+//! on two fleets — one with near-identical sensor tasks, one with widely
+//! spread tasks — and shows the controller choosing very different
+//! communication schedules for the same iteration budget.
 //!
 //! Run with:
 //!
@@ -15,7 +15,8 @@
 
 use fedml_rs::prelude::*;
 use fml_linalg::Matrix;
-use fml_sim::{run_adaptive_fedml, AdaptiveT0Config, SimConfig};
+use fml_runtime::run_adaptive_fedml;
+use fml_sim::{AdaptiveT0Config, SimConfig};
 use rand::{Rng, SeedableRng};
 
 /// Linear-regression fleet with ground truths `w_i = w0 + spread·z_i`.

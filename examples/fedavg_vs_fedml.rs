@@ -1,6 +1,6 @@
 //! FedAvg vs FedML on a simulated edge network.
 //!
-//! Trains both algorithms over the `fml-sim` platform simulator (lossy
+//! Trains both algorithms over the platform simulator (lossy
 //! asymmetric links, 10% node dropout, 20% stragglers at quarter speed)
 //! and compares (a) fast-adaptation quality at held-out targets and
 //! (b) what each run cost in bytes and simulated wall clock — the
@@ -14,7 +14,8 @@
 
 use fedml_rs::prelude::*;
 use fml_data::synthetic::SyntheticConfig;
-use fml_sim::{SimConfig, SimRunner};
+use fml_runtime::SimRunner;
+use fml_sim::SimConfig;
 use rand::SeedableRng;
 
 fn main() {

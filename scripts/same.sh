@@ -2,9 +2,11 @@
 # Behaviour check: <rev> against the working tree. Exports <rev> under
 # target/same/parent (`git archive`, so no worktree is left registered),
 # builds both trees --release, then runs every crates/bench binary with
-# `--quick --out <dir>` and every example on both sides. Compares each
-# run's stdout, less the `-> wrote <path>` lines (they name each side's
-# own directory), and every JSON file the binaries write. Prints one
+# `--quick --out <dir>`, every example, and the CLI's simulated path
+# (`fedml init <cfg>`, whose example config simulates, then `fedml run
+# <cfg> --json <report>`) on both sides. Compares each run's stdout, less
+# the `-> wrote <path>` and `wrote … to <path>` lines (they name each
+# side's own directory), and every JSON file the runs write. Prints one
 # `same: <name> differs` line per difference and exits non-zero when
 # there is one, and for each JSON file that differs, the largest
 # relative difference of any number in it (`same: <name>/<file> moved
@@ -36,11 +38,11 @@ one() {
         echo "same: $3 failed on the $1 side"
         status=1
     fi
-    sed '/-> wrote /d' "$dir/raw" > "$dir/stdout"
+    sed '/-> wrote /d; /^wrote .* to /d' "$dir/raw" > "$dir/stdout"
     rm "$dir/raw"
 }
-# run <side> <tree>: every binary (JSON into $root/<side>/<name>/out) and
-# every example of <tree>.
+# run <side> <tree>: every binary (JSON into $root/<side>/<name>/out),
+# every example, and the CLI's simulated run of <tree>.
 run() {
     local name
     for name in $bins; do
@@ -49,6 +51,8 @@ run() {
     for name in $examples; do
         one "$1" "$2" "$name" target/release/examples/"$name"
     done
+    one "$1" "$2" fedml sh -c 'target/release/fedml init "$0/cfg.json" &&
+        target/release/fedml run "$0/cfg.json" --json "$0/report.json"' "$root/$1/fedml/out"
 }
 run parent "$parent"
 run change .
@@ -68,7 +72,7 @@ moved() {
               | max // 0)" end'
 }
 
-for name in $bins $examples; do
+for name in $bins $examples fedml; do
     if diff -r "$root/parent/$name" "$root/change/$name" > /dev/null; then
         echo "same: $name"
     else

@@ -10,7 +10,8 @@ use fml_data::shared_synthetic::SharedSyntheticConfig;
 use fml_data::TaskSplit;
 use fml_models::{Model, SoftmaxRegression};
 use fml_sim::energy::EnergyModel;
-use fml_sim::{SimConfig, SimRunner};
+use fml_runtime::SimRunner;
+use fml_sim::SimConfig;
 use rand::SeedableRng;
 
 struct World {

@@ -107,6 +107,82 @@ fn barrier_with_reptile_matches_train_from_to_rounding() {
     }
 }
 
+/// The virtual-time driver is the third oracle: under an ideal network
+/// `SimRunner` is `Runtime::run` at 1 and 4 workers, and `train_from`,
+/// bit for bit — params and curve — for every stepper on the seam.
+/// Reptile's `train_from` alone takes its result at the global without
+/// the re-average every driver of the core applies, so its params are
+/// held to the runtime's and its curve to `train_from`'s.
+#[test]
+fn the_simulator_is_the_runtime_and_train_from_bit_for_bit() {
+    use fml_core::{FedProx, FedProxConfig, MetaGradientMode};
+    use fml_runtime::SimRunner;
+    use fml_sim::SimConfig;
+
+    let (model, tasks, theta0) = fixture(15);
+    let fedml_in = |mode| {
+        FedMl::new(
+            FedMlConfig::new(0.05, 0.05)
+                .with_rounds(4)
+                .with_local_steps(2)
+                .with_mode(mode),
+        )
+    };
+    let steppers: Vec<Box<dyn LocalStepper>> = vec![
+        Box::new(fedml_in(MetaGradientMode::FullSecondOrder)),
+        Box::new(fedml_in(MetaGradientMode::FirstOrder)),
+        Box::new(fedavg(4)),
+        Box::new(FedProx::new(
+            FedProxConfig::new(0.05, 0.1)
+                .with_local_steps(2)
+                .with_rounds(4),
+        )),
+        Box::new(Reptile::new(
+            ReptileConfig::new(0.05, 0.5)
+                .with_inner_steps(2)
+                .with_rounds(4),
+        )),
+    ];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for stepper in &steppers {
+        let name = stepper.algorithm();
+        let reference = stepper.train_from(&model, &tasks, &theta0);
+        let mut rng = StdRng::seed_from_u64(3);
+        let (train, sim) = SimRunner::new(SimConfig::ideal()).train(
+            stepper.as_ref(),
+            &model,
+            &tasks,
+            &theta0,
+            &mut rng,
+        );
+        for threads in [1, 4] {
+            let cfg = RuntimeConfig::barrier(7).with_threads(threads);
+            let out = Runtime::new(cfg).run(stepper.as_ref(), &model, &tasks, &theta0);
+            assert_eq!(
+                bits(&train.params),
+                bits(&out.train.params),
+                "{name}, {threads} workers"
+            );
+            assert_eq!(
+                train.history, out.train.history,
+                "{name}, {threads} workers"
+            );
+        }
+        assert_eq!(train.history, reference.history, "{name}");
+        if name != "Reptile" {
+            assert_eq!(bits(&train.params), bits(&reference.params), "{name}");
+        }
+        let curve: Vec<(usize, f64)> = reference
+            .history
+            .iter()
+            .map(|r| (r.iteration, r.meta_loss))
+            .collect();
+        assert_eq!(sim.history, curve, "{name}");
+        assert_eq!(bits(&sim.params), bits(&train.params), "{name}");
+        assert_eq!(train.local_iterations, reference.local_iterations, "{name}");
+    }
+}
+
 #[test]
 fn barrier_equivalence_holds_across_thread_counts() {
     let (model, tasks, theta0) = fixture(13);

@@ -3,7 +3,8 @@
 
 use fml_core::{FedAvg, FedAvgConfig, FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_models::{Model, SoftmaxRegression};
-use fml_sim::{LinkModel, Network, SimConfig, SimRunner};
+use fml_runtime::SimRunner;
+use fml_sim::{LinkModel, Network, SimConfig};
 use rand::SeedableRng;
 
 fn setup(seed: u64, nodes: usize) -> (SoftmaxRegression, Vec<SourceTask>, Vec<f64>) {
