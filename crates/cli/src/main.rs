@@ -457,7 +457,7 @@ fn load_config(path: Option<&String>) -> Result<RunConfig, String> {
 mod tests {
     use super::*;
     use fml_core::Fault;
-    use fml_runtime::{CheckpointConfig, RecoveryConfig, StalenessDecay};
+    use fml_runtime::{CheckpointConfig, StalenessDecay};
     use std::fmt::Debug;
 
     /// `std`'s texts for an unparsable integer and float.
@@ -535,9 +535,10 @@ mod tests {
             };
             (launch, rt())
         };
-        let with_budget = |max_recoveries| RuntimeConfig {
-            recovery: RecoveryConfig { max_recoveries },
-            ..rt()
+        let with_budget = |max_recoveries| {
+            let mut cfg = rt();
+            cfg.ft.max_recoveries = max_recoveries;
+            cfg
         };
         let with_codec = |update_codec| RuntimeConfig { update_codec, ..rt() };
         let reseeded = (
@@ -545,13 +546,10 @@ mod tests {
                 seed: 9,
                 ..Launch::default()
             },
-            RuntimeConfig {
-                faults: FaultPlan {
-                    crashed_from: [(1, 2)].into(),
-                    ..FaultPlan::new(9)
-                },
-                ..RuntimeConfig::barrier(9)
-            },
+            RuntimeConfig::barrier(9).with_faults(FaultPlan {
+                crashed_from: [(1, 2)].into(),
+                ..FaultPlan::new(9)
+            }),
         );
         let stale3 = || {
             with_async(AsyncPolicy {
@@ -660,7 +658,6 @@ mod tests {
                             checkpoint: CheckpointConfig {
                                 dir: Some("ck".into()),
                                 every: 5,
-                                resume: true,
                             },
                             ..rt()
                         },
@@ -673,14 +670,11 @@ mod tests {
                     "--crash-from 1:2 --crash-from 3:4 --corrupt-at 0:1",
                     (
                         l(),
-                        RuntimeConfig {
-                            faults: FaultPlan {
-                                crashed_from: [(1, 2), (3, 4)].into(),
-                                scripted: [((0, 1), Fault::Corrupt)].into(),
-                                ..FaultPlan::new(SEED)
-                            },
-                            ..rt()
-                        },
+                        rt().with_faults(FaultPlan {
+                            crashed_from: [(1, 2), (3, 4)].into(),
+                            scripted: [((0, 1), Fault::Corrupt)].into(),
+                            ..FaultPlan::new(SEED)
+                        }),
                     ),
                 ),
                 (

@@ -337,8 +337,8 @@ impl fmt::Display for Report {
             if let Some(p) = &rt.async_policy {
                 write!(
                     f,
-                    "           policy {} decay (a={}), mix {}, max staleness {}",
-                    p.decay, p.decay_pow, p.mix, p.max_staleness
+                    "           policy {} decay, max staleness {}",
+                    p.decay, p.max_staleness
                 )?;
                 if p.buffer_k > 1 {
                     write!(f, ", buffer {} ({} flushes)", p.buffer_k, rt.buffered_flushes)?;
@@ -551,8 +551,6 @@ mod tests {
             buffered_flushes: 55,
             async_policy: Some(fml_runtime::AsyncPolicyReport {
                 decay: "hinge:1".into(),
-                decay_pow: 0.5,
-                mix: 0.5,
                 max_staleness: 4,
                 buffer_k: 2,
                 adaptive_mix: true,
@@ -600,7 +598,7 @@ mod tests {
         assert!(text.contains("staleness s0:90 s1:15 s2:5"));
         assert!(
             text.contains(
-                "policy hinge:1 decay (a=0.5), mix 0.5, max staleness 4, \
+                "policy hinge:1 decay, max staleness 4, \
                  buffer 2 (55 flushes), adaptive mix"
             ),
             "missing policy line: {text}"
@@ -627,7 +625,7 @@ mod tests {
         );
         assert_eq!(
             keys(runtime.get("async_policy").unwrap()),
-            "decay decay_pow mix max_staleness buffer_k adaptive_mix"
+            "decay max_staleness buffer_k adaptive_mix"
         );
         assert_eq!(
             keys(

@@ -3,8 +3,8 @@
 //! The platform persists the meta-learned initialization between the
 //! meta-training phase and (possibly much later) target deployments, and
 //! ships it across processes. A [`Checkpoint`] is a small, versioned,
-//! self-describing JSON document: algorithm name, parameter vector,
-//! optional Meta-SGD rate vector, and free-form metadata.
+//! self-describing JSON document: algorithm name, parameter vector and
+//! free-form metadata.
 //!
 //! # Examples
 //!
@@ -99,9 +99,6 @@ pub struct Checkpoint {
     pub algorithm: String,
     /// Flat parameter vector `θ`.
     pub params: Vec<f64>,
-    /// Meta-SGD's learned per-coordinate rates, when applicable.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub rates: Option<Vec<f64>>,
     /// Free-form metadata (dataset name, hyper-parameters, …).
     #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
     pub meta: BTreeMap<String, String>,
@@ -114,7 +111,6 @@ impl Checkpoint {
             version: FORMAT_VERSION,
             algorithm: algorithm.into(),
             params,
-            rates: None,
             meta: BTreeMap::new(),
         }
     }
@@ -187,12 +183,16 @@ mod tests {
 
     #[test]
     fn roundtrip_json() {
-        let ck = Checkpoint {
-            rates: Some(vec![0.1, 0.2, 0.3]),
-            ..Checkpoint::new("FedML", vec![1.0, 2.0, 3.0]).with_meta("k", "5")
-        };
+        let ck = Checkpoint::new("FedML", vec![1.0, 2.0, 3.0]).with_meta("k", "5");
         let back = Checkpoint::from_json(&ck.to_json().unwrap()).unwrap();
         assert_eq!(ck, back);
+        // A document from a build whose checkpoint carried Meta-SGD
+        // rates still loads: unknown keys are skipped.
+        let json = r#"{"version": 1, "algorithm": "MetaSGD", "params": [7.0], "rates": [0.5]}"#;
+        assert_eq!(
+            Checkpoint::from_json(json).unwrap(),
+            Checkpoint::new("MetaSGD", vec![7.0])
+        );
     }
 
     #[test]
@@ -250,10 +250,7 @@ mod tests {
         let dir = std::env::temp_dir().join("fml_checkpoint_test");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("ck.json");
-        let ck = Checkpoint {
-            rates: Some(vec![0.5]),
-            ..Checkpoint::new("MetaSGD", vec![7.0])
-        };
+        let ck = Checkpoint::new("MetaSGD", vec![7.0]).with_meta("round", "3");
         ck.save_atomic(&path).unwrap();
         let back = Checkpoint::load(&path).unwrap();
         assert_eq!(ck, back);
@@ -269,7 +266,6 @@ mod tests {
     #[test]
     fn optional_fields_omitted_in_json() {
         let json = Checkpoint::new("FedML", vec![]).to_json().unwrap();
-        assert!(!json.contains("rates"));
         assert!(!json.contains("meta"));
     }
 }

@@ -13,41 +13,38 @@
 //! residual    = compensated - decode(wire) // absorb()
 //! ```
 //!
-//! Nothing is ever lost — only delayed. The buffer is keyed by node id
-//! because one runtime worker services many node actors; each node's
-//! residual must follow *its* update stream, not the worker's. Residuals
-//! live on the node side and are never dropped: a platform rollback or
-//! exclusion does not reach them, and the one thing that must not replay
-//! — non-finite debris from a corrupt fault — is zeroed in
-//! [`ErrorFeedback::absorb`].
+//! Nothing is ever lost — only delayed. One [`ErrorFeedback`] serves
+//! one node: the runtime keeps it in the node's own slot, whichever
+//! worker steps the node, so the residual follows *its* update stream,
+//! never a worker's. Residuals live on the node side and are never
+//! dropped: a platform rollback or exclusion does not reach them, and
+//! the one thing that must not replay — non-finite debris from a
+//! corrupt fault — is zeroed in [`ErrorFeedback::absorb`].
 //!
 //! Exact codecs (`none`, `dense`) bypass this module entirely: their
 //! residual is identically zero and touching the update would perturb
 //! the bitwise-pinned paths.
 
-use std::collections::HashMap;
-
-/// Per-node residual buffers for memory-compensated compression.
+/// One node's residual buffer for memory-compensated compression.
 #[derive(Debug, Default)]
 pub struct ErrorFeedback {
-    residuals: HashMap<u32, Vec<f64>>,
+    /// What the wire dropped last round; empty before the first.
+    residual: Vec<f64>,
 }
 
 impl ErrorFeedback {
-    /// A fresh buffer with no residuals.
+    /// A fresh buffer with no residual.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Adds `node`'s stored residual into `update` in place (the
-    /// compensation step). A node with no residual yet — or whose
-    /// parameter dimension changed — is left untouched.
-    pub fn compensate(&mut self, node: u32, update: &mut [f64]) {
-        if let Some(residual) = self.residuals.get(&node) {
-            if residual.len() == update.len() {
-                for (u, r) in update.iter_mut().zip(residual) {
-                    *u += r;
-                }
+    /// Adds the stored residual into `update` in place (the
+    /// compensation step). With no residual yet — or one of another
+    /// parameter dimension — `update` is left untouched.
+    pub fn compensate(&self, update: &mut [f64]) {
+        if self.residual.len() == update.len() {
+            for (u, r) in update.iter_mut().zip(&self.residual) {
+                *u += r;
             }
         }
     }
@@ -63,20 +60,14 @@ impl ErrorFeedback {
     ///
     /// Panics if `decoded` yields fewer values than `compensated` has —
     /// the reconstruction must cover every coordinate.
-    pub fn absorb(
-        &mut self,
-        node: u32,
-        compensated: &[f64],
-        decoded: impl IntoIterator<Item = f64>,
-    ) {
-        let residual = self.residuals.entry(node).or_default();
-        residual.clear();
-        residual.reserve(compensated.len());
+    pub fn absorb(&mut self, compensated: &[f64], decoded: impl IntoIterator<Item = f64>) {
+        self.residual.clear();
+        self.residual.reserve(compensated.len());
         let mut decoded = decoded.into_iter();
         for &c in compensated {
             let d = decoded.next().expect("reconstruction covers every slot");
             let r = c - d;
-            residual.push(if r.is_finite() { r } else { 0.0 });
+            self.residual.push(if r.is_finite() { r } else { 0.0 });
         }
     }
 }
@@ -96,10 +87,10 @@ mod tests {
         out
     }
 
-    /// `node`'s stored residual, read back by compensating zeros.
-    fn residual(fb: &mut ErrorFeedback, node: u32, len: usize) -> Vec<f64> {
+    /// The stored residual, read back by compensating zeros.
+    fn residual(fb: &ErrorFeedback, len: usize) -> Vec<f64> {
         let mut stored = vec![0.0; len];
-        fb.compensate(node, &mut stored);
+        fb.compensate(&mut stored);
         stored
     }
 
@@ -107,11 +98,11 @@ mod tests {
     fn residual_holds_exactly_the_dropped_mass() {
         let mut fb = ErrorFeedback::new();
         let mut update = vec![1.0, -0.5, 3.0, 0.25];
-        fb.compensate(7, &mut update);
+        fb.compensate(&mut update);
         assert_eq!(update, vec![1.0, -0.5, 3.0, 0.25], "no residual yet");
         let wire = topk(&update, 1);
-        fb.absorb(7, &update, wire.iter().cloned());
-        assert_eq!(residual(&mut fb, 7, 4), vec![1.0, -0.5, 0.0, 0.25]);
+        fb.absorb(&update, wire.iter().cloned());
+        assert_eq!(residual(&fb, 4), vec![1.0, -0.5, 0.0, 0.25]);
     }
 
     #[test]
@@ -119,39 +110,26 @@ mod tests {
         let mut fb = ErrorFeedback::new();
         let first = vec![1.0, -0.5, 3.0, 0.25];
         let mut compensated = first.clone();
-        fb.compensate(3, &mut compensated);
-        fb.absorb(3, &compensated, topk(&compensated, 1));
+        fb.compensate(&mut compensated);
+        fb.absorb(&compensated, topk(&compensated, 1));
         // Next round's raw update is zero; the compensated update must
         // be exactly what round one dropped.
         let mut second = vec![0.0; 4];
-        fb.compensate(3, &mut second);
+        fb.compensate(&mut second);
         assert_eq!(second, vec![1.0, -0.5, 0.0, 0.25]);
         // A k that covers everything flushes the residual to zero.
-        fb.absorb(3, &second, topk(&second, 4));
-        assert_eq!(residual(&mut fb, 3, 4), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn residuals_are_per_node() {
-        let mut fb = ErrorFeedback::new();
-        fb.absorb(1, &[2.0, 0.0], [0.0, 0.0]);
-        fb.absorb(2, &[0.0, -4.0], [0.0, 0.0]);
-        let mut a = vec![0.0, 0.0];
-        fb.compensate(1, &mut a);
-        assert_eq!(a, vec![2.0, 0.0]);
-        let mut b = vec![0.0, 0.0];
-        fb.compensate(2, &mut b);
-        assert_eq!(b, vec![0.0, -4.0]);
+        fb.absorb(&second, topk(&second, 4));
+        assert_eq!(residual(&fb, 4), vec![0.0; 4]);
     }
 
     #[test]
     fn dimension_change_and_corrupt_debris_do_not_replay() {
         let mut fb = ErrorFeedback::new();
         // A stored residual of the wrong dimension is ignored.
-        fb.absorb(6, &[1.0, 1.0], [0.0, 0.0]);
-        assert_eq!(residual(&mut fb, 6, 1), vec![0.0]);
+        fb.absorb(&[1.0, 1.0], [0.0, 0.0]);
+        assert_eq!(residual(&fb, 1), vec![0.0]);
         // Non-finite differences are recorded as zero.
-        fb.absorb(6, &[f64::NAN, 2.0], [0.0, f64::INFINITY]);
-        assert_eq!(residual(&mut fb, 6, 2), vec![0.0, 0.0]);
+        fb.absorb(&[f64::NAN, 2.0], [0.0, f64::INFINITY]);
+        assert_eq!(residual(&fb, 2), vec![0.0, 0.0]);
     }
 }

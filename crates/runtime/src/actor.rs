@@ -297,7 +297,7 @@ pub(crate) fn step_reply(
     // The fault is drawn at the round stamped on the broadcast, so an
     // out-of-process peer replays the same seeded schedule as an
     // in-process actor.
-    let fault = ctx.cfg.faults.draw(node, broadcast_round as usize);
+    let fault = ctx.cfg.ft.plan.draw(node, broadcast_round as usize);
     if matches!(fault, Some(Fault::Crash)) {
         // Defensive: the platform skips crashed nodes, so a broadcast
         // for a crashed round should never arrive. Honour the plan.
@@ -319,7 +319,7 @@ pub(crate) fn step_reply(
     if codec.wants_feedback() {
         // Fold in what previous rounds' compression dropped before
         // selecting this round's survivors.
-        slot.feedback.compensate(node as u32, update);
+        slot.feedback.compensate(update);
     }
     let mut buf = scratch
         .pool
@@ -343,8 +343,7 @@ pub(crate) fn step_reply(
         // back from the frame we just encoded so an encode bug surfaces
         // as residual drift instead of silent loss.
         let view = CompressedView::parse(&reply).expect("own frame parses");
-        slot.feedback
-            .absorb(node as u32, update, view.params_iter());
+        slot.feedback.absorb(update, view.params_iter());
     }
     io.frames_sent += 1;
     io.bytes_sent += reply.len() as u64;

@@ -1,36 +1,17 @@
-//! Runtime configuration: execution mode, actor knobs, fault stack,
-//! recovery budget, and checkpoint cadence.
+//! Runtime configuration: execution mode, actor knobs, the fault stack
+//! and checkpoint cadence.
 
 use std::path::PathBuf;
 
-use fml_core::{FaultPlan, GatherPolicy};
+use fml_core::{FaultPlan, FaultTolerance, GatherPolicy};
 use fml_sim::UpdateCodec;
 
 use crate::clock::VirtualClock;
 
-/// Checkpoint-rollback-exclude recovery on the platform event loop,
-/// mirroring `fml_core::ft::FaultTolerance` semantics: when a round's
-/// gather loses quorum or the aggregated global goes non-finite, the
-/// platform rolls the global back to the last good value, permanently
-/// excludes the nodes the round report blames, and re-runs the round —
-/// up to [`max_recoveries`](RecoveryConfig::max_recoveries) times.
-/// Unlike the in-process trainer loop, an exhausted budget never aborts
-/// the run: the platform degrades the round and keeps going.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Recovery cycles the whole run may consume; 0 disables
-    /// rollback-and-exclude recovery.
-    pub max_recoveries: usize,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig { max_recoveries: 2 }
-    }
-}
-
 /// Periodic disk checkpointing of the platform global, so a killed
-/// platform resumes mid-training bitwise-deterministically.
+/// platform resumes mid-training bitwise-deterministically: a valid
+/// `latest.json` found in `dir` at startup resumes the run from the
+/// round after it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CheckpointConfig {
     /// Directory `latest.json` is atomically written into; `None`
@@ -39,16 +20,13 @@ pub struct CheckpointConfig {
     /// Write a checkpoint every this many completed rounds (the final
     /// round is always written). Zero behaves like 1.
     pub every: usize,
-    /// Whether a valid `latest.json` found in `dir` at startup resumes
-    /// the run from that round instead of starting fresh.
-    pub resume: bool,
 }
 
 /// The staleness-decay family used by [`AsyncPolicy::weight`].
 ///
 /// All three map a staleness `s ≥ 0` (rounds) to a factor in `(0, 1]`
 /// that is `1` at `s = 0` and non-increasing in `s`; the exponent /
-/// slope `a` is [`AsyncPolicy::decay_pow`].
+/// slope is the constant `a = 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StalenessDecay {
     /// Polynomial `(1 + s)^(−a)` — the FedAsync default and the
@@ -108,11 +86,10 @@ impl std::str::FromStr for StalenessDecay {
 /// θ ← (1 − w)·θ + w·u,   w = clamp(η · n·ω_i · decay(s), 0, 1)
 /// ```
 ///
-/// where `η` is [`mix`](AsyncPolicy::mix), `n·ω_i` rescales the node's
-/// eq. 5 aggregation weight so a uniform fleet gets `≈ 1`, and
+/// where the mixing rate `η = 0.5` is a constant, `n·ω_i` rescales the
+/// node's eq. 5 aggregation weight so a uniform fleet gets `≈ 1`, and
 /// `decay(s)` is the [`StalenessDecay`] family (polynomial
-/// `(1 + s)^(−a)` by default, with `a =`
-/// [`decay_pow`](AsyncPolicy::decay_pow)). Updates with `s >`
+/// `(1 + s)^(−a)` by default, with the constant `a = 1`). Updates with `s >`
 /// [`max_staleness`](AsyncPolicy::max_staleness) are rejected outright
 /// and counted in the report.
 ///
@@ -135,10 +112,6 @@ impl std::str::FromStr for StalenessDecay {
 pub struct AsyncPolicy {
     /// Maximum accepted staleness in rounds; anything older is dropped.
     pub max_staleness: usize,
-    /// Base mixing rate `η` applied to every accepted update.
-    pub mix: f64,
-    /// Staleness-decay exponent/slope `a ≥ 0` (0 disables decay).
-    pub decay_pow: f64,
     /// Which decay family maps staleness to a weight factor.
     pub decay: StalenessDecay,
     /// Aggregate every `k` accepted arrivals instead of per-arrival
@@ -152,14 +125,17 @@ impl Default for AsyncPolicy {
     fn default() -> Self {
         AsyncPolicy {
             max_staleness: 4,
-            mix: 0.5,
-            decay_pow: 1.0,
             decay: StalenessDecay::Poly,
             buffer_k: 1,
             adaptive_mix: false,
         }
     }
 }
+
+/// The mixing rate `η` applied to every accepted update.
+const MIX: f64 = 0.5;
+/// The staleness-decay exponent/slope `a`.
+const DECAY_POW: f64 = 1.0;
 
 impl AsyncPolicy {
     /// Sets the staleness bound.
@@ -168,23 +144,10 @@ impl AsyncPolicy {
         self
     }
 
-    /// Checks every field — the one gate between the public fields and
-    /// the fold loop. The CLI calls this before trusting a policy;
-    /// [`weight`] additionally refuses to emit a non-finite result, so a
-    /// bad policy that slips through degrades to rejected updates rather
-    /// than NaN-poisoning the global model.
-    ///
-    /// [`weight`]: AsyncPolicy::weight
+    /// Checks the one field with a rule — the gate between the public
+    /// fields and the fold loop. The CLI calls this before trusting a
+    /// policy.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.mix > 0.0 && self.mix <= 1.0) {
-            return Err(format!("async mix must be in (0, 1], got {}", self.mix));
-        }
-        if !(self.decay_pow >= 0.0 && self.decay_pow.is_finite()) {
-            return Err(format!(
-                "async decay exponent must be finite and ≥ 0, got {}",
-                self.decay_pow
-            ));
-        }
         if self.buffer_k == 0 {
             return Err("async buffer size must be at least 1".into());
         }
@@ -194,10 +157,10 @@ impl AsyncPolicy {
     /// The decay factor for staleness `s` under the configured family.
     fn decay_factor(&self, s: usize) -> f64 {
         match self.decay {
-            StalenessDecay::Poly => (1.0 + s as f64).powf(-self.decay_pow),
+            StalenessDecay::Poly => (1.0 + s as f64).powf(-DECAY_POW),
             StalenessDecay::Hinge { knee } => {
                 let over = s.saturating_sub(knee) as f64;
-                1.0 / (1.0 + self.decay_pow * over)
+                1.0 / (1.0 + DECAY_POW * over)
             }
             StalenessDecay::Const => 1.0,
         }
@@ -206,13 +169,12 @@ impl AsyncPolicy {
     /// The staleness-decayed mixing weight for node weight `omega` in a
     /// fleet of `n`, at staleness `s`.
     ///
-    /// NaN-safe: a policy with non-finite fields (one that skipped
-    /// [`validate`](AsyncPolicy::validate)) yields [`f64::NAN`] rather
-    /// than a silently-clamped garbage weight — the platform rejects
-    /// such updates and counts them in the report instead of folding NaN
-    /// into the global model.
+    /// NaN-safe: a non-finite product (a non-finite task weight) yields
+    /// [`f64::NAN`] rather than a silently-clamped garbage weight — the
+    /// platform rejects such updates and counts them in the report
+    /// instead of folding NaN into the global model.
     pub fn weight(&self, omega: f64, n: usize, s: usize) -> f64 {
-        let raw = self.mix * omega * n as f64 * self.decay_factor(s);
+        let raw = MIX * omega * n as f64 * self.decay_factor(s);
         if raw.is_finite() {
             raw.clamp(0.0, 1.0)
         } else {
@@ -261,13 +223,18 @@ pub struct RuntimeConfig {
     pub round_duration_s: f64,
     /// Seeded virtual network delays.
     pub clock: VirtualClock,
-    /// Fault injection schedule (crash / straggle / corrupt).
-    pub faults: FaultPlan,
-    /// Validation and quorum policy applied at aggregation points.
-    pub gather: GatherPolicy,
-    /// Rollback-and-exclude recovery budget.
-    pub recovery: RecoveryConfig,
-    /// Disk checkpoint cadence and resume behaviour.
+    /// The fault stack, as `fml_core::train_with_faults` reads it: the
+    /// injected schedule (crash / straggle / corrupt), the validation
+    /// and quorum policy applied at aggregation points, and the
+    /// rollback-and-exclude recovery budget. When a round's gather
+    /// loses quorum or the aggregated global goes non-finite, the
+    /// platform rolls the global back to the last good value,
+    /// permanently excludes the nodes the round report blames, and
+    /// re-runs the round — up to `max_recoveries` times (0 disables
+    /// recovery). Unlike the in-process loop, an exhausted budget never
+    /// aborts the run: the platform degrades the round and keeps going.
+    pub ft: FaultTolerance,
+    /// Disk checkpoint cadence.
     pub checkpoint: CheckpointConfig,
     /// How node actors encode their update replies on the uplink.
     /// [`UpdateCodec::None`] (the default) emits today's tag-2 frames
@@ -277,7 +244,8 @@ pub struct RuntimeConfig {
 
 impl RuntimeConfig {
     /// Barrier-mode defaults with the given seed (drives the virtual
-    /// clock and the benign default fault plan).
+    /// clock and the benign default fault plan, under the default
+    /// gather policy and two recoveries).
     pub fn barrier(seed: u64) -> Self {
         RuntimeConfig {
             mode: Mode::Barrier,
@@ -287,9 +255,7 @@ impl RuntimeConfig {
             join_timeout_ms: 10_000,
             round_duration_s: 1.0,
             clock: VirtualClock::new(seed),
-            faults: FaultPlan::new(seed),
-            gather: GatherPolicy::default(),
-            recovery: RecoveryConfig::default(),
+            ft: FaultTolerance::new(FaultPlan::new(seed)),
             checkpoint: CheckpointConfig::default(),
             update_codec: UpdateCodec::None,
         }
@@ -333,19 +299,19 @@ impl RuntimeConfig {
 
     /// Sets the fault plan.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
+        self.ft.plan = plan;
         self
     }
 
     /// Sets the gather policy.
     pub fn with_gather(mut self, policy: GatherPolicy) -> Self {
-        self.gather = policy;
+        self.ft.policy = policy;
         self
     }
 
     /// Sets the recovery budget.
     pub fn with_max_recoveries(mut self, n: usize) -> Self {
-        self.recovery.max_recoveries = n;
+        self.ft.max_recoveries = n;
         self
     }
 
@@ -358,7 +324,6 @@ impl RuntimeConfig {
     /// Enables disk checkpointing into `dir` (with resume on startup).
     pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint.dir = Some(dir.into());
-        self.checkpoint.resume = true;
         if self.checkpoint.every == 0 {
             self.checkpoint.every = 1;
         }
@@ -396,25 +361,18 @@ mod tests {
 
     #[test]
     fn async_weight_decays_with_staleness() {
-        let p = AsyncPolicy {
-            mix: 0.8,
-            ..AsyncPolicy::default()
-        };
+        let p = AsyncPolicy::default();
         let w0 = p.weight(0.25, 4, 0);
         let w1 = p.weight(0.25, 4, 1);
         let w3 = p.weight(0.25, 4, 3);
         assert!(w0 > w1 && w1 > w3);
-        assert!((w0 - 0.8).abs() < 1e-12, "uniform fleet, s=0 ⇒ w = mix");
-        assert!((w1 - 0.4).abs() < 1e-12);
+        assert!((w0 - 0.5).abs() < 1e-12, "uniform fleet, s=0 ⇒ w = η");
+        assert!((w1 - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn async_weight_is_clamped() {
-        let p = AsyncPolicy {
-            mix: 1.0,
-            decay_pow: 0.0,
-            ..AsyncPolicy::default()
-        };
+        let p = AsyncPolicy::default();
         // A node holding 90% of the data would overshoot 1.0 unclamped.
         assert_eq!(p.weight(0.9, 4, 0), 1.0);
     }
@@ -432,18 +390,18 @@ mod tests {
     #[test]
     fn recovery_and_checkpoint_builders() {
         let cfg = RuntimeConfig::barrier(5);
-        assert_eq!(cfg.recovery.max_recoveries, 2);
+        assert_eq!(cfg.ft, FaultTolerance::new(FaultPlan::new(5)));
+        assert_eq!(cfg.ft.max_recoveries, 2);
         assert!(cfg.checkpoint.dir.is_none());
 
         let cfg = RuntimeConfig::barrier(5)
             .with_max_recoveries(4)
             .with_checkpoint_dir("/tmp/ck")
             .with_checkpoint_every(3);
-        assert_eq!(cfg.recovery.max_recoveries, 4);
+        assert_eq!(cfg.ft.max_recoveries, 4);
         assert_eq!(cfg.checkpoint.dir.as_deref(), Some(std::path::Path::new("/tmp/ck")));
         assert_eq!(cfg.checkpoint.every, 3);
-        assert!(cfg.checkpoint.resume);
-        assert_eq!(cfg.without_recovery().recovery.max_recoveries, 0);
+        assert_eq!(cfg.without_recovery().ft.max_recoveries, 0);
     }
 
     #[test]
@@ -475,7 +433,6 @@ mod tests {
     #[test]
     fn hinge_decay_is_flat_up_to_the_knee() {
         let p = AsyncPolicy {
-            mix: 0.8,
             decay: StalenessDecay::Hinge { knee: 2 },
             ..AsyncPolicy::default()
         };
@@ -490,7 +447,6 @@ mod tests {
     #[test]
     fn const_decay_ignores_staleness() {
         let p = AsyncPolicy {
-            mix: 0.8,
             decay: StalenessDecay::Const,
             ..AsyncPolicy::default()
         };
@@ -510,27 +466,29 @@ mod tests {
         let ok = AsyncPolicy::default();
         assert!(ok.validate().is_ok());
         let bad = |p: AsyncPolicy| p.validate().unwrap_err();
-        assert!(bad(AsyncPolicy { decay_pow: f64::NAN, ..ok }).contains("decay exponent"));
-        assert!(bad(AsyncPolicy { decay_pow: -1.0, ..ok }).contains("decay exponent"));
-        assert!(bad(AsyncPolicy { mix: 0.0, ..ok }).contains("mix"));
-        assert!(bad(AsyncPolicy { mix: f64::INFINITY, ..ok }).contains("mix"));
         assert!(bad(AsyncPolicy { buffer_k: 0, ..ok }).contains("buffer"));
     }
 
     #[test]
     fn weight_is_nan_not_garbage_for_invalid_policies() {
-        // A negative decay_pow makes the polynomial *grow* with
-        // staleness; with infinite mix the product overflows. The old
+        // A non-finite task weight makes the product non-finite. The old
         // code clamped the intermediate NaN straight into the fold —
         // now the caller gets a NaN it can reject.
-        let ok = AsyncPolicy::default();
-        let p = AsyncPolicy { mix: f64::INFINITY, ..ok };
-        assert!(p.weight(0.25, 4, 1).is_nan());
-        let p = AsyncPolicy { decay_pow: f64::NAN, ..ok };
-        assert!(p.weight(0.25, 4, 1).is_nan());
-        // Weird-but-finite policies still clamp like before.
-        let p = AsyncPolicy { decay_pow: -2.0, ..ok };
-        assert_eq!(p.weight(0.9, 4, 5), 1.0);
+        for decay in [
+            StalenessDecay::Poly,
+            StalenessDecay::Hinge { knee: 1 },
+            StalenessDecay::Const,
+        ] {
+            let p = AsyncPolicy {
+                decay,
+                ..AsyncPolicy::default()
+            };
+            assert!(p.weight(f64::INFINITY, 4, 1).is_nan(), "{decay}");
+            assert!(p.weight(f64::NAN, 4, 1).is_nan(), "{decay}");
+            // Weird-but-finite weights still clamp like before.
+            assert_eq!(p.weight(1e300, 4, 5), 1.0, "{decay}");
+            assert_eq!(p.weight(-0.9, 4, 5), 0.0, "{decay}");
+        }
     }
 
     use proptest::prelude::*;
@@ -548,14 +506,11 @@ mod tests {
             prop_assert_eq!(decay.to_string().parse::<StalenessDecay>(), Ok(decay));
         }
 
-        /// Across every decay family and finite knob setting, the
-        /// weight is finite, in [0, 1], and non-increasing in staleness.
+        /// Across every decay family and knee, the weight is finite, in [0, 1], and non-increasing in staleness.
         #[test]
         fn prop_weight_monotone_bounded_finite(
             family in 0usize..4,
             knee in 0usize..6,
-            mix in 0.01f64..1.0,
-            a in 0.0f64..8.0,
             omega in 0.0f64..1.0,
             n in 1usize..64,
         ) {
@@ -564,7 +519,7 @@ mod tests {
                 1 => StalenessDecay::Const,
                 _ => StalenessDecay::Hinge { knee },
             };
-            let p = AsyncPolicy { mix, decay_pow: a, decay, ..AsyncPolicy::default() };
+            let p = AsyncPolicy { decay, ..AsyncPolicy::default() };
             prop_assert_eq!(p.validate(), Ok(()));
             let mut prev = f64::INFINITY;
             for s in 0..16usize {

@@ -98,7 +98,7 @@ pub mod transport;
 
 pub use adaptive::run_adaptive_fedml;
 pub use clock::VirtualClock;
-pub use config::{AsyncPolicy, CheckpointConfig, Mode, RecoveryConfig, RuntimeConfig, StalenessDecay};
+pub use config::{AsyncPolicy, CheckpointConfig, Mode, RuntimeConfig, StalenessDecay};
 pub use fml_sim::UpdateCodec;
 pub use health::{HealthTracker, NodeHealth, NodeHealthReport};
 pub use platform::{Runtime, RuntimeOutput};

@@ -215,6 +215,16 @@ struct Fold {
     spares: Vec<Vec<f64>>,
 }
 
+impl Fold {
+    /// Whether the fold holds nothing a checkpoint cannot carry: no
+    /// buffered update, no upload in virtual flight, and every quality
+    /// score still at full trust. The fresh fold a resume starts with is
+    /// then bitwise this one, less the report's weight statistics.
+    fn settled(&self) -> bool {
+        self.buffer.count == 0 && self.pending.is_empty() && self.quality.iter().all(|&q| q == 1.0)
+    }
+}
+
 /// One parsed uplink frame. The platform accepts both wire families on
 /// the uplink no matter which codec the nodes were configured with:
 /// decode routing is driven by the frame itself, never by config.
@@ -356,7 +366,7 @@ pub(crate) struct Core<'a> {
     /// Per-node health state machine; quarantined/excluded nodes leave
     /// the broadcast set and the quorum denominator.
     health: HealthTracker,
-    /// Recovery cycles consumed against `cfg.recovery.max_recoveries`.
+    /// Recovery cycles consumed against `cfg.ft.max_recoveries`.
     recoveries: usize,
     /// The global model: what the next broadcast carries and what is
     /// published after each round.
@@ -483,10 +493,10 @@ impl<'a> Core<'a> {
             resent: 0,
             timeout: Duration::from_millis(cfg.recv_timeout_ms),
             deadline: None,
-            exact: cfg.faults.is_benign() && cfg.gather == fml_core::GatherPolicy::default(),
+            exact: cfg.ft.plan.is_benign() && cfg.ft.policy == fml_core::GatherPolicy::default(),
             reaverage: false,
             snapshot: theta0.to_vec(),
-            last_good: ReuseCache::new(n, &cfg.gather),
+            last_good: ReuseCache::new(n, &cfg.ft.policy),
             recovered: false,
             fold,
             parked: None,
@@ -590,7 +600,7 @@ impl<'a> Core<'a> {
 
     /// Whether `node` is scheduled to crash in the open round.
     fn crashes(&self, node: usize) -> bool {
-        matches!(self.cfg.faults.draw(node, self.round), Some(Fault::Crash))
+        matches!(self.cfg.ft.plan.draw(node, self.round), Some(Fault::Crash))
     }
 
     /// Hands the open round's broadcast to `send` for every selected
@@ -726,7 +736,7 @@ impl<'a> Core<'a> {
     /// Total virtual upload delay for `node` in the open round: the
     /// seeded clock plus any scheduled straggle.
     fn upload_delay_s(&self, node: usize) -> f64 {
-        let straggle_s = match self.cfg.faults.draw(node, self.round) {
+        let straggle_s = match self.cfg.ft.plan.draw(node, self.round) {
             Some(Fault::Straggle { delay_s }) => delay_s,
             _ => 0.0,
         };
@@ -800,7 +810,7 @@ impl<'a> Core<'a> {
             .collect();
         // Validation can pass per node and the combined global still
         // diverge.
-        let gathered = gather(self.round, active.len(), &submissions, &self.cfg.gather)
+        let gathered = gather(self.round, active.len(), &submissions, &self.cfg.ft.policy)
             .map(|(params, report)| (self.stepper.combine(&self.global, params), report));
         let failed = match gathered {
             Ok((next, report)) if next.iter().all(|x| x.is_finite()) => {
@@ -860,7 +870,7 @@ impl<'a> Core<'a> {
             &active,
             failed,
             &mut self.recoveries,
-            self.cfg.recovery.max_recoveries,
+            self.cfg.ft.max_recoveries,
         ) else {
             return false;
         };
@@ -987,7 +997,7 @@ impl<'a> Core<'a> {
             self.global = round_start;
             self.report.rollbacks += 1;
         }
-        let required = self.cfg.gather.required_reporters(n);
+        let required = self.cfg.ft.policy.required_reporters(n);
         let end = Outcome {
             aggregated: applied > 0 && !rolled_back,
             reporters: applied,
@@ -998,13 +1008,18 @@ impl<'a> Core<'a> {
 
     /// The checkpoint the round just closed leaves, when a directory is
     /// configured and the cadence (or the final round) says so. It
-    /// carries everything [`resume`](Self::resume) needs for a
-    /// bitwise-deterministic restart.
+    /// carries the global, the round, the consumed recovery budget and
+    /// the health states: everything [`resume`](Self::resume) needs for
+    /// a bitwise-deterministic restart — except an async fold's
+    /// buffered updates, uploads in flight and quality scores. So a
+    /// mid-run checkpoint is written only at a round whose close left
+    /// the fold [settled](Fold::settled), and a resume replays from the
+    /// last such round. The final round is always written.
     pub(crate) fn checkpoint(&self) -> Option<Checkpoint> {
         let every = self.cfg.checkpoint.every.max(1);
-        if self.cfg.checkpoint.dir.is_none()
-            || (!self.done.is_multiple_of(every) && self.done != self.rounds)
-        {
+        let due =
+            || self.done.is_multiple_of(every) && self.fold.as_ref().is_none_or(Fold::settled);
+        if self.cfg.checkpoint.dir.is_none() || (self.done != self.rounds && !due()) {
             return None;
         }
         Some(
@@ -1369,10 +1384,8 @@ mod tests {
     #[test]
     fn a_quorum_loss_rolls_back_and_reruns_the_same_round() {
         let (model, tasks, theta0) = fixture(4);
-        let cfg = RuntimeConfig {
-            gather: GatherPolicy::default().with_min_quorum(0.75),
-            ..RuntimeConfig::barrier(2)
-        };
+        let cfg =
+            RuntimeConfig::barrier(2).with_gather(GatherPolicy::default().with_min_quorum(0.75));
         let stepper = fedml(2);
         let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
         let t = Instant::now();
@@ -1434,10 +1447,8 @@ mod tests {
     #[test]
     fn an_unselected_node_is_no_drop_no_quorum_member_and_no_health_failure() {
         let (model, tasks, theta0) = fixture(4);
-        let cfg = RuntimeConfig {
-            gather: GatherPolicy::default().with_min_quorum(0.75),
-            ..RuntimeConfig::barrier(2)
-        };
+        let cfg =
+            RuntimeConfig::barrier(2).with_gather(GatherPolicy::default().with_min_quorum(0.75));
         let stepper = fedml(6);
         let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
         core.select(&[0, 2]);
@@ -1507,6 +1518,82 @@ mod tests {
         );
         assert_eq!(same.global, vec![0.5; theta0.len()]);
         assert_eq!(same.open_round(), Some(3));
+    }
+
+    /// Runs `stepper`'s schedule on a fresh core, resumed from `from`
+    /// when given, every node reporting its [`local`] update each round
+    /// but the `(round, node)` in `corrupt`, which reports NaNs. Returns
+    /// the final global and each checkpoint written, with its round.
+    fn run_resumable(
+        cfg: &RuntimeConfig,
+        stepper: &FedMl,
+        from: Option<Checkpoint>,
+        corrupt: Option<(usize, usize)>,
+    ) -> (Vec<f64>, Vec<(usize, Checkpoint)>) {
+        let (model, tasks, theta0) = fixture(3);
+        let mut core = Core::new(cfg, stepper, &model, &tasks, &theta0);
+        if let Some(ck) = from {
+            core.resume(ck);
+        }
+        let mut written = Vec::new();
+        while let Some(round) = core.open_round() {
+            core.broadcast(|_| true);
+            core.evaluate_parked();
+            for node in 0..tasks.len() {
+                let mut params = local(&core.global, node);
+                if corrupt == Some((round, node)) {
+                    params.fill(f64::NAN);
+                }
+                core.offer(&update(round, node, &params), Instant::now());
+            }
+            assert!(core.close_round());
+            written.extend(core.checkpoint().map(|ck| (round, ck)));
+        }
+        (core.finish().0.params, written)
+    }
+
+    /// An async run killed after any round and resumed from the last
+    /// checkpoint written lands on the uninterrupted run's global, bit
+    /// for bit: under a semi-async buffer, under adaptive mixing after a
+    /// rejected update, and with uploads in virtual flight. A mid-run
+    /// checkpoint is written only at a round that leaves the fold
+    /// settled; the final round always is.
+    #[test]
+    fn an_async_run_resumed_after_any_round_is_the_uninterrupted_run() {
+        let stepper = fedml(4);
+        let buffered = AsyncPolicy {
+            buffer_k: 2,
+            ..AsyncPolicy::default()
+        };
+        let adaptive = AsyncPolicy {
+            adaptive_mix: true,
+            ..AsyncPolicy::default()
+        };
+        let async_mode = |policy| RuntimeConfig::async_mode(5, policy).with_checkpoint_dir("ck");
+        let in_flight =
+            async_mode(AsyncPolicy::default()).with_clock(VirtualClock::new(5).with_jitter(1.5));
+        for (cfg, corrupt, rounds) in [
+            // Three arrivals a round leave one buffered every other round.
+            (async_mode(buffered), None, vec![2, 4]),
+            (async_mode(adaptive), Some((3, 1)), vec![1, 2, 4]),
+            (in_flight, None, vec![1, 2, 4]),
+        ] {
+            let (want, written) = run_resumable(&cfg, &stepper, None, corrupt);
+            let at: Vec<usize> = written.iter().map(|(round, _)| *round).collect();
+            assert_eq!(at, rounds, "{:?}", cfg.mode);
+            for killed in 1..=4 {
+                let last = written.iter().rev().find(|(round, _)| *round <= killed);
+                let from = last.map(|(_, ck)| ck.clone());
+                let (got, _) = run_resumable(&cfg, &stepper, from, corrupt);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{:?}, killed after round {killed}",
+                    cfg.mode
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,17 +9,14 @@ use crate::config::AsyncPolicy;
 use crate::health::NodeHealthReport;
 
 /// The async aggregation policy a run executed under, as recorded in
-/// the report — decay family, knobs, and the buffered/adaptive modes.
+/// the report — decay family, staleness bound, and the buffered/adaptive
+/// modes.
 /// Present only on async-mode reports.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AsyncPolicyReport {
     /// Decay family name: `"poly"`, `"hinge"`/`"hinge:<knee>"`, or
     /// `"const"`.
     pub decay: String,
-    /// Decay exponent/slope `a`.
-    pub decay_pow: f64,
-    /// Base mixing rate `η`.
-    pub mix: f64,
     /// Staleness bound in rounds.
     pub max_staleness: usize,
     /// Semi-async buffer size (1 = per-arrival folds).
@@ -32,8 +29,6 @@ impl From<&AsyncPolicy> for AsyncPolicyReport {
     fn from(p: &AsyncPolicy) -> Self {
         AsyncPolicyReport {
             decay: p.decay.to_string(),
-            decay_pow: p.decay_pow,
-            mix: p.mix,
             max_staleness: p.max_staleness,
             buffer_k: p.buffer_k,
             adaptive_mix: p.adaptive_mix,
@@ -239,35 +234,9 @@ impl RuntimeReport {
         self.per_node.iter().map(|n| n.bytes_sent_logical).sum()
     }
 
-    /// Uplink compression ratio, `logical / physical` over what the
-    /// codec encoded — the curve-terms trailers left out of both sides
-    /// (1.0 means no compression; ≥ 3.0 is the top-k target). `None`
-    /// when either side is zero (no updates yet).
-    pub fn uplink_compression_ratio(&self) -> Option<f64> {
-        let trailers: u64 = self.per_node.iter().map(|n| n.trailer_bytes_sent).sum();
-        let physical = self.uplink_bytes().saturating_sub(trailers);
-        let logical = self.uplink_bytes_logical().saturating_sub(trailers);
-        if physical == 0 || logical == 0 {
-            None
-        } else {
-            Some(logical as f64 / physical as f64)
-        }
-    }
-
     /// Accepted updates across all staleness levels.
     pub fn accepted_updates(&self) -> u64 {
         self.staleness_hist.iter().sum()
-    }
-
-    /// The largest staleness at which an update was actually applied.
-    /// `None` when nothing was accepted.
-    pub fn max_applied_staleness(&self) -> Option<usize> {
-        self.staleness_hist
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, &c)| c > 0)
-            .map(|(s, _)| s)
     }
 }
 
@@ -371,19 +340,26 @@ mod tests {
         assert_eq!(r.total_frames(), 38);
         assert_eq!(r.total_bytes(), 3780);
         assert_eq!(r.accepted_updates(), 18);
-        assert_eq!(r.max_applied_staleness(), Some(3));
-        assert_eq!(RuntimeReport::default().max_applied_staleness(), None);
+        assert_eq!(r.staleness_hist.iter().rposition(|&c| c > 0), Some(3));
+        let empty = RuntimeReport::default();
+        assert_eq!(empty.staleness_hist.iter().rposition(|&c| c > 0), None);
     }
 
     #[test]
     fn uplink_compression_ratio_from_logical_counters() {
+        // The codec's ratio, `logical / physical` with the curve-terms
+        // trailers left out of both sides.
+        let ratio = |r: &RuntimeReport| {
+            let trailers: u64 = r.per_node.iter().map(|n| n.trailer_bytes_sent).sum();
+            (r.uplink_bytes_logical() - trailers) as f64 / (r.uplink_bytes() - trailers) as f64
+        };
         let r = sample();
         assert_eq!(r.uplink_bytes(), 1800);
         assert_eq!(r.uplink_bytes_logical(), 7200);
-        assert_eq!(r.uplink_compression_ratio(), Some(4.0));
-        // Trailers count on both sides of the ledger and on neither side
-        // of the ratio — each node's, as it counted them when sending,
-        // also those of frames its link then dropped on the way.
+        assert_eq!(ratio(&r), 4.0);
+        // Trailers count on both sides of the ledger — each node's, as
+        // it counted them when sending, also those of frames its link
+        // then dropped on the way — so the ratio can take them out.
         let mut trailed = sample();
         for io in &mut trailed.per_node {
             io.trailer_bytes_sent = 16 * io.frames_sent;
@@ -391,14 +367,16 @@ mod tests {
             io.bytes_sent_logical += io.trailer_bytes_sent;
         }
         assert_eq!(trailed.uplink_bytes(), 1800 + 288);
-        assert_eq!(trailed.uplink_compression_ratio(), Some(4.0));
-        // Pre-codec reports (no logical counters) have no ratio.
+        assert_eq!(trailed.uplink_bytes_logical(), 7200 + 288);
+        assert_eq!(ratio(&trailed), 4.0);
+        // Pre-codec reports (no logical counters) have no logical side.
         let mut old = sample();
         for io in &mut old.per_node {
             io.bytes_sent_logical = 0;
         }
-        assert_eq!(old.uplink_compression_ratio(), None);
-        assert_eq!(RuntimeReport::default().uplink_compression_ratio(), None);
+        assert_eq!(old.uplink_bytes_logical(), 0);
+        let empty = RuntimeReport::default();
+        assert_eq!((empty.uplink_bytes(), empty.uplink_bytes_logical()), (0, 0));
     }
 
     /// `fedml runtime --node … --json` writes a `NodeIo`: its key set is
@@ -426,14 +404,12 @@ mod tests {
     fn async_policy_report_captures_the_policy() {
         let p = AsyncPolicy {
             decay: crate::config::StalenessDecay::Hinge { knee: 2 },
-            decay_pow: 0.5,
             buffer_k: 4,
             adaptive_mix: true,
             ..AsyncPolicy::default()
         };
         let rep = AsyncPolicyReport::from(&p);
         assert_eq!(rep.decay, "hinge:2");
-        assert_eq!(rep.decay_pow, 0.5);
         assert_eq!(rep.buffer_k, 4);
         assert!(rep.adaptive_mix);
         assert_eq!(rep.max_staleness, 4);

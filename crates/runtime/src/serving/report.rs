@@ -172,15 +172,6 @@ impl ServingReport {
     pub fn rejected_total(&self) -> u64 {
         self.shed_busy + self.rejected_unavailable + self.rejected_bad
     }
-
-    /// Mean reply payload cost: bytes out per successful response.
-    pub fn bytes_per_response(&self) -> f64 {
-        if self.responses == 0 {
-            0.0
-        } else {
-            self.bytes_out as f64 / self.responses as f64
-        }
-    }
 }
 
 impl std::fmt::Display for ServingReport {
@@ -498,7 +489,7 @@ mod tests {
         let round = &value.get("pool_rounds").unwrap().as_array().unwrap()[0];
         assert_eq!(round.get("hit_rate"), Some(&serde::Value::Float(0.8)));
         assert_eq!(rep.rejected_total(), 2);
-        assert_eq!(rep.bytes_per_response(), 375.0);
+        assert_eq!(rep.bytes_out as f64 / rep.responses as f64, 375.0);
         let shown = rep.to_string();
         assert!(shown.contains("8 responses"));
         assert!(shown.contains("r3:8"));

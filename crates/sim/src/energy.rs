@@ -42,25 +42,6 @@ impl EnergyModel {
         }
     }
 
-    /// Validates the knobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first negative knob.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, v) in [
-            ("compute_power_w", self.compute_power_w),
-            ("tx_j_per_byte", self.tx_j_per_byte),
-            ("rx_j_per_byte", self.rx_j_per_byte),
-            ("idle_power_w", self.idle_power_w),
-        ] {
-            if v < 0.0 {
-                return Err(format!("energy model: {name} must be non-negative"));
-            }
-        }
-        Ok(())
-    }
-
     /// Prices a finished run: total fleet energy given the simulator's
     /// communication and computation meters.
     ///
@@ -159,15 +140,6 @@ mod tests {
         let e = free.price(&comm, &compute, 100.0);
         assert_eq!(e.total_j(), 0.0);
         assert_eq!(e.radio_fraction(), 0.0);
-    }
-
-    #[test]
-    fn validate_rejects_negative_knobs() {
-        let mut m = EnergyModel::edge_board();
-        assert!(m.validate().is_ok());
-        m.tx_j_per_byte = -1.0;
-        let err = m.validate().unwrap_err();
-        assert!(err.contains("tx_j_per_byte"));
     }
 
     #[test]

@@ -21,6 +21,5 @@ cargo bench -p fml-bench --bench kernels -- --test
 "$(dirname "$0")/scale_smoke.sh"
 "$(dirname "$0")/recovery_smoke.sh"
 "$(dirname "$0")/adapt_smoke.sh"
-"$(dirname "$0")/compress_smoke.sh"
 "$(dirname "$0")/async_smoke.sh"
 echo "check: OK"

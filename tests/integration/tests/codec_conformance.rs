@@ -180,10 +180,11 @@ fn hub_logical_counters_expose_the_uplink_saving_over_tcp() {
     let cfg = RuntimeConfig::barrier(7).with_update_codec(UpdateCodec::TopK { k: 2 });
     let (out, node_io) = run_over_tcp(cfg, &trainer, &model, &tasks, &theta0);
 
-    let ratio = out
-        .report
-        .uplink_compression_ratio()
-        .expect("both counters populated");
+    // The codec's ratio: the curve-terms trailers left out of both sides.
+    let trailers: u64 = out.report.per_node.iter().map(|io| io.trailer_bytes_sent).sum();
+    let physical = out.report.uplink_bytes() - trailers;
+    assert!(physical > 0, "both counters populated");
+    let ratio = (out.report.uplink_bytes_logical() - trailers) as f64 / physical as f64;
     assert!(ratio >= 3.0, "uplink compression ratio {ratio:.2} < 3x");
     for io in &out.report.per_node {
         assert!(
