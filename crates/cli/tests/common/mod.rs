@@ -1,0 +1,108 @@
+//! What the CLI tests share: one seeded config, a temp dir holding it,
+//! and `fedml runtime` spawned on it with its JSON report read back
+//! through `serde_json`.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use serde::Value;
+
+/// One seeded federation: 8 synthetic nodes, softmax over dim 6 × 3
+/// classes (21 model parameters), 6 FedML rounds of `T0` = 2.
+const CONFIG: &str = r#"{
+  "seed": 13,
+  "source_frac": 0.75,
+  "dataset": {
+    "kind": "synthetic",
+    "alpha": 0.5,
+    "beta": 0.5,
+    "nodes": 8,
+    "dim": 6,
+    "classes": 3,
+    "mean_samples": 18.0
+  },
+  "model": { "kind": "softmax", "l2": 0.001 },
+  "algorithm": {
+    "kind": "fedml",
+    "alpha": 0.05,
+    "beta": 0.05,
+    "local_steps": 2,
+    "rounds": 6,
+    "first_order": false
+  },
+  "simulate": null,
+  "eval": { "k": 4, "adapt_steps": 3, "adapt_lr": 0.05, "fgsm_xi": null }
+}"#;
+
+/// A directory of its own under the system temp dir, holding
+/// [`CONFIG`] as `cfg.json`; removed on drop.
+pub struct TempDir(pub PathBuf);
+
+impl TempDir {
+    pub fn new(name: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("fml-cli-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create the temp dir");
+        std::fs::write(dir.join("cfg.json"), CONFIG).expect("write the config");
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Runs `fedml runtime <dir>/cfg.json <flags> --json <dir>/<name>.json`.
+pub fn fedml_runtime(dir: &Path, name: &str, flags: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_fedml"))
+        .arg("runtime")
+        .arg(dir.join("cfg.json"))
+        .args(flags)
+        .arg("--json")
+        .arg(dir.join(format!("{name}.json")))
+        .output()
+        .expect("spawn fedml")
+}
+
+/// [`fedml_runtime`], which must succeed, and the report it wrote.
+pub fn runtime(dir: &Path, name: &str, flags: &[&str]) -> Value {
+    let out = fedml_runtime(dir, name, flags);
+    assert!(
+        out.status.success(),
+        "fedml runtime {flags:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(dir.join(format!("{name}.json"))).expect("read the report");
+    serde_json::from_str(&text).expect("the report is JSON")
+}
+
+/// The value at `path` (a key per level) in `report`.
+pub fn at<'v>(report: &'v Value, path: &[&str]) -> &'v Value {
+    path.iter().fold(report, |v, key| {
+        v.get(key)
+            .unwrap_or_else(|| panic!("report has no {path:?}"))
+    })
+}
+
+pub fn uint(report: &Value, path: &[&str]) -> u64 {
+    match at(report, path) {
+        Value::UInt(n) => *n,
+        other => panic!("{path:?} is {other:?}, not a count"),
+    }
+}
+
+pub fn float(report: &Value, path: &[&str]) -> f64 {
+    match at(report, path) {
+        Value::Float(x) => *x,
+        Value::UInt(n) => *n as f64,
+        other => panic!("{path:?} is {other:?}, not a number"),
+    }
+}
+
+pub fn text<'v>(report: &'v Value, path: &[&str]) -> &'v str {
+    at(report, path)
+        .as_str()
+        .unwrap_or_else(|| panic!("{path:?} is not a string"))
+}

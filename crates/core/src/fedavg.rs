@@ -202,17 +202,4 @@ mod tests {
     fn trainer_name() {
         assert_eq!(FedAvg::new(FedAvgConfig::new(0.1)).algorithm(), "FedAvg");
     }
-
-    #[test]
-    fn benign_fault_plan_matches_train_from() {
-        let model = Quadratic::isotropic(2, 1.0);
-        let tasks = quad_tasks(&[(2.0, 0.0), (0.0, 2.0)]);
-        let cfg = FedAvgConfig::new(0.1).with_local_steps(4).with_rounds(10);
-        let trainer = FedAvg::new(cfg);
-        let plain = trainer.train_from(&model, &tasks, &[3.0, 3.0]);
-        let ft = crate::ft::FaultTolerance::new(crate::faults::FaultPlan::new(0));
-        let tolerant =
-            crate::train_with_faults(&trainer, &model, &tasks, &[3.0, 3.0], &ft).unwrap();
-        assert_eq!(plain.params, tolerant.params);
-    }
 }

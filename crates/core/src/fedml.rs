@@ -394,34 +394,4 @@ mod tests {
             "FedML"
         );
     }
-
-    #[test]
-    fn benign_fault_plan_matches_train_from() {
-        let model = Quadratic::isotropic(2, 1.0);
-        let tasks = quad_tasks(&[(2.0, 0.0), (-2.0, 0.0), (1.0, 1.0)]);
-        let cfg = FedMlConfig::new(0.05, 0.05)
-            .with_local_steps(3)
-            .with_rounds(8);
-        let trainer = FedMl::new(cfg);
-        let plain = trainer.train_from(&model, &tasks, &[1.5, -1.5]);
-        let ft = crate::ft::FaultTolerance::new(crate::faults::FaultPlan::new(0));
-        let tolerant =
-            crate::train_with_faults(&trainer, &model, &tasks, &[1.5, -1.5], &ft).unwrap();
-        assert_eq!(plain.params, tolerant.params);
-        assert!(tolerant.history.iter().all(|r| r.reporters == 3 && !r.degraded));
-    }
-
-    #[test]
-    fn crashed_minority_degrades_but_finishes() {
-        let model = Quadratic::isotropic(2, 1.0);
-        let tasks = quad_tasks(&[(2.0, 0.0), (-2.0, 0.0), (1.0, 1.0), (-1.0, -1.0)]);
-        let cfg = FedMlConfig::new(0.05, 0.05).with_local_steps(2).with_rounds(6);
-        let plan = crate::faults::FaultPlan::new(9).with_crash_from(1, 3);
-        let ft = crate::ft::FaultTolerance::new(plan);
-        let out =
-            crate::train_with_faults(&FedMl::new(cfg), &model, &tasks, &[1.0, 1.0], &ft).unwrap();
-        assert_eq!(out.history.len(), 6);
-        assert_eq!(out.history[1].reporters, 4);
-        assert!(out.history[2..].iter().all(|r| r.reporters == 3 && r.degraded));
-    }
 }

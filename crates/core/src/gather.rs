@@ -13,8 +13,6 @@
 //! trainer histories can expose reporter counts and degraded-round flags,
 //! and the recovery layer knows which nodes to exclude after a failure.
 
-use crate::error::CoreError;
-
 /// What to do with a report that arrives after the round deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StragglerPolicy {
@@ -46,8 +44,7 @@ pub struct GatherPolicy {
     pub straggler: StragglerPolicy,
     /// Minimum fraction of the *total* fleet that must contribute a
     /// validated update for the round to count, in `[0, 1]`. The round
-    /// fails with [`CoreError::QuorumLost`] below
-    /// `max(1, ⌈min_quorum · total⌉)` reporters.
+    /// loses its quorum below `max(1, ⌈min_quorum · total⌉)` reporters.
     pub min_quorum: f64,
 }
 
@@ -149,16 +146,6 @@ impl RoundReport {
     }
 }
 
-/// A gather that could not produce an aggregate, with the evidence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GatherFailure {
-    /// The error — currently always [`CoreError::QuorumLost`].
-    pub error: CoreError,
-    /// Per-node outcomes, so the caller can decide which nodes to exclude
-    /// before retrying.
-    pub report: RoundReport,
-}
-
 /// One node's report (or absence) at an aggregation point. It borrows
 /// the updates it carries: nothing in a gather writes to them.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,9 +195,9 @@ impl<'a> Submission<'a> {
 /// renormalized over the contributors.
 ///
 /// A round with no submissions (a fleet quarantined whole) is a lost
-/// quorum with 0 reporters, like any other. On quorum failure the
-/// returned [`GatherFailure`] carries the full [`RoundReport`] so callers
-/// can exclude the failing nodes and retry.
+/// quorum with 0 reporters, like any other. On quorum failure the error
+/// is the round's full [`RoundReport`], so callers can exclude the
+/// failing nodes and retry.
 ///
 /// # Panics
 ///
@@ -220,7 +207,7 @@ pub fn gather(
     total_nodes: usize,
     submissions: &[Submission],
     policy: &GatherPolicy,
-) -> Result<(Vec<f64>, RoundReport), GatherFailure> {
+) -> Result<(Vec<f64>, RoundReport), RoundReport> {
     let mut outcomes = Vec::with_capacity(submissions.len());
     let mut weights = Vec::with_capacity(submissions.len());
     let mut views = Vec::with_capacity(submissions.len());
@@ -246,16 +233,8 @@ pub fn gather(
         degraded,
     };
 
-    let required = policy.required_reporters(total_nodes);
-    if reporters < required {
-        return Err(GatherFailure {
-            error: CoreError::QuorumLost {
-                round,
-                reporters,
-                required,
-            },
-            report,
-        });
+    if reporters < policy.required_reporters(total_nodes) {
+        return Err(report);
     }
 
     // Eq. 5 over the contributors, weights renormalized.
@@ -393,31 +372,19 @@ mod tests {
             Submission::on_time(2, 0.3, &[1.0]),
         ];
         let p = policy().with_min_quorum(0.67);
-        let err = gather(4, 3, &subs, &p).unwrap_err();
-        assert_eq!(
-            err.error,
-            CoreError::QuorumLost {
-                round: 4,
-                reporters: 1,
-                required: 3
-            }
-        );
-        assert_eq!(err.report.failed_nodes(), vec![0, 1]);
+        let report = gather(4, 3, &subs, &p).unwrap_err();
+        assert_eq!((report.round, report.reporters), (4, 1));
+        assert_eq!(p.required_reporters(3), 3);
+        assert_eq!(report.failed_nodes(), vec![0, 1]);
     }
 
     #[test]
     fn nobody_to_gather_is_a_lost_quorum() {
         for (total, required) in [(0, 1), (3, 2)] {
-            let err = gather(6, total, &[], &policy()).unwrap_err();
-            assert_eq!(
-                err.error,
-                CoreError::QuorumLost {
-                    round: 6,
-                    reporters: 0,
-                    required
-                }
-            );
-            assert!(err.report.outcomes.is_empty());
+            let report = gather(6, total, &[], &policy()).unwrap_err();
+            assert_eq!((report.round, report.reporters), (6, 0));
+            assert_eq!(policy().required_reporters(total), required);
+            assert!(report.outcomes.is_empty());
         }
     }
 

@@ -51,7 +51,6 @@
 pub mod adapt;
 pub mod checkpoint;
 pub mod compress;
-mod error;
 pub mod faults;
 mod fedavg;
 mod fedml;
@@ -69,10 +68,9 @@ pub mod theory;
 mod trainer;
 
 pub use compress::ErrorFeedback;
-pub use error::CoreError;
 pub use faults::{Fault, FaultPlan};
 pub use fedavg::{FedAvg, FedAvgConfig};
-pub use ft::{train_with_faults, FaultTolerance};
+pub use ft::FaultTolerance;
 pub use gather::{GatherPolicy, StragglerPolicy, UpdateValidation};
 pub use fedml::{FedMl, FedMlConfig};
 pub use fedprox::{FedProx, FedProxConfig};

@@ -161,34 +161,6 @@ impl MetaSgd {
         }
     }
 
-    /// Runs Meta-SGD under fault injection with gather-policy protection
-    /// and round-level recovery (see [`crate::train_with_faults`]).
-    ///
-    /// The node state `(θ_i, a_i)` travels through the fault-tolerant
-    /// driver as one concatenated vector `[θ_i; a_i]`, so deadline
-    /// triage, the finite check, quorum, and the weighted mean treat the
-    /// learned rates exactly like the initialization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoreError::QuorumLost`] or
-    /// [`crate::CoreError::Diverged`] when recovery is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tasks` is empty or `theta0` has the wrong length.
-    pub fn train_with_faults(
-        &self,
-        model: &dyn Model,
-        tasks: &[SourceTask],
-        theta0: &[f64],
-        ft: &crate::ft::FaultTolerance,
-    ) -> Result<MetaSgdOutput, crate::CoreError> {
-        let state0 = self.pair_state(model, theta0);
-        let train = crate::ft::drive(&PairState(self), model, tasks, &state0, ft)?;
-        Ok(split_pair(train, theta0.len()))
-    }
-
     /// Runs Meta-SGD in lockstep from an explicit initialization, drawing
     /// the same curve as [`crate::LocalStepper::train_from`] does for the other
     /// trainers, over the pair `(θ, a)`.

@@ -22,25 +22,12 @@
 use std::num::NonZeroUsize;
 
 /// Maps `f` over `items` using up to `threads` OS threads, returning the
-/// results in item order.
-///
-/// `f` receives `(index, &item)` — the index is the position in `items`,
-/// which parallel callers use to look up per-node state prepared before
-/// the fan-out (per-node RNG material, straggler profiles, …). The
-/// stateless case of [`map_ordered_with`].
-pub fn map_ordered<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_ordered_with(threads, items, || (), |(), i, t| f(i, t))
-}
-
-/// [`map_ordered`] with per-worker state: each worker builds one `S`
-/// with `init` and hands it to `f` for every item of its chunk, so
+/// results in item order, with per-worker state: each worker builds one
+/// `S` with `init` and hands it to `f` for every item of its chunk, so
 /// scratch buffers are paid for once per worker, not once per item.
-/// The state must not carry results from one item to the next — the
+/// `f` receives `(state, index, &item)` — the index is the position in
+/// `items`, which callers use to look up per-node state prepared before
+/// the fan-out. The state must not carry results from one item to the next — the
 /// output has to stay independent of how items fall into chunks.
 ///
 /// Work is split into `ceil(len / workers)` contiguous chunks, one
@@ -98,6 +85,15 @@ pub fn default_threads(nodes: usize) -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The stateless fan-out.
+    fn map_ordered<T: Sync, R: Send>(
+        threads: usize,
+        items: &[T],
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        map_ordered_with(threads, items, || (), |(), i, t| f(i, t))
+    }
 
     #[test]
     fn preserves_item_order_at_any_thread_count() {

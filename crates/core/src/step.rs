@@ -32,7 +32,8 @@
 //!   virtual-time simulator — while owning the communication in
 //!   between; [`local_update`](LocalStepper::local_update) and
 //!   [`eval_losses`](LocalStepper::eval_losses) are the same calls on
-//!   fresh scratch, for one-off callers ([`crate::train_with_faults`]);
+//!   fresh scratch, for one-off callers (the CLI's curve, `perf/`'s
+//!   replay);
 //! * [`train_from`](LocalStepper::train_from) — the lockstep reference
 //!   run, with no transport, a round at a time: every node runs
 //!   `local_update_into` from the broadcast global for `T0` steps (by
@@ -69,10 +70,10 @@
 //! }
 //! ```
 //!
-//! Nothing else is edited: `train_from`/`train`,
-//! [`crate::train_with_faults`], `Runtime::run`/`serve`, the simulator
-//! (`SimRunner::run`/`train`, over the same round core) and the CLI's
-//! `stepper()` paths all take `&dyn LocalStepper`.
+//! Nothing else is edited: `train_from`/`train`, `Runtime::run`/`serve`,
+//! the simulator (`SimRunner::run`/`train`, over the same round core,
+//! with or without faults) and the CLI's `stepper()` paths all take
+//! `&dyn LocalStepper`.
 //!
 //! Two trainers sit at the edge of the seam. [`crate::MetaSgd`]
 //! implements the trait privately over its concatenated `[θ‖a]` state

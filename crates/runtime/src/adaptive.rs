@@ -10,7 +10,7 @@ use fml_models::Model;
 use fml_sim::{AdaptiveOutput, AdaptiveT0Config, MessageView, SimConfig};
 use rand::rngs::StdRng;
 
-use crate::runner::Driver;
+use crate::runner::{Driver, SimRunner};
 
 /// Runs FedML with controller-chosen `T0` per round until the iteration
 /// budget is exhausted.
@@ -34,7 +34,8 @@ pub fn run_adaptive_fedml(
     total_iterations: usize,
     rng: &mut StdRng,
 ) -> AdaptiveOutput {
-    let mut driver = Driver::new(sim, fedml, model, tasks, theta0);
+    let runner = SimRunner::new(*sim);
+    let mut driver = Driver::new(&runner, fedml, model, tasks, theta0);
     let everyone: Vec<usize> = (0..tasks.len()).collect();
     let (mut t0_trace, mut divergence_trace, mut local) = (Vec::new(), Vec::new(), Vec::new());
     let mut t0 = ctrl.t0_init;

@@ -223,16 +223,16 @@ pub struct RuntimeConfig {
     pub round_duration_s: f64,
     /// Seeded virtual network delays.
     pub clock: VirtualClock,
-    /// The fault stack, as `fml_core::train_with_faults` reads it: the
-    /// injected schedule (crash / straggle / corrupt), the validation
-    /// and quorum policy applied at aggregation points, and the
-    /// rollback-and-exclude recovery budget. When a round's gather
+    /// The fault stack, as [`crate::SimRunner::with_faults`] takes it
+    /// too: the injected schedule (crash / straggle / corrupt), the
+    /// validation and quorum policy applied at aggregation points, and
+    /// the rollback-and-exclude recovery budget. When a round's gather
     /// loses quorum or the aggregated global goes non-finite, the
     /// platform rolls the global back to the last good value,
     /// permanently excludes the nodes the round report blames, and
     /// re-runs the round — up to `max_recoveries` times (0 disables
-    /// recovery). Unlike the in-process loop, an exhausted budget never
-    /// aborts the run: the platform degrades the round and keeps going.
+    /// recovery). An exhausted budget never aborts the run: the
+    /// platform degrades the round and keeps going.
     pub ft: FaultTolerance,
     /// Disk checkpoint cadence.
     pub checkpoint: CheckpointConfig,

@@ -49,7 +49,10 @@
 //! socket of its own: [`SimRunner`] (and the adaptive-`T0` controller,
 //! [`run_adaptive_fedml`]) answers each broadcast in-line with the
 //! actors' node step and offers the replies in virtual time, pricing
-//! every frame with `fml_sim`'s link, compute and energy models.
+//! every frame with `fml_sim`'s link, compute and energy models — under
+//! the benign fault plan, or under any `FaultTolerance`
+//! ([`SimRunner::with_faults`]), which is how a fault-injected run is
+//! trained in-process.
 //!
 //! After training, the [`serving`] module keeps the meta-trained global
 //! useful: [`AdaptServer`] answers `Adapt(K samples)` requests over the

@@ -40,7 +40,7 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use fml_core::checkpoint::Checkpoint;
-use fml_core::ft::{rollback_and_exclude, ReuseCache};
+use fml_core::ft::ReuseCache;
 use fml_core::gather::{gather, screen_update, RoundReport, Submission, Validated};
 use fml_core::{
     aggregate, Fault, LocalStepper, RoundRecord, Scratch, SourceTask, TrainOutput, UpdateValidation,
@@ -385,7 +385,8 @@ pub(crate) struct Core<'a> {
     /// Which nodes the driver takes part in the open round: all, unless
     /// it [selects](Self::select) fewer. The buffer is reused.
     selected: Vec<bool>,
-    /// The open round's cost as the driver priced it, if it did.
+    /// The open round's cost as the driver priced it, if it did: every
+    /// attempt's, until the round closes.
     priced: Option<RoundCost>,
     /// Nodes this round's broadcast reached, ascending.
     delivered: Vec<usize>,
@@ -413,7 +414,7 @@ pub(crate) struct Core<'a> {
     snapshot: Vec<f64>,
     last_good: ReuseCache,
     /// A round that rolled back stays flagged degraded even when the
-    /// re-run fleet reports cleanly (same rule as `fml_core::ft`).
+    /// re-run fleet reports cleanly.
     recovered: bool,
     /// Async mode's state; `None` in barrier mode.
     fold: Option<Fold>,
@@ -576,9 +577,14 @@ impl<'a> Core<'a> {
     }
 
     /// Prices the open round: its trace row shows `cost` instead of
-    /// what the core counted.
+    /// what the core counted, summed over every attempt when the round
+    /// rolled back and ran again.
     pub(crate) fn price(&mut self, cost: RoundCost) {
-        self.priced = Some(cost);
+        let priced = self.priced.get_or_insert_default();
+        priced.bytes += cost.bytes;
+        priced.retransmissions += cost.retransmissions;
+        priced.comm_time_s += cost.comm_time_s;
+        priced.compute_time_s += cost.compute_time_s;
     }
 
     /// Opens the next round in the health tracker and returns its
@@ -827,8 +833,7 @@ impl<'a> Core<'a> {
                     degraded: report.degraded,
                 });
             }
-            Ok((_, report)) => report,
-            Err(failure) => failure.report,
+            Ok((_, report)) | Err(report) => report,
         };
         self.record_health(&failed);
         if self.try_recover(&failed.failed_nodes()) {
@@ -855,27 +860,27 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// [`rollback_and_exclude`] over the health tracker's membership:
-    /// `true` means the last good global is restored, the failed nodes
-    /// are permanently excluded, and the round runs again. `false` means
-    /// unrecoverable — the round then degrades and the run keeps going
-    /// (it never aborts the way the in-process loop surfaces an error).
+    /// The rollback-and-exclude decision, over the health tracker's
+    /// membership. Within the recovery budget, with blame to assign
+    /// among the still-active nodes, and with fleet left over, it
+    /// restores the last good global, consumes one recovery, permanently
+    /// excludes the failed nodes and returns `true`: the round runs
+    /// again. `false` means unrecoverable — the budget is spent, nobody
+    /// active is to blame (a deterministic retry would fail the same
+    /// way), or nobody would be left — and the round then degrades and
+    /// the run keeps going.
     fn try_recover(&mut self, failed: &[usize]) -> bool {
-        let active: Vec<bool> = (0..self.tasks.len())
-            .map(|i| self.health.is_active(i))
-            .collect();
-        let Some(excluded) = rollback_and_exclude(
-            &mut self.global,
-            &self.snapshot,
-            &active,
-            failed,
-            &mut self.recoveries,
-            self.cfg.ft.max_recoveries,
-        ) else {
+        let blamed = failed.iter().filter(|&&n| self.health.is_active(n)).count();
+        let active = self.tasks.len() - self.health.removed_count();
+        if self.recoveries >= self.cfg.ft.max_recoveries || blamed == 0 || blamed == active {
             return false;
-        };
-        for node in excluded {
-            self.health.exclude(node, self.round);
+        }
+        self.global.clone_from(&self.snapshot);
+        self.recoveries += 1;
+        for &node in failed {
+            if self.health.is_active(node) {
+                self.health.exclude(node, self.round);
+            }
         }
         self.report.recoveries += 1;
         self.report.rollbacks += 1;

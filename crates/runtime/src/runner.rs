@@ -7,32 +7,39 @@
 //!
 //! 1. selects the round's nodes in the core — [`SimRunner::run`] draws
 //!    them before the broadcast, the adaptive controller takes everyone;
-//! 2. broadcasts the global through the core and prices one
-//!    [`Network::send_down`](fml_sim::Network::send_down) per selected
-//!    node, in node order;
+//! 2. broadcasts the global through the core, which skips every node its
+//!    fault plan crashes or its health tracker has removed, and prices
+//!    one [`Network::send_down`](fml_sim::Network::send_down) per node
+//!    reached, in node order;
 //! 3. answers the broadcast in-line with the actors' node step (decode,
-//!    `local_update_into` with the round's `T0`, encode into a pooled
-//!    frame), fanned out over [`SimConfig::threads`];
+//!    `local_update_into` with the round's `T0`, the plan's corrupt
+//!    draw, encode into a pooled frame), fanned out over
+//!    [`SimConfig::threads`];
 //! 4. meters each node's compute at its [`EdgeProfile`] speed, prices one
 //!    `send_up` per reply in node order, and offers the reply to the core
 //!    at its virtual arrival: the node's downlink, compute and uplink
 //!    after the round's start;
 //! 5. hands the core the round's priced cost for its trace row, and
-//!    closes the round.
+//!    closes the round — which the core may roll back, and the driver
+//!    then runs again over the same participants.
 //!
-//! Aggregation, the curve, the history, the trace and the result are the
-//! core's, so under [`SimConfig::ideal`] a run is [`crate::Runtime::run`]
-//! bit for bit, and `train_from` too but for Reptile's result, which its
-//! `train_from` takes without the final re-average. A link is priced at the dense
-//! frame's [`encoded_frame_len`] whether or not a reply carries its
-//! curve-terms trailer.
+//! The fault stack is the core's too: the straggle draws, deadline
+//! triage, quorum, rollback-and-exclude and the `ReuseCache` are decided
+//! there, under [`SimRunner::with_faults`]' [`FaultTolerance`]; the
+//! driver adds no decision of its own. Aggregation, the curve, the
+//! history, the trace and the result are the core's, so under
+//! [`SimConfig::ideal`] and the benign plan a run is
+//! [`crate::Runtime::run`] bit for bit, and `train_from` too but for
+//! Reptile's result, which its `train_from` takes without the final
+//! re-average. A link is priced at the dense frame's
+//! [`encoded_frame_len`] whether or not a reply carries its curve-terms
+//! trailer.
 
-use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use fml_core::parallel::map_ordered_with;
-use fml_core::{LocalStepper, SourceTask, TrainOutput};
+use fml_core::{FaultTolerance, LocalStepper, SourceTask, TrainOutput};
 use fml_models::Model;
 use fml_sim::message::{encode_global_into, encoded_frame_len};
 use fml_sim::network::Transfer;
@@ -41,32 +48,48 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::actor::{step_reply, NodeSlot, StepScratch, WorkerCtx};
+use crate::clock::VirtualClock;
 use crate::config::RuntimeConfig;
 use crate::platform::core::{Core, RoundCost};
 
-/// The core's settings in a simulated run: a barrier round under the
-/// benign fault plan and the default gather policy, the exact path when
-/// every node takes part. Its clock is unused: the driver prices rounds.
-static BARRIER: LazyLock<RuntimeConfig> = LazyLock::new(|| RuntimeConfig::barrier(0));
-
 /// The simulator: a stepper's round schedule over the platform-aided
-/// architecture, with [`SimConfig`]'s links, failures and compute model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// architecture, with [`SimConfig`]'s links, failures and compute model,
+/// under a [`FaultTolerance`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimRunner {
     cfg: SimConfig,
+    /// The core's settings: a barrier round under the fault stack, with
+    /// a clock that adds no delay, so a node's lateness at the deadline
+    /// is exactly its plan's straggle draw. The driver prices rounds.
+    core: RuntimeConfig,
 }
 
 impl SimRunner {
-    /// Creates a runner.
+    /// Creates a runner under the benign fault plan and the default
+    /// gather policy: the exact path when every node takes part.
     pub fn new(cfg: SimConfig) -> Self {
-        SimRunner { cfg }
+        let core = RuntimeConfig::barrier(0).with_clock(VirtualClock::new(0).with_base_delay(0.0));
+        SimRunner { cfg, core }
     }
 
-    /// Simulates `stepper`'s schedule. With [`SimConfig::ideal`] the
-    /// parameters and curve are those of [`crate::Runtime::run`] and of
-    /// its `train_from` (but for Reptile's result, which its `train_from`
-    /// takes without the final re-average): the simulator adds the
-    /// systems layer without changing the algorithm.
+    /// Runs the core under `ft`: its plan's crash, straggle and corrupt
+    /// draws, its gather policy at every round, and its
+    /// rollback-and-exclude budget. A crashed, quarantined or excluded
+    /// node is not stepped or priced, and a round the core rolls back
+    /// runs again over the same draw of participants. A round that
+    /// cannot recover degrades in place: the global stays, and the run
+    /// goes on.
+    pub fn with_faults(mut self, ft: FaultTolerance) -> Self {
+        self.core.ft = ft;
+        self
+    }
+
+    /// Simulates `stepper`'s schedule. With [`SimConfig::ideal`] and the
+    /// benign plan the parameters and curve are those of
+    /// [`crate::Runtime::run`] and of its `train_from` (but for Reptile's
+    /// result, which its `train_from` takes without the final
+    /// re-average): the simulator adds the systems layer without
+    /// changing the algorithm.
     ///
     /// # Panics
     ///
@@ -96,11 +119,14 @@ impl SimRunner {
         theta0: &[f64],
         rng: &mut StdRng,
     ) -> (TrainOutput, SimOutput) {
-        let mut driver = Driver::new(&self.cfg, stepper, model, tasks, theta0);
+        let mut driver = Driver::new(self, stepper, model, tasks, theta0);
         let mut selected = Vec::with_capacity(tasks.len());
+        let mut rerun = false;
         while let Some(round) = driver.core.open_round() {
-            self.draw(&driver.profiles, &mut selected, rng);
-            driver.step(round, &selected, rng);
+            if !rerun {
+                self.draw(&driver.profiles, &mut selected, rng);
+            }
+            rerun = !driver.step(round, &selected, rng);
         }
         driver.finish()
     }
@@ -156,8 +182,10 @@ pub(crate) struct Driver<'a> {
     compute: ComputeStats,
     /// Where the open round starts in virtual time.
     clock: Instant,
-    /// When each selected node's reply leaves it in the open round:
-    /// its downlink plus its compute.
+    /// The nodes the open round's broadcast reached, ascending.
+    reached: Vec<usize>,
+    /// When each reached node's reply leaves it in the open round: its
+    /// downlink plus its compute.
     ready_s: Vec<f64>,
     /// The last round's replies, in node order, until the next round
     /// recycles them.
@@ -165,16 +193,19 @@ pub(crate) struct Driver<'a> {
 }
 
 impl<'a> Driver<'a> {
+    /// A run of `stepper` over `runner`'s links and core settings.
+    ///
     /// # Panics
     ///
     /// Panics when `tasks` is empty or `theta0` has the wrong length.
     pub(crate) fn new(
-        sim: &'a SimConfig,
+        runner: &'a SimRunner,
         stepper: &'a dyn LocalStepper,
         model: &'a dyn Model,
         tasks: &'a [SourceTask],
         theta0: &[f64],
     ) -> Self {
+        let (sim, cfg) = (&runner.cfg, &runner.core);
         let n = tasks.len();
         let mut profiles = vec![EdgeProfile { speed: 1.0 }; n];
         let stragglers = (sim.straggler_frac * n as f64).round() as usize;
@@ -183,26 +214,29 @@ impl<'a> Driver<'a> {
         }
         Driver {
             sim,
-            core: Core::new(&BARRIER, stepper, model, tasks, theta0),
+            core: Core::new(cfg, stepper, model, tasks, theta0),
             ctx: WorkerCtx {
                 stepper,
                 model,
                 tasks,
-                cfg: &BARRIER,
+                cfg,
             },
             pool: FramePool::global().handle(),
             profiles,
             comm: CommStats::default(),
             compute: ComputeStats::default(),
             clock: Instant::now(),
+            reached: Vec::with_capacity(n),
             ready_s: Vec::with_capacity(n),
             replies: Vec::new(),
         }
     }
 
     /// Runs the open round `round` over `selected` (ascending) and
-    /// closes it.
-    pub(crate) fn step(&mut self, round: usize, selected: &[usize], rng: &mut StdRng) {
+    /// closes it: only the nodes the core's broadcast reaches are
+    /// stepped and priced. `false` means the core rolled the round back
+    /// and it must run again.
+    pub(crate) fn step(&mut self, round: usize, selected: &[usize], rng: &mut StdRng) -> bool {
         for reply in self.replies.drain(..) {
             self.pool.recycle(reply);
         }
@@ -212,11 +246,16 @@ impl<'a> Driver<'a> {
         let mut buf = self.pool.acquire(len);
         encode_global_into(round as u32, core.global(), &mut buf);
         let frame = buf.freeze();
-        core.broadcast(|_| true);
+        let reached = &mut self.reached;
+        reached.clear();
+        core.broadcast(|node| {
+            reached.push(node);
+            true
+        });
         let mut cost = RoundCost::default();
         let mut down_s = 0.0f64;
         self.ready_s.clear();
-        for _ in selected {
+        for _ in reached.iter() {
             let t = sim.network.send_down(len, rng);
             comm.bytes_down += len as u64;
             charge(comm, &mut cost, len, t);
@@ -230,7 +269,7 @@ impl<'a> Driver<'a> {
         let (ctx, steps) = (&self.ctx, core.steps());
         let replies = map_ordered_with(
             sim.threads,
-            selected,
+            reached,
             || StepScratch::new(ctx),
             |scratch, _, &node| {
                 step_reply(ctx, node, &frame, steps, scratch, &mut NodeSlot::new(node))
@@ -240,7 +279,7 @@ impl<'a> Driver<'a> {
         self.pool.recycle(frame);
         // The critical path is the slowest participant.
         let (grads, hvps) = ctx.stepper.oracle_calls();
-        for (&node, ready) in selected.iter().zip(&mut self.ready_s) {
+        for (&node, ready) in reached.iter().zip(&mut self.ready_s) {
             let node_time = sim.iteration_time_s * steps as f64 / self.profiles[node].speed;
             cost.compute_time_s = cost.compute_time_s.max(node_time);
             *ready += node_time;
@@ -262,8 +301,8 @@ impl<'a> Driver<'a> {
         comm.time_s += cost.comm_time_s;
         self.clock = at(self.clock, cost.comm_time_s + cost.compute_time_s);
         core.price(cost);
-        core.close_round();
         self.replies = replies;
+        core.close_round()
     }
 
     /// The core's training output, and the run's meters beside it.
@@ -308,7 +347,8 @@ fn at(base: Instant, secs: f64) -> Instant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fml_core::{FedAvg, FedAvgConfig, FedMl, FedMlConfig};
+    use crate::param_hash;
+    use fml_core::{FaultPlan, FedAvg, FedAvgConfig, FedMl, FedMlConfig, GatherPolicy};
     use fml_data::NodeData;
     use fml_linalg::Matrix;
     use fml_models::{Batch, Quadratic, SoftmaxRegression};
@@ -684,5 +724,259 @@ mod tests {
             last < first,
             "sampled training should progress: {first} -> {last}"
         );
+    }
+
+    /// `n` nodes pulling toward `(1, 0)` and `(−1, 0)` in turn.
+    fn alternating(n: usize) -> Vec<SourceTask> {
+        let centers: Vec<(f64, f64)> = (0..n)
+            .map(|i| (if i % 2 == 0 { 1.0 } else { -1.0 }, 0.0))
+            .collect();
+        quad_tasks(&centers)
+    }
+
+    /// `stepper` on the isotropic quadratic under `ft`, over an ideal
+    /// network at `threads` workers.
+    fn faulty(
+        stepper: &dyn LocalStepper,
+        tasks: &[SourceTask],
+        theta0: &[f64],
+        ft: FaultTolerance,
+        threads: usize,
+    ) -> TrainOutput {
+        let model = Quadratic::isotropic(2, 1.0);
+        let sim = SimConfig {
+            threads,
+            ..SimConfig::ideal()
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        SimRunner::new(sim)
+            .with_faults(ft)
+            .train(stepper, &model, tasks, theta0, &mut rng)
+            .0
+    }
+
+    /// FedAvg (rate 0.1, `T0` = 3) from `(2, −2)` for `rounds` rounds.
+    fn fedavg(rounds: usize) -> FedAvg {
+        FedAvg::new(
+            FedAvgConfig::new(0.1)
+                .with_local_steps(3)
+                .with_rounds(rounds),
+        )
+    }
+
+    /// Each round's `(reporters, degraded)`.
+    fn shape(out: &TrainOutput) -> Vec<(usize, bool)> {
+        out.history
+            .iter()
+            .map(|r| (r.reporters, r.degraded))
+            .collect()
+    }
+
+    // The `param_hash` literals below were recorded from the in-process
+    // fault loop this driver replaced, on the same scenarios.
+
+    #[test]
+    fn benign_plan_reports_everyone() {
+        let tasks = alternating(4);
+        let ft = FaultTolerance::new(FaultPlan::new(1));
+        let out = faulty(&fedavg(5), &tasks, &[2.0, -2.0], ft, 2);
+        assert_eq!(shape(&out), vec![(4, false); 5]);
+        assert_eq!(out.local_iterations, 15);
+        // A benign plan under the default policy is the exact path.
+        let model = Quadratic::isotropic(2, 1.0);
+        assert_eq!(out, fedavg(5).train_from(&model, &tasks, &[2.0, -2.0]));
+    }
+
+    #[test]
+    fn minority_crash_still_finishes() {
+        let plan = FaultPlan::new(2)
+            .with_crash_from(0, 2)
+            .with_crash_from(3, 2);
+        let out = faulty(
+            &fedavg(6),
+            &alternating(6),
+            &[2.0, -2.0],
+            FaultTolerance::new(plan),
+            2,
+        );
+        let mut want = vec![(4, true); 6];
+        want[0] = (6, false);
+        assert_eq!(shape(&out), want);
+        assert_eq!(param_hash(&out.params), "12689aad28e58682");
+    }
+
+    #[test]
+    fn corrupt_update_is_rejected_and_round_degraded() {
+        let plan = FaultPlan::new(3).with_corrupt(1, 2);
+        let out = faulty(
+            &fedavg(4),
+            &alternating(4),
+            &[2.0, -2.0],
+            FaultTolerance::new(plan),
+            1,
+        );
+        assert_eq!(shape(&out), [(4, false), (3, true), (4, false), (4, false)]);
+        assert_eq!(param_hash(&out.params), "41821853ef27bd47");
+    }
+
+    #[test]
+    fn quorum_loss_recovers_by_exclusion() {
+        // Three of four nodes die at round 2: 1 reporter < required 2 →
+        // quorum lost → exclude the dead, re-run round 2 against the
+        // 1-node fleet (required shrinks to 1) and finish.
+        let plan = FaultPlan::new(4)
+            .with_crash_from(0, 2)
+            .with_crash_from(1, 2)
+            .with_crash_from(2, 2);
+        let out = faulty(
+            &fedavg(5),
+            &alternating(4),
+            &[2.0, -2.0],
+            FaultTolerance::new(plan),
+            2,
+        );
+        let mut want = vec![(1, true); 5];
+        want[0] = (4, false);
+        assert_eq!(shape(&out), want);
+        assert_eq!(param_hash(&out.params), "eb3025761239883a");
+    }
+
+    #[test]
+    fn a_rolled_back_attempt_is_metered_in_its_round() {
+        // Round 2 loses its quorum, rolls back and runs again on node 3
+        // alone: its trace row carries both attempts' frames and time,
+        // as the meters do.
+        let model = Quadratic::isotropic(2, 1.0);
+        let plan = FaultPlan::new(4)
+            .with_crash_from(0, 2)
+            .with_crash_from(1, 2)
+            .with_crash_from(2, 2);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let sim = SimRunner::new(SimConfig::edge())
+            .with_faults(FaultTolerance::new(plan))
+            .run(&fedavg(5), &model, &alternating(4), &[2.0, -2.0], &mut rng);
+        let frame = encoded_frame_len(2) as u64;
+        let bytes: Vec<u64> = sim.trace.rounds().iter().map(|r| r.bytes).collect();
+        assert_eq!(
+            bytes,
+            [8 * frame, 4 * frame, 2 * frame, 2 * frame, 2 * frame]
+        );
+        assert_eq!(sim.trace.total_bytes(), sim.comm.total_bytes());
+        assert!((sim.trace.wall_clock_s() - sim.wall_clock_s()).abs() < 1e-9);
+    }
+
+    /// A run whose every node dies at `from`: each round from there on
+    /// is unrecoverable, and degrades in place.
+    fn everyone_dies(
+        seed: u64,
+        from: usize,
+        rounds: usize,
+        ft: impl Fn(FaultPlan) -> FaultTolerance,
+    ) {
+        let tasks = alternating(4);
+        let plan = (0..4).fold(FaultPlan::new(seed), |p, node| {
+            p.with_crash_from(node, from)
+        });
+        let out = faulty(&fedavg(rounds), &tasks, &[2.0, -2.0], ft(plan.clone()), 1);
+        for (round, r) in (1..).zip(&out.history) {
+            let lost = round >= from;
+            assert_eq!(r.aggregated, !lost, "round {round}");
+            assert_eq!(
+                (r.reporters, r.degraded),
+                if lost { (0, true) } else { (4, false) }
+            );
+        }
+        assert_eq!(out.comm_rounds, from - 1);
+        // The global stays where the last aggregated round left it.
+        let before = faulty(&fedavg(from - 1), &tasks, &[2.0, -2.0], ft(plan), 1);
+        assert_eq!(out.params, before.params);
+    }
+
+    #[test]
+    fn quorum_loss_degrades_in_place_when_unrecoverable() {
+        // All four crash from round 3: no exclusion can restore quorum.
+        everyone_dies(5, 3, 5, FaultTolerance::new);
+    }
+
+    #[test]
+    fn recovery_exhaustion_degrades_in_place() {
+        // Every node dies at round 2, and no recovery is allowed.
+        everyone_dies(7, 2, 4, |plan| {
+            FaultTolerance::new(plan).with_max_recoveries(0)
+        });
+    }
+
+    #[test]
+    fn recovery_rolls_back_and_excludes() {
+        // Round 2: nodes 0 and 1 die and node 2 uploads NaNs, leaving 2
+        // clean reporters < required ceil(0.5·5) = 3 → quorum lost.
+        // Recovery excludes {0, 1, 2}; the 2-node fleet needs only 1.
+        let mut plan = FaultPlan::new(6)
+            .with_crash_from(0, 2)
+            .with_crash_from(1, 2);
+        for round in 2..=8 {
+            plan = plan.with_corrupt(2, round);
+        }
+        let ft = FaultTolerance::new(plan).with_max_recoveries(2);
+        let out = faulty(&fedavg(8), &alternating(5), &[2.0, -2.0], ft, 2);
+        let mut want = vec![(2, true); 8];
+        want[0] = (5, false);
+        assert_eq!(shape(&out), want);
+        assert_eq!(param_hash(&out.params), "bcba249a32444b07");
+    }
+
+    #[test]
+    fn thread_count_does_not_change_history() {
+        let tasks = alternating(6);
+        let plan = FaultPlan {
+            crash_prob: 0.15,
+            straggle_prob: 0.2,
+            max_straggle_s: 4.0,
+            corrupt_prob: 0.1,
+            ..FaultPlan::new(8)
+        };
+        let policy = GatherPolicy {
+            deadline_s: Some(2.0),
+            ..GatherPolicy::default().with_min_quorum(0.3)
+        };
+        let ft = FaultTolerance {
+            policy,
+            ..FaultTolerance::new(plan)
+        };
+        let a = faulty(&fedavg(8), &tasks, &[2.0, -2.0], ft.clone(), 1);
+        let b = faulty(&fedavg(8), &tasks, &[2.0, -2.0], ft, 4);
+        assert_eq!(a, b);
+        let want = [
+            (3, true),
+            (3, true),
+            (3, true),
+            (3, true),
+            (4, true),
+            (5, true),
+            (3, true),
+            (3, true),
+        ];
+        assert_eq!(shape(&a), want);
+        assert_eq!(param_hash(&a.params), "950f72dc6397b9f4");
+    }
+
+    #[test]
+    fn crashed_minority_degrades_but_finishes() {
+        let tasks = quad_tasks(&[(2.0, 0.0), (-2.0, 0.0), (1.0, 1.0), (-1.0, -1.0)]);
+        let cfg = FedMlConfig::new(0.05, 0.05)
+            .with_local_steps(2)
+            .with_rounds(6);
+        let plan = FaultPlan::new(9).with_crash_from(1, 3);
+        let out = faulty(
+            &FedMl::new(cfg),
+            &tasks,
+            &[1.0, 1.0],
+            FaultTolerance::new(plan),
+            4,
+        );
+        let mut want = vec![(3, true); 6];
+        want[..2].fill((4, false));
+        assert_eq!(shape(&out), want);
+        assert_eq!(param_hash(&out.params), "c0af72a7086e8bcc");
     }
 }

@@ -971,7 +971,7 @@ mod tests {
 
     #[test]
     fn decode_error_is_std_error() {
-        // Same contract as CoreError and CheckpointError: usable behind
+        // Same contract as CheckpointError: usable behind
         // Box<dyn Error> with leaf variants reporting no source.
         let e: Box<dyn std::error::Error> = Box::new(DecodeError::UnknownTag(3));
         assert!(e.source().is_none());

@@ -1,19 +1,26 @@
 //! Cross-crate fault-tolerance acceptance tests.
 //!
-//! The robustness stack (`fml_core::faults` → `gather` → `ft`) promises
-//! that a seeded fault plan crashing a minority of nodes and corrupting
-//! another still lets **every** trainer finish, that corrupt updates
-//! never reach an aggregate, and that fault-injected runs stay bitwise
-//! identical across worker thread counts. These tests pin those promises
-//! at the public-API level, across all five trainers.
+//! The robustness stack (`fml_core::faults` → `gather` → the platform
+//! core's rollback-and-exclude, configured by one `FaultTolerance`)
+//! promises that a seeded fault plan crashing a minority of nodes and
+//! corrupting another still lets **every** trainer on the
+//! `LocalStepper` seam finish, that corrupt updates never reach an
+//! aggregate, and that fault-injected runs stay bitwise identical
+//! across worker thread counts. These tests pin those promises at the
+//! public-API level, through the simulator
+//! (`fml_runtime::SimRunner::with_faults`, the core's virtual-time
+//! driver) over an ideal network. Every `param_hash` literal here was
+//! recorded from the in-process fault loop that driver replaced.
 
 use fml_core::{
-    train_with_faults, Fault, FaultPlan, FaultTolerance, FedAvg, FedAvgConfig, FedMl, FedMlConfig,
-    FedProx, FedProxConfig, GatherPolicy, MetaSgd, MetaSgdConfig, Reptile, ReptileConfig,
-    SourceTask, StragglerPolicy, TrainOutput,
+    Fault, FaultPlan, FaultTolerance, FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx,
+    FedProxConfig, GatherPolicy, LocalStepper, Reptile, ReptileConfig, SourceTask, StragglerPolicy,
+    TrainOutput,
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};
+use fml_runtime::{param_hash, SimRunner};
+use fml_sim::SimConfig;
 use rand::SeedableRng;
 
 const NODES: usize = 10;
@@ -44,6 +51,35 @@ fn acceptance_plan() -> FaultPlan {
         .with_corrupt(4, 2)
 }
 
+/// `stepper` under `ft` through the simulator, over an ideal network at
+/// `threads` workers.
+fn train_with(
+    ft: &FaultTolerance,
+    threads: usize,
+    stepper: &dyn LocalStepper,
+    model: &dyn Model,
+    tasks: &[SourceTask],
+    theta0: &[f64],
+) -> TrainOutput {
+    let sim = SimConfig {
+        threads,
+        ..SimConfig::ideal()
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    SimRunner::new(sim)
+        .with_faults(ft.clone())
+        .train(stepper, model, tasks, theta0, &mut rng)
+        .0
+}
+
+/// Each round's `(reporters, degraded)`.
+fn per_round(out: &TrainOutput) -> Vec<(usize, bool)> {
+    out.history
+        .iter()
+        .map(|r| (r.reporters, r.degraded))
+        .collect()
+}
+
 fn check_output(name: &str, out: &TrainOutput) {
     assert!(
         out.params.iter().all(|x| x.is_finite()),
@@ -71,56 +107,49 @@ fn check_output(name: &str, out: &TrainOutput) {
 }
 
 #[test]
-fn all_five_trainers_survive_the_acceptance_plan() {
+fn every_trainer_on_the_seam_survives_the_acceptance_plan() {
     let (model, tasks, theta0) = fixture();
     let ft = FaultTolerance::new(acceptance_plan());
-
-    let fedml = FedMl::new(
-        FedMlConfig::new(0.03, 0.03)
-            .with_local_steps(STEPS)
-            .with_rounds(ROUNDS),
-    );
-    let fedml = train_with_faults(&fedml, &model, &tasks, &theta0, &ft)
-        .expect("FedML must survive a minority-killing plan");
-    check_output("FedML", &fedml);
-
-    let fedavg = FedAvg::new(
-        FedAvgConfig::new(0.03)
-            .with_local_steps(STEPS)
-            .with_rounds(ROUNDS),
-    );
-    let fedavg =
-        train_with_faults(&fedavg, &model, &tasks, &theta0, &ft).expect("FedAvg must survive");
-    check_output("FedAvg", &fedavg);
-
-    let fedprox = FedProx::new(
-        FedProxConfig::new(0.03, 0.1)
-            .with_local_steps(STEPS)
-            .with_rounds(ROUNDS),
-    );
-    let fedprox =
-        train_with_faults(&fedprox, &model, &tasks, &theta0, &ft).expect("FedProx must survive");
-    check_output("FedProx", &fedprox);
-
-    let reptile = Reptile::new(
-        ReptileConfig::new(0.03, 0.5)
-            .with_inner_steps(STEPS)
-            .with_rounds(ROUNDS),
-    );
-    let reptile =
-        train_with_faults(&reptile, &model, &tasks, &theta0, &ft).expect("Reptile must survive");
-    check_output("Reptile", &reptile);
-
-    let metasgd = MetaSgd::new(
-        MetaSgdConfig::new(0.01, 0.03)
-            .with_local_steps(STEPS)
-            .with_rounds(ROUNDS),
-    )
-    .train_with_faults(&model, &tasks, &theta0, &ft)
-    .expect("Meta-SGD must survive");
-    check_output("Meta-SGD", &metasgd.train);
-    assert_eq!(metasgd.rates.len(), theta0.len());
-    assert!(metasgd.rates.iter().all(|a| a.is_finite()));
+    let steppers: [(&str, Box<dyn LocalStepper>); 4] = [
+        (
+            "bbcaa664324f1852",
+            Box::new(FedMl::new(
+                FedMlConfig::new(0.03, 0.03)
+                    .with_local_steps(STEPS)
+                    .with_rounds(ROUNDS),
+            )),
+        ),
+        (
+            "0b4dc1993fa1b766",
+            Box::new(FedAvg::new(
+                FedAvgConfig::new(0.03)
+                    .with_local_steps(STEPS)
+                    .with_rounds(ROUNDS),
+            )),
+        ),
+        (
+            "c5d5e301f8b0961d",
+            Box::new(FedProx::new(
+                FedProxConfig::new(0.03, 0.1)
+                    .with_local_steps(STEPS)
+                    .with_rounds(ROUNDS),
+            )),
+        ),
+        (
+            "78b3fa518fa01b7c",
+            Box::new(Reptile::new(
+                ReptileConfig::new(0.03, 0.5)
+                    .with_inner_steps(STEPS)
+                    .with_rounds(ROUNDS),
+            )),
+        ),
+    ];
+    for (pin, stepper) in &steppers {
+        let name = stepper.algorithm();
+        let out = train_with(&ft, 4, stepper.as_ref(), &model, &tasks, &theta0);
+        check_output(name, &out);
+        assert_eq!(param_hash(&out.params), *pin, "{name}");
+    }
 }
 
 #[test]
@@ -144,14 +173,12 @@ fn fault_injected_histories_are_bitwise_identical_across_threads() {
         ..FaultTolerance::new(plan)
     };
 
-    let run = |threads: usize| {
-        let cfg = FedMlConfig::new(0.03, 0.03)
+    let fedml = FedMl::new(
+        FedMlConfig::new(0.03, 0.03)
             .with_local_steps(STEPS)
-            .with_rounds(6)
-            .with_threads(threads);
-        train_with_faults(&FedMl::new(cfg), &model, &tasks, &theta0, &ft)
-            .expect("quorum 0.2 over 10 nodes survives this plan")
-    };
+            .with_rounds(6),
+    );
+    let run = |threads: usize| train_with(&ft, threads, &fedml, &model, &tasks, &theta0);
     let one = run(1);
     let four = run(4);
     assert_eq!(one.params, four.params, "params differ across threads");
@@ -159,6 +186,17 @@ fn fault_injected_histories_are_bitwise_identical_across_threads() {
     for (a, b) in one.history.iter().zip(&four.history) {
         assert_eq!(a, b, "history record differs across threads");
     }
+    // Quorum 0.2 over 10 nodes survives this plan.
+    assert_eq!(param_hash(&one.params), "986d523f36174d82");
+    let want = [
+        (7, true),
+        (10, false),
+        (7, true),
+        (8, true),
+        (7, true),
+        (8, true),
+    ];
+    assert_eq!(per_round(&one), want);
 }
 
 #[test]
@@ -185,15 +223,20 @@ fn minority_crash_shifts_aggregate_toward_survivors() {
     let model = Quadratic::isotropic(1, 1.0);
     let cfg = FedAvgConfig::new(0.2).with_local_steps(4).with_rounds(30);
 
+    let fedavg = FedAvg::new(cfg);
+    // The benign plan is the exact path: `train_from`, bit for bit.
     let benign = FaultTolerance::new(FaultPlan::new(0));
-    let healthy = train_with_faults(&FedAvg::new(cfg), &model, &tasks, &[0.0], &benign).unwrap();
+    let healthy = train_with(&benign, 4, &fedavg, &model, &tasks, &[0.0]);
+    assert_eq!(healthy, fedavg.train_from(&model, &tasks, &[0.0]));
 
     let ft = FaultTolerance::new(
         FaultPlan::new(0)
             .with_crash_from(4, 1)
             .with_crash_from(5, 1),
     );
-    let skewed = train_with_faults(&FedAvg::new(cfg), &model, &tasks, &[0.0], &ft).unwrap();
+    let skewed = train_with(&ft, 4, &fedavg, &model, &tasks, &[0.0]);
+    assert_eq!(param_hash(&skewed.params), "fa3bd0017704bc26");
+    assert_eq!(per_round(&skewed), vec![(4, true); 30]);
 
     // Healthy fleet settles near the mixed mean (4·1 − 2·1)/6 = 1/3; the
     // survivor-only fleet settles near +1.
@@ -219,24 +262,24 @@ fn corrupt_update_never_reaches_the_aggregate() {
     let cfg = FedMlConfig::new(0.03, 0.03)
         .with_local_steps(STEPS)
         .with_rounds(ROUNDS);
-    let out = train_with_faults(&FedMl::new(cfg), &model, &tasks, &theta0, &ft).unwrap();
+    let out = train_with(&ft, 4, &FedMl::new(cfg), &model, &tasks, &theta0);
     assert!(out.params.iter().all(|x| x.is_finite()));
     for r in &out.history {
         assert!(r.meta_loss.is_finite() && r.train_loss.is_finite());
         assert_eq!(r.reporters, NODES - 1);
         assert!(r.degraded);
     }
+    assert_eq!(param_hash(&out.params), "9fa36bc7c9cd3f48");
 }
 
 /// Literal `param_hash` pins of the fault path, recorded at the commit
-/// before `train_with_faults` moved onto the `LocalStepper` seam: one
+/// before the fault loop moved onto the `LocalStepper` seam: one
 /// scripted plan with a ReuseLast straggle (round 2), three permanent
 /// crashes + two NaN uploads + a one-round crash (round 3: 4 of 10
 /// report, quorum 5 is lost, one rollback excludes nodes 0–5 and the
 /// round re-runs on the 4-node fleet), and a second straggle (round 4).
 #[test]
 fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
-    use fml_runtime::param_hash;
     const PIN_ROUNDS: usize = 5;
     let (model, tasks, theta0) = fixture();
     let mut plan = FaultPlan::new(4242)
@@ -260,64 +303,46 @@ fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
         ..FaultTolerance::new(plan)
     };
     let shape = [(10, false), (10, true), (4, true), (4, true), (4, true)];
+    let steppers: [(&str, Box<dyn LocalStepper>); 4] = [
+        (
+            "6928a17d26129bee",
+            Box::new(FedMl::new(
+                FedMlConfig::new(0.03, 0.03)
+                    .with_local_steps(STEPS)
+                    .with_rounds(PIN_ROUNDS),
+            )),
+        ),
+        (
+            "28d5d2c783335701",
+            Box::new(FedAvg::new(
+                FedAvgConfig::new(0.03)
+                    .with_local_steps(STEPS)
+                    .with_rounds(PIN_ROUNDS),
+            )),
+        ),
+        (
+            "a7ef55bc18445fee",
+            Box::new(FedProx::new(
+                FedProxConfig::new(0.03, 0.1)
+                    .with_local_steps(STEPS)
+                    .with_rounds(PIN_ROUNDS),
+            )),
+        ),
+        (
+            "d266f04becb34fab",
+            Box::new(Reptile::new(
+                ReptileConfig::new(0.03, 0.5)
+                    .with_inner_steps(STEPS)
+                    .with_rounds(PIN_ROUNDS),
+            )),
+        ),
+    ];
 
     for threads in [1usize, 4] {
-        let fedml = FedMlConfig::new(0.03, 0.03)
-            .with_local_steps(STEPS)
-            .with_rounds(PIN_ROUNDS);
-        let fedavg = FedAvgConfig {
-            threads: Some(threads),
-            ..FedAvgConfig::new(0.03)
-                .with_local_steps(STEPS)
-                .with_rounds(PIN_ROUNDS)
-        };
-        let fedprox = FedProxConfig {
-            threads: Some(threads),
-            ..FedProxConfig::new(0.03, 0.1)
-                .with_local_steps(STEPS)
-                .with_rounds(PIN_ROUNDS)
-        };
-        let reptile = ReptileConfig {
-            threads: Some(threads),
-            ..ReptileConfig::new(0.03, 0.5)
-                .with_inner_steps(STEPS)
-                .with_rounds(PIN_ROUNDS)
-        };
-        let metasgd = MetaSgdConfig {
-            threads: Some(threads),
-            ..MetaSgdConfig::new(0.01, 0.03)
-                .with_local_steps(STEPS)
-                .with_rounds(PIN_ROUNDS)
-        };
-        let metasgd = MetaSgd::new(metasgd)
-            .train_with_faults(&model, &tasks, &theta0, &ft)
-            .unwrap();
-        let run = |stepper: &dyn fml_core::LocalStepper| {
-            train_with_faults(stepper, &model, &tasks, &theta0, &ft).unwrap()
-        };
-        let outs = [
-            (
-                "6928a17d26129bee",
-                run(&FedMl::new(fedml.with_threads(threads))),
-            ),
-            ("28d5d2c783335701", run(&FedAvg::new(fedavg))),
-            ("a7ef55bc18445fee", run(&FedProx::new(fedprox))),
-            ("d266f04becb34fab", run(&Reptile::new(reptile))),
-            ("5b8484201a7aa027", metasgd.train),
-        ];
-        for (pin, out) in &outs {
+        for (pin, stepper) in &steppers {
+            let out = train_with(&ft, threads, stepper.as_ref(), &model, &tasks, &theta0);
             assert_eq!(param_hash(&out.params), *pin, "{threads} threads");
-            let got: Vec<(usize, bool)> = out
-                .history
-                .iter()
-                .map(|r| (r.reporters, r.degraded))
-                .collect();
-            assert_eq!(got, shape, "{pin} at {threads} threads");
+            assert_eq!(per_round(&out), shape, "{pin} at {threads} threads");
         }
-        assert_eq!(
-            param_hash(&metasgd.rates),
-            "db9552a33b0c874d",
-            "{threads} threads"
-        );
     }
 }

@@ -1,8 +1,7 @@
 //! Self-healing runtime suite: checkpoint-rollback-exclude recovery on
-//! the serving platform must mirror the in-process `fml_core::ft` loop
-//! bit for bit, disk checkpoints must make a killed platform resumable,
-//! and a node that dies and reconnects repeatedly must cost nothing but
-//! counters.
+//! the serving platform must mirror the simulator's bit for bit, disk
+//! checkpoints must make a killed platform resumable, and a node that
+//! dies and reconnects repeatedly must cost nothing but counters.
 //!
 //! Three layers:
 //!
@@ -10,7 +9,10 @@
 //!   crash/corrupt/straggle faults (and a fault-injecting transport
 //!   wrapper on every node link) must roll back, exclude the dead
 //!   minority, and land on *bitwise* the parameters of
-//!   `fml_core::train_with_faults` under the same plan and seed.
+//!   `fml_runtime::SimRunner::with_faults` under the same plan: the
+//!   round core's two drivers, threads and sockets against virtual
+//!   time, held to each other and both to a literal recorded from the
+//!   in-process fault loop the simulator replaced.
 //! * **Checkpoint resume** — a platform that stops mid-run leaves a
 //!   `latest.json` from which a fresh platform resumes to the exact
 //!   final hash of an uninterrupted run.
@@ -21,18 +23,15 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use fml_core::{
-    train_with_faults, Fault, FaultPlan, FaultTolerance, FedMl, FedMlConfig, LocalStepper,
-    SourceTask,
-};
+use fml_core::{Fault, FaultPlan, FaultTolerance, FedMl, FedMlConfig, LocalStepper, SourceTask};
 use fml_data::synthetic::SyntheticConfig;
 use fml_integration::update_frame;
 use fml_models::{Model, SoftmaxRegression};
 use fml_runtime::{
-    param_hash, FaultyTransport, LinkFaultPlan, Runtime, RuntimeConfig, TcpTransport,
+    param_hash, FaultyTransport, LinkFaultPlan, Runtime, RuntimeConfig, SimRunner, TcpTransport,
     TcpTransportListener, Transport, TransportListener,
 };
-use fml_sim::MessageView;
+use fml_sim::{MessageView, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -98,11 +97,21 @@ fn serve_mode_recovery_matches_the_ft_oracle() {
     let (model, tasks, theta0) = fixture(NODES, 51);
     let trainer = fedml(ROUNDS);
 
-    // The in-process fault-tolerant loop is the oracle: same plan, same
-    // default policy, same recovery budget.
+    // The virtual-time driver is the oracle: same plan, same default
+    // policy, same recovery budget.
     let ft = FaultTolerance::new(poison_plan());
-    let oracle = train_with_faults(&trainer, &model, &tasks, &theta0, &ft)
-        .expect("the surviving pair keeps quorum");
+    let mut rng = StdRng::seed_from_u64(0);
+    let (oracle, _) = SimRunner::new(SimConfig::ideal())
+        .with_faults(ft)
+        .train(&trainer, &model, &tasks, &theta0, &mut rng);
+    // The surviving pair keeps quorum.
+    let shape: Vec<(usize, bool)> = oracle
+        .history
+        .iter()
+        .map(|r| (r.reporters, r.degraded))
+        .collect();
+    assert_eq!(shape, [(5, true), (2, true), (2, true), (2, true)]);
+    assert_eq!(param_hash(&oracle.params), "ed8be316d90a44ec");
 
     let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
@@ -138,8 +147,12 @@ fn serve_mode_recovery_matches_the_ft_oracle() {
         (out, stats)
     });
 
-    // Bitwise parity with the in-process recovery loop.
+    // Bitwise parity with the virtual-time driver.
     assert_eq!(out.train.params, oracle.params, "params must be bitwise equal");
+    assert_eq!(
+        out.train.history, oracle.history,
+        "curve must be bitwise equal"
+    );
     assert_eq!(
         param_hash(&out.train.params),
         param_hash(&oracle.params),

@@ -1,8 +1,8 @@
 //! Thread-count determinism of the parallel per-node fan-out.
 //!
 //! Every federated trainer fans its local node updates out with
-//! `fml_core::parallel::map_ordered`, whose contract is that results come
-//! back in participant order regardless of thread count. These tests pin
+//! `fml_core::parallel::map_ordered_with`, whose contract is that results
+//! come back in participant order regardless of thread count. These tests pin
 //! the user-visible consequence: a seeded run is **bitwise identical** —
 //! final parameters *and* the recorded curve, one point per aggregation —
 //! whether it runs on one worker thread or many.
@@ -136,7 +136,7 @@ fn zero_threads_is_rejected() {
 
 #[test]
 fn oversubscribed_threads_are_harmless() {
-    // More threads than nodes: map_ordered clamps to the item count.
+    // More threads than nodes: map_ordered_with clamps to the item count.
     let (model, tasks, theta0) = fixture();
     let cfg = |threads| FedAvgConfig {
         threads: Some(threads),
