@@ -1,6 +1,6 @@
 //! What the CLI tests share: one seeded config, a temp dir holding it,
-//! and `fedml runtime` spawned on it with its JSON report read back
-//! through `serde_json`.
+//! the `fedml` binary, and `fedml runtime` spawned on it with its JSON
+//! report read back through `serde_json`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -54,9 +54,14 @@ impl Drop for TempDir {
     }
 }
 
+/// A command running the `fedml` binary under test.
+pub fn fedml() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_fedml"))
+}
+
 /// Runs `fedml runtime <dir>/cfg.json <flags> --json <dir>/<name>.json`.
 pub fn fedml_runtime(dir: &Path, name: &str, flags: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fedml"))
+    fedml()
         .arg("runtime")
         .arg(dir.join("cfg.json"))
         .args(flags)
@@ -74,7 +79,13 @@ pub fn runtime(dir: &Path, name: &str, flags: &[&str]) -> Value {
         "fedml runtime {flags:?}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let text = std::fs::read_to_string(dir.join(format!("{name}.json"))).expect("read the report");
+    read(&dir.join(format!("{name}.json")))
+}
+
+/// The JSON report at `path`.
+pub fn read(path: &Path) -> Value {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("read the report {}: {e}", path.display()));
     serde_json::from_str(&text).expect("the report is JSON")
 }
 

@@ -395,8 +395,10 @@ pub(crate) struct Core<'a> {
     rows: Vec<Vec<f64>>,
     /// Updates accepted this round.
     received: usize,
-    /// Bytes offered this round, garbage included.
-    uplink_bytes: u64,
+    /// Bytes the open round counted over every attempt: the broadcasts
+    /// each closed attempt delivered and the uplink offered, garbage
+    /// included.
+    round_bytes: u64,
     /// Broadcasts resent to reconnected peers since the last close.
     resent: u64,
     /// How long the round waits after its last accepted update.
@@ -490,7 +492,7 @@ impl<'a> Core<'a> {
             slots: vec![Slot::Idle; n],
             rows: vec![Vec::new(); n],
             received: 0,
-            uplink_bytes: 0,
+            round_bytes: 0,
             resent: 0,
             timeout: Duration::from_millis(cfg.recv_timeout_ms),
             deadline: None,
@@ -599,7 +601,6 @@ impl<'a> Core<'a> {
         self.delivered = Vec::with_capacity(self.tasks.len());
         self.slots.fill(Slot::Idle);
         self.received = 0;
-        self.uplink_bytes = 0;
         self.deadline = None;
         Some(self.round)
     }
@@ -658,7 +659,7 @@ impl<'a> Core<'a> {
     /// unparseable as a decode error. Allocates nothing once each row
     /// has held one update.
     pub(crate) fn offer(&mut self, frame: &[u8], now: Instant) {
-        self.uplink_bytes += frame.len() as u64;
+        self.round_bytes += frame.len() as u64;
         // Uplink updates arrive in either wire family — dense tag-2 or
         // compressed tag-6 — regardless of the configured codec: the
         // codec drives the encode side only, so the `none` conformance
@@ -706,6 +707,8 @@ impl<'a> Core<'a> {
     /// done and parked until its losses are in.
     pub(crate) fn close_round(&mut self) -> bool {
         self.record_parked();
+        let frame_len = encoded_frame_len(self.global.len());
+        self.round_bytes += (self.delivered.len() * frame_len) as u64;
         let closed = match self.fold.take() {
             None => self.close_barrier(),
             Some(mut fold) => {
@@ -719,9 +722,8 @@ impl<'a> Core<'a> {
         };
         self.comm_rounds += usize::from(end.aggregated);
         self.iterations += self.steps;
-        let frame_len = encoded_frame_len(self.global.len());
         let counted = RoundCost {
-            bytes: (self.delivered.len() * frame_len) as u64 + self.uplink_bytes,
+            bytes: std::mem::take(&mut self.round_bytes),
             retransmissions: std::mem::take(&mut self.resent),
             comm_time_s,
             compute_time_s: 0.0,

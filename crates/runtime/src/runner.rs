@@ -865,6 +865,23 @@ mod tests {
         assert!((sim.trace.wall_clock_s() - sim.wall_clock_s()).abs() < 1e-9);
     }
 
+    #[test]
+    fn a_rolled_back_attempt_is_counted_in_its_round_by_the_thread_driver() {
+        // The same rollback on the actor fleet: the counted trace row of
+        // round 2 holds both attempts' frames, as the per-node meters do.
+        let model = Quadratic::isotropic(2, 1.0);
+        let plan = FaultPlan::new(4)
+            .with_crash_from(0, 2)
+            .with_crash_from(1, 2)
+            .with_crash_from(2, 2);
+        let cfg = crate::RuntimeConfig::barrier(4)
+            .with_threads(2)
+            .with_faults(plan);
+        let out = crate::Runtime::new(cfg).run(&fedavg(5), &model, &alternating(4), &[2.0, -2.0]);
+        assert_eq!(out.report.rollbacks, 1);
+        assert_eq!(out.report.trace.total_bytes(), out.report.total_bytes());
+    }
+
     /// A run whose every node dies at `from`: each round from there on
     /// is unrecoverable, and degrades in place.
     fn everyone_dies(

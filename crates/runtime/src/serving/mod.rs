@@ -14,30 +14,39 @@
 //!
 //! # Request lifecycle
 //!
+//! Every decision about a request lives in a sans-I/O core
+//! (`core::ServeCore`: admission, budget, queue, deadline, snapshot and
+//! counters), which owns no thread, socket or clock. [`AdaptServer`] is
+//! its thread driver: it does only I/O and wake-ups around one lock.
+//!
 //! ```text
-//!          accept            parse + budget check       bounded queue
-//! client ────────▶ acceptor ─────▶ conn thread ────────▶ worker pool
-//!                  (1 thread)      (1 per link)  try_send   (N threads)
-//!                                       │ full → Busy          │
-//!                                       ▼                      ▼
-//!                                  AdaptReject     adapt_into + pooled encode
-//!                                                        │
-//! client ◀───────────── shared writer handle ◀───────────┘
+//!          accept               admit                next
+//! client ────────▶ acceptor ─────▶ conn thread ─────▶ ServeCore ◀───── workers
+//!                  (1 thread)      (1 per link)      queue and        (N threads
+//!                                       │            counters,        on a condvar)
+//!                                       │ Busy,      one Mutex             │
+//!                                       ▼ BadRequest                       ▼
+//!                                  AdaptReject               adapt_into + pooled
+//!                                       │                    encode, outside the lock
+//!                                       ▼                                  │
+//! client ◀─────────────── shared writer handle ◀───────────────────────────┘
 //! ```
 //!
 //! # Overload and shedding policy
 //!
-//! The accept loop never computes and the conn threads never block on
-//! the queue: a full queue sheds the request *immediately* with a typed
-//! [`RejectReason::Busy`] frame, and a request that waited in the queue
-//! past the configured deadline is shed by the worker that dequeues it
-//! instead of being computed late. Budget violations (`k` or `steps`
-//! over the cap, wrong feature dimension, unusable labels — malformed,
-//! of the wrong kind for the served model, or outside its classes) are
-//! [`RejectReason::BadRequest`]; serving before any global exists is
-//! [`RejectReason::Unavailable`]. Every reply — success or reject —
-//! carries the request's `req_id`, so concurrent clients multiplexing
-//! one link can correlate.
+//! The accept loop never computes and the conn threads never wait for
+//! a worker: a full queue sheds the request *immediately* with a typed
+//! [`Busy`](fml_sim::RejectReason::Busy) frame, and a request that
+//! waited in the queue past the configured deadline is shed by the
+//! worker that dequeues it instead of being computed late. Budget
+//! violations (`k` or `steps` over the cap, wrong feature dimension,
+//! unusable labels — malformed, of the wrong kind for the served model,
+//! or outside its classes) are
+//! [`BadRequest`](fml_sim::RejectReason::BadRequest); serving before
+//! any global exists is
+//! [`Unavailable`](fml_sim::RejectReason::Unavailable). Every reply —
+//! success or reject — carries the request's `req_id`, so concurrent
+//! clients multiplexing one link can correlate.
 //!
 //! # Hot-swap semantics
 //!
@@ -45,41 +54,40 @@
 //! snapshot. A training platform built with
 //! [`Runtime::with_publisher`](crate::Runtime::with_publisher) swaps in
 //! the new global after every completed round; each request reads the
-//! snapshot once at compute time, so an in-flight adaptation keeps the
-//! parameters it started with and the next request sees the new round.
-//! [`ServingReport::served_rounds`] records which round served each
-//! reply — the audit trail of the swap.
+//! snapshot once, when a worker takes it, so an in-flight adaptation
+//! keeps the parameters it started with and the next request sees the
+//! new round. [`ServingReport::served_rounds`] records which round
+//! served each reply — the audit trail of the swap.
 
 mod client;
+mod core;
 mod report;
 
 pub use client::{AdaptClient, AdaptOutcome};
 pub use report::{LatencyReport, PoolRound, RoundServed, ServingReport, LATENCY_BUCKETS};
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::BytesMut;
 use fml_core::adapt::{adapt_into, AdaptScratch};
 use fml_core::checkpoint::{Checkpoint, CheckpointError};
 use fml_linalg::Matrix;
-use fml_models::{Batch, Model, Prediction, Target};
+use fml_models::{Batch, Model, Target};
 use fml_sim::message::{
-    encode_adapt_reject_into, encode_adapt_response_into, encoded_frame_len, AdaptFrame,
-    AdaptRequest, AdaptRequestView,
+    encode_adapt_reject_into, encode_adapt_response_into, encoded_frame_len, AdaptRequest,
+    AdaptRequestView,
 };
-use fml_sim::{FramePool, RejectReason, SampleKind};
+use fml_sim::{AdaptReject, FramePool, SampleKind};
 
-use crate::report::PoolStatsReport;
+use self::core::{Admission, Job, ServeCore, Work};
 use crate::transport::{Transport, TransportListener};
-use report::{LatencyRecorder, PoolRoundTracker, RoundTally};
 
-/// Idle-poll granularity for the accept loop, conn-thread reads, and
-/// worker dequeues: how quickly the server notices a shutdown request.
+/// Idle-poll granularity for the accept loop and conn-thread reads:
+/// how quickly they notice a shutdown request.
 const SERVE_TICK: Duration = Duration::from_millis(50);
 
 /// Knobs for the adaptation service's worker pool and per-request
@@ -162,7 +170,7 @@ pub struct GlobalSnapshot {
 /// training platform (writer) and an [`AdaptServer`] (readers).
 ///
 /// Starts empty — a server holding an empty handle rejects with
-/// [`RejectReason::Unavailable`] until the first
+/// [`Unavailable`](fml_sim::RejectReason::Unavailable) until the first
 /// [`publish`](SharedGlobal::publish).
 #[derive(Debug, Clone, Default)]
 pub struct SharedGlobal {
@@ -182,12 +190,15 @@ impl SharedGlobal {
             round,
             params: Arc::new(params.to_vec()),
         };
-        *self.inner.write().expect("shared global poisoned") = Some(snap);
+        *self.inner.write().unwrap_or_else(PoisonError::into_inner) = Some(snap);
     }
 
     /// The current global, if any has been published.
     pub fn snapshot(&self) -> Option<GlobalSnapshot> {
-        self.inner.read().expect("shared global poisoned").clone()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Round of the current global, if any.
@@ -281,84 +292,47 @@ pub fn request_from_batch(
     }
 }
 
-/// Atomic counters shared by every server thread.
-#[derive(Debug)]
-struct Stats {
-    requests: AtomicU64,
-    responses: AtomicU64,
-    shed_busy: AtomicU64,
-    rejected_unavailable: AtomicU64,
-    rejected_bad: AtomicU64,
-    decode_errors: AtomicU64,
-    dropped_replies: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    latency: LatencyRecorder,
-    served_rounds: RoundTally,
-    pool_rounds: PoolRoundTracker,
-}
-
-impl Stats {
-    fn new() -> Self {
-        Stats {
-            requests: AtomicU64::new(0),
-            responses: AtomicU64::new(0),
-            shed_busy: AtomicU64::new(0),
-            rejected_unavailable: AtomicU64::new(0),
-            rejected_bad: AtomicU64::new(0),
-            decode_errors: AtomicU64::new(0),
-            dropped_replies: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            latency: LatencyRecorder::new(),
-            served_rounds: RoundTally::default(),
-            pool_rounds: PoolRoundTracker::default(),
-        }
-    }
-}
-
-/// Everything the acceptor, conn threads, and workers share.
-struct ServerState {
-    model: Arc<dyn Model>,
-    /// Class count of a served classifier, `None` for a regressor.
-    classes: Option<usize>,
-    global: SharedGlobal,
-    cfg: ServingConfig,
-    transport: &'static str,
-    shutdown: AtomicBool,
-    started: Instant,
-    stats: Stats,
-}
-
-/// One accepted request in flight to the worker pool. The encoded
-/// frame rides along (refcounted, zero-copy); the worker re-parses the
-/// already-validated view in place.
-struct Job {
-    frame: Bytes,
-    writer: SharedWriter,
-    received: Instant,
-}
-
 /// The write half of one client link, shared between that link's conn
 /// thread (for immediate rejects) and every worker (for replies).
-type SharedWriter = Arc<Mutex<Box<dyn Transport>>>;
+type Writer = Arc<Mutex<Box<dyn Transport>>>;
+
+/// What the acceptor, conn threads and workers share.
+struct Shared {
+    core: Mutex<ServeCore<Writer>>,
+    /// Signalled when a job is queued, and when the workers may stop.
+    queued: Condvar,
+    /// Set first at shutdown: the acceptor and conn threads stop reading.
+    stopping: AtomicBool,
+    /// Set once nothing more can be admitted: idle workers exit.
+    drained: AtomicBool,
+}
+
+impl Shared {
+    /// The core, even after a thread panicked holding it: each of its
+    /// counters is a plain field bumped on its own and its queue changes
+    /// by one push or pop, so every step leaves it valid.
+    fn core(&self) -> MutexGuard<'_, ServeCore<Writer>> {
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// The long-lived adaptation service. Start it on any
 /// [`TransportListener`]; shut it down to collect the final
 /// [`ServingReport`].
 pub struct AdaptServer {
-    state: Arc<ServerState>,
+    shared: Arc<Shared>,
     addr: String,
+    transport: &'static str,
+    started: Instant,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl std::fmt::Debug for AdaptServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AdaptServer")
             .field("addr", &self.addr)
-            .field("workers", &self.state.cfg.workers)
+            .field("workers", &self.workers.len())
             .finish_non_exhaustive()
     }
 }
@@ -374,45 +348,31 @@ impl AdaptServer {
         global: SharedGlobal,
         cfg: ServingConfig,
     ) -> AdaptServer {
-        let addr = listener.local_addr();
-        // The model's kernels panic on a label they cannot train on, so
-        // learn what it accepts from one prediction.
-        let probe = model.predict(&vec![0.0; model.param_len()], &vec![0.0; model.input_dim()]);
-        let classes = match probe {
-            Prediction::Class { probs, .. } => Some(probs.len()),
-            Prediction::Value(_) => None,
-        };
-        let state = Arc::new(ServerState {
-            model,
-            classes,
-            global,
-            cfg,
-            transport: listener.kind(),
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            stats: Stats::new(),
+        let shared = Arc::new(Shared {
+            core: Mutex::new(ServeCore::new(model.as_ref(), global, cfg)),
+            queued: Condvar::new(),
+            stopping: AtomicBool::new(false),
+            drained: AtomicBool::new(false),
         });
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(cfg.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
-                let state = Arc::clone(&state);
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || worker_loop(&state, &rx))
+                let shared = Arc::clone(&shared);
+                let model = Arc::clone(&model);
+                std::thread::spawn(move || worker_loop(&shared, model.as_ref()))
             })
             .collect();
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let (addr, transport) = (listener.local_addr(), listener.kind());
         let acceptor = {
-            let state = Arc::clone(&state);
-            let conns = Arc::clone(&conns);
-            std::thread::spawn(move || acceptor_loop(&state, listener, &tx, &conns))
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || acceptor_loop(&shared, listener))
         };
         AdaptServer {
-            state,
+            shared,
             addr,
+            transport,
+            started: Instant::now(),
             acceptor: Some(acceptor),
             workers,
-            conns,
         }
     }
 
@@ -421,41 +381,12 @@ impl AdaptServer {
         &self.addr
     }
 
-    /// The global hand-off handle this server reads from.
-    pub fn global(&self) -> &SharedGlobal {
-        &self.state.global
-    }
-
     /// Live report snapshot: callable while the server keeps running.
     pub fn report(&self) -> ServingReport {
-        let stats = &self.state.stats;
-        let elapsed_s = self.state.started.elapsed().as_secs_f64();
-        let responses = stats.responses.load(Ordering::Relaxed);
-        let pool_now = FramePool::global().stats();
+        let pool = FramePool::global().stats();
         ServingReport {
-            transport: self.state.transport.into(),
-            workers: self.state.cfg.workers.max(1),
-            requests: stats.requests.load(Ordering::Relaxed),
-            responses,
-            shed_busy: stats.shed_busy.load(Ordering::Relaxed),
-            rejected_unavailable: stats.rejected_unavailable.load(Ordering::Relaxed),
-            rejected_bad: stats.rejected_bad.load(Ordering::Relaxed),
-            decode_errors: stats.decode_errors.load(Ordering::Relaxed),
-            dropped_replies: stats.dropped_replies.load(Ordering::Relaxed),
-            bytes_in: stats.bytes_in.load(Ordering::Relaxed),
-            bytes_out: stats.bytes_out.load(Ordering::Relaxed),
-            elapsed_s,
-            qps: if elapsed_s > 0.0 {
-                responses as f64 / elapsed_s
-            } else {
-                0.0
-            },
-            latency: stats.latency.snapshot(),
-            served_rounds: stats.served_rounds.snapshot(),
-            pool_rounds: stats
-                .pool_rounds
-                .snapshot(pool_now.hits as u64, pool_now.misses as u64),
-            pool: PoolStatsReport::from(pool_now),
+            transport: self.transport.into(),
+            ..self.shared.core().report(self.started.elapsed(), pool)
         }
     }
 
@@ -467,14 +398,18 @@ impl AdaptServer {
     }
 
     fn stop(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.shared.stopping.store(true, Ordering::SeqCst);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        let conns = std::mem::take(&mut *self.conns.lock().expect("conn registry poisoned"));
-        for h in conns {
-            let _ = h.join();
+        // The conn threads are joined: nothing more is admitted. Store
+        // under the lock, so a worker between its check and its wait
+        // cannot miss the wake-up.
+        {
+            let _core = self.shared.core();
+            self.shared.drained.store(true, Ordering::SeqCst);
         }
+        self.shared.queued.notify_all();
         for h in std::mem::take(&mut self.workers) {
             let _ = h.join();
         }
@@ -489,236 +424,125 @@ impl Drop for AdaptServer {
 
 /// Accepts links until shutdown; each link gets its own conn thread
 /// holding the read half, so a slow or dead client never stalls the
-/// accept loop.
-fn acceptor_loop(
-    state: &Arc<ServerState>,
-    mut listener: Box<dyn TransportListener>,
-    tx: &SyncSender<Job>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !state.shutdown.load(Ordering::SeqCst) {
+/// accept loop. Joins the conn threads before it returns.
+fn acceptor_loop(shared: &Arc<Shared>, mut listener: Box<dyn TransportListener>) {
+    let mut conns = Vec::new();
+    while !shared.stopping.load(Ordering::SeqCst) {
         match listener.accept(SERVE_TICK) {
             Ok(link) => {
-                let state = Arc::clone(state);
-                let tx = tx.clone();
-                let handle = std::thread::spawn(move || connection_loop(&state, link, &tx));
-                conns.lock().expect("conn registry poisoned").push(handle);
+                let shared = Arc::clone(shared);
+                conns.push(std::thread::spawn(move || connection_loop(&shared, link)));
             }
-            Err(e) if e.is_fatal() => return,
+            Err(e) if e.is_fatal() => break,
             Err(_) => {} // accept timeout: poll shutdown and retry
         }
     }
+    for h in conns {
+        let _ = h.join();
+    }
 }
 
-/// Reads frames off one client link: parses, enforces the per-request
-/// budget, and forwards work to the bounded queue — shedding with a
-/// typed Busy reject the instant the queue is full.
-fn connection_loop(state: &Arc<ServerState>, mut link: Box<dyn Transport>, tx: &SyncSender<Job>) {
+/// Reads frames off one client link into the core, writes back the
+/// rejects it decides at admission, and wakes a worker for each job it
+/// queues.
+fn connection_loop(shared: &Shared, mut link: Box<dyn Transport>) {
     let Ok(writer) = link.try_clone() else {
         return;
     };
-    let writer: SharedWriter = Arc::new(Mutex::new(writer));
+    let writer: Writer = Arc::new(Mutex::new(writer));
     let pool = FramePool::global().handle();
-    let stats = &state.stats;
-    while !state.shutdown.load(Ordering::SeqCst) {
+    while !shared.stopping.load(Ordering::SeqCst) {
         let frame = match link.recv_frame(SERVE_TICK) {
             Ok(frame) => frame,
             Err(e) if e.is_fatal() => return,
             Err(_) => continue,
         };
-        stats.bytes_in.fetch_add(frame.len() as u64, Ordering::Relaxed);
-        match AdaptFrame::parse(&frame) {
-            Ok(AdaptFrame::Request(view)) => {
-                stats.requests.fetch_add(1, Ordering::Relaxed);
-                let req_id = view.req_id();
-                let over_budget = view.k() as usize > state.cfg.max_k
-                    || view.steps() > state.cfg.max_steps
-                    || view.dim() as usize != state.model.input_dim();
-                if over_budget {
-                    stats.rejected_bad.fetch_add(1, Ordering::Relaxed);
-                    send_reject(state, &pool, &writer, req_id, RejectReason::BadRequest);
-                    pool.recycle(frame);
-                    continue;
-                }
-                match tx.try_send(Job {
-                    frame,
-                    writer: Arc::clone(&writer),
-                    received: Instant::now(),
-                }) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(job)) => {
-                        stats.shed_busy.fetch_add(1, Ordering::Relaxed);
-                        send_reject(state, &pool, &writer, req_id, RejectReason::Busy);
-                        pool.recycle(job.frame);
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
-            }
-            // A response or reject sent *to* the server: well-formed,
-            // but nothing a server consumes. Refuse it by id.
-            Ok(AdaptFrame::Response(view)) => {
-                stats.rejected_bad.fetch_add(1, Ordering::Relaxed);
-                send_reject(state, &pool, &writer, view.req_id(), RejectReason::BadRequest);
-                pool.recycle(frame);
-            }
-            Ok(AdaptFrame::Reject(r)) => {
-                stats.rejected_bad.fetch_add(1, Ordering::Relaxed);
-                send_reject(state, &pool, &writer, r.req_id, RejectReason::BadRequest);
-                pool.recycle(frame);
-            }
-            Err(_) => {
-                // Not an adaptation frame at all (garbage or a training
-                // frame): uncorrelatable, so no reply.
-                stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                pool.recycle(frame);
-            }
+        let admission = shared
+            .core()
+            .admit(&frame, Arc::clone(&writer), Instant::now());
+        pool.recycle(frame);
+        match admission {
+            Admission::Queued => shared.queued.notify_one(),
+            Admission::Reject(r) => reject(shared, &pool, &writer, r),
+            Admission::Undecodable => {}
         }
     }
 }
 
-/// Encodes and sends a typed reject through the link's shared writer.
-fn send_reject(
-    state: &ServerState,
-    pool: &FramePool,
-    writer: &SharedWriter,
-    req_id: u32,
-    reason: RejectReason,
-) {
-    let mut buf = pool.acquire(encoded_frame_len(0));
-    encode_adapt_reject_into(req_id, reason, &mut buf);
-    let frame = buf.freeze();
-    let sent = writer
-        .lock()
-        .expect("writer poisoned")
-        .send_frame(&frame)
-        .is_ok();
-    if sent {
-        state
-            .stats
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-    } else {
-        state.stats.dropped_replies.fetch_add(1, Ordering::Relaxed);
-    }
-    pool.recycle(frame);
-}
-
-/// One adaptation worker: dequeues jobs, enforces the queue-wait
-/// deadline, runs the workspace-reusing adapt kernel, and replies
-/// through the requesting link's writer. Per-worker scratch makes the
+/// One adaptation worker: takes work from the core, runs the
+/// workspace-reusing adapt kernel outside the lock, and replies through
+/// the requesting link's writer. Per-worker scratch makes the
 /// steady-state hot path allocation-flat.
-fn worker_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<Receiver<Job>>>) {
-    let model = state.model.as_ref();
+fn worker_loop(shared: &Shared, model: &dyn Model) {
     let mut scratch = AdaptScratch::for_model(model);
     let mut phi = Vec::with_capacity(model.param_len());
     let pool = FramePool::global().handle();
-    let deadline = Duration::from_millis(state.cfg.queue_deadline_ms);
-    loop {
-        let job = {
-            let guard = rx.lock().expect("job queue poisoned");
-            guard.recv_timeout(SERVE_TICK)
-        };
-        let job = match job {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
+    while let Some(work) = next_work(shared, &pool) {
+        let (job, batch, global) = match work {
+            Work::Adapt(job, batch, global) => (job, batch, global),
+            Work::Reject(link, r) => {
+                reject(shared, &pool, &link, r);
                 continue;
             }
-            // Every sender (acceptor + conn threads) is gone and the
-            // queue is drained.
-            Err(RecvTimeoutError::Disconnected) => return,
         };
-        handle_job(state, &pool, &mut scratch, &mut phi, deadline, job);
+        let Job {
+            link,
+            req_id,
+            alpha,
+            steps,
+            received,
+        } = job;
+        adapt_into(
+            model,
+            &global.params,
+            &batch,
+            alpha,
+            steps as usize,
+            &mut scratch,
+            &mut phi,
+        );
+        let mut buf = pool.acquire(encoded_frame_len(phi.len()));
+        encode_adapt_response_into(req_id, global.round, &phi, &mut buf);
+        let sent = send(&pool, &link, buf);
+        let served = Some((global.round, received));
+        shared.core().replied(sent, served, Instant::now());
     }
 }
 
-fn handle_job(
-    state: &ServerState,
-    pool: &FramePool,
-    scratch: &mut AdaptScratch,
-    phi: &mut Vec<f64>,
-    deadline: Duration,
-    job: Job,
-) {
-    let stats = &state.stats;
-    // The conn thread only queues frames it already parsed as requests,
-    // so this re-parse of the refcounted bytes cannot fail.
-    let Ok(AdaptFrame::Request(view)) = AdaptFrame::parse(&job.frame) else {
-        stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-        pool.recycle(job.frame);
-        return;
-    };
-    let req_id = view.req_id();
-    if job.received.elapsed() > deadline {
-        // Too stale to be worth computing: the client has likely timed
-        // out or retried already.
-        stats.shed_busy.fetch_add(1, Ordering::Relaxed);
-        send_reject(state, pool, &job.writer, req_id, RejectReason::Busy);
-        pool.recycle(job.frame);
-        return;
+/// The next work for a worker, sleeping until there is some; `None`
+/// once the queue is empty and nothing more can be admitted.
+fn next_work(shared: &Shared, pool: &FramePool) -> Option<Work<Writer>> {
+    let mut core = shared.core();
+    loop {
+        if let Some(work) = core.next(Instant::now(), pool.stats()) {
+            return Some(work);
+        }
+        if shared.drained.load(Ordering::SeqCst) {
+            return None;
+        }
+        core = shared
+            .queued
+            .wait(core)
+            .unwrap_or_else(PoisonError::into_inner);
     }
-    let snapshot = state.global.snapshot();
-    let usable = snapshot
-        .as_ref()
-        .is_some_and(|s| s.params.len() == state.model.param_len());
-    let Some(snap) = snapshot.filter(|_| usable) else {
-        stats.rejected_unavailable.fetch_add(1, Ordering::Relaxed);
-        send_reject(state, pool, &job.writer, req_id, RejectReason::Unavailable);
-        pool.recycle(job.frame);
-        return;
-    };
-    let fits_model = |t: &Target| match (t, state.classes) {
-        (Target::Class(c), Some(n)) => *c < n,
-        (Target::Value(_), None) => true,
-        _ => false,
-    };
-    let Some(batch) = batch_from_request(&view).filter(|b| b.targets().iter().all(fits_model))
-    else {
-        stats.rejected_bad.fetch_add(1, Ordering::Relaxed);
-        send_reject(state, pool, &job.writer, req_id, RejectReason::BadRequest);
-        pool.recycle(job.frame);
-        return;
-    };
-    // Open (or continue) this round's pool window *before* the reply
-    // touches the pool, so the window boundary sits between rounds and
-    // each round's delta is exactly its own traffic.
-    let ps = FramePool::global().stats();
-    stats
-        .pool_rounds
-        .observe(snap.round, ps.hits as u64, ps.misses as u64);
-    adapt_into(
-        state.model.as_ref(),
-        &snap.params,
-        &batch,
-        view.alpha(),
-        view.steps() as usize,
-        scratch,
-        phi,
-    );
-    let mut buf = pool.acquire(encoded_frame_len(phi.len()));
-    encode_adapt_response_into(req_id, snap.round, phi, &mut buf);
-    let reply = buf.freeze();
-    let sent = job
-        .writer
-        .lock()
-        .expect("writer poisoned")
-        .send_frame(&reply)
-        .is_ok();
-    if sent {
-        stats.responses.fetch_add(1, Ordering::Relaxed);
-        stats
-            .bytes_out
-            .fetch_add(reply.len() as u64, Ordering::Relaxed);
-        stats.served_rounds.bump(snap.round);
-        let us = u64::try_from(job.received.elapsed().as_micros()).unwrap_or(u64::MAX);
-        stats.latency.record(us);
-    } else {
-        stats.dropped_replies.fetch_add(1, Ordering::Relaxed);
-    }
-    pool.recycle(reply);
-    pool.recycle(job.frame);
+}
+
+/// Encodes and writes a typed reject, and counts it.
+fn reject(shared: &Shared, pool: &FramePool, link: &Writer, r: AdaptReject) {
+    let mut buf = pool.acquire(encoded_frame_len(0));
+    encode_adapt_reject_into(r.req_id, r.reason, &mut buf);
+    let sent = send(pool, link, buf);
+    shared.core().replied(sent, None, Instant::now());
+}
+
+/// Writes `buf` on `link` and recycles it: its length when it went out,
+/// `None` when the link is dead or a writer panicked holding it.
+fn send(pool: &FramePool, link: &Writer, buf: BytesMut) -> Option<usize> {
+    let frame = buf.freeze();
+    let len = frame.len();
+    let sent = link.lock().is_ok_and(|mut w| w.send_frame(&frame).is_ok());
+    pool.recycle(frame);
+    sent.then_some(len)
 }
 
 #[cfg(test)]
@@ -726,6 +550,8 @@ mod tests {
     use super::*;
     use crate::transport::ChannelTransport;
     use fml_models::SoftmaxRegression;
+    use fml_sim::message::AdaptFrame;
+    use fml_sim::RejectReason;
 
     fn test_model() -> Arc<dyn Model> {
         Arc::new(SoftmaxRegression::new(2, 2))

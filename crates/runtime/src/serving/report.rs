@@ -4,8 +4,6 @@
 //! which global round answered each reply, and frame-pool hit rates.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use serde::Serialize;
 
@@ -16,44 +14,29 @@ use crate::report::PoolStatsReport;
 /// so the histogram spans sub-microsecond to ~35 minutes.
 pub const LATENCY_BUCKETS: usize = 32;
 
-/// Lock-free power-of-two latency histogram, recorded in microseconds.
-/// Writers `fetch_add` one bucket per request; percentile reads happen
-/// only at report time.
-#[derive(Debug)]
+/// Power-of-two latency histogram, recorded in microseconds.
+#[derive(Debug, Default)]
 pub(crate) struct LatencyRecorder {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    max_us: AtomicU64,
+    buckets: [u64; LATENCY_BUCKETS],
+    max_us: u64,
 }
 
 impl LatencyRecorder {
-    pub(crate) fn new() -> Self {
-        LatencyRecorder {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            max_us: AtomicU64::new(0),
-        }
-    }
-
     /// Records one request that took `us` microseconds.
-    pub(crate) fn record(&self, us: u64) {
+    pub(crate) fn record(&mut self, us: u64) {
         let idx = (64 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
+        self.buckets[idx] += 1;
+        self.max_us = self.max_us.max(us);
     }
 
-    /// Consistent-enough snapshot for reporting (the histogram keeps
-    /// moving under load; each bucket is read once).
+    /// The summary so far.
     pub(crate) fn snapshot(&self) -> LatencyReport {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
         LatencyReport {
-            p50_us: percentile(&buckets, 0.50),
-            p90_us: percentile(&buckets, 0.90),
-            p99_us: percentile(&buckets, 0.99),
-            max_us: self.max_us.load(Ordering::Relaxed),
-            buckets,
+            p50_us: percentile(&self.buckets, 0.50),
+            p90_us: percentile(&self.buckets, 0.90),
+            p99_us: percentile(&self.buckets, 0.99),
+            max_us: self.max_us,
+            buckets: self.buckets.to_vec(),
         }
     }
 }
@@ -234,47 +217,33 @@ impl std::fmt::Display for ServingReport {
     }
 }
 
-/// Shared mutable round-served tally (worker threads bump, report
-/// reads). A `Mutex<BTreeMap>` is fine here: one short lock per reply,
-/// far off the adapt compute path.
+/// How many replies each global round served.
 #[derive(Debug, Default)]
 pub(crate) struct RoundTally {
-    counts: Mutex<BTreeMap<u32, u64>>,
+    counts: BTreeMap<u32, u64>,
 }
 
 impl RoundTally {
-    pub(crate) fn bump(&self, round: u32) {
-        *self
-            .counts
-            .lock()
-            .expect("round tally poisoned")
-            .entry(round)
-            .or_insert(0) += 1;
+    pub(crate) fn bump(&mut self, round: u32) {
+        *self.counts.entry(round).or_insert(0) += 1;
     }
 
     pub(crate) fn snapshot(&self) -> Vec<RoundServed> {
         self.counts
-            .lock()
-            .expect("round tally poisoned")
             .iter()
             .map(|(&round, &count)| RoundServed { round, count })
             .collect()
     }
 }
 
-/// Shared tracker turning cumulative frame-pool counters into
-/// per-round windows. Workers call [`observe`](PoolRoundTracker::observe)
-/// with the counters read *before* a reply for a round touches the
-/// pool; the tracker closes the previous round's window at that
-/// boundary, so each [`PoolRound`] reflects only its own round's
-/// acquisitions instead of everything since process start.
+/// Turns cumulative frame-pool counters into per-round windows. The
+/// core calls [`observe`](PoolRoundTracker::observe) with the counters
+/// read *before* a reply for a round touches the pool; the tracker
+/// closes the previous round's window at that boundary, so each
+/// [`PoolRound`] reflects only its own round's acquisitions instead of
+/// everything since process start.
 #[derive(Debug, Default)]
 pub(crate) struct PoolRoundTracker {
-    inner: Mutex<PoolWindows>,
-}
-
-#[derive(Debug, Default)]
-struct PoolWindows {
     open: Option<Window>,
     closed: Vec<PoolRound>,
 }
@@ -306,31 +275,25 @@ impl PoolRoundTracker {
     /// cumulative pool counters right now. A no-op while `round` is
     /// already the open window; on a round change it freezes the old
     /// window's delta and starts the new one at the current counters.
-    pub(crate) fn observe(&self, round: u32, hits: u64, misses: u64) {
-        let mut w = self.inner.lock().expect("pool tracker poisoned");
-        match w.open {
-            Some(open) if open.round == round => {}
-            _ => {
-                if let Some(open) = w.open.take() {
-                    w.closed.push(close_window(open, hits, misses));
-                }
-                w.open = Some(Window {
-                    round,
-                    hits0: hits,
-                    misses0: misses,
-                });
-            }
+    pub(crate) fn observe(&mut self, round: u32, hits: u64, misses: u64) {
+        if self.open.is_some_and(|open| open.round == round) {
+            return;
         }
+        if let Some(open) = self.open.take() {
+            self.closed.push(close_window(open, hits, misses));
+        }
+        self.open = Some(Window {
+            round,
+            hits0: hits,
+            misses0: misses,
+        });
     }
 
     /// The per-round series so far, closing the still-open window at
     /// the given cumulative counters (without ending it).
     pub(crate) fn snapshot(&self, hits: u64, misses: u64) -> Vec<PoolRound> {
-        let w = self.inner.lock().expect("pool tracker poisoned");
-        let mut out = w.closed.clone();
-        if let Some(open) = w.open {
-            out.push(close_window(open, hits, misses));
-        }
+        let mut out = self.closed.clone();
+        out.extend(self.open.map(|open| close_window(open, hits, misses)));
         out
     }
 }
@@ -341,7 +304,7 @@ mod tests {
 
     #[test]
     fn latency_percentiles_are_bucket_bounds() {
-        let rec = LatencyRecorder::new();
+        let mut rec = LatencyRecorder::default();
         for us in [0u64, 1, 1, 3, 3, 3, 3, 100, 100, 5000] {
             rec.record(us);
         }
@@ -355,7 +318,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zeros() {
-        let lat = LatencyRecorder::new().snapshot();
+        let lat = LatencyRecorder::default().snapshot();
         assert_eq!(lat.p50_us, 0);
         assert_eq!(lat.p99_us, 0);
         assert_eq!(lat.max_us, 0);
@@ -363,7 +326,7 @@ mod tests {
 
     #[test]
     fn huge_latency_clamps_to_last_bucket() {
-        let rec = LatencyRecorder::new();
+        let mut rec = LatencyRecorder::default();
         rec.record(u64::MAX);
         let lat = rec.snapshot();
         assert_eq!(lat.buckets[LATENCY_BUCKETS - 1], 1);
@@ -372,7 +335,7 @@ mod tests {
 
     #[test]
     fn round_tally_sorted_ascending() {
-        let tally = RoundTally::default();
+        let mut tally = RoundTally::default();
         tally.bump(3);
         tally.bump(1);
         tally.bump(3);
@@ -392,7 +355,7 @@ mod tests {
         // cumulative pool counters read at shutdown, so "round 2's hit
         // rate" was really "everything since process start". The
         // tracker must attribute each window only its own traffic.
-        let t = PoolRoundTracker::default();
+        let mut t = PoolRoundTracker::default();
         // Round 1 starts with 10 hits / 10 misses already on the books.
         t.observe(1, 10, 10);
         // Round 2 starts after round 1 added 90 hits / 0 misses.
@@ -426,7 +389,7 @@ mod tests {
 
     #[test]
     fn pool_round_tracker_is_idle_safe_and_live_snapshot_does_not_close() {
-        let t = PoolRoundTracker::default();
+        let mut t = PoolRoundTracker::default();
         assert!(t.snapshot(7, 7).is_empty(), "no rounds, no windows");
         t.observe(4, 7, 7);
         // A live report half-way through the window ...

@@ -20,5 +20,4 @@ cargo bench -p fml-bench --bench kernels -- --test
 "$(dirname "$0")/transport_smoke.sh"
 "$(dirname "$0")/scale_smoke.sh"
 "$(dirname "$0")/recovery_smoke.sh"
-"$(dirname "$0")/adapt_smoke.sh"
 echo "check: OK"
