@@ -1,26 +1,7 @@
 //! `fedml` — config-driven federated meta-learning runs.
 //!
-//! ```text
-//! fedml init <path>            write an example config
-//! fedml stats <config.json>    generate the dataset and print Table-I stats
-//! fedml run <config.json>      run the experiment and print the report
-//!       [--json <out.json>]    additionally dump the report as JSON
-//! fedml runtime <config.json>  run on the thread-per-node actor runtime
-//!       [--mode barrier|async] [--max-staleness N] [--threads N]
-//!       [--mailbox-cap N] [--seed N] [--json <out.json>]
-//!       [--transport channel|tcp|uds] [--listen <addr>]   platform side
-//!       [--connect <addr> --node <id>]                    node side
-//!       [--checkpoint-dir <dir>] [--checkpoint-every N]   disk checkpoints
-//!       [--max-recoveries N] [--no-recovery]              recovery budget
-//!       [--crash-from N:R] [--corrupt-at N:R]             scripted faults
-//!       [--fault-seed N] [--fault-drop P] [--fault-corrupt P]
-//!       [--fault-delay-prob P] [--fault-delay-ms MS]
-//!       [--fault-disconnect-after N]                      link fault plan
-//!       [--async-decay poly|hinge|hinge:K|const]          staleness decay
-//!       [--async-buffer K] [--adaptive-mix]               async policy
-//!       [--update-codec none|dense|quant|topk]            uplink codec
-//!       [--topk K] [--quant-bits 8|16]
-//! ```
+//! `fedml help` prints every command and flag: the one copy of that
+//! text is `USAGE`, which a usage error prints too.
 //!
 //! With `--transport tcp` or `uds` the platform (`--listen`) and each
 //! node (`--connect --node <id>`) run as separate processes sharing

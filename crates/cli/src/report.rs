@@ -615,8 +615,8 @@ mod tests {
         assert!(text.contains("recovery 1 cycles, 1 rollbacks, excluded [2 3]"));
         assert!(text.contains("4 checkpoints, resumed at round 5"));
         assert!(text.contains("pool 75% hit rate (75 hits / 25 misses), high water 8"));
-        // The smoke scripts grep `param_hash`, `transport` and friends
-        // out of this section.
+        // The CLI tests and smoke scripts read `param_hash`,
+        // `transport` and friends out of this section.
         let value = through_json(&r);
         let runtime = value.get("runtime").unwrap();
         assert_eq!(

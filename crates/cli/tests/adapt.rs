@@ -7,89 +7,9 @@
 //! request answered. Every wait is bounded, so a hang fails the test
 //! instead of stalling it.
 
-mod common;
+pub mod common;
 
-use std::fs::File;
-use std::path::Path;
-use std::process::{Child, Stdio};
-use std::time::{Duration, Instant};
-
-use common::{fedml, float, read, runtime, text, uint, TempDir};
-
-/// How long a process may run; a healthy run takes about a second.
-const LIMIT: Duration = Duration::from_secs(60);
-/// How long the service may take to report its address.
-const ADDR_LIMIT: Duration = Duration::from_secs(10);
-
-/// A `fedml` process run in `dir` on the whitespace-separated `args`,
-/// its stderr kept in `<name>.err`; killed if the test leaves it
-/// running.
-struct Running {
-    child: Child,
-    err: std::path::PathBuf,
-}
-
-impl Running {
-    fn spawn(dir: &Path, name: &str, args: &str) -> Running {
-        let err = dir.join(format!("{name}.err"));
-        let child = fedml()
-            .args(args.split_whitespace())
-            .current_dir(dir)
-            .stdout(Stdio::null())
-            .stderr(File::create(&err).expect("create the stderr file"))
-            .spawn()
-            .expect("spawn fedml");
-        Running { child, err }
-    }
-
-    fn stderr(&self) -> String {
-        std::fs::read_to_string(&self.err).unwrap_or_default()
-    }
-
-    /// Whether the process is still running.
-    fn running(&mut self) -> bool {
-        self.child.try_wait().expect("poll fedml").is_none()
-    }
-
-    /// Waits at most [`LIMIT`] for the process to exit, which it must
-    /// do successfully.
-    fn finish(mut self) {
-        let deadline = Instant::now() + LIMIT;
-        while self.running() {
-            assert!(Instant::now() < deadline, "hung: {}", self.stderr());
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let status = self.child.wait().expect("reap fedml");
-        assert!(status.success(), "{status}: {}", self.stderr());
-    }
-}
-
-impl Drop for Running {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// The address the service reports on stderr, waited for at most
-/// [`ADDR_LIMIT`].
-fn listening_addr(server: &mut Running) -> String {
-    let deadline = Instant::now() + ADDR_LIMIT;
-    loop {
-        let err = server.stderr();
-        if let Some(addr) = err
-            .lines()
-            .find_map(|l| l.strip_prefix("adapt service listening on "))
-        {
-            return addr.to_owned();
-        }
-        assert!(
-            server.running() && Instant::now() < deadline,
-            "the service never reported its address: {err}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
+use common::{float, listening_addr, read, runtime, text, uint, Running, TempDir};
 
 #[test]
 fn served_adaptation_matches_offline_for_concurrent_tcp_clients() {
@@ -127,7 +47,7 @@ fn served_adaptation_matches_offline_for_concurrent_tcp_clients() {
         "adapt-serve cfg.json --listen 127.0.0.1:0 --checkpoint-dir ckpt \
          --workers 2 --max-requests 8 --json serve.json",
     );
-    let addr = listening_addr(&mut server);
+    let addr = listening_addr(&mut server, "adapt service listening on ");
 
     // Four concurrent clients, two per target.
     let clients: Vec<Running> = (0..4)

@@ -4,7 +4,7 @@
 //! buffer of 2, and the four JSON reports read back through
 //! `serde_json`.
 
-mod common;
+pub mod common;
 
 use common::{fedml_runtime, float, runtime, text, uint, TempDir};
 

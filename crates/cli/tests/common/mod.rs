@@ -1,9 +1,14 @@
 //! What the CLI tests share: one seeded config, a temp dir holding it,
-//! the `fedml` binary, and `fedml runtime` spawned on it with its JSON
-//! report read back through `serde_json`.
+//! the `fedml` binary, `fedml runtime` spawned on it with its JSON
+//! report read back through `serde_json`, and a `fedml` process run in
+//! the background under a time limit. Each test file declares this
+//! module `pub mod common;`, so what one of them leaves unused is not
+//! dead code.
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use serde::Value;
 
@@ -57,6 +62,82 @@ impl Drop for TempDir {
 /// A command running the `fedml` binary under test.
 pub fn fedml() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fedml"))
+}
+
+/// How long a [`Running`] process may run; a healthy run takes about a
+/// second.
+const LIMIT: Duration = Duration::from_secs(60);
+/// How long a service may take to report its address.
+const ADDR_LIMIT: Duration = Duration::from_secs(10);
+
+/// A `fedml` process run in `dir` on the whitespace-separated `args`,
+/// its stderr kept in `<name>.err`; killed if the test leaves it
+/// running.
+pub struct Running {
+    child: Child,
+    err: PathBuf,
+}
+
+impl Running {
+    pub fn spawn(dir: &Path, name: &str, args: &str) -> Running {
+        let err = dir.join(format!("{name}.err"));
+        let child = fedml()
+            .args(args.split_whitespace())
+            .current_dir(dir)
+            .stdout(Stdio::null())
+            .stderr(File::create(&err).expect("create the stderr file"))
+            .spawn()
+            .expect("spawn fedml");
+        Running { child, err }
+    }
+
+    pub fn stderr(&self) -> String {
+        std::fs::read_to_string(&self.err).unwrap_or_default()
+    }
+
+    /// Whether the process is still running.
+    pub fn running(&mut self) -> bool {
+        self.child.try_wait().expect("poll fedml").is_none()
+    }
+
+    /// Waits at most [`LIMIT`] for the process to exit, which it must
+    /// do successfully.
+    pub fn finish(mut self) {
+        let deadline = Instant::now() + LIMIT;
+        while self.running() {
+            assert!(Instant::now() < deadline, "hung: {}", self.stderr());
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let status = self.child.wait().expect("reap fedml");
+        assert!(status.success(), "{status}: {}", self.stderr());
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// The address `server` reports on stderr — the word after `prefix` on
+/// the line that starts with it — waited for at most [`ADDR_LIMIT`].
+pub fn listening_addr(server: &mut Running, prefix: &str) -> String {
+    let deadline = Instant::now() + ADDR_LIMIT;
+    loop {
+        let err = server.stderr();
+        if let Some(addr) = err
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix)?.split_whitespace().next())
+        {
+            return addr.to_owned();
+        }
+        assert!(
+            server.running() && Instant::now() < deadline,
+            "{prefix:?} never reported an address: {err}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 /// Runs `fedml runtime <dir>/cfg.json <flags> --json <dir>/<name>.json`.

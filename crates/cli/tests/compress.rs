@@ -3,7 +3,7 @@
 //! `--update-codec none`, and with `--update-codec topk --topk 2` — and
 //! the three JSON reports read back through `serde_json`.
 
-mod common;
+pub mod common;
 
 use common::{float, runtime, text, uint, TempDir};
 

@@ -8,9 +8,9 @@
 //!   checkpoint;
 //! * the **thread driver** (this module, [`Runtime`]) moves the bytes —
 //!   one post a round to the in-process fleet or a `try_send` to each
-//!   socket peer, `recv_timeout` on the uplink, resends to reconnected
-//!   peers, the checkpoint file, and the publish to a co-resident
-//!   adaptation server — and holds every wall-clock constant.
+//!   socket peer, `recv_timeout` on the uplink, the checkpoint file, and
+//!   the publish to a co-resident adaptation server — and holds every
+//!   wall-clock constant.
 //!
 //! # Topology
 //!
@@ -28,7 +28,10 @@
 //! ```
 //!
 //! A socket fleet has the hub in the workers' place: a bounded outbound
-//! queue per peer (`mailbox_cap`) down, the same merged uplink back.
+//! queue per peer (`mailbox_cap`) down, the same merged uplink back. A
+//! peer that bounces mid-round is the hub's alone to serve: its
+//! reconnect replays the open round's broadcast until the driver
+//! retracts it (`crate::hub`).
 //!
 //! The links are the driver's. It never blocks without a timeout and
 //! never blocks on a send at all: a post is a lock and a condvar
@@ -117,15 +120,6 @@ use crate::transport::{Transport, TransportError, TransportListener};
 
 /// File name the platform checkpoints into (inside `--checkpoint-dir`).
 pub(crate) const CHECKPOINT_FILE: &str = "latest.json";
-
-/// How often a collecting platform, while waiting between frames,
-/// checks for peers that reconnected mid-round and retransmits the
-/// round's broadcast to them. A frame queued into (or even written
-/// onto) a dying link can vanish without a trace — the first TCP write
-/// after the peer's FIN lands in the kernel buffer and reports success
-/// — so delivery to a bouncing peer is only settled by a resend on its
-/// fresh connection.
-const REJOIN_TICK: Duration = Duration::from_millis(100);
 
 /// The actor runtime: spawns one logical actor per source node on a
 /// worker pool and runs the platform event loop to completion.
@@ -310,18 +304,16 @@ impl Runtime {
             // uplink meanwhile (at most one per reached node), and the
             // silence deadline starts after.
             core.evaluate_parked();
-            // Between frames the wait is chopped into `REJOIN_TICK`s so
-            // the broadcast can be retransmitted to peers that
-            // reconnected mid-round.
             while let Some(wait) = core.wait(Instant::now()) {
-                match uplink.recv_timeout(wait.min(REJOIN_TICK)) {
+                match uplink.recv_timeout(wait) {
                     Ok(received) => {
                         core.offer(&received, Instant::now());
                         // The frame is spent; its storage serves a future
                         // encode.
                         pool.recycle(received);
                     }
-                    Err(RecvTimeoutError::Timeout) => peers.resend(&mut core, &frame),
+                    // The next `wait` finds the deadline passed.
+                    Err(RecvTimeoutError::Timeout) => {}
                     // All workers gone: close with what we have.
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
@@ -406,21 +398,12 @@ impl Peers<'_> {
         }
     }
 
-    /// Retransmits `frame` to the peers that reconnected since the last
-    /// call and may have lost it in flight on their old link. A post is
-    /// never lost, so the in-process fleet has none.
-    fn resend(&self, core: &mut Core<'_>, frame: &Bytes) {
-        if let Peers::Hub(hub) = self {
-            core.resend(hub.take_rejoined(), |node| {
-                hub.try_send(node, frame.clone())
-            });
-        }
-    }
-
-    /// Ends the round's broadcast: the post lets go of its frame.
+    /// Ends the round's broadcast: the post lets go of its frame, and
+    /// the hub stops replaying it to reconnecting peers.
     fn retract(&self) {
-        if let Peers::Fleet(fleet, _) = self {
-            fleet.0.retract();
+        match self {
+            Peers::Fleet(fleet, _) => fleet.0.retract(),
+            Peers::Hub(hub) => hub.retract(),
         }
     }
 

@@ -7,7 +7,7 @@
 //! time in and out through plain methods, one round at a time:
 //!
 //! ```text
-//! open_round → broadcast(send) → evaluate_parked → wait(now) / offer(frame, now) / resend … → close_round → checkpoint
+//! open_round → broadcast(send) → evaluate_parked → wait(now) / offer(frame, now) … → close_round → checkpoint
 //! ```
 //!
 //! Time enters only as the caller's `Instant`s, so a test can drive a
@@ -329,6 +329,7 @@ struct Outcome {
 pub(crate) struct RoundCost {
     /// Bytes down and up.
     pub(crate) bytes: u64,
+    /// Resends on the priced links; the thread driver counts none.
     pub(crate) retransmissions: u64,
     pub(crate) comm_time_s: f64,
     pub(crate) compute_time_s: f64,
@@ -399,8 +400,6 @@ pub(crate) struct Core<'a> {
     /// each closed attempt delivered and the uplink offered, garbage
     /// included.
     round_bytes: u64,
-    /// Broadcasts resent to reconnected peers since the last close.
-    resent: u64,
     /// How long the round waits after its last accepted update.
     timeout: Duration,
     /// When the open round stops waiting; started by the first
@@ -493,7 +492,6 @@ impl<'a> Core<'a> {
             rows: vec![Vec::new(); n],
             received: 0,
             round_bytes: 0,
-            resent: 0,
             timeout: Duration::from_millis(cfg.recv_timeout_ms),
             deadline: None,
             exact: cfg.ft.plan.is_benign() && cfg.ft.policy == fml_core::GatherPolicy::default(),
@@ -690,17 +688,6 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Hands the open round's broadcast again to each `rejoined` node
-    /// whose update is still due — a frame queued onto a dying link can
-    /// vanish without a trace — and counts what `send` got out.
-    pub(crate) fn resend(&mut self, rejoined: Vec<usize>, mut send: impl FnMut(usize) -> bool) {
-        for node in rejoined {
-            if self.awaits(node) && send(node) {
-                self.resent += 1;
-            }
-        }
-    }
-
     /// Records the parked round — its curve point is still the global —
     /// then closes the open round with whatever it received. `false`
     /// means it rolled back and must run again; otherwise the round is
@@ -724,9 +711,8 @@ impl<'a> Core<'a> {
         self.iterations += self.steps;
         let counted = RoundCost {
             bytes: std::mem::take(&mut self.round_bytes),
-            retransmissions: std::mem::take(&mut self.resent),
             comm_time_s,
-            compute_time_s: 0.0,
+            ..RoundCost::default()
         };
         debug_assert!(self.parked.is_none(), "one round parked at a time");
         self.parked = Some(Parked {

@@ -16,7 +16,10 @@ pub struct RoundTrace {
     pub local_steps: usize,
     /// Payload bytes down + up this round.
     pub bytes: u64,
-    /// Retransmitted frames this round.
+    /// Frames the simulated links lost and sent again this round. A
+    /// threaded run reads 0: its socket hub replays a broadcast to a
+    /// reconnecting peer on its own, which shows in that peer's
+    /// `frames_received` and `reconnects`.
     pub retransmissions: u64,
     /// Simulated communication time this round (seconds).
     pub comm_time_s: f64,

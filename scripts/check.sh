@@ -17,7 +17,6 @@ cargo test --release --manifest-path perf/Cargo.toml
 "$(dirname "$0")/loc.sh"
 "$(dirname "$0")/reach.sh"
 cargo bench -p fml-bench --bench kernels -- --test
-"$(dirname "$0")/transport_smoke.sh"
 "$(dirname "$0")/scale_smoke.sh"
 "$(dirname "$0")/recovery_smoke.sh"
 echo "check: OK"

@@ -18,7 +18,7 @@
 //!   final hash of an uninterrupted run.
 //! * **Watchdog** — killing and restarting a node three times mid-run
 //!   bumps its reconnect counter three times and changes no bits,
-//!   because the hub parks the broadcast the node missed.
+//!   because every reconnect gets the open round's broadcast again.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -297,9 +297,11 @@ fn node_killed_and_restarted_three_times_changes_no_bits() {
         let (answer, hello) = (&answer, &hello);
         s.spawn(move || {
             // Three kill/restart cycles: each connection answers one
-            // round and dies. The hub parks the broadcast that lands
-            // while the victim is away and hands it to the next
-            // connection, so no round is ever lost.
+            // broadcast and dies. The hub replays the open round's
+            // broadcast to the next connection — one that landed while
+            // the victim was away, or one it already answered (that
+            // second reply counts as undelivered) — so no round is ever
+            // lost.
             for _ in 0..3 {
                 let mut link = TcpTransport::connect(&victim_addr).unwrap();
                 link.send_frame(hello).unwrap();
