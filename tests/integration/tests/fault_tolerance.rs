@@ -9,13 +9,14 @@
 //! across worker thread counts. These tests pin those promises at the
 //! public-API level, through the simulator
 //! (`fml_runtime::SimRunner::with_faults`, the core's virtual-time
-//! driver) over an ideal network. Every `param_hash` literal here was
-//! recorded from the in-process fault loop that driver replaced.
+//! driver) over an ideal network. The `param_hash` literals were
+//! recorded from the in-process fault loop that driver replaced, but
+//! for the two tests whose plans once held stragglers, recorded on the
+//! simulator before the round deadline went.
 
 use fml_core::{
     Fault, FaultPlan, FaultTolerance, FedAvg, FedAvgConfig, FedMl, FedMlConfig, FedProx,
-    FedProxConfig, GatherPolicy, LocalStepper, Reptile, ReptileConfig, SourceTask, StragglerPolicy,
-    TrainOutput,
+    FedProxConfig, GatherPolicy, LocalStepper, Reptile, ReptileConfig, SourceTask, TrainOutput,
 };
 use fml_data::synthetic::SyntheticConfig;
 use fml_models::{Model, SoftmaxRegression};
@@ -155,21 +156,15 @@ fn every_trainer_on_the_seam_survives_the_acceptance_plan() {
 #[test]
 fn fault_injected_histories_are_bitwise_identical_across_threads() {
     let (model, tasks, theta0) = fixture();
-    // A *probabilistic* plan (not just scripted faults) plus a deadline:
-    // draws must be pure per (node, round) for this to hold.
+    // A *probabilistic* plan, not just scripted faults: draws must be
+    // pure per (node, round) for this to hold.
     let plan = FaultPlan {
         crash_prob: 0.1,
-        straggle_prob: 0.15,
-        max_straggle_s: 3.0,
         corrupt_prob: 0.05,
         ..FaultPlan::new(99)
     };
-    let policy = GatherPolicy {
-        deadline_s: Some(2.0),
-        ..GatherPolicy::default().with_min_quorum(0.2)
-    };
     let ft = FaultTolerance {
-        policy,
+        policy: GatherPolicy::default().with_min_quorum(0.2),
         ..FaultTolerance::new(plan)
     };
 
@@ -187,9 +182,9 @@ fn fault_injected_histories_are_bitwise_identical_across_threads() {
         assert_eq!(a, b, "history record differs across threads");
     }
     // Quorum 0.2 over 10 nodes survives this plan.
-    assert_eq!(param_hash(&one.params), "986d523f36174d82");
+    assert_eq!(param_hash(&one.params), "c20995136e47651f");
     let want = [
-        (7, true),
+        (9, true),
         (10, false),
         (7, true),
         (8, true),
@@ -272,12 +267,11 @@ fn corrupt_update_never_reaches_the_aggregate() {
     assert_eq!(param_hash(&out.params), "9fa36bc7c9cd3f48");
 }
 
-/// Literal `param_hash` pins of the fault path, recorded at the commit
-/// before the fault loop moved onto the `LocalStepper` seam: one
-/// scripted plan with a ReuseLast straggle (round 2), three permanent
-/// crashes + two NaN uploads + a one-round crash (round 3: 4 of 10
-/// report, quorum 5 is lost, one rollback excludes nodes 0–5 and the
-/// round re-runs on the 4-node fleet), and a second straggle (round 4).
+/// Literal `param_hash` pins of the fault path, recorded on the
+/// simulator before the round deadline went: one scripted plan with
+/// three permanent crashes + two NaN uploads + a one-round crash
+/// (round 3: 4 of 10 report, quorum 5 is lost, one rollback excludes
+/// nodes 0–5 and the round re-runs on the 4-node fleet).
 #[test]
 fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
     const PIN_ROUNDS: usize = 5;
@@ -288,24 +282,12 @@ fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
         .with_crash_from(2, 3)
         .with_corrupt(3, 3)
         .with_corrupt(4, 3);
-    plan.scripted.extend([
-        ((6, 2), Fault::Straggle { delay_s: 5.0 }),
-        ((5, 3), Fault::Crash),
-        ((8, 4), Fault::Straggle { delay_s: 3.0 }),
-    ]);
-    let policy = GatherPolicy {
-        deadline_s: Some(2.0),
-        straggler: StragglerPolicy::ReuseLast,
-        ..GatherPolicy::default()
-    };
-    let ft = FaultTolerance {
-        policy,
-        ..FaultTolerance::new(plan)
-    };
-    let shape = [(10, false), (10, true), (4, true), (4, true), (4, true)];
+    plan.scripted.insert((5, 3), Fault::Crash);
+    let ft = FaultTolerance::new(plan);
+    let shape = [(10, false), (10, false), (4, true), (4, true), (4, true)];
     let steppers: [(&str, Box<dyn LocalStepper>); 4] = [
         (
-            "6928a17d26129bee",
+            "2b1cb465b76acae3",
             Box::new(FedMl::new(
                 FedMlConfig::new(0.03, 0.03)
                     .with_local_steps(STEPS)
@@ -313,7 +295,7 @@ fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
             )),
         ),
         (
-            "28d5d2c783335701",
+            "c86e6d3aa9966616",
             Box::new(FedAvg::new(
                 FedAvgConfig::new(0.03)
                     .with_local_steps(STEPS)
@@ -321,7 +303,7 @@ fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
             )),
         ),
         (
-            "a7ef55bc18445fee",
+            "16d3412a2519b920",
             Box::new(FedProx::new(
                 FedProxConfig::new(0.03, 0.1)
                     .with_local_steps(STEPS)
@@ -329,7 +311,7 @@ fn fault_path_outputs_are_pinned_for_every_trainer_at_1_and_4_threads() {
             )),
         ),
         (
-            "d266f04becb34fab",
+            "f64d7c8b570f80b3",
             Box::new(Reptile::new(
                 ReptileConfig::new(0.03, 0.5)
                     .with_inner_steps(STEPS)
