@@ -1,9 +1,9 @@
 //! What the CLI tests share: one seeded config, a temp dir holding it,
-//! the `fedml` binary, `fedml runtime` spawned on it with its JSON
-//! report read back through `serde_json`, and a `fedml` process run in
-//! the background under a time limit. Each test file declares this
-//! module `pub mod common;`, so what one of them leaves unused is not
-//! dead code.
+//! the `fedml` binary, a `fedml` process run in the background under a
+//! time limit, and `fedml runtime` run that way on the config with its
+//! JSON report read back through `serde_json`. Each test file declares
+//! this module `pub mod common;`, so what one of them leaves unused is
+//! not dead code.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -100,16 +100,26 @@ impl Running {
         self.child.try_wait().expect("poll fedml").is_none()
     }
 
-    /// Waits at most [`LIMIT`] for the process to exit, which it must
-    /// do successfully.
-    pub fn finish(mut self) {
+    /// Waits at most [`LIMIT`] for the process to exit; its exit status
+    /// and stderr (stdout is not kept).
+    pub fn exit(mut self) -> Output {
         let deadline = Instant::now() + LIMIT;
         while self.running() {
             assert!(Instant::now() < deadline, "hung: {}", self.stderr());
             std::thread::sleep(Duration::from_millis(20));
         }
-        let status = self.child.wait().expect("reap fedml");
-        assert!(status.success(), "{status}: {}", self.stderr());
+        Output {
+            status: self.child.wait().expect("reap fedml"),
+            stdout: Vec::new(),
+            stderr: self.stderr().into_bytes(),
+        }
+    }
+
+    /// [`exit`](Self::exit), which must be a success.
+    pub fn finish(self) {
+        let out = self.exit();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{}: {stderr}", out.status);
     }
 }
 
@@ -140,16 +150,12 @@ pub fn listening_addr(server: &mut Running, prefix: &str) -> String {
     }
 }
 
-/// Runs `fedml runtime <dir>/cfg.json <flags> --json <dir>/<name>.json`.
+/// Runs `fedml runtime cfg.json <flags> --json <name>.json` in `dir` as a
+/// [`Running`] process, and [waits](Running::exit) for it. No flag may
+/// contain whitespace.
 pub fn fedml_runtime(dir: &Path, name: &str, flags: &[&str]) -> Output {
-    fedml()
-        .arg("runtime")
-        .arg(dir.join("cfg.json"))
-        .args(flags)
-        .arg("--json")
-        .arg(dir.join(format!("{name}.json")))
-        .output()
-        .expect("spawn fedml")
+    let args = format!("runtime cfg.json {} --json {name}.json", flags.join(" "));
+    Running::spawn(dir, name, &args).exit()
 }
 
 /// [`fedml_runtime`], which must succeed, and the report it wrote.

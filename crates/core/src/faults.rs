@@ -1,15 +1,13 @@
 //! Deterministic, seeded fault injection for federated training.
 //!
-//! Real edge fleets straggle, crash, and upload garbage; the paper's
-//! Algorithm 1 assumes none of that. A [`FaultPlan`] describes, for every
-//! `(node, round)` pair, whether that node fails this round and how:
+//! Real edge fleets crash and upload garbage; the paper's Algorithm 1
+//! assumes neither. A [`FaultPlan`] describes, for every `(node, round)`
+//! pair, whether that node fails this round and how:
 //!
 //! * **Crash** — the node never reports its update;
-//! * **Straggle** — the report arrives `delay_s` seconds late, to be
-//!   judged against the round deadline of a
-//!   [`GatherPolicy`](crate::gather::GatherPolicy);
 //! * **Corrupt** — the reported parameters are all NaN, which the
-//!   gather's finite check rejects.
+//!   aggregation's finite check ([`screen_update`](crate::gather::screen_update))
+//!   rejects.
 //!
 //! # Determinism
 //!
@@ -47,15 +45,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One injected failure for a `(node, round)` pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The node never reports this round.
     Crash,
-    /// The node's report arrives late by this many seconds.
-    Straggle {
-        /// Lateness past the nominal report time.
-        delay_s: f64,
-    },
     /// The node reports all-NaN parameters.
     Corrupt,
 }
@@ -72,10 +65,6 @@ pub struct FaultPlan {
     /// Probability, in `[0, 1]`, that a node crashes (no report) in a
     /// round.
     pub crash_prob: f64,
-    /// Probability, in `[0, 1]`, that a node straggles in a round.
-    pub straggle_prob: f64,
-    /// Straggle delays are drawn uniformly from `(0, max_straggle_s]`.
-    pub max_straggle_s: f64,
     /// Probability, in `[0, 1]`, that a node corrupts its upload in a
     /// round.
     pub corrupt_prob: f64,
@@ -93,8 +82,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             crash_prob: 0.0,
-            straggle_prob: 0.0,
-            max_straggle_s: 0.0,
             corrupt_prob: 0.0,
             scripted: BTreeMap::new(),
             crashed_from: BTreeMap::new(),
@@ -117,7 +104,6 @@ impl FaultPlan {
     /// True when the plan can never produce a fault.
     pub fn is_benign(&self) -> bool {
         self.crash_prob == 0.0
-            && self.straggle_prob == 0.0
             && self.corrupt_prob == 0.0
             && self.scripted.is_empty()
             && self.crashed_from.is_empty()
@@ -136,24 +122,16 @@ impl FaultPlan {
         if let Some(&fault) = self.scripted.get(&(node, round)) {
             return Some(fault);
         }
-        if self.crash_prob == 0.0 && self.corrupt_prob == 0.0 && self.straggle_prob == 0.0 {
+        if self.crash_prob == 0.0 && self.corrupt_prob == 0.0 {
             return None;
         }
-        let mut rng = self.pair_rng(node, round);
-        // Fixed draw order: one uniform decides the fault class, a second
-        // (when straggling) its delay.
-        let u: f64 = rng.gen();
+        // One uniform decides the fault class.
+        let u: f64 = self.pair_rng(node, round).gen();
         if u < self.crash_prob {
             return Some(Fault::Crash);
         }
         if u < self.crash_prob + self.corrupt_prob {
             return Some(Fault::Corrupt);
-        }
-        if u < self.crash_prob + self.corrupt_prob + self.straggle_prob {
-            let frac: f64 = rng.gen();
-            return Some(Fault::Straggle {
-                delay_s: self.max_straggle_s * frac.max(f64::MIN_POSITIVE),
-            });
         }
         None
     }
@@ -195,8 +173,6 @@ mod tests {
     fn draws_are_pure_and_order_independent() {
         let plan = FaultPlan {
             crash_prob: 0.2,
-            straggle_prob: 0.2,
-            max_straggle_s: 5.0,
             corrupt_prob: 0.1,
             ..FaultPlan::new(7)
         };
@@ -262,23 +238,6 @@ mod tests {
         assert_eq!(plan.draw(2, 4), None);
         for round in 5..20 {
             assert_eq!(plan.draw(2, round), Some(Fault::Crash));
-        }
-    }
-
-    #[test]
-    fn straggle_delay_is_bounded_and_positive() {
-        let plan = FaultPlan {
-            straggle_prob: 1.0,
-            max_straggle_s: 3.0,
-            ..FaultPlan::new(11)
-        };
-        for n in 0..100 {
-            match plan.draw(n, 1) {
-                Some(Fault::Straggle { delay_s }) => {
-                    assert!(delay_s > 0.0 && delay_s <= 3.0, "delay {delay_s}")
-                }
-                other => panic!("expected straggle, got {other:?}"),
-            }
         }
     }
 

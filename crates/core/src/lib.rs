@@ -71,7 +71,7 @@ pub use compress::ErrorFeedback;
 pub use faults::{Fault, FaultPlan};
 pub use fedavg::{FedAvg, FedAvgConfig};
 pub use ft::FaultTolerance;
-pub use gather::{GatherPolicy, StragglerPolicy, UpdateValidation};
+pub use gather::{GatherPolicy, UpdateValidation};
 pub use fedml::{FedMl, FedMlConfig};
 pub use fedprox::{FedProx, FedProxConfig};
 pub use meta::{MetaGradientMode, Scratch};

@@ -19,9 +19,8 @@ pub struct RoundRecord {
     /// Nodes whose updates actually entered the aggregate this round.
     /// Equals the task count on fault-free rounds.
     pub reporters: usize,
-    /// Whether this round was degraded — nodes crashed, straggled past
-    /// the deadline, were rejected as corrupt, or a rollback re-ran the
-    /// round with a reduced fleet.
+    /// Whether this round was degraded — nodes crashed, were rejected as
+    /// corrupt, or a rollback re-ran the round with a reduced fleet.
     pub degraded: bool,
 }
 

@@ -35,9 +35,7 @@
 //!
 //! Crash faults are honoured by *not* stepping the node that round —
 //! the platform consults the same pure [`fml_core::FaultPlan`] and skips the
-//! broadcast, so neither side waits on the other. Straggle faults are
-//! virtual-time only (the platform adds the delay when triaging), so no
-//! actor ever sleeps.
+//! broadcast, so neither side waits on the other. No actor ever sleeps.
 
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;

@@ -224,7 +224,7 @@ pub struct RuntimeConfig {
     /// Seeded virtual network delays.
     pub clock: VirtualClock,
     /// The fault stack, as [`crate::SimRunner::with_faults`] takes it
-    /// too: the injected schedule (crash / straggle / corrupt), the
+    /// too: the injected schedule (crash / corrupt), the
     /// validation and quorum policy applied at aggregation points, and
     /// the rollback-and-exclude recovery budget. When a round's gather
     /// loses quorum or the aggregated global goes non-finite, the

@@ -17,12 +17,11 @@
 //! plus a terminal `Excluded` state entered only by the recovery loop
 //! (checkpoint-rollback-exclude) — exclusion is permanent for the run.
 //!
-//! Failures are *consecutive*: crashes / missing reports, updates the
-//! gather validation screen rejected (corrupt frames), and missed
-//! deadlines (dropped stragglers) all count; a single successful
-//! contribution resets the streak. Quarantined and excluded nodes are
-//! removed from the broadcast set; because the weighted-mean aggregator
-//! renormalizes over included submissions, quarantining a node that was
+//! Failures are *consecutive*: crashes / missing reports and updates the
+//! finite check rejected (corrupt frames) both count; a single
+//! successful contribution resets the streak. Quarantined and excluded
+//! nodes are removed from the broadcast set; because the weighted-mean
+//! aggregator renormalizes over the contributors, quarantining a node that was
 //! not reporting anyway does not change the aggregate bitwise.
 
 use serde::{Deserialize, Serialize};

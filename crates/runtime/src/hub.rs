@@ -95,7 +95,8 @@ struct SlotState {
 /// State shared between the platform thread and the acceptor.
 struct HubShared {
     slots: Mutex<Vec<SlotState>>,
-    /// Reader/writer thread handles, joined at shutdown.
+    /// Handles of the link threads that may still run, joined at
+    /// shutdown.
     threads: Mutex<Vec<JoinHandle<()>>>,
     stop: AtomicBool,
     /// Distinct nodes that have joined at least once.
@@ -113,8 +114,10 @@ pub(crate) struct Hub {
 }
 
 impl Hub {
-    /// Starts accepting peers on `listener`. Returns the hub handle and
-    /// the merged node→platform frame stream.
+    /// Starts accepting peers on `listener`, reading each link with
+    /// `io_timeout`, floored at 1 ms: a zero read timeout returns at
+    /// once and would spin the readers. Returns the hub handle and the
+    /// merged node→platform frame stream.
     pub(crate) fn start(
         listener: Box<dyn TransportListener>,
         n: usize,
@@ -129,7 +132,7 @@ impl Hub {
             stop: AtomicBool::new(false),
             joined: AtomicUsize::new(0),
             mailbox_cap,
-            io_timeout,
+            io_timeout: io_timeout.max(Duration::from_millis(1)),
         });
         let (in_tx, in_rx) = channel::<Bytes>();
         let acceptor = {
@@ -275,9 +278,19 @@ fn accept_loop(
             let (shared, in_tx) = (Arc::clone(shared), in_tx.clone());
             std::thread::spawn(move || serve_link(link, n, &shared, &in_tx))
         };
-        let mut threads = shared.threads.lock().unwrap_or_else(|e| e.into_inner());
-        threads.push(reader);
+        register(shared, reader);
     }
+}
+
+/// Registers a link's thread for shutdown to join, first joining the
+/// threads that have ended (which returns at once), so a peer that
+/// keeps reconnecting does not grow the registry.
+fn register(shared: &HubShared, thread: JoinHandle<()>) {
+    let mut threads = shared.threads.lock().unwrap_or_else(|e| e.into_inner());
+    for ended in threads.extract_if(.., |t| t.is_finished()) {
+        let _ = ended.join();
+    }
+    threads.push(thread);
 }
 
 /// A link's own thread: reads its hello, installs the peer, then serves
@@ -368,8 +381,7 @@ fn install_peer(
         let counters = Arc::clone(&counters);
         std::thread::spawn(move || writer_loop(writer_link, &out_rx, &counters))
     };
-    let mut threads = shared.threads.lock().unwrap_or_else(|e| e.into_inner());
-    threads.push(writer);
+    register(shared, writer);
     Some((generation, counters))
 }
 
@@ -639,6 +651,44 @@ mod tests {
         let started = Instant::now();
         hub.shutdown();
         assert!(started.elapsed() < HELLO_TIMEOUT / 2, "{:?}", started.elapsed());
+    }
+
+    /// A peer that reconnects over and over leaves the thread registry
+    /// bounded: each registration joins the link threads that have
+    /// ended.
+    #[test]
+    fn reconnects_do_not_grow_the_thread_registry() {
+        const RECONNECTS: u64 = 20;
+        let (hub, _in_rx, addr) = start_tcp(1);
+        let reconnects = || hub.shared.slots.lock().unwrap()[0].reconnects;
+        for bounce in 0..=RECONNECTS {
+            let mut peer = TcpTransport::connect(&addr).unwrap();
+            peer.send_frame(&hello(0)).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while hub.shared.joined.load(Ordering::Acquire) == 0 || reconnects() < bounce {
+                assert!(Instant::now() < deadline, "bounce {bounce} never installed");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            peer.close();
+            // The reader sees the EOF and clears the slot's queue, which
+            // ends the writer too.
+            while hub.shared.slots.lock().unwrap()[0].tx.is_some() {
+                assert!(Instant::now() < deadline, "bounce {bounce} never cleared");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        let registered = hub.shared.threads.lock().unwrap().len();
+        // One reader and one writer a link: 42 if ended threads stayed.
+        assert!(registered <= 6, "{registered} thread handles kept");
+        assert_eq!(hub.shutdown()[0].reconnects, RECONNECTS);
+    }
+
+    #[test]
+    fn a_zero_io_timeout_is_floored_at_a_millisecond() {
+        let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
+        let (hub, _in_rx) = Hub::start(Box::new(listener), 1, 2, Duration::ZERO);
+        assert_eq!(hub.shared.io_timeout, Duration::from_millis(1));
+        hub.shutdown();
     }
 
     #[test]

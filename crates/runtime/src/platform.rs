@@ -78,18 +78,17 @@
 //! reproduces `train_from` of the driven trainer *bitwise* — its curve,
 //! at each broadcast global, and its result, the re-aggregation of `n`
 //! copies of the last one.
-//! With faults or a custom policy it routes every round through
-//! [`fml_core::gather::gather`] (deadline triage, the finite check,
-//! quorum, the weighted mean), degrading rounds instead of failing, and a
-//! quorum loss rolls back and re-runs the round without the failed
-//! nodes. Either way the aggregate becomes the next global through
+//! With faults or a custom policy every round goes through the core's
+//! gather (the finite check, quorum, the weighted mean renormalized over
+//! the contributors), degrading rounds instead of failing, and a quorum
+//! loss rolls back and re-runs the round without the failed nodes.
+//! Either way the aggregate becomes the next global through
 //! [`LocalStepper::combine`] — identity for FedML/FedAvg/FedProx (the
 //! bitwise trainers), Reptile's outer interpolation otherwise.
 //!
 //! **Async** buffers each upload until its virtual arrival round
-//! (round-start time plus seeded clock delay plus any scheduled
-//! straggle), then folds updates into the global model one at a time in
-//! `(arrival_time, node)` order with a staleness-decayed weight (see
+//! (round-start time plus seeded clock delay), then folds updates into
+//! the global model one at a time in `(arrival_time, node)` order with a staleness-decayed weight (see
 //! [`crate::AsyncPolicy`]) — that mix replaces
 //! [`LocalStepper::combine`] in this mode. Updates staler than
 //! `max_staleness` are rejected and counted. Because arrival order is
@@ -222,7 +221,7 @@ impl Runtime {
     /// uses — node compute happens in whatever processes connected.
     ///
     /// Rounds degrade (never hang) when peers are missing, die
-    /// mid-round, or straggle past the gather deadline; a peer that
+    /// mid-round, or stay silent past the round's timeout; a peer that
     /// reconnects resumes receiving broadcasts and its reconnect is
     /// counted in the report.
     ///
@@ -244,15 +243,10 @@ impl Runtime {
         listener: Box<dyn TransportListener>,
     ) -> Result<RuntimeOutput, TransportError> {
         let mut core = Core::new(&self.cfg, stepper, model, tasks, theta0);
-        // Socket read/write deadlines come from the gather policy: a
-        // round that cannot end before the gather deadline should not
-        // block a socket longer either.
-        let recv_timeout = Duration::from_millis(self.cfg.recv_timeout_ms);
-        let io_deadline = self.cfg.ft.policy.io_deadline(recv_timeout);
-
         // Node compute runs in the peers' processes: no worker threads.
         core.report.transport = listener.kind().into();
-        let (hub, uplink) = Hub::start(listener, tasks.len(), self.cfg.mailbox_cap, io_deadline);
+        let io_timeout = Duration::from_millis(self.cfg.recv_timeout_ms);
+        let (hub, uplink) = Hub::start(listener, tasks.len(), self.cfg.mailbox_cap, io_timeout);
         let joined = hub.await_join(Duration::from_millis(self.cfg.join_timeout_ms));
         if joined == 0 {
             hub.shutdown();

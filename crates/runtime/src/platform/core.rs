@@ -40,8 +40,7 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use fml_core::checkpoint::Checkpoint;
-use fml_core::ft::ReuseCache;
-use fml_core::gather::{gather, screen_update, RoundReport, Submission, Validated};
+use fml_core::gather::{screen_update, Validated};
 use fml_core::{
     aggregate, Fault, LocalStepper, RoundRecord, Scratch, SourceTask, TrainOutput, UpdateValidation,
 };
@@ -413,7 +412,6 @@ pub(crate) struct Core<'a> {
     reaverage: bool,
     /// The last good global: what a rollback restores.
     snapshot: Vec<f64>,
-    last_good: ReuseCache,
     /// A round that rolled back stays flagged degraded even when the
     /// re-run fleet reports cleanly.
     recovered: bool,
@@ -497,7 +495,6 @@ impl<'a> Core<'a> {
             exact: cfg.ft.plan.is_benign() && cfg.ft.policy == fml_core::GatherPolicy::default(),
             reaverage: false,
             snapshot: theta0.to_vec(),
-            last_good: ReuseCache::new(n, &cfg.ft.policy),
             recovered: false,
             fold,
             parked: None,
@@ -727,23 +724,13 @@ impl<'a> Core<'a> {
         true
     }
 
-    /// Total virtual upload delay for `node` in the open round: the
-    /// seeded clock plus any scheduled straggle.
-    fn upload_delay_s(&self, node: usize) -> f64 {
-        let straggle_s = match self.cfg.ft.plan.draw(node, self.round) {
-            Some(Fault::Straggle { delay_s }) => delay_s,
-            _ => 0.0,
-        };
-        self.cfg.clock.delay_s(node, self.round) + straggle_s
-    }
-
     /// A barrier close, with the round's outcome and virtual comm time;
     /// `None` when it rolled back.
     fn close_barrier(&mut self) -> Option<(Outcome, f64)> {
         let n = self.tasks.len();
         let comm_time_s = (0..n)
             .filter(|&i| self.slots[i] == Slot::Received)
-            .map(|i| self.upload_delay_s(i))
+            .map(|i| self.cfg.clock.delay_s(i, self.round))
             .fold(0.0f64, f64::max);
         let end = if self.exact && self.received == n {
             // train_from replica: aggregate the locals (the reference's
@@ -775,13 +762,14 @@ impl<'a> Core<'a> {
         Some((end, comm_time_s))
     }
 
-    /// One barrier round through [`gather`] over the *active* selection
-    /// (deadline triage, the finite check, quorum, the weighted mean),
-    /// each submission borrowing its node's row, and the aggregate
-    /// installed through [`LocalStepper::combine`]. Quorum is
-    /// a fraction of the active total, so excluding failed nodes during
-    /// recovery shrinks the requirement — that is what lets a run finish
-    /// after a minority of nodes dies.
+    /// One barrier round over the *active* selection: each node that
+    /// reported a finite update contributes its row and succeeds, every
+    /// other node fails in the health tracker; then the quorum, and the
+    /// weighted mean with the weights renormalized over the
+    /// contributors, installed through [`LocalStepper::combine`]. Quorum
+    /// is a fraction of the active total, so excluding failed nodes
+    /// during recovery shrinks the requirement — that is what lets a run
+    /// finish after a minority of nodes dies.
     ///
     /// Quorum loss and a diverged global first try rollback-and-exclude
     /// (`None`: rolled back, re-run the round); only when recovery is
@@ -789,63 +777,53 @@ impl<'a> Core<'a> {
     /// global — a thin fleet must degrade, not hang. A fleet quarantined
     /// whole has nobody to gather, which is a lost quorum too.
     fn gather_round(&mut self) -> Option<Outcome> {
-        let mut active = self.health.active_nodes();
-        active.retain(|&i| self.selected[i]);
-        let submissions: Vec<Submission> = active
-            .iter()
-            .map(|&i| match self.slots[i] {
-                Slot::Received => Submission {
-                    delay_s: self.upload_delay_s(i),
-                    last_good: self.last_good.get(i),
-                    ..Submission::on_time(i, self.tasks[i].weight, &self.rows[i])
-                },
-                _ => Submission::crashed(i, self.tasks[i].weight),
-            })
-            .collect();
-        // Validation can pass per node and the combined global still
-        // diverge.
-        let gathered = gather(self.round, active.len(), &submissions, &self.cfg.ft.policy)
-            .map(|(params, report)| (self.stepper.combine(&self.global, params), report));
-        let failed = match gathered {
-            Ok((next, report)) if next.iter().all(|x| x.is_finite()) => {
-                self.record_health(&report);
-                let (slots, rows) = (&self.slots, &self.rows);
-                let updates = active
-                    .iter()
-                    .map(|&i| (slots[i] == Slot::Received).then(|| &rows[i][..]));
-                self.last_good.absorb(&report, updates);
+        let mut total = 0;
+        let mut failed = Vec::new();
+        let (mut weights, mut views) = (Vec::new(), Vec::new());
+        for i in self.health.active_nodes() {
+            if !self.selected[i] {
+                continue;
+            }
+            total += 1;
+            let row = &self.rows[i][..];
+            if self.slots[i] == Slot::Received && row.iter().all(|x| x.is_finite()) {
+                weights.push(self.tasks[i].weight);
+                views.push(row);
+                self.health.record_success(i, self.round);
+            } else {
+                failed.push(i);
+                self.health.record_failure(i, self.round);
+            }
+        }
+        let reporters = views.len();
+        if reporters >= self.cfg.ft.policy.required_reporters(total) {
+            // Eq. 5 over the contributors, weights renormalized.
+            let total_w: f64 = weights.iter().sum();
+            for w in &mut weights {
+                *w /= total_w;
+            }
+            let params = weighted_sum(&views, &weights).expect("a met quorum has a contributor");
+            let next = self.stepper.combine(&self.global, params);
+            // Validation can pass per node and the combined global still
+            // diverge.
+            if next.iter().all(|x| x.is_finite()) {
                 self.global = next;
                 return Some(Outcome {
                     aggregated: true,
-                    reporters: report.reporters,
-                    degraded: report.degraded,
+                    reporters,
+                    degraded: !failed.is_empty(),
                 });
             }
-            Ok((_, report)) | Err(report) => report,
-        };
-        self.record_health(&failed);
-        if self.try_recover(&failed.failed_nodes()) {
+        }
+        if self.try_recover(&failed) {
             self.recovered = true;
             return None;
         }
         Some(Outcome {
             aggregated: false,
-            reporters: failed.reporters,
+            reporters,
             degraded: true,
         })
-    }
-
-    /// Feeds one gather round report into the health state machine:
-    /// contributors succeed, failed nodes (crashes, rejected-corrupt
-    /// updates, missed deadlines) fail.
-    fn record_health(&mut self, report: &RoundReport) {
-        for &(node, outcome) in &report.outcomes {
-            if outcome.failed() {
-                self.health.record_failure(node, self.round);
-            } else if outcome.contributed() {
-                self.health.record_success(node, self.round);
-            }
-        }
     }
 
     /// The rollback-and-exclude decision, over the health tracker's
@@ -895,7 +873,7 @@ impl<'a> Core<'a> {
         // Stamp each physical arrival with its *virtual* arrival round:
         // round-start time plus the seeded upload delay.
         for node in (0..n).filter(|&i| self.slots[i] == Slot::Received) {
-            let arrival_time_s = (round - 1) as f64 * round_s + self.upload_delay_s(node);
+            let arrival_time_s = (round - 1) as f64 * round_s + self.cfg.clock.delay_s(node, round);
             let mut params = fold.spares.pop().unwrap_or_default();
             params.clone_from(&self.rows[node]);
             fold.pending.push(Pending {
@@ -1352,6 +1330,11 @@ mod tests {
         assert_eq!(core.wait(at(1_300)), None, "last accept + timeout");
     }
 
+    /// A barrier round is its weighted mean then `combine`, bit for bit:
+    /// on the exact path the `train_from` aggregate; on the gather path
+    /// (a non-default quorum, a crash, or a NaN or ±Inf row) the mean
+    /// with its weights renormalized over the nodes whose updates are
+    /// finite — each of which succeeds, while the others fail.
     #[test]
     fn a_full_barrier_round_is_aggregate_then_combine_bit_for_bit() {
         let (model, tasks, theta0) = fixture(4);
@@ -1372,6 +1355,47 @@ mod tests {
         assert_eq!(out.comm_rounds, 1);
         assert!(!out.history[0].degraded);
         assert_eq!(report.staleness_hist, vec![4]);
+
+        let quorum =
+            RuntimeConfig::barrier(4).with_gather(GatherPolicy::default().with_min_quorum(0.75));
+        // Node 1 silent (`None`) or reporting a row of one value.
+        for (cfg, bad) in [
+            (&quorum, None),
+            (&cfg, Some(None)),
+            (&quorum, Some(Some(f64::NAN))),
+            (&quorum, Some(Some(f64::INFINITY))),
+            (&quorum, Some(Some(f64::NEG_INFINITY))),
+        ] {
+            let mut core = Core::new(cfg, &stepper, &model, &tasks, &theta0);
+            let round = core.open_round().unwrap();
+            core.broadcast(|_| true);
+            for node in [3, 1, 0, 2] {
+                let mut row = locals[node].clone();
+                match bad {
+                    Some(None) if node == 1 => continue,
+                    Some(Some(x)) if node == 1 => row.fill(x),
+                    _ => {}
+                }
+                core.offer(&update(round, node, &row), Instant::now());
+            }
+            assert!(core.close_round());
+            let good: Vec<usize> = (0..4).filter(|&i| bad.is_none() || i != 1).collect();
+            let total_w: f64 = good.iter().map(|&i| tasks[i].weight).sum();
+            let weights: Vec<f64> = good.iter().map(|&i| tasks[i].weight / total_w).collect();
+            let views: Vec<&[f64]> = good.iter().map(|&i| &locals[i][..]).collect();
+            let want = stepper.combine(&theta0, weighted_sum(&views, &weights).unwrap());
+            assert_eq!(bits(&core.global), bits(&want), "{bad:?}");
+            let (out, report) = core.finish();
+            let record = &out.history[0];
+            assert_eq!(
+                (record.aggregated, record.reporters, record.degraded),
+                (true, good.len(), bad.is_some()),
+                "{bad:?}"
+            );
+            let failures: Vec<u64> = report.node_health.iter().map(|h| h.failures).collect();
+            let failed = u64::from(bad.is_some());
+            assert_eq!(failures, [0, failed, 0, 0], "{bad:?}");
+        }
     }
 
     #[test]
@@ -1382,8 +1406,15 @@ mod tests {
         let stepper = fedml(2);
         let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
         let t = Instant::now();
-        // Two of four reporters miss a 0.75 quorum.
-        assert_eq!(run_round(&mut core, &[0, 1], t), (1, false));
+        // Two of four reporters miss a 0.75 quorum: node 2's update is
+        // NaN, node 3 is silent, and both are blamed.
+        let round = core.open_round().unwrap();
+        core.broadcast(|_| true);
+        for node in [0, 1] {
+            core.offer(&update(round, node, &local(&theta0, node)), t);
+        }
+        core.offer(&update(round, 2, &vec![f64::NAN; theta0.len()]), t);
+        assert!(!core.close_round());
         assert_eq!(core.global, theta0, "rolled back");
         assert_eq!((core.report.rollbacks, core.report.recoveries), (1, 1));
         assert_eq!(core.report.excluded_nodes, vec![2, 3]);

@@ -8,7 +8,7 @@
 //! [`Transport::try_clone`] splits, which share the counters.
 //!
 //! This composes with (and is orthogonal to) `fml_core::FaultPlan`:
-//! the core plan models *node* behaviour (crash / straggle / corrupt at
+//! the core plan models *node* behaviour (crash / corrupt at
 //! the trainer), this decorator models the *wire* — lossy links, slow
 //! links, bit rot in flight, and scripted disconnects for reconnect
 //! tests.

@@ -31,8 +31,8 @@ pub struct RoundTrace {
     /// `participants.len()` only under faults, which the simulator does
     /// not inject.
     pub reporters: usize,
-    /// Whether the round was degraded — crashes, rejected updates,
-    /// dropped stragglers, or a skipped aggregation. Never in a
+    /// Whether the round was degraded — crashes, rejected updates, or a
+    /// skipped aggregation. Never in a
     /// simulated run.
     pub degraded: bool,
 }
