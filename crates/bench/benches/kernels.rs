@@ -191,11 +191,11 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| pool.release(encode()))
     });
     let frame = encode();
-    let mut out = Vec::with_capacity(dim);
+    let mut out = vec![0.0; dim];
     group.bench_with_input(BenchmarkId::new("quant8_decode", dim), &dim, |b, _| {
         b.iter(|| {
             let view = CompressedView::parse(black_box(&frame)).unwrap();
-            view.copy_params_into(&mut out);
+            view.write_params(&mut out);
             out.last().copied()
         })
     });

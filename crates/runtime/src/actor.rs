@@ -40,8 +40,8 @@
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
@@ -55,6 +55,7 @@ use fml_sim::{
 };
 
 use crate::config::RuntimeConfig;
+use crate::lock;
 use crate::report::NodeIo;
 use crate::transport::{Transport, TransportError};
 
@@ -98,6 +99,9 @@ pub(crate) struct Fleet {
     /// One per node; a worker holds a node's lock for its whole step.
     slots: Vec<Mutex<NodeSlot>>,
     workers: usize,
+    /// Replies a full uplink refused; each was recycled, and the
+    /// platform counts it undelivered.
+    pub(crate) refused: AtomicU64,
 }
 
 /// A broadcast as the platform posted it.
@@ -125,6 +129,7 @@ impl Fleet {
                 .map(|node| Mutex::new(NodeSlot::new(node)))
                 .collect(),
             workers,
+            refused: AtomicU64::new(0),
         }
     }
 
@@ -196,14 +201,6 @@ impl Fleet {
     }
 }
 
-/// A poisoned lock still guards sound data here: a panicking step
-/// leaves at worst one node's counters or residual mid-update (a
-/// residual of the wrong length is skipped), and a post that panics
-/// before its sequence moves is never claimed.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The driver's hold on the fleet. Dropping it closes the fleet, so a
 /// driver that panics still lets the workers return for the scope to
 /// join.
@@ -227,13 +224,13 @@ pub(crate) struct WorkerCtx<'a> {
     pub cfg: &'a RuntimeConfig,
 }
 
-/// Per-worker reusable storage: the decoded-global scratch vector, what
-/// the stepper computes on and writes its update into, and the frame
-/// pool handle replies are encoded through. One per worker thread (or
-/// transport peer), so the steady-state round touches no allocator: the
-/// step performs no allocation, and a reply frame is a recycled pool
-/// buffer frozen into its own recycled refcount block (a pool miss only
-/// while the fleet's frames first come live).
+/// Per-worker reusable storage: the decoded-global buffer, sized once to
+/// the model, what the stepper computes on and writes its update into,
+/// and the frame pool handle replies are encoded through. One per
+/// worker thread (or transport peer), so the steady-state round touches
+/// no allocator: the step performs no allocation, and a reply frame is
+/// a recycled pool buffer frozen into its own recycled refcount block
+/// (a pool miss only while the fleet's frames first come live).
 pub(crate) struct StepScratch {
     global: Vec<f64>,
     step: Scratch,
@@ -248,7 +245,7 @@ impl StepScratch {
     pub(crate) fn new(ctx: &WorkerCtx<'_>) -> Self {
         let step = Scratch::for_model(ctx.model);
         StepScratch {
-            global: Vec::new(),
+            global: vec![0.0; ctx.model.param_len()],
             // Asked for only when the platform will take them.
             step: if ctx.stepper.yields_curve_terms() {
                 step.with_curve_terms()
@@ -267,7 +264,7 @@ impl StepScratch {
 /// corrupt fault, encode the reply into a pooled buffer. Counts the
 /// received frame into the node's `slot`, and the reply frame too when
 /// one is produced. Returns `None` (bumping its `decode_errors`) on an
-/// unusable frame.
+/// unusable frame: one that is not a broadcast of the model's length.
 pub(crate) fn step_reply(
     ctx: &WorkerCtx<'_>,
     node: usize,
@@ -281,12 +278,12 @@ pub(crate) fn step_reply(
     io.bytes_received += frame.len() as u64;
     // Parse on receive: the hardened path runs on every hop.
     let broadcast_round = match MessageView::parse(frame) {
-        Ok(view) if view.is_global() => {
-            view.copy_params_into(&mut scratch.global);
+        Ok(view) if view.is_global() && view.len() == scratch.global.len() => {
+            view.write_params(&mut scratch.global);
             view.round()
         }
-        // A non-broadcast message here is a protocol violation; count
-        // it like any other unusable frame.
+        // A non-broadcast message, or a global of another model, is a
+        // protocol violation; count it like any other unusable frame.
         Ok(_) | Err(_) => {
             io.decode_errors += 1;
             return None;
@@ -354,9 +351,11 @@ pub(crate) fn step_reply(
 
 /// A worker of the in-process fleet: takes each post, claims its
 /// targets a chunk at a time until none are left, and steps every
-/// claimed node from its slot, sending the reply up `uplink`. Returns
-/// once the fleet closes.
-pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, fleet: &Fleet, uplink: Sender<Bytes>) {
+/// claimed node from its slot, handing the reply to the bounded
+/// `uplink` with `try_send`: a worker never blocks on it. A reply the
+/// full uplink refuses is recycled and counted in the fleet's
+/// [`refused`](Fleet::refused). Returns once the fleet closes.
+pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, fleet: &Fleet, uplink: SyncSender<Bytes>) {
     let mut scratch = StepScratch::new(ctx);
     let mut targets = Vec::new();
     let mut seen = 0;
@@ -372,8 +371,13 @@ pub(crate) fn worker_loop(ctx: &WorkerCtx<'_>, fleet: &Fleet, uplink: Sender<Byt
                 if let Some(reply) = step_reply(ctx, node, &frame, steps, &mut scratch, &mut slot) {
                     // The uplink takes the only handle, so the platform's
                     // recycle gets the buffer back. It outlives the
-                    // workers, so the send cannot fail.
-                    let _ = uplink.send(reply);
+                    // workers, so only a full one refuses.
+                    if let Err(TrySendError::Full(reply) | TrySendError::Disconnected(reply)) =
+                        uplink.try_send(reply)
+                    {
+                        fleet.refused.fetch_add(1, Relaxed);
+                        scratch.pool.recycle(reply);
+                    }
                 }
             }
         }

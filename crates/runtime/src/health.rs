@@ -87,7 +87,7 @@ pub struct HealthTransition {
     /// resume restoring exclusions).
     pub round: usize,
     /// State entered, as a [`NodeHealth::label`].
-    pub to: String,
+    pub to: &'static str,
 }
 
 /// Final per-node health summary embedded in the runtime report.
@@ -95,8 +95,8 @@ pub struct HealthTransition {
 pub struct NodeHealthReport {
     /// Node id.
     pub node: usize,
-    /// Final state label.
-    pub state: String,
+    /// Final state, as a [`NodeHealth::label`].
+    pub state: &'static str,
     /// Total failure events observed (not just the final streak).
     pub failures: u64,
     /// Every state change, in order.
@@ -128,7 +128,7 @@ impl HealthTracker {
             self.states[node] = to;
             self.transitions[node].push(HealthTransition {
                 round,
-                to: to.label().to_string(),
+                to: to.label(),
             });
         }
     }
@@ -235,7 +235,7 @@ impl HealthTracker {
         (0..self.states.len())
             .map(|node| NodeHealthReport {
                 node,
-                state: self.states[node].label().to_string(),
+                state: self.states[node].label(),
                 failures: self.failures[node],
                 transitions: self.transitions[node].clone(),
             })
@@ -355,7 +355,7 @@ mod tests {
         t.begin_round(8);
         t.record_failure(0, 8);
         let s = &t.summaries()[0];
-        let labels: Vec<&str> = s.transitions.iter().map(|tr| tr.to.as_str()).collect();
+        let labels: Vec<&str> = s.transitions.iter().map(|tr| tr.to).collect();
         assert_eq!(
             labels,
             vec!["suspect", "quarantined", "probation", "quarantined"]

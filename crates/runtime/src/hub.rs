@@ -7,7 +7,11 @@
 //! protocol). Each link has a thread of its own, which reads the hello
 //! — so a link that connects and stays silent holds up no other peer's
 //! join — and then serves as the peer's reader (frames flow into one
-//! merged inbound channel, exactly like the in-process uplink). A writer
+//! merged inbound channel, exactly like the in-process uplink). At most
+//! `n` links, the fleet's size, await their hello at once: a link
+//! accepted beyond that closes the one that has waited longest, so a
+//! burst of silent connections holds at most `n` threads and still
+//! cannot lock a real peer out. A writer
 //! thread on a clone of the link is fed by a bounded outbound queue of
 //! `mailbox_cap` frames: `try_send`, drop-on-full, so a slow or dead
 //! peer costs dropped frames and a degraded round, never a blocked
@@ -40,6 +44,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use fml_sim::{curve_trailer_len, logical_frame_len, FramePool, MessageView, LENGTH_PREFIX_LEN};
 
+use crate::lock;
 use crate::report::NodeIo;
 use crate::transport::{Transport, TransportError, TransportListener};
 
@@ -47,7 +52,8 @@ use crate::transport::{Transport, TransportError, TransportListener};
 /// the stop flag.
 const ACCEPT_TICK: Duration = Duration::from_millis(20);
 
-/// How often `await_join` rechecks the joined count.
+/// How often `await_join` rechecks the joined count, and the acceptor
+/// the links awaiting their hello.
 const JOIN_POLL: Duration = Duration::from_millis(5);
 
 /// How long a freshly accepted link gets to send its hello frame.
@@ -99,8 +105,15 @@ struct HubShared {
     /// shutdown.
     threads: Mutex<Vec<JoinHandle<()>>>,
     stop: AtomicBool,
+    /// The fleet's size.
+    n: usize,
     /// Distinct nodes that have joined at least once.
     joined: AtomicUsize,
+    /// Links accepted so far: a link awaiting its hello gives up once
+    /// `n` later ones have been accepted.
+    accepted: AtomicUsize,
+    /// Links whose thread still awaits their hello.
+    greeting: AtomicUsize,
     mailbox_cap: usize,
     io_timeout: Duration,
 }
@@ -130,14 +143,17 @@ impl Hub {
             slots: Mutex::new((0..n).map(|_| SlotState::default()).collect()),
             threads: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
+            n,
             joined: AtomicUsize::new(0),
+            accepted: AtomicUsize::new(0),
+            greeting: AtomicUsize::new(0),
             mailbox_cap,
             io_timeout: io_timeout.max(Duration::from_millis(1)),
         });
         let (in_tx, in_rx) = channel::<Bytes>();
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(listener, n, &shared, &in_tx))
+            std::thread::spawn(move || accept_loop(listener, &shared, &in_tx))
         };
         (
             Hub {
@@ -151,14 +167,10 @@ impl Hub {
     /// Blocks until all expected peers have joined at least once, or
     /// the timeout expires. Returns how many have joined.
     pub(crate) fn await_join(&self, timeout: Duration) -> usize {
-        let n = {
-            let slots = self.shared.slots.lock().unwrap_or_else(|e| e.into_inner());
-            slots.len()
-        };
         let deadline = Instant::now() + timeout;
         loop {
             let joined = self.shared.joined.load(Ordering::Acquire);
-            if joined >= n || Instant::now() >= deadline {
+            if joined >= self.shared.n || Instant::now() >= deadline {
                 return joined;
             }
             std::thread::sleep(JOIN_POLL);
@@ -172,7 +184,7 @@ impl Hub {
     /// round degrades later if the peer never returns). An accepted
     /// frame becomes the slot's `last`.
     pub(crate) fn try_send(&self, node: usize, frame: Bytes) -> bool {
-        let mut slots = self.shared.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slots = lock(&self.shared.slots);
         let Some(slot) = slots.get_mut(node) else {
             return false;
         };
@@ -196,8 +208,7 @@ impl Hub {
     /// The driver still holds the frame, so dropping the slots' copies
     /// leaves its recycle to whichever handle goes last.
     pub(crate) fn retract(&self) {
-        let mut slots = self.shared.slots.lock().unwrap_or_else(|e| e.into_inner());
-        for slot in slots.iter_mut() {
+        for slot in lock(&self.shared.slots).iter_mut() {
             slot.last = None;
         }
     }
@@ -215,19 +226,13 @@ impl Hub {
         // (waking blocked readers and peers with EOF), and exit. An
         // install checks the stop flag under this lock, so none lands
         // after it.
-        {
-            let mut slots = self.shared.slots.lock().unwrap_or_else(|e| e.into_inner());
-            for slot in slots.iter_mut() {
-                slot.tx = None;
-            }
+        for slot in lock(&self.shared.slots).iter_mut() {
+            slot.tx = None;
         }
         // A link's thread may register its peer's writer while it is
         // joined: join until none is left.
         loop {
-            let handles = {
-                let mut threads = self.shared.threads.lock().unwrap_or_else(|e| e.into_inner());
-                std::mem::take(&mut *threads)
-            };
+            let handles = std::mem::take(&mut *lock(&self.shared.threads));
             if handles.is_empty() {
                 break;
             }
@@ -235,8 +240,7 @@ impl Hub {
                 let _ = h.join();
             }
         }
-        let slots = self.shared.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots
+        lock(&self.shared.slots)
             .iter()
             .enumerate()
             .map(|(node, slot)| NodeIo {
@@ -261,10 +265,11 @@ impl Hub {
 }
 
 /// Accepts links until told to stop, each onto a thread of its own
-/// ([`serve_link`]).
+/// ([`serve_link`]). With `n` links awaiting their hello, a new one
+/// waits for the oldest of them to give up — within a tick of
+/// [`read_hello`] — so no more than `n` ever await at once.
 fn accept_loop(
     mut listener: Box<dyn TransportListener>,
-    n: usize,
     shared: &Arc<HubShared>,
     in_tx: &Sender<Bytes>,
 ) {
@@ -274,9 +279,15 @@ fn accept_loop(
             Err(TransportError::Timeout) => continue,
             Err(_) => break,
         };
+        let ticket = shared.accepted.fetch_add(1, Ordering::AcqRel);
+        // The oldest waiting link is `n` behind this one: it gives up.
+        while shared.greeting.load(Ordering::Acquire) >= shared.n {
+            std::thread::sleep(JOIN_POLL);
+        }
+        shared.greeting.fetch_add(1, Ordering::AcqRel);
         let reader = {
             let (shared, in_tx) = (Arc::clone(shared), in_tx.clone());
-            std::thread::spawn(move || serve_link(link, n, &shared, &in_tx))
+            std::thread::spawn(move || serve_link(link, ticket, &shared, &in_tx))
         };
         register(shared, reader);
     }
@@ -286,7 +297,7 @@ fn accept_loop(
 /// threads that have ended (which returns at once), so a peer that
 /// keeps reconnecting does not grow the registry.
 fn register(shared: &HubShared, thread: JoinHandle<()>) {
-    let mut threads = shared.threads.lock().unwrap_or_else(|e| e.into_inner());
+    let mut threads = lock(&shared.threads);
     for ended in threads.extract_if(.., |t| t.is_finished()) {
         let _ = ended.join();
     }
@@ -294,9 +305,12 @@ fn register(shared: &HubShared, thread: JoinHandle<()>) {
 }
 
 /// A link's own thread: reads its hello, installs the peer, then serves
-/// as the peer's reader for as long as the link lives.
-fn serve_link(link: Box<dyn Transport>, n: usize, shared: &HubShared, in_tx: &Sender<Bytes>) {
-    let Some((node, mut link)) = read_hello(link, n, &shared.stop) else {
+/// as the peer's reader for as long as the link lives. `ticket` is the
+/// link's place in the order of acceptance.
+fn serve_link(link: Box<dyn Transport>, ticket: usize, shared: &HubShared, in_tx: &Sender<Bytes>) {
+    let hello = read_hello(link, ticket, shared);
+    shared.greeting.fetch_sub(1, Ordering::AcqRel);
+    let Some((node, mut link)) = hello else {
         return;
     };
     match install_peer(node, link.as_ref(), shared) {
@@ -308,20 +322,26 @@ fn serve_link(link: Box<dyn Transport>, n: usize, shared: &HubShared, in_tx: &Se
 }
 
 /// Waits up to [`HELLO_TIMEOUT`] for the hello frame, giving up early
-/// once `stop` is raised, and validates the claimed node id. Returns
-/// `None` (dropping the link) on anything malformed.
+/// once the hub stops or `n` links accepted after this one (the
+/// `ticket`-th) are waiting behind it, and validates the claimed node
+/// id. Returns `None` (closing the link) on anything malformed.
 fn read_hello(
     mut link: Box<dyn Transport>,
-    n: usize,
-    stop: &AtomicBool,
+    ticket: usize,
+    shared: &HubShared,
 ) -> Option<(usize, Box<dyn Transport>)> {
+    let n = shared.n;
     let deadline = Instant::now() + HELLO_TIMEOUT;
+    let waiting = || {
+        Instant::now() < deadline
+            && !shared.stop.load(Ordering::Acquire)
+            && shared.accepted.load(Ordering::Acquire) <= ticket + n
+    };
     let frame = loop {
         match link.recv_frame(ACCEPT_TICK) {
             Ok(frame) => break Some(frame),
             // A timed-out read keeps what part of the frame it has.
-            Err(TransportError::Timeout)
-                if Instant::now() < deadline && !stop.load(Ordering::Acquire) => {}
+            Err(TransportError::Timeout) if waiting() => {}
             Err(_) => break None,
         }
     };
@@ -352,7 +372,7 @@ fn install_peer(
     let writer_link = link.try_clone().ok()?;
     let (out_tx, out_rx) = sync_channel::<Bytes>(shared.mailbox_cap);
     let (generation, counters) = {
-        let mut slots = shared.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slots = lock(&shared.slots);
         if shared.stop.load(Ordering::Acquire) {
             return None;
         }
@@ -449,8 +469,7 @@ fn reader_loop(
     }
     link.close();
     if !shared.stop.load(Ordering::Acquire) {
-        let mut slots = shared.slots.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = &mut slots[node];
+        let slot = &mut lock(&shared.slots)[node];
         if slot.generation == generation {
             // Dropping the sender ends the paired writer too.
             slot.tx = None;
@@ -681,6 +700,40 @@ mod tests {
         // One reader and one writer a link: 42 if ended threads stayed.
         assert!(registered <= 6, "{registered} thread handles kept");
         assert_eq!(hub.shutdown()[0].reconnects, RECONNECTS);
+    }
+
+    /// At most `n` links await their hello at once: a burst of silent
+    /// connections closes the oldest of them at once, keeps the thread
+    /// registry bounded, and a real peer still joins behind it.
+    #[test]
+    fn silent_links_beyond_the_fleet_size_are_closed() {
+        const SILENT: usize = 12;
+        let (hub, _in_rx, addr) = start_tcp(2);
+        let started = Instant::now();
+        let mut silent: Vec<TcpTransport> = (0..SILENT)
+            .map(|_| TcpTransport::connect(&addr).unwrap())
+            .collect();
+        for (i, link) in silent[..SILENT - 2].iter_mut().enumerate() {
+            assert_eq!(
+                link.recv_frame(Duration::from_secs(5)),
+                Err(TransportError::Closed),
+                "silent link {i}"
+            );
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < HELLO_TIMEOUT / 2, "{elapsed:?}");
+        assert!(hub.shared.greeting.load(Ordering::Acquire) <= 2);
+        let mut peer = TcpTransport::connect(&addr).unwrap();
+        peer.send_frame(&hello(1)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while hub.shared.joined.load(Ordering::Acquire) == 0 {
+            assert!(Instant::now() < deadline, "the peer never joined");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let registered = hub.shared.threads.lock().unwrap().len();
+        // The peer's reader and writer, and the links not yet joined.
+        assert!(registered <= 6, "{registered} thread handles kept");
+        hub.shutdown();
     }
 
     #[test]

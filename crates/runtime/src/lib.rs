@@ -87,6 +87,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 mod actor;
 mod adaptive;
 pub mod clock;
@@ -116,3 +118,12 @@ pub use transport::{
     Transport, TransportError, TransportListener, UnixTransport, UnixTransportListener,
     CONNECT_ATTEMPTS, CONNECT_BASE_DELAY,
 };
+
+/// Locks `mutex`, taking over a poisoned one: each mutex here guards
+/// state a panicking holder leaves sound — a node's counters or
+/// residual mid-update (a residual of the wrong length is skipped), a
+/// post whose sequence never moved, a hub slot or thread list, a queue
+/// that changes by one push or pop.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

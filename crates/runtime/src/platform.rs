@@ -24,7 +24,7 @@
 //!   └──────────┘                          └──────────────────────┘
 //!        ▲                ModelUpdate frames          │
 //!        └────────────────────────────────────────────┘
-//!                    shared uplink channel
+//!           bounded uplink (2n frames, workers try_send)
 //! ```
 //!
 //! A socket fleet has the hub in the workers' place: a bounded outbound
@@ -37,7 +37,17 @@
 //! never blocks on a send at all: a post is a lock and a condvar
 //! signal, socket broadcasts use `try_send` (a full queue or a dead
 //! peer drops the frame, which the core counts against the round), and
-//! the uplink is drained with `recv_timeout`. The core owns
+//! the uplink is drained with `recv_timeout`.
+//!
+//! The in-process uplink is a `sync_channel` of `2n` frames for `n`
+//! nodes, allocated once a run. That covers every reply that can be
+//! outstanding: at most one per reached node for the open post, plus at
+//! most one per node still owed by a post whose round timed out — a
+//! worker finishes what it claimed of that post, and claims nothing of
+//! it once the next is posted. Workers `try_send`, so none ever blocks
+//! on it; a reply it still refuses is recycled and counted undelivered.
+//! The hub's uplink is an unbounded channel: a socket peer's reader
+//! must not stall on it. The core owns
 //! the round's silence deadline: it starts when collecting starts and
 //! restarts only when an update the round awaits is accepted — garbage,
 //! duplicate and stale frames do not extend it — so a crashed or wedged
@@ -74,11 +84,12 @@
 //! Both modes run the same driver loop; the core's close differs.
 //!
 //! **Barrier** waits for every expected update each round. When the
-//! fleet is fault-free and the gather policy is the default, it
-//! reproduces `train_from` of the driven trainer *bitwise* — its curve,
-//! at each broadcast global, and its result, the re-aggregation of `n`
-//! copies of the last one.
-//! With faults or a custom policy every round goes through the core's
+//! fleet is fault-free, the gather policy is the default and every
+//! update is finite, it reproduces `train_from` of the driven trainer
+//! *bitwise* — its curve, at each broadcast global, and its result, the
+//! re-aggregation of `n` copies of the last one.
+//! With faults, a custom policy or a non-finite update a round goes
+//! through the core's
 //! gather (the finite check, quorum, the weighted mean renormalized over
 //! the contributors), degrading rounds instead of failing, and a quorum
 //! loss rolls back and re-runs the round without the failed nodes.
@@ -97,7 +108,8 @@
 
 pub(crate) mod core;
 
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
@@ -184,12 +196,10 @@ impl Runtime {
         core.report.transport = "channel".into();
         core.report.threads = workers;
 
-        // One posted round at a time down; one shared uplink back. The
-        // uplink is unbounded so workers never block sending — it holds
-        // at most one frame per reached node per round because the
-        // platform drains it every round.
+        // One posted round at a time down; one shared uplink back,
+        // bounded by what can be outstanding (see the module docs).
         let fleet = Fleet::new(n, workers);
-        let (uplink_tx, uplink) = channel::<Bytes>();
+        let (uplink_tx, uplink) = sync_channel::<Bytes>(2 * n);
         let ctx = WorkerCtx {
             stepper,
             model,
@@ -329,7 +339,7 @@ impl Runtime {
         report.pool = pool.stats().into();
         // Closing ends the fleet: in-process workers return, socket peers
         // see EOF.
-        report.per_node = peers.close();
+        peers.close(&mut report);
         report.per_node.sort_by_key(|io| io.node);
         report.decode_errors += report
             .per_node
@@ -401,19 +411,22 @@ impl Peers<'_> {
         }
     }
 
-    /// Closes every link and returns the per-node counters: the hub's
-    /// per-peer view, or the in-process slots', once the workers return.
-    fn close(self) -> Vec<NodeIo> {
-        match self {
+    /// Closes every link and puts the per-node counters in `report`:
+    /// the hub's per-peer view, or the in-process slots', once the
+    /// workers return — with the replies the fleet's full uplink
+    /// refused counted undelivered.
+    fn close(self, report: &mut RuntimeReport) {
+        report.per_node = match self {
             Peers::Fleet(fleet, workers) => {
                 fleet.0.close();
                 for worker in workers {
                     worker.join().expect("runtime worker panicked");
                 }
+                report.undelivered += fleet.0.refused.load(Relaxed);
                 fleet.0.io()
             }
             Peers::Hub(hub) => hub.shutdown(),
-        }
+        };
     }
 }
 

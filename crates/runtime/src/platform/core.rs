@@ -42,9 +42,9 @@ use std::time::{Duration, Instant};
 use fml_core::checkpoint::Checkpoint;
 use fml_core::gather::{screen_update, Validated};
 use fml_core::{
-    aggregate, Fault, LocalStepper, RoundRecord, Scratch, SourceTask, TrainOutput, UpdateValidation,
+    Fault, LocalStepper, RoundRecord, Scratch, SourceTask, TrainOutput, UpdateValidation,
 };
-use fml_linalg::vector::weighted_sum;
+use fml_linalg::vector::{axpy, weighted_sum};
 use fml_models::Model;
 use fml_sim::message::encoded_frame_len;
 use fml_sim::{CompressedView, MessageView, RoundTrace};
@@ -122,11 +122,8 @@ impl WeightAccum {
         NodeWeightStat {
             node,
             applied: self.applied,
-            mean_weight: if self.applied > 0 {
-                self.sum / self.applied as f64
-            } else {
-                0.0
-            },
+            // No fold leaves the sum at 0.
+            mean_weight: self.sum / self.applied.max(1) as f64,
             min_weight: self.min,
             max_weight: self.max,
             quality,
@@ -290,12 +287,13 @@ impl<'a> UplinkFrame<'a> {
 }
 
 impl UpdateParams<'_> {
-    /// Overwrites `out` with the update (dequantizing or zero-filling
-    /// dropped coordinates as the scheme requires), reusing its capacity.
-    fn copy_into(&self, out: &mut Vec<f64>) {
+    /// Overwrites `out`, of the update's length, with the update
+    /// (dequantizing or zero-filling dropped coordinates as the scheme
+    /// requires).
+    fn write_into(&self, out: &mut [f64]) {
         match self {
-            UpdateParams::Dense(v) => v.copy_params_into(out),
-            UpdateParams::Compressed(v) => v.copy_params_into(out),
+            UpdateParams::Dense(v) => v.write_params(out),
+            UpdateParams::Compressed(v) => v.write_params(out),
         }
     }
 }
@@ -307,8 +305,9 @@ enum Slot {
     Idle,
     /// Reached; its update is still due.
     Awaited,
-    /// Its update is decoded into its row.
-    Received,
+    /// Its update is decoded into its row; `finite` says whether every
+    /// value of the row is.
+    Received { finite: bool },
 }
 
 /// How a round ended, for its history record and trace row.
@@ -391,8 +390,10 @@ pub(crate) struct Core<'a> {
     /// Nodes this round's broadcast reached, ascending.
     delivered: Vec<usize>,
     slots: Vec<Slot>,
-    /// One decoded update per node, reused across rounds.
-    rows: Vec<Vec<f64>>,
+    /// The update arena: node `i`'s decoded update is row `i` of this
+    /// `n × d` buffer, allocated once and overwritten by each accepted
+    /// update.
+    rows: Vec<f64>,
     /// Updates accepted this round.
     received: usize,
     /// Bytes the open round counted over every attempt: the broadcasts
@@ -405,7 +406,8 @@ pub(crate) struct Core<'a> {
     /// [`wait`](Self::wait), restarted by each accepted update.
     deadline: Option<Instant>,
     /// Barrier mode reproduces `train_from` bitwise when nothing can
-    /// perturb a round: benign plan, default policy.
+    /// perturb a round: benign plan, default policy — and, checked each
+    /// round, every node's row in and finite.
     exact: bool,
     /// Whether the last closed round took the exact path: the output
     /// then re-averages `n` copies of the global, as `train_from` does.
@@ -487,7 +489,7 @@ impl<'a> Core<'a> {
             priced: None,
             delivered: Vec::new(),
             slots: vec![Slot::Idle; n],
-            rows: vec![Vec::new(); n],
+            rows: vec![0.0; n * theta0.len()],
             received: 0,
             round_bytes: 0,
             timeout: Duration::from_millis(cfg.recv_timeout_ms),
@@ -647,12 +649,12 @@ impl<'a> Core<'a> {
     }
 
     /// Triages one uplink frame received at `now`: an update the round
-    /// awaits is decoded into its node's row, and its finite curve terms,
-    /// taken at this round's broadcast, become its task's part of the
-    /// parked round's curve; a duplicate, one for another round, or a
-    /// frame that is not an update counts as undelivered; anything
-    /// unparseable as a decode error. Allocates nothing once each row
-    /// has held one update.
+    /// awaits is decoded into its node's arena row, which is checked for
+    /// non-finite values once, here, and its finite curve terms, taken
+    /// at this round's broadcast, become its task's part of the parked
+    /// round's curve; a duplicate, one for another round, or a frame that
+    /// is not an update counts as undelivered; anything unparseable as a
+    /// decode error. Allocates nothing.
     pub(crate) fn offer(&mut self, frame: &[u8], now: Instant) {
         self.round_bytes += frame.len() as u64;
         // Uplink updates arrive in either wire family — dense tag-2 or
@@ -666,8 +668,10 @@ impl<'a> Core<'a> {
                 params,
                 terms,
             } if frame_round == self.round && self.awaits(node) => {
-                params.copy_into(&mut self.rows[node]);
-                self.slots[node] = Slot::Received;
+                let row = &mut self.rows[node * self.global.len()..][..self.global.len()];
+                params.write_into(row);
+                let finite = row.iter().all(|x| x.is_finite());
+                self.slots[node] = Slot::Received { finite };
                 self.received += 1;
                 self.deadline = Some(now + self.timeout);
                 if let Some((query, support)) = terms {
@@ -729,15 +733,20 @@ impl<'a> Core<'a> {
     fn close_barrier(&mut self) -> Option<(Outcome, f64)> {
         let n = self.tasks.len();
         let comm_time_s = (0..n)
-            .filter(|&i| self.slots[i] == Slot::Received)
+            .filter(|&i| matches!(self.slots[i], Slot::Received { .. }))
             .map(|i| self.cfg.clock.delay_s(i, self.round))
             .fold(0.0f64, f64::max);
-        let end = if self.exact && self.received == n {
-            // train_from replica: aggregate the locals (the reference's
-            // exact float ops).
-            self.global = self
-                .stepper
-                .combine(&self.global, aggregate(self.tasks, &self.rows));
+        let clean = |s: &Slot| *s == Slot::Received { finite: true };
+        let end = if self.exact && self.slots.iter().all(clean) {
+            // train_from replica: `aggregate`'s exact float ops over the
+            // arena rows, in node order from a zero accumulator. A round
+            // with a non-finite row takes the gather path instead.
+            let d = self.global.len();
+            let mut mean = vec![0.0; d];
+            for (i, task) in self.tasks.iter().enumerate() {
+                axpy(task.weight, &self.rows[i * d..][..d], &mut mean);
+            }
+            self.global = self.stepper.combine(&self.global, mean);
             self.reaverage = true;
             Outcome {
                 aggregated: true,
@@ -763,10 +772,11 @@ impl<'a> Core<'a> {
     }
 
     /// One barrier round over the *active* selection: each node that
-    /// reported a finite update contributes its row and succeeds, every
-    /// other node fails in the health tracker; then the quorum, and the
-    /// weighted mean with the weights renormalized over the
-    /// contributors, installed through [`LocalStepper::combine`]. Quorum
+    /// reported a finite update (as [`offer`](Self::offer) recorded it)
+    /// contributes its arena row and succeeds, every other node fails in
+    /// the health tracker; then the quorum, and the weighted mean with
+    /// the weights renormalized over the contributors, installed through
+    /// [`LocalStepper::combine`]. Quorum
     /// is a fraction of the active total, so excluding failed nodes
     /// during recovery shrinks the requirement — that is what lets a run
     /// finish after a minority of nodes dies.
@@ -777,6 +787,7 @@ impl<'a> Core<'a> {
     /// global — a thin fleet must degrade, not hang. A fleet quarantined
     /// whole has nobody to gather, which is a lost quorum too.
     fn gather_round(&mut self) -> Option<Outcome> {
+        let d = self.global.len();
         let mut total = 0;
         let mut failed = Vec::new();
         let (mut weights, mut views) = (Vec::new(), Vec::new());
@@ -785,10 +796,9 @@ impl<'a> Core<'a> {
                 continue;
             }
             total += 1;
-            let row = &self.rows[i][..];
-            if self.slots[i] == Slot::Received && row.iter().all(|x| x.is_finite()) {
+            if self.slots[i] == (Slot::Received { finite: true }) {
                 weights.push(self.tasks[i].weight);
-                views.push(row);
+                views.push(&self.rows[i * d..][..d]);
                 self.health.record_success(i, self.round);
             } else {
                 failed.push(i);
@@ -872,10 +882,12 @@ impl<'a> Core<'a> {
         }
         // Stamp each physical arrival with its *virtual* arrival round:
         // round-start time plus the seeded upload delay.
-        for node in (0..n).filter(|&i| self.slots[i] == Slot::Received) {
+        let d = self.global.len();
+        for node in (0..n).filter(|&i| matches!(self.slots[i], Slot::Received { .. })) {
             let arrival_time_s = (round - 1) as f64 * round_s + self.cfg.clock.delay_s(node, round);
             let mut params = fold.spares.pop().unwrap_or_default();
-            params.clone_from(&self.rows[node]);
+            params.clear();
+            params.extend_from_slice(&self.rows[node * d..][..d]);
             fold.pending.push(Pending {
                 node,
                 origin: round,
@@ -1140,7 +1152,7 @@ mod tests {
     use super::*;
     use crate::VirtualClock;
     use bytes::BytesMut;
-    use fml_core::{FedMl, FedMlConfig, GatherPolicy, Reptile, ReptileConfig};
+    use fml_core::{aggregate, FedMl, FedMlConfig, GatherPolicy, Reptile, ReptileConfig};
     use fml_data::synthetic::SyntheticConfig;
     use fml_models::SoftmaxRegression;
     use fml_sim::message::{encode_global_into, encode_update_into, put_curve_terms};
@@ -1398,6 +1410,36 @@ mod tests {
         }
     }
 
+    /// Under the default plan and policy a round whose every node
+    /// reported would take the exact path; one all-NaN update sends it
+    /// down the gather path instead: the global stays finite, the round
+    /// is degraded, and the node that sent it fails.
+    #[test]
+    fn a_nan_update_under_the_default_policy_is_gathered_out() {
+        let (model, tasks, theta0) = fixture(4);
+        let (cfg, stepper) = (RuntimeConfig::barrier(4), fedml(1));
+        let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        let round = core.open_round().unwrap();
+        core.broadcast(|_| true);
+        for node in 0..4 {
+            let mut params = local(&theta0, node);
+            if node == 1 {
+                params.fill(f64::NAN);
+            }
+            core.offer(&update(round, node, &params), Instant::now());
+        }
+        assert!(core.close_round());
+        assert!(core.global.iter().all(|x| x.is_finite()));
+        let (out, report) = core.finish();
+        let record = &out.history[0];
+        assert_eq!(
+            (record.aggregated, record.reporters, record.degraded),
+            (true, 3, true)
+        );
+        let failures: Vec<u64> = report.node_health.iter().map(|h| h.failures).collect();
+        assert_eq!(failures, [0, 1, 0, 0]);
+    }
+
     #[test]
     fn a_quorum_loss_rolls_back_and_reruns_the_same_round() {
         let (model, tasks, theta0) = fixture(4);
@@ -1457,7 +1499,7 @@ mod tests {
         assert_eq!(report.trace.rounds()[5].participants, Vec::<usize>::new());
         // Readmitted in round 8 and silent again: back in quarantine.
         for h in &report.node_health {
-            let states: Vec<&str> = h.transitions.iter().map(|t| t.to.as_str()).collect();
+            let states: Vec<&str> = h.transitions.iter().map(|t| t.to).collect();
             assert_eq!(
                 states,
                 ["suspect", "quarantined", "probation", "quarantined"]

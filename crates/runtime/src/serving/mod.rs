@@ -68,7 +68,7 @@ pub use report::{LatencyReport, PoolRound, RoundServed, ServingReport, LATENCY_B
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -84,6 +84,7 @@ use fml_sim::message::{
 use fml_sim::{AdaptReject, FramePool, SampleKind};
 
 use self::core::{Admission, Job, ServeCore, Work};
+use crate::lock;
 use crate::transport::{Transport, TransportListener};
 
 /// Idle-poll granularity for the accept loop and conn-thread reads:
@@ -298,6 +299,9 @@ type Writer = Arc<Mutex<Box<dyn Transport>>>;
 
 /// What the acceptor, conn threads and workers share.
 struct Shared {
+    /// Taken over when poisoned ([`lock`]): each of its counters is a
+    /// plain field bumped on its own and its queue changes by one push
+    /// or pop, so every step leaves it valid.
     core: Mutex<ServeCore<Writer>>,
     /// Signalled when a job is queued, and when the workers may stop.
     queued: Condvar,
@@ -305,15 +309,6 @@ struct Shared {
     stopping: AtomicBool,
     /// Set once nothing more can be admitted: idle workers exit.
     drained: AtomicBool,
-}
-
-impl Shared {
-    /// The core, even after a thread panicked holding it: each of its
-    /// counters is a plain field bumped on its own and its queue changes
-    /// by one push or pop, so every step leaves it valid.
-    fn core(&self) -> MutexGuard<'_, ServeCore<Writer>> {
-        self.core.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// The long-lived adaptation service. Start it on any
@@ -386,7 +381,7 @@ impl AdaptServer {
         let pool = FramePool::global().stats();
         ServingReport {
             transport: self.transport.into(),
-            ..self.shared.core().report(self.started.elapsed(), pool)
+            ..lock(&self.shared.core).report(self.started.elapsed(), pool)
         }
     }
 
@@ -406,7 +401,7 @@ impl AdaptServer {
         // under the lock, so a worker between its check and its wait
         // cannot miss the wake-up.
         {
-            let _core = self.shared.core();
+            let _core = lock(&self.shared.core);
             self.shared.drained.store(true, Ordering::SeqCst);
         }
         self.shared.queued.notify_all();
@@ -457,9 +452,7 @@ fn connection_loop(shared: &Shared, mut link: Box<dyn Transport>) {
             Err(e) if e.is_fatal() => return,
             Err(_) => continue,
         };
-        let admission = shared
-            .core()
-            .admit(&frame, Arc::clone(&writer), Instant::now());
+        let admission = lock(&shared.core).admit(&frame, Arc::clone(&writer), Instant::now());
         pool.recycle(frame);
         match admission {
             Admission::Queued => shared.queued.notify_one(),
@@ -505,14 +498,14 @@ fn worker_loop(shared: &Shared, model: &dyn Model) {
         encode_adapt_response_into(req_id, global.round, &phi, &mut buf);
         let sent = send(&pool, &link, buf);
         let served = Some((global.round, received));
-        shared.core().replied(sent, served, Instant::now());
+        lock(&shared.core).replied(sent, served, Instant::now());
     }
 }
 
 /// The next work for a worker, sleeping until there is some; `None`
 /// once the queue is empty and nothing more can be admitted.
 fn next_work(shared: &Shared, pool: &FramePool) -> Option<Work<Writer>> {
-    let mut core = shared.core();
+    let mut core = lock(&shared.core);
     loop {
         if let Some(work) = core.next(Instant::now(), pool.stats()) {
             return Some(work);
@@ -532,7 +525,7 @@ fn reject(shared: &Shared, pool: &FramePool, link: &Writer, r: AdaptReject) {
     let mut buf = pool.acquire(encoded_frame_len(0));
     encode_adapt_reject_into(r.req_id, r.reason, &mut buf);
     let sent = send(pool, link, buf);
-    shared.core().replied(sent, None, Instant::now());
+    lock(&shared.core).replied(sent, None, Instant::now());
 }
 
 /// Writes `buf` on `link` and recycles it: its length when it went out,

@@ -61,37 +61,28 @@ pub trait FramedStream: Read + Write + Send + Sized + sealed::Sealed {
     fn clone_stream(&self) -> std::io::Result<Self>;
 }
 
-impl FramedStream for TcpStream {
-    const KIND: &'static str = "tcp";
-    fn read_timeout_set(&self, t: Duration) -> std::io::Result<()> {
-        self.set_read_timeout(Some(t))
-    }
-    fn write_timeout_set(&self, t: Duration) -> std::io::Result<()> {
-        self.set_write_timeout(Some(t))
-    }
-    fn shutdown_both(&self) -> std::io::Result<()> {
-        self.shutdown(std::net::Shutdown::Both)
-    }
-    fn clone_stream(&self) -> std::io::Result<Self> {
-        self.try_clone()
-    }
+/// Both streams have the same inherent methods under the same names.
+macro_rules! framed_stream {
+    ($($stream:ty => $kind:literal),*) => {$(
+        impl FramedStream for $stream {
+            const KIND: &'static str = $kind;
+            fn read_timeout_set(&self, t: Duration) -> std::io::Result<()> {
+                self.set_read_timeout(Some(t))
+            }
+            fn write_timeout_set(&self, t: Duration) -> std::io::Result<()> {
+                self.set_write_timeout(Some(t))
+            }
+            fn shutdown_both(&self) -> std::io::Result<()> {
+                self.shutdown(std::net::Shutdown::Both)
+            }
+            fn clone_stream(&self) -> std::io::Result<Self> {
+                self.try_clone()
+            }
+        }
+    )*};
 }
 
-impl FramedStream for UnixStream {
-    const KIND: &'static str = "uds";
-    fn read_timeout_set(&self, t: Duration) -> std::io::Result<()> {
-        self.set_read_timeout(Some(t))
-    }
-    fn write_timeout_set(&self, t: Duration) -> std::io::Result<()> {
-        self.set_write_timeout(Some(t))
-    }
-    fn shutdown_both(&self) -> std::io::Result<()> {
-        self.shutdown(std::net::Shutdown::Both)
-    }
-    fn clone_stream(&self) -> std::io::Result<Self> {
-        self.try_clone()
-    }
-}
+framed_stream!(TcpStream => "tcp", UnixStream => "uds");
 
 /// A framed transport over one blocking socket.
 pub struct StreamTransport<S: FramedStream> {
@@ -200,12 +191,8 @@ impl<S: FramedStream + 'static> Transport for StreamTransport<S> {
     fn try_clone(&self) -> Result<Box<dyn Transport>, TransportError> {
         let stream = self.stream.clone_stream().map_err(|e| io_error(&e))?;
         Ok(Box::new(StreamTransport {
-            stream,
-            buf: FrameBuffer::new(),
-            scratch: vec![0u8; SCRATCH_LEN],
-            write_scratch: Vec::new(),
-            pool: self.pool.handle(),
             closed: self.closed,
+            ..Self::from_stream(stream)?
         }))
     }
 

@@ -560,49 +560,53 @@ impl<'a> CompressedView<'a> {
         }
     }
 
-    /// Overwrites `out` with the reconstructed parameters, reusing its
-    /// capacity — the zero-allocation decode used at aggregation. Quant
-    /// payloads dequantize a chunk at a time, with
+    /// Overwrites `out` with the reconstructed parameters, in place —
+    /// the zero-allocation decode used at aggregation. Quant payloads
+    /// dequantize a chunk at a time, with
     /// [`params_iter`](CompressedView::params_iter)'s expression and bits.
-    pub fn copy_params_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.len);
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` holds exactly [`len`](Self::len) values.
+    pub fn write_params(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.len, "write_params: output length");
         let SchemeView::Quant {
             bits,
             chunk,
             payload,
         } = self.scheme
         else {
-            out.extend(self.params_iter());
+            for (o, v) in out.iter_mut().zip(self.params_iter()) {
+                *o = v;
+            }
             return;
         };
         let width = if bits == 16 { 2 } else { 1 };
         let mut rest = payload;
-        let mut remaining = self.len;
-        while remaining > 0 {
-            let values = remaining.min(chunk);
-            // `parse` checked the payload length against every chunk.
-            let (head, tail) = rest.split_at(QUANT_CHUNK_HEADER + width * values);
+        // `parse` checked the chunk size positive, and the payload length
+        // against every chunk.
+        for out in out.chunks_mut(chunk) {
+            let (head, tail) = rest.split_at(QUANT_CHUNK_HEADER + width * out.len());
             let (scale, offset) = quant_chunk_header(head);
             let (scale, offset) = (scale as f64, offset as f64);
             let qs = &head[QUANT_CHUNK_HEADER..];
             if width == 2 {
-                out.extend(
-                    qs.chunks_exact(2)
-                        .map(|q| offset + u16::from_le_bytes([q[0], q[1]]) as f64 * scale),
-                );
+                for (o, q) in out.iter_mut().zip(qs.chunks_exact(2)) {
+                    *o = offset + u16::from_le_bytes([q[0], q[1]]) as f64 * scale;
+                }
             } else {
-                out.extend(qs.iter().map(|&q| offset + q as f64 * scale));
+                for (o, &q) in out.iter_mut().zip(qs) {
+                    *o = offset + q as f64 * scale;
+                }
             }
             rest = tail;
-            remaining -= values;
         }
     }
 
     /// Materializes the reconstructed parameters into a fresh vector.
     pub fn params_to_vec(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.copy_params_into(&mut out);
+        let mut out = vec![0.0; self.len];
+        self.write_params(&mut out);
         out
     }
 }
@@ -1245,8 +1249,8 @@ mod tests {
             let frame = encode(UpdateCodec::Dense, round, node, &params);
             let view = CompressedView::parse(&frame).unwrap();
             prop_assert_eq!(view.params_to_vec(), params.clone());
-            let mut out = Vec::new();
-            view.copy_params_into(&mut out);
+            let mut out = vec![0.0; view.len()];
+            view.write_params(&mut out);
             prop_assert_eq!(out, params.clone());
             // None: bitwise the pre-codec wire.
             let none = encode(UpdateCodec::None, round, node, &params);
@@ -1370,8 +1374,8 @@ mod tests {
             prop_assert_eq!(iter.len(), params.len());
             let lazy: Vec<u64> = iter.by_ref().map(f64::to_bits).collect();
             prop_assert_eq!(iter.len(), 0);
-            let mut copied = Vec::new();
-            view.copy_params_into(&mut copied);
+            let mut copied = vec![0.0; view.len()];
+            view.write_params(&mut copied);
             let copied: Vec<u64> = copied.into_iter().map(f64::to_bits).collect();
             prop_assert_eq!(lazy, copied);
         }
@@ -1593,8 +1597,8 @@ mod tests {
                 // decoder meets poked chunk sizes and lengths here too.
                 if view.len() <= 1 << 16 {
                     prop_assert_eq!(view.params_iter().count(), view.len());
-                    let mut copied = Vec::new();
-                    view.copy_params_into(&mut copied);
+                    let mut copied = vec![0.0; view.len()];
+                    view.write_params(&mut copied);
                     prop_assert!(copied
                         .iter()
                         .map(|v| v.to_bits())

@@ -220,9 +220,17 @@ impl<'a> F64s<'a> {
 
     /// Overwrites `out` with the values, reusing its capacity.
     fn copy_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.len());
-        out.extend(self.iter());
+        out.resize(self.len(), 0.0);
+        self.write_into(out);
+    }
+
+    /// Overwrites `out`, which must hold exactly [`len`](Self::len)
+    /// values, with the values.
+    fn write_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.len(), "write_params: output length");
+        for (o, v) in out.iter_mut().zip(self.iter()) {
+            *o = v;
+        }
     }
 }
 
@@ -387,6 +395,15 @@ impl<'a> MessageView<'a> {
     /// zero-allocation way to keep an owned copy across rounds.
     pub fn copy_params_into(&self, out: &mut Vec<f64>) {
         self.payload.copy_into(out);
+    }
+
+    /// Overwrites `out` with the parameters, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` holds exactly [`len`](Self::len) values.
+    pub fn write_params(&self, out: &mut [f64]) {
+        self.payload.write_into(out);
     }
 }
 

@@ -122,14 +122,17 @@ impl FramePool {
     }
 
     /// Makes room for `count` frames of up to `capacity` bytes to be live
-    /// at once without a miss: takes that many buffers, then returns
-    /// them. A run calls it before its first round, so the pool reaches
-    /// the fleet's size there instead of whenever scheduling first lets
-    /// that many frames pile up.
+    /// at once without an allocation: takes that many buffers, freezes
+    /// each — so each carries the refcount block its next freeze refills
+    /// — then recycles them. A run calls it before its first round, so
+    /// the pool reaches the fleet's size there instead of whenever
+    /// scheduling first lets that many frames pile up.
     pub fn warm(&self, count: usize, capacity: usize) {
-        let held: Vec<BytesMut> = (0..count).map(|_| self.acquire(capacity)).collect();
-        for buf in held {
-            self.release(buf);
+        let held: Vec<Bytes> = (0..count)
+            .map(|_| self.acquire(capacity).freeze())
+            .collect();
+        for frame in held {
+            self.recycle(frame);
         }
     }
 
