@@ -1,21 +1,21 @@
 //! The socket fleet hub: the platform side of remote node peers.
 //!
-//! [`Hub::start`] moves a [`TransportListener`] onto an acceptor thread.
-//! Each inbound link must introduce itself with a *hello* frame —
-//! an update frame for round 0 from `node` with no parameters (round 0 is
-//! never a real round, so the frame is unambiguous on the existing wire
-//! protocol). Each link has a thread of its own, which reads the hello
-//! — so a link that connects and stays silent holds up no other peer's
-//! join — and then serves as the peer's reader (frames flow into one
-//! merged inbound channel, exactly like the in-process uplink). At most
-//! `n` links, the fleet's size, await their hello at once: a link
-//! accepted beyond that closes the one that has waited longest, so a
-//! burst of silent connections holds at most `n` threads and still
-//! cannot lock a real peer out. A writer
-//! thread on a clone of the link is fed by a bounded outbound queue of
-//! `mailbox_cap` frames: `try_send`, drop-on-full, so a slow or dead
-//! peer costs dropped frames and a degraded round, never a blocked
-//! event loop.
+//! [`Hub::start`] runs the [link layer](crate::link) on a
+//! [`TransportListener`]: one acceptor, one thread per link, at most
+//! `n` links waiting for their first frame at once (the fleet's size:
+//! no more peers than that ever have a hello to send), and
+//! [`FIRST_FRAME_TIMEOUT`] to send it. That first frame is the
+//! link's *hello* — an update frame for round 0 from `node` with no
+//! parameters (round 0 is never a real round, so the frame is
+//! unambiguous on the existing wire protocol). The link's thread checks
+//! the hello and then serves as the peer's reader (frames flow into one
+//! merged inbound channel, exactly like the in-process uplink), so a
+//! link that connects and stays silent holds up no other peer's join,
+//! and a burst of silent connections cannot lock a real peer out. A
+//! writer thread on a clone of the link, registered with the same
+//! layer, is fed by a bounded outbound queue of `mailbox_cap` frames:
+//! `try_send`, drop-on-full, so a slow or dead peer costs dropped
+//! frames and a degraded round, never a blocked event loop.
 //!
 //! A peer that reconnects (same hello node id) replaces its slot: the
 //! old link is closed, the new one takes over, and the per-node
@@ -35,29 +35,18 @@
 //! a dying reader only clears the queue of the connection it belongs
 //! to, never a replacement that already took the slot.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use bytes::Bytes;
 use fml_sim::{curve_trailer_len, logical_frame_len, FramePool, MessageView, LENGTH_PREFIX_LEN};
 
+use crate::link::{self, LinkSet, Links, FIRST_FRAME_TIMEOUT};
 use crate::lock;
 use crate::report::NodeIo;
 use crate::transport::{Transport, TransportError, TransportListener};
-
-/// How often the acceptor, and a link waiting for its hello, recheck
-/// the stop flag.
-const ACCEPT_TICK: Duration = Duration::from_millis(20);
-
-/// How often `await_join` rechecks the joined count, and the acceptor
-/// the links awaiting their hello.
-const JOIN_POLL: Duration = Duration::from_millis(5);
-
-/// How long a freshly accepted link gets to send its hello frame.
-const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Cumulative per-node counters, shared with the reader/writer threads
 /// and surviving reconnects. All counts are physical (prefix included).
@@ -98,22 +87,15 @@ struct SlotState {
     ever_joined: bool,
 }
 
-/// State shared between the platform thread and the acceptor.
+/// State shared between the platform thread and the link threads.
 struct HubShared {
     slots: Mutex<Vec<SlotState>>,
-    /// Handles of the link threads that may still run, joined at
-    /// shutdown.
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    stop: AtomicBool,
+    /// Signalled under `slots` when a node joins for the first time.
+    joined_cv: Condvar,
     /// The fleet's size.
     n: usize,
     /// Distinct nodes that have joined at least once.
     joined: AtomicUsize,
-    /// Links accepted so far: a link awaiting its hello gives up once
-    /// `n` later ones have been accepted.
-    accepted: AtomicUsize,
-    /// Links whose thread still awaits their hello.
-    greeting: AtomicUsize,
     mailbox_cap: usize,
     io_timeout: Duration,
 }
@@ -123,7 +105,7 @@ struct HubShared {
 /// from the receiver [`Hub::start`] returned.
 pub(crate) struct Hub {
     shared: Arc<HubShared>,
-    acceptor: Option<JoinHandle<()>>,
+    links: Links,
 }
 
 impl Hub {
@@ -141,40 +123,28 @@ impl Hub {
         assert!(mailbox_cap > 0, "outbound queue capacity must be at least 1");
         let shared = Arc::new(HubShared {
             slots: Mutex::new((0..n).map(|_| SlotState::default()).collect()),
-            threads: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
+            joined_cv: Condvar::new(),
             n,
             joined: AtomicUsize::new(0),
-            accepted: AtomicUsize::new(0),
-            greeting: AtomicUsize::new(0),
             mailbox_cap,
             io_timeout: io_timeout.max(Duration::from_millis(1)),
         });
         let (in_tx, in_rx) = channel::<Bytes>();
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(listener, &shared, &in_tx))
-        };
-        (
-            Hub {
-                shared,
-                acceptor: Some(acceptor),
-            },
-            in_rx,
-        )
+        let peers = Arc::clone(&shared);
+        let serve =
+            move |links: &LinkSet, link, hello| serve_link(links, link, hello, &peers, &in_tx);
+        let links = link::start(listener, n, FIRST_FRAME_TIMEOUT, serve);
+        (Hub { shared, links }, in_rx)
     }
 
     /// Blocks until all expected peers have joined at least once, or
     /// the timeout expires. Returns how many have joined.
     pub(crate) fn await_join(&self, timeout: Duration) -> usize {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let joined = self.shared.joined.load(Ordering::Acquire);
-            if joined >= self.shared.n || Instant::now() >= deadline {
-                return joined;
-            }
-            std::thread::sleep(JOIN_POLL);
-        }
+        let shared = &self.shared;
+        let short = |_: &mut Vec<SlotState>| shared.joined.load(Ordering::Acquire) < shared.n;
+        let slots = lock(&shared.slots);
+        let _ = shared.joined_cv.wait_timeout_while(slots, timeout, short);
+        shared.joined.load(Ordering::Acquire)
     }
 
     /// Best-effort broadcast of one frame to `node`: queued for the
@@ -215,31 +185,16 @@ impl Hub {
 
     /// Stops accepting, closes every link (peers observe EOF), joins all
     /// threads, and returns the per-node counters.
-    pub(crate) fn shutdown(mut self) -> Vec<NodeIo> {
-        self.shared.stop.store(true, Ordering::Release);
-        // The acceptor first: once it is gone every link has its
-        // thread registered.
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Drop the outbound queues: writers drain, close their links
-        // (waking blocked readers and peers with EOF), and exit. An
-        // install checks the stop flag under this lock, so none lands
-        // after it.
-        for slot in lock(&self.shared.slots).iter_mut() {
-            slot.tx = None;
-        }
-        // A link's thread may register its peer's writer while it is
-        // joined: join until none is left.
-        loop {
-            let handles = std::mem::take(&mut *lock(&self.shared.threads));
-            if handles.is_empty() {
-                break;
+    pub(crate) fn shutdown(self) -> Vec<NodeIo> {
+        // Once the acceptor is gone, drop the outbound queues: writers
+        // drain, close their links (waking blocked readers and peers
+        // with EOF), and exit. An install checks the stop flag under
+        // this lock, so none lands after it.
+        self.links.shutdown(|| {
+            for slot in lock(&self.shared.slots).iter_mut() {
+                slot.tx = None;
             }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
+        });
         lock(&self.shared.slots)
             .iter()
             .enumerate()
@@ -264,100 +219,27 @@ impl Hub {
     }
 }
 
-/// Accepts links until told to stop, each onto a thread of its own
-/// ([`serve_link`]). With `n` links awaiting their hello, a new one
-/// waits for the oldest of them to give up — within a tick of
-/// [`read_hello`] — so no more than `n` ever await at once.
-fn accept_loop(
-    mut listener: Box<dyn TransportListener>,
-    shared: &Arc<HubShared>,
+/// A link's handler: checks its hello's claimed node id, installs the
+/// peer, then serves as the peer's reader for as long as the link
+/// lives. A malformed hello closes the link.
+fn serve_link(
+    links: &LinkSet,
+    mut link: Box<dyn Transport>,
+    hello: Bytes,
+    shared: &HubShared,
     in_tx: &Sender<Bytes>,
 ) {
-    while !shared.stop.load(Ordering::Acquire) {
-        let link = match listener.accept(ACCEPT_TICK) {
-            Ok(link) => link,
-            Err(TransportError::Timeout) => continue,
-            Err(_) => break,
-        };
-        let ticket = shared.accepted.fetch_add(1, Ordering::AcqRel);
-        // The oldest waiting link is `n` behind this one: it gives up.
-        while shared.greeting.load(Ordering::Acquire) >= shared.n {
-            std::thread::sleep(JOIN_POLL);
-        }
-        shared.greeting.fetch_add(1, Ordering::AcqRel);
-        let reader = {
-            let (shared, in_tx) = (Arc::clone(shared), in_tx.clone());
-            std::thread::spawn(move || serve_link(link, ticket, &shared, &in_tx))
-        };
-        register(shared, reader);
-    }
-}
-
-/// Registers a link's thread for shutdown to join, first joining the
-/// threads that have ended (which returns at once), so a peer that
-/// keeps reconnecting does not grow the registry.
-fn register(shared: &HubShared, thread: JoinHandle<()>) {
-    let mut threads = lock(&shared.threads);
-    for ended in threads.extract_if(.., |t| t.is_finished()) {
-        let _ = ended.join();
-    }
-    threads.push(thread);
-}
-
-/// A link's own thread: reads its hello, installs the peer, then serves
-/// as the peer's reader for as long as the link lives. `ticket` is the
-/// link's place in the order of acceptance.
-fn serve_link(link: Box<dyn Transport>, ticket: usize, shared: &HubShared, in_tx: &Sender<Bytes>) {
-    let hello = read_hello(link, ticket, shared);
-    shared.greeting.fetch_sub(1, Ordering::AcqRel);
-    let Some((node, mut link)) = hello else {
-        return;
-    };
-    match install_peer(node, link.as_ref(), shared) {
-        Some((generation, counters)) => {
-            reader_loop(link, node, generation, in_tx, &counters, shared);
-        }
-        None => link.close(),
-    }
-}
-
-/// Waits up to [`HELLO_TIMEOUT`] for the hello frame, giving up early
-/// once the hub stops or `n` links accepted after this one (the
-/// `ticket`-th) are waiting behind it, and validates the claimed node
-/// id. Returns `None` (closing the link) on anything malformed.
-fn read_hello(
-    mut link: Box<dyn Transport>,
-    ticket: usize,
-    shared: &HubShared,
-) -> Option<(usize, Box<dyn Transport>)> {
-    let n = shared.n;
-    let deadline = Instant::now() + HELLO_TIMEOUT;
-    let waiting = || {
-        Instant::now() < deadline
-            && !shared.stop.load(Ordering::Acquire)
-            && shared.accepted.load(Ordering::Acquire) <= ticket + n
-    };
-    let frame = loop {
-        match link.recv_frame(ACCEPT_TICK) {
-            Ok(frame) => break Some(frame),
-            // A timed-out read keeps what part of the frame it has.
-            Err(TransportError::Timeout) if waiting() => {}
-            Err(_) => break None,
-        }
-    };
     // The peer is not identified yet: look at the header in place and
     // never materialize whatever payload it chose to send.
-    match frame.as_deref().map(MessageView::parse) {
-        Some(Ok(hello))
-            if hello.is_update() && hello.round() == 0 && (hello.node() as usize) < n =>
-        {
-            Some((hello.node() as usize, link))
-        }
-        _ => {
-            link.close();
-            None
-        }
-    }
+    let node = match MessageView::parse(&hello) {
+        Ok(h) if h.is_update() && h.round() == 0 && (h.node() as usize) < shared.n => h.node(),
+        _ => return link.close(),
+    } as usize;
+    FramePool::global().recycle(hello);
+    let Some((generation, counters)) = install_peer(node, link.as_ref(), links, shared) else {
+        return link.close();
+    };
+    reader_loop(link, node, generation, in_tx, &counters, links, shared);
 }
 
 /// Installs (or replaces, on reconnect) the node's slot with a writer
@@ -367,13 +249,14 @@ fn read_hello(
 fn install_peer(
     node: usize,
     link: &dyn Transport,
+    links: &LinkSet,
     shared: &HubShared,
 ) -> Option<(u64, Arc<PeerCounters>)> {
     let writer_link = link.try_clone().ok()?;
     let (out_tx, out_rx) = sync_channel::<Bytes>(shared.mailbox_cap);
     let (generation, counters) = {
         let mut slots = lock(&shared.slots);
-        if shared.stop.load(Ordering::Acquire) {
+        if links.stopping() {
             return None;
         }
         let slot = &mut slots[node];
@@ -382,6 +265,7 @@ fn install_peer(
         } else {
             slot.ever_joined = true;
             shared.joined.fetch_add(1, Ordering::AcqRel);
+            shared.joined_cv.notify_all();
         }
         slot.generation += 1;
         // The open round's broadcast goes out first, whether the peer
@@ -397,11 +281,8 @@ fn install_peer(
         (slot.generation, Arc::clone(&slot.counters))
     };
 
-    let writer = {
-        let counters = Arc::clone(&counters);
-        std::thread::spawn(move || writer_loop(writer_link, &out_rx, &counters))
-    };
-    register(shared, writer);
+    let writer_counters = Arc::clone(&counters);
+    links.spawn(move || writer_loop(writer_link, &out_rx, &writer_counters));
     Some((generation, counters))
 }
 
@@ -439,12 +320,10 @@ fn reader_loop(
     generation: u64,
     in_tx: &Sender<Bytes>,
     counters: &PeerCounters,
+    links: &LinkSet,
     shared: &HubShared,
 ) {
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
+    while !links.stopping() {
         match link.recv_frame(shared.io_timeout) {
             Ok(frame) => {
                 counters.frames_from.fetch_add(1, Ordering::AcqRel);
@@ -463,12 +342,12 @@ fn reader_loop(
                     break;
                 }
             }
-            Err(TransportError::Timeout) => continue,
+            Err(TransportError::Timeout) => {}
             Err(_) => break,
         }
     }
     link.close();
-    if !shared.stop.load(Ordering::Acquire) {
+    if !links.stopping() {
         let slot = &mut lock(&shared.slots)[node];
         if slot.generation == generation {
             // Dropping the sender ends the paired writer too.
@@ -483,6 +362,7 @@ mod tests {
     use crate::transport::{TcpTransport, TcpTransportListener};
     use fml_sim::message::{encode_global_into, encode_update_into};
     use fml_sim::MessageView;
+    use std::time::Instant;
 
     fn global(round: u32, params: &[f64]) -> Bytes {
         let mut buf = bytes::BytesMut::new();
@@ -669,7 +549,11 @@ mod tests {
         assert_eq!(hub.await_join(Duration::from_secs(2)), 1);
         let started = Instant::now();
         hub.shutdown();
-        assert!(started.elapsed() < HELLO_TIMEOUT / 2, "{:?}", started.elapsed());
+        assert!(
+            started.elapsed() < FIRST_FRAME_TIMEOUT / 2,
+            "{:?}",
+            started.elapsed()
+        );
     }
 
     /// A peer that reconnects over and over leaves the thread registry
@@ -696,7 +580,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
-        let registered = hub.shared.threads.lock().unwrap().len();
+        let registered = hub.links.registered();
         // One reader and one writer a link: 42 if ended threads stayed.
         assert!(registered <= 6, "{registered} thread handles kept");
         assert_eq!(hub.shutdown()[0].reconnects, RECONNECTS);
@@ -721,8 +605,8 @@ mod tests {
             );
         }
         let elapsed = started.elapsed();
-        assert!(elapsed < HELLO_TIMEOUT / 2, "{elapsed:?}");
-        assert!(hub.shared.greeting.load(Ordering::Acquire) <= 2);
+        assert!(elapsed < FIRST_FRAME_TIMEOUT / 2, "{elapsed:?}");
+        assert!(hub.links.waiting() <= 2);
         let mut peer = TcpTransport::connect(&addr).unwrap();
         peer.send_frame(&hello(1)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -730,9 +614,38 @@ mod tests {
             assert!(Instant::now() < deadline, "the peer never joined");
             std::thread::sleep(Duration::from_millis(5));
         }
-        let registered = hub.shared.threads.lock().unwrap().len();
+        let registered = hub.links.registered();
         // The peer's reader and writer, and the links not yet joined.
         assert!(registered <= 6, "{registered} thread handles kept");
+        hub.shutdown();
+    }
+
+    /// Links that came and went after a slow greeter do not close it:
+    /// with `n = 2` no more than two links ever await a hello here, so
+    /// the cap has no reason to.
+    #[test]
+    fn a_slow_greeter_within_the_cap_still_joins() {
+        let (hub, _in_rx, addr) = start_tcp(2);
+        let mut slow = TcpTransport::connect(&addr).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut first = TcpTransport::connect(&addr).unwrap();
+        first.send_frame(&hello(1)).unwrap();
+        while hub.shared.joined.load(Ordering::Acquire) == 0 {
+            assert!(Instant::now() < deadline, "node 1 never joined");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        first.close();
+        let mut second = TcpTransport::connect(&addr).unwrap();
+        second.send_frame(&hello(1)).unwrap();
+        while hub.shared.slots.lock().unwrap()[1].reconnects == 0 {
+            assert!(Instant::now() < deadline, "node 1 never reconnected");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Slow: it speaks some ticks after the reconnect.
+        std::thread::sleep(Duration::from_millis(200));
+        slow.send_frame(&hello(0)).unwrap();
+        assert_eq!(hub.await_join(Duration::from_secs(2)), 2);
         hub.shutdown();
     }
 

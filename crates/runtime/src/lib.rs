@@ -95,6 +95,7 @@ pub mod clock;
 pub mod config;
 pub mod health;
 mod hub;
+mod link;
 pub mod platform;
 pub mod report;
 mod runner;
@@ -122,8 +123,8 @@ pub use transport::{
 /// Locks `mutex`, taking over a poisoned one: each mutex here guards
 /// state a panicking holder leaves sound — a node's counters or
 /// residual mid-update (a residual of the wrong length is skipped), a
-/// post whose sequence never moved, a hub slot or thread list, a queue
-/// that changes by one push or pop.
+/// post whose sequence never moved, a hub slot, the link layer's thread
+/// registry or waiting set, a queue that changes by one push or pop.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }

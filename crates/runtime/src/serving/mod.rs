@@ -21,8 +21,8 @@
 //!
 //! ```text
 //!          accept               admit                next
-//! client ────────▶ acceptor ─────▶ conn thread ─────▶ ServeCore ◀───── workers
-//!                  (1 thread)      (1 per link)      queue and        (N threads
+//! client ────────▶ link layer ───▶ conn thread ─────▶ ServeCore ◀───── workers
+//!                  (1 acceptor)    (1 per link)      queue and        (N threads
 //!                                       │            counters,        on a condvar)
 //!                                       │ Busy,      one Mutex             │
 //!                                       ▼ BadRequest                       ▼
@@ -32,9 +32,22 @@
 //! client ◀─────────────── shared writer handle ◀───────────────────────────┘
 //! ```
 //!
+//! Links come through the link layer the training hub uses too: one
+//! acceptor, one conn thread per link, a registry that joins the
+//! threads that ended, and one first-frame deadline (5 s) for a link's
+//! first request. At most `queue_depth` links (at least 1) wait for
+//! that first frame at once; a link accepted beyond that closes the one
+//! that has waited longest. `queue_depth` is the bound because each
+//! waiting link stands for at most one request, and `queue_depth` of
+//! them already fill the queue that admits them: more links waiting to
+//! speak at once could only meet a full queue. The first frame only has
+//! to arrive — one that does not decode is counted like any other — and
+//! once it has, no deadline applies, so a client may stay idle between
+//! requests.
+//!
 //! # Overload and shedding policy
 //!
-//! The accept loop never computes and the conn threads never wait for
+//! The acceptor never computes and the conn threads never wait for
 //! a worker: a full queue sheds the request *immediately* with a typed
 //! [`Busy`](fml_sim::RejectReason::Busy) frame, and a request that
 //! waited in the queue past the configured deadline is shed by the
@@ -70,9 +83,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use fml_core::adapt::{adapt_into, AdaptScratch};
 use fml_core::checkpoint::{Checkpoint, CheckpointError};
 use fml_linalg::Matrix;
@@ -84,12 +97,9 @@ use fml_sim::message::{
 use fml_sim::{AdaptReject, FramePool, SampleKind};
 
 use self::core::{Admission, Job, ServeCore, Work};
+use crate::link::{self, LinkSet, Links, FIRST_FRAME_TIMEOUT, TICK};
 use crate::lock;
-use crate::transport::{Transport, TransportListener};
-
-/// Idle-poll granularity for the accept loop and conn-thread reads:
-/// how quickly they notice a shutdown request.
-const SERVE_TICK: Duration = Duration::from_millis(50);
+use crate::transport::{Transport, TransportError, TransportListener};
 
 /// Knobs for the adaptation service's worker pool and per-request
 /// budget.
@@ -297,7 +307,7 @@ pub fn request_from_batch(
 /// thread (for immediate rejects) and every worker (for replies).
 type Writer = Arc<Mutex<Box<dyn Transport>>>;
 
-/// What the acceptor, conn threads and workers share.
+/// What the conn threads and workers share.
 struct Shared {
     /// Taken over when poisoned ([`lock`]): each of its counters is a
     /// plain field bumped on its own and its queue changes by one push
@@ -305,8 +315,6 @@ struct Shared {
     core: Mutex<ServeCore<Writer>>,
     /// Signalled when a job is queued, and when the workers may stop.
     queued: Condvar,
-    /// Set first at shutdown: the acceptor and conn threads stop reading.
-    stopping: AtomicBool,
     /// Set once nothing more can be admitted: idle workers exit.
     drained: AtomicBool,
 }
@@ -319,7 +327,7 @@ pub struct AdaptServer {
     addr: String,
     transport: &'static str,
     started: Instant,
-    acceptor: Option<JoinHandle<()>>,
+    links: Option<Links>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -333,10 +341,11 @@ impl std::fmt::Debug for AdaptServer {
 }
 
 impl AdaptServer {
-    /// Starts the service: one acceptor thread on `listener`, one conn
-    /// thread per accepted link, and a bounded pool of `cfg.workers`
-    /// adaptation workers (at least 1) over a `cfg.queue_depth`-bounded
-    /// queue (at least 1).
+    /// Starts the service: one acceptor on `listener`, one conn thread
+    /// per link (at most `cfg.queue_depth` of them, at least 1, waiting
+    /// for their first request at once), and a bounded pool of
+    /// `cfg.workers` adaptation workers (at least 1) over a
+    /// `cfg.queue_depth`-bounded queue (at least 1).
     pub fn start(
         listener: Box<dyn TransportListener>,
         model: Arc<dyn Model>,
@@ -346,7 +355,6 @@ impl AdaptServer {
         let shared = Arc::new(Shared {
             core: Mutex::new(ServeCore::new(model.as_ref(), global, cfg)),
             queued: Condvar::new(),
-            stopping: AtomicBool::new(false),
             drained: AtomicBool::new(false),
         });
         let workers = (0..cfg.workers.max(1))
@@ -357,16 +365,15 @@ impl AdaptServer {
             })
             .collect();
         let (addr, transport) = (listener.local_addr(), listener.kind());
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || acceptor_loop(&shared, listener))
-        };
+        let conns = Arc::clone(&shared);
+        let serve = move |links: &LinkSet, link, first| connection_loop(&conns, links, link, first);
+        let links = link::start(listener, cfg.queue_depth, FIRST_FRAME_TIMEOUT, serve);
         AdaptServer {
             shared,
             addr,
             transport,
             started: Instant::now(),
-            acceptor: Some(acceptor),
+            links: Some(links),
             workers,
         }
     }
@@ -393,9 +400,8 @@ impl AdaptServer {
     }
 
     fn stop(&mut self) {
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+        if let Some(links) = self.links.take() {
+            links.shutdown(|| {});
         }
         // The conn threads are joined: nothing more is admitted. Store
         // under the lock, so a worker between its check and its wait
@@ -417,48 +423,33 @@ impl Drop for AdaptServer {
     }
 }
 
-/// Accepts links until shutdown; each link gets its own conn thread
-/// holding the read half, so a slow or dead client never stalls the
-/// accept loop. Joins the conn threads before it returns.
-fn acceptor_loop(shared: &Arc<Shared>, mut listener: Box<dyn TransportListener>) {
-    let mut conns = Vec::new();
-    while !shared.stopping.load(Ordering::SeqCst) {
-        match listener.accept(SERVE_TICK) {
-            Ok(link) => {
-                let shared = Arc::clone(shared);
-                conns.push(std::thread::spawn(move || connection_loop(&shared, link)));
-            }
-            Err(e) if e.is_fatal() => break,
-            Err(_) => {} // accept timeout: poll shutdown and retry
-        }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
-/// Reads frames off one client link into the core, writes back the
-/// rejects it decides at admission, and wakes a worker for each job it
-/// queues.
-fn connection_loop(shared: &Shared, mut link: Box<dyn Transport>) {
+/// Reads frames off one client link, its first frame first, into the
+/// core, writes back the rejects it decides at admission, and wakes a
+/// worker for each job it queues. An undecodable frame is counted and
+/// the link kept; after the first frame, no deadline applies.
+fn connection_loop(shared: &Shared, links: &LinkSet, mut link: Box<dyn Transport>, first: Bytes) {
     let Ok(writer) = link.try_clone() else {
         return;
     };
     let writer: Writer = Arc::new(Mutex::new(writer));
     let pool = FramePool::global().handle();
-    while !shared.stopping.load(Ordering::SeqCst) {
-        let frame = match link.recv_frame(SERVE_TICK) {
-            Ok(frame) => frame,
+    let mut read: Result<Bytes, TransportError> = Ok(first);
+    while !links.stopping() {
+        match read {
+            Ok(frame) => {
+                let admission =
+                    lock(&shared.core).admit(&frame, Arc::clone(&writer), Instant::now());
+                pool.recycle(frame);
+                match admission {
+                    Admission::Queued => shared.queued.notify_one(),
+                    Admission::Reject(r) => reject(shared, &pool, &writer, r),
+                    Admission::Undecodable => {}
+                }
+            }
             Err(e) if e.is_fatal() => return,
-            Err(_) => continue,
-        };
-        let admission = lock(&shared.core).admit(&frame, Arc::clone(&writer), Instant::now());
-        pool.recycle(frame);
-        match admission {
-            Admission::Queued => shared.queued.notify_one(),
-            Admission::Reject(r) => reject(shared, &pool, &writer, r),
-            Admission::Undecodable => {}
+            Err(_) => {}
         }
+        read = link.recv_frame(TICK);
     }
 }
 
@@ -541,10 +532,11 @@ fn send(pool: &FramePool, link: &Writer, buf: BytesMut) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::ChannelTransport;
+    use crate::transport::{ChannelTransport, TcpTransport};
     use fml_models::SoftmaxRegression;
     use fml_sim::message::AdaptFrame;
     use fml_sim::RejectReason;
+    use std::time::Duration;
 
     fn test_model() -> Arc<dyn Model> {
         Arc::new(SoftmaxRegression::new(2, 2))
@@ -734,6 +726,65 @@ mod tests {
         let report = server.shutdown();
         assert_eq!(report.rejected_bad, 3);
         assert_eq!(report.responses, 1);
+    }
+
+    fn start_tcp(cfg: ServingConfig) -> AdaptServer {
+        let model = test_model();
+        let global = SharedGlobal::new();
+        global.publish(1, &vec![0.0; model.param_len()]);
+        let listener = crate::transport::TcpTransportListener::bind("127.0.0.1:0").unwrap();
+        AdaptServer::start(Box::new(listener), model, global, cfg)
+    }
+
+    /// At most `queue_depth` links await their first request at once: a
+    /// burst of silent connections closes the oldest of them at once,
+    /// keeps the thread registry bounded, and a real client is still
+    /// served behind it.
+    #[test]
+    fn silent_links_beyond_the_queue_depth_are_closed() {
+        const SILENT: usize = 12;
+        let server = start_tcp(ServingConfig::default().with_queue_depth(2));
+        let started = Instant::now();
+        let mut silent: Vec<TcpTransport> = (0..SILENT)
+            .map(|_| TcpTransport::connect(server.local_addr()).unwrap())
+            .collect();
+        for (i, link) in silent[..SILENT - 2].iter_mut().enumerate() {
+            assert_eq!(
+                link.recv_frame(Duration::from_secs(5)),
+                Err(crate::transport::TransportError::Closed),
+                "silent link {i}"
+            );
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < FIRST_FRAME_TIMEOUT / 2, "{elapsed:?}");
+        let link = TcpTransport::connect(server.local_addr()).unwrap();
+        let mut client = AdaptClient::new(Box::new(link));
+        let req = request_from_batch(1, 0, 0.1, 1, &class_batch());
+        assert!(matches!(
+            client.request(&req, Duration::from_secs(5)).unwrap(),
+            AdaptOutcome::Adapted { .. }
+        ));
+        let links = server.links.as_ref().unwrap();
+        assert!(links.waiting() <= 2);
+        // The client's conn thread, and the links not yet joined.
+        let registered = links.registered();
+        assert!(registered <= 6, "{registered} thread handles kept");
+        assert_eq!(server.shutdown().responses, 1);
+    }
+
+    /// Shutdown does not wait out the first-frame deadline of links that
+    /// never spoke.
+    #[test]
+    fn shutdown_with_silent_links_open_is_prompt() {
+        let server = start_tcp(ServingConfig::default());
+        let _silent: Vec<TcpTransport> = (0..4)
+            .map(|_| TcpTransport::connect(server.local_addr()).unwrap())
+            .collect();
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        server.shutdown();
+        let elapsed = started.elapsed();
+        assert!(elapsed < FIRST_FRAME_TIMEOUT / 2, "{elapsed:?}");
     }
 
     #[test]
