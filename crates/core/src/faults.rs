@@ -13,11 +13,11 @@
 //!
 //! Every draw is a *pure function* of `(seed, node, round)`: the plan
 //! derives a private RNG per pair by mixing the three values through a
-//! SplitMix64-style finalizer and seeding a fresh
-//! [`StdRng`](rand::rngs::StdRng) from the result. No shared mutable RNG
-//! stream exists, so fault schedules are bitwise identical at any worker
-//! thread count and regardless of evaluation order — preserving the
-//! repository's thread-count determinism guarantees.
+//! SplitMix64-style finalizer and seeding a fresh [`StdRng`] from the
+//! result. No shared mutable RNG stream exists, so fault schedules are
+//! bitwise identical at any worker thread count and regardless of
+//! evaluation order — preserving the repository's thread-count
+//! determinism guarantees.
 //!
 //! Scripted faults (exact `(node, round)` entries and permanent crashes)
 //! take precedence over the probabilistic draws, so tests and experiments
@@ -152,7 +152,11 @@ fn mix3(seed: u64, node: u64, round: u64) -> u64 {
     splitmix(splitmix(x))
 }
 
-fn splitmix(mut z: u64) -> u64 {
+/// The SplitMix64 step: adds the golden-ratio increment to `z`, then
+/// applies the finalizer. The fault plan's draws, the runtime's
+/// `VirtualClock` and its link-fault draws all go through this one
+/// function.
+pub fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

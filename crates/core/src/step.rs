@@ -45,7 +45,7 @@
 //!   it, re-averaged once at the end — kept, bit for bit, because every
 //!   pinned result was drawn that way);
 //! * [`train`](LocalStepper::train) — `train_from` a drawn `θ⁰`;
-//! * [`combine`](LocalStepper::combine) (identity; [`Reptile`] overrides
+//! * [`combine`](LocalStepper::combine) (identity; [`Reptile`](crate::Reptile) overrides
 //!   it with `θ ← θ + ε(φ̄ − θ)`), [`threads`](LocalStepper::threads)
 //!   and [`oracle_calls`](LocalStepper::oracle_calls);
 //! * [`yields_curve_terms`](LocalStepper::yields_curve_terms) (`false`;
@@ -82,7 +82,7 @@
 //! [`crate::RobustFedMl`] stays outside with inherent
 //! `train`/`train_from`: its per-node adversarial sets and RNG persist
 //! from round to round, which a step that is a pure function of
-//! `(anchor, state)` cannot carry. [`Reptile`] overrides `train_from`
+//! `(anchor, state)` cannot carry. [`Reptile`](crate::Reptile) overrides `train_from`
 //! only to take its result at `θ` itself, without the re-average; the
 //! loop is the same.
 

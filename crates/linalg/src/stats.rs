@@ -19,7 +19,8 @@ fn variance(x: &[f64]) -> f64 {
     x.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (x.len() - 1) as f64
 }
 
-/// Sample standard deviation — see [`variance`].
+/// Sample standard deviation: the square root of the Bessel-corrected
+/// sample variance.
 pub fn std_dev(x: &[f64]) -> f64 {
     variance(x).sqrt()
 }

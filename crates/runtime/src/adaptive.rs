@@ -37,7 +37,8 @@ pub fn run_adaptive_fedml(
     let runner = SimRunner::new(*sim);
     let mut driver = Driver::new(&runner, fedml, model, tasks, theta0);
     let everyone: Vec<usize> = (0..tasks.len()).collect();
-    let (mut t0_trace, mut divergence_trace, mut local) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut t0_trace, mut divergence_trace) = (Vec::new(), Vec::new());
+    let mut local = vec![0.0; theta0.len()];
     let mut t0 = ctrl.t0_init;
     let mut done = 0usize;
 
@@ -57,7 +58,7 @@ pub fn run_adaptive_fedml(
             .zip(&driver.replies)
             .map(|(task, reply)| {
                 let view = MessageView::parse(reply).expect("a reply the driver encoded");
-                view.copy_params_into(&mut local);
+                view.write_params(&mut local);
                 task.weight * dist2(&local, global)
             })
             .sum::<f64>()

@@ -1,9 +1,10 @@
-//! Deterministic virtual clock for the actor runtime.
+//! Deterministic upload delays for the thread driver.
 //!
-//! The runtime never sleeps and never reads the wall clock to decide
-//! *algorithmic* behaviour: every latency that matters — when a node's
-//! upload "arrives" at the platform — is drawn from a pure function of
-//! `(seed, node, round)`. Two consequences:
+//! The round core takes each upload's delay from its driver. The thread
+//! driver ([`crate::Runtime`]) passes this clock's: a pure function of
+//! `(seed, node, round)`, never the wall clock; the virtual-time driver
+//! ([`crate::SimRunner`]) passes its priced links instead. Two
+//! consequences:
 //!
 //! * async-mode staleness is exactly reproducible, at any worker-thread
 //!   count and on any machine, because arrival times do not depend on
@@ -15,12 +16,15 @@
 //! uplink and on socket links — a liveness safety net against genuinely
 //! dead threads, never a source of simulated time.
 
+use fml_core::faults::splitmix;
+
 /// A seeded, pure model of per-upload network delay.
 ///
 /// The delay of node `i`'s round-`r` upload is
 /// `base_delay_s + jitter_s · u(i, r)` where `u ∈ [0, 1)` comes from a
-/// SplitMix64-style hash of `(seed, i, r)` — the same construction
-/// `fml_core::FaultPlan` uses for its per-`(node, round)` draws.
+/// SplitMix64 hash of `(seed, i, r)` — through the same finalizer,
+/// [`splitmix`], as `fml_core::FaultPlan`'s per-`(node, round)` draws,
+/// under its own stream mix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VirtualClock {
     seed: u64,
@@ -86,14 +90,6 @@ fn mix3(seed: u64, node: u64, round: u64) -> u64 {
         seed ^ node.wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ round.wrapping_mul(0xbf58_476d_1ce4_e5b9),
     )
-}
-
-/// SplitMix64 finalizer.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -217,11 +217,13 @@ pub struct RuntimeConfig {
     /// connect before starting with whoever joined (milliseconds).
     /// Irrelevant for the in-process channel transport.
     pub join_timeout_ms: u64,
-    /// Virtual duration of one communication round (seconds); together
-    /// with the clock's delays this decides which round an async upload
-    /// lands in.
+    /// Virtual duration of one communication round (seconds). An async
+    /// upload lands in the round that its arrival — its round's start
+    /// plus its delay — falls in. Each upload's delay comes from the
+    /// driver: [`clock`](Self::clock)'s in [`crate::Runtime`], the priced
+    /// links' in [`crate::SimRunner`].
     pub round_duration_s: f64,
-    /// Seeded virtual network delays.
+    /// The thread driver's seeded upload delays.
     pub clock: VirtualClock,
     /// The fault stack, as [`crate::SimRunner::with_faults`] takes it
     /// too: the injected schedule (crash / corrupt), the

@@ -30,8 +30,9 @@
 //!   folded in with a staleness-decayed weight, and anything staler
 //!   than [`AsyncPolicy::max_staleness`] rounds is rejected.
 //!
-//! Time is **virtual**: upload latencies come from the seeded
-//! [`VirtualClock`], pure in `(seed, node, round)`, so async schedules
+//! Time is **virtual**: each upload's delay comes from the driver — on
+//! threads from the seeded [`VirtualClock`], pure in `(seed, node,
+//! round)`, in the simulator from its priced links — so async schedules
 //! are bitwise reproducible at any worker-thread count and on any
 //! machine. Wall-clock timeouts exist only as a liveness net against
 //! genuinely dead threads.

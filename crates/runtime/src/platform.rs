@@ -98,13 +98,15 @@
 //! bitwise trainers), Reptile's outer interpolation otherwise.
 //!
 //! **Async** buffers each upload until its virtual arrival round
-//! (round-start time plus seeded clock delay), then folds updates into
-//! the global model one at a time in `(arrival_time, node)` order with a staleness-decayed weight (see
-//! [`crate::AsyncPolicy`]) — that mix replaces
-//! [`LocalStepper::combine`] in this mode. Updates staler than
-//! `max_staleness` are rejected and counted. Because arrival order is
-//! derived from the virtual clock — never from OS scheduling — results
-//! are bitwise identical at any worker-thread count.
+//! (round-start time plus the upload's delay), then folds updates into
+//! the global model one at a time in `(arrival_time, node)` order with a
+//! staleness-decayed weight (see [`crate::AsyncPolicy`]) — that mix
+//! replaces [`LocalStepper::combine`] in this mode. Updates staler than
+//! `max_staleness` are rejected and counted. Each upload's delay comes
+//! from the driver: this one passes the seeded
+//! [`VirtualClock`](crate::VirtualClock)'s `delay_s(node, round)` when it
+//! closes a round, so arrival order never depends on OS scheduling and
+//! results are bitwise identical at any worker-thread count.
 
 pub(crate) mod core;
 
@@ -324,7 +326,7 @@ impl Runtime {
             }
             peers.retract();
             pool.recycle(frame);
-            if core.close_round() {
+            if core.close_round(|node| self.cfg.clock.delay_s(node, round)) {
                 publish(&core);
                 if let (Some(dir), Some(ck)) = (dir, core.checkpoint()) {
                     let _ = std::fs::create_dir_all(dir);

@@ -7,11 +7,16 @@
 //! time in and out through plain methods, one round at a time:
 //!
 //! ```text
-//! open_round → broadcast(send) → evaluate_parked → wait(now) / offer(frame, now) … → close_round → checkpoint
+//! open_round → broadcast(send) → evaluate_parked → wait(now) / offer(frame, now) … → close_round(delay) → checkpoint
 //! ```
 //!
-//! Time enters only as the caller's `Instant`s, so a test can drive a
-//! round frame by frame at synthetic times without a thread or a sleep.
+//! Time enters only from the caller: the `Instant`s the silence deadline
+//! is kept against, and each upload's delay, in seconds after its
+//! round's start, which [`close_round`](Core::close_round) takes — the
+//! thread driver's seeded [`VirtualClock`](crate::VirtualClock), the
+//! virtual-time driver's priced downlink, compute and uplink. So a test
+//! can drive a round frame by frame at synthetic times and delays,
+//! without a thread or a sleep.
 //! The virtual-time driver also [selects](Core::select) each round's
 //! nodes, [schedules](Core::schedule) its `T0`, and
 //! [prices](Core::price) its trace row; the thread driver does none of
@@ -320,8 +325,8 @@ struct Outcome {
 }
 
 /// What a round cost, as its trace row shows it. The thread driver
-/// leaves it to the core — the frames it moved and its virtual clock,
-/// no compute — and the virtual-time driver prices it
+/// leaves it to the core — the frames it moved and the upload delays it
+/// passed, no compute — and the virtual-time driver prices it
 /// ([`Core::price`]).
 #[derive(Clone, Copy, Default)]
 pub(crate) struct RoundCost {
@@ -690,17 +695,22 @@ impl<'a> Core<'a> {
     }
 
     /// Records the parked round — its curve point is still the global —
-    /// then closes the open round with whatever it received. `false`
-    /// means it rolled back and must run again; otherwise the round is
+    /// then closes the open round with whatever it received. Each
+    /// upload's delay comes from the driver: `delay(node)` is when, in
+    /// seconds after the round's start, the node's upload reaches the
+    /// platform. It is read only for nodes whose update was accepted: a
+    /// barrier close counts the slowest as the round's comm time, an
+    /// async close stamps each upload's virtual arrival with it. `false`
+    /// means the round rolled back and must run again; otherwise it is
     /// done and parked until its losses are in.
-    pub(crate) fn close_round(&mut self) -> bool {
+    pub(crate) fn close_round(&mut self, delay: impl Fn(usize) -> f64) -> bool {
         self.record_parked();
         let frame_len = encoded_frame_len(self.global.len());
         self.round_bytes += (self.delivered.len() * frame_len) as u64;
         let closed = match self.fold.take() {
-            None => self.close_barrier(),
+            None => self.close_barrier(&delay),
             Some(mut fold) => {
-                let closed = self.close_async(&mut fold);
+                let closed = self.close_async(&mut fold, &delay);
                 self.fold = Some(fold);
                 Some(closed)
             }
@@ -728,13 +738,13 @@ impl<'a> Core<'a> {
         true
     }
 
-    /// A barrier close, with the round's outcome and virtual comm time;
-    /// `None` when it rolled back.
-    fn close_barrier(&mut self) -> Option<(Outcome, f64)> {
+    /// A barrier close, with the round's outcome and comm time: the
+    /// slowest accepted upload's `delay`. `None` when it rolled back.
+    fn close_barrier(&mut self, delay: impl Fn(usize) -> f64) -> Option<(Outcome, f64)> {
         let n = self.tasks.len();
         let comm_time_s = (0..n)
             .filter(|&i| matches!(self.slots[i], Slot::Received { .. }))
-            .map(|i| self.cfg.clock.delay_s(i, self.round))
+            .map(delay)
             .fold(0.0f64, f64::max);
         let clean = |s: &Slot| *s == Slot::Received { finite: true };
         let end = if self.exact && self.slots.iter().all(clean) {
@@ -865,11 +875,12 @@ impl<'a> Core<'a> {
     }
 
     /// An async close: stamps each received update with its virtual
-    /// arrival round, then folds everything due in `(arrival_time, node)`
-    /// order with a staleness-decayed weight. The staleness-weighted mix
+    /// arrival — the round's start plus its `delay` — and so its arrival
+    /// round, then folds everything due in `(arrival_time, node)` order
+    /// with a staleness-decayed weight. The staleness-weighted mix
     /// `θ ← (1−w)θ + w·u` *is* this mode's combine step:
     /// [`LocalStepper::combine`] is not applied.
-    fn close_async(&mut self, fold: &mut Fold) -> (Outcome, f64) {
+    fn close_async(&mut self, fold: &mut Fold, delay: impl Fn(usize) -> f64) -> (Outcome, f64) {
         let (round, rounds, n) = (self.round, self.rounds, self.tasks.len());
         let policy = fold.policy;
         let round_s = self.cfg.round_duration_s;
@@ -881,10 +892,10 @@ impl<'a> Core<'a> {
             }
         }
         // Stamp each physical arrival with its *virtual* arrival round:
-        // round-start time plus the seeded upload delay.
+        // round-start time plus the driver's upload delay.
         let d = self.global.len();
         for node in (0..n).filter(|&i| matches!(self.slots[i], Slot::Received { .. })) {
-            let arrival_time_s = (round - 1) as f64 * round_s + self.cfg.clock.delay_s(node, round);
+            let arrival_time_s = (round - 1) as f64 * round_s + delay(node);
             let mut params = fold.spares.pop().unwrap_or_default();
             params.clear();
             params.extend_from_slice(&self.rows[node * d..][..d]);
@@ -1193,6 +1204,13 @@ mod tests {
             .collect()
     }
 
+    /// Closes the open round with the configured clock's upload delays,
+    /// as the thread driver does.
+    fn close(core: &mut Core) -> bool {
+        let (clock, round) = (core.cfg.clock, core.round);
+        core.close_round(|node| clock.delay_s(node, round))
+    }
+
     /// One round in which the broadcast reaches everybody and the
     /// `reporters` answer, in that order, at `t`: the round's number and
     /// whether it closed.
@@ -1204,7 +1222,7 @@ mod tests {
             let frame = update(round, node, &local(&core.global, node));
             core.offer(&frame, t);
         }
-        (round, core.close_round())
+        (round, close(core))
     }
 
     #[test]
@@ -1250,7 +1268,7 @@ mod tests {
         }
         assert_eq!(core.wait(t), None, "every reached node reported");
         let bytes: u64 = frames.iter().map(|(f, _)| f.len() as u64).sum();
-        assert!(core.close_round());
+        assert!(close(&mut core));
         let (_, report) = core.finish();
         let row = &report.trace.rounds()[0];
         assert_eq!(row.participants, vec![0, 1]);
@@ -1298,7 +1316,7 @@ mod tests {
         core.offer(&flagged(3, terms(3)), t);
         core.offer(&flagged(3, (9.0, 9.0)), t);
         core.offer(&flagged(4, terms(4)), t);
-        assert!(core.close_round());
+        assert!(close(&mut core));
         assert_eq!(core.report.curve_terms_reported, 2);
         assert_eq!(core.report.curve_terms_evaluated, 3);
 
@@ -1390,7 +1408,7 @@ mod tests {
                 }
                 core.offer(&update(round, node, &row), Instant::now());
             }
-            assert!(core.close_round());
+            assert!(close(&mut core));
             let good: Vec<usize> = (0..4).filter(|&i| bad.is_none() || i != 1).collect();
             let total_w: f64 = good.iter().map(|&i| tasks[i].weight).sum();
             let weights: Vec<f64> = good.iter().map(|&i| tasks[i].weight / total_w).collect();
@@ -1428,7 +1446,7 @@ mod tests {
             }
             core.offer(&update(round, node, &params), Instant::now());
         }
-        assert!(core.close_round());
+        assert!(close(&mut core));
         assert!(core.global.iter().all(|x| x.is_finite()));
         let (out, report) = core.finish();
         let record = &out.history[0];
@@ -1456,7 +1474,7 @@ mod tests {
             core.offer(&update(round, node, &local(&theta0, node)), t);
         }
         core.offer(&update(round, 2, &vec![f64::NAN; theta0.len()]), t);
-        assert!(!core.close_round());
+        assert!(!close(&mut core));
         assert_eq!(core.global, theta0, "rolled back");
         assert_eq!((core.report.rollbacks, core.report.recoveries), (1, 1));
         assert_eq!(core.report.excluded_nodes, vec![2, 3]);
@@ -1556,6 +1574,53 @@ mod tests {
         assert_eq!(out.params, theta0);
     }
 
+    /// Each upload's delay is the driver's, and an async close folds by
+    /// it alone: delays in reverse node order fold in reverse order, a
+    /// delay of a whole round lands a round late, at staleness 1, and a
+    /// non-finite one never lands and is counted undelivered at the end.
+    #[test]
+    fn async_uploads_fold_by_the_delays_the_driver_passes() {
+        let (model, tasks, theta0) = fixture(2);
+        let policy = AsyncPolicy::default();
+        let cfg = RuntimeConfig::async_mode(1, policy);
+        let stepper = fedml(3);
+        let mut core = Core::new(&cfg, &stepper, &model, &tasks, &theta0);
+        let t = Instant::now();
+        let round_with = |core: &mut Core, delays: [f64; 2]| {
+            let round = core.open_round().expect("a round left");
+            core.broadcast(|_| true);
+            core.evaluate_parked();
+            for node in 0..2 {
+                core.offer(&update(round, node, &local(&core.global, node)), t);
+            }
+            assert!(core.close_round(|node| delays[node]));
+        };
+
+        round_with(&mut core, [0.2, 0.1]);
+        let mix = |g: &[f64], node: usize| {
+            let w = policy.weight(tasks[node].weight, 2, 0);
+            let u = local(&theta0, node);
+            g.iter()
+                .zip(&u)
+                .map(|(g, u)| (1.0 - w) * g + w * u)
+                .collect::<Vec<_>>()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let reverse = mix(&mix(&theta0, 1), 0);
+        assert_eq!(bits(&core.global), bits(&reverse));
+        assert_ne!(bits(&reverse), bits(&mix(&mix(&theta0, 0), 1)));
+
+        // Node 0's upload takes the whole round; node 1's never arrives.
+        round_with(&mut core, [cfg.round_duration_s, f64::NAN]);
+        assert_eq!(bits(&core.global), bits(&reverse), "nothing due");
+        round_with(&mut core, [f64::INFINITY, f64::INFINITY]);
+        let (out, report) = core.finish();
+        let reporters: Vec<usize> = out.history.iter().map(|r| r.reporters).collect();
+        assert_eq!(reporters, [2, 0, 1]);
+        assert_eq!(report.staleness_hist, [2, 1]);
+        assert_eq!(report.undelivered, 3, "round 2's node 1, round 3's both");
+    }
+
     #[test]
     fn a_checkpoint_from_another_fleet_size_is_a_fresh_start() {
         let (model, tasks, theta0) = fixture(3);
@@ -1612,7 +1677,7 @@ mod tests {
                 }
                 core.offer(&update(round, node, &params), Instant::now());
             }
-            assert!(core.close_round());
+            assert!(close(&mut core));
             written.extend(core.checkpoint().map(|ck| (round, ck)));
         }
         (core.finish().0.params, written)

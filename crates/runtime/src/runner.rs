@@ -16,12 +16,20 @@
 //!    draw, encode into a pooled frame), fanned out over
 //!    [`SimConfig::threads`];
 //! 4. meters each node's compute at its [`EdgeProfile`] speed, prices one
-//!    `send_up` per reply in node order, and offers the reply to the core
-//!    at its virtual arrival: the node's downlink, compute and uplink
-//!    after the round's start;
+//!    `send_up` per reply in node order, and offers every reply to the
+//!    core at one `Instant` — the core polls no deadline in virtual time;
 //! 5. hands the core the round's priced cost for its trace row, and
-//!    closes the round — which the core may roll back, and the driver
-//!    then runs again over the same participants.
+//!    closes the round with each upload's delay: its priced arrival, the
+//!    node's downlink, compute and uplink after the round's start. The
+//!    core may roll the round back, and the driver then runs it again
+//!    over the same participants.
+//!
+//! The core's settings decide the mode. [`SimRunner::new`] runs barrier
+//! rounds; an async core folds each upload in the round its priced
+//! arrival falls in, in `(arrival, node)` order, as the thread driver's
+//! does by its seeded clock. Only this module's tests build an async
+//! runner: async in virtual time is test support until a schedule
+//! explorer gives it a caller.
 //!
 //! The fault stack is the core's too: the finite check, quorum and
 //! rollback-and-exclude are decided there, under
@@ -35,7 +43,7 @@
 //! [`encoded_frame_len`] whether or not a reply carries its curve-terms
 //! trailer.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 use fml_core::parallel::map_ordered_with;
@@ -57,8 +65,9 @@ use crate::platform::core::{Core, RoundCost};
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimRunner {
     cfg: SimConfig,
-    /// The core's settings: a barrier round under the fault stack. The
-    /// driver prices rounds.
+    /// The core's settings: barrier rounds under the fault stack (the
+    /// tests build async ones too). The driver prices rounds and passes
+    /// each upload's delay.
     core: RuntimeConfig,
 }
 
@@ -177,13 +186,12 @@ pub(crate) struct Driver<'a> {
     profiles: Vec<EdgeProfile>,
     comm: CommStats,
     compute: ComputeStats,
-    /// Where the open round starts in virtual time.
-    clock: Instant,
     /// The nodes the open round's broadcast reached, ascending.
     reached: Vec<usize>,
-    /// When each reached node's reply leaves it in the open round: its
-    /// downlink plus its compute.
-    ready_s: Vec<f64>,
+    /// Per node, when its reply reaches the platform in the open round,
+    /// in seconds after the round's start: its downlink, compute and
+    /// uplink. Only reached nodes' entries are the open round's.
+    arrival_s: Vec<f64>,
     /// The last round's replies, in node order, until the next round
     /// recycles them.
     pub(crate) replies: Vec<Bytes>,
@@ -222,9 +230,8 @@ impl<'a> Driver<'a> {
             profiles,
             comm: CommStats::default(),
             compute: ComputeStats::default(),
-            clock: Instant::now(),
             reached: Vec::with_capacity(n),
-            ready_s: Vec::with_capacity(n),
+            arrival_s: vec![0.0; n],
             replies: Vec::new(),
         }
     }
@@ -251,13 +258,12 @@ impl<'a> Driver<'a> {
         });
         let mut cost = RoundCost::default();
         let mut down_s = 0.0f64;
-        self.ready_s.clear();
-        for _ in reached.iter() {
+        for &node in reached.iter() {
             let t = sim.network.send_down(len, rng);
             comm.bytes_down += len as u64;
             charge(comm, &mut cost, len, t);
             down_s = down_s.max(t.time_s);
-            self.ready_s.push(t.time_s);
+            self.arrival_s[node] = t.time_s;
         }
         // What the parked round's curve needs from the core, while the
         // nodes would compute.
@@ -276,10 +282,10 @@ impl<'a> Driver<'a> {
         self.pool.recycle(frame);
         // The critical path is the slowest participant.
         let (grads, hvps) = ctx.stepper.oracle_calls();
-        for (&node, ready) in reached.iter().zip(&mut self.ready_s) {
+        for &node in reached.iter() {
             let node_time = sim.iteration_time_s * steps as f64 / self.profiles[node].speed;
             cost.compute_time_s = cost.compute_time_s.max(node_time);
-            *ready += node_time;
+            self.arrival_s[node] += node_time;
             self.compute.grad_evals += grads * steps as u64;
             self.compute.hvp_evals += hvps * steps as u64;
             self.compute.local_iterations += steps as u64;
@@ -287,19 +293,20 @@ impl<'a> Driver<'a> {
         self.compute.time_s += cost.compute_time_s;
 
         let mut up_s = 0.0f64;
-        for (reply, ready) in replies.iter().zip(&self.ready_s) {
+        let now = Instant::now();
+        for (reply, &node) in replies.iter().zip(reached.iter()) {
             let t = sim.network.send_up(len, rng);
             comm.bytes_up += len as u64;
             charge(comm, &mut cost, len, t);
             up_s = up_s.max(t.time_s);
-            core.offer(reply, at(self.clock, ready + t.time_s));
+            self.arrival_s[node] += t.time_s;
+            core.offer(reply, now);
         }
         cost.comm_time_s = down_s + up_s;
         comm.time_s += cost.comm_time_s;
-        self.clock = at(self.clock, cost.comm_time_s + cost.compute_time_s);
         core.price(cost);
         self.replies = replies;
-        core.close_round()
+        core.close_round(|node| self.arrival_s[node])
     }
 
     /// The core's training output, and the run's meters beside it.
@@ -333,22 +340,16 @@ fn charge(comm: &mut CommStats, cost: &mut RoundCost, len: usize, t: Transfer) {
     cost.retransmissions += t.retransmissions as u64;
 }
 
-/// `base` plus `secs` of virtual time. A time no `Duration` or
-/// `Instant` holds — negative, not finite, or past the clock's range —
-/// stays at `base`.
-fn at(base: Instant, secs: f64) -> Instant {
-    let later = Duration::try_from_secs_f64(secs).unwrap_or_default();
-    base.checked_add(later).unwrap_or(base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::param_hash;
+    use crate::report::RuntimeReport;
+    use crate::{param_hash, AsyncPolicy, Runtime, VirtualClock};
     use fml_core::{FaultPlan, FedAvg, FedAvgConfig, FedMl, FedMlConfig, GatherPolicy};
     use fml_data::NodeData;
     use fml_linalg::Matrix;
     use fml_models::{Batch, Quadratic, SoftmaxRegression};
+    use fml_sim::network::{LinkModel, Network};
     use rand::SeedableRng;
 
     fn quad_tasks(centers: &[(f64, f64)]) -> Vec<SourceTask> {
@@ -988,5 +989,88 @@ mod tests {
         want[..2].fill((4, false));
         assert_eq!(shape(&out), want);
         assert_eq!(param_hash(&out.params), "c0af72a7086e8bcc");
+    }
+
+    /// FedML over `alternating(n)` for six rounds of `T0 = 3`.
+    fn fedml6() -> FedMl {
+        FedMl::new(
+            FedMlConfig::new(0.1, 0.1)
+                .with_local_steps(3)
+                .with_rounds(6),
+        )
+    }
+
+    /// Async rounds in virtual time are the thread driver's: with an
+    /// uplink whose latency is its clock's base delay, an ideal downlink
+    /// and no compute time, `SimRunner` equals `Runtime::run` bit for bit
+    /// at delays that fold every upload fresh, one round stale and two.
+    #[test]
+    fn async_sim_is_the_thread_driver_bit_for_bit() {
+        let model = Quadratic::isotropic(2, 1.0);
+        let tasks = alternating(5);
+        for (base, hist) in [(0.05, vec![30]), (1.5, vec![0, 25]), (2.5, vec![0, 0, 20])] {
+            let core = RuntimeConfig::async_mode(3, AsyncPolicy::default())
+                .with_clock(VirtualClock::new(3).with_base_delay(base));
+            let threads = Runtime::new(core.clone()).run(&fedml6(), &model, &tasks, &[2.0, -2.0]);
+            assert_eq!(threads.report.staleness_hist, hist, "base delay {base}");
+            let uplink = LinkModel {
+                latency_s: base,
+                ..LinkModel::ideal()
+            };
+            let cfg = SimConfig {
+                network: Network {
+                    uplink,
+                    ..Network::ideal()
+                },
+                ..SimConfig::ideal()
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+            let (sim, _) =
+                SimRunner { cfg, core }.train(&fedml6(), &model, &tasks, &[2.0, -2.0], &mut rng);
+            assert_eq!(sim, threads.train, "base delay {base}");
+        }
+    }
+
+    /// Four nodes in async mode, node 0 a 10× straggler: its priced
+    /// arrival is 1.5 s after its round starts (the others' 0.15 s), on
+    /// `threads` workers.
+    fn async_straggler(threads: usize) -> (TrainOutput, RuntimeReport) {
+        let model = Quadratic::isotropic(2, 1.0);
+        let tasks = alternating(4);
+        let fedml = fedml6();
+        let runner = SimRunner {
+            cfg: SimConfig {
+                threads,
+                ..SimConfig::ideal()
+                    .with_iteration_time(0.05)
+                    .with_stragglers(0.25, 0.1)
+            },
+            core: RuntimeConfig::async_mode(0, AsyncPolicy::default()),
+        };
+        let mut driver = Driver::new(&runner, &fedml, &model, &tasks, &[2.0, -2.0]);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        while let Some(round) = driver.core.open_round() {
+            assert!(driver.step(round, &[0, 1, 2, 3], &mut rng));
+        }
+        driver.core.finish()
+    }
+
+    /// The straggler's upload is folded one round stale: round 1 has the
+    /// other three reporters and every later round all four. Its last
+    /// upload is still in flight when the run ends.
+    #[test]
+    fn an_async_straggler_is_folded_one_round_late() {
+        let (out, report) = async_straggler(2);
+        let reporters: Vec<usize> = out.history.iter().map(|r| r.reporters).collect();
+        assert_eq!(reporters, [3, 4, 4, 4, 4, 4]);
+        assert_eq!(report.staleness_hist, [18, 5]);
+        assert_eq!(report.undelivered, 1);
+    }
+
+    #[test]
+    fn async_sim_thread_count_does_not_change_results() {
+        let (one, _) = async_straggler(1);
+        assert_eq!(async_straggler(2).0, one);
+        assert_eq!(async_straggler(8).0, one);
     }
 }

@@ -7,7 +7,7 @@
 //! it owns the current global — loaded from a checkpoint or hot-swapped
 //! live by a co-resident training platform through [`SharedGlobal`] —
 //! and answers [`fml_sim::AdaptRequest`] frames over any
-//! [`Transport`](crate::transport::Transport), with replies computed by
+//! [`Transport`], with replies computed by
 //! [`fml_core::adapt::adapt_into`] so served parameters are bitwise
 //! identical to the offline `fml_core::adapt::adapt` on the same
 //! global.

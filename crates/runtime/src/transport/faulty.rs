@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use fml_core::faults::splitmix;
 use fml_sim::message::encoded_frame_len;
 
 use super::{Transport, TransportError};
@@ -115,17 +116,15 @@ impl LinkFaultPlan {
 
     /// A uniform draw in `[0, 1)` for operation `op` at counter `idx`.
     fn unit(&self, op: u64, idx: u64) -> f64 {
-        let mut x = self
+        // The SplitMix64 finalizer of `seed·γ + op·c₁ + idx·c₂`:
+        // `splitmix` adds the one `γ` that `seed − 1` leaves out.
+        let x = self
             .seed
+            .wrapping_sub(1)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(op.wrapping_mul(0xBF58_476D_1CE4_E5B9))
             .wrapping_add(idx.wrapping_mul(0x94D0_49BB_1331_11EB));
-        // SplitMix64 finalizer — a private copy; the clock's is not
-        // exported and the two schedules must stay independent anyway.
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        (x >> 11) as f64 / (1u64 << 53) as f64
+        (splitmix(x) >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

@@ -21,9 +21,10 @@ use fml_sim::FramePool;
 
 use super::{io_error, Transport, TransportError};
 
-/// Default connect retry budget for [`connect_with_backoff`] callers —
-/// with [`CONNECT_BASE_DELAY`] doubling per attempt (capped at 1s) this
-/// is roughly five seconds of patience, enough for a platform process
+/// Default connect retry budget for callers of [`TcpTransport`]'s and
+/// [`UnixTransport`]'s `connect_with_backoff` — with
+/// [`CONNECT_BASE_DELAY`] doubling per attempt (capped at 1s) this is
+/// roughly five seconds of patience, enough for a platform process
 /// started in parallel with its nodes.
 pub const CONNECT_ATTEMPTS: u32 = 10;
 

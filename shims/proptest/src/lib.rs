@@ -236,7 +236,7 @@ pub mod collection {
     use rand::rngs::StdRng;
     use rand::Rng;
 
-    /// Size specification for [`vec`]: an exact length or a half-open
+    /// Size specification for [`vec()`]: an exact length or a half-open
     /// range of lengths.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
